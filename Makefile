@@ -28,11 +28,15 @@
 # cagmresd on a bf16-capable profile with a mixed default, checks the
 # daemon default/override semantics of the precision field over real
 # HTTP, requires a bit-identical mixed replay and the
-# solver_precision_* metric families, and drains cleanly.
+# solver_precision_* metric families, and drains cleanly. `make bench`
+# runs the repository's wall-clock benchmark (./benchmark, see its
+# README) as a suite — BENCH_RUNS seeds per workload plus a traced run —
+# and `make bench-compare OLD=a.json NEW=b.json` judges two of its suite
+# documents against each other (exit 1 on a regression).
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot
+.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare
 
 check: vet staticcheck race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
@@ -58,6 +62,7 @@ race:
 	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
+	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS'
 
 # Opt-in wall-clock kernel comparison (needs an unloaded machine).
 measured:
@@ -122,7 +127,8 @@ overlap-smoke:
 # Short-budget fuzz pass over the hostile-input surfaces: the
 # MatrixMarket body of POST /solve, the machine-profile JSON decoder,
 # the router's backend-response decoder, the Solve-Control header
-# parser, and the precision field of the solve body. The committed
+# parser, and the precision field of the solve body — plus the in-place
+# row sort every permuted or relabeled matrix goes through. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
 fuzz-smoke:
@@ -131,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzPrecisionField -fuzztime 5s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzRouterDecode -fuzztime 5s
+	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
 
 # Coverage floor for the machine-profile package: the conformance suite
 # is the fence the profile refactor landed behind, so its coverage must
@@ -154,3 +161,15 @@ bench-snapshot:
 	$(GO) run ./cmd/experiments -fig cluster -clusterjson BENCH_pr8.json > /dev/null
 	$(GO) run ./cmd/experiments -fig overload -overloadjson BENCH_pr9.json > /dev/null
 	$(GO) run ./cmd/experiments -fig precision -precisionjson BENCH_pr10.json > /dev/null
+
+# The wall-clock benchmark of BENCHMARK.json, as a suite: every
+# workload, BENCH_RUNS seeds each plus one traced run for the per-layer
+# metrics. The suite document lands in benchmark/out/suite.json; copy it
+# aside to compare a later run against it.
+BENCH_RUNS ?= 5
+bench:
+	$(GO) run ./benchmark -runs $(BENCH_RUNS) -trace 1
+
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old/suite.json NEW=new/suite.json"; exit 2; }
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)

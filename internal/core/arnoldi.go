@@ -63,13 +63,10 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 	sc := getScratch(m, ctx.NumDevices)
 	defer putScratch(sc)
 	var steps int
+	mpk := dist.NewMPK(p.distributed(s))
 	if s <= 1 {
-		A1 := dist.Distribute(ctx, p.A, p.Layout, 1)
-		mpk := dist.NewMPK(A1)
 		steps = gmresCycle(mpk, V, h, m, 1, 0, sc)
 	} else {
-		As := dist.Distribute(ctx, p.A, p.Layout, s)
-		mpk := dist.NewMPK(As)
 		tsqr, err := ortho.ByName(opts.Ortho)
 		if err != nil {
 			return nil, err

@@ -62,12 +62,10 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 	n := p.Layout.N
 	m, s := opts.M, opts.S
 
-	// Two distributions: depth-s for the matrix powers kernel, depth-1
-	// for residual SpMVs (and the first GMRES cycle).
-	As := dist.Distribute(ctx, p.A, p.Layout, s)
-	mpkS := dist.NewMPK(As)
-	A1 := dist.Distribute(ctx, p.A, p.Layout, 1)
-	mpk1 := dist.NewMPK(A1)
+	// One depth-s distribution serves the matrix powers kernel and, read
+	// up to its owned-row prefix, the residual SpMVs and the first GMRES
+	// cycle.
+	mpk := dist.NewMPK(p.distributed(s))
 
 	V := dist.NewVectors(ctx, p.Layout, m+1)
 	W := dist.NewVectors(ctx, p.Layout, 3) // x, b, r
@@ -134,7 +132,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 			break
 		}
 		// r = b - A x, beta, v0.
-		mpk1.SpMV(W, 0, W, 2, PhaseSpMV)
+		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
 		negateInto(W, 2, 1)
 		beta := W.NormCol(2, PhaseVec)
 		relres := beta / bNorm
@@ -173,7 +171,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 
 		if needShifts {
 			// First cycle: standard GMRES iterations, harvesting H.
-			k := gmresCycle(mpk1, V, h, m, beta, bNorm*opts.Tol, sc)
+			k := gmresCycle(mpk, V, h, m, beta, bNorm*opts.Tol, sc)
 			res.Iters += k
 			if em.enabled() {
 				em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: k, RelRes: relres,
@@ -208,7 +206,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 		// Configure the pipeline for this restart's precision level: MPK
 		// storage/transfer widths plus narrow Gram/projection kernels
 		// where the chosen strategies support them.
-		tsqrR, borthR := pol.apply(mpkS, tsqr, borth)
+		tsqrR, borthR := pol.apply(mpk, tsqr, borth)
 		if opts.AdaptiveS && sEff < s {
 			// Recover the step size after two clean restarts.
 			cleanRestarts++
@@ -252,7 +250,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 					steps = m - done
 				}
 			}
-			bhat := mpkS.Generate(V, done, steps, blockShifts, PhaseMPK)
+			bhat := mpk.Generate(V, done, steps, blockShifts, PhaseMPK)
 
 			q := done + 1
 			prev := V.Window(0, q)
@@ -352,7 +350,7 @@ func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck
 	}
 
 	if !res.Converged {
-		mpk1.SpMV(W, 0, W, 2, PhaseSpMV)
+		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
 		negateInto(W, 2, 1)
 		res.RelRes = W.NormCol(2, PhaseVec) / bNorm
 		if nonFinite(res.RelRes) {

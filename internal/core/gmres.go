@@ -198,8 +198,7 @@ func runGMRES(p *Problem, opts Options, ck *checkpoint) (*Result, error) {
 	n := p.Layout.N
 	m := opts.M
 
-	A := dist.Distribute(ctx, p.A, p.Layout, 1)
-	mpk := dist.NewMPK(A)
+	mpk := dist.NewMPK(p.distributed(1))
 	V := dist.NewVectors(ctx, p.Layout, m+1)
 	// Workspace: x (0), b (1), r (2).
 	W := dist.NewVectors(ctx, p.Layout, 3)

@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"cagmres/internal/dist"
 	"cagmres/internal/gpu"
@@ -43,70 +45,100 @@ type Problem struct {
 	rowScale []float64 // nil if not balanced
 	colScale []float64
 	jacobi   []float64 // right-preconditioner diagonal; nil if unused
+
+	// plan holds the distributed forms of A over Layout. It belongs to
+	// the (A, Layout) pair: copies of the problem that keep both share it,
+	// anything that changes either starts a fresh one.
+	plan *distPlan
+}
+
+// distPlan memoizes dist.Distribute(A, Layout, s) per MPK depth s, so the
+// halo search and the extended device matrices are built on the first
+// solve that needs them and reused by every later solve of the problem —
+// the paper's set-up phase, paid once. It keeps the maxPlanDepths most
+// recently used depths (a served problem sees whatever step sizes its
+// clients send) and is safe for concurrent solves on copies of one
+// problem.
+type distPlan struct {
+	mu     sync.Mutex
+	depths []*dist.Matrix // least recently used first
+}
+
+const maxPlanDepths = 4
+
+// distributed returns A distributed over p.Layout for MPK depth s, bound
+// to p.Ctx.
+func (p *Problem) distributed(s int) *dist.Matrix {
+	pl := p.plan
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	i := slices.IndexFunc(pl.depths, func(m *dist.Matrix) bool { return m.S == s })
+	if i < 0 {
+		if len(pl.depths) == maxPlanDepths {
+			pl.depths = slices.Delete(pl.depths, 0, 1)
+		}
+		pl.depths = append(pl.depths, dist.Distribute(p.Ctx, p.A, p.Layout, s))
+		i = len(pl.depths) - 1
+	}
+	m := pl.depths[i]
+	pl.depths = append(slices.Delete(pl.depths, i, i+1), m) // most recently used last
+	return m.WithContext(p.Ctx)
 }
 
 // NewProblem prepares a linear system: applies the requested ordering,
 // builds a balanced block-row layout over ng devices, and (optionally)
 // balances the matrix the way the paper does (rows then columns scaled by
-// their norms, Section VI).
+// their norms, Section VI). It is Prepare followed by SetB, and like
+// Prepare a pure function of its arguments: nothing is cached behind it.
 func NewProblem(ctx *gpu.Context, a *sparse.CSR, b []float64, ordering Ordering, balance bool) (*Problem, error) {
+	p, err := Prepare(ctx, a, ordering, balance)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.SetB(b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Prepare does the right-hand-side-independent part of NewProblem —
+// ordering, partition, layout, balancing — and returns a problem with no
+// right-hand side yet: SetB must follow before a solve. Everything a
+// solve then reads from the result is immutable, so one prepared problem
+// can back many concurrent solves through OnContext.
+func Prepare(ctx *gpu.Context, a *sparse.CSR, ordering Ordering, balance bool) (*Problem, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("core: rhs length %d for n=%d", len(b), a.Rows)
 	}
 	ng := ctx.NumDevices
 	n := a.Rows
 
-	p := &Problem{Ctx: ctx}
-	var work *sparse.CSR
-	var layout *dist.Layout
+	p := &Problem{Ctx: ctx, plan: &distPlan{}}
 	switch ordering {
 	case Natural, "":
-		work = a.Clone()
-		layout = dist.Uniform(n, ng)
+		p.A = a.Clone()
+		p.Layout = dist.Uniform(n, ng)
 	case RCM:
-		g := graph.FromMatrix(a)
-		perm := graph.RCM(g)
-		work = a.Permute(perm)
-		layout = dist.Uniform(n, ng)
-		p.perm = perm
-	case KWay:
-		g := graph.FromMatrix(a)
-		part := graph.KWay(g, ng, 1)
+		p.perm = graph.RCM(graph.FromMatrix(a))
+		p.A = a.Permute(p.perm)
+		p.Layout = dist.Uniform(n, ng)
+	case KWay, Hypergraph:
+		var part *graph.Partition
+		if ordering == KWay {
+			part = graph.KWay(graph.FromMatrix(a), ng, 1)
+		} else {
+			part = graph.PartitionHypergraph(a, ng, 1)
+		}
 		perm, bounds := part.Order()
-		work = a.Permute(perm)
-		layout = dist.NewLayout(n, bounds)
 		p.perm = perm
-	case Hypergraph:
-		part := graph.PartitionHypergraph(a, ng, 1)
-		perm, bounds := part.Order()
-		work = a.Permute(perm)
-		layout = dist.NewLayout(n, bounds)
-		p.perm = perm
+		p.A = a.Permute(perm)
+		p.Layout = dist.NewLayout(n, bounds)
 	default:
 		return nil, fmt.Errorf("core: unknown ordering %q", ordering)
 	}
-
-	bp := make([]float64, n)
-	if p.perm != nil {
-		for newIdx, old := range p.perm {
-			bp[newIdx] = b[old]
-		}
-	} else {
-		copy(bp, b)
-	}
-
 	if balance {
-		rs, cs := sparse.Balance(work)
-		sparse.ApplyRowScale(rs, bp)
-		p.rowScale, p.colScale = rs, cs
+		p.rowScale, p.colScale = sparse.Balance(p.A)
 	}
-
-	p.A = work
-	p.Layout = layout
-	p.B = bp
 	return p, nil
 }
 
@@ -147,7 +179,24 @@ func (p *Problem) Repartition(ctx *gpu.Context) *Problem {
 	np := *p
 	np.Ctx = ctx
 	np.Layout = dist.Uniform(p.A.Rows, ctx.NumDevices)
+	np.plan = &distPlan{} // distributions follow the layout
 	return &np
+}
+
+// OnContext returns a copy of the prepared problem bound to another
+// device context of the same device count, sharing the matrix, layout,
+// scalings and distributed plan — everything that is read-only during a
+// solve — but not the right-hand side: the copy has none until SetB. It
+// is how a server hands one preparation to many leases at once.
+func (p *Problem) OnContext(ctx *gpu.Context) (*Problem, error) {
+	if ctx.NumDevices != p.Layout.NumDevices() {
+		return nil, fmt.Errorf("core: problem laid out for %d devices, context has %d",
+			p.Layout.NumDevices(), ctx.NumDevices)
+	}
+	np := *p
+	np.Ctx = ctx
+	np.B = nil
+	return &np, nil
 }
 
 // ApplyJacobi right-preconditions the prepared system with the inverse
@@ -178,6 +227,7 @@ func (p *Problem) ApplyJacobi() {
 		p.A.Val[k] /= d[c]
 	}
 	p.jacobi = d
+	p.plan = &distPlan{} // the values changed under any earlier distribution
 }
 
 // Unmap converts a solution of the prepared (permuted, balanced,

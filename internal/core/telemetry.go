@@ -55,7 +55,10 @@ func orthoLoss(w []*la.Dense) float64 {
 	g := la.NewDense(c, c)
 	tmp := la.NewDense(c, c)
 	for _, p := range w {
-		la.GemmTN(1, p, p, 0, tmp)
+		// The Gram matrix is symmetric and Dot(x, y) == Dot(y, x) bit for
+		// bit, so computing one triangle and mirroring it reproduces the
+		// full product at half the cost.
+		la.Syrk(p, tmp)
 		for j := 0; j < c; j++ {
 			la.Axpy(1, tmp.Col(j), g.Col(j))
 		}

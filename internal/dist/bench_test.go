@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/graph"
 	"cagmres/internal/matgen"
+	"cagmres/internal/sparse"
 )
 
 // Micro-benchmarks for the distributed kernels: SpMV vs MPK at several
@@ -46,13 +48,34 @@ func BenchmarkMPKs2(b *testing.B)  { benchmarkMPK(b, 2) }
 func BenchmarkMPKs5(b *testing.B)  { benchmarkMPK(b, 5) }
 func BenchmarkMPKs10(b *testing.B) { benchmarkMPK(b, 10) }
 
+// BenchmarkDistribute times the set-up a solve pays once: the halo search
+// and the extended device matrices. The G3 case is the benchmark's
+// ca-sparse-cold shape (k-way ordering, s = 15, tall 5 nnz/row matrix);
+// run with -benchmem to see that allocations do not grow with the rows.
 func BenchmarkDistribute(b *testing.B) {
-	a := matgen.Laplace3D(16, 16, 16, 0)
-	ctx := gpu.NewContext(3, gpu.M2090())
-	l := Uniform(a.Rows, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Distribute(ctx, a, l, 5)
+	g3, err := matgen.ByName("G3_circuit", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm, bounds := graph.KWay(graph.FromMatrix(g3.A), 3, 1).Order()
+	lap := matgen.Laplace3D(16, 16, 16, 0)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		l    *Layout
+		s    int
+	}{
+		{"laplace3d-16-s5", lap, Uniform(lap.Rows, 3), 5},
+		{"g3-kway-s15", g3.A.Permute(perm), NewLayout(g3.A.Rows, bounds), 15},
+		{"g3-kway-s1", g3.A.Permute(perm), NewLayout(g3.A.Rows, bounds), 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := gpu.NewContext(3, gpu.M2090())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Distribute(ctx, c.a, c.l, c.s)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,12 @@ import (
 // by (distance, global index). Distance is the length of the shortest
 // directed path in the dependency graph from an owned row, so the paper's
 // boundary set delta^(d,k) is exactly the halo slice at distance s-k+1.
+//
+// The numbering nests across depths: the distance-1 halo is the leading
+// RowsAtDist[1]-NOwn halo entries, and the owned rows of EllExt reference
+// only those, so a depth-s device matrix read up to its owned-row prefix
+// *is* the depth-1 device matrix. MPK.SpMV relies on that to run the
+// plain SpMV on the same distribution the powers kernel uses.
 type DeviceMatrix struct {
 	NOwn int
 	// Halo lists the global indices of non-owned rows the device needs,
@@ -28,12 +34,11 @@ type DeviceMatrix struct {
 	// <= t, for t = 0..s; RowsAtDist[0] == NOwn. The rows multiplied at
 	// MPK step k (1-based) are the prefix RowsAtDist[s-k].
 	RowsAtDist []int
-	// Ext is the extended local matrix A(i^(d,1), :) with rows in local
-	// extended order (only rows with distance <= s-1 are stored, i.e.
-	// RowsAtDist[s-1] rows) and columns relabeled to the local extended
-	// index space.
-	Ext *sparse.CSR
-	// EllExt is the ELLPACK form of Ext used by the device SpMV kernel.
+	// EllExt is the extended local matrix A(i^(d,1), :) in the ELLPACK
+	// form the device SpMV kernel reads: rows in local extended order
+	// (only rows with distance <= s-1 are stored, i.e. RowsAtDist[s-1]
+	// rows), columns relabeled to the local extended index space and
+	// ascending within each row. It is the only copy the device keeps.
 	EllExt *sparse.ELL
 	// SellExt, when non-nil, replaces EllExt in the device kernels with
 	// the sliced SELL-C format (unsorted, so the distance-prefix property
@@ -42,11 +47,14 @@ type DeviceMatrix struct {
 	// SendIdx lists the owned rows (as local indices 0..nOwn-1) whose
 	// values other devices need — the compressed send buffer w^(d).
 	SendIdx []int
-	// NNZPrefix[t] is nnz of the first RowsAtDist[t] rows of Ext, the
+	// SendIdx1 is the subset of SendIdx some other device needs at
+	// distance 1 — the send buffer of a plain SpMV exchange.
+	SendIdx1 []int
+	// NNZPrefix[t] is nnz of the first RowsAtDist[t] rows of EllExt, the
 	// per-step flop bookkeeping (t = 0..s-1).
 	NNZPrefix []int
 	// InteriorRows / InteriorNNZ describe the interior of the owned block:
-	// owned rows of Ext whose columns are all owned (relabeled index <
+	// owned rows of EllExt whose columns are all owned (relabeled index <
 	// NOwn). The first MPK step over these rows needs no halo values, so
 	// under overlapped scheduling it runs while the halo exchange is still
 	// in flight; only the remaining (boundary) rows wait for the halo.
@@ -73,6 +81,23 @@ type Matrix struct {
 	// PeerTraffic1 is the same for a depth-1 (plain SpMV) exchange.
 	PeerTraffic  [][]int
 	PeerTraffic1 [][]int
+}
+
+// WithContext returns the distribution re-targeted at another device
+// context of the same device count: the per-device matrices and traffic
+// tables (immutable once built) are shared, only the ledger the kernels
+// charge changes. It is what lets one prepared distribution serve many
+// leases.
+func (m *Matrix) WithContext(ctx *gpu.Context) *Matrix {
+	if ctx == m.Ctx {
+		return m
+	}
+	if ctx.NumDevices != len(m.Dev) {
+		panic(fmt.Sprintf("dist: context has %d devices, distribution %d", ctx.NumDevices, len(m.Dev)))
+	}
+	bound := *m
+	bound.Ctx = ctx
+	return &bound
 }
 
 // Format selects the device-side sparse storage.
@@ -115,157 +140,155 @@ func DistributeFormat(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int, format 
 	ctx.RunAll(func(d int) {
 		m.Dev[d] = buildDeviceMatrix(a, l, d, s)
 		if format == FormatSELL {
-			m.Dev[d].SellExt = sparse.ToSELL(m.Dev[d].Ext, 8, 1)
+			m.Dev[d].SellExt = sparse.ToSELL(m.Dev[d].EllExt.ToCSR(), 8, 1)
 		}
 	})
 
-	// Send sets: device o must ship every owned row that appears in any
-	// other device's halo. Built serially on the host.
-	needed := make([][]int, ng) // needed[o] = global rows owned by o, needed by others
-	for d := 0; d < ng; d++ {
-		for _, g := range m.Dev[d].Halo {
-			o := l.Owner(g)
-			needed[o] = append(needed[o], g)
-		}
-	}
-	for o := 0; o < ng; o++ {
-		sort.Ints(needed[o])
-		send := needed[o][:0]
-		prev := -1
-		for _, g := range needed[o] {
-			if g != prev {
-				send = append(send, g-l.OwnStart(o))
-				prev = g
-			}
-		}
-		m.Dev[o].SendIdx = append([]int(nil), send...)
-	}
-
-	// Pairwise halo traffic for peer-to-peer routing: dst's halo row g is
-	// shipped by its owner. Full depth and depth-1 variants.
+	// Send sets and pairwise halo traffic, from one pass over the halos.
+	// Device o must ship every owned row that appears in another device's
+	// halo (SendIdx) or distance-1 halo (SendIdx1); on a peer-to-peer
+	// topology dst's halo row g is shipped by its owner, once per consumer.
+	const wanted, wanted1 = 1, 2
+	want := make([]uint8, l.N)
 	m.PeerTraffic = make([][]int, ng)
 	m.PeerTraffic1 = make([][]int, ng)
-	for s := 0; s < ng; s++ {
-		m.PeerTraffic[s] = make([]int, ng)
-		m.PeerTraffic1[s] = make([]int, ng)
+	for o := 0; o < ng; o++ {
+		m.PeerTraffic[o] = make([]int, ng)
+		m.PeerTraffic1[o] = make([]int, ng)
 	}
-	for d := 0; d < ng; d++ {
-		for h, g := range m.Dev[d].Halo {
+	for d, dm := range m.Dev {
+		n1 := dm.RowsAtDist[1] - dm.NOwn
+		for h, g := range dm.Halo {
 			o := l.Owner(g)
+			want[g] |= wanted
 			m.PeerTraffic[o][d] += gpu.ScalarBytes
-			if m.Dev[d].HaloDist[h] == 1 {
+			if h < n1 {
+				want[g] |= wanted1
 				m.PeerTraffic1[o][d] += gpu.ScalarBytes
 			}
 		}
 	}
+	for o, dm := range m.Dev {
+		own := want[l.OwnStart(o) : l.OwnStart(o)+dm.NOwn]
+		dm.SendIdx = flagged(own, wanted)
+		dm.SendIdx1 = flagged(own, wanted1)
+	}
 	return m
 }
 
+// flagged lists, ascending, the positions of flags that carry bit.
+func flagged(flags []uint8, bit uint8) []int {
+	n := 0
+	for _, f := range flags {
+		if f&bit != 0 {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for i, f := range flags {
+		if f&bit != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // buildDeviceMatrix computes the halo (boundary sets) of device d by a
-// breadth-first search of depth s over the directed dependency graph
-// (row i depends on the columns of row i), then extracts and relabels the
-// extended local matrix.
+// level-by-level breadth-first search of depth s over the directed
+// dependency graph (row i depends on the columns of row i), then
+// extracts and relabels the extended local matrix. Apart from filling one
+// index array, the work is linear in the rows reached and their
+// nonzeros, and the number of allocations does not depend on the matrix.
 func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	n := a.Rows
-	own0, own1 := l.OwnStart(d), l.OwnStart(d)+l.OwnCount(d)
-	nOwn := own1 - own0
+	own0, nOwn := l.OwnStart(d), l.OwnCount(d)
+	own1 := own0 + nOwn
 
-	// BFS distances from the owned set. dist[v] = -1 means unreached.
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int, 0, nOwn)
-	for i := own0; i < own1; i++ {
-		dist[i] = 0
-		queue = append(queue, i)
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if dist[v] >= s {
-			continue // do not expand beyond depth s
-		}
-		for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-			w := a.ColIdx[k]
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-
-	// Halo: reached non-owned vertices, sorted by (distance, index).
-	halo := make([]int, 0)
-	for v := 0; v < n; v++ {
-		if dist[v] > 0 {
-			halo = append(halo, v)
-		}
-	}
-	sort.Slice(halo, func(i, j int) bool {
-		if dist[halo[i]] != dist[halo[j]] {
-			return dist[halo[i]] < dist[halo[j]]
-		}
-		return halo[i] < halo[j]
-	})
-	haloDist := make([]int, len(halo))
-	for h, v := range halo {
-		haloDist[h] = dist[v]
-	}
-
-	// RowsAtDist[t] = #extended rows with distance <= t.
-	rowsAtDist := make([]int, s+1)
-	rowsAtDist[0] = nOwn
-	h := 0
-	for t := 1; t <= s; t++ {
-		for h < len(halo) && haloDist[h] <= t {
-			h++
-		}
-		rowsAtDist[t] = nOwn + h
-	}
-
-	// Local extended numbering: owned first, then halo in order.
+	// localOf[v] is the BFS distance of v during the search (-1 =
+	// unreached) and its local extended index afterwards.
 	localOf := make([]int, n)
 	for i := range localOf {
 		localOf[i] = -1
 	}
 	for i := own0; i < own1; i++ {
-		localOf[i] = i - own0
+		localOf[i] = 0
 	}
-	for hh, v := range halo {
-		localOf[v] = nOwn + hh
-	}
-
-	// Extended matrix: rows with distance <= s-1, relabeled columns.
-	extRows := make([]int, 0, rowsAtDist[s-1])
-	for i := own0; i < own1; i++ {
-		extRows = append(extRows, i)
-	}
-	for hh, v := range halo {
-		if haloDist[hh] <= s-1 {
-			extRows = append(extRows, v)
-		}
-	}
-	ext := a.ExtractRows(extRows)
-	ext.RelabelCols(localOf, nOwn+len(halo))
-
-	nnzPrefix := make([]int, s)
-	for t := 0; t <= s-1; t++ {
-		nnzPrefix[t] = ext.RowPtr[rowsAtDist[t]]
-	}
-
-	// Interior split: owned rows touching only owned columns.
-	intRows, intNNZ := 0, 0
-	for i := 0; i < nOwn; i++ {
-		interior := true
-		for k := ext.RowPtr[i]; k < ext.RowPtr[i+1]; k++ {
-			if ext.ColIdx[k] >= nOwn {
-				interior = false
-				break
+	// found lists the reached non-owned vertices in discovery order, so
+	// grouped by distance; rowsAtDist[t] = nOwn + #found within distance t.
+	found := make([]int, 0, n-nOwn)
+	rowsAtDist := make([]int, s+1)
+	rowsAtDist[0] = nOwn
+	lo, hi := n, 0 // index span of found
+	expand := func(v, t int) {
+		for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
+			if w := a.ColIdx[k]; localOf[w] == -1 {
+				localOf[w] = t
+				found = append(found, w)
+				lo, hi = min(lo, w), max(hi, w+1)
 			}
 		}
-		if interior {
+	}
+	for t := 1; t <= s; t++ {
+		if t == 1 {
+			for v := own0; v < own1; v++ {
+				expand(v, t)
+			}
+		} else {
+			for _, v := range found[rowsAtDist[t-2]-nOwn : rowsAtDist[t-1]-nOwn] {
+				expand(v, t)
+			}
+		}
+		rowsAtDist[t] = nOwn + len(found)
+	}
+
+	// Halo: the reached vertices sorted by (distance, index) — a counting
+	// sort by distance of an ascending index scan. The same scan turns
+	// localOf into the local extended numbering: owned first, then halo.
+	halo := make([]int, len(found))
+	haloDist := make([]int, len(found))
+	next := make([]int, s+1) // next[t] = halo slot of the next distance-t vertex
+	for t := 1; t <= s; t++ {
+		next[t] = rowsAtDist[t-1] - nOwn
+	}
+	for v := lo; v < hi; v++ {
+		if t := localOf[v]; t > 0 { // owned rows still read 0 here
+			h := next[t]
+			next[t]++
+			halo[h], haloDist[h] = v, t
+			localOf[v] = nOwn + h
+		}
+	}
+	for i := own0; i < own1; i++ {
+		localOf[i] = i - own0
+	}
+
+	// Extended matrix: rows with distance <= s-1 (a prefix of the local
+	// numbering), columns relabeled and re-sorted ascending, straight
+	// into the device format.
+	extRows := make([]int, rowsAtDist[s-1])
+	for i := range extRows[:nOwn] {
+		extRows[i] = own0 + i
+	}
+	copy(extRows[nOwn:], halo)
+	ell := a.ELLOfRows(extRows, localOf, nOwn+len(halo))
+
+	nnzPrefix := make([]int, s)
+	nnz, row := 0, 0
+	for t := range nnzPrefix {
+		for ; row < rowsAtDist[t]; row++ {
+			nnz += a.RowPtr[extRows[row]+1] - a.RowPtr[extRows[row]]
+		}
+		nnzPrefix[t] = nnz
+	}
+
+	// Interior split: owned rows touching only owned columns — rows are
+	// sorted, so a row's last stored column decides.
+	intRows, intNNZ := 0, 0
+	for i := 0; i < nOwn; i++ {
+		length := a.RowPtr[own0+i+1] - a.RowPtr[own0+i]
+		if length == 0 || int(ell.ColIdx[(length-1)*ell.Rows+i]) < nOwn {
 			intRows++
-			intNNZ += ext.RowPtr[i+1] - ext.RowPtr[i]
+			intNNZ += length
 		}
 	}
 
@@ -274,8 +297,7 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		Halo:         halo,
 		HaloDist:     haloDist,
 		RowsAtDist:   rowsAtDist,
-		Ext:          ext,
-		EllExt:       sparse.ToELL(ext),
+		EllExt:       ell,
 		NNZPrefix:    nnzPrefix,
 		InteriorRows: intRows,
 		InteriorNNZ:  intNNZ,
@@ -313,5 +335,5 @@ func (dm *DeviceMatrix) BoundaryNNZ() int {
 
 // LocalNNZ returns nnz(A^(d)), the owned-row nonzeros.
 func (dm *DeviceMatrix) LocalNNZ() int {
-	return dm.Ext.RowPtr[dm.NOwn]
+	return dm.NNZPrefix[0]
 }

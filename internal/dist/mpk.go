@@ -126,7 +126,7 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 	validateShiftPairs(shifts)
 
 	// --- Setup: halo exchange of column j0 (Figure 4's setup phase). ---
-	halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic)
+	halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic, false)
 
 	// Under overlapped scheduling with more than one device, the first
 	// step is split into an interior launch (owned rows touching only
@@ -252,15 +252,17 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 
 // exchange fills every device's extended z[0] buffer with column j of v:
 // owned values locally, halo values through the exchange protocol the
-// context's topology dictates. On a host-hub machine that is the paper's
-// compress / expand / scatter (one reduce round and one broadcast round
-// on the ledger); on a peer-to-peer topology the owners ship the halo
-// values directly in one routed round (the host staging buffer still
+// context's topology dictates. depth1 restricts the exchange to the
+// distance-1 halo and its send set — all a plain SpMV reads. On a
+// host-hub machine the exchange is the paper's compress / expand /
+// scatter (one reduce round and one broadcast round on the ledger); on a
+// peer-to-peer topology the owners ship the halo values directly in one
+// routed round of the given traffic matrix (the host staging buffer still
 // carries the numerical values — it stands in for the peer copy engine).
 // The charge depends on the compute fence (the packed column is the
 // output of earlier kernels); the returned event fires when the halo
 // values have landed on the devices.
-func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int) gpu.StreamEvent {
+func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) gpu.StreamEvent {
 	m := k.M
 	ng := len(m.Dev)
 	w := k.w[k.wIdx]
@@ -281,10 +283,14 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 		col := v.Local[d].Col(j)
 		copy(k.ws[d].z[0][:dm.NOwn], col)
 		base := m.Layout.OwnStart(d)
-		for _, li := range dm.SendIdx {
+		send := dm.SendIdx
+		if depth1 {
+			send = dm.SendIdx1
+		}
+		for _, li := range send {
 			w[base+li] = col[li]
 		}
-		sendBytes[d] = len(dm.SendIdx) * elem.Bytes()
+		sendBytes[d] = len(send) * elem.Bytes()
 	})
 
 	// Each device picks up its halo values, rounded to the wire width the
@@ -295,12 +301,16 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 	recvBytes := make([]int, ng)
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
-		z := k.ws[d].z[0]
-		for h, g := range dm.Halo {
-			z[dm.NOwn+h] = w[g]
+		halo := dm.Halo
+		if depth1 {
+			halo = halo[:dm.RowsAtDist[1]-dm.NOwn]
 		}
-		roundElem(z[dm.NOwn:dm.NOwn+len(dm.Halo)], elem)
-		recvBytes[d] = len(dm.Halo) * elem.Bytes()
+		z := k.ws[d].z[0][dm.NOwn : dm.NOwn+len(halo)]
+		for h, g := range halo {
+			z[h] = w[g]
+		}
+		roundElem(z, elem)
+		recvBytes[d] = len(halo) * elem.Bytes()
 	})
 	return m.Ctx.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, elem, prod)
 }
@@ -323,64 +333,14 @@ func validateShiftPairs(shifts []complex128) {
 // SpMV computes column jDst := A * column jSrc through the same exchange
 // machinery with a depth-1 prefix — the standard distributed sparse
 // matrix-vector product GMRES uses (one gather round, one scatter round,
-// one local multiply). The matrix may have been built with any s >= 1.
+// one local multiply). The matrix may have been built with any s >= 1:
+// only the distance-1 halo is exchanged and only the owned rows are
+// multiplied, so the result and the ledger charge are those of a
+// dedicated s = 1 distribution.
 func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string) {
 	m := k.M
-	if m.S != 1 {
-		// With s > 1 the halo is deeper than SpMV needs; a dedicated s=1
-		// distribution avoids shipping the extra levels. Allow it anyway:
-		// correctness is unaffected, only the modeled volume grows, which
-		// is exactly the trade-off the paper discusses.
-		k.spmvDeep(src, jSrc, dst, jDst, phase)
-		return
-	}
-	halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic)
+	halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
 	work := make([]gpu.Work, len(m.Dev))
-	m.Ctx.RunAll(func(d int) {
-		dm := m.Dev[d]
-		rows := dm.NOwn
-		zin := k.ws[d].z[0]
-		dm.mulPrefix(dst.Local[d].Col(jDst), zin, rows)
-		nnz := dm.NNZPrefix[0]
-		work[d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
-	})
-	if m.Ctx.OverlapEnabled() && len(m.Dev) > 1 {
-		k.splitFirstStep(work, halo, phase, gpu.Elem64)
-	} else {
-		m.Ctx.DeviceKernelOn(phase, work, halo)
-	}
-}
-
-func (k *MPK) spmvDeep(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string) {
-	m := k.M
-	// Exchange only the distance-1 halo.
-	ng := len(m.Dev)
-	w := k.w[k.wIdx]
-	k.wIdx = 1 - k.wIdx
-	prod := m.Ctx.ComputeFence()
-	sendBytes := make([]int, ng)
-	m.Ctx.RunAll(func(d int) {
-		dm := m.Dev[d]
-		col := src.Local[d].Col(jSrc)
-		copy(k.ws[d].z[0][:dm.NOwn], col)
-		base := m.Layout.OwnStart(d)
-		for _, li := range dm.SendIdx {
-			w[base+li] = col[li]
-		}
-		sendBytes[d] = len(dm.SendIdx) * gpu.ScalarBytes
-	})
-	recvBytes := make([]int, ng)
-	m.Ctx.RunAll(func(d int) {
-		dm := m.Dev[d]
-		z := k.ws[d].z[0]
-		n1 := dm.RowsAtDist[1] - dm.NOwn // distance-1 halo entries
-		for h := 0; h < n1; h++ {
-			z[dm.NOwn+h] = w[dm.Halo[h]]
-		}
-		recvBytes[d] = n1 * gpu.ScalarBytes
-	})
-	halo := m.Ctx.HaloExchangeOn(phase, sendBytes, recvBytes, m.PeerTraffic1, prod)
-	work := make([]gpu.Work, ng)
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
 		rows := dm.NOwn

@@ -26,6 +26,7 @@ const (
 	KindRequest = "request" // root: one HTTP request or CLI solve
 	KindQueue   = "queue"   // admission-queue wait
 	KindLease   = "lease"   // one solve attempt on a device lease
+	KindPrepare = "prepare" // fetching or building the lease's prepared problem
 	KindSolver  = "solver"  // restart / window / cycle / step phases
 	KindHeal    = "heal"    // checkpoint, repartition, fault recovery
 )

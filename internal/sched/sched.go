@@ -184,6 +184,9 @@ func (j *Job) setState(s State) {
 	j.mu.Unlock()
 }
 
+// finish records the terminal state and result. The job is not
+// observable as done until signalDone, which finishJob calls once the
+// trace and SLO bookkeeping of the job are complete.
 func (j *Job) finish(st State, res *core.Result, err error) {
 	j.mu.Lock()
 	j.state = st
@@ -194,6 +197,9 @@ func (j *Job) finish(st State, res *core.Result, err error) {
 		j.started = j.finished
 	}
 	j.mu.Unlock()
+}
+
+func (j *Job) signalDone() {
 	j.cancel() // release the deadline timer
 	close(j.done)
 }
@@ -295,8 +301,9 @@ func (c *Config) defaults() {
 // Scheduler owns the admission queue and the worker per pooled context.
 // Construct with New, launch with Start, stop with Drain.
 type Scheduler struct {
-	cfg Config
-	met *metrics
+	cfg      Config
+	met      *metrics
+	prepared *preparedCache
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -342,6 +349,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{cfg: cfg, jobs: make(map[string]*Job)}
 	s.cond = sync.NewCond(&s.mu)
 	s.met = newMetrics(cfg.Registry, cfg.Pool)
+	s.prepared = newPreparedCache(cfg.Registry)
 	return s
 }
 
@@ -507,6 +515,13 @@ type Snapshot struct {
 	ShedBrownout           uint64
 	ShedDeadlineInfeasible uint64
 	ShedDeadlineExpired    uint64
+
+	// Prepared-problem cache: lookups served from it, lookups that had
+	// to prepare, and entries dropped (LRU bound or lease fault). Read
+	// from the sched_prepared_problems_total series.
+	PreparedHits      uint64
+	PreparedMisses    uint64
+	PreparedEvictions uint64
 }
 
 // Degraded reports whether the service has permanently lost capacity:
@@ -523,6 +538,10 @@ func (s *Scheduler) Snapshot() Snapshot {
 		ShedBrownout:           s.shedBrownout,
 		ShedDeadlineInfeasible: s.shedInfeasible,
 		ShedDeadlineExpired:    s.shedExpired,
+
+		PreparedHits:      uint64(s.prepared.hits.Value()),
+		PreparedMisses:    uint64(s.prepared.misses.Value()),
+		PreparedEvictions: uint64(s.prepared.evictions.Value()),
 
 		QueueDepth: len(s.queue),
 		Draining:   s.draining,
@@ -583,8 +602,8 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		for _, j := range orphans {
-			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 			s.met.finished(StateCanceled, 0, 0, 0)
+			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 		}
 		s.met.setDepth(0)
 		return nil
@@ -753,6 +772,9 @@ func (s *Scheduler) finishJob(j *Job, st State, res *core.Result, err error) {
 		// Completed solves feed the deadline gate's service estimate.
 		s.observeService(wall)
 	}
+	// Last: whoever waits on Done may read the trace, the SLO report
+	// and the service estimate straight away.
+	j.signalDone()
 }
 
 // retryableLeaseFault reports errors worth another lease: transfer-retry
@@ -779,10 +801,11 @@ func (s *Scheduler) requeue(j *Job) {
 	s.cond.Signal()
 }
 
-// execute runs a batch under one device lease: the problem is prepared
-// once from the first live job and re-targeted per right-hand side with
-// SetB. Jobs whose deadline expired while queued are finished as
-// canceled without touching the device. Jobs hit by a lease fault are
+// execute runs a batch under one device lease: the first live job takes
+// the prepared problem from the scheduler's cache (preparing it on a
+// miss) and every job re-targets it at its right-hand side with SetB.
+// Jobs whose deadline expired while queued are finished as canceled
+// without touching the device. Jobs hit by a lease fault are
 // re-queued up to MaxJobAttempts leases; the fault tally of the lease is
 // harvested into the scheduler counters before the pool's health probe
 // decides the context's fate.
@@ -790,8 +813,8 @@ func (s *Scheduler) execute(batch []*Job) {
 	lease, err := s.cfg.Pool.Acquire(context.Background())
 	if err != nil { // pool exhausted: every context evicted
 		for _, j := range batch {
-			s.finishJob(j, StateFailed, nil, err)
 			s.met.finished(StateFailed, j.WaitSeconds(), 0, 0)
+			s.finishJob(j, StateFailed, nil, err)
 		}
 		s.retain(batch)
 		return
@@ -841,8 +864,8 @@ func (s *Scheduler) execute(batch []*Job) {
 				s.met.shed("deadline_expired")
 				j.trace.SetRootAttr("shed_reason", "deadline_expired")
 			}
-			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 			s.met.finished(StateCanceled, j.WaitSeconds(), 0, 0)
+			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 			terminal = append(terminal, j)
 			continue
 		}
@@ -860,9 +883,9 @@ func (s *Scheduler) execute(batch []*Job) {
 		var res *core.Result
 		var err error
 		if problem == nil {
-			problem, err = core.NewProblem(lease, j.Spec.Matrix, j.Spec.B,
-				j.Spec.Ordering, j.Spec.Balance)
-		} else {
+			problem, err = s.prepare(j, ls, lease)
+		}
+		if err == nil {
 			err = problem.SetB(j.Spec.B)
 		}
 		if err == nil {
@@ -884,9 +907,10 @@ func (s *Scheduler) execute(batch []*Job) {
 			j.trace.Add(ls)
 		}
 		if err != nil && retryableLeaseFault(err) {
-			// The context is suspect after a lease fault: stop preparing
-			// further batch jobs on it and route this one elsewhere.
+			// The context is suspect after a lease fault: stop reusing
+			// what was prepared on it and route this job elsewhere.
 			problem = nil
+			s.prepared.drop(keyOf(lease, &j.Spec))
 			if attempt < s.cfg.MaxJobAttempts {
 				closeLease("requeued")
 				s.requeue(j)
@@ -916,11 +940,28 @@ func (s *Scheduler) execute(batch []*Job) {
 		if st == StateDone && res != nil {
 			s.met.precision(res.Precision)
 		}
-		s.finishJob(j, st, res, err)
 		s.met.finished(st, j.WaitSeconds(), time.Since(start).Seconds(), modeled)
+		s.finishJob(j, st, res, err)
 		terminal = append(terminal, j)
 	}
 	s.retain(terminal)
+}
+
+// prepare fetches the batch's prepared problem from the cache (building
+// it on a miss) and records the wall time that took as a child span of
+// the job's lease span.
+func (s *Scheduler) prepare(j *Job, ls obs.Span, lease *gpu.Context) (*core.Problem, error) {
+	ps := s.cfg.Tracer.Child(ls, "prepare", obs.KindPrepare)
+	ps.Start = unixSeconds(time.Now())
+	problem, hit, err := s.prepared.problem(lease, &j.Spec)
+	ps.End = unixSeconds(time.Now())
+	if hit {
+		ps.SetAttr("cache", "hit")
+	} else {
+		ps.SetAttr("cache", "miss")
+	}
+	j.trace.Add(ps)
+	return problem, err
 }
 
 // retain records terminal jobs for by-ID lookup and evicts the oldest

@@ -189,6 +189,11 @@ type Healthz struct {
 	ShedBrownout           uint64 `json:"shed_brownout"`
 	ShedDeadlineInfeasible uint64 `json:"shed_deadline_infeasible"`
 	ShedDeadlineExpired    uint64 `json:"shed_deadline_expired"`
+	// Prepared-problem cache tallies of the scheduler, the same series
+	// /metrics exports as sched_prepared_problems_total.
+	PreparedHits      uint64 `json:"prepared_hits"`
+	PreparedMisses    uint64 `json:"prepared_misses"`
+	PreparedEvictions uint64 `json:"prepared_evictions"`
 }
 
 // errorJSON is every non-2xx body: a stable machine-readable code, the
@@ -316,6 +321,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ShedBrownout:           snap.ShedBrownout,
 		ShedDeadlineInfeasible: snap.ShedDeadlineInfeasible,
 		ShedDeadlineExpired:    snap.ShedDeadlineExpired,
+
+		PreparedHits:      snap.PreparedHits,
+		PreparedMisses:    snap.PreparedMisses,
+		PreparedEvictions: snap.PreparedEvictions,
 	})
 }
 

@@ -367,7 +367,7 @@ func TestMetricsSurface(t *testing.T) {
 		"sched_queue_depth", "sched_pool_in_use", "sched_pool_size",
 		"sched_queue_wait_seconds", "sched_service_seconds", "sched_batch_jobs",
 		"sched_rejections_total", "sched_leases_total", "sched_lease_seconds_total",
-		"sched_jobs_total",
+		"sched_jobs_total", "sched_prepared_problems_total",
 	}
 	if err := obs.RequireFamilies(data, families); err != nil {
 		t.Fatal(err)
@@ -378,6 +378,21 @@ func TestMetricsSurface(t *testing.T) {
 	hz := getHealthz(t, h.ts.URL)
 	if !hz.OK || hz.PoolSize != 2 || hz.Dispatched < 3 {
 		t.Fatalf("healthz %+v", hz)
+	}
+	// Three solves of one matrix prepare it once; /healthz reads the very
+	// series /metrics exports.
+	if hz.PreparedMisses != 1 || hz.PreparedHits != 2 || hz.PreparedEvictions != 0 {
+		t.Fatalf("healthz prepared hit/miss/evict = %d/%d/%d, want 2/1/0",
+			hz.PreparedHits, hz.PreparedMisses, hz.PreparedEvictions)
+	}
+	for _, line := range []string{
+		`sched_prepared_problems_total{result="hit"} 2`,
+		`sched_prepared_problems_total{result="miss"} 1`,
+		`sched_prepared_problems_total{result="evict"} 0`,
+	} {
+		if !strings.Contains(string(data), line) {
+			t.Fatalf("metrics lack %q", line)
+		}
 	}
 }
 

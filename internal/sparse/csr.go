@@ -7,7 +7,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,11 +54,11 @@ func FromCoords(rows, cols int, entries []Coord) *CSR {
 			panic(fmt.Sprintf("sparse: coordinate (%d,%d) out of %dx%d", e.Row, e.Col, rows, cols))
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Row != entries[j].Row {
-			return entries[i].Row < entries[j].Row
+	slices.SortFunc(entries, func(x, y Coord) int {
+		if c := cmp.Compare(x.Row, y.Row); c != 0 {
+			return c
 		}
-		return entries[i].Col < entries[j].Col
+		return cmp.Compare(x.Col, y.Col)
 	})
 	a := NewCSR(rows, cols, len(entries))
 	for i := 0; i < len(entries); {
@@ -161,9 +163,10 @@ func (a *CSR) Clone() *CSR {
 }
 
 // ExtractRows returns the submatrix A(rows, :) — the rows listed in the
-// index set, in that order, with the full column dimension. This is the
-// operation that builds the boundary submatrices A(delta^(d,k), :) of the
-// matrix powers kernel.
+// index set, in that order, with the full column dimension: the boundary
+// submatrices A(delta^(d,k), :) of the matrix powers kernel as a CSR.
+// (The device matrices themselves are built by ELLOfRows, which fuses
+// this, RelabelCols and ToELL; the three-step form is its test oracle.)
 func (a *CSR) ExtractRows(rows []int) *CSR {
 	nnz := 0
 	for _, i := range rows {
@@ -211,36 +214,71 @@ func (a *CSR) Permute(perm []int) *CSR {
 	for newIdx, old := range perm {
 		inv[old] = newIdx
 	}
-	p := NewCSR(n, n, a.NNZ())
-	for newRow := 0; newRow < n; newRow++ {
-		old := perm[newRow]
+	p := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
+		ColIdx: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
+	for newRow, old := range perm {
 		lo, hi := a.RowPtr[old], a.RowPtr[old+1]
-		start := len(p.ColIdx)
+		start := p.RowPtr[newRow]
+		end := start + hi - lo
 		for k := lo; k < hi; k++ {
-			p.ColIdx = append(p.ColIdx, inv[a.ColIdx[k]])
-			p.Val = append(p.Val, a.Val[k])
+			p.ColIdx[start+k-lo] = inv[a.ColIdx[k]]
 		}
-		sortRow(p.ColIdx[start:], p.Val[start:])
-		p.RowPtr[newRow+1] = len(p.ColIdx)
+		copy(p.Val[start:end], a.Val[lo:hi])
+		sortRow(p.ColIdx[start:end], p.Val[start:end])
+		p.RowPtr[newRow+1] = end
 	}
 	return p
 }
 
-// sortRow sorts a row's (colidx, val) pairs by column index.
+// sortRowInsertionMax is the row length up to which sortRow uses
+// insertion sort. Relabeled and permuted rows arrive as a few ascending
+// runs, which insertion sort merges in near-linear time; longer rows
+// fall back to heapsort so a dense or reversed row stays O(n log n).
+const sortRowInsertionMax = 32
+
+// sortRow sorts a row's (colidx, val) pairs ascending by column index,
+// in place and without allocating. Rows are kept sorted everywhere so
+// that every SpMV format sums a row's products in one fixed order.
 func sortRow(cols []int, vals []float64) {
+	n := len(cols)
+	if n <= sortRowInsertionMax {
+		for i := 1; i < n; i++ {
+			c, v := cols[i], vals[i]
+			j := i
+			for ; j > 0 && cols[j-1] > c; j-- {
+				cols[j], vals[j] = cols[j-1], vals[j-1]
+			}
+			cols[j], vals[j] = c, v
+		}
+		return
+	}
 	if sort.IntsAreSorted(cols) {
 		return
 	}
-	idx := make([]int, len(cols))
-	for i := range idx {
-		idx[i] = i
+	siftDown := func(root, end int) {
+		for {
+			child := 2*root + 1
+			if child >= end {
+				return
+			}
+			if child+1 < end && cols[child] < cols[child+1] {
+				child++
+			}
+			if cols[root] >= cols[child] {
+				return
+			}
+			cols[root], cols[child] = cols[child], cols[root]
+			vals[root], vals[child] = vals[child], vals[root]
+			root = child
+		}
 	}
-	sort.Slice(idx, func(a, b int) bool { return cols[idx[a]] < cols[idx[b]] })
-	c2 := append([]int(nil), cols...)
-	v2 := append([]float64(nil), vals...)
-	for i, k := range idx {
-		cols[i] = c2[k]
-		vals[i] = v2[k]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		cols[0], cols[end] = cols[end], cols[0]
+		vals[0], vals[end] = vals[end], vals[0]
+		siftDown(0, end)
 	}
 }
 

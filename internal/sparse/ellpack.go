@@ -44,6 +44,44 @@ func ToELL(a *CSR) *ELL {
 	return e
 }
 
+// ELLOfRows builds the ELLPACK form of A(rows, :) with every column index
+// mapped through newOf (newOf[old] = new) into newCols columns and every
+// row sorted by its new indices — ToELL of ExtractRows followed by
+// RelabelCols, in one pass and without the intermediate CSR. It is how
+// the extended local matrices of the matrix powers kernel reach their
+// device format. A stored column that newOf maps outside 0..newCols-1
+// panics, as in RelabelCols.
+func (a *CSR) ELLOfRows(rows []int, newOf []int, newCols int) *ELL {
+	w := 0
+	for _, i := range rows {
+		w = max(w, a.RowPtr[i+1]-a.RowPtr[i])
+	}
+	n := len(rows)
+	e := &ELL{Rows: n, Cols: newCols, Width: w, ColIdx: make([]int32, n*w), Val: make([]float64, n*w)}
+	for i := range e.ColIdx {
+		e.ColIdx[i] = -1
+	}
+	cols, vals := make([]int, w), make([]float64, w) // one row, relabeled, before it is scattered
+	for out, i := range rows {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		rc, rv := cols[:hi-lo], vals[:hi-lo]
+		for k, c := range a.ColIdx[lo:hi] {
+			nc := newOf[c]
+			if nc < 0 || nc >= newCols {
+				panic(fmt.Sprintf("sparse: ELLOfRows incomplete map for column %d", c))
+			}
+			rc[k] = nc
+		}
+		copy(rv, a.Val[lo:hi])
+		sortRow(rc, rv)
+		for slot, c := range rc {
+			e.ColIdx[slot*n+out] = int32(c)
+			e.Val[slot*n+out] = rv[slot]
+		}
+	}
+	return e
+}
+
 // ToCSR converts back to CSR, dropping padding.
 func (e *ELL) ToCSR() *CSR {
 	a := NewCSR(e.Rows, e.Cols, e.NNZ())
