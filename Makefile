@@ -1,7 +1,9 @@
 # Repo gates. `make check` is the full pre-merge bar: vet, staticcheck
 # (when installed), the race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
-# ortho strategies on top of them, and the sched/server serving stack),
+# ortho strategies on top of them, the sched/server serving stack, and
+# core's heal/cancel/fault tests — its recovery boundary is a recover
+# around RunAll goroutines),
 # then the whole deterministic test suite, then the serving smoke test.
 # `make metrics-smoke` exercises the observability surface end-to-end:
 # a small solve with telemetry/metrics/trace output, each artifact
@@ -32,11 +34,13 @@
 # runs the repository's wall-clock benchmark (./benchmark, see its
 # README) as a suite — BENCH_RUNS seeds per workload plus a traced run —
 # and `make bench-compare OLD=a.json NEW=b.json` judges two of its suite
-# documents against each other (exit 1 on a regression).
+# documents against each other (exit 1 on a regression). `make loc`
+# prints non-test Go lines per package (benchmark/ excluded) — the
+# "line count goes down" bar as a command.
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare
+.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare loc
 
 check: vet staticcheck race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
@@ -62,7 +66,7 @@ race:
 	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
-	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS'
+	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault'
 
 # Opt-in wall-clock kernel comparison (needs an unloaded machine).
 measured:
@@ -173,3 +177,7 @@ bench:
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old/suite.json NEW=new/suite.json"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
+
+# Non-test Go lines per package, benchmark/ excluded.
+loc:
+	@sh scripts/loc.sh

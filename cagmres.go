@@ -182,7 +182,11 @@ func ResidualNorm(a *Matrix, b, x []float64) float64 { return core.ResidualNorm(
 // with an m-step Arnoldi process, built either one vector at a time
 // (Options.S <= 1) or in communication-avoiding matrix-powers windows
 // (Options.S > 1) — the same kernels as the linear solvers, applied to
-// the eigenvalue problem.
+// the eigenvalue problem. On a context with an armed fault plan
+// (Context.InjectFaults), a device death or an exhausted transfer
+// retry is returned as the error (*gpu.DeviceLostError,
+// *gpu.TransferError), never raised as a panic; unlike the solvers, the
+// eigen path does not re-partition and resume.
 func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error) {
 	return core.RitzValues(p, opts, start)
 }

@@ -5,9 +5,7 @@ import (
 	"math/cmplx"
 	"sort"
 
-	"cagmres/internal/dist"
 	"cagmres/internal/la"
-	"cagmres/internal/ortho"
 )
 
 // RitzValues computes approximations to the extreme eigenvalues of the
@@ -24,8 +22,12 @@ import (
 // the first pass. start is the starting vector (nil for e_1).
 //
 // Returns the m Ritz values sorted by decreasing modulus, and the ledger
-// of modeled costs.
-func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error) {
+// of modeled costs. It runs inside the solvers' recovery boundary: an
+// injected device death or exhausted transfer retry comes back as the
+// *gpu.DeviceLostError / *gpu.TransferError, not as a panic (the eigen
+// path does not heal — there is no iterate to resume from).
+func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, err error) {
+	defer guardFaults(&err)
 	opts.defaults()
 	ctx := p.Ctx
 	ctx.ResetStats()
@@ -34,15 +36,8 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 	if m < 1 || m > n {
 		return nil, fmt.Errorf("core: Arnoldi steps %d out of range for n=%d", m, n)
 	}
-	s := opts.S
-	if s < 1 {
-		s = 1
-	}
-	if s > m {
-		s = m
-	}
+	s := min(max(opts.S, 1), m)
 
-	V := dist.NewVectors(ctx, p.Layout, m+1)
 	v0 := make([]float64, n)
 	if start != nil {
 		if len(start) != n {
@@ -57,61 +52,36 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 		return nil, fmt.Errorf("core: zero starting vector")
 	}
 	la.Scal(1/nrm, v0)
-	V.SetColFromHost(0, v0)
 
+	kr := newKrylov(p, m, s)
+	defer putScratch(kr.sc)
+	kr.V.SetColFromHost(0, v0)
 	h := la.NewDense(m+1, m)
-	sc := getScratch(m, ctx.NumDevices)
-	defer putScratch(sc)
-	var steps int
-	mpk := dist.NewMPK(p.distributed(s))
-	if s <= 1 {
-		steps = gmresCycle(mpk, V, h, m, 1, 0, sc)
+	steps := 0
+	if s == 1 {
+		steps = kr.arnoldi(arnoldiCGS, 1, keepHessenberg(h, 0))
 	} else {
-		tsqr, err := ortho.ByName(opts.Ortho)
+		tsqr, borth, err := opts.strategies()
 		if err != nil {
 			return nil, err
 		}
-		if opts.OrthoImpl != nil {
-			tsqr = opts.OrthoImpl
-		}
-		borth, err := ortho.BOrthByName(opts.BOrth)
-		if err != nil {
-			return nil, err
-		}
-		done := 0
-		for done < m {
-			w := s
-			if done+w > m {
-				w = m - done
-			}
-			bhat := mpk.Generate(V, done, w, nil, PhaseMPK)
-			q := done + 1
-			c := borth.Project(ctx, V.Window(0, q), V.Window(q, q+w), PhaseBOrth)
-			r, err := tsqr.Factor(ctx, V.Window(q, q+w), PhaseTSQR)
-			if err != nil {
-				if done == 0 {
+		for steps < m {
+			w := min(s, m-steps)
+			if err := kr.window(h, steps, w, nil, tsqr, borth); err != nil {
+				if steps == 0 {
 					return nil, fmt.Errorf("core: CA-Arnoldi window at 0 (%s): %w", tsqr.Name(), err)
 				}
 				break // invariant subspace: use what we have
 			}
-			updateHessenberg(h, bhat, c, r, q, w)
-			ctx.HostCompute(PhaseLSQ, 2*float64(q+w)*float64(w)*float64(q+w))
-			done += w
+			steps += w
 		}
-		steps = done
-	}
-	if steps == 0 {
-		return nil, fmt.Errorf("core: Arnoldi made no progress")
 	}
 
-	hk := la.NewDense(steps, steps)
-	for j := 0; j < steps; j++ {
-		for i := 0; i <= j+1 && i < steps; i++ {
-			hk.Set(i, j, h.At(i, j))
-		}
+	hk, err := kr.ritzMatrix(h, steps, steps)
+	if err != nil {
+		return nil, err
 	}
-	ritz := la.HessenbergEigenvalues(hk)
-	ctx.HostCompute(PhaseLSQ, 20*float64(steps*steps*steps))
+	ritz = la.HessenbergEigenvalues(hk)
 	sort.Slice(ritz, func(a, b int) bool { return cmplx.Abs(ritz[a]) > cmplx.Abs(ritz[b]) })
 	return ritz, nil
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"cagmres/internal/dist"
 	"cagmres/internal/la"
 	"cagmres/internal/obs"
 	"cagmres/internal/ortho"
@@ -23,386 +23,233 @@ import (
 // later restarts.
 func CAGMRES(p *Problem, opts Options) (*Result, error) {
 	opts.defaults()
-	tsqr, err := ortho.ByName(opts.Ortho)
-	if err != nil {
-		return nil, err
-	}
-	if opts.OrthoImpl != nil {
-		tsqr = opts.OrthoImpl
-	}
-	borth, err := ortho.BOrthByName(opts.BOrth)
+	tsqr, borth, err := opts.strategies()
 	if err != nil {
 		return nil, err
 	}
 	if opts.Basis != "newton" && opts.Basis != "monomial" {
 		return nil, fmt.Errorf("core: unknown basis %q", opts.Basis)
 	}
-	if opts.M < 1 || opts.M > p.Layout.N {
-		return nil, fmt.Errorf("core: restart length %d out of range for n=%d", opts.M, p.Layout.N)
-	}
 	if opts.S < 1 || opts.S > opts.M {
 		return nil, fmt.Errorf("core: step size s=%d out of range for m=%d", opts.S, opts.M)
 	}
-	prec, err := NormalizePrecision(opts.Precision)
-	if err != nil {
+	if opts.Precision, err = NormalizePrecision(opts.Precision); err != nil {
 		return nil, err
 	}
-	opts.Precision = prec
-	return solveHealing(p, opts, "cagmres", func(p *Problem, ck *checkpoint) (*Result, error) {
-		return runCAGMRES(p, opts, tsqr, borth, ck)
-	})
+	return solveHealing(p, opts, "cagmres", opts.S, &caSolver{tsqr: tsqr, borth: borth})
 }
 
-// runCAGMRES is one CA-GMRES solve attempt on the current device
-// context, resuming from the checkpoint when one is captured (iterate,
-// Newton shift schedule and adaptive-step state). solveHealing owns the
-// ledger reset and device-loss recovery around it.
-func runCAGMRES(p *Problem, opts Options, tsqr ortho.TSQR, borth ortho.BOrth, ck *checkpoint) (*Result, error) {
-	ctx := p.Ctx
-	n := p.Layout.N
-	m, s := opts.M, opts.S
-
-	// One depth-s distribution serves the matrix powers kernel and, read
-	// up to its owned-row prefix, the residual SpMVs and the first GMRES
-	// cycle.
-	mpk := dist.NewMPK(p.distributed(s))
-
-	V := dist.NewVectors(ctx, p.Layout, m+1)
-	W := dist.NewVectors(ctx, p.Layout, 3) // x, b, r
-	W.SetColFromHost(1, p.B)
-
-	sc := getScratch(m, ctx.NumDevices)
-	defer putScratch(sc)
-
-	em := newEmitter(opts.Telemetry, "cagmres", ctx)
-	bNorm := la.Nrm2(p.B)
-	if bNorm == 0 {
-		em.emit(obs.Record{Kind: "done"})
-		return &Result{X: p.Unmap(make([]float64, n)), Converged: true, RelRes: 0, Stats: ctx.Stats()}, nil
+// strategies resolves the TSQR and BOrth implementations the options
+// name (OrthoImpl overriding Ortho).
+func (o *Options) strategies() (ortho.TSQR, ortho.BOrth, error) {
+	tsqr, err := ortho.ByName(o.Ortho)
+	if err != nil {
+		return nil, nil, err
 	}
-	if nonFinite(bNorm) {
-		return &Result{Stats: ctx.Stats()}, &BreakdownError{Iter: 0, Stage: "residual"}
+	if o.OrthoImpl != nil {
+		tsqr = o.OrthoImpl
 	}
+	borth, err := ortho.BOrthByName(o.BOrth)
+	return tsqr, borth, err
+}
 
-	res := &Result{Stats: ctx.Stats()}
-	var shiftBlocks [][]complex128 // nil => monomial
-	needShifts := opts.Basis == "newton"
-
-	// The precision policy owns the per-restart width decisions. It is
-	// rebuilt on every attempt (healing re-enters here after a device
-	// loss) and rewound to the checkpointed level below.
-	pol := newPrecisionPolicy(opts.Precision, ctx.Profile().BF16Transfer)
-
+// caBoundary is the state CA-GMRES carries from one restart boundary to
+// the next, and so into a checkpoint.
+type caBoundary struct {
+	shiftBlocks [][]complex128 // per-window Newton shifts; nil => monomial
+	needShifts  bool           // the next cycle is the shift-harvesting seed cycle
 	// Adaptive step size (future-work extension): sEff is the step the
-	// CA cycles currently use; it shrinks when windows fail and recovers
-	// geometrically on clean restarts.
-	sEff := s
-	cleanRestarts := 0
+	// window cycles currently use; it shrinks when windows fail and
+	// recovers geometrically on clean restarts.
+	sEff          int
+	cleanRestarts int
+}
 
-	startRestart := 0
+// caSolver is CA-GMRES as the engine sees it: the seed and window cycles
+// plus the boundary state they share. Everything below the strategies is
+// rebuilt by begin on every attempt (healing re-enters after a device loss).
+type caSolver struct {
+	tsqr  ortho.TSQR
+	borth ortho.BOrth
+
+	caBoundary
+	e   *engine
+	pol *precisionPolicy // owns the per-restart width decisions
+	h   *la.Dense        // Hessenberg matrix of the current cycle
+}
+
+func (c *caSolver) begin(e *engine, ck *checkpoint) {
+	c.e = e
+	c.pol = newPrecisionPolicy(e.opts.Precision, e.ctx.Profile().BF16Transfer)
+	c.h = la.NewDense(e.m+1, e.m)
+	c.caBoundary = caBoundary{needShifts: e.opts.Basis == "newton", sEff: e.opts.S}
 	if ck.captured {
-		// Resume from the last restart boundary: restore the iterate, the
-		// outer-loop counters, the harvested shift schedule and the
-		// adaptive-step state captured before the device loss.
-		W.SetColFromHost(0, ck.x)
-		res.Restarts, res.Iters = ck.restarts, ck.iters
-		res.History = append([]float64(nil), ck.history...)
-		shiftBlocks = ck.shiftBlocks
-		needShifts = ck.needShifts
-		sEff = ck.sEff
-		cleanRestarts = ck.cleanRestarts
-		startRestart = ck.restart
-		pol.restore(ck.precLevel)
+		c.caBoundary = ck.ca
+		c.pol.restore(ck.precLevel)
 	}
+}
 
-	h := la.NewDense(m+1, m)
-	retryBoundary := false
-	for restart := startRestart; restart < opts.MaxRestarts; restart++ {
-		if ctx.FaultsArmed() {
-			ck.capture(W.GatherCol(0), restart, res)
-			ck.shiftBlocks = shiftBlocks
-			ck.needShifts = needShifts
-			ck.sEff = sEff
-			ck.cleanRestarts = cleanRestarts
-			ck.precLevel = pol.level
-			em.emit(obs.Record{Kind: "checkpoint", Restart: restart, Step: res.Iters})
+func (c *caSolver) save(ck *checkpoint) {
+	ck.ca = c.caBoundary
+	ck.precLevel = c.pol.level
+}
+
+// observe: this boundary's FP64 SpMV + norm and the FP64 iterate update
+// that preceded it are the refinement step of the narrowed pipeline; the
+// policy tightens (never loosens) on its evidence. A retried restart
+// revisits the same boundary with the same residual — no new evidence, so
+// the policy does not observe it again (the stall guard would misread the
+// retry as a stalled narrowed cycle).
+func (c *caSolver) observe(relres float64, retried bool) string {
+	tag := c.pol.tag()
+	if !retried {
+		c.pol.observeRefinement()
+		c.pol.observeRestart(relres, c.e.opts.Tol)
+	}
+	return tag
+}
+
+func (c *caSolver) finish(res *Result) string {
+	res.Precision = c.pol.finish()
+	return c.pol.tag()
+}
+
+func (c *caSolver) cycle(e *engine, restart int, beta, relres float64) (outcome, error) {
+	c.h.Zero()
+	if c.needShifts {
+		return c.seed(e, restart, beta, relres)
+	}
+	return c.windows(e, restart, beta, relres)
+}
+
+// seed is the first cycle of the Newton basis: standard GMRES iterations
+// (no shifts exist yet), whose Hessenberg matrix supplies the Ritz values
+// that become the Leja-ordered shifts of every later cycle.
+func (c *caSolver) seed(e *engine, restart int, beta, relres float64) (outcome, error) {
+	m := e.m
+	k := e.arnoldi(arnoldiCGS, beta, keepHessenberg(c.h, e.bNorm*e.opts.Tol))
+	e.commit(restart, k, relres, lsqFlops(m))
+	hk, err := e.ritzMatrix(c.h, k, e.res.Iters)
+	if err != nil {
+		return stop, err
+	}
+	c.shiftBlocks = scheduleShifts(newtonShifts(hk, m), m, e.opts.S)
+	c.needShifts = false
+	return advance, nil
+}
+
+// windows is the CA cycle: MPK + BOrth + TSQR per window, the residual
+// estimated from the growing Hessenberg system after each.
+func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcome, error) {
+	m, s, opts, pol := e.m, e.opts.S, e.opts, c.pol
+	// Configure the pipeline for this restart's precision level: MPK
+	// storage/transfer widths plus narrow Gram/projection kernels where
+	// the chosen strategies support them.
+	tsqr, borth := pol.apply(e.mpk, c.tsqr, c.borth)
+	if opts.AdaptiveS && c.sEff < s {
+		// Recover the step size after two clean restarts.
+		c.cleanRestarts++
+		if c.cleanRestarts >= 2 {
+			c.sEff = min(2*c.sEff, s)
+			c.cleanRestarts = 0
 		}
+	}
+	if c.shiftBlocks != nil && c.sEff != s {
+		// Re-cut the shift schedule for the reduced window size.
+		if flat := slices.Concat(c.shiftBlocks...); len(flat) == m {
+			c.shiftBlocks = scheduleShifts(flat, m, c.sEff)
+		}
+	}
+	giv := e.sc.givens(m, beta)
+	done, failed, canceled := 0, false, false
+	for block := 0; done < m && relres > opts.Tol; block++ {
 		if opts.canceled() {
-			res.Canceled = true
+			// Stop between windows: keep the vectors generated so far (the
+			// commit below salvages them) and exit.
+			canceled = true
 			break
 		}
-		// r = b - A x, beta, v0.
-		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
-		negateInto(W, 2, 1)
-		beta := W.NormCol(2, PhaseVec)
-		relres := beta / bNorm
+		var shifts []complex128
+		steps := min(c.sEff, m-done)
+		if c.shiftBlocks != nil {
+			if block >= len(c.shiftBlocks) {
+				break // shift schedule exhausted (convergence checks passed us here)
+			}
+			shifts = c.shiftBlocks[block]
+			steps = len(shifts)
+		}
+		win := e.V.Window(done+1, done+1+steps)
+		if err := e.window(c.h, done, steps, shifts, tsqr, borth); err != nil {
+			switch {
+			case opts.AdaptiveS && c.sEff > 1:
+				// Adaptive step size: the window was too deep for this
+				// basis. Halve s and redo the whole restart cycle (the basis
+				// vectors after `done` are garbage, and the shift schedule
+				// changes).
+				c.sEff = (c.sEff + 1) / 2
+				failed = true
+			case done > 0:
+				// The window is numerically rank deficient — the usual cause
+				// is a nearly invariant Krylov subspace (the solve has
+				// effectively converged inside the window). Discard the
+				// window, solve with the basis accumulated so far, and let
+				// the restart's true residual decide.
+			case windowHasNonFinite(win):
+				// The generated basis itself overflowed (the TSQR failure is
+				// a symptom): a numerical breakdown, not a rank-deficiency
+				// corner case.
+				return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "basis"}
+			case pol.tightenOnFailure():
+				// The narrowed width — not the window depth — destroyed the
+				// Gram conditioning: retry the restart one level closer to
+				// full double.
+				failed = true
+			default:
+				return stop, fmt.Errorf("core: CA-GMRES restart %d window at %d (%s): %w",
+					restart, done, c.tsqr.Name(), err)
+			}
+			break
+		}
+		// Store the orthonormalized window at the basis storage width
+		// before anything measures or consumes it.
+		pol.roundWindow(win)
+		var winLoss float64
+		if e.em.enabled() || pol.active() {
+			winLoss = orthoLoss(win)
+		}
+		pol.observeWindow(winLoss)
+
+		// Residual estimate from the growing Hessenberg system.
+		for j := done; j < done+steps; j++ {
+			giv.Append(c.h.Col(j)[:j+2])
+		}
+		done += steps
+		e.ctx.HostComputeOn(PhaseLSQ, lsqFlops(done))
+		relres = giv.ResidualNorm() / e.bNorm
 		if nonFinite(relres) {
-			// Non-finite residual at the restart boundary: stop instead
-			// of iterating on garbage.
-			return res, &BreakdownError{Iter: res.Iters, Stage: "residual"}
+			return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "window"}
 		}
-		if restart > 0 {
-			// This boundary's FP64 SpMV + norm and the FP64 iterate update
-			// that preceded it are the refinement step of the narrowed
-			// pipeline; the policy tightens (never loosens) on its
-			// evidence. A retried restart revisits the same boundary with
-			// the same residual — no new evidence, so the policy does not
-			// observe it again (the stall guard would misread the retry as
-			// a stalled narrowed cycle).
-			if !retryBoundary {
-				pol.observeRefinement()
-			}
-			res.History = append(res.History, relres)
-			em.emit(obs.Record{Kind: "restart", Restart: restart, Step: res.Iters, RelRes: relres,
-				Precision: pol.tag()})
-			if !retryBoundary {
-				pol.observeRestart(relres, opts.Tol)
-			}
-		}
-		retryBoundary = false
-		if relres <= opts.Tol {
-			res.Converged = true
-			res.RelRes = relres
-			break
-		}
-		res.Restarts++
-		copyScaled(W, 2, V, 0, 1/beta)
-		h.Zero()
-
-		if needShifts {
-			// First cycle: standard GMRES iterations, harvesting H.
-			k := gmresCycle(mpk, V, h, m, beta, bNorm*opts.Tol, sc)
-			res.Iters += k
-			if em.enabled() {
-				em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: k, RelRes: relres,
-					OrthoLoss: orthoLoss(V.Window(0, k+1))})
-			}
-			giv := solveSmall(h, k, beta)
-			ctx.HostComputeOn(PhaseLSQ, 3*float64(m+1)*float64(m+1))
-			W.UpdateWithBasis(0, V, 0, giv[:k], PhaseVec)
-			// Ritz values from the square part of H.
-			hk := la.NewDense(k, k)
-			for j := 0; j < k; j++ {
-				for i := 0; i <= j+1 && i < k; i++ {
-					x := h.At(i, j)
-					if nonFinite(x) {
-						// A non-finite Hessenberg means the seed cycle's
-						// basis already overflowed; deriving Newton shifts
-						// from it would feed NaN Ritz values into the Leja
-						// ordering. Stop here.
-						return res, &BreakdownError{Iter: res.Iters, Stage: "basis"}
-					}
-					hk.Set(i, j, x)
-				}
-			}
-			shifts := newtonShifts(hk, m)
-			shiftBlocks = scheduleShifts(shifts, m, s)
-			ctx.HostComputeOn(PhaseLSQ, 20*float64(k*k*k))
-			needShifts = false
-			continue
-		}
-
-		// --- CA cycle: MPK + BOrth + TSQR per window. ---
-		// Configure the pipeline for this restart's precision level: MPK
-		// storage/transfer widths plus narrow Gram/projection kernels
-		// where the chosen strategies support them.
-		tsqrR, borthR := pol.apply(mpk, tsqr, borth)
-		if opts.AdaptiveS && sEff < s {
-			// Recover the step size after two clean restarts.
-			cleanRestarts++
-			if cleanRestarts >= 2 {
-				sEff = min(2*sEff, s)
-				cleanRestarts = 0
-			}
-		}
-		if shiftBlocks != nil && sEff != s {
-			// Re-cut the shift schedule for the reduced window size.
-			flat := make([]complex128, 0, m)
-			for _, blk := range shiftBlocks {
-				flat = append(flat, blk...)
-			}
-			if len(flat) == m {
-				shiftBlocks = scheduleShifts(flat, m, sEff)
-			}
-		}
-		done := 0
-		block := 0
-		converged := false
-		windowFailed := false
-		for done < m && !converged {
-			if opts.canceled() {
-				// Stop between windows: keep the vectors generated so
-				// far (the update below salvages them) and exit.
-				res.Canceled = true
-				break
-			}
-			var steps int
-			var blockShifts []complex128
-			if shiftBlocks != nil {
-				if block >= len(shiftBlocks) {
-					break // shift schedule exhausted (convergence checks passed us here)
-				}
-				blockShifts = shiftBlocks[block]
-				steps = len(blockShifts)
-			} else {
-				steps = sEff
-				if done+steps > m {
-					steps = m - done
-				}
-			}
-			bhat := mpk.Generate(V, done, steps, blockShifts, PhaseMPK)
-
-			q := done + 1
-			prev := V.Window(0, q)
-			win := V.Window(q, q+steps)
-			c := borthR.Project(ctx, prev, win, PhaseBOrth)
-			r, err := tsqrR.Factor(ctx, win, PhaseTSQR)
-			if err != nil {
-				if opts.AdaptiveS && sEff > 1 {
-					// Adaptive step size: the window was too deep for
-					// this basis. Halve s and redo the whole restart
-					// cycle (the basis vectors after `done` are garbage,
-					// and the shift schedule changes).
-					sEff = (sEff + 1) / 2
-					windowFailed = true
-					break
-				}
-				if done > 0 {
-					// The window is numerically rank deficient — the
-					// usual cause is a nearly invariant Krylov subspace
-					// (the solve has effectively converged inside the
-					// window). Discard the window, solve with the basis
-					// accumulated so far, and let the restart's true
-					// residual decide.
-					break
-				}
-				if windowHasNonFinite(win) {
-					// The generated basis itself overflowed (the TSQR
-					// failure is a symptom): a numerical breakdown, not a
-					// rank-deficiency corner case.
-					return res, &BreakdownError{Iter: res.Iters + done, Stage: "basis"}
-				}
-				if pol.tightenOnFailure() {
-					// The narrowed width — not the window depth — destroyed
-					// the Gram conditioning: retry the restart one level
-					// closer to full double.
-					windowFailed = true
-					break
-				}
-				return res, fmt.Errorf("core: CA-GMRES restart %d window at %d (%s): %w",
-					restart, done, tsqr.Name(), err)
-			}
-			// Store the orthonormalized window at the basis storage width
-			// before anything measures or consumes it.
-			pol.roundWindow(win)
-			var winLoss float64
-			if em.enabled() || pol.active() {
-				winLoss = orthoLoss(win)
-			}
-			pol.observeWindow(winLoss)
-			// The change-of-basis algebra is host work; under overlap it
-			// runs while the devices start the next window's exchange.
-			updateHessenberg(h, bhat, c, r, q, steps)
-			ctx.HostComputeOn(PhaseLSQ, 2*float64(q+steps)*float64(steps)*float64(q+steps))
-
-			done += steps
-			block++
-			// Residual estimate from the growing Hessenberg system.
-			_, rn := la.HessenbergLS(subHessenberg(h, done), e1(done+1, beta))
-			ctx.HostComputeOn(PhaseLSQ, 3*float64(done+1)*float64(done+1))
-			relres = rn / bNorm
-			if nonFinite(relres) {
-				return res, &BreakdownError{Iter: res.Iters + done, Stage: "window"}
-			}
-			em.emit(obs.Record{Kind: "window", Restart: restart, Step: done, RelRes: relres,
-				OrthoLoss: winLoss, TSQR: tsqrR.Name(), Precision: pol.tag()})
-			if rn/bNorm <= opts.Tol {
-				converged = true
-			}
-		}
-		if res.Canceled && done == 0 {
-			// Canceled before the first window produced anything: x is
-			// unchanged, stop with the previous restart's iterate.
-			break
-		}
-		if windowFailed {
-			cleanRestarts = 0
-			if done == 0 {
-				// Nothing salvageable this cycle: x is unchanged, retry
-				// the restart with the smaller step (or tighter width).
-				res.Restarts--
-				retryBoundary = true
-				continue
-			}
-		}
-		res.Iters += done
-		if em.enabled() {
-			em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: done, RelRes: relres,
-				OrthoLoss: orthoLoss(V.Window(0, done+1))})
-		}
-
-		y, _ := la.HessenbergLS(subHessenberg(h, done), e1(done+1, beta))
-		ctx.HostComputeOn(PhaseLSQ, 3*float64(done+1)*float64(done+1))
-		W.UpdateWithBasis(0, V, 0, y, PhaseVec)
-		if res.Canceled {
-			break
+		e.em.emit(obs.Record{Kind: "window", Restart: restart, Step: done, RelRes: relres,
+			OrthoLoss: winLoss, TSQR: tsqr.Name(), Precision: pol.tag()})
+	}
+	if canceled && done == 0 {
+		// Canceled before the first window produced anything: x is
+		// unchanged, stop with the previous restart's iterate.
+		return stop, nil
+	}
+	if failed {
+		c.cleanRestarts = 0
+		if done == 0 {
+			// Nothing salvageable this cycle: x is unchanged, retry the
+			// restart with the smaller step (or tighter width).
+			return retry, nil
 		}
 	}
-
-	if !res.Converged {
-		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
-		negateInto(W, 2, 1)
-		res.RelRes = W.NormCol(2, PhaseVec) / bNorm
-		if nonFinite(res.RelRes) {
-			return res, &BreakdownError{Iter: res.Iters, Stage: "residual"}
-		}
+	e.commit(restart, done, relres, lsqFlops(done))
+	if canceled {
+		return stop, nil
 	}
-	res.Precision = pol.finish()
-	em.emit(obs.Record{Kind: "done", Restart: res.Restarts, Step: res.Iters, RelRes: res.RelRes,
-		Precision: pol.tag()})
-	res.X = p.Unmap(W.GatherCol(0))
-	return res, nil
-}
-
-// gmresCycle runs one standard GMRES restart cycle (CGS Arnoldi) on an
-// already-normalized V[:,0], filling h, and returns the number of
-// iterations performed. Used for the shift-harvesting first cycle of
-// Newton-basis CA-GMRES.
-func gmresCycle(mpk *dist.MPK, v *dist.Vectors, h *la.Dense, m int, beta, absTol float64, sc *cycleScratch) int {
-	giv := sc.givens(m, beta)
-	k := 0
-	for ; k < m; k++ {
-		mpk.SpMV(v, k, v, k+1, PhaseSpMV)
-		hcol := sc.hcol[:k+2]
-		err := arnoldiCGS(v, k, hcol, sc)
-		for i := 0; i <= k+1; i++ {
-			h.Set(i, k, hcol[i])
-		}
-		stop := giv.Append(hcol) <= absTol
-		if err != nil || stop {
-			k++
-			break
-		}
-	}
-	return k
-}
-
-// solveSmall solves the least-squares problem for the first k columns of
-// h with rhs beta*e1.
-func solveSmall(h *la.Dense, k int, beta float64) []float64 {
-	y, _ := la.HessenbergLS(subHessenberg(h, k), e1(k+1, beta))
-	return y
-}
-
-// subHessenberg views the leading (k+1) x k block of h.
-func subHessenberg(h *la.Dense, k int) *la.Dense {
-	return h.RowView(0, k+1).ColView(0, k)
-}
-
-func e1(n int, beta float64) []float64 {
-	c := make([]float64, n)
-	c[0] = beta
-	return c
+	return advance, nil
 }
 
 // updateHessenberg recovers the new Hessenberg columns from one CA window

@@ -182,143 +182,27 @@ func GMRES(p *Problem, opts Options) (*Result, error) {
 		// has no window structure to refine over, so it stays fp64.
 		return nil, fmt.Errorf("core: GMRES supports only fp64 precision, got %q", prec)
 	}
-	if opts.M < 1 || opts.M > p.Layout.N {
-		return nil, fmt.Errorf("core: restart length %d out of range for n=%d", opts.M, p.Layout.N)
+	orth := arnoldiStep(arnoldiCGS)
+	if opts.Ortho == "MGS" {
+		orth = arnoldiMGS
 	}
-	return solveHealing(p, opts, "gmres", func(p *Problem, ck *checkpoint) (*Result, error) {
-		return runGMRES(p, opts, ck)
-	})
+	return solveHealing(p, opts, "gmres", 1, gmresSolver{orth})
 }
 
-// runGMRES is one GMRES solve attempt on the current device context,
-// resuming from the checkpoint when one is captured. solveHealing owns
-// the ledger reset and device-loss recovery around it.
-func runGMRES(p *Problem, opts Options, ck *checkpoint) (*Result, error) {
-	ctx := p.Ctx
-	n := p.Layout.N
-	m := opts.M
+// gmresSolver is GMRES as the engine sees it: one Arnoldi cycle per
+// restart, nothing carried from one boundary to the next.
+type gmresSolver struct{ orth arnoldiStep }
 
-	mpk := dist.NewMPK(p.distributed(1))
-	V := dist.NewVectors(ctx, p.Layout, m+1)
-	// Workspace: x (0), b (1), r (2).
-	W := dist.NewVectors(ctx, p.Layout, 3)
-	W.SetColFromHost(1, p.B)
-
-	sc := getScratch(m, ctx.NumDevices)
-	defer putScratch(sc)
-
-	em := newEmitter(opts.Telemetry, "gmres", ctx)
-	bNorm := la.Nrm2(p.B)
-	if bNorm == 0 {
-		// Trivial system: x = 0.
-		em.emit(obs.Record{Kind: "done"})
-		return &Result{X: p.Unmap(make([]float64, n)), Converged: true, RelRes: 0, Stats: ctx.Stats()}, nil
-	}
-	if nonFinite(bNorm) {
-		return &Result{Stats: ctx.Stats()}, &BreakdownError{Iter: 0, Stage: "residual"}
-	}
-
-	res := &Result{Stats: ctx.Stats()}
-	startRestart := 0
-	if ck.captured {
-		// Resume from the last restart boundary: restore the iterate and
-		// the outer-loop counters captured before the device loss.
-		W.SetColFromHost(0, ck.x)
-		res.Restarts, res.Iters = ck.restarts, ck.iters
-		res.History = append([]float64(nil), ck.history...)
-		startRestart = ck.restart
-	}
-	h := la.NewDense(m+1, m)
-	for restart := startRestart; restart < opts.MaxRestarts; restart++ {
-		if ctx.FaultsArmed() {
-			ck.capture(W.GatherCol(0), restart, res)
-			em.emit(obs.Record{Kind: "checkpoint", Restart: restart, Step: res.Iters})
-		}
-		if opts.canceled() {
-			res.Canceled = true
-			break
-		}
-		// r = b - A x
-		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
-		negateInto(W, 2, 1) // r := b - r
-		beta := W.NormCol(2, PhaseVec)
-		relres := beta / bNorm
-		if nonFinite(relres) {
-			// Non-finite residual at the restart boundary: stop instead
-			// of iterating on garbage.
-			return res, &BreakdownError{Iter: res.Iters, Stage: "residual"}
-		}
-		if restart > 0 {
-			res.History = append(res.History, relres)
-			em.emit(obs.Record{Kind: "restart", Restart: restart, Step: res.Iters, RelRes: relres})
-		}
-		if relres <= opts.Tol {
-			res.Converged = true
-			res.RelRes = relres
-			break
-		}
-		res.Restarts++
-
-		// v_0 = r / beta
-		copyScaled(W, 2, V, 0, 1/beta)
-
-		giv := sc.givens(m, beta)
-		k := 0
-		rel := relres
-		for ; k < m; k++ {
-			mpk.SpMV(V, k, V, k+1, PhaseSpMV)
-			hcol := sc.hcol[:k+2]
-			var err error
-			if opts.Ortho == "MGS" {
-				err = arnoldiMGS(V, k, hcol)
-			} else {
-				err = arnoldiCGS(V, k, hcol, sc)
-			}
-			for i := 0; i <= k+1; i++ {
-				h.Set(i, k, hcol[i])
-			}
-			// The Givens update is tiny host work; under overlap it rides
-			// the host stream while the devices run the next SpMV.
-			rel = giv.Append(hcol) / bNorm
-			ctx.HostComputeOn(PhaseLSQ, float64(6*(k+1)))
-			em.emit(obs.Record{Kind: "step", Restart: restart, Step: k + 1, RelRes: rel})
-			if err != nil {
-				// Happy breakdown: the Krylov space is invariant; the
-				// projection column is still valid (its subdiagonal entry
-				// is numerically zero), so solve with what we have.
-				k++
-				break
-			}
-			if rel <= opts.Tol {
-				k++
-				break
-			}
-		}
-		res.Iters += k
-		if em.enabled() {
-			em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: k, RelRes: rel,
-				OrthoLoss: orthoLoss(V.Window(0, k+1))})
-		}
-
-		// Solve the small least-squares problem and update x. The update's
-		// broadcast depends on the host stream, so the solve's cost is on
-		// the critical path only when the devices catch up first.
-		y := giv.Solve()
-		ctx.HostComputeOn(PhaseLSQ, 3*float64(m+1)*float64(m+1))
-		W.UpdateWithBasis(0, V, 0, y[:k], PhaseVec)
-	}
-
-	if !res.Converged {
-		mpk.SpMV(W, 0, W, 2, PhaseSpMV)
-		negateInto(W, 2, 1)
-		res.RelRes = W.NormCol(2, PhaseVec) / bNorm
-		if nonFinite(res.RelRes) {
-			return res, &BreakdownError{Iter: res.Iters, Stage: "residual"}
-		}
-	}
-	em.emit(obs.Record{Kind: "done", Restart: res.Restarts, Step: res.Iters, RelRes: res.RelRes})
-	res.X = p.Unmap(W.GatherCol(0))
-	return res, nil
+func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) (outcome, error) {
+	rel := relres
+	k := e.arnoldi(g.orth, beta, func(k int, _ []float64, est float64) bool {
+		rel = est / e.bNorm
+		e.ctx.HostComputeOn(PhaseLSQ, float64(6*(k+1)))
+		e.em.emit(obs.Record{Kind: "step", Restart: restart, Step: k + 1, RelRes: rel})
+		return rel <= e.opts.Tol
+	})
+	e.commit(restart, k, rel, lsqFlops(e.m))
+	return advance, nil
 }
 
 // negateInto sets column jr := column jb - column jr on every device
@@ -356,7 +240,7 @@ func copyScaled(src *dist.Vectors, js int, dst *dist.Vectors, jd int, alpha floa
 // Gram-Schmidt: one global reduction per previous vector plus the norm,
 // exactly the Orth kernel whose latency dominates GMRES in Figure 14's
 // MGS rows. hcol receives [h_0k ... h_kk, h_{k+1,k}].
-func arnoldiMGS(v *dist.Vectors, k int, hcol []float64) error {
+func arnoldiMGS(v *dist.Vectors, k int, hcol []float64, _ *cycleScratch) error {
 	for l := 0; l <= k; l++ {
 		r := v.DotCols(l, k+1, PhaseOrth)
 		hcol[l] = r

@@ -51,18 +51,15 @@ type checkpoint struct {
 	iters    int
 	history  []float64
 
-	// CA-GMRES restart-loop state.
-	shiftBlocks   [][]complex128
-	needShifts    bool
-	sEff          int
-	cleanRestarts int
+	// CA-GMRES boundary state (caSolver.save).
+	ca caBoundary
 	// precLevel is the precision policy's level at the boundary, so a
 	// healed attempt resumes at the width the solve had already
 	// tightened to (tighten-only survives device loss).
 	precLevel int
 }
 
-// capture records the common (GMRES and CA-GMRES) boundary state.
+// capture records the boundary state every solver has.
 func (ck *checkpoint) capture(x []float64, restart int, res *Result) {
 	ck.x = x
 	ck.restart = restart
@@ -72,18 +69,16 @@ func (ck *checkpoint) capture(x []float64, restart int, res *Result) {
 	ck.captured = true
 }
 
-// attemptFunc runs one solve attempt on the given (possibly
-// re-partitioned) problem, resuming from the checkpoint when it is
-// captured and updating it at every restart boundary while faults are
-// armed. It must not reset the ledger — the healing wrapper owns it.
-type attemptFunc func(p *Problem, ck *checkpoint) (*Result, error)
-
 // solveHealing owns the solve lifecycle shared by GMRES and CAGMRES:
-// reset the ledger once, then run attempts until one finishes. A device
+// reset the ledger once, then run attempts of cycler s (telemetry name
+// solver, over a depth-deep distribution) until one finishes. A device
 // loss shrinks the problem onto the survivors and retries from the
 // checkpoint; losing the last device is unrecoverable. The loop is
 // bounded by the device count — every heal removes at least one device.
-func solveHealing(p *Problem, opts Options, solver string, run attemptFunc) (*Result, error) {
+func solveHealing(p *Problem, opts Options, solver string, depth int, s cycler) (*Result, error) {
+	if opts.M < 1 || opts.M > p.Layout.N {
+		return nil, fmt.Errorf("core: restart length %d out of range for n=%d", opts.M, p.Layout.N)
+	}
 	if opts.Profile != nil {
 		p.Ctx.SetProfile(*opts.Profile)
 	}
@@ -94,7 +89,7 @@ func solveHealing(p *Problem, opts Options, solver string, run attemptFunc) (*Re
 	var report *FaultReport
 	cur := p
 	for {
-		res, err := runGuarded(cur, ck, run)
+		res, err := attempt(cur, &opts, solver, depth, s, ck)
 		var lost *gpu.DeviceLostError
 		if errors.As(err, &lost) {
 			surv, serr := cur.Ctx.Survivors()
@@ -128,21 +123,27 @@ func solveHealing(p *Problem, opts Options, solver string, run attemptFunc) (*Re
 	}
 }
 
-// runGuarded executes one attempt, converting the runtime's fault panics
-// into errors at this — and only this — recovery boundary. Any other
-// panic is a genuine bug and propagates.
-func runGuarded(p *Problem, ck *checkpoint, run attemptFunc) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case *gpu.DeviceLostError:
-				res, err = nil, e
-			case *gpu.TransferError:
-				res, err = nil, e
-			default:
-				panic(r)
-			}
-		}
-	}()
-	return run(p, ck)
+// attempt is one solve attempt on the problem's current device context,
+// resuming from the checkpoint when one is captured. It does not reset
+// the ledger — solveHealing owns it.
+func attempt(p *Problem, opts *Options, solver string, depth int, s cycler, ck *checkpoint) (res *Result, err error) {
+	defer guardFaults(&err)
+	e := newEngine(p, opts, solver, depth)
+	defer putScratch(e.sc)
+	return e.drive(ck, s)
+}
+
+// guardFaults, deferred, is the recovery boundary: it converts the
+// runtime's fault panics into the deferring function's error (its other
+// results stay zero). Any other panic is a genuine bug and propagates.
+func guardFaults(err *error) {
+	switch e := recover().(type) {
+	case nil:
+	case *gpu.DeviceLostError:
+		*err = e
+	case *gpu.TransferError:
+		*err = e
+	default:
+		panic(e)
+	}
 }

@@ -184,3 +184,26 @@ func TestFaultFreeSolveCarriesNoReport(t *testing.T) {
 		t.Fatalf("fault-free solve carries a report: %+v", res.Faults)
 	}
 }
+
+// TestRitzValuesReturnsFaultAsError: the eigen path runs inside the same
+// recovery boundary as the solvers, so an injected device death comes
+// back as an error rather than escaping the public API as a panic.
+func TestRitzValuesReturnsFaultAsError(t *testing.T) {
+	a := laplace2D(20, 20, 0.3)
+	for _, s := range []int{1, 5} {
+		ctx := gpu.NewContext(3, gpu.M2090())
+		ctx.InjectFaults(gpu.FaultPlan{Deaths: []gpu.DeviceDeath{{Device: 1, At: 1e-5}}})
+		p, err := NewProblem(ctx, a, make([]float64, 400), Natural, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ritz, err := RitzValues(p, Options{M: 20, S: s, Ortho: "CholQR"}, randomRHS(400, 5))
+		var lost *gpu.DeviceLostError
+		if !errors.As(err, &lost) {
+			t.Fatalf("s=%d: want DeviceLostError, got %v", s, err)
+		}
+		if ritz != nil {
+			t.Fatalf("s=%d: faulted run returned %d Ritz values", s, len(ritz))
+		}
+	}
+}

@@ -389,3 +389,31 @@ func TestMeasurePerfectFactorization(t *testing.T) {
 		t.Fatalf("errors on exact factorization: %+v", e)
 	}
 }
+
+func TestCAQRBlockedMatchesUnblocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(504))
+	v := randTall(rng, 180, 12)
+	ctx := gpu.NewContext(2, gpu.M2090())
+
+	w1 := splitRows(v.Clone(), 2)
+	r1, err := (CAQR{}).Factor(ctx, w1, "tsqr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2 := splitRows(v.Clone(), 2)
+	r2, err := (CAQR{BlockSize: 4}).Factor(ctx, w2, "tsqr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	la.FixRSigns(nil, r1)
+	la.FixRSigns(nil, r2)
+	if !r1.Equalish(r2, 1e-9*(1+r1.MaxAbs())) {
+		t.Fatal("blocked CAQR R disagrees with unblocked")
+	}
+	// Orthogonality identical quality.
+	orig := splitRows(v.Clone(), 2)
+	e := Measure(w2, orig, r2)
+	if e.Orthogonality > 1e-12 {
+		t.Fatalf("blocked CAQR orthogonality %v", e.Orthogonality)
+	}
+}

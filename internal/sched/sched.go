@@ -16,6 +16,19 @@ import (
 	"cagmres/internal/sparse"
 )
 
+// SolverByName is the one definition of the solver names a Spec accepts:
+// "gmres", "ca", and "" for the default (CA-GMRES). The scheduler
+// dispatches on it and the server validates request bodies against it.
+func SolverByName(name string) (func(*core.Problem, core.Options) (*core.Result, error), error) {
+	switch name {
+	case "gmres":
+		return core.GMRES, nil
+	case "ca", "":
+		return core.CAGMRES, nil
+	}
+	return nil, fmt.Errorf("sched: unknown solver %q", name)
+}
+
 // Spec describes one solve job: the system to solve and the solver
 // configuration. Matrix is shared and must not be mutated after Submit.
 type Spec struct {
@@ -28,7 +41,7 @@ type Spec struct {
 	MatrixKey string
 	// B is the right-hand side in original coordinates.
 	B []float64
-	// Solver selects "gmres" or "ca".
+	// Solver selects "gmres" or "ca" (see SolverByName).
 	Solver string
 	// Ordering and Balance configure the problem preparation.
 	Ordering core.Ordering
@@ -881,8 +894,8 @@ func (s *Scheduler) execute(batch []*Job) {
 		ls.SetAttr("batch", strconv.Itoa(len(batch)))
 
 		var res *core.Result
-		var err error
-		if problem == nil {
+		solve, err := SolverByName(j.Spec.Solver)
+		if err == nil && problem == nil {
 			problem, err = s.prepare(j, ls, lease)
 		}
 		if err == nil {
@@ -892,14 +905,7 @@ func (s *Scheduler) execute(batch []*Job) {
 			opts := j.Spec.Opts
 			opts.Ctx = j.ctx
 			opts.Telemetry = j.trace.SolverSink(s.cfg.Tracer, ls, j.ID, attempt, opts.Telemetry)
-			switch j.Spec.Solver {
-			case "gmres":
-				res, err = core.GMRES(problem, opts)
-			case "ca", "":
-				res, err = core.CAGMRES(problem, opts)
-			default:
-				err = fmt.Errorf("sched: unknown solver %q", j.Spec.Solver)
-			}
+			res, err = solve(problem, opts)
 		}
 		closeLease := func(outcome string) {
 			ls.End = unixSeconds(time.Now())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cagmres/internal/core"
+	"cagmres/internal/sched"
 	"cagmres/internal/sparse"
 )
 
@@ -72,11 +73,13 @@ func FuzzMatrixMarketSpec(f *testing.F) {
 	})
 }
 
-// FuzzPrecisionField drives the precision field of the POST /solve body
-// decoder with hostile JSON: whatever arrives, decoding plus
-// normalization must never panic, must only ever accept the three
-// canonical mode names, and must be idempotent on what it accepts —
-// the invariants the solve handler's bad_request gate relies on.
+// FuzzPrecisionField drives the enumerated string fields of the POST
+// /solve body decoder — precision and solver — with hostile JSON:
+// whatever arrives, decoding plus normalization must never panic, must
+// only ever accept the canonical names (three precision modes; "gmres",
+// "ca" or nothing for the solver), and must be idempotent on what it
+// accepts — the invariants the solve handler's bad_request gate relies
+// on.
 func FuzzPrecisionField(f *testing.F) {
 	seeds := []string{
 		`{"matrix":{"name":"laplace2d"},"precision":"mixed"}`,
@@ -93,6 +96,16 @@ func FuzzPrecisionField(f *testing.F) {
 		`{"precision":null}`,
 		`{"precision":["mixed"]}`,
 		`{"precision":"` + strings.Repeat("a", 4096) + `"}`,
+		`{"matrix":{"name":"laplace2d"},"solver":"gmres"}`,
+		`{"solver":"ca","precision":"mixed"}`,
+		`{"solver":""}`,
+		`{"solver":"GMRES"}`,
+		`{"solver":"ca "}`,
+		`{"solver":"cagmres"}`,
+		`{"solver":7}`,
+		`{"solver":null}`,
+		`{"solver":{"name":"ca"}}`,
+		`{"solver":"` + strings.Repeat("g", 4096) + `"}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -100,7 +113,12 @@ func FuzzPrecisionField(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		var req SolveRequest
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			return // the handler answers bad_request before precision is read
+			return // the handler answers bad_request before either field is read
+		}
+		if solve, err := sched.SolverByName(req.Solver); (err == nil) != (solve != nil) {
+			t.Fatalf("SolverByName(%q) = %v, %v", req.Solver, solve != nil, err)
+		} else if err == nil && req.Solver != "" && req.Solver != "ca" && req.Solver != "gmres" {
+			t.Fatalf("SolverByName accepted unknown solver %q", req.Solver)
 		}
 		got, err := core.NormalizePrecision(req.Precision)
 		if err != nil {

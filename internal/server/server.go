@@ -408,6 +408,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if ctl.DeadlineMS > 0 {
 		req.DeadlineMS = ctl.DeadlineMS
 	}
+	if _, err := sched.SolverByName(req.Solver); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "unknown solver " + req.Solver})
+		return
+	}
 	a, key, err := s.matrix(req.Matrix)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "matrix: " + err.Error()})

@@ -70,6 +70,29 @@ func TestBadMatrixMarketIsStructured400(t *testing.T) {
 	}
 }
 
+// TestUnknownSolverIsRejectedAtDecode: a solver name the scheduler could
+// not dispatch must be a 400 at the door — not a queued, leased and
+// prepared job that then fails with HTTP 200 and no code.
+func TestUnknownSolverIsRejectedAtDecode(t *testing.T) {
+	h := newHarness(t, 16)
+	req := solveReq(testN(t), 0, true)
+	req.Solver = "bicgstab"
+	code, e := postErr(t, h.ts.URL, req)
+	if code != http.StatusBadRequest || e.Code != codeBadRequest {
+		t.Fatalf("status %d code %q, want 400 %q (body %+v)", code, e.Code, codeBadRequest, e)
+	}
+	if hz := getHealthz(t, h.ts.URL); hz.PreparedMisses != 0 || hz.Dispatched != 0 {
+		t.Fatalf("rejected request reached the scheduler: %d preparations, %d dispatched", hz.PreparedMisses, hz.Dispatched)
+	}
+	req.Ortho = "CGS" // the one strategy both solvers accept
+	for _, solver := range []string{"", "ca", "gmres"} {
+		req.Solver = solver
+		if code, job, _ := h.post(t, req); code != http.StatusOK || job.State != "done" {
+			t.Fatalf("solver %q: status %d state %q", solver, code, job.State)
+		}
+	}
+}
+
 // TestErrorCodesAreConsistent pins the machine-readable code on each
 // error family: bad input, unknown job, wrong method.
 func TestErrorCodesAreConsistent(t *testing.T) {
