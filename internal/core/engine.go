@@ -163,7 +163,12 @@ type engine struct {
 	res   *Result
 }
 
-func newEngine(p *Problem, opts *Options, solver string, depth int) *engine {
+// attempt is one solve attempt on the problem's current device context,
+// resuming from the checkpoint when one is captured; guardFaults makes it
+// the solvers' recovery boundary. It does not reset the ledger —
+// solveHealing owns it.
+func attempt(p *Problem, opts *Options, solver string, depth int, s cycler, ck *checkpoint) (res *Result, err error) {
+	defer guardFaults(&err)
 	e := &engine{
 		krylov: newKrylov(p, opts.M, depth),
 		p:      p,
@@ -173,8 +178,9 @@ func newEngine(p *Problem, opts *Options, solver string, depth int) *engine {
 		bNorm:  la.Nrm2(p.B),
 		res:    &Result{Stats: p.Ctx.Stats()},
 	}
+	defer putScratch(e.sc)
 	e.W.SetColFromHost(1, p.B)
-	return e
+	return e.drive(ck, s)
 }
 
 // residual computes r = b - A x in FP64 and returns its norm and relative

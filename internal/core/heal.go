@@ -123,16 +123,6 @@ func solveHealing(p *Problem, opts Options, solver string, depth int, s cycler) 
 	}
 }
 
-// attempt is one solve attempt on the problem's current device context,
-// resuming from the checkpoint when one is captured. It does not reset
-// the ledger — solveHealing owns it.
-func attempt(p *Problem, opts *Options, solver string, depth int, s cycler, ck *checkpoint) (res *Result, err error) {
-	defer guardFaults(&err)
-	e := newEngine(p, opts, solver, depth)
-	defer putScratch(e.sc)
-	return e.drive(ck, s)
-}
-
 // guardFaults, deferred, is the recovery boundary: it converts the
 // runtime's fault panics into the deferring function's error (its other
 // results stay zero). Any other panic is a genuine bug and propagates.
