@@ -67,7 +67,7 @@ func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, e
 		}
 		for steps < m {
 			w := min(s, m-steps)
-			if err := kr.window(h, steps, w, nil, tsqr, borth); err != nil {
+			if _, err := kr.window(h, steps, w, nil, tsqr, borth); err != nil {
 				if steps == 0 {
 					return nil, fmt.Errorf("core: CA-Arnoldi window at 0 (%s): %w", tsqr.Name(), err)
 				}

@@ -178,8 +178,8 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 			shifts = c.shiftBlocks[block]
 			steps = len(shifts)
 		}
-		win := e.V.Window(done+1, done+1+steps)
-		if err := e.window(c.h, done, steps, shifts, tsqr, borth); err != nil {
+		win, err := e.window(c.h, done, steps, shifts, tsqr, borth)
+		if err != nil {
 			switch {
 			case opts.AdaptiveS && c.sEff > 1:
 				// Adaptive step size: the window was too deep for this

@@ -131,20 +131,21 @@ func (kr *krylov) ritzMatrix(h *la.Dense, k, iters int) (*la.Dense, error) {
 // (Newton shifts, monomial when nil), BOrth projects them against the
 // basis so far, TSQR orthogonalizes them among themselves, and their
 // Hessenberg columns are recovered into h — untouched when TSQR fails.
-func (kr *krylov) window(h *la.Dense, done, steps int, shifts []complex128, tsqr ortho.TSQR, borth ortho.BOrth) error {
+// Returns the window's per-device panels either way.
+func (kr *krylov) window(h *la.Dense, done, steps int, shifts []complex128, tsqr ortho.TSQR, borth ortho.BOrth) ([]*la.Dense, error) {
 	bhat := kr.mpk.Generate(kr.V, done, steps, shifts, PhaseMPK)
 	q := done + 1
 	win := kr.V.Window(q, q+steps)
 	c := borth.Project(kr.ctx, kr.V.Window(0, q), win, PhaseBOrth)
 	r, err := tsqr.Factor(kr.ctx, win, PhaseTSQR)
 	if err != nil {
-		return err
+		return win, err
 	}
 	// The change-of-basis algebra is host work; under overlap it runs
 	// while the devices start the next window's exchange.
 	updateHessenberg(h, bhat, c, r, q, steps)
 	kr.ctx.HostComputeOn(PhaseLSQ, 2*float64(q+steps)*float64(steps)*float64(q+steps))
-	return nil
+	return win, nil
 }
 
 // lsqFlops is the modeled host cost of the least-squares solve over a
@@ -222,7 +223,8 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 	if e.bNorm == 0 {
 		// Trivial system: x = 0.
 		e.em.emit(obs.Record{Kind: "done"})
-		return &Result{X: e.p.Unmap(make([]float64, e.p.Layout.N)), Converged: true, Stats: ctx.Stats()}, nil
+		res.X, res.Converged = e.p.Unmap(make([]float64, e.p.Layout.N)), true
+		return res, nil
 	}
 	if nonFinite(e.bNorm) {
 		return res, &BreakdownError{Stage: "residual"}

@@ -10,6 +10,7 @@ import (
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
+	"cagmres/internal/sparse"
 )
 
 // streamArm runs one solve with an in-memory telemetry sink and prints
@@ -77,13 +78,25 @@ func streamArm(sb *strings.Builder, name string, solve func(*Problem, Options) (
 func TestSolverStreamFence(t *testing.T) {
 	a := laplace2D(20, 20, 0.3)
 	b := randomRHS(400, 7)
-	problem := func(ng int, b []float64) *Problem {
+	prepare := func(ctx *gpu.Context, a *sparse.CSR, b []float64, ordering Ordering, balance bool) *Problem {
 		t.Helper()
-		p, err := NewProblem(gpu.NewContext(ng, gpu.M2090()), a, b, KWay, true)
+		p, err := NewProblem(ctx, a, b, ordering, balance)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
+	}
+	problem := func(ng int, b []float64) *Problem {
+		return prepare(gpu.NewContext(ng, gpu.M2090()), a, b, KWay, true)
+	}
+	// The same system on a profile whose transfer engines take bfloat16.
+	narrowed := func() *Problem {
+		return prepare(gpu.NewContextWithProfile(3, bf16Profile()), a, b, KWay, true)
+	}
+	// A system whose monomial basis is too ill-conditioned for CholQR at
+	// large s.
+	fragile := func() *Problem {
+		return prepare(gpu.NewContext(2, gpu.M2090()), laplace2D(22, 22, 0.4), randomRHS(484, 31), Natural, true)
 	}
 	var sb strings.Builder
 
@@ -98,29 +111,16 @@ func TestSolverStreamFence(t *testing.T) {
 	streamArm(&sb, "ca newton s=1", CAGMRES, problem(2, b), Options{M: 12, S: 1, Tol: 1e-6, Ortho: "CGS"}, nil)
 	streamArm(&sb, "ca maxrestarts", CAGMRES, problem(2, b), Options{M: 10, S: 5, Tol: 1e-12, MaxRestarts: 3, Ortho: "CholQR"}, nil)
 
-	// A monomial basis with s = m is too ill-conditioned for CholQR: the
-	// first window fails and the adaptive scheme halves s.
-	pa, err := NewProblem(gpu.NewContext(2, gpu.M2090()), laplace2D(22, 22, 0.4), randomRHS(484, 31), Natural, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamArm(&sb, "ca adaptive s", CAGMRES, pa, Options{M: 30, S: 30, Tol: 1e-6, MaxRestarts: 400,
+	// With s = m the first window fails and the adaptive scheme halves s.
+	streamArm(&sb, "ca adaptive s", CAGMRES, fragile(), Options{M: 30, S: 30, Tol: 1e-6, MaxRestarts: 400,
 		Ortho: "CholQR", Basis: "monomial", AdaptiveS: true}, nil)
-	// The same fragile basis without adaptivity discards the late window.
-	pd, err := NewProblem(gpu.NewContext(2, gpu.M2090()), laplace2D(22, 22, 0.4), randomRHS(484, 31), Natural, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamArm(&sb, "ca monomial deep", CAGMRES, pd, Options{M: 30, S: 10, Tol: 1e-6, MaxRestarts: 60,
+	// A shallower window survives without adaptivity...
+	streamArm(&sb, "ca monomial deep", CAGMRES, fragile(), Options{M: 30, S: 10, Tol: 1e-6, MaxRestarts: 60,
 		Ortho: "CholQR", Basis: "monomial"}, nil)
 
-	// ...and with neither adaptivity nor a basis to fall back on, the
-	// first window's failure is the solve's error.
-	pe, err := NewProblem(gpu.NewContext(2, gpu.M2090()), laplace2D(22, 22, 0.4), randomRHS(484, 31), Natural, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamArm(&sb, "ca window error", CAGMRES, pe, Options{M: 30, S: 15, Tol: 1e-6, MaxRestarts: 60,
+	// ...a deeper one, with neither adaptivity nor a basis to fall back
+	// on, is the solve's error.
+	streamArm(&sb, "ca window error", CAGMRES, fragile(), Options{M: 30, S: 15, Tol: 1e-6, MaxRestarts: 60,
 		Ortho: "CholQR", Basis: "monomial"}, nil)
 
 	// Six distinct eigenvalues: the Krylov space is invariant after six
@@ -131,12 +131,7 @@ func TestSolverStreamFence(t *testing.T) {
 		eigs[i] = float64(i%6 + 1)
 	}
 	invariant := func() *Problem {
-		t.Helper()
-		p, err := NewProblem(gpu.NewContext(2, gpu.M2090()), spectrumMatrix(eigs, 0, 1), randomRHS(60, 31), Natural, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return prepare(gpu.NewContext(2, gpu.M2090()), spectrumMatrix(eigs, 0, 1), randomRHS(60, 31), Natural, false)
 	}
 	streamArm(&sb, "gmres mgs invariant", GMRES, invariant(), Options{M: 20, Tol: 1e-10, Ortho: "MGS"}, nil)
 	streamArm(&sb, "gmres cgs invariant", GMRES, invariant(), Options{M: 20, Tol: 1e-10, Ortho: "CGS"}, nil)
@@ -145,11 +140,7 @@ func TestSolverStreamFence(t *testing.T) {
 		Ortho: "CholQR", Basis: "monomial"}, nil)
 
 	for _, prec := range []string{PrecisionMixed, PrecisionAdaptive} {
-		pm, err := NewProblem(gpu.NewContextWithProfile(3, bf16Profile()), a, b, KWay, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamArm(&sb, "ca "+prec+" bf16", CAGMRES, pm, Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR",
+		streamArm(&sb, "ca "+prec+" bf16", CAGMRES, narrowed(), Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR",
 			AdaptiveS: true, Precision: prec}, nil)
 	}
 
@@ -175,14 +166,6 @@ func TestSolverStreamFence(t *testing.T) {
 	}
 	// The healed attempt resumes at the width the policy had tightened to.
 	adaptive := Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR", AdaptiveS: true, Precision: PrecisionAdaptive}
-	narrowed := func() *Problem {
-		t.Helper()
-		p, err := NewProblem(gpu.NewContextWithProfile(3, bf16Profile()), a, b, KWay, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	ref, err := CAGMRES(narrowed(), adaptive)
 	if err != nil {
 		t.Fatal(err)
@@ -219,16 +202,9 @@ func TestSolverStreamFence(t *testing.T) {
 	for i := range huge {
 		huge[i] = 1e200
 	}
-	pg, err := NewProblem(gpu.NewContext(2, gpu.M2090()), a, huge, Natural, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamArm(&sb, "gmres non-finite b", GMRES, pg, Options{M: 10}, nil)
-	pc, err := NewProblem(gpu.NewContext(2, gpu.M2090()), a, huge, Natural, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamArm(&sb, "ca non-finite b", CAGMRES, pc, Options{M: 10, S: 5}, nil)
+	overflowing := func() *Problem { return prepare(gpu.NewContext(2, gpu.M2090()), a, huge, Natural, false) }
+	streamArm(&sb, "gmres non-finite b", GMRES, overflowing(), Options{M: 10}, nil)
+	streamArm(&sb, "ca non-finite b", CAGMRES, overflowing(), Options{M: 10, S: 5}, nil)
 
 	// Overflowing Krylov vectors: the breakdown stages.
 	for _, c := range []struct {
@@ -240,10 +216,7 @@ func TestSolverStreamFence(t *testing.T) {
 		{"ca newton breakdown", CAGMRES, Options{M: 10, S: 5, Tol: 1e-8, MaxRestarts: 20, Ortho: "CholQR"}},
 		{"ca monomial breakdown", CAGMRES, Options{M: 10, S: 5, Tol: 1e-8, MaxRestarts: 20, Ortho: "CholQR", Basis: "monomial"}},
 	} {
-		pb, err := NewProblem(gpu.NewContext(2, gpu.M2090()), extremeDiag(32, 1e308), onesB(32), Natural, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pb := prepare(gpu.NewContext(2, gpu.M2090()), extremeDiag(32, 1e308), onesB(32), Natural, false)
 		streamArm(&sb, c.name, c.solve, pb, c.opts, nil)
 	}
 

@@ -409,7 +409,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		req.DeadlineMS = ctl.DeadlineMS
 	}
 	if _, err := sched.SolverByName(req.Solver); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "unknown solver " + req.Solver})
+		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
 		return
 	}
 	a, key, err := s.matrix(req.Matrix)
