@@ -36,11 +36,14 @@
 # and `make bench-compare OLD=a.json NEW=b.json` judges two of its suite
 # documents against each other (exit 1 on a regression). `make loc`
 # prints non-test Go lines per package (benchmark/ excluded) — the
-# "line count goes down" bar as a command.
+# "line count goes down" bar as a command. `make bench-kernels` times
+# the three host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
+# GemmTN) and one MPK window at the two shapes the benchmark solves
+# (that they allocate nothing is a test: `make test`, so `make check`).
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare loc
+.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc
 
 check: vet staticcheck race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
@@ -62,8 +65,11 @@ staticcheck:
 test:
 	$(GO) test -shuffle=on ./...
 
+# (sync.Pool drops a quarter of its Puts under the race detector, so the
+# pooled-buffer allocation count of la's precision kernels is asserted by
+# `make test` only.)
 race:
-	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
+	$(GO) test -race -skip TestPrecisionKernelsAllocFree ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
 	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault'
@@ -132,7 +138,8 @@ overlap-smoke:
 # MatrixMarket body of POST /solve, the machine-profile JSON decoder,
 # the router's backend-response decoder, the Solve-Control header
 # parser, and the precision field of the solve body — plus the in-place
-# row sort every permuted or relabeled matrix goes through. The committed
+# row sort every permuted or relabeled matrix goes through and the fused
+# device-format builder that uses it. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
 fuzz-smoke:
@@ -142,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzRouterDecode -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
+	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
 
 # Coverage floor for the machine-profile package: the conformance suite
 # is the fence the profile refactor landed behind, so its coverage must
@@ -177,6 +185,13 @@ bench:
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old/suite.json NEW=new/suite.json"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
+
+# The host kernels at the benchmark's shapes (dielFilterV2real@0.004 and
+# G3_circuit@0.05, s = 15, 3 devices), one CPU: ns/op, B/op, allocs/op,
+# and the device format's padding on the MPK rows.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|MPKWindow' -benchmem -cpu 1 \
+		./internal/sparse/ ./internal/la/ ./internal/dist/
 
 # Non-test Go lines per package, benchmark/ excluded.
 loc:

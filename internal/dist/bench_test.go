@@ -48,6 +48,55 @@ func BenchmarkMPKs2(b *testing.B)  { benchmarkMPK(b, 2) }
 func BenchmarkMPKs5(b *testing.B)  { benchmarkMPK(b, 5) }
 func BenchmarkMPKs10(b *testing.B) { benchmarkMPK(b, 10) }
 
+// BenchmarkMPKWindow times one s = 15 window of the matrix powers kernel
+// at the two shapes the repository benchmark solves (`make
+// bench-kernels`) and reports the device format's padding: stored slots
+// per nonzero, summed over the devices.
+func BenchmarkMPKWindow(b *testing.B) {
+	const ng, s = 3, 15
+	for _, c := range []struct {
+		name, matrix string
+		scale        float64
+		kway         bool
+	}{
+		{"dielFilterV2real-0.004-natural", "dielFilterV2real", 0.004, false},
+		{"G3_circuit-0.05-kway", "G3_circuit", 0.05, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			mat, err := matgen.ByName(c.matrix, c.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, l := mat.A, Uniform(mat.A.Rows, ng)
+			if c.kway {
+				perm, bounds := graph.KWay(graph.FromMatrix(a), ng, 1).Order()
+				a, l = a.Permute(perm), NewLayout(a.Rows, bounds)
+			}
+			ctx := gpu.NewContext(ng, gpu.M2090())
+			m := Distribute(ctx, a, l, s)
+			var slots, nnz float64
+			for _, dm := range m.Dev {
+				slots += dm.Ext.PadRatio() * float64(dm.Ext.NNZ())
+				nnz += float64(dm.Ext.NNZ())
+			}
+			mpk := NewMPK(m)
+			v := NewVectors(ctx, l, s+1)
+			x := make([]float64, a.Rows)
+			for i := range x {
+				x[i] = 1 / float64(i+1)
+			}
+			v.SetColFromHost(0, x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mpk.Generate(v, 0, s, nil, "mpk")
+			}
+			b.ReportMetric(slots/nnz, "pad")
+			b.ReportMetric(slots/ng, "slots/dev")
+		})
+	}
+}
+
 // BenchmarkDistribute times the set-up a solve pays once: the halo search
 // and the extended device matrices. The G3 case is the benchmark's
 // ca-sparse-cold shape (k-way ordering, s = 15, tall 5 nnz/row matrix);

@@ -19,7 +19,7 @@ import (
 // boundary set delta^(d,k) is exactly the halo slice at distance s-k+1.
 //
 // The numbering nests across depths: the distance-1 halo is the leading
-// RowsAtDist[1]-NOwn halo entries, and the owned rows of EllExt reference
+// RowsAtDist[1]-NOwn halo entries, and the owned rows of Ext reference
 // only those, so a depth-s device matrix read up to its owned-row prefix
 // *is* the depth-1 device matrix. MPK.SpMV relies on that to run the
 // plain SpMV on the same distribution the powers kernel uses.
@@ -34,27 +34,23 @@ type DeviceMatrix struct {
 	// <= t, for t = 0..s; RowsAtDist[0] == NOwn. The rows multiplied at
 	// MPK step k (1-based) are the prefix RowsAtDist[s-k].
 	RowsAtDist []int
-	// EllExt is the extended local matrix A(i^(d,1), :) in the ELLPACK
-	// form the device SpMV kernel reads: rows in local extended order
-	// (only rows with distance <= s-1 are stored, i.e. RowsAtDist[s-1]
-	// rows), columns relabeled to the local extended index space and
-	// ascending within each row. It is the only copy the device keeps.
-	EllExt *sparse.ELL
-	// SellExt, when non-nil, replaces EllExt in the device kernels with
-	// the sliced SELL-C format (unsorted, so the distance-prefix property
-	// holds). Built by DistributeFormat(..., FormatSELL).
-	SellExt *sparse.SELL
+	// Ext is the extended local matrix A(i^(d,1), :) in the device
+	// format the SpMV kernel reads: rows in local extended order (only
+	// rows with distance <= s-1 are stored, i.e. RowsAtDist[s-1] rows),
+	// columns relabeled to the local extended index space and ascending
+	// within each row. It is the only copy the device keeps.
+	Ext *sparse.SELL
 	// SendIdx lists the owned rows (as local indices 0..nOwn-1) whose
 	// values other devices need — the compressed send buffer w^(d).
 	SendIdx []int
 	// SendIdx1 is the subset of SendIdx some other device needs at
 	// distance 1 — the send buffer of a plain SpMV exchange.
 	SendIdx1 []int
-	// NNZPrefix[t] is nnz of the first RowsAtDist[t] rows of EllExt, the
+	// NNZPrefix[t] is nnz of the first RowsAtDist[t] rows of Ext, the
 	// per-step flop bookkeeping (t = 0..s-1).
 	NNZPrefix []int
 	// InteriorRows / InteriorNNZ describe the interior of the owned block:
-	// owned rows of EllExt whose columns are all owned (relabeled index <
+	// owned rows of Ext whose columns are all owned (relabeled index <
 	// NOwn). The first MPK step over these rows needs no halo values, so
 	// under overlapped scheduling it runs while the halo exchange is still
 	// in flight; only the remaining (boundary) rows wait for the halo.
@@ -100,29 +96,11 @@ func (m *Matrix) WithContext(ctx *gpu.Context) *Matrix {
 	return &bound
 }
 
-// Format selects the device-side sparse storage.
-type Format int
-
-// Formats: ELLPACK is the paper's GPU choice; SELL is the sliced variant
-// (SELL-C with unsorted rows) that pads each 8-row chunk only to its own
-// widest row — same coalesced slot-major access, less padding on skewed
-// row-length profiles.
-const (
-	FormatELL Format = iota
-	FormatSELL
-)
-
 // Distribute builds the distributed form of a square matrix for MPK depth
-// s (s >= 1; s == 1 yields the plain halo exchange of a standard SpMV)
-// with the default ELLPACK device format. The matrix must already be
-// permuted into the desired ordering; the layout says which contiguous
-// row block each device owns.
+// s (s >= 1; s == 1 yields the plain halo exchange of a standard SpMV).
+// The matrix must already be permuted into the desired ordering; the
+// layout says which contiguous row block each device owns.
 func Distribute(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int) *Matrix {
-	return DistributeFormat(ctx, a, l, s, FormatELL)
-}
-
-// DistributeFormat is Distribute with an explicit device storage format.
-func DistributeFormat(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int, format Format) *Matrix {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("dist: Distribute needs square matrix, got %dx%d", a.Rows, a.Cols))
 	}
@@ -139,9 +117,6 @@ func DistributeFormat(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int, format 
 	// setup work the paper also performs on the CPU before the iteration.
 	ctx.RunAll(func(d int) {
 		m.Dev[d] = buildDeviceMatrix(a, l, d, s)
-		if format == FormatSELL {
-			m.Dev[d].SellExt = sparse.ToSELL(m.Dev[d].EllExt.ToCSR(), 8, 1)
-		}
 	})
 
 	// Send sets and pairwise halo traffic, from one pass over the halos.
@@ -270,7 +245,7 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		extRows[i] = own0 + i
 	}
 	copy(extRows[nOwn:], halo)
-	ell := a.ELLOfRows(extRows, localOf, nOwn+len(halo))
+	ext := a.SELLOfRows(extRows, localOf, nOwn+len(halo))
 
 	nnzPrefix := make([]int, s)
 	nnz, row := 0, 0
@@ -281,14 +256,14 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		nnzPrefix[t] = nnz
 	}
 
-	// Interior split: owned rows touching only owned columns — rows are
-	// sorted, so a row's last stored column decides.
+	// Interior split: owned rows touching only owned columns — CSR rows
+	// are sorted, so a row's first and last column decide.
 	intRows, intNNZ := 0, 0
-	for i := 0; i < nOwn; i++ {
-		length := a.RowPtr[own0+i+1] - a.RowPtr[own0+i]
-		if length == 0 || int(ell.ColIdx[(length-1)*ell.Rows+i]) < nOwn {
+	for i := own0; i < own1; i++ {
+		row := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]]
+		if len(row) == 0 || (row[0] >= own0 && row[len(row)-1] < own1) {
 			intRows++
-			intNNZ += length
+			intNNZ += len(row)
 		}
 	}
 
@@ -297,21 +272,11 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		Halo:         halo,
 		HaloDist:     haloDist,
 		RowsAtDist:   rowsAtDist,
-		EllExt:       ell,
+		Ext:          ext,
 		NNZPrefix:    nnzPrefix,
 		InteriorRows: intRows,
 		InteriorNNZ:  intNNZ,
 	}
-}
-
-// mulPrefix dispatches the per-step prefix SpMV to the configured device
-// format.
-func (dm *DeviceMatrix) mulPrefix(y, x []float64, rows int) {
-	if dm.SellExt != nil {
-		dm.SellExt.MulVecPrefix(y, x, rows)
-		return
-	}
-	dm.EllExt.MulVecPrefix(y, x, rows)
 }
 
 // HaloAtDist returns the slice of Halo with exactly distance t — the

@@ -65,9 +65,9 @@ func TestHaloTridiagonal(t *testing.T) {
 	if dm.RowsAtDist[0] != 4 || dm.RowsAtDist[1] != 6 || dm.RowsAtDist[2] != 8 {
 		t.Fatalf("RowsAtDist = %v", dm.RowsAtDist)
 	}
-	// EllExt holds rows with distance <= 1 (s-1 = 1): 6 rows.
-	if dm.EllExt.Rows != 6 {
-		t.Fatalf("EllExt rows = %d", dm.EllExt.Rows)
+	// Ext holds rows with distance <= 1 (s-1 = 1): 6 rows.
+	if dm.Ext.Rows != 6 {
+		t.Fatalf("Ext rows = %d", dm.Ext.Rows)
 	}
 }
 
@@ -145,10 +145,10 @@ func TestExtRelabeling(t *testing.T) {
 		for h, g := range dm.Halo {
 			ext[dm.NOwn+h] = xg[g]
 		}
-		// Owned rows of EllExt * ext must equal global A*xg on owned rows.
+		// Owned rows of Ext * ext must equal global A*xg on owned rows.
 		// (Owned rows only touch distance<=1 columns, all in the halo.)
 		yl := make([]float64, dm.NOwn)
-		dm.EllExt.MulVecPrefix(yl, ext, dm.NOwn)
+		dm.Ext.MulVecPrefix(yl, ext, dm.NOwn)
 		yg := make([]float64, 40)
 		a.MulVec(yg, xg)
 		for i := 0; i < dm.NOwn; i++ {

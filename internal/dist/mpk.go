@@ -162,7 +162,7 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 			ws := k.ws[d]
 			rows := dm.RowsAtDist[t]
 			zPrev, zCur := ws.z[prev], ws.z[cur]
-			dm.mulPrefix(zCur[:rows], zPrev, rows)
+			dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
 			if reShift != 0 {
 				for i := 0; i < rows; i++ {
 					zCur[i] -= reShift * zPrev[i]
@@ -344,7 +344,7 @@ func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string)
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
 		rows := dm.NOwn
-		dm.mulPrefix(dst.Local[d].Col(jDst), k.ws[d].z[0], rows)
+		dm.Ext.MulVecPrefix(dst.Local[d].Col(jDst), k.ws[d].z[0], rows)
 		nnz := dm.NNZPrefix[0]
 		work[d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
 	})

@@ -17,8 +17,8 @@ import (
 // referenceDeviceMatrix is the builder buildDeviceMatrix replaced, kept
 // as its oracle: a queue BFS over a full distance array, a comparison
 // sort of the halo, the extended matrix as a CSR (ExtractRows +
-// RelabelCols, returned beside the device matrix, which no longer keeps
-// it) converted with ToELL, and an interior scan of every owned row.
+// RelabelCols, returned beside the device matrix, which keeps only its
+// device format), and an interior scan of every owned row.
 func referenceDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) (*DeviceMatrix, *sparse.CSR) {
 	n := a.Rows
 	own0, own1 := l.OwnStart(d), l.OwnStart(d)+l.OwnCount(d)
@@ -128,7 +128,6 @@ func referenceDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) (*DeviceMatrix, *
 		Halo:         halo,
 		HaloDist:     haloDist,
 		RowsAtDist:   rowsAtDist,
-		EllExt:       sparse.ToELL(ext),
 		NNZPrefix:    nnzPrefix,
 		InteriorRows: intRows,
 		InteriorNNZ:  intNNZ,
@@ -169,11 +168,6 @@ func referenceSendAndTraffic(dev []*DeviceMatrix, l *Layout, depth1 bool) ([][]i
 
 func equalCSR(a, b *sparse.CSR) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
-		slices.Equal(a.ColIdx, b.ColIdx) && slices.Equal(a.Val, b.Val)
-}
-
-func equalELL(a, b *sparse.ELL) bool {
-	return a.Rows == b.Rows && a.Cols == b.Cols && a.Width == b.Width &&
 		slices.Equal(a.ColIdx, b.ColIdx) && slices.Equal(a.Val, b.Val)
 }
 
@@ -222,10 +216,8 @@ func TestDistributeMatchesReference(t *testing.T) {
 							t.Fatalf("%s dev %d: HaloDist differs", tag, d)
 						case !slices.Equal(got.RowsAtDist, want.RowsAtDist):
 							t.Fatalf("%s dev %d: RowsAtDist %v want %v", tag, d, got.RowsAtDist, want.RowsAtDist)
-						case !equalCSR(got.EllExt.ToCSR(), wantExt):
+						case !equalCSR(got.Ext.ToCSR(), wantExt):
 							t.Fatalf("%s dev %d: extended matrix differs", tag, d)
-						case !equalELL(got.EllExt, want.EllExt):
-							t.Fatalf("%s dev %d: EllExt differs", tag, d)
 						case !slices.Equal(got.NNZPrefix, want.NNZPrefix):
 							t.Fatalf("%s dev %d: NNZPrefix %v want %v", tag, d, got.NNZPrefix, want.NNZPrefix)
 						case got.LocalNNZ() != wantExt.RowPtr[got.NOwn]:

@@ -111,7 +111,7 @@ type Context struct {
 	stats      *Stats
 	faults     *faultState
 	timeline   *Timeline
-	phys       []int // logical -> physical device id; nil = identity
+	phys       []int // logical -> physical device id, built once per view; read-only
 }
 
 // NewContext creates a context with ng simulated devices and a bare cost
@@ -121,8 +121,12 @@ func NewContext(ng int, model CostModel) *Context {
 	if ng < 1 {
 		panic(fmt.Sprintf("gpu: NewContext with %d devices", ng))
 	}
+	phys := make([]int, ng)
+	for d := range phys {
+		phys[d] = d
+	}
 	return &Context{NumDevices: ng, Model: model, prof: defaultProfile(model),
-		stats: NewStats(), timeline: newTimeline(false)}
+		stats: NewStats(), timeline: newTimeline(false), phys: phys}
 }
 
 // Stats returns the ledger for inspection.
@@ -147,26 +151,39 @@ func (c *Context) ResetStats() {
 // re-raised on the caller after all devices finish, so a failing device
 // does not leak goroutines.
 func (c *Context) RunAll(f func(d int)) {
-	var wg sync.WaitGroup
-	panics := make([]any, c.NumDevices)
+	run := &deviceRun{panicked: c.NumDevices}
 	for d := 0; d < c.NumDevices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[d] = r
-				}
-			}()
-			f(d)
-		}(d)
+		run.wg.Add(1)
+		go run.device(d, f)
 	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
+	run.wg.Wait()
+	if run.panicked < c.NumDevices {
+		panic(run.value)
+	}
+}
+
+// deviceRun is the state the goroutines of one RunAll share — one
+// allocation, plus one per goroutine started; a panic is recorded only
+// when one is recovered.
+type deviceRun struct {
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	panicked int // lowest device that panicked
+	value    any // what it panicked with
+}
+
+func (r *deviceRun) device(d int, f func(d int)) {
+	defer r.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if d < r.panicked {
+				r.panicked, r.value = d, v
+			}
+			r.mu.Unlock()
 		}
-	}
+	}()
+	f(d)
 }
 
 // --- Accounting -----------------------------------------------------------

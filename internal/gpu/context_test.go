@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,6 +61,41 @@ func TestRunAllPropagatesPanic(t *testing.T) {
 			panic("device 1 failed")
 		}
 	})
+}
+
+// TestChargesShareTheViewsDeviceIDs: a launch costs one allocation per
+// goroutine plus one for their shared state, and the ledger charges read
+// the view's own logical-to-physical map — no copy per charge, capacity
+// clipped so nothing can append into it, contents unchanged — on a root
+// context and on a Survivors view.
+func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
+	root := NewContext(3, M2090())
+	root.InjectFaults(FaultPlan{Deaths: []DeviceDeath{{Device: 1, At: 0}}})
+	func() {
+		defer func() { _ = recover() }() // the death fires on the first charge
+		root.UniformKernel("p", Work{Flops: 1})
+	}()
+	view, err := root.Survivors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctx := range []*Context{NewContext(3, M2090()), view} {
+		want := slices.Clone(ctx.phys)
+		nop := func(int) {}
+		if got := testing.AllocsPerRun(20, func() { ctx.RunAll(nop) }); got > float64(1+ctx.NumDevices) {
+			t.Fatalf("RunAll on %d devices allocates %v times", ctx.NumDevices, got)
+		}
+		ids := ctx.devIDs(ctx.NumDevices - 1)
+		if &ids[0] != &ctx.phys[0] || cap(ids) != len(ids) {
+			t.Fatalf("devIDs returned a copy or an appendable slice (len %d cap %d)", len(ids), cap(ids))
+		}
+		ctx.DeviceKernel("p", make([]Work, ctx.NumDevices))
+		ctx.ReduceRound("p", make([]int, ctx.NumDevices))
+		ctx.HaloExchangeOn("p", make([]int, ctx.NumDevices), make([]int, ctx.NumDevices), nil)
+		if !slices.Equal(ctx.phys, want) {
+			t.Fatalf("charges changed the view's device ids: %v, want %v", ctx.phys, want)
+		}
+	}
 }
 
 func TestReduceRoundAccounting(t *testing.T) {
@@ -143,11 +179,9 @@ func TestHostCompute(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := NewStats()
-	b := NewStats()
-	ctx := &Context{NumDevices: 1, Model: M2090(), stats: a, timeline: newTimeline(false)}
+	ctx, ctx2 := NewContext(1, M2090()), NewContext(1, M2090())
+	a, b := ctx.Stats(), ctx2.Stats()
 	ctx.ReduceRound("p", []int{8})
-	ctx2 := &Context{NumDevices: 1, Model: M2090(), stats: b, timeline: newTimeline(false)}
 	ctx2.ReduceRound("p", []int{8})
 	ctx2.HostCompute("q", 1e9)
 	a.Merge(b)

@@ -281,20 +281,12 @@ func (c *Context) Repair() {
 }
 
 // physOf maps a logical device index of this view to its physical id.
-func (c *Context) physOf(d int) int {
-	if c.phys == nil {
-		return d
-	}
-	return c.phys[d]
-}
+func (c *Context) physOf(d int) int { return c.phys[d] }
 
 // physDevices returns the physical device count backing this view.
 func (c *Context) physDevices() int {
 	if c.faults != nil {
 		return c.faults.devices
-	}
-	if c.phys == nil {
-		return c.NumDevices
 	}
 	max := 0
 	for _, p := range c.phys {
@@ -306,14 +298,9 @@ func (c *Context) physDevices() int {
 }
 
 // devIDs returns the physical ids of the first n logical devices — the
-// ledger attribution of a charge made through this view.
-func (c *Context) devIDs(n int) []int {
-	ids := make([]int, n)
-	for d := range ids {
-		ids[d] = c.physOf(d)
-	}
-	return ids
-}
+// ledger attribution of a charge made through this view. The slice is a
+// prefix of the view's own map: read it, do not keep or change it.
+func (c *Context) devIDs(n int) []int { return c.phys[:n:n] }
 
 func (f *faultState) deadPhys(p int) bool {
 	f.mu.Lock()

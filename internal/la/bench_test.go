@@ -24,14 +24,59 @@ func BenchmarkDot(b *testing.B) {
 	}
 }
 
+// benchShapes are the per-device panels of the benchmark workloads
+// (`make bench-kernels`): a third of dielFilterV2real@0.004 with m = 60
+// (ca-dense-rows, gmres-dense-rows) and of G3_circuit@0.05 with m = 30
+// (ca-sparse-cold); window is s+1 at s = 15.
+var benchShapes = []struct {
+	name            string
+	rows, m, window int
+}{
+	{"diel-1465x61", 1465, 61, 16},
+	{"g3-26320x31", 26320, 31, 16},
+}
+
 func BenchmarkGemvT(b *testing.B) {
-	a := benchMatrix(1<<16, 30)
-	rng := rand.New(rand.NewSource(3))
-	x := randVec(rng, 1<<16)
-	y := make([]float64, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemvT(1, a, x, 0, y)
+	for _, c := range benchShapes {
+		b.Run(c.name, func(b *testing.B) {
+			a := benchMatrix(c.rows, c.m)
+			x := randVec(rand.New(rand.NewSource(3)), c.rows)
+			y := make([]float64, c.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GemvT(1, a, x, 0, y)
+			}
+		})
+	}
+}
+
+func BenchmarkGemv(b *testing.B) {
+	for _, c := range benchShapes {
+		b.Run(c.name, func(b *testing.B) {
+			a := benchMatrix(c.rows, c.m)
+			x := randVec(rand.New(rand.NewSource(3)), c.m)
+			y := make([]float64, c.rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Gemv(-1, a, x, 1, y)
+			}
+		})
+	}
+}
+
+func BenchmarkGemmTN(b *testing.B) {
+	for _, c := range benchShapes {
+		b.Run(c.name, func(b *testing.B) {
+			a := benchMatrix(c.rows, c.window)
+			g := NewDense(c.window, c.window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GemmTN(1, a, a, 0, g)
+			}
+		})
 	}
 }
 

@@ -15,40 +15,57 @@ func Gemv(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		panic(fmt.Sprintf("la: Gemv shape mismatch A=%dx%d x=%d y=%d", a.Rows, a.Cols, len(x), len(y)))
 	}
-	scaled := beta == 1
-	for j := 0; j < a.Cols; j++ {
-		axj := alpha * x[j]
+	if !gemvCols(alpha, a, 0, a.Rows, 0, a.Cols, x, beta, y, beta == 1) {
+		scaleOrZero(beta, y)
+	}
+}
+
+// gemvCols is the column sweep every axpy-form kernel shares:
+// y += A[i0:i1, k0:k1] * (alpha * x[k0:k1]), columns applied in ascending
+// order and zero coefficients skipped. scaled says whether y has already
+// absorbed its beta scaling; if not, the first contributing column fuses
+// it. It returns the updated flag (false: nothing contributed, the caller
+// still owes y its scaling). Once y is scaled the columns go four at a
+// time through axpy4.
+func gemvCols(alpha float64, a *Dense, i0, i1, k0, k1 int, x []float64, beta float64, y []float64, scaled bool) bool {
+	k := k0
+	for ; !scaled && k < k1; k++ {
+		axj := alpha * x[k]
 		if axj == 0 {
 			continue
 		}
-		col := a.Col(j)
-		switch {
-		case scaled:
-			for i, v := range col {
-				y[i] += axj * v
-			}
-		case beta == 0:
-			for i, v := range col {
+		if beta == 0 {
+			for i, v := range a.Col(k)[i0:i1] {
 				y[i] = axj * v
 			}
-			scaled = true
-		default:
-			for i, v := range col {
+		} else {
+			for i, v := range a.Col(k)[i0:i1] {
 				// Two statements so the compiler cannot contract the
 				// scale and the update into one fused multiply-add,
 				// keeping results bit-identical to the two-pass form.
 				t := beta * y[i]
 				y[i] = t + axj*v
 			}
-			scaled = true
 		}
+		scaled = true
 	}
-	if !scaled {
-		if beta == 0 {
-			Zero(y)
-		} else {
-			Scal(beta, y)
-		}
+	for ; k+4 <= k1; k += 4 {
+		axpy4(alpha*x[k], alpha*x[k+1], alpha*x[k+2], alpha*x[k+3],
+			a.Col(k)[i0:i1], a.Col(k + 1)[i0:i1], a.Col(k + 2)[i0:i1], a.Col(k + 3)[i0:i1], y)
+	}
+	for ; k < k1; k++ {
+		Axpy(alpha*x[k], a.Col(k)[i0:i1], y)
+	}
+	return scaled
+}
+
+// scaleOrZero applies y := beta*y; beta == 0 overwrites (NaN and Inf in y
+// do not survive), as BLAS specifies.
+func scaleOrZero(beta float64, y []float64) {
+	if beta == 0 {
+		Zero(y)
+	} else {
+		Scal(beta, y)
 	}
 }
 
@@ -60,13 +77,31 @@ func GemvT(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
 	if len(x) != a.Rows || len(y) != a.Cols {
 		panic(fmt.Sprintf("la: GemvT shape mismatch A=%dx%d x=%d y=%d", a.Rows, a.Cols, len(x), len(y)))
 	}
-	for j := 0; j < a.Cols; j++ {
-		d := Dot(a.Col(j), x)
+	gemvTCols(alpha, a, 0, a.Cols, x, beta, y)
+}
+
+// gemvTCols is the dot sweep every dot-form kernel shares:
+// y[j] := alpha * (A[:, j]'x) + beta*y[j] for j in [j0, j1), each dot
+// product accumulated in index order exactly as Dot, four columns at a
+// time through dot4 so x is read once per group.
+func gemvTCols(alpha float64, a *Dense, j0, j1 int, x []float64, beta float64, y []float64) {
+	store := func(j int, d float64) {
 		if beta == 0 {
 			y[j] = alpha * d
 		} else {
 			y[j] = alpha*d + beta*y[j]
 		}
+	}
+	j := j0
+	for ; j+4 <= j1; j += 4 {
+		d0, d1, d2, d3 := dot4(a.Col(j), a.Col(j+1), a.Col(j+2), a.Col(j+3), x)
+		store(j, d0)
+		store(j+1, d1)
+		store(j+2, d2)
+		store(j+3, d3)
+	}
+	for ; j < j1; j++ {
+		store(j, Dot(a.Col(j), x))
 	}
 }
 
@@ -100,16 +135,7 @@ func GemmTN(alpha float64, a, b *Dense, beta float64, c *Dense) {
 		return
 	}
 	for j := 0; j < b.Cols; j++ {
-		bj := b.Col(j)
-		cj := c.Col(j)
-		for i := 0; i < a.Cols; i++ {
-			d := Dot(a.Col(i), bj)
-			if beta == 0 {
-				cj[i] = alpha * d
-			} else {
-				cj[i] = alpha*d + beta*cj[i]
-			}
-		}
+		gemvTCols(alpha, a, 0, a.Cols, b.Col(j), beta, c.Col(j))
 	}
 }
 
@@ -122,10 +148,9 @@ func Syrk(a *Dense, c *Dense) {
 		panic(fmt.Sprintf("la: Syrk shape mismatch A=%dx%d C=%dx%d", a.Rows, a.Cols, c.Rows, c.Cols))
 	}
 	for j := 0; j < n; j++ {
-		aj := a.Col(j)
-		for i := 0; i <= j; i++ {
-			d := Dot(a.Col(i), aj)
-			c.Set(i, j, d)
+		cj := c.Col(j)
+		gemvTCols(1, a, 0, j+1, a.Col(j), 0, cj)
+		for i, d := range cj[:j] {
 			c.Set(j, i, d)
 		}
 	}
@@ -142,9 +167,7 @@ func TrsmRightUpper(v *Dense, r *Dense) {
 	for j := 0; j < n; j++ {
 		vj := v.Col(j)
 		// v_j := (v_j - sum_{i<j} v_i * r_ij) / r_jj
-		for i := 0; i < j; i++ {
-			Axpy(-r.At(i, j), v.Col(i), vj)
-		}
+		gemvCols(-1, v, 0, v.Rows, 0, j, r.Col(j), 1, vj, true)
 		d := r.At(j, j)
 		if d == 0 {
 			panic("la: TrsmRightUpper singular R")
@@ -164,8 +187,6 @@ func TrmmRightUpper(v *Dense, r *Dense) {
 	for j := n - 1; j >= 0; j-- {
 		vj := v.Col(j)
 		Scal(r.At(j, j), vj)
-		for i := 0; i < j; i++ {
-			Axpy(r.At(i, j), v.Col(i), vj)
-		}
+		gemvCols(1, v, 0, v.Rows, 0, j, r.Col(j), 1, vj, true)
 	}
 }

@@ -213,9 +213,7 @@ func ParallelGemvT(a *Dense, x []float64, y []float64) {
 		wg.Add(1)
 		go func(j0, j1 int) {
 			defer wg.Done()
-			for j := j0; j < j1; j++ {
-				y[j] = Dot(a.Col(j), x)
-			}
+			gemvTCols(1, a, j0, j1, x, 0, y)
 		}(j0, j1)
 	}
 	wg.Wait()

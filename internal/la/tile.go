@@ -91,47 +91,12 @@ func gemmNNTiled(alpha float64, a, b *Dense, beta float64, c *Dense) {
 					k1 = k
 				}
 				for j := 0; j < n; j++ {
-					cj := c.Col(j)[i0:i1]
-					bj := b.Col(j)
-					for kk := k0; kk < k1; kk++ {
-						axj := alpha * bj[kk]
-						if axj == 0 {
-							continue
-						}
-						ak := a.Col(kk)[i0:i1]
-						switch {
-						case scaled[j]:
-							for i, v := range ak {
-								cj[i] += axj * v
-							}
-						case beta == 0:
-							for i, v := range ak {
-								cj[i] = axj * v
-							}
-							scaled[j] = true
-						default:
-							for i, v := range ak {
-								// Two statements: no FMA contraction of
-								// scale+update (see Gemv).
-								t := beta * cj[i]
-								cj[i] = t + axj*v
-							}
-							scaled[j] = true
-						}
-					}
+					scaled[j] = gemvCols(alpha, a, i0, i1, k0, k1, b.Col(j), beta, c.Col(j)[i0:i1], scaled[j])
 				}
 			}
-			if beta != 1 {
-				for j := 0; j < n; j++ {
-					if scaled[j] {
-						continue
-					}
-					cj := c.Col(j)[i0:i1]
-					if beta == 0 {
-						Zero(cj)
-					} else {
-						Scal(beta, cj)
-					}
+			for j := 0; j < n; j++ {
+				if !scaled[j] {
+					scaleOrZero(beta, c.Col(j)[i0:i1])
 				}
 			}
 		}(blk[0], blk[1])
@@ -157,16 +122,7 @@ func gemmTNTiled(alpha float64, a, b *Dense, beta float64, c *Dense) {
 		go func(j0, j1 int) {
 			defer wg.Done()
 			for j := j0; j < j1; j++ {
-				bj := b.Col(j)
-				cj := c.Col(j)
-				for i := 0; i < m; i++ {
-					d := Dot(a.Col(i), bj)
-					if beta == 0 {
-						cj[i] = alpha * d
-					} else {
-						cj[i] = alpha*d + beta*cj[i]
-					}
-				}
+				gemvTCols(alpha, a, 0, m, b.Col(j), beta, c.Col(j))
 			}
 		}(blk[0], blk[1])
 	}

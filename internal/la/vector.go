@@ -43,6 +43,45 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
+// dot4 returns the four inner products a0'x, a1'x, a2'x, a3'x. Each sum
+// is accumulated in index order exactly as Dot accumulates it, so every
+// result equals Dot(ak, x) bit for bit; the four independent add chains
+// overlap in the pipeline where a single Dot waits out each add's latency,
+// and x is read once for the four columns.
+func dot4(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
+	a0, a1, a2, a3 = a0[:len(x)], a1[:len(x)], a2[:len(x)], a3[:len(x)]
+	for i, v := range x {
+		s0 += a0[i] * v
+		s1 += a1[i] * v
+		s2 += a2[i] * v
+		s3 += a3[i] * v
+	}
+	return
+}
+
+// axpy4 computes y += c0*a0 + c1*a1 + c2*a2 + c3*a3 as four Axpy calls
+// would: per element the four updates are applied in column order, each
+// rounded on its own, but y is loaded and stored once. A zero coefficient
+// must skip its column (Axpy does: 0*Inf would poison y), so a group that
+// has one takes the four Axpy calls themselves.
+func axpy4(c0, c1, c2, c3 float64, a0, a1, a2, a3, y []float64) {
+	if c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
+		Axpy(c0, a0, y)
+		Axpy(c1, a1, y)
+		Axpy(c2, a2, y)
+		Axpy(c3, a3, y)
+		return
+	}
+	a0, a1, a2, a3 = a0[:len(y)], a1[:len(y)], a2[:len(y)], a3[:len(y)]
+	for i, t := range y {
+		t += c0 * a0[i]
+		t += c1 * a1[i]
+		t += c2 * a2[i]
+		t += c3 * a3[i]
+		y[i] = t
+	}
+}
+
 // Scal scales x by alpha in place.
 func Scal(alpha float64, x []float64) {
 	for i := range x {

@@ -1,9 +1,11 @@
 // Package sparse implements the sparse-matrix substrate of the CA-GMRES
-// reproduction: CSR and ELLPACK storage, sparse matrix-vector products
-// (the paper uses CSR on the CPU and ELLPACK on the GPUs), coordinate
-// assembly, row/column balancing, permutation, submatrix extraction by row
-// sets (the building block of the matrix powers kernel), and MatrixMarket
-// I/O for interoperability with the University of Florida collection.
+// reproduction: CSR, ELLPACK and chunked-ELLPACK (SELL) storage, sparse
+// matrix-vector products (the paper uses CSR on the CPU and ELLPACK on
+// the GPUs; SELL is the device format the simulated GPUs read, ELL the
+// reference it is measured against), coordinate assembly, row/column
+// balancing, permutation, submatrix extraction by row sets (the building
+// block of the matrix powers kernel), and MatrixMarket I/O for
+// interoperability with the University of Florida collection.
 package sparse
 
 import (
@@ -165,8 +167,9 @@ func (a *CSR) Clone() *CSR {
 // ExtractRows returns the submatrix A(rows, :) — the rows listed in the
 // index set, in that order, with the full column dimension: the boundary
 // submatrices A(delta^(d,k), :) of the matrix powers kernel as a CSR.
-// (The device matrices themselves are built by ELLOfRows, which fuses
-// this, RelabelCols and ToELL; the three-step form is its test oracle.)
+// (The device matrices themselves are built by SELLOfRows, which fuses
+// this, RelabelCols and the format conversion; the stepwise form is its
+// test oracle.)
 func (a *CSR) ExtractRows(rows []int) *CSR {
 	nnz := 0
 	for _, i := range rows {

@@ -44,44 +44,6 @@ func ToELL(a *CSR) *ELL {
 	return e
 }
 
-// ELLOfRows builds the ELLPACK form of A(rows, :) with every column index
-// mapped through newOf (newOf[old] = new) into newCols columns and every
-// row sorted by its new indices — ToELL of ExtractRows followed by
-// RelabelCols, in one pass and without the intermediate CSR. It is how
-// the extended local matrices of the matrix powers kernel reach their
-// device format. A stored column that newOf maps outside 0..newCols-1
-// panics, as in RelabelCols.
-func (a *CSR) ELLOfRows(rows []int, newOf []int, newCols int) *ELL {
-	w := 0
-	for _, i := range rows {
-		w = max(w, a.RowPtr[i+1]-a.RowPtr[i])
-	}
-	n := len(rows)
-	e := &ELL{Rows: n, Cols: newCols, Width: w, ColIdx: make([]int32, n*w), Val: make([]float64, n*w)}
-	for i := range e.ColIdx {
-		e.ColIdx[i] = -1
-	}
-	cols, vals := make([]int, w), make([]float64, w) // one row, relabeled, before it is scattered
-	for out, i := range rows {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		rc, rv := cols[:hi-lo], vals[:hi-lo]
-		for k, c := range a.ColIdx[lo:hi] {
-			nc := newOf[c]
-			if nc < 0 || nc >= newCols {
-				panic(fmt.Sprintf("sparse: ELLOfRows incomplete map for column %d", c))
-			}
-			rc[k] = nc
-		}
-		copy(rv, a.Val[lo:hi])
-		sortRow(rc, rv)
-		for slot, c := range rc {
-			e.ColIdx[slot*n+out] = int32(c)
-			e.Val[slot*n+out] = rv[slot]
-		}
-	}
-	return e
-}
-
 // ToCSR converts back to CSR, dropping padding.
 func (e *ELL) ToCSR() *CSR {
 	a := NewCSR(e.Rows, e.Cols, e.NNZ())
@@ -119,30 +81,6 @@ func (e *ELL) PadRatio() float64 {
 		return 1
 	}
 	return float64(e.Rows*e.Width) / float64(nnz)
-}
-
-// MulVecPrefix computes y[0:rows] := (A x)[0:rows] for the leading rows
-// of the matrix — the per-step kernel of the matrix powers kernel, where
-// step k multiplies only the rows within distance s-k of the owned set
-// (a prefix, because extended rows are sorted by distance).
-func (e *ELL) MulVecPrefix(y, x []float64, rows int) {
-	if rows > e.Rows || len(y) < rows {
-		panic(fmt.Sprintf("sparse: MulVecPrefix rows=%d of %d, len(y)=%d", rows, e.Rows, len(y)))
-	}
-	for i := 0; i < rows; i++ {
-		y[i] = 0
-	}
-	for k := 0; k < e.Width; k++ {
-		cols := e.ColIdx[k*e.Rows : k*e.Rows+rows]
-		vals := e.Val[k*e.Rows : k*e.Rows+rows]
-		for i := 0; i < rows; i++ {
-			c := cols[i]
-			if c < 0 {
-				continue
-			}
-			y[i] += vals[i] * x[c]
-		}
-	}
 }
 
 // MulVec computes y := A x in the slot-major order: the outer loop walks

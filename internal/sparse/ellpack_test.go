@@ -3,7 +3,6 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -84,38 +83,4 @@ func TestELLEmptyRow(t *testing.T) {
 	if y[0] != 2 || y[1] != 0 || y[2] != 3 {
 		t.Fatalf("y = %v", y)
 	}
-}
-
-// TestELLOfRowsMatchesTheThreeStepPipeline: the fused builder returns
-// exactly ToELL(ExtractRows(rows) then RelabelCols(newOf)) — including
-// repeated rows, empty row sets and rows longer than the insertion-sort
-// limit — allocates a fixed number of times, and rejects an incomplete
-// column map like RelabelCols does.
-func TestELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, deg := range []int{3, 60} {
-		const n = 300
-		a := randCSR(rng, n, deg)
-		newOf := rng.Perm(n)
-		for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(n)[:n/2], rng.Perm(n)} {
-			csr := a.ExtractRows(rows)
-			csr.RelabelCols(newOf, n)
-			want := ToELL(csr)
-			got := a.ELLOfRows(rows, newOf, n)
-			if got.Rows != want.Rows || got.Cols != want.Cols || got.Width != want.Width ||
-				!slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
-				t.Fatalf("deg %d, %d rows: fused ELL differs from ToELL(ExtractRows+RelabelCols)", deg, len(rows))
-			}
-		}
-		rows := rng.Perm(n)
-		if allocs := testing.AllocsPerRun(5, func() { a.ELLOfRows(rows, newOf, n) }); allocs > 8 {
-			t.Fatalf("ELLOfRows of %d rows allocates %v times", n, allocs)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ELLOfRows accepted an incomplete column map")
-		}
-	}()
-	testMatrix().ELLOfRows([]int{0, 1}, []int{0, -1, 1, 2}, 3)
 }

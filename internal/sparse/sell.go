@@ -1,121 +1,97 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// SELL is the sliced ELLPACK format (SELL-C-sigma, Kreutzer et al.):
-// rows are grouped into chunks of C, each chunk padded only to its own
-// widest row rather than the global maximum, and rows are pre-sorted by
-// length within windows of Sigma rows so chunk members have similar
-// lengths. It keeps ELLPACK's coalesced slot-major access while taming
-// its padding blow-up on matrices with skewed row lengths (a power-law
-// row in plain ELLPACK pads every other row to its width). Included as a
-// kernel-optimization study companion to the paper's ELLPACK choice.
+// sellChunk is the chunk height of SELL: eight rows share a chunk, so the
+// SpMV kernel keeps eight row sums in registers.
+const sellChunk = 8
+
+// SELL is the device format of the matrix powers kernel: sliced ELLPACK
+// (SELL-C of Kreutzer et al., C = 8, rows left in the order given). Rows
+// are grouped into chunks of eight, each chunk padded only to its own
+// widest row rather than the global maximum, and stored chunk after
+// chunk, slot-major within the chunk. It keeps ELLPACK's regular
+// slot-major access while taming its padding on skewed row lengths, and
+// because the rows are not reordered a row prefix of the matrix is a
+// chunk prefix of the storage — what the distance-ordered extended
+// matrices of dist need. Padding slots carry column -1 and are skipped,
+// never multiplied: a NaN or Inf in x must not reach rows that do not
+// reference it.
 type SELL struct {
 	Rows, Cols int
-	C          int // chunk height
-	Sigma      int // sorting window (multiple of C; 1 disables sorting)
-	// ChunkPtr[k] is the offset of chunk k's slots in ColIdx/Val; chunk k
-	// holds ChunkWidth[k]*C slots laid out slot-major within the chunk.
-	ChunkPtr   []int
-	ChunkWidth []int
-	ColIdx     []int32
-	Val        []float64
-	// RowOf maps packed row position (chunk*C + lane) to the original
-	// row index, undoing the sigma-sort during MulVec.
-	RowOf []int
+	// chunkPtr[k] is the offset of chunk k in colIdx/val; entry (lane l,
+	// slot t) of chunk k lives at chunkPtr[k] + t*sellChunk + l. The last
+	// chunk is full height too, its missing rows all padding.
+	chunkPtr []int
+	colIdx   []int32
+	val      []float64
 }
 
-// ToSELL converts a CSR matrix. c is the chunk height (default 8 if < 1);
-// sigma the sorting window in rows (rounded up to a multiple of c;
-// sigma <= 1 disables sorting).
-func ToSELL(a *CSR, c, sigma int) *SELL {
-	if c < 1 {
-		c = 8
-	}
-	if sigma < 1 {
-		sigma = 1
-	}
-	if sigma > 1 && sigma%c != 0 {
-		sigma = ((sigma + c - 1) / c) * c
-	}
-	n := a.Rows
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if sigma > 1 {
-		for w0 := 0; w0 < n; w0 += sigma {
-			w1 := w0 + sigma
-			if w1 > n {
-				w1 = n
-			}
-			win := order[w0:w1]
-			sort.SliceStable(win, func(x, y int) bool {
-				lx := a.RowPtr[win[x]+1] - a.RowPtr[win[x]]
-				ly := a.RowPtr[win[y]+1] - a.RowPtr[win[y]]
-				return lx > ly
-			})
-		}
-	}
-	nchunks := (n + c - 1) / c
-	s := &SELL{
-		Rows: n, Cols: a.Cols, C: c, Sigma: sigma,
-		ChunkPtr:   make([]int, nchunks+1),
-		ChunkWidth: make([]int, nchunks),
-		RowOf:      make([]int, nchunks*c),
-	}
-	for i := range s.RowOf {
-		s.RowOf[i] = -1
-	}
-	// Pass 1: widths.
+// SELLOfRows builds the SELL form of A(rows, :) with every column index
+// mapped through newOf (newOf[old] = new) into newCols columns and every
+// row sorted by its new indices — ExtractRows followed by RelabelCols,
+// in one pass and without the intermediate CSR. It is how the extended
+// local matrices of the matrix powers kernel reach their device format.
+// A stored column that newOf maps outside 0..newCols-1 panics, as in
+// RelabelCols.
+func (a *CSR) SELLOfRows(rows []int, newOf []int, newCols int) *SELL {
+	n := len(rows)
+	nchunks := (n + sellChunk - 1) / sellChunk
+	s := &SELL{Rows: n, Cols: newCols, chunkPtr: make([]int, nchunks+1)}
+	wmax := 0
 	for k := 0; k < nchunks; k++ {
 		w := 0
-		for lane := 0; lane < c; lane++ {
-			pos := k*c + lane
-			if pos >= n {
-				break
-			}
-			row := order[pos]
-			if l := a.RowPtr[row+1] - a.RowPtr[row]; l > w {
-				w = l
-			}
+		for _, i := range rows[k*sellChunk : min(n, (k+1)*sellChunk)] {
+			w = max(w, a.RowPtr[i+1]-a.RowPtr[i])
 		}
-		s.ChunkWidth[k] = w
-		s.ChunkPtr[k+1] = s.ChunkPtr[k] + w*c
+		s.chunkPtr[k+1] = s.chunkPtr[k] + w*sellChunk
+		wmax = max(wmax, w)
 	}
-	s.ColIdx = make([]int32, s.ChunkPtr[nchunks])
-	s.Val = make([]float64, s.ChunkPtr[nchunks])
-	for i := range s.ColIdx {
-		s.ColIdx[i] = -1
+	s.colIdx = make([]int32, s.chunkPtr[nchunks])
+	s.val = make([]float64, s.chunkPtr[nchunks])
+	for i := range s.colIdx {
+		s.colIdx[i] = -1
 	}
-	// Pass 2: fill, slot-major within each chunk.
-	for k := 0; k < nchunks; k++ {
-		base := s.ChunkPtr[k]
-		for lane := 0; lane < c; lane++ {
-			pos := k*c + lane
-			if pos >= n {
-				break
+	cols, vals := make([]int, wmax), make([]float64, wmax) // one row, relabeled, before it is scattered
+	for out, i := range rows {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		rc, rv := cols[:hi-lo], vals[:hi-lo]
+		for k, c := range a.ColIdx[lo:hi] {
+			nc := newOf[c]
+			if nc < 0 || nc >= newCols {
+				panic(fmt.Sprintf("sparse: SELLOfRows incomplete map for column %d", c))
 			}
-			row := order[pos]
-			s.RowOf[pos] = row
-			lo, hi := a.RowPtr[row], a.RowPtr[row+1]
-			for slot := 0; slot < hi-lo; slot++ {
-				idx := base + slot*c + lane
-				s.ColIdx[idx] = int32(a.ColIdx[lo+slot])
-				s.Val[idx] = a.Val[lo+slot]
-			}
+			rc[k] = nc
+		}
+		copy(rv, a.Val[lo:hi])
+		sortRow(rc, rv)
+		at := s.chunkPtr[out/sellChunk] + out%sellChunk
+		for slot, c := range rc {
+			s.colIdx[at+slot*sellChunk] = int32(c)
+			s.val[at+slot*sellChunk] = rv[slot]
 		}
 	}
 	return s
 }
 
+// ToCSR converts back to CSR, dropping padding.
+func (s *SELL) ToCSR() *CSR {
+	a := NewCSR(s.Rows, s.Cols, s.NNZ())
+	for i := 0; i < s.Rows; i++ {
+		k := i / sellChunk
+		for at := s.chunkPtr[k] + i%sellChunk; at < s.chunkPtr[k+1] && s.colIdx[at] >= 0; at += sellChunk {
+			a.ColIdx = append(a.ColIdx, int(s.colIdx[at]))
+			a.Val = append(a.Val, s.val[at])
+		}
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	return a
+}
+
 // NNZ returns the number of non-padding entries.
 func (s *SELL) NNZ() int {
 	n := 0
-	for _, c := range s.ColIdx {
+	for _, c := range s.colIdx {
 		if c >= 0 {
 			n++
 		}
@@ -129,72 +105,67 @@ func (s *SELL) PadRatio() float64 {
 	if nnz == 0 {
 		return 1
 	}
-	return float64(len(s.Val)) / float64(nnz)
+	return float64(len(s.val)) / float64(nnz)
 }
 
-// MulVecPrefix computes y[0:rows] := (A x)[0:rows] for the leading rows.
-// It requires Sigma == 1 (no row reordering), the configuration the
-// matrix powers kernel needs: its extended rows are sorted by halo
-// distance and each MPK step multiplies a distance prefix.
+// MulVecPrefix computes y[0:rows] := (A x)[0:rows] for the leading rows
+// of the matrix — the per-step kernel of the matrix powers kernel, where
+// step k multiplies only the rows within distance s-k of the owned set
+// (a prefix, because extended rows are sorted by distance). Nothing past
+// y[rows-1] is written.
+//
+// Every y[i] is the sum, started from +0, of its row's products in slot
+// (ascending column) order — the operations and the order of a per-row
+// CSR sweep, so the result does not depend on the chunking. A full chunk
+// keeps its eight row sums in registers across the chunk's slots and
+// writes y once; the eight independent add chains overlap where a single
+// row's chain would wait out each add's latency.
 func (s *SELL) MulVecPrefix(y, x []float64, rows int) {
-	if s.Sigma != 1 {
-		panic("sparse: SELL MulVecPrefix requires Sigma == 1 (row order preserved)")
-	}
 	if rows > s.Rows || len(y) < rows {
 		panic(fmt.Sprintf("sparse: SELL MulVecPrefix rows=%d of %d, len(y)=%d", rows, s.Rows, len(y)))
 	}
-	nchunks := (rows + s.C - 1) / s.C
-	for k := 0; k < nchunks; k++ {
-		base := s.ChunkPtr[k]
-		w := s.ChunkWidth[k]
-		lanes := s.C
-		if k*s.C+lanes > rows {
-			lanes = rows - k*s.C
-		}
-		for lane := 0; lane < lanes; lane++ {
-			y[k*s.C+lane] = 0
-		}
-		for slot := 0; slot < w; slot++ {
-			off := base + slot*s.C
-			for lane := 0; lane < lanes; lane++ {
-				c := s.ColIdx[off+lane]
-				if c < 0 {
-					continue
-				}
-				y[k*s.C+lane] += s.Val[off+lane] * x[c]
+	full := rows / sellChunk
+	for k := 0; k < full; k++ {
+		cols, vals := s.colIdx[s.chunkPtr[k]:s.chunkPtr[k+1]], s.val[s.chunkPtr[k]:s.chunkPtr[k+1]]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for len(cols) >= sellChunk && len(vals) >= sellChunk {
+			if c := cols[0]; c >= 0 {
+				s0 += vals[0] * x[c]
 			}
+			if c := cols[1]; c >= 0 {
+				s1 += vals[1] * x[c]
+			}
+			if c := cols[2]; c >= 0 {
+				s2 += vals[2] * x[c]
+			}
+			if c := cols[3]; c >= 0 {
+				s3 += vals[3] * x[c]
+			}
+			if c := cols[4]; c >= 0 {
+				s4 += vals[4] * x[c]
+			}
+			if c := cols[5]; c >= 0 {
+				s5 += vals[5] * x[c]
+			}
+			if c := cols[6]; c >= 0 {
+				s6 += vals[6] * x[c]
+			}
+			if c := cols[7]; c >= 0 {
+				s7 += vals[7] * x[c]
+			}
+			cols, vals = cols[sellChunk:], vals[sellChunk:]
 		}
+		yk := y[k*sellChunk : (k+1)*sellChunk]
+		yk[0], yk[1], yk[2], yk[3], yk[4], yk[5], yk[6], yk[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
-}
-
-// MulVec computes y := A x, writing results in the ORIGINAL row order.
-func (s *SELL) MulVec(y, x []float64) {
-	if len(x) != s.Cols || len(y) != s.Rows {
-		panic(fmt.Sprintf("sparse: SELL MulVec shape mismatch A=%dx%d x=%d y=%d", s.Rows, s.Cols, len(x), len(y)))
-	}
-	nchunks := len(s.ChunkWidth)
-	acc := make([]float64, s.C)
-	for k := 0; k < nchunks; k++ {
-		base := s.ChunkPtr[k]
-		w := s.ChunkWidth[k]
-		for lane := range acc {
-			acc[lane] = 0
-		}
-		for slot := 0; slot < w; slot++ {
-			off := base + slot*s.C
-			for lane := 0; lane < s.C; lane++ {
-				c := s.ColIdx[off+lane]
-				if c < 0 {
-					continue
-				}
-				acc[lane] += s.Val[off+lane] * x[c]
+	// The prefix may end inside a chunk: its leading rows, one at a time.
+	for i := full * sellChunk; i < rows; i++ {
+		var sum float64
+		for at := s.chunkPtr[full] + i%sellChunk; at < s.chunkPtr[full+1]; at += sellChunk {
+			if c := s.colIdx[at]; c >= 0 {
+				sum += s.val[at] * x[c]
 			}
 		}
-		for lane := 0; lane < s.C; lane++ {
-			row := s.RowOf[k*s.C+lane]
-			if row >= 0 {
-				y[row] = acc[lane]
-			}
-		}
+		y[i] = sum
 	}
 }
