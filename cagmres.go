@@ -148,13 +148,6 @@ func MachineProfiles() []string { return profile.Names() }
 // M2090Model returns the default cost model (NVIDIA M2090 on PCIe 2.0).
 func M2090Model() CostModel { return gpu.M2090() }
 
-// MultiNodeModel derives a clustered cost model: devicesPerNode GPUs per
-// node joined by a network with the given latency (seconds) and bandwidth
-// (bytes/second) — the configuration the paper's conclusion asks about.
-func MultiNodeModel(base CostModel, devicesPerNode int, interLatency, interBandwidth float64) CostModel {
-	return gpu.MultiNode(base, devicesPerNode, interLatency, interBandwidth)
-}
-
 // NewProblem prepares a linear system A x = b: applies the ordering,
 // distributes block rows over the context's devices, and optionally
 // balances the matrix (rows then columns scaled by their norms, as the

@@ -2,20 +2,16 @@ package gpu
 
 import "fmt"
 
-// This file adds the second network tier the paper's conclusion asks
-// for: a cluster of simulated nodes, each holding DevicesPerNode devices
-// joined by the profile's node-local Topology, with the nodes themselves
-// joined by an inter-node Fabric (InfiniBand- or Ethernet-class α/β).
-// Exchange rounds route node-local traffic over the peer tier and
-// cross-node traffic over the fabric, charged to a dedicated
-// bytesInterNode ledger column; host rounds pay an extra fabric leg for
-// the shares contributed by remote nodes. Like every profile knob, the
-// cluster tier reorders *time*, never arithmetic — iterates are
-// bit-identical whether the devices live in one box or sixty-four.
-//
-// A profile without a Cluster (the zero value) keeps every charge
-// byte-identical to the single-node simulator: all cluster routing is
-// gated on Cluster.Enabled().
+// This file is the machine shape every transfer is routed over: the
+// devices are grouped into simulated nodes of perNode devices, each
+// node's devices joined by the profile's node-local Topology and the
+// nodes joined by an inter-node Fabric (the second network tier the
+// paper's conclusion asks for). A profile without a Cluster is the
+// cluster of one node holding every physical device: the same two
+// functions below route it, no pair ever crosses the fabric, and
+// BytesInterNode stays zero. Like every profile knob, the shape reorders
+// *time*, never arithmetic — iterates are bit-identical whether the
+// devices live in one box or sixty-four.
 
 // FabricKind names an inter-node interconnect generation.
 type FabricKind string
@@ -47,8 +43,7 @@ type Fabric struct {
 }
 
 // Cluster groups a profile's devices into simulated compute nodes.
-// DevicesPerNode == 0 (the zero value) disables the tier: the profile
-// describes one node and nothing in the charging paths changes.
+// DevicesPerNode == 0 (the zero value) leaves the profile a single node.
 type Cluster struct {
 	// DevicesPerNode is the device count of one node; context devices
 	// are grouped by physical id (devices 0..G-1 are node 0, and so on).
@@ -57,240 +52,184 @@ type Cluster struct {
 	Fabric Fabric
 }
 
-// Enabled reports whether the cluster tier is armed.
+// Enabled reports whether the profile groups its devices into nodes.
 func (cl Cluster) Enabled() bool { return cl.DevicesPerNode > 0 }
 
-// clustered reports whether this context charges over a two-tier
-// interconnect.
-func (c *Context) clustered() bool { return c.prof.Cluster.Enabled() }
-
-// NodeOf returns the simulated node of logical device d. Node
+// mapNodes rebuilds the view's node map for its current profile: node
 // membership follows physical ids, so a Survivors view keeps each
-// surviving device on its original node.
-func (c *Context) NodeOf(d int) int {
-	if !c.clustered() {
-		return 0
+// surviving device on its original node, and an unclustered profile is
+// one node holding every physical device. phys is ascending, so node is
+// non-decreasing and each node's devices are one run of logical indices
+// — what lets the routing below walk nodes without per-node scratch.
+// Built here, once per view and profile, so that no charge allocates it.
+func (c *Context) mapNodes() {
+	c.perNode = c.prof.Cluster.DevicesPerNode
+	if c.perNode <= 0 {
+		c.perNode = c.physDevices()
 	}
-	return c.physOf(d) / c.prof.Cluster.DevicesPerNode
+	if len(c.node) != len(c.phys) {
+		c.node = make([]int, len(c.phys))
+	}
+	for d, p := range c.phys {
+		c.node[d] = p / c.perNode
+	}
 }
+
+// NodeOf returns the simulated node of logical device d.
+func (c *Context) NodeOf(d int) int { return c.node[d] }
 
 // NumNodes returns the simulated node count of this context's physical
 // device range (1 on single-node profiles).
 func (c *Context) NumNodes() int {
-	if !c.clustered() {
-		return 1
-	}
-	g := c.prof.Cluster.DevicesPerNode
-	return (c.physDevices() + g - 1) / g
+	return (c.physDevices() + c.perNode - 1) / c.perNode
 }
 
-// nodeOfLogical materializes NodeOf for the first n logical devices.
-func (c *Context) nodeOfLogical(n int) []int {
-	out := make([]int, n)
-	for d := range out {
-		out[d] = c.NodeOf(d)
+// roundTime models one host round (reduce/broadcast): every device's
+// share crosses its own node's host link (segments concurrent, so the
+// local leg costs the most loaded node), then the remote nodes'
+// aggregates cross the fabric to the root node's host (uplinks
+// concurrent). The legs are sequential. On one node this is the paper's
+// round: one latency plus the serialized bus time of the total volume.
+func (c *Context) roundTime(bytes []int) float64 {
+	maxVol, maxRemote, inter := 0, 0, 0
+	for lo, hi := 0, 0; lo < len(bytes); lo = hi {
+		vol := 0
+		for hi = lo; hi < len(bytes) && c.node[hi] == c.node[lo]; hi++ {
+			vol += bytes[hi]
+		}
+		maxVol = max(maxVol, vol)
+		if c.node[lo] != 0 {
+			inter += vol
+			maxRemote = max(maxRemote, vol)
+		}
 	}
-	return out
+	t := c.Model.Latency + float64(maxVol)/c.Model.Bandwidth
+	if inter > 0 {
+		fab := c.prof.Cluster.Fabric
+		t += fab.Latency + float64(maxRemote)/fab.Bandwidth
+	}
+	return t
 }
 
-// routeLocal converts one intra-node exchange round into modeled
-// seconds under the node-local topology: traffic is an npos×npos matrix
-// in node-local positions (physical id modulo DevicesPerNode), so dead
-// or absent positions simply carry zero rows. The arithmetic mirrors
-// routePeer per kind; the host-hub kind bounces through the node's own
-// host at the profile's host-link constants (a reduce leg plus a
-// broadcast leg, like PeerExchange's fallback).
-func (c *Context) routeLocal(npos int, traffic [][]int) float64 {
+// routeExchange converts one exchange round into modeled seconds.
+// traffic[s][d] is the byte volume LOGICAL device s ships to logical
+// device d; routing happens on PHYSICAL positions, so a Survivors view
+// charges the hops of the surviving devices' real positions. Node-local
+// pairs route within their node over the peer tier (every node's
+// segment works concurrently, so the intra leg costs the slowest node);
+// cross-node pairs load their endpoint nodes' fabric uplinks, and the
+// fabric round costs one fabric latency plus the most loaded uplink
+// direction (a non-blocking switch over node uplinks — the standard
+// fat-tree abstraction). The two legs are sequential: boundary values
+// hop the local tier before they can cross the fabric.
+func (c *Context) routeExchange(traffic [][]int) float64 {
 	topo := c.prof.Topo
-	switch topo.Kind {
-	case TopoNVLinkRing:
-		cw := make([]int, npos)
-		ccw := make([]int, npos)
-		maxHops := 0
-		for s, row := range traffic {
-			for d, b := range row {
-				if b <= 0 || s == d {
-					continue
-				}
-				fwd := (d - s + npos) % npos
-				hops := fwd
-				if fwd <= npos-fwd {
-					for k := 0; k < fwd; k++ {
-						cw[(s+k)%npos] += b
-					}
-				} else {
-					hops = npos - fwd
-					for k := 0; k < hops; k++ {
-						ccw[(s-k+npos)%npos] += b
-					}
-				}
-				if hops > maxHops {
-					maxHops = hops
-				}
-			}
-		}
-		maxLoad := 0
-		for i := 0; i < npos; i++ {
-			if cw[i] > maxLoad {
-				maxLoad = cw[i]
-			}
-			if ccw[i] > maxLoad {
-				maxLoad = ccw[i]
-			}
-		}
-		if maxHops == 0 {
-			maxHops = 1
-		}
-		return topo.PeerLatency*float64(maxHops) + float64(maxLoad)/topo.PeerBandwidth
-	case TopoAllToAll:
-		maxPair := 0
-		for s, row := range traffic {
-			for d, b := range row {
-				if s != d && b > maxPair {
-					maxPair = b
-				}
-			}
-		}
-		return topo.PeerLatency + float64(maxPair)/topo.PeerBandwidth
-	case TopoPCIeSwitch:
-		out := make([]int, npos)
-		in := make([]int, npos)
-		for s, row := range traffic {
-			for d, b := range row {
-				if b <= 0 || s == d {
-					continue
-				}
-				out[s] += b
-				in[d] += b
-			}
-		}
-		maxLink := 0
-		for i := 0; i < npos; i++ {
-			if out[i] > maxLink {
-				maxLink = out[i]
-			}
-			if in[i] > maxLink {
-				maxLink = in[i]
-			}
-		}
-		return topo.PeerLatency + float64(maxLink)/topo.PeerBandwidth
-	default: // host-hub (and the zero kind): bounce through the node host
-		total := 0
-		for s, row := range traffic {
-			for d, b := range row {
-				if s != d && b > 0 {
-					total += b
-				}
-			}
-		}
-		// One reduce round and one broadcast round over the node's host
-		// link; every exchanged byte crosses it twice.
-		return 2*c.Model.Latency + 2*float64(total)/c.Model.Bandwidth
+	// Directed link loads of one node's positions, reused node after node.
+	var a, b []int
+	if topo.Kind == TopoNVLinkRing || topo.Kind == TopoPCIeSwitch {
+		a, b = make([]int, c.perNode), make([]int, c.perNode)
 	}
-}
-
-// routeCluster converts one exchange round into modeled seconds under
-// the two-tier interconnect, and reports the cross-node byte volume.
-// Node-local pairs route within their node over the peer tier (every
-// node's segment works concurrently, so the intra leg costs the slowest
-// node); cross-node pairs load their endpoint nodes' fabric uplinks,
-// and the fabric round costs one fabric latency plus the most loaded
-// uplink direction (a non-blocking switch over node uplinks — the
-// standard fat-tree abstraction). The two legs are sequential: boundary
-// values hop the local tier before they can cross the fabric.
-func (c *Context) routeCluster(traffic [][]int) (t float64, interBytes int) {
-	g := c.prof.Cluster.DevicesPerNode
-	fab := c.prof.Cluster.Fabric
-	nNodes := c.NumNodes()
-
-	intra := make(map[int][][]int) // node -> G×G node-local traffic
-	outUp := make([]int, nNodes)
-	inUp := make([]int, nNodes)
-	intraAny := false
-	for ls, row := range traffic {
-		ps := c.physOf(ls)
-		ns, posS := ps/g, ps%g
-		for ld, b := range row {
-			if b <= 0 || ls == ld {
-				continue
-			}
-			pd := c.physOf(ld)
-			nd, posD := pd/g, pd%g
-			if ns == nd {
-				m, ok := intra[ns]
-				if !ok {
-					m = make([][]int, g)
-					for i := range m {
-						m[i] = make([]int, g)
-					}
-					intra[ns] = m
-				}
-				m[posS][posD] += b
-				intraAny = true
-				continue
-			}
-			interBytes += b
-			outUp[ns] += b
-			inUp[nd] += b
+	t, maxUp, inter := 0.0, 0, 0
+	for lo, hi := 0, 0; lo < len(traffic); lo = hi {
+		for hi = lo; hi < len(traffic) && c.node[hi] == c.node[lo]; hi++ {
 		}
+		if nt, used := c.routeNode(traffic, lo, hi, a, b); used && nt > t {
+			t = nt
+		}
+		// The node's fabric uplink: what its devices ship to other nodes
+		// and what other nodes ship to them.
+		out, in := 0, 0
+		for s, row := range traffic {
+			l, h := min(lo, len(row)), min(hi, len(row))
+			if s >= lo && s < hi {
+				out += positive(row[:l]) + positive(row[h:])
+			} else {
+				in += positive(row[l:h])
+			}
+		}
+		inter += out
+		maxUp = max(maxUp, out, in)
 	}
-
-	if intraAny {
-		for _, m := range intra {
-			if lt := c.routeLocal(g, m); lt > t {
-				t = lt
-			}
-		}
-	}
-	if interBytes > 0 {
-		maxUp := 0
-		for n := 0; n < nNodes; n++ {
-			if outUp[n] > maxUp {
-				maxUp = outUp[n]
-			}
-			if inUp[n] > maxUp {
-				maxUp = inUp[n]
-			}
-		}
+	if inter > 0 {
+		fab := c.prof.Cluster.Fabric
 		t += fab.Latency + float64(maxUp)/fab.Bandwidth
 	}
 	if t == 0 {
-		t = c.prof.Topo.PeerLatency // an empty round still pays one launch
+		t = topo.PeerLatency // an empty round still pays one launch
 	}
-	return t, interBytes
+	return t
 }
 
-// clusterRoundTime models one host round (reduce/broadcast) on a
-// clustered profile: every device's share crosses its own node's host
-// link (segments concurrent, so the local leg costs the most loaded
-// node), then the remote nodes' aggregates cross the fabric to the root
-// node's host (uplinks concurrent). The legs are sequential. With one
-// node this degenerates exactly to the single-node round time.
-func (c *Context) clusterRoundTime(bytes []int) (t float64, interBytes int) {
-	g := c.prof.Cluster.DevicesPerNode
-	fab := c.prof.Cluster.Fabric
-	nNodes := c.NumNodes()
-	vol := make([]int, nNodes)
-	for d, b := range bytes {
-		vol[c.physOf(d)/g] += b
-	}
-	maxVol, maxRemote := 0, 0
-	for n, v := range vol {
-		if v > maxVol {
-			maxVol = v
+// positive sums the positive entries of a traffic row segment.
+func positive(row []int) int {
+	sum := 0
+	for _, v := range row {
+		if v > 0 {
+			sum += v
 		}
-		if n != 0 {
-			interBytes += v
-			if v > maxRemote {
-				maxRemote = v
+	}
+	return sum
+}
+
+// routeNode routes the pairs of one node — the block traffic[lo:hi][lo:hi]
+// — over the node-local topology, at each device's position within its
+// node (dead or absent positions simply carry nothing). used reports
+// whether the node had traffic at all. a and b are zeroed scratch for
+// the kinds that load links.
+func (c *Context) routeNode(traffic [][]int, lo, hi int, a, b []int) (t float64, used bool) {
+	topo, g := c.prof.Topo, c.perNode
+	clear(a)
+	clear(b)
+	load, hops := 0, 1
+	for s := lo; s < hi; s++ {
+		ps := c.phys[s] % g
+		row := traffic[s]
+		for d := lo; d < hi && d < len(row); d++ {
+			v := row[d]
+			if v <= 0 || s == d {
+				continue
+			}
+			used = true
+			pd := c.phys[d] % g
+			switch topo.Kind {
+			case TopoNVLinkRing:
+				// Shortest arc around the node's ring, ties clockwise:
+				// a[i] carries i -> i+1 (mod g), b[i] carries i -> i-1.
+				fwd := (pd - ps + g) % g
+				arc := fwd
+				if fwd <= g-fwd {
+					for k := 0; k < fwd; k++ {
+						a[(ps+k)%g] += v
+					}
+				} else {
+					arc = g - fwd
+					for k := 0; k < arc; k++ {
+						b[(ps-k+g)%g] += v
+					}
+				}
+				hops = max(hops, arc)
+			case TopoPCIeSwitch:
+				// Full-duplex per-device up-links into a non-blocking switch.
+				a[ps] += v
+				b[pd] += v
+			case TopoAllToAll:
+				// Dedicated link per ordered pair: the slowest pair bounds the round.
+				load = max(load, v)
+			default:
+				// Host-hub: every exchanged byte crosses the node's host link twice.
+				load += v
 			}
 		}
 	}
-	t = c.Model.Latency + float64(maxVol)/c.Model.Bandwidth
-	if interBytes > 0 {
-		t += fab.Latency + float64(maxRemote)/fab.Bandwidth
+	for i := range a {
+		load = max(load, a[i], b[i])
 	}
-	return t, interBytes
+	if !topo.PeerToPeer() {
+		// One reduce round and one broadcast round over the node's host link.
+		return 2*c.Model.Latency + 2*float64(load)/c.Model.Bandwidth, used
+	}
+	// Hop count times the peer latency plus the most loaded directed link.
+	return topo.PeerLatency*float64(hops) + float64(load)/topo.PeerBandwidth, used
 }
 
 // Valid reports whether the fabric constants are physically meaningful

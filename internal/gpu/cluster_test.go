@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -140,6 +142,78 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	}
 }
 
+// surviving kills one device of c and returns the Survivors view.
+func surviving(t *testing.T, c *Context, victim int) *Context {
+	t.Helper()
+	c.InjectFaults(FaultPlan{Deaths: []DeviceDeath{{Device: victim, At: 0}}})
+	func() {
+		defer func() { _ = recover() }() // the death fires on the first charge
+		c.UniformKernel("kill", Work{Flops: 1})
+	}()
+	view, err := c.Survivors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// TestOneNodeClusterIsTheFlatMachine is the identity the single transfer
+// path rests on: a cluster whose one node holds every device charges
+// what the unclustered profile charges, bit for bit — host rounds on
+// every topology, routed exchanges on every peer-to-peer one (the
+// unclustered host-hub machine alone replays the host bounce instead of
+// routing the matrix) — on the full view and on a Survivors view.
+func TestOneNodeClusterIsTheFlatMachine(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, kind := range []TopoKind{TopoHostHub, TopoPCIeSwitch, TopoNVLinkRing, TopoAllToAll} {
+		for trial := 0; trial < 50; trial++ {
+			n := 2 + rng.Intn(5)
+			flat := pathsProfile(kind, 0)
+			flat.Topo.PeerLatency = float64(1+rng.Intn(9)) * 1e-6
+			flat.Topo.PeerBandwidth = float64(1+rng.Intn(90)) * 1e9
+			one := flat
+			one.Cluster = Cluster{DevicesPerNode: n, Fabric: Fabric{Kind: FabricIBHDR, Latency: 7e-6, Bandwidth: 12e9}}
+			a, b := NewContextWithProfile(n, flat), NewContextWithProfile(n, one)
+			if trial%2 == 1 { // every other trial charges through a Survivors view
+				victim := rng.Intn(n)
+				a, b = surviving(t, a, victim), surviving(t, b, victim)
+			}
+			m := a.NumDevices
+			bytes := make([]int, m)
+			traffic := make([][]int, m)
+			for d := range traffic {
+				bytes[d] = rng.Intn(1 << 16)
+				traffic[d] = make([]int, m)
+				for e := range traffic[d] {
+					if rng.Intn(3) > 0 {
+						traffic[d][e] = rng.Intn(1 << 16)
+					}
+				}
+			}
+			elem := Elem(rng.Intn(3))
+			for _, c := range []*Context{a, b} {
+				c.ReduceRoundElem("host", bytes, elem)
+				c.BroadcastRoundElemOn("host", bytes, elem)
+				if kind != TopoHostHub {
+					c.PeerExchange("exchange", traffic)
+					c.HaloExchangeElemOn("exchange", bytes, bytes, traffic, elem)
+				}
+			}
+			for _, phase := range []string{"host", "exchange"} {
+				pa, pb := a.Stats().Phase(phase), b.Stats().Phase(phase)
+				if pa != pb || math.Float64bits(pa.CommTime) != math.Float64bits(pb.CommTime) {
+					t.Fatalf("%s trial %d phase %s: flat %+v, one-node cluster %+v", kind, trial, phase, pa, pb)
+				}
+				for d := 0; d < n; d++ {
+					if da, db := a.Stats().DevicePhase(d, phase), b.Stats().DevicePhase(d, phase); da != db {
+						t.Fatalf("%s trial %d phase %s device %d: flat %+v, one-node cluster %+v", kind, trial, phase, d, da, db)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestClusterRouteSymmetry: transposing the traffic matrix must not
 // change the round cost (out/in swaps are max-invariant on both tiers).
 func TestClusterRouteSymmetry(t *testing.T) {
@@ -154,8 +228,8 @@ func TestClusterRouteSymmetry(t *testing.T) {
 			tt[i][j] = tr[j][i]
 		}
 	}
-	fwd, _ := c.routeCluster(tr)
-	rev, _ := c.routeCluster(tt)
+	fwd := c.routeExchange(tr)
+	rev := c.routeExchange(tt)
 	if !almostEq(fwd, rev) {
 		t.Errorf("cluster route asymmetric: fwd %g rev %g", fwd, rev)
 	}
@@ -225,7 +299,7 @@ func TestClusterMonotoneInBytes(t *testing.T) {
 	base := pair(4, 0, 1, 1000)
 	base[0][2] = 2000
 	base[3][1] = 500
-	t0, _ := c.routeCluster(base)
+	t0 := c.routeExchange(base)
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
 			if s == d {
@@ -235,11 +309,50 @@ func TestClusterMonotoneInBytes(t *testing.T) {
 			tr[0][2] = 2000
 			tr[3][1] = 500
 			tr[s][d] += 4000
-			t1, _ := c.routeCluster(tr)
+			t1 := c.routeExchange(tr)
 			if t1 < t0-1e-18 {
 				t.Errorf("adding bytes on %d->%d reduced cost: %g -> %g", s, d, t0, t1)
 			}
 		}
+	}
+}
+
+// TestClusterLatencyDominates: tiny messages from one-device nodes — the
+// fabric latency sets the floor of every host round.
+func TestClusterLatencyDominates(t *testing.T) {
+	p := DefaultProfile(M2090())
+	p.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Latency: 25e-6, Bandwidth: 3e9}}
+	ctx := NewContextWithProfile(3, p)
+	ctx.ReduceRound("p", []int{8, 8, 8})
+	if got := ctx.Stats().Phase("p").CommTime; got < 25e-6 {
+		t.Fatalf("comm time %v below fabric latency", got)
+	}
+}
+
+// TestClusterAmplifiesCAAdvantage is the motivating property of the
+// paper's conclusion: the latency penalty of scattering the devices over
+// nodes hits the many-round strategies (MGS-like patterns) far harder
+// than the 2-round strategies. Simulate the round patterns directly.
+func TestClusterAmplifiesCAAdvantage(t *testing.T) {
+	single := DefaultProfile(M2090())
+	multi := single
+	multi.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Latency: 100e-6, Bandwidth: 3e9}}
+
+	cost := func(p Profile, rounds int) float64 {
+		ctx := NewContextWithProfile(3, p)
+		for i := 0; i < rounds; i++ {
+			ctx.ReduceRound("p", []int{8, 8, 8})
+		}
+		return ctx.Stats().Phase("p").CommTime
+	}
+	// 110 rounds (MGS at s=9) vs 2 rounds (CholQR): the absolute time
+	// the communication-avoiding strategy saves per window must grow
+	// with the per-round cost (here ~7.7x: a 100us fabric leg on top of
+	// the 15us host link).
+	gapSingle := cost(single, 110) - cost(single, 2)
+	gapMulti := cost(multi, 110) - cost(multi, 2)
+	if gapMulti < 5*gapSingle {
+		t.Fatalf("clustered gap %v not clearly above single-node %v", gapMulti, gapSingle)
 	}
 }
 

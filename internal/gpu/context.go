@@ -54,29 +54,6 @@ type CostModel struct {
 	// is unchanged. Memory-bound kernels are unaffected: their advantage
 	// comes from Work.Bytes, which the caller already halves.
 	FP32Speedup float64
-
-	// Multi-node extension (the paper's conclusion asks how CA-GMRES
-	// behaves when the GPUs are spread across compute nodes, where
-	// communication is more expensive). DevicesPerNode == 0 keeps the
-	// single-node model; otherwise devices are grouped into nodes of
-	// that size, and the share of a communication round that crosses
-	// node boundaries is charged at the interconnect constants below
-	// (overlapping with the intra-node PCIe share).
-	DevicesPerNode int
-	// InterLatency is the per-round network latency (e.g. ~25 us for
-	// InfiniBand QDR with MPI in the Keeneland era).
-	InterLatency float64
-	// InterBandwidth is the network bandwidth in bytes/second.
-	InterBandwidth float64
-}
-
-// MultiNode derives a clustered variant of a cost model: devicesPerNode
-// GPUs per node, joined by the given network constants.
-func MultiNode(base CostModel, devicesPerNode int, interLatency, interBandwidth float64) CostModel {
-	base.DevicesPerNode = devicesPerNode
-	base.InterLatency = interLatency
-	base.InterBandwidth = interBandwidth
-	return base
 }
 
 // M2090 returns a cost model calibrated to the paper's testbed: NVIDIA
@@ -103,7 +80,9 @@ func M2090() CostModel {
 // Survivors view of a larger context: phys maps the view's logical
 // device indices to the physical device ids of the root context, so the
 // ledger attribution and the death checks always speak physical ids
-// while the layers above address a dense 0..NumDevices-1 range.
+// while the layers above address a dense 0..NumDevices-1 range. node is
+// the same map one level up: the simulated node each logical device
+// lives on under the current profile (see mapNodes).
 type Context struct {
 	NumDevices int
 	Model      CostModel
@@ -111,7 +90,9 @@ type Context struct {
 	stats      *Stats
 	faults     *faultState
 	timeline   *Timeline
-	phys       []int // logical -> physical device id, built once per view; read-only
+	phys       []int // logical -> physical device id, ascending, built once per view; read-only
+	node       []int // logical -> node, non-decreasing; rebuilt by SetProfile
+	perNode    int   // physical device positions of one node
 }
 
 // NewContext creates a context with ng simulated devices and a bare cost
@@ -125,8 +106,10 @@ func NewContext(ng int, model CostModel) *Context {
 	for d := range phys {
 		phys[d] = d
 	}
-	return &Context{NumDevices: ng, Model: model, prof: defaultProfile(model),
+	c := &Context{NumDevices: ng, Model: model, prof: defaultProfile(model),
 		stats: NewStats(), timeline: newTimeline(false), phys: phys}
+	c.mapNodes()
+	return c
 }
 
 // Stats returns the ledger for inspection.
@@ -213,39 +196,14 @@ func (m CostModel) deviceTime(w Work) float64 {
 	return t + m.KernelLaunch
 }
 
-// roundTime models one communication round: on a single node, one PCIe
-// latency plus the serialized bus time of the total volume. When the
-// model is multi-node, the local share still travels over PCIe while the
-// remote share crosses the interconnect; the two proceed concurrently,
-// so the round costs the maximum of the two paths.
-func (c *Context) roundTime(bytes []int) (total int, t float64) {
-	local, remote := 0, 0
-	for d, b := range bytes {
-		if c.Model.DevicesPerNode > 0 && d >= c.Model.DevicesPerNode {
-			remote += b
-		} else {
-			local += b
-		}
-	}
-	total = local + remote
-	t = c.Model.Latency + float64(local)/c.Model.Bandwidth
-	if c.Model.DevicesPerNode > 0 && len(bytes) > c.Model.DevicesPerNode {
-		inter := c.Model.InterLatency + float64(remote)/c.Model.InterBandwidth
-		if inter > t {
-			t = inter
-		}
-	}
-	return total, t
-}
-
 // ReduceRound records one device->host communication round in which every
 // device concurrently sends bytes[d] bytes (bytes may have fewer entries
 // than devices; missing entries are zero). The round is charged one
-// latency plus the serialized bus time of the total volume (per path in
-// the multi-node model). With a fault plan armed, the round first checks
-// scheduled device deaths and then draws the seeded transfer-fault
-// stream, transparently retrying with capped exponential virtual-time
-// backoff.
+// latency plus the serialized bus time of the volume (roundTime; remote
+// nodes of a clustered profile add a fabric leg). With a fault plan
+// armed, the round first checks scheduled device deaths and then draws
+// the seeded transfer-fault stream, transparently retrying with capped
+// exponential virtual-time backoff.
 func (c *Context) ReduceRound(phase string, bytes []int) {
 	c.commRound(phase, dirD2H, bytes, Elem64, true, nil)
 }
@@ -263,31 +221,37 @@ func (c *Context) ReduceRoundElem(phase string, bytes []int, elem Elem) {
 	c.commRound(phase, dirD2H, bytes, elem, true, nil)
 }
 
-// BroadcastRoundElem is BroadcastRound with an explicit element width.
-func (c *Context) BroadcastRoundElem(phase string, bytes []int, elem Elem) {
-	c.commRound(phase, dirH2D, bytes, elem, true, nil)
-}
-
 // commRound is the shared implementation behind the synchronous rounds
 // (barrier=true: a full barrier on every stream) and the *On stream
 // variants (barrier=false: the round occupies only the participating
 // transfer streams when overlap is enabled). The ledger charge is
 // identical in both modes; elem tags the round's element width on the
-// precision columns (bytes are already at that width).
+// precision columns (bytes are already at that width). Every transfer
+// round runs the same five steps in the same order — death check, route,
+// fault draw, ledger, timeline — because the seeded fault stream's draw
+// order is what makes chaos replays bit-identical.
 func (c *Context) commRound(phase string, dir direction, bytes []int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
-	if c.clustered() {
-		// Two-tier machine: each node's share crosses its own host link,
-		// then remote nodes' aggregates cross the fabric to the root host.
-		t, _ := c.clusterRoundTime(bytes)
-		stall := c.injectTransferFaults(phase, t)
-		c.stats.addCommTiered(phase, dir, c.devIDs(len(bytes)), bytes, c.nodeOfLogical(len(bytes)), t, elem)
-		return c.timeline.comm(phase, dir == dirH2D, c.devIDs(len(bytes)), t, stall, barrier, after)
-	}
-	_, t := c.roundTime(bytes)
+	devs, nodes := c.devIDs(len(bytes)), c.node[:len(bytes)]
+	t := c.roundTime(bytes)
 	stall := c.injectTransferFaults(phase, t)
-	c.stats.addComm(phase, dir, c.devIDs(len(bytes)), bytes, t, elem)
-	return c.timeline.comm(phase, dir == dirH2D, c.devIDs(len(bytes)), t, stall, barrier, after)
+	c.stats.addHostRound(phase, dir, devs, nodes, bytes, t, elem)
+	return c.timeline.transferOp(phase, dir, devs, t, stall, barrier, after)
+}
+
+// peerRound is commRound for a routed exchange: traffic[s][d] bytes
+// travel from logical device s to logical device d without touching the
+// host.
+func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
+	if len(traffic) != c.NumDevices {
+		panic(fmt.Sprintf("gpu: peer traffic for %d devices on a %d-device context", len(traffic), c.NumDevices))
+	}
+	c.checkDeaths(phase)
+	devs := c.devIDs(len(traffic))
+	t := c.routeExchange(traffic)
+	stall := c.injectTransferFaults(phase, t)
+	c.stats.addPeerRound(phase, devs, c.node, traffic, t, elem)
+	return c.timeline.transferOp(phase, dirPeer, devs, t, stall, barrier, after)
 }
 
 // DeviceKernel records a parallel device kernel: every device executes

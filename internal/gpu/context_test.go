@@ -91,7 +91,7 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 		}
 		ctx.DeviceKernel("p", make([]Work, ctx.NumDevices))
 		ctx.ReduceRound("p", make([]int, ctx.NumDevices))
-		ctx.HaloExchangeOn("p", make([]int, ctx.NumDevices), make([]int, ctx.NumDevices), nil)
+		ctx.HaloExchangeElemOn("p", make([]int, ctx.NumDevices), make([]int, ctx.NumDevices), nil, Elem64)
 		if !slices.Equal(ctx.phys, want) {
 			t.Fatalf("charges changed the view's device ids: %v, want %v", ctx.phys, want)
 		}

@@ -250,7 +250,7 @@ func (c *Context) Survivors() (*Context, error) {
 	if len(alive) == 0 {
 		return nil, fmt.Errorf("gpu: no surviving devices")
 	}
-	return &Context{
+	v := &Context{
 		NumDevices: len(alive),
 		Model:      c.Model,
 		prof:       c.prof,
@@ -258,7 +258,9 @@ func (c *Context) Survivors() (*Context, error) {
 		faults:     c.faults,
 		timeline:   c.timeline,
 		phys:       alive,
-	}, nil
+	}
+	v.mapNodes()
+	return v, nil
 }
 
 // Repair clears the dead set and the straggler assignments, modeling a

@@ -1,7 +1,5 @@
 package gpu
 
-import "fmt"
-
 // This file makes the machine description a first-class, swappable
 // value. Historically the simulator was hard-wired to the paper's 2014
 // testbed (M2090 GPUs sharing one PCIe 2.0 hub through the host); a
@@ -119,7 +117,7 @@ func defaultProfile(model CostModel) Profile {
 // described by the profile.
 func NewContextWithProfile(ng int, p Profile) *Context {
 	c := NewContext(ng, p.Model)
-	c.prof = p
+	c.SetProfile(p)
 	return c
 }
 
@@ -137,134 +135,25 @@ func (c *Context) Topology() Topology { return c.prof.Topo }
 func (c *Context) SetProfile(p Profile) {
 	c.Model = p.Model
 	c.prof = p
+	c.mapNodes() // a per-request profile can arm or disarm the cluster tier
 }
 
-// --- Peer-to-peer routing --------------------------------------------------
+// --- Exchange entry points ------------------------------------------------
 
-// routePeer converts one peer exchange round into modeled seconds under
-// the profile's topology. traffic[s][d] is the byte volume LOGICAL
-// device s ships to logical device d; routing happens on PHYSICAL device
-// ids (c.physOf), so a Survivors view of a ring charges the hops of the
-// surviving devices' real positions — traffic between ring neighbors of
-// the view may cross a dead device's links.
-func (c *Context) routePeer(traffic [][]int) float64 {
-	topo := c.prof.Topo
-	nphys := c.physDevices()
-	switch topo.Kind {
-	case TopoNVLinkRing:
-		// Directed link loads around the physical ring: cw[i] carries
-		// i -> i+1 (mod n), ccw[i] carries i -> i-1.
-		cw := make([]int, nphys)
-		ccw := make([]int, nphys)
-		maxHops := 0
-		for ls, row := range traffic {
-			s := c.physOf(ls)
-			for ld, b := range row {
-				if b <= 0 || ls == ld {
-					continue
-				}
-				d := c.physOf(ld)
-				fwd := (d - s + nphys) % nphys
-				hops := fwd
-				if fwd <= nphys-fwd {
-					for k := 0; k < fwd; k++ {
-						cw[(s+k)%nphys] += b
-					}
-				} else {
-					hops = nphys - fwd
-					for k := 0; k < hops; k++ {
-						ccw[(s-k+nphys)%nphys] += b
-					}
-				}
-				if hops > maxHops {
-					maxHops = hops
-				}
-			}
-		}
-		maxLoad := 0
-		for i := 0; i < nphys; i++ {
-			if cw[i] > maxLoad {
-				maxLoad = cw[i]
-			}
-			if ccw[i] > maxLoad {
-				maxLoad = ccw[i]
-			}
-		}
-		if maxHops == 0 {
-			maxHops = 1 // an empty round still pays one launch
-		}
-		return topo.PeerLatency*float64(maxHops) + float64(maxLoad)/topo.PeerBandwidth
-	case TopoAllToAll:
-		// Dedicated link per ordered pair: the slowest pair bounds the round.
-		maxPair := 0
-		for ls, row := range traffic {
-			for ld, b := range row {
-				if ls != ld && b > maxPair {
-					maxPair = b
-				}
-			}
-		}
-		return topo.PeerLatency + float64(maxPair)/topo.PeerBandwidth
-	default: // TopoPCIeSwitch and anything unnamed that claims peer routing
-		// Full-duplex per-device up-links into a non-blocking switch: the
-		// most loaded direction of the most loaded link bounds the round.
-		out := make([]int, nphys)
-		in := make([]int, nphys)
-		for ls, row := range traffic {
-			s := c.physOf(ls)
-			for ld, b := range row {
-				if b <= 0 || ls == ld {
-					continue
-				}
-				out[s] += b
-				in[c.physOf(ld)] += b
-			}
-		}
-		maxLink := 0
-		for i := 0; i < nphys; i++ {
-			if out[i] > maxLink {
-				maxLink = out[i]
-			}
-			if in[i] > maxLink {
-				maxLink = in[i]
-			}
-		}
-		return topo.PeerLatency + float64(maxLink)/topo.PeerBandwidth
-	}
+// hostBounce is the one routing decision made outside routeExchange: a
+// single-node host-hub machine — the paper's — has no device-to-device
+// path at all, so its exchanges replay the paper's protocol on the
+// ledger as two host rounds (a reduce, then a broadcast that depends on
+// it) instead of one routed round. A clustered host-hub profile routes
+// the traffic matrix like every other: its node-local pairs bounce
+// through their node's host inside the routed round.
+func (c *Context) hostBounce() bool {
+	return !c.prof.Topo.PeerToPeer() && !c.prof.Cluster.Enabled()
 }
 
-// peerMessages counts the nonzero ordered pairs of a traffic matrix.
-func peerMessages(traffic [][]int) int {
-	n := 0
-	for s, row := range traffic {
-		for d, b := range row {
-			if s != d && b > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// peerRound is the shared implementation of the peer exchange charges:
-// death check, routing, fault injection, ledger, timeline. On a
-// clustered profile the round routes over the two-tier interconnect and
-// splits the ledger charge between the node-local and fabric columns.
-func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
-	if len(traffic) != c.NumDevices {
-		panic(fmt.Sprintf("gpu: peer traffic for %d devices on a %d-device context", len(traffic), c.NumDevices))
-	}
-	c.checkDeaths(phase)
-	if c.clustered() {
-		t, _ := c.routeCluster(traffic)
-		stall := c.injectTransferFaults(phase, t)
-		c.stats.addPeerTiered(phase, c.devIDs(len(traffic)), traffic, c.nodeOfLogical(len(traffic)), t, elem)
-		return c.timeline.peer(phase, c.devIDs(len(traffic)), t, stall, barrier, after)
-	}
-	t := c.routePeer(traffic)
-	stall := c.injectTransferFaults(phase, t)
-	c.stats.addPeer(phase, c.devIDs(len(traffic)), traffic, t, elem)
-	return c.timeline.peer(phase, c.devIDs(len(traffic)), t, stall, barrier, after)
+func (c *Context) bounceRounds(phase string, send, recv []int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
+	red := c.commRound(phase, dirD2H, send, elem, barrier, after)
+	return c.commRound(phase, dirH2D, recv, elem, barrier, []StreamEvent{red})
 }
 
 // PeerExchange records one device-to-device exchange round routed over
@@ -275,50 +164,29 @@ func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bo
 // followed by a broadcast round of the receive totals. A full barrier,
 // like the other synchronous charges.
 func (c *Context) PeerExchange(phase string, traffic [][]int) {
-	if !c.prof.Topo.PeerToPeer() && !c.clustered() {
-		c.commRound(phase, dirD2H, rowTotals(traffic), Elem64, true, nil)
-		c.commRound(phase, dirH2D, colTotals(traffic), Elem64, true, nil)
+	if c.hostBounce() {
+		c.bounceRounds(phase, rowTotals(traffic), colTotals(traffic), Elem64, true, nil)
 		return
 	}
 	c.peerRound(phase, traffic, Elem64, true, nil)
 }
 
-// PeerExchangeOn is PeerExchange as a stream operation: the round
-// occupies the transfer streams of every participating device after its
-// dependencies. Ledger charges are identical to PeerExchange.
-func (c *Context) PeerExchangeOn(phase string, traffic [][]int, after ...StreamEvent) StreamEvent {
-	if !c.prof.Topo.PeerToPeer() && !c.clustered() {
-		red := c.commRound(phase, dirD2H, rowTotals(traffic), Elem64, false, after)
-		return c.commRound(phase, dirH2D, colTotals(traffic), Elem64, false, []StreamEvent{red})
-	}
-	return c.peerRound(phase, traffic, Elem64, false, after)
-}
-
-// HaloExchangeOn charges one halo exchange the way the profile routes
-// it. Host-mediated topologies replay the paper's protocol byte for
-// byte: a device-to-host reduce of sendBytes (each device's compressed
-// boundary, every value once) followed by a host-to-device broadcast of
-// recvBytes (each device's halo), the second leg depending on the first.
-// Peer-to-peer topologies ship traffic[s][d] directly (a value consumed
-// by two peers is sent twice — the price of skipping the host's
-// deduplicating staging buffer) in a single routed round. A nil traffic
-// matrix forces the host path regardless of topology.
-func (c *Context) HaloExchangeOn(phase string, sendBytes, recvBytes []int, traffic [][]int, after ...StreamEvent) StreamEvent {
-	return c.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, Elem64, after...)
-}
-
-// HaloExchangeElemOn is HaloExchangeOn with an explicit element width:
-// the caller has already scaled sendBytes/recvBytes/traffic to the
-// narrow wire size, and elem tags the round in the precision ledger.
-// Elem64 replays HaloExchangeOn byte for byte.
+// HaloExchangeElemOn charges one halo exchange the way the profile
+// routes it, as a stream operation. Host-mediated topologies replay the
+// paper's protocol byte for byte: a device-to-host reduce of sendBytes
+// (each device's compressed boundary, every value once) followed by a
+// host-to-device broadcast of recvBytes (each device's halo), the second
+// leg depending on the first. Every other machine ships traffic[s][d]
+// directly (a value consumed by two peers is sent twice — the price of
+// skipping the host's deduplicating staging buffer) in a single routed
+// round. A nil traffic matrix forces the host path regardless of
+// topology. The caller has already scaled sendBytes/recvBytes/traffic to
+// elem's wire size; elem tags the round in the precision ledger.
 func (c *Context) HaloExchangeElemOn(phase string, sendBytes, recvBytes []int, traffic [][]int, elem Elem, after ...StreamEvent) StreamEvent {
-	// A clustered profile always routes the traffic matrix: node-local
-	// pairs over the peer tier, cross-node pairs over the fabric.
-	if traffic != nil && (c.prof.Topo.PeerToPeer() || c.clustered()) {
-		return c.peerRound(phase, traffic, elem, false, after)
+	if traffic == nil || c.hostBounce() {
+		return c.bounceRounds(phase, sendBytes, recvBytes, elem, false, after)
 	}
-	red := c.commRound(phase, dirD2H, sendBytes, elem, false, after)
-	return c.commRound(phase, dirH2D, recvBytes, elem, false, []StreamEvent{red})
+	return c.peerRound(phase, traffic, elem, false, after)
 }
 
 func rowTotals(traffic [][]int) []int {

@@ -7,12 +7,20 @@ import (
 	"sync"
 )
 
+// direction is the host's role in a transfer round: receiving, sending,
+// or (a peer round) off the path.
 type direction int
 
 const (
 	dirD2H direction = iota
 	dirH2D
+	dirPeer
 )
+
+// kind names the round in the event trace.
+func (d direction) kind() string {
+	return [...]string{"reduce", "broadcast", "peer"}[d]
+}
 
 // PhaseStats aggregates everything charged to one named phase (e.g.
 // "spmv", "mpk", "borth", "tsqr", "lsq").
@@ -38,11 +46,11 @@ type PhaseStats struct {
 	BytesFP32       int
 	BytesCompressed int
 	CommTime        float64 // modeled seconds of communication
-	DeviceTime  float64 // modeled seconds of device compute (max over devices per kernel)
-	DeviceFlops float64 // total flops summed over devices
-	HostTime    float64 // modeled seconds of host compute
-	HostFlops   float64
-	Kernels     int // device kernel launches
+	DeviceTime      float64 // modeled seconds of device compute (max over devices per kernel)
+	DeviceFlops     float64 // total flops summed over devices
+	HostTime        float64 // modeled seconds of host compute
+	HostFlops       float64
+	Kernels         int // device kernel launches
 }
 
 // Total returns the modeled wall time of the phase.
@@ -193,55 +201,107 @@ func (s *Stats) devGet(d int, phase string) *PhaseStats {
 	return p
 }
 
+// ByteColumn is one optional byte class of the ledger: a PhaseStats
+// field that stays zero on the paper's machine (host-routed, one node,
+// all FP64) and is therefore reported — as a table column here, as a
+// metric series by exporters — only on ledgers where some phase moved
+// bytes of that class. A new byte class is one PhaseStats field and one
+// row of byteColumns.
+type ByteColumn struct {
+	// Label names the class for exporters: the transfer direction of a
+	// path column ("p2p", "inter"), the width of a precision tag.
+	Label string
+	// Width is the element width a precision tag classifies; path columns
+	// carry Elem64, which tags nothing.
+	Width  Elem
+	header string
+	field  func(*PhaseStats) *int
+}
+
+var byteColumns = [...]ByteColumn{
+	{"p2p", Elem64, "bytesP2P", func(p *PhaseStats) *int { return &p.BytesPeer }},
+	{"inter", Elem64, "bytesInter", func(p *PhaseStats) *int { return &p.BytesInterNode }},
+	{Elem32.String(), Elem32, "bytesFP32", func(p *PhaseStats) *int { return &p.BytesFP32 }},
+	{ElemBF16.String(), ElemBF16, "bytesComp", func(p *PhaseStats) *int { return &p.BytesCompressed }},
+}
+
+// Of returns the column's byte count in p.
+func (c ByteColumn) Of(p PhaseStats) int { return *c.field(&p) }
+
+// ByteColumns returns the optional columns this ledger reports: those on
+// which some phase is non-zero. Host-routed all-FP64 single-node ledgers
+// (every pre-profile golden) report none.
+func (s *Stats) ByteColumns() []ByteColumn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var cols []ByteColumn
+	for _, c := range byteColumns {
+		for _, p := range s.phases {
+			if *c.field(p) > 0 {
+				cols = append(cols, c)
+				break
+			}
+		}
+	}
+	return cols
+}
+
 // tagElem classifies one charge's byte volume by element width (see
 // PhaseStats.BytesFP32/BytesCompressed). Elem64 — every historical
 // charge — is a no-op.
 func tagElem(p *PhaseStats, elem Elem, bytes int) {
-	switch elem {
-	case Elem32:
-		p.BytesFP32 += bytes
-	case ElemBF16:
-		p.BytesCompressed += bytes
+	if elem == Elem64 {
+		return
+	}
+	for _, c := range byteColumns {
+		if c.Width == elem {
+			*c.field(p) += bytes
+		}
 	}
 }
 
-// addComm charges one communication round: bytes[d] is logical device
-// d's share, devs[d] its physical id on the ledger, t the modeled time
-// of the whole round. Every participating device is occupied for the
-// full round, so each per-device ledger is charged t. elem tags the
-// round's element width on the precision columns.
-func (s *Stats) addComm(phase string, dir direction, devs, bytes []int, t float64, elem Elem) {
+// addHostRound charges one host round: bytes[d] is logical device d's
+// share, devs[d] its physical id on the ledger, nodes[d] its node, t the
+// modeled time of the whole round. Every participating device is
+// occupied for the full round, so each per-device ledger is charged t.
+// The full volume lands on the D2H/H2D column (every byte crosses its own
+// node's host link); the share of remote-node devices is additionally
+// charged to BytesInterNode — the second hop those bytes take over the
+// fabric to reach the root node's host. elem tags the round's element
+// width on the precision columns.
+func (s *Stats) addHostRound(phase string, dir direction, devs, nodes, bytes []int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.get(phase)
 	p.Rounds++
 	p.Messages += len(bytes)
-	var total int
-	for _, b := range bytes {
-		total += b
-	}
-	kind := "reduce"
-	if dir == dirD2H {
-		p.BytesD2H += total
-	} else {
-		p.BytesH2D += total
-		kind = "broadcast"
-	}
-	tagElem(p, elem, total)
 	p.CommTime += t
+	total, inter := 0, 0
 	for d, b := range bytes {
 		dp := s.devGet(devs[d], phase)
 		dp.Rounds++
 		dp.Messages++
+		dp.CommTime += t
+		total += b
 		if dir == dirD2H {
 			dp.BytesD2H += b
 		} else {
 			dp.BytesH2D += b
 		}
+		if nodes[d] != 0 {
+			inter += b
+			dp.BytesInterNode += b
+		}
 		tagElem(dp, elem, b)
-		dp.CommTime += t
 	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: kind, Bytes: total, Time: t})
+	if dir == dirD2H {
+		p.BytesD2H += total
+	} else {
+		p.BytesH2D += total
+	}
+	p.BytesInterNode += inter
+	tagElem(p, elem, total)
+	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: dir.kind(), Bytes: total, Time: t})
 }
 
 // addCompute charges one parallel kernel launch: ts[d] and work[d] are
@@ -275,20 +335,22 @@ func (s *Stats) addCompute(phase string, devs []int, ts []float64, work []Work) 
 	}
 }
 
-// addPeer charges one peer-to-peer exchange round: traffic[s][d] is the
+// addPeerRound charges one routed exchange round: traffic[s][d] is the
 // volume logical device s shipped to logical device d, devs the physical
-// ids, t the routed time of the whole round. Every participating device
-// is occupied for the full round; each device's ledger is charged the
-// bytes it sent plus the bytes it received.
-func (s *Stats) addPeer(phase string, devs []int, traffic [][]int, t float64, elem Elem) {
+// ids, nodes the devices' nodes, t the routed time of the whole round.
+// Same-node pairs land in BytesPeer (the node-local tier), cross-node
+// pairs in BytesInterNode (the fabric). Every participating device is
+// occupied for the full round; each device's ledger is charged the bytes
+// it sent plus the bytes it received.
+func (s *Stats) addPeerRound(phase string, devs, nodes []int, traffic [][]int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.get(phase)
 	p.Rounds++
 	p.CommTime += t
-	total := 0
-	sent := make([]int, len(traffic))
-	recv := make([]int, len(traffic))
+	local := make([]int, len(traffic)) // per device: sent plus received, same node
+	inter := make([]int, len(traffic)) // per device: sent plus received, across nodes
+	total, cross := 0, 0
 	for a, row := range traffic {
 		for b, v := range row {
 			if a == b || v <= 0 {
@@ -296,114 +358,28 @@ func (s *Stats) addPeer(phase string, devs []int, traffic [][]int, t float64, el
 			}
 			p.Messages++
 			total += v
-			sent[a] += v
-			recv[b] += v
+			tier := local
+			if nodes[a] != nodes[b] {
+				tier = inter
+				cross += v
+			}
+			tier[a] += v
+			tier[b] += v
 		}
 	}
-	p.BytesPeer += total
+	p.BytesPeer += total - cross
+	p.BytesInterNode += cross
 	tagElem(p, elem, total)
 	for d := range traffic {
 		dp := s.devGet(devs[d], phase)
 		dp.Rounds++
 		dp.Messages++
-		dp.BytesPeer += sent[d] + recv[d]
-		tagElem(dp, elem, sent[d]+recv[d])
+		dp.BytesPeer += local[d]
+		dp.BytesInterNode += inter[d]
+		tagElem(dp, elem, local[d]+inter[d])
 		dp.CommTime += t
 	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: "peer", Bytes: total, Time: t})
-}
-
-// addPeerTiered charges one exchange round routed over a two-tier
-// cluster interconnect: same-node pairs of the traffic matrix land in
-// BytesPeer (the node-local tier), cross-node pairs in BytesInterNode
-// (the fabric). nodeOf[d] is logical device d's node. One trace event is
-// recorded for the whole round, like addPeer.
-func (s *Stats) addPeerTiered(phase string, devs []int, traffic [][]int, nodeOf []int, t float64, elem Elem) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.get(phase)
-	p.Rounds++
-	p.CommTime += t
-	total := 0
-	sentLocal := make([]int, len(traffic))
-	recvLocal := make([]int, len(traffic))
-	sentInter := make([]int, len(traffic))
-	recvInter := make([]int, len(traffic))
-	for a, row := range traffic {
-		for b, v := range row {
-			if a == b || v <= 0 {
-				continue
-			}
-			p.Messages++
-			total += v
-			if nodeOf[a] == nodeOf[b] {
-				p.BytesPeer += v
-				sentLocal[a] += v
-				recvLocal[b] += v
-			} else {
-				p.BytesInterNode += v
-				sentInter[a] += v
-				recvInter[b] += v
-			}
-		}
-	}
-	tagElem(p, elem, total)
-	for d := range traffic {
-		dp := s.devGet(devs[d], phase)
-		dp.Rounds++
-		dp.Messages++
-		dp.BytesPeer += sentLocal[d] + recvLocal[d]
-		dp.BytesInterNode += sentInter[d] + recvInter[d]
-		tagElem(dp, elem, sentLocal[d]+recvLocal[d]+sentInter[d]+recvInter[d])
-		dp.CommTime += t
-	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: "peer", Bytes: total, Time: t})
-}
-
-// addCommTiered is addComm for a clustered context: the host round's
-// full volume stays on the D2H/H2D column (every byte crosses its own
-// node's local tier), while each remote-node device's share is
-// additionally charged to BytesInterNode — the second hop those bytes
-// take over the fabric to reach the root node's host.
-func (s *Stats) addCommTiered(phase string, dir direction, devs, bytes []int, nodeOf []int, t float64, elem Elem) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.get(phase)
-	p.Rounds++
-	p.Messages += len(bytes)
-	var total, inter int
-	for d, b := range bytes {
-		total += b
-		if nodeOf[d] != 0 {
-			inter += b
-		}
-	}
-	kind := "reduce"
-	if dir == dirD2H {
-		p.BytesD2H += total
-	} else {
-		p.BytesH2D += total
-		kind = "broadcast"
-	}
-	p.BytesInterNode += inter
-	tagElem(p, elem, total)
-	p.CommTime += t
-	for d, b := range bytes {
-		dp := s.devGet(devs[d], phase)
-		dp.Rounds++
-		dp.Messages++
-		if dir == dirD2H {
-			dp.BytesD2H += b
-		} else {
-			dp.BytesH2D += b
-		}
-		if nodeOf[d] != 0 {
-			dp.BytesInterNode += b
-		}
-		tagElem(dp, elem, b)
-		dp.CommTime += t
-	}
-	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: kind, Bytes: total, Time: t})
+	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: dirPeer.kind(), Bytes: total, Time: t})
 }
 
 // addFault charges fault-recovery overhead: t modeled seconds on the
@@ -534,100 +510,33 @@ func (s *Stats) Merge(other *Stats) {
 	}
 }
 
-// hasPeerTraffic reports whether any phase routed bytes peer-to-peer.
-// It gates the extra bytesP2P report column, so host-routed profiles
-// (the paper's machine, and every pre-profile golden) render exactly the
-// historical table.
-func (s *Stats) hasPeerTraffic() bool {
-	for _, name := range s.Phases() {
-		if s.Phase(name).BytesPeer > 0 {
-			return true
+// optionalCells renders one table row's share of the optional columns:
+// the headers when p is nil, p's counts otherwise.
+func optionalCells(cols []ByteColumn, p *PhaseStats) string {
+	var b strings.Builder
+	for _, c := range cols {
+		if p == nil {
+			fmt.Fprintf(&b, " %12s", c.header)
+		} else {
+			fmt.Fprintf(&b, " %12d", *c.field(p))
 		}
 	}
-	return false
+	return b.String()
 }
 
-// hasInterNodeTraffic reports whether any phase crossed the inter-node
-// fabric; it gates the bytesInter column the way hasPeerTraffic gates
-// bytesP2P, so single-node ledgers render the historical table.
-func (s *Stats) hasInterNodeTraffic() bool {
-	for _, name := range s.Phases() {
-		if s.Phase(name).BytesInterNode > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasFP32Traffic reports whether any phase moved FP32-width wire
-// volume; like hasPeerTraffic it gates the bytesFP32 report column, so
-// all-FP64 ledgers render exactly the historical table.
-func (s *Stats) hasFP32Traffic() bool {
-	for _, name := range s.Phases() {
-		if s.Phase(name).BytesFP32 > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasCompressedTraffic gates the bytesComp column the same way for
-// bfloat16-compressed transfers.
-func (s *Stats) hasCompressedTraffic() bool {
-	for _, name := range s.Phases() {
-		if s.Phase(name).BytesCompressed > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders a compact per-phase table. A bytesP2P column appears
-// only when some phase actually moved peer-to-peer traffic, a
-// bytesInter column only when some phase crossed the inter-node fabric,
-// and bytesFP32/bytesComp columns only when some transfer ran at a
-// reduced element width.
+// String renders a compact per-phase table. The optional byte columns
+// (ByteColumns) appear only on ledgers that moved such bytes, so the
+// paper's machine renders exactly the historical table.
 func (s *Stats) String() string {
 	var b strings.Builder
-	peer := s.hasPeerTraffic()
-	inter := s.hasInterNodeTraffic()
-	fp32 := s.hasFP32Traffic()
-	comp := s.hasCompressedTraffic()
-	peerHdr, peerCell := "", ""
-	interHdr, interCell := "", ""
-	fp32Hdr, fp32Cell := "", ""
-	compHdr, compCell := "", ""
-	if peer {
-		peerHdr = fmt.Sprintf(" %12s", "bytesP2P")
-	}
-	if inter {
-		interHdr = fmt.Sprintf(" %12s", "bytesInter")
-	}
-	if fp32 {
-		fp32Hdr = fmt.Sprintf(" %12s", "bytesFP32")
-	}
-	if comp {
-		compHdr = fmt.Sprintf(" %12s", "bytesComp")
-	}
-	fmt.Fprintf(&b, "%-10s %8s %8s %12s %12s%s%s%s%s %10s %10s %10s %8s %12s %10s\n",
-		"phase", "rounds", "msgs", "bytesD2H", "bytesH2D", peerHdr, interHdr, fp32Hdr, compHdr, "comm(ms)", "dev(ms)", "host(ms)",
+	cols := s.ByteColumns()
+	fmt.Fprintf(&b, "%-10s %8s %8s %12s %12s%s %10s %10s %10s %8s %12s %10s\n",
+		"phase", "rounds", "msgs", "bytesD2H", "bytesH2D", optionalCells(cols, nil), "comm(ms)", "dev(ms)", "host(ms)",
 		"kernels", "devflops", "Gflop/s")
 	for _, name := range s.Phases() {
 		p := s.Phase(name)
-		if peer {
-			peerCell = fmt.Sprintf(" %12d", p.BytesPeer)
-		}
-		if inter {
-			interCell = fmt.Sprintf(" %12d", p.BytesInterNode)
-		}
-		if fp32 {
-			fp32Cell = fmt.Sprintf(" %12d", p.BytesFP32)
-		}
-		if comp {
-			compCell = fmt.Sprintf(" %12d", p.BytesCompressed)
-		}
-		fmt.Fprintf(&b, "%-10s %8d %8d %12d %12d%s%s%s%s %10.3f %10.3f %10.3f %8d %12.3e %10.2f\n",
-			name, p.Rounds, p.Messages, p.BytesD2H, p.BytesH2D, peerCell, interCell, fp32Cell, compCell,
+		fmt.Fprintf(&b, "%-10s %8d %8d %12d %12d%s %10.3f %10.3f %10.3f %8d %12.3e %10.2f\n",
+			name, p.Rounds, p.Messages, p.BytesD2H, p.BytesH2D, optionalCells(cols, &p),
 			p.CommTime*1e3, p.DeviceTime*1e3, p.HostTime*1e3,
 			p.Kernels, p.DeviceFlops, p.DeviceGflops())
 	}
@@ -641,50 +550,19 @@ func (s *Stats) String() string {
 // Figures 6-8.
 func (s *Stats) DeviceString() string {
 	var b strings.Builder
-	peer := s.hasPeerTraffic()
-	inter := s.hasInterNodeTraffic()
-	fp32 := s.hasFP32Traffic()
-	comp := s.hasCompressedTraffic()
-	peerHdr, peerCell := "", ""
-	interHdr, interCell := "", ""
-	fp32Hdr, fp32Cell := "", ""
-	compHdr, compCell := "", ""
-	if peer {
-		peerHdr = fmt.Sprintf(" %12s", "bytesP2P")
-	}
-	if inter {
-		interHdr = fmt.Sprintf(" %12s", "bytesInter")
-	}
-	if fp32 {
-		fp32Hdr = fmt.Sprintf(" %12s", "bytesFP32")
-	}
-	if comp {
-		compHdr = fmt.Sprintf(" %12s", "bytesComp")
-	}
+	cols := s.ByteColumns()
 	nd := s.TrackedDevices()
 	for d := 0; d < nd; d++ {
 		fmt.Fprintf(&b, "device %d:\n", d)
-		fmt.Fprintf(&b, "  %-10s %8s %12s %12s%s%s%s%s %10s %10s %8s %10s\n",
-			"phase", "rounds", "bytesD2H", "bytesH2D", peerHdr, interHdr, fp32Hdr, compHdr, "comm(ms)", "dev(ms)", "kernels", "Gflop/s")
+		fmt.Fprintf(&b, "  %-10s %8s %12s %12s%s %10s %10s %8s %10s\n",
+			"phase", "rounds", "bytesD2H", "bytesH2D", optionalCells(cols, nil), "comm(ms)", "dev(ms)", "kernels", "Gflop/s")
 		for _, name := range s.Phases() {
 			p := s.DevicePhase(d, name)
 			if p == (PhaseStats{}) {
 				continue
 			}
-			if peer {
-				peerCell = fmt.Sprintf(" %12d", p.BytesPeer)
-			}
-			if inter {
-				interCell = fmt.Sprintf(" %12d", p.BytesInterNode)
-			}
-			if fp32 {
-				fp32Cell = fmt.Sprintf(" %12d", p.BytesFP32)
-			}
-			if comp {
-				compCell = fmt.Sprintf(" %12d", p.BytesCompressed)
-			}
-			fmt.Fprintf(&b, "  %-10s %8d %12d %12d%s%s%s%s %10.3f %10.3f %8d %10.2f\n",
-				name, p.Rounds, p.BytesD2H, p.BytesH2D, peerCell, interCell, fp32Cell, compCell,
+			fmt.Fprintf(&b, "  %-10s %8d %12d %12d%s %10.3f %10.3f %8d %10.2f\n",
+				name, p.Rounds, p.BytesD2H, p.BytesH2D, optionalCells(cols, &p),
 				p.CommTime*1e3, p.DeviceTime*1e3, p.Kernels, p.DeviceGflops())
 		}
 	}

@@ -22,9 +22,9 @@ func fillLedger(rng *rand.Rand, s *Stats, phases []string) {
 		phase := phases[rng.Intn(len(phases))]
 		switch rng.Intn(4) {
 		case 0:
-			s.addComm(phase, dirD2H, []int{0, 1, 2}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
+			s.addHostRound(phase, dirD2H, []int{0, 1, 2}, []int{0, 0, 0}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
 		case 1:
-			s.addComm(phase, dirH2D, []int{0, 1}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
+			s.addHostRound(phase, dirH2D, []int{0, 1}, []int{0, 0}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
 		case 2:
 			s.addCompute(phase, []int{0, 1}, []float64{dyadic(rng), dyadic(rng)}, []Work{
 				{Flops: float64(rng.Intn(1 << 20)), Bytes: float64(rng.Intn(1 << 20))},
@@ -172,7 +172,7 @@ func TestPerDeviceAttribution(t *testing.T) {
 
 	bytes := []int{100, 200, 300}
 	ctx.ReduceRound("mpk", bytes)
-	_, roundT := ctx.roundTime(bytes)
+	roundT := ctx.roundTime(bytes)
 	for d, b := range bytes {
 		got := ctx.Stats().DevicePhase(d, "mpk")
 		if got.BytesD2H != b || got.CommTime != roundT || got.Rounds != 1 || got.Messages != 1 {
@@ -216,65 +216,27 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 	}
 }
 
-func TestRoundTimeMultiNodeMaxProperty(t *testing.T) {
-	// The multi-node branch of roundTime charges the maximum of the PCIe
-	// path (local share) and the interconnect path (remote share), for
-	// any byte distribution — including the regimes where each side
-	// dominates.
-	model := MultiNode(M2090(), 2, 25e-6, 3e9)
-	ctx := NewContext(4, model)
-	rng := rand.New(rand.NewSource(42))
-	cases := [][]int{
-		{1 << 24, 1 << 24, 8, 8}, // huge local, tiny remote: PCIe dominates
-		{8, 8, 1 << 24, 1 << 24}, // tiny local, huge remote: interconnect dominates
-		{0, 0, 0, 0},             // pure latency
-		{1 << 20, 0, 0, 1 << 20}, // split
-		{0, 0, 1 << 10, 0},       // remote only
-	}
-	for trial := 0; trial < 200; trial++ {
-		cases = append(cases, []int{rng.Intn(1 << 22), rng.Intn(1 << 22), rng.Intn(1 << 22), rng.Intn(1 << 22)})
-	}
-	for _, bytes := range cases {
-		local := bytes[0] + bytes[1]
-		remote := bytes[2] + bytes[3]
-		total, got := ctx.roundTime(bytes)
-		if total != local+remote {
-			t.Fatalf("%v: total %d, want %d", bytes, total, local+remote)
-		}
-		pcie := model.Latency + float64(local)/model.Bandwidth
-		inter := model.InterLatency + float64(remote)/model.InterBandwidth
-		want := pcie
-		if inter > want {
-			want = inter
-		}
-		if got != want {
-			t.Fatalf("%v: round time %v, want max(pcie %v, inter %v)", bytes, got, pcie, inter)
-		}
-	}
-}
-
 func TestRoundTimeSingleNodeIgnoresInterconnect(t *testing.T) {
-	// Without DevicesPerNode the remote path never engages, even when
-	// interconnect constants are set.
-	model := M2090()
-	model.InterLatency = 1 // absurd, must be ignored
-	model.InterBandwidth = 1
-	ctx := NewContext(4, model)
-	bytes := []int{100, 200, 300, 400}
-	_, got := ctx.roundTime(bytes)
-	want := model.Latency + 1000/model.Bandwidth
+	// Without DevicesPerNode the profile is one node and the fabric leg
+	// never engages, even when fabric constants are set.
+	p := DefaultProfile(M2090())
+	p.Cluster.Fabric = Fabric{Latency: 1, Bandwidth: 1} // absurd, must be ignored
+	ctx := NewContextWithProfile(4, p)
+	got := ctx.roundTime([]int{100, 200, 300, 400})
+	want := p.Model.Latency + 1000/p.Model.Bandwidth
 	if got != want {
 		t.Fatalf("single-node round time %v, want %v", got, want)
 	}
 }
 
 func TestRoundTimeAllDevicesWithinNode(t *testing.T) {
-	// DevicesPerNode >= len(bytes): everything is local, the interconnect
-	// branch must not fire even though the model is multi-node.
-	model := MultiNode(M2090(), 8, 25e-6, 3e9)
-	ctx := NewContext(4, model)
-	_, got := ctx.roundTime([]int{10, 20, 30, 40})
-	want := model.Latency + 100/model.Bandwidth
+	// DevicesPerNode >= device count: everything is local, the fabric leg
+	// must not fire even though the profile is clustered.
+	p := DefaultProfile(M2090())
+	p.Cluster = Cluster{DevicesPerNode: 8, Fabric: Fabric{Latency: 25e-6, Bandwidth: 3e9}}
+	ctx := NewContextWithProfile(4, p)
+	got := ctx.roundTime([]int{10, 20, 30, 40})
+	want := p.Model.Latency + 100/p.Model.Bandwidth
 	if got != want {
 		t.Fatalf("intra-node round time %v, want %v", got, want)
 	}

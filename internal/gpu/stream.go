@@ -209,12 +209,15 @@ func (tl *Timeline) kernel(phase string, devs []int, ts []float64, barrier bool,
 	return StreamEvent{at: ev}
 }
 
-// comm submits one communication round of duration t (+stall of faulted
+// transferOp submits one transfer round of duration t (+stall of faulted
 // retries) occupying the transfer streams of the participating devices.
-// A device-to-host round delivers its payload to the host at its finish
-// (advancing hostData); a host-to-device round cannot start before the
-// host holds the data it relays (start >= hostData).
-func (tl *Timeline) comm(phase string, h2d bool, devs []int, t, stall float64, barrier bool, after []StreamEvent) StreamEvent {
+// dir is the host's role in it: a device-to-host round delivers its
+// payload to the host at its finish (advancing hostData); a
+// host-to-device round cannot start before the host holds the data it
+// relays (start >= hostData); a peer round keeps the host off the path —
+// it neither waits for hostData nor advances it, the whole point of peer
+// routing.
+func (tl *Timeline) transferOp(phase string, dir direction, devs []int, t, stall float64, barrier bool, after []StreamEvent) StreamEvent {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	dur := t + stall
@@ -229,7 +232,7 @@ func (tl *Timeline) comm(phase string, h2d bool, devs []int, t, stall float64, b
 				start = c
 			}
 		}
-		if h2d && tl.hostData > start {
+		if dir == dirH2D && tl.hostData > start {
 			start = tl.hostData
 		}
 	}
@@ -240,40 +243,8 @@ func (tl *Timeline) comm(phase string, h2d bool, devs []int, t, stall float64, b
 	}
 	if barrier || !tl.overlap {
 		tl.advanceAllLocked(fin)
-	} else if !h2d && fin > tl.hostData {
+	} else if dir == dirD2H && fin > tl.hostData {
 		tl.hostData = fin
-	}
-	tl.serial += dur
-	return StreamEvent{at: fin}
-}
-
-// peer submits one peer-to-peer exchange round of duration t (+stall of
-// faulted retries) occupying the transfer streams of every participating
-// device. Unlike comm, the host is not on the path: the round neither
-// waits for hostData nor advances it — the whole point of peer routing.
-func (tl *Timeline) peer(phase string, devs []int, t, stall float64, barrier bool, after []StreamEvent) StreamEvent {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	dur := t + stall
-	start := depMax(after)
-	if barrier || !tl.overlap {
-		if m := tl.maxAllLocked(); m > start {
-			start = m
-		}
-	} else {
-		for _, d := range devs {
-			if c := cursorAt(&tl.transfer, d); c > start {
-				start = c
-			}
-		}
-	}
-	fin := start + dur
-	for _, d := range devs {
-		setCursor(&tl.transfer, d, fin)
-		tl.lanes[laneKey{LaneTransfer, d, phase}] += t
-	}
-	if barrier || !tl.overlap {
-		tl.advanceAllLocked(fin)
 	}
 	tl.serial += dur
 	return StreamEvent{at: fin}

@@ -64,7 +64,7 @@ func workload(c *gpu.Context) {
 	ev := c.ReduceRoundOn("orth", uniform(2048), c.ComputeFence())
 	c.DeviceKernelOn("orth", work, ev)
 	c.HostComputeOn("lsq", 1e5)
-	c.HaloExchangeOn("mpk", uniform(1024), uniform(3072), ringTraffic(ng, 1024))
+	c.HaloExchangeElemOn("mpk", uniform(1024), uniform(3072), ringTraffic(ng, 1024), gpu.Elem64)
 }
 
 // ringTraffic builds a neighbor-exchange traffic matrix: every device
