@@ -15,10 +15,16 @@ var (
 )
 
 // CollectStats folds a gpu.Stats ledger into the registry: per-phase
-// time/byte/round counters and the per-device breakdowns. Calling it
-// again with the same ledger would double-count — collect once per
+// time/byte/round counters and the per-device breakdowns. The ledger's
+// optional byte columns follow the report tables' rule — a series exists
+// only on ledgers where some phase moved such bytes, so a host-routed
+// FP64 scrape is unchanged: peer and inter-node volume as further dir
+// values of gpu_phase_bytes_total, reduced-width volume (a tag on bytes
+// the dir series already count) as gpu_phase_width_bytes_total. Calling
+// it again with the same ledger would double-count — collect once per
 // solve, or merge ledgers first.
 func CollectStats(r *Registry, s *gpu.Stats) {
+	cols := s.ByteColumns()
 	for _, name := range s.Phases() {
 		p := s.Phase(name)
 		l := L("phase", name)
@@ -33,6 +39,15 @@ func CollectStats(r *Registry, s *gpu.Stats) {
 			L("phase", name, "dir", "d2h")).Add(float64(p.BytesD2H))
 		r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
 			L("phase", name, "dir", "h2d")).Add(float64(p.BytesH2D))
+		for _, c := range cols {
+			if c.Width == gpu.Elem64 {
+				r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
+					L("phase", name, "dir", c.Label)).Add(float64(c.Of(p)))
+			} else {
+				r.CounterL("gpu_phase_width_bytes_total", "Transferred bytes per phase that traveled at a reduced element width.",
+					L("phase", name, "width", c.Label)).Add(float64(c.Of(p)))
+			}
+		}
 	}
 	for d := 0; d < s.TrackedDevices(); d++ {
 		dev := strconv.Itoa(d)
@@ -58,7 +73,7 @@ func CollectStats(r *Registry, s *gpu.Stats) {
 func ObserveTrace(r *Registry, events []gpu.Event) {
 	for _, e := range events {
 		switch e.Kind {
-		case "reduce", "broadcast":
+		case "reduce", "broadcast", "peer":
 			r.HistogramL("gpu_transfer_bytes", "Per-round transfer sizes.",
 				transferBuckets, L("dir", dirLabel(e.Kind))).Observe(float64(e.Bytes))
 		case "kernel":
@@ -69,8 +84,11 @@ func ObserveTrace(r *Registry, events []gpu.Event) {
 }
 
 func dirLabel(kind string) string {
-	if kind == "reduce" {
+	switch kind {
+	case "reduce":
 		return "d2h"
+	case "peer":
+		return "p2p"
 	}
 	return "h2d"
 }
