@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,6 +24,7 @@ const (
 	codeBadRequest       = "bad_request"
 	codeNotFound         = "not_found"
 	codeMethodNotAllowed = "method_not_allowed"
+	codeRequestTooLarge  = "request_too_large"
 	// codeNoBackend: the router has no backends configured at all.
 	codeNoBackend = "no_backend"
 	// codeHopLimit: the forwarding hop budget ran out with candidate
@@ -525,8 +527,13 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		r.reject(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	body, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			r.reject(w, http.StatusRequestEntityTooLarge, codeRequestTooLarge, err.Error())
+			return
+		}
 		r.reject(w, http.StatusBadRequest, codeBadRequest, "read body: "+err.Error())
 		return
 	}

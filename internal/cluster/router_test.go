@@ -443,3 +443,33 @@ func TestRendezvousStability(t *testing.T) {
 		t.Errorf("%d keys moved that were not on the removed backend", moved)
 	}
 }
+
+// TestRouterBodyLimit: the router refuses a solve body over
+// server.MaxBodyBytes itself — a counted reject, nothing forwarded —
+// and still routes one exactly at the limit.
+func TestRouterBodyLimit(t *testing.T) {
+	r, _ := newTestCluster(t, 2)
+	doc := solveBody(t, tinySpec())
+	padded := func(size int) []byte {
+		return append(bytes.Repeat([]byte(" "), size-len(doc)), doc...)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(padded(server.MaxBodyBytes+1)))
+	rec := httptest.NewRecorder()
+	r.ServeHTTP(rec, req)
+	var rej errorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
+		t.Fatalf("oversized body: HTTP %d, undecodable rejection %q: %v", rec.Code, rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || rej.Code != codeRequestTooLarge {
+		t.Fatalf("oversized body: HTTP %d code %q, want 413 %s", rec.Code, rej.Code, codeRequestTooLarge)
+	}
+	if solves, _, rejects := r.Counts(); solves != 0 || rejects != 1 {
+		t.Fatalf("oversized body: %d solves forwarded, %d rejects; want 0 and 1", solves, rejects)
+	}
+
+	code, job, _ := post(t, r, padded(server.MaxBodyBytes))
+	if code != http.StatusOK || !job.Converged {
+		t.Fatalf("body at the limit: HTTP %d, job %+v", code, job)
+	}
+}

@@ -11,26 +11,9 @@ import (
 	"cagmres/internal/server"
 )
 
-// ShardKey derives the routing key of a solve request from its matrix
-// spec, mirroring the server's matrix-cache key exactly: requests for
-// the same matrix land on the same backend, which is what makes them
-// batchable into shared leases there.
-func ShardKey(spec server.MatrixSpec) (string, error) {
-	switch {
-	case spec.MatrixMarket != "":
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(spec.MatrixMarket))
-		return fmt.Sprintf("mm:%x", h.Sum64()), nil
-	case spec.Name != "":
-		scale := spec.Scale
-		if scale == 0 {
-			scale = 0.01
-		}
-		return fmt.Sprintf("gen:%s@%g", spec.Name, scale), nil
-	default:
-		return "", fmt.Errorf("matrix spec needs name or matrixmarket")
-	}
-}
+// ShardKey is the routing key of a solve request: the server's own
+// matrix key, so requests for the same matrix land on the same backend.
+func ShardKey(spec server.MatrixSpec) (string, error) { return spec.Key() }
 
 // ShardMap is the optional routing override config the router loads at
 // startup (-shard-map): explicit key pinning plus per-backend rendezvous

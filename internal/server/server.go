@@ -92,6 +92,31 @@ type MatrixSpec struct {
 	MatrixMarket string  `json:"matrixmarket,omitempty"`
 }
 
+// scale returns the generator scale, defaulted when the spec names none.
+func (m MatrixSpec) scale() float64 {
+	if m.Scale == 0 {
+		return 0.01
+	}
+	return m.Scale
+}
+
+// Key returns the identity of the matrix the spec describes: the key of
+// the server's matrix cache and of the scheduler's batches, and the
+// routing key of the cluster tier — requests for the same matrix land on
+// the same backend, which is what makes them batchable into shared
+// leases there.
+func (m MatrixSpec) Key() (string, error) {
+	switch {
+	case m.MatrixMarket != "":
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(m.MatrixMarket))
+		return fmt.Sprintf("mm:%x", h.Sum64()), nil
+	case m.Name != "":
+		return fmt.Sprintf("gen:%s@%g", m.Name, m.scale()), nil
+	}
+	return "", fmt.Errorf("matrix spec needs name or matrixmarket")
+}
+
 // JobJSON is the wire form of a job, returned by POST /solve and
 // GET /jobs/{id}.
 type JobJSON struct {
@@ -221,7 +246,15 @@ const (
 	// codeNumericalBreakdown: the solve hit NaN/±Inf and no retry will
 	// behave differently — a client-data error, not a server fault.
 	codeNumericalBreakdown = "numerical_breakdown"
+	// codeRequestTooLarge: the solve body exceeds MaxBodyBytes.
+	codeRequestTooLarge = "request_too_large"
 )
+
+// MaxBodyBytes bounds the body of POST /solve, on the daemon and on the
+// router in front of it: no client can make either buffer more than this
+// for one request. 64 MiB holds an inline MatrixMarket matrix of a few
+// million entries; larger systems are named, not shipped.
+const MaxBodyBytes = 64 << 20
 
 // Server routes HTTP traffic to a scheduler.
 type Server struct {
@@ -333,20 +366,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // makes them batchable (sched matches on the key, the solve reads the
 // shared matrix).
 func (s *Server) matrix(spec MatrixSpec) (*sparse.CSR, string, error) {
-	var key string
-	switch {
-	case spec.MatrixMarket != "":
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(spec.MatrixMarket))
-		key = fmt.Sprintf("mm:%x", h.Sum64())
-	case spec.Name != "":
-		scale := spec.Scale
-		if scale == 0 {
-			scale = 0.01
-		}
-		key = fmt.Sprintf("gen:%s@%g", spec.Name, scale)
-	default:
-		return nil, "", fmt.Errorf("matrix spec needs name or matrixmarket")
+	key, err := spec.Key()
+	if err != nil {
+		return nil, "", err
 	}
 	s.mu.Lock()
 	a, ok := s.cache[key]
@@ -354,16 +376,11 @@ func (s *Server) matrix(spec MatrixSpec) (*sparse.CSR, string, error) {
 	if ok {
 		return a, key, nil
 	}
-	var err error
 	if spec.MatrixMarket != "" {
 		a, err = sparse.ReadMatrixMarket(strings.NewReader(spec.MatrixMarket))
 	} else {
-		scale := spec.Scale
-		if scale == 0 {
-			scale = 0.01
-		}
 		var m *matgen.Matrix
-		m, err = matgen.ByName(spec.Name, scale)
+		m, err = matgen.ByName(spec.Name, spec.scale())
 		if m != nil {
 			a = m.A
 		}
@@ -398,7 +415,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Code: codeRequestTooLarge, Error: err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -537,3 +537,42 @@ func TestProfileOverHTTP(t *testing.T) {
 		t.Fatalf("healthz machine = %q/%q, want m2090/host-hub", hz.Profile, hz.Topology)
 	}
 }
+
+// paddedBody renders req as JSON behind enough leading whitespace to
+// make the body exactly size bytes: the decoder has to read all of it.
+func paddedBody(t *testing.T, req SolveRequest, size int) []byte {
+	t.Helper()
+	doc, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(bytes.Repeat([]byte(" "), size-len(doc)), doc...)
+}
+
+// TestSolveBodyLimit: a body one byte over MaxBodyBytes is refused with
+// a structured 413 before anything is built from it; a body exactly at
+// the limit still decodes and solves.
+func TestSolveBodyLimit(t *testing.T) {
+	h := newHarness(t, 16)
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)))
+		return rec
+	}
+	req := solveReq(testN(t), 0, true)
+
+	rec := post(paddedBody(t, req, MaxBodyBytes+1))
+	var rej errorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
+		t.Fatalf("oversized body: HTTP %d, undecodable rejection %q: %v", rec.Code, rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || rej.Code != codeRequestTooLarge {
+		t.Fatalf("oversized body: HTTP %d code %q, want 413 %s", rec.Code, rej.Code, codeRequestTooLarge)
+	}
+
+	rec = post(paddedBody(t, req, MaxBodyBytes))
+	var job JobJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || rec.Code != http.StatusOK || !job.Converged {
+		t.Fatalf("body at the limit: HTTP %d, job %+v (%v)", rec.Code, job, err)
+	}
+}
