@@ -27,20 +27,6 @@ func BenchmarkCSRSpMV(b *testing.B) {
 	}
 }
 
-func BenchmarkCSRSpMVParallel(b *testing.B) {
-	a := benchCSR(1<<16, 8)
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = 1 / float64(i+1)
-	}
-	b.SetBytes(int64(a.NNZ() * 12))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecParallel(y, x)
-	}
-}
-
 func BenchmarkELLSpMV(b *testing.B) {
 	a := benchCSR(1<<16, 8)
 	e := ToELL(a)
