@@ -36,14 +36,17 @@
 # and `make bench-compare OLD=a.json NEW=b.json` judges two of its suite
 # documents against each other (exit 1 on a regression). `make loc`
 # prints non-test Go lines per package (benchmark/ excluded) — the
-# "line count goes down" bar as a command. `make bench-kernels` times
+# "line count goes down" bar as a command — and `make surface` the
+# exported identifiers per package (every constant, function, type,
+# method and struct field a caller can reach), the same bar for API and
+# options. `make bench-kernels` times
 # the three host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
 # GemmTN) and one MPK window at the two shapes the benchmark solves
 # (that they allocate nothing is a test: `make test`, so `make check`).
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc
+.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
 
 check: vet staticcheck race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
@@ -196,3 +199,7 @@ bench-kernels:
 # Non-test Go lines per package, benchmark/ excluded.
 loc:
 	@sh scripts/loc.sh
+
+# Exported identifiers per library package.
+surface:
+	@GO="$(GO)" sh scripts/surface.sh
