@@ -86,29 +86,16 @@ func pathsReport(b *strings.Builder, c *Context) {
 // pathsArm runs one arm and appends its report; a panic out of the
 // workload (a transfer-fault stream that exhausts its retries) is part
 // of the pinned behaviour, not a test failure.
-func pathsArm(b *strings.Builder, variant string, p Profile, elem Elem, overlap bool) {
+func pathsArm(t *testing.T, b *strings.Builder, variant string, p Profile, elem Elem, overlap bool) {
 	fmt.Fprintf(b, "=== %s %s nodes-of-%d %s overlap=%v ===\n", variant, p.Topo.Kind, p.Cluster.DevicesPerNode, elem, overlap)
 	root := NewContextWithProfile(4, p)
 	root.SetOverlap(overlap)
 	c := root
 	switch variant {
 	case "survivors":
-		// Device 1 dies at the first charge; the workload then runs on the
-		// three survivors (physical 0, 2, 3 — nodes 0, 1, 1 when clustered).
-		root.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
-		func() {
-			defer func() {
-				if _, ok := recover().(*DeviceLostError); !ok {
-					panic("ledger paths: expected a DeviceLostError")
-				}
-			}()
-			root.ReduceRound("reduce", []int{8, 8, 8, 8})
-		}()
-		view, err := root.Survivors()
-		if err != nil {
-			panic(err)
-		}
-		c = view
+		// The workload runs on the three survivors of device 1's death
+		// (physical 0, 2, 3 — nodes 0, 1, 1 when clustered).
+		c = surviving(t, root, 1)
 	case "faults":
 		root.InjectFaults(FaultPlan{Seed: 7, TransferFaultProb: 0.3, MaxTransferFaults: 6})
 	}
@@ -130,7 +117,7 @@ func TestLedgerPathsGolden(t *testing.T) {
 			for _, perNode := range []int{0, 2} {
 				for _, elem := range []Elem{Elem64, Elem32, ElemBF16} {
 					for _, overlap := range []bool{false, true} {
-						pathsArm(&b, variant, pathsProfile(kind, perNode), elem, overlap)
+						pathsArm(t, &b, variant, pathsProfile(kind, perNode), elem, overlap)
 					}
 				}
 			}

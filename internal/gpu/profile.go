@@ -79,8 +79,8 @@ type Profile struct {
 	Name  string
 	Model CostModel
 	Topo  Topology
-	// Cluster, when enabled, makes the profile a two-tier machine: the
-	// zero value keeps the single-node charging paths byte-identical.
+	// Cluster, when enabled, groups the devices into nodes joined by a
+	// fabric; the zero value is one node holding every device.
 	Cluster Cluster
 	// BF16Transfer declares that the machine's interconnect can ship
 	// bfloat16-compressed payloads (peer copy engines / RDMA fabrics

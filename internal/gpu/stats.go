@@ -60,7 +60,13 @@ func (p PhaseStats) Total() float64 { return p.CommTime + p.DeviceTime + p.HostT
 // directions, peer-to-peer, and the inter-node fabric. A byte that hops
 // two tiers (node-local then fabric) counts once per wire it crossed.
 func (p PhaseStats) Bytes() int {
-	return p.BytesD2H + p.BytesH2D + p.BytesPeer + p.BytesInterNode
+	total := p.BytesD2H + p.BytesH2D
+	for _, c := range byteColumns {
+		if c.Width == Elem64 { // a path; the width columns tag bytes already counted
+			total += c.Of(p)
+		}
+	}
+	return total
 }
 
 // DeviceGflops returns the achieved device compute rate of the phase in
@@ -481,10 +487,9 @@ func addInto(p, op *PhaseStats) {
 	p.Messages += op.Messages
 	p.BytesD2H += op.BytesD2H
 	p.BytesH2D += op.BytesH2D
-	p.BytesPeer += op.BytesPeer
-	p.BytesInterNode += op.BytesInterNode
-	p.BytesFP32 += op.BytesFP32
-	p.BytesCompressed += op.BytesCompressed
+	for _, c := range byteColumns {
+		*c.field(p) += *c.field(op)
+	}
 	p.CommTime += op.CommTime
 	p.DeviceTime += op.DeviceTime
 	p.DeviceFlops += op.DeviceFlops

@@ -35,14 +35,15 @@ func CollectStats(r *Registry, s *gpu.Stats) {
 		r.CounterL("gpu_phase_messages_total", "Per-device messages per phase.", l).Add(float64(p.Messages))
 		r.CounterL("gpu_phase_kernels_total", "Device kernel launches per phase.", l).Add(float64(p.Kernels))
 		r.CounterL("gpu_phase_device_flops_total", "Device flops per phase, summed over devices.", l).Add(p.DeviceFlops)
-		r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
-			L("phase", name, "dir", "d2h")).Add(float64(p.BytesD2H))
-		r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
-			L("phase", name, "dir", "h2d")).Add(float64(p.BytesH2D))
+		dirBytes := func(dir string, bytes int) {
+			r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
+				L("phase", name, "dir", dir)).Add(float64(bytes))
+		}
+		dirBytes("d2h", p.BytesD2H)
+		dirBytes("h2d", p.BytesH2D)
 		for _, c := range cols {
 			if c.Width == gpu.Elem64 {
-				r.CounterL("gpu_phase_bytes_total", "Transferred bytes per phase and direction.",
-					L("phase", name, "dir", c.Label)).Add(float64(c.Of(p)))
+				dirBytes(c.Label, c.Of(p))
 			} else {
 				r.CounterL("gpu_phase_width_bytes_total", "Transferred bytes per phase that traveled at a reduced element width.",
 					L("phase", name, "width", c.Label)).Add(float64(c.Of(p)))
