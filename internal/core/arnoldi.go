@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"sort"
 
+	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 )
 
@@ -38,7 +39,9 @@ func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, e
 	}
 	s := min(max(opts.S, 1), m)
 
-	v0 := make([]float64, n)
+	ws := ctx.TakeWorkspace()
+	defer ws.Release()
+	v0 := ws.Floats(gpu.HostDevice, n)
 	if start != nil {
 		if len(start) != n {
 			return nil, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
@@ -53,8 +56,7 @@ func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, e
 	}
 	la.Scal(1/nrm, v0)
 
-	kr := newKrylov(p, m, s)
-	defer putScratch(kr.sc)
+	kr := newKrylov(p, ws, m, s)
 	kr.V.SetColFromHost(0, v0)
 	h := la.NewDense(m+1, m)
 	steps := 0

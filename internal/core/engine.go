@@ -48,8 +48,8 @@ type boundaryKeeper interface {
 	finish(res *Result) string
 }
 
-// krylov is the workspace a basis is built in. The solvers reach it
-// through the engine; RitzValues uses it bare.
+// krylov is what a basis is built in. The solvers reach it through the
+// engine; RitzValues uses it bare.
 type krylov struct {
 	ctx *gpu.Context
 	m   int
@@ -58,16 +58,18 @@ type krylov struct {
 	sc  *cycleScratch
 }
 
-// newKrylov sets up the workspace for restart length m. One depth-s
+// newKrylov builds the basis storage for restart length m in ws, the
+// workspace the caller took from p.Ctx and releases when it returns:
+// nothing that outlives the caller may point into it. One depth-s
 // distribution serves the matrix powers kernel and, read up to its
-// owned-row prefix, every plain SpMV. The caller putScratch-es kr.sc.
-func newKrylov(p *Problem, m, s int) *krylov {
+// owned-row prefix, every plain SpMV.
+func newKrylov(p *Problem, ws *gpu.Workspace, m, s int) *krylov {
 	return &krylov{
 		ctx: p.Ctx,
 		m:   m,
-		mpk: dist.NewMPK(p.distributed(s)),
-		V:   dist.NewVectors(p.Ctx, p.Layout, m+1),
-		sc:  getScratch(m, p.Ctx.NumDevices),
+		mpk: dist.NewMPKIn(ws, p.distributed(s)),
+		V:   dist.NewVectorsIn(ws, p.Ctx, p.Layout, m+1),
+		sc:  newScratch(ws, m, p.Ctx.NumDevices),
 	}
 }
 
@@ -166,20 +168,23 @@ type engine struct {
 
 // attempt is one solve attempt on the problem's current device context,
 // resuming from the checkpoint when one is captured; guardFaults makes it
-// the solvers' recovery boundary. It does not reset the ledger —
-// solveHealing owns it.
+// the solvers' recovery boundary. The attempt lives in the context's
+// workspace and gives it back however it ends (a device-loss panic
+// included); what it returns — and what it leaves in ck — is copied out.
+// It does not reset the ledger — solveHealing owns it.
 func attempt(p *Problem, opts *Options, solver string, depth int, s cycler, ck *checkpoint) (res *Result, err error) {
 	defer guardFaults(&err)
+	ws := p.Ctx.TakeWorkspace()
+	defer ws.Release()
 	e := &engine{
-		krylov: newKrylov(p, opts.M, depth),
+		krylov: newKrylov(p, ws, opts.M, depth),
 		p:      p,
 		opts:   opts,
-		W:      dist.NewVectors(p.Ctx, p.Layout, 3),
+		W:      dist.NewVectorsIn(ws, p.Ctx, p.Layout, 3),
 		em:     newEmitter(opts.Telemetry, solver, p.Ctx),
 		bNorm:  la.Nrm2(p.B),
 		res:    &Result{Stats: p.Ctx.Stats()},
 	}
-	defer putScratch(e.sc)
 	e.W.SetColFromHost(1, p.B)
 	return e.drive(ck, s)
 }

@@ -1,22 +1,18 @@
 package core
 
 import (
-	"sync"
-
+	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 )
 
-// cycleScratch pools the per-restart work buffers of the solvers' hot
+// cycleScratch holds the per-restart work buffers of the solvers' hot
 // loops: the current Hessenberg column, the host-side reduction combine
 // buffer, the per-device partials of the fused CGS kernel, the byte
-// vectors of the communication rounds and the incremental Givens solver.
-// Before pooling, every restart cycle reallocated all of these (one
-// Hessenberg column and one combine buffer per inner iteration, a Givens
-// solver per restart) — on a leased context solving many small systems
-// the garbage added up. A scratch is fetched once per solve attempt and
-// returned when it finishes.
+// vector of the communication rounds and the incremental Givens solver.
+// One is built per solve attempt — the float buffers in the attempt's
+// workspace, host-side ones in the host's memory and each device's
+// partials in its own — and every restart cycle of the attempt reuses it.
 type cycleScratch struct {
-	m, ng int
 	hcol  []float64   // m+2 entries: the Hessenberg column being built
 	sum   []float64   // m+2 entries: host-side combine of device partials
 	bytes []int       // per-device byte vector for comm rounds
@@ -24,39 +20,21 @@ type cycleScratch struct {
 	giv   *la.GivensQR
 }
 
-var scratchPool sync.Pool
-
-// getScratch fetches a scratch able to serve restart length m on ng
-// devices, allocating only when the pool has nothing big enough.
-func getScratch(m, ng int) *cycleScratch {
-	if v := scratchPool.Get(); v != nil {
-		sc := v.(*cycleScratch)
-		if sc.m >= m && sc.ng >= ng {
-			return sc
-		}
-		// Too small for this solve; drop it and build a bigger one.
-	}
+// newScratch builds the scratch for restart length m on ng devices in ws.
+func newScratch(ws *gpu.Workspace, m, ng int) *cycleScratch {
 	sc := &cycleScratch{
-		m:     m,
-		ng:    ng,
-		hcol:  make([]float64, m+2),
-		sum:   make([]float64, m+2),
+		hcol:  ws.Floats(gpu.HostDevice, m+2),
+		sum:   ws.Floats(gpu.HostDevice, m+2),
 		bytes: make([]int, ng),
 		dev:   make([][]float64, ng),
 	}
 	for d := range sc.dev {
-		sc.dev[d] = make([]float64, m+2)
+		sc.dev[d] = ws.Floats(d, m+2)
 	}
 	return sc
 }
 
-func putScratch(sc *cycleScratch) {
-	if sc != nil {
-		scratchPool.Put(sc)
-	}
-}
-
-// givens returns the pooled incremental Givens solver, reset for a new
+// givens returns the scratch's incremental Givens solver, reset for a new
 // restart cycle with initial residual beta.
 func (sc *cycleScratch) givens(m int, beta float64) *la.GivensQR {
 	if sc.giv == nil || sc.giv.Size() < m {

@@ -4,51 +4,14 @@ import (
 	"testing"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/matgen"
 )
 
-// TestScratchPoolRoundTrip: a returned scratch big enough for the next
-// request must be reused, and an undersized one replaced by a larger
-// allocation.
-func TestScratchPoolRoundTrip(t *testing.T) {
-	sc := getScratch(20, 3)
-	// A pooled scratch from an earlier solve may be larger; never smaller.
-	if len(sc.hcol) < 22 || len(sc.sum) < 22 || len(sc.bytes) < 3 || len(sc.dev) < 3 {
-		t.Fatalf("scratch sizes: hcol %d sum %d bytes %d dev %d",
-			len(sc.hcol), len(sc.sum), len(sc.bytes), len(sc.dev))
-	}
-	sc.hcol[0] = 99 // marker
-	putScratch(sc)
-	// Drain the pool until our marked scratch comes back (the pool may
-	// hold scratches from other tests in the package).
-	var got *cycleScratch
-	for i := 0; i < 64; i++ {
-		s2 := getScratch(10, 2)
-		if s2.hcol[0] == 99 {
-			got = s2
-			break
-		}
-	}
-	if got == nil {
-		t.Skip("pool dropped the scratch (allowed by sync.Pool semantics)")
-	}
-	if &got.hcol[0] != &sc.hcol[0] {
-		t.Fatal("reused scratch does not share storage")
-	}
-	// An oversized request must allocate fresh buffers.
-	putScratch(got)
-	big := getScratch(100, 4)
-	if len(big.hcol) < 102 || len(big.bytes) < 4 {
-		t.Fatalf("oversized request got hcol %d bytes %d", len(big.hcol), len(big.bytes))
-	}
-	putScratch(big)
-}
-
-// TestScratchGivensReuse: the pooled Givens solver must reset cleanly —
+// TestScratchGivensReuse: the scratch's Givens solver must reset cleanly —
 // a second cycle through the same scratch reproduces a fresh solver's
 // results exactly.
 func TestScratchGivensReuse(t *testing.T) {
-	sc := getScratch(8, 1)
-	defer putScratch(sc)
+	sc := newScratch(&gpu.Workspace{}, 8, 1)
 	col0 := []float64{2, 1}
 	col1 := []float64{0.5, -1, 3}
 	g1 := sc.givens(8, 1.5)
@@ -72,38 +35,44 @@ func TestScratchGivensReuse(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAllocFree: fetching a pooled scratch and its Givens
-// solver must not allocate on the reuse path.
-func TestScratchReuseAllocFree(t *testing.T) {
-	putScratch(getScratch(30, 3)) // prime the pool
-	allocs := testing.AllocsPerRun(100, func() {
-		sc := getScratch(30, 3)
-		sc.givens(30, 1)
-		putScratch(sc)
-	})
-	// Allow a stray allocation for pool bookkeeping under the race
-	// detector, but the buffers themselves must not be reallocated.
-	if allocs > 1 {
-		t.Fatalf("scratch reuse allocates %.1f times per run", allocs)
-	}
-}
-
-// BenchmarkRestartAllocs reports allocs/op for one full extra restart of
-// the CA solver, the figure the scratch pool shrinks: work vectors no
-// longer scale with the restart count.
-func BenchmarkRestartAllocs(b *testing.B) {
-	a := laplace2D(20, 20, 0.3)
-	rhs := randomRHS(400, 7)
-	ctx := gpu.NewContext(3, gpu.M2090())
-	p, err := NewProblem(ctx, a, rhs, KWay, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CAGMRES(p, Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR"}); err != nil {
+// BenchmarkSolveAllocs reports B/op and allocs/op of one whole solve on a
+// prepared problem and a warm context, at the benchmark's two shapes
+// (dielFilterV2real@0.004 natural, G3_circuit@0.05 k-way; 3 devices):
+// what is left is per-iteration bookkeeping, and a regression in it is
+// one `make bench-kernels` away from attribution.
+func BenchmarkSolveAllocs(b *testing.B) {
+	for _, shape := range []struct {
+		matrix   string
+		scale    float64
+		ordering Ordering
+	}{
+		{"dielFilterV2real", 0.004, Natural},
+		{"G3_circuit", 0.05, KWay},
+	} {
+		mat, err := matgen.ByName(shape.matrix, shape.scale)
+		if err != nil {
 			b.Fatal(err)
+		}
+		p, err := NewProblem(gpu.NewContext(3, gpu.M2090()), mat.A, randomRHS(mat.A.Rows, 7), shape.ordering, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arm := range []solveArm{
+			{"CAGMRES(15,60)", CAGMRES, Options{M: 60, S: 15}},
+			{"GMRES(60)", GMRES, Options{M: 60}},
+		} {
+			b.Run(shape.matrix+"/"+arm.name, func(b *testing.B) {
+				if _, err := arm.solve(p, arm.opts); err != nil { // grows the workspace
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := arm.solve(p, arm.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -85,14 +85,26 @@ type Vectors struct {
 	Local  []*la.Dense // Local[d] is OwnCount(d) x Cols
 }
 
-// NewVectors allocates a distributed multivector of the given width.
+// heap is the memory source of NewVectors and NewMPK: objects their
+// caller may hold across solves.
+var heap gpu.Workspace
+
+// NewVectors allocates a distributed multivector of the given width on
+// the heap: the caller keeps it as long as it likes.
 func NewVectors(ctx *gpu.Context, l *Layout, cols int) *Vectors {
+	return NewVectorsIn(&heap, ctx, l, cols)
+}
+
+// NewVectorsIn builds the multivector in ws, device d's block in device
+// d's memory, zeroed: it is valid until ws is released.
+func NewVectorsIn(ws *gpu.Workspace, ctx *gpu.Context, l *Layout, cols int) *Vectors {
 	if ctx.NumDevices != l.NumDevices() {
 		panic(fmt.Sprintf("dist: context has %d devices, layout %d", ctx.NumDevices, l.NumDevices()))
 	}
 	v := &Vectors{Ctx: ctx, Layout: l, Cols: cols, Local: make([]*la.Dense, l.NumDevices())}
 	for d := range v.Local {
-		v.Local[d] = la.NewDense(l.OwnCount(d), cols)
+		rows := l.OwnCount(d)
+		v.Local[d] = &la.Dense{Rows: rows, Cols: cols, Stride: rows, Data: ws.Floats(d, rows*cols)}
 	}
 	return v
 }

@@ -9,17 +9,6 @@ import (
 	"cagmres/internal/la"
 )
 
-// mpkWorkspace holds the per-device rotating extended vectors z of the
-// matrix powers kernel. Three buffers are kept (not the paper's two)
-// because the real-arithmetic Newton recurrence for a complex conjugate
-// shift pair needs the vector from two steps back:
-//
-//	v_{k+1} = (A - Re(t) I) v_k
-//	v_{k+2} = (A - Re(t) I) v_{k+1} + Im(t)^2 v_k
-type mpkWorkspace struct {
-	z [3][]float64
-}
-
 // MPK is the matrix powers kernel over a distributed matrix: one halo
 // exchange, then s communication-free local SpMV steps per device.
 type MPK struct {
@@ -48,7 +37,18 @@ type MPK struct {
 	// single buffer would impose.
 	w    [2][]float64
 	wIdx int
-	ws   []*mpkWorkspace
+	// z[d] holds device d's rotating extended vectors. Three buffers are
+	// kept (not the paper's two) because the real-arithmetic Newton
+	// recurrence for a complex conjugate shift pair needs the vector from
+	// two steps back:
+	//
+	//	v_{k+1} = (A - Re(t) I) v_k
+	//	v_{k+2} = (A - Re(t) I) v_{k+1} + Im(t)^2 v_k
+	z [][3][]float64
+	// Per-device cost shapes and byte counts of the step being charged,
+	// reused by every step: the ledger copies what it keeps of them.
+	work, interior, boundary []gpu.Work
+	sendBytes, recvBytes     []int
 }
 
 // SetPrecision selects the storage width of generated basis columns and
@@ -89,18 +89,26 @@ func roundElem(x []float64, e gpu.Elem) {
 	}
 }
 
-// NewMPK allocates the kernel workspaces for a distributed matrix.
-func NewMPK(m *Matrix) *MPK {
-	k := &MPK{M: m, ws: make([]*mpkWorkspace, len(m.Dev)), transferTraffic: m.PeerTraffic}
-	k.w[0] = make([]float64, m.Layout.N)
-	k.w[1] = make([]float64, m.Layout.N)
+// NewMPK allocates the kernel's buffers for a distributed matrix on the
+// heap: the caller keeps the kernel as long as it likes.
+func NewMPK(m *Matrix) *MPK { return NewMPKIn(&heap, m) }
+
+// NewMPKIn builds the kernel's buffers in ws — the staging vectors in the
+// host's memory, each device's extended vectors in its own — so the
+// kernel is valid until ws is released.
+func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
+	ng := len(m.Dev)
+	work, bytes := make([]gpu.Work, 3*ng), make([]int, 2*ng)
+	k := &MPK{M: m, transferTraffic: m.PeerTraffic, z: make([][3][]float64, ng),
+		work: work[:ng:ng], interior: work[ng : 2*ng : 2*ng], boundary: work[2*ng:],
+		sendBytes: bytes[:ng:ng], recvBytes: bytes[ng:]}
+	for i := range k.w {
+		k.w[i] = ws.Floats(gpu.HostDevice, m.Layout.N)
+	}
 	for d, dm := range m.Dev {
-		ws := &mpkWorkspace{}
-		ext := dm.NOwn + len(dm.Halo)
-		for i := range ws.z {
-			ws.z[i] = make([]float64, ext)
+		for i := range k.z[d] {
+			k.z[d][i] = ws.Floats(d, dm.NOwn+len(dm.Halo))
 		}
-		k.ws[d] = ws
 	}
 	return k
 }
@@ -156,12 +164,12 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 			}
 		}
 
-		work := make([]gpu.Work, len(m.Dev))
+		work := k.work
 		m.Ctx.RunAll(func(d int) {
 			dm := m.Dev[d]
-			ws := k.ws[d]
+			z := &k.z[d]
 			rows := dm.RowsAtDist[t]
-			zPrev, zCur := ws.z[prev], ws.z[cur]
+			zPrev, zCur := z[prev], z[cur]
 			dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
 			if reShift != 0 {
 				for i := 0; i < rows; i++ {
@@ -170,7 +178,7 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 			}
 			if pairSecond {
 				b2 := imPrev * imPrev
-				zP2 := ws.z[prev2]
+				zP2 := z[prev2]
 				for i := 0; i < rows; i++ {
 					zCur[i] += b2 * zP2[i]
 				}
@@ -227,8 +235,7 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 // work holds the full per-device step cost computed by the caller.
 func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string, elem gpu.Elem) {
 	m := k.M
-	interior := make([]gpu.Work, len(work))
-	boundary := make([]gpu.Work, len(work))
+	interior, boundary := k.interior, k.boundary
 	vb := float64(elem.Bytes())
 	for d := range work {
 		dm := m.Dev[d]
@@ -264,7 +271,6 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 // values have landed on the devices.
 func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) gpu.StreamEvent {
 	m := k.M
-	ng := len(m.Dev)
 	w := k.w[k.wIdx]
 	k.wIdx = 1 - k.wIdx
 
@@ -277,11 +283,11 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 	// Device side: copy owned values into z[0] and "send" the compressed
 	// w^(d) to the host staging vector. Devices write disjoint global
 	// slots, so no synchronization is needed.
-	sendBytes := make([]int, ng)
+	sendBytes, recvBytes := k.sendBytes, k.recvBytes
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
 		col := v.Local[d].Col(j)
-		copy(k.ws[d].z[0][:dm.NOwn], col)
+		copy(k.z[d][0][:dm.NOwn], col)
 		base := m.Layout.OwnStart(d)
 		send := dm.SendIdx
 		if depth1 {
@@ -298,14 +304,13 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 	// nothing on the ledger, so running them before the exchange charge
 	// keeps the host-path ledger identical to the historical
 	// reduce-then-broadcast.
-	recvBytes := make([]int, ng)
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
 		halo := dm.Halo
 		if depth1 {
 			halo = halo[:dm.RowsAtDist[1]-dm.NOwn]
 		}
-		z := k.ws[d].z[0][dm.NOwn : dm.NOwn+len(halo)]
+		z := k.z[d][0][dm.NOwn : dm.NOwn+len(halo)]
 		for h, g := range halo {
 			z[h] = w[g]
 		}
@@ -340,11 +345,11 @@ func validateShiftPairs(shifts []complex128) {
 func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string) {
 	m := k.M
 	halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
-	work := make([]gpu.Work, len(m.Dev))
+	work := k.work
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
 		rows := dm.NOwn
-		dm.Ext.MulVecPrefix(dst.Local[d].Col(jDst), k.ws[d].z[0], rows)
+		dm.Ext.MulVecPrefix(dst.Local[d].Col(jDst), k.z[d][0], rows)
 		nnz := dm.NNZPrefix[0]
 		work[d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
 	})

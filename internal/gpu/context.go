@@ -82,7 +82,9 @@ func M2090() CostModel {
 // ledger attribution and the death checks always speak physical ids
 // while the layers above address a dense 0..NumDevices-1 range. node is
 // the same map one level up: the simulated node each logical device
-// lives on under the current profile (see mapNodes).
+// lives on under the current profile (see mapNodes). arena is the node's
+// memory (workspace.go): a view draws from its root's, each logical
+// device from its physical device's lane.
 type Context struct {
 	NumDevices int
 	Model      CostModel
@@ -90,6 +92,7 @@ type Context struct {
 	stats      *Stats
 	faults     *faultState
 	timeline   *Timeline
+	arena      *arena
 	phys       []int // logical -> physical device id, ascending, built once per view; read-only
 	node       []int // logical -> node, non-decreasing; rebuilt by SetProfile
 	perNode    int   // physical device positions of one node
@@ -107,7 +110,7 @@ func NewContext(ng int, model CostModel) *Context {
 		phys[d] = d
 	}
 	c := &Context{NumDevices: ng, Model: model, prof: defaultProfile(model),
-		stats: NewStats(), timeline: newTimeline(false), phys: phys}
+		stats: NewStats(), timeline: newTimeline(false), arena: newArena(ng), phys: phys}
 	c.mapNodes()
 	return c
 }

@@ -241,10 +241,10 @@ func (c *Context) AliveDevices() []int {
 }
 
 // Survivors returns a context view over the alive devices: it shares the
-// stats ledger, cost model and fault state of this context, but RunAll
-// and the charging calls address only the survivors (logical device i is
-// physical device Survivors()[i] on the ledger). It errors when no
-// device survives. Do not ResetStats a view — reset the root.
+// stats ledger, cost model, fault state and memory of this context, but
+// RunAll and the charging calls address only the survivors (logical
+// device i is physical device Survivors()[i] on the ledger). It errors
+// when no device survives. Do not ResetStats a view — reset the root.
 func (c *Context) Survivors() (*Context, error) {
 	alive := c.AliveDevices()
 	if len(alive) == 0 {
@@ -257,6 +257,7 @@ func (c *Context) Survivors() (*Context, error) {
 		stats:      c.stats,
 		faults:     c.faults,
 		timeline:   c.timeline,
+		arena:      c.arena,
 		phys:       alive,
 	}
 	v.mapNodes()

@@ -49,10 +49,9 @@ func RoundBF16(x []float64) {
 }
 
 // f32Pool recycles the float32 accumulation buffers of the
-// single-precision kernels (the cycleScratch discipline applied to width
-// conversion): after warm-up a narrow/compute/widen round-trip allocates
-// nothing. Buffers are held behind a pointer so Put does not box a slice
-// header on every call.
+// single-precision kernels: after warm-up a narrow/compute/widen
+// round-trip allocates nothing. Buffers are held behind a pointer so Put
+// does not box a slice header on every call.
 var f32Pool = sync.Pool{New: func() any { return new([]float32) }}
 
 // getF32 fetches a pooled float32 buffer of length n (contents

@@ -159,7 +159,7 @@ func TestPrecisionKernelsAllocFree(t *testing.T) {
 
 // BenchmarkPrecisionAllocs reports allocs/op for one widen/narrow
 // round-trip of the fp32 basis-update kernel — the restart-path figure
-// the conversion-buffer pool keeps at zero (compare BenchmarkRestartAllocs
+// the conversion-buffer pool keeps at zero (compare BenchmarkSolveAllocs
 // in internal/core).
 func BenchmarkPrecisionAllocs(b *testing.B) {
 	const rows, k, n = 4096, 10, 10
