@@ -42,7 +42,10 @@
 # options. `make bench-kernels` times
 # the three host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
 # GemmTN) and one MPK window at the two shapes the benchmark solves
-# (that they allocate nothing is a test: `make test`, so `make check`).
+# (that they allocate nothing is a test: `make test`, so `make check`),
+# then prints B/op and allocs/op of one prepared CA-GMRES and one GMRES
+# solve at the same shapes — what a solve allocates beside the context's
+# workspace.
 
 GO ?= go
 
@@ -75,7 +78,7 @@ race:
 	$(GO) test -race -skip TestPrecisionKernelsAllocFree ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
-	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault'
+	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault|PoisonedWorkspace|ResultSurvivesNextSolve'
 
 # Opt-in wall-clock kernel comparison (needs an unloaded machine).
 measured:
@@ -191,10 +194,12 @@ bench-compare:
 
 # The host kernels at the benchmark's shapes (dielFilterV2real@0.004 and
 # G3_circuit@0.05, s = 15, 3 devices), one CPU: ns/op, B/op, allocs/op,
-# and the device format's padding on the MPK rows.
+# and the device format's padding on the MPK rows; then whole prepared
+# solves, CA-GMRES(15,60) and GMRES(60), on a warm context.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|MPKWindow' -benchmem -cpu 1 \
 		./internal/sparse/ ./internal/la/ ./internal/dist/
+	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 
 # Non-test Go lines per package, benchmark/ excluded.
 loc:

@@ -108,10 +108,16 @@ func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 // the level of every vertex (-1 if unreachable) plus the number of levels.
 func (g *Graph) BFSLevels(roots ...int) (level []int, nlevels int) {
 	level = make([]int, g.N)
+	return level, g.bfs(level, make([]int, 0, g.N), roots)
+}
+
+// bfs is BFSLevels into caller-owned storage: level (length N) receives
+// the levels, queue (capacity N) is scratch.
+func (g *Graph) bfs(level, queue []int, roots []int) (nlevels int) {
 	for i := range level {
 		level[i] = -1
 	}
-	queue := make([]int, 0, g.N)
+	queue = queue[:0]
 	for _, r := range roots {
 		if level[r] == -1 {
 			level[r] = 0
@@ -132,7 +138,19 @@ func (g *Graph) BFSLevels(roots ...int) (level []int, nlevels int) {
 			nlevels = l + 1
 		}
 	}
-	return level, nlevels
+	return nlevels
+}
+
+// bfsScratch is the storage the breadth-first searches of one partition
+// call share: two level arrays, because PseudoPeripheral holds one search
+// while it runs the next, and the queue.
+type bfsScratch struct {
+	level, next, queue []int
+}
+
+func newBFSScratch(n int) *bfsScratch {
+	buf := make([]int, 3*n)
+	return &bfsScratch{level: buf[:n:n], next: buf[n : 2*n : 2*n], queue: buf[2*n:][:0]}
 }
 
 // PseudoPeripheral finds an approximate peripheral vertex starting from
@@ -140,8 +158,13 @@ func (g *Graph) BFSLevels(roots ...int) (level []int, nlevels int) {
 // minimum-degree vertex in the last BFS level until the eccentricity
 // stops growing. Good RCM orderings start from such vertices.
 func (g *Graph) PseudoPeripheral(start int) int {
+	return g.pseudoPeripheral(newBFSScratch(g.N), start)
+}
+
+func (g *Graph) pseudoPeripheral(sc *bfsScratch, start int) int {
 	v := start
-	level, nl := g.BFSLevels(v)
+	level, next := sc.level, sc.next
+	nl := g.bfs(level, sc.queue, []int{v})
 	for {
 		// minimum-degree vertex in the last level
 		best, bestDeg := -1, g.N+1
@@ -153,11 +176,12 @@ func (g *Graph) PseudoPeripheral(start int) int {
 		if best < 0 {
 			return v
 		}
-		l2, nl2 := g.BFSLevels(best)
+		nl2 := g.bfs(next, sc.queue, []int{best})
 		if nl2 <= nl {
 			return v
 		}
-		v, level, nl = best, l2, nl2
+		v, nl = best, nl2
+		level, next = next, level
 	}
 }
 

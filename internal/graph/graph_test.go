@@ -2,9 +2,11 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"cagmres/internal/matgen"
 	"cagmres/internal/sparse"
 )
 
@@ -122,6 +124,55 @@ func TestPseudoPeripheralPath(t *testing.T) {
 	pp := g.PseudoPeripheral(4)
 	if pp != 0 && pp != 8 {
 		t.Fatalf("pseudo-peripheral = %d, want an endpoint", pp)
+	}
+}
+
+// referencePseudoPeripheral is the George-Liu iteration over BFSLevels,
+// a fresh level array per search: what pseudoPeripheral must reproduce
+// out of two reused ones.
+func referencePseudoPeripheral(g *Graph, start int) int {
+	v := start
+	level, nl := g.BFSLevels(v)
+	for {
+		best, bestDeg := -1, g.N+1
+		for u := 0; u < g.N; u++ {
+			if level[u] == nl-1 && g.Degree(u) < bestDeg {
+				best, bestDeg = u, g.Degree(u)
+			}
+		}
+		if best < 0 {
+			return v
+		}
+		l2, nl2 := g.BFSLevels(best)
+		if nl2 <= nl {
+			return v
+		}
+		v, level, nl = best, l2, nl2
+	}
+}
+
+// TestScratchBFSMatchesBFSLevels: on the four generators, searches through
+// one reused scratch — dirty from the search before — return the levels
+// BFSLevels returns, and the pseudo-peripheral vertex built on them is
+// the one the allocating iteration finds.
+func TestScratchBFSMatchesBFSLevels(t *testing.T) {
+	for _, mat := range matgen.PaperSet(0.002) {
+		g := FromMatrix(mat.A)
+		sc := newBFSScratch(g.N)
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 4; trial++ {
+			roots := make([]int, 1+trial)
+			for i := range roots {
+				roots[i] = rng.Intn(g.N)
+			}
+			want, wantLevels := g.BFSLevels(roots...)
+			if got := g.bfs(sc.level, sc.queue, roots); got != wantLevels || !slices.Equal(sc.level, want) {
+				t.Fatalf("%s: scratch BFS from %v differs from BFSLevels", mat.Name, roots)
+			}
+			if got, want := g.pseudoPeripheral(sc, roots[0]), referencePseudoPeripheral(g, roots[0]); got != want {
+				t.Fatalf("%s: pseudo-peripheral vertex from %d: %d, want %d", mat.Name, roots[0], got, want)
+			}
+		}
 	}
 }
 

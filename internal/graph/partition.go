@@ -129,11 +129,13 @@ func KWay(g *Graph, k int, seed int64) *Partition {
 // all previous seeds.
 func spreadSeeds(g *Graph, k int, rng *rand.Rand) []int {
 	n := g.N
+	sc := newBFSScratch(n)
 	seeds := make([]int, 0, k)
-	first := g.PseudoPeripheral(rng.Intn(n))
+	first := g.pseudoPeripheral(sc, rng.Intn(n))
 	seeds = append(seeds, first)
+	level := sc.level
 	for len(seeds) < k {
-		level, _ := g.BFSLevels(seeds...)
+		g.bfs(level, sc.queue, seeds)
 		best, bestLvl := -1, -1
 		for v := 0; v < n; v++ {
 			if level[v] > bestLvl {

@@ -23,6 +23,7 @@ type metrics struct {
 	depth        obs.Gauge
 	poolInUse    obs.Gauge
 	poolSize     obs.Gauge
+	poolBytes    obs.Gauge
 	wait         obs.Histogram
 	serviceWall  obs.Histogram
 	serviceModel obs.Histogram
@@ -73,6 +74,8 @@ func newMetrics(r *obs.Registry, pool *Pool) *metrics {
 			"Device contexts currently leased."),
 		poolSize: r.Gauge("sched_pool_size",
 			"Device contexts the pool owns."),
+		poolBytes: r.Gauge("sched_pool_workspace_bytes",
+			"Solve memory the pooled contexts hold: per context, the largest attempt it served."),
 		wait: r.Histogram("sched_queue_wait_seconds",
 			"Wall-clock time jobs spent queued before dispatch.", wallBuckets),
 		serviceWall: r.HistogramL("sched_service_seconds",
@@ -138,6 +141,7 @@ func newMetrics(r *obs.Registry, pool *Pool) *metrics {
 	pool.OnChange(func(inUse, size int) {
 		m.poolInUse.Set(float64(inUse))
 		m.poolSize.Set(float64(size))
+		m.poolBytes.Set(float64(pool.WorkspaceBytes()))
 	})
 	pool.OnHealth(func(readmitted bool) {
 		m.evictions.Inc()

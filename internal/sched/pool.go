@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cagmres/internal/gpu"
@@ -44,6 +45,7 @@ type Pool struct {
 	exhausted chan struct{} // closed when the last healthy context is evicted
 
 	mu           sync.Mutex
+	members      []*gpu.Context // every context not permanently evicted
 	inUse        int
 	healthy      int
 	evictions    uint64
@@ -119,6 +121,7 @@ func NewPoolWithConfig(cfg PoolConfig) *Pool {
 		if i < len(cfg.FaultPlans) && !cfg.FaultPlans[i].Empty() {
 			c.InjectFaults(cfg.FaultPlans[i])
 		}
+		p.members = append(p.members, c)
 		p.free <- c
 	}
 	return p
@@ -147,6 +150,19 @@ func (p *Pool) InUse() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inUse
+}
+
+// WorkspaceBytes returns the solve memory the pooled contexts hold
+// between them: per context, the high-water mark of the attempts it
+// served (gpu.Context.WorkspaceBytes).
+func (p *Pool) WorkspaceBytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, c := range p.members {
+		n += c.WorkspaceBytes()
+	}
+	return n
 }
 
 // Healthy returns how many contexts have not been evicted.
@@ -242,6 +258,7 @@ func (p *Pool) evict(c *gpu.Context) {
 	if readmit {
 		p.readmissions++
 	} else {
+		p.members = slices.DeleteFunc(p.members, func(m *gpu.Context) bool { return m == c })
 		p.healthy--
 		if p.healthy == 0 {
 			close(p.exhausted)

@@ -535,6 +535,10 @@ type Snapshot struct {
 	PreparedHits      uint64
 	PreparedMisses    uint64
 	PreparedEvictions uint64
+
+	// PoolWorkspaceBytes is the solve memory the pooled contexts hold
+	// between leases (Pool.WorkspaceBytes).
+	PoolWorkspaceBytes int
 }
 
 // Degraded reports whether the service has permanently lost capacity:
@@ -555,6 +559,8 @@ func (s *Scheduler) Snapshot() Snapshot {
 		PreparedHits:      uint64(s.prepared.hits.Value()),
 		PreparedMisses:    uint64(s.prepared.misses.Value()),
 		PreparedEvictions: uint64(s.prepared.evictions.Value()),
+
+		PoolWorkspaceBytes: s.cfg.Pool.WorkspaceBytes(),
 
 		QueueDepth: len(s.queue),
 		Draining:   s.draining,

@@ -219,6 +219,9 @@ type Healthz struct {
 	PreparedHits      uint64 `json:"prepared_hits"`
 	PreparedMisses    uint64 `json:"prepared_misses"`
 	PreparedEvictions uint64 `json:"prepared_evictions"`
+	// PoolWorkspaceBytes is the solve memory the pooled contexts keep
+	// between leases, the sched_pool_workspace_bytes gauge of /metrics.
+	PoolWorkspaceBytes int `json:"pool_workspace_bytes"`
 }
 
 // errorJSON is every non-2xx body: a stable machine-readable code, the
@@ -358,6 +361,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PreparedHits:      snap.PreparedHits,
 		PreparedMisses:    snap.PreparedMisses,
 		PreparedEvictions: snap.PreparedEvictions,
+
+		PoolWorkspaceBytes: snap.PoolWorkspaceBytes,
 	})
 }
 

@@ -364,7 +364,7 @@ func TestMetricsSurface(t *testing.T) {
 		t.Fatalf("metrics do not lint: %v", err)
 	}
 	families := []string{
-		"sched_queue_depth", "sched_pool_in_use", "sched_pool_size",
+		"sched_queue_depth", "sched_pool_in_use", "sched_pool_size", "sched_pool_workspace_bytes",
 		"sched_queue_wait_seconds", "sched_service_seconds", "sched_batch_jobs",
 		"sched_rejections_total", "sched_leases_total", "sched_lease_seconds_total",
 		"sched_jobs_total", "sched_prepared_problems_total",
@@ -378,6 +378,11 @@ func TestMetricsSurface(t *testing.T) {
 	hz := getHealthz(t, h.ts.URL)
 	if !hz.OK || hz.PoolSize != 2 || hz.Dispatched < 3 {
 		t.Fatalf("healthz %+v", hz)
+	}
+	// Every attempt has given its workspace back: what the contexts keep
+	// of it is on display.
+	if hz.PoolWorkspaceBytes <= 0 {
+		t.Fatalf("healthz pool_workspace_bytes = %d after three solves", hz.PoolWorkspaceBytes)
 	}
 	// Three solves of one matrix prepare it once; /healthz reads the very
 	// series /metrics exports.
