@@ -2,6 +2,7 @@ package ortho
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cagmres/internal/gpu"
@@ -156,5 +157,32 @@ func TestMixedCholQRInSolverNames(t *testing.T) {
 	}
 	if (MixedCholQR{Refine: true}).Name() != "MixedCholQR2" {
 		t.Fatal("refined name")
+	}
+}
+
+// TestMixedCholQRIsCholQRWithNarrowGram: MixedCholQR is CholQR with a
+// single-precision Gram matrix, not a second algorithm — same Q bits, same
+// R bits, same ledger, on every device count.
+func TestMixedCholQRIsCholQRWithNarrowGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(304))
+	v := condTall(rng, 400, 6, 1e3)
+	for ng := 1; ng <= 4; ng++ {
+		factor := func(strat TSQR) (q, r *la.Dense, ledger string) {
+			ctx := gpu.NewContext(ng, gpu.M2090())
+			w := splitRows(v.Clone(), ng)
+			r, err := strat.Factor(ctx, w, "tsqr")
+			if err != nil {
+				t.Fatalf("%s ng=%d: %v", strat.Name(), ng, err)
+			}
+			return joinRows(w), r, ctx.Stats().String() + ctx.Stats().DeviceString()
+		}
+		q1, r1, l1 := factor(MixedCholQR{})
+		q2, r2, l2 := factor(CholQR{GramElem: gpu.Elem32})
+		if !slices.Equal(q1.Data, q2.Data) || !slices.Equal(r1.Data, r2.Data) {
+			t.Fatalf("ng=%d: MixedCholQR and CholQR{GramElem: Elem32} differ in Q or R bits", ng)
+		}
+		if l1 != l2 {
+			t.Fatalf("ng=%d: ledgers differ\n%s\nvs\n%s", ng, l1, l2)
+		}
 	}
 }
