@@ -69,7 +69,7 @@ func newKrylov(p *Problem, ws *gpu.Workspace, m, s int) *krylov {
 		m:   m,
 		mpk: dist.NewMPKIn(ws, p.distributed(s)),
 		V:   dist.NewVectorsIn(ws, p.Ctx, p.Layout, m+1),
-		sc:  newScratch(ws, m, p.Ctx.NumDevices),
+		sc:  newScratch(ws, m),
 	}
 }
 

@@ -208,32 +208,26 @@ func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) (outcom
 // negateInto sets column jr := column jb - column jr on every device
 // (used to turn A*x into the residual b - A*x).
 func negateInto(w *dist.Vectors, jr, jb int) {
-	ng := len(w.Local)
-	work := make([]gpu.Work, ng)
-	w.Ctx.RunAll(func(d int) {
+	w.Ctx.Launch(PhaseVec, func(d int) gpu.Work {
 		r := w.Local[d].Col(jr)
 		b := w.Local[d].Col(jb)
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		work[d] = gpu.Work{Flops: float64(len(r)), Bytes: 24 * float64(len(r))}
+		return gpu.Work{Flops: float64(len(r)), Bytes: 24 * float64(len(r))}
 	})
-	w.Ctx.DeviceKernelOn(PhaseVec, work)
 }
 
 // copyScaled sets dst column jd := alpha * src column js across devices.
 func copyScaled(src *dist.Vectors, js int, dst *dist.Vectors, jd int, alpha float64) {
-	ng := len(src.Local)
-	work := make([]gpu.Work, ng)
-	src.Ctx.RunAll(func(d int) {
+	src.Ctx.Launch(PhaseVec, func(d int) gpu.Work {
 		s := src.Local[d].Col(js)
 		t := dst.Local[d].Col(jd)
 		for i := range s {
 			t[i] = alpha * s[i]
 		}
-		work[d] = gpu.Work{Flops: float64(len(s)), Bytes: 16 * float64(len(s))}
+		return gpu.Work{Flops: float64(len(s)), Bytes: 16 * float64(len(s))}
 	})
-	src.Ctx.DeviceKernelOn(PhaseVec, work)
 }
 
 // arnoldiMGS orthogonalizes V[:,k+1] against V[:,0..k] by modified
@@ -256,49 +250,32 @@ func arnoldiMGS(v *dist.Vectors, k int, hcol []float64, _ *cycleScratch) error {
 }
 
 // arnoldiCGS orthogonalizes with classical Gram-Schmidt: a single fused
-// device kernel computes all projections and the norm, one reduce and one
-// broadcast round total (the paper's optimized DGEMV kernel), then the
-// Pythagorean identity provides the post-update norm. Work buffers come
-// from the pooled scratch; the kernel/round chain is submitted through
-// the stream API so the host-side combine overlaps the device update.
+// device kernel computes all projections and the norm, one all-reduce and
+// one broadcast round total (the paper's optimized DGEMV kernel), then the
+// Pythagorean identity provides the post-update norm. The host-side
+// combine overlaps the device update.
 func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error {
 	ctx := v.Ctx
-	ng := len(v.Local)
-	work := make([]gpu.Work, ng)
-	ctx.RunAll(func(d int) {
-		vk := v.Local[d].Col(k + 1)
-		buf := sc.dev[d][:k+2]
-		prev := v.Local[d].ColView(0, k+1)
-		la.ParallelGemvT(prev, vk, buf[:k+1])
-		buf[k+1] = la.Dot(vk, vk)
-		rows := float64(len(vk))
-		work[d] = gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
-	})
-	kd := ctx.DeviceKernelOn(PhaseOrth, work)
-	bytes := sc.bytes[:ng]
-	for d := range bytes {
-		bytes[d] = (k + 2) * gpu.ScalarBytes
-	}
-	ctx.ReduceRoundOn(PhaseOrth, bytes, kd)
 	sum := sc.sum[:k+2]
-	for i := range sum {
-		sum[i] = 0
-	}
-	for d := 0; d < ng; d++ {
-		la.Axpy(1, sc.dev[d][:k+2], sum)
-	}
+	ctx.AllReduce(PhaseOrth, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
+		vk := v.Local[d].Col(k + 1)
+		prev := v.Local[d].ColView(0, k+1)
+		la.ParallelGemvT(prev, vk, part[:k+1])
+		part[k+1] = la.Dot(vk, vk)
+		rows := float64(len(vk))
+		return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
+	})
 	proj := sum[:k+1]
 	vnorm2 := sum[k+1]
 	copy(hcol[:k+1], proj)
 
-	bc := ctx.BroadcastRoundOn(PhaseOrth, bytes)
-	ctx.RunAll(func(d int) {
+	bc := ctx.Broadcast(PhaseOrth, k+2, gpu.Elem64)
+	ctx.Launch(PhaseOrth, func(d int) gpu.Work {
 		vk := v.Local[d].Col(k + 1)
 		prev := v.Local[d].ColView(0, k+1)
 		la.Gemv(-1, prev, proj, 1, vk)
-		work[d] = gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
-	})
-	ctx.DeviceKernelOn(PhaseOrth, work, bc)
+		return gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
+	}, bc)
 
 	newNorm2 := vnorm2 - la.Dot(proj, proj)
 	var nrm float64

@@ -11,7 +11,7 @@ import (
 // a second cycle through the same scratch reproduces a fresh solver's
 // results exactly.
 func TestScratchGivensReuse(t *testing.T) {
-	sc := newScratch(&gpu.Workspace{}, 8, 1)
+	sc := newScratch(&gpu.Workspace{}, 8)
 	col0 := []float64{2, 1}
 	col1 := []float64{0.5, -1, 3}
 	g1 := sc.givens(8, 1.5)

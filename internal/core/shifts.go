@@ -99,18 +99,3 @@ func scheduleShifts(shifts []complex128, m, s int) [][]complex128 {
 	}
 	return blocks
 }
-
-// monomialBlocks returns the window sizes for the monomial basis: full
-// windows of s with a remainder window.
-func monomialBlocks(m, s int) []int {
-	var sizes []int
-	for done := 0; done < m; {
-		w := s
-		if done+w > m {
-			w = m - done
-		}
-		sizes = append(sizes, w)
-		done += w
-	}
-	return sizes
-}

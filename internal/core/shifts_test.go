@@ -138,16 +138,3 @@ func TestScheduleShiftsNil(t *testing.T) {
 		t.Fatal("nil shifts must yield nil blocks")
 	}
 }
-
-func TestMonomialBlocks(t *testing.T) {
-	sizes := monomialBlocks(10, 4)
-	want := []int{4, 4, 2}
-	if len(sizes) != 3 {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes = %v", sizes)
-		}
-	}
-}

@@ -167,14 +167,6 @@ func TestDistributedOps(t *testing.T) {
 			t.Fatal("ScaleCol wrong")
 		}
 	}
-
-	v.CopyCol(0, 2, "test")
-	got = v.GatherCol(2)
-	for i := range got {
-		if !approxEq(got[i], 0.5*x[i], 1e-12) {
-			t.Fatal("CopyCol wrong")
-		}
-	}
 }
 
 func TestUpdateWithBasis(t *testing.T) {

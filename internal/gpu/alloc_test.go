@@ -17,6 +17,9 @@ func TestChargeAllocations(t *testing.T) {
 	halo := func(c *Context, traffic [][]int) func() {
 		return func() { c.HaloExchangeElemOn("p", bytes, bytes, traffic, Elem64) }
 	}
+	kernel := func(d int) Work { return work[d] }
+	partial := func(d int, part []float64) Work { return work[d] }
+	out := make([]float64, 64)
 	def := NewContext(4, M2090())
 	sw := NewContextWithProfile(4, pathsProfile(TopoPCIeSwitch, 0))
 	cl := NewContextWithProfile(4, pathsProfile(TopoPCIeSwitch, 2))
@@ -26,8 +29,15 @@ func TestChargeAllocations(t *testing.T) {
 		f    func()
 	}{
 		{"default ReduceRound", 0, func() { def.ReduceRound("p", bytes) }},
-		{"default ReduceRoundOn", 0, func() { def.ReduceRoundOn("p", bytes) }},
-		{"default DeviceKernelOn", 1, func() { def.DeviceKernelOn("p", work) }},
+		{"default ReduceRoundElemOn", 0, func() { def.ReduceRoundElemOn("p", bytes, Elem64) }},
+		{"default DeviceKernelOn", 0, func() { def.DeviceKernelOn("p", work) }},
+		{"default Gather", 0, func() { def.Gather("p", 64, Elem64) }},
+		{"default Broadcast", 0, func() { def.Broadcast("p", 64, Elem32) }},
+		// A bare RunAll allocates its shared state and one goroutine per
+		// device (1 + 4, TestChargesShareTheViewsDeviceIDs); a launch adds
+		// the closure it hands RunAll, an all-reduce one more around f.
+		{"default Launch", 6, func() { def.Launch("p", kernel) }},
+		{"default AllReduce", 7, func() { def.AllReduce("p", out, Elem64, partial) }},
 		{"default HostComputeOn", 0, func() { def.HostComputeOn("p", 1e6) }},
 		{"default host-path halo", 0, halo(def, traffic)},
 		{"pcie-switch halo", 4, halo(sw, traffic)},

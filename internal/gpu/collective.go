@@ -1,0 +1,102 @@
+package gpu
+
+import "slices"
+
+// This file is the paper's host-staged reduce protocol, written once.
+// Every orthogonalization kernel of its Section V — and every distributed
+// BLAS-1/2 operation of the solvers — is the same three moves: a kernel on
+// every device, one device-to-host round of equal-sized partials that the
+// CPU sums, one host-to-device round back (Figure 10 counts them). The
+// layers above say what runs on a device and how many elements travel;
+// launching, the byte vectors, the per-device partials, the charge order
+// (kernel, then round, then host sum) and the order of the sum live here.
+//
+// All four collectives are stream operations: they wait for the given
+// events, and with overlap disabled each one is a full barrier, exactly as
+// the ...On charges they submit.
+//
+// Their working memory — the Work and kernel-time vectors of a launch, the
+// uniform byte vector of a round, the partials of a reduction — is
+// grow-only scratch of the Context value (a Survivors view has its own),
+// under the contract charging already has: one orchestrating goroutine per
+// context. The ledger, the trace ring and the timeline copy numbers out of
+// what they are handed and keep no slice, so the next call may overwrite it.
+type collectiveScratch struct {
+	work  []Work
+	times []float64
+	bytes []int
+	parts [][]float64 // per device, grown to the widest reduction so far
+}
+
+// sized returns s at length n, in its own memory when that is large enough
+// (what it held is then still there) and in new memory, grown the way
+// append grows, when it is not.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// Launch runs f(d) on every device (RunAll) and charges what each call
+// returns as one parallel kernel: device d's share is f(d), the launch
+// waits for the after events, and the returned event fires when the
+// slowest device finishes.
+func (c *Context) Launch(phase string, f func(d int) Work, after ...StreamEvent) StreamEvent {
+	work := sized(c.scratch.work, c.NumDevices)
+	c.scratch.work = work
+	c.RunAll(func(d int) { work[d] = f(d) })
+	return c.deviceKernel(phase, work, false, after)
+}
+
+// Gather charges one device-to-host round in which every device sends n
+// elements of width elem; the payload is on the host at the returned event.
+func (c *Context) Gather(phase string, n int, elem Elem, after ...StreamEvent) StreamEvent {
+	return c.commRound(phase, dirD2H, c.uniformBytes(n*elem.Bytes()), elem, false, after)
+}
+
+// Broadcast charges one host-to-device round in which every device receives
+// n elements of width elem. It starts no earlier than the host holds data
+// to send (the last gather's arrival); pass an explicit event when the
+// payload comes from host compute.
+func (c *Context) Broadcast(phase string, n int, elem Elem, after ...StreamEvent) StreamEvent {
+	return c.commRound(phase, dirH2D, c.uniformBytes(n*elem.Bytes()), elem, false, after)
+}
+
+func (c *Context) uniformBytes(b int) []int {
+	bytes := sized(c.scratch.bytes, c.NumDevices)
+	c.scratch.bytes = bytes
+	for d := range bytes {
+		bytes[d] = b
+	}
+	return bytes
+}
+
+// AllReduce is the global reduction: f(d, part) runs on every device and
+// leaves device d's contribution in part — len(out) values, zero when f
+// gets them, whatever an earlier or a panicked call left behind — one
+// gather of len(out) elements of width elem waits for that kernel, and the
+// host sums the partials into out in device order starting from zero, so a
+// result does not depend on which device finished first. A width narrower
+// than FP64 rounds the sum to float32, the granularity it travelled at.
+// The returned event is the gather's: out is on the host from then on.
+func (c *Context) AllReduce(phase string, out []float64, elem Elem, f func(d int, part []float64) Work, after ...StreamEvent) StreamEvent {
+	n := len(out)
+	parts := sized(c.scratch.parts, c.NumDevices)
+	c.scratch.parts = parts
+	for d := range parts {
+		parts[d] = sized(parts[d], n)
+	}
+	k := c.Launch(phase, func(d int) Work {
+		clear(parts[d])
+		return f(d, parts[d])
+	}, after...)
+	ev := c.Gather(phase, n, elem, k)
+	clear(out)
+	for _, part := range parts {
+		for i, v := range part {
+			out[i] += v
+		}
+	}
+	if elem != Elem64 {
+		for i, v := range out {
+			out[i] = float64(float32(v))
+		}
+	}
+	return ev
+}

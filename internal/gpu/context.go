@@ -84,7 +84,8 @@ func M2090() CostModel {
 // the same map one level up: the simulated node each logical device
 // lives on under the current profile (see mapNodes). arena is the node's
 // memory (workspace.go): a view draws from its root's, each logical
-// device from its physical device's lane.
+// device from its physical device's lane. scratch is the working memory of
+// the collectives and the kernel charge (collective.go), this value's own.
 type Context struct {
 	NumDevices int
 	Model      CostModel
@@ -96,6 +97,7 @@ type Context struct {
 	phys       []int // logical -> physical device id, ascending, built once per view; read-only
 	node       []int // logical -> node, non-decreasing; rebuilt by SetProfile
 	perNode    int   // physical device positions of one node
+	scratch    collectiveScratch
 }
 
 // NewContext creates a context with ng simulated devices and a bare cost
@@ -269,7 +271,8 @@ func (c *Context) DeviceKernel(phase string, work []Work) {
 
 func (c *Context) deviceKernel(phase string, work []Work, barrier bool, after []StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
-	ts := make([]float64, len(work))
+	ts := sized(c.scratch.times, len(work))
+	c.scratch.times = ts
 	for d, w := range work {
 		ts[d] = c.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
 	}

@@ -35,7 +35,7 @@ func fenceWorkload(ctx *Context) {
 	})
 	ctx.UniformKernel("tsqr", Work{Flops: 5.4e8, Bytes: 2.4e8})
 	ctx.HostCompute("lsq", 1.86e6)
-	ev := ctx.ReduceRoundOn("borth", []int{7440, 7440, 7440})
+	ev := ctx.Gather("borth", 930, Elem64)
 	ev = ctx.DeviceKernelOn("borth", []Work{
 		{Flops: 1e7, Bytes: 4e7},
 		{Flops: 1e7, Bytes: 4e7},

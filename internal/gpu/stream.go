@@ -386,30 +386,21 @@ func (c *Context) TransferFence() StreamEvent { return c.timeline.fence(LaneTran
 // on "everything the host has computed or received so far".
 func (c *Context) HostFence() StreamEvent { return c.timeline.fence(LaneHost) }
 
-// ReduceRoundOn is ReduceRound as a stream operation: the round occupies
-// the participating transfer streams after its dependencies and delivers
-// its payload to the host at the returned event. Ledger charges are
-// identical to ReduceRound; with overlap disabled it is a full barrier.
-func (c *Context) ReduceRoundOn(phase string, bytes []int, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirD2H, bytes, Elem64, false, after)
-}
-
-// BroadcastRoundOn is BroadcastRound as a stream operation. It starts no
-// earlier than the host holds data to send (the last reduce's arrival);
-// pass an explicit event when the payload comes from host *compute*.
-func (c *Context) BroadcastRoundOn(phase string, bytes []int, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirH2D, bytes, Elem64, false, after)
-}
-
-// ReduceRoundElemOn is ReduceRoundOn with an explicit element width:
-// bytes already reflect the narrow wire size; elem tags the volume on
-// the precision ledger columns (bytesFP32/bytesComp).
+// ReduceRoundElemOn is ReduceRoundElem as a stream operation: the round
+// occupies the participating transfer streams after its dependencies and
+// delivers its payload to the host at the returned event. bytes already
+// reflect the wire size at width elem, which tags the volume on the
+// precision ledger columns (bytesFP32/bytesComp). Ledger charges are
+// identical to ReduceRoundElem; with overlap disabled it is a full
+// barrier. Gather is the form for equal shares.
 func (c *Context) ReduceRoundElemOn(phase string, bytes []int, elem Elem, after ...StreamEvent) StreamEvent {
 	return c.commRound(phase, dirD2H, bytes, elem, false, after)
 }
 
-// BroadcastRoundElemOn is BroadcastRoundOn with an explicit element
-// width.
+// BroadcastRoundElemOn is the host-to-device counterpart. It starts no
+// earlier than the host holds data to send (the last reduce's arrival);
+// pass an explicit event when the payload comes from host *compute*.
+// Broadcast is the form for equal shares.
 func (c *Context) BroadcastRoundElemOn(phase string, bytes []int, elem Elem, after ...StreamEvent) StreamEvent {
 	return c.commRound(phase, dirH2D, bytes, elem, false, after)
 }

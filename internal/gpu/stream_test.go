@@ -28,18 +28,18 @@ func streamWorkload(ctx *Context) {
 	}
 	for i := 0; i < 4; i++ {
 		k := ctx.DeviceKernelOn("spmv", work(2e6, 3e6))
-		red := ctx.ReduceRoundOn("orth", bytes(256), k)
+		red := ctx.ReduceRoundElemOn("orth", bytes(256), Elem64, k)
 		// The broadcast relays the reduce's payload (implicit hostData
 		// ordering); the host's small update then overlaps the device-side
 		// broadcast + kernel — the paper's CPU/GPU overlap.
-		bc := ctx.BroadcastRoundOn("orth", bytes(128), red)
+		bc := ctx.BroadcastRoundElemOn("orth", bytes(128), Elem64, red)
 		ctx.DeviceKernelOn("orth", work(1e6, 8e6), bc)
 		ctx.HostComputeOn("lsq", 1e6)
 		if i%2 == 1 {
 			prod := ctx.ComputeFence()
-			ctx.ReduceRoundOn("tsqr", bytes(512), prod)
+			ctx.ReduceRoundElemOn("tsqr", bytes(512), Elem64, prod)
 			ctx.HostComputeOn("tsqr", 3e6)
-			ctx.BroadcastRoundOn("tsqr", bytes(512), ctx.HostFence())
+			ctx.BroadcastRoundElemOn("tsqr", bytes(512), Elem64, ctx.HostFence())
 			ctx.DeviceKernelOn("tsqr", work(4e6, 2e6), ctx.TransferFence())
 		}
 	}

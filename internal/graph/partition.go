@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Partition assigns each vertex to one of K parts. It is the stand-in for
@@ -305,65 +304,6 @@ func balanceParts(g *Graph, p *Partition) {
 		size[over]--
 		size[bestD]++
 	}
-}
-
-// RecursiveBisection partitions by recursively splitting the vertex set
-// in half along BFS level structures. The paper notes k-way usually beats
-// it; both are provided so that comparison can be reproduced.
-func RecursiveBisection(g *Graph, k int, seed int64) *Partition {
-	p := &Partition{K: k, Part: make([]int, g.N)}
-	verts := make([]int, g.N)
-	for i := range verts {
-		verts[i] = i
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bisect(g, verts, 0, k, p, rng)
-	refine(g, p, 4)
-	return p
-}
-
-func bisect(g *Graph, verts []int, firstPart, nparts int, p *Partition, rng *rand.Rand) {
-	if nparts == 1 {
-		for _, v := range verts {
-			p.Part[v] = firstPart
-		}
-		return
-	}
-	left := nparts / 2
-	right := nparts - left
-	wantLeft := len(verts) * left / nparts
-	// BFS order restricted to verts from a pseudo-peripheral start.
-	inSet := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		inSet[v] = true
-	}
-	start := verts[rng.Intn(len(verts))]
-	order := make([]int, 0, len(verts))
-	seen := map[int]bool{start: true}
-	queue := []int{start}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		order = append(order, v)
-		for _, w := range g.Neighbors(v) {
-			if inSet[w] && !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	// Disconnected leftovers appended in index order.
-	if len(order) < len(verts) {
-		rest := make([]int, 0, len(verts)-len(order))
-		for _, v := range verts {
-			if !seen[v] {
-				rest = append(rest, v)
-			}
-		}
-		sort.Ints(rest)
-		order = append(order, rest...)
-	}
-	bisect(g, order[:wantLeft], firstPart, left, p, rng)
-	bisect(g, order[wantLeft:], firstPart+left, right, p, rng)
 }
 
 // EdgeCut returns the number of graph edges whose endpoints lie in

@@ -105,22 +105,6 @@ func TestKWayDisconnected(t *testing.T) {
 	}
 }
 
-func TestRecursiveBisection(t *testing.T) {
-	g := FromMatrix(grid2D(16, 16))
-	for _, k := range []int{2, 3, 4} {
-		p := RecursiveBisection(g, k, 3)
-		sizes := p.Sizes()
-		for d, s := range sizes {
-			if s == 0 {
-				t.Fatalf("k=%d: part %d empty", k, d)
-			}
-		}
-		if imb := p.Imbalance(); imb > 1.4 {
-			t.Fatalf("k=%d: imbalance %v", k, imb)
-		}
-	}
-}
-
 func TestPartitionOrder(t *testing.T) {
 	p := &Partition{K: 2, Part: []int{1, 0, 1, 0, 0}}
 	perm, bounds := p.Order()

@@ -38,50 +38,27 @@ func (BOrthCGS) Name() string { return "BOrth-CGS" }
 
 // Project implements BOrth.
 func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.Dense {
-	if len(p) != len(w) {
-		panic(fmt.Sprintf("ortho: BOrth device mismatch %d vs %d", len(p), len(w)))
+	elem := gpu.Elem64
+	if o.Elem != gpu.Elem64 {
+		elem = gpu.Elem32
 	}
-	fp32 := o.Elem != gpu.Elem64
-	pc, wc := cols(p), cols(w)
-	ng := len(w)
-	partial := make([]*la.Dense, ng)
-	k := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-		cpart := la.NewDense(pc, wc)
+	fp32 := elem == gpu.Elem32
+	pc, wc := windowCols(ctx, p), windowCols(ctx, w)
+	c := la.NewDense(pc, wc)
+	ctx.AllReduce(phase, c.Data, elem, func(d int, part []float64) gpu.Work {
+		cpart := &la.Dense{Rows: pc, Cols: wc, Stride: pc, Data: part}
 		rows := float64(p[d].Rows)
 		if fp32 {
 			la.GemmTNF32(1, p[d], w[d], 0, cpart)
-			partial[d] = cpart
 			return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 4 * rows * float64(pc+wc), Elem: gpu.Elem32}
 		}
 		la.BatchedGemmTN(p[d], w[d], cpart)
-		partial[d] = cpart
 		return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 8 * rows * float64(pc+wc)}
 	})
-	coefBytes := pc * wc * gpu.ScalarBytes
-	if fp32 {
-		coefBytes = pc * wc * 4
-		ctx.ReduceRoundElemOn(phase, scalarBytesAll(ng, coefBytes), gpu.Elem32, k)
-	} else {
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, coefBytes), k)
-	}
-	c := la.NewDense(pc, wc)
-	for _, part := range partial {
-		for j := 0; j < wc; j++ {
-			la.Axpy(1, part.Col(j), c.Col(j))
-		}
-	}
-	if fp32 {
-		roundF32Matrix(c)
-	}
 	// The broadcast relays the reduced C (implicit host-arrival ordering);
 	// the rank-update waits only for it, leaving the host free.
-	var bc gpu.StreamEvent
-	if fp32 {
-		bc = ctx.BroadcastRoundElemOn(phase, scalarBytesAll(ng, coefBytes), gpu.Elem32)
-	} else {
-		bc = ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, coefBytes))
-	}
-	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+	bc := ctx.Broadcast(phase, pc*wc, elem)
+	ctx.Launch(phase, func(d int) gpu.Work {
 		rows := float64(p[d].Rows)
 		if fp32 {
 			la.GemmNNF32(-1, p[d], c, 1, w[d])
@@ -105,34 +82,23 @@ func (BOrthMGS) Name() string { return "BOrth-MGS" }
 
 // Project implements BOrth.
 func (BOrthMGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.Dense {
-	if len(p) != len(w) {
-		panic(fmt.Sprintf("ortho: BOrth device mismatch %d vs %d", len(p), len(w)))
-	}
-	pc, wc := cols(p), cols(w)
-	ng := len(w)
+	pc, wc := windowCols(ctx, p), windowCols(ctx, w)
 	c := la.NewDense(pc, wc)
-	partial := make([][]float64, ng)
+	row := make([]float64, wc)
 	for l := 0; l < pc; l++ {
 		// row l of C: c_l = p_l' W
-		k := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+		ctx.AllReduce(phase, row, gpu.Elem64, func(d int, part []float64) gpu.Work {
 			pl := p[d].Col(l)
-			row := make([]float64, wc)
-			la.GemvT(1, w[d], pl, 0, row)
-			partial[d] = row
+			la.GemvT(1, w[d], pl, 0, part)
 			rows := float64(len(pl))
 			return gpu.Work{Flops: 2 * rows * float64(wc), Bytes: 8 * rows * float64(wc+1)}
 		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, wc*gpu.ScalarBytes), k)
-		row := make([]float64, wc)
-		for _, part := range partial {
-			la.Axpy(1, part, row)
-		}
 		for j := 0; j < wc; j++ {
 			c.Set(l, j, row[j])
 		}
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, wc*gpu.ScalarBytes))
+		bc := ctx.Broadcast(phase, wc, gpu.Elem64)
 		// rank-1 update W -= p_l c_l
-		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+		ctx.Launch(phase, func(d int) gpu.Work {
 			pl := p[d].Col(l)
 			for j := 0; j < wc; j++ {
 				la.Axpy(-row[j], pl, w[d].Col(j))

@@ -27,11 +27,11 @@ func (CAQR) Name() string { return "CAQR" }
 
 // Factor implements TSQR.
 func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	c := cols(w)
+	c := windowCols(ctx, w)
 	ng := len(w)
 	localQ := make([]*la.Dense, ng)
 	localR := make([]*la.Dense, ng)
-	k := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+	k := ctx.Launch(phase, func(d int) gpu.Work {
 		if w[d].Rows < c {
 			// Short-wide panel (a device owning fewer rows than the window
 			// is wide): generalized TSQR. Factor the leading square block,
@@ -59,7 +59,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 		return gpu.Work{Flops: 4 * rows * cc, Bytes: 8 * rows * cc}
 	})
 	// Gather the R factors (min(rows, c) x c each).
-	ctx.ReduceRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), k)
+	ctx.Gather(phase, c*c, gpu.Elem64, k)
 
 	// Host: QR of the stacked R factors. The row offset of device d's
 	// block inside the stack (blocks are square except short panels').
@@ -86,8 +86,8 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 
 	// Scatter the Q blocks; each device forms its final panel
 	// Q_d := localQ_d * qStack_d.
-	bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), hqr)
-	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+	bc := ctx.Broadcast(phase, c*c, gpu.Elem64, hqr)
+	ctx.Launch(phase, func(d int) gpu.Work {
 		qd := qStack.RowView(off[d], off[d+1])
 		out := la.NewDense(w[d].Rows, c)
 		la.ParallelGemmNN(1, localQ[d], qd, 0, out)

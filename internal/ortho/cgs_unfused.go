@@ -22,62 +22,33 @@ func (CGSUnfused) Name() string { return "CGS-unfused" }
 
 // Factor implements TSQR.
 func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	c := cols(w)
-	ng := len(w)
+	c := windowCols(ctx, w)
 	r := la.NewDense(c, c)
-	projPart := make([]*la.Dense, ng)
-	normPart := make([]float64, ng)
 	for k := 0; k < c; k++ {
 		if k > 0 {
 			// r_{1:k-1,k} := V' v_k (reduce + broadcast).
-			deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+			proj := r.Col(k)[:k]
+			ctx.AllReduce(phase, proj, gpu.Elem64, func(d int, part []float64) gpu.Work {
 				vk := w[d].Col(k)
-				buf := la.NewDense(k, 1)
-				prev := w[d].ColView(0, k)
-				la.ParallelGemvT(prev, vk, buf.Col(0))
-				projPart[d] = buf
+				la.ParallelGemvT(w[d].ColView(0, k), vk, part)
 				rows := float64(len(vk))
 				return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+1)}
 			})
-			ctx.ReduceRound(phase, scalarBytesAll(ng, k*gpu.ScalarBytes))
-			proj := make([]float64, k)
-			for _, p := range projPart {
-				la.Axpy(1, p.Col(0), proj)
-			}
-			for l := 0; l < k; l++ {
-				r.Set(l, k, proj[l])
-			}
-			ctx.BroadcastRound(phase, scalarBytesAll(ng, k*gpu.ScalarBytes))
-			deviceWork(ctx, phase, ng, func(d int) gpu.Work {
+			bc := ctx.Broadcast(phase, k, gpu.Elem64)
+			ctx.Launch(phase, func(d int) gpu.Work {
 				vk := w[d].Col(k)
-				prev := w[d].ColView(0, k)
-				la.Gemv(-1, prev, proj, 1, vk)
+				la.Gemv(-1, w[d].ColView(0, k), proj, 1, vk)
 				rows := float64(len(vk))
 				return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
-			})
+			}, bc)
 		}
 		// r_kk := ||v_k|| recomputed honestly (reduce + broadcast).
-		deviceWork(ctx, phase, ng, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			normPart[d] = la.Dot(vk, vk)
-			return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
-		})
-		ctx.ReduceRound(phase, scalarBytesAll(ng, gpu.ScalarBytes))
-		ssq := 0.0
-		for _, p := range normPart {
-			ssq += p
-		}
-		rkk := math.Sqrt(ssq)
+		rkk := math.Sqrt(normSq(ctx, w, k, phase))
 		r.Set(k, k, rkk)
 		if k > 0 && rkk <= 1e-14*la.Nrm2(r.Col(k)[:k]) || rkk == 0 {
 			return nil, ErrRankDeficient
 		}
-		ctx.BroadcastRound(phase, scalarBytesAll(ng, gpu.ScalarBytes))
-		deviceWork(ctx, phase, ng, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			la.Scal(1/rkk, vk)
-			return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
-		})
+		scaleCol(ctx, w, k, 1/rkk, phase, ctx.Broadcast(phase, 1, gpu.Elem64))
 	}
 	return r, nil
 }

@@ -113,43 +113,26 @@ func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, er
 }
 
 // gramReduce computes the global Gram matrix of the window: per-device
-// batched BLAS-3 Gram kernels, one reduce round, host sum. A sub-FP64
-// elem switches to the single-precision Gram kernel: float32
-// accumulation on device, a half-width reduce tagged in the precision
-// ledger, and a float32-granular host sum.
+// batched BLAS-3 Gram kernels, one all-reduce. A sub-FP64 elem switches to
+// the single-precision Gram kernel: float32 accumulation on device, a
+// half-width reduce tagged in the precision ledger, and a
+// float32-granular host sum.
 func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*la.Dense, error) {
-	c := cols(w)
-	ng := len(w)
-	fp32 := elem != gpu.Elem64
-	partial := make([]*la.Dense, ng)
-	k := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-		g := la.NewDense(c, c)
-		if fp32 {
-			la.GramF32(w[d], g)
-		} else {
-			la.BatchedGram(w[d], g)
-		}
-		partial[d] = g
-		rows := float64(w[d].Rows)
-		if fp32 {
-			return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
-		}
-		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
-	})
-	if fp32 {
-		ctx.ReduceRoundElemOn(phase, scalarBytesAll(ng, c*c*4), gpu.Elem32, k)
-	} else {
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), k)
+	c := windowCols(ctx, w)
+	if elem != gpu.Elem64 {
+		elem = gpu.Elem32
 	}
 	b := la.NewDense(c, c)
-	for _, p := range partial {
-		for j := 0; j < c; j++ {
-			la.Axpy(1, p.Col(j), b.Col(j))
+	ctx.AllReduce(phase, b.Data, elem, func(d int, part []float64) gpu.Work {
+		g := &la.Dense{Rows: c, Cols: c, Stride: c, Data: part}
+		rows := float64(w[d].Rows)
+		if elem == gpu.Elem32 {
+			la.GramF32(w[d], g)
+			return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
 		}
-	}
-	if fp32 {
-		roundF32Matrix(b)
-	}
+		la.BatchedGram(w[d], g)
+		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
+	})
 	for j := 0; j < c; j++ {
 		for i := 0; i < c; i++ {
 			if math.IsNaN(b.At(i, j)) || math.IsInf(b.At(i, j), 0) {
@@ -165,9 +148,8 @@ func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*
 // DTRSM in the paper).
 func applyInvR(ctx *gpu.Context, w []*la.Dense, r *la.Dense, phase string, after ...gpu.StreamEvent) {
 	c := r.Rows
-	ng := len(w)
-	bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, c*c*gpu.ScalarBytes), after...)
-	deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+	bc := ctx.Broadcast(phase, c*c, gpu.Elem64, after...)
+	ctx.Launch(phase, func(d int) gpu.Work {
 		la.TrsmRightUpper(w[d], r)
 		rows := float64(w[d].Rows)
 		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 16 * rows * float64(c)}

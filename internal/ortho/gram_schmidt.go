@@ -19,45 +19,31 @@ func (MGS) Name() string { return "MGS" }
 
 // Factor implements TSQR.
 func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	c := cols(w)
-	ng := len(w)
+	c := windowCols(ctx, w)
 	r := la.NewDense(c, c)
-	partial := make([]float64, ng)
+	var dot [1]float64
 	for k := 0; k < c; k++ {
 		projSq := 0.0 // accumulated ||r_{1:k-1,k}||^2, for breakdown detection
 		for l := 0; l < k; l++ {
 			// r_lk = v_l' v_k: local dots, one reduce round.
-			kd := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+			ctx.AllReduce(phase, dot[:], gpu.Elem64, func(d int, part []float64) gpu.Work {
 				vl, vk := w[d].Col(l), w[d].Col(k)
-				partial[d] = la.Dot(vl, vk)
+				part[0] = la.Dot(vl, vk)
 				return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 16 * float64(len(vl))}
 			})
-			ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd)
-			rlk := 0.0
-			for _, p := range partial {
-				rlk += p
-			}
+			rlk := dot[0]
 			r.Set(l, k, rlk)
 			projSq += rlk * rlk
 			// broadcast r_lk, local axpy v_k -= r_lk v_l
-			bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
-			deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+			bc := ctx.Broadcast(phase, 1, gpu.Elem64)
+			ctx.Launch(phase, func(d int) gpu.Work {
 				vl, vk := w[d].Col(l), w[d].Col(k)
 				la.Axpy(-rlk, vl, vk)
 				return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 24 * float64(len(vl))}
 			}, bc)
 		}
 		// r_kk = ||v_k||: reduce, then broadcast for the scale.
-		kd := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			partial[d] = la.Dot(vk, vk)
-			return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
-		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd)
-		ssq := 0.0
-		for _, p := range partial {
-			ssq += p
-		}
+		ssq := normSq(ctx, w, k, phase)
 		rkk := math.Sqrt(ssq)
 		r.Set(k, k, rkk)
 		// Breakdown check relative to the original column norm
@@ -65,14 +51,31 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		if rkk <= 1e-14*math.Sqrt(projSq+ssq) {
 			return nil, ErrRankDeficient
 		}
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
-		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			la.Scal(1/rkk, vk)
-			return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
-		}, bc)
+		scaleCol(ctx, w, k, 1/rkk, phase, ctx.Broadcast(phase, 1, gpu.Elem64))
 	}
 	return r, nil
+}
+
+// normSq returns the squared 2-norm of column k of the window: local dots,
+// one reduce round.
+func normSq(ctx *gpu.Context, w []*la.Dense, k int, phase string) float64 {
+	var ssq [1]float64
+	ctx.AllReduce(phase, ssq[:], gpu.Elem64, func(d int, part []float64) gpu.Work {
+		vk := w[d].Col(k)
+		part[0] = la.Dot(vk, vk)
+		return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
+	})
+	return ssq[0]
+}
+
+// scaleCol multiplies column k of the window by alpha once the broadcast
+// that carried the scalar has landed.
+func scaleCol(ctx *gpu.Context, w []*la.Dense, k int, alpha float64, phase string, bc gpu.StreamEvent) {
+	ctx.Launch(phase, func(d int) gpu.Work {
+		vk := w[d].Col(k)
+		la.Scal(alpha, vk)
+		return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
+	}, bc)
 }
 
 // CGS is classical Gram-Schmidt with the fused norm: the projection
@@ -93,34 +96,24 @@ func (CGS) Name() string { return "CGS" }
 
 // Factor implements TSQR.
 func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	c := cols(w)
-	ng := len(w)
+	c := windowCols(ctx, w)
 	r := la.NewDense(c, c)
-	partial := make([]*la.Dense, ng) // (k+1)-vector per device: [V'v; ||v||^2]
+	fused := make([]float64, c+1)
 	for k := 0; k < c; k++ {
-		// Local fused projection+norm, one reduce round.
-		kd := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+		// Local fused projection+norm [V'v; ||v||^2], one reduce round.
+		sum := fused[:k+1]
+		ctx.AllReduce(phase, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
 			vk := w[d].Col(k)
-			buf := la.NewDense(k+1, 1)
 			if k > 0 {
-				prev := w[d].ColView(0, k)
-				la.ParallelGemvT(prev, vk, buf.Col(0)[:k])
+				la.ParallelGemvT(w[d].ColView(0, k), vk, part[:k])
 			}
-			buf.Set(k, 0, la.Dot(vk, vk))
-			partial[d] = buf
+			part[k] = la.Dot(vk, vk)
 			rows := float64(len(vk))
 			return gpu.Work{Flops: 2 * rows * float64(k+1), Bytes: 8 * rows * float64(k+2)}
 		})
-		ctx.ReduceRoundOn(phase, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes), kd)
-		sum := make([]float64, k+1)
-		for _, p := range partial {
-			la.Axpy(1, p.Col(0), sum)
-		}
 		proj := sum[:k]
 		vnorm2 := sum[k]
-		for l := 0; l < k; l++ {
-			r.Set(l, k, proj[l])
-		}
+		copy(r.Col(k), proj)
 		// Pythagorean post-update norm with a cancellation guard.
 		rnorm2 := la.Dot(proj, proj)
 		newNorm2 := vnorm2 - rnorm2
@@ -128,12 +121,11 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 
 		// Broadcast coefficients, local update. The host-side Pythagorean
 		// bookkeeping above overlaps with the device-side update.
-		bc := ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, (k+1)*gpu.ScalarBytes))
-		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
+		bc := ctx.Broadcast(phase, k+1, gpu.Elem64)
+		ctx.Launch(phase, func(d int) gpu.Work {
 			vk := w[d].Col(k)
 			if k > 0 {
-				prev := w[d].ColView(0, k)
-				la.Gemv(-1, prev, proj, 1, vk)
+				la.Gemv(-1, w[d].ColView(0, k), proj, 1, vk)
 			}
 			rows := float64(len(vk))
 			return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
@@ -142,22 +134,11 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		var rkk float64
 		if needRecompute {
 			// Cancellation: one extra reduce for the true norm.
-			part := make([]float64, ng)
-			kd2 := deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-				vk := w[d].Col(k)
-				part[d] = la.Dot(vk, vk)
-				return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
-			})
-			ctx.ReduceRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes), kd2)
-			ssq := 0.0
-			for _, p := range part {
-				ssq += p
-			}
-			rkk = math.Sqrt(ssq)
+			rkk = math.Sqrt(normSq(ctx, w, k, phase))
 			// The scale still rides on the already-counted broadcast of
 			// the next column in spirit; charge one explicit round to
 			// stay honest.
-			bc = ctx.BroadcastRoundOn(phase, scalarBytesAll(ng, gpu.ScalarBytes))
+			bc = ctx.Broadcast(phase, 1, gpu.Elem64)
 		} else {
 			rkk = math.Sqrt(newNorm2)
 			// rkk was derived host-side from already-communicated data
@@ -168,11 +149,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		if rkk <= 1e-14*math.Sqrt(vnorm2) || math.IsNaN(rkk) {
 			return nil, ErrRankDeficient
 		}
-		deviceWorkOn(ctx, phase, ng, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			la.Scal(1/rkk, vk)
-			return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
-		}, bc)
+		scaleCol(ctx, w, k, 1/rkk, phase, bc)
 	}
 	return r, nil
 }

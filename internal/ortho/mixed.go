@@ -1,9 +1,6 @@
 package ortho
 
 import (
-	"fmt"
-	"math"
-
 	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 )
@@ -31,71 +28,12 @@ func (m MixedCholQR) Name() string {
 	return "MixedCholQR"
 }
 
-// Factor implements TSQR.
+// Factor implements TSQR: CholQR with a single-precision Gram matrix, then
+// (Refine) plain CholQR on its Q.
 func (m MixedCholQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	r1, err := m.pass(ctx, w, phase)
-	if err != nil {
-		return nil, err
+	r1, err := (CholQR{GramElem: gpu.Elem32}).Factor(ctx, w, phase)
+	if err != nil || !m.Refine {
+		return r1, err
 	}
-	if !m.Refine {
-		return r1, nil
-	}
-	r2, err := (CholQR{}).Factor(ctx, w, phase)
-	if err != nil {
-		return nil, err
-	}
-	c := r1.Rows
-	out := la.NewDense(c, c)
-	la.GemmNN(1, r2, r1, 0, out)
-	ctx.HostCompute(phase, float64(c*c*c)/3)
-	return out, nil
-}
-
-// pass runs one single-precision-Gram CholQR sweep.
-func (m MixedCholQR) pass(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	c := cols(w)
-	ng := len(w)
-	partial := make([]*la.Dense, ng)
-	deviceWork(ctx, phase, ng, func(d int) gpu.Work {
-		g := la.NewDense(c, c)
-		la.GramF32(w[d], g)
-		partial[d] = g
-		rows := float64(w[d].Rows)
-		// Single precision halves the kernel's memory traffic.
-		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
-	})
-	// Reduce in single precision: half the wire volume of CholQR, tagged
-	// in the precision ledger.
-	ctx.ReduceRoundElem(phase, scalarBytesAll(ng, c*c*4), gpu.Elem32)
-	b := la.NewDense(c, c)
-	for _, p := range partial {
-		for j := 0; j < c; j++ {
-			la.Axpy(1, p.Col(j), b.Col(j))
-		}
-	}
-	// Host-side sum happens in float32 granularity too.
-	roundF32Matrix(b)
-	for j := 0; j < c; j++ {
-		for i := 0; i < c; i++ {
-			if math.IsNaN(b.At(i, j)) || math.IsInf(b.At(i, j), 0) {
-				return nil, fmt.Errorf("%w: non-finite Gram entry", ErrRankDeficient)
-			}
-		}
-	}
-	r, err := la.Cholesky(b)
-	ctx.HostCompute(phase, float64(c*c*c)/3)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRankDeficient, err)
-	}
-	applyInvR(ctx, w, r, phase)
-	return r, nil
-}
-
-func roundF32Matrix(b *la.Dense) {
-	for j := 0; j < b.Cols; j++ {
-		col := b.Col(j)
-		for i := range col {
-			col[i] = float64(float32(col[i]))
-		}
-	}
+	return secondPass(ctx, w, phase, CholQR{}, r1)
 }

@@ -8,11 +8,11 @@
 // All kernels operate on a distributed tall-skinny window: a slice of
 // per-device la.Dense panels (one panel per simulated GPU, produced by
 // dist.Vectors.Window) whose vertical concatenation is the matrix V being
-// factored. Communication follows the paper's host-staged protocol —
-// every global reduction is one device-to-host round plus, when results
-// return to the devices, one host-to-device round — and is charged to the
-// gpu.Context ledger, which is how the reproduction recovers Figure 10's
-// communication counts.
+// factored. Communication is the paper's host-staged protocol, which
+// gpu.Context implements once (internal/gpu/collective.go): a strategy is
+// the kernels it launches and the all-reduces and broadcasts between
+// them, and the ledger they charge is how the reproduction recovers
+// Figure 10's communication counts.
 package ortho
 
 import (
@@ -52,6 +52,16 @@ func cols(w []*la.Dense) int {
 	return c
 }
 
+// windowCols is cols for a window a strategy is about to run on ctx: one
+// panel per device of the context, or the device goroutines would index
+// past the window (or leave panels untouched).
+func windowCols(ctx *gpu.Context, w []*la.Dense) int {
+	if len(w) != ctx.NumDevices {
+		panic(fmt.Sprintf("ortho: window of %d panels on a context of %d devices", len(w), ctx.NumDevices))
+	}
+	return cols(w)
+}
+
 // totalRows returns the global row count of a window.
 func totalRows(w []*la.Dense) int {
 	n := 0
@@ -59,32 +69,6 @@ func totalRows(w []*la.Dense) int {
 		n += p.Rows
 	}
 	return n
-}
-
-// scalarBytesAll returns a per-device byte vector of b bytes each.
-func scalarBytesAll(ng, b int) []int {
-	v := make([]int, ng)
-	for d := range v {
-		v[d] = b
-	}
-	return v
-}
-
-// deviceWork runs f on every device, collecting per-device Work, and
-// charges it as one parallel kernel.
-func deviceWork(ctx *gpu.Context, phase string, ndev int, f func(d int) gpu.Work) {
-	deviceWorkOn(ctx, phase, ndev, f)
-}
-
-// deviceWorkOn is deviceWork as a stream operation: the launch waits for
-// the given events and the returned event fires when the slowest device
-// finishes.
-func deviceWorkOn(ctx *gpu.Context, phase string, ndev int, f func(d int) gpu.Work, after ...gpu.StreamEvent) gpu.StreamEvent {
-	work := make([]gpu.Work, ndev)
-	ctx.RunAll(func(d int) {
-		work[d] = f(d)
-	})
-	return ctx.DeviceKernelOn(phase, work, after...)
 }
 
 // Reorth wraps a strategy with one reorthogonalization pass (the "2x"
@@ -104,13 +88,18 @@ func (r Reorth) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense
 	if err != nil {
 		return nil, err
 	}
-	r2, err := r.Inner.Factor(ctx, w, phase)
+	return secondPass(ctx, w, phase, r.Inner, r1)
+}
+
+// secondPass factors a window again — it holds the Q of a first pass whose
+// R factor is r1 — and returns the combined R = R2 * R1 (both upper
+// triangular). The small triangular product runs on the host while the
+// devices continue past the second factorization.
+func secondPass(ctx *gpu.Context, w []*la.Dense, phase string, second TSQR, r1 *la.Dense) (*la.Dense, error) {
+	r2, err := second.Factor(ctx, w, phase)
 	if err != nil {
 		return nil, err
 	}
-	// R = R2 * R1 (both upper triangular, host-side small product).
-	// The small triangular product runs on the host while the devices
-	// continue past the second factorization.
 	c := r1.Rows
 	out := la.NewDense(c, c)
 	la.GemmNN(1, r2, r1, 0, out)

@@ -61,7 +61,7 @@ func workload(c *gpu.Context) {
 
 	c.PeerExchange("mpk", ringTraffic(ng, 4096))
 
-	ev := c.ReduceRoundOn("orth", uniform(2048), c.ComputeFence())
+	ev := c.Gather("orth", 256, gpu.Elem64, c.ComputeFence())
 	c.DeviceKernelOn("orth", work, ev)
 	c.HostComputeOn("lsq", 1e5)
 	c.HaloExchangeElemOn("mpk", uniform(1024), uniform(3072), ringTraffic(ng, 1024), gpu.Elem64)

@@ -6,13 +6,12 @@ import (
 	"cagmres/internal/obs"
 )
 
-// Bucket layouts: wall-clock wait/service spans 100 microseconds to ~100
-// seconds; modeled service spans 1 microsecond to ~4 seconds of device
-// clock; batch sizes are small integers.
+// Bucket layouts: wait/service spans 100 microseconds to ~100 seconds
+// (both sched_service_seconds series, wall and modeled, are one family and
+// so share it); batch sizes are small integers.
 var (
-	wallBuckets    = obs.ExpBuckets(1e-4, 2, 21)
-	modeledBuckets = obs.ExpBuckets(1e-6, 4, 12)
-	batchBuckets   = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+	wallBuckets  = obs.ExpBuckets(1e-4, 2, 21)
+	batchBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 )
 
 // metrics holds the scheduler's registry instruments. All families are

@@ -113,18 +113,6 @@ func (a *CSR) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecSub computes y := A x restricted to rows [r0, r1), writing into
-// y[0:r1-r0]. Used by row-partitioned parallel SpMV.
-func (a *CSR) MulVecSub(y, x []float64, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i-r0] = s
-	}
-}
-
 // Transpose returns A' in CSR form.
 func (a *CSR) Transpose() *CSR {
 	t := NewCSR(a.Cols, a.Rows, a.NNZ())

@@ -290,15 +290,3 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone aliases")
 	}
 }
-
-func TestMulVecSub(t *testing.T) {
-	a := testMatrix()
-	x := []float64{1, 2, 3, 4}
-	full := make([]float64, 4)
-	a.MulVec(full, x)
-	part := make([]float64, 2)
-	a.MulVecSub(part, x, 1, 3)
-	if part[0] != full[1] || part[1] != full[2] {
-		t.Fatalf("MulVecSub = %v, want %v", part, full[1:3])
-	}
-}
