@@ -1,5 +1,7 @@
 # Repo gates. `make check` is the full pre-merge bar: vet, staticcheck
-# (when installed), the race detector over the concurrency hot spots
+# (when installed), the one-definition lint of the reduce protocol
+# (`make protocol-lint`: only internal/gpu's collectives spell it), the
+# race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
 # ortho strategies on top of them, the sched/server serving stack, and
 # core's heal/cancel/fault tests — its recovery boundary is a recover
@@ -49,9 +51,9 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
+.PHONY: check build vet staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
 
-check: vet staticcheck race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet staticcheck protocol-lint race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +69,13 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# The host-staged reduce protocol has one definition: gpu.Context's
+# Launch/Gather/Broadcast/AllReduce. Fails on a round charge, a []gpu.Work
+# or a RunAll above internal/gpu (dist's MPK, Distribute and ZeroCols
+# excepted; see the script).
+protocol-lint:
+	@sh scripts/protocol_lint.sh
 
 test:
 	$(GO) test -shuffle=on ./...

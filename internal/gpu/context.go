@@ -4,7 +4,9 @@
 //
 // Each simulated device is backed by real parallel execution: Context.RunAll
 // runs one goroutine per device, so device-local kernels genuinely execute
-// concurrently and all numerical results are exact. What is *modeled* is
+// concurrently and all numerical results are exact. The paper's host-staged
+// reduce protocol on top of it — launch, gather, host sum, broadcast — is
+// Context.Launch/Gather/Broadcast/AllReduce (collective.go). What is *modeled* is
 // the cost of the hardware the host machine does not have: every CPU<->GPU
 // communication round and every device kernel reports its shape (messages,
 // bytes, flops) to a Stats ledger, which converts it to modeled time using
@@ -85,7 +87,9 @@ func M2090() CostModel {
 // lives on under the current profile (see mapNodes). arena is the node's
 // memory (workspace.go): a view draws from its root's, each logical
 // device from its physical device's lane. scratch is the working memory of
-// the collectives and the kernel charge (collective.go), this value's own.
+// the collectives and the kernel charge (collective.go), this value's own:
+// one goroutine at a time orchestrates a context (launches and charges),
+// as the solvers always have.
 type Context struct {
 	NumDevices int
 	Model      CostModel
@@ -203,7 +207,9 @@ func (m CostModel) deviceTime(w Work) float64 {
 
 // ReduceRound records one device->host communication round in which every
 // device concurrently sends bytes[d] bytes (bytes may have fewer entries
-// than devices; missing entries are zero). The round is charged one
+// than devices; missing entries are zero) — the barrier form of the round
+// the collectives submit (collective.go implements the reduce protocol the
+// rounds are the pieces of). The round is charged one
 // latency plus the serialized bus time of the volume (roundTime; remote
 // nodes of a clustered profile add a fabric leg). With a fault plan
 // armed, the round first checks scheduled device deaths and then draws

@@ -2,6 +2,7 @@ package ortho
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -415,5 +416,38 @@ func TestCAQRBlockedMatchesUnblocked(t *testing.T) {
 	e := Measure(w2, orig, r2)
 	if e.Orthogonality > 1e-12 {
 		t.Fatalf("blocked CAQR orthogonality %v", e.Orthogonality)
+	}
+}
+
+// TestWindowMustMatchTheContext: a window split for another device count
+// than the context's fails up front with both counts in the message, in
+// every strategy and both BOrth variants — not with an index out of range
+// from inside a device goroutine or a nil panel in a host sum.
+func TestWindowMustMatchTheContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(120))
+	v := randTall(rng, 60, 4)
+	mustPanic := func(name string, panels, devices int, f func()) {
+		t.Helper()
+		want := fmt.Sprintf("ortho: window of %d panels on a context of %d devices", panels, devices)
+		defer func() {
+			if got := recover(); got != want {
+				t.Errorf("%s, %d panels on %d devices: panic %v, want %q", name, panels, devices, got, want)
+			}
+		}()
+		f()
+	}
+	for _, n := range [][2]int{{2, 3}, {3, 2}} {
+		panels, devices := n[0], n[1]
+		for _, strat := range append(All(), CGSUnfused{}, MixedCholQR{Refine: true}, Reorth{Inner: CholQR{}}) {
+			mustPanic(strat.Name(), panels, devices, func() {
+				strat.Factor(gpu.NewContext(devices, gpu.M2090()), splitRows(v.Clone(), panels), "tsqr")
+			})
+		}
+		for _, b := range []BOrth{BOrthCGS{}, BOrthMGS{}} {
+			mustPanic(b.Name(), panels, devices, func() {
+				p := orthoPanel(rng, 60, 3, panels)
+				b.Project(gpu.NewContext(devices, gpu.M2090()), p, splitRows(v.Clone(), panels), "borth")
+			})
+		}
 	}
 }

@@ -366,7 +366,6 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Start launches one worker goroutine per pooled context. Idempotent.
 // Pool returns the device pool the scheduler leases from.
 func (s *Scheduler) Pool() *Pool { return s.cfg.Pool }
 
@@ -376,6 +375,7 @@ func (s *Scheduler) Tracer() *obs.Tracer { return s.cfg.Tracer }
 // SLO returns the scheduler's SLO engine (never nil after New).
 func (s *Scheduler) SLO() *obs.SLOEngine { return s.cfg.SLO }
 
+// Start launches one worker goroutine per pooled context. Idempotent.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,0 +1,32 @@
+#!/bin/sh
+# One definition of the host-staged reduce protocol: gpu.Context's
+# collectives (internal/gpu/collective.go) launch, gather, broadcast and
+# all-reduce; nothing above internal/gpu writes the sequence out again.
+# Fails when a non-test Go file under internal/ (outside internal/gpu and
+# the profile conformance suite, which pin the charging API itself), cmd/,
+# examples/ or the root package
+#   - calls a ReduceRound*/BroadcastRound* charge,
+#   - builds its own []gpu.Work (dist.MPK may: its exchange bytes differ
+#     per device and its first step is charged as two launches), or
+#   - calls RunAll (dist's MPK, Distribute and ZeroCols may: device-side
+#     work that is charged elsewhere or not at all).
+# benchmark/ is the fixed yardstick and is not scanned. An optional
+# argument names another checkout to lint.
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+files=$(find . -name '*.go' ! -name '*_test.go' \
+	\( -path './internal/*' -o -path './cmd/*' -o -path './examples/*' -o ! -path './*/*' \) \
+	! -path './internal/gpu/*' ! -path './internal/profile/profiletest/*')
+# Code lines only: a comment may name what it replaces.
+code() { grep -nE "$1" $files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true; }
+bad=$(
+	code '\.(ReduceRound|BroadcastRound)[A-Za-z]*\('
+	code 'make\(\[\]gpu\.Work' | grep -v '^\./internal/dist/mpk\.go:' || true
+	code '\.RunAll\(' | grep -vE '^\./internal/dist/(mpk|matrix|layout)\.go:' || true
+)
+if [ -n "$bad" ]; then
+	echo "protocol-lint: the reduce protocol is written outside internal/gpu (use Context.Launch/Gather/Broadcast/AllReduce):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "protocol-lint: ok ($(echo "$files" | wc -l) files)"
