@@ -14,32 +14,34 @@ import "slices"
 // All four collectives are stream operations: they wait for the given
 // events, and with overlap disabled each one is a full barrier, exactly as
 // the ...On charges they submit.
-//
-// Their working memory — the Work and kernel-time vectors of a launch, the
-// uniform byte vector of a round, the partials of a reduction — is
-// grow-only scratch of the Context value (a Survivors view has its own),
-// under the contract charging already has: one orchestrating goroutine per
-// context. The ledger, the trace ring and the timeline copy numbers out of
-// what they are handed and keep no slice, so the next call may overwrite it.
+
+// collectiveScratch is the working memory of the collectives and of the
+// kernel charge: grow-only, owned by one Context value (a Survivors view
+// has its own) under the contract charging already has — one orchestrating
+// goroutine per context. The ledger, the trace ring and the timeline copy
+// numbers out of what they are handed and keep no slice, so the next call
+// may overwrite it.
 type collectiveScratch struct {
-	work  []Work
-	times []float64
-	bytes []int
+	work  []Work      // one launch's cost shapes
+	times []float64   // and its modeled kernel times
+	bytes []int       // one round's uniform byte vector
 	parts [][]float64 // per device, grown to the widest reduction so far
 }
 
-// sized returns s at length n, in its own memory when that is large enough
-// (what it held is then still there) and in new memory, grown the way
-// append grows, when it is not.
-func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+// sized sets *s to length n — in its own memory when that is large enough
+// (what it held is then still there), in new memory grown the way append
+// grows when it is not — and returns it.
+func sized[T any](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	return *s
+}
 
 // Launch runs f(d) on every device (RunAll) and charges what each call
 // returns as one parallel kernel: device d's share is f(d), the launch
 // waits for the after events, and the returned event fires when the
 // slowest device finishes.
 func (c *Context) Launch(phase string, f func(d int) Work, after ...StreamEvent) StreamEvent {
-	work := sized(c.scratch.work, c.NumDevices)
-	c.scratch.work = work
+	work := sized(&c.scratch.work, c.NumDevices)
 	c.RunAll(func(d int) { work[d] = f(d) })
 	return c.deviceKernel(phase, work, false, after)
 }
@@ -59,8 +61,7 @@ func (c *Context) Broadcast(phase string, n int, elem Elem, after ...StreamEvent
 }
 
 func (c *Context) uniformBytes(b int) []int {
-	bytes := sized(c.scratch.bytes, c.NumDevices)
-	c.scratch.bytes = bytes
+	bytes := sized(&c.scratch.bytes, c.NumDevices)
 	for d := range bytes {
 		bytes[d] = b
 	}
@@ -77,10 +78,9 @@ func (c *Context) uniformBytes(b int) []int {
 // The returned event is the gather's: out is on the host from then on.
 func (c *Context) AllReduce(phase string, out []float64, elem Elem, f func(d int, part []float64) Work, after ...StreamEvent) StreamEvent {
 	n := len(out)
-	parts := sized(c.scratch.parts, c.NumDevices)
-	c.scratch.parts = parts
+	parts := sized(&c.scratch.parts, c.NumDevices)
 	for d := range parts {
-		parts[d] = sized(parts[d], n)
+		sized(&parts[d], n)
 	}
 	k := c.Launch(phase, func(d int) Work {
 		clear(parts[d])

@@ -6,15 +6,16 @@
 // runs one goroutine per device, so device-local kernels genuinely execute
 // concurrently and all numerical results are exact. The paper's host-staged
 // reduce protocol on top of it — launch, gather, host sum, broadcast — is
-// Context.Launch/Gather/Broadcast/AllReduce (collective.go). What is *modeled* is
-// the cost of the hardware the host machine does not have: every CPU<->GPU
-// communication round and every device kernel reports its shape (messages,
-// bytes, flops) to a Stats ledger, which converts it to modeled time using
-// a CostModel calibrated to the paper's testbed. The performance *shape*
-// results of the paper (latency-vs-bandwidth crossovers in the matrix
-// powers kernel, reduction counts of the orthogonalization strategies,
-// multi-GPU scaling) are therefore reproduced from first principles:
-// identical communication structure, calibrated constants.
+// Context.Launch/Gather/Broadcast/AllReduce (collective.go).
+//
+// What is *modeled* is the cost of the hardware the host machine does not
+// have: every CPU<->GPU communication round and every device kernel reports
+// its shape (messages, bytes, flops) to a Stats ledger, which converts it to
+// modeled time using a CostModel calibrated to the paper's testbed. The
+// performance *shape* results of the paper (latency-vs-bandwidth crossovers
+// in the matrix powers kernel, reduction counts of the orthogonalization
+// strategies, multi-GPU scaling) are therefore reproduced from first
+// principles: identical communication structure, calibrated constants.
 package gpu
 
 import (
@@ -207,9 +208,8 @@ func (m CostModel) deviceTime(w Work) float64 {
 
 // ReduceRound records one device->host communication round in which every
 // device concurrently sends bytes[d] bytes (bytes may have fewer entries
-// than devices; missing entries are zero) — the barrier form of the round
-// the collectives submit (collective.go implements the reduce protocol the
-// rounds are the pieces of). The round is charged one
+// than devices; missing entries are zero): the barrier form of the round
+// a Gather submits (collective.go). The round is charged one
 // latency plus the serialized bus time of the volume (roundTime; remote
 // nodes of a clustered profile add a fabric leg). With a fault plan
 // armed, the round first checks scheduled device deaths and then draws
@@ -277,8 +277,7 @@ func (c *Context) DeviceKernel(phase string, work []Work) {
 
 func (c *Context) deviceKernel(phase string, work []Work, barrier bool, after []StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
-	ts := sized(c.scratch.times, len(work))
-	c.scratch.times = ts
+	ts := sized(&c.scratch.times, len(work))
 	for d, w := range work {
 		ts[d] = c.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
 	}

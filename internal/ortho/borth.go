@@ -38,8 +38,8 @@ func (BOrthCGS) Name() string { return "BOrth-CGS" }
 
 // Project implements BOrth.
 func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.Dense {
-	elem := gpu.Elem64
-	if o.Elem != gpu.Elem64 {
+	elem := o.Elem
+	if elem != gpu.Elem64 {
 		elem = gpu.Elem32
 	}
 	fp32 := elem == gpu.Elem32
