@@ -1,5 +1,6 @@
-# Repo gates. `make check` is the full pre-merge bar: vet, staticcheck
-# (when installed), the one-definition lint of the reduce protocol
+# Repo gates. `make check` is the full pre-merge bar: vet, gofmt
+# (`make fmt-check`: no tracked .go file may differ from its gofmt form),
+# staticcheck (when installed), the one-definition lint of the reduce protocol
 # (`make protocol-lint`: only internal/gpu's collectives spell it), the
 # race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
@@ -51,15 +52,20 @@
 
 GO ?= go
 
-.PHONY: check build vet staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
+.PHONY: check build vet fmt-check staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
 
-check: vet staticcheck protocol-lint race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet fmt-check staticcheck protocol-lint race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would rewrite a tracked .go file, and lists them.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # staticcheck is optional tooling: run it when present, skip without
 # failing when the host doesn't have it installed.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -36,24 +35,6 @@ import (
 	"cagmres/internal/profile"
 	"cagmres/internal/sched"
 )
-
-// brownoutLadder parses the -brownout flag: a comma-separated list of
-// minimum admitted priorities, one per brownout level (same grammar as
-// cagmresd's flag). Empty input keeps brownout off.
-func brownoutLadder(spec string) (*sched.BrownoutConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var ladder []int
-	for _, item := range strings.Split(spec, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(item))
-		if err != nil {
-			return nil, fmt.Errorf("ladder rung %q: %v", item, err)
-		}
-		ladder = append(ladder, p)
-	}
-	return &sched.BrownoutConfig{Ladder: ladder}, nil
-}
 
 func main() {
 	var (
@@ -198,7 +179,7 @@ func run(cfg routerConfig) error {
 	if err != nil {
 		return fmt.Errorf("-slo-target: %w", err)
 	}
-	brownout, err := brownoutLadder(cfg.brownout)
+	brownout, err := sched.ParseBrownoutLadder(cfg.brownout)
 	if err != nil {
 		return fmt.Errorf("-brownout: %w", err)
 	}

@@ -79,7 +79,7 @@ func main() {
 	}
 	var brownout *sched.BrownoutConfig
 	if err == nil {
-		if brownout, err = brownoutLadder(*brownoutFlag); err != nil {
+		if brownout, err = sched.ParseBrownoutLadder(*brownoutFlag); err != nil {
 			err = fmt.Errorf("-brownout: %w", err)
 		}
 	}
@@ -121,24 +121,6 @@ type daemonConfig struct {
 	brownout                 *sched.BrownoutConfig
 	deadlineMargin           float64
 	precision                string
-}
-
-// brownoutLadder parses the -brownout flag: a comma-separated list of
-// minimum admitted priorities, one per brownout level. Empty input
-// keeps brownout off.
-func brownoutLadder(spec string) (*sched.BrownoutConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var ladder []int
-	for _, item := range strings.Split(spec, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(item))
-		if err != nil {
-			return nil, fmt.Errorf("ladder rung %q: %v", item, err)
-		}
-		ladder = append(ladder, p)
-	}
-	return &sched.BrownoutConfig{Ladder: ladder}, nil
 }
 
 // chaosPlans translates the -chaos-* flags into per-context fault plans.

@@ -69,9 +69,9 @@ func FigCluster(cfg Config) []ClusterRow {
 	const (
 		devicesPerNode = 2
 		s              = 10
-		intraLat       = 5e-6  // node-local PCIe-switch peer latency
-		intraBW        = 22e9  // node-local peer bandwidth
-		fabricBW       = 12e9  // fixed fabric bandwidth for the ratio sweep
+		intraLat       = 5e-6 // node-local PCIe-switch peer latency
+		intraBW        = 22e9 // node-local peer bandwidth
+		fabricBW       = 12e9 // fixed fabric bandwidth for the ratio sweep
 	)
 	base := profile.A100PCIe()
 	base.Topo = gpu.Topology{Kind: gpu.TopoPCIeSwitch, PeerLatency: intraLat, PeerBandwidth: intraBW}

@@ -131,7 +131,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 		out.PerBackend = append(out.PerBackend, bh)
 	}
-	writeJSON(w, http.StatusOK, out)
+	obs.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) handleSLO(w http.ResponseWriter, req *http.Request) {
@@ -147,5 +147,5 @@ func (r *Router) handleSLO(w http.ResponseWriter, req *http.Request) {
 			out.Degraded = true
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	obs.WriteJSON(w, http.StatusOK, out)
 }

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cagmres/internal/obs"
 	"cagmres/internal/server"
 )
 
@@ -59,7 +62,7 @@ func TestRouterRetryBudgetExhausted(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP %d, want 503", code)
 	}
-	var e errorJSON
+	var e obs.ErrorBody
 	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, tinySpec())))
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, req)
@@ -179,7 +182,7 @@ func TestRouterDeadlineExhausted(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d, want 504: %s", rec.Code, rec.Body.String())
 	}
-	var e errorJSON
+	var e obs.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != codeDeadlineExhausted {
 		t.Errorf("rejection %q (%v), want %q", e.Code, err, codeDeadlineExhausted)
 	}
@@ -466,7 +469,7 @@ func TestExpiredDeadlineDoesNotDrainRetryBudget(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d, want 504: %s", rec.Code, rec.Body.String())
 	}
-	var e errorJSON
+	var e obs.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != codeDeadlineExhausted {
 		t.Errorf("rejection %q (%v), want %q", e.Code, err, codeDeadlineExhausted)
 	}
@@ -654,5 +657,136 @@ func TestRouterKillReviveBreakerRace(t *testing.T) {
 	}
 	if st := r.ResilienceSnapshot().Breakers["n1"]; st != BreakerClosed {
 		t.Errorf("revived backend's breaker %q, want closed", st)
+	}
+}
+
+// stepClock is a router clock a test advances by hand or, with a step,
+// on every read — goroutine-safe, since reaped hedge losers read it too.
+type stepClock struct {
+	mu      sync.Mutex
+	t, step float64
+}
+
+func (c *stepClock) now() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t += c.step
+	return c.t
+}
+
+func (c *stepClock) setStep(step float64) {
+	c.mu.Lock()
+	c.step = step
+	c.mu.Unlock()
+}
+
+// promValue reads one unlabeled sample of the router's /metrics.
+func promValue(t *testing.T, prom []byte, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(prom), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", name)
+	return 0
+}
+
+// TestRouterCountsAgreeWithMetrics: after a re-route, a breaker skip, a
+// hedge launched, a hedge denied by an empty retry budget and an expired
+// client deadline, Counts, ResilienceSnapshot and /healthz report what
+// /metrics exports — they read the same series.
+func TestRouterCountsAgreeWithMetrics(t *testing.T) {
+	slow := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(400 * time.Millisecond):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"id":"s","state":"done","converged":true}`)
+	}))
+	keyA, keyB := tinySpec(), server.MatrixSpec{Name: "laplace3d", Scale: 2e-5}
+	shardA, _ := ShardKey(keyA)
+	shardB, _ := ShardKey(keyB)
+	clock := &stepClock{}
+	r := New(Config{
+		Backends: []*Backend{
+			NewLocalBackend("failing", statusHandler(http.StatusInternalServerError, "boom")),
+			slow,
+			NewLocalBackend("fast", doneHandler("f")),
+		},
+		// keyA tries failing, fast, slow; keyB tries slow, fast, failing.
+		ShardMap: &ShardMap{Assign: map[string]string{shardA: "failing", shardB: "slow"},
+			Weights: map[string]float64{"fast": 1000}},
+		Breaker:          BreakerConfig{Threshold: 1},
+		RetryBudgetBurst: 2, // the re-route and the first hedge empty it
+		Now:              clock.now,
+	})
+	send := func(spec server.MatrixSpec, control string) (int, RoutedJob) {
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, spec)))
+		if control != "" {
+			req.Header.Set(server.SolveControlHeader, control)
+		}
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, req)
+		var job RoutedJob
+		_ = json.Unmarshal(rec.Body.Bytes(), &job)
+		return rec.Code, job
+	}
+	// A 500 from the first choice opens its breaker and re-routes; the
+	// next solve of the key skips it.
+	for i, hops := range []int{2, 1} {
+		if code, job := send(keyA, ""); code != http.StatusOK || job.Backend != "fast" || job.Hops != hops {
+			t.Fatalf("solve %d of the failing shard: HTTP %d backend %q hops %d, want fast in %d", i, code, job.Backend, job.Hops, hops)
+		}
+	}
+	// The first hedge draws the last token; the second is denied and the
+	// slow primary answers on its own.
+	if code, job := send(keyB, "hedge=on"); code != http.StatusOK || !job.Hedged {
+		t.Fatalf("hedged solve: HTTP %d %+v", code, job)
+	}
+	if code, job := send(keyB, "hedge=on"); code != http.StatusOK || job.Hedged || job.Backend != "slow" {
+		t.Fatalf("solve with an empty budget: HTTP %d %+v, want the un-hedged primary", code, job)
+	}
+	clock.setStep(0.2)
+	if code, _ := send(keyA, "deadline-ms=100"); code != http.StatusGatewayTimeout {
+		t.Fatalf("expired deadline: HTTP %d, want 504", code)
+	}
+	clock.setStep(0)
+
+	_, hbody := get(t, r, "/healthz")
+	var hz ClusterHealthz
+	if err := json.Unmarshal(hbody, &hz); err != nil {
+		t.Fatal(err)
+	}
+	_, prom := get(t, r, "/metrics")
+	solves, reroutes, rejects := r.Counts()
+	res := r.ResilienceSnapshot()
+	for _, row := range []struct {
+		series           string
+		accessor, health float64
+		atLeast          float64
+	}{
+		{"router_solves_total", float64(solves), float64(hz.RoutedSolves), 4},
+		{"router_reroutes_total", float64(reroutes), float64(hz.Reroutes), 1},
+		{"router_rejects_total", float64(rejects), float64(hz.Rejects), 1},
+		{"router_hedges_total", float64(res.Hedges), float64(hz.Resilience.Hedges), 1},
+		{"router_hedge_wins_total", float64(res.HedgeWins), float64(hz.Resilience.HedgeWins), 1},
+		{"router_breaker_skips_total", float64(res.BreakerSkips), float64(hz.Resilience.BreakerSkips), 1},
+		{"router_deadline_expired_total", float64(res.DeadlineExpired), float64(hz.Resilience.DeadlineExpired), 1},
+		{"router_retry_budget_exhausted_total", float64(res.RetryBudgetDenied), float64(hz.Resilience.RetryBudgetDenied), 1},
+		{"router_retry_budget_tokens", res.RetryBudgetTokens, hz.Resilience.RetryBudgetTokens, 0},
+		{"router_breaker_open_total", 1, 1, 1},
+	} {
+		want := promValue(t, prom, row.series)
+		if row.accessor != want || row.health != want || want < row.atLeast {
+			t.Errorf("%s = %v, accessor %v, /healthz %v; want all equal and at least %v",
+				row.series, want, row.accessor, row.health, row.atLeast)
+		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 	"cagmres/internal/server"
 )
 
-// Error codes of the router's errorJSON bodies, extending the server's
-// convention (stable machine-readable code + human message) with the
-// federation-specific rejections.
+// Error codes of the router's obs.ErrorBody rejections, extending the
+// server's vocabulary with the federation-specific ones.
 const (
 	codeBadRequest       = "bad_request"
 	codeNotFound         = "not_found"
@@ -43,12 +42,6 @@ const (
 	// backend accepted the solve.
 	codeDeadlineExhausted = "deadline_exhausted"
 )
-
-// errorJSON mirrors the server's rejection body shape.
-type errorJSON struct {
-	Code  string `json:"code"`
-	Error string `json:"error"`
-}
 
 // Config configures a Router.
 type Config struct {
@@ -115,17 +108,12 @@ type Router struct {
 	// breaker opens into the metBreakerOpen counter.
 	scrapeMu sync.Mutex
 
-	mu           sync.Mutex
-	solves       uint64    // solve requests accepted by some backend
-	reroutes     uint64    // forward hops past the first candidate
-	rejects      uint64    // solve requests the router itself rejected
-	hedges       uint64    // hedged second attempts launched
-	hedgeWins    uint64    // solves won by the hedge, primary canceled
-	breakerSkips uint64    // candidates skipped because their breaker was open
-	deadlineHits uint64    // solves rejected with the client deadline expired
-	latRing      []float64 // recent successful solve latencies (p95 source)
-	latNext      int
+	mu      sync.Mutex
+	latRing []float64 // recent successful solve latencies (p95 source)
+	latNext int
 
+	// The router's only event tallies: Counts, ResilienceSnapshot and
+	// /healthz read these series back.
 	metSolves       obs.Counter
 	metReroutes     obs.Counter
 	metRejects      obs.Counter
@@ -215,9 +203,7 @@ func (r *Router) Backends() []string {
 // Counts returns the routing tallies (solves accepted, reroute hops,
 // router-level rejections).
 func (r *Router) Counts() (solves, reroutes, rejects uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.solves, r.reroutes, r.rejects
+	return uint64(r.metSolves.Value()), uint64(r.metReroutes.Value()), uint64(r.metRejects.Value())
 }
 
 // Resilience is the containment layer's state snapshot, embedded in
@@ -240,17 +226,15 @@ func (r *Router) ResilienceSnapshot() Resilience {
 		RetryBudgetTokens: r.budget.Tokens(),
 		RetryBudgetSpent:  spent,
 		RetryBudgetDenied: denied,
+		Hedges:            uint64(r.metHedges.Value()),
+		HedgeWins:         uint64(r.metHedgeWins.Value()),
+		BreakerSkips:      uint64(r.metBreakerSkips.Value()),
+		DeadlineExpired:   uint64(r.metDeadline.Value()),
 		Breakers:          make(map[string]string, len(r.breakers)),
 	}
 	for name, br := range r.breakers {
 		out.Breakers[name] = br.State()
 	}
-	r.mu.Lock()
-	out.Hedges = r.hedges
-	out.HedgeWins = r.hedgeWins
-	out.BreakerSkips = r.breakerSkips
-	out.DeadlineExpired = r.deadlineHits
-	r.mu.Unlock()
 	return out
 }
 
@@ -279,18 +263,21 @@ func (r *Router) refreshBreakerGauges() {
 	r.metBudgetTokens.Set(r.budget.Tokens())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+func (r *Router) reject(w http.ResponseWriter, status int, code, msg string) {
+	r.metRejects.Inc()
+	obs.WriteError(w, status, code, msg)
 }
 
-func (r *Router) reject(w http.ResponseWriter, status int, code, msg string) {
-	r.mu.Lock()
-	r.rejects++
-	r.mu.Unlock()
-	r.metRejects.Inc()
-	writeJSON(w, status, errorJSON{Code: code, Error: msg})
+// takeRetryToken draws one retry-budget token for a forward past the
+// first choice and accounts for the draw: the tokens gauge either way,
+// the denied counter when the bucket was empty.
+func (r *Router) takeRetryToken() bool {
+	ok := r.budget.Take()
+	if !ok {
+		r.metBudgetDenied.Inc()
+	}
+	r.metBudgetTokens.Set(r.budget.Tokens())
+	return ok
 }
 
 // latRingCap bounds the latency ring feeding the hedge trigger.
@@ -477,18 +464,12 @@ func (r *Router) dispatch(req *http.Request, b, alt *Backend, hdr http.Header, b
 	// and the retry budget has a token.
 	altBr := r.breakers[alt.Name()]
 	if altBr.Allow() {
-		if r.budget.Take() {
-			r.mu.Lock()
-			r.hedges++
-			r.mu.Unlock()
+		if r.takeRetryToken() {
 			r.metHedges.Inc()
-			r.metBudgetTokens.Set(r.budget.Tokens())
 			launch(1, alt, true)
 			inFlight++
 		} else {
 			altBr.Release()
-			r.metBudgetDenied.Inc()
-			r.metBudgetTokens.Set(r.budget.Tokens())
 		}
 	}
 	winner := <-ch
@@ -509,9 +490,6 @@ func (r *Router) dispatch(req *http.Request, b, alt *Backend, hdr http.Header, b
 		}()
 	}
 	if winner.hedged {
-		r.mu.Lock()
-		r.hedgeWins++
-		r.mu.Unlock()
 		r.metHedgeWins.Inc()
 	}
 	return winner
@@ -579,9 +557,6 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if !br.Allow() {
 			// Open breaker: skip without spending a hop or a budget
 			// token — the point is to NOT hammer the dead node.
-			r.mu.Lock()
-			r.breakerSkips++
-			r.mu.Unlock()
 			r.metBreakerSkips.Inc()
 			lastErr = fmt.Sprintf("backend %s: breaker open", b.Name())
 			continue
@@ -592,9 +567,6 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if deadlineMS > 0 {
 			remaining = deadlineMS - int64((r.now()-start)*1000)
 			if remaining <= 0 {
-				r.mu.Lock()
-				r.deadlineHits++
-				r.mu.Unlock()
 				r.metDeadline.Inc()
 				r.reject(w, http.StatusGatewayTimeout, codeDeadlineExhausted,
 					fmt.Sprintf("client deadline of %dms expired after %d attempts", deadlineMS, sent))
@@ -604,19 +576,13 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if sent > 0 {
 			// Every forward past the first dispatched attempt draws from
 			// the retry budget; an empty bucket means stop, not storm.
-			if !r.budget.Take() {
-				r.metBudgetDenied.Inc()
-				r.metBudgetTokens.Set(r.budget.Tokens())
+			if !r.takeRetryToken() {
 				w.Header().Set("Retry-After", "1")
 				r.reject(w, http.StatusServiceUnavailable, codeRetryBudgetExhausted,
 					fmt.Sprintf("retry budget exhausted after %d attempts: %s", sent, lastErr))
 				return
 			}
-			r.mu.Lock()
-			r.reroutes++
-			r.mu.Unlock()
 			r.metReroutes.Inc()
-			r.metBudgetTokens.Set(r.budget.Tokens())
 		}
 		sent++
 		hdr := forwardHeader(req)
@@ -681,9 +647,6 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if wait {
 			r.recordLatency(r.now() - attemptStart)
 		}
-		r.mu.Lock()
-		r.solves++
-		r.mu.Unlock()
 		r.metSolves.Inc()
 		out := RoutedJob{JobJSON: job, Backend: b.Name(), Hops: sent, Hedged: a.hedged}
 		out.ID = b.Name() + "/" + job.ID
@@ -693,7 +656,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if tp := a.header.Get("traceparent"); tp != "" {
 			w.Header().Set("traceparent", tp)
 		}
-		writeJSON(w, a.status, out)
+		obs.WriteJSON(w, a.status, out)
 		return
 	}
 	detail := ""
@@ -764,7 +727,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 			out := RoutedJob{JobJSON: job, Backend: name}
 			out.ID = name + "/" + job.ID
 			copyHeader(w, resp)
-			writeJSON(w, http.StatusOK, out)
+			obs.WriteJSON(w, http.StatusOK, out)
 			return
 		}
 		copyHeader(w, resp)
@@ -847,7 +810,7 @@ func (r *Router) handleAdmin(w http.ResponseWriter, req *http.Request) {
 		b.Revive()
 		r.breakers[name].Reset()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok": true, "backend": name, "down": b.Down(), "breaker": r.breakers[name].State(),
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/obs"
 	"cagmres/internal/server"
 )
 
@@ -204,7 +205,9 @@ func TestRouterNodeDeathReroute(t *testing.T) {
 }
 
 // TestRouterErrorPaths is the table-driven rejection test: every router
-// rejection must carry the structured {"code","error"} body.
+// rejection must be an obs.ErrorBody and nothing more — code and error,
+// never a retry hint in the body (retry_budget_exhausted keeps its
+// Retry-After header).
 func TestRouterErrorPaths(t *testing.T) {
 	live := NewLocalNode(LocalNodeConfig{Name: "live", Devices: 2})
 	t.Cleanup(func() {
@@ -218,6 +221,10 @@ func TestRouterErrorPaths(t *testing.T) {
 	deadB.Kill()
 	deadC := NewLocalBackend("dead-c", http.NotFoundHandler())
 	deadC.Kill()
+	shedding := func(name string) *Backend {
+		return NewLocalBackend(name, statusHandler(http.StatusTooManyRequests, "queue_full"))
+	}
+	ticking := 0.0 // a clock on which every read costs 200 ms of a deadline
 
 	cases := []struct {
 		name     string
@@ -228,6 +235,12 @@ func TestRouterErrorPaths(t *testing.T) {
 		wantCode int
 		wantErr  string
 	}{
+		{"retry-budget-exhausted", New(Config{Backends: []*Backend{shedding("a"), shedding("b"), shedding("c")}, RetryBudgetBurst: 1}),
+			http.MethodPost, "/solve",
+			`{"matrix":{"name":"laplace3d"}}`, http.StatusServiceUnavailable, codeRetryBudgetExhausted},
+		{"deadline-exhausted", New(Config{Backends: []*Backend{live.Backend()}, Now: func() float64 { ticking += 0.2; return ticking }}),
+			http.MethodPost, "/solve",
+			`{"matrix":{"name":"laplace3d"},"deadline_ms":100}`, http.StatusGatewayTimeout, codeDeadlineExhausted},
 		{"no-backend", New(Config{}), http.MethodPost, "/solve",
 			`{"matrix":{"name":"laplace3d"}}`, http.StatusServiceUnavailable, codeNoBackend},
 		{"hop-limit", New(Config{Backends: []*Backend{deadA, deadB, deadC}, MaxHops: 2}),
@@ -261,9 +274,11 @@ func TestRouterErrorPaths(t *testing.T) {
 			if rec.Code != tc.wantCode {
 				t.Fatalf("HTTP %d, want %d: %s", rec.Code, tc.wantCode, rec.Body.String())
 			}
-			var e errorJSON
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-				t.Fatalf("rejection body is not errorJSON: %s", rec.Body.String())
+			var e obs.ErrorBody
+			dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&e); err != nil || strings.Contains(rec.Body.String(), "retry_after_seconds") {
+				t.Fatalf("rejection body is not a hint-free obs.ErrorBody: %s (%v)", rec.Body.String(), err)
 			}
 			if e.Code != tc.wantErr {
 				t.Errorf("code %q, want %q (%s)", e.Code, tc.wantErr, e.Error)
@@ -457,7 +472,7 @@ func TestRouterBodyLimit(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(padded(server.MaxBodyBytes+1)))
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, req)
-	var rej errorJSON
+	var rej obs.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
 		t.Fatalf("oversized body: HTTP %d, undecodable rejection %q: %v", rec.Code, rec.Body.Bytes(), err)
 	}

@@ -44,7 +44,7 @@ func TestLintSpansRejects(t *testing.T) {
 	}{
 		{"empty", "\n\n", "empty span stream"},
 		{"no trace id", spanLine(`"span_id":"aaaaaaaaaaaaaaaa"`, `"name":"x"`), "without trace_id"},
-		{"no span id", spanLine(`"trace_id":"` + spanTID + `"`, `"name":"x"`), "without span_id"},
+		{"no span id", spanLine(`"trace_id":"`+spanTID+`"`, `"name":"x"`), "without span_id"},
 		{"no name", spanLine(`"trace_id":"`+spanTID+`"`, `"span_id":"aaaaaaaaaaaaaaaa"`), "without name"},
 		{"mixed trace ids", root + "\n" +
 			spanLine(`"trace_id":"ffffffffffffffffffffffffffffffff"`, `"span_id":"bbbbbbbbbbbbbbbb"`, `"name":"y"`),

@@ -9,17 +9,27 @@ import (
 	"cagmres/internal/gpu"
 )
 
-// WriteError writes the structured error body shared with
-// internal/server: {"code","error"} JSON with the right Content-Type, so
-// a client can branch on code without parsing prose regardless of which
-// layer of the stack rejected the request.
-func WriteError(w http.ResponseWriter, status int, code, msg string) {
+// ErrorBody is every non-2xx JSON body of the serving stack — daemon,
+// router and this package's handler alike: a stable machine-readable
+// code, the human-readable message, and (for backpressure) the retry
+// hint, so a client branches on code without parsing prose regardless of
+// which layer rejected the request.
+type ErrorBody struct {
+	Code              string  `json:"code"`
+	Error             string  `json:"error"`
+	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
+}
+
+// WriteJSON writes v as the JSON body of a response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
-		Code  string `json:"code"`
-		Error string `json:"error"`
-	}{Code: code, Error: msg})
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes an ErrorBody without a retry hint.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorBody{Code: code, Error: msg})
 }
 
 // Handler returns an http.Handler exposing the observability surface:
@@ -31,8 +41,7 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 //	               wall-clock runs can be profiled while they execute
 //
 // traces is called per request, so a long-running process serves its
-// current state. Error paths return the structured {"code","error"}
-// JSON convention of internal/server.
+// current state. Error paths return an ErrorBody.
 func Handler(r *Registry, traces func() []gpu.Trace) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {

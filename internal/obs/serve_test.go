@@ -165,9 +165,16 @@ func TestHandlerTraceDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/trace.json with tracing off: code=%d, want 404", resp.StatusCode)
+	}
+	// The rejection is the serving stack's one error body, nothing more.
+	var e ErrorBody
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&e); err != nil || e != (ErrorBody{Code: "not_found", Error: "tracing not enabled"}) {
+		t.Fatalf("404 body %+v (%v), want the not_found ErrorBody", e, err)
 	}
 }
 

@@ -129,10 +129,10 @@ type Tracer struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	spans    Counter // trace_spans_total
-	adopted  Counter // trace_requests_total{source="traceparent"}
-	minted   Counter // trace_requests_total{source="generated"}
-	hasReg   bool
+	spans   Counter // trace_spans_total
+	adopted Counter // trace_requests_total{source="traceparent"}
+	minted  Counter // trace_requests_total{source="generated"}
+	hasReg  bool
 }
 
 // NewTracer builds a tracer with a time-seeded id stream and registers

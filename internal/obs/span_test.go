@@ -16,9 +16,9 @@ func TestParseTraceparent(t *testing.T) {
 		wantSID string
 	}{
 		{"00-" + tid + "-" + sid + "-01", true, tid, sid},
-		{"  00-" + tid + "-" + sid + "-01  ", true, tid, sid}, // whitespace tolerated
-		{"cc-" + tid + "-" + sid + "-00", true, tid, sid},     // unknown version accepted
-		{"ff-" + tid + "-" + sid + "-01", false, "", ""},      // reserved version
+		{"  00-" + tid + "-" + sid + "-01  ", true, tid, sid},                // whitespace tolerated
+		{"cc-" + tid + "-" + sid + "-00", true, tid, sid},                    // unknown version accepted
+		{"ff-" + tid + "-" + sid + "-01", false, "", ""},                     // reserved version
 		{"00-" + strings.Repeat("0", 32) + "-" + sid + "-01", false, "", ""}, // zero trace id
 		{"00-" + tid + "-" + strings.Repeat("0", 16) + "-01", false, "", ""}, // zero span id
 		{"00-" + tid[:31] + "-" + sid + "-01", false, "", ""},                // short trace id

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -27,6 +29,24 @@ func (c *BrownoutConfig) threshold(i int) float64 {
 		return c.Thresholds[i]
 	}
 	return float64(i + 1)
+}
+
+// ParseBrownoutLadder parses the -brownout flag of the daemons: a
+// comma-separated list of minimum admitted priorities, one per brownout
+// level ("1,2"). Empty input returns nil, which keeps brownout off.
+func ParseBrownoutLadder(spec string) (*BrownoutConfig, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var ladder []int
+	for _, item := range strings.Split(spec, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(item))
+		if err != nil {
+			return nil, fmt.Errorf("ladder rung %q: %v", item, err)
+		}
+		ladder = append(ladder, p)
+	}
+	return &BrownoutConfig{Ladder: ladder}, nil
 }
 
 // BrownoutShedError is returned by Submit when brownout level Level is
@@ -83,7 +103,7 @@ func (s *Scheduler) BrownoutLevel() int {
 			level = i + 1
 		}
 	}
-	s.met.brownoutLevel(level)
+	s.met.brownout.Set(float64(level))
 	return level
 }
 

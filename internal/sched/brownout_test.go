@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,5 +176,37 @@ func TestDeadlineExpiredShed(t *testing.T) {
 	}
 	if body := promBody(t, reg); !strings.Contains(body, `sched_shed_total{reason="deadline_expired"} 1`) {
 		t.Fatalf("metrics missing deadline_expired shed counter:\n%s", body)
+	}
+}
+
+// TestParseBrownoutLadder: the -brownout grammar of both daemons.
+func TestParseBrownoutLadder(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		ladder  []int
+		wantErr string // substring of the error, "" for none
+	}{
+		{"", nil, ""},
+		{"1,2", []int{1, 2}, ""},
+		{" 1 , 3 ", []int{1, 3}, ""},
+		{"-1", []int{-1}, ""},
+		{"1,two", nil, `ladder rung "two"`},
+		{"1,,2", nil, `ladder rung ""`},
+	} {
+		cfg, err := ParseBrownoutLadder(tc.spec)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: error %v, want one naming %s", tc.spec, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%q: %v", tc.spec, err)
+		case tc.ladder == nil:
+			if cfg != nil {
+				t.Errorf("%q: config %+v, want nil (brownout off)", tc.spec, cfg)
+			}
+		case cfg == nil || !slices.Equal(cfg.Ladder, tc.ladder):
+			t.Errorf("%q: config %+v, want ladder %v", tc.spec, cfg, tc.ladder)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,7 +92,7 @@ func TestDeviceDeathHealsThenPoolDegrades(t *testing.T) {
 	}
 
 	snap := waitSnapshot(t, s, "eviction", func(sn Snapshot) bool { return sn.Evictions == 1 })
-	if snap.PoolHealthy != 0 || !snap.Degraded() {
+	if snap.PoolHealthy != 0 || !snap.Degraded {
 		t.Fatalf("pool not degraded after eviction: %+v", snap)
 	}
 	if snap.DevicesLost != 1 {
@@ -131,7 +132,7 @@ func TestRepairReadmitsEvictedContext(t *testing.T) {
 		t.Fatalf("first job did not converge: %+v", res)
 	}
 	snap := waitSnapshot(t, s, "readmission", func(sn Snapshot) bool { return sn.Readmissions == 1 })
-	if snap.Evictions != 1 || snap.PoolHealthy != 1 || snap.Degraded() {
+	if snap.Evictions != 1 || snap.PoolHealthy != 1 || snap.Degraded {
 		t.Fatalf("repaired pool in wrong state: %+v", snap)
 	}
 
@@ -153,8 +154,11 @@ func TestRepairReadmitsEvictedContext(t *testing.T) {
 
 // wedgeTSQR blocks inside the TSQR factorization until released — a
 // stand-in for lease code wedged somewhere that never observes
-// cancellation.
+// cancellation. entered is closed when the first factorization arrives,
+// so a test can wait for the wedge to hold before it acts.
 type wedgeTSQR struct {
+	entered chan struct{}
+	once    *sync.Once
 	release chan struct{}
 	inner   ortho.TSQR
 }
@@ -162,6 +166,7 @@ type wedgeTSQR struct {
 func (w wedgeTSQR) Name() string { return "wedge" }
 
 func (w wedgeTSQR) Factor(ctx *gpu.Context, p []*la.Dense, phase string) (*la.Dense, error) {
+	w.once.Do(func() { close(w.entered) })
 	<-w.release
 	return w.inner.Factor(ctx, p, phase)
 }
@@ -179,7 +184,7 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedge := wedgeTSQR{release: make(chan struct{}), inner: inner}
+	wedge := wedgeTSQR{entered: make(chan struct{}), once: new(sync.Once), release: make(chan struct{}), inner: inner}
 
 	pool := NewPool(1, 2, gpu.M2090())
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, DrainGrace: 50 * time.Millisecond})
@@ -191,6 +196,13 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The job reaches the wedge only after dispatch, preparation and the
+	// CA seed cycle; draining before it is there cancels it instead.
+	select {
+	case <-wedge.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the job never reached the wedged TSQR")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	var dt *DrainTimeoutError

@@ -16,8 +16,8 @@ var (
 
 // metrics holds the scheduler's registry instruments. All families are
 // created eagerly at construction so a freshly started daemon already
-// exports every series obslint requires; a nil *metrics (no registry
-// configured) disables everything.
+// exports every series obslint requires. The counters are the scheduler's
+// only event tallies: Snapshot (hence /healthz) reads them back.
 type metrics struct {
 	depth        obs.Gauge
 	poolInUse    obs.Gauge
@@ -42,8 +42,9 @@ type metrics struct {
 	restores       obs.Counter
 	leaseTimeouts  obs.Counter
 
-	sheds    map[string]obs.Counter
-	brownout obs.Gauge
+	// sched_shed_total{reason}, one series per containment gate.
+	shedBrownout, shedInfeasible, shedExpired obs.Counter
+	brownout                                  obs.Gauge
 
 	precJobs       map[string]obs.Counter
 	precWindows    map[string]obs.Counter
@@ -59,12 +60,10 @@ var (
 	precWidths = []string{"fp64", "fp32", "fp32+bf16"}
 )
 
-// shedReasons are the sched_shed_total label values, registered eagerly.
-var shedReasons = []string{"brownout", "deadline_infeasible", "deadline_expired"}
-
 func newMetrics(r *obs.Registry, pool *Pool) *metrics {
-	if r == nil {
-		return nil
+	shed := func(reason string) obs.Counter {
+		return r.CounterL("sched_shed_total",
+			"Work shed by the containment layer, by reason.", obs.L("reason", reason))
 	}
 	m := &metrics{
 		depth: r.Gauge("sched_queue_depth",
@@ -111,15 +110,14 @@ func newMetrics(r *obs.Registry, pool *Pool) *metrics {
 			"Solves resumed from a restart-boundary checkpoint after a device loss."),
 		leaseTimeouts: r.Counter("sched_lease_timeouts_total",
 			"Leases canceled by the per-lease timeout."),
+
+		shedBrownout:   shed("brownout"),
+		shedInfeasible: shed("deadline_infeasible"),
+		shedExpired:    shed("deadline_expired"),
 	}
 	for _, st := range []State{StateDone, StateCanceled, StateFailed} {
 		m.jobs[st] = r.CounterL("sched_jobs_total",
 			"Jobs finished, by terminal state.", obs.L("state", string(st)))
-	}
-	m.sheds = make(map[string]obs.Counter, len(shedReasons))
-	for _, reason := range shedReasons {
-		m.sheds[reason] = r.CounterL("sched_shed_total",
-			"Work shed by the containment layer, by reason.", obs.L("reason", reason))
 	}
 	m.brownout = r.Gauge("sched_brownout_level",
 		"Active SLO-driven brownout level (0 = no shedding).")
@@ -151,58 +149,17 @@ func newMetrics(r *obs.Registry, pool *Pool) *metrics {
 	return m
 }
 
-func (m *metrics) setDepth(d int) {
-	if m != nil {
-		m.depth.Set(float64(d))
-	}
-}
+func (m *metrics) setDepth(d int) { m.depth.Set(float64(d)) }
 
-func (m *metrics) rejected() {
-	if m != nil {
-		m.rejections.Inc()
-	}
-}
-
-func (m *metrics) lease(seconds float64, jobs int) {
-	if m != nil {
-		m.leases.Inc()
-		m.leaseSeconds.Add(seconds)
-		m.batchJobs.Observe(float64(jobs))
-	}
-}
-
-func (m *metrics) requeued() {
-	if m != nil {
-		m.requeues.Inc()
-	}
-}
-
-func (m *metrics) leaseTimedOut() {
-	if m != nil {
-		m.leaseTimeouts.Inc()
-	}
-}
-
-func (m *metrics) shed(reason string) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.sheds[reason]; ok {
-		c.Inc()
-	}
-}
-
-func (m *metrics) brownoutLevel(level int) {
-	if m != nil {
-		m.brownout.Set(float64(level))
-	}
+// leaseReleased records a lease's wall time and batch size at release
+// (sched_leases_total counts it at dispatch).
+func (m *metrics) leaseReleased(seconds float64, jobs int) {
+	m.leaseSeconds.Add(seconds)
+	m.batchJobs.Observe(float64(jobs))
 }
 
 // faults records one lease's fault-tally delta.
 func (m *metrics) faults(d gpu.FaultCounts) {
-	if m == nil {
-		return
-	}
 	m.faultDeaths.Add(float64(d.DeviceDeaths))
 	m.faultTransfers.Add(float64(d.TransferFaults))
 	m.retries.Add(float64(d.TransferRetries))
@@ -212,21 +169,12 @@ func (m *metrics) faults(d gpu.FaultCounts) {
 // mode it ran, the windows generated at each width, and the compressed
 // halo exchanges. A nil report is a pure-fp64 job.
 func (m *metrics) precision(rep *core.PrecisionReport) {
-	if m == nil {
-		return
-	}
 	mode := core.PrecisionFP64
 	if rep != nil {
 		mode = rep.Mode
-		if c, ok := m.precWindows["fp64"]; ok {
-			c.Add(float64(rep.WindowsFP64))
-		}
-		if c, ok := m.precWindows["fp32"]; ok {
-			c.Add(float64(rep.WindowsFP32 - rep.CompressedTransfers))
-		}
-		if c, ok := m.precWindows["fp32+bf16"]; ok {
-			c.Add(float64(rep.CompressedTransfers))
-		}
+		m.precWindows["fp64"].Add(float64(rep.WindowsFP64))
+		m.precWindows["fp32"].Add(float64(rep.WindowsFP32 - rep.CompressedTransfers))
+		m.precWindows["fp32+bf16"].Add(float64(rep.CompressedTransfers))
 		m.precCompressed.Add(float64(rep.CompressedTransfers))
 	}
 	if c, ok := m.precJobs[mode]; ok {
@@ -234,22 +182,8 @@ func (m *metrics) precision(rep *core.PrecisionReport) {
 	}
 }
 
-// recovered records one job's solver-level recovery actions.
-func (m *metrics) recovered(r *core.FaultReport) {
-	if m == nil {
-		return
-	}
-	m.repartitions.Add(float64(r.Repartitions))
-	m.restores.Add(float64(r.CheckpointRestores))
-}
-
 func (m *metrics) finished(st State, wait, wall, modeled float64) {
-	if m == nil {
-		return
-	}
-	if c, ok := m.jobs[st]; ok {
-		c.Inc()
-	}
+	m.jobs[st].Inc()
 	m.wait.Observe(wait)
 	m.serviceWall.Observe(wall)
 	m.serviceModel.Observe(modeled)

@@ -44,14 +44,12 @@ type Pool struct {
 
 	exhausted chan struct{} // closed when the last healthy context is evicted
 
-	mu           sync.Mutex
-	members      []*gpu.Context // every context not permanently evicted
-	inUse        int
-	healthy      int
-	evictions    uint64
-	readmissions uint64
-	onChange     func(inUse, size int)
-	onHealth     func(readmitted bool)
+	mu       sync.Mutex
+	members  []*gpu.Context // every context not permanently evicted
+	inUse    int
+	healthy  int
+	onChange func(inUse, size int)
+	onHealth func(readmitted bool)
 }
 
 // PoolConfig parameterizes a fault-aware pool.
@@ -172,27 +170,14 @@ func (p *Pool) Healthy() int {
 	return p.healthy
 }
 
-// Evictions and Readmissions return the health-probe tallies.
-func (p *Pool) Evictions() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evictions
-}
-
-// Readmissions returns how many evicted contexts were repaired and
-// returned to service.
-func (p *Pool) Readmissions() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.readmissions
-}
-
 // OnChange registers a hook called with (inUse, size) after every
 // acquire and release — the metrics bridge. Call before any Acquire.
 func (p *Pool) OnChange(f func(inUse, size int)) { p.onChange = f }
 
-// OnHealth registers a hook called after every eviction with whether the
-// context was readmitted — the metrics bridge. Call before any Acquire.
+// OnHealth registers a hook called at every eviction with whether the
+// context is readmitted — the metrics bridge, and the pool's only
+// eviction tally. It runs under the pool's lock, in the step that updates
+// Healthy, and must not call back into the pool. Call before any Acquire.
 func (p *Pool) OnHealth(f func(readmitted bool)) { p.onHealth = f }
 
 func (p *Pool) track(delta int) {
@@ -252,23 +237,19 @@ func (p *Pool) Release(c *gpu.Context) {
 // enabled it is reset (consumed deaths stay consumed, so a repaired
 // context does not re-die on the same schedule) and readmitted.
 func (p *Pool) evict(c *gpu.Context) {
-	p.mu.Lock()
-	p.evictions++
 	readmit := p.repair
-	if readmit {
-		p.readmissions++
-	} else {
+	p.mu.Lock()
+	if p.onHealth != nil {
+		p.onHealth(readmit)
+	}
+	if !readmit {
 		p.members = slices.DeleteFunc(p.members, func(m *gpu.Context) bool { return m == c })
 		p.healthy--
 		if p.healthy == 0 {
 			close(p.exhausted)
 		}
 	}
-	hook := p.onHealth
 	p.mu.Unlock()
-	if hook != nil {
-		hook(readmit)
-	}
 	p.track(-1)
 	if readmit {
 		c.Repair()

@@ -249,7 +249,9 @@ type Config struct {
 	// RetainJobs bounds how many terminal jobs stay resolvable by ID
 	// (default 1024); older ones are evicted FIFO.
 	RetainJobs int
-	// Registry, when non-nil, receives the scheduler instruments.
+	// Registry receives the scheduler instruments, which are also the
+	// scheduler's only event tallies (Snapshot reads them back); nil gets a
+	// private registry nobody scrapes.
 	Registry *obs.Registry
 	// MaxJobAttempts bounds how many leases one job may consume before a
 	// retryable lease fault (transfer-retry exhaustion, unrecoverable
@@ -303,6 +305,9 @@ func (c *Config) defaults() {
 	if c.MaxJobAttempts == 0 {
 		c.MaxJobAttempts = 2
 	}
+	if c.Registry == nil {
+		c.Registry = obs.NewRegistry()
+	}
 	if c.Tracer == nil {
 		c.Tracer = obs.NewTracer(c.Registry)
 	}
@@ -328,26 +333,14 @@ type Scheduler struct {
 	started      bool
 	draining     bool
 
+	// The two event tallies without a registry series; every other count
+	// lives in met.
 	dispatched uint64
-	rejected   uint64
-	leases     uint64
 	batched    uint64 // jobs that shared a lease with at least one other
 
-	// Fault-and-recovery tallies (see Snapshot).
-	requeues        uint64
-	leaseTimeouts   uint64
-	devicesLost     uint64
-	transferFaults  uint64
-	transferRetries uint64
-	repartitions    uint64
-	restores        uint64
-
-	// Containment tallies (see Snapshot) and the service-time EWMA the
-	// deadline gate compares against.
-	shedBrownout   uint64
-	shedInfeasible uint64
-	shedExpired    uint64
-	svcEWMA        float64
+	// svcEWMA is the service-time estimate the deadline gate compares
+	// against.
+	svcEWMA float64
 
 	wg sync.WaitGroup
 }
@@ -409,10 +402,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 		}
 		minPrio := s.cfg.Brownout.Ladder[rung-1]
 		if priority < minPrio {
-			s.mu.Lock()
-			s.shedBrownout++
-			s.mu.Unlock()
-			s.met.shed("brownout")
+			s.met.shedBrownout.Inc()
 			return nil, &BrownoutShedError{
 				Level: lvl, Priority: priority, MinPriority: minPrio,
 				RetryAfter: s.cfg.RetryAfter,
@@ -421,10 +411,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 	}
 	if s.cfg.DeadlineMargin > 0 && deadline > 0 {
 		if est := s.serviceEstimate(); est > 0 && deadline.Seconds() < s.cfg.DeadlineMargin*est {
-			s.mu.Lock()
-			s.shedInfeasible++
-			s.mu.Unlock()
-			s.met.shed("deadline_infeasible")
+			s.met.shedInfeasible.Inc()
 			return nil, &DeadlineInfeasibleError{
 				Deadline: deadline,
 				Estimate: time.Duration(est * float64(time.Second)),
@@ -437,9 +424,8 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 		return nil, ErrDraining
 	}
 	if len(s.queue) >= s.cfg.QueueDepth {
-		s.rejected++
 		s.mu.Unlock()
-		s.met.rejected()
+		s.met.rejections.Inc()
 		return nil, &QueueFullError{Depth: s.cfg.QueueDepth, RetryAfter: s.cfg.RetryAfter}
 	}
 	var jctx context.Context
@@ -497,91 +483,97 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Snapshot is a point-in-time view of the scheduler, for /healthz and
-// tests.
+// Snapshot is a point-in-time view of the scheduler: the body of
+// /healthz (internal/server adds the fields only it knows) and what
+// tests read. Every count except Dispatched and Batched is read back
+// from its registry series, so /healthz and /metrics cannot disagree.
 type Snapshot struct {
-	QueueDepth int
-	Draining   bool
-	Dispatched uint64
-	Rejected   uint64
-	Leases     uint64
-	Batched    uint64
-	PoolSize   int
-	PoolInUse  int
+	PoolSize   int    `json:"pool_size"`
+	PoolInUse  int    `json:"pool_in_use"`
+	QueueDepth int    `json:"queue_depth"`
+	Draining   bool   `json:"draining"`
+	Dispatched uint64 `json:"dispatched"`
+	Rejected   uint64 `json:"rejected"`
+	Leases     uint64 `json:"leases"`
+	Batched    uint64 `json:"-"`
 
 	// Fault-and-recovery state: healthy pool members, injected faults
 	// observed across all leases, and the recovery actions taken.
-	PoolHealthy     int
-	Evictions       uint64
-	Readmissions    uint64
-	Requeues        uint64
-	LeaseTimeouts   uint64
-	DevicesLost     uint64
-	TransferFaults  uint64
-	TransferRetries uint64
-	Repartitions    uint64
-	Restores        uint64
+	// Degraded reports permanently lost capacity — contexts evicted by the
+	// pool's health probe and not readmitted. The service keeps solving on
+	// what survives, but operators should know.
+	Degraded        bool   `json:"degraded"`
+	PoolHealthy     int    `json:"pool_healthy"`
+	Evictions       uint64 `json:"evictions"`
+	Readmissions    uint64 `json:"readmissions"`
+	DevicesLost     uint64 `json:"devices_lost"`
+	TransferFaults  uint64 `json:"transfer_faults"`
+	TransferRetries uint64 `json:"transfer_retries"`
+	Requeues        uint64 `json:"requeues"`
+	LeaseTimeouts   uint64 `json:"lease_timeouts"`
+	Repartitions    uint64 `json:"repartitions"`
+	Restores        uint64 `json:"checkpoint_restores"`
 
-	// Containment state: the active brownout level and the shed
-	// tallies per reason.
-	BrownoutLevel          int
-	ShedBrownout           uint64
-	ShedDeadlineInfeasible uint64
-	ShedDeadlineExpired    uint64
+	// Containment state: the active brownout level (0 = no shedding) and
+	// the shed tallies per reason.
+	BrownoutLevel          int    `json:"brownout_level"`
+	ShedBrownout           uint64 `json:"shed_brownout"`
+	ShedDeadlineInfeasible uint64 `json:"shed_deadline_infeasible"`
+	ShedDeadlineExpired    uint64 `json:"shed_deadline_expired"`
 
 	// Prepared-problem cache: lookups served from it, lookups that had
-	// to prepare, and entries dropped (LRU bound or lease fault). Read
-	// from the sched_prepared_problems_total series.
-	PreparedHits      uint64
-	PreparedMisses    uint64
-	PreparedEvictions uint64
+	// to prepare, and entries dropped (LRU bound or lease fault).
+	PreparedHits      uint64 `json:"prepared_hits"`
+	PreparedMisses    uint64 `json:"prepared_misses"`
+	PreparedEvictions uint64 `json:"prepared_evictions"`
 
 	// PoolWorkspaceBytes is the solve memory the pooled contexts hold
-	// between leases (Pool.WorkspaceBytes).
-	PoolWorkspaceBytes int
+	// between leases (Pool.WorkspaceBytes, the sched_pool_workspace_bytes
+	// gauge).
+	PoolWorkspaceBytes int `json:"pool_workspace_bytes"`
 }
-
-// Degraded reports whether the service has permanently lost capacity:
-// evicted contexts that were not readmitted.
-func (sn Snapshot) Degraded() bool { return sn.PoolHealthy < sn.PoolSize }
 
 // Snapshot returns current counters and queue state.
 func (s *Scheduler) Snapshot() Snapshot {
-	level := s.BrownoutLevel()
+	m, pool := s.met, s.cfg.Pool
+	count := func(c obs.Counter) uint64 { return uint64(c.Value()) }
+	// Pool health is read before the series, and the series latest-written
+	// first (a readmission follows its eviction, an eviction the fault
+	// harvest of its lease), so a snapshot never shows an effect without
+	// its cause.
+	sn := Snapshot{
+		BrownoutLevel:      s.BrownoutLevel(),
+		PoolSize:           pool.Size(),
+		PoolInUse:          pool.InUse(),
+		PoolWorkspaceBytes: pool.WorkspaceBytes(),
+		PoolHealthy:        pool.Healthy(),
+
+		Readmissions:    count(m.readmissions),
+		Evictions:       count(m.evictions),
+		DevicesLost:     count(m.faultDeaths),
+		TransferFaults:  count(m.faultTransfers),
+		TransferRetries: count(m.retries),
+		Requeues:        count(m.requeues),
+		LeaseTimeouts:   count(m.leaseTimeouts),
+		Repartitions:    count(m.repartitions),
+		Restores:        count(m.restores),
+		Rejected:        count(m.rejections),
+		Leases:          count(m.leases),
+
+		ShedBrownout:           count(m.shedBrownout),
+		ShedDeadlineInfeasible: count(m.shedInfeasible),
+		ShedDeadlineExpired:    count(m.shedExpired),
+
+		PreparedHits:      count(s.prepared.hits),
+		PreparedMisses:    count(s.prepared.misses),
+		PreparedEvictions: count(s.prepared.evictions),
+	}
+	sn.Degraded = sn.PoolHealthy < sn.PoolSize
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Snapshot{
-		BrownoutLevel:          level,
-		ShedBrownout:           s.shedBrownout,
-		ShedDeadlineInfeasible: s.shedInfeasible,
-		ShedDeadlineExpired:    s.shedExpired,
-
-		PreparedHits:      uint64(s.prepared.hits.Value()),
-		PreparedMisses:    uint64(s.prepared.misses.Value()),
-		PreparedEvictions: uint64(s.prepared.evictions.Value()),
-
-		PoolWorkspaceBytes: s.cfg.Pool.WorkspaceBytes(),
-
-		QueueDepth: len(s.queue),
-		Draining:   s.draining,
-		Dispatched: s.dispatched,
-		Rejected:   s.rejected,
-		Leases:     s.leases,
-		Batched:    s.batched,
-		PoolSize:   s.cfg.Pool.Size(),
-		PoolInUse:  s.cfg.Pool.InUse(),
-
-		PoolHealthy:     s.cfg.Pool.Healthy(),
-		Evictions:       s.cfg.Pool.Evictions(),
-		Readmissions:    s.cfg.Pool.Readmissions(),
-		Requeues:        s.requeues,
-		LeaseTimeouts:   s.leaseTimeouts,
-		DevicesLost:     s.devicesLost,
-		TransferFaults:  s.transferFaults,
-		TransferRetries: s.transferRetries,
-		Repartitions:    s.repartitions,
-		Restores:        s.restores,
-	}
+	sn.QueueDepth, sn.Draining = len(s.queue), s.draining
+	sn.Dispatched, sn.Batched = s.dispatched, s.batched
+	return sn
 }
 
 // DrainTimeoutError is returned by Drain when even the post-cancel
@@ -731,9 +723,9 @@ func (s *Scheduler) nextBatch() []*Job {
 		}
 	}
 	depth := len(s.queue)
-	s.leases++
 	s.mu.Unlock()
 	s.met.setDepth(depth)
+	s.met.leases.Inc()
 	return batch
 }
 
@@ -811,12 +803,11 @@ func retryableLeaseFault(err error) bool {
 func (s *Scheduler) requeue(j *Job) {
 	j.setState(StateQueued)
 	s.mu.Lock()
-	s.requeues++
 	heap.Push(&s.queue, j)
 	depth := len(s.queue)
 	s.mu.Unlock()
 	s.met.setDepth(depth)
-	s.met.requeued()
+	s.met.requeues.Inc()
 	s.cond.Signal()
 }
 
@@ -826,8 +817,8 @@ func (s *Scheduler) requeue(j *Job) {
 // Jobs whose deadline expired while queued are finished as canceled
 // without touching the device. Jobs hit by a lease fault are
 // re-queued up to MaxJobAttempts leases; the fault tally of the lease is
-// harvested into the scheduler counters before the pool's health probe
-// decides the context's fate.
+// harvested into the fault series before the pool's health probe decides
+// the context's fate.
 func (s *Scheduler) execute(batch []*Job) {
 	lease, err := s.cfg.Pool.Acquire(context.Background())
 	if err != nil { // pool exhausted: every context evicted
@@ -842,10 +833,7 @@ func (s *Scheduler) execute(batch []*Job) {
 	fcBefore := lease.FaultCounts()
 	if s.cfg.LeaseTimeout > 0 {
 		timer := time.AfterFunc(s.cfg.LeaseTimeout, func() {
-			s.mu.Lock()
-			s.leaseTimeouts++
-			s.mu.Unlock()
-			s.met.leaseTimedOut()
+			s.met.leaseTimeouts.Inc()
 			for _, j := range batch {
 				j.Cancel()
 			}
@@ -857,14 +845,9 @@ func (s *Scheduler) execute(batch []*Job) {
 		delta.DeviceDeaths -= fcBefore.DeviceDeaths
 		delta.TransferFaults -= fcBefore.TransferFaults
 		delta.TransferRetries -= fcBefore.TransferRetries
-		s.mu.Lock()
-		s.devicesLost += uint64(delta.DeviceDeaths)
-		s.transferFaults += uint64(delta.TransferFaults)
-		s.transferRetries += uint64(delta.TransferRetries)
-		s.mu.Unlock()
 		s.met.faults(delta)
 		s.cfg.Pool.Release(lease)
-		s.met.lease(time.Since(leaseStart).Seconds(), len(batch))
+		s.met.leaseReleased(time.Since(leaseStart).Seconds(), len(batch))
 	}()
 
 	var problem *core.Problem
@@ -877,10 +860,7 @@ func (s *Scheduler) execute(batch []*Job) {
 			// is tallied and stamped on the trace separately from a user
 			// cancel.
 			if errors.Is(ctxErr, context.DeadlineExceeded) {
-				s.mu.Lock()
-				s.shedExpired++
-				s.mu.Unlock()
-				s.met.shed("deadline_expired")
+				s.met.shedExpired.Inc()
 				j.trace.SetRootAttr("shed_reason", "deadline_expired")
 			}
 			s.met.finished(StateCanceled, j.WaitSeconds(), 0, 0)
@@ -922,7 +902,7 @@ func (s *Scheduler) execute(batch []*Job) {
 			// The context is suspect after a lease fault: stop reusing
 			// what was prepared on it and route this job elsewhere.
 			problem = nil
-			s.prepared.drop(keyOf(lease, &j.Spec))
+			s.prepared.Drop(keyOf(lease, &j.Spec))
 			if attempt < s.cfg.MaxJobAttempts {
 				closeLease("requeued")
 				s.requeue(j)
@@ -930,11 +910,8 @@ func (s *Scheduler) execute(batch []*Job) {
 			}
 		}
 		if res != nil && res.Faults != nil {
-			s.mu.Lock()
-			s.repartitions += uint64(res.Faults.Repartitions)
-			s.restores += uint64(res.Faults.CheckpointRestores)
-			s.mu.Unlock()
-			s.met.recovered(res.Faults)
+			s.met.repartitions.Add(float64(res.Faults.Repartitions))
+			s.met.restores.Add(float64(res.Faults.CheckpointRestores))
 		}
 
 		st := StateDone

@@ -7,7 +7,6 @@ import (
 
 	"cagmres/internal/core"
 	"cagmres/internal/sched"
-	"cagmres/internal/sparse"
 )
 
 // FuzzMatrixMarketSpec drives the server's inline-matrix path — the
@@ -35,7 +34,7 @@ func FuzzMatrixMarketSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		srv := &Server{cache: make(map[string]*sparse.CSR)}
+		srv := &Server{matrices: newMatrixCache(nil)}
 		a, key, err := srv.matrix(MatrixSpec{MatrixMarket: body})
 		if err != nil {
 			return

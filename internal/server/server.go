@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"cagmres/internal/core"
@@ -134,7 +133,7 @@ type JobJSON struct {
 	ServiceSeconds float64   `json:"service_seconds,omitempty"`
 	X              []float64 `json:"x,omitempty"`
 	Error          string    `json:"error,omitempty"`
-	// Code classifies terminal failures with the errorJSON code
+	// Code classifies terminal failures with the obs.ErrorBody code
 	// vocabulary (e.g. numerical_breakdown), so async pollers get the
 	// same machine-readable verdict a waiting client gets via the
 	// response status.
@@ -174,65 +173,24 @@ type FaultsJSON struct {
 	TransferRetries    int   `json:"transfer_retries,omitempty"`
 }
 
-// Healthz is the GET /healthz body.
+// Healthz is the GET /healthz body: the scheduler's snapshot plus what
+// only the server knows.
 type Healthz struct {
 	OK bool `json:"ok"`
 	// Profile and Topology name the machine description pooled contexts
 	// are configured with (per-request profiles override it per solve).
-	Profile    string `json:"profile,omitempty"`
-	Topology   string `json:"topology,omitempty"`
-	PoolSize   int    `json:"pool_size"`
-	PoolInUse  int    `json:"pool_in_use"`
-	QueueDepth int    `json:"queue_depth"`
-	Draining   bool   `json:"draining"`
-	Dispatched uint64 `json:"dispatched"`
-	Rejected   uint64 `json:"rejected"`
-	Leases     uint64 `json:"leases"`
-	// Degraded reports permanently lost capacity: contexts evicted by
-	// the pool's health probe and not readmitted. The service is still
-	// OK — it keeps solving on what survives — but operators should know.
-	Degraded        bool   `json:"degraded"`
-	PoolHealthy     int    `json:"pool_healthy"`
-	Evictions       uint64 `json:"evictions"`
-	Readmissions    uint64 `json:"readmissions"`
-	DevicesLost     uint64 `json:"devices_lost"`
-	TransferFaults  uint64 `json:"transfer_faults"`
-	TransferRetries uint64 `json:"transfer_retries"`
-	Requeues        uint64 `json:"requeues"`
-	LeaseTimeouts   uint64 `json:"lease_timeouts"`
-	Repartitions    uint64 `json:"repartitions"`
-	Restores        uint64 `json:"checkpoint_restores"`
+	Profile  string `json:"profile,omitempty"`
+	Topology string `json:"topology,omitempty"`
+	sched.Snapshot
 	// SLODegraded mirrors the SLO engine's multi-window burn-rate alarm:
 	// some class is burning error budget above threshold on both the
 	// fast and the slow window. SLO carries the full per-class report
 	// (/slo returns the same body on its own).
 	SLODegraded bool           `json:"slo_degraded"`
 	SLO         *obs.SLOReport `json:"slo,omitempty"`
-	// Containment state: the active brownout level (0 = no shedding)
-	// and the shed tallies per reason.
-	BrownoutLevel          int    `json:"brownout_level"`
-	ShedBrownout           uint64 `json:"shed_brownout"`
-	ShedDeadlineInfeasible uint64 `json:"shed_deadline_infeasible"`
-	ShedDeadlineExpired    uint64 `json:"shed_deadline_expired"`
-	// Prepared-problem cache tallies of the scheduler, the same series
-	// /metrics exports as sched_prepared_problems_total.
-	PreparedHits      uint64 `json:"prepared_hits"`
-	PreparedMisses    uint64 `json:"prepared_misses"`
-	PreparedEvictions uint64 `json:"prepared_evictions"`
-	// PoolWorkspaceBytes is the solve memory the pooled contexts keep
-	// between leases, the sched_pool_workspace_bytes gauge of /metrics.
-	PoolWorkspaceBytes int `json:"pool_workspace_bytes"`
 }
 
-// errorJSON is every non-2xx body: a stable machine-readable code, the
-// human-readable message, and (for backpressure) the retry hint.
-type errorJSON struct {
-	Code              string  `json:"code"`
-	Error             string  `json:"error"`
-	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
-}
-
-// Error codes of errorJSON.Code.
+// Error codes of obs.ErrorBody.Code.
 const (
 	codeBadRequest       = "bad_request"
 	codeQueueFull        = "queue_full"
@@ -269,15 +227,22 @@ type Server struct {
 	// historical behavior). Requests that name a mode always win.
 	defaultPrecision string
 
-	mu    sync.Mutex
-	cache map[string]*sparse.CSR // matrix cache: spec key -> shared CSR
+	// matrices caches built matrices by MatrixSpec.Key, so requests for
+	// the same matrix share one CSR and a miss is built once however many
+	// requests wait for it.
+	matrices *sched.Cache[string, *sparse.CSR]
+}
+
+func newMatrixCache(reg *obs.Registry) *sched.Cache[string, *sparse.CSR] {
+	return sched.NewCache[string, *sparse.CSR](reg, "server_matrix_cache_total",
+		"Matrix cache lookups and dropped entries, by result.")
 }
 
 // New builds the handler: the solve API plus the obs surface from the
 // given registry (reg must be the one the scheduler's Config.Registry
 // points at, so scrapes see the scheduler instruments).
 func New(s *sched.Scheduler, reg *obs.Registry) *Server {
-	srv := &Server{sched: s, mux: http.NewServeMux(), cache: make(map[string]*sparse.CSR)}
+	srv := &Server{sched: s, mux: http.NewServeMux(), matrices: newMatrixCache(reg)}
 	srv.mux.HandleFunc("/solve", srv.handleSolve)
 	srv.mux.HandleFunc("/jobs/", srv.handleJob)
 	srv.mux.HandleFunc("/slo", srv.handleSLO)
@@ -306,128 +271,86 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // handleSLO serves the SLO engine's current report: per-class error
 // budgets and fast/slow burn rates, the signal an autoscaler consumes.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Code: codeMethodNotAllowed, Error: "GET only"})
+		obs.WriteError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sched.SLO().Report())
+	obs.WriteJSON(w, http.StatusOK, s.sched.SLO().Report())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.sched.Snapshot()
 	prof := s.sched.Pool().Profile()
 	slo := s.sched.SLO().Report()
-	writeJSON(w, http.StatusOK, Healthz{
-		OK:         !snap.Draining,
-		Profile:    prof.Name,
-		Topology:   string(prof.Topo.Kind),
-		PoolSize:   snap.PoolSize,
-		PoolInUse:  snap.PoolInUse,
-		QueueDepth: snap.QueueDepth,
-		Draining:   snap.Draining,
-		Dispatched: snap.Dispatched,
-		Rejected:   snap.Rejected,
-		Leases:     snap.Leases,
-
-		Degraded:        snap.Degraded(),
-		PoolHealthy:     snap.PoolHealthy,
-		Evictions:       snap.Evictions,
-		Readmissions:    snap.Readmissions,
-		DevicesLost:     snap.DevicesLost,
-		TransferFaults:  snap.TransferFaults,
-		TransferRetries: snap.TransferRetries,
-		Requeues:        snap.Requeues,
-		LeaseTimeouts:   snap.LeaseTimeouts,
-		Repartitions:    snap.Repartitions,
-		Restores:        snap.Restores,
-
-		SLODegraded: slo.Degraded,
-		SLO:         &slo,
-
-		BrownoutLevel:          snap.BrownoutLevel,
-		ShedBrownout:           snap.ShedBrownout,
-		ShedDeadlineInfeasible: snap.ShedDeadlineInfeasible,
-		ShedDeadlineExpired:    snap.ShedDeadlineExpired,
-
-		PreparedHits:      snap.PreparedHits,
-		PreparedMisses:    snap.PreparedMisses,
-		PreparedEvictions: snap.PreparedEvictions,
-
-		PoolWorkspaceBytes: snap.PoolWorkspaceBytes,
-	})
+	obs.WriteJSON(w, http.StatusOK, Healthz{OK: !snap.Draining, Profile: prof.Name, Topology: string(prof.Topo.Kind),
+		Snapshot: snap, SLODegraded: slo.Degraded, SLO: &slo})
 }
 
 // matrix resolves a spec through the cache, so concurrent and repeated
-// requests for the same generator share one CSR — which is also what
-// makes them batchable (sched matches on the key, the solve reads the
-// shared matrix).
+// requests for the same matrix share one CSR — which is also what makes
+// them batchable (sched matches on the key, the solve reads the shared
+// matrix). A spec that fails to build is dropped again: bad bodies hold
+// no slot.
 func (s *Server) matrix(spec MatrixSpec) (*sparse.CSR, string, error) {
 	key, err := spec.Key()
 	if err != nil {
 		return nil, "", err
 	}
-	s.mu.Lock()
-	a, ok := s.cache[key]
-	s.mu.Unlock()
-	if ok {
-		return a, key, nil
-	}
-	if spec.MatrixMarket != "" {
-		a, err = sparse.ReadMatrixMarket(strings.NewReader(spec.MatrixMarket))
-	} else {
-		var m *matgen.Matrix
-		m, err = matgen.ByName(spec.Name, spec.scale())
-		if m != nil {
-			a = m.A
+	a, _, err := s.matrices.Get(key, func() (*sparse.CSR, error) {
+		if spec.MatrixMarket != "" {
+			return sparse.ReadMatrixMarket(strings.NewReader(spec.MatrixMarket))
 		}
-	}
+		m, err := matgen.ByName(spec.Name, spec.scale())
+		if err != nil {
+			return nil, err
+		}
+		return m.A, nil
+	})
 	if err != nil {
+		s.matrices.Drop(key)
 		return nil, "", err
 	}
-	s.mu.Lock()
-	if prev, ok := s.cache[key]; ok {
-		a = prev // lost a build race; share the first
-	} else {
-		s.cache[key] = a
-	}
-	s.mu.Unlock()
 	return a, key, nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Code: codeMethodNotAllowed, Error: "POST only"})
-		return
+// apiError is a rejection: the stages of handleSolve return one instead
+// of writing it, and write is the only place it reaches the wire.
+type apiError struct {
+	status int
+	body   obs.ErrorBody
+}
+
+func badRequest(msg string) *apiError {
+	return &apiError{http.StatusBadRequest, obs.ErrorBody{Code: codeBadRequest, Error: msg}}
+}
+
+// write sends the rejection; a retry hint in the body is also the
+// Retry-After header, in whole seconds rounded up.
+func (e *apiError) write(w http.ResponseWriter) {
+	if e.body.RetryAfterSeconds > 0 {
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(e.body.RetryAfterSeconds+0.999)))
 	}
-	// Mint the request root span before touching the body: a caller's
-	// traceparent is adopted (their span becomes our parent) and echoed on
-	// every response — including rejections — so the trace id round-trips
-	// no matter what happens to the request.
-	root := s.sched.Tracer().Root("solve", r.Header.Get("traceparent"))
-	w.Header().Set("traceparent", root.Traceparent())
+	obs.WriteJSON(w, e.status, e.body)
+}
+
+// decode is the first stage of POST /solve: the control header, the
+// bounded body, and every validation that needs no scheduler, ending in
+// the job's spec. It writes nothing (w only arms http.MaxBytesReader).
+func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveRequest, spec sched.Spec, rej *apiError) {
 	ctl, err := ParseSolveControl(r.Header.Get(SolveControlHeader))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
-		return
+		return req, spec, badRequest(err.Error())
 	}
-	var req SolveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Code: codeRequestTooLarge, Error: err.Error()})
-			return
+			return req, spec, &apiError{http.StatusRequestEntityTooLarge,
+				obs.ErrorBody{Code: codeRequestTooLarge, Error: err.Error()}}
 		}
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "bad request body: " + err.Error()})
-		return
+		return req, spec, badRequest("bad request body: " + err.Error())
 	}
 	// The header's remaining deadline wins over the body: the router
 	// decrements the header per hop, while the body may still carry the
@@ -436,18 +359,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		req.DeadlineMS = ctl.DeadlineMS
 	}
 	if _, err := sched.SolverByName(req.Solver); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
-		return
+		return req, spec, badRequest(err.Error())
 	}
 	a, key, err := s.matrix(req.Matrix)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "matrix: " + err.Error()})
-		return
+		return req, spec, badRequest("matrix: " + err.Error())
 	}
 	b, err := buildRHS(req, a.Rows)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
-		return
+		return req, spec, badRequest(err.Error())
 	}
 	ordering := core.KWay
 	if req.Ordering != "" {
@@ -455,8 +375,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		case core.Natural, core.RCM, core.KWay, core.Hypergraph:
 			ordering = core.Ordering(req.Ordering)
 		default:
-			writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: "unknown ordering " + req.Ordering})
-			return
+			return req, spec, badRequest("unknown ordering " + req.Ordering)
 		}
 	}
 	balance := true
@@ -468,19 +387,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	precision, err := core.NormalizePrecision(req.Precision)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
-		return
+		return req, spec, badRequest(err.Error())
 	}
 	var prof *gpu.Profile
 	if len(req.Profile) > 0 {
 		p, err := profile.Decode(req.Profile)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Code: codeBadRequest, Error: err.Error()})
-			return
+			return req, spec, badRequest(err.Error())
 		}
 		prof = &p
 	}
-	spec := sched.Spec{
+	spec = sched.Spec{
 		Matrix:    a,
 		MatrixKey: key,
 		B:         b,
@@ -493,74 +410,81 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Precision: precision, Profile: prof,
 		},
 	}
+	return req, spec, nil
+}
 
+// admissionError is the one table from a Submit error to its rejection.
+func admissionError(err error) *apiError {
+	var full *sched.QueueFullError
+	var shed *sched.BrownoutShedError
+	var infeasible *sched.DeadlineInfeasibleError
+	rej := func(status int, code string, retryAfter time.Duration) *apiError {
+		return &apiError{status, obs.ErrorBody{Code: code, Error: err.Error(), RetryAfterSeconds: retryAfter.Seconds()}}
+	}
+	switch {
+	case errors.As(err, &full):
+		return rej(http.StatusTooManyRequests, codeQueueFull, full.RetryAfter)
+	case errors.As(err, &shed):
+		// Brownout is overload, not a bad request: 503 plus a retry hint,
+		// so well-behaved clients back off.
+		return rej(http.StatusServiceUnavailable, codeBrownoutShed, shed.RetryAfter)
+	case errors.As(err, &infeasible):
+		// A deadline that cannot cover a solve is the client's
+		// configuration problem: 422, not a retryable overload (the
+		// router passes 4xx through without burning forwards).
+		return rej(http.StatusUnprocessableEntity, codeDeadlineInfeasible, 0)
+	case err == sched.ErrDraining:
+		return rej(http.StatusServiceUnavailable, codeDraining, 0)
+	}
+	return rej(http.StatusInternalServerError, codeInternal, 0)
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		obs.WriteError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
+		return
+	}
+	// Mint the request root span before touching the body: a caller's
+	// traceparent is adopted (their span becomes our parent) and echoed on
+	// every response — including rejections — so the trace id round-trips
+	// no matter what happens to the request.
+	root := s.sched.Tracer().Root("solve", r.Header.Get("traceparent"))
+	w.Header().Set("traceparent", root.Traceparent())
+	req, spec, rej := s.decode(w, r)
+	if rej != nil {
+		rej.write(w)
+		return
+	}
 	// The job outlives the HTTP request unless the client waits, so the
 	// request context must not be its parent — only the root span rides
 	// along, on a fresh background context.
 	job, err := s.sched.Submit(obs.ContextWithSpan(context.Background(), root),
 		spec, req.Priority, time.Duration(req.DeadlineMS)*time.Millisecond)
 	if err != nil {
-		var full *sched.QueueFullError
-		var shed *sched.BrownoutShedError
-		var infeasible *sched.DeadlineInfeasibleError
-		switch {
-		case errors.As(err, &full):
-			w.Header().Set("Retry-After",
-				fmt.Sprintf("%d", int(full.RetryAfter.Seconds()+0.999)))
-			writeJSON(w, http.StatusTooManyRequests, errorJSON{
-				Code:              codeQueueFull,
-				Error:             err.Error(),
-				RetryAfterSeconds: full.RetryAfter.Seconds(),
-			})
-		case errors.As(err, &shed):
-			// Brownout is overload, not a bad request: 503 plus a retry
-			// hint, so well-behaved clients back off.
-			w.Header().Set("Retry-After",
-				fmt.Sprintf("%d", int(shed.RetryAfter.Seconds()+0.999)))
-			writeJSON(w, http.StatusServiceUnavailable, errorJSON{
-				Code:              codeBrownoutShed,
-				Error:             err.Error(),
-				RetryAfterSeconds: shed.RetryAfter.Seconds(),
-			})
-		case errors.As(err, &infeasible):
-			// A deadline that cannot cover a solve is the client's
-			// configuration problem: 422, not a retryable overload (the
-			// router passes 4xx through without burning forwards).
-			writeJSON(w, http.StatusUnprocessableEntity, errorJSON{
-				Code:  codeDeadlineInfeasible,
-				Error: err.Error(),
-			})
-		case err == sched.ErrDraining:
-			writeJSON(w, http.StatusServiceUnavailable, errorJSON{Code: codeDraining, Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorJSON{Code: codeInternal, Error: err.Error()})
-		}
+		admissionError(err).write(w)
 		return
 	}
-
-	wait := req.Wait || r.URL.Query().Get("wait") == "true"
-	if wait {
-		select {
-		case <-job.Done():
-		case <-r.Context().Done():
-			// Client went away: cancel its job and report what we have.
-			job.Cancel()
-			<-job.Done()
-		}
-		status := http.StatusOK
-		if _, jerr := job.Result(); jerr != nil {
-			var be *core.BreakdownError
-			if errors.As(jerr, &be) {
-				// Numerical breakdown reproduces bit-identically on
-				// retry: a 4xx verdict stops the router from wasting
-				// forwards on it.
-				status = http.StatusUnprocessableEntity
-			}
-		}
-		writeJSON(w, status, jobJSON(job, req.IncludeX))
+	if !req.Wait && r.URL.Query().Get("wait") != "true" {
+		obs.WriteJSON(w, http.StatusAccepted, jobJSON(job, false))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobJSON(job, false))
+	select {
+	case <-job.Done():
+	case <-r.Context().Done():
+		// Client went away: cancel its job and report what we have.
+		job.Cancel()
+		<-job.Done()
+	}
+	status := http.StatusOK
+	if _, jerr := job.Result(); jerr != nil {
+		var be *core.BreakdownError
+		if errors.As(jerr, &be) {
+			// Numerical breakdown reproduces bit-identically on retry: a
+			// 4xx verdict stops the router from wasting forwards on it.
+			status = http.StatusUnprocessableEntity
+		}
+	}
+	obs.WriteJSON(w, status, jobJSON(job, req.IncludeX))
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -572,13 +496,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job, ok := s.sched.Job(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorJSON{Code: codeNotFound, Error: "unknown job " + id})
+		obs.WriteError(w, http.StatusNotFound, codeNotFound, "unknown job "+id)
 		return
 	}
 	switch sub {
 	case "":
 		includeX := r.URL.Query().Get("include_x") == "true"
-		writeJSON(w, http.StatusOK, jobJSON(job, includeX))
+		obs.WriteJSON(w, http.StatusOK, jobJSON(job, includeX))
 	case "trace.json":
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("traceparent", job.Trace().Root().Traceparent())
@@ -588,8 +512,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", job.Trace().Root().Traceparent())
 		_ = job.Trace().WriteSpansJSONL(w)
 	default:
-		writeJSON(w, http.StatusNotFound, errorJSON{Code: codeNotFound,
-			Error: "unknown job resource " + sub + " (want trace.json or spans.jsonl)"})
+		obs.WriteError(w, http.StatusNotFound, codeNotFound,
+			"unknown job resource "+sub+" (want trace.json or spans.jsonl)")
 	}
 }
 

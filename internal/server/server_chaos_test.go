@@ -17,7 +17,7 @@ import (
 )
 
 // postErr posts a request and decodes the structured error body.
-func postErr(t *testing.T, url string, req SolveRequest) (int, errorJSON) {
+func postErr(t *testing.T, url string, req SolveRequest) (int, obs.ErrorBody) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -32,7 +32,7 @@ func postErr(t *testing.T, url string, req SolveRequest) (int, errorJSON) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorJSON
+	var e obs.ErrorBody
 	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatalf("error body %q does not parse: %v", data, err)
 	}
@@ -107,7 +107,7 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nf errorJSON
+	var nf obs.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&nf); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mna errorJSON
+	var mna obs.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&mna); err != nil {
 		t.Fatal(err)
 	}

@@ -341,8 +341,10 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestMetricsSurface checks that the obs endpoints are mounted next to
-// the API and that a served workload produces lint-clean metrics with
-// every scheduler family present.
+// the API, that a served workload produces lint-clean metrics with every
+// scheduler family present, and that /healthz and /metrics agree on every
+// count — after a clean run and after one that exercised every rejection
+// and fault-recovery path (the healthzSeries table).
 func TestMetricsSurface(t *testing.T) {
 	h := newHarness(t, 16)
 	n := testN(t)
@@ -397,6 +399,18 @@ func TestMetricsSurface(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), line) {
 			t.Fatalf("metrics lack %q", line)
+		}
+	}
+	assertHealthzMatchesMetrics(t, h.ts.URL)
+
+	faulted, _ := containmentRun(t)
+	counts := assertHealthzMatchesMetrics(t, faulted.ts.URL)
+	for _, key := range []string{"rejected", "leases", "evictions", "readmissions", "devices_lost",
+		"transfer_faults", "transfer_retries", "requeues", "lease_timeouts", "repartitions",
+		"shed_brownout", "shed_deadline_infeasible", "shed_deadline_expired", "brownout_level",
+		"prepared_hits", "prepared_misses", "prepared_evictions"} {
+		if counts[key] < 1 {
+			t.Errorf("the containment run left /healthz %s at %v, want it exercised", key, counts[key])
 		}
 	}
 }
@@ -567,12 +581,9 @@ func TestSolveBodyLimit(t *testing.T) {
 	req := solveReq(testN(t), 0, true)
 
 	rec := post(paddedBody(t, req, MaxBodyBytes+1))
-	var rej errorJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
-		t.Fatalf("oversized body: HTTP %d, undecodable rejection %q: %v", rec.Code, rec.Body.Bytes(), err)
-	}
-	if rec.Code != http.StatusRequestEntityTooLarge || rej.Code != codeRequestTooLarge {
-		t.Fatalf("oversized body: HTTP %d code %q, want 413 %s", rec.Code, rej.Code, codeRequestTooLarge)
+	rej := decodeRejection(t, rec.Code, rec.Header(), rec.Body.Bytes())
+	if rec.Code != http.StatusRequestEntityTooLarge || rej.body.Code != codeRequestTooLarge || rej.hinted || rej.retryAfter != "" {
+		t.Fatalf("oversized body: HTTP %d %+v, want 413 %s without a retry hint", rec.Code, rej, codeRequestTooLarge)
 	}
 
 	rec = post(paddedBody(t, req, MaxBodyBytes))
