@@ -28,8 +28,6 @@ func TestChargeAllocations(t *testing.T) {
 		max  float64
 		f    func()
 	}{
-		{"default ReduceRound", 0, func() { def.ReduceRound("p", bytes) }},
-		{"default ReduceRoundElemOn", 0, func() { def.ReduceRoundElemOn("p", bytes, Elem64) }},
 		{"default DeviceKernelOn", 0, func() { def.DeviceKernelOn("p", work) }},
 		{"default Gather", 0, func() { def.Gather("p", 64, Elem64) }},
 		{"default Broadcast", 0, func() { def.Broadcast("p", 64, Elem32) }},
@@ -41,7 +39,7 @@ func TestChargeAllocations(t *testing.T) {
 		{"default HostComputeOn", 0, func() { def.HostComputeOn("p", 1e6) }},
 		{"default host-path halo", 0, halo(def, traffic)},
 		{"pcie-switch halo", 4, halo(sw, traffic)},
-		{"clustered reduce", 2, func() { cl.ReduceRound("p", bytes) }},
+		{"clustered Gather", 2, func() { cl.Gather("p", 64, Elem64) }},
 		{"clustered halo", 12, halo(cl, traffic)},
 	} {
 		tc.f() // first charge creates the phase rows

@@ -48,7 +48,7 @@ func TestClusterPeerTiering(t *testing.T) {
 
 	// Same node (0 -> 1): pure node-local switch round.
 	before := c.Stats().TotalTime()
-	c.PeerExchange("local", pair(4, 0, 1, B))
+	exchange(c, "local", pair(4, 0, 1, B))
 	got := c.Stats().TotalTime() - before
 	want := p.Topo.PeerLatency + float64(B)/p.Topo.PeerBandwidth
 	if !almostEq(got, want) {
@@ -61,7 +61,7 @@ func TestClusterPeerTiering(t *testing.T) {
 
 	// Cross node (0 -> 2): fabric leg only, no intra traffic.
 	before = c.Stats().TotalTime()
-	c.PeerExchange("cross", pair(4, 0, 2, B))
+	exchange(c, "cross", pair(4, 0, 2, B))
 	got = c.Stats().TotalTime() - before
 	fab := p.Cluster.Fabric
 	want = fab.Latency + float64(B)/fab.Bandwidth
@@ -78,7 +78,7 @@ func TestClusterPeerTiering(t *testing.T) {
 	tr := pair(4, 0, 1, B)
 	tr[2][0] = B
 	before = c.Stats().TotalTime()
-	c.PeerExchange("mixed", tr)
+	exchange(c, "mixed", tr)
 	got = c.Stats().TotalTime() - before
 	want = (p.Topo.PeerLatency + float64(B)/p.Topo.PeerBandwidth) +
 		(fab.Latency + float64(B)/fab.Bandwidth)
@@ -98,7 +98,7 @@ func TestClusterHostRound(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	bytes := []int{100, 200, 300, 400}
 	before := c.Stats().TotalTime()
-	c.ReduceRound("red", bytes)
+	c.commRound("red", dirD2H, bytes, Elem64, false, nil)
 	got := c.Stats().TotalTime() - before
 	// Node volumes: node0=300, node1=700. Local leg pays the most loaded
 	// node link; the remote node's aggregate then crosses the fabric.
@@ -131,8 +131,8 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	flat := NewContext(4, p.Model)
 	bytes := []int{100, 200, 300, 400}
-	c.ReduceRound("x", bytes)
-	flat.ReduceRound("x", bytes)
+	c.commRound("x", dirD2H, bytes, Elem64, false, nil)
+	flat.commRound("x", dirD2H, bytes, Elem64, false, nil)
 	a, b := c.Stats().Phase("x"), flat.Stats().Phase("x")
 	if a.CommTime != b.CommTime || a.BytesD2H != b.BytesD2H {
 		t.Errorf("one-node cluster reduce differs from flat: %v vs %v", a, b)
@@ -148,7 +148,7 @@ func surviving(t *testing.T, c *Context, victim int) *Context {
 	c.InjectFaults(FaultPlan{Deaths: []DeviceDeath{{Device: victim, At: 0}}})
 	func() {
 		defer func() { _ = recover() }() // the death fires on the first charge
-		c.UniformKernel("kill", Work{Flops: 1})
+		c.Launch("kill", every(Work{Flops: 1}))
 	}()
 	view, err := c.Survivors()
 	if err != nil {
@@ -192,10 +192,10 @@ func TestOneNodeClusterIsTheFlatMachine(t *testing.T) {
 			}
 			elem := Elem(rng.Intn(3))
 			for _, c := range []*Context{a, b} {
-				c.ReduceRoundElem("host", bytes, elem)
-				c.BroadcastRoundElemOn("host", bytes, elem)
+				c.commRound("host", dirD2H, bytes, elem, false, nil)
+				c.commRound("host", dirH2D, bytes, elem, false, nil)
 				if kind != TopoHostHub {
-					c.PeerExchange("exchange", traffic)
+					exchange(c, "exchange", traffic)
 					c.HaloExchangeElemOn("exchange", bytes, bytes, traffic, elem)
 				}
 			}
@@ -245,7 +245,7 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 	func() {
 		defer func() { recover() }()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Gather("x", 1, Elem64)
 	}()
 	surv, err := c.Survivors()
 	if err != nil {
@@ -262,7 +262,7 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 	}
 	// Logical 0 -> 1 is physical 0 -> 2: cross-node, must pay the fabric.
 	before := surv.Stats().TotalTime()
-	surv.PeerExchange("surv", pair(3, 0, 1, B))
+	exchange(surv, "surv", pair(3, 0, 1, B))
 	got := surv.Stats().TotalTime() - before
 	fab := p.Cluster.Fabric
 	want := fab.Latency + float64(B)/fab.Bandwidth
@@ -278,12 +278,12 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 // on ledgers that actually crossed the fabric.
 func TestInterNodeColumnGating(t *testing.T) {
 	flat := NewContext(2, M2090())
-	flat.ReduceRound("x", []int{8, 8})
+	flat.Gather("x", 1, Elem64)
 	if strings.Contains(flat.Stats().String(), "bytesInter") {
 		t.Error("single-node ledger rendered a bytesInter column")
 	}
 	cl := NewContextWithProfile(4, clusterProfile())
-	cl.ReduceRound("x", []int{8, 8, 8, 8})
+	cl.Gather("x", 1, Elem64)
 	if !strings.Contains(cl.Stats().String(), "bytesInter") {
 		t.Error("clustered ledger missing the bytesInter column")
 	}
@@ -323,7 +323,7 @@ func TestClusterLatencyDominates(t *testing.T) {
 	p := DefaultProfile(M2090())
 	p.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Latency: 25e-6, Bandwidth: 3e9}}
 	ctx := NewContextWithProfile(3, p)
-	ctx.ReduceRound("p", []int{8, 8, 8})
+	ctx.Gather("p", 1, Elem64)
 	if got := ctx.Stats().Phase("p").CommTime; got < 25e-6 {
 		t.Fatalf("comm time %v below fabric latency", got)
 	}
@@ -341,7 +341,7 @@ func TestClusterAmplifiesCAAdvantage(t *testing.T) {
 	cost := func(p Profile, rounds int) float64 {
 		ctx := NewContextWithProfile(3, p)
 		for i := 0; i < rounds; i++ {
-			ctx.ReduceRound("p", []int{8, 8, 8})
+			ctx.Gather("p", 1, Elem64)
 		}
 		return ctx.Stats().Phase("p").CommTime
 	}

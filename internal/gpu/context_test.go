@@ -73,7 +73,7 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 	root.InjectFaults(FaultPlan{Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 	func() {
 		defer func() { _ = recover() }() // the death fires on the first charge
-		root.UniformKernel("p", Work{Flops: 1})
+		root.Launch("p", every(Work{Flops: 1}))
 	}()
 	view, err := root.Survivors()
 	if err != nil {
@@ -89,8 +89,8 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 		if &ids[0] != &ctx.phys[0] || cap(ids) != len(ids) {
 			t.Fatalf("devIDs returned a copy or an appendable slice (len %d cap %d)", len(ids), cap(ids))
 		}
-		ctx.DeviceKernel("p", make([]Work, ctx.NumDevices))
-		ctx.ReduceRound("p", make([]int, ctx.NumDevices))
+		ctx.DeviceKernelOn("p", make([]Work, ctx.NumDevices))
+		ctx.Gather("p", 0, Elem64)
 		ctx.HaloExchangeElemOn("p", make([]int, ctx.NumDevices), make([]int, ctx.NumDevices), nil, Elem64)
 		if !slices.Equal(ctx.phys, want) {
 			t.Fatalf("charges changed the view's device ids: %v, want %v", ctx.phys, want)
@@ -101,7 +101,7 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 func TestReduceRoundAccounting(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(3, m)
-	ctx.ReduceRound("tsqr", []int{100, 200, 300})
+	ctx.commRound("tsqr", dirD2H, []int{100, 200, 300}, Elem64, false, nil)
 	p := ctx.Stats().Phase("tsqr")
 	if p.Rounds != 1 || p.Messages != 3 {
 		t.Fatalf("rounds=%d msgs=%d", p.Rounds, p.Messages)
@@ -117,7 +117,7 @@ func TestReduceRoundAccounting(t *testing.T) {
 
 func TestBroadcastRoundAccounting(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.BroadcastRound("borth", []int{50, 50})
+	ctx.commRound("borth", dirH2D, []int{50, 50}, Elem64, false, nil)
 	p := ctx.Stats().Phase("borth")
 	if p.BytesH2D != 100 || p.BytesD2H != 0 || p.Rounds != 1 {
 		t.Fatalf("stats %+v", p)
@@ -129,8 +129,8 @@ func TestLatencyPaidPerRoundNotPerMessage(t *testing.T) {
 	// property that gives MPK its factor-of-s latency win.
 	m := M2090()
 	ctx := NewContext(3, m)
-	ctx.ReduceRound("x", []int{0, 0, 0})
-	ctx.ReduceRound("x", []int{0, 0, 0})
+	ctx.Gather("x", 0, Elem64)
+	ctx.Gather("x", 0, Elem64)
 	p := ctx.Stats().Phase("x")
 	if !approx(p.CommTime, 2*m.Latency, 1e-12) {
 		t.Fatalf("comm time %v, want %v", p.CommTime, 2*m.Latency)
@@ -141,7 +141,7 @@ func TestDeviceKernelTakesMax(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(2, m)
 	w := []Work{{Flops: 3e9}, {Flops: 6e9}}
-	ctx.DeviceKernel("gemm", w)
+	ctx.DeviceKernelOn("gemm", w)
 	p := ctx.Stats().Phase("gemm")
 	want := 6e9/(m.DeviceGflops*1e9) + m.KernelLaunch
 	if !approx(p.DeviceTime, want, 1e-12) {
@@ -160,7 +160,7 @@ func TestMemoryBoundKernel(t *testing.T) {
 	// bandwidth, the SpMV regime.
 	m := M2090()
 	ctx := NewContext(1, m)
-	ctx.UniformKernel("spmv", Work{Flops: 1e6, Bytes: 1.2e9})
+	ctx.Launch("spmv", every(Work{Flops: 1e6, Bytes: 1.2e9}))
 	p := ctx.Stats().Phase("spmv")
 	want := 1.2e9/m.DeviceMemBW + m.KernelLaunch
 	if !approx(p.DeviceTime, want, 1e-12) {
@@ -171,7 +171,7 @@ func TestMemoryBoundKernel(t *testing.T) {
 func TestHostCompute(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(1, m)
-	ctx.HostCompute("lsq", 2e9)
+	ctx.HostComputeOn("lsq", 2e9)
 	p := ctx.Stats().Phase("lsq")
 	if !approx(p.HostTime, 2e9/(m.HostGflops*1e9), 1e-12) {
 		t.Fatalf("host time %v", p.HostTime)
@@ -181,9 +181,9 @@ func TestHostCompute(t *testing.T) {
 func TestStatsMerge(t *testing.T) {
 	ctx, ctx2 := NewContext(1, M2090()), NewContext(1, M2090())
 	a, b := ctx.Stats(), ctx2.Stats()
-	ctx.ReduceRound("p", []int{8})
-	ctx2.ReduceRound("p", []int{8})
-	ctx2.HostCompute("q", 1e9)
+	ctx.Gather("p", 1, Elem64)
+	ctx2.Gather("p", 1, Elem64)
+	ctx2.HostComputeOn("q", 1e9)
 	a.Merge(b)
 	if a.Phase("p").Rounds != 2 {
 		t.Fatalf("merged rounds = %d", a.Phase("p").Rounds)
@@ -195,9 +195,9 @@ func TestStatsMerge(t *testing.T) {
 
 func TestStatsTotalAndString(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.ReduceRound("tsqr", []int{100, 100})
-	ctx.UniformKernel("tsqr", Work{Flops: 1e9})
-	ctx.HostCompute("lsq", 1e8)
+	ctx.commRound("tsqr", dirD2H, []int{100, 100}, Elem64, false, nil)
+	ctx.Launch("tsqr", every(Work{Flops: 1e9}))
+	ctx.HostComputeOn("lsq", 1e8)
 	total := ctx.Stats().TotalTime()
 	want := ctx.Stats().Phase("tsqr").Total() + ctx.Stats().Phase("lsq").Total()
 	if !approx(total, want, 1e-12) {
@@ -211,7 +211,7 @@ func TestStatsTotalAndString(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.ReduceRound("p", []int{8})
+	ctx.Gather("p", 1, Elem64)
 	ctx.ResetStats()
 	if ctx.Stats().Phase("p").Rounds != 0 {
 		t.Fatal("reset did not clear")
@@ -220,8 +220,8 @@ func TestResetStats(t *testing.T) {
 
 func TestPhasesSorted(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.HostCompute("zeta", 1)
-	ctx.HostCompute("alpha", 1)
+	ctx.HostComputeOn("zeta", 1)
+	ctx.HostComputeOn("alpha", 1)
 	names := ctx.Stats().Phases()
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
 		t.Fatalf("phases = %v", names)
@@ -247,10 +247,10 @@ func TestM2090Sanity(t *testing.T) {
 func TestTraceRecordsEvents(t *testing.T) {
 	ctx := NewContext(2, M2090())
 	ctx.Stats().EnableTrace(100)
-	ctx.ReduceRound("tsqr", []int{8, 8})
-	ctx.BroadcastRound("tsqr", []int{4, 4})
-	ctx.UniformKernel("spmv", Work{Flops: 1e6})
-	ctx.HostCompute("lsq", 1e3)
+	ctx.Gather("tsqr", 1, Elem64)
+	ctx.Broadcast("tsqr", 1, Elem32)
+	ctx.Launch("spmv", every(Work{Flops: 1e6}))
+	ctx.HostComputeOn("lsq", 1e3)
 	ev := ctx.Stats().Trace()
 	// The kernel launch fans out into one event per device, sharing a Step.
 	if len(ev) != 5 {
@@ -284,7 +284,7 @@ func TestTraceRingBufferKeepsTail(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 10; i++ {
-		ctx.ReduceRound("p", []int{i})
+		ctx.commRound("p", dirD2H, []int{i}, Elem64, false, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {
@@ -300,7 +300,7 @@ func TestTraceRingBufferKeepsTail(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	ctx := NewContext(1, M2090())
-	ctx.ReduceRound("p", []int{8})
+	ctx.Gather("p", 1, Elem64)
 	if len(ctx.Stats().Trace()) != 0 {
 		t.Fatal("trace recorded without EnableTrace")
 	}

@@ -19,11 +19,7 @@ func chargeRound(c *Context) (err error) {
 			}
 		}
 	}()
-	bytes := make([]int, c.NumDevices)
-	for d := range bytes {
-		bytes[d] = 1024
-	}
-	c.ReduceRound("test", bytes)
+	c.Gather("test", 128, Elem64)
 	return nil
 }
 
@@ -37,7 +33,7 @@ func TestEmptyPlanChangesNothing(t *testing.T) {
 			if err := chargeRound(c); err != nil {
 				t.Fatal(err)
 			}
-			c.UniformKernel("k", Work{Flops: 1e6, Bytes: 1e6})
+			c.Launch("k", every(Work{Flops: 1e6, Bytes: 1e6}))
 		}
 		return c.Stats()
 	}
@@ -124,7 +120,7 @@ func TestSurvivorsViewRemapsCharges(t *testing.T) {
 	// Charges through the view are attributed to physical ids 0 and 2;
 	// the dead device 1 accumulates nothing further.
 	before := c.Stats().DevicePhase(1, "test")
-	surv.UniformKernel("test", Work{Flops: 1e6, Bytes: 1e6})
+	surv.Launch("test", every(Work{Flops: 1e6, Bytes: 1e6}))
 	if err := chargeRound(surv); err != nil {
 		t.Fatalf("survivor charge failed: %v", err)
 	}
@@ -135,7 +131,7 @@ func TestSurvivorsViewRemapsCharges(t *testing.T) {
 		t.Fatal("survivor device 2 not charged under its physical id")
 	}
 	// The view shares the tally and the root keeps the plan state.
-	surv.UniformKernel("test", Work{Flops: 1, Bytes: 1})
+	surv.Launch("test", every(Work{Flops: 1, Bytes: 1}))
 	if c.FaultCounts() != surv.FaultCounts() {
 		t.Fatal("view does not share fault state")
 	}
@@ -212,12 +208,12 @@ func TestMaxTransferFaultsCapsInjection(t *testing.T) {
 
 func TestStragglerSlowsItsDeviceOnly(t *testing.T) {
 	base := NewContext(3, M2090())
-	base.UniformKernel("k", Work{Flops: 1e9})
+	base.Launch("k", every(Work{Flops: 1e9}))
 	baseTime := base.Stats().Phase("k").DeviceTime
 
 	c := NewContext(3, M2090())
 	c.InjectFaults(FaultPlan{Stragglers: []Straggler{{Device: 2, Factor: 3}}})
-	c.UniformKernel("k", Work{Flops: 1e9})
+	c.Launch("k", every(Work{Flops: 1e9}))
 	slowed := c.Stats().Phase("k").DeviceTime
 	// The phase aggregates at the max over devices: one straggler at 3x
 	// drags the whole launch to ~3x.
@@ -251,9 +247,9 @@ func TestRepairClearsDeadAndConsumedDeathsStayConsumed(t *testing.T) {
 	}
 	// Stragglers are cleared too.
 	before := c.Stats().Phase("k").DeviceTime
-	c.UniformKernel("k", Work{Flops: 1e9})
+	c.Launch("k", every(Work{Flops: 1e9}))
 	clean := NewContext(2, M2090())
-	clean.UniformKernel("k", Work{Flops: 1e9})
+	clean.Launch("k", every(Work{Flops: 1e9}))
 	if got, want := c.Stats().Phase("k").DeviceTime-before, clean.Stats().Phase("k").DeviceTime; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("straggler survived Repair: %v vs %v", got, want)
 	}

@@ -13,11 +13,11 @@ import (
 // event trace, clocks and fault tallies. Any drift means the refactor
 // changed behavior, not just structure.
 
-// fenceWorkload drives one fixed mixed workload through a context: the
-// synchronous rounds, non-uniform and uniform kernels, host compute, the
-// overlapped *On stream operations, a seeded transfer-fault plan, a
-// scheduled device death, and a Survivors re-route — every charging path
-// the ledger has.
+// fenceWorkload drives one fixed mixed workload through a context:
+// non-uniform and uniform rounds and kernels, host compute, operations
+// chained by events and operations that wait for nothing, a seeded
+// transfer-fault plan, a scheduled device death, and a Survivors
+// re-route — every charging path the ledger has.
 func fenceWorkload(ctx *Context) {
 	ctx.InjectFaults(FaultPlan{
 		Seed:              42,
@@ -26,15 +26,15 @@ func fenceWorkload(ctx *Context) {
 		Deaths:            []DeviceDeath{{Device: 1, At: 0.09}},
 		Stragglers:        []Straggler{{Device: 2, Factor: 1.5}},
 	})
-	ctx.ReduceRound("mpk", []int{4096, 2048, 1024})
-	ctx.BroadcastRound("mpk", []int{8192, 8192, 8192})
-	ctx.DeviceKernel("spmv", []Work{
+	ctx.commRound("mpk", dirD2H, []int{4096, 2048, 1024}, Elem64, false, nil)
+	ctx.Broadcast("mpk", 1024, Elem64)
+	ctx.DeviceKernelOn("spmv", []Work{
 		{Flops: 2e8, Bytes: 1.5e9},
 		{Flops: 1e8, Bytes: 0.8e9},
 		{Flops: 3e8, Bytes: 2.1e9},
 	})
-	ctx.UniformKernel("tsqr", Work{Flops: 5.4e8, Bytes: 2.4e8})
-	ctx.HostCompute("lsq", 1.86e6)
+	ctx.Launch("tsqr", every(Work{Flops: 5.4e8, Bytes: 2.4e8}))
+	ctx.HostComputeOn("lsq", 1.86e6)
 	ev := ctx.Gather("borth", 930, Elem64)
 	ev = ctx.DeviceKernelOn("borth", []Work{
 		{Flops: 1e7, Bytes: 4e7},
@@ -44,21 +44,21 @@ func fenceWorkload(ctx *Context) {
 	ctx.HostComputeOn("lsq", 9.3e5, ev)
 	// Push the clock past the scheduled death, recover the panic, then
 	// keep charging through the Survivors view.
-	ctx.UniformKernel("spmv", Work{Flops: 9e8, Bytes: 6e9})
+	ctx.Launch("spmv", every(Work{Flops: 9e8, Bytes: 6e9}))
 	func() {
 		defer func() {
 			if r := recover(); r == nil {
 				panic("fence: expected DeviceLostError")
 			}
 		}()
-		ctx.ReduceRound("mpk", []int{512, 512, 512})
+		ctx.Gather("mpk", 64, Elem64)
 	}()
 	view, err := ctx.Survivors()
 	if err != nil {
 		panic(err)
 	}
-	view.ReduceRound("mpk", []int{512, 512})
-	view.DeviceKernel("spmv", []Work{
+	view.Gather("mpk", 64, Elem64)
+	view.DeviceKernelOn("spmv", []Work{
 		{Flops: 5e7, Bytes: 4e8},
 		{Flops: 5e7, Bytes: 4e8},
 	})
@@ -84,8 +84,9 @@ func fenceReport(ctx *Context) string {
 	return b.String()
 }
 
-// TestM2090FenceSync pins the synchronous barrier schedule of the fence
-// workload under the default M2090 machine description.
+// TestM2090FenceSync pins the synchronous schedule (overlap off: every
+// operation a full barrier) of the fence workload under the default M2090
+// machine description.
 func TestM2090FenceSync(t *testing.T) {
 	ctx := NewContext(3, M2090())
 	ctx.Stats().EnableTrace(256)

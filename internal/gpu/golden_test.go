@@ -37,11 +37,11 @@ func TestStatsStringGolden(t *testing.T) {
 	// fully deterministic, so any drift in the report format (or in the
 	// cost constants it summarizes) must be a conscious golden update.
 	ctx := NewContext(3, M2090())
-	ctx.ReduceRound("mpk", []int{4096, 4096, 4096})
-	ctx.BroadcastRound("mpk", []int{8192, 8192, 8192})
-	ctx.UniformKernel("spmv", Work{Flops: 2e8, Bytes: 1.5e9})
-	ctx.ReduceRound("tsqr", []int{7440, 7440, 7440})
-	ctx.UniformKernel("tsqr", Work{Flops: 5.4e8, Bytes: 2.4e8})
-	ctx.HostCompute("lsq", 1.86e6)
+	ctx.Gather("mpk", 512, Elem64)
+	ctx.Broadcast("mpk", 1024, Elem64)
+	ctx.Launch("spmv", every(Work{Flops: 2e8, Bytes: 1.5e9}))
+	ctx.Gather("tsqr", 930, Elem64)
+	ctx.Launch("tsqr", every(Work{Flops: 5.4e8, Bytes: 2.4e8}))
+	ctx.HostComputeOn("lsq", 1.86e6)
 	goldenCompare(t, "stats_string.golden", ctx.Stats().String())
 }

@@ -9,7 +9,7 @@ import (
 
 // This file is the golden fence around the transfer side of the package:
 // every way a round can reach the ledger — host rounds and routed
-// exchanges, barrier and stream forms, each element width, each
+// exchanges, waiting for events and for nothing, each element width, each
 // topology, one node or two, a Survivors view, a seeded transfer-fault
 // stream — rendered through everything a caller can read back. It was
 // recorded before the transfer path was collapsed to one routing
@@ -32,10 +32,10 @@ func pathsProfile(kind TopoKind, perNode int) Profile {
 }
 
 // pathsWorkload charges one of everything through c at the given element
-// width: both host directions in barrier and stream form, a routed
-// exchange (PeerExchange is always FP64 on the wire), a halo exchange
-// with and without a traffic matrix, and enough compute for the
-// overlapped schedule to have something to hide transfers behind.
+// width: both host directions with and without an event to wait for, a
+// routed exchange at FP64 whatever the width, a halo exchange with and
+// without a traffic matrix, and enough compute for the overlapped
+// schedule to have something to hide transfers behind.
 func pathsWorkload(c *Context, elem Elem) {
 	n := c.NumDevices
 	w := elem.Bytes()
@@ -51,18 +51,18 @@ func pathsWorkload(c *Context, elem Elem) {
 	}
 	traffic[0][n/2] += 512 * w // one long-range pair
 
-	c.ReduceRoundElem("reduce", bytes, elem)
-	c.BroadcastRound("bcast", bytes)
+	c.commRound("reduce", dirD2H, bytes, elem, false, nil)
+	c.commRound("bcast", dirH2D, bytes, Elem64, false, nil)
 	k := c.DeviceKernelOn("kernel", work)
-	r := c.ReduceRoundElemOn("reduce", bytes, elem, k)
+	r := c.commRound("reduce", dirD2H, bytes, elem, false, []StreamEvent{k})
 	h := c.HostComputeOn("host", 2e5, r)
-	b := c.BroadcastRoundElemOn("bcast", bytes, elem, h)
-	c.PeerExchange("peer", traffic)
+	b := c.commRound("bcast", dirH2D, bytes, elem, false, []StreamEvent{h})
+	exchange(c, "peer", traffic)
 	k = c.DeviceKernelOn("kernel", work, b)
 	x := c.HaloExchangeElemOn("halo", bytes, bytes, traffic, elem, k)
 	c.DeviceKernelOn("kernel", work, x)
 	c.HaloExchangeElemOn("halohost", bytes, bytes, nil, elem, x)
-	c.UniformKernel("kernel", Work{Flops: 3e6, Bytes: 1e6})
+	c.Launch("kernel", every(Work{Flops: 3e6, Bytes: 1e6}))
 }
 
 // pathsReport renders what the fence pins: both ledger tables, the exact

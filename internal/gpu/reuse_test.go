@@ -35,8 +35,8 @@ func TestContextReuseNoGoroutineLeak(t *testing.T) {
 					t.Fatalf("device %d did no work", d)
 				}
 			}
-			ctx.UniformKernel("spmv", Work{Flops: 1e6, Bytes: 8e6})
-			ctx.ReduceRound("dot", []int{8, 8, 8})
+			ctx.Launch("spmv", every(Work{Flops: 1e6, Bytes: 8e6}))
+			ctx.Gather("dot", 1, Elem64)
 		}
 		if ctx.Stats().TotalTime() <= 0 {
 			t.Fatalf("lease %d charged no modeled time", lease)
@@ -61,7 +61,7 @@ func TestContextReuseNoGoroutineLeak(t *testing.T) {
 func TestResetStatsPreservesTracing(t *testing.T) {
 	ctx := NewContext(2, M2090())
 	ctx.Stats().EnableTrace(16)
-	ctx.UniformKernel("warm", Work{Flops: 1e6})
+	ctx.Launch("warm", every(Work{Flops: 1e6}))
 	if len(ctx.Stats().Trace()) == 0 {
 		t.Fatalf("tracing enabled but no events recorded")
 	}
@@ -72,7 +72,7 @@ func TestResetStatsPreservesTracing(t *testing.T) {
 	if len(ctx.Stats().Trace()) != 0 {
 		t.Fatalf("trace events survived reset")
 	}
-	ctx.UniformKernel("after", Work{Flops: 1e6})
+	ctx.Launch("after", every(Work{Flops: 1e6}))
 	if len(ctx.Stats().Trace()) == 0 {
 		t.Fatalf("reset disabled trace recording")
 	}

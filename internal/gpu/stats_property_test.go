@@ -121,11 +121,11 @@ func TestEnableTraceRearmMidTrace(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(5)
 	for i := 0; i < 7; i++ { // wrap once: Seq is now past the capacity
-		ctx.ReduceRound("warm", []int{i})
+		ctx.commRound("warm", dirD2H, []int{i}, Elem64, false, nil)
 	}
 	ctx.Stats().EnableTrace(5) // re-arm mid-trace
 	for i := 0; i < 6; i++ {   // one past capacity again
-		ctx.ReduceRound("p", []int{100 + i})
+		ctx.commRound("p", dirD2H, []int{100 + i}, Elem64, false, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 5 {
@@ -143,7 +143,7 @@ func TestEnableTraceRearmMidTrace(t *testing.T) {
 }
 
 func TestPerDeviceAttribution(t *testing.T) {
-	// DeviceKernel charges each device its own modeled time; the phase
+	// A kernel launch charges each device its own modeled time; the phase
 	// aggregate advances by the maximum. Comm rounds charge every
 	// participating device the full round time and its own byte share.
 	model := M2090()
@@ -153,7 +153,7 @@ func TestPerDeviceAttribution(t *testing.T) {
 		{Flops: 4e9, Bytes: 0}, // 4x slower: the straggler
 		{Flops: 2e9, Bytes: 0},
 	}
-	ctx.DeviceKernel("tsqr", work)
+	ctx.DeviceKernelOn("tsqr", work)
 	for d, w := range work {
 		want := w.Flops/(model.DeviceGflops*1e9) + model.KernelLaunch
 		got := ctx.Stats().DevicePhase(d, "tsqr")
@@ -171,7 +171,7 @@ func TestPerDeviceAttribution(t *testing.T) {
 	}
 
 	bytes := []int{100, 200, 300}
-	ctx.ReduceRound("mpk", bytes)
+	ctx.commRound("mpk", dirD2H, bytes, Elem64, false, nil)
 	roundT := ctx.roundTime(bytes)
 	for d, b := range bytes {
 		got := ctx.Stats().DevicePhase(d, "mpk")
@@ -194,7 +194,7 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 		ctx := NewContext(1, M2090())
 		ctx.Stats().EnableTrace(capacity)
 		for i := 0; i < count; i++ {
-			ctx.ReduceRound("p", []int{i})
+			ctx.commRound("p", dirD2H, []int{i}, Elem64, false, nil)
 		}
 		ev := ctx.Stats().Trace()
 		wantLen := count
@@ -246,7 +246,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 5; i++ {
-		ctx.ReduceRound("before", []int{i})
+		ctx.commRound("before", dirD2H, []int{i}, Elem64, false, nil)
 	}
 	ctx.ResetStats()
 	if got := len(ctx.Stats().Trace()); got != 0 {
@@ -254,7 +254,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	}
 	// Recording still works and still wraps at the same capacity.
 	for i := 0; i < 7; i++ {
-		ctx.ReduceRound("after", []int{i})
+		ctx.commRound("after", dirD2H, []int{i}, Elem64, false, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {
@@ -273,7 +273,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 func TestResetStatsWithoutTraceStaysDisabled(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.ResetStats()
-	ctx.ReduceRound("p", []int{1})
+	ctx.Gather("p", 1, Elem64)
 	if len(ctx.Stats().Trace()) != 0 {
 		t.Fatal("reset enabled tracing out of nowhere")
 	}

@@ -19,92 +19,48 @@ func streamWorkload(ctx *Context) {
 		}
 		return w
 	}
-	bytes := func(n int) []int {
-		bs := make([]int, ng)
-		for d := range bs {
-			bs[d] = n
-		}
-		return bs
-	}
 	for i := 0; i < 4; i++ {
 		k := ctx.DeviceKernelOn("spmv", work(2e6, 3e6))
-		red := ctx.ReduceRoundElemOn("orth", bytes(256), Elem64, k)
+		red := ctx.Gather("orth", 32, Elem64, k)
 		// The broadcast relays the reduce's payload (implicit hostData
 		// ordering); the host's small update then overlaps the device-side
 		// broadcast + kernel — the paper's CPU/GPU overlap.
-		bc := ctx.BroadcastRoundElemOn("orth", bytes(128), Elem64, red)
+		bc := ctx.Broadcast("orth", 16, Elem64, red)
 		ctx.DeviceKernelOn("orth", work(1e6, 8e6), bc)
 		ctx.HostComputeOn("lsq", 1e6)
 		if i%2 == 1 {
 			prod := ctx.ComputeFence()
-			ctx.ReduceRoundElemOn("tsqr", bytes(512), Elem64, prod)
+			ctx.Gather("tsqr", 64, Elem64, prod)
 			ctx.HostComputeOn("tsqr", 3e6)
-			ctx.BroadcastRoundElemOn("tsqr", bytes(512), Elem64, ctx.HostFence())
+			ctx.Broadcast("tsqr", 64, Elem64, ctx.HostFence())
 			ctx.DeviceKernelOn("tsqr", work(4e6, 2e6), ctx.TransferFence())
 		}
 	}
-	// A legacy synchronous op in the middle must stay a correct barrier
-	// even with overlap enabled.
-	ctx.UniformKernel("vec", Work{Flops: 1e6, Bytes: 4e6})
-	ctx.HostCompute("lsq", 2e6)
+	ctx.Launch("vec", every(Work{Flops: 1e6, Bytes: 4e6}))
+	ctx.HostComputeOn("lsq", 2e6)
 }
 
-// syncWorkload is streamWorkload expressed through the legacy
-// synchronous API (no events, no fences — every call a barrier).
-func syncWorkload(ctx *Context) {
-	ng := ctx.NumDevices
-	work := func(f, b float64) []Work {
-		w := make([]Work, ng)
-		for d := range w {
-			w[d] = Work{Flops: f * float64(d+1), Bytes: b}
-		}
-		return w
-	}
-	bytes := func(n int) []int {
-		bs := make([]int, ng)
-		for d := range bs {
-			bs[d] = n
-		}
-		return bs
-	}
-	for i := 0; i < 4; i++ {
-		ctx.DeviceKernel("spmv", work(2e6, 3e6))
-		ctx.ReduceRound("orth", bytes(256))
-		ctx.BroadcastRound("orth", bytes(128))
-		ctx.DeviceKernel("orth", work(1e6, 8e6))
-		ctx.HostCompute("lsq", 1e6)
-		if i%2 == 1 {
-			ctx.ReduceRound("tsqr", bytes(512))
-			ctx.HostCompute("tsqr", 3e6)
-			ctx.BroadcastRound("tsqr", bytes(512))
-			ctx.DeviceKernel("tsqr", work(4e6, 2e6))
-		}
-	}
-	ctx.UniformKernel("vec", Work{Flops: 1e6, Bytes: 4e6})
-	ctx.HostCompute("lsq", 2e6)
-}
+// every is the Launch body of a kernel that costs w on every device.
+func every(w Work) func(int) Work { return func(int) Work { return w } }
 
-// Property (a): with overlap disabled (the default), the stream API is
-// the synchronous schedule bit-for-bit — the ledger is byte-identical to
-// the one the legacy API produces, and the timeline's horizon equals its
-// own serial accumulator exactly.
+// Property (a): with overlap disabled (the default) every stream
+// operation is a full barrier — the timeline's horizon equals its own
+// serial accumulator bit for bit — and the ledger is the one the
+// overlapped schedule of the same workload leaves.
 func TestStreamDegeneratesToSynchronous(t *testing.T) {
 	for _, ng := range []int{1, 2, 3} {
-		onCtx := NewContext(ng, M2090())
-		syncCtx := NewContext(ng, M2090())
-		streamWorkload(onCtx)
-		syncWorkload(syncCtx)
-		if got, want := onCtx.Stats().String(), syncCtx.Stats().String(); got != want {
-			t.Fatalf("ng=%d: stream-API ledger differs from synchronous ledger:\n%s\n--- vs ---\n%s", ng, got, want)
-		}
-		if got, want := onCtx.Stats().TotalTime(), syncCtx.Stats().TotalTime(); got != want {
-			t.Fatalf("ng=%d: TotalTime %v != %v", ng, got, want)
-		}
-		if h, s := onCtx.OverlappedTime(), onCtx.SerialTime(); h != s {
+		off, on := NewContext(ng, M2090()), NewContext(ng, M2090())
+		on.SetOverlap(true)
+		streamWorkload(off)
+		streamWorkload(on)
+		if h, s := off.OverlappedTime(), off.SerialTime(); h != s {
 			t.Fatalf("ng=%d: overlap off but Horizon %v != SerialTime %v", ng, h, s)
 		}
-		if h1, h2 := onCtx.OverlappedTime(), syncCtx.OverlappedTime(); h1 != h2 {
-			t.Fatalf("ng=%d: stream horizon %v != sync horizon %v", ng, h1, h2)
+		if got, want := off.Stats().String()+off.Stats().DeviceString(), on.Stats().String()+on.Stats().DeviceString(); got != want {
+			t.Fatalf("ng=%d: synchronous ledger differs from the overlapped one:\n%s\n--- vs ---\n%s", ng, got, want)
+		}
+		if got, want := off.Stats().TotalTime(), on.Stats().TotalTime(); got != want {
+			t.Fatalf("ng=%d: TotalTime %v != %v", ng, got, want)
 		}
 	}
 }
@@ -240,10 +196,10 @@ func TestSurvivorsShareTimeline(t *testing.T) {
 	if got, want := view.OverlappedTime(), ctx.OverlappedTime(); got != want {
 		t.Fatalf("view horizon %v != root horizon %v", got, want)
 	}
-	// The view's logical devices 0,1 are physical 0,2 — the lane charges
-	// must land on the physical ids.
-	if ctx.LaneTime(LaneCompute, 2, "spmv") == 0 {
-		t.Fatal("view charge did not land on physical device 2's lane")
+	// The view's logical devices 0,1 are physical 0,2 — the charges must
+	// land on the physical ids.
+	if ctx.Stats().DevicePhase(2, "spmv").DeviceTime == 0 {
+		t.Fatal("view charge did not land on physical device 2")
 	}
 }
 

@@ -41,9 +41,25 @@ func pair(ng, s, d, b int) [][]int {
 	return tr
 }
 
+// exchange charges one exchange of traffic the way the profile routes it:
+// the routed round where the machine has one, the host bounce of every
+// device's send and receive totals where it has not.
+func exchange(c *Context, phase string, traffic [][]int, after ...StreamEvent) StreamEvent {
+	send, recv := make([]int, len(traffic)), make([]int, len(traffic))
+	for s, row := range traffic {
+		for d, b := range row {
+			if s != d {
+				send[s] += b
+				recv[d] += b
+			}
+		}
+	}
+	return c.HaloExchangeElemOn(phase, send, recv, traffic, Elem64, after...)
+}
+
 func peerCost(c *Context, traffic [][]int) float64 {
 	before := c.Stats().TotalTime()
-	c.PeerExchange("x", traffic)
+	exchange(c, "x", traffic)
 	return c.Stats().TotalTime() - before
 }
 
@@ -135,7 +151,7 @@ func TestHostHubPeerFallback(t *testing.T) {
 	c := NewContext(3, M2090())
 	const B = 1 << 20
 	before := c.Stats().Phase("x")
-	c.PeerExchange("x", pair(3, 0, 2, B))
+	exchange(c, "x", pair(3, 0, 2, B))
 	ps := c.Stats().Phase("x")
 	if got := ps.Rounds - before.Rounds; got != 2 {
 		t.Errorf("host-hub peer exchange charged %d rounds, want 2", got)
@@ -167,7 +183,7 @@ func TestRingRerouteAfterDeath(t *testing.T) {
 				panic(r)
 			}
 		}()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Gather("x", 1, Elem64)
 	}()
 
 	surv, err := c.Survivors()
@@ -205,7 +221,7 @@ func TestSurvivorsKeepProfile(t *testing.T) {
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 3, At: 0}}})
 	func() {
 		defer func() { recover() }()
-		c.ReduceRound("x", []int{8, 8, 8, 8})
+		c.Gather("x", 1, Elem64)
 	}()
 	surv, err := c.Survivors()
 	if err != nil {

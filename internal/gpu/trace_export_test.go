@@ -11,10 +11,10 @@ import (
 func traceFixture() *Context {
 	ctx := NewContext(2, M2090())
 	ctx.Stats().EnableTrace(64)
-	ctx.ReduceRound("tsqr", []int{800, 800})
-	ctx.UniformKernel("tsqr", Work{Flops: 3e9, Bytes: 1e6})
-	ctx.BroadcastRound("mpk", []int{400, 400})
-	ctx.HostCompute("lsq", 2e8)
+	ctx.Gather("tsqr", 100, Elem64)
+	ctx.Launch("tsqr", every(Work{Flops: 3e9, Bytes: 1e6}))
+	ctx.Broadcast("mpk", 50, Elem64)
+	ctx.HostComputeOn("lsq", 2e8)
 	return ctx
 }
 
@@ -190,7 +190,7 @@ func TestWriteChromeTraceEmptyTraceEntry(t *testing.T) {
 func TestWriteChromeTraceSingleEvent(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(8)
-	ctx.HostCompute("lsq", 1e6)
+	ctx.HostComputeOn("lsq", 1e6)
 	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("one")})
 	var slices int
 	for _, e := range file.TraceEvents {
@@ -217,13 +217,13 @@ func TestChromeTraceDeviceLanes(t *testing.T) {
 	ctx := NewContext(3, M2090())
 	ctx.Stats().EnableTrace(1 << 10)
 	for i := 0; i < 5; i++ {
-		ctx.DeviceKernel("tsqr", []Work{
+		ctx.DeviceKernelOn("tsqr", []Work{
 			{Flops: 1e9 * float64(i+1)},
 			{Flops: 2e9},
 			{Flops: 5e8 * float64(i+1), Bytes: 3e8},
 		})
-		ctx.ReduceRound("tsqr", []int{240, 240, 240})
-		ctx.UniformKernel("spmv", Work{Flops: 7e8, Bytes: 1e9})
+		ctx.Gather("tsqr", 30, Elem64)
+		ctx.Launch("spmv", every(Work{Flops: 7e8, Bytes: 1e9}))
 	}
 	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("multi")})
 

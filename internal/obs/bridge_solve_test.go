@@ -79,8 +79,7 @@ func TestCollectStatsExportsOptionalByteColumns(t *testing.T) {
 	// The paper's machine reports none of the optional columns, so its
 	// scrape has none of the series.
 	host := gpu.NewContext(2, gpu.M2090())
-	host.ReduceRound("orth", []int{4096, 8192})
-	host.BroadcastRound("orth", []int{1024, 1024})
+	host.HaloExchangeElemOn("orth", []int{4096, 8192}, []int{1024, 1024}, nil, gpu.Elem64)
 	r = obs.NewRegistry()
 	obs.CollectStats(r, host.Stats())
 	scrape = prometheus(t, r)

@@ -18,11 +18,10 @@ func ledgerWorkload(t *testing.T) *gpu.Context {
 	t.Helper()
 	ctx := gpu.NewContext(2, gpu.M2090())
 	ctx.Stats().EnableTrace(1 << 8)
-	ctx.UniformKernel("spmv", gpu.Work{Flops: 2e6, Bytes: 1e6})
-	ctx.DeviceKernel("tsqr", []gpu.Work{{Flops: 3e6, Bytes: 5e5}, {Flops: 1e6, Bytes: 2e5}})
-	ctx.ReduceRound("orth", []int{4096, 8192})
-	ctx.BroadcastRound("orth", []int{1024, 1024})
-	ctx.HostCompute("lsq", 1e5)
+	ctx.Launch("spmv", func(int) gpu.Work { return gpu.Work{Flops: 2e6, Bytes: 1e6} })
+	ctx.DeviceKernelOn("tsqr", []gpu.Work{{Flops: 3e6, Bytes: 5e5}, {Flops: 1e6, Bytes: 2e5}})
+	ctx.HaloExchangeElemOn("orth", []int{4096, 8192}, []int{1024, 1024}, nil, gpu.Elem64)
+	ctx.HostComputeOn("lsq", 1e5)
 	return ctx
 }
 

@@ -247,8 +247,8 @@ func FuzzDecode(f *testing.F) {
 		// A decoded profile must be usable: context creation and a
 		// small charge must not panic or produce a non-finite time.
 		c := gpu.NewContextWithProfile(2, p)
-		c.ReduceRound("fuzz", []int{128, 128})
-		c.PeerExchange("fuzz", [][]int{{0, 64}, {64, 0}})
+		c.Gather("fuzz", 16, gpu.Elem64)
+		c.HaloExchangeElemOn("fuzz", []int{64, 64}, []int{64, 64}, [][]int{{0, 64}, {64, 0}}, gpu.Elem64)
 		if tt := c.Stats().TotalTime(); !(tt >= 0) {
 			t.Fatalf("non-finite total time %g from %q", tt, data)
 		}
