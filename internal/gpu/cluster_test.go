@@ -98,7 +98,7 @@ func TestClusterHostRound(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	bytes := []int{100, 200, 300, 400}
 	before := c.Stats().TotalTime()
-	c.commRound("red", dirD2H, bytes, Elem64, false, nil)
+	c.commRound("red", dirD2H, bytes, Elem64, nil)
 	got := c.Stats().TotalTime() - before
 	// Node volumes: node0=300, node1=700. Local leg pays the most loaded
 	// node link; the remote node's aggregate then crosses the fabric.
@@ -131,8 +131,8 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	c := NewContextWithProfile(4, p)
 	flat := NewContext(4, p.Model)
 	bytes := []int{100, 200, 300, 400}
-	c.commRound("x", dirD2H, bytes, Elem64, false, nil)
-	flat.commRound("x", dirD2H, bytes, Elem64, false, nil)
+	c.commRound("x", dirD2H, bytes, Elem64, nil)
+	flat.commRound("x", dirD2H, bytes, Elem64, nil)
 	a, b := c.Stats().Phase("x"), flat.Stats().Phase("x")
 	if a.CommTime != b.CommTime || a.BytesD2H != b.BytesD2H {
 		t.Errorf("one-node cluster reduce differs from flat: %v vs %v", a, b)
@@ -192,8 +192,8 @@ func TestOneNodeClusterIsTheFlatMachine(t *testing.T) {
 			}
 			elem := Elem(rng.Intn(3))
 			for _, c := range []*Context{a, b} {
-				c.commRound("host", dirD2H, bytes, elem, false, nil)
-				c.commRound("host", dirH2D, bytes, elem, false, nil)
+				c.commRound("host", dirD2H, bytes, elem, nil)
+				c.commRound("host", dirH2D, bytes, elem, nil)
 				if kind != TopoHostHub {
 					exchange(c, "exchange", traffic)
 					c.HaloExchangeElemOn("exchange", bytes, bytes, traffic, elem)

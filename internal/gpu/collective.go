@@ -12,8 +12,7 @@ import "slices"
 // (kernel, then round, then host sum) and the order of the sum live here.
 //
 // All four collectives are stream operations: they wait for the given
-// events, and with overlap disabled each one is a full barrier, exactly as
-// the ...On charges they submit.
+// events, and with overlap disabled each one is a full barrier.
 
 // collectiveScratch is the working memory of the collectives and of the
 // kernel charge: grow-only, owned by one Context value (a Survivors view
@@ -43,13 +42,13 @@ func sized[T any](s *[]T, n int) []T {
 func (c *Context) Launch(phase string, f func(d int) Work, after ...StreamEvent) StreamEvent {
 	work := sized(&c.scratch.work, c.NumDevices)
 	c.RunAll(func(d int) { work[d] = f(d) })
-	return c.deviceKernel(phase, work, false, after)
+	return c.DeviceKernelOn(phase, work, after...)
 }
 
 // Gather charges one device-to-host round in which every device sends n
 // elements of width elem; the payload is on the host at the returned event.
 func (c *Context) Gather(phase string, n int, elem Elem, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirD2H, c.uniformBytes(n*elem.Bytes()), elem, false, after)
+	return c.commRound(phase, dirD2H, c.uniformBytes(n*elem.Bytes()), elem, after)
 }
 
 // Broadcast charges one host-to-device round in which every device receives
@@ -57,7 +56,7 @@ func (c *Context) Gather(phase string, n int, elem Elem, after ...StreamEvent) S
 // to send (the last gather's arrival); pass an explicit event when the
 // payload comes from host compute.
 func (c *Context) Broadcast(phase string, n int, elem Elem, after ...StreamEvent) StreamEvent {
-	return c.commRound(phase, dirH2D, c.uniformBytes(n*elem.Bytes()), elem, false, after)
+	return c.commRound(phase, dirH2D, c.uniformBytes(n*elem.Bytes()), elem, after)
 }
 
 func (c *Context) uniformBytes(b int) []int {

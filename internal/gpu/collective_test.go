@@ -32,8 +32,8 @@ func handWrittenSequence(c *Context, n int, elem Elem, work func(d int) Work) [3
 	}
 	c.RunAll(func(d int) { w[d] = work(d) })
 	k := c.DeviceKernelOn("orth", w)
-	red := c.commRound("orth", dirD2H, bytes, elem, false, []StreamEvent{k})
-	bc := c.commRound("orth", dirH2D, bytes, elem, false, nil)
+	red := c.commRound("orth", dirD2H, bytes, elem, []StreamEvent{k})
+	bc := c.commRound("orth", dirH2D, bytes, elem, nil)
 	c.RunAll(func(d int) { w[d] = work(d) })
 	k = c.DeviceKernelOn("update", w, bc)
 	return [3]float64{red.Seconds(), bc.Seconds(), k.Seconds()}

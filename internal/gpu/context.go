@@ -206,54 +206,31 @@ func (m CostModel) deviceTime(w Work) float64 {
 	return t + m.KernelLaunch
 }
 
-// ReduceRound records one device->host communication round in which every
-// device concurrently sends bytes[d] bytes (bytes may have fewer entries
-// than devices; missing entries are zero): the barrier form of the round
-// a Gather submits (collective.go). The round is charged one
-// latency plus the serialized bus time of the volume (roundTime; remote
-// nodes of a clustered profile add a fabric leg). With a fault plan
-// armed, the round first checks scheduled device deaths and then draws
-// the seeded transfer-fault stream, transparently retrying with capped
-// exponential virtual-time backoff.
-func (c *Context) ReduceRound(phase string, bytes []int) {
-	c.commRound(phase, dirD2H, bytes, Elem64, true, nil)
-}
-
-// BroadcastRound records one host->device round (scatter/broadcast),
-// symmetric to ReduceRound.
-func (c *Context) BroadcastRound(phase string, bytes []int) {
-	c.commRound(phase, dirH2D, bytes, Elem64, true, nil)
-}
-
-// ReduceRoundElem is ReduceRound with an explicit element width: bytes
-// already reflect the narrow wire size; elem tags the volume on the
-// precision ledger columns. ReduceRound == ReduceRoundElem(..., Elem64).
-func (c *Context) ReduceRoundElem(phase string, bytes []int, elem Elem) {
-	c.commRound(phase, dirD2H, bytes, elem, true, nil)
-}
-
-// commRound is the shared implementation behind the synchronous rounds
-// (barrier=true: a full barrier on every stream) and the *On stream
-// variants (barrier=false: the round occupies only the participating
-// transfer streams when overlap is enabled). The ledger charge is
-// identical in both modes; elem tags the round's element width on the
-// precision columns (bytes are already at that width). Every transfer
-// round runs the same five steps in the same order — death check, route,
-// fault draw, ledger, timeline — because the seeded fault stream's draw
-// order is what makes chaos replays bit-identical.
-func (c *Context) commRound(phase string, dir direction, bytes []int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
+// commRound charges one host round in direction dir — bytes[d] is device
+// d's share, already at the wire size of width elem, which tags the volume
+// on the precision ledger columns — as a stream operation: the round is
+// charged one latency plus the serialized bus time of the volume
+// (roundTime; remote nodes of a clustered profile add a fabric leg), and
+// occupies the participating transfer streams after its dependencies.
+// Gather and Broadcast (collective.go) are its exported forms, for equal
+// shares. Every transfer round runs the same five steps in the same order
+// — death check, route, fault draw, ledger, timeline — because the seeded
+// fault stream's draw order is what makes chaos replays bit-identical: the
+// fault draw transparently retries with capped exponential virtual-time
+// backoff.
+func (c *Context) commRound(phase string, dir direction, bytes []int, elem Elem, after []StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
 	devs, nodes := c.devIDs(len(bytes)), c.node[:len(bytes)]
 	t := c.roundTime(bytes)
 	stall := c.injectTransferFaults(phase, t)
 	c.stats.addHostRound(phase, dir, devs, nodes, bytes, t, elem)
-	return c.timeline.transferOp(phase, dir, devs, t, stall, barrier, after)
+	return c.timeline.transferOp(dir, devs, t, stall, after)
 }
 
 // peerRound is commRound for a routed exchange: traffic[s][d] bytes
 // travel from logical device s to logical device d without touching the
 // host.
-func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
+func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, after []StreamEvent) StreamEvent {
 	if len(traffic) != c.NumDevices {
 		panic(fmt.Sprintf("gpu: peer traffic for %d devices on a %d-device context", len(traffic), c.NumDevices))
 	}
@@ -262,53 +239,33 @@ func (c *Context) peerRound(phase string, traffic [][]int, elem Elem, barrier bo
 	t := c.routeExchange(traffic)
 	stall := c.injectTransferFaults(phase, t)
 	c.stats.addPeerRound(phase, devs, c.node, traffic, t, elem)
-	return c.timeline.transferOp(phase, dirPeer, devs, t, stall, barrier, after)
+	return c.timeline.transferOp(dirPeer, devs, t, stall, after)
 }
 
-// DeviceKernel records a parallel device kernel: every device executes
-// its own work item concurrently, so the phase advances by the maximum
-// device time while each device's own ledger is charged its own time
-// (work[d] is device d's share — the index is the device id within this
-// context's view; straggler devices are slowed by their configured
-// factor).
-func (c *Context) DeviceKernel(phase string, work []Work) {
-	c.deviceKernel(phase, work, true, nil)
-}
-
-func (c *Context) deviceKernel(phase string, work []Work, barrier bool, after []StreamEvent) StreamEvent {
+// DeviceKernelOn charges a parallel device kernel: every device executes
+// its own work item concurrently on its compute stream after the
+// dependencies, so the phase advances by the maximum device time while
+// each device's own ledger is charged its own time (work[d] is device d's
+// share — the index is the device id within this context's view; straggler
+// devices are slowed by their configured factor). The returned event fires
+// when the slowest device finishes.
+func (c *Context) DeviceKernelOn(phase string, work []Work, after ...StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
 	ts := sized(&c.scratch.times, len(work))
 	for d, w := range work {
 		ts[d] = c.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
 	}
 	c.stats.addCompute(phase, c.devIDs(len(work)), ts, work)
-	return c.timeline.kernel(phase, c.devIDs(len(work)), ts, barrier, after)
+	return c.timeline.kernel(c.devIDs(len(work)), ts, after)
 }
 
-// UniformKernel is DeviceKernel for identical per-device work.
-func (c *Context) UniformKernel(phase string, w Work) {
-	c.checkDeaths(phase)
-	t := c.Model.deviceTime(w)
-	work := make([]Work, c.NumDevices)
-	ts := make([]float64, c.NumDevices)
-	for d := range work {
-		work[d] = w
-		ts[d] = t * c.faults.stragglerFactor(c.physOf(d))
-	}
-	c.stats.addCompute(phase, c.devIDs(len(work)), ts, work)
-	c.timeline.kernel(phase, c.devIDs(len(work)), ts, true, nil)
-}
-
-// HostCompute records flops executed on the CPU (the Cholesky, small QR,
-// eigenvalue and least-squares work the paper leaves on the host).
-func (c *Context) HostCompute(phase string, flops float64) {
-	c.hostCompute(phase, flops, true, nil)
-}
-
-func (c *Context) hostCompute(phase string, flops float64, barrier bool, after []StreamEvent) StreamEvent {
+// HostComputeOn charges flops executed on the CPU (the Cholesky, small QR,
+// eigenvalue and least-squares work the paper leaves on the host) to the
+// host stream, after the dependencies.
+func (c *Context) HostComputeOn(phase string, flops float64, after ...StreamEvent) StreamEvent {
 	t := flops / (c.Model.HostGflops * 1e9)
 	c.stats.addHost(phase, t, flops)
-	return c.timeline.hostOp(phase, t, barrier, after)
+	return c.timeline.hostOp(t, after)
 }
 
 // ScalarBytes is the wire size of one float64.

@@ -101,7 +101,7 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 func TestReduceRoundAccounting(t *testing.T) {
 	m := M2090()
 	ctx := NewContext(3, m)
-	ctx.commRound("tsqr", dirD2H, []int{100, 200, 300}, Elem64, false, nil)
+	ctx.commRound("tsqr", dirD2H, []int{100, 200, 300}, Elem64, nil)
 	p := ctx.Stats().Phase("tsqr")
 	if p.Rounds != 1 || p.Messages != 3 {
 		t.Fatalf("rounds=%d msgs=%d", p.Rounds, p.Messages)
@@ -117,7 +117,7 @@ func TestReduceRoundAccounting(t *testing.T) {
 
 func TestBroadcastRoundAccounting(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.commRound("borth", dirH2D, []int{50, 50}, Elem64, false, nil)
+	ctx.commRound("borth", dirH2D, []int{50, 50}, Elem64, nil)
 	p := ctx.Stats().Phase("borth")
 	if p.BytesH2D != 100 || p.BytesD2H != 0 || p.Rounds != 1 {
 		t.Fatalf("stats %+v", p)
@@ -195,7 +195,7 @@ func TestStatsMerge(t *testing.T) {
 
 func TestStatsTotalAndString(t *testing.T) {
 	ctx := NewContext(2, M2090())
-	ctx.commRound("tsqr", dirD2H, []int{100, 100}, Elem64, false, nil)
+	ctx.commRound("tsqr", dirD2H, []int{100, 100}, Elem64, nil)
 	ctx.Launch("tsqr", every(Work{Flops: 1e9}))
 	ctx.HostComputeOn("lsq", 1e8)
 	total := ctx.Stats().TotalTime()
@@ -284,7 +284,7 @@ func TestTraceRingBufferKeepsTail(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 10; i++ {
-		ctx.commRound("p", dirD2H, []int{i}, Elem64, false, nil)
+		ctx.commRound("p", dirD2H, []int{i}, Elem64, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {

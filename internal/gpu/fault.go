@@ -355,11 +355,10 @@ func (c *Context) checkDeaths(phase string) {
 // injectTransferFaults draws the seeded transfer-fault stream for one
 // communication round of modeled duration t. Every failed attempt
 // charges the wasted round plus the current backoff to the ledger's
-// "fault" phase (virtual-time exponential backoff, capped) and to the
-// stream timeline's fault lane; exhausting the policy panics with
-// *TransferError. Returns the total stall (the retries' modeled time,
-// which extends the round on its transfer streams) once an attempt
-// succeeds.
+// "fault" phase (virtual-time exponential backoff, capped); exhausting
+// the policy panics with *TransferError. Returns the total stall (the
+// retries' modeled time, which extends the round on its transfer streams)
+// once an attempt succeeds.
 func (c *Context) injectTransferFaults(phase string, t float64) float64 {
 	f := c.faults
 	if f == nil {
@@ -387,7 +386,6 @@ func (c *Context) injectTransferFaults(phase string, t float64) float64 {
 		f.counts.TransferRetries++
 		f.counts.BackoffSeconds += backoff
 		c.stats.addFault(phase, HostDevice, "transfer", t+backoff)
-		c.timeline.chargeFault(t + backoff)
 		stall += t + backoff
 		attempt++
 		backoff *= policy.Factor

@@ -26,7 +26,7 @@ func fenceWorkload(ctx *Context) {
 		Deaths:            []DeviceDeath{{Device: 1, At: 0.09}},
 		Stragglers:        []Straggler{{Device: 2, Factor: 1.5}},
 	})
-	ctx.commRound("mpk", dirD2H, []int{4096, 2048, 1024}, Elem64, false, nil)
+	ctx.commRound("mpk", dirD2H, []int{4096, 2048, 1024}, Elem64, nil)
 	ctx.Broadcast("mpk", 1024, Elem64)
 	ctx.DeviceKernelOn("spmv", []Work{
 		{Flops: 2e8, Bytes: 1.5e9},

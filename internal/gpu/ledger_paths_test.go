@@ -51,12 +51,12 @@ func pathsWorkload(c *Context, elem Elem) {
 	}
 	traffic[0][n/2] += 512 * w // one long-range pair
 
-	c.commRound("reduce", dirD2H, bytes, elem, false, nil)
-	c.commRound("bcast", dirH2D, bytes, Elem64, false, nil)
+	c.commRound("reduce", dirD2H, bytes, elem, nil)
+	c.commRound("bcast", dirH2D, bytes, Elem64, nil)
 	k := c.DeviceKernelOn("kernel", work)
-	r := c.commRound("reduce", dirD2H, bytes, elem, false, []StreamEvent{k})
+	r := c.commRound("reduce", dirD2H, bytes, elem, []StreamEvent{k})
 	h := c.HostComputeOn("host", 2e5, r)
-	b := c.commRound("bcast", dirH2D, bytes, elem, false, []StreamEvent{h})
+	b := c.commRound("bcast", dirH2D, bytes, elem, []StreamEvent{h})
 	exchange(c, "peer", traffic)
 	k = c.DeviceKernelOn("kernel", work, b)
 	x := c.HaloExchangeElemOn("halo", bytes, bytes, traffic, elem, k)

@@ -151,26 +151,6 @@ func (c *Context) hostBounce() bool {
 	return !c.prof.Topo.PeerToPeer() && !c.prof.Cluster.Enabled()
 }
 
-func (c *Context) bounceRounds(phase string, send, recv []int, elem Elem, barrier bool, after []StreamEvent) StreamEvent {
-	red := c.commRound(phase, dirD2H, send, elem, barrier, after)
-	return c.commRound(phase, dirH2D, recv, elem, barrier, []StreamEvent{red})
-}
-
-// PeerExchange records one device-to-device exchange round routed over
-// the profile's topology: traffic[s][d] bytes travel from logical device
-// s to logical device d, all pairs concurrently, and the round costs the
-// topology's bottleneck path. On a host-hub topology the exchange
-// bounces through the host: a reduce round of the per-device send totals
-// followed by a broadcast round of the receive totals. A full barrier,
-// like the other synchronous charges.
-func (c *Context) PeerExchange(phase string, traffic [][]int) {
-	if c.hostBounce() {
-		c.bounceRounds(phase, rowTotals(traffic), colTotals(traffic), Elem64, true, nil)
-		return
-	}
-	c.peerRound(phase, traffic, Elem64, true, nil)
-}
-
 // HaloExchangeElemOn charges one halo exchange the way the profile
 // routes it, as a stream operation. Host-mediated topologies replay the
 // paper's protocol byte for byte: a device-to-host reduce of sendBytes
@@ -184,31 +164,8 @@ func (c *Context) PeerExchange(phase string, traffic [][]int) {
 // elem's wire size; elem tags the round in the precision ledger.
 func (c *Context) HaloExchangeElemOn(phase string, sendBytes, recvBytes []int, traffic [][]int, elem Elem, after ...StreamEvent) StreamEvent {
 	if traffic == nil || c.hostBounce() {
-		return c.bounceRounds(phase, sendBytes, recvBytes, elem, false, after)
+		red := c.commRound(phase, dirD2H, sendBytes, elem, after)
+		return c.commRound(phase, dirH2D, recvBytes, elem, []StreamEvent{red})
 	}
-	return c.peerRound(phase, traffic, elem, false, after)
-}
-
-func rowTotals(traffic [][]int) []int {
-	out := make([]int, len(traffic))
-	for s, row := range traffic {
-		for d, b := range row {
-			if s != d {
-				out[s] += b
-			}
-		}
-	}
-	return out
-}
-
-func colTotals(traffic [][]int) []int {
-	out := make([]int, len(traffic))
-	for s, row := range traffic {
-		for d, b := range row {
-			if s != d {
-				out[d] += b
-			}
-		}
-	}
-	return out
+	return c.peerRound(phase, traffic, elem, after)
 }

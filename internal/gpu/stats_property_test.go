@@ -121,11 +121,11 @@ func TestEnableTraceRearmMidTrace(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(5)
 	for i := 0; i < 7; i++ { // wrap once: Seq is now past the capacity
-		ctx.commRound("warm", dirD2H, []int{i}, Elem64, false, nil)
+		ctx.commRound("warm", dirD2H, []int{i}, Elem64, nil)
 	}
 	ctx.Stats().EnableTrace(5) // re-arm mid-trace
 	for i := 0; i < 6; i++ {   // one past capacity again
-		ctx.commRound("p", dirD2H, []int{100 + i}, Elem64, false, nil)
+		ctx.commRound("p", dirD2H, []int{100 + i}, Elem64, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 5 {
@@ -171,7 +171,7 @@ func TestPerDeviceAttribution(t *testing.T) {
 	}
 
 	bytes := []int{100, 200, 300}
-	ctx.commRound("mpk", dirD2H, bytes, Elem64, false, nil)
+	ctx.commRound("mpk", dirD2H, bytes, Elem64, nil)
 	roundT := ctx.roundTime(bytes)
 	for d, b := range bytes {
 		got := ctx.Stats().DevicePhase(d, "mpk")
@@ -194,7 +194,7 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 		ctx := NewContext(1, M2090())
 		ctx.Stats().EnableTrace(capacity)
 		for i := 0; i < count; i++ {
-			ctx.commRound("p", dirD2H, []int{i}, Elem64, false, nil)
+			ctx.commRound("p", dirD2H, []int{i}, Elem64, nil)
 		}
 		ev := ctx.Stats().Trace()
 		wantLen := count
@@ -246,7 +246,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(3)
 	for i := 0; i < 5; i++ {
-		ctx.commRound("before", dirD2H, []int{i}, Elem64, false, nil)
+		ctx.commRound("before", dirD2H, []int{i}, Elem64, nil)
 	}
 	ctx.ResetStats()
 	if got := len(ctx.Stats().Trace()); got != 0 {
@@ -254,7 +254,7 @@ func TestResetStatsPreservesTraceCapacity(t *testing.T) {
 	}
 	// Recording still works and still wraps at the same capacity.
 	for i := 0; i < 7; i++ {
-		ctx.commRound("after", dirD2H, []int{i}, Elem64, false, nil)
+		ctx.commRound("after", dirD2H, []int{i}, Elem64, nil)
 	}
 	ev := ctx.Stats().Trace()
 	if len(ev) != 3 {

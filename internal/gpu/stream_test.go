@@ -81,51 +81,7 @@ func TestOverlapLeavesLedgerUntouched(t *testing.T) {
 	}
 }
 
-// Property (b): per-stream lane sums reconcile exactly with the ledger's
-// per-device phase totals.
-func TestLanesReconcileWithDevicePhases(t *testing.T) {
-	ctx := NewContext(3, M2090())
-	ctx.SetOverlap(true)
-	streamWorkload(ctx)
-	st := ctx.Stats()
-	for d := 0; d < ctx.NumDevices; d++ {
-		for _, phase := range []string{"spmv", "orth", "tsqr", "vec"} {
-			dp := st.DevicePhase(d, phase)
-			if got := ctx.LaneTime(LaneCompute, d, phase); got != dp.DeviceTime {
-				t.Fatalf("compute lane (d=%d, %s) = %v, ledger DeviceTime = %v", d, phase, got, dp.DeviceTime)
-			}
-			if got := ctx.LaneTime(LaneTransfer, d, phase); got != dp.CommTime {
-				t.Fatalf("transfer lane (d=%d, %s) = %v, ledger CommTime = %v", d, phase, got, dp.CommTime)
-			}
-		}
-	}
-	for _, phase := range []string{"lsq", "tsqr"} {
-		if got, want := ctx.LaneTime(LaneHost, HostDevice, phase), st.Phase(phase).HostTime; got != want {
-			t.Fatalf("host lane (%s) = %v, ledger HostTime = %v", phase, got, want)
-		}
-	}
-}
-
-// Property (b) continued: the fault lane reconciles with the ledger's
-// fault phase when a transfer-fault plan is armed, in every mode.
-func TestFaultLaneReconciles(t *testing.T) {
-	for _, overlap := range []bool{false, true} {
-		ctx := NewContext(3, M2090())
-		ctx.SetOverlap(overlap)
-		ctx.InjectFaults(FaultPlan{Seed: 11, TransferFaultProb: 0.3, MaxTransferFaults: 50})
-		streamWorkload(ctx)
-		if ctx.FaultCounts().TransferFaults == 0 {
-			t.Fatalf("overlap=%v: plan injected no faults — test is vacuous", overlap)
-		}
-		got := ctx.LaneTime(LaneFault, HostDevice, PhaseFault)
-		want := ctx.Stats().Phase(PhaseFault).CommTime
-		if got != want {
-			t.Fatalf("overlap=%v: fault lane %v != ledger fault CommTime %v", overlap, got, want)
-		}
-	}
-}
-
-// Property (c): overlapped modeled time never exceeds the synchronous
+// Property (b): overlapped modeled time never exceeds the synchronous
 // schedule — exactly, in floating point, not just approximately.
 func TestOverlapNeverExceedsSerial(t *testing.T) {
 	for _, ng := range []int{1, 2, 3, 4} {

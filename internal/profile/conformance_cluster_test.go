@@ -1,4 +1,4 @@
-package profiletest
+package profile
 
 import (
 	"testing"
@@ -6,18 +6,18 @@ import (
 	"cagmres/internal/gpu"
 )
 
-// RunCluster asserts the full conformance suite plus the two-tier
+// conformCluster asserts the full conformance suite plus the two-tier
 // invariants against a clustered profile: the base suite already covers
 // finite times, monotone costs, route symmetry (including cross-node
-// pairs) and lane/ledger reconciliation; the cluster checks add the
+// pairs) and the horizon bound; the cluster checks add the
 // fabric-tier ledger split, the single-node degeneracy of host rounds,
 // and bit-identical replay of a cross-node device death.
-func RunCluster(t *testing.T, p gpu.Profile) {
+func conformCluster(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	if !p.Clustered() {
-		t.Fatalf("RunCluster on non-clustered profile %q", p.Name)
+		t.Fatalf("conformCluster on non-clustered profile %q", p.Name)
 	}
-	Run(t, p)
+	conform(t, p)
 	t.Run("cluster-tier-split", func(t *testing.T) { checkClusterTierSplit(t, p) })
 	t.Run("cluster-degenerate", func(t *testing.T) { checkClusterDegenerate(t, p) })
 	t.Run("cluster-fault-replay", func(t *testing.T) { checkClusterFaultReplay(t, p) })
@@ -34,7 +34,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	const B = 1 << 18
 
 	c := gpu.NewContextWithProfile(ng, p)
-	c.PeerExchange("cross", pairTraffic(ng, 0, g, B)) // node 0 -> node 1
+	exchange(c, "cross", pairTraffic(ng, 0, g, B)) // node 0 -> node 1
 	ps := c.Stats().Phase("cross")
 	if ps.BytesInterNode != B {
 		t.Errorf("cross-node pair: bytesInterNode %d, want %d", ps.BytesInterNode, B)
@@ -45,7 +45,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 
 	if g > 1 {
 		c2 := gpu.NewContextWithProfile(ng, p)
-		c2.PeerExchange("local", pairTraffic(ng, 0, 1, B)) // both on node 0
+		exchange(c2, "local", pairTraffic(ng, 0, 1, B)) // both on node 0
 		ps2 := c2.Stats().Phase("local")
 		if ps2.BytesInterNode != 0 {
 			t.Errorf("same-node pair crossed the fabric: %d bytes", ps2.BytesInterNode)
@@ -57,11 +57,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 
 	// A host round charges remote nodes' shares to the fabric too.
 	c3 := gpu.NewContextWithProfile(ng, p)
-	bytes := make([]int, ng)
-	for d := range bytes {
-		bytes[d] = B
-	}
-	c3.ReduceRound("red", bytes)
+	c3.Gather("red", B/gpu.ScalarBytes, gpu.Elem64)
 	ps3 := c3.Stats().Phase("red")
 	if ps3.BytesD2H != ng*B {
 		t.Errorf("clustered reduce BytesD2H %d, want %d", ps3.BytesD2H, ng*B)
@@ -80,7 +76,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	one.Cluster.DevicesPerNode = devCount // all devices on node 0
 	c := gpu.NewContextWithProfile(devCount, one)
 	bytes := []int{100, 200, 300, 400}
-	c.ReduceRound("x", bytes)
+	c.HaloExchangeElemOn("x", bytes, bytes, nil, gpu.Elem64)
 	ps := c.Stats().Phase("x")
 	if ps.BytesInterNode != 0 {
 		t.Errorf("one-node cluster crossed the fabric: %d bytes", ps.BytesInterNode)
@@ -88,10 +84,10 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	flatP := p
 	flatP.Cluster = gpu.Cluster{}
 	flat := gpu.NewContextWithProfile(devCount, flatP)
-	flat.ReduceRound("x", bytes)
+	flat.HaloExchangeElemOn("x", bytes, bytes, nil, gpu.Elem64)
 	fs := flat.Stats().Phase("x")
-	if ps.CommTime != fs.CommTime || ps.BytesD2H != fs.BytesD2H {
-		t.Errorf("one-node cluster reduce differs from flat machine: %+v vs %+v", ps, fs)
+	if ps.CommTime != fs.CommTime || ps.BytesD2H != fs.BytesD2H || ps.BytesH2D != fs.BytesH2D {
+		t.Errorf("one-node cluster host rounds differ from flat machine: %+v vs %+v", ps, fs)
 	}
 }
 

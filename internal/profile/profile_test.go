@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"cagmres/internal/gpu"
-	"cagmres/internal/profile/profiletest"
 )
 
-// TestConformance instantiates the reusable conformance suite for every
+// TestConformance instantiates the conformance suite for every
 // shipped profile — the fence behind which new machine descriptions
 // land.
 func TestConformance(t *testing.T) {
 	for _, p := range All() {
-		t.Run(p.Name, func(t *testing.T) { profiletest.Run(t, p) })
+		t.Run(p.Name, func(t *testing.T) { conform(t, p) })
 	}
 }
 
@@ -27,7 +26,7 @@ func TestConformanceCounterfactuals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WithTopology(%s): %v", kind, err)
 		}
-		t.Run(p.Name, func(t *testing.T) { profiletest.Run(t, p) })
+		t.Run(p.Name, func(t *testing.T) { conform(t, p) })
 	}
 }
 
@@ -45,7 +44,7 @@ func TestConformanceCluster(t *testing.T) {
 			if err != nil {
 				t.Fatalf("WithCluster(%s, %s): %v", base.Name, fabric, err)
 			}
-			t.Run(p.Name, func(t *testing.T) { profiletest.RunCluster(t, p) })
+			t.Run(p.Name, func(t *testing.T) { conformCluster(t, p) })
 		}
 	}
 }
@@ -207,7 +206,7 @@ func TestDecodedProfilesConform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiletest.Run(t, p)
+	conform(t, p)
 }
 
 // FuzzDecode asserts the profile/topology config decoder never panics
