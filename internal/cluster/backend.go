@@ -135,6 +135,11 @@ type handlerTransport struct{ h http.Handler }
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	rec := &memResponse{header: make(http.Header), code: http.StatusOK}
 	t.h.ServeHTTP(rec, req)
+	if err := req.Context().Err(); err != nil && !rec.wrote {
+		// The handler gave up on a canceled request without answering: the
+		// caller sees the cancellation, as over HTTP, not an empty 200.
+		return nil, err
+	}
 	return &http.Response{
 		Status:        http.StatusText(rec.code),
 		StatusCode:    rec.code,

@@ -15,8 +15,6 @@ type RetryBudget struct {
 	ratio  float64
 	burst  float64
 	tokens float64
-	spent  uint64
-	denied uint64
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per success,
@@ -49,11 +47,9 @@ func (b *RetryBudget) Take() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.denied++
 		return false
 	}
 	b.tokens--
-	b.spent++
 	return true
 }
 
@@ -62,11 +58,4 @@ func (b *RetryBudget) Tokens() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tokens
-}
-
-// Stats returns total tokens spent and takes denied.
-func (b *RetryBudget) Stats() (spent, denied uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spent, b.denied
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -434,14 +435,51 @@ func TestReapLoserRecordsBreakerOutcome(t *testing.T) {
 		t.Fatalf("5xx loser: state %q, want open", st)
 	}
 
-	// 2xx loser: counts as a success, closes.
+	// 2xx loser with a finished job: counts as a success, closes.
 	clock = 4
 	if !br.Allow() {
 		t.Fatal("probe after reopen not admitted")
 	}
-	r.reapLoser(attempt{status: http.StatusOK}, br)
+	r.reapLoser(attempt{status: http.StatusOK, body: []byte(`{"id":"j1","state":"done"}`)}, br)
 	if st := br.State(); st != BreakerClosed {
 		t.Fatalf("2xx loser: state %q, want closed", st)
+	}
+
+	// A 200 whose job failed (the node died mid-solve) or whose body does
+	// not decode is the failure the main loop counts it as: each opens the
+	// closed breaker at its threshold of one.
+	for name, body := range map[string]string{
+		"failed-job": `{"id":"j2","state":"failed","error":"device lost"}`,
+		"bad-body":   `{"id":`,
+	} {
+		clock += 2
+		if !br.Allow() {
+			t.Fatalf("%s: probe not admitted", name)
+		}
+		br.Success()
+		r.reapLoser(attempt{status: http.StatusOK, body: []byte(body)}, br)
+		if st := br.State(); st != BreakerOpen {
+			t.Errorf("%s loser: state %q, want open", name, st)
+		}
+	}
+}
+
+// TestLocalBackendReportsAbandonedCancel: an in-process handler that
+// gives up on a canceled request without answering is a canceled fetch, as
+// it is over HTTP — not an empty 200 for the breaker to judge; a handler
+// that answers anyway keeps its answer.
+func TestLocalBackendReportsAbandonedCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	silent := NewLocalBackend("silent", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	if _, _, _, err := silent.fetch(ctx, http.MethodPost, "/solve", "", nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned canceled request: err %v, want context.Canceled", err)
+	}
+	if status, _, _, err := silent.fetch(context.Background(), http.MethodPost, "/solve", "", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("live request to a silent handler: HTTP %d, %v", status, err)
+	}
+	if status, _, body, err := NewLocalBackend("d", doneHandler("d")).fetch(ctx, http.MethodPost, "/solve", "", nil, nil); err != nil || status != http.StatusOK || len(body) == 0 {
+		t.Fatalf("answered canceled request: HTTP %d, %d bytes, %v", status, len(body), err)
 	}
 }
 
@@ -780,10 +818,14 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 		{"router_breaker_skips_total", float64(res.BreakerSkips), float64(hz.Resilience.BreakerSkips), 1},
 		{"router_deadline_expired_total", float64(res.DeadlineExpired), float64(hz.Resilience.DeadlineExpired), 1},
 		{"router_retry_budget_exhausted_total", float64(res.RetryBudgetDenied), float64(hz.Resilience.RetryBudgetDenied), 1},
+		{"router_reroutes_total+router_hedges_total", float64(res.RetryBudgetSpent), float64(hz.Resilience.RetryBudgetSpent), 2},
 		{"router_retry_budget_tokens", res.RetryBudgetTokens, hz.Resilience.RetryBudgetTokens, 0},
 		{"router_breaker_open_total", 1, 1, 1},
 	} {
-		want := promValue(t, prom, row.series)
+		want := 0.0
+		for _, series := range strings.Split(row.series, "+") {
+			want += promValue(t, prom, series)
+		}
 		if row.accessor != want || row.health != want || want < row.atLeast {
 			t.Errorf("%s = %v, accessor %v, /healthz %v; want all equal and at least %v",
 				row.series, want, row.accessor, row.health, row.atLeast)

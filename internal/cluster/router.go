@@ -219,13 +219,14 @@ type Resilience struct {
 	Breakers          map[string]string `json:"breakers"`
 }
 
-// ResilienceSnapshot returns the current containment state.
+// ResilienceSnapshot returns the current containment state. Every token
+// drawn from the retry budget became a re-route or a hedge, every refusal
+// a router_retry_budget_exhausted_total: the series are the only tallies.
 func (r *Router) ResilienceSnapshot() Resilience {
-	spent, denied := r.budget.Stats()
 	out := Resilience{
 		RetryBudgetTokens: r.budget.Tokens(),
-		RetryBudgetSpent:  spent,
-		RetryBudgetDenied: denied,
+		RetryBudgetSpent:  uint64(r.metReroutes.Value() + r.metHedges.Value()),
+		RetryBudgetDenied: uint64(r.metBudgetDenied.Value()),
 		Hedges:            uint64(r.metHedges.Value()),
 		HedgeWins:         uint64(r.metHedgeWins.Value()),
 		BreakerSkips:      uint64(r.metBreakerSkips.Value()),
@@ -331,16 +332,48 @@ type attempt struct {
 	hedged bool
 }
 
-// writeAttempt replays a drained response to the client.
-func writeAttempt(w http.ResponseWriter, a attempt) {
-	if tp := a.header.Get("traceparent"); tp != "" {
-		w.Header().Set("traceparent", tp)
+// echoHeader forwards the traceparent echo and the content type of a
+// backend response.
+func echoHeader(w http.ResponseWriter, from http.Header) {
+	for _, k := range []string{"traceparent", "Content-Type"} {
+		if v := from.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
 	}
-	if ct := a.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+}
+
+// verdict is what a backend's answer to POST /solve means to the router.
+type verdict int
+
+const (
+	accept      verdict = iota // the backend's job is the answer
+	passThrough                // a 4xx: no backend will like the request better
+	retry                      // overloaded, failing or incoherent: try the next candidate
+)
+
+// classify gives a drained response its one meaning, for the forwarding
+// loop and for a raced hedge loser alike: a retry is a breaker Failure,
+// anything else — a 4xx included, the backend answered coherently — a
+// Success. A 2xx must carry a decodable job, and when the client waited
+// for it, one the backend finished: a node that died mid-solve answers
+// 200 with state "failed". why says what a retry is for; job is the
+// decoded body of an accept and of a failed job.
+func classify(a attempt, wait bool) (v verdict, job server.JobJSON, why string) {
+	switch {
+	case a.status == http.StatusTooManyRequests || a.status == http.StatusServiceUnavailable:
+		return retry, job, strings.TrimSpace(string(a.body))
+	case a.status >= 500:
+		return retry, job, fmt.Sprintf("HTTP %d", a.status)
+	case a.status >= 400:
+		return passThrough, job, ""
 	}
-	w.WriteHeader(a.status)
-	_, _ = w.Write(a.body)
+	if err := json.Unmarshal(a.body, &job); err != nil {
+		return retry, server.JobJSON{}, fmt.Sprintf("bad job body: %v", err)
+	}
+	if wait && job.State == "failed" {
+		return retry, job, "job failed: " + job.Error
+	}
+	return accept, job, ""
 }
 
 // rewriteDeadline stamps the remaining deadline into the solve body so
@@ -414,14 +447,14 @@ func (r *Router) nextHedgeCandidate(candidates []*Backend, from int) *Backend {
 
 // reapLoser records the raced loser's outcome on its breaker. A loser
 // that was canceled before responding carries no health signal, so its
-// breaker just releases the probe slot; a real response counts the
-// same way the main loop would count it.
+// breaker just releases the probe slot; a real response counts the way
+// the main loop counts it (only waited solves are hedged).
 func (r *Router) reapLoser(a attempt, br *Breaker) {
 	if a.err != nil {
 		br.Release()
 		return
 	}
-	if a.status == http.StatusTooManyRequests || a.status >= 500 {
+	if v, _, _ := classify(a, true); v == retry {
 		br.Failure()
 		return
 	}
@@ -606,40 +639,25 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			lastErr = a.err.Error()
 			continue
 		}
-		switch {
-		case a.status == http.StatusTooManyRequests || a.status == http.StatusServiceUnavailable:
-			// Overloaded or draining: forward to the next candidate.
+		v, job, why := classify(a, wait)
+		switch v {
+		case retry:
 			br.Failure()
-			lastErr = fmt.Sprintf("backend %s: %s", b.Name(), strings.TrimSpace(string(a.body)))
+			if job.State == "failed" {
+				// The backend accepted but could not finish the job: the
+				// next shard candidate carries the burned attempts along
+				// so the federation's accounting matches a single node's.
+				priorAttempts += attemptCount(job)
+			}
+			lastErr = fmt.Sprintf("backend %s: %s", b.Name(), why)
 			continue
-		case a.status >= 500:
-			br.Failure()
-			lastErr = fmt.Sprintf("backend %s: HTTP %d", b.Name(), a.status)
-			continue
-		case a.status >= 400:
-			// The request itself is bad; no backend will like it better.
+		case passThrough:
 			// Pass the backend's structured rejection through verbatim.
-			// The backend answered coherently, so the breaker counts it
-			// as a success.
 			br.Success()
-			writeAttempt(w, a)
+			echoHeader(w, a.header)
+			w.WriteHeader(a.status)
+			_, _ = w.Write(a.body)
 			return
-		}
-		var job server.JobJSON
-		if err := json.Unmarshal(a.body, &job); err != nil {
-			br.Failure()
-			lastErr = fmt.Sprintf("backend %s: bad job body: %v", b.Name(), err)
-			continue
-		}
-		if wait && job.State == "failed" {
-			// The backend accepted but could not finish the job (e.g. its
-			// simulated node died mid-solve). Re-route to the next shard
-			// candidate, carrying the burned attempts along so the
-			// federation's accounting matches a single node's.
-			br.Failure()
-			priorAttempts += attemptCount(job)
-			lastErr = fmt.Sprintf("backend %s: job failed: %s", b.Name(), job.Error)
-			continue
 		}
 		br.Success()
 		r.budget.Earn()
@@ -653,9 +671,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		if priorAttempts > 0 {
 			out.Attempts = priorAttempts + attemptCount(job)
 		}
-		if tp := a.header.Get("traceparent"); tp != "" {
-			w.Header().Set("traceparent", tp)
-		}
+		echoHeader(w, a.header)
 		obs.WriteJSON(w, a.status, out)
 		return
 	}
@@ -678,17 +694,6 @@ func attemptCount(j server.JobJSON) int {
 		return j.Attempts
 	}
 	return 1
-}
-
-// copyHeader forwards the traceparent echo (and content type) from a
-// backend response.
-func copyHeader(w http.ResponseWriter, resp *http.Response) {
-	if tp := resp.Header.Get("traceparent"); tp != "" {
-		w.Header().Set("traceparent", tp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
 }
 
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
@@ -726,16 +731,16 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if json.Unmarshal(respBody, &job) == nil {
 			out := RoutedJob{JobJSON: job, Backend: name}
 			out.ID = name + "/" + job.ID
-			copyHeader(w, resp)
+			echoHeader(w, resp.Header)
 			obs.WriteJSON(w, http.StatusOK, out)
 			return
 		}
-		copyHeader(w, resp)
+		echoHeader(w, resp.Header)
 		w.WriteHeader(resp.StatusCode)
 		_, _ = w.Write(respBody)
 		return
 	}
-	copyHeader(w, resp)
+	echoHeader(w, resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
