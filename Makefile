@@ -52,7 +52,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench-snapshot bench bench-compare bench-kernels loc surface
+.PHONY: check build vet fmt-check staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
 
 check: vet fmt-check staticcheck protocol-lint race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
@@ -180,20 +180,6 @@ cover-profile:
 	@out=$$($(GO) test -cover ./internal/profile/ | tail -1); \
 	echo "$$out"; \
 	echo "$$out" | awk -v floor=$(PROFILE_COVER_FLOOR) '{ for (i = 1; i <= NF; i++) if ($$i ~ /%$$/) { sub(/%/, "", $$i); if ($$i + 0 < floor + 0) { printf "internal/profile coverage %s%% below floor %s%%\n", $$i, floor; exit 1 } } }'
-
-# Refresh the committed benchmark snapshots: the modeled overlap study
-# (deterministic) plus the host GEMM wall-clock comparison (machine-
-# dependent by nature; warmup + best-of-5), the interconnect-topology
-# study, the standing-figures rerun, the multi-node cluster scaling
-# study, the overload-containment study, and the mixed-precision study
-# (all deterministic).
-bench-snapshot:
-	$(GO) run ./cmd/experiments -fig overlap -benchjson BENCH_pr5.json > /dev/null
-	$(GO) run ./cmd/experiments -fig topology -devices 4 -topologyjson BENCH_pr6.json > /dev/null
-	$(GO) run ./cmd/experiments -fig overlap -devices 4 -standingjson BENCH_pr7.json > /dev/null
-	$(GO) run ./cmd/experiments -fig cluster -clusterjson BENCH_pr8.json > /dev/null
-	$(GO) run ./cmd/experiments -fig overload -overloadjson BENCH_pr9.json > /dev/null
-	$(GO) run ./cmd/experiments -fig precision -precisionjson BENCH_pr10.json > /dev/null
 
 # The wall-clock benchmark of BENCHMARK.json, as a suite: every
 # workload, BENCH_RUNS seeds each plus one traced run for the per-layer

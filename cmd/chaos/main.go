@@ -25,7 +25,7 @@
 // Example (the make chaos-smoke configuration):
 //
 //	chaos -pool 2 -devices 3 -jobs 8 -kill 0:1@0.5 -xferprob 0.02 \
-//	      -seed 7 -repair -benchjson BENCH_pr4.json
+//	      -seed 7 -repair -benchjson chaos.json
 package main
 
 import (

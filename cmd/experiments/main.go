@@ -12,6 +12,7 @@
 //	                (default 0.02; 1.0 = paper-sized, slow)
 //	-devices int    maximum simulated GPU count (default 3)
 //	-restarts int   restart-loop cap per solve (default 40)
+//	-csv dir        also write each figure's rows as CSV files into dir
 //	-measured       time the Figure 11(a,b) host kernels with the wall
 //	                clock (warmup + best-of-5) instead of the
 //	                deterministic cost model
@@ -22,9 +23,6 @@
 //	-serve addr     serve /metrics, /metrics.json, /trace.json and
 //	                /debug/pprof; starts before the figures (so -measured
 //	                runs can be profiled live) and blocks after them
-//	-benchjson file write the overlapped-execution study (modeled sync vs
-//	                stream schedule) plus a host GEMM wall-clock comparison
-//	                as a JSON benchmark snapshot
 //	-overlap        arm the asynchronous stream engine in the overlap
 //	                study (default true); -overlap=off is the escape
 //	                hatch that degenerates it to the barrier schedule
@@ -37,20 +35,10 @@
 //	                they answer "this figure, on that box"
 //	-topology kind  override the profile's interconnect (host-hub,
 //	                pcie-switch, nvlink-ring, all-to-all)
-//	-topologyjson f write the interconnect-topology study (deterministic)
-//	                as a JSON benchmark snapshot
-//	-clusterjson f  write the multi-node cluster scaling study
-//	                (deterministic) as a JSON benchmark snapshot
-//	-overloadjson f write the overload-containment study (deterministic)
-//	                as a JSON benchmark snapshot
-//	-precisionjson f write the mixed-precision study (deterministic) as a
-//	                JSON benchmark snapshot
 //	-precision mode run every CA-GMRES arm under this precision mode
 //	                (fp64, mixed, adaptive); the classic figures were
 //	                calibrated at fp64, so a narrow mode answers "this
 //	                figure, at that width"
-//	-standingjson f write a rerun of the standing modeled studies
-//	                (overlap + topology, deterministic) as one snapshot
 //
 // By default every figure is a pure function of the calibrated cost
 // model: rerunning produces byte-identical numbers on any machine. Only
@@ -63,7 +51,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -91,15 +78,9 @@ func main() {
 	traceEvents := flag.Int("trace-events", bench.DefaultTraceEvents, "per-context event capacity for -traceout")
 	metrics := flag.String("metrics", "", "write Prometheus text-format metrics aggregated over every simulated context to this file")
 	serve := flag.String("serve", "", "serve /metrics, /trace.json and /debug/pprof on this address; starts before the figures run (profile -measured live) and blocks after them")
-	benchJSON := flag.String("benchjson", "", "write the overlap study and host GEMM comparison as a JSON benchmark snapshot to this file")
 	profName := flag.String("profile", "", "machine profile for the figure drivers (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
 	topoName := flag.String("topology", "", "override the profile's interconnect topology (host-hub, pcie-switch, nvlink-ring, all-to-all)")
-	topoJSON := flag.String("topologyjson", "", "write the interconnect-topology study (deterministic) as a JSON benchmark snapshot to this file")
-	clusterJSON := flag.String("clusterjson", "", "write the multi-node cluster scaling study (deterministic) as a JSON benchmark snapshot to this file")
-	overloadJSON := flag.String("overloadjson", "", "write the overload-containment study (deterministic) as a JSON benchmark snapshot to this file")
-	precisionJSON := flag.String("precisionjson", "", "write the mixed-precision study (deterministic) as a JSON benchmark snapshot to this file")
 	precisionMode := flag.String("precision", "", "run every CA-GMRES arm under this precision mode (fp64, mixed, adaptive); empty keeps the calibrated full-double pipeline")
-	standingJSON := flag.String("standingjson", "", "write a rerun of the standing modeled studies (overlap + topology, deterministic) as a JSON benchmark snapshot to this file")
 	overlap := onOffFlag(true)
 	flag.Var(&overlap, "overlap", "arm the asynchronous stream engine in the overlap study; -overlap=off degenerates it to the barrier schedule")
 	overlapCheck := flag.Bool("overlapcheck", false, "exit 1 unless the stream schedule strictly beats the synchronous schedule on the full device count")
@@ -272,43 +253,6 @@ func main() {
 		fmt.Printf("wrote %s\n", *metrics)
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, *devices); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-	}
-	if *topoJSON != "" {
-		if err := writeTopologyJSON(*topoJSON, *scale, *devices); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *topoJSON)
-	}
-	if *clusterJSON != "" {
-		if err := writeClusterJSON(*clusterJSON, *scale); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *clusterJSON)
-	}
-	if *overloadJSON != "" {
-		if err := writeOverloadJSON(*overloadJSON, *scale); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *overloadJSON)
-	}
-	if *precisionJSON != "" {
-		if err := writePrecisionJSON(*precisionJSON, *scale); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *precisionJSON)
-	}
-	if *standingJSON != "" {
-		if err := writeStandingJSON(*standingJSON, *scale, *devices); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("wrote %s\n", *standingJSON)
-	}
-
 	if *serve != "" {
 		fmt.Println("figures done; still serving (ctrl-C to stop)")
 		select {}
@@ -361,147 +305,6 @@ func checkOverlap(rows []bench.OverlapRow, maxDevices int) error {
 		}
 	}
 	return nil
-}
-
-// writeBenchJSON writes the PR's benchmark snapshot: the overlapped vs
-// synchronous modeled solve times (deterministic — a pure function of
-// the cost model) plus a wall-clock comparison of the column-sweep and
-// cache-tiled host GEMM kernels (machine-dependent by nature; warmup +
-// best-of-9).
-func writeBenchJSON(path string, scale float64, devices int) error {
-	cfg := bench.Config{Scale: scale, MaxDevices: devices, Overlap: true}
-	cfg.Defaults()
-	wall := &measure.WallTimer{Warmup: 2, Reps: 9, Select: measure.SelectMin}
-	snap := struct {
-		Name     string              `json:"name"`
-		Scale    float64             `json:"scale"`
-		Devices  int                 `json:"devices"`
-		Overlap  []bench.OverlapRow  `json:"overlap"`
-		HostGemm []bench.HostGemmRow `json:"host_gemm_wall"`
-	}{
-		Name:     "overlap-engine",
-		Scale:    cfg.Scale,
-		Devices:  cfg.MaxDevices,
-		Overlap:  bench.FigOverlap(cfg),
-		HostGemm: bench.HostGemmStudy(wall, 256),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTopologyJSON writes the interconnect-topology study as a JSON
-// benchmark snapshot. The study is a pure function of the cost model —
-// regenerating on any machine produces byte-identical numbers.
-func writeTopologyJSON(path string, scale float64, devices int) error {
-	cfg := bench.Config{Scale: scale, MaxDevices: devices}
-	snap := struct {
-		Name     string              `json:"name"`
-		Scale    float64             `json:"scale"`
-		Devices  int                 `json:"devices"`
-		Topology []bench.TopologyRow `json:"topology"`
-	}{
-		Name:     "topology-study",
-		Scale:    scale,
-		Devices:  devices,
-		Topology: bench.FigTopology(cfg),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeClusterJSON writes the multi-node scaling study as a JSON
-// benchmark snapshot. The study is a pure function of the cost model —
-// regenerating on any machine produces byte-identical numbers.
-func writeClusterJSON(path string, scale float64) error {
-	cfg := bench.Config{Scale: scale}
-	snap := struct {
-		Name    string             `json:"name"`
-		Scale   float64            `json:"scale"`
-		Cluster []bench.ClusterRow `json:"cluster"`
-	}{
-		Name:    "cluster-study",
-		Scale:   scale,
-		Cluster: bench.FigCluster(cfg),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeOverloadJSON writes the overload-containment study as a JSON
-// benchmark snapshot. The study is a pure function of the cost model —
-// regenerating on any machine produces byte-identical numbers.
-func writeOverloadJSON(path string, scale float64) error {
-	cfg := bench.Config{Scale: scale}
-	snap := struct {
-		Name     string              `json:"name"`
-		Scale    float64             `json:"scale"`
-		Overload []bench.OverloadRow `json:"overload"`
-	}{
-		Name:     "overload-study",
-		Scale:    scale,
-		Overload: bench.FigOverload(cfg),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writePrecisionJSON writes the mixed-precision study as a JSON
-// benchmark snapshot. The study is a pure function of the cost model —
-// regenerating on any machine produces byte-identical numbers.
-func writePrecisionJSON(path string, scale float64) error {
-	cfg := bench.Config{Scale: scale, MaxRestarts: 400}
-	snap := struct {
-		Name      string               `json:"name"`
-		Scale     float64              `json:"scale"`
-		Precision []bench.PrecisionRow `json:"precision"`
-	}{
-		Name:      "precision-study",
-		Scale:     scale,
-		Precision: bench.FigPrecision(cfg),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeStandingJSON reruns the standing modeled studies — the overlap
-// engine and the interconnect-topology sweep — into one deterministic
-// snapshot, so the perf trajectory stays dense across PRs that change
-// the serving layer rather than the solver arithmetic.
-func writeStandingJSON(path string, scale float64, devices int) error {
-	cfg := bench.Config{Scale: scale, MaxDevices: devices, Overlap: true}
-	snap := struct {
-		Name     string              `json:"name"`
-		Scale    float64             `json:"scale"`
-		Devices  int                 `json:"devices"`
-		Overlap  []bench.OverlapRow  `json:"overlap"`
-		Topology []bench.TopologyRow `json:"topology"`
-	}{
-		Name:     "standing-figures-rerun",
-		Scale:    scale,
-		Devices:  devices,
-		Overlap:  bench.FigOverlap(cfg),
-		Topology: bench.FigTopology(bench.Config{Scale: scale, MaxDevices: devices}),
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fatalf(format string, args ...any) {

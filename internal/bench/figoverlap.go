@@ -2,9 +2,7 @@ package bench
 
 import (
 	"cagmres/internal/core"
-	"cagmres/internal/la"
 	"cagmres/internal/matgen"
-	"cagmres/internal/measure"
 )
 
 // OverlapRow is one configuration of the overlapped-execution study: the
@@ -78,69 +76,4 @@ func overlapArm(cfg Config, mtx *matgen.Matrix, b []float64, s, ng int, overlap 
 		return ctx.OverlappedTime()
 	}
 	return ctx.Stats().TotalTime()
-}
-
-// HostGemmRow compares the column-sweep host GEMM against the
-// cache-tiled worker-parallel kernel on n x n operands.
-type HostGemmRow struct {
-	Kernel   string // "GemmNN" or "GemmTN"
-	N        int
-	NaiveSec float64
-	TiledSec float64
-	// Speedup is NaiveSec / TiledSec.
-	Speedup float64
-}
-
-// HostGemmStudy times the pre-tiling column-sweep GEMM against the tiled
-// dispatch now behind la.GemmNN/GemmTN, on square n x n operands. With a
-// wall timer this is a real measurement of the host BLAS fallback (the
-// numbers BENCH_pr5.json commits); with the model timer both arms cost
-// the same and the study only exercises the code paths.
-func HostGemmStudy(t measure.Timer, n int) []HostGemmRow {
-	a := la.NewDense(n, n)
-	b := la.NewDense(n, n)
-	c := la.NewDense(n, n)
-	// Deterministic non-trivial fill; values are irrelevant to timing but
-	// must not be all zero (the kernels skip zero coefficients).
-	for i := range a.Data {
-		a.Data[i] = 1 + float64(i%7)*0.25
-		b.Data[i] = 1 - float64(i%5)*0.125
-	}
-	nf := float64(n)
-	shape := func(name string, par int) measure.Kernel {
-		return measure.Kernel{
-			Name: name, Flops: 2 * nf * nf * nf, Bytes: 8 * 3 * nf * nf,
-			Parallelism: par, Dispatches: par,
-		}
-	}
-	naiveNN := t.Time(shape("gemmnn-naive", 1), func() {
-		for j := 0; j < n; j++ {
-			la.Gemv(1, a, b.Col(j), 0, c.Col(j))
-		}
-	})
-	tiledNN := t.Time(shape("gemmnn-tiled", measure.HostCores), func() {
-		la.GemmNN(1, a, b, 0, c)
-	})
-	naiveTN := t.Time(shape("gemmtn-naive", 1), func() {
-		for j := 0; j < n; j++ {
-			bj := b.Col(j)
-			cj := c.Col(j)
-			for i := 0; i < n; i++ {
-				cj[i] = la.Dot(a.Col(i), bj)
-			}
-		}
-	})
-	tiledTN := t.Time(shape("gemmtn-tiled", measure.HostCores), func() {
-		la.GemmTN(1, a, b, 0, c)
-	})
-	rows := []HostGemmRow{
-		{Kernel: "GemmNN", N: n, NaiveSec: naiveNN.Seconds, TiledSec: tiledNN.Seconds},
-		{Kernel: "GemmTN", N: n, NaiveSec: naiveTN.Seconds, TiledSec: tiledTN.Seconds},
-	}
-	for i := range rows {
-		if rows[i].TiledSec > 0 {
-			rows[i].Speedup = rows[i].NaiveSec / rows[i].TiledSec
-		}
-	}
-	return rows
 }

@@ -31,7 +31,7 @@ rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom" \
 FAULT_FAMILIES=sched_faults_injected_total,sched_transfer_retries_total,sched_context_evictions_total,sched_context_readmissions_total,sched_job_requeues_total,sched_repartitions_total,sched_checkpoint_restores_total,sched_lease_timeouts_total
 
 # Layer 1: deterministic in-process replay (solver heal + scheduler
-# survival), same configuration that produced the committed BENCH_pr4.
+# survival), the configuration of EXPERIMENTS.md's degraded-mode table.
 "$DIR/chaos" -pool 2 -devices 3 -jobs 8 -seed 7 -kill 0:1@0.9 -xferprob 0.02 \
     -repair -benchjson "$DIR/bench.json" -metricsout "$DIR/chaos-metrics.prom"
 "$DIR/obslint" -prom "$DIR/chaos-metrics.prom" -require "$FAULT_FAMILIES"
