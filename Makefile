@@ -2,6 +2,8 @@
 # (`make fmt-check`: no tracked .go file may differ from its gofmt form),
 # staticcheck (when installed), the one-definition lint of the reduce protocol
 # (`make protocol-lint`: only internal/gpu's collectives spell it), the
+# no-dead-exports lint (`make unreached`: an exported function under
+# internal/ has a caller outside the tests or is a named test oracle), the
 # race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
 # ortho strategies on top of them, the sched/server serving stack, and
@@ -52,9 +54,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check staticcheck protocol-lint test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
+.PHONY: check build vet fmt-check staticcheck protocol-lint unreached test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
 
-check: vet fmt-check staticcheck protocol-lint race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet fmt-check staticcheck protocol-lint unreached race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
@@ -77,11 +79,16 @@ staticcheck:
 	fi
 
 # The host-staged reduce protocol has one definition: gpu.Context's
-# Launch/Gather/Broadcast/AllReduce. Fails on a round charge, a []gpu.Work
-# or a RunAll above internal/gpu (dist's MPK, Distribute and ZeroCols
-# excepted; see the script).
+# Launch/Gather/Broadcast/AllReduce. Fails on a []gpu.Work or a RunAll
+# above internal/gpu (dist's MPK, Distribute and ZeroCols excepted; see the
+# script).
 protocol-lint:
 	@sh scripts/protocol_lint.sh
+
+# Exported functions under internal/ that only tests call: fails unless
+# each is a test oracle named in the script.
+unreached:
+	@GO="$(GO)" sh scripts/unreached.sh
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"cagmres/internal/gpu"
@@ -358,25 +357,4 @@ func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string)
 	} else {
 		m.Ctx.DeviceKernelOn(phase, work, halo)
 	}
-}
-
-// ChangeOfBasisCond returns the 2-norm condition estimate of the basis
-// window, a cheap diagnostic used by tests: for a monomial basis of a
-// matrix with dominant eigenvalue ratio r, the condition grows like r^s.
-func ChangeOfBasisCond(v *Vectors, j0, j1 int) float64 {
-	cols := j1 - j0
-	g := la.NewDense(cols, cols)
-	// Host-side Gram of the distributed window (test/diagnostic path).
-	for a := 0; a < cols; a++ {
-		for b := a; b < cols; b++ {
-			var s float64
-			for d := range v.Local {
-				s += la.Dot(v.Local[d].Col(j0+a), v.Local[d].Col(j0+b))
-			}
-			g.Set(a, b, s)
-			g.Set(b, a, s)
-		}
-	}
-	c := la.SymCond2(g)
-	return math.Sqrt(c)
 }

@@ -359,30 +359,6 @@ func TestMPKLatencyAdvantage(t *testing.T) {
 	}
 }
 
-func TestChangeOfBasisCondGrowth(t *testing.T) {
-	// The monomial basis condition number must grow with s (the
-	// instability motivating the Newton basis).
-	n := 200
-	a := pathN(n)
-	ctx := gpu.NewContext(1, gpu.M2090())
-	s := 8
-	m := Distribute(ctx, a, Uniform(n, 1), s)
-	mpk := NewMPK(m)
-	v := NewVectors(ctx, Uniform(n, 1), s+1)
-	rng := rand.New(rand.NewSource(15))
-	v0 := make([]float64, n)
-	for i := range v0 {
-		v0[i] = rng.NormFloat64()
-	}
-	v.SetColFromHost(0, v0)
-	mpk.Generate(v, 0, s, nil, "mpk")
-	c3 := ChangeOfBasisCond(v, 0, 3)
-	c8 := ChangeOfBasisCond(v, 0, 8)
-	if c8 <= c3 {
-		t.Fatalf("monomial condition did not grow: %v vs %v", c3, c8)
-	}
-}
-
 // TestMPKSELLFormatMatchesELL: the powers kernel over the chunked device
 // format returns, bit for bit, what the paper's ELLPACK sweep returns on
 // the same extended matrices — the row sums do not depend on the format.

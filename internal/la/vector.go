@@ -126,17 +126,6 @@ func Zero(x []float64) {
 	}
 }
 
-// AbsMax returns the maximum absolute value in x, or 0 for an empty slice.
-func AbsMax(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sub computes z = x - y element-wise, storing into z.
 func Sub(z, x, y []float64) {
 	if len(x) != len(y) || len(z) != len(x) {

@@ -116,15 +116,6 @@ func TestSubAdd(t *testing.T) {
 	}
 }
 
-func TestAbsMax(t *testing.T) {
-	if got := AbsMax([]float64{-7, 3, 5}); got != 7 {
-		t.Fatalf("AbsMax = %v, want 7", got)
-	}
-	if got := AbsMax(nil); got != 0 {
-		t.Fatalf("AbsMax(nil) = %v, want 0", got)
-	}
-}
-
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {

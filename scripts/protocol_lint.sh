@@ -2,10 +2,8 @@
 # One definition of the host-staged reduce protocol: gpu.Context's
 # collectives (internal/gpu/collective.go) launch, gather, broadcast and
 # all-reduce; nothing above internal/gpu writes the sequence out again.
-# Fails when a non-test Go file under internal/ (outside internal/gpu and
-# the profile conformance suite, which pin the charging API itself), cmd/,
-# examples/ or the root package
-#   - calls a ReduceRound*/BroadcastRound* charge,
+# Fails when a non-test Go file under internal/ (outside internal/gpu),
+# cmd/, examples/ or the root package
 #   - builds its own []gpu.Work (dist.MPK may: its exchange bytes differ
 #     per device and its first step is charged as two launches), or
 #   - calls RunAll (dist's MPK, Distribute and ZeroCols may: device-side
@@ -16,11 +14,10 @@ set -eu
 cd "${1:-$(dirname "$0")/..}"
 files=$(find . -name '*.go' ! -name '*_test.go' \
 	\( -path './internal/*' -o -path './cmd/*' -o -path './examples/*' -o ! -path './*/*' \) \
-	! -path './internal/gpu/*' ! -path './internal/profile/profiletest/*')
+	! -path './internal/gpu/*')
 # Code lines only: a comment may name what it replaces.
 code() { grep -nE "$1" $files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true; }
 bad=$(
-	code '\.(ReduceRound|BroadcastRound)[A-Za-z]*\('
 	code 'make\(\[\]gpu\.Work' | grep -v '^\./internal/dist/mpk\.go:' || true
 	code '\.RunAll\(' | grep -vE '^\./internal/dist/(mpk|matrix|layout)\.go:' || true
 )
