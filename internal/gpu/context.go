@@ -206,18 +206,17 @@ func (m CostModel) deviceTime(w Work) float64 {
 	return t + m.KernelLaunch
 }
 
-// commRound charges one host round in direction dir — bytes[d] is device
-// d's share, already at the wire size of width elem, which tags the volume
-// on the precision ledger columns — as a stream operation: the round is
-// charged one latency plus the serialized bus time of the volume
-// (roundTime; remote nodes of a clustered profile add a fabric leg), and
-// occupies the participating transfer streams after its dependencies.
-// Gather and Broadcast (collective.go) are its exported forms, for equal
-// shares. Every transfer round runs the same five steps in the same order
-// — death check, route, fault draw, ledger, timeline — because the seeded
-// fault stream's draw order is what makes chaos replays bit-identical: the
-// fault draw transparently retries with capped exponential virtual-time
-// backoff.
+// commRound charges one host round in direction dir as a stream operation:
+// bytes[d] is device d's share (fewer entries than devices: the rest send
+// nothing), already at the wire size of width elem, which tags the volume
+// on the precision ledger columns. The round costs one latency plus the
+// serialized bus time of the volume (roundTime; remote nodes of a
+// clustered profile add a fabric leg) and occupies the participating
+// transfer streams after its dependencies. Gather and Broadcast
+// (collective.go) are its exported forms, for equal shares. Every transfer
+// round runs the same five steps in the same order — death check, route,
+// fault draw, ledger, timeline — because the seeded fault stream's draw
+// order is what makes chaos replays bit-identical.
 func (c *Context) commRound(phase string, dir direction, bytes []int, elem Elem, after []StreamEvent) StreamEvent {
 	c.checkDeaths(phase)
 	devs, nodes := c.devIDs(len(bytes)), c.node[:len(bytes)]
