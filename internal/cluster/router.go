@@ -335,7 +335,7 @@ type attempt struct {
 // echoHeader forwards the traceparent echo and the content type of a
 // backend response.
 func echoHeader(w http.ResponseWriter, from http.Header) {
-	for _, k := range []string{"traceparent", "Content-Type"} {
+	for _, k := range [...]string{"traceparent", "Content-Type"} {
 		if v := from.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}

@@ -112,13 +112,21 @@ func (tl *Timeline) maxAllLocked() float64 {
 // advanceAllLocked moves every cursor to t — a full barrier.
 func (tl *Timeline) advanceAllLocked(t float64) {
 	for i := range tl.compute {
-		tl.compute[i] = max(tl.compute[i], t)
+		if tl.compute[i] < t {
+			tl.compute[i] = t
+		}
 	}
 	for i := range tl.transfer {
-		tl.transfer[i] = max(tl.transfer[i], t)
+		if tl.transfer[i] < t {
+			tl.transfer[i] = t
+		}
 	}
-	tl.host = max(tl.host, t)
-	tl.hostData = max(tl.hostData, t)
+	if tl.host < t {
+		tl.host = t
+	}
+	if tl.hostData < t {
+		tl.hostData = t
+	}
 }
 
 // kernel submits one parallel device-kernel launch: device devs[i] is
