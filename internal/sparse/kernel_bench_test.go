@@ -4,13 +4,20 @@ import (
 	"testing"
 
 	"cagmres/internal/matgen"
+	"cagmres/internal/sparse"
 )
 
 // BenchmarkMulVecPrefix times the device SpMV kernel over the whole
 // matrix of each benchmark workload (`make bench-kernels`): the dense-row
 // FEM shape of ca-dense-rows / gmres-dense-rows and the tall 5 nnz/row
-// shape of ca-sparse-cold.
+// shape of ca-sparse-cold. The scalar rows call the Go loop directly:
+// on amd64 with AVX2 the ratio of a pair is what the vector body buys.
 func BenchmarkMulVecPrefix(b *testing.B) {
+	benchMulVec(b, (*sparse.SELL).MulVecPrefix)
+	b.Run("scalar", func(b *testing.B) { benchMulVec(b, (*sparse.SELL).MulVecScalar) })
+}
+
+func benchMulVec(b *testing.B, mulVec func(s *sparse.SELL, y, x []float64, rows int)) {
 	for _, c := range []struct {
 		name, matrix string
 		scale        float64
@@ -37,7 +44,7 @@ func BenchmarkMulVecPrefix(b *testing.B) {
 			b.SetBytes(int64(a.NNZ() * 12))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.MulVecPrefix(y, x, a.Rows)
+				mulVec(s, y, x, a.Rows)
 			}
 			b.ReportMetric(s.PadRatio(), "pad")
 		})

@@ -17,6 +17,13 @@ const sellChunk = 8
 // matrices of dist need. Padding slots carry column -1 and are skipped,
 // never multiplied: a NaN or Inf in x must not reach rows that do not
 // reference it.
+//
+// Invariants (SELLOfRows is the only builder; TestSELLInvariants holds it
+// to them, and the amd64 kernel, which checks no bounds, relies on them):
+// every colIdx entry is -1 or in [0, Cols); a padding slot's value is 0;
+// len(colIdx) == len(val) == chunkPtr[len(chunkPtr)-1]; chunkPtr is
+// non-decreasing in steps of whole slots (multiples of eight), so every
+// chunk, the last included, is full height.
 type SELL struct {
 	Rows, Cols int
 	// chunkPtr[k] is the offset of chunk k in colIdx/val; entry (lane l,
@@ -120,12 +127,24 @@ func (s *SELL) PadRatio() float64 {
 // keeps its eight row sums in registers across the chunk's slots and
 // writes y once; the eight independent add chains overlap where a single
 // row's chain would wait out each add's latency.
+//
+// On amd64 with AVX2 the full chunks run in sellMulVecAVX2, one row per
+// SIMD lane: per row the same products added in the same order, so the
+// same bits (DESIGN section 8, "Host kernels").
 func (s *SELL) MulVecPrefix(y, x []float64, rows int) {
-	if rows > s.Rows || len(y) < rows {
-		panic(fmt.Sprintf("sparse: SELL MulVecPrefix rows=%d of %d, len(y)=%d", rows, s.Rows, len(y)))
+	if rows > s.Rows || len(y) < rows || len(x) < s.Cols {
+		panic(fmt.Sprintf("sparse: SELL MulVecPrefix rows=%d of %d, len(y)=%d, len(x)=%d of %d",
+			rows, s.Rows, len(y), len(x), s.Cols))
 	}
+	s.mulVecScalar(y, x, s.mulVecChunks(y, x, rows/sellChunk), rows)
+}
+
+// mulVecScalar computes y[8*from:rows] := (A x)[8*from:rows], chunk from
+// onwards: the Go body of MulVecPrefix, the tail of the vector body and
+// the oracle its bit tests compare against.
+func (s *SELL) mulVecScalar(y, x []float64, from, rows int) {
 	full := rows / sellChunk
-	for k := 0; k < full; k++ {
+	for k := from; k < full; k++ {
 		cols, vals := s.colIdx[s.chunkPtr[k]:s.chunkPtr[k+1]], s.val[s.chunkPtr[k]:s.chunkPtr[k+1]]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for len(cols) >= sellChunk && len(vals) >= sellChunk {

@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // toSELL is the SELL form of the whole matrix, rows and columns as they
-// are.
-func toSELL(a *CSR) *SELL {
+// are, held to the format's invariants.
+func toSELL(t testing.TB, a *CSR) *SELL {
+	t.Helper()
 	rows, cols := make([]int, a.Rows), make([]int, a.Cols)
 	for i := range rows {
 		rows[i] = i
@@ -17,7 +19,61 @@ func toSELL(a *CSR) *SELL {
 	for j := range cols {
 		cols[j] = j
 	}
-	return a.SELLOfRows(rows, cols, a.Cols)
+	s := a.SELLOfRows(rows, cols, a.Cols)
+	checkSELLInvariants(t, s)
+	return s
+}
+
+// checkSELLInvariants asserts what SELL's doc comment promises and the
+// amd64 kernel, which checks no bounds, relies on.
+func checkSELLInvariants(t testing.TB, s *SELL) {
+	t.Helper()
+	nchunks := (s.Rows + sellChunk - 1) / sellChunk
+	if len(s.chunkPtr) != nchunks+1 || s.chunkPtr[0] != 0 {
+		t.Fatalf("%d rows: chunkPtr %v", s.Rows, s.chunkPtr)
+	}
+	for k := 0; k < nchunks; k++ {
+		if w := s.chunkPtr[k+1] - s.chunkPtr[k]; w < 0 || w%sellChunk != 0 {
+			t.Fatalf("chunk %d holds %d entries: not whole slots of %d lanes", k, w, sellChunk)
+		}
+	}
+	if len(s.colIdx) != s.chunkPtr[nchunks] || len(s.val) != s.chunkPtr[nchunks] {
+		t.Fatalf("len(colIdx)=%d len(val)=%d, chunkPtr ends at %d", len(s.colIdx), len(s.val), s.chunkPtr[nchunks])
+	}
+	for at, c := range s.colIdx {
+		switch {
+		case c < -1 || int(c) >= s.Cols:
+			t.Fatalf("colIdx[%d] = %d outside -1..%d", at, c, s.Cols-1)
+		case c == -1 && math.Float64bits(s.val[at]) != 0:
+			t.Fatalf("padding value val[%d] = %v, want +0", at, s.val[at])
+		}
+	}
+	// Full height: the last chunk's lanes past the last row are padding.
+	if nchunks > 0 {
+		for at, c := range s.colIdx[s.chunkPtr[nchunks-1]:] {
+			if row := (nchunks-1)*sellChunk + at%sellChunk; row >= s.Rows && c != -1 {
+				t.Fatalf("lane %d of the last chunk is past row %d and holds an entry", at%sellChunk, s.Rows-1)
+			}
+		}
+	}
+}
+
+// TestSELLInvariants: every shape the builder is used for — whole
+// matrices with a partial or no last chunk, no rows at all, row subsets
+// with repeats under a column permutation. toSELL and checkSELLOfRows
+// carry the same check into every other test and into FuzzSELLOfRows.
+func TestSELLInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	for _, n := range []int{1, 7, 8, 9, 97, 300} {
+		toSELL(t, skewedRows(n, rng))
+	}
+	toSELL(t, FromCoords(10, 10, nil))
+	toSELL(t, FromCoords(0, 0, nil))
+	a := randCSR(rng, 120, 9)
+	newOf := rng.Perm(120)
+	for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(120)[:61]} {
+		checkSELLInvariants(t, a.SELLOfRows(rows, newOf, 120))
+	}
 }
 
 // skewedRows builds a matrix with a power-law-ish row length profile: a
@@ -47,7 +103,7 @@ func TestSELLMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	for _, n := range []int{100, 97, 1, 300} { // 97, 1: last chunk partial
 		a := skewedRows(n, rng)
-		s := toSELL(a)
+		s := toSELL(t, a)
 		if s.NNZ() != a.NNZ() {
 			t.Fatalf("n=%d: nnz %d -> %d", n, a.NNZ(), s.NNZ())
 		}
@@ -89,7 +145,7 @@ func TestSELLMulVecPrefixEveryPrefix(t *testing.T) {
 			}
 		}
 		a := FromCoords(n, cols, entries)
-		s := toSELL(a)
+		s := toSELL(t, a)
 		x := make([]float64, cols)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -123,22 +179,105 @@ func TestSELLMulVecPrefixEveryPrefix(t *testing.T) {
 	}
 }
 
+// awkward are the x values a multiplied padding slot, a fused
+// multiply-add or a drifting summation order would expose.
+var awkward = []float64{math.Copysign(0, -1), 5e-324, -2.5e-308, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// checkPrefixMatchesScalar runs one prefix through MulVecPrefix — the
+// vector body where there is one — and through the Go loop called
+// directly, and requires the same bits (two NaNs count as the same, as in
+// la's kernel_bits_test.go: which payload a NaN result inherits is the
+// instruction's operand order, not the order of the operations) and a y
+// left alone past the prefix.
+func checkPrefixMatchesScalar(t *testing.T, s *SELL, x []float64, rows int) {
+	t.Helper()
+	const untouched = 12345.0
+	got, want := make([]float64, s.Rows+3), make([]float64, s.Rows+3)
+	for i := range got {
+		got[i], want[i] = untouched, untouched
+	}
+	s.MulVecPrefix(got, x, rows)
+	s.mulVecScalar(want, x, 0, rows)
+	for i := range got {
+		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%d rows, prefix %d: y[%d] = %v (%#x), the Go loop has %v (%#x)",
+				s.Rows, rows, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestSELLMulVecPrefixMatchesScalar holds the vector body to the Go loop
+// bit for bit: row lengths 0-40 with empty rows and one 300-wide row, row
+// counts on both sides of a chunk boundary, every prefix length; x with
+// -0 and subnormal entries where the prefix reads it and NaN or ±Inf
+// everywhere it does not (a padding lane or a chunk-mate past the prefix
+// that was loaded or multiplied would show), then with awkward values
+// everywhere.
+func TestSELLMulVecPrefixMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(706))
+	const cols = 320
+	for _, n := range []int{1, 7, 8, 9, 16, 43} {
+		var entries []Coord
+		for i := 0; i < n; i++ {
+			deg := rng.Intn(41)
+			switch {
+			case i%6 == 2:
+				deg = 0
+			case i == n/2:
+				deg = 300
+			}
+			for _, c := range rng.Perm(cols - 3)[:deg] { // the last three columns are referenced by no row
+				entries = append(entries, Coord{i, c, rng.NormFloat64()})
+			}
+		}
+		a := FromCoords(n, cols, entries)
+		s := toSELL(t, a)
+		for rows := 0; rows <= n; rows++ {
+			x := make([]float64, cols)
+			for j := range x {
+				x[j] = awkward[3+rng.Intn(3)] // NaN, +Inf, -Inf
+			}
+			for _, c := range a.ColIdx[:a.RowPtr[rows]] {
+				x[c] = rng.NormFloat64()
+				if rng.Intn(4) == 0 {
+					x[c] = awkward[rng.Intn(3)] // -0 and two subnormals
+				}
+			}
+			checkPrefixMatchesScalar(t, s, x, rows)
+			for j := range x {
+				if rng.Intn(3) == 0 {
+					x[j] = awkward[rng.Intn(len(awkward))]
+				}
+			}
+			checkPrefixMatchesScalar(t, s, x, rows)
+		}
+	}
+}
+
 // TestSELLMulVecPrefixRejectsShortOutput: the prefix must fit the matrix
-// and y.
+// and y, and x must cover every column — all checked before y is touched
+// (the amd64 kernel checks no bounds).
 func TestSELLMulVecPrefixRejectsShortOutput(t *testing.T) {
-	s := toSELL(testMatrix())
-	for _, call := range []func(){
-		func() { s.MulVecPrefix(make([]float64, 5), make([]float64, 4), 5) },
-		func() { s.MulVecPrefix(make([]float64, 2), make([]float64, 4), 3) },
-	} {
+	s := toSELL(t, testMatrix())
+	const untouched = 12345.0
+	for _, c := range []struct{ ylen, xlen, rows int }{{5, 4, 5}, {2, 4, 3}, {4, 3, 4}, {4, 0, 1}} {
+		y := make([]float64, c.ylen)
+		for i := range y {
+			y[i] = untouched
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("MulVecPrefix accepted an out-of-range prefix")
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "sparse: SELL MulVecPrefix") {
+					t.Fatalf("len(y)=%d len(x)=%d rows=%d: recovered %q", c.ylen, c.xlen, c.rows, msg)
 				}
 			}()
-			call()
+			s.MulVecPrefix(y, make([]float64, c.xlen), c.rows)
 		}()
+		for i, v := range y {
+			if v != untouched {
+				t.Fatalf("len(y)=%d len(x)=%d rows=%d: y[%d] written before the panic", c.ylen, c.xlen, c.rows, i)
+			}
+		}
 	}
 }
 
@@ -148,7 +287,7 @@ func TestSELLMulVecPrefixRejectsShortOutput(t *testing.T) {
 func TestSELLMulVecPrefixDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(705))
 	a := skewedRows(203, rng)
-	s := toSELL(a)
+	s := toSELL(t, a)
 	x, y := make([]float64, a.Cols), make([]float64, a.Rows)
 	if got := testing.AllocsPerRun(10, func() { s.MulVecPrefix(y, x, 203); s.MulVecPrefix(y, x, 101) }); got != 0 {
 		t.Fatalf("MulVecPrefix allocates %v times", got)
@@ -158,7 +297,7 @@ func TestSELLMulVecPrefixDoesNotAllocate(t *testing.T) {
 func TestSELLChunkPaddingBeatsELL(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	a := skewedRows(500, rng)
-	ell, sell := ToELL(a), toSELL(a)
+	ell, sell := ToELL(a), toSELL(t, a)
 	// Padding to the chunk's widest row beats padding to the matrix's.
 	if sell.PadRatio() >= ell.PadRatio() {
 		t.Fatalf("SELL pad %v not below ELLPACK %v", sell.PadRatio(), ell.PadRatio())
@@ -180,7 +319,7 @@ func TestSELLUniformRowsNoPadding(t *testing.T) {
 		}
 	}
 	a := FromCoords(n, n, entries)
-	s := toSELL(a)
+	s := toSELL(t, a)
 	if pr := s.PadRatio(); pr > 1.02 {
 		t.Fatalf("near-uniform rows should not pad: %v", pr)
 	}
@@ -188,7 +327,7 @@ func TestSELLUniformRowsNoPadding(t *testing.T) {
 
 func TestSELLEmptyRows(t *testing.T) {
 	a := FromCoords(10, 10, []Coord{{0, 0, 1}, {9, 9, 2}})
-	s := toSELL(a)
+	s := toSELL(t, a)
 	x := make([]float64, 10)
 	for i := range x {
 		x[i] = 1
@@ -212,6 +351,7 @@ func checkSELLOfRows(t *testing.T, a *CSR, rows, newOf []int, newCols int) {
 	want := a.ExtractRows(rows)
 	want.RelabelCols(newOf, newCols)
 	s := a.SELLOfRows(rows, newOf, newCols)
+	checkSELLInvariants(t, s)
 	got := s.ToCSR()
 	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) ||
 		!slices.Equal(got.ColIdx, want.ColIdx) || !sameBits(got.Val, want.Val) {
@@ -281,10 +421,39 @@ func FuzzSELLOfRows(f *testing.F) {
 	})
 }
 
+// FuzzMulVecPrefixMatchesScalar derives a small matrix, an x with
+// awkward values and a prefix length from the input and holds the vector
+// body to the Go loop.
+func FuzzMulVecPrefixMatchesScalar(f *testing.F) {
+	f.Add([]byte{}, int64(0), uint8(0))
+	f.Add([]byte{0, 0, 1, 2, 3, 3, 3, 1, 60, 5}, int64(1), uint8(61))
+	wide := make([]byte, 120)
+	for i := range wide {
+		wide[i] = byte(i % 2 * i) // row 0 takes every other entry
+	}
+	f.Add(wide, int64(2), uint8(9))
+	f.Fuzz(func(t *testing.T, cells []byte, seed int64, prefix uint8) {
+		const n = 61
+		entries := make([]Coord, 0, len(cells)/2)
+		for k := 0; k+1 < len(cells); k += 2 {
+			entries = append(entries, Coord{int(cells[k]) % n, int(cells[k+1]) % n, float64(k+1) / 7})
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, n)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+			if rng.Intn(4) == 0 {
+				x[j] = awkward[rng.Intn(len(awkward))]
+			}
+		}
+		checkPrefixMatchesScalar(t, toSELL(t, FromCoords(n, n, entries)), x, int(prefix)%(n+1))
+	})
+}
+
 func BenchmarkSELLSpMV(b *testing.B) {
 	rng := rand.New(rand.NewSource(702))
 	a := skewedRows(1<<15, rng)
-	s := toSELL(a)
+	s := toSELL(b, a)
 	x := make([]float64, a.Cols)
 	for i := range x {
 		x[i] = 1 / float64(i+1)
