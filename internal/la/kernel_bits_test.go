@@ -99,6 +99,44 @@ func TestAxpy4MatchesFourAxpy(t *testing.T) {
 	}
 }
 
+// TestAxpy4VectorMatchesScalar holds axpy4 — on amd64 the AVX2 body and
+// its Go tail — to the Go loop called directly: every length around the
+// unroll (eight, then four, then one at a time) and a long one, every
+// operand starting 0-3 elements into its array so no load or store is
+// aligned, y sharing memory with no column.
+func TestAxpy4VectorMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	lengths := []int{1000}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, special := range []bool{false, true} {
+			var col [4][]float64
+			for k := range col {
+				col[k] = awkwardVec(rng, n+3, special)
+			}
+			y0 := awkwardVec(rng, n+3, special)
+			c := [4]float64{rng.NormFloat64(), -rng.Float64(), 1e-300, rng.NormFloat64()}
+			if special {
+				c[rng.Intn(4)] = awkward[2+rng.Intn(len(awkward)-2)] // any but ±0: a zero takes the Axpy path
+			}
+			for offs := 0; offs < 1<<10; offs++ { // five offsets of two bits each
+				off := func(k int) int { return offs >> (2 * k) & 3 }
+				got, want := append([]float64(nil), y0...), append([]float64(nil), y0...)
+				o := off(4)
+				axpy4(c[0], c[1], c[2], c[3], col[0][off(0):off(0)+n], col[1][off(1):off(1)+n],
+					col[2][off(2):off(2)+n], col[3][off(3):off(3)+n], got[o:o+n])
+				axpy4Scalar(c[0], c[1], c[2], c[3], col[0][off(0):off(0)+n], col[1][off(1):off(1)+n],
+					col[2][off(2):off(2)+n], col[3][off(3):off(3)+n], want[o:o+n])
+				if err := sameBits(got, want); err != nil { // all of y: nothing outside [o, o+n) is written
+					t.Fatalf("n=%d special=%v offsets=%#o: %v", n, special, offs, err)
+				}
+			}
+		}
+	}
+}
+
 // --- The loops the blocked kernels replaced. ---
 
 func oracleGemv(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
@@ -317,6 +355,49 @@ func TestTiledGemmMatchesTheSweeps(t *testing.T) {
 					t.Fatalf("GemmTN %v special=%v beta=%v: %v", dims, special, beta, err)
 				}
 			}
+		}
+	}
+}
+
+// TestAxpyFormKernelsAtVectorLength takes the three callers of axpy4 to a
+// row count where nearly all of it is the vector body (1003 = 125 turns of
+// eight, no turn of four, three elements of Go tail) and holds each to its
+// pre-blocking loop.
+func TestAxpyFormKernelsAtVectorLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const rows = 1003
+	for _, special := range []bool{false, true} {
+		a := awkwardDense(rng, rows, 70, special)
+		x := awkwardVec(rng, 70, special)
+		got := awkwardVec(rng, rows, special)
+		want := append([]float64(nil), got...)
+		Gemv(-0.75, a, x, 0.5, got)
+		oracleGemv(-0.75, a, x, 0.5, want)
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("Gemv special=%v: %v", special, err)
+		}
+
+		r := awkwardDense(rng, 9, 9, special)
+		for j := 0; j < 9; j++ {
+			r.Set(j, j, 1+rng.Float64()) // Trsm rejects a zero pivot
+		}
+		v := awkwardDense(rng, rows, 9, special)
+		vWant := v.Clone()
+		TrsmRightUpper(v, r)
+		oracleTrsmRightUpper(vWant, r)
+		if err := sameBits(v.Data, vWant.Data); err != nil {
+			t.Fatalf("Trsm special=%v: %v", special, err)
+		}
+
+		b := awkwardDense(rng, 70, 65, special) // past gemmTileMin in every dimension: gemmNNTiled
+		c := awkwardDense(rng, rows, 65, special)
+		cWant := c.Clone()
+		GemmNN(-0.75, a, b, 1, c)
+		for j := 0; j < b.Cols; j++ {
+			oracleGemv(-0.75, a, b.Col(j), 1, cWant.Col(j))
+		}
+		if err := sameBits(c.Data, cWant.Data); err != nil {
+			t.Fatalf("GemmNN special=%v: %v", special, err)
 		}
 	}
 }

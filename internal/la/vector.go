@@ -4,7 +4,8 @@
 // least-squares solves for Hessenberg systems, and the Leja ordering of
 // shifts used by the Newton-basis matrix powers kernel.
 //
-// The package is pure Go and depends only on the standard library. Kernels
+// The package has no dependency outside the repository; one inner loop,
+// axpy4, has an AVX2 assembly body on amd64 beside its Go loop. Kernels
 // come in a serial form and, where it matters for tall-skinny workloads
 // (GEMM/GEMV on matrices with hundreds of thousands of rows and tens of
 // columns), a parallel blocked form. The parallel forms mirror the batched
@@ -64,6 +65,11 @@ func dot4(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
 // rounded on its own, but y is loaded and stored once. A zero coefficient
 // must skip its column (Axpy does: 0*Inf would poison y), so a group that
 // has one takes the four Axpy calls themselves.
+//
+// The elements are independent, so on amd64 with AVX2 the leading
+// multiple of four runs four to a register in axpy4AVX2 — per element
+// the same four multiplies and adds in the same order, none fused — and
+// the Go loop takes the rest (DESIGN section 8, "Host kernels").
 func axpy4(c0, c1, c2, c3 float64, a0, a1, a2, a3, y []float64) {
 	if c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
 		Axpy(c0, a0, y)
@@ -72,6 +78,15 @@ func axpy4(c0, c1, c2, c3 float64, a0, a1, a2, a3, y []float64) {
 		Axpy(c3, a3, y)
 		return
 	}
+	a0, a1, a2, a3 = a0[:len(y)], a1[:len(y)], a2[:len(y)], a3[:len(y)]
+	n := axpy4Vec(c0, c1, c2, c3, a0, a1, a2, a3, y)
+	axpy4Scalar(c0, c1, c2, c3, a0[n:], a1[n:], a2[n:], a3[n:], y[n:])
+}
+
+// axpy4Scalar is axpy4's loop for nonzero coefficients and columns of
+// y's length: the Go body, the tail of the vector body and the oracle
+// its bit tests compare against.
+func axpy4Scalar(c0, c1, c2, c3 float64, a0, a1, a2, a3, y []float64) {
 	a0, a1, a2, a3 = a0[:len(y)], a1[:len(y)], a2[:len(y)], a3[:len(y)]
 	for i, t := range y {
 		t += c0 * a0[i]
