@@ -40,6 +40,9 @@ type ClusterHealthz struct {
 	Reroutes     uint64 `json:"reroutes"`
 	Rejects      uint64 `json:"rejects"`
 	SLODegraded  bool   `json:"slo_degraded"`
+	// SIMD is the router's own host_kernels_info simd label; each
+	// backend's is in its PerBackend healthz.
+	SIMD string `json:"simd"`
 	// Resilience is the containment layer's snapshot: retry budget,
 	// breakers, hedges, and deadline rejections.
 	Resilience Resilience      `json:"resilience"`
@@ -102,6 +105,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		RoutedSolves: solves,
 		Reroutes:     reroutes,
 		Rejects:      rejects,
+		SIMD:         r.simd,
 		Resilience:   r.ResilienceSnapshot(),
 	}
 	for i, b := range r.backends {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -821,6 +822,7 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 		{"router_reroutes_total+router_hedges_total", float64(res.RetryBudgetSpent), float64(hz.Resilience.RetryBudgetSpent), 2},
 		{"router_retry_budget_tokens", res.RetryBudgetTokens, hz.Resilience.RetryBudgetTokens, 0},
 		{"router_breaker_open_total", 1, 1, 1},
+		{fmt.Sprintf(`host_kernels_info{goarch=%q,simd=%q}`, runtime.GOARCH, hz.SIMD), 1, 1, 1},
 	} {
 		want := 0.0
 		for _, series := range strings.Split(row.series, "+") {

@@ -103,6 +103,7 @@ type Router struct {
 	breakers   map[string]*Breaker
 	now        func() float64
 	hedgeAfter float64
+	simd       string // obs.HostKernels, for /healthz
 
 	// scrapeMu serializes scrape-time reconciliation of cumulative
 	// breaker opens into the metBreakerOpen counter.
@@ -155,6 +156,7 @@ func New(cfg Config) *Router {
 		breakers:   make(map[string]*Breaker, len(cfg.Backends)),
 		now:        now,
 		hedgeAfter: cfg.HedgeAfter,
+		simd:       obs.HostKernels(cfg.Registry),
 		latRing:    make([]float64, 0, latRingCap),
 	}
 	r.metBreakerState = make(map[string]obs.Gauge, len(cfg.Backends))

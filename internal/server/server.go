@@ -181,6 +181,9 @@ type Healthz struct {
 	// are configured with (per-request profiles override it per solve).
 	Profile  string `json:"profile,omitempty"`
 	Topology string `json:"topology,omitempty"`
+	// SIMD is the simd label of host_kernels_info: "avx2", or "none" on a
+	// node whose host kernels fell back to the Go loops.
+	SIMD string `json:"simd"`
 	sched.Snapshot
 	// SLODegraded mirrors the SLO engine's multi-window burn-rate alarm:
 	// some class is burning error budget above threshold on both the
@@ -231,6 +234,8 @@ type Server struct {
 	// the same matrix share one CSR and a miss is built once however many
 	// requests wait for it.
 	matrices *sched.Cache[string, *sparse.CSR]
+
+	simd string // obs.HostKernels, for /healthz
 }
 
 func newMatrixCache(reg *obs.Registry) *sched.Cache[string, *sparse.CSR] {
@@ -242,7 +247,7 @@ func newMatrixCache(reg *obs.Registry) *sched.Cache[string, *sparse.CSR] {
 // given registry (reg must be the one the scheduler's Config.Registry
 // points at, so scrapes see the scheduler instruments).
 func New(s *sched.Scheduler, reg *obs.Registry) *Server {
-	srv := &Server{sched: s, mux: http.NewServeMux(), matrices: newMatrixCache(reg)}
+	srv := &Server{sched: s, mux: http.NewServeMux(), matrices: newMatrixCache(reg), simd: obs.HostKernels(reg)}
 	srv.mux.HandleFunc("/solve", srv.handleSolve)
 	srv.mux.HandleFunc("/jobs/", srv.handleJob)
 	srv.mux.HandleFunc("/slo", srv.handleSLO)
@@ -286,7 +291,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	prof := s.sched.Pool().Profile()
 	slo := s.sched.SLO().Report()
 	obs.WriteJSON(w, http.StatusOK, Healthz{OK: !snap.Draining, Profile: prof.Name, Topology: string(prof.Topo.Kind),
-		Snapshot: snap, SLODegraded: slo.Degraded, SLO: &slo})
+		SIMD: s.simd, Snapshot: snap, SLODegraded: slo.Degraded, SLO: &slo})
 }
 
 // matrix resolves a spec through the cache, so concurrent and repeated

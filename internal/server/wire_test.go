@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -49,12 +50,13 @@ var healthzSeries = map[string]string{
 	"prepared_evictions":       `sched_prepared_problems_total{result="evict"}`,
 }
 
-// healthzUnexported are the /healthz keys no series carries: flags, names,
-// the SLO report, the healthy-context count, and dispatched — the one
-// event tally without a series (sched_jobs_total counts jobs at their
-// end, by state).
+// healthzUnexported are the /healthz keys no series carries as a value:
+// flags, names, the SLO report, the healthy-context count, dispatched —
+// the one event tally without a series (sched_jobs_total counts jobs at
+// their end, by state) — and simd, which is a label of host_kernels_info
+// (assertHealthzMatchesMetrics checks that one by name).
 var healthzUnexported = []string{"ok", "profile", "topology", "draining", "degraded",
-	"pool_healthy", "dispatched", "slo_degraded", "slo"}
+	"pool_healthy", "dispatched", "slo_degraded", "slo", "simd"}
 
 func fetch(t *testing.T, url string) []byte {
 	t.Helper()
@@ -120,12 +122,21 @@ func assertHealthzMatchesMetrics(t *testing.T, base string) map[string]float64 {
 			t.Errorf("/healthz %s = %v, /metrics %s = %v", key, got, series, want)
 		}
 	}
+	var doc struct {
+		SIMD string `json:"simd"`
+	}
+	if err := json.Unmarshal(fetch(t, base+"/healthz"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if series := fmt.Sprintf(`host_kernels_info{goarch=%q,simd=%q}`, runtime.GOARCH, doc.SIMD); seriesValue(t, prom, series) != 1 {
+		t.Errorf("/metrics %s is not 1", series)
+	}
 	return hz
 }
 
 // TestHealthzWireKeys pins the key set of /healthz: sched.Snapshot's
-// tags plus the server's own fields are exactly the 31 keys the daemon
-// has always answered with.
+// tags plus the server's own fields: the 31 keys the daemon has always
+// answered with, and simd.
 func TestHealthzWireKeys(t *testing.T) {
 	h := newHarness(t, 16)
 	var doc map[string]json.RawMessage
@@ -143,7 +154,7 @@ func TestHealthzWireKeys(t *testing.T) {
 		"pool_in_use", "pool_size", "pool_workspace_bytes", "prepared_evictions",
 		"prepared_hits", "prepared_misses", "profile", "queue_depth", "readmissions",
 		"rejected", "repartitions", "requeues", "shed_brownout", "shed_deadline_expired",
-		"shed_deadline_infeasible", "slo", "slo_degraded", "topology", "transfer_faults",
+		"shed_deadline_infeasible", "simd", "slo", "slo_degraded", "topology", "transfer_faults",
 		"transfer_retries",
 	}
 	if !slices.Equal(got, want) {
@@ -235,12 +246,22 @@ func containmentRun(t *testing.T) (*testHarness, map[string]rejection) {
 		t.Fatalf("queued submit: status %d", code)
 	}
 	reject(solveReq(n, 1, false)) // 429 queue_full
+	// The doomed job's 1 ms deadline passes; nothing is synchronised on
+	// this sleep.
 	time.Sleep(10 * time.Millisecond)
 	s.Start()
+	// The first solve would meet the still-full depth-1 queue: wait until
+	// a worker has taken the doomed job out and shed it.
+	deadline := time.Now().Add(30 * time.Second)
+	for hz := healthzNumbers(t, h.ts.URL); hz["shed_deadline_expired"] < 1 || hz["queue_depth"] != 0; hz = healthzNumbers(t, h.ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the doomed job never left the queue: %v", hz)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Solves until both fault plans have fired and the repaired context is
 	// back (eviction happens on release, after the job answers).
-	deadline := time.Now().Add(30 * time.Second)
 	for c := 0; ; c++ {
 		if code, _, _ := h.post(t, solveReq(n, c, true)); code != http.StatusOK {
 			t.Fatalf("solve %d: status %d", c, code)

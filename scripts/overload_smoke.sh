@@ -117,7 +117,8 @@ echo "overload-smoke: infeasible 1ms deadline rejected up front (status $CODE)"
 METRICS="$(get /metrics)"
 for fam in router_retry_budget_tokens router_retry_budget_exhausted_total \
     router_breaker_skips_total router_breaker_open_total \
-    router_hedges_total router_hedge_wins_total router_deadline_expired_total; do
+    router_hedges_total router_hedge_wins_total router_deadline_expired_total \
+    host_kernels_info; do
     echo "$METRICS" | grep -q "^$fam" || {
         echo "overload-smoke: router /metrics missing $fam" >&2
         exit 1

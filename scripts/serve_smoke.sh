@@ -41,9 +41,10 @@ echo "serve-smoke: cagmresd on $(cat "$DIR/cagmresd.port")"
     -clients 4 -requests 3 -matrix laplace3d -scale 1e-4 -m 20 -s 5 \
     -metricsout "$DIR/metrics.prom"
 
-# The exposition must lint clean and declare every scheduler family.
+# The exposition must lint clean and declare every scheduler family and
+# which body the host kernels run.
 "$DIR/obslint" -prom "$DIR/metrics.prom" -require \
-    sched_queue_depth,sched_pool_in_use,sched_pool_size,sched_pool_workspace_bytes,sched_queue_wait_seconds,sched_service_seconds,sched_batch_jobs,sched_rejections_total,sched_leases_total,sched_lease_seconds_total,sched_jobs_total,sched_prepared_problems_total
+    host_kernels_info,sched_queue_depth,sched_pool_in_use,sched_pool_size,sched_pool_workspace_bytes,sched_queue_wait_seconds,sched_service_seconds,sched_batch_jobs,sched_rejections_total,sched_leases_total,sched_lease_seconds_total,sched_jobs_total,sched_prepared_problems_total
 
 # Graceful drain: SIGTERM must produce a zero exit.
 kill -TERM "$DPID"
