@@ -46,7 +46,8 @@
 # method and struct field a caller can reach), the same bar for API and
 # options. `make bench-kernels` times
 # the three host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
-# GemmTN) and one MPK window at the two shapes the benchmark solves
+# GemmTN; the SpMV and Gemv also as `/scalar` rows, the Go loop beside the
+# AVX2 body) and one MPK window at the two shapes the benchmark solves
 # (that they allocate nothing is a test: `make test`, so `make check`),
 # then prints B/op and allocs/op of one prepared CA-GMRES and one GMRES
 # solve at the same shapes — what a solve allocates beside the context's
@@ -61,8 +62,12 @@ check: vet fmt-check staticcheck protocol-lint unreached race test fuzz-smoke co
 build:
 	$(GO) build ./...
 
+# The second line vets the packages with an amd64 assembly body as another
+# architecture sees them, so their !amd64 stubs cannot rot (needs no
+# network: vet type-checks from source).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/sparse/ ./internal/la/
 
 # Fails when gofmt would rewrite a tracked .go file, and lists them.
 fmt-check:
@@ -166,8 +171,9 @@ overlap-smoke:
 # MatrixMarket body of POST /solve, the machine-profile JSON decoder,
 # the router's backend-response decoder, the Solve-Control header
 # parser, and the precision field of the solve body — plus the in-place
-# row sort every permuted or relabeled matrix goes through and the fused
-# device-format builder that uses it. The committed
+# row sort every permuted or relabeled matrix goes through, the fused
+# device-format builder that uses it, and the device SpMV's vector body
+# against its Go loop. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
 fuzz-smoke:
@@ -178,6 +184,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzRouterDecode -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
+	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzMulVecPrefixMatchesScalar -fuzztime 5s
 
 # Coverage floor for the machine-profile package: the conformance suite
 # is the fence the profile refactor landed behind, so its coverage must
