@@ -122,14 +122,12 @@ func TestAxpy4VectorMatchesScalar(t *testing.T) {
 				c[rng.Intn(4)] = awkward[2+rng.Intn(len(awkward)-2)] // any but ±0: a zero takes the Axpy path
 			}
 			for offs := 0; offs < 1<<10; offs++ { // five offsets of two bits each
-				off := func(k int) int { return offs >> (2 * k) & 3 }
+				at := func(v []float64, k int) []float64 { o := offs >> (2 * k) & 3; return v[o : o+n] }
+				a := [4][]float64{at(col[0], 0), at(col[1], 1), at(col[2], 2), at(col[3], 3)}
 				got, want := append([]float64(nil), y0...), append([]float64(nil), y0...)
-				o := off(4)
-				axpy4(c[0], c[1], c[2], c[3], col[0][off(0):off(0)+n], col[1][off(1):off(1)+n],
-					col[2][off(2):off(2)+n], col[3][off(3):off(3)+n], got[o:o+n])
-				axpy4Scalar(c[0], c[1], c[2], c[3], col[0][off(0):off(0)+n], col[1][off(1):off(1)+n],
-					col[2][off(2):off(2)+n], col[3][off(3):off(3)+n], want[o:o+n])
-				if err := sameBits(got, want); err != nil { // all of y: nothing outside [o, o+n) is written
+				axpy4(c[0], c[1], c[2], c[3], a[0], a[1], a[2], a[3], at(got, 4))
+				axpy4Scalar(c[0], c[1], c[2], c[3], a[0], a[1], a[2], a[3], at(want, 4))
+				if err := sameBits(got, want); err != nil { // all of y: nothing outside its window is written
 					t.Fatalf("n=%d special=%v offsets=%#o: %v", n, special, offs, err)
 				}
 			}

@@ -93,6 +93,9 @@ func skewedRows(n int, rng *rand.Rand) *CSR {
 	return FromCoords(n, n, entries)
 }
 
+// untouched fills the part of y a kernel must leave alone.
+const untouched = 12345.0
+
 // sameBits reports whether got and want hold the same float64 bit
 // patterns.
 func sameBits(got, want []float64) bool {
@@ -160,7 +163,6 @@ func TestSELLMulVecPrefixEveryPrefix(t *testing.T) {
 			for _, c := range a.ColIdx[:a.RowPtr[rows]] {
 				poisoned[c] = x[c]
 			}
-			const untouched = 12345.0
 			got := make([]float64, n)
 			for i := range got {
 				got[i] = untouched
@@ -179,9 +181,14 @@ func TestSELLMulVecPrefixEveryPrefix(t *testing.T) {
 	}
 }
 
-// awkward are the x values a multiplied padding slot, a fused
-// multiply-add or a drifting summation order would expose.
-var awkward = []float64{math.Copysign(0, -1), 5e-324, -2.5e-308, math.NaN(), math.Inf(1), math.Inf(-1)}
+// The x values a multiplied padding slot, a fused multiply-add or a
+// drifting summation order would expose: nonFinite where a row must not
+// look, tiny where it does, awkward for both.
+var (
+	tiny      = []float64{math.Copysign(0, -1), 5e-324, -2.5e-308}
+	nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	awkward   = slices.Concat(tiny, nonFinite)
+)
 
 // checkPrefixMatchesScalar runs one prefix through MulVecPrefix — the
 // vector body where there is one — and through the Go loop called
@@ -191,7 +198,6 @@ var awkward = []float64{math.Copysign(0, -1), 5e-324, -2.5e-308, math.NaN(), mat
 // left alone past the prefix.
 func checkPrefixMatchesScalar(t *testing.T, s *SELL, x []float64, rows int) {
 	t.Helper()
-	const untouched = 12345.0
 	got, want := make([]float64, s.Rows+3), make([]float64, s.Rows+3)
 	for i := range got {
 		got[i], want[i] = untouched, untouched
@@ -235,12 +241,12 @@ func TestSELLMulVecPrefixMatchesScalar(t *testing.T) {
 		for rows := 0; rows <= n; rows++ {
 			x := make([]float64, cols)
 			for j := range x {
-				x[j] = awkward[3+rng.Intn(3)] // NaN, +Inf, -Inf
+				x[j] = nonFinite[rng.Intn(len(nonFinite))]
 			}
 			for _, c := range a.ColIdx[:a.RowPtr[rows]] {
 				x[c] = rng.NormFloat64()
 				if rng.Intn(4) == 0 {
-					x[c] = awkward[rng.Intn(3)] // -0 and two subnormals
+					x[c] = tiny[rng.Intn(len(tiny))]
 				}
 			}
 			checkPrefixMatchesScalar(t, s, x, rows)
@@ -259,7 +265,6 @@ func TestSELLMulVecPrefixMatchesScalar(t *testing.T) {
 // (the amd64 kernel checks no bounds).
 func TestSELLMulVecPrefixRejectsShortOutput(t *testing.T) {
 	s := toSELL(t, testMatrix())
-	const untouched = 12345.0
 	for _, c := range []struct{ ylen, xlen, rows int }{{5, 4, 5}, {2, 4, 3}, {4, 3, 4}, {4, 0, 1}} {
 		y := make([]float64, c.ylen)
 		for i := range y {
