@@ -9,7 +9,10 @@
 # ortho strategies on top of them, the sched/server serving stack, and
 # core's heal/cancel/fault tests — its recovery boundary is a recover
 # around RunAll goroutines),
-# then the whole deterministic test suite, then the serving smoke test.
+# then the whole deterministic test suite, then the command-line check
+# (`make cli-check`: every cmd/* binary's -h output equals
+# scripts/flags.golden, and an out-of-range count exits with an error, not
+# a panic), then the serving smoke test.
 # `make metrics-smoke` exercises the observability surface end-to-end:
 # a small solve with telemetry/metrics/trace output, each artifact
 # validated by cmd/obslint. `make serve-smoke` boots cagmresd, drives
@@ -55,9 +58,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check staticcheck protocol-lint unreached test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
+.PHONY: check build vet fmt-check staticcheck protocol-lint unreached cli-check test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
 
-check: vet fmt-check staticcheck protocol-lint unreached race test fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet fmt-check staticcheck protocol-lint unreached race test cli-check fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
@@ -97,6 +100,12 @@ unreached:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The knob inventory: every cmd/* binary's -h output against
+# scripts/flags.golden (`sh scripts/cli_check.sh -update` rewrites it),
+# then each front end refuses its out-of-range counts without a panic.
+cli-check:
+	@GO="$(GO)" sh scripts/cli_check.sh
 
 # (sync.Pool drops a quarter of its Puts under the race detector, so the
 # pooled-buffer allocation count of la's precision kernels is asserted by

@@ -37,84 +37,10 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8090", "listen address (\":0\" picks a free port)")
-		portFile = flag.String("portfile", "", "write the bound address to this file once listening")
-
-		backendsFlag = flag.String("backends", "", "comma-separated backend daemons, each name=url (or a bare url, auto-named nodeN)")
-		localN       = flag.Int("local", 0, "boot this many in-process backends instead of (or in addition to) -backends")
-		maxHops      = flag.Int("max-hops", 3, "forwarding hop budget per solve (candidates tried before rejecting)")
-		shardMapPath = flag.String("shard-map", "", "JSON shard-map file: {\"assign\":{key:backend},\"weights\":{backend:w}}")
-
-		poolSize       = flag.Int("pool", 1, "pooled device contexts per -local node")
-		devices        = flag.Int("devices", 3, "simulated GPUs per context on -local nodes")
-		queueDepth     = flag.Int("queue", 64, "admission queue depth per -local node")
-		maxBatch       = flag.Int("batch", 8, "max batched jobs per lease on -local nodes")
-		maxJobAttempts = flag.Int("max-job-attempts", 0, "attempt cap per job on -local nodes (0 keeps the sched default)")
-		repair         = flag.Bool("repair", false, "repair contexts evicted after device death on -local nodes")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "grace period for -local nodes at shutdown")
-
-		profName       = flag.String("profile", "", "machine profile for -local nodes (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
-		topoName       = flag.String("topology", "", "override the profile's node-local interconnect topology")
-		devicesPerNode = flag.Int("devices-per-node", 0, "arm the two-tier interconnect: devices per simulated node (0 keeps flat single-node profiles)")
-		fabricName     = flag.String("fabric", "", "inter-node fabric for the two-tier interconnect ("+strings.Join(profile.FabricNames(), ", ")+"); default "+profile.DefaultFabricName)
-
-		retryBudget      = flag.Float64("retry-budget", 0.1, "fraction of successful traffic spendable on reroutes and hedges (tokens earned per success)")
-		retryBurst       = flag.Float64("retry-burst", 10, "retry-budget bucket capacity (the bucket starts full, so cold-start forwarding works)")
-		breakerThreshold = flag.Int("breaker-threshold", 5, "consecutive backend failures that open its circuit breaker")
-		breakerCooldown  = flag.Float64("breaker-cooldown", 5, "seconds an open breaker waits before admitting one half-open probe")
-		hedgeAfter       = flag.Float64("hedge-after", 0, "hedge wait-solves after this many seconds without a response (rolling p95 once warmed; 0 disables)")
-
-		sloTarget      = flag.String("slo-target", "", "SLO classes for -local nodes as name:minprio:latency:objective, comma-separated (minprio \"*\" catches all); empty keeps the defaults")
-		brownoutFlag   = flag.String("brownout", "", "brownout ladder for -local nodes: comma-separated minimum admitted priorities per level (empty disables)")
-		deadlineMargin = flag.Float64("deadline-margin", 0, "-local nodes reject submissions whose deadline is below this multiple of the service-time estimate (0 disables)")
-
-		chaosSeed = flag.Int64("chaos-seed", 0, "seed for -chaos-kill-node fault plans")
-		chaosKill = flag.String("chaos-kill-node", "", "arm whole-node death on a -local node: name@seconds (virtual time) kills every device of that node's contexts, e.g. node0@0.001")
-	)
-	flag.Parse()
-	if err := run(routerConfig{
-		addr: *addr, portFile: *portFile,
-		backendsFlag: *backendsFlag, localN: *localN, maxHops: *maxHops, shardMapPath: *shardMapPath,
-		poolSize: *poolSize, devices: *devices, queueDepth: *queueDepth, maxBatch: *maxBatch,
-		maxJobAttempts: *maxJobAttempts, repair: *repair, drainTimeout: *drainTimeout,
-		profName: *profName, topoName: *topoName, devicesPerNode: *devicesPerNode, fabricName: *fabricName,
-		retryBudget: *retryBudget, retryBurst: *retryBurst,
-		breakerThreshold: *breakerThreshold, breakerCooldown: *breakerCooldown, hedgeAfter: *hedgeAfter,
-		sloTarget: *sloTarget, brownout: *brownoutFlag, deadlineMargin: *deadlineMargin,
-		chaosSeed: *chaosSeed, chaosKill: *chaosKill,
-	}); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cagmres-router:", err)
 		os.Exit(1)
 	}
-}
-
-// routerConfig carries the parsed flags into run.
-type routerConfig struct {
-	addr, portFile string
-
-	backendsFlag string
-	localN       int
-	maxHops      int
-	shardMapPath string
-
-	poolSize, devices       int
-	queueDepth, maxBatch    int
-	maxJobAttempts          int
-	repair                  bool
-	drainTimeout            time.Duration
-	profName, topoName      string
-	devicesPerNode          int
-	fabricName              string
-	retryBudget, retryBurst float64
-	breakerThreshold        int
-	breakerCooldown         float64
-	hedgeAfter              float64
-	sloTarget, brownout     string
-	deadlineMargin          float64
-
-	chaosSeed int64
-	chaosKill string
 }
 
 // parseBackends turns the -backends flag into HTTP backends.
@@ -166,98 +92,124 @@ func nodeDeathPlan(spec string, poolSize, devices int, seed int64) (string, []gp
 	return name, plans, nil
 }
 
-func run(cfg routerConfig) error {
-	prof, err := profile.FromFlags(cfg.profName, cfg.topoName)
+// run binds the flags into the router's and the -local nodes'
+// configurations, boots the federation and serves it until
+// SIGINT/SIGTERM, then drains the local nodes.
+func run() error {
+	var rc cluster.Config
+	var node cluster.LocalNodeConfig
+	addr := flag.String("addr", ":8090", "listen address (\":0\" picks a free port)")
+	portFile := flag.String("portfile", "", "write the bound address to this file once listening")
+
+	backendsFlag := flag.String("backends", "", "comma-separated backend daemons, each name=url (or a bare url, auto-named nodeN)")
+	localN := flag.Int("local", 0, "boot this many in-process backends instead of (or in addition to) -backends")
+	flag.IntVar(&rc.MaxHops, "max-hops", 3, "forwarding hop budget per solve (candidates tried before rejecting)")
+	shardMapPath := flag.String("shard-map", "", "JSON shard-map file: {\"assign\":{key:backend},\"weights\":{backend:w}}")
+
+	flag.IntVar(&node.PoolSize, "pool", 1, "pooled device contexts per -local node")
+	flag.IntVar(&node.Devices, "devices", 3, "simulated GPUs per context on -local nodes")
+	flag.IntVar(&node.Sched.QueueDepth, "queue", 64, "admission queue depth per -local node")
+	flag.IntVar(&node.Sched.MaxBatch, "batch", 8, "max batched jobs per lease on -local nodes")
+	flag.IntVar(&node.Sched.MaxJobAttempts, "max-job-attempts", 0, "attempt cap per job on -local nodes (0 keeps the sched default)")
+	flag.BoolVar(&node.Repair, "repair", false, "repair contexts evicted after device death on -local nodes")
+	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for -local nodes at shutdown")
+
+	profName := flag.String("profile", "", "machine profile for -local nodes (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
+	topoName := flag.String("topology", "", "override the profile's node-local interconnect topology")
+	devicesPerNode := flag.Int("devices-per-node", 0, "arm the two-tier interconnect: devices per simulated node (0 keeps flat single-node profiles)")
+	fabricName := flag.String("fabric", "", "inter-node fabric for the two-tier interconnect ("+strings.Join(profile.FabricNames(), ", ")+"); default "+profile.DefaultFabricName)
+
+	flag.Float64Var(&rc.RetryBudgetRatio, "retry-budget", 0.1, "fraction of successful traffic spendable on reroutes and hedges (tokens earned per success)")
+	flag.Float64Var(&rc.RetryBudgetBurst, "retry-burst", 10, "retry-budget bucket capacity (the bucket starts full, so cold-start forwarding works)")
+	flag.IntVar(&rc.Breaker.Threshold, "breaker-threshold", 5, "consecutive backend failures that open its circuit breaker")
+	flag.Float64Var(&rc.Breaker.Cooldown, "breaker-cooldown", 5, "seconds an open breaker waits before admitting one half-open probe")
+	flag.Float64Var(&rc.HedgeAfter, "hedge-after", 0, "hedge wait-solves after this many seconds without a response (rolling p95 once warmed; 0 disables)")
+
+	sloTarget := flag.String("slo-target", "", "SLO classes for -local nodes as name:minprio:latency:objective, comma-separated (minprio \"*\" catches all); empty keeps the defaults")
+	brownoutFlag := flag.String("brownout", "", "brownout ladder for -local nodes: comma-separated minimum admitted priorities per level (empty disables)")
+	flag.Float64Var(&node.Sched.DeadlineMargin, "deadline-margin", 0, "-local nodes reject submissions whose deadline is below this multiple of the service-time estimate (0 disables)")
+
+	chaosSeed := flag.Int64("chaos-seed", 0, "seed for -chaos-kill-node fault plans")
+	chaosKill := flag.String("chaos-kill-node", "", "arm whole-node death on a -local node: name@seconds (virtual time) kills every device of that node's contexts, e.g. node0@0.001")
+	flag.Parse()
+
+	if node.PoolSize < 1 {
+		return fmt.Errorf("-pool %d: need at least 1", node.PoolSize)
+	}
+	if node.Devices < 1 {
+		return fmt.Errorf("-devices %d: need at least 1", node.Devices)
+	}
+	prof, err := profile.FromFlags(*profName, *topoName)
 	if err != nil {
 		return err
 	}
-	prof, err = profile.ClusterFromFlags(prof, cfg.devicesPerNode, cfg.fabricName)
-	if err != nil {
+	if node.Profile, err = profile.ClusterFromFlags(prof, *devicesPerNode, *fabricName); err != nil {
 		return err
 	}
-	classes, err := obs.ParseSLOClasses(cfg.sloTarget)
-	if err != nil {
+	if node.SLO.Classes, err = obs.ParseSLOClasses(*sloTarget); err != nil {
 		return fmt.Errorf("-slo-target: %w", err)
 	}
-	brownout, err := sched.ParseBrownoutLadder(cfg.brownout)
-	if err != nil {
+	if node.Sched.Brownout, err = sched.ParseBrownoutLadder(*brownoutFlag); err != nil {
 		return fmt.Errorf("-brownout: %w", err)
 	}
 
-	var shardMap *cluster.ShardMap
-	if cfg.shardMapPath != "" {
-		data, err := os.ReadFile(cfg.shardMapPath)
+	if *shardMapPath != "" {
+		data, err := os.ReadFile(*shardMapPath)
 		if err != nil {
 			return err
 		}
-		if shardMap, err = cluster.DecodeShardMap(data); err != nil {
+		if rc.ShardMap, err = cluster.DecodeShardMap(data); err != nil {
 			return err
 		}
 	}
 
-	remote, err := parseBackends(cfg.backendsFlag, cfg.localN)
+	remote, err := parseBackends(*backendsFlag, *localN)
 	if err != nil {
 		return err
 	}
-	doomed, plans, err := nodeDeathPlan(cfg.chaosKill, cfg.poolSize, cfg.devices, cfg.chaosSeed)
+	doomed, plans, err := nodeDeathPlan(*chaosKill, node.PoolSize, node.Devices, *chaosSeed)
 	if err != nil {
 		return err
 	}
 
 	var nodes []*cluster.LocalNode
-	var backends []*cluster.Backend
-	for i := 0; i < cfg.localN; i++ {
-		name := fmt.Sprintf("node%d", i)
-		ncfg := cluster.LocalNodeConfig{
-			Name: name, PoolSize: cfg.poolSize, Devices: cfg.devices, Profile: prof,
-			QueueDepth: cfg.queueDepth, MaxBatch: cfg.maxBatch,
-			MaxJobAttempts: cfg.maxJobAttempts, Repair: cfg.repair,
-			SLO:            obs.SLOConfig{Classes: classes},
-			Brownout:       brownout,
-			DeadlineMargin: cfg.deadlineMargin,
-		}
-		if name == doomed {
-			ncfg.MaxJobAttempts = 1 // every retry lands on the same dead node
+	for i := 0; i < *localN; i++ {
+		ncfg := node
+		ncfg.Name = fmt.Sprintf("node%d", i)
+		if ncfg.Name == doomed {
+			ncfg.Sched.MaxJobAttempts = 1 // every retry lands on the same dead node
 			ncfg.FaultPlans = plans
 		}
 		n := cluster.NewLocalNode(ncfg)
 		nodes = append(nodes, n)
-		backends = append(backends, n.Backend())
+		rc.Backends = append(rc.Backends, n.Backend())
 	}
-	if doomed != "" && cfg.localN == 0 {
+	if doomed != "" && *localN == 0 {
 		return fmt.Errorf("-chaos-kill-node needs -local nodes")
 	}
-	backends = append(backends, remote...)
-	if len(backends) == 0 {
+	rc.Backends = append(rc.Backends, remote...)
+	if len(rc.Backends) == 0 {
 		return fmt.Errorf("no backends: give -backends and/or -local")
 	}
 
-	router := cluster.New(cluster.Config{
-		Backends: backends, MaxHops: cfg.maxHops, ShardMap: shardMap,
-		RetryBudgetRatio: cfg.retryBudget, RetryBudgetBurst: cfg.retryBurst,
-		Breaker: cluster.BreakerConfig{
-			Threshold: cfg.breakerThreshold,
-			Cooldown:  cfg.breakerCooldown,
-		},
-		HedgeAfter: cfg.hedgeAfter,
-	})
-	srv, bound, err := obs.Serve(cfg.addr, router)
+	router := cluster.New(rc)
+	srv, bound, err := obs.Serve(*addr, router)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("cagmres-router: serving on %s (%d backends: %s; max hops %d)\n",
-		bound, len(backends), strings.Join(router.Backends(), ", "), cfg.maxHops)
+		bound, len(rc.Backends), strings.Join(router.Backends(), ", "), rc.MaxHops)
 	fmt.Printf("cagmres-router: containment armed (retry budget %.2f/%.0f, breaker %d@%.1fs, hedge-after %gs)\n",
-		cfg.retryBudget, cfg.retryBurst, cfg.breakerThreshold, cfg.breakerCooldown, cfg.hedgeAfter)
-	if cfg.localN > 0 {
+		rc.RetryBudgetRatio, rc.RetryBudgetBurst, rc.Breaker.Threshold, rc.Breaker.Cooldown, rc.HedgeAfter)
+	if *localN > 0 {
 		fmt.Printf("cagmres-router: %d in-process nodes (pool %d×%d GPUs, profile %s)\n",
-			cfg.localN, cfg.poolSize, cfg.devices, nodeProfileName(prof))
+			*localN, node.PoolSize, node.Devices, nodeProfileName(node.Profile))
 	}
 	if doomed != "" {
 		fmt.Printf("cagmres-router: chaos armed, whole-node death on %s\n", doomed)
 	}
-	if cfg.portFile != "" {
-		if err := os.WriteFile(cfg.portFile, []byte(bound), 0o644); err != nil {
+	if *portFile != "" {
+		if err := os.WriteFile(*portFile, []byte(bound), 0o644); err != nil {
 			return err
 		}
 	}
@@ -265,9 +217,9 @@ func run(cfg routerConfig) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
-	fmt.Printf("cagmres-router: %v, draining %d local nodes (timeout %v)\n", got, len(nodes), cfg.drainTimeout)
+	fmt.Printf("cagmres-router: %v, draining %d local nodes (timeout %v)\n", got, len(nodes), *drainTimeout)
 
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	for _, n := range nodes {
 		if err := n.Drain(ctx); err != nil {

@@ -34,21 +34,22 @@ func main() {
 	file := flag.String("file", "", "MatrixMarket file (overrides -matrix)")
 	scale := flag.Float64("scale", 0.02, "built-in matrix scale (1.0 = published size)")
 	solver := flag.String("solver", "ca", "solver: gmres or ca")
-	m := flag.Int("m", 30, "restart length")
-	s := flag.Int("s", 10, "CA-GMRES step size")
-	orth := flag.String("ortho", "CholQR", "orthogonalization: GMRES takes MGS|CGS; CA takes MGS|CGS|CholQR|SVQR|CAQR (2x prefix allowed)")
-	borth := flag.String("borth", "CGS", "CA-GMRES block orthogonalization: CGS or MGS")
-	basis := flag.String("basis", "newton", "CA-GMRES basis: newton or monomial")
+	var opts core.Options
+	flag.IntVar(&opts.M, "m", 30, "restart length")
+	flag.IntVar(&opts.S, "s", 10, "CA-GMRES step size")
+	flag.StringVar(&opts.Ortho, "ortho", "CholQR", "orthogonalization: GMRES takes MGS|CGS; CA takes MGS|CGS|CholQR|SVQR|CAQR (2x prefix allowed)")
+	flag.StringVar(&opts.BOrth, "borth", "CGS", "CA-GMRES block orthogonalization: CGS or MGS")
+	flag.StringVar(&opts.Basis, "basis", "newton", "CA-GMRES basis: newton or monomial")
 	ordering := flag.String("ordering", "kway", "matrix ordering: natural, rcm, kway, hypergraph")
 	devices := flag.Int("devices", 3, "simulated GPU count")
-	tol := flag.Float64("tol", 1e-4, "relative residual tolerance")
-	maxRestarts := flag.Int("max-restarts", 500, "restart cap")
+	flag.Float64Var(&opts.Tol, "tol", 1e-4, "relative residual tolerance")
+	flag.IntVar(&opts.MaxRestarts, "max-restarts", 500, "restart cap")
 	rhs := flag.String("rhs", "ones", "right-hand side: ones or random")
 	balance := flag.Bool("balance", true, "balance the matrix before solving")
 	fallback := flag.Bool("fallback", true, "on an ill-conditioned basis window, retry with 2x reorthogonalization and then 2xCAQR")
 	jacobi := flag.Bool("jacobi", false, "right-precondition with the inverse diagonal (composes with MPK)")
-	adaptive := flag.Bool("adaptive-s", false, "shrink the CA step size when a basis window goes rank deficient")
-	precision := flag.String("precision", "", "CA-GMRES precision mode: fp64 (default), mixed (fp32 basis + FP64 refinement), or adaptive (tighten-only schedule)")
+	flag.BoolVar(&opts.AdaptiveS, "adaptive-s", false, "shrink the CA step size when a basis window goes rank deficient")
+	flag.StringVar(&opts.Precision, "precision", "", "CA-GMRES precision mode: fp64 (default), mixed (fp32 basis + FP64 refinement), or adaptive (tighten-only schedule)")
 	trace := flag.Int("trace", 0, "print the last N ledger events (communication rounds and kernels)")
 	traceout := flag.String("traceout", "", "write the solve's ledger events as a Chrome trace_event JSON to this file")
 	telemetry := flag.String("telemetry", "", "write the solve's convergence telemetry as JSON lines to this file")
@@ -59,9 +60,22 @@ func main() {
 	traceparent := flag.String("traceparent", "", "adopt this W3C traceparent as the solve's trace context (a fresh trace id is minted when empty or invalid)")
 	spansout := flag.String("spansout", "", "write the solve's request-trace span stream (root + solver phases) as JSON lines to this file")
 	flag.Parse()
+	if *devices < 1 {
+		fatal(fmt.Errorf("-devices %d: need at least 1", *devices))
+	}
+	ord, err := core.ParseOrdering(*ordering)
+	if err != nil {
+		fatal(err)
+	}
+	if *solver == "gmres" && opts.Ortho != "MGS" && opts.Ortho != "CGS" {
+		opts.Ortho = "CGS" // -ortho defaults to a CA strategy
+	}
 
 	a, name, err := loadMatrix(*file, *matrix, *scale)
 	if err != nil {
+		fatal(err)
+	}
+	if _, err := core.Check(*solver, opts, a); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("matrix %s: n=%d, nnz=%d (%.1f per row)\n",
@@ -80,20 +94,6 @@ func main() {
 		}
 	default:
 		fatal(fmt.Errorf("unknown -rhs %q", *rhs))
-	}
-
-	var ord core.Ordering
-	switch *ordering {
-	case "natural":
-		ord = core.Natural
-	case "rcm":
-		ord = core.RCM
-	case "kway":
-		ord = core.KWay
-	case "hypergraph":
-		ord = core.Hypergraph
-	default:
-		fatal(fmt.Errorf("unknown -ordering %q", *ordering))
 	}
 
 	prof, err := profile.FromFlags(*profName, *topoName)
@@ -123,15 +123,6 @@ func main() {
 	if *jacobi {
 		p.ApplyJacobi()
 	}
-	if _, err := core.NormalizePrecision(*precision); err != nil {
-		fatal(err)
-	}
-	opts := core.Options{
-		M: *m, S: *s, Tol: *tol, MaxRestarts: *maxRestarts,
-		Ortho: *orth, BOrth: *borth, Basis: *basis, AdaptiveS: *adaptive,
-		Precision: *precision,
-	}
-
 	// Observability: one registry for the whole run; telemetry buffers in
 	// memory so a fallback retry starts the stream (and its monotone
 	// modeled clock) over instead of appending a second solve's records.
@@ -175,18 +166,15 @@ func main() {
 
 	start := time.Now()
 	var res *core.Result
-	switch *solver {
-	case "gmres":
-		if opts.Ortho != "MGS" && opts.Ortho != "CGS" {
-			opts.Ortho = "CGS"
-		}
+	if *solver == "gmres" {
 		res, err = core.GMRES(p, opts)
-	case "ca":
+	} else {
 		res, err = core.CAGMRES(p, opts)
 		if err != nil && *fallback {
 			// Stability ladder mirroring the paper's "2x" rows: the
 			// requested strategy reorthogonalized, then the
-			// unconditionally stable CAQR.
+			// unconditionally stable CAQR. The options passed Check, so
+			// the error is numerical.
 			for _, next := range []string{"2x" + opts.Ortho, "2xCAQR"} {
 				if len(opts.Ortho) > 2 && opts.Ortho[:2] == "2x" && next == "2x"+opts.Ortho {
 					continue
@@ -211,8 +199,6 @@ func main() {
 				}
 			}
 		}
-	default:
-		fatal(fmt.Errorf("unknown -solver %q", *solver))
 	}
 	wall := time.Since(start)
 	if err != nil {

@@ -47,64 +47,86 @@ import (
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
 	"cagmres/internal/sched"
+	"cagmres/internal/server"
 )
 
-func main() {
-	var (
-		poolSize   = flag.Int("pool", 2, "pooled device contexts for the scheduler replay")
-		devices    = flag.Int("devices", 3, "simulated GPUs per context")
-		jobs       = flag.Int("jobs", 8, "solve jobs pushed through the scheduler")
-		seed       = flag.Int64("seed", 7, "seed for the transfer-fault streams")
-		kill       = flag.String("kill", "0:1@0.5", "device death, ctx:dev@frac — frac is the fraction of the fault-free modeled solve time (empty disables)")
-		xferProb   = flag.Float64("xferprob", 0.02, "per-transfer-round fault probability on every pooled context")
-		maxXfer    = flag.Int("maxxfer", 0, "cap on injected transfer faults per context (0 = unlimited)")
-		straggle   = flag.Float64("straggle", 0, "slowdown factor for device 0 of context 0 (0 disables)")
-		matrix     = flag.String("matrix", "laplace3d", "generator matrix name")
-		scale      = flag.Float64("scale", 1e-4, "generator scale")
-		mFlag      = flag.Int("m", 20, "restart length")
-		sFlag      = flag.Int("s", 5, "matrix-powers step")
-		tol        = flag.Float64("tol", 1e-8, "convergence tolerance")
-		repair     = flag.Bool("repair", true, "repair and readmit contexts evicted after a death")
-		precFlag   = flag.String("precision", "", "precision mode for every scheduled solve: fp64, mixed, or adaptive (empty keeps fp64)")
-		overlap    = flag.Bool("overlap", false, "schedule every solve through the asynchronous stream engine; faults fire on the stream clock and replays must stay bit-identical")
-		benchJSON  = flag.String("benchjson", "", "write the degraded-mode solver bench here")
-		metricsOut = flag.String("metricsout", "", "write the scheduler replay's Prometheus exposition here")
-		profName   = flag.String("profile", "", "machine profile for every context (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
-		topoName   = flag.String("topology", "", "override the profile's interconnect topology (host-hub, pcie-switch, nvlink-ring, all-to-all)")
+// config is the harness's flags, bound straight into the configs they
+// set: the solve options every layer runs, the scheduler replay's pool
+// (whose -devices and -profile every layer uses), and what only the
+// harness reads.
+type config struct {
+	opts                  core.Options
+	pool                  sched.PoolConfig
+	jobs, nodes           int
+	seed                  int64
+	kill                  string
+	xferProb, straggle    float64
+	maxXfer               int
+	matrix                string
+	scale                 float64
+	benchJSON, metricsOut string
+}
 
-		clusterRun = flag.Bool("cluster", false, "cluster layer: federate -nodes in-process backends behind a router, kill the shard's whole first-choice node mid-solve, and require completion on a survivor plus a bit-identical replay")
-		nodes      = flag.Int("nodes", 3, "in-process backends for -cluster")
-		storm      = flag.Bool("storm", false, "retry-storm layer: replay the deterministic overload study (containment off vs on) and a circuit-breaker transition script on virtual time, asserting the containment shapes and bit-identical replays")
-	)
+func main() {
+	cfg := config{opts: core.Options{Ortho: "CholQR"}, pool: sched.PoolConfig{Model: gpu.M2090()}}
+	flag.IntVar(&cfg.pool.Size, "pool", 2, "pooled device contexts for the scheduler replay")
+	flag.IntVar(&cfg.pool.Devices, "devices", 3, "simulated GPUs per context")
+	flag.IntVar(&cfg.jobs, "jobs", 8, "solve jobs pushed through the scheduler")
+	flag.Int64Var(&cfg.seed, "seed", 7, "seed for the transfer-fault streams")
+	flag.StringVar(&cfg.kill, "kill", "0:1@0.5", "device death, ctx:dev@frac — frac is the fraction of the fault-free modeled solve time (empty disables)")
+	flag.Float64Var(&cfg.xferProb, "xferprob", 0.02, "per-transfer-round fault probability on every pooled context")
+	flag.IntVar(&cfg.maxXfer, "maxxfer", 0, "cap on injected transfer faults per context (0 = unlimited)")
+	flag.Float64Var(&cfg.straggle, "straggle", 0, "slowdown factor for device 0 of context 0 (0 disables)")
+	flag.StringVar(&cfg.matrix, "matrix", "laplace3d", "generator matrix name")
+	flag.Float64Var(&cfg.scale, "scale", 1e-4, "generator scale")
+	flag.IntVar(&cfg.opts.M, "m", 20, "restart length")
+	flag.IntVar(&cfg.opts.S, "s", 5, "matrix-powers step")
+	flag.Float64Var(&cfg.opts.Tol, "tol", 1e-8, "convergence tolerance")
+	flag.BoolVar(&cfg.pool.Repair, "repair", true, "repair and readmit contexts evicted after a death")
+	flag.StringVar(&cfg.opts.Precision, "precision", "", "precision mode for every scheduled solve: fp64, mixed, or adaptive (empty keeps fp64)")
+	flag.BoolVar(&cfg.opts.Overlap, "overlap", false, "schedule every solve through the asynchronous stream engine; faults fire on the stream clock and replays must stay bit-identical")
+	flag.StringVar(&cfg.benchJSON, "benchjson", "", "write the degraded-mode solver bench here")
+	flag.StringVar(&cfg.metricsOut, "metricsout", "", "write the scheduler replay's Prometheus exposition here")
+	profName := flag.String("profile", "", "machine profile for every context (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
+	topoName := flag.String("topology", "", "override the profile's interconnect topology (host-hub, pcie-switch, nvlink-ring, all-to-all)")
+
+	clusterRun := flag.Bool("cluster", false, "cluster layer: federate -nodes in-process backends behind a router, kill the shard's whole first-choice node mid-solve, and require completion on a survivor plus a bit-identical replay")
+	flag.IntVar(&cfg.nodes, "nodes", 3, "in-process backends for -cluster")
+	storm := flag.Bool("storm", false, "retry-storm layer: replay the deterministic overload study (containment off vs on) and a circuit-breaker transition script on virtual time, asserting the containment shapes and bit-identical replays")
 	flag.Parse()
-	prof, err := profile.FromFlags(*profName, *topoName)
+
+	err := cfg.check(*profName, *topoName)
+	switch {
+	case err != nil:
+	case *storm:
+		err = runStorm()
+	case *clusterRun:
+		err = runCluster(&cfg)
+	default:
+		err = run(&cfg)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
 	}
-	if _, err := core.NormalizePrecision(*precFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(1)
+}
+
+// check finishes the configuration the flags bound: the machine profile,
+// the counts, and the solve options — the layers solve with CA-GMRES.
+func (cfg *config) check(profName, topoName string) (err error) {
+	if cfg.pool.Profile, err = profile.FromFlags(profName, topoName); err != nil {
+		return err
 	}
-	if *storm {
-		if err := runStorm(); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"pool", cfg.pool.Size}, {"devices", cfg.pool.Devices}, {"jobs", cfg.jobs}} {
+		if c.n < 1 {
+			return fmt.Errorf("-%s %d: need at least 1", c.flag, c.n)
 		}
-		return
 	}
-	if *clusterRun {
-		if err := runCluster(*nodes, *devices, *seed, *matrix, *scale, *mFlag, *sFlag, *tol, prof, *precFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*poolSize, *devices, *jobs, *seed, *kill, *xferProb, *maxXfer, *straggle,
-		*matrix, *scale, *mFlag, *sFlag, *tol, *repair, *overlap, *benchJSON, *metricsOut, prof, *precFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(1)
-	}
+	_, err = core.Check("ca", cfg.opts, nil)
+	return err
 }
 
 // clusterJob is the slice of a routed job's wire form the cluster layer
@@ -125,22 +147,21 @@ type clusterJob struct {
 // clusterSolve drives one waited solve through a router built over
 // fresh in-process nodes; doomed (if non-empty) gets a whole-node death
 // plan — every device of its context dies at killAt virtual seconds.
-func clusterSolve(n, devices int, seed int64, doomed string, killAt float64,
-	matrix string, scale float64, m, s int, tol float64, prof *gpu.Profile,
-	precision string) (clusterJob, error) {
+func clusterSolve(cfg *config, doomed string, killAt float64) (clusterJob, error) {
+	devices := cfg.pool.Devices
 	var locals []*cluster.LocalNode
 	var backends []*cluster.Backend
-	for i := 0; i < n; i++ {
-		cfg := cluster.LocalNodeConfig{Name: fmt.Sprintf("node%d", i), Devices: devices, Profile: prof}
-		if cfg.Name == doomed {
-			plan := gpu.FaultPlan{Seed: seed}
+	for i := 0; i < cfg.nodes; i++ {
+		ncfg := cluster.LocalNodeConfig{Name: fmt.Sprintf("node%d", i), Devices: devices, Profile: cfg.pool.Profile}
+		if ncfg.Name == doomed {
+			plan := gpu.FaultPlan{Seed: cfg.seed}
 			for d := 0; d < devices; d++ {
 				plan.Deaths = append(plan.Deaths, gpu.DeviceDeath{Device: d, At: killAt})
 			}
-			cfg.FaultPlans = []gpu.FaultPlan{plan}
-			cfg.MaxJobAttempts = 1 // retries would land on the same dead node
+			ncfg.FaultPlans = []gpu.FaultPlan{plan}
+			ncfg.Sched.MaxJobAttempts = 1 // retries would land on the same dead node
 		}
-		node := cluster.NewLocalNode(cfg)
+		node := cluster.NewLocalNode(ncfg)
 		locals = append(locals, node)
 		backends = append(backends, node.Backend())
 	}
@@ -158,20 +179,17 @@ func clusterSolve(n, devices int, seed int64, doomed string, killAt float64,
 	// (one node death never reaches the open threshold anyway).
 	router := cluster.New(cluster.Config{
 		Backends:         backends,
-		MaxHops:          n,
+		MaxHops:          cfg.nodes,
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 10,
 		Breaker:          cluster.BreakerConfig{Threshold: 5, Cooldown: 5},
 		Now:              func() float64 { return 0 },
 	})
-	req := map[string]any{
-		"matrix": map[string]any{"name": matrix, "scale": scale},
-		"m":      m, "s": s, "tol": tol, "ortho": "CholQR", "wait": true,
-	}
-	if precision != "" {
-		req["precision"] = precision
-	}
-	body, _ := json.Marshal(req)
+	o := cfg.opts
+	body, _ := json.Marshal(server.SolveRequest{ // plain fields always encode
+		Matrix: server.MatrixSpec{Name: cfg.matrix, Scale: cfg.scale},
+		M:      o.M, S: o.S, Tol: o.Tol, Ortho: o.Ortho, Precision: o.Precision, Wait: true,
+	})
 	rec := httptest.NewRecorder()
 	router.ServeHTTP(rec, httptest.NewRequest("POST", "/solve", bytes.NewReader(body)))
 	var job clusterJob
@@ -190,12 +208,12 @@ func clusterSolve(n, devices int, seed int64, doomed string, killAt float64,
 // halfway through the solve and must complete on a survivor with the
 // burned attempt accounted, and a replay of the degraded run under the
 // same seed must be bit-identical.
-func runCluster(n, devices int, seed int64, matrix string, scale float64,
-	m, s int, tol float64, prof *gpu.Profile, precision string) error {
+func runCluster(cfg *config) error {
+	n, devices := cfg.nodes, cfg.pool.Devices
 	if n < 2 {
 		return fmt.Errorf("-cluster needs at least 2 nodes, got %d", n)
 	}
-	probe, err := clusterSolve(n, devices, seed, "", 0, matrix, scale, m, s, tol, prof, precision)
+	probe, err := clusterSolve(cfg, "", 0)
 	if err != nil {
 		return err
 	}
@@ -206,7 +224,7 @@ func runCluster(n, devices int, seed int64, matrix string, scale float64,
 		n, probe.Backend, probe.ModeledSeconds, probe.Iters)
 
 	killAt := 0.5 * probe.ModeledSeconds
-	deg, err := clusterSolve(n, devices, seed, probe.Backend, killAt, matrix, scale, m, s, tol, prof, precision)
+	deg, err := clusterSolve(cfg, probe.Backend, killAt)
 	if err != nil {
 		return err
 	}
@@ -225,7 +243,7 @@ func runCluster(n, devices int, seed int64, matrix string, scale float64,
 	fmt.Printf("chaos cluster: node %s killed @ %.6fs (all %d devices): job rerouted to %s, hops=%d attempts=%d, %.6fs modeled, relres %.2e\n",
 		probe.Backend, killAt, devices, deg.Backend, deg.Hops, deg.Attempts, deg.ModeledSeconds, deg.RelRes)
 
-	deg2, err := clusterSolve(n, devices, seed, probe.Backend, killAt, matrix, scale, m, s, tol, prof, precision)
+	deg2, err := clusterSolve(cfg, probe.Backend, killAt)
 	if err != nil {
 		return fmt.Errorf("degraded replay: %w", err)
 	}
@@ -412,31 +430,28 @@ func rhsFor(n, seed int) []float64 {
 	return b
 }
 
-func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
-	maxXfer int, straggle float64, matrix string, scale float64, m, s int,
-	tol float64, repair, overlap bool, benchJSON, metricsOut string, prof *gpu.Profile,
-	precision string) error {
-	gen, err := matgen.ByName(matrix, scale)
+func run(cfg *config) error {
+	poolSize, devices, opts := cfg.pool.Size, cfg.pool.Devices, cfg.opts
+	gen, err := matgen.ByName(cfg.matrix, cfg.scale)
 	if err != nil {
 		return err
 	}
-	opts := core.Options{M: m, S: s, Tol: tol, Ortho: "CholQR", Overlap: overlap, Precision: precision}
 
 	var killCtx, killDev int
 	var killFrac float64
-	haveKill := kill != ""
+	haveKill := cfg.kill != ""
 	if haveKill {
-		if _, err := fmt.Sscanf(kill, "%d:%d@%f", &killCtx, &killDev, &killFrac); err != nil {
-			return fmt.Errorf("-kill %q: want ctx:dev@frac: %v", kill, err)
+		if _, err := fmt.Sscanf(cfg.kill, "%d:%d@%f", &killCtx, &killDev, &killFrac); err != nil {
+			return fmt.Errorf("-kill %q: want ctx:dev@frac: %v", cfg.kill, err)
 		}
 		if killCtx < 0 || killCtx >= poolSize || killDev < 0 || killDev >= devices {
-			return fmt.Errorf("-kill %q outside pool %d×%d", kill, poolSize, devices)
+			return fmt.Errorf("-kill %q outside pool %d×%d", cfg.kill, poolSize, devices)
 		}
 	}
 
 	// --- Solver layer: fault-free baseline, then a mid-solve death. ---
 	solve := func(plan *gpu.FaultPlan) (*core.Result, *gpu.Context, error) {
-		ctx := newCtx(devices, prof)
+		ctx := newCtx(devices, cfg.pool.Profile)
 		if plan != nil {
 			ctx.InjectFaults(*plan)
 		}
@@ -460,7 +475,7 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 	// fraction by the wrong clock would schedule the death after the
 	// solve completes.
 	cleanTime := clean.Stats.TotalTime()
-	if overlap {
+	if opts.Overlap {
 		cleanTime = cleanCtx.OverlappedTime()
 	}
 	fmt.Printf("chaos: fault-free %d-device solve: %.6fs modeled, %d iters, relres %.2e\n",
@@ -469,7 +484,7 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 	var bench benchOut
 	if haveKill {
 		killAt := killFrac * cleanTime
-		plan := gpu.FaultPlan{Seed: seed,
+		plan := gpu.FaultPlan{Seed: cfg.seed,
 			Deaths: []gpu.DeviceDeath{{Device: killDev, At: killAt}}}
 		deg, _, err := solve(&plan)
 		if err != nil {
@@ -498,8 +513,8 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 			deg.Faults.Repartitions, deg.Faults.CheckpointRestores)
 
 		bench = benchOut{
-			Name: "chaos-degraded-mode", Matrix: matrix, Scale: scale,
-			M: m, S: s, Tol: tol,
+			Name: "chaos-degraded-mode", Matrix: cfg.matrix, Scale: cfg.scale,
+			M: opts.M, S: opts.S, Tol: opts.Tol,
 			FaultFree: solveSnap{Devices: devices, ModeledSeconds: cleanTime,
 				Iters: clean.Iters, Restarts: clean.Restarts,
 				RelRes: clean.RelRes, Converged: true},
@@ -512,43 +527,40 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 			Slowdown:  deg.Stats.TotalTime() / cleanTime,
 			Identical: identical,
 		}
-		if benchJSON != "" {
+		if cfg.benchJSON != "" {
 			data, err := json.MarshalIndent(bench, "", "  ")
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(benchJSON, append(data, '\n'), 0o644); err != nil {
+			if err := os.WriteFile(cfg.benchJSON, append(data, '\n'), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("chaos: bench written to %s\n", benchJSON)
+			fmt.Printf("chaos: bench written to %s\n", cfg.benchJSON)
 		}
 	}
 
 	// --- Scheduler layer: jobs through a pool with armed fault plans. ---
-	plans := make([]gpu.FaultPlan, poolSize)
-	for i := range plans {
-		plans[i].Seed = seed + int64(i)
-		plans[i].TransferFaultProb = xferProb
-		plans[i].MaxTransferFaults = maxXfer
+	pc := cfg.pool
+	pc.FaultPlans = make([]gpu.FaultPlan, poolSize)
+	for i := range pc.FaultPlans {
+		pc.FaultPlans[i].Seed = cfg.seed + int64(i)
+		pc.FaultPlans[i].TransferFaultProb = cfg.xferProb
+		pc.FaultPlans[i].MaxTransferFaults = cfg.maxXfer
 	}
 	if haveKill {
-		plans[killCtx].Deaths = []gpu.DeviceDeath{{Device: killDev, At: killFrac * cleanTime}}
+		pc.FaultPlans[killCtx].Deaths = []gpu.DeviceDeath{{Device: killDev, At: killFrac * cleanTime}}
 	}
-	if straggle > 0 {
-		plans[0].Stragglers = []gpu.Straggler{{Device: 0, Factor: straggle}}
+	if cfg.straggle > 0 {
+		pc.FaultPlans[0].Stragglers = []gpu.Straggler{{Device: 0, Factor: cfg.straggle}}
 	}
 	reg := obs.NewRegistry()
-	pool := sched.NewPoolWithConfig(sched.PoolConfig{
-		Size: poolSize, Devices: devices, Model: gpu.M2090(), Profile: prof,
-		FaultPlans: plans, Repair: repair,
-	})
-	sc := sched.New(sched.Config{Pool: pool, QueueDepth: jobs + 1, MaxBatch: 4, Registry: reg})
+	sc := sched.New(sched.Config{Pool: sched.NewPoolWithConfig(pc), QueueDepth: cfg.jobs + 1, MaxBatch: 4, Registry: reg})
 	sc.Start()
 
 	spec := sched.Spec{Solver: "ca", Matrix: gen.A, Ordering: core.KWay, Balance: true,
-		MatrixKey: matrix, Opts: opts}
-	submitted := make([]*sched.Job, 0, jobs)
-	for i := 0; i < jobs; i++ {
+		MatrixKey: cfg.matrix, Opts: opts}
+	submitted := make([]*sched.Job, 0, cfg.jobs)
+	for i := 0; i < cfg.jobs; i++ {
 		js := spec
 		js.B = rhsFor(gen.A.Rows, i)
 		j, err := sc.Submit(context.Background(), js, i%3, 0)
@@ -580,7 +592,7 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 	}
 	snap := sc.Snapshot()
 	fmt.Printf("chaos: scheduler replay: %d/%d jobs done (%d failed); faults: deaths=%d transfers=%d retries=%d requeues=%d repartitions=%d restores=%d evictions=%d readmissions=%d\n",
-		done, jobs, failed, snap.DevicesLost, snap.TransferFaults, snap.TransferRetries,
+		done, cfg.jobs, failed, snap.DevicesLost, snap.TransferFaults, snap.TransferRetries,
 		snap.Requeues, snap.Repartitions, snap.Restores, snap.Evictions, snap.Readmissions)
 	if done == 0 {
 		return fmt.Errorf("no job survived the chaos plan")
@@ -589,8 +601,8 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 		return fmt.Errorf("kill plan armed but no device death observed")
 	}
 
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
+	if cfg.metricsOut != "" {
+		f, err := os.Create(cfg.metricsOut)
 		if err != nil {
 			return err
 		}
@@ -601,7 +613,7 @@ func run(poolSize, devices, jobs int, seed int64, kill string, xferProb float64,
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("chaos: metrics written to %s\n", metricsOut)
+		fmt.Printf("chaos: metrics written to %s\n", cfg.metricsOut)
 	}
 	fmt.Println("chaos: ok")
 	return nil

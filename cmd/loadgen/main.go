@@ -54,8 +54,17 @@ import (
 	"cagmres/internal/server"
 )
 
-// artifacts collects the optional outputs either mode can produce.
-type artifacts struct {
+// config is the run's flags, bound straight into the fields they set:
+// the closed-loop workload, the solve options every request carries, the
+// virtual replay's pool, and the optional outputs either mode produces.
+type config struct {
+	mode, addr, portFile, sweep string
+	clients, requests           int
+	pool, devices               int // virtual: the replay's device contexts
+	matrix                      string
+	scale                       float64
+	opts                        core.Options
+
 	traceparent string // live: send on every request and assert the echoed trace id
 	traceOut    string // live: write the first job's /jobs/{id}/trace.json here
 	spansOut    string // live: write the first job's /jobs/{id}/spans.jsonl here
@@ -65,73 +74,80 @@ type artifacts struct {
 	deadlineMS  int64  // live: client deadline stamped on every request
 	retries     int    // live: retry cap for 429/503 structured rejections
 	retrySeed   int64  // live: seed for the backoff jitter streams
-	precision   string // precision mode stamped on every solve body
 }
 
 func main() {
-	var (
-		mode       = flag.String("mode", "virtual", "live (drive a daemon over HTTP), cluster (drive a cagmres-router: shard spread + per-backend stats), or virtual (deterministic replay)")
-		addr       = flag.String("addr", "", "daemon address for -mode live (host:port)")
-		portFile   = flag.String("portfile", "", "read the daemon address from this file (written by cagmresd -portfile)")
-		clients    = flag.Int("clients", 4, "concurrent closed-loop clients")
-		requests   = flag.Int("requests", 4, "requests per client")
-		sweep      = flag.String("sweep", "", "comma-separated client counts to sweep (virtual mode), e.g. 1,2,4,8,16")
-		pool       = flag.Int("pool", 2, "device contexts serving the virtual replay")
-		devices    = flag.Int("devices", 3, "simulated GPUs per context")
-		matrix     = flag.String("matrix", "laplace3d", "generator matrix name")
-		scale      = flag.Float64("scale", 1e-4, "generator scale")
-		mFlag      = flag.Int("m", 30, "restart length")
-		sFlag      = flag.Int("s", 5, "matrix-powers step")
-		tol        = flag.Float64("tol", 1e-8, "convergence tolerance")
-		metricsOut = flag.String("metricsout", "", "live mode: fetch /metrics after the run and write it here")
-		traceparnt = flag.String("traceparent", "", "live mode: send this W3C traceparent on every request and assert the daemon echoes its trace id")
-		traceOut   = flag.String("traceout", "", "live mode: fetch the first job's /jobs/{id}/trace.json after the run and write it here")
-		spansOut   = flag.String("spansout", "", "live mode: fetch the first job's /jobs/{id}/spans.jsonl after the run and write it here")
-		sloOut     = flag.String("sloout", "", "live mode: fetch /slo after the run and write it here")
-		sloJSON    = flag.String("slojson", "", "virtual mode: write the final sweep point's deterministic SLO replay report as JSON here")
-		deadlineMS = flag.Int64("deadline-ms", 0, "live mode: stamp this client deadline on every request (job body and Solve-Control header); 0 sends none")
-		retries    = flag.Int("retries", 3, "live mode: retry cap per request for 429/503 structured rejections (Retry-After honored with seeded jittered backoff)")
-		retrySeed  = flag.Int64("retry-seed", 1, "live mode: seed for the per-client backoff jitter streams")
-		precFlag   = flag.String("precision", "", "precision mode stamped on every solve: fp64, mixed, or adaptive (empty omits the field)")
-	)
+	cfg := config{opts: core.Options{Ortho: "CholQR"}}
+	flag.StringVar(&cfg.mode, "mode", "virtual", "live (drive a daemon over HTTP), cluster (drive a cagmres-router: shard spread + per-backend stats), or virtual (deterministic replay)")
+	flag.StringVar(&cfg.addr, "addr", "", "daemon address for -mode live (host:port)")
+	flag.StringVar(&cfg.portFile, "portfile", "", "read the daemon address from this file (written by cagmresd -portfile)")
+	flag.IntVar(&cfg.clients, "clients", 4, "concurrent closed-loop clients")
+	flag.IntVar(&cfg.requests, "requests", 4, "requests per client")
+	flag.StringVar(&cfg.sweep, "sweep", "", "comma-separated client counts to sweep (virtual mode), e.g. 1,2,4,8,16")
+	flag.IntVar(&cfg.pool, "pool", 2, "device contexts serving the virtual replay")
+	flag.IntVar(&cfg.devices, "devices", 3, "simulated GPUs per context")
+	flag.StringVar(&cfg.matrix, "matrix", "laplace3d", "generator matrix name")
+	flag.Float64Var(&cfg.scale, "scale", 1e-4, "generator scale")
+	flag.IntVar(&cfg.opts.M, "m", 30, "restart length")
+	flag.IntVar(&cfg.opts.S, "s", 5, "matrix-powers step")
+	flag.Float64Var(&cfg.opts.Tol, "tol", 1e-8, "convergence tolerance")
+	flag.StringVar(&cfg.metricsOut, "metricsout", "", "live mode: fetch /metrics after the run and write it here")
+	flag.StringVar(&cfg.traceparent, "traceparent", "", "live mode: send this W3C traceparent on every request and assert the daemon echoes its trace id")
+	flag.StringVar(&cfg.traceOut, "traceout", "", "live mode: fetch the first job's /jobs/{id}/trace.json after the run and write it here")
+	flag.StringVar(&cfg.spansOut, "spansout", "", "live mode: fetch the first job's /jobs/{id}/spans.jsonl after the run and write it here")
+	flag.StringVar(&cfg.sloOut, "sloout", "", "live mode: fetch /slo after the run and write it here")
+	flag.StringVar(&cfg.sloJSON, "slojson", "", "virtual mode: write the final sweep point's deterministic SLO replay report as JSON here")
+	flag.Int64Var(&cfg.deadlineMS, "deadline-ms", 0, "live mode: stamp this client deadline on every request (job body and Solve-Control header); 0 sends none")
+	flag.IntVar(&cfg.retries, "retries", 3, "live mode: retry cap per request for 429/503 structured rejections (Retry-After honored with seeded jittered backoff)")
+	flag.Int64Var(&cfg.retrySeed, "retry-seed", 1, "live mode: seed for the per-client backoff jitter streams")
+	flag.StringVar(&cfg.opts.Precision, "precision", "", "precision mode stamped on every solve: fp64, mixed, or adaptive (empty omits the field)")
 	flag.Parse()
-	arts := artifacts{
-		traceparent: *traceparnt, traceOut: *traceOut, spansOut: *spansOut,
-		sloOut: *sloOut, metricsOut: *metricsOut, sloJSON: *sloJSON,
-		deadlineMS: *deadlineMS, retries: *retries, retrySeed: *retrySeed,
-		precision: *precFlag,
+
+	err := cfg.check()
+	if err == nil {
+		err = run(&cfg)
 	}
-	if _, err := core.NormalizePrecision(*precFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	if err := run(*mode, *addr, *portFile, *clients, *requests, *sweep, *pool, *devices,
-		*matrix, *scale, *mFlag, *sFlag, *tol, arts); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(mode, addr, portFile string, clients, requests int, sweep string, pool, devices int,
-	matrix string, scale float64, m, s int, tol float64, arts artifacts) error {
-	switch mode {
+// check refuses the counts no run can use and the solve options no
+// CA-GMRES solve takes, before any request is sent.
+func (cfg *config) check() error {
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"clients", cfg.clients}, {"requests", cfg.requests}, {"pool", cfg.pool}, {"devices", cfg.devices}} {
+		if c.n < 1 {
+			return fmt.Errorf("-%s %d: need at least 1", c.flag, c.n)
+		}
+	}
+	_, err := core.Check("ca", cfg.opts, nil)
+	return err
+}
+
+func run(cfg *config) error {
+	switch cfg.mode {
 	case "live", "cluster":
-		if portFile != "" {
-			data, err := os.ReadFile(portFile)
+		addr := cfg.addr
+		if cfg.portFile != "" {
+			data, err := os.ReadFile(cfg.portFile)
 			if err != nil {
 				return err
 			}
 			addr = strings.TrimSpace(string(data))
 		}
 		if addr == "" {
-			return fmt.Errorf("%s mode needs -addr or -portfile", mode)
+			return fmt.Errorf("%s mode needs -addr or -portfile", cfg.mode)
 		}
-		return runLive(addr, clients, requests, matrix, scale, m, s, tol, mode == "cluster", arts)
+		return runLive(cfg, addr, cfg.mode == "cluster")
 	case "virtual":
-		counts := []int{clients}
-		if sweep != "" {
+		counts := []int{cfg.clients}
+		if cfg.sweep != "" {
 			counts = counts[:0]
-			for _, f := range strings.Split(sweep, ",") {
+			for _, f := range strings.Split(cfg.sweep, ",") {
 				v, err := strconv.Atoi(strings.TrimSpace(f))
 				if err != nil || v < 1 {
 					return fmt.Errorf("bad -sweep entry %q", f)
@@ -139,9 +155,9 @@ func run(mode, addr, portFile string, clients, requests int, sweep string, pool,
 				counts = append(counts, v)
 			}
 		}
-		return runVirtual(counts, requests, pool, devices, matrix, scale, m, s, tol, arts.precision, arts.sloJSON)
+		return runVirtual(cfg, counts)
 	}
-	return fmt.Errorf("unknown mode %q (want live, cluster, or virtual)", mode)
+	return fmt.Errorf("unknown mode %q (want live, cluster, or virtual)", cfg.mode)
 }
 
 // rhsFor builds the deterministic per-request right-hand side; request
@@ -162,20 +178,20 @@ func rhsFor(n, seed int) []float64 {
 // a closed loop of waited solves. Cluster mode jitters the matrix scale
 // per client so the shard keys spread over the backends, tallies the
 // per-backend routing, and checks the aggregated /healthz afterwards.
-func runLive(addr string, clients, requests int, matrix string, scale float64,
-	m, s int, tol float64, cluster bool, arts artifacts) error {
+func runLive(cfg *config, addr string, cluster bool) error {
 	base := "http://" + addr
-	gen, err := matgen.ByName(matrix, scale)
+	clients, requests, matrix := cfg.clients, cfg.requests, cfg.matrix
+	gen, err := matgen.ByName(matrix, cfg.scale)
 	if err != nil {
 		return err
 	}
 	n := gen.A.Rows
 
 	wantTrace := ""
-	if arts.traceparent != "" {
-		tid, _, ok := obs.ParseTraceparent(arts.traceparent)
+	if cfg.traceparent != "" {
+		tid, _, ok := obs.ParseTraceparent(cfg.traceparent)
 		if !ok {
-			return fmt.Errorf("bad -traceparent %q", arts.traceparent)
+			return fmt.Errorf("bad -traceparent %q", cfg.traceparent)
 		}
 		wantTrace = tid
 	}
@@ -189,9 +205,9 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 	// backends while the generated problem stays the same size.
 	scaleFor := func(c int) float64 {
 		if !cluster {
-			return scale
+			return cfg.scale
 		}
-		return scale * (1 + 1e-9*float64(c))
+		return cfg.scale * (1 + 1e-9*float64(c))
 	}
 
 	samples := make([][]sample, clients)
@@ -211,7 +227,7 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 			// schedules are reproducible yet decorrelated across clients
 			// (correlated backoff would re-synchronize the thundering herd
 			// the budget is there to prevent).
-			rng := rand.New(rand.NewSource(arts.retrySeed + int64(c)))
+			rng := rand.New(rand.NewSource(cfg.retrySeed + int64(c)))
 			nc := n
 			if cluster {
 				g, err := matgen.ByName(matrix, scaleFor(c))
@@ -223,19 +239,14 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 			}
 			for i := 0; i < requests; i++ {
 				seed := c*requests + i
-				payload := map[string]any{
-					"matrix": map[string]any{"name": matrix, "scale": scaleFor(c)},
-					"m":      m, "s": s, "tol": tol, "ortho": "CholQR",
-					"rhs":  rhsFor(nc, seed),
-					"wait": true,
-				}
-				if arts.deadlineMS > 0 {
-					payload["deadline_ms"] = arts.deadlineMS
-				}
-				if arts.precision != "" {
-					payload["precision"] = arts.precision
-				}
-				body, _ := json.Marshal(payload)
+				// Finite floats and plain fields always encode.
+				rhs, _ := json.Marshal(rhsFor(nc, seed))
+				o := cfg.opts
+				body, _ := json.Marshal(server.SolveRequest{
+					Matrix: server.MatrixSpec{Name: matrix, Scale: scaleFor(c)},
+					M:      o.M, S: o.S, Tol: o.Tol, Ortho: o.Ortho, Precision: o.Precision,
+					RHS: rhs, DeadlineMS: max(cfg.deadlineMS, 0), Wait: true,
+				})
 				t0 := time.Now()
 				var resp *http.Response
 				var data []byte
@@ -247,12 +258,12 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 						return
 					}
 					req.Header.Set("Content-Type", "application/json")
-					if arts.deadlineMS > 0 {
+					if cfg.deadlineMS > 0 {
 						req.Header.Set(server.SolveControlHeader,
-							server.SolveControl{DeadlineMS: arts.deadlineMS}.String())
+							server.SolveControl{DeadlineMS: cfg.deadlineMS}.String())
 					}
-					if arts.traceparent != "" {
-						req.Header.Set("traceparent", arts.traceparent)
+					if cfg.traceparent != "" {
+						req.Header.Set("traceparent", cfg.traceparent)
 					}
 					resp, err = http.DefaultClient.Do(req)
 					if err != nil {
@@ -267,7 +278,7 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 						return
 					}
 					if (resp.StatusCode == http.StatusTooManyRequests ||
-						resp.StatusCode == http.StatusServiceUnavailable) && attempt < arts.retries {
+						resp.StatusCode == http.StatusServiceUnavailable) && attempt < cfg.retries {
 						retried[c]++
 						time.Sleep(backoff(resp.Header.Get("Retry-After"), attempt, rng))
 						continue
@@ -341,9 +352,9 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 		modeName, clients, requests, addr, matrix, n)
 	fmt.Printf("  completed %d solves in %.3fs wall (%.1f solves/s)\n",
 		total, elapsed, float64(total)/elapsed)
-	if arts.deadlineMS > 0 {
+	if cfg.deadlineMS > 0 {
 		fmt.Printf("  client deadline %dms stamped on every request (body + %s header)\n",
-			arts.deadlineMS, server.SolveControlHeader)
+			cfg.deadlineMS, server.SolveControlHeader)
 	}
 	totalRetried := 0
 	for _, r := range retried {
@@ -401,29 +412,29 @@ func runLive(addr string, clients, requests int, matrix string, scale float64,
 		fmt.Printf("  wrote %s (%d bytes)\n", out, len(data))
 		return nil
 	}
-	if arts.traceOut != "" || arts.spansOut != "" {
+	if cfg.traceOut != "" || cfg.spansOut != "" {
 		job := firstJob[0]
 		if job == "" {
 			return fmt.Errorf("no completed job to fetch a trace for")
 		}
-		if arts.traceOut != "" {
-			if err := fetch("/jobs/"+job+"/trace.json", arts.traceOut); err != nil {
+		if cfg.traceOut != "" {
+			if err := fetch("/jobs/"+job+"/trace.json", cfg.traceOut); err != nil {
 				return err
 			}
 		}
-		if arts.spansOut != "" {
-			if err := fetch("/jobs/"+job+"/spans.jsonl", arts.spansOut); err != nil {
+		if cfg.spansOut != "" {
+			if err := fetch("/jobs/"+job+"/spans.jsonl", cfg.spansOut); err != nil {
 				return err
 			}
 		}
 	}
-	if arts.sloOut != "" {
-		if err := fetch("/slo", arts.sloOut); err != nil {
+	if cfg.sloOut != "" {
+		if err := fetch("/slo", cfg.sloOut); err != nil {
 			return err
 		}
 	}
-	if arts.metricsOut != "" {
-		if err := fetch("/metrics", arts.metricsOut); err != nil {
+	if cfg.metricsOut != "" {
+		if err := fetch("/metrics", cfg.metricsOut); err != nil {
 			return err
 		}
 	}
@@ -488,9 +499,9 @@ func checkClusterHealth(base string) error {
 // k clients contending for c device contexts. The same per-request
 // (submit, start, finish) stamps feed an obs.SLOEngine on the virtual
 // clock, so queue waits and burn rates are deterministic too.
-func runVirtual(counts []int, requests, pool, devices int, matrix string, scale float64,
-	m, s int, tol float64, precision, sloJSON string) error {
-	gen, err := matgen.ByName(matrix, scale)
+func runVirtual(cfg *config, counts []int) error {
+	requests, pool, devices, matrix := cfg.requests, cfg.pool, cfg.devices, cfg.matrix
+	gen, err := matgen.ByName(matrix, cfg.scale)
 	if err != nil {
 		return err
 	}
@@ -513,7 +524,7 @@ func runVirtual(counts []int, requests, pool, devices int, matrix string, scale 
 		if err != nil {
 			return err
 		}
-		res, err := core.CAGMRES(prob, core.Options{M: m, S: s, Tol: tol, Ortho: "CholQR", Precision: precision})
+		res, err := core.CAGMRES(prob, cfg.opts)
 		if err != nil {
 			return err
 		}
@@ -569,15 +580,15 @@ func runVirtual(counts []int, requests, pool, devices int, matrix string, scale 
 		}
 		lastReport = &rep
 	}
-	if sloJSON != "" && lastReport != nil {
+	if cfg.sloJSON != "" && lastReport != nil {
 		data, err := json.MarshalIndent(lastReport, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(sloJSON, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(cfg.sloJSON, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", sloJSON)
+		fmt.Printf("wrote %s\n", cfg.sloJSON)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"cagmres/internal/core"
 	"cagmres/internal/dist"
 	"cagmres/internal/gpu"
 	"cagmres/internal/graph"
@@ -28,6 +29,9 @@ func main() {
 	devices := flag.Int("devices", 3, "device count for partition analysis")
 	smax := flag.Int("smax", 10, "largest MPK depth to analyze")
 	flag.Parse()
+	if *devices < 1 {
+		fatal(fmt.Errorf("-devices %d: need at least 1", *devices))
+	}
 
 	var a *sparse.CSR
 	var name string
@@ -64,12 +68,18 @@ func main() {
 		*devices, graph.EdgeCut(g, part), part.Imbalance(), part.Sizes())
 
 	ctx := gpu.NewContext(*devices, gpu.M2090())
-	for _, ord := range []string{"NAT", "RCM", "KWY"} {
-		work, layout := applyOrdering(a, ord, *devices)
-		fmt.Printf("\nordering %s — MPK overhead sweep:\n", ord)
+	for _, ord := range []struct {
+		label string
+		core.Ordering
+	}{{"NAT", core.Natural}, {"RCM", core.RCM}, {"KWY", core.KWay}} {
+		p, err := core.Prepare(ctx, a, ord.Ordering, false)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\nordering %s — MPK overhead sweep:\n", ord.label)
 		fmt.Printf("%4s %14s %14s %14s %14s\n", "s", "max surf/vol", "halo elems", "gather", "scatter")
 		for s := 1; s <= *smax; s++ {
-			dm := dist.Distribute(ctx, work, layout, s)
+			dm := dist.Distribute(ctx, p.A, p.Layout, s)
 			an := dist.Analyze(dm)
 			halo := 0
 			for _, h := range an.HaloSize {
@@ -80,21 +90,6 @@ func main() {
 			fmt.Printf("%4d %14.4f %14d %14d %14d\n",
 				s, an.MaxSurfaceToVolume(), halo, an.GatherVolume, an.ScatterVolume)
 		}
-	}
-}
-
-func applyOrdering(a *sparse.CSR, name string, ng int) (*sparse.CSR, *dist.Layout) {
-	switch name {
-	case "NAT":
-		return a, dist.Uniform(a.Rows, ng)
-	case "RCM":
-		g := graph.FromMatrix(a)
-		return a.Permute(graph.RCM(g)), dist.Uniform(a.Rows, ng)
-	default: // KWY
-		g := graph.FromMatrix(a)
-		part := graph.KWay(g, ng, 1)
-		perm, bounds := part.Order()
-		return a.Permute(perm), dist.NewLayout(a.Rows, bounds)
 	}
 }
 

@@ -28,7 +28,8 @@ func TestFig6Shapes(t *testing.T) {
 	}
 	// Ratios never shrink with s.
 	for _, mtx := range []string{"cant", "G3_circuit"} {
-		for _, ord := range orderingNames {
+		for _, o := range orderings {
+			ord := o.label
 			for s := 2; s <= 10; s++ {
 				prev := res.Ratio(mtx, ord, s-1)
 				cur := res.Ratio(mtx, ord, s)

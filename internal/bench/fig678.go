@@ -1,32 +1,28 @@
 package bench
 
 import (
+	"cagmres/internal/core"
 	"cagmres/internal/dist"
-	"cagmres/internal/graph"
+	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
 	"cagmres/internal/sparse"
 )
 
-// orderingNames are the paper's three distribution configurations.
-var orderingNames = []string{"NAT", "RCM", "KWY"}
+// orderings are the paper's three distribution configurations, under the
+// labels its figures print.
+var orderings = []struct {
+	label string
+	core.Ordering
+}{{"NAT", core.Natural}, {"RCM", core.RCM}, {"KWY", core.KWay}}
 
 // applyOrdering permutes the matrix and produces the layout for the
-// requested configuration over ng devices.
-func applyOrdering(a *sparse.CSR, name string, ng int) (*sparse.CSR, *dist.Layout) {
-	switch name {
-	case "NAT":
-		return a, dist.Uniform(a.Rows, ng)
-	case "RCM":
-		g := graph.FromMatrix(a)
-		perm := graph.RCM(g)
-		return a.Permute(perm), dist.Uniform(a.Rows, ng)
-	case "KWY":
-		g := graph.FromMatrix(a)
-		part := graph.KWay(g, ng, 1)
-		perm, bounds := part.Order()
-		return a.Permute(perm), dist.NewLayout(a.Rows, bounds)
+// ordering over ng devices: core.Prepare's, without balancing.
+func applyOrdering(a *sparse.CSR, ord core.Ordering, ng int) (*sparse.CSR, *dist.Layout) {
+	p, err := core.Prepare(gpu.NewContext(ng, gpu.M2090()), a, ord, false)
+	if err != nil {
+		panic("bench: " + err.Error()) // the generators build square matrices
 	}
-	panic("bench: unknown ordering " + name)
+	return p.A, p.Layout
 }
 
 // Fig6Row is one (matrix, ordering, s) sample of the surface-to-volume
@@ -69,20 +65,20 @@ func Fig6(cfg Config) *Fig6Result {
 	cfg.printf("Figure 6: surface-to-volume ratio, %d devices\n", ng)
 	cfg.printf("%-12s %-5s %4s %12s %14s\n", "matrix", "ord", "s", "max ratio", "extra flops")
 	for _, m := range mats {
-		for _, ord := range orderingNames {
-			a, layout := applyOrdering(m.A, ord, ng)
+		for _, ord := range orderings {
+			a, layout := applyOrdering(m.A, ord.Ordering, ng)
 			for s := 1; s <= 10; s++ {
 				dm := dist.Distribute(ctx, a, layout, s)
 				an := dist.Analyze(dm)
 				row := Fig6Row{
 					Matrix:    m.Name,
-					Ordering:  ord,
+					Ordering:  ord.label,
 					S:         s,
 					MaxRatio:  an.MaxSurfaceToVolume(),
 					ExtraWork: an.TotalExtraWork(),
 				}
 				res.Rows = append(res.Rows, row)
-				cfg.printf("%-12s %-5s %4d %12.4f %14.3e\n", m.Name, ord, s, row.MaxRatio, row.ExtraWork)
+				cfg.printf("%-12s %-5s %4d %12.4f %14.3e\n", m.Name, ord.label, s, row.MaxRatio, row.ExtraWork)
 			}
 		}
 	}
@@ -128,8 +124,8 @@ func Fig7(cfg Config) *Fig7Result {
 	cfg.printf("Figure 7: MPK communication volume for m=%d vectors, %d devices\n", mIters, ng)
 	cfg.printf("%-12s %-5s %4s %12s %10s\n", "matrix", "ord", "s", "elements", "vs SpMV")
 	for _, m := range mats {
-		for _, ord := range orderingNames {
-			a, layout := applyOrdering(m.A, ord, ng)
+		for _, ord := range orderings {
+			a, layout := applyOrdering(m.A, ord.Ordering, ng)
 			spmvVol := 0
 			for s := 1; s <= 10; s++ {
 				dm := dist.Distribute(ctx, a, layout, s)
@@ -143,9 +139,9 @@ func Fig7(cfg Config) *Fig7Result {
 					rel = float64(vol) / float64(spmvVol)
 				}
 				res.Rows = append(res.Rows, Fig7Row{
-					Matrix: m.Name, Ordering: ord, S: s, Volume: vol, RelativeToSpMV: rel,
+					Matrix: m.Name, Ordering: ord.label, S: s, Volume: vol, RelativeToSpMV: rel,
 				})
-				cfg.printf("%-12s %-5s %4d %12d %10.3f\n", m.Name, ord, s, vol, rel)
+				cfg.printf("%-12s %-5s %4d %12d %10.3f\n", m.Name, ord.label, s, vol, rel)
 			}
 		}
 	}
@@ -191,10 +187,10 @@ func Fig8(cfg Config) *Fig8Result {
 	// The paper plots cant under RCM and G3 under KWY (their best).
 	cases := []struct {
 		m   *matgen.Matrix
-		ord string
+		ord core.Ordering
 	}{
-		{benchCant(cfg.Scale), "RCM"},
-		{benchG3(cfg.Scale), "KWY"},
+		{benchCant(cfg.Scale), core.RCM},
+		{benchG3(cfg.Scale), core.KWay},
 	}
 	ng := cfg.MaxDevices
 	cfg.printf("Figure 8: MPK time to generate %d vectors, %d devices (modeled ms)\n", mIters, ng)

@@ -9,11 +9,12 @@ import (
 	"cagmres/internal/server"
 )
 
-// LocalNodeConfig configures one in-process backend: a full
-// cagmresd-style stack (device pool, scheduler, HTTP surface) living in
-// the router's process. The tier-1 tests, the chaos harness's cluster
-// mode and the router daemon's -local mode all build nodes this way, so
-// a simulated federation is one process with deterministic scheduling.
+// LocalNodeConfig configures one in-process backend: a full cagmresd
+// stack (device pool, scheduler, HTTP surface) in the calling process.
+// cagmresd is one such node; the tier-1 tests, the chaos harness's
+// cluster mode and the router daemon's -local mode build theirs the same
+// way, so a simulated federation is one process with deterministic
+// scheduling.
 type LocalNodeConfig struct {
 	// Name is the backend's shard identity (must be unique in a router).
 	Name string
@@ -26,22 +27,15 @@ type LocalNodeConfig struct {
 	Profile *gpu.Profile
 	// FaultPlans arms deterministic chaos on the pooled contexts (see
 	// sched.PoolConfig); Repair readmits evicted contexts after a death.
-	FaultPlans []gpu.FaultPlan
-	Repair     bool
-	// Scheduler knobs; zero values take the sched defaults.
-	QueueDepth     int
-	MaxBatch       int
-	MaxJobAttempts int
-	TraceEvents    int
+	FaultPlans  []gpu.FaultPlan
+	Repair      bool
+	TraceEvents int
 	// SLO overrides the node's SLO engine configuration (classes,
 	// windows, clock); the zero value takes the obs defaults.
 	SLO obs.SLOConfig
-	// Brownout arms SLO-driven load shedding on the node's scheduler;
-	// nil keeps it off.
-	Brownout *sched.BrownoutConfig
-	// DeadlineMargin arms the deadline-infeasibility admission gate;
-	// 0 keeps it off.
-	DeadlineMargin float64
+	// Sched configures the node's scheduler; NewLocalNode fills in its
+	// Pool, Registry and SLO engine. Zero values take the sched defaults.
+	Sched sched.Config
 }
 
 // LocalNode is one in-process backend: its scheduler, HTTP surface, and
@@ -65,7 +59,8 @@ func NewLocalNode(cfg LocalNodeConfig) *LocalNode {
 		cfg.Devices = 3
 	}
 	reg := obs.NewRegistry()
-	pool := sched.NewPoolWithConfig(sched.PoolConfig{
+	sc := cfg.Sched
+	sc.Pool = sched.NewPoolWithConfig(sched.PoolConfig{
 		Size:        cfg.PoolSize,
 		Devices:     cfg.Devices,
 		Model:       gpu.M2090(),
@@ -74,20 +69,9 @@ func NewLocalNode(cfg LocalNodeConfig) *LocalNode {
 		Repair:      cfg.Repair,
 		TraceEvents: cfg.TraceEvents,
 	})
-	var slo *obs.SLOEngine
-	if len(cfg.SLO.Classes) > 0 || cfg.SLO.Now != nil || cfg.SLO.FastWindow != 0 {
-		slo = obs.NewSLOEngine(reg, cfg.SLO)
-	}
-	s := sched.New(sched.Config{
-		Pool:           pool,
-		QueueDepth:     cfg.QueueDepth,
-		MaxBatch:       cfg.MaxBatch,
-		MaxJobAttempts: cfg.MaxJobAttempts,
-		Registry:       reg,
-		SLO:            slo,
-		Brownout:       cfg.Brownout,
-		DeadlineMargin: cfg.DeadlineMargin,
-	})
+	sc.Registry = reg
+	sc.SLO = obs.NewSLOEngine(reg, cfg.SLO)
+	s := sched.New(sc)
 	s.Start()
 	return &LocalNode{
 		Name:     cfg.Name,

@@ -699,6 +699,57 @@ func TestRouterKillReviveBreakerRace(t *testing.T) {
 	}
 }
 
+// TestBadOptionDoesNotTripHealthyNodes: a client's bad option is the
+// client's error on every node, so each of six waited solves naming an
+// unknown TSQR strategy is answered 400 bad_request by the first-choice
+// node and passed through — no reroute, no breaker failure, no budget
+// token, no failed job in any node's SLO — and a valid solve afterwards
+// completes. (Admitted and failed as a job, the same request opened both
+// healthy nodes' breakers and the next valid solve got a 503.)
+func TestBadOptionDoesNotTripHealthyNodes(t *testing.T) {
+	_, nodes := newTestCluster(t, 2)
+	r := New(Config{
+		Backends:         []*Backend{nodes[0].Backend(), nodes[1].Backend()},
+		MaxHops:          2,
+		RetryBudgetRatio: 0.1,
+		RetryBudgetBurst: 10,
+		Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
+		Now:              func() float64 { return 0 },
+	})
+	body := func(ortho string) []byte {
+		b, err := json.Marshal(server.SolveRequest{Matrix: tinySpec(), M: 20, S: 4, Tol: 1e-6, Ortho: ortho, Wait: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < 6; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body("bogus")))
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, req)
+		var e obs.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Fatalf("bad ortho %d: HTTP %d %s, want 400 bad_request", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if code, job, _ := post(t, r, body("CholQR")); code != http.StatusOK || job.State != "done" {
+		t.Fatalf("valid solve after the bad ones: HTTP %d %+v", code, job)
+	}
+	res := r.ResilienceSnapshot()
+	_, reroutes, _ := r.Counts()
+	if reroutes != 0 || res.RetryBudgetSpent != 0 {
+		t.Errorf("bad options were retried: reroutes %d, retry budget spent %d", reroutes, res.RetryBudgetSpent)
+	}
+	for _, n := range nodes {
+		if st := res.Breakers[n.Name]; st != BreakerClosed {
+			t.Errorf("breaker of healthy %s is %q, want closed", n.Name, st)
+		}
+		if n.Sched.SLO().Report().Degraded {
+			t.Errorf("%s reports slo_degraded after answering bad requests", n.Name)
+		}
+	}
+}
+
 // stepClock is a router clock a test advances by hand or, with a step,
 // on every read — goroutine-safe, since reaped hedge losers read it too.
 type stepClock struct {

@@ -13,6 +13,7 @@ import (
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
+	"cagmres/internal/sched"
 	"cagmres/internal/server"
 )
 
@@ -171,7 +172,7 @@ func TestRouterForwardOnOverload(t *testing.T) {
 // to a survivor, preserving the attempt accounting.
 func TestRouterNodeDeathReroute(t *testing.T) {
 	doomed := NewLocalNode(LocalNodeConfig{
-		Name: "doomed", Devices: 2, MaxJobAttempts: 1,
+		Name: "doomed", Devices: 2, Sched: sched.Config{MaxJobAttempts: 1},
 		FaultPlans: []gpu.FaultPlan{{Seed: 3, Deaths: []gpu.DeviceDeath{
 			{Device: 0, At: 1e-9}, {Device: 1, At: 1e-9},
 		}}},

@@ -29,15 +29,17 @@ import (
 // path does not heal — there is no iterate to resume from).
 func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, err error) {
 	defer guardFaults(&err)
+	// The options are CA-GMRES's, checked by Check, except that a step
+	// outside 1..M is clamped rather than refused.
 	opts.defaults()
+	opts.S = min(max(opts.S, 1), opts.M)
+	c, err := check("ca", opts, p.A)
+	if err != nil {
+		return nil, err
+	}
 	ctx := p.Ctx
 	ctx.ResetStats()
-	n := p.Layout.N
-	m := opts.M
-	if m < 1 || m > n {
-		return nil, fmt.Errorf("core: Arnoldi steps %d out of range for n=%d", m, n)
-	}
-	s := min(max(opts.S, 1), m)
+	n, m, s := p.Layout.N, c.M, c.S
 
 	ws := ctx.TakeWorkspace()
 	defer ws.Release()
@@ -63,15 +65,11 @@ func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, e
 	if s == 1 {
 		steps = kr.arnoldi(arnoldiCGS, 1, keepHessenberg(h, 0))
 	} else {
-		tsqr, borth, err := opts.strategies()
-		if err != nil {
-			return nil, err
-		}
 		for steps < m {
 			w := min(s, m-steps)
-			if _, err := kr.window(h, steps, w, nil, tsqr, borth); err != nil {
+			if _, err := kr.window(h, steps, w, nil, c.tsqr, c.borth); err != nil {
 				if steps == 0 {
-					return nil, fmt.Errorf("core: CA-Arnoldi window at 0 (%s): %w", tsqr.Name(), err)
+					return nil, fmt.Errorf("core: CA-Arnoldi window at 0 (%s): %w", c.tsqr.Name(), err)
 				}
 				break // invariant subspace: use what we have
 			}

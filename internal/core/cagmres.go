@@ -22,35 +22,11 @@ import (
 // supplies the Ritz values that become Leja-ordered Newton shifts for all
 // later restarts.
 func CAGMRES(p *Problem, opts Options) (*Result, error) {
-	opts.defaults()
-	tsqr, borth, err := opts.strategies()
+	c, err := check("ca", opts, p.A)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Basis != "newton" && opts.Basis != "monomial" {
-		return nil, fmt.Errorf("core: unknown basis %q", opts.Basis)
-	}
-	if opts.S < 1 || opts.S > opts.M {
-		return nil, fmt.Errorf("core: step size s=%d out of range for m=%d", opts.S, opts.M)
-	}
-	if opts.Precision, err = NormalizePrecision(opts.Precision); err != nil {
-		return nil, err
-	}
-	return solveHealing(p, opts, "cagmres", opts.S, &caSolver{tsqr: tsqr, borth: borth})
-}
-
-// strategies resolves the TSQR and BOrth implementations the options
-// name (OrthoImpl overriding Ortho).
-func (o *Options) strategies() (ortho.TSQR, ortho.BOrth, error) {
-	tsqr, err := ortho.ByName(o.Ortho)
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.OrthoImpl != nil {
-		tsqr = o.OrthoImpl
-	}
-	borth, err := ortho.BOrthByName(o.BOrth)
-	return tsqr, borth, err
+	return solveHealing(p, c.Options, "cagmres", c.S, &caSolver{tsqr: c.tsqr, borth: c.borth})
 }
 
 // caBoundary is the state CA-GMRES carries from one restart boundary to

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -9,117 +8,7 @@ import (
 	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 	"cagmres/internal/obs"
-	"cagmres/internal/ortho"
 )
-
-// Options configures the solvers.
-type Options struct {
-	// M is the restart length (the paper sweeps 30..180).
-	M int
-	// S is the CA-GMRES step/block size (ignored by GMRES).
-	S int
-	// Tol is the relative residual reduction target; the paper declares
-	// convergence at 1e-4.
-	Tol float64
-	// MaxRestarts bounds the outer loop.
-	MaxRestarts int
-	// Ortho selects the orthogonalization: for GMRES, "MGS" or "CGS"
-	// (the Arnoldi variants of Figure 14); for CA-GMRES, a TSQR strategy
-	// name, optionally "2x"-prefixed ("MGS", "CGS", "CholQR", "SVQR",
-	// "CAQR", "2xCGS", "2xCholQR", ...).
-	Ortho string
-	// BOrth selects the block-orthogonalization variant for CA-GMRES:
-	// "CGS" (paper default) or "MGS".
-	BOrth string
-	// Basis selects the CA-GMRES Krylov basis: "newton" (default, with
-	// Leja-ordered Ritz shifts harvested from the first restart) or
-	// "monomial".
-	Basis string
-	// OrthoImpl, when non-nil, overrides Ortho with an explicit TSQR
-	// implementation (the benchmark harness uses it to wrap strategies
-	// with error instrumentation for Figure 13).
-	OrthoImpl ortho.TSQR
-	// AdaptiveS enables the adaptive step-size scheme the paper lists as
-	// future work (its reference [23]): when a basis window turns out
-	// numerically rank deficient — the monomial/Newton basis grew too
-	// ill-conditioned for the chosen s — CA-GMRES halves the step size
-	// and retries instead of discarding the window or failing, restoring
-	// s on later restarts when windows factor at first attempt again.
-	AdaptiveS bool
-	// Telemetry, when non-nil, receives a convergence-telemetry record
-	// stream: per inner step (GMRES) or matrix-powers window (CA-GMRES),
-	// per restart cycle, and a final "done" record whose RelRes matches
-	// the returned Result. Every record carries the ledger's modeled
-	// clock at emission. A nil sink disables telemetry at zero cost.
-	Telemetry obs.Sink
-	// Overlap enables the overlapped stream schedule on the device
-	// context for this solve: halo transfers overlap local SpMV in the
-	// matrix powers kernel, host-side Hessenberg/Givens work overlaps
-	// device GEMMs, and modeled time becomes the critical path through
-	// the stream dependency DAG (Context.OverlappedTime). Off by default:
-	// the synchronous barrier schedule, identical to previous behavior.
-	Overlap bool
-	// Profile, when non-nil, re-targets the device context at this
-	// machine profile for the solve: cost model and interconnect topology
-	// swap together before the ledger resets (see gpu.Profile). Profiles
-	// reorder modeled time, never arithmetic — iterates and convergence
-	// histories are bit-identical across profiles. Nil keeps whatever
-	// profile the context already carries (the paper's M2090 host-hub by
-	// default).
-	Profile *gpu.Profile
-	// Ctx, when non-nil, makes the solve cancelable: the solvers check it
-	// at every restart boundary (and CA-GMRES additionally between
-	// matrix-powers windows) and, once it is canceled or past its
-	// deadline, stop early and return the best-so-far Result with
-	// Canceled set. A nil Ctx solves to convergence or MaxRestarts, as
-	// before. This is what lets the internal/sched scheduler enforce
-	// per-job deadlines without tearing down the device context.
-	Ctx context.Context
-	// Precision selects the element-width policy of the CA basis
-	// pipeline: "fp64" (default, the historical full-double solver,
-	// bit-identical to before this option existed), "mixed" (fp32 basis
-	// generation with FP64 correction at every restart boundary —
-	// iterative refinement with a narrow inner solver), or "adaptive"
-	// (start narrow while the residual is large, tighten toward fp64
-	// near convergence, driven by the restart-boundary true residual
-	// and per-window orthogonality-loss telemetry). Whatever the mode,
-	// convergence is only ever declared from the FP64-recomputed true
-	// residual. GMRES supports only "fp64". See NormalizePrecision.
-	Precision string
-}
-
-// canceled reports whether the solve's optional context has been
-// canceled or has exceeded its deadline.
-func (o *Options) canceled() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
-func (o *Options) defaults() {
-	if o.M == 0 {
-		o.M = 30
-	}
-	if o.S == 0 {
-		o.S = 10
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-4
-	}
-	if o.MaxRestarts == 0 {
-		o.MaxRestarts = 500
-	}
-	if o.Ortho == "" {
-		o.Ortho = "CGS"
-	}
-	if o.BOrth == "" {
-		o.BOrth = "CGS"
-	}
-	if o.Basis == "" {
-		o.Basis = "newton"
-	}
-	if o.Precision == "" {
-		o.Precision = PrecisionFP64
-	}
-}
 
 // Result reports a solve.
 type Result struct {
@@ -171,16 +60,9 @@ const (
 // reduction per dot product) or CGS (BLAS-2, fused projection) — the
 // baseline of every comparison in the paper.
 func GMRES(p *Problem, opts Options) (*Result, error) {
-	opts.defaults()
-	if opts.Ortho != "MGS" && opts.Ortho != "CGS" {
-		return nil, fmt.Errorf("core: GMRES supports Ortho MGS or CGS, got %q", opts.Ortho)
-	}
-	if prec, err := NormalizePrecision(opts.Precision); err != nil {
+	opts, err := Check("gmres", opts, p.A)
+	if err != nil {
 		return nil, err
-	} else if prec != PrecisionFP64 {
-		// The precision policy narrows the CA basis pipeline; plain GMRES
-		// has no window structure to refine over, so it stays fp64.
-		return nil, fmt.Errorf("core: GMRES supports only fp64 precision, got %q", prec)
 	}
 	orth := arnoldiStep(arnoldiCGS)
 	if opts.Ortho == "MGS" {

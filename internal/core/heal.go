@@ -75,10 +75,8 @@ func (ck *checkpoint) capture(x []float64, restart int, res *Result) {
 // loss shrinks the problem onto the survivors and retries from the
 // checkpoint; losing the last device is unrecoverable. The loop is
 // bounded by the device count — every heal removes at least one device.
+// opts have passed Check.
 func solveHealing(p *Problem, opts Options, solver string, depth int, s cycler) (*Result, error) {
-	if opts.M < 1 || opts.M > p.Layout.N {
-		return nil, fmt.Errorf("core: restart length %d out of range for n=%d", opts.M, p.Layout.N)
-	}
 	if opts.Profile != nil {
 		p.Ctx.SetProfile(*opts.Profile)
 	}

@@ -31,6 +31,23 @@ const (
 	Hypergraph Ordering = "hypergraph"
 )
 
+// ParseOrdering is the one list of ordering names Prepare, the server and
+// the CLI accept.
+func ParseOrdering(name string) (Ordering, error) {
+	switch o := Ordering(name); o {
+	case Natural, RCM, KWay, Hypergraph:
+		return o, nil
+	}
+	return "", fmt.Errorf("core: unknown ordering %q", name)
+}
+
+func checkSquare(a *sparse.CSR) error {
+	if a.Rows != a.Cols {
+		return fmt.Errorf("core: matrix must be square, got %dx%d", a.Rows, a.Cols)
+	}
+	return nil
+}
+
 // Problem is a linear system prepared for the distributed solvers: the
 // (optionally balanced and reordered) matrix, its layout over the
 // simulated devices, and the right-hand side in the permuted/balanced
@@ -107,8 +124,8 @@ func NewProblem(ctx *gpu.Context, a *sparse.CSR, b []float64, ordering Ordering,
 // solve then reads from the result is immutable, so one prepared problem
 // can back many concurrent solves through OnContext.
 func Prepare(ctx *gpu.Context, a *sparse.CSR, ordering Ordering, balance bool) (*Problem, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("core: matrix must be square, got %dx%d", a.Rows, a.Cols)
+	if err := checkSquare(a); err != nil {
+		return nil, err
 	}
 	ng := ctx.NumDevices
 	n := a.Rows
@@ -134,7 +151,8 @@ func Prepare(ctx *gpu.Context, a *sparse.CSR, ordering Ordering, balance bool) (
 		p.A = a.Permute(perm)
 		p.Layout = dist.NewLayout(n, bounds)
 	default:
-		return nil, fmt.Errorf("core: unknown ordering %q", ordering)
+		_, err := ParseOrdering(string(ordering))
+		return nil, err
 	}
 	if balance {
 		p.rowScale, p.colScale = sparse.Balance(p.A)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,10 +19,18 @@ import (
 // ledger table plus the exact per-phase host charges, the modeled clock
 // under both schedules, the outer-loop counters, the fault and precision
 // reports, the error, and a hash of the solution's bits. sink, when
-// non-nil, sees every record too (the cancel arms drive it).
+// non-nil, sees every record too (the cancel arms drive it). An arm whose
+// options fail Check says so, which no arm of the golden does.
 func streamArm(sb *strings.Builder, name string, solve func(*Problem, Options) (*Result, error),
 	p *Problem, opts Options, sink obs.Sink) {
 	fmt.Fprintf(sb, "== %s\n", name)
+	solver := "ca"
+	if reflect.ValueOf(solve).Pointer() == reflect.ValueOf(GMRES).Pointer() {
+		solver = "gmres"
+	}
+	if _, err := Check(solver, opts, p.A); err != nil {
+		fmt.Fprintf(sb, "check %v\n", err)
+	}
 	opts.Telemetry = obs.MultiSink(sink, obs.SinkFunc(func(r obs.Record) {
 		fmt.Fprintf(sb, "%s %d %d %.15e %.15e %q %q %.15e\n",
 			r.Kind, r.Restart, r.Step, r.RelRes, r.OrthoLoss, r.TSQR, r.Precision, r.Clock)

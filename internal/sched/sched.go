@@ -16,19 +16,6 @@ import (
 	"cagmres/internal/sparse"
 )
 
-// SolverByName is the one definition of the solver names a Spec accepts:
-// "gmres", "ca", and "" for the default (CA-GMRES). The scheduler
-// dispatches on it and the server validates request bodies against it.
-func SolverByName(name string) (func(*core.Problem, core.Options) (*core.Result, error), error) {
-	switch name {
-	case "gmres":
-		return core.GMRES, nil
-	case "ca", "":
-		return core.CAGMRES, nil
-	}
-	return nil, fmt.Errorf("sched: unknown solver %q", name)
-}
-
 // Spec describes one solve job: the system to solve and the solver
 // configuration. Matrix is shared and must not be mutated after Submit.
 type Spec struct {
@@ -41,7 +28,7 @@ type Spec struct {
 	MatrixKey string
 	// B is the right-hand side in original coordinates.
 	B []float64
-	// Solver selects "gmres" or "ca" (see SolverByName).
+	// Solver selects "gmres" or "ca" (see core.SolverByName).
 	Solver string
 	// Ordering and Balance configure the problem preparation.
 	Ordering core.Ordering
@@ -880,7 +867,7 @@ func (s *Scheduler) execute(batch []*Job) {
 		ls.SetAttr("batch", strconv.Itoa(len(batch)))
 
 		var res *core.Result
-		solve, err := SolverByName(j.Spec.Solver)
+		solve, err := core.SolverByName(j.Spec.Solver)
 		if err == nil && problem == nil {
 			problem, err = s.prepare(j, ls, lease)
 		}

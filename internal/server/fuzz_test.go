@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cagmres/internal/core"
-	"cagmres/internal/sched"
 )
 
 // FuzzMatrixMarketSpec drives the server's inline-matrix path — the
@@ -115,7 +114,7 @@ func FuzzPrecisionField(f *testing.F) {
 			return // the handler answers bad_request before either field is read
 		}
 		known := req.Solver == "" || req.Solver == "ca" || req.Solver == "gmres"
-		if solve, err := sched.SolverByName(req.Solver); (solve != nil) != known || (err == nil) != known {
+		if solve, err := core.SolverByName(req.Solver); (solve != nil) != known || (err == nil) != known {
 			t.Fatalf("SolverByName(%q) = %v, %v; known name: %v", req.Solver, solve != nil, err, known)
 		}
 		got, err := core.NormalizePrecision(req.Precision)

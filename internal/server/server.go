@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"cagmres/internal/core"
-	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
@@ -363,9 +362,27 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveReques
 	if ctl.DeadlineMS > 0 {
 		req.DeadlineMS = ctl.DeadlineMS
 	}
-	if _, err := sched.SolverByName(req.Solver); err != nil {
+	ordering := core.KWay
+	if req.Ordering != "" {
+		if ordering, err = core.ParseOrdering(req.Ordering); err != nil {
+			return req, spec, badRequest(err.Error())
+		}
+	}
+	opts := core.Options{
+		M: req.M, S: req.S, Tol: req.Tol, MaxRestarts: req.MaxRestarts,
+		Ortho: req.Ortho, BOrth: req.BOrth, Basis: req.Basis, Precision: req.Precision,
+	}
+	if opts.Precision == "" {
+		opts.Precision = s.defaultPrecision
+	}
+	// The options are checked by name before the matrix is built and
+	// against it after; the spec keeps them as sent but for the
+	// normalized precision, so batch keys compare what clients asked for.
+	checked, err := core.Check(req.Solver, opts, nil)
+	if err != nil {
 		return req, spec, badRequest(err.Error())
 	}
+	opts.Precision = checked.Precision
 	a, key, err := s.matrix(req.Matrix)
 	if err != nil {
 		return req, spec, badRequest("matrix: " + err.Error())
@@ -374,47 +391,22 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveReques
 	if err != nil {
 		return req, spec, badRequest(err.Error())
 	}
-	ordering := core.KWay
-	if req.Ordering != "" {
-		switch core.Ordering(req.Ordering) {
-		case core.Natural, core.RCM, core.KWay, core.Hypergraph:
-			ordering = core.Ordering(req.Ordering)
-		default:
-			return req, spec, badRequest("unknown ordering " + req.Ordering)
-		}
-	}
-	balance := true
-	if req.Balance != nil {
-		balance = *req.Balance
-	}
-	if req.Precision == "" {
-		req.Precision = s.defaultPrecision
-	}
-	precision, err := core.NormalizePrecision(req.Precision)
-	if err != nil {
+	if _, err := core.Check(req.Solver, opts, a); err != nil {
 		return req, spec, badRequest(err.Error())
 	}
-	var prof *gpu.Profile
 	if len(req.Profile) > 0 {
 		p, err := profile.Decode(req.Profile)
 		if err != nil {
 			return req, spec, badRequest(err.Error())
 		}
-		prof = &p
+		opts.Profile = &p
 	}
-	spec = sched.Spec{
-		Matrix:    a,
-		MatrixKey: key,
-		B:         b,
-		Solver:    req.Solver,
-		Ordering:  ordering,
-		Balance:   balance,
-		Opts: core.Options{
-			M: req.M, S: req.S, Tol: req.Tol, MaxRestarts: req.MaxRestarts,
-			Ortho: req.Ortho, BOrth: req.BOrth, Basis: req.Basis,
-			Precision: precision, Profile: prof,
-		},
+	balance := true
+	if req.Balance != nil {
+		balance = *req.Balance
 	}
+	spec = sched.Spec{Matrix: a, MatrixKey: key, B: b, Solver: req.Solver,
+		Ordering: ordering, Balance: balance, Opts: opts}
 	return req, spec, nil
 }
 

@@ -352,17 +352,37 @@ func TestDecodeStageRejections(t *testing.T) {
 		{"body", "", `{not json`, 400, codeBadRequest,
 			`bad request body: invalid character 'n' looking for beginning of object key string`},
 		{"solver", "", `{` + tiny + `,"solver":"bicgstab"}`, 400, codeBadRequest,
-			`sched: unknown solver "bicgstab"`},
+			`core: unknown solver "bicgstab"`},
 		{"matrix", "", `{"matrix":{}}`, 400, codeBadRequest,
 			`matrix: matrix spec needs name or matrixmarket`},
 		{"rhs", "", `{` + tiny + `,"rhs":"zeros"}`, 400, codeBadRequest,
 			`unknown rhs "zeros"`},
 		{"ordering", "", `{` + tiny + `,"ordering":"sorted"}`, 400, codeBadRequest,
-			`unknown ordering sorted`},
+			`core: unknown ordering "sorted"`},
 		{"precision", "", `{` + tiny + `,"precision":"fp16"}`, 400, codeBadRequest,
 			`core: unknown precision "fp16" (want fp64, mixed or adaptive)`},
 		{"profile", "", `{` + tiny + `,"profile":{"base":"k20"}}`, 400, codeBadRequest,
 			`profile: unknown profile "k20" (have a100-pcie, h100-nvlink, m2090)`},
+		{"ortho", "", `{` + tiny + `,"ortho":"bogus"}`, 400, codeBadRequest,
+			`ortho: unknown strategy "bogus"`},
+		{"borth", "", `{` + tiny + `,"borth":"bogus"}`, 400, codeBadRequest,
+			`ortho: unknown BOrth variant "bogus"`},
+		{"basis", "", `{` + tiny + `,"basis":"bogus"}`, 400, codeBadRequest,
+			`core: unknown basis "bogus"`},
+		{"s above m", "", `{` + tiny + `,"m":30,"s":40}`, 400, codeBadRequest,
+			`core: step size s=40 out of range for m=30`},
+		{"s below 1", "", `{` + tiny + `,"s":-1}`, 400, codeBadRequest,
+			`core: step size s=-1 out of range for m=30`},
+		{"m below 1", "", `{` + tiny + `,"m":-1}`, 400, codeBadRequest,
+			`core: restart length m=-1, want at least 1`},
+		{"m above n", "", `{` + tiny + `,"m":65}`, 400, codeBadRequest,
+			`core: restart length m=65 exceeds n=64`},
+		{"gmres ortho", "", `{` + tiny + `,"solver":"gmres","ortho":"CholQR"}`, 400, codeBadRequest,
+			`core: GMRES supports Ortho MGS or CGS, got "CholQR"`},
+		{"gmres precision", "", `{` + tiny + `,"solver":"gmres","precision":"mixed"}`, 400, codeBadRequest,
+			`core: GMRES supports only fp64 precision, got "mixed"`},
+		{"non-square", "", `{"matrix":{"matrixmarket":"%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"}}`,
+			400, codeBadRequest, `core: matrix must be square, got 2x3`},
 		{"oversized", "", strings.Repeat(" ", MaxBodyBytes+1), 413, codeRequestTooLarge,
 			`http: request body too large`},
 	}

@@ -58,6 +58,11 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: negative size %d %d %d", rows, cols, nnz)
 	}
+	if symmetry != "general" && rows != cols {
+		// The mirrored entry of (i, j) is (j, i): only a square matrix
+		// has one for every entry.
+		return nil, fmt.Errorf("sparse: %s matrix must be square, got %dx%d", symmetry, rows, cols)
+	}
 
 	// Preallocation is capped: nnz comes straight from untrusted input,
 	// and an absurd claim must not allocate before the entries exist.

@@ -89,6 +89,7 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5\n", // truncated
 		"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 1 1\n2 1 1\n", // no mirror of (2,1)
 	}
 	for i, src := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
