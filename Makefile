@@ -1,12 +1,13 @@
 # Repo gates. `make check` is the full pre-merge bar: vet, gofmt
 # (`make fmt-check`: no tracked .go file may differ from its gofmt form),
 # staticcheck (when installed), the one-definition lint of the reduce protocol
-# (`make protocol-lint`: only internal/gpu's collectives spell it), the
+# (`make protocol-lint`: only internal/gpu's collectives spell it, and
+# la/ortho/dist/core start no goroutines of their own), the
 # no-dead-exports lint (`make unreached`: an exported function under
 # internal/ has a caller outside the tests or is a named test oracle), the
 # race detector over the concurrency hot spots
-# (gpu.RunAll and the Stats ledger, la's panel-parallel kernels, the
-# ortho strategies on top of them, the sched/server serving stack, and
+# (gpu.RunAll and the Stats ledger, the kernels that run on its device
+# goroutines — la and the ortho strategies — the sched/server serving stack, and
 # core's heal/cancel/fault tests — its recovery boundary is a recover
 # around RunAll goroutines),
 # then the whole deterministic test suite, then the command-line check
@@ -89,7 +90,8 @@ staticcheck:
 # The host-staged reduce protocol has one definition: gpu.Context's
 # Launch/Gather/Broadcast/AllReduce. Fails on a []gpu.Work or a RunAll
 # above internal/gpu (dist's MPK, Distribute and ZeroCols excepted; see the
-# script).
+# script), and on a go statement, sync.WaitGroup or runtime.GOMAXPROCS in
+# la, ortho, dist or core: gpu.Context alone owns device concurrency.
 protocol-lint:
 	@sh scripts/protocol_lint.sh
 
@@ -107,11 +109,8 @@ test:
 cli-check:
 	@GO="$(GO)" sh scripts/cli_check.sh
 
-# (sync.Pool drops a quarter of its Puts under the race detector, so the
-# pooled-buffer allocation count of la's precision kernels is asserted by
-# `make test` only.)
 race:
-	$(GO) test -race -skip TestPrecisionKernelsAllocFree ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
+	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
 	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault|PoisonedWorkspace|ResultSurvivesNextSolve'

@@ -142,7 +142,7 @@ func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error 
 	ctx.AllReduce(PhaseOrth, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
 		vk := v.Local[d].Col(k + 1)
 		prev := v.Local[d].ColView(0, k+1)
-		la.ParallelGemvT(prev, vk, part[:k+1])
+		la.GemvT(1, prev, vk, 0, part[:k+1])
 		part[k+1] = la.Dot(vk, vk)
 		rows := float64(len(vk))
 		return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}

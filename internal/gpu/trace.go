@@ -74,23 +74,40 @@ func laneFor(e Event) (tid int, lane string) {
 	}
 }
 
-// EventLane maps an event to its stable Chrome-trace thread lane: id 0 is
-// the shared communication row, 1 the host CPU, and 2+d device d. External
-// exporters (the request-trace stitching in internal/obs) use this so a
-// job's device lanes match the standalone ledger export slice for slice.
-func EventLane(e Event) (tid int, name string) {
-	return laneFor(e)
+// WalkSlices lays events out on the Chrome timeline and hands each to
+// visit with its start and lane. Timestamps are the cumulative modeled
+// clock: launch groups (consecutive events sharing a Step — e.g. the
+// per-device slices of one kernel launch) start together and the clock
+// advances by the group's maximum duration. If a ring buffer wrapped, the
+// clock starts at zero from the oldest retained event. Both Chrome
+// exports — WriteChromeTrace and the request-trace stitching in
+// internal/obs — walk the ledger through it, so a job's device lanes
+// match the standalone export slice for slice.
+func WalkSlices(events []Event, visit func(e Event, start float64, tid int, lane string)) {
+	clock := 0.0 // modeled seconds since the first retained event
+	for i := 0; i < len(events); {
+		j := i
+		var groupDur float64
+		for j < len(events) && events[j].Step == events[i].Step {
+			if t := events[j].Time; t > groupDur {
+				groupDur = t
+			}
+			j++
+		}
+		for _, e := range events[i:j] {
+			tid, lane := laneFor(e)
+			visit(e, clock, tid, lane)
+		}
+		clock += groupDur
+		i = j
+	}
 }
 
 // WriteChromeTrace renders the traces in Chrome trace_event format: each
 // Trace becomes one process (pid), each event a complete-duration slice
-// on its lane — one lane per device plus shared comm and host lanes.
-// Timestamps are the cumulative modeled clock: launch groups (events
-// sharing a Step — e.g. the per-device slices of one kernel launch) start
-// together and the clock advances by the group's maximum duration, so
-// concurrent device work renders side by side and the x-axis is
-// deterministic modeled time, not wall time. If a ring buffer wrapped,
-// the clock starts at zero from the oldest retained event.
+// on its lane — one lane per device plus shared comm and host lanes —
+// placed by WalkSlices, so concurrent device work renders side by side
+// and the x-axis is deterministic modeled time, not wall time.
 func WriteChromeTrace(w io.Writer, traces []Trace) error {
 	file := chromeTraceFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	for pid, tr := range traces {
@@ -103,44 +120,29 @@ func WriteChromeTrace(w io.Writer, traces []Trace) error {
 			Args: map[string]any{"name": name},
 		})
 		lanes := map[int]bool{}
-		clock := 0.0 // modeled seconds since the first retained event
-		for i := 0; i < len(tr.Events); {
-			// One launch group: consecutive events sharing a Step.
-			j := i
-			var groupDur float64
-			for j < len(tr.Events) && tr.Events[j].Step == tr.Events[i].Step {
-				if t := tr.Events[j].Time; t > groupDur {
-					groupDur = t
-				}
-				j++
-			}
-			for _, e := range tr.Events[i:j] {
-				tid, lane := laneFor(e)
-				if !lanes[tid] {
-					lanes[tid] = true
-					file.TraceEvents = append(file.TraceEvents, chromeEvent{
-						Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-						Args: map[string]any{"name": lane},
-					})
-				}
-				args := map[string]any{"seq": e.Seq, "bytes": e.Bytes}
-				if e.Device >= 0 {
-					args["device"] = e.Device
-				}
+		WalkSlices(tr.Events, func(e Event, start float64, tid int, lane string) {
+			if !lanes[tid] {
+				lanes[tid] = true
 				file.TraceEvents = append(file.TraceEvents, chromeEvent{
-					Name: e.Phase,
-					Cat:  e.Kind,
-					Ph:   "X",
-					Ts:   clock * 1e6, // microseconds
-					Dur:  e.Time * 1e6,
-					Pid:  pid,
-					Tid:  tid,
-					Args: args,
+					Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+					Args: map[string]any{"name": lane},
 				})
 			}
-			clock += groupDur
-			i = j
-		}
+			args := map[string]any{"seq": e.Seq, "bytes": e.Bytes}
+			if e.Device >= 0 {
+				args["device"] = e.Device
+			}
+			file.TraceEvents = append(file.TraceEvents, chromeEvent{
+				Name: e.Phase,
+				Cat:  e.Kind,
+				Ph:   "X",
+				Ts:   start * 1e6, // microseconds
+				Dur:  e.Time * 1e6,
+				Pid:  pid,
+				Tid:  tid,
+				Args: args,
+			})
+		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(file)

@@ -98,17 +98,6 @@ func BenchmarkGemmTN(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelGemvT(b *testing.B) {
-	a := benchMatrix(1<<16, 30)
-	rng := rand.New(rand.NewSource(4))
-	x := randVec(rng, 1<<16)
-	y := make([]float64, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelGemvT(a, x, y)
-	}
-}
-
 func BenchmarkSyrkGram(b *testing.B) {
 	a := benchMatrix(1<<16, 30)
 	c := NewDense(30, 30)

@@ -113,7 +113,7 @@ func GemmNN(alpha float64, a, b *Dense, beta float64, c *Dense) {
 		panic(fmt.Sprintf("la: GemmNN shape mismatch A=%dx%d B=%dx%d C=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if minDim3(a.Rows, a.Cols, b.Cols) >= gemmTileMin {
+	if min(a.Rows, a.Cols, b.Cols) >= gemmTileMin {
 		gemmNNTiled(alpha, a, b, beta, c)
 		return
 	}
@@ -129,10 +129,6 @@ func GemmTN(alpha float64, a, b *Dense, beta float64, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("la: GemmTN shape mismatch A=%dx%d B=%dx%d C=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	if minDim3(a.Rows, a.Cols, b.Cols) >= gemmTileMin {
-		gemmTNTiled(alpha, a, b, beta, c)
-		return
 	}
 	for j := 0; j < b.Cols; j++ {
 		gemvTCols(alpha, a, 0, a.Cols, b.Col(j), beta, c.Col(j))

@@ -139,10 +139,14 @@ func TestF32KernelsMatchFP64WithinSingle(t *testing.T) {
 func TestPrecisionKernelsAllocFree(t *testing.T) {
 	// The pooled conversion buffers keep the narrow/compute/widen
 	// round-trip alloc-free after warm-up.
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	const rows, k, n = 512, 6, 4
 	a := randDense(rand.New(rand.NewSource(11)), rows, k)
 	bm := randDense(rand.New(rand.NewSource(12)), k, n)
 	c := NewDense(rows, n)
+	g := NewDense(k, k)
 	x := make([]float64, k)
 	y := make([]float64, rows)
 	GemmNNF32(1, a, bm, 0, c) // warm the pool
@@ -150,6 +154,7 @@ func TestPrecisionKernelsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() {
 		GemmNNF32(1, a, bm, 0, c)
 		GemvF32(1, a, x, 0, y)
+		GramF32(a, g)
 		RoundF32(y)
 		RoundBF16(y)
 	}); allocs > 0 {

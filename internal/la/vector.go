@@ -5,13 +5,13 @@
 // shifts used by the Newton-basis matrix powers kernel.
 //
 // The package has no dependency outside the repository; one inner loop,
-// axpy4, has an AVX2 assembly body on amd64 beside its Go loop. Kernels
-// come in a serial form and, where it matters for tall-skinny workloads
-// (GEMM/GEMV on matrices with hundreds of thousands of rows and tens of
-// columns), a parallel blocked form. The parallel forms mirror the batched
-// DGEMM optimization of Yamazaki et al. (IPDPS 2014, Section V-F): the tall
-// matrix is cut into row panels, each panel product is computed
-// independently, and a final reduction sums the partial Gram matrices.
+// axpy4, has an AVX2 assembly body on amd64 beside its Go loop. The
+// package starts no goroutines: a device's kernels run on the goroutine
+// gpu.Context gives that device, and device concurrency is the context's
+// alone. The batched Gram kernels keep the panel schedule of the batched
+// DGEMM of Yamazaki et al. (IPDPS 2014, Section V-F) as their numerical
+// definition: the tall matrix is cut into row panels, each panel product
+// is a partial, and the partials are summed in panel order.
 package la
 
 import (

@@ -145,7 +145,7 @@ const (
 )
 
 // Lane tids inside the modeled-time process. Solver-phase spans get one
-// row; the ledger replay reuses gpu.EventLane's layout (comm 0, host 1,
+// row; the ledger replay reuses gpu.WalkSlices's lanes (comm 0, host 1,
 // device d at 2+d) shifted up by one so nothing collides.
 const (
 	solverLane    = 0
@@ -236,39 +236,23 @@ func (jt *JobTrace) WriteChromeTrace(w io.Writer) error {
 		slice(modeledPid, solverLane, s.Name, s.Kind, s.VStart, ve-s.VStart, spanArgs(s))
 	}
 
-	// Ledger replay: identical clocking to gpu.WriteChromeTrace — launch
-	// groups (events sharing a Step) start together, the clock advances by
-	// the group max — with slice names set to the event phase so summing a
-	// device lane by name reproduces Stats.DevicePhase term for term.
+	// Ledger replay: gpu.WriteChromeTrace's walk, with slice names set to
+	// the event phase so summing a device lane by name reproduces
+	// Stats.DevicePhase term for term.
 	if stats != nil {
-		events := stats.Trace()
 		lanes := map[int]bool{}
-		clock := 0.0
-		for i := 0; i < len(events); {
-			j := i
-			var groupDur float64
-			for j < len(events) && events[j].Step == events[i].Step {
-				if t := events[j].Time; t > groupDur {
-					groupDur = t
-				}
-				j++
+		gpu.WalkSlices(stats.Trace(), func(e gpu.Event, start float64, lane int, laneName string) {
+			tid := ledgerLaneOff + lane
+			if !lanes[tid] {
+				lanes[tid] = true
+				meta(modeledPid, tid, "thread_name", laneName)
 			}
-			for _, e := range events[i:j] {
-				lane, laneName := gpu.EventLane(e)
-				tid := ledgerLaneOff + lane
-				if !lanes[tid] {
-					lanes[tid] = true
-					meta(modeledPid, tid, "thread_name", laneName)
-				}
-				args := map[string]any{"seq": e.Seq, "bytes": e.Bytes}
-				if e.Device >= 0 {
-					args["device"] = e.Device
-				}
-				slice(modeledPid, tid, e.Phase, e.Kind, clock, e.Time, args)
+			args := map[string]any{"seq": e.Seq, "bytes": e.Bytes}
+			if e.Device >= 0 {
+				args["device"] = e.Device
 			}
-			clock += groupDur
-			i = j
-		}
+			slice(modeledPid, tid, e.Phase, e.Kind, start, e.Time, args)
+		})
 	}
 
 	enc := json.NewEncoder(w)

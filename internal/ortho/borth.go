@@ -64,7 +64,7 @@ func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.
 			la.GemmNNF32(-1, p[d], c, 1, w[d])
 			return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 4 * rows * float64(pc+2*wc), Elem: gpu.Elem32}
 		}
-		la.ParallelGemmNN(-1, p[d], c, 1, w[d])
+		la.GemmNN(-1, p[d], c, 1, w[d])
 		return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 8 * rows * float64(pc+2*wc)}
 	}, bc)
 	return c

@@ -90,7 +90,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 	ctx.Launch(phase, func(d int) gpu.Work {
 		qd := qStack.RowView(off[d], off[d+1])
 		out := la.NewDense(w[d].Rows, c)
-		la.ParallelGemmNN(1, localQ[d], qd, 0, out)
+		la.GemmNN(1, localQ[d], qd, 0, out)
 		w[d].CopyFrom(out)
 		rows := float64(w[d].Rows)
 		return gpu.Work{Flops: 2 * rows * float64(c) * float64(c), Bytes: 24 * rows * float64(c)}

@@ -30,7 +30,7 @@ func (CGSUnfused) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Den
 			proj := r.Col(k)[:k]
 			ctx.AllReduce(phase, proj, gpu.Elem64, func(d int, part []float64) gpu.Work {
 				vk := w[d].Col(k)
-				la.ParallelGemvT(w[d].ColView(0, k), vk, part)
+				la.GemvT(1, w[d].ColView(0, k), vk, 0, part)
 				rows := float64(len(vk))
 				return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+1)}
 			})

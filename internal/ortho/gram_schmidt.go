@@ -105,7 +105,7 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		ctx.AllReduce(phase, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
 			vk := w[d].Col(k)
 			if k > 0 {
-				la.ParallelGemvT(w[d].ColView(0, k), vk, part[:k])
+				la.GemvT(1, w[d].ColView(0, k), vk, 0, part[:k])
 			}
 			part[k] = la.Dot(vk, vk)
 			rows := float64(len(vk))

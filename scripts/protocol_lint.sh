@@ -8,6 +8,11 @@
 #     per device and its first step is charged as two launches), or
 #   - calls RunAll (dist's MPK, Distribute and ZeroCols may: device-side
 #     work that is charged elsewhere or not at all).
+# Device concurrency has one owner too: gpu.Context runs each device's
+# closure on that device's goroutine, so the kernels and the solver layers
+# start none of their own. Fails when a non-test Go file under
+# internal/la, internal/ortho, internal/dist or internal/core has a `go`
+# statement, a sync.WaitGroup or a runtime.GOMAXPROCS.
 # benchmark/ is the fixed yardstick and is not scanned. An optional
 # argument names another checkout to lint.
 set -eu
@@ -26,4 +31,11 @@ if [ -n "$bad" ]; then
 	echo "$bad" >&2
 	exit 1
 fi
-echo "protocol-lint: ok ($(echo "$files" | wc -l) files)"
+files=$(find ./internal/la ./internal/ortho ./internal/dist ./internal/core -name '*.go' ! -name '*_test.go')
+bad=$(code '(^|[^[:alnum:]_."])go[[:space:]]+[[:alpha:]_(]|sync\.WaitGroup|runtime\.GOMAXPROCS')
+if [ -n "$bad" ]; then
+	echo "protocol-lint: concurrency below gpu.Context (a device's kernels run on the device's goroutine):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "protocol-lint: ok"
