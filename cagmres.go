@@ -123,17 +123,14 @@ func NormalizePrecision(p string) (string, error) { return core.NormalizePrecisi
 // M2090 cost model of the paper's testbed.
 func NewContext(ng int) *Context { return gpu.NewContext(ng, gpu.M2090()) }
 
-// NewContextWithModel creates a simulated node with a custom cost model.
-func NewContextWithModel(ng int, model CostModel) *Context {
-	return gpu.NewContext(ng, model)
-}
-
 // NewContextWithProfile creates a simulated node from a full machine
 // description — cost model plus interconnect topology. Profiles with a
 // peer-to-peer topology route device-to-device halo traffic over the
-// fabric instead of bouncing it through the host.
+// fabric instead of bouncing it through the host. For a custom cost
+// model, resolve a shipped profile with MachineProfile and change its
+// Model before passing it here.
 func NewContextWithProfile(ng int, p Profile) *Context {
-	return gpu.NewContextWithProfile(ng, p)
+	return gpu.NewContext(ng, p)
 }
 
 // MachineProfile resolves a shipped machine profile by name: "m2090"
@@ -144,9 +141,6 @@ func MachineProfile(name string) (Profile, error) { return profile.ByName(name) 
 
 // MachineProfiles lists the shipped machine profile names.
 func MachineProfiles() []string { return profile.Names() }
-
-// M2090Model returns the default cost model (NVIDIA M2090 on PCIe 2.0).
-func M2090Model() CostModel { return gpu.M2090() }
 
 // NewProblem prepares a linear system A x = b: applies the ordering,
 // distributes block rows over the context's devices, and optionally

@@ -81,9 +81,12 @@ func TestPublicAPIGenerators(t *testing.T) {
 }
 
 func TestPublicAPICustomModel(t *testing.T) {
-	m := M2090Model()
-	m.Latency *= 10 // a node with dreadful PCIe
-	ctx := NewContextWithModel(3, m)
+	prof, err := MachineProfile("m2090")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Model.Latency *= 10 // a node with dreadful PCIe
+	ctx := NewContextWithProfile(3, prof)
 	a := Laplace2D(12, 12, 0)
 	b := make([]float64, a.Rows)
 	b[0] = 1

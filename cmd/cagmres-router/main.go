@@ -203,7 +203,7 @@ func run() error {
 		rc.RetryBudgetRatio, rc.RetryBudgetBurst, rc.Breaker.Threshold, rc.Breaker.Cooldown, rc.HedgeAfter)
 	if *localN > 0 {
 		fmt.Printf("cagmres-router: %d in-process nodes (pool %d×%d GPUs, profile %s)\n",
-			*localN, node.PoolSize, node.Devices, nodeProfileName(node.Profile))
+			*localN, node.PoolSize, node.Devices, node.Profile.Name)
 	}
 	if doomed != "" {
 		fmt.Printf("cagmres-router: chaos armed, whole-node death on %s\n", doomed)
@@ -234,12 +234,4 @@ func run() error {
 	solves, reroutes, rejects := router.Counts()
 	fmt.Printf("cagmres-router: drained; routed=%d reroutes=%d rejects=%d\n", solves, reroutes, rejects)
 	return nil
-}
-
-// nodeProfileName names the local nodes' profile for the banner.
-func nodeProfileName(p *gpu.Profile) string {
-	if p == nil {
-		return "m2090"
-	}
-	return p.Name
 }

@@ -26,7 +26,6 @@ import (
 	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
-	"cagmres/internal/sparse"
 )
 
 func main() {
@@ -71,7 +70,7 @@ func main() {
 		opts.Ortho = "CGS" // -ortho defaults to a CA strategy
 	}
 
-	a, name, err := loadMatrix(*file, *matrix, *scale)
+	a, name, err := matgen.Load(*file, *matrix, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,13 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	newCtx := func() *gpu.Context {
-		if prof != nil {
-			return gpu.NewContextWithProfile(*devices, *prof)
-		}
-		return gpu.NewContext(*devices, gpu.M2090())
-	}
-	ctx := newCtx()
+	ctx := gpu.NewContext(*devices, prof)
 	traceCap := *trace
 	// The metrics histograms and the /trace.json endpoint are built from
 	// the event ring, so -metrics and -serve imply tracing.
@@ -181,7 +174,7 @@ func main() {
 				}
 				fmt.Printf("note: %s failed (%v); retrying with %s\n", opts.Ortho, err, next)
 				opts.Ortho = next
-				ctx = newCtx()
+				ctx = gpu.NewContext(*devices, prof)
 				if traceCap > 0 {
 					ctx.Stats().EnableTrace(traceCap)
 				}
@@ -308,26 +301,6 @@ func main() {
 		fmt.Printf("serving /metrics, /metrics.json, /trace.json, /debug/pprof on http://%s (ctrl-C to stop)\n", addr)
 		select {}
 	}
-}
-
-func loadMatrix(file, name string, scale float64) (*sparse.CSR, string, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		a, err := sparse.ReadMatrixMarket(f)
-		if err != nil {
-			return nil, "", err
-		}
-		return a, file, nil
-	}
-	m, err := matgen.ByName(name, scale)
-	if err != nil {
-		return nil, "", err
-	}
-	return m.A, m.Name, nil
 }
 
 func fatal(err error) {

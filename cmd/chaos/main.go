@@ -68,7 +68,7 @@ type config struct {
 }
 
 func main() {
-	cfg := config{opts: core.Options{Ortho: "CholQR"}, pool: sched.PoolConfig{Model: gpu.M2090()}}
+	cfg := config{opts: core.Options{Ortho: "CholQR"}}
 	flag.IntVar(&cfg.pool.Size, "pool", 2, "pooled device contexts for the scheduler replay")
 	flag.IntVar(&cfg.pool.Devices, "devices", 3, "simulated GPUs per context")
 	flag.IntVar(&cfg.jobs, "jobs", 8, "solve jobs pushed through the scheduler")
@@ -413,15 +413,6 @@ type benchOut struct {
 	Identical bool      `json:"degraded_replay_identical"`
 }
 
-// newCtx builds one simulated context on the selected machine profile
-// (nil keeps the paper's M2090 host-hub machine).
-func newCtx(devices int, prof *gpu.Profile) *gpu.Context {
-	if prof != nil {
-		return gpu.NewContextWithProfile(devices, *prof)
-	}
-	return gpu.NewContext(devices, gpu.M2090())
-}
-
 func rhsFor(n, seed int) []float64 {
 	b := make([]float64, n)
 	for i := range b {
@@ -451,7 +442,7 @@ func run(cfg *config) error {
 
 	// --- Solver layer: fault-free baseline, then a mid-solve death. ---
 	solve := func(plan *gpu.FaultPlan) (*core.Result, *gpu.Context, error) {
-		ctx := newCtx(devices, cfg.pool.Profile)
+		ctx := gpu.NewContext(devices, cfg.pool.Profile)
 		if plan != nil {
 			ctx.InjectFaults(*plan)
 		}
@@ -554,7 +545,7 @@ func run(cfg *config) error {
 		pc.FaultPlans[0].Stragglers = []gpu.Straggler{{Device: 0, Factor: cfg.straggle}}
 	}
 	reg := obs.NewRegistry()
-	sc := sched.New(sched.Config{Pool: sched.NewPoolWithConfig(pc), QueueDepth: cfg.jobs + 1, MaxBatch: 4, Registry: reg})
+	sc := sched.New(sched.Config{Pool: sched.NewPool(pc), QueueDepth: cfg.jobs + 1, MaxBatch: 4, Registry: reg})
 	sc.Start()
 
 	spec := sched.Spec{Solver: "ca", Matrix: gen.A, Ordering: core.KWay, Balance: true,

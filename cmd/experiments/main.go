@@ -61,7 +61,6 @@ import (
 
 	"cagmres/internal/bench"
 	"cagmres/internal/core"
-	"cagmres/internal/gpu"
 	"cagmres/internal/measure"
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
@@ -102,8 +101,7 @@ func main() {
 		Profile:     prof,
 		Precision:   *precisionMode,
 	}
-	if prof != nil {
-		cfg.Model = prof.Model
+	if *profName != "" || *topoName != "" {
 		fmt.Printf("machine profile: %s (topology %s)\n", prof.Name, prof.Topo.Kind)
 	}
 	if *measured {
@@ -118,7 +116,7 @@ func main() {
 		reg = obs.NewRegistry()
 		// Every timed host kernel also lands in the registry's histograms.
 		if cfg.Timer == nil {
-			cfg.Timer = measure.NewModelTimer(gpu.M2090())
+			cfg.Timer = measure.NewModelTimer(prof.Model)
 		}
 		cfg.Timer = measure.Instrument(cfg.Timer, reg)
 	}

@@ -536,7 +536,7 @@ func runVirtual(cfg *config, counts []int) error {
 
 	// Per-request RPC overhead: JSON decode + admission + response,
 	// charged as a host kernel through the virtual-time model.
-	timer := measure.NewModelTimer(gpu.M2090())
+	timer := measure.NewModelTimer(gpu.M2090().Model)
 	reqBytes := float64(16 * n) // rhs in + x out, 8 bytes each way
 	overhead := timer.Seconds(measure.Kernel{
 		Name: "rpc", Bytes: reqBytes, Parallelism: 1, Dispatches: 4,

@@ -19,7 +19,6 @@ import (
 	"cagmres/internal/gpu"
 	"cagmres/internal/graph"
 	"cagmres/internal/matgen"
-	"cagmres/internal/sparse"
 )
 
 func main() {
@@ -33,26 +32,9 @@ func main() {
 		fatal(fmt.Errorf("-devices %d: need at least 1", *devices))
 	}
 
-	var a *sparse.CSR
-	var name string
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		var rerr error
-		a, rerr = sparse.ReadMatrixMarket(f)
-		f.Close()
-		if rerr != nil {
-			fatal(rerr)
-		}
-		name = *file
-	} else {
-		m, err := matgen.ByName(*matrix, *scale)
-		if err != nil {
-			fatal(err)
-		}
-		a, name = m.A, m.Name
+	a, name, err := matgen.Load(*file, *matrix, *scale)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("matrix %s: n=%d nnz=%d (%.1f per row)\n", name, a.Rows, a.NNZ(),

@@ -20,8 +20,10 @@ type AblationLatencyRow struct {
 	Speedup      float64
 }
 
-// AblationLatency sweeps the PCIe latency of the cost model and measures
-// the CA-GMRES(10, 30) speedup over GMRES(30) on the G3_circuit analogue.
+// AblationLatency sweeps the PCIe latency (and the kernel launch overhead
+// with it) of the profile's cost model and measures the CA-GMRES(10, 30)
+// speedup over GMRES(30) on the G3_circuit analogue; both arms run on the
+// scaled machine.
 // The entire communication-avoiding advantage should track the latency:
 // at near-zero latency CA-GMRES's extra work makes it roughly break even,
 // and the speedup grows monotonically as transfers get more expensive.
@@ -33,11 +35,11 @@ func AblationLatency(cfg Config) []AblationLatencyRow {
 	cfg.printf("Ablation: CA speedup vs PCIe latency (G3_circuit, 3 devices)\n")
 	cfg.printf("%12s %12s %12s %10s\n", "latency x", "gmres ms", "ca ms", "speedup")
 	for _, scale := range []float64{0.01, 0.1, 1, 10} {
-		model := cfg.Model
-		model.Latency *= scale
-		model.KernelLaunch *= scale
+		prof := cfg.Profile
+		prof.Model.Latency *= scale
+		prof.Model.KernelLaunch *= scale
 
-		ctxG := cfg.newContext(cfg.MaxDevices, model)
+		ctxG := cfg.newContext(cfg.MaxDevices, prof)
 		pg, err := core.NewProblem(ctxG, mat.A, b, core.KWay, true)
 		if err != nil {
 			panic(err)
@@ -48,7 +50,7 @@ func AblationLatency(cfg Config) []AblationLatencyRow {
 		}
 
 		res, _, err := runCAWithFallback(Config{Scale: cfg.Scale, MaxDevices: cfg.MaxDevices,
-			Model: model, MaxRestarts: cfg.MaxRestarts},
+			Profile: prof, MaxRestarts: cfg.MaxRestarts},
 			mat.A, b, core.KWay,
 			core.Options{M: 30, S: 10, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision},
 			cfg.MaxDevices)
@@ -93,7 +95,7 @@ func AblationBasis(cfg Config) []AblationBasisRow {
 	cfg.printf("%-9s %4s %10s %8s %8s\n", "basis", "s", "converged", "failed", "rest")
 	for _, basis := range []string{"monomial", "newton"} {
 		for _, s := range []int{2, 5, 10, 15} {
-			ctx := cfg.newContext(cfg.MaxDevices, cfg.Model)
+			ctx := cfg.newContext(cfg.MaxDevices, cfg.Profile)
 			p, err := core.NewProblem(ctx, mat.A, b, core.Natural, true)
 			if err != nil {
 				panic(err)
@@ -142,7 +144,7 @@ func AblationPrecision(cfg Config) []AblationPrecisionRow {
 	cfg.printf("Ablation: Gram-kernel precision (n=%d, %d cols, kappa=1e3)\n", n, c)
 	cfg.printf("%-14s %12s %14s %12s\n", "strategy", "gram bytes", "||I-Q'Q||", "time (ms)")
 	for _, strat := range []ortho.TSQR{ortho.CholQR{}, ortho.MixedCholQR{}, ortho.MixedCholQR{Refine: true}} {
-		ctx := cfg.newContext(cfg.MaxDevices, cfg.Model)
+		ctx := cfg.newContext(cfg.MaxDevices, cfg.Profile)
 		w := splitWindow(v.Clone(), cfg.MaxDevices)
 		orig := ortho.CloneWindow(w)
 		ctx.ResetStats()
@@ -189,7 +191,7 @@ func AblationFusedCGS(cfg Config) []AblationFusedRow {
 	cfg.printf("Ablation: fused vs unfused CGS (n=%d, %d cols)\n", n, c)
 	cfg.printf("%-12s %8s %12s %14s\n", "variant", "rounds", "comm ms", "||I-Q'Q||")
 	for _, strat := range []ortho.TSQR{ortho.CGSUnfused{}, ortho.CGS{}} {
-		ctx := cfg.newContext(cfg.MaxDevices, cfg.Model)
+		ctx := cfg.newContext(cfg.MaxDevices, cfg.Profile)
 		w := splitWindow(v.Clone(), cfg.MaxDevices)
 		orig := ortho.CloneWindow(w)
 		ctx.ResetStats()
@@ -229,7 +231,7 @@ func AblationAdaptive(cfg Config) []AblationAdaptiveRow {
 	cfg.printf("Ablation: adaptive step size (small cant, CholQR, s=15)\n")
 	cfg.printf("%-9s %10s %8s %6s %6s\n", "adaptive", "converged", "failed", "rest", "iters")
 	for _, adaptive := range []bool{false, true} {
-		ctx := cfg.newContext(2, cfg.Model)
+		ctx := cfg.newContext(2, cfg.Profile)
 		p, err := core.NewProblem(ctx, mat.A, b, core.Natural, true)
 		if err != nil {
 			panic(err)

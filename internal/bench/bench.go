@@ -27,24 +27,22 @@ type Config struct {
 	Scale float64
 	// MaxDevices is the largest simulated GPU count (the paper has 3).
 	MaxDevices int
-	// Model is the device cost model (default gpu.M2090()).
-	Model gpu.CostModel
-	// Profile, when non-nil, overrides Model with a full machine
-	// description (cost model + interconnect topology) for every context
-	// the drivers create — the cmd/experiments -profile/-topology flags.
-	// The classic figure drivers were calibrated against the paper's
-	// machine; under a different profile their tables answer "this figure, on
-	// that box" rather than reproducing the publication.
-	Profile *gpu.Profile
+	// Profile is the machine description (cost model + interconnect
+	// topology) of every context the drivers create (default gpu.M2090();
+	// the cmd/experiments -profile/-topology flags set it). The classic
+	// figure drivers were calibrated against the paper's machine; under a
+	// different profile their tables answer "this figure, on that box"
+	// rather than reproducing the publication.
+	Profile gpu.Profile
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 	// MaxRestarts caps solver restart loops so sweeps stay bounded.
 	MaxRestarts int
 	// Timer converts the Figure 11(a,b) host-kernel invocations into
 	// seconds. Nil defaults to the deterministic measure.ModelTimer over
-	// Model, so `go test` and default CLI runs report machine-independent
-	// modeled Gflop/s; cmd/experiments -measured swaps in a
-	// measure.WallTimer (warmup + best-of-5 wall clock).
+	// Profile.Model, so `go test` and default CLI runs report
+	// machine-independent modeled Gflop/s; cmd/experiments -measured swaps
+	// in a measure.WallTimer (warmup + best-of-5 wall clock).
 	Timer measure.Timer
 	// Trace, when non-nil, enables event tracing on every simulated
 	// context the drivers create and collects the rings for export
@@ -75,8 +73,8 @@ func (c *Config) Defaults() {
 	if c.MaxDevices == 0 {
 		c.MaxDevices = 3
 	}
-	if c.Model == (gpu.CostModel{}) {
-		c.Model = gpu.M2090()
+	if c.Profile == (gpu.Profile{}) {
+		c.Profile = gpu.M2090()
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -85,29 +83,15 @@ func (c *Config) Defaults() {
 		c.MaxRestarts = 40
 	}
 	if c.Timer == nil {
-		c.Timer = measure.NewModelTimer(c.Model)
+		c.Timer = measure.NewModelTimer(c.Profile.Model)
 	}
 }
 
 // newContext creates one simulated device context for a driver,
 // registering it with the trace collector when tracing is on. Every
 // driver goes through here so -traceout sees the whole run.
-func (c *Config) newContext(ng int, model gpu.CostModel) *gpu.Context {
-	if c.Profile != nil {
-		p := *c.Profile
-		return c.newContextProfile(ng, p)
-	}
-	ctx := gpu.NewContext(ng, model)
-	if c.Trace != nil {
-		c.Trace.attach(ctx)
-	}
-	return ctx
-}
-
-// newContextProfile is newContext for an explicit machine profile (the
-// topology study builds its own sweep and bypasses Config.Profile).
-func (c *Config) newContextProfile(ng int, p gpu.Profile) *gpu.Context {
-	ctx := gpu.NewContextWithProfile(ng, p)
+func (c *Config) newContext(ng int, p gpu.Profile) *gpu.Context {
+	ctx := gpu.NewContext(ng, p)
 	if c.Trace != nil {
 		c.Trace.attach(ctx)
 	}

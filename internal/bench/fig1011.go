@@ -42,7 +42,7 @@ func Fig10(cfg Config) []Fig10Row {
 		if err != nil {
 			panic(err)
 		}
-		ctx := cfg.newContext(cfg.MaxDevices, cfg.Model)
+		ctx := cfg.newContext(cfg.MaxDevices, cfg.Profile)
 		w := splitWindow(v.Clone(), cfg.MaxDevices)
 		ctx.ResetStats()
 		if _, err := strat.Factor(ctx, w, "tsqr"); err != nil {
@@ -200,7 +200,7 @@ func Fig11c(cfg Config) []Fig11cRow {
 	cfg.printf("%-8s %8s %14s\n", "strategy", "devices", "eff Gflop/s")
 	for _, strat := range ortho.All() {
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			ctx := cfg.newContext(ng, cfg.Model)
+			ctx := cfg.newContext(ng, cfg.Profile)
 			w := splitWindow(v.Clone(), ng)
 			ctx.ResetStats()
 			if _, err := strat.Factor(ctx, w, "tsqr"); err != nil {

@@ -106,7 +106,7 @@ func fig13Panel(cfg Config, s, m int, basis string) []Fig13Row {
 }
 
 func runFig13Strategy(cfg Config, mat *matgen.Matrix, b []float64, strat ortho.TSQR, reorth bool, s, m int, basis string) Fig13Row {
-	ctx := cfg.newContext(1, cfg.Model)
+	ctx := cfg.newContext(1, cfg.Profile)
 	p, err := core.NewProblem(ctx, mat.A, b, core.KWay, true)
 	if err != nil {
 		panic(err)

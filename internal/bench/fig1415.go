@@ -80,7 +80,7 @@ func Fig14(cfg Config) []Fig14Row {
 }
 
 func fig14GMRES(cfg Config, cse Fig14Case, b []float64, orth string, ng int, base map[int]float64) Fig14Row {
-	ctx := cfg.newContext(ng, cfg.Model)
+	ctx := cfg.newContext(ng, cfg.Profile)
 	p, err := core.NewProblem(ctx, cse.Matrix.A, b, cse.Ordering, true)
 	if err != nil {
 		panic(err)
@@ -133,7 +133,7 @@ func runCAWithFallback(cfg Config, a *sparse.CSR, b []float64, ord core.Ordering
 	var err error
 	for _, name := range ladder {
 		opts.Ortho = name
-		ctx := cfg.newContext(ng, cfg.Model)
+		ctx := cfg.newContext(ng, cfg.Profile)
 		p, perr := core.NewProblem(ctx, a, b, ord, true)
 		if perr != nil {
 			return nil, name, perr
@@ -213,7 +213,7 @@ func Fig15(cfg Config) []Fig15Row {
 		var base float64 // GMRES 1-device Total/Res
 		gmresTotals := map[int]float64{}
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			ctx := cfg.newContext(ng, cfg.Model)
+			ctx := cfg.newContext(ng, cfg.Profile)
 			p, err := core.NewProblem(ctx, cse.m.A, b, cse.ordering, true)
 			if err != nil {
 				panic(err)

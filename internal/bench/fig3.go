@@ -6,19 +6,25 @@ import (
 	"cagmres/internal/matgen"
 )
 
-// cpuModel derives the CPU-only cost model used for the paper's Figure 3
-// reference point (threaded MKL on the two Sandy Bridge sockets): device
-// kernels run at host rates, and "transfers" degenerate into cheap
-// shared-memory synchronizations instead of PCIe round trips.
-func cpuModel(m gpu.CostModel) gpu.CostModel {
-	return gpu.CostModel{
-		Latency:      2e-6,
-		Bandwidth:    m.HostMemBW,
-		DeviceGflops: m.HostGflops,
-		DeviceMemBW:  m.HostMemBW,
-		HostGflops:   m.HostGflops,
-		HostMemBW:    m.HostMemBW,
-		KernelLaunch: 2e-7,
+// cpuProfile derives the CPU-only machine used for the paper's Figure 3
+// reference point (threaded MKL on the two Sandy Bridge sockets) from the
+// host side of p: device kernels run at host rates, and "transfers"
+// degenerate into cheap shared-memory synchronizations instead of PCIe
+// round trips.
+func cpuProfile(p gpu.Profile) gpu.Profile {
+	m := p.Model
+	return gpu.Profile{
+		Name: "cpu",
+		Model: gpu.CostModel{
+			Latency:      2e-6,
+			Bandwidth:    m.HostMemBW,
+			DeviceGflops: m.HostGflops,
+			DeviceMemBW:  m.HostMemBW,
+			HostGflops:   m.HostGflops,
+			HostMemBW:    m.HostMemBW,
+			KernelLaunch: 2e-7,
+		},
+		Topo: gpu.Topology{Kind: gpu.TopoHostHub, PeerLatency: 2e-6, PeerBandwidth: m.HostMemBW},
 	}
 }
 
@@ -55,8 +61,8 @@ func Fig3(cfg Config) []Fig3Row {
 	cfg.printf("%-12s %-8s %10s %10s\n", "matrix", "target", "ms/restart", "restarts")
 	for _, c := range cases {
 		b := onesRHS(c.m.A.Rows)
-		run := func(target string, ng int, model gpu.CostModel) {
-			ctx := cfg.newContext(ng, model)
+		run := func(target string, ng int, prof gpu.Profile) {
+			ctx := cfg.newContext(ng, prof)
 			p, err := core.NewProblem(ctx, c.m.A, b, c.ord, true)
 			if err != nil {
 				panic(err)
@@ -74,9 +80,9 @@ func Fig3(cfg Config) []Fig3Row {
 		// The CPU reference runs as ONE device: the two sockets share a
 		// single memory system, unlike the GPUs which each bring their
 		// own. Kernels still execute at the threaded aggregate rates.
-		run("CPU", 1, cpuModel(cfg.Model))
+		run("CPU", 1, cpuProfile(cfg.Profile))
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			run(gpuLabel(ng), ng, cfg.Model)
+			run(gpuLabel(ng), ng, cfg.Profile)
 		}
 	}
 	return out

@@ -61,7 +61,7 @@ func Fig6(cfg Config) *Fig6Result {
 	res := &Fig6Result{}
 	mats := []*matgen.Matrix{benchCant(cfg.Scale), benchG3(cfg.Scale)}
 	ng := cfg.MaxDevices
-	ctx := cfg.newContext(ng, cfg.Model)
+	ctx := cfg.newContext(ng, cfg.Profile)
 	cfg.printf("Figure 6: surface-to-volume ratio, %d devices\n", ng)
 	cfg.printf("%-12s %-5s %4s %12s %14s\n", "matrix", "ord", "s", "max ratio", "extra flops")
 	for _, m := range mats {
@@ -120,7 +120,7 @@ func Fig7(cfg Config) *Fig7Result {
 	const mIters = 100
 	mats := []*matgen.Matrix{benchCant(cfg.Scale), benchG3(cfg.Scale)}
 	ng := cfg.MaxDevices
-	ctx := cfg.newContext(ng, cfg.Model)
+	ctx := cfg.newContext(ng, cfg.Profile)
 	cfg.printf("Figure 7: MPK communication volume for m=%d vectors, %d devices\n", mIters, ng)
 	cfg.printf("%-12s %-5s %4s %12s %10s\n", "matrix", "ord", "s", "elements", "vs SpMV")
 	for _, m := range mats {
@@ -198,7 +198,7 @@ func Fig8(cfg Config) *Fig8Result {
 	for _, c := range cases {
 		a, layout := applyOrdering(c.m.A, c.ord, ng)
 		for s := 1; s <= 10; s++ {
-			ctx := cfg.newContext(ng, cfg.Model)
+			ctx := cfg.newContext(ng, cfg.Profile)
 			dm := dist.Distribute(ctx, a, layout, s)
 			mpk := dist.NewMPK(dm)
 			v := dist.NewVectors(ctx, layout, s+1)

@@ -167,7 +167,7 @@ func clusterPoint(cfg Config, a *sparse.CSR, b []float64, base gpu.Profile,
 // modeled ledger time plus the fabric-tier byte volume summed over
 // phases.
 func clusterArm(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile, ng int, solve func(*core.Problem) error) (float64, int) {
-	ctx := cfg.newContextProfile(ng, prof)
+	ctx := cfg.newContext(ng, prof)
 	p, err := core.NewProblem(ctx, a, b, core.KWay, true)
 	if err != nil {
 		panic(err)

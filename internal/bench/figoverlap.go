@@ -60,7 +60,7 @@ func FigOverlap(cfg Config) []OverlapRow {
 // the requested schedule: the ledger total for the synchronous barrier
 // schedule, the stream horizon for the overlapped one.
 func overlapArm(cfg Config, mtx *matgen.Matrix, b []float64, s, ng int, overlap bool) float64 {
-	ctx := cfg.newContext(ng, cfg.Model)
+	ctx := cfg.newContext(ng, cfg.Profile)
 	p, err := core.NewProblem(ctx, mtx.A, b, core.KWay, true)
 	if err != nil {
 		panic(err)

@@ -137,9 +137,9 @@ func FigPrecision(cfg Config) []PrecisionRow {
 			panic(fmt.Sprintf("bench: precision cluster profile: %v", err))
 		}
 		ng := nodes * devicesPerNode
-		f64 := precisionPointProfile(cfg, mtx.A, bb, prof, "beta", "G3_circuit",
+		f64 := precisionPoint(cfg, mtx.A, bb, prof, "beta", "G3_circuit",
 			core.PrecisionFP64, nodes, ng, m, s, tol, maxR)
-		mixed := precisionPointProfile(cfg, mtx.A, bb, prof, "beta", "G3_circuit",
+		mixed := precisionPoint(cfg, mtx.A, bb, prof, "beta", "G3_circuit",
 			core.PrecisionMixed, nodes, ng, m, s, tol, maxR)
 		f64.BetaSavings = 1
 		if mixed.InterMB > 0 {
@@ -152,18 +152,11 @@ func FigPrecision(cfg Config) []PrecisionRow {
 	return out
 }
 
-// precisionPoint solves one workload on a single node of the base
-// profile under one precision mode.
-func precisionPoint(cfg Config, a *sparse.CSR, b []float64, base gpu.Profile,
+// precisionPoint runs one precision arm under an explicit machine
+// profile and fills a row from the result and the ledger.
+func precisionPoint(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile,
 	part, matrix, prec string, nodes, ng, m, s int, tol float64, maxR int) PrecisionRow {
-	return precisionPointProfile(cfg, a, b, base, part, matrix, prec, nodes, ng, m, s, tol, maxR)
-}
-
-// precisionPointProfile runs one precision arm under an explicit
-// machine profile and fills a row from the result and the ledger.
-func precisionPointProfile(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile,
-	part, matrix, prec string, nodes, ng, m, s int, tol float64, maxR int) PrecisionRow {
-	ctx := cfg.newContextProfile(ng, prof)
+	ctx := cfg.newContext(ng, prof)
 	p, err := core.NewProblem(ctx, a, b, core.KWay, true)
 	if err != nil {
 		panic(err)

@@ -120,7 +120,7 @@ func FigTopology(cfg Config) []TopologyRow {
 // topologyArm runs one solve under the profile and returns the modeled
 // ledger time plus the peer-routed byte volume summed over phases.
 func topologyArm(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile, ng int, solve func(*core.Problem) error) (float64, int) {
-	ctx := cfg.newContextProfile(ng, prof)
+	ctx := cfg.newContext(ng, prof)
 	p, err := core.NewProblem(ctx, a, b, core.KWay, true)
 	if err != nil {
 		panic(err)

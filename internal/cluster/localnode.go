@@ -23,8 +23,8 @@ type LocalNodeConfig struct {
 	PoolSize int
 	Devices  int
 	// Profile selects the machine description of the pooled contexts;
-	// nil keeps the paper's m2090.
-	Profile *gpu.Profile
+	// the zero value is the paper's m2090.
+	Profile gpu.Profile
 	// FaultPlans arms deterministic chaos on the pooled contexts (see
 	// sched.PoolConfig); Repair readmits evicted contexts after a death.
 	FaultPlans  []gpu.FaultPlan
@@ -60,10 +60,9 @@ func NewLocalNode(cfg LocalNodeConfig) *LocalNode {
 	}
 	reg := obs.NewRegistry()
 	sc := cfg.Sched
-	sc.Pool = sched.NewPoolWithConfig(sched.PoolConfig{
+	sc.Pool = sched.NewPool(sched.PoolConfig{
 		Size:        cfg.PoolSize,
 		Devices:     cfg.Devices,
-		Model:       gpu.M2090(),
 		Profile:     cfg.Profile,
 		FaultPlans:  cfg.FaultPlans,
 		Repair:      cfg.Repair,

@@ -40,15 +40,15 @@ func TestOneDistributionLedgerFence(t *testing.T) {
 		ordering Ordering
 		opts     Options
 	}{
-		{"g3 kway newton", g3, profile.M2090(), 3, KWay, Options{M: 20, S: 5, Ortho: "CholQR"}},
-		{"g3 rcm monomial", g3, profile.M2090(), 2, RCM, Options{M: 12, S: 4, Ortho: "CGS", Basis: "monomial"}},
-		{"diel natural newton", diel, profile.M2090(), 3, Natural, Options{M: 30, S: 15, Ortho: "CholQR"}},
+		{"g3 kway newton", g3, gpu.M2090(), 3, KWay, Options{M: 20, S: 5, Ortho: "CholQR"}},
+		{"g3 rcm monomial", g3, gpu.M2090(), 2, RCM, Options{M: 12, S: 4, Ortho: "CGS", Basis: "monomial"}},
+		{"diel natural newton", diel, gpu.M2090(), 3, Natural, Options{M: 30, S: 15, Ortho: "CholQR"}},
 		{"g3 kway nvlink ring", g3, nvlink, 4, KWay, Options{M: 20, S: 5, Ortho: "CholQR"}},
 		{"g3 kway h100", g3, profile.H100NVLink(), 3, KWay, Options{M: 20, S: 10, Ortho: "2xCholQR"}},
 		{"diel kway mixed", diel, profile.A100PCIe(), 3, KWay, Options{M: 20, S: 5, Ortho: "CholQR", Precision: PrecisionMixed}},
 	} {
 		for _, overlap := range []bool{false, true} {
-			ctx := gpu.NewContextWithProfile(c.devices, c.prof)
+			ctx := gpu.NewContext(c.devices, c.prof)
 			p, err := NewProblem(ctx, c.mat.A, randomRHS(c.mat.A.Rows, 11), c.ordering, true)
 			if err != nil {
 				t.Fatal(err)

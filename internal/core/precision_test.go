@@ -49,7 +49,7 @@ func TestGMRESRejectsNarrowPrecision(t *testing.T) {
 func bf16Profile() gpu.Profile {
 	return gpu.Profile{
 		Name:         "bf16-test",
-		Model:        gpu.M2090(),
+		Model:        gpu.M2090().Model,
 		Topo:         gpu.Topology{Kind: gpu.TopoPCIeSwitch, PeerLatency: 5e-6, PeerBandwidth: 2e10},
 		BF16Transfer: true,
 	}
@@ -80,7 +80,7 @@ func TestPrecisionModesConvergeOnPaperMatrices(t *testing.T) {
 				for i := range b {
 					b[i] = 1
 				}
-				ctx := gpu.NewContextWithProfile(3, bf16Profile())
+				ctx := gpu.NewContext(3, bf16Profile())
 				p, err := NewProblem(ctx, mat.A, b, KWay, true)
 				if err != nil {
 					t.Fatal(err)
@@ -155,7 +155,7 @@ func TestAdaptiveConvergenceIsFP64True(t *testing.T) {
 				for i := range b {
 					b[i] = 1
 				}
-				ctx := gpu.NewContextWithProfile(3, bf16Profile())
+				ctx := gpu.NewContext(3, bf16Profile())
 				if faults {
 					ctx.InjectFaults(gpu.FaultPlan{
 						Seed:              1234,

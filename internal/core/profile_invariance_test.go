@@ -40,7 +40,7 @@ func runUnderProfile(t *testing.T, p gpu.Profile, overlap bool, fp *gpu.FaultPla
 	t.Helper()
 	a := laplace2D(24, 24, 0.4)
 	b := randomRHS(576, 3)
-	ctx := gpu.NewContextWithProfile(3, p)
+	ctx := gpu.NewContext(3, p)
 	prob, err := NewProblem(ctx, a, b, KWay, true)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func assertIdentical(t *testing.T, name string, want, got invariantRun) {
 }
 
 func TestProfileInvariance(t *testing.T) {
-	base := runUnderProfile(t, profile.M2090(), false, nil)
+	base := runUnderProfile(t, gpu.M2090(), false, nil)
 	if !base.converged {
 		t.Fatal("baseline solve did not converge")
 	}
@@ -88,12 +88,12 @@ func TestProfileInvariance(t *testing.T) {
 }
 
 func TestProfileInvarianceOverlap(t *testing.T) {
-	base := runUnderProfile(t, profile.M2090(), true, nil)
+	base := runUnderProfile(t, gpu.M2090(), true, nil)
 	for _, p := range invariantProfiles(t) {
 		assertIdentical(t, p.Name+"/overlap", base, runUnderProfile(t, p, true, nil))
 	}
 	// Overlap itself must not change arithmetic either.
-	assertIdentical(t, "sync-vs-overlap", runUnderProfile(t, profile.M2090(), false, nil), base)
+	assertIdentical(t, "sync-vs-overlap", runUnderProfile(t, gpu.M2090(), false, nil), base)
 }
 
 // TestProfileInvarianceFaults arms the same seeded fault plan under
@@ -109,7 +109,7 @@ func TestProfileInvarianceFaults(t *testing.T) {
 		MaxTransferFaults: 4,
 		Stragglers:        []gpu.Straggler{{Device: 0, Factor: 1.5}},
 	}
-	base := runUnderProfile(t, profile.M2090(), false, plan)
+	base := runUnderProfile(t, gpu.M2090(), false, plan)
 	for _, p := range invariantProfiles(t) {
 		assertIdentical(t, p.Name+"/faults", base, runUnderProfile(t, p, false, plan))
 	}
@@ -139,7 +139,7 @@ func TestOptionsProfilePlumbing(t *testing.T) {
 	if ctx.Stats().Phase("mpk").BytesPeer == 0 {
 		t.Error("peer-to-peer topology shipped no peer bytes in the mpk phase")
 	}
-	base := runUnderProfile(t, profile.M2090(), false, nil)
+	base := runUnderProfile(t, gpu.M2090(), false, nil)
 	assertIdentical(t, "options-profile", base, invariantRun{x: res.X, history: res.History,
 		iters: res.Iters, restarts: res.Restarts, converged: res.Converged})
 }

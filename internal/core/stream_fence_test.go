@@ -100,7 +100,7 @@ func TestSolverStreamFence(t *testing.T) {
 	}
 	// The same system on a profile whose transfer engines take bfloat16.
 	narrowed := func() *Problem {
-		return prepare(gpu.NewContextWithProfile(3, bf16Profile()), a, b, KWay, true)
+		return prepare(gpu.NewContext(3, bf16Profile()), a, b, KWay, true)
 	}
 	// A system whose monomial basis is too ill-conditioned for CholQR at
 	// large s.

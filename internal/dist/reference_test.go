@@ -262,11 +262,11 @@ func TestDeepSpMVIsTheDepthOneSpMV(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(float64(3*i + 1))
 	}
-	for _, prof := range []gpu.Profile{profile.M2090(), nvlink, profile.H100NVLink()} {
+	for _, prof := range []gpu.Profile{gpu.M2090(), nvlink, profile.H100NVLink()} {
 		for _, overlap := range []bool{false, true} {
 			for ord, in := range orderings(mat.A, 3) {
 				run := func(s int) ([]float64, string) {
-					ctx := gpu.NewContextWithProfile(3, prof)
+					ctx := gpu.NewContext(3, prof)
 					ctx.SetOverlap(overlap)
 					mpk := NewMPK(Distribute(ctx, in.a, in.l, s))
 					v := NewVectors(ctx, in.l, 3)

@@ -21,8 +21,8 @@ func TestChargeAllocations(t *testing.T) {
 	partial := func(d int, part []float64) Work { return work[d] }
 	out := make([]float64, 64)
 	def := NewContext(4, M2090())
-	sw := NewContextWithProfile(4, pathsProfile(TopoPCIeSwitch, 0))
-	cl := NewContextWithProfile(4, pathsProfile(TopoPCIeSwitch, 2))
+	sw := NewContext(4, pathsProfile(TopoPCIeSwitch, 0))
+	cl := NewContext(4, pathsProfile(TopoPCIeSwitch, 2))
 	for _, tc := range []struct {
 		name string
 		max  float64

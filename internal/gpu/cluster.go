@@ -103,7 +103,8 @@ func (c *Context) roundTime(bytes []int) float64 {
 			maxRemote = max(maxRemote, vol)
 		}
 	}
-	t := c.Model.Latency + float64(maxVol)/c.Model.Bandwidth
+	m := c.prof.Model
+	t := m.Latency + float64(maxVol)/m.Bandwidth
 	if inter > 0 {
 		fab := c.prof.Cluster.Fabric
 		t += fab.Latency + float64(maxRemote)/fab.Bandwidth
@@ -226,7 +227,7 @@ func (c *Context) routeNode(traffic [][]int, lo, hi int, a, b []int) (t float64,
 	}
 	if !topo.PeerToPeer() {
 		// One reduce round and one broadcast round over the node's host link.
-		return 2*c.Model.Latency + 2*float64(load)/c.Model.Bandwidth, used
+		return 2*c.prof.Model.Latency + 2*float64(load)/c.prof.Model.Bandwidth, used
 	}
 	// Hop count times the peer latency plus the most loaded directed link.
 	return topo.PeerLatency*float64(hops) + float64(load)/topo.PeerBandwidth, used

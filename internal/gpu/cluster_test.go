@@ -12,7 +12,7 @@ import (
 func clusterProfile() Profile {
 	return Profile{
 		Name:  "test-cluster",
-		Model: M2090(),
+		Model: M2090().Model,
 		Topo:  Topology{Kind: TopoPCIeSwitch, PeerLatency: 5e-6, PeerBandwidth: 20e9},
 		Cluster: Cluster{
 			DevicesPerNode: 2,
@@ -22,7 +22,7 @@ func clusterProfile() Profile {
 }
 
 func TestNodeOfAndNumNodes(t *testing.T) {
-	c := NewContextWithProfile(4, clusterProfile())
+	c := NewContext(4, clusterProfile())
 	if got := c.NumNodes(); got != 2 {
 		t.Fatalf("NumNodes = %d, want 2", got)
 	}
@@ -44,7 +44,7 @@ func TestNodeOfAndNumNodes(t *testing.T) {
 func TestClusterPeerTiering(t *testing.T) {
 	p := clusterProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 
 	// Same node (0 -> 1): pure node-local switch round.
 	before := c.Stats().TotalTime()
@@ -95,7 +95,7 @@ func TestClusterPeerTiering(t *testing.T) {
 // column and additionally charges remote nodes' shares to the fabric.
 func TestClusterHostRound(t *testing.T) {
 	p := clusterProfile()
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 	bytes := []int{100, 200, 300, 400}
 	before := c.Stats().TotalTime()
 	c.commRound("red", dirD2H, bytes, Elem64, nil)
@@ -128,8 +128,8 @@ func TestClusterHostRound(t *testing.T) {
 func TestClusterSingleNodeDegenerate(t *testing.T) {
 	p := clusterProfile()
 	p.Cluster.DevicesPerNode = 4 // all four devices on node 0
-	c := NewContextWithProfile(4, p)
-	flat := NewContext(4, p.Model)
+	c := NewContext(4, p)
+	flat := NewContext(4, M2090())
 	bytes := []int{100, 200, 300, 400}
 	c.commRound("x", dirD2H, bytes, Elem64, nil)
 	flat.commRound("x", dirD2H, bytes, Elem64, nil)
@@ -173,7 +173,7 @@ func TestOneNodeClusterIsTheFlatMachine(t *testing.T) {
 			flat.Topo.PeerBandwidth = float64(1+rng.Intn(90)) * 1e9
 			one := flat
 			one.Cluster = Cluster{DevicesPerNode: n, Fabric: Fabric{Kind: FabricIBHDR, Latency: 7e-6, Bandwidth: 12e9}}
-			a, b := NewContextWithProfile(n, flat), NewContextWithProfile(n, one)
+			a, b := NewContext(n, flat), NewContext(n, one)
 			if trial%2 == 1 { // every other trial charges through a Survivors view
 				victim := rng.Intn(n)
 				a, b = surviving(t, a, victim), surviving(t, b, victim)
@@ -217,7 +217,7 @@ func TestOneNodeClusterIsTheFlatMachine(t *testing.T) {
 // TestClusterRouteSymmetry: transposing the traffic matrix must not
 // change the round cost (out/in swaps are max-invariant on both tiers).
 func TestClusterRouteSymmetry(t *testing.T) {
-	c := NewContextWithProfile(4, clusterProfile())
+	c := NewContext(4, clusterProfile())
 	tr := pair(4, 0, 1, 1000)
 	tr[0][3] = 5000
 	tr[2][1] = 700
@@ -241,7 +241,7 @@ func TestClusterRouteSymmetry(t *testing.T) {
 func TestClusterSurvivorsKeepNodes(t *testing.T) {
 	p := clusterProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 	func() {
 		defer func() { recover() }()
@@ -282,7 +282,7 @@ func TestInterNodeColumnGating(t *testing.T) {
 	if strings.Contains(flat.Stats().String(), "bytesInter") {
 		t.Error("single-node ledger rendered a bytesInter column")
 	}
-	cl := NewContextWithProfile(4, clusterProfile())
+	cl := NewContext(4, clusterProfile())
 	cl.Gather("x", 1, Elem64)
 	if !strings.Contains(cl.Stats().String(), "bytesInter") {
 		t.Error("clustered ledger missing the bytesInter column")
@@ -295,7 +295,7 @@ func TestInterNodeColumnGating(t *testing.T) {
 // TestClusterMonotoneInBytes: doubling any pair's volume must not reduce
 // the round cost on either tier.
 func TestClusterMonotoneInBytes(t *testing.T) {
-	c := NewContextWithProfile(4, clusterProfile())
+	c := NewContext(4, clusterProfile())
 	base := pair(4, 0, 1, 1000)
 	base[0][2] = 2000
 	base[3][1] = 500
@@ -320,9 +320,9 @@ func TestClusterMonotoneInBytes(t *testing.T) {
 // TestClusterLatencyDominates: tiny messages from one-device nodes — the
 // fabric latency sets the floor of every host round.
 func TestClusterLatencyDominates(t *testing.T) {
-	p := DefaultProfile(M2090())
+	p := M2090()
 	p.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Latency: 25e-6, Bandwidth: 3e9}}
-	ctx := NewContextWithProfile(3, p)
+	ctx := NewContext(3, p)
 	ctx.Gather("p", 1, Elem64)
 	if got := ctx.Stats().Phase("p").CommTime; got < 25e-6 {
 		t.Fatalf("comm time %v below fabric latency", got)
@@ -334,12 +334,12 @@ func TestClusterLatencyDominates(t *testing.T) {
 // nodes hits the many-round strategies (MGS-like patterns) far harder
 // than the 2-round strategies. Simulate the round patterns directly.
 func TestClusterAmplifiesCAAdvantage(t *testing.T) {
-	single := DefaultProfile(M2090())
+	single := M2090()
 	multi := single
 	multi.Cluster = Cluster{DevicesPerNode: 1, Fabric: Fabric{Latency: 100e-6, Bandwidth: 3e9}}
 
 	cost := func(p Profile, rounds int) float64 {
-		ctx := NewContextWithProfile(3, p)
+		ctx := NewContext(3, p)
 		for i := 0; i < rounds; i++ {
 			ctx.Gather("p", 1, Elem64)
 		}

@@ -53,7 +53,7 @@ func TestCollectivesChargeTheHandWrittenSequence(t *testing.T) {
 						var reports [2]string
 						var events [2][2][3]float64
 						for i, sequence := range []func(*Context, int, Elem, func(int) Work) [3]float64{collectiveSequence, handWrittenSequence} {
-							root := NewContextWithProfile(4, pathsProfile(kind, perNode))
+							root := NewContext(4, pathsProfile(kind, perNode))
 							root.SetOverlap(overlap)
 							c := root
 							if view {

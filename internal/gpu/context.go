@@ -59,24 +59,30 @@ type CostModel struct {
 	FP32Speedup float64
 }
 
-// M2090 returns a cost model calibrated to the paper's testbed: NVIDIA
-// Tesla M2090 (Fermi) GPUs on PCIe 2.0 x16 with two 8-core Sandy Bridge
-// CPUs. Values are sustained (not peak) figures from the published
+// M2090 returns the paper's machine: NVIDIA Tesla M2090 (Fermi) GPUs on
+// PCIe 2.0 x16 with two 8-core Sandy Bridge CPUs, every device hanging
+// off one host hub (device-to-device traffic bounces through host
+// memory). Values are sustained (not peak) figures from the published
 // hardware documentation and the paper's own kernel measurements.
-func M2090() CostModel {
-	return CostModel{
-		Latency:      15e-6, // ~15 us per transfer round
-		Bandwidth:    6e9,   // ~6 GB/s effective PCIe 2.0 x16
-		DeviceGflops: 300,   // sustained DGEMM (665 peak)
-		DeviceMemBW:  120e9, // sustained of 177 GB/s peak
-		HostGflops:   100,   // 16-core SNB threaded MKL DGEMM
-		HostMemBW:    40e9,  // two-socket sustained stream
-		KernelLaunch: 5e-6,  // CUDA kernel launch overhead
+func M2090() Profile {
+	return Profile{
+		Name: "m2090",
+		Model: CostModel{
+			Latency:      15e-6, // ~15 us per transfer round
+			Bandwidth:    6e9,   // ~6 GB/s effective PCIe 2.0 x16
+			DeviceGflops: 300,   // sustained DGEMM (665 peak)
+			DeviceMemBW:  120e9, // sustained of 177 GB/s peak
+			HostGflops:   100,   // 16-core SNB threaded MKL DGEMM
+			HostMemBW:    40e9,  // two-socket sustained stream
+			KernelLaunch: 5e-6,  // CUDA kernel launch overhead
+		},
+		// A peer "hop" is still a host hop here.
+		Topo: Topology{Kind: TopoHostHub, PeerLatency: 15e-6, PeerBandwidth: 6e9},
 	}
 }
 
-// Context is a simulated multi-GPU node: NumDevices devices, a cost
-// model, and a stats ledger. It is safe for concurrent use by the device
+// Context is a simulated multi-GPU node: NumDevices devices, a machine
+// profile, and a stats ledger. It is safe for concurrent use by the device
 // goroutines it spawns.
 //
 // A context may carry an armed fault plan (InjectFaults) and may be a
@@ -93,7 +99,6 @@ func M2090() CostModel {
 // as the solvers always have.
 type Context struct {
 	NumDevices int
-	Model      CostModel
 	prof       Profile
 	stats      *Stats
 	faults     *faultState
@@ -105,10 +110,9 @@ type Context struct {
 	scratch    collectiveScratch
 }
 
-// NewContext creates a context with ng simulated devices and a bare cost
-// model (host-mediated routing — the paper's machine shape). Use
-// NewContextWithProfile to select an interconnect topology too.
-func NewContext(ng int, model CostModel) *Context {
+// NewContext creates a context with ng simulated devices described by
+// the profile (M2090() is the paper's machine).
+func NewContext(ng int, p Profile) *Context {
 	if ng < 1 {
 		panic(fmt.Sprintf("gpu: NewContext with %d devices", ng))
 	}
@@ -116,7 +120,7 @@ func NewContext(ng int, model CostModel) *Context {
 	for d := range phys {
 		phys[d] = d
 	}
-	c := &Context{NumDevices: ng, Model: model, prof: defaultProfile(model),
+	c := &Context{NumDevices: ng, prof: p,
 		stats: NewStats(), timeline: newTimeline(false), arena: newArena(ng), phys: phys}
 	c.mapNodes()
 	return c
@@ -252,7 +256,7 @@ func (c *Context) DeviceKernelOn(phase string, work []Work, after ...StreamEvent
 	c.checkDeaths(phase)
 	ts := sized(&c.scratch.times, len(work))
 	for d, w := range work {
-		ts[d] = c.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
+		ts[d] = c.prof.Model.deviceTime(w) * c.faults.stragglerFactor(c.physOf(d))
 	}
 	c.stats.addCompute(phase, c.devIDs(len(work)), ts, work)
 	return c.timeline.kernel(c.devIDs(len(work)), ts, after)
@@ -262,7 +266,7 @@ func (c *Context) DeviceKernelOn(phase string, work []Work, after ...StreamEvent
 // eigenvalue and least-squares work the paper leaves on the host) to the
 // host stream, after the dependencies.
 func (c *Context) HostComputeOn(phase string, flops float64, after ...StreamEvent) StreamEvent {
-	t := flops / (c.Model.HostGflops * 1e9)
+	t := flops / (c.prof.Model.HostGflops * 1e9)
 	c.stats.addHost(phase, t, flops)
 	return c.timeline.hostOp(t, after)
 }

@@ -99,8 +99,8 @@ func TestChargesShareTheViewsDeviceIDs(t *testing.T) {
 }
 
 func TestReduceRoundAccounting(t *testing.T) {
-	m := M2090()
-	ctx := NewContext(3, m)
+	m := M2090().Model
+	ctx := NewContext(3, M2090())
 	ctx.commRound("tsqr", dirD2H, []int{100, 200, 300}, Elem64, nil)
 	p := ctx.Stats().Phase("tsqr")
 	if p.Rounds != 1 || p.Messages != 3 {
@@ -127,8 +127,8 @@ func TestBroadcastRoundAccounting(t *testing.T) {
 func TestLatencyPaidPerRoundNotPerMessage(t *testing.T) {
 	// Two rounds of 3 messages each must cost 2 latencies, not 6 — the
 	// property that gives MPK its factor-of-s latency win.
-	m := M2090()
-	ctx := NewContext(3, m)
+	m := M2090().Model
+	ctx := NewContext(3, M2090())
 	ctx.Gather("x", 0, Elem64)
 	ctx.Gather("x", 0, Elem64)
 	p := ctx.Stats().Phase("x")
@@ -138,8 +138,8 @@ func TestLatencyPaidPerRoundNotPerMessage(t *testing.T) {
 }
 
 func TestDeviceKernelTakesMax(t *testing.T) {
-	m := M2090()
-	ctx := NewContext(2, m)
+	m := M2090().Model
+	ctx := NewContext(2, M2090())
 	w := []Work{{Flops: 3e9}, {Flops: 6e9}}
 	ctx.DeviceKernelOn("gemm", w)
 	p := ctx.Stats().Phase("gemm")
@@ -158,8 +158,8 @@ func TestDeviceKernelTakesMax(t *testing.T) {
 func TestMemoryBoundKernel(t *testing.T) {
 	// A kernel with tiny flops but huge memory traffic must be charged by
 	// bandwidth, the SpMV regime.
-	m := M2090()
-	ctx := NewContext(1, m)
+	m := M2090().Model
+	ctx := NewContext(1, M2090())
 	ctx.Launch("spmv", every(Work{Flops: 1e6, Bytes: 1.2e9}))
 	p := ctx.Stats().Phase("spmv")
 	want := 1.2e9/m.DeviceMemBW + m.KernelLaunch
@@ -169,8 +169,8 @@ func TestMemoryBoundKernel(t *testing.T) {
 }
 
 func TestHostCompute(t *testing.T) {
-	m := M2090()
-	ctx := NewContext(1, m)
+	m := M2090().Model
+	ctx := NewContext(1, M2090())
 	ctx.HostComputeOn("lsq", 2e9)
 	p := ctx.Stats().Phase("lsq")
 	if !approx(p.HostTime, 2e9/(m.HostGflops*1e9), 1e-12) {
@@ -229,7 +229,7 @@ func TestPhasesSorted(t *testing.T) {
 }
 
 func TestM2090Sanity(t *testing.T) {
-	m := M2090()
+	m := M2090().Model
 	if m.Latency <= 0 || m.Bandwidth <= 0 || m.DeviceGflops <= 0 ||
 		m.DeviceMemBW <= 0 || m.HostGflops <= 0 || m.KernelLaunch <= 0 {
 		t.Fatalf("cost model has non-positive entries: %+v", m)

@@ -241,7 +241,7 @@ func (c *Context) AliveDevices() []int {
 }
 
 // Survivors returns a context view over the alive devices: it shares the
-// stats ledger, cost model, fault state and memory of this context, but
+// stats ledger, machine profile, fault state and memory of this context, but
 // RunAll and the charging calls address only the survivors (logical
 // device i is physical device Survivors()[i] on the ledger). It errors
 // when no device survives. Do not ResetStats a view — reset the root.
@@ -252,7 +252,6 @@ func (c *Context) Survivors() (*Context, error) {
 	}
 	v := &Context{
 		NumDevices: len(alive),
-		Model:      c.Model,
 		prof:       c.prof,
 		stats:      c.stats,
 		faults:     c.faults,

@@ -22,7 +22,7 @@ import (
 func pathsProfile(kind TopoKind, perNode int) Profile {
 	p := Profile{
 		Name:  "paths-" + string(kind),
-		Model: M2090(),
+		Model: M2090().Model,
 		Topo:  Topology{Kind: kind, PeerLatency: 3e-6, PeerBandwidth: 50e9},
 	}
 	if perNode > 0 {
@@ -88,7 +88,7 @@ func pathsReport(b *strings.Builder, c *Context) {
 // of the pinned behaviour, not a test failure.
 func pathsArm(t *testing.T, b *strings.Builder, variant string, p Profile, elem Elem, overlap bool) {
 	fmt.Fprintf(b, "=== %s %s nodes-of-%d %s overlap=%v ===\n", variant, p.Topo.Kind, p.Cluster.DevicesPerNode, elem, overlap)
-	root := NewContextWithProfile(4, p)
+	root := NewContext(4, p)
 	root.SetOverlap(overlap)
 	c := root
 	switch variant {

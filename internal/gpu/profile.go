@@ -95,32 +95,6 @@ type Profile struct {
 // Clustered reports whether the profile describes a multi-node machine.
 func (p Profile) Clustered() bool { return p.Cluster.Enabled() }
 
-// DefaultProfile wraps a bare cost model the way NewContext always has:
-// host-mediated routing, peer constants mirroring the host link.
-func DefaultProfile(model CostModel) Profile { return defaultProfile(model) }
-
-// defaultProfile wraps a bare cost model the way NewContext always has:
-// host-mediated routing, peer constants mirroring the host link.
-func defaultProfile(model CostModel) Profile {
-	name := "custom"
-	if model == M2090() {
-		name = "m2090"
-	}
-	return Profile{
-		Name:  name,
-		Model: model,
-		Topo:  Topology{Kind: TopoHostHub, PeerLatency: model.Latency, PeerBandwidth: model.Bandwidth},
-	}
-}
-
-// NewContextWithProfile creates a context with ng simulated devices
-// described by the profile.
-func NewContextWithProfile(ng int, p Profile) *Context {
-	c := NewContext(ng, p.Model)
-	c.SetProfile(p)
-	return c
-}
-
 // Profile returns the context's machine description.
 func (c *Context) Profile() Profile { return c.prof }
 
@@ -133,7 +107,6 @@ func (c *Context) Topology() Topology { return c.prof.Topo }
 // costs they were charged at. Survivors views capture the profile at
 // derivation time, so set the profile on the root before deriving views.
 func (c *Context) SetProfile(p Profile) {
-	c.Model = p.Model
 	c.prof = p
 	c.mapNodes() // a per-request profile can arm or disarm the cluster tier
 }

@@ -146,8 +146,8 @@ func TestPerDeviceAttribution(t *testing.T) {
 	// A kernel launch charges each device its own modeled time; the phase
 	// aggregate advances by the maximum. Comm rounds charge every
 	// participating device the full round time and its own byte share.
-	model := M2090()
-	ctx := NewContext(3, model)
+	model := M2090().Model
+	ctx := NewContext(3, M2090())
 	work := []Work{
 		{Flops: 1e9, Bytes: 0}, // compute bound
 		{Flops: 4e9, Bytes: 0}, // 4x slower: the straggler
@@ -219,9 +219,9 @@ func TestTraceRingWraparoundProperty(t *testing.T) {
 func TestRoundTimeSingleNodeIgnoresInterconnect(t *testing.T) {
 	// Without DevicesPerNode the profile is one node and the fabric leg
 	// never engages, even when fabric constants are set.
-	p := DefaultProfile(M2090())
+	p := M2090()
 	p.Cluster.Fabric = Fabric{Latency: 1, Bandwidth: 1} // absurd, must be ignored
-	ctx := NewContextWithProfile(4, p)
+	ctx := NewContext(4, p)
 	got := ctx.roundTime([]int{100, 200, 300, 400})
 	want := p.Model.Latency + 1000/p.Model.Bandwidth
 	if got != want {
@@ -232,9 +232,9 @@ func TestRoundTimeSingleNodeIgnoresInterconnect(t *testing.T) {
 func TestRoundTimeAllDevicesWithinNode(t *testing.T) {
 	// DevicesPerNode >= device count: everything is local, the fabric leg
 	// must not fire even though the profile is clustered.
-	p := DefaultProfile(M2090())
+	p := M2090()
 	p.Cluster = Cluster{DevicesPerNode: 8, Fabric: Fabric{Latency: 25e-6, Bandwidth: 3e9}}
-	ctx := NewContextWithProfile(4, p)
+	ctx := NewContext(4, p)
 	got := ctx.roundTime([]int{10, 20, 30, 40})
 	want := p.Model.Latency + 100/p.Model.Bandwidth
 	if got != want {

@@ -10,7 +10,7 @@ import (
 func ringProfile() Profile {
 	return Profile{
 		Name:  "test-ring",
-		Model: M2090(),
+		Model: M2090().Model,
 		Topo:  Topology{Kind: TopoNVLinkRing, PeerLatency: 2e-6, PeerBandwidth: 100e9},
 	}
 }
@@ -18,7 +18,7 @@ func ringProfile() Profile {
 func switchProfile() Profile {
 	return Profile{
 		Name:  "test-switch",
-		Model: M2090(),
+		Model: M2090().Model,
 		Topo:  Topology{Kind: TopoPCIeSwitch, PeerLatency: 5e-6, PeerBandwidth: 20e9},
 	}
 }
@@ -26,7 +26,7 @@ func switchProfile() Profile {
 func allToAllProfile() Profile {
 	return Profile{
 		Name:  "test-a2a",
-		Model: M2090(),
+		Model: M2090().Model,
 		Topo:  Topology{Kind: TopoAllToAll, PeerLatency: 3e-6, PeerBandwidth: 200e9},
 	}
 }
@@ -71,7 +71,7 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) <= 1e-15*(1+math.Abs(a)+
 func TestRingRouting(t *testing.T) {
 	p := ringProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 
 	// Neighbors: 1 hop.
 	want := p.Topo.PeerLatency + float64(B)/p.Topo.PeerBandwidth
@@ -104,7 +104,7 @@ func TestRingRouting(t *testing.T) {
 func TestSwitchRouting(t *testing.T) {
 	p := switchProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 	// Two disjoint pairs cross the switch concurrently: each link sees B
 	// in one direction, so the round costs one latency plus B over one
 	// link — not 2B.
@@ -126,7 +126,7 @@ func TestSwitchRouting(t *testing.T) {
 func TestAllToAllRouting(t *testing.T) {
 	p := allToAllProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 	// Every ordered pair ships B concurrently on its own link: the round
 	// costs one pair, regardless of how many pairs talk.
 	tr := make([][]int, 4)
@@ -171,7 +171,7 @@ func TestHostHubPeerFallback(t *testing.T) {
 func TestRingRerouteAfterDeath(t *testing.T) {
 	p := ringProfile()
 	const B = 1 << 20
-	c := NewContextWithProfile(4, p)
+	c := NewContext(4, p)
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 1, At: 0}}})
 
 	// Trip the scheduled death (the charge panics with DeviceLostError).
@@ -217,7 +217,7 @@ func TestRingRerouteAfterDeath(t *testing.T) {
 // TestSurvivorsKeepProfile: deriving a view must carry the profile, not
 // fall back to the host-hub default.
 func TestSurvivorsKeepProfile(t *testing.T) {
-	c := NewContextWithProfile(4, ringProfile())
+	c := NewContext(4, ringProfile())
 	c.InjectFaults(FaultPlan{Seed: 1, Deaths: []DeviceDeath{{Device: 3, At: 0}}})
 	func() {
 		defer func() { recover() }()

@@ -171,18 +171,3 @@ func TrsmRightUpper(v *Dense, r *Dense) {
 		Scal(1/d, vj)
 	}
 }
-
-// TrmmRightUpper computes V := V * R in place for upper-triangular R.
-// Columns are updated right-to-left so earlier columns are still the
-// original values when consumed.
-func TrmmRightUpper(v *Dense, r *Dense) {
-	n := v.Cols
-	if r.Rows != n || r.Cols != n {
-		panic(fmt.Sprintf("la: TrmmRightUpper shape mismatch V=%dx%d R=%dx%d", v.Rows, v.Cols, r.Rows, r.Cols))
-	}
-	for j := n - 1; j >= 0; j-- {
-		vj := v.Col(j)
-		Scal(r.At(j, j), vj)
-		gemvCols(1, v, 0, v.Rows, 0, j, r.Col(j), 1, vj, true)
-	}
-}

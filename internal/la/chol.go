@@ -56,32 +56,6 @@ func Cholesky(b *Dense) (*Dense, error) {
 	return r, nil
 }
 
-// CholeskySolve solves B x = y given the upper-triangular Cholesky factor
-// R (B = R'R): first R' z = y by forward substitution, then R x = z by
-// back substitution. y is overwritten with the solution.
-func CholeskySolve(r *Dense, y []float64) {
-	n := r.Rows
-	if len(y) != n {
-		panic("la: CholeskySolve length mismatch")
-	}
-	// forward: R' z = y
-	for i := 0; i < n; i++ {
-		s := y[i]
-		for k := 0; k < i; k++ {
-			s -= r.At(k, i) * y[k]
-		}
-		y[i] = s / r.At(i, i)
-	}
-	// backward: R x = z
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= r.At(i, k) * y[k]
-		}
-		y[i] = s / r.At(i, i)
-	}
-}
-
 // UpperSolve solves R x = y in place for upper-triangular R.
 func UpperSolve(r *Dense, y []float64) {
 	n := r.Rows

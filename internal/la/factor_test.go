@@ -69,25 +69,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n := 9
-	b := spdMatrix(rng, n, 1)
-	r, err := Cholesky(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(rng, n)
-	rhs := make([]float64, n)
-	Gemv(1, b, x, 0, rhs)
-	CholeskySolve(r, rhs)
-	for i := range x {
-		if !almostEq(rhs[i], x[i], 1e-9) {
-			t.Fatalf("CholeskySolve x[%d] = %v, want %v", i, rhs[i], x[i])
-		}
-	}
-}
-
 func TestHouseholderQRProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, shape := range [][2]int{{1, 1}, {5, 5}, {20, 6}, {100, 30}, {64, 1}} {

@@ -29,15 +29,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Stride: rows, Data: make([]float64, rows*cols)}
 }
 
-// NewDenseStride allocates a Rows x Cols zero matrix with the given
-// column stride (>= rows). Padding rows are kept at zero.
-func NewDenseStride(rows, cols, stride int) *Dense {
-	if stride < rows {
-		panic(fmt.Sprintf("la: NewDenseStride stride %d < rows %d", stride, rows))
-	}
-	return &Dense{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, stride*cols)}
-}
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.Data[j*m.Stride+i] }
 

@@ -24,8 +24,15 @@ func TestDenseAtSetCol(t *testing.T) {
 	}
 }
 
+// newDenseStride allocates a rows x cols zero matrix with the given
+// column stride (>= rows): the padded layout a view of a larger
+// allocation has.
+func newDenseStride(rows, cols, stride int) *Dense {
+	return &Dense{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, stride*cols)}
+}
+
 func TestDenseStridePadding(t *testing.T) {
-	m := NewDenseStride(3, 2, 5)
+	m := newDenseStride(3, 2, 5)
 	for j := 0; j < 2; j++ {
 		for i := 0; i < 3; i++ {
 			m.Set(i, j, float64(10*i+j))

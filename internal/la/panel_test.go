@@ -25,7 +25,7 @@ func TestBatchedGramPaddedStride(t *testing.T) {
 	// same size; verify a strided view computes the same Gram matrix.
 	rng := rand.New(rand.NewSource(41))
 	rows, cols := 2*PanelRows+100, 4
-	padded := NewDenseStride(rows, cols, rows+60)
+	padded := newDenseStride(rows, cols, rows+60)
 	for j := 0; j < cols; j++ {
 		col := padded.Col(j)
 		for i := range col {
@@ -85,7 +85,7 @@ func TestPanelKernelsSumPanelsInOrder(t *testing.T) {
 			tag := fmt.Sprintf("rows=%d special=%v", rows, special)
 
 			// A padded-stride view, the layout the paper batches over.
-			a := NewDenseStride(rows, 5, rows+37)
+			a := newDenseStride(rows, 5, rows+37)
 			for j := 0; j < a.Cols; j++ {
 				copy(a.Col(j), awkwardVec(rng, rows, special))
 			}

@@ -67,34 +67,11 @@ func getF32(n int) *[]float32 {
 
 func putF32(p *[]float32) { f32Pool.Put(p) }
 
-// AxpyF32 computes y := y + alpha*x with float32 arithmetic: both
-// operands are narrowed per element, the update happens in single
-// precision, and the sum is widened back into y.
-func AxpyF32(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("la: AxpyF32 length mismatch %d vs %d", len(x), len(y)))
-	}
-	af := float32(alpha)
-	for i, v := range x {
-		y[i] = float64(float32(y[i]) + af*float32(v))
-	}
-}
-
-// GemvF32 computes y := alpha*A*x + beta*y in single precision. The
-// axpy-form column sweep of Gemv is kept, but the running y is held in a
-// pooled float32 buffer: A and x are narrowed on the fly, every
-// accumulation is float32, and y is widened back once at the end.
-func GemvF32(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("la: GemvF32 shape mismatch A=%dx%d x=%d y=%d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	acc := getF32(a.Rows)
-	defer putF32(acc)
-	gemvF32(float32(alpha), a, x, float32(beta), y, *acc)
-}
-
-// gemvF32 is the buffer-supplied core of GemvF32, shared with GemmNNF32
-// so a whole GEMM reuses one accumulator.
+// gemvF32 computes y := alpha*A*x + beta*y in single precision, one
+// column of GemmNNF32. The axpy-form column sweep of Gemv is kept, but the
+// running y is held in the caller's float32 accumulator (so a whole GEMM
+// reuses one): A and x are narrowed on the fly, every accumulation is
+// float32, and y is widened back once at the end.
 func gemvF32(alpha float32, a *Dense, x []float64, beta float32, y []float64, acc []float32) {
 	if beta == 0 {
 		for i := range acc {

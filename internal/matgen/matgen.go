@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 
 	"cagmres/internal/sparse"
 )
@@ -342,6 +343,29 @@ func ByName(name string, scale float64) (*Matrix, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("matgen: unknown matrix %q (want cant, G3_circuit, dielFilterV2real, nlpkkt120, laplace3d)", name)
+}
+
+// Load is the command-line matrix source: the MatrixMarket file at path
+// when path is non-empty, otherwise the generator ByName(name, scale). It
+// returns the matrix and the name to report it by.
+func Load(path, name string, scale float64) (*sparse.CSR, string, error) {
+	if path == "" {
+		m, err := ByName(name, scale)
+		if err != nil {
+			return nil, "", err
+		}
+		return m.A, m.Name, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
+	}
+	defer f.Close()
+	a, err := sparse.ReadMatrixMarket(f)
+	if err != nil {
+		return nil, "", err
+	}
+	return a, path, nil
 }
 
 // PaperSet returns all four analogues at the given scale, in the paper's

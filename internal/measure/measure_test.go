@@ -8,7 +8,7 @@ import (
 )
 
 func TestModelTimerDeterministic(t *testing.T) {
-	tm := NewModelTimer(gpu.M2090())
+	tm := NewModelTimer(gpu.M2090().Model)
 	k := Kernel{Name: "gemm", Flops: 1.2e8, Bytes: 3e7, Parallelism: 16, Dispatches: 33}
 	a := tm.Time(k, nil)
 	b := tm.Time(k, nil)
@@ -27,7 +27,7 @@ func TestModelTimerParallelBeatsSerial(t *testing.T) {
 	// The Figure 11(a,b) property as a model invariant: the batched
 	// (panel-parallel) schedule of the same work is strictly faster than
 	// the serial one-pass schedule for tall inputs.
-	tm := NewModelTimer(gpu.M2090())
+	tm := NewModelTimer(gpu.M2090().Model)
 	n, c := 1<<17, 30
 	flops := float64(n) * float64(c) * float64(c)
 	bytes := 8 * float64(n) * float64(c)
@@ -39,7 +39,7 @@ func TestModelTimerParallelBeatsSerial(t *testing.T) {
 }
 
 func TestModelTimerComputeVsMemoryBound(t *testing.T) {
-	m := gpu.M2090()
+	m := gpu.M2090().Model
 	tm := NewModelTimer(m)
 	// Pure compute at full parallelism: flops / aggregate rate + dispatch.
 	k := Kernel{Flops: 1e9, Parallelism: HostCores, Dispatches: 1}
@@ -62,7 +62,7 @@ func TestModelTimerComputeVsMemoryBound(t *testing.T) {
 }
 
 func TestModelTimerClampsParallelism(t *testing.T) {
-	tm := NewModelTimer(gpu.M2090())
+	tm := NewModelTimer(gpu.M2090().Model)
 	k := Kernel{Flops: 1e9, Parallelism: 10_000, Dispatches: 1}
 	atCores := k
 	atCores.Parallelism = HostCores
@@ -80,7 +80,7 @@ func TestModelTimerClampsParallelism(t *testing.T) {
 func TestModelTimerDispatchFloor(t *testing.T) {
 	// Many tiny dispatches dominate: the property that makes BLAS-1 MGS
 	// expensive before any data moves.
-	tm := NewModelTimer(gpu.M2090())
+	tm := NewModelTimer(gpu.M2090().Model)
 	tiny := Kernel{Flops: 10, Dispatches: 1000}
 	if got := tm.Seconds(tiny); got < 1000*defaultDispatch {
 		t.Fatalf("dispatch floor not charged: %v", got)
@@ -88,7 +88,7 @@ func TestModelTimerDispatchFloor(t *testing.T) {
 }
 
 func TestModelTimerExecutesOnce(t *testing.T) {
-	tm := NewModelTimer(gpu.M2090())
+	tm := NewModelTimer(gpu.M2090().Model)
 	calls := 0
 	tm.Time(Kernel{Flops: 1}, func() { calls++ })
 	if calls != 1 {

@@ -20,7 +20,7 @@ func (r *recorder) ObserveKernel(name string, seconds float64, modeled bool) {
 
 func TestInstrumentReportsSamples(t *testing.T) {
 	rec := &recorder{}
-	base := NewModelTimer(gpu.M2090())
+	base := NewModelTimer(gpu.M2090().Model)
 	timer := Instrument(base, rec)
 	if !timer.Deterministic() {
 		t.Fatal("instrumentation broke determinism")
@@ -44,7 +44,7 @@ func TestInstrumentReportsSamples(t *testing.T) {
 }
 
 func TestInstrumentNilObserver(t *testing.T) {
-	base := NewModelTimer(gpu.M2090())
+	base := NewModelTimer(gpu.M2090().Model)
 	if Instrument(base, nil) != Timer(base) {
 		t.Fatal("nil observer should return the timer unchanged")
 	}

@@ -25,9 +25,9 @@ func TestCollectStatsExportsOptionalByteColumns(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	ctx := gpu.NewContextWithProfile(3, gpu.Profile{
+	ctx := gpu.NewContext(3, gpu.Profile{
 		Name:         "ring-test",
-		Model:        gpu.M2090(),
+		Model:        gpu.M2090().Model,
 		Topo:         gpu.Topology{Kind: gpu.TopoNVLinkRing, PeerLatency: 2e-6, PeerBandwidth: 1e11},
 		BF16Transfer: true,
 	})

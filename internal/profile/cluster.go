@@ -77,32 +77,23 @@ func WithCluster(p gpu.Profile, devicesPerNode int, fab gpu.Fabric) (gpu.Profile
 }
 
 // ClusterFromFlags applies the -devices-per-node/-fabric flag pair to an
-// already-resolved profile selection (the result of FromFlags; nil means
-// "keep the built-in default"). Both zero keeps the selection unchanged.
-// Arming a fabric requires a node size; an unnamed fabric defaults to
-// ib-hdr.
-func ClusterFromFlags(base *gpu.Profile, devicesPerNode int, fabric string) (*gpu.Profile, error) {
+// already-resolved profile selection (the result of FromFlags). Both zero
+// keeps the selection unchanged. Arming a fabric requires a node size; an
+// unnamed fabric defaults to ib-hdr.
+func ClusterFromFlags(base gpu.Profile, devicesPerNode int, fabric string) (gpu.Profile, error) {
 	if devicesPerNode == 0 && fabric == "" {
 		return base, nil
 	}
 	if devicesPerNode < 1 {
-		return nil, fmt.Errorf("profile: -fabric needs -devices-per-node >= 1, got %d", devicesPerNode)
-	}
-	p := M2090()
-	if base != nil {
-		p = *base
+		return gpu.Profile{}, fmt.Errorf("profile: -fabric needs -devices-per-node >= 1, got %d", devicesPerNode)
 	}
 	fab := fabrics[DefaultFabricName]
 	if fabric != "" {
 		f, err := FabricByName(fabric)
 		if err != nil {
-			return nil, err
+			return gpu.Profile{}, err
 		}
 		fab = f
 	}
-	q, err := WithCluster(p, devicesPerNode, fab)
-	if err != nil {
-		return nil, err
-	}
-	return &q, nil
+	return WithCluster(base, devicesPerNode, fab)
 }

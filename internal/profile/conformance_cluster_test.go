@@ -33,7 +33,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	ng := 2 * g // two full nodes
 	const B = 1 << 18
 
-	c := gpu.NewContextWithProfile(ng, p)
+	c := gpu.NewContext(ng, p)
 	exchange(c, "cross", pairTraffic(ng, 0, g, B)) // node 0 -> node 1
 	ps := c.Stats().Phase("cross")
 	if ps.BytesInterNode != B {
@@ -44,7 +44,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	}
 
 	if g > 1 {
-		c2 := gpu.NewContextWithProfile(ng, p)
+		c2 := gpu.NewContext(ng, p)
 		exchange(c2, "local", pairTraffic(ng, 0, 1, B)) // both on node 0
 		ps2 := c2.Stats().Phase("local")
 		if ps2.BytesInterNode != 0 {
@@ -56,7 +56,7 @@ func checkClusterTierSplit(t *testing.T, p gpu.Profile) {
 	}
 
 	// A host round charges remote nodes' shares to the fabric too.
-	c3 := gpu.NewContextWithProfile(ng, p)
+	c3 := gpu.NewContext(ng, p)
 	c3.Gather("red", B/gpu.ScalarBytes, gpu.Elem64)
 	ps3 := c3.Stats().Phase("red")
 	if ps3.BytesD2H != ng*B {
@@ -74,7 +74,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	one := p
 	one.Cluster.DevicesPerNode = devCount // all devices on node 0
-	c := gpu.NewContextWithProfile(devCount, one)
+	c := gpu.NewContext(devCount, one)
 	bytes := []int{100, 200, 300, 400}
 	c.HaloExchangeElemOn("x", bytes, bytes, nil, gpu.Elem64)
 	ps := c.Stats().Phase("x")
@@ -83,7 +83,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 	}
 	flatP := p
 	flatP.Cluster = gpu.Cluster{}
-	flat := gpu.NewContextWithProfile(devCount, flatP)
+	flat := gpu.NewContext(devCount, flatP)
 	flat.HaloExchangeElemOn("x", bytes, bytes, nil, gpu.Elem64)
 	fs := flat.Stats().Phase("x")
 	if ps.CommTime != fs.CommTime || ps.BytesD2H != fs.BytesD2H || ps.BytesH2D != fs.BytesH2D {
@@ -98,7 +98,7 @@ func checkClusterDegenerate(t *testing.T, p gpu.Profile) {
 func checkClusterFaultReplay(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	run := func() (string, gpu.FaultCounts) {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.InjectFaults(gpu.FaultPlan{
 			Seed:              11,
 			TransferFaultProb: 0.3,

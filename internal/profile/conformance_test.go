@@ -116,7 +116,7 @@ func pairTraffic(ng, s, d, b int) [][]int {
 
 func checkFiniteTimes(t *testing.T, p gpu.Profile) {
 	t.Helper()
-	c := gpu.NewContextWithProfile(devCount, p)
+	c := gpu.NewContext(devCount, p)
 	workload(c)
 	st := c.Stats()
 	if tt := st.TotalTime(); !(tt > 0) || math.IsInf(tt, 0) || math.IsNaN(tt) {
@@ -142,12 +142,12 @@ func checkFiniteTimes(t *testing.T, p gpu.Profile) {
 func checkMonotoneComm(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	hostCost := func(b int) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.Gather("x", b/gpu.ScalarBytes, gpu.Elem64)
 		return c.Stats().TotalTime()
 	}
 	peerCost := func(b int) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		exchange(c, "x", ringTraffic(devCount, b))
 		return c.Stats().TotalTime()
 	}
@@ -169,12 +169,12 @@ func checkMonotoneComm(t *testing.T, p gpu.Profile) {
 func checkMonotoneCompute(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	devCost := func(flops, bytes float64) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		uniformKernel(c, "x", gpu.Work{Flops: flops, Bytes: bytes})
 		return c.Stats().TotalTime()
 	}
 	hostCost := func(flops float64) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.HostComputeOn("x", flops)
 		return c.Stats().TotalTime()
 	}
@@ -210,7 +210,7 @@ func checkMonotoneCompute(t *testing.T, p gpu.Profile) {
 func checkRouteSymmetry(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	cost := func(s, d int) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		exchange(c, "x", pairTraffic(devCount, s, d, 1<<16))
 		return c.Stats().TotalTime()
 	}
@@ -228,7 +228,7 @@ func checkRouteSymmetry(t *testing.T, p gpu.Profile) {
 // the serial time the same charges add up to.
 func checkLaneLedger(t *testing.T, p gpu.Profile) {
 	t.Helper()
-	c := gpu.NewContextWithProfile(devCount, p)
+	c := gpu.NewContext(devCount, p)
 	c.SetOverlap(true)
 	workload(c)
 	const tol = 1e-12
@@ -243,7 +243,7 @@ func checkLaneLedger(t *testing.T, p gpu.Profile) {
 func checkOverlapIdentity(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	render := func(overlap bool) string {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.SetOverlap(overlap)
 		workload(c)
 		return c.Stats().String() + "\n" + c.Stats().DeviceString()
@@ -266,7 +266,7 @@ func checkFP32Speedup(t *testing.T, p gpu.Profile) {
 		t.Fatalf("fp32_speedup %g outside [1, 8]", sp)
 	}
 	cost := func(e gpu.Elem) float64 {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		uniformKernel(c, "x", gpu.Work{Flops: 1e10, Elem: e})
 		return c.Stats().TotalTime()
 	}
@@ -299,7 +299,7 @@ func checkBF16Transfer(t *testing.T, p gpu.Profile) {
 	const scalars = 1 << 19
 	cost := func(e gpu.Elem) (float64, *gpu.Stats) {
 		b := scalars * e.Bytes()
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.HaloExchangeElemOn("x", uniform(devCount, b), uniform(devCount, b), ringTraffic(devCount, b), e)
 		return c.Stats().TotalTime(), c.Stats()
 	}
@@ -318,7 +318,7 @@ func checkBF16Transfer(t *testing.T, p gpu.Profile) {
 // columns, while tagged narrow traffic makes them appear.
 func checkPrecisionLedger(t *testing.T, p gpu.Profile) {
 	t.Helper()
-	c := gpu.NewContextWithProfile(devCount, p)
+	c := gpu.NewContext(devCount, p)
 	workload(c)
 	table := c.Stats().String() + c.Stats().DeviceString()
 	for _, col := range []string{"bytesFP32", "bytesComp"} {
@@ -337,7 +337,7 @@ func checkPrecisionLedger(t *testing.T, p gpu.Profile) {
 func checkFaultReplay(t *testing.T, p gpu.Profile) {
 	t.Helper()
 	run := func() (string, gpu.FaultCounts) {
-		c := gpu.NewContextWithProfile(devCount, p)
+		c := gpu.NewContext(devCount, p)
 		c.InjectFaults(gpu.FaultPlan{Seed: 7, TransferFaultProb: 0.4, MaxTransferFaults: 5})
 		workload(c)
 		return c.Stats().String() + "\n" + c.Stats().DeviceString(), c.FaultCounts()

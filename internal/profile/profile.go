@@ -1,6 +1,6 @@
 // Package profile ships the calibrated machine profiles the simulator
-// can be pointed at: the paper's 2014 testbed (M2090 GPUs behind one
-// host PCIe hub) and two modern references (A100 boxes joined by a PCIe
+// can be pointed at: the paper's 2014 testbed (gpu.M2090: M2090 GPUs
+// behind one host PCIe hub) and two modern references (A100 boxes joined by a PCIe
 // switch, H100 boxes joined by an NVLink ring). A profile bundles the
 // per-device compute constants with an explicit interconnect topology
 // (gpu.Profile); the solver program is identical under every profile —
@@ -21,23 +21,6 @@ import (
 
 	"cagmres/internal/gpu"
 )
-
-// M2090 is the paper-faithful default: the testbed of the source paper
-// (three Tesla M2090 Fermi GPUs on a shared PCIe 2.0 x16 segment behind
-// two 8-core Sandy Bridge CPUs). Host-hub topology — device-to-device
-// traffic bounces through host memory, so its ledger is byte-identical
-// to the pre-profile simulator.
-func M2090() gpu.Profile {
-	return gpu.Profile{
-		Name:  "m2090",
-		Model: gpu.M2090(),
-		Topo: gpu.Topology{
-			Kind:          gpu.TopoHostHub,
-			PeerLatency:   15e-6, // a peer "hop" is still a host hop here
-			PeerBandwidth: 6e9,
-		},
-	}
-}
 
 // A100PCIe models a contemporary PCIe server: A100-80GB (PCIe) devices,
 // each with a private Gen4 x16 up-link into a non-blocking PCIe switch,
@@ -98,7 +81,7 @@ func H100NVLink() gpu.Profile {
 // on every lookup keeps the returned values independent — callers may
 // mutate their copy freely.
 var builders = map[string]func() gpu.Profile{
-	"m2090":       M2090,
+	"m2090":       gpu.M2090,
 	"a100-pcie":   A100PCIe,
 	"h100-nvlink": H100NVLink,
 }
@@ -155,26 +138,20 @@ func WithTopology(p gpu.Profile, kind gpu.TopoKind) (gpu.Profile, error) {
 }
 
 // FromFlags resolves the -profile/-topology flag pair every command-line
-// front end exposes. Both empty means "keep the built-in default" (nil).
-// A -topology override on its own rewires the default m2090 machine.
-func FromFlags(name, topo string) (*gpu.Profile, error) {
-	if name == "" && topo == "" {
-		return nil, nil
-	}
-	p := M2090()
+// front end exposes. Both empty selects the paper's m2090; a -topology
+// override on its own rewires it.
+func FromFlags(name, topo string) (gpu.Profile, error) {
+	p := gpu.M2090()
 	if name != "" {
 		var err error
 		if p, err = ByName(name); err != nil {
-			return nil, err
+			return gpu.Profile{}, err
 		}
 	}
 	if topo != "" {
-		var err error
-		if p, err = WithTopology(p, gpu.TopoKind(strings.ToLower(strings.TrimSpace(topo)))); err != nil {
-			return nil, err
-		}
+		return WithTopology(p, gpu.TopoKind(strings.ToLower(strings.TrimSpace(topo))))
 	}
-	return &p, nil
+	return p, nil
 }
 
 // Spec is the JSON wire form of a profile selection: a shipped base
@@ -327,7 +304,7 @@ func (s Spec) Resolve() (gpu.Profile, error) {
 // JSON null) yields the default m2090 profile.
 func Decode(data []byte) (gpu.Profile, error) {
 	if len(strings.TrimSpace(string(data))) == 0 {
-		return M2090(), nil
+		return gpu.M2090(), nil
 	}
 	var s Spec
 	dec := json.NewDecoder(strings.NewReader(string(data)))

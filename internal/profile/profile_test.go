@@ -39,7 +39,7 @@ func TestConformanceCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, base := range []gpu.Profile{M2090(), A100PCIe()} {
+		for _, base := range []gpu.Profile{gpu.M2090(), A100PCIe()} {
 			p, err := WithCluster(base, 2, fab)
 			if err != nil {
 				t.Fatalf("WithCluster(%s, %s): %v", base.Name, fabric, err)
@@ -71,42 +71,48 @@ func TestFabricByName(t *testing.T) {
 }
 
 func TestClusterFromFlags(t *testing.T) {
-	if p, err := ClusterFromFlags(nil, 0, ""); err != nil || p != nil {
-		t.Fatalf("no cluster flags: want nil,nil got %v,%v", p, err)
+	if p, err := ClusterFromFlags(A100PCIe(), 0, ""); err != nil || p != A100PCIe() {
+		t.Fatalf("no cluster flags: want the base unchanged, got %+v, %v", p, err)
 	}
-	p, err := ClusterFromFlags(nil, 2, "")
-	if err != nil || p == nil || !p.Clustered() || p.Cluster.Fabric.Kind != gpu.FabricIBHDR {
+	p, err := ClusterFromFlags(gpu.M2090(), 2, "")
+	if err != nil || !p.Clustered() || p.Cluster.Fabric.Kind != gpu.FabricIBHDR {
 		t.Fatalf("default fabric: got %+v, %v", p, err)
 	}
-	base := A100PCIe()
-	p, err = ClusterFromFlags(&base, 4, "Ethernet-25G")
-	if err != nil || p == nil || p.Cluster.DevicesPerNode != 4 || p.Cluster.Fabric.Kind != gpu.FabricEthernet25G {
+	p, err = ClusterFromFlags(A100PCIe(), 4, "Ethernet-25G")
+	if err != nil || p.Cluster.DevicesPerNode != 4 || p.Cluster.Fabric.Kind != gpu.FabricEthernet25G {
 		t.Fatalf("named fabric: got %+v, %v", p, err)
 	}
 	if !strings.Contains(p.Name, "a100-pcie") || !strings.Contains(p.Name, "ethernet-25g") {
 		t.Errorf("clustered profile name %q should carry base and fabric", p.Name)
 	}
-	if _, err := ClusterFromFlags(nil, 0, "ib-hdr"); err == nil {
+	if _, err := ClusterFromFlags(gpu.M2090(), 0, "ib-hdr"); err == nil {
 		t.Error("fabric without node size accepted")
 	}
-	if _, err := ClusterFromFlags(nil, 2, "myrinet"); err == nil {
+	if _, err := ClusterFromFlags(gpu.M2090(), 2, "myrinet"); err == nil {
 		t.Error("unknown fabric accepted")
 	}
-	if _, err := ClusterFromFlags(nil, -1, "ib-hdr"); err == nil {
+	if _, err := ClusterFromFlags(gpu.M2090(), -1, "ib-hdr"); err == nil {
 		t.Error("negative node size accepted")
 	}
 }
 
 func TestM2090MatchesBareModel(t *testing.T) {
-	// The paper-faithful profile must carry exactly the cost model the
-	// pre-profile simulator hard-wired, on a host-hub topology, so its
-	// ledger is byte-identical to history.
-	p := M2090()
-	if p.Model != gpu.M2090() {
-		t.Fatalf("m2090 profile model drifted: %+v vs %+v", p.Model, gpu.M2090())
+	// The shipped m2090 is the simulator's own machine, gpu.M2090: a
+	// host-hub topology whose peer constants mirror the host link, the
+	// wiring every pre-profile context had, so its ledger is
+	// byte-identical to history.
+	p, err := ByName("m2090")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != gpu.M2090() {
+		t.Fatalf("m2090 profile drifted: %+v vs %+v", p, gpu.M2090())
 	}
 	if p.Topo.Kind != gpu.TopoHostHub || p.Topo.PeerToPeer() {
 		t.Fatalf("m2090 profile must route through the host, got %+v", p.Topo)
+	}
+	if p.Topo.PeerLatency != p.Model.Latency || p.Topo.PeerBandwidth != p.Model.Bandwidth {
+		t.Fatalf("m2090 peer constants %+v must mirror the host link %+v", p.Topo, p.Model)
 	}
 }
 
@@ -245,7 +251,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// A decoded profile must be usable: context creation and a
 		// small charge must not panic or produce a non-finite time.
-		c := gpu.NewContextWithProfile(2, p)
+		c := gpu.NewContext(2, p)
 		c.Gather("fuzz", 16, gpu.Elem64)
 		c.HaloExchangeElemOn("fuzz", []int{64, 64}, []int{64, 64}, [][]int{{0, 64}, {64, 0}}, gpu.Elem64)
 		if tt := c.Stats().TotalTime(); !(tt >= 0) {
@@ -255,28 +261,28 @@ func FuzzDecode(f *testing.F) {
 }
 
 func TestWithTopologyRejectsUnknown(t *testing.T) {
-	if _, err := WithTopology(M2090(), gpu.TopoKind("torus")); err == nil || !strings.Contains(err.Error(), "torus") {
+	if _, err := WithTopology(gpu.M2090(), gpu.TopoKind("torus")); err == nil || !strings.Contains(err.Error(), "torus") {
 		t.Fatalf("expected torus rejection, got %v", err)
 	}
 }
 
 func TestFromFlags(t *testing.T) {
-	if p, err := FromFlags("", ""); err != nil || p != nil {
-		t.Fatalf("empty flags: want nil,nil got %v,%v", p, err)
+	if p, err := FromFlags("", ""); err != nil || p != gpu.M2090() {
+		t.Fatalf("empty flags: want m2090, got %+v, %v", p, err)
 	}
 	p, err := FromFlags("H100-NVLink", "")
-	if err != nil || p == nil || p.Name != "h100-nvlink" {
+	if err != nil || p.Name != "h100-nvlink" {
 		t.Fatalf("named profile: got %+v, %v", p, err)
 	}
 	p, err = FromFlags("", "all-to-all")
-	if err != nil || p == nil || p.Topo.Kind != gpu.TopoAllToAll {
+	if err != nil || p.Topo.Kind != gpu.TopoAllToAll {
 		t.Fatalf("bare topology: got %+v, %v", p, err)
 	}
-	if p.Model != gpu.M2090() {
+	if p.Model != gpu.M2090().Model {
 		t.Fatalf("bare topology must keep the m2090 model")
 	}
 	p, err = FromFlags("a100-pcie", "NVLink-Ring")
-	if err != nil || p == nil || p.Topo.Kind != gpu.TopoNVLinkRing || p.Name != "a100-pcie+nvlink-ring" {
+	if err != nil || p.Topo.Kind != gpu.TopoNVLinkRing || p.Name != "a100-pcie+nvlink-ring" {
 		t.Fatalf("profile+topology: got %+v, %v", p, err)
 	}
 	if _, err := FromFlags("k20", ""); err == nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
 )
 
@@ -30,7 +29,7 @@ func TestBrownoutShed(t *testing.T) {
 	now := 0.0
 	reg := obs.NewRegistry()
 	engine := obs.NewSLOEngine(reg, obs.SLOConfig{Now: func() float64 { return now }})
-	pool := NewPool(1, 1, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{
 		Pool:     pool,
 		Registry: reg,
@@ -105,7 +104,7 @@ func TestBrownoutShed(t *testing.T) {
 // solve is rejected up front with the typed error and tallied.
 func TestDeadlineInfeasibleGate(t *testing.T) {
 	reg := obs.NewRegistry()
-	pool := NewPool(1, 1, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{Pool: pool, Registry: reg, DeadlineMargin: 2})
 	s.Start()
 	defer s.Drain(context.Background())
@@ -150,7 +149,7 @@ func TestDeadlineInfeasibleGate(t *testing.T) {
 // cancel.
 func TestDeadlineExpiredShed(t *testing.T) {
 	reg := obs.NewRegistry()
-	pool := NewPool(1, 1, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{Pool: pool, Registry: reg})
 
 	a := testMatrix()

@@ -38,7 +38,7 @@ func waitSnapshot(t *testing.T, s *Scheduler, what string, cond func(Snapshot) b
 // the scheduler must re-queue the job and the second lease must succeed.
 func TestJobRequeuedAfterTransferExhaustion(t *testing.T) {
 	a := testMatrix()
-	pool := NewPoolWithConfig(PoolConfig{Size: 1, Devices: 2, Model: gpu.M2090(),
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{{Seed: 1, TransferFaultProb: 1, MaxTransferFaults: 4}}})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
@@ -74,7 +74,7 @@ func TestJobRequeuedAfterTransferExhaustion(t *testing.T) {
 // reports degradation.
 func TestDeviceDeathHealsThenPoolDegrades(t *testing.T) {
 	a := testMatrix()
-	pool := NewPoolWithConfig(PoolConfig{Size: 1, Devices: 2, Model: gpu.M2090(),
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{{Deaths: []gpu.DeviceDeath{{Device: 0, At: 0}}}}})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
@@ -118,7 +118,7 @@ func TestDeviceDeathHealsThenPoolDegrades(t *testing.T) {
 // again) and the pool never degrades.
 func TestRepairReadmitsEvictedContext(t *testing.T) {
 	a := testMatrix()
-	pool := NewPoolWithConfig(PoolConfig{Size: 1, Devices: 2, Model: gpu.M2090(),
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{{Deaths: []gpu.DeviceDeath{{Device: 0, At: 0}}}},
 		Repair:     true})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
@@ -186,7 +186,7 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	}
 	wedge := wedgeTSQR{entered: make(chan struct{}), once: new(sync.Once), release: make(chan struct{}), inner: inner}
 
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, DrainGrace: 50 * time.Millisecond})
 	s.Start()
 	spec := testSpec(a, testRHS(a.Rows, 6), "")
@@ -231,7 +231,7 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 // solver's next restart boundary instead of holding the context forever.
 func TestLeaseTimeoutCancelsStuckBatch(t *testing.T) {
 	a := testMatrix()
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, LeaseTimeout: 30 * time.Millisecond})
 	s.Start()
 	spec := testSpec(a, testRHS(a.Rows, 7), "")
@@ -260,7 +260,7 @@ func TestLeaseTimeoutCancelsStuckBatch(t *testing.T) {
 func TestChaosLoadLeavesNoGoroutines(t *testing.T) {
 	a := testMatrix()
 	before := runtime.NumGoroutine()
-	pool := NewPoolWithConfig(PoolConfig{Size: 3, Devices: 2, Model: gpu.M2090(),
+	pool := NewPool(PoolConfig{Size: 3, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{
 			{Deaths: []gpu.DeviceDeath{{Device: 1, At: 0}}},
 			{Seed: 2, TransferFaultProb: 1, MaxTransferFaults: 4},

@@ -37,8 +37,7 @@ import (
 // ErrPoolExhausted.
 type Pool struct {
 	devices int
-	model   gpu.CostModel
-	prof    *gpu.Profile
+	prof    gpu.Profile
 	free    chan *gpu.Context
 	repair  bool
 
@@ -58,12 +57,9 @@ type PoolConfig struct {
 	// count of each.
 	Size    int
 	Devices int
-	Model   gpu.CostModel
-	// Profile, when non-nil, is the machine description of every pooled
-	// context — cost model plus interconnect topology. It supersedes
-	// Model (which survives for callers that only care about the compute
-	// constants and implies the paper's host-hub wiring).
-	Profile *gpu.Profile
+	// Profile is the machine description of every pooled context — cost
+	// model plus interconnect topology; the zero value is gpu.M2090().
+	Profile gpu.Profile
 	// FaultPlans[i], when present and non-empty, is armed on pooled
 	// context i — the chaos harness's way of scheduling deterministic
 	// failures into a running service. Missing entries stay fault-free.
@@ -87,29 +83,21 @@ type PoolConfig struct {
 // been evicted with repair disabled.
 var ErrPoolExhausted = errors.New("sched: every pooled context has been evicted")
 
-// NewPool builds size fault-free contexts of devicesPerContext simulated
-// GPUs each.
-func NewPool(size, devicesPerContext int, model gpu.CostModel) *Pool {
-	return NewPoolWithConfig(PoolConfig{Size: size, Devices: devicesPerContext, Model: model})
-}
-
-// NewPoolWithConfig builds a pool, arming the configured fault plans and
-// retry policy on the pooled contexts.
-func NewPoolWithConfig(cfg PoolConfig) *Pool {
+// NewPool builds a pool, arming the configured fault plans and retry
+// policy on the pooled contexts.
+func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Size < 1 {
 		panic(fmt.Sprintf("sched: NewPool with size %d", cfg.Size))
 	}
-	p := &Pool{devices: cfg.Devices, model: cfg.Model, prof: cfg.Profile, repair: cfg.Repair,
+	if cfg.Profile == (gpu.Profile{}) {
+		cfg.Profile = gpu.M2090()
+	}
+	p := &Pool{devices: cfg.Devices, prof: cfg.Profile, repair: cfg.Repair,
 		free:      make(chan *gpu.Context, cfg.Size),
 		exhausted: make(chan struct{}),
 		healthy:   cfg.Size}
 	for i := 0; i < cfg.Size; i++ {
-		var c *gpu.Context
-		if cfg.Profile != nil {
-			c = gpu.NewContextWithProfile(cfg.Devices, *cfg.Profile)
-		} else {
-			c = gpu.NewContext(cfg.Devices, cfg.Model)
-		}
+		c := gpu.NewContext(cfg.Devices, cfg.Profile)
 		if cfg.Retry != (gpu.RetryPolicy{}) {
 			c.SetRetryPolicy(cfg.Retry)
 		}
@@ -125,17 +113,9 @@ func NewPoolWithConfig(cfg PoolConfig) *Pool {
 	return p
 }
 
-// profile returns the machine description pooled contexts are (re)set
-// to between leases.
-func (p *Pool) profile() gpu.Profile {
-	if p.prof != nil {
-		return *p.prof
-	}
-	return gpu.DefaultProfile(p.model)
-}
-
-// Profile returns the pool's configured machine description.
-func (p *Pool) Profile() gpu.Profile { return p.profile() }
+// Profile returns the machine description pooled contexts are (re)set to
+// between leases.
+func (p *Pool) Profile() gpu.Profile { return p.prof }
 
 // Size returns the number of contexts the pool owns.
 func (p *Pool) Size() int { return cap(p.free) }
@@ -223,7 +203,7 @@ func (p *Pool) Release(c *gpu.Context) {
 	// A solve may have re-targeted the lease at a per-request machine
 	// profile (core.Options.Profile); restore the pool's configuration
 	// so the next lease does not inherit it.
-	c.SetProfile(p.profile())
+	c.SetProfile(p.prof)
 	c.ResetStats()
 	p.track(-1)
 	select {
@@ -253,7 +233,7 @@ func (p *Pool) evict(c *gpu.Context) {
 	p.track(-1)
 	if readmit {
 		c.Repair()
-		c.SetProfile(p.profile())
+		c.SetProfile(p.prof)
 		c.ResetStats()
 		select {
 		case p.free <- c:

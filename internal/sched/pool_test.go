@@ -8,10 +8,11 @@ import (
 
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
+	"cagmres/internal/profile"
 )
 
 func TestPoolAcquireRelease(t *testing.T) {
-	p := NewPool(2, 3, gpu.M2090())
+	p := NewPool(PoolConfig{Size: 2, Devices: 3})
 	if p.Size() != 2 || p.Devices() != 3 {
 		t.Fatalf("pool shape %d/%d, want 2/3", p.Size(), p.Devices())
 	}
@@ -65,7 +66,7 @@ func TestPoolAcquireRelease(t *testing.T) {
 // lease a clean ledger.
 func TestPooledReuseNoLeak(t *testing.T) {
 	a := testMatrix()
-	p := NewPool(1, 3, gpu.M2090())
+	p := NewPool(PoolConfig{Size: 1, Devices: 3})
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -101,4 +102,55 @@ func TestPooledReuseNoLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines accumulated across pooled solves: %d before, %d after",
 		before, runtime.NumGoroutine())
+}
+
+// TestPoolRestoresItsProfile serves solves re-targeted at a per-request
+// machine (core.Options.Profile) from a pool configured with another
+// non-default one. Both ways a context comes back — a Repair readmission
+// after a device death and a healthy Release — must hand the next lease
+// the pool's own profile.
+func TestPoolRestoresItsProfile(t *testing.T) {
+	a := testMatrix()
+	a100, h100 := profile.A100PCIe(), profile.H100NVLink()
+	p := NewPool(PoolConfig{Size: 1, Devices: 2, Profile: a100, Repair: true,
+		FaultPlans: []gpu.FaultPlan{{Deaths: []gpu.DeviceDeath{{Device: 0, At: 0}}}}})
+	solve := func(seed int) *gpu.Context {
+		ctx, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.Profile(); got != a100 {
+			t.Fatalf("lease %d starts on %q, want %q", seed, got.Name, a100.Name)
+		}
+		prob, err := core.NewProblem(ctx, a, testRHS(a.Rows, seed), core.KWay, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.CAGMRES(prob, core.Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR", Profile: &h100})
+		if err != nil || !res.Converged {
+			t.Fatalf("solve %d: converged=%v err=%v", seed, res != nil && res.Converged, err)
+		}
+		if got := ctx.Profile(); got != h100 {
+			t.Fatalf("solve %d ran on %q, want the per-request %q", seed, got.Name, h100.Name)
+		}
+		return ctx
+	}
+
+	// The planned death fires in the first solve: Release evicts the
+	// context, repairs it and readmits it.
+	ctx := solve(1)
+	if len(ctx.DeadDevices()) == 0 {
+		t.Fatal("the planned device death did not fire")
+	}
+	p.Release(ctx)
+	if got := ctx.Profile(); got != a100 || p.Healthy() != 1 {
+		t.Fatalf("readmitted context on %q (healthy %d), want %q", got.Name, p.Healthy(), a100.Name)
+	}
+
+	// The repaired context serves the second solve; a healthy Release.
+	ctx = solve(2)
+	p.Release(ctx)
+	if got := ctx.Profile(); got != a100 {
+		t.Fatalf("released context on %q, want %q", got.Name, a100.Name)
+	}
 }

@@ -71,7 +71,7 @@ func wantPrepared(t *testing.T, s *Scheduler, hits, misses, evictions uint64) {
 func TestPreparedProblemReusedAcrossBatches(t *testing.T) {
 	a := testMatrix()
 	reg := obs.NewRegistry()
-	s := New(Config{Pool: NewPool(1, 2, gpu.M2090()), MaxBatch: 1, Registry: reg})
+	s := New(Config{Pool: NewPool(PoolConfig{Size: 1, Devices: 2}), MaxBatch: 1, Registry: reg})
 	s.Start()
 	defer s.Drain(context.Background())
 
@@ -193,7 +193,7 @@ func TestPreparedCacheIsBounded(t *testing.T) {
 // again on its next lease.
 func TestLeaseFaultEvictsPreparedProblem(t *testing.T) {
 	a := testMatrix()
-	pool := NewPoolWithConfig(PoolConfig{Size: 1, Devices: 2, Model: gpu.M2090(),
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{{Seed: 1, TransferFaultProb: 1, MaxTransferFaults: 4}}})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
@@ -215,7 +215,7 @@ func TestLeaseFaultEvictsPreparedProblem(t *testing.T) {
 // own right-hand side.
 func TestWorkersShareOnePreparedProblem(t *testing.T) {
 	a := testMatrix()
-	s := New(Config{Pool: NewPool(2, 2, gpu.M2090()), QueueDepth: 32, MaxBatch: 1})
+	s := New(Config{Pool: NewPool(PoolConfig{Size: 2, Devices: 2}), QueueDepth: 32, MaxBatch: 1})
 	const jobs = 12
 	queued := make([]*Job, jobs)
 	for i := range queued {

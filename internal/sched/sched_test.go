@@ -62,7 +62,7 @@ func waitJob(t *testing.T, j *Job) *core.Result {
 // rejects rather than blocks.
 func TestDeterministicLoad(t *testing.T) {
 	a := testMatrix()
-	pool := NewPool(2, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 2, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 16, MaxBatch: 1})
 
 	// Mixed priorities, distinct matrix keys (no batching): expected
@@ -128,7 +128,7 @@ func TestDeterministicLoad(t *testing.T) {
 
 	// Backpressure: stage a fresh scheduler with a tiny queue and no
 	// workers; the overflow submission must reject immediately.
-	s2 := New(Config{Pool: NewPool(1, 1, gpu.M2090()), QueueDepth: 2, MaxBatch: 1})
+	s2 := New(Config{Pool: NewPool(PoolConfig{Size: 1, Devices: 1}), QueueDepth: 2, MaxBatch: 1})
 	for i := 0; i < 2; i++ {
 		if _, err := s2.Submit(context.Background(), testSpec(a, testRHS(a.Rows, i), ""), 0, 0); err != nil {
 			t.Fatalf("submit %d within depth: %v", i, err)
@@ -167,7 +167,7 @@ func TestDeterministicLoad(t *testing.T) {
 func TestBatchingSharesLease(t *testing.T) {
 	a := testMatrix()
 	reg := obs.NewRegistry()
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 16, MaxBatch: 8, Registry: reg})
 
 	const n = 4
@@ -248,7 +248,7 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 // the scheduler surfaces the solver's best-so-far Canceled result.
 func TestMidSolveDeadline(t *testing.T) {
 	a := testMatrix()
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 4, MaxBatch: 1})
 	s.Start()
 	spec := testSpec(a, testRHS(a.Rows, 0), "")
@@ -275,7 +275,7 @@ func TestMidSolveDeadline(t *testing.T) {
 func TestDrainLeavesNoGoroutines(t *testing.T) {
 	a := testMatrix()
 	before := runtime.NumGoroutine()
-	pool := NewPool(2, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 2, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 32, MaxBatch: 4})
 	s.Start()
 	for i := 0; i < 8; i++ {
@@ -300,7 +300,7 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 // jobs are queued: every job must still reach a terminal state.
 func TestDrainTimeoutCancelsJobs(t *testing.T) {
 	a := testMatrix()
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 32, MaxBatch: 1})
 	s.Start()
 	jobs := make([]*Job, 4)
@@ -330,7 +330,7 @@ func TestDrainTimeoutCancelsJobs(t *testing.T) {
 // TestJobRetention evicts the oldest terminal jobs beyond the cap.
 func TestJobRetention(t *testing.T) {
 	a := matgen.Laplace3D(4, 4, 4, 0.2)
-	pool := NewPool(1, 1, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{Pool: pool, QueueDepth: 32, MaxBatch: 1, RetainJobs: 2})
 	s.Start()
 	var ids []string

@@ -33,8 +33,8 @@ func TestJobTraceReconcilesDeviceLanes(t *testing.T) {
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			pool := NewPoolWithConfig(PoolConfig{
-				Size: 1, Devices: 3, Model: gpu.M2090(),
+			pool := NewPool(PoolConfig{
+				Size: 1, Devices: 3,
 				TraceEvents: 1 << 14, FaultPlans: mode.faults, Repair: true,
 			})
 			s := New(Config{Pool: pool, QueueDepth: 4, MaxBatch: 1})
@@ -163,7 +163,7 @@ func TestSchedulerSLOObservesTerminalJobs(t *testing.T) {
 	a := testMatrix()
 	reg := obs.NewRegistry()
 	slo := obs.NewSLOEngine(reg, obs.SLOConfig{})
-	pool := NewPool(1, 2, gpu.M2090())
+	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, Registry: reg, SLO: slo})
 	s.Start()
 

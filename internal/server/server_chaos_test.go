@@ -137,8 +137,8 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 // signal, not an outage.
 func TestHealthzReportsDegradedPool(t *testing.T) {
 	reg := obs.NewRegistry()
-	pool := sched.NewPoolWithConfig(sched.PoolConfig{
-		Size: 1, Devices: 2, Model: gpu.M2090(),
+	pool := sched.NewPool(sched.PoolConfig{
+		Size: 1, Devices: 2,
 		FaultPlans: []gpu.FaultPlan{{Deaths: []gpu.DeviceDeath{{Device: 1, At: 0}}}},
 	})
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: 8, Registry: reg})

@@ -32,7 +32,7 @@ type testHarness struct {
 func newHarness(t *testing.T, queueDepth int) *testHarness {
 	t.Helper()
 	reg := obs.NewRegistry()
-	pool := sched.NewPool(2, 2, gpu.M2090())
+	pool := sched.NewPool(sched.PoolConfig{Size: 2, Devices: 2})
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: queueDepth, Registry: reg})
 	s.Start()
 	h := &testHarness{ts: httptest.NewServer(New(s, reg)), sched: s, reg: reg}
@@ -164,7 +164,7 @@ func TestConcurrentSolvesMatchDirect(t *testing.T) {
 // queue answers 429 with a Retry-After header, a draining scheduler 503.
 func TestBackpressureAndDrainStatus(t *testing.T) {
 	reg := obs.NewRegistry()
-	pool := sched.NewPool(1, 2, gpu.M2090())
+	pool := sched.NewPool(sched.PoolConfig{Size: 1, Devices: 2})
 	// Workers never started: submissions stay queued, so the depth-1
 	// queue fills deterministically.
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: 1, Registry: reg})
@@ -420,7 +420,7 @@ func TestMetricsSurface(t *testing.T) {
 // batch them across HTTP submissions.
 func TestSharedMatrixCache(t *testing.T) {
 	reg := obs.NewRegistry()
-	pool := sched.NewPool(1, 2, gpu.M2090())
+	pool := sched.NewPool(sched.PoolConfig{Size: 1, Devices: 2})
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: 16, MaxBatch: 8, Registry: reg})
 	ts := httptest.NewServer(New(s, reg))
 	defer ts.Close()
@@ -469,7 +469,7 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
-	pool := sched.NewPool(2, 2, gpu.M2090())
+	pool := sched.NewPool(sched.PoolConfig{Size: 2, Devices: 2})
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: 16, Registry: reg})
 	s.Start()
 	ts := httptest.NewServer(New(s, reg))

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
 	"cagmres/internal/sched"
 )
@@ -24,8 +23,8 @@ const testTraceID = "0af7651916cd43dd8448eb211c80319c"
 func newTraceHarness(t *testing.T) *testHarness {
 	t.Helper()
 	reg := obs.NewRegistry()
-	pool := sched.NewPoolWithConfig(sched.PoolConfig{
-		Size: 2, Devices: 2, Model: gpu.M2090(), TraceEvents: 1 << 14,
+	pool := sched.NewPool(sched.PoolConfig{
+		Size: 2, Devices: 2, TraceEvents: 1 << 14,
 	})
 	s := sched.New(sched.Config{Pool: pool, QueueDepth: 16, Registry: reg})
 	s.Start()

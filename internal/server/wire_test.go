@@ -214,7 +214,7 @@ func (h *testHarness) postRejected(t *testing.T, req SolveRequest) rejection {
 func containmentRun(t *testing.T) (*testHarness, map[string]rejection) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	pool := sched.NewPoolWithConfig(sched.PoolConfig{Size: 2, Devices: 2, Model: gpu.M2090(), Repair: true,
+	pool := sched.NewPool(sched.PoolConfig{Size: 2, Devices: 2, Repair: true,
 		FaultPlans: []gpu.FaultPlan{
 			{Seed: 1, TransferFaultProb: 1, MaxTransferFaults: 4},
 			{Deaths: []gpu.DeviceDeath{{Device: 1, At: 0}}},
@@ -340,7 +340,7 @@ func TestRejectionsAreErrorBodies(t *testing.T) {
 // cause and the 413 with the message clients have always seen, and
 // writes nothing itself.
 func TestDecodeStageRejections(t *testing.T) {
-	srv := New(sched.New(sched.Config{Pool: sched.NewPool(1, 2, gpu.M2090())}), nil)
+	srv := New(sched.New(sched.Config{Pool: sched.NewPool(sched.PoolConfig{Size: 1, Devices: 2})}), nil)
 	tiny := `"matrix":{"name":"laplace3d","scale":1e-5}`
 	cases := []struct {
 		name, control, body string
