@@ -349,7 +349,7 @@ func breakerScript() []string {
 	clock := 0.0
 	br := cluster.NewBreaker(cluster.BreakerConfig{
 		Threshold: 3, Cooldown: 5, Now: func() float64 { return clock },
-	})
+	}, obs.NewRegistry(), "script")
 	var trace []string
 	step := func(s string) { trace = append(trace, s) }
 
@@ -413,14 +413,6 @@ type benchOut struct {
 	Identical bool      `json:"degraded_replay_identical"`
 }
 
-func rhsFor(n, seed int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1 + 0.01*float64((i*131+seed*977)%67)
-	}
-	return b
-}
-
 func run(cfg *config) error {
 	poolSize, devices, opts := cfg.pool.Size, cfg.pool.Devices, cfg.opts
 	gen, err := matgen.ByName(cfg.matrix, cfg.scale)
@@ -446,7 +438,7 @@ func run(cfg *config) error {
 		if plan != nil {
 			ctx.InjectFaults(*plan)
 		}
-		prob, err := core.NewProblem(ctx, gen.A, rhsFor(gen.A.Rows, 1), core.KWay, true)
+		prob, err := core.NewProblem(ctx, gen.A, matgen.RHS(gen.A.Rows, 1), core.KWay, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -553,7 +545,7 @@ func run(cfg *config) error {
 	submitted := make([]*sched.Job, 0, cfg.jobs)
 	for i := 0; i < cfg.jobs; i++ {
 		js := spec
-		js.B = rhsFor(gen.A.Rows, i)
+		js.B = matgen.RHS(gen.A.Rows, i)
 		j, err := sc.Submit(context.Background(), js, i%3, 0)
 		if err != nil {
 			return fmt.Errorf("submit %d: %w", i, err)

@@ -105,7 +105,7 @@ func main() {
 		fmt.Printf("machine profile: %s (topology %s)\n", prof.Name, prof.Topo.Kind)
 	}
 	if *measured {
-		cfg.Timer = &measure.WallTimer{Warmup: 1, Reps: 5, Select: measure.SelectMin}
+		cfg.Timer = &measure.WallTimer{}
 	}
 	if *traceout != "" || *metrics != "" || *serve != "" {
 		cfg.Trace = bench.NewTraceCollector(*traceEvents)

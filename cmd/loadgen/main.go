@@ -160,17 +160,6 @@ func run(cfg *config) error {
 	return fmt.Errorf("unknown mode %q (want live, cluster, or virtual)", cfg.mode)
 }
 
-// rhsFor builds the deterministic per-request right-hand side; request
-// identity (client, i) maps to a seed so live and virtual runs solve
-// the same systems.
-func rhsFor(n, seed int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1 + 0.01*float64((i*131+seed*977)%67)
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------
 // live mode
 
@@ -240,7 +229,7 @@ func runLive(cfg *config, addr string, cluster bool) error {
 			for i := 0; i < requests; i++ {
 				seed := c*requests + i
 				// Finite floats and plain fields always encode.
-				rhs, _ := json.Marshal(rhsFor(nc, seed))
+				rhs, _ := json.Marshal(matgen.RHS(nc, seed))
 				o := cfg.opts
 				body, _ := json.Marshal(server.SolveRequest{
 					Matrix: server.MatrixSpec{Name: matrix, Scale: scaleFor(c)},
@@ -520,7 +509,7 @@ func runVirtual(cfg *config, counts []int) error {
 	service := make([]float64, maxClients*requests)
 	for seed := range service {
 		ctx.ResetStats()
-		prob, err := core.NewProblem(ctx, a, rhsFor(n, seed), core.KWay, true)
+		prob, err := core.NewProblem(ctx, a, matgen.RHS(n, seed), core.KWay, true)
 		if err != nil {
 			return err
 		}

@@ -226,7 +226,7 @@ func TestFig11abBatchedWinsMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison skipped in -short mode")
 	}
-	cfg := Config{Scale: 0.01, Timer: &measure.WallTimer{Warmup: 1, Reps: 5, Select: measure.SelectMin}}
+	cfg := Config{Scale: 0.01, Timer: &measure.WallTimer{}}
 	rows := Fig11ab(cfg)
 	for _, r := range rows {
 		if r.Modeled {

@@ -6,6 +6,7 @@ import (
 	"cagmres/internal/cluster"
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
+	"cagmres/internal/obs"
 )
 
 // OverloadRow is one arm of the overload-containment study: a fixed
@@ -131,7 +132,7 @@ func overloadArm(matrix string, S, load float64, containment bool) OverloadRow {
 	var budget *cluster.RetryBudget
 	earn := func() {}
 	if containment {
-		budget = cluster.NewRetryBudget(overBudgetRatio, overBudgetBurst)
+		budget = cluster.NewRetryBudget(overBudgetRatio, overBudgetBurst, obs.NewRegistry())
 		earn = budget.Earn
 	}
 

@@ -1,14 +1,21 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+	"time"
 
-// Breaker states. String values surface verbatim in /healthz and the
-// router_breaker_state metric.
+	"cagmres/internal/obs"
+)
+
+// Breaker states. String values surface verbatim in /healthz; the
+// router_breaker_state gauge carries them as stateGauge's numbers.
 const (
 	BreakerClosed   = "closed"
 	BreakerOpen     = "open"
 	BreakerHalfOpen = "half-open"
 )
+
+var stateGauge = map[string]float64{BreakerClosed: 0, BreakerHalfOpen: 1, BreakerOpen: 2}
 
 // BreakerConfig parameterizes a circuit breaker. The clock is
 // injectable (same convention as obs.SLOConfig.Now) so chaos replays
@@ -20,9 +27,7 @@ type BreakerConfig struct {
 	// Cooldown is how long (in clock seconds) an open breaker waits
 	// before admitting a half-open probe. <= 0 defaults to 5s.
 	Cooldown float64
-	// Now supplies the clock; nil means the breaker never re-probes on
-	// its own and must be driven via Tick (not used in practice — the
-	// router always injects a clock).
+	// Now supplies the clock in seconds; nil means wall time.
 	Now func() float64
 }
 
@@ -33,15 +38,22 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5
 	}
+	if c.Now == nil {
+		c.Now = wallSeconds
+	}
 	return c
 }
+
+// wallSeconds is the default clock of breakers and routers.
+func wallSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // Breaker is a per-backend circuit breaker: closed (traffic flows),
 // open (all traffic skipped until Cooldown elapses), half-open (one
 // probe in flight; its outcome closes or re-opens the circuit). It
 // stops the router from hammering a dead or 5xx-ing node between
 // health polls: failures there are pure waste that the hop budget
-// would otherwise spend eagerly.
+// would otherwise spend eagerly. Each transition is written to its
+// series as it happens.
 type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
@@ -49,12 +61,27 @@ type Breaker struct {
 	fails    int     // consecutive failures while closed
 	openedAt float64 // clock time the breaker last opened
 	probing  bool    // a half-open probe is in flight
-	opens    uint64  // cumulative open transitions
+
+	metState obs.Gauge   // router_breaker_state{backend}
+	metOpens obs.Counter // router_breaker_open_total, shared by reg's breakers
 }
 
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), state: BreakerClosed}
+// NewBreaker returns a closed breaker for the named backend, writing its
+// state and open transitions to reg.
+func NewBreaker(cfg BreakerConfig, reg *obs.Registry, backend string) *Breaker {
+	b := &Breaker{cfg: cfg.withDefaults(),
+		metState: reg.GaugeL("router_breaker_state",
+			"per-backend breaker state (0 closed, 1 half-open, 2 open)", obs.L("backend", backend)),
+		metOpens: reg.Counter("router_breaker_open_total", "breaker open transitions across all backends"),
+	}
+	b.to(BreakerClosed)
+	return b
+}
+
+// to moves the breaker to state. Callers hold b.mu.
+func (b *Breaker) to(state string) {
+	b.state = state
+	b.metState.Set(stateGauge[state])
 }
 
 // Allow reports whether a request may be sent to this backend now.
@@ -68,8 +95,8 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.Now != nil && b.cfg.Now()-b.openedAt >= b.cfg.Cooldown {
-			b.state = BreakerHalfOpen
+		if b.cfg.Now()-b.openedAt >= b.cfg.Cooldown {
+			b.to(BreakerHalfOpen)
 			b.probing = true
 			return true
 		}
@@ -95,7 +122,7 @@ func (b *Breaker) Peek() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		return b.cfg.Now != nil && b.cfg.Now()-b.openedAt >= b.cfg.Cooldown
+		return b.cfg.Now()-b.openedAt >= b.cfg.Cooldown
 	case BreakerHalfOpen:
 		return !b.probing
 	}
@@ -113,14 +140,15 @@ func (b *Breaker) Release() {
 	b.mu.Unlock()
 }
 
-// Success records a successful response. In half-open it closes the
-// circuit; in closed it resets the consecutive-failure count.
+// Success records a successful response: it closes the circuit from any
+// state (admin revive uses it so) and resets the consecutive-failure
+// count.
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
 	b.probing = false
-	b.state = BreakerClosed
+	b.to(BreakerClosed)
 }
 
 // Failure records a failed response. Threshold consecutive failures
@@ -141,13 +169,11 @@ func (b *Breaker) Failure() {
 
 // open transitions to the open state. Callers hold b.mu.
 func (b *Breaker) open() {
-	b.state = BreakerOpen
+	b.to(BreakerOpen)
 	b.fails = 0
 	b.probing = false
-	b.opens++
-	if b.cfg.Now != nil {
-		b.openedAt = b.cfg.Now()
-	}
+	b.metOpens.Inc()
+	b.openedAt = b.cfg.Now()
 }
 
 // Trip force-opens the breaker (admin kill uses this so a killed
@@ -159,25 +185,9 @@ func (b *Breaker) Trip() {
 	b.mu.Unlock()
 }
 
-// Reset force-closes the breaker (admin revive).
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	b.state = BreakerClosed
-	b.fails = 0
-	b.probing = false
-	b.mu.Unlock()
-}
-
 // State returns "closed", "open", or "half-open".
 func (b *Breaker) State() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Opens returns the cumulative number of open transitions.
-func (b *Breaker) Opens() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"cagmres/internal/obs"
+)
 
 // RetryBudget is a token bucket that caps forwarding work beyond the
 // first-choice backend at a fraction of successful traffic (the
@@ -9,35 +13,43 @@ import "sync"
 // the router rejects with a structured retry_budget_exhausted instead
 // of multiplying load across shards — under saturation each backend
 // sees at most (1+Ratio)× its organic traffic, so a retry storm cannot
-// form.
+// form. The token count is written to its gauge as it changes.
 type RetryBudget struct {
 	mu     sync.Mutex
 	ratio  float64
 	burst  float64
 	tokens float64
+	gauge  obs.Gauge // router_retry_budget_tokens
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per success,
-// holding at most burst tokens. The bucket starts full so a cold
+// holding at most burst tokens, and keeping reg's
+// router_retry_budget_tokens gauge. The bucket starts full so a cold
 // router can still route around a dead first choice. ratio <= 0
 // defaults to 0.1, burst <= 0 to 10.
-func NewRetryBudget(ratio, burst float64) *RetryBudget {
+func NewRetryBudget(ratio, burst float64, reg *obs.Registry) *RetryBudget {
 	if ratio <= 0 {
 		ratio = 0.1
 	}
 	if burst <= 0 {
 		burst = 10
 	}
-	return &RetryBudget{ratio: ratio, burst: burst, tokens: burst}
+	b := &RetryBudget{ratio: ratio, burst: burst,
+		gauge: reg.Gauge("router_retry_budget_tokens", "retry budget tokens currently available")}
+	b.set(burst)
+	return b
+}
+
+// set replaces the token count. Callers hold b.mu (or own b).
+func (b *RetryBudget) set(tokens float64) {
+	b.tokens = tokens
+	b.gauge.Set(tokens)
 }
 
 // Earn credits the budget for one successful upstream response.
 func (b *RetryBudget) Earn() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.set(min(b.tokens+b.ratio, b.burst))
 	b.mu.Unlock()
 }
 
@@ -49,7 +61,7 @@ func (b *RetryBudget) Take() bool {
 	if b.tokens < 1 {
 		return false
 	}
-	b.tokens--
+	b.set(b.tokens - 1)
 	return true
 }
 

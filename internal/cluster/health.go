@@ -93,13 +93,8 @@ func fanGet[T any](backends []*Backend, path string) ([]*T, []string) {
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
 	healths, errs := fanGet[server.Healthz](r.backends, "/healthz")
 	solves, reroutes, rejects := r.Counts()
-	r.refreshBreakerGauges()
 	out := ClusterHealthz{
 		Backends:     len(r.backends),
 		RoutedSolves: solves,
@@ -139,10 +134,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleSLO(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
 	reports, _ := fanGet[obs.SLOReport](r.backends, "/slo")
 	out := ClusterSLO{Backends: make(map[string]*obs.SLOReport, len(r.backends))}
 	for i, b := range r.backends {

@@ -326,7 +326,7 @@ func TestRouterHedgeDisabledByControlHeader(t *testing.T) {
 // and Release frees an abandoned probe.
 func TestBreakerPeekIsSideEffectFree(t *testing.T) {
 	clock := 0.0
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5, Now: func() float64 { return clock }})
+	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5, Now: func() float64 { return clock }}, obs.NewRegistry(), "b")
 	if !br.Peek() {
 		t.Fatal("closed breaker should peek true")
 	}
@@ -413,7 +413,7 @@ func TestHedgeSelectionDoesNotConsumeProbe(t *testing.T) {
 // probe slot, a real response counts as the failure or success it is.
 func TestReapLoserRecordsBreakerOutcome(t *testing.T) {
 	clock := 0.0
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 1, Now: func() float64 { return clock }})
+	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 1, Now: func() float64 { return clock }}, obs.NewRegistry(), "b")
 	var r Router
 
 	// Canceled loser: no health signal, probe slot freed.
@@ -884,4 +884,63 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 				row.series, want, row.accessor, row.health, row.atLeast)
 		}
 	}
+}
+
+// TestBreakerSeriesWrittenAtTransition: a breaker driven through open,
+// half-open, open, half-open and closed shows each state on /metrics —
+// router_breaker_state{backend} and router_breaker_open_total — as soon
+// as it happens, with no /healthz in between, and concurrent scrapes
+// leave the open counter where it is.
+func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
+	clock := 0.0
+	r := New(Config{
+		Backends: []*Backend{NewLocalBackend("x", doneHandler("x"))},
+		Breaker:  BreakerConfig{Threshold: 1, Cooldown: 5},
+		Now:      func() float64 { return clock },
+	})
+	br := r.breakers["x"]
+	gauge := map[string]float64{BreakerClosed: 0, BreakerHalfOpen: 1, BreakerOpen: 2}
+	opens := 0.0
+	check := func(step string) {
+		t.Helper()
+		_, prom := get(t, r, "/metrics")
+		if got, want := promValue(t, prom, `router_breaker_state{backend="x"}`), gauge[br.State()]; got != want {
+			t.Errorf("%s: router_breaker_state %v, want %v (%s)", step, got, want, br.State())
+		}
+		if got := promValue(t, prom, "router_breaker_open_total"); got != opens {
+			t.Errorf("%s: router_breaker_open_total %v, want %v", step, got, opens)
+		}
+	}
+	check("new")
+	for i, step := range []struct {
+		name  string
+		drive func()
+		opens bool
+		state string
+	}{
+		{"failure", br.Failure, true, BreakerOpen},
+		{"probe", func() { clock += 5; br.Allow() }, false, BreakerHalfOpen},
+		{"failed probe", br.Failure, true, BreakerOpen},
+		{"second probe", func() { clock += 5; br.Allow() }, false, BreakerHalfOpen},
+		{"success", br.Success, false, BreakerClosed},
+	} {
+		step.drive()
+		if step.opens {
+			opens++
+		}
+		if br.State() != step.state {
+			t.Fatalf("step %d (%s): breaker %s, want %s", i, step.name, br.State(), step.state)
+		}
+		check(step.name)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			get(t, r, "/metrics")
+		}()
+	}
+	wg.Wait()
+	check("after 8 concurrent scrapes")
 }

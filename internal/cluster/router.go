@@ -17,13 +17,9 @@ import (
 	"cagmres/internal/server"
 )
 
-// Error codes of the router's obs.ErrorBody rejections, extending the
-// server's vocabulary with the federation-specific ones.
+// Error codes of the router's obs.ErrorBody rejections that only the
+// federation gives; the ones both tiers give are obs.Code*.
 const (
-	codeBadRequest       = "bad_request"
-	codeNotFound         = "not_found"
-	codeMethodNotAllowed = "method_not_allowed"
-	codeRequestTooLarge  = "request_too_large"
 	// codeNoBackend: the router has no backends configured at all.
 	codeNoBackend = "no_backend"
 	// codeHopLimit: the forwarding hop budget ran out with candidate
@@ -81,17 +77,8 @@ type Config struct {
 	HedgeAfter float64
 }
 
-// Router fronts the federation. It is an http.Handler serving:
-//
-//	POST /solve                     route a solve to its shard (forwarding
-//	                                on overload/death, bounded hops)
-//	GET  /jobs/{backend}/{id}[/..]  proxy a job lookup to its backend
-//	GET  /healthz                   aggregated cluster health
-//	GET  /slo                       aggregated per-backend SLO reports
-//	GET  /metrics                   the router's own instruments
-//	GET  /backends/{name}/{path}    pass one backend's surface through
-//	POST /admin/kill/{name}         mark a backend dead (simulated node death)
-//	POST /admin/revive/{name}       bring it back
+// Router fronts the federation: an http.Handler serving the route table
+// New mounts.
 type Router struct {
 	backends   []*Backend
 	byName     map[string]*Backend
@@ -105,27 +92,21 @@ type Router struct {
 	hedgeAfter float64
 	simd       string // obs.HostKernels, for /healthz
 
-	// scrapeMu serializes scrape-time reconciliation of cumulative
-	// breaker opens into the metBreakerOpen counter.
-	scrapeMu sync.Mutex
-
 	mu      sync.Mutex
 	latRing []float64 // recent successful solve latencies (p95 source)
 	latNext int
 
 	// The router's only event tallies: Counts, ResilienceSnapshot and
-	// /healthz read these series back.
+	// /healthz read these series back. The breakers and the budget write
+	// their own.
 	metSolves       obs.Counter
 	metReroutes     obs.Counter
 	metRejects      obs.Counter
-	metBudgetTokens obs.Gauge
 	metBudgetDenied obs.Counter
 	metBreakerSkips obs.Counter
-	metBreakerOpen  obs.Counter
 	metHedges       obs.Counter
 	metHedgeWins    obs.Counter
 	metDeadline     obs.Counter
-	metBreakerState map[string]obs.Gauge
 }
 
 // New builds a router over the membership.
@@ -139,7 +120,7 @@ func New(cfg Config) *Router {
 	}
 	now := cfg.Now
 	if now == nil {
-		now = func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
+		now = wallSeconds
 	}
 	brCfg := cfg.Breaker
 	if brCfg.Now == nil {
@@ -152,39 +133,48 @@ func New(cfg Config) *Router {
 		shardMap:   cfg.ShardMap,
 		reg:        cfg.Registry,
 		mux:        http.NewServeMux(),
-		budget:     NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		budget:     NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst, cfg.Registry),
 		breakers:   make(map[string]*Breaker, len(cfg.Backends)),
 		now:        now,
 		hedgeAfter: cfg.HedgeAfter,
 		simd:       obs.HostKernels(cfg.Registry),
 		latRing:    make([]float64, 0, latRingCap),
 	}
-	r.metBreakerState = make(map[string]obs.Gauge, len(cfg.Backends))
 	for _, b := range cfg.Backends {
 		r.byName[b.Name()] = b
-		r.breakers[b.Name()] = NewBreaker(brCfg)
-		r.metBreakerState[b.Name()] = cfg.Registry.GaugeL("router_breaker_state",
-			"per-backend breaker state (0 closed, 1 half-open, 2 open)", obs.L("backend", b.Name()))
+		r.breakers[b.Name()] = NewBreaker(brCfg, cfg.Registry, b.Name())
 	}
 	r.metSolves = cfg.Registry.Counter("router_solves_total", "solve requests routed to a backend")
 	r.metReroutes = cfg.Registry.Counter("router_reroutes_total", "forward hops past the first-choice backend")
 	r.metRejects = cfg.Registry.Counter("router_rejects_total", "solve requests rejected by the router itself")
-	r.metBudgetTokens = cfg.Registry.Gauge("router_retry_budget_tokens", "retry budget tokens currently available")
-	r.metBudgetTokens.Set(r.budget.Tokens())
 	r.metBudgetDenied = cfg.Registry.Counter("router_retry_budget_exhausted_total", "forwards refused because the retry budget was empty")
 	r.metBreakerSkips = cfg.Registry.Counter("router_breaker_skips_total", "candidate backends skipped because their breaker was open")
-	r.metBreakerOpen = cfg.Registry.Counter("router_breaker_open_total", "breaker open transitions across all backends")
 	r.metHedges = cfg.Registry.Counter("router_hedges_total", "hedged second attempts launched")
 	r.metHedgeWins = cfg.Registry.Counter("router_hedge_wins_total", "solves won by the hedged attempt")
 	r.metDeadline = cfg.Registry.Counter("router_deadline_expired_total", "solves rejected because the client deadline expired at the router")
-	r.mux.HandleFunc("/solve", r.handleSolve)
-	r.mux.HandleFunc("/jobs/", r.handleJob)
-	r.mux.HandleFunc("/healthz", r.handleHealthz)
-	r.mux.HandleFunc("/slo", r.handleSLO)
-	r.mux.HandleFunc("/metrics", r.handleMetrics)
-	r.mux.HandleFunc("/backends/", r.handleBackendPass)
-	r.mux.HandleFunc("/admin/kill/", r.handleAdmin)
-	r.mux.HandleFunc("/admin/revive/", r.handleAdmin)
+	obs.Mount(r.mux, []obs.Route{
+		// Route a solve to its shard, forwarding on overload or death
+		// under a hop budget.
+		{Method: http.MethodPost, Path: "/solve", Handler: r.handleSolve},
+		// Proxy a job lookup to its backend; ids are backend/id. Here and
+		// for /backends, {x} and {x}/{sub...} are two routes because a
+		// lone {x...} would have the mux redirect /jobs/{backend} to
+		// /jobs/{backend}/ instead of answering the malformed path's 404.
+		{Method: http.MethodGet, Path: "/jobs/{backend}/{id}", Handler: r.proxyJob(false)},
+		{Method: http.MethodGet, Path: "/jobs/{backend}/{id}/{sub...}", Handler: r.proxyJob(true)},
+		{Method: http.MethodGet, Path: "/jobs/", Handler: r.notFound("cluster job ids are backend/id; want /jobs/{backend}/{id}")},
+		// Aggregated health and SLO reports; the router's own instruments.
+		{Method: http.MethodGet, Path: "/healthz", Handler: r.handleHealthz},
+		{Method: http.MethodGet, Path: "/slo", Handler: r.handleSLO},
+		{Method: http.MethodGet, Path: "/metrics", Handler: r.handleMetrics},
+		// Pass one backend's own surface through.
+		{Method: http.MethodGet, Path: "/backends/{backend}/{path}", Handler: r.pass(false)},
+		{Method: http.MethodGet, Path: "/backends/{backend}/{path}/{sub...}", Handler: r.pass(true)},
+		{Method: http.MethodGet, Path: "/backends/", Handler: r.notFound("want /backends/{name}/{path}")},
+		// Mark a backend dead (simulated node death), and bring it back.
+		{Method: http.MethodPost, Path: "/admin/kill/{backend...}", Handler: r.admin((*Backend).Kill, (*Breaker).Trip)},
+		{Method: http.MethodPost, Path: "/admin/revive/{backend...}", Handler: r.admin((*Backend).Revive, (*Breaker).Success)},
+	}, r.reject)
 	return r
 }
 
@@ -241,45 +231,41 @@ func (r *Router) ResilienceSnapshot() Resilience {
 	return out
 }
 
-// refreshBreakerGauges pushes breaker states and open transitions into
-// the metric families (states only change on traffic, so exporting at
-// scrape time loses nothing). scrapeMu serializes the counter's
-// read-reconcile-add so concurrent scrapes cannot double-count.
-func (r *Router) refreshBreakerGauges() {
-	r.scrapeMu.Lock()
-	defer r.scrapeMu.Unlock()
-	var opens uint64
-	for name, br := range r.breakers {
-		var v float64
-		switch br.State() {
-		case BreakerHalfOpen:
-			v = 1
-		case BreakerOpen:
-			v = 2
-		}
-		r.metBreakerState[name].Set(v)
-		opens += br.Opens()
-	}
-	if delta := float64(opens) - r.metBreakerOpen.Value(); delta > 0 {
-		r.metBreakerOpen.Add(delta)
-	}
-	r.metBudgetTokens.Set(r.budget.Tokens())
-}
-
+// reject writes one of the router's own refusals and counts it; an empty
+// retry budget also tells the client when to come back.
 func (r *Router) reject(w http.ResponseWriter, status int, code, msg string) {
 	r.metRejects.Inc()
+	if code == codeRetryBudgetExhausted {
+		w.Header().Set("Retry-After", "1")
+	}
 	obs.WriteError(w, status, code, msg)
 }
 
+// notFound is the route of a malformed path: a 404 saying what to ask.
+func (r *Router) notFound(msg string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		r.reject(w, http.StatusNotFound, obs.CodeNotFound, msg)
+	}
+}
+
+// backend returns the backend the request's {backend} path value names,
+// or refuses the request with a 404.
+func (r *Router) backend(w http.ResponseWriter, req *http.Request) (*Backend, bool) {
+	name := req.PathValue("backend")
+	b, ok := r.byName[name]
+	if !ok {
+		r.reject(w, http.StatusNotFound, obs.CodeNotFound, "unknown backend "+name)
+	}
+	return b, ok
+}
+
 // takeRetryToken draws one retry-budget token for a forward past the
-// first choice and accounts for the draw: the tokens gauge either way,
-// the denied counter when the bucket was empty.
+// first choice; an empty bucket counts a denial.
 func (r *Router) takeRetryToken() bool {
 	ok := r.budget.Take()
 	if !ok {
 		r.metBudgetDenied.Inc()
 	}
-	r.metBudgetTokens.Set(r.budget.Tokens())
 	return ok
 }
 
@@ -313,16 +299,9 @@ type RoutedJob struct {
 	Hedged bool `json:"hedged,omitempty"`
 }
 
-// forwardHeader copies the headers the router propagates downstream.
+// forwardHeader is the header of a request the router sends downstream.
 func forwardHeader(req *http.Request) http.Header {
-	h := make(http.Header)
-	if tp := req.Header.Get("traceparent"); tp != "" {
-		h.Set("traceparent", tp)
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		h.Set("Content-Type", ct)
-	}
-	return h
+	return copyHop(make(http.Header), req.Header)
 }
 
 // attempt is one upstream solve attempt's drained response.
@@ -334,14 +313,15 @@ type attempt struct {
 	hedged bool
 }
 
-// echoHeader forwards the traceparent echo and the content type of a
-// backend response.
-func echoHeader(w http.ResponseWriter, from http.Header) {
+// copyHop copies the headers the router carries across a hop, both ways
+// — the trace context and the content type — from src to dst.
+func copyHop(dst, src http.Header) http.Header {
 	for _, k := range [...]string{"traceparent", "Content-Type"} {
-		if v := from.Get(k); v != "" {
-			w.Header().Set(k, v)
+		if v := src.Get(k); v != "" {
+			dst.Set(k, v)
 		}
 	}
+	return dst
 }
 
 // verdict is what a backend's answer to POST /solve means to the router.
@@ -530,63 +510,89 @@ func (r *Router) dispatch(req *http.Request, b, alt *Backend, hdr http.Header, b
 	return winner
 }
 
-func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
+// rejection is a refusal of the router's own: the stages of POST /solve
+// return one instead of writing it.
+type rejection struct {
+	status    int
+	code, msg string
+}
+
+// solve is a decoded POST /solve: the body, passed on opaque but for the
+// deadline, and what the router reads of it and of Solve-Control.
+type solve struct {
+	body       []byte
+	key        string // shard key
+	wait       bool
+	hops       int   // hop budget
+	deadlineMS int64 // client deadline, header over body; 0 means none
+	hedge      bool
+}
+
+// decode is the first stage of POST /solve: the control header, the
+// bounded body and its route view, ending in the shard key and the hop,
+// deadline, hedge and wait settings. It writes nothing (w only arms
+// http.MaxBytesReader).
+func (r *Router) decode(w http.ResponseWriter, req *http.Request) (s solve, rej *rejection) {
 	ctl, err := server.ParseSolveControl(req.Header.Get(server.SolveControlHeader))
 	if err != nil {
-		r.reject(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
+		return s, &rejection{http.StatusBadRequest, obs.CodeBadRequest, err.Error()}
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			r.reject(w, http.StatusRequestEntityTooLarge, codeRequestTooLarge, err.Error())
-			return
+			return s, &rejection{http.StatusRequestEntityTooLarge, obs.CodeRequestTooLarge, err.Error()}
 		}
-		r.reject(w, http.StatusBadRequest, codeBadRequest, "read body: "+err.Error())
-		return
+		return s, &rejection{http.StatusBadRequest, obs.CodeBadRequest, "read body: " + err.Error()}
 	}
 	var view routeView
 	if err := json.Unmarshal(body, &view); err != nil {
-		r.reject(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-		return
+		return s, &rejection{http.StatusBadRequest, obs.CodeBadRequest, "bad request body: " + err.Error()}
 	}
 	key, err := ShardKey(view.Matrix)
 	if err != nil {
-		r.reject(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
+		return s, &rejection{http.StatusBadRequest, obs.CodeBadRequest, err.Error()}
 	}
 	if len(r.backends) == 0 {
-		r.reject(w, http.StatusServiceUnavailable, codeNoBackend, "no backends configured")
-		return
+		return s, &rejection{http.StatusServiceUnavailable, codeNoBackend, "no backends configured"}
 	}
-	wait := view.Wait || req.URL.Query().Get("wait") == "true"
-	candidates := rank(r.backends, key, r.shardMap)
-	budget := r.maxHops
-	if budget > len(candidates) {
-		budget = len(candidates)
+	s = solve{body: body, key: key, wait: view.Wait || req.URL.Query().Get("wait") == "true",
+		hops: min(r.maxHops, len(r.backends)), deadlineMS: ctl.DeadlineMS}
+	if ctl.MaxHops > 0 && ctl.MaxHops < s.hops {
+		s.hops = ctl.MaxHops
 	}
-	if ctl.MaxHops > 0 && ctl.MaxHops < budget {
-		budget = ctl.MaxHops
+	if s.deadlineMS == 0 {
+		s.deadlineMS = view.DeadlineMS
 	}
-	deadlineMS := ctl.DeadlineMS
-	if deadlineMS == 0 {
-		deadlineMS = view.DeadlineMS
-	}
-	hedge := wait && r.hedgeAfter > 0
+	s.hedge = s.wait && r.hedgeAfter > 0
 	if ctl.Hedge != nil {
-		hedge = wait && *ctl.Hedge
+		s.hedge = s.wait && *ctl.Hedge
 	}
-	start := r.now()
+	return s, nil
+}
 
+// settled is the attempt that ends a solve: an accepted job, or a 4xx
+// the client gets verbatim.
+type settled struct {
+	attempt
+	verdict verdict
+	job     server.JobJSON
+	backend string
+	hops    int
+	prior   int // attempts burned by failed jobs on earlier candidates
+}
+
+// forward is the second stage of POST /solve: it walks the shard's
+// candidates under the hop budget — breaker, deadline, retry token,
+// dispatch, classify — and returns the attempt that settles the solve or
+// the rejection that ends it. It writes nothing.
+func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
+	candidates := rank(r.backends, s.key, r.shardMap)
+	start := r.now()
 	priorAttempts := 0
 	sent := 0
 	var lastErr string
-	for idx := 0; idx < len(candidates) && sent < budget; idx++ {
+	for idx := 0; idx < len(candidates) && sent < s.hops; idx++ {
 		b := candidates[idx]
 		br := r.breakers[b.Name()]
 		if !br.Allow() {
@@ -599,39 +605,36 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		// Check the deadline before spending a hop or a retry-budget
 		// token: expired work must not drain the budget.
 		var remaining int64
-		if deadlineMS > 0 {
-			remaining = deadlineMS - int64((r.now()-start)*1000)
+		if s.deadlineMS > 0 {
+			remaining = s.deadlineMS - int64((r.now()-start)*1000)
 			if remaining <= 0 {
 				r.metDeadline.Inc()
-				r.reject(w, http.StatusGatewayTimeout, codeDeadlineExhausted,
-					fmt.Sprintf("client deadline of %dms expired after %d attempts", deadlineMS, sent))
-				return
+				return settled{}, &rejection{http.StatusGatewayTimeout, codeDeadlineExhausted,
+					fmt.Sprintf("client deadline of %dms expired after %d attempts", s.deadlineMS, sent)}
 			}
 		}
 		if sent > 0 {
 			// Every forward past the first dispatched attempt draws from
 			// the retry budget; an empty bucket means stop, not storm.
 			if !r.takeRetryToken() {
-				w.Header().Set("Retry-After", "1")
-				r.reject(w, http.StatusServiceUnavailable, codeRetryBudgetExhausted,
-					fmt.Sprintf("retry budget exhausted after %d attempts: %s", sent, lastErr))
-				return
+				return settled{}, &rejection{http.StatusServiceUnavailable, codeRetryBudgetExhausted,
+					fmt.Sprintf("retry budget exhausted after %d attempts: %s", sent, lastErr)}
 			}
 			r.metReroutes.Inc()
 		}
 		sent++
 		hdr := forwardHeader(req)
-		outBody := body
-		if deadlineMS > 0 {
+		body := s.body
+		if s.deadlineMS > 0 {
 			hdr.Set(server.SolveControlHeader, server.SolveControl{DeadlineMS: remaining}.String())
-			outBody = rewriteDeadline(body, remaining)
+			body = rewriteDeadline(s.body, remaining)
 		}
 		var alt *Backend
-		if hedge {
+		if s.hedge {
 			alt = r.nextHedgeCandidate(candidates, idx+1)
 		}
 		attemptStart := r.now()
-		a := r.dispatch(req, b, alt, hdr, outBody, hedge, r.hedgeDelay())
+		a := r.dispatch(req, b, alt, hdr, body, s.hedge, r.hedgeDelay())
 		if a.hedged {
 			b = alt
 			br = r.breakers[alt.Name()]
@@ -641,9 +644,8 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			lastErr = a.err.Error()
 			continue
 		}
-		v, job, why := classify(a, wait)
-		switch v {
-		case retry:
+		v, job, why := classify(a, s.wait)
+		if v == retry {
 			br.Failure()
 			if job.State == "failed" {
 				// The backend accepted but could not finish the job: the
@@ -653,41 +655,60 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			}
 			lastErr = fmt.Sprintf("backend %s: %s", b.Name(), why)
 			continue
-		case passThrough:
-			// Pass the backend's structured rejection through verbatim.
-			br.Success()
-			echoHeader(w, a.header)
-			w.WriteHeader(a.status)
-			_, _ = w.Write(a.body)
-			return
 		}
+		// A pass-through 4xx is the client's error: the backend answered
+		// coherently, so its breaker sees a success too.
 		br.Success()
-		r.budget.Earn()
-		r.metBudgetTokens.Set(r.budget.Tokens())
-		if wait {
-			r.recordLatency(r.now() - attemptStart)
+		if v == accept {
+			r.budget.Earn()
+			if s.wait {
+				r.recordLatency(r.now() - attemptStart)
+			}
+			r.metSolves.Inc()
 		}
-		r.metSolves.Inc()
-		out := RoutedJob{JobJSON: job, Backend: b.Name(), Hops: sent, Hedged: a.hedged}
-		out.ID = b.Name() + "/" + job.ID
-		if priorAttempts > 0 {
-			out.Attempts = priorAttempts + attemptCount(job)
-		}
-		echoHeader(w, a.header)
-		obs.WriteJSON(w, a.status, out)
-		return
+		return settled{attempt: a, verdict: v, job: job, backend: b.Name(), hops: sent, prior: priorAttempts}, nil
 	}
 	detail := ""
 	if lastErr != "" {
 		detail = ": last error: " + lastErr
 	}
-	if sent >= budget && budget < len(candidates) {
-		r.reject(w, http.StatusServiceUnavailable, codeHopLimit,
-			fmt.Sprintf("hop limit %d reached with %d candidates left%s", budget, len(candidates)-budget, detail))
+	if sent >= s.hops && s.hops < len(candidates) {
+		return settled{}, &rejection{http.StatusServiceUnavailable, codeHopLimit,
+			fmt.Sprintf("hop limit %d reached with %d candidates left%s", s.hops, len(candidates)-s.hops, detail)}
+	}
+	return settled{}, &rejection{http.StatusServiceUnavailable, codeShardUnavailable,
+		fmt.Sprintf("all %d backends for shard %s unavailable%s", len(candidates), s.key, detail)}
+}
+
+// respond is the last stage of POST /solve and the only one that writes:
+// the rejection, the backend's 4xx verbatim, or the job with its id
+// qualified and the federation's accounting.
+func (r *Router) respond(w http.ResponseWriter, won settled, rej *rejection) {
+	if rej != nil {
+		r.reject(w, rej.status, rej.code, rej.msg)
 		return
 	}
-	r.reject(w, http.StatusServiceUnavailable, codeShardUnavailable,
-		fmt.Sprintf("all %d backends for shard %s unavailable%s", len(candidates), key, detail))
+	copyHop(w.Header(), won.header)
+	if won.verdict == passThrough {
+		w.WriteHeader(won.status)
+		_, _ = w.Write(won.body)
+		return
+	}
+	out := RoutedJob{JobJSON: won.job, Backend: won.backend, Hops: won.hops, Hedged: won.hedged}
+	out.ID = won.backend + "/" + won.job.ID
+	if won.prior > 0 {
+		out.Attempts = won.prior + attemptCount(won.job)
+	}
+	obs.WriteJSON(w, won.status, out)
+}
+
+func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
+	s, rej := r.decode(w, req)
+	var won settled
+	if rej == nil {
+		won, rej = r.forward(req, s)
+	}
+	r.respond(w, won, rej)
 }
 
 // attemptCount reads a job's attempt tally (the wire form omits 1).
@@ -698,126 +719,98 @@ func attemptCount(j server.JobJSON) int {
 	return 1
 }
 
-func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
-	rest := strings.TrimPrefix(req.URL.Path, "/jobs/")
-	name, sub, ok := strings.Cut(rest, "/")
-	if !ok || name == "" || sub == "" {
-		r.reject(w, http.StatusNotFound, codeNotFound,
-			"cluster job ids are backend/id; want /jobs/{backend}/{id}")
-		return
-	}
-	b, found := r.byName[name]
-	if !found {
-		r.reject(w, http.StatusNotFound, codeNotFound, "unknown backend "+name)
-		return
-	}
-	resp, err := b.do(http.MethodGet, "/jobs/"+sub, req.URL.RawQuery, forwardHeader(req), nil)
-	if err != nil {
-		r.reject(w, http.StatusBadGateway, codeUpstreamError, err.Error())
-		return
-	}
-	defer resp.Body.Close()
-	// Qualify the id on plain job bodies; sub-resources (trace.json,
-	// spans.jsonl) stream through untouched.
-	if resp.StatusCode == http.StatusOK && !strings.Contains(sub, "/") {
-		respBody, err := io.ReadAll(resp.Body)
+// proxyJob proxies a job lookup to its backend: the job body comes back
+// with its id qualified as backend/id, a sub-resource (trace.json,
+// spans.jsonl) streams through untouched.
+func (r *Router) proxyJob(sub bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		b, ok := r.backend(w, req)
+		if !ok {
+			return
+		}
+		path := "/jobs/" + req.PathValue("id")
+		if sub {
+			path += "/" + req.PathValue("sub")
+		}
+		resp, err := b.do(http.MethodGet, path, req.URL.RawQuery, forwardHeader(req), nil)
 		if err != nil {
 			r.reject(w, http.StatusBadGateway, codeUpstreamError, err.Error())
 			return
 		}
-		var job server.JobJSON
-		if json.Unmarshal(respBody, &job) == nil {
-			out := RoutedJob{JobJSON: job, Backend: name}
-			out.ID = name + "/" + job.ID
-			echoHeader(w, resp.Header)
-			obs.WriteJSON(w, http.StatusOK, out)
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK && !sub {
+			respBody, err := io.ReadAll(resp.Body)
+			if err != nil {
+				r.reject(w, http.StatusBadGateway, codeUpstreamError, err.Error())
+				return
+			}
+			var job server.JobJSON
+			if json.Unmarshal(respBody, &job) == nil {
+				out := RoutedJob{JobJSON: job, Backend: b.Name()}
+				out.ID = b.Name() + "/" + job.ID
+				copyHop(w.Header(), resp.Header)
+				obs.WriteJSON(w, http.StatusOK, out)
+				return
+			}
+			copyHop(w.Header(), resp.Header)
+			w.WriteHeader(resp.StatusCode)
+			_, _ = w.Write(respBody)
 			return
 		}
-		echoHeader(w, resp.Header)
+		copyHop(w.Header(), resp.Header)
 		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(respBody)
-		return
+		_, _ = io.Copy(w, resp.Body)
 	}
-	echoHeader(w, resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
-	r.refreshBreakerGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = r.reg.WritePrometheus(w)
 }
 
-// handleBackendPass proxies GET /backends/{name}/{path} to one
-// backend's own surface (/metrics, /healthz, /slo, ...), keeping the
-// per-backend Prometheus families separate from the router's.
-func (r *Router) handleBackendPass(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
-	rest := strings.TrimPrefix(req.URL.Path, "/backends/")
-	name, sub, ok := strings.Cut(rest, "/")
-	if !ok || name == "" || sub == "" {
-		r.reject(w, http.StatusNotFound, codeNotFound, "want /backends/{name}/{path}")
-		return
-	}
-	b, found := r.byName[name]
-	if !found {
-		r.reject(w, http.StatusNotFound, codeNotFound, "unknown backend "+name)
-		return
-	}
-	resp, err := b.do(http.MethodGet, "/"+sub, req.URL.RawQuery, forwardHeader(req), nil)
-	if err != nil {
-		r.reject(w, http.StatusBadGateway, codeUpstreamError, err.Error())
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
+// pass proxies GET /backends/{backend}/{path...} to one backend's own
+// surface (/metrics, /healthz, /slo, ...), keeping the per-backend
+// Prometheus families separate from the router's.
+func (r *Router) pass(deep bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		b, ok := r.backend(w, req)
+		if !ok {
+			return
 		}
+		path := "/" + req.PathValue("path")
+		if deep {
+			path += "/" + req.PathValue("sub")
+		}
+		resp, err := b.do(http.MethodGet, path, req.URL.RawQuery, forwardHeader(req), nil)
+		if err != nil {
+			r.reject(w, http.StatusBadGateway, codeUpstreamError, err.Error())
+			return
+		}
+		defer resp.Body.Close()
+		for k, vs := range resp.Header {
+			for _, v := range vs {
+				w.Header().Add(k, v)
+			}
+		}
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }
 
-func (r *Router) handleAdmin(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.reject(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
+// admin marks a backend dead or alive. A kill trips the backend's breaker
+// too, so the killed node is skipped at once instead of after Threshold
+// wasted forwards; a revive closes it.
+func (r *Router) admin(node func(*Backend), breaker func(*Breaker)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		b, ok := r.backend(w, req)
+		if !ok {
+			return
+		}
+		node(b)
+		br := r.breakers[b.Name()]
+		breaker(br)
+		obs.WriteJSON(w, http.StatusOK, map[string]any{
+			"ok": true, "backend": b.Name(), "down": b.Down(), "breaker": br.State(),
+		})
 	}
-	var name, action string
-	switch {
-	case strings.HasPrefix(req.URL.Path, "/admin/kill/"):
-		name, action = strings.TrimPrefix(req.URL.Path, "/admin/kill/"), "kill"
-	case strings.HasPrefix(req.URL.Path, "/admin/revive/"):
-		name, action = strings.TrimPrefix(req.URL.Path, "/admin/revive/"), "revive"
-	}
-	b, found := r.byName[name]
-	if !found {
-		r.reject(w, http.StatusNotFound, codeNotFound, "unknown backend "+name)
-		return
-	}
-	if action == "kill" {
-		b.Kill()
-		// Trip the breaker too, so the killed node is skipped instantly
-		// instead of after Threshold wasted forwards.
-		r.breakers[name].Trip()
-	} else {
-		b.Revive()
-		r.breakers[name].Reset()
-	}
-	obs.WriteJSON(w, http.StatusOK, map[string]any{
-		"ok": true, "backend": name, "down": b.Down(), "breaker": r.breakers[name].State(),
-	})
 }

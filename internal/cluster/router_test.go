@@ -251,19 +251,19 @@ func TestRouterErrorPaths(t *testing.T) {
 			http.MethodPost, "/solve",
 			`{"matrix":{"name":"laplace3d"}}`, http.StatusServiceUnavailable, codeShardUnavailable},
 		{"bad-json", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodPost, "/solve",
-			`{"matrix":`, http.StatusBadRequest, codeBadRequest},
+			`{"matrix":`, http.StatusBadRequest, obs.CodeBadRequest},
 		{"no-matrix", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodPost, "/solve",
-			`{}`, http.StatusBadRequest, codeBadRequest},
+			`{}`, http.StatusBadRequest, obs.CodeBadRequest},
 		{"solve-get", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodGet, "/solve",
-			``, http.StatusMethodNotAllowed, codeMethodNotAllowed},
+			``, http.StatusMethodNotAllowed, obs.CodeMethodNotAllowed},
 		{"job-unqualified", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodGet, "/jobs/42",
-			``, http.StatusNotFound, codeNotFound},
+			``, http.StatusNotFound, obs.CodeNotFound},
 		{"job-unknown-backend", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodGet, "/jobs/nope/42",
-			``, http.StatusNotFound, codeNotFound},
+			``, http.StatusNotFound, obs.CodeNotFound},
 		{"admin-unknown", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodPost, "/admin/kill/nope",
-			``, http.StatusNotFound, codeNotFound},
+			``, http.StatusNotFound, obs.CodeNotFound},
 		{"backend-pass-unknown", New(Config{Backends: []*Backend{live.Backend()}}), http.MethodGet, "/backends/nope/metrics",
-			``, http.StatusNotFound, codeNotFound},
+			``, http.StatusNotFound, obs.CodeNotFound},
 		{"backend-pass-dead", New(Config{Backends: []*Backend{deadA}}), http.MethodGet, "/backends/dead-a/metrics",
 			``, http.StatusBadGateway, codeUpstreamError},
 	}
@@ -477,8 +477,8 @@ func TestRouterBodyLimit(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
 		t.Fatalf("oversized body: HTTP %d, undecodable rejection %q: %v", rec.Code, rec.Body.Bytes(), err)
 	}
-	if rec.Code != http.StatusRequestEntityTooLarge || rej.Code != codeRequestTooLarge {
-		t.Fatalf("oversized body: HTTP %d code %q, want 413 %s", rec.Code, rej.Code, codeRequestTooLarge)
+	if rec.Code != http.StatusRequestEntityTooLarge || rej.Code != obs.CodeRequestTooLarge {
+		t.Fatalf("oversized body: HTTP %d code %q, want 413 %s", rec.Code, rej.Code, obs.CodeRequestTooLarge)
 	}
 	if solves, _, rejects := r.Counts(); solves != 0 || rejects != 1 {
 		t.Fatalf("oversized body: %d solves forwarded, %d rejects; want 0 and 1", solves, rejects)

@@ -123,3 +123,14 @@ func RandomTallSkinny(n, c int, cond float64, seed int64) *la.Dense {
 	la.GemmNN(1, tmp, q2.Transpose(), 0, out)
 	return out
 }
+
+// RHS is the deterministic right-hand side number seed of an n-row
+// system, entries in [1, 1.66]: the harnesses map a request's identity to
+// a seed, so live, virtual and in-process runs solve the same systems.
+func RHS(n, seed int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1 + 0.01*float64((i*131+seed*977)%67)
+	}
+	return b
+}

@@ -13,9 +13,9 @@
 //     run. The kernel body is still executed once, so the code path stays
 //     exercised; only the clock is synthetic.
 //
-//   - WallTimer wraps real timing with warmup, N repetitions and
-//     min/median selection — the statistics-aware fallback for the
-//     opt-in "measured" mode (cmd/experiments -measured).
+//   - WallTimer wraps real timing with a warmup and the best of five
+//     repetitions — the statistics-aware fallback for the opt-in
+//     "measured" mode (cmd/experiments -measured).
 //
 // Benchmark drivers take a Timer and do not care which one they get;
 // Timer.Deterministic reports whether exact assertions are safe.
@@ -95,22 +95,16 @@ const HostCores = 16
 // saturates roughly a quarter of the socket-pair bandwidth).
 const serialBWShare = 0.25
 
-// defaultDispatch is the modeled cost of one host scheduling event
+// dispatchSeconds is the modeled cost of one host scheduling event
 // (goroutine spawn + channel synchronization), ~1 microsecond.
-const defaultDispatch = 1e-6
+const dispatchSeconds = 1e-6
 
-// ModelTimer charges kernels against the host side of a gpu.CostModel.
-// The zero value is not useful; construct with NewModelTimer.
+// ModelTimer charges kernels against the host side of a gpu.CostModel
+// on HostCores cores. The zero value is not useful; construct with
+// NewModelTimer.
 type ModelTimer struct {
 	// Model supplies HostGflops and HostMemBW.
 	Model gpu.CostModel
-	// Cores is the modeled core count (default HostCores).
-	Cores int
-	// Dispatch is the per-dispatch overhead in seconds (default 1us).
-	Dispatch float64
-	// SkipExec disables the single correctness execution of f, for
-	// callers that only want the cost estimate.
-	SkipExec bool
 }
 
 // NewModelTimer returns a deterministic timer over the given cost model.
@@ -122,19 +116,9 @@ func NewModelTimer(m gpu.CostModel) *ModelTimer {
 // the compute-bound and memory-bound estimates at k's parallelism, plus
 // the dispatch overhead. Pure function of (Model, k).
 func (t *ModelTimer) Seconds(k Kernel) float64 {
-	cores := t.Cores
-	if cores <= 0 {
-		cores = HostCores
-	}
-	p := k.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > cores {
-		p = cores
-	}
+	p := min(max(k.Parallelism, 1), HostCores)
 	// Compute rate scales linearly with the engaged cores.
-	rate := t.Model.HostGflops * 1e9 * float64(p) / float64(cores)
+	rate := t.Model.HostGflops * 1e9 * float64(p) / HostCores
 	sec := k.Flops / rate
 	// Bandwidth saturates once enough cores issue streams: one core
 	// sustains serialBWShare of the aggregate, p cores sustain
@@ -146,20 +130,12 @@ func (t *ModelTimer) Seconds(k Kernel) float64 {
 	if mt := k.Bytes / (t.Model.HostMemBW * share); mt > sec {
 		sec = mt
 	}
-	dispatch := t.Dispatch
-	if dispatch == 0 {
-		dispatch = defaultDispatch
-	}
-	d := k.Dispatches
-	if d < 1 {
-		d = 1
-	}
-	return sec + float64(d)*dispatch
+	return sec + float64(max(k.Dispatches, 1))*dispatchSeconds
 }
 
-// Time executes f once (unless SkipExec) and returns the modeled time.
+// Time executes f once and returns the modeled time.
 func (t *ModelTimer) Time(k Kernel, f func()) Sample {
-	if f != nil && !t.SkipExec {
+	if f != nil {
 		f()
 	}
 	return Sample{Seconds: t.Seconds(k), Reps: 1, Modeled: true}
@@ -168,66 +144,34 @@ func (t *ModelTimer) Time(k Kernel, f func()) Sample {
 // Deterministic reports true: modeled time is a pure function of the model.
 func (t *ModelTimer) Deterministic() bool { return true }
 
-// Selection picks the representative sample from a set of repetitions.
-type Selection int
-
+// The WallTimer schedule: one untimed warmup call, then the fastest of
+// wallReps timed batches — the standard estimator for "the cost of the
+// kernel absent interference". f runs in a doubling inner loop until a
+// batch takes wallMinBatch, at most wallMaxInner calls, so
+// sub-microsecond kernels still get stable readings.
 const (
-	// SelectMin reports the fastest repetition — the standard estimator
-	// for "the cost of the kernel absent interference".
-	SelectMin Selection = iota
-	// SelectMedian reports the middle repetition — robust when the system
-	// is persistently noisy in both directions.
-	SelectMedian
+	wallWarmup   = 1
+	wallReps     = 5
+	wallMinBatch = 20 * time.Millisecond
+	wallMaxInner = 1024
 )
 
-// WallTimer measures real elapsed time with warmup and repetition. The
-// zero value is usable: 1 warmup, 5 repetitions, min selection, 20ms
-// minimum timed batch.
-type WallTimer struct {
-	// Warmup is the number of untimed calls before measurement (default 1).
-	Warmup int
-	// Reps is the number of timed repetitions (default 5, "best of 5").
-	Reps int
-	// Select picks the representative repetition (default SelectMin).
-	Select Selection
-	// MinBatch is the minimum elapsed time of one repetition batch; f is
-	// called in a doubling inner loop until the batch takes at least this
-	// long, so sub-microsecond kernels still get stable readings
-	// (default 20ms).
-	MinBatch time.Duration
-	// MaxInner caps the inner doubling loop (default 1024).
-	MaxInner int
-}
+// WallTimer measures real elapsed time with warmup and repetition.
+type WallTimer struct{}
 
-// Time measures f with warmup + repetitions and returns the selected
+// Time measures f with warmup + repetitions and returns the fastest
 // per-invocation time. k is used only for documentation; the clock is real.
 func (t *WallTimer) Time(k Kernel, f func()) Sample {
-	warm := t.Warmup
-	if warm <= 0 {
-		warm = 1
-	}
-	reps := t.Reps
-	if reps <= 0 {
-		reps = 5
-	}
-	minBatch := t.MinBatch
-	if minBatch <= 0 {
-		minBatch = 20 * time.Millisecond
-	}
-	maxInner := t.MaxInner
-	if maxInner <= 0 {
-		maxInner = 1024
-	}
-	for i := 0; i < warm; i++ {
+	for i := 0; i < wallWarmup; i++ {
 		f()
 	}
 	// Calibrate the inner repetition count once so each timed batch
-	// runs at least MinBatch.
+	// runs at least wallMinBatch.
 	inner := 1
 	start := time.Now()
 	f()
 	el := time.Since(start)
-	for el < minBatch && inner < maxInner {
+	for el < wallMinBatch && inner < wallMaxInner {
 		inner *= 2
 		start = time.Now()
 		for i := 0; i < inner; i++ {
@@ -235,31 +179,16 @@ func (t *WallTimer) Time(k Kernel, f func()) Sample {
 		}
 		el = time.Since(start)
 	}
-	times := make([]float64, 0, reps)
-	times = append(times, el.Seconds()/float64(inner))
-	for r := 1; r < reps; r++ {
+	best := el.Seconds() / float64(inner)
+	for r := 1; r < wallReps; r++ {
 		start = time.Now()
 		for i := 0; i < inner; i++ {
 			f()
 		}
-		times = append(times, time.Since(start).Seconds()/float64(inner))
+		best = min(best, time.Since(start).Seconds()/float64(inner))
 	}
-	return Sample{Seconds: pick(times, t.Select), Reps: reps}
+	return Sample{Seconds: best, Reps: wallReps}
 }
 
 // Deterministic reports false: wall-clock readings vary run to run.
 func (t *WallTimer) Deterministic() bool { return false }
-
-// pick returns the selected statistic of times (which it sorts in place).
-func pick(times []float64, sel Selection) float64 {
-	// Insertion sort: reps is tiny.
-	for i := 1; i < len(times); i++ {
-		for j := i; j > 0 && times[j] < times[j-1]; j-- {
-			times[j], times[j-1] = times[j-1], times[j]
-		}
-	}
-	if sel == SelectMedian {
-		return times[len(times)/2]
-	}
-	return times[0]
-}

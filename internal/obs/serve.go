@@ -20,6 +20,41 @@ type ErrorBody struct {
 	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
 }
 
+// ErrorBody codes every HTTP tier answers with; the daemon and the router
+// each add the codes only they give.
+const (
+	CodeBadRequest       = "bad_request"
+	CodeNotFound         = "not_found"
+	CodeMethodNotAllowed = "method_not_allowed"
+	// CodeRequestTooLarge: a body over the tier's byte bound.
+	CodeRequestTooLarge = "request_too_large"
+)
+
+// Route is one row of an HTTP tier's route table: a method, a ServeMux
+// path pattern (wildcards allowed) and the handler serving the two.
+type Route struct {
+	Method, Path string
+	Handler      http.HandlerFunc
+}
+
+// Mount registers a route table on mux, each path once. A path answers
+// only its method: any other, HEAD on a GET route included, is refused
+// with a 405 method_not_allowed through refuse, so a tier words and
+// counts the refusal like its other rejections. (A "GET /path" pattern
+// would have the mux serve HEAD with the GET handler and refuse the rest
+// in plain text, so the method is matched here, in this one place.)
+func Mount(mux *http.ServeMux, routes []Route, refuse func(w http.ResponseWriter, status int, code, msg string)) {
+	for _, rt := range routes {
+		mux.HandleFunc(rt.Path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == rt.Method {
+				rt.Handler(w, r)
+				return
+			}
+			refuse(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, rt.Method+" only")
+		})
+	}
+}
+
 // WriteJSON writes v as the JSON body of a response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -54,7 +89,7 @@ func Handler(r *Registry, traces func() []gpu.Trace) http.Handler {
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, req *http.Request) {
 		if traces == nil {
-			WriteError(w, http.StatusNotFound, "not_found", "tracing not enabled")
+			WriteError(w, http.StatusNotFound, CodeNotFound, "tracing not enabled")
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 )
 
@@ -41,7 +42,7 @@ func TestBrownoutShed(t *testing.T) {
 		t.Fatalf("fresh scheduler brownout level = %d, want 0", lvl)
 	}
 	a := testMatrix()
-	if _, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 0), ""), 0, 0); err != nil {
+	if _, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 0), ""), 0, 0); err != nil {
 		t.Fatalf("pre-brownout priority-0 submit rejected: %v", err)
 	}
 
@@ -56,7 +57,7 @@ func TestBrownoutShed(t *testing.T) {
 		t.Fatalf("brownout level = %d, want 2", lvl)
 	}
 	for _, prio := range []int{0, 1} {
-		_, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, prio), ""), prio, 0)
+		_, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, prio), ""), prio, 0)
 		var shed *BrownoutShedError
 		if !errors.As(err, &shed) {
 			t.Fatalf("priority-%d submit under brownout: err = %v, want *BrownoutShedError", prio, err)
@@ -68,7 +69,7 @@ func TestBrownoutShed(t *testing.T) {
 			t.Fatalf("shed error carries no Retry-After hint: %+v", shed)
 		}
 	}
-	if _, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 7), ""), 2, 0); err != nil {
+	if _, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 7), ""), 2, 0); err != nil {
 		t.Fatalf("priority-2 submit under brownout rejected: %v", err)
 	}
 
@@ -94,7 +95,7 @@ func TestBrownoutShed(t *testing.T) {
 	if lvl := s.BrownoutLevel(); lvl != 0 {
 		t.Fatalf("brownout level after recovery = %d, want 0", lvl)
 	}
-	if _, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 8), ""), 0, 0); err != nil {
+	if _, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 8), ""), 0, 0); err != nil {
 		t.Fatalf("post-recovery priority-0 submit rejected: %v", err)
 	}
 }
@@ -110,7 +111,7 @@ func TestDeadlineInfeasibleGate(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	a := testMatrix()
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 1), ""), 0, 0)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 1), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestDeadlineInfeasibleGate(t *testing.T) {
 		t.Fatalf("service estimate not primed after a completed solve: %v", est)
 	}
 
-	_, err = s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 2), ""), 0, time.Nanosecond)
+	_, err = s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 2), ""), 0, time.Nanosecond)
 	var inf *DeadlineInfeasibleError
 	if !errors.As(err, &inf) {
 		t.Fatalf("infeasible-deadline submit: err = %v, want *DeadlineInfeasibleError", err)
@@ -136,7 +137,7 @@ func TestDeadlineInfeasibleGate(t *testing.T) {
 	}
 
 	// A generous deadline passes the gate.
-	ok, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 3), ""), 0, time.Minute)
+	ok, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 3), ""), 0, time.Minute)
 	if err != nil {
 		t.Fatalf("feasible-deadline submit rejected: %v", err)
 	}
@@ -153,7 +154,7 @@ func TestDeadlineExpiredShed(t *testing.T) {
 	s := New(Config{Pool: pool, Registry: reg})
 
 	a := testMatrix()
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 1), ""), 0, time.Nanosecond)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 1), ""), 0, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}

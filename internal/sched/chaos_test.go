@@ -10,6 +10,7 @@ import (
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/la"
+	"cagmres/internal/matgen"
 	"cagmres/internal/ortho"
 )
 
@@ -43,7 +44,7 @@ func TestJobRequeuedAfterTransferExhaustion(t *testing.T) {
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
 
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 1), ""), 0, 0)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 1), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDeviceDeathHealsThenPoolDegrades(t *testing.T) {
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
 
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 2), ""), 0, 0)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 2), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestDeviceDeathHealsThenPoolDegrades(t *testing.T) {
 		t.Fatalf("devices lost = %d, want 1", snap.DevicesLost)
 	}
 
-	j2, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 3), ""), 0, 0)
+	j2, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 3), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRepairReadmitsEvictedContext(t *testing.T) {
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1})
 	s.Start()
 
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 4), ""), 0, 0)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 4), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRepairReadmitsEvictedContext(t *testing.T) {
 		t.Fatalf("repaired pool in wrong state: %+v", snap)
 	}
 
-	j2, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 5), ""), 0, 0)
+	j2, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 5), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, DrainGrace: 50 * time.Millisecond})
 	s.Start()
-	spec := testSpec(a, testRHS(a.Rows, 6), "")
+	spec := testSpec(a, matgen.RHS(a.Rows, 6), "")
 	spec.Opts.OrthoImpl = wedge
 	j, err := s.Submit(context.Background(), spec, 0, 0)
 	if err != nil {
@@ -234,7 +235,7 @@ func TestLeaseTimeoutCancelsStuckBatch(t *testing.T) {
 	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, LeaseTimeout: 30 * time.Millisecond})
 	s.Start()
-	spec := testSpec(a, testRHS(a.Rows, 7), "")
+	spec := testSpec(a, matgen.RHS(a.Rows, 7), "")
 	spec.Opts.Tol = 1e-30
 	spec.Opts.MaxRestarts = 1 << 20
 	j, err := s.Submit(context.Background(), spec, 0, 0)
@@ -270,7 +271,7 @@ func TestChaosLoadLeavesNoGoroutines(t *testing.T) {
 	s.Start()
 	jobs := make([]*Job, 10)
 	for i := range jobs {
-		j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, i), "lap6"), i%3, 0)
+		j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, i), "lap6"), i%3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
+	"cagmres/internal/matgen"
 	"cagmres/internal/profile"
 )
 
@@ -77,7 +78,7 @@ func TestPooledReuseNoLeak(t *testing.T) {
 		if got := ctx.Stats().TotalTime(); got != 0 {
 			t.Fatalf("lease %d started with a dirty ledger: %v modeled seconds", i, got)
 		}
-		prob, err := core.NewProblem(ctx, a, testRHS(a.Rows, i), core.KWay, true)
+		prob, err := core.NewProblem(ctx, a, matgen.RHS(a.Rows, i), core.KWay, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestPoolRestoresItsProfile(t *testing.T) {
 		if got := ctx.Profile(); got != a100 {
 			t.Fatalf("lease %d starts on %q, want %q", seed, got.Name, a100.Name)
 		}
-		prob, err := core.NewProblem(ctx, a, testRHS(a.Rows, seed), core.KWay, true)
+		prob, err := core.NewProblem(ctx, a, matgen.RHS(a.Rows, seed), core.KWay, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
+	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 )
 
@@ -75,10 +76,10 @@ func TestPreparedProblemReusedAcrossBatches(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background())
 
-	spec := testSpec(a, testRHS(a.Rows, 1), "lap6")
+	spec := testSpec(a, matgen.RHS(a.Rows, 1), "lap6")
 	j1, _ := solveNow(t, s, spec)
 	wantPrepared(t, s, 0, 1, 0)
-	spec.B = testRHS(a.Rows, 2)
+	spec.B = matgen.RHS(a.Rows, 2)
 	j2, served := solveNow(t, s, spec)
 	wantPrepared(t, s, 1, 1, 0)
 	if got := slices.Concat(prepareSpans(t, j1), prepareSpans(t, j2)); !slices.Equal(got, []string{"miss", "hit"}) {
@@ -139,7 +140,7 @@ func TestPreparedProblemReusedAcrossBatches(t *testing.T) {
 // another device count is another preparation (the layout differs).
 func TestPreparedProblemKeyedByDeviceCount(t *testing.T) {
 	a := testMatrix()
-	spec := testSpec(a, testRHS(a.Rows, 1), "lap6")
+	spec := testSpec(a, matgen.RHS(a.Rows, 1), "lap6")
 	c := newPreparedCache(nil)
 	for _, devices := range []int{2, 3, 2, 3} {
 		p, _, err := c.problem(gpu.NewContext(devices, gpu.M2090()), &spec)
@@ -199,7 +200,7 @@ func TestLeaseFaultEvictsPreparedProblem(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background())
 
-	j, res := solveNow(t, s, testSpec(a, testRHS(a.Rows, 1), "lap6"))
+	j, res := solveNow(t, s, testSpec(a, matgen.RHS(a.Rows, 1), "lap6"))
 	if !res.Converged || j.Attempts() != 2 {
 		t.Fatalf("attempts %d converged %v, want a faulted lease then a clean one", j.Attempts(), res.Converged)
 	}
@@ -219,7 +220,7 @@ func TestWorkersShareOnePreparedProblem(t *testing.T) {
 	const jobs = 12
 	queued := make([]*Job, jobs)
 	for i := range queued {
-		j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, i), "lap6"), 0, 0)
+		j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, i), "lap6"), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestWorkersShareOnePreparedProblem(t *testing.T) {
 	defer s.Drain(context.Background())
 	for i, j := range queued {
 		res := waitJob(t, j)
-		b := testRHS(a.Rows, i)
+		b := matgen.RHS(a.Rows, i)
 		if rel := core.ResidualNorm(a, b, res.X); !res.Converged || rel > 1e-6 {
 			t.Fatalf("job %d: converged %v, residual against its own right-hand side %v", i, res.Converged, rel)
 		}

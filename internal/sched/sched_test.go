@@ -20,14 +20,6 @@ func testMatrix() *sparse.CSR {
 	return matgen.Laplace3D(6, 6, 6, 0.2)
 }
 
-func testRHS(n int, seed int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1 + 0.01*float64((i*131+seed*977)%67)
-	}
-	return b
-}
-
 func testSpec(a *sparse.CSR, b []float64, key string) Spec {
 	return Spec{
 		Matrix:    a,
@@ -70,7 +62,7 @@ func TestDeterministicLoad(t *testing.T) {
 	prios := []int{0, 1, 0, 2, 1, 0}
 	jobs := make([]*Job, len(prios))
 	for i, pr := range prios {
-		spec := testSpec(a, testRHS(a.Rows, i), "")
+		spec := testSpec(a, matgen.RHS(a.Rows, i), "")
 		j, err := s.Submit(context.Background(), spec, pr, 0)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -80,7 +72,7 @@ func TestDeterministicLoad(t *testing.T) {
 
 	// A job whose deadline passed while queued must come back Canceled
 	// without consuming device time.
-	expired, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 99), ""), 3, time.Nanosecond)
+	expired, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 99), ""), 3, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +122,12 @@ func TestDeterministicLoad(t *testing.T) {
 	// workers; the overflow submission must reject immediately.
 	s2 := New(Config{Pool: NewPool(PoolConfig{Size: 1, Devices: 1}), QueueDepth: 2, MaxBatch: 1})
 	for i := 0; i < 2; i++ {
-		if _, err := s2.Submit(context.Background(), testSpec(a, testRHS(a.Rows, i), ""), 0, 0); err != nil {
+		if _, err := s2.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, i), ""), 0, 0); err != nil {
 			t.Fatalf("submit %d within depth: %v", i, err)
 		}
 	}
 	rejectStart := time.Now()
-	_, err = s2.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 9), ""), 0, 0)
+	_, err = s2.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 9), ""), 0, 0)
 	var full *QueueFullError
 	if !errors.As(err, &full) {
 		t.Fatalf("overflow submit returned %v, want QueueFullError", err)
@@ -156,7 +148,7 @@ func TestDeterministicLoad(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 0), ""), 0, 0); err != ErrDraining {
+	if _, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 0), ""), 0, 0); err != ErrDraining {
 		t.Fatalf("post-drain submit returned %v, want ErrDraining", err)
 	}
 }
@@ -173,7 +165,7 @@ func TestBatchingSharesLease(t *testing.T) {
 	const n = 4
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		spec := testSpec(a, testRHS(a.Rows, i), "lap6")
+		spec := testSpec(a, matgen.RHS(a.Rows, i), "lap6")
 		j, err := s.Submit(context.Background(), spec, 0, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +181,7 @@ func TestBatchingSharesLease(t *testing.T) {
 		// Direct library call with an identical context shape: the
 		// scheduler result must match bit for bit.
 		ctx := gpu.NewContext(2, gpu.M2090())
-		p, err := core.NewProblem(ctx, a, testRHS(a.Rows, i), core.KWay, true)
+		p, err := core.NewProblem(ctx, a, matgen.RHS(a.Rows, i), core.KWay, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +243,7 @@ func TestMidSolveDeadline(t *testing.T) {
 	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 4, MaxBatch: 1})
 	s.Start()
-	spec := testSpec(a, testRHS(a.Rows, 0), "")
+	spec := testSpec(a, matgen.RHS(a.Rows, 0), "")
 	spec.Opts.Tol = 1e-30 // unreachable
 	spec.Opts.MaxRestarts = 1 << 20
 	j, err := s.Submit(context.Background(), spec, 0, 50*time.Millisecond)
@@ -279,7 +271,7 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	s := New(Config{Pool: pool, QueueDepth: 32, MaxBatch: 4})
 	s.Start()
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, i), "lap6"), i%2, 0); err != nil {
+		if _, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, i), "lap6"), i%2, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +297,7 @@ func TestDrainTimeoutCancelsJobs(t *testing.T) {
 	s.Start()
 	jobs := make([]*Job, 4)
 	for i := range jobs {
-		spec := testSpec(a, testRHS(a.Rows, i), "")
+		spec := testSpec(a, matgen.RHS(a.Rows, i), "")
 		spec.Opts.Tol = 1e-30
 		spec.Opts.MaxRestarts = 1 << 20
 		j, err := s.Submit(context.Background(), spec, 0, 0)
@@ -335,7 +327,7 @@ func TestJobRetention(t *testing.T) {
 	s.Start()
 	var ids []string
 	for i := 0; i < 4; i++ {
-		spec := testSpec(a, testRHS(a.Rows, i), "")
+		spec := testSpec(a, matgen.RHS(a.Rows, i), "")
 		j, err := s.Submit(context.Background(), spec, 0, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 )
 
@@ -45,7 +46,7 @@ func TestJobTraceReconcilesDeviceLanes(t *testing.T) {
 				}
 			}()
 
-			spec := testSpec(a, testRHS(a.Rows, 1), "")
+			spec := testSpec(a, matgen.RHS(a.Rows, 1), "")
 			spec.Opts.Overlap = mode.overlap
 			root := s.Tracer().Root("solve", testTraceparent)
 			j, err := s.Submit(obs.ContextWithSpan(context.Background(), root), spec, 1, 0)
@@ -167,7 +168,7 @@ func TestSchedulerSLOObservesTerminalJobs(t *testing.T) {
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, Registry: reg, SLO: slo})
 	s.Start()
 
-	j, err := s.Submit(context.Background(), testSpec(a, testRHS(a.Rows, 0), ""), 0, 0)
+	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 0), ""), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,10 @@
 // Package server exposes the internal/sched scheduler as an HTTP JSON
-// API — solver-as-a-service:
-//
-//	POST /solve     submit a solve job (matrix-generator spec or inline
-//	                MatrixMarket body); ?wait / "wait": true blocks for
-//	                the result, otherwise the job id comes back
-//	                immediately. A W3C traceparent request header is
-//	                adopted as the job's trace id and echoed back.
-//	GET  /jobs/{id}             poll a job's state and result
-//	GET  /jobs/{id}/trace.json  the job's stitched Chrome trace: request/
-//	                            queue/lease spans, solver phases, and the
-//	                            per-device ledger lanes of the solve
-//	GET  /jobs/{id}/spans.jsonl the raw span tree as JSON lines
-//	GET  /slo                   per-class error budgets and burn rates
-//	GET  /healthz   liveness + pool/queue snapshot + SLO degradation
-//
-// mounted next to the internal/obs surface (/metrics, /metrics.json,
-// /trace.json, /debug/pprof), so one scrape sees both the scheduler
-// instruments and whatever the solvers recorded. Backpressure maps to
-// HTTP: a full admission queue answers 429 with a Retry-After header, a
-// draining scheduler answers 503.
+// API — solver-as-a-service, its routes the table in New — mounted next
+// to the internal/obs surface (/metrics, /metrics.json, /trace.json,
+// /debug/pprof), so one scrape sees both the scheduler instruments and
+// whatever the solvers recorded. Backpressure maps to HTTP: a full
+// admission queue answers 429 with a Retry-After header, a draining
+// scheduler answers 503.
 package server
 
 import (
@@ -192,14 +178,12 @@ type Healthz struct {
 	SLO         *obs.SLOReport `json:"slo,omitempty"`
 }
 
-// Error codes of obs.ErrorBody.Code.
+// Error codes of obs.ErrorBody.Code only the daemon gives; the ones both
+// tiers give are obs.Code*.
 const (
-	codeBadRequest       = "bad_request"
-	codeQueueFull        = "queue_full"
-	codeDraining         = "draining"
-	codeNotFound         = "not_found"
-	codeMethodNotAllowed = "method_not_allowed"
-	codeInternal         = "internal"
+	codeQueueFull = "queue_full"
+	codeDraining  = "draining"
+	codeInternal  = "internal"
 	// codeBrownoutShed: SLO-driven brownout is shedding this priority
 	// class; retry later or with a higher priority.
 	codeBrownoutShed = "brownout_shed"
@@ -209,8 +193,6 @@ const (
 	// codeNumericalBreakdown: the solve hit NaN/±Inf and no retry will
 	// behave differently — a client-data error, not a server fault.
 	codeNumericalBreakdown = "numerical_breakdown"
-	// codeRequestTooLarge: the solve body exceeds MaxBodyBytes.
-	codeRequestTooLarge = "request_too_large"
 )
 
 // MaxBodyBytes bounds the body of POST /solve, on the daemon and on the
@@ -247,10 +229,24 @@ func newMatrixCache(reg *obs.Registry) *sched.Cache[string, *sparse.CSR] {
 // points at, so scrapes see the scheduler instruments).
 func New(s *sched.Scheduler, reg *obs.Registry) *Server {
 	srv := &Server{sched: s, mux: http.NewServeMux(), matrices: newMatrixCache(reg), simd: obs.HostKernels(reg)}
-	srv.mux.HandleFunc("/solve", srv.handleSolve)
-	srv.mux.HandleFunc("/jobs/", srv.handleJob)
-	srv.mux.HandleFunc("/slo", srv.handleSLO)
-	srv.mux.HandleFunc("/healthz", srv.handleHealthz)
+	obs.Mount(srv.mux, []obs.Route{
+		// Submit a solve (generator spec or inline MatrixMarket body);
+		// ?wait or "wait": true blocks for the result, otherwise the job
+		// id comes back at once. A W3C traceparent header is adopted as
+		// the job's trace id and echoed back.
+		{Method: http.MethodPost, Path: "/solve", Handler: srv.handleSolve},
+		// A job's state and result, and its sub-resources: trace.json,
+		// the stitched Chrome trace (request/queue/lease spans, solver
+		// phases, the solve's device ledger lanes), and spans.jsonl, the
+		// raw span tree. A path without an id names an unknown job.
+		{Method: http.MethodGet, Path: "/jobs/{id}", Handler: srv.handleJob},
+		{Method: http.MethodGet, Path: "/jobs/{id}/{sub...}", Handler: srv.handleJob},
+		{Method: http.MethodGet, Path: "/jobs/", Handler: srv.handleJob},
+		// Per-class error budgets and burn rates; liveness, the pool and
+		// queue snapshot and SLO degradation.
+		{Method: http.MethodGet, Path: "/slo", Handler: srv.handleSLO},
+		{Method: http.MethodGet, Path: "/healthz", Handler: srv.handleHealthz},
+	}, obs.WriteError)
 	if reg != nil {
 		srv.mux.Handle("/", obs.Handler(reg, nil))
 	}
@@ -278,10 +274,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handleSLO serves the SLO engine's current report: per-class error
 // budgets and fast/slow burn rates, the signal an autoscaler consumes.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		obs.WriteError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
 	obs.WriteJSON(w, http.StatusOK, s.sched.SLO().Report())
 }
 
@@ -328,7 +320,7 @@ type apiError struct {
 }
 
 func badRequest(msg string) *apiError {
-	return &apiError{http.StatusBadRequest, obs.ErrorBody{Code: codeBadRequest, Error: msg}}
+	return &apiError{http.StatusBadRequest, obs.ErrorBody{Code: obs.CodeBadRequest, Error: msg}}
 }
 
 // write sends the rejection; a retry hint in the body is also the
@@ -352,7 +344,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveReques
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return req, spec, &apiError{http.StatusRequestEntityTooLarge,
-				obs.ErrorBody{Code: codeRequestTooLarge, Error: err.Error()}}
+				obs.ErrorBody{Code: obs.CodeRequestTooLarge, Error: err.Error()}}
 		}
 		return req, spec, badRequest("bad request body: " + err.Error())
 	}
@@ -437,10 +429,6 @@ func admissionError(err error) *apiError {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.WriteError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	// Mint the request root span before touching the body: a caller's
 	// traceparent is adopted (their span becomes our parent) and echoed on
 	// every response — including rejections — so the trace id round-trips
@@ -485,15 +473,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	// Sub-resources: /jobs/{id}/trace.json and /jobs/{id}/spans.jsonl.
-	sub := ""
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id, sub = id[:i], id[i+1:]
-	}
+	id, sub := r.PathValue("id"), r.PathValue("sub")
 	job, ok := s.sched.Job(id)
 	if !ok {
-		obs.WriteError(w, http.StatusNotFound, codeNotFound, "unknown job "+id)
+		obs.WriteError(w, http.StatusNotFound, obs.CodeNotFound, "unknown job "+id)
 		return
 	}
 	switch sub {
@@ -509,7 +492,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", job.Trace().Root().Traceparent())
 		_ = job.Trace().WriteSpansJSONL(w)
 	default:
-		obs.WriteError(w, http.StatusNotFound, codeNotFound,
+		obs.WriteError(w, http.StatusNotFound, obs.CodeNotFound,
 			"unknown job resource "+sub+" (want trace.json or spans.jsonl)")
 	}
 }

@@ -61,8 +61,8 @@ func TestBadMatrixMarketIsStructured400(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (body %+v)", name, code, e)
 			continue
 		}
-		if e.Code != codeBadRequest {
-			t.Errorf("%s: code %q, want %q", name, e.Code, codeBadRequest)
+		if e.Code != obs.CodeBadRequest {
+			t.Errorf("%s: code %q, want %q", name, e.Code, obs.CodeBadRequest)
 		}
 		if e.Error == "" || !strings.HasPrefix(e.Error, "matrix: ") {
 			t.Errorf("%s: error %q does not identify the matrix field", name, e.Error)
@@ -78,8 +78,8 @@ func TestUnknownSolverIsRejectedAtDecode(t *testing.T) {
 	req := solveReq(testN(t), 0, true)
 	req.Solver = "bicgstab"
 	code, e := postErr(t, h.ts.URL, req)
-	if code != http.StatusBadRequest || e.Code != codeBadRequest {
-		t.Fatalf("status %d code %q, want 400 %q (body %+v)", code, e.Code, codeBadRequest, e)
+	if code != http.StatusBadRequest || e.Code != obs.CodeBadRequest {
+		t.Fatalf("status %d code %q, want 400 %q (body %+v)", code, e.Code, obs.CodeBadRequest, e)
 	}
 	if hz := getHealthz(t, h.ts.URL); hz.PreparedMisses != 0 || hz.Dispatched != 0 {
 		t.Fatalf("rejected request reached the scheduler: %d preparations, %d dispatched", hz.PreparedMisses, hz.Dispatched)
@@ -99,7 +99,7 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 	h := newHarness(t, 16)
 
 	code, e := postErr(t, h.ts.URL, SolveRequest{Matrix: MatrixSpec{Name: "no-such"}})
-	if code != http.StatusBadRequest || e.Code != codeBadRequest {
+	if code != http.StatusBadRequest || e.Code != obs.CodeBadRequest {
 		t.Fatalf("unknown generator: status %d code %q", code, e.Code)
 	}
 
@@ -112,7 +112,7 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || nf.Code != codeNotFound {
+	if resp.StatusCode != http.StatusNotFound || nf.Code != obs.CodeNotFound {
 		t.Fatalf("unknown job: status %d code %q", resp.StatusCode, nf.Code)
 	}
 
@@ -125,7 +125,7 @@ func TestErrorCodesAreConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || mna.Code != codeMethodNotAllowed {
+	if resp.StatusCode != http.StatusMethodNotAllowed || mna.Code != obs.CodeMethodNotAllowed {
 		t.Fatalf("GET /solve: status %d code %q", resp.StatusCode, mna.Code)
 	}
 }

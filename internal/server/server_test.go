@@ -74,11 +74,7 @@ func (h *testHarness) post(t *testing.T, req SolveRequest) (int, JobJSON, http.H
 // solveReq is the canonical test request: the small laplace3d generator
 // with an explicit deterministic RHS.
 func solveReq(n int, seed int, wait bool) SolveRequest {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1 + 0.01*float64((i*131+seed*977)%67)
-	}
-	rhs, _ := json.Marshal(b)
+	rhs, _ := json.Marshal(matgen.RHS(n, seed))
 	return SolveRequest{
 		Matrix: MatrixSpec{Name: "laplace3d", Scale: 1e-5},
 		M:      20, S: 5, Tol: 1e-8, Ortho: "CholQR",
@@ -582,8 +578,8 @@ func TestSolveBodyLimit(t *testing.T) {
 
 	rec := post(paddedBody(t, req, MaxBodyBytes+1))
 	rej := decodeRejection(t, rec.Code, rec.Header(), rec.Body.Bytes())
-	if rec.Code != http.StatusRequestEntityTooLarge || rej.body.Code != codeRequestTooLarge || rej.hinted || rej.retryAfter != "" {
-		t.Fatalf("oversized body: HTTP %d %+v, want 413 %s without a retry hint", rec.Code, rej, codeRequestTooLarge)
+	if rec.Code != http.StatusRequestEntityTooLarge || rej.body.Code != obs.CodeRequestTooLarge || rej.hinted || rej.retryAfter != "" {
+		t.Fatalf("oversized body: HTTP %d %+v, want 413 %s without a retry hint", rec.Code, rej, obs.CodeRequestTooLarge)
 	}
 
 	rec = post(paddedBody(t, req, MaxBodyBytes))

@@ -305,7 +305,7 @@ func TestRejectionsAreErrorBodies(t *testing.T) {
 	h, got := containmentRun(t)
 	bad := solveReq(testN(t), 0, false)
 	bad.Ordering = "sorted"
-	got[codeBadRequest] = h.postRejected(t, bad)
+	got[obs.CodeBadRequest] = h.postRejected(t, bad)
 	if err := h.sched.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestRejectionsAreErrorBodies(t *testing.T) {
 	got[codeDraining] = h.postRejected(t, late)
 
 	want := map[string]int{
-		codeBadRequest:         http.StatusBadRequest,
+		obs.CodeBadRequest:     http.StatusBadRequest,
 		codeQueueFull:          http.StatusTooManyRequests,
 		codeBrownoutShed:       http.StatusServiceUnavailable,
 		codeDraining:           http.StatusServiceUnavailable,
@@ -347,43 +347,43 @@ func TestDecodeStageRejections(t *testing.T) {
 		status              int
 		code, msg           string
 	}{
-		{"control header", "bogus=1", `{` + tiny + `}`, 400, codeBadRequest,
+		{"control header", "bogus=1", `{` + tiny + `}`, 400, obs.CodeBadRequest,
 			`solve-control: unknown directive "bogus"`},
-		{"body", "", `{not json`, 400, codeBadRequest,
+		{"body", "", `{not json`, 400, obs.CodeBadRequest,
 			`bad request body: invalid character 'n' looking for beginning of object key string`},
-		{"solver", "", `{` + tiny + `,"solver":"bicgstab"}`, 400, codeBadRequest,
+		{"solver", "", `{` + tiny + `,"solver":"bicgstab"}`, 400, obs.CodeBadRequest,
 			`core: unknown solver "bicgstab"`},
-		{"matrix", "", `{"matrix":{}}`, 400, codeBadRequest,
+		{"matrix", "", `{"matrix":{}}`, 400, obs.CodeBadRequest,
 			`matrix: matrix spec needs name or matrixmarket`},
-		{"rhs", "", `{` + tiny + `,"rhs":"zeros"}`, 400, codeBadRequest,
+		{"rhs", "", `{` + tiny + `,"rhs":"zeros"}`, 400, obs.CodeBadRequest,
 			`unknown rhs "zeros"`},
-		{"ordering", "", `{` + tiny + `,"ordering":"sorted"}`, 400, codeBadRequest,
+		{"ordering", "", `{` + tiny + `,"ordering":"sorted"}`, 400, obs.CodeBadRequest,
 			`core: unknown ordering "sorted"`},
-		{"precision", "", `{` + tiny + `,"precision":"fp16"}`, 400, codeBadRequest,
+		{"precision", "", `{` + tiny + `,"precision":"fp16"}`, 400, obs.CodeBadRequest,
 			`core: unknown precision "fp16" (want fp64, mixed or adaptive)`},
-		{"profile", "", `{` + tiny + `,"profile":{"base":"k20"}}`, 400, codeBadRequest,
+		{"profile", "", `{` + tiny + `,"profile":{"base":"k20"}}`, 400, obs.CodeBadRequest,
 			`profile: unknown profile "k20" (have a100-pcie, h100-nvlink, m2090)`},
-		{"ortho", "", `{` + tiny + `,"ortho":"bogus"}`, 400, codeBadRequest,
+		{"ortho", "", `{` + tiny + `,"ortho":"bogus"}`, 400, obs.CodeBadRequest,
 			`ortho: unknown strategy "bogus"`},
-		{"borth", "", `{` + tiny + `,"borth":"bogus"}`, 400, codeBadRequest,
+		{"borth", "", `{` + tiny + `,"borth":"bogus"}`, 400, obs.CodeBadRequest,
 			`ortho: unknown BOrth variant "bogus"`},
-		{"basis", "", `{` + tiny + `,"basis":"bogus"}`, 400, codeBadRequest,
+		{"basis", "", `{` + tiny + `,"basis":"bogus"}`, 400, obs.CodeBadRequest,
 			`core: unknown basis "bogus"`},
-		{"s above m", "", `{` + tiny + `,"m":30,"s":40}`, 400, codeBadRequest,
+		{"s above m", "", `{` + tiny + `,"m":30,"s":40}`, 400, obs.CodeBadRequest,
 			`core: step size s=40 out of range for m=30`},
-		{"s below 1", "", `{` + tiny + `,"s":-1}`, 400, codeBadRequest,
+		{"s below 1", "", `{` + tiny + `,"s":-1}`, 400, obs.CodeBadRequest,
 			`core: step size s=-1 out of range for m=30`},
-		{"m below 1", "", `{` + tiny + `,"m":-1}`, 400, codeBadRequest,
+		{"m below 1", "", `{` + tiny + `,"m":-1}`, 400, obs.CodeBadRequest,
 			`core: restart length m=-1, want at least 1`},
-		{"m above n", "", `{` + tiny + `,"m":65}`, 400, codeBadRequest,
+		{"m above n", "", `{` + tiny + `,"m":65}`, 400, obs.CodeBadRequest,
 			`core: restart length m=65 exceeds n=64`},
-		{"gmres ortho", "", `{` + tiny + `,"solver":"gmres","ortho":"CholQR"}`, 400, codeBadRequest,
+		{"gmres ortho", "", `{` + tiny + `,"solver":"gmres","ortho":"CholQR"}`, 400, obs.CodeBadRequest,
 			`core: GMRES supports Ortho MGS or CGS, got "CholQR"`},
-		{"gmres precision", "", `{` + tiny + `,"solver":"gmres","precision":"mixed"}`, 400, codeBadRequest,
+		{"gmres precision", "", `{` + tiny + `,"solver":"gmres","precision":"mixed"}`, 400, obs.CodeBadRequest,
 			`core: GMRES supports only fp64 precision, got "mixed"`},
 		{"non-square", "", `{"matrix":{"matrixmarket":"%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"}}`,
-			400, codeBadRequest, `core: matrix must be square, got 2x3`},
-		{"oversized", "", strings.Repeat(" ", MaxBodyBytes+1), 413, codeRequestTooLarge,
+			400, obs.CodeBadRequest, `core: matrix must be square, got 2x3`},
+		{"oversized", "", strings.Repeat(" ", MaxBodyBytes+1), 413, obs.CodeRequestTooLarge,
 			`http: request body too large`},
 	}
 	for _, tc := range cases {

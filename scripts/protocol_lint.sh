@@ -13,6 +13,7 @@
 # start none of their own. Fails when a non-test Go file under
 # internal/la, internal/ortho, internal/dist or internal/core has a `go`
 # statement, a sync.WaitGroup or a runtime.GOMAXPROCS.
+# HTTP routes have one declaration too (see the last check below).
 # benchmark/ is the fixed yardstick and is not scanned. An optional
 # argument names another checkout to lint.
 set -eu
@@ -35,6 +36,17 @@ files=$(find ./internal/la ./internal/ortho ./internal/dist ./internal/core -nam
 bad=$(code '(^|[^[:alnum:]_."])go[[:space:]]+[[:alpha:]_(]|sync\.WaitGroup|runtime\.GOMAXPROCS')
 if [ -n "$bad" ]; then
 	echo "protocol-lint: concurrency below gpu.Context (a device's kernels run on the device's goroutine):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+# A route is declared once: each HTTP tier's table (obs.Mount) names its
+# method and path pattern, and handlers read the pattern's wildcards with
+# PathValue. Fails when a non-test file under internal/server or
+# internal/cluster compares a request's Method or reads URL.Path.
+files=$(find ./internal/server ./internal/cluster -name '*.go' ! -name '*_test.go')
+bad=$(code '\.Method[[:space:]]*[!=]=|URL\.Path')
+if [ -n "$bad" ]; then
+	echo "protocol-lint: a method or path is checked outside the route tables (declare it in the obs.Mount table):" >&2
 	echo "$bad" >&2
 	exit 1
 fi
