@@ -49,9 +49,9 @@
 # exported identifiers per package (every constant, function, type,
 # method and struct field a caller can reach), the same bar for API and
 # options. `make bench-kernels` times
-# the three host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
-# GemmTN; the SpMV and Gemv also as `/scalar` rows, the Go loop beside the
-# AVX2 body) and one MPK window at the two shapes the benchmark solves
+# the host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
+# GemmTN and Syrk; all but GemvT also as `/scalar` rows, the Go loop
+# beside the AVX2 body) and one MPK window at the two shapes the benchmark solves
 # (that they allocate nothing is a test: `make test`, so `make check`),
 # then prints B/op and allocs/op of one prepared CA-GMRES and one GMRES
 # solve at the same shapes — what a solve allocates beside the context's
@@ -180,8 +180,8 @@ overlap-smoke:
 # the router's backend-response decoder, the Solve-Control header
 # parser, and the precision field of the solve body — plus the in-place
 # row sort every permuted or relabeled matrix goes through, the fused
-# device-format builder that uses it, and the device SpMV's vector body
-# against its Go loop. The committed
+# device-format builder that uses it, the device SpMV's vector body
+# against its Go loop, and the Gram tile against Dot. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
 fuzz-smoke:
@@ -193,6 +193,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzMulVecPrefixMatchesScalar -fuzztime 5s
+	$(GO) test ./internal/la/ -run '^$$' -fuzz FuzzGramTileMatchesDot -fuzztime 5s
 
 # Coverage floor for the machine-profile package: the conformance suite
 # is the fence the profile refactor landed behind, so its coverage must
@@ -220,7 +221,7 @@ bench-compare:
 # and the device format's padding on the MPK rows; then whole prepared
 # solves, CA-GMRES(15,60) and GMRES(60), on a warm context.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|MPKWindow' -benchmem -cpu 1 \
+	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow' -benchmem -cpu 1 \
 		./internal/sparse/ ./internal/la/ ./internal/dist/
 	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 

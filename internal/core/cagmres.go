@@ -191,7 +191,7 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 		pol.roundWindow(win)
 		var winLoss float64
 		if e.em.enabled() || pol.active() {
-			winLoss = orthoLoss(win)
+			winLoss = e.sc.orthoLoss(win)
 		}
 		pol.observeWindow(winLoss)
 

@@ -212,7 +212,7 @@ func (e *engine) commit(restart, k int, rel, lsqFlops float64) {
 	e.res.Iters += k
 	if e.em.enabled() {
 		e.em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: k, RelRes: rel,
-			OrthoLoss: orthoLoss(e.V.Window(0, k+1))})
+			OrthoLoss: e.sc.orthoLoss(e.V.Window(0, k+1))})
 	}
 	y := e.sc.giv.Solve()
 	e.ctx.HostComputeOn(PhaseLSQ, lsqFlops)

@@ -140,10 +140,10 @@ func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error 
 	ctx := v.Ctx
 	sum := sc.sum[:k+2]
 	ctx.AllReduce(PhaseOrth, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
+		// Column k+1 is v_{k+1} itself, so one sweep over V[:,0..k+1]
+		// yields the projections and, last, the squared norm.
 		vk := v.Local[d].Col(k + 1)
-		prev := v.Local[d].ColView(0, k+1)
-		la.GemvT(1, prev, vk, 0, part[:k+1])
-		part[k+1] = la.Dot(vk, vk)
+		la.GemvT(1, v.Local[d].ColView(0, k+2), vk, 0, part)
 		rows := float64(len(vk))
 		return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
 	})

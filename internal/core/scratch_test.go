@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/la"
 	"cagmres/internal/matgen"
 )
 
@@ -32,6 +34,34 @@ func TestScratchGivensReuse(t *testing.T) {
 		if y1[i] != y2[i] {
 			t.Fatalf("solution differs after reset at %d: %v vs %v", i, y2[i], y1[i])
 		}
+	}
+}
+
+// TestOrthoLossAllocatesNothing: orthoLoss's Gram matrices are the
+// scratch's, so once the first call has taken them a measurement of any
+// window up to m+1 columns allocates nothing, and a narrow window after a
+// wide one still starts from a zeroed sum.
+func TestOrthoLossAllocatesNothing(t *testing.T) {
+	const m = 8
+	rng := rand.New(rand.NewSource(3))
+	window := func(cols int) []*la.Dense {
+		w := []*la.Dense{la.NewDense(20, cols), la.NewDense(13, cols)}
+		for _, p := range w {
+			for i := range p.Data {
+				p.Data[i] = rng.NormFloat64()
+			}
+		}
+		return w
+	}
+	wide, narrow := window(m+1), window(3)
+	sc := newScratch(&gpu.Workspace{}, m)
+	first := sc.orthoLoss(narrow)
+	sc.orthoLoss(wide)
+	if again := sc.orthoLoss(narrow); again != first {
+		t.Fatalf("narrow window after a wide one: %v, first %v", again, first)
+	}
+	if got := testing.AllocsPerRun(10, func() { sc.orthoLoss(wide) }); got != 0 {
+		t.Fatalf("orthoLoss allocates %v times", got)
 	}
 }
 

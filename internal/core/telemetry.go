@@ -44,21 +44,18 @@ func (e *emitter) emit(r obs.Record) {
 }
 
 // orthoLoss computes ||I - Q'Q||_F of a distributed window (per-device
-// row panels of Q). Host-side diagnostic for telemetry only — it is
-// never charged to the ledger, and the solvers only call it when a sink
-// is attached.
-func orthoLoss(w []*la.Dense) float64 {
+// row panels of Q, at most m+1 columns). Host-side diagnostic for
+// telemetry and the precision policy only — it is never charged to the
+// ledger, and the solvers only call it when one of them is listening. The
+// two Gram matrices are the scratch's, so a call allocates nothing.
+func (sc *cycleScratch) orthoLoss(w []*la.Dense) float64 {
 	if len(w) == 0 || w[0].Cols == 0 {
 		return 0
 	}
 	c := w[0].Cols
-	g := la.NewDense(c, c)
-	tmp := la.NewDense(c, c)
+	g, tmp := sc.gram(c)
 	for _, p := range w {
-		// The Gram matrix is symmetric and Dot(x, y) == Dot(y, x) bit for
-		// bit, so computing one triangle and mirroring it reproduces the
-		// full product at half the cost.
-		la.Syrk(p, tmp)
+		la.Syrk(p, &tmp)
 		for j := 0; j < c; j++ {
 			la.Axpy(1, tmp.Col(j), g.Col(j))
 		}

@@ -84,18 +84,43 @@ func benchGemv(b *testing.B, gemv func(a *Dense, x, y []float64)) {
 	}
 }
 
+// BenchmarkGemmTN times the window's Gram matrix (s+1 columns),
+// BenchmarkSyrk the window's and the telemetry basis's (m columns, what
+// orthoLoss forms). Their scalar rows make the same calls with hasAVX2
+// off, every tile four dot4 calls: on amd64 with AVX2 the ratio of a pair
+// is what the tile's vector body buys.
 func BenchmarkGemmTN(b *testing.B) {
-	for _, c := range benchShapes {
-		b.Run(c.name, func(b *testing.B) {
-			a := benchMatrix(c.rows, c.window)
-			g := NewDense(c.window, c.window)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				GemmTN(1, a, a, 0, g)
-			}
-		})
+	run := func(b *testing.B) {
+		for _, c := range benchShapes {
+			benchGram(b, c.name, c.rows, c.window, func(a, g *Dense) { GemmTN(1, a, a, 0, g) })
+		}
 	}
+	run(b)
+	b.Run("scalar", func(b *testing.B) { withVector(false, func() { run(b) }) })
+}
+
+func BenchmarkSyrk(b *testing.B) {
+	run := func(b *testing.B) {
+		for _, c := range benchShapes {
+			benchGram(b, c.name+"/window", c.rows, c.window, Syrk)
+			benchGram(b, c.name+"/basis", c.rows, c.m, Syrk)
+		}
+	}
+	run(b)
+	b.Run("scalar", func(b *testing.B) { withVector(false, func() { run(b) }) })
+}
+
+// benchGram times gram(a, g) for a rows x cols matrix a.
+func benchGram(b *testing.B, name string, rows, cols int, gram func(a, g *Dense)) {
+	b.Run(name, func(b *testing.B) {
+		a := benchMatrix(rows, cols)
+		g := NewDense(cols, cols)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			gram(a, g)
+		}
+	})
 }
 
 func BenchmarkSyrkGram(b *testing.B) {

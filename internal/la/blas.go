@@ -85,23 +85,60 @@ func GemvT(alpha float64, a *Dense, x []float64, beta float64, y []float64) {
 // product accumulated in index order exactly as Dot, four columns at a
 // time through dot4 so x is read once per group.
 func gemvTCols(alpha float64, a *Dense, j0, j1 int, x []float64, beta float64, y []float64) {
-	store := func(j int, d float64) {
-		if beta == 0 {
-			y[j] = alpha * d
-		} else {
-			y[j] = alpha*d + beta*y[j]
-		}
-	}
 	j := j0
 	for ; j+4 <= j1; j += 4 {
 		d0, d1, d2, d3 := dot4(a.Col(j), a.Col(j+1), a.Col(j+2), a.Col(j+3), x)
-		store(j, d0)
-		store(j+1, d1)
-		store(j+2, d2)
-		store(j+3, d3)
+		y[j] = axpby(alpha, d0, beta, y[j])
+		y[j+1] = axpby(alpha, d1, beta, y[j+1])
+		y[j+2] = axpby(alpha, d2, beta, y[j+2])
+		y[j+3] = axpby(alpha, d3, beta, y[j+3])
 	}
 	for ; j < j1; j++ {
-		store(j, Dot(a.Col(j), x))
+		y[j] = axpby(alpha, Dot(a.Col(j), x), beta, y[j])
+	}
+}
+
+// axpby is the store of every dot-form kernel: alpha*d + beta*y, or
+// alpha*d when beta is 0 (a NaN or Inf in y does not survive).
+func axpby(alpha, d, beta, y float64) float64 {
+	if beta == 0 {
+		return alpha * d
+	}
+	return alpha*d + beta*y
+}
+
+// gramSweep sets C[i, j] := alpha*(A_i'B_j) + beta*C[i, j] for every
+// column j of B and every column i of A — below j+1 only, when upper.
+// Four columns of B at a time, 4x4 blocks go through gramTile; the rows
+// of a block column the tiles leave, and the last B.Cols mod 4 columns,
+// go through gemvTCols. With upper the tiles reach the diagonal and
+// compute whole diagonal tiles, lower half included.
+func gramSweep(alpha float64, a, b *Dense, beta float64, c *Dense, upper bool) {
+	end := func(j int) int {
+		if upper {
+			return j + 1
+		}
+		return a.Cols
+	}
+	j := 0
+	for ; j+4 <= b.Cols; j += 4 {
+		i := 0
+		for ; i+4 <= end(j+3); i += 4 {
+			var t [16]float64
+			gramTile(a, i, b, j, &t)
+			for jj := 0; jj < 4; jj++ {
+				cj := c.Col(j + jj)[i : i+4]
+				for ii, d := range t[4*jj : 4*jj+4] {
+					cj[ii] = axpby(alpha, d, beta, cj[ii])
+				}
+			}
+		}
+		for jj := j; jj < j+4; jj++ {
+			gemvTCols(alpha, a, i, end(jj), b.Col(jj), beta, c.Col(jj))
+		}
+	}
+	for ; j < b.Cols; j++ {
+		gemvTCols(alpha, a, 0, end(j), b.Col(j), beta, c.Col(j))
 	}
 }
 
@@ -130,23 +167,24 @@ func GemmTN(alpha float64, a, b *Dense, beta float64, c *Dense) {
 		panic(fmt.Sprintf("la: GemmTN shape mismatch A=%dx%d B=%dx%d C=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	for j := 0; j < b.Cols; j++ {
-		gemvTCols(alpha, a, 0, a.Cols, b.Col(j), beta, c.Col(j))
-	}
+	gramSweep(alpha, a, b, beta, c, false)
 }
 
 // Syrk computes the symmetric rank-k update C := A'*A for tall-skinny A,
-// filling both triangles of the (A.Cols x A.Cols) result. Only the upper
-// triangle is computed by dot products; the lower triangle is mirrored.
+// filling both triangles of the (A.Cols x A.Cols) result. The upper
+// triangle is computed by dot products and mirrored into the lower one.
+// A diagonal 4x4 tile is computed whole and its lower half overwritten by
+// the mirror: IEEE multiplication commutes and both halves add their
+// products in the same row order, so the discarded entries are the same
+// numbers anyway.
 func Syrk(a *Dense, c *Dense) {
 	n := a.Cols
 	if c.Rows != n || c.Cols != n {
 		panic(fmt.Sprintf("la: Syrk shape mismatch A=%dx%d C=%dx%d", a.Rows, a.Cols, c.Rows, c.Cols))
 	}
+	gramSweep(1, a, a, 0, c, true)
 	for j := 0; j < n; j++ {
-		cj := c.Col(j)
-		gemvTCols(1, a, 0, j+1, a.Col(j), 0, cj)
-		for i, d := range cj[:j] {
+		for i, d := range c.Col(j)[:j] {
 			c.Set(j, i, d)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"cagmres/internal/cpufeat"
 )
 
 // The register-blocked kernels promise the same floating-point operations
@@ -133,6 +135,174 @@ func TestAxpy4VectorMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withVector runs f with the vector bodies on (where the CPU has AVX2) or
+// off, and gives the CPU back its own choice after.
+func withVector(on bool, f func()) {
+	defer func(saved bool) { hasAVX2 = saved }(hasAVX2)
+	hasAVX2 = on && cpufeat.AVX2()
+	f()
+}
+
+// bodies runs f once per body the CPU can run: the Go loops, then, with
+// AVX2, the vector bodies.
+func bodies(f func(body string)) {
+	withVector(false, func() { f("go") })
+	if cpufeat.AVX2() {
+		withVector(true, func() { f("avx2") })
+	}
+}
+
+// checkGramTile holds the tile at columns i0.. of a and j0.. of b to Dot.
+func checkGramTile(a *Dense, i0 int, b *Dense, j0 int) error {
+	var got [16]float64
+	gramTile(a, i0, b, j0, &got)
+	want := make([]float64, 16)
+	for j := 0; j < 4; j++ {
+		for i := 0; i < 4; i++ {
+			want[4*j+i] = Dot(a.Col(i0+i), b.Col(j0+j))
+		}
+	}
+	return sameBits(got[:], want)
+}
+
+// TestGramTileMatchesDot: every row count up to 67, so the vector body
+// ends on an even count and on an odd one with the last row finished in
+// Go, against two operands and against one (Syrk's diagonal tile).
+func TestGramTileMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	bodies(func(body string) {
+		for n := 0; n <= 67; n++ {
+			for _, special := range []bool{false, true} {
+				a, b := awkwardDense(rng, n, 4, special), awkwardDense(rng, n, 4, special)
+				if err := checkGramTile(a, 0, b, 0); err != nil {
+					t.Fatalf("%s n=%d special=%v: %v", body, n, special, err)
+				}
+				if err := checkGramTile(a, 0, a, 0); err != nil {
+					t.Fatalf("%s n=%d special=%v diagonal: %v", body, n, special, err)
+				}
+			}
+		}
+	})
+}
+
+// TestGramTileOnViews takes the tile to strided views: a row window of a
+// taller matrix (Stride > Rows, every column starting 0-2 rows into its
+// stride so no load is aligned), column windows at every offset, and row
+// counts on both sides of a panel.
+func TestGramTileOnViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	bodies(func(body string) {
+		for _, rows := range []int{PanelRows - 1, PanelRows, PanelRows + 1} {
+			for off := 0; off <= 2; off++ {
+				special := off == 1
+				big := awkwardDense(rng, rows+3, 7, special)
+				a := big.RowView(off, off+rows)
+				b := awkwardDense(rng, rows, 6, special)
+				for c0 := 0; c0+4 <= 7; c0++ {
+					av := big.ColView(c0, c0+4).RowView(off, off+rows)
+					if err := checkGramTile(av, 0, b.ColView(c0%3, c0%3+4), 0); err != nil {
+						t.Fatalf("%s rows=%d off=%d c0=%d: %v", body, rows, off, c0, err)
+					}
+					if err := checkGramTile(a, c0, a, 3-c0%4); err != nil {
+						t.Fatalf("%s rows=%d off=%d c0=%d self: %v", body, rows, off, c0, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGramKernelsEveryLeftover runs GemmTN and Syrk at every column count
+// from 1 to 17 on each side: whole tiles, the rows of a block column the
+// tiles leave and the last columns through gemvTCols, on both bodies.
+func TestGramKernelsEveryLeftover(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	bodies(func(body string) {
+		for m := 1; m <= 17; m++ {
+			for _, rows := range []int{0, 1, 2, 9} {
+				special := (m+rows)%2 == 1
+				a := awkwardDense(rng, rows, m, special)
+				got, want := NewDense(m, m), NewDense(m, m)
+				Syrk(a, got)
+				oracleSyrk(a, want)
+				if err := sameBits(got.Data, want.Data); err != nil {
+					t.Fatalf("%s Syrk rows=%d cols=%d: %v", body, rows, m, err)
+				}
+				for n := 1; n <= 17; n++ {
+					b := awkwardDense(rng, rows, n, special)
+					c0 := awkwardDense(rng, m, n, special)
+					beta := oracleBetas[(m+n)%len(oracleBetas)]
+					got, want := c0.Clone(), c0.Clone()
+					GemmTN(-0.75, a, b, beta, got)
+					naiveGemmTN(-0.75, a, b, beta, want)
+					if err := sameBits(got.Data, want.Data); err != nil {
+						t.Fatalf("%s GemmTN rows=%d A=%d B=%d beta=%v: %v", body, rows, m, n, beta, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGramKernelsBodiesAgree runs the four Gram entry points with the Go
+// bodies and then with the vector bodies and asks for the same bits; past
+// a panel boundary the batched kernels sum partials.
+func TestGramKernelsBodiesAgree(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("no vector body on this CPU")
+	}
+	rng := rand.New(rand.NewSource(51))
+	names := []string{"GemmTN", "Syrk", "BatchedGram", "BatchedGemmTN"}
+	for _, rows := range []int{67, PanelRows + 1} {
+		for _, special := range []bool{false, true} {
+			a, b := awkwardDense(rng, rows, 13, special), awkwardDense(rng, rows, 6, special)
+			c0 := awkwardDense(rng, 13, 6, special)
+			var outs [][]*Dense
+			bodies(func(string) {
+				g, s, bg, bt := c0.Clone(), NewDense(13, 13), NewDense(13, 13), NewDense(13, 6)
+				GemmTN(-0.75, a, b, 0.5, g)
+				Syrk(a, s)
+				BatchedGram(a, bg)
+				BatchedGemmTN(a, b, bt)
+				outs = append(outs, []*Dense{g, s, bg, bt})
+			})
+			for k, name := range names {
+				if err := sameBits(outs[1][k].Data, outs[0][k].Data); err != nil {
+					t.Fatalf("%s rows=%d special=%v: %v", name, rows, special, err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGramTileMatchesDot holds the tile to Dot, on both bodies, at shapes
+// the fuzzer picks: the row count, a row window of a taller matrix (so
+// Stride > Rows), the tile's column offsets, one operand or two, and the
+// seed of the values, awkward ones included.
+func FuzzGramTileMatchesDot(f *testing.F) {
+	f.Add(int64(0), uint16(0), uint8(0), uint8(0))
+	f.Add(int64(1), uint16(67), uint8(3), uint8(0x23))
+	f.Add(int64(2), uint16(PanelRows+1), uint8(8), uint8(0x41))
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, pad, cols uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n, p := int(rows)%(2*PanelRows), int(pad)%9
+		view := func() *Dense {
+			off := rng.Intn(p + 1)
+			return awkwardDense(rng, n+p, 8, rng.Intn(2) == 0).RowView(off, off+n)
+		}
+		a, b := view(), view()
+		if cols&1 != 0 {
+			b = a
+		}
+		i0, j0 := int(cols>>1&7)%5, int(cols>>4)%5
+		bodies(func(body string) {
+			if err := checkGramTile(a, i0, b, j0); err != nil {
+				t.Fatalf("%s rows=%d pad=%d tile (%d, %d): %v", body, n, p, i0, j0, err)
+			}
+		})
+	})
 }
 
 // --- The loops the blocked kernels replaced. ---
@@ -392,15 +562,21 @@ func TestAxpyFormKernelsAtVectorLength(t *testing.T) {
 }
 
 // TestKernelsDoNotAllocate is wired into make check: the projection and
-// update kernels run once per Krylov column and must stay off the heap.
+// update kernels run once per Krylov column, the Gram kernels once per
+// window, and must stay off the heap — the tile's [16]float64 included.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	a := randDense(rng, 203, 11)
 	x, y := randVec(rng, 203), randVec(rng, 11)
-	if got := testing.AllocsPerRun(10, func() { GemvT(1, a, x, 0.5, y) }); got != 0 {
-		t.Fatalf("GemvT allocates %v times", got)
-	}
-	if got := testing.AllocsPerRun(10, func() { Gemv(-1, a, y, 1, x) }); got != 0 {
-		t.Fatalf("Gemv allocates %v times", got)
+	g := NewDense(11, 11)
+	for name, f := range map[string]func(){
+		"GemvT":  func() { GemvT(1, a, x, 0.5, y) },
+		"Gemv":   func() { Gemv(-1, a, y, 1, x) },
+		"GemmTN": func() { GemmTN(1, a, a, 0.5, g) },
+		"Syrk":   func() { Syrk(a, g) },
+	} {
+		if got := testing.AllocsPerRun(10, f); got != 0 {
+			t.Fatalf("%s allocates %v times", name, got)
+		}
 	}
 }

@@ -4,20 +4,29 @@
 // least-squares solves for Hessenberg systems, and the Leja ordering of
 // shifts used by the Newton-basis matrix powers kernel.
 //
-// The package has no dependency outside the repository; one inner loop,
-// axpy4, has an AVX2 assembly body on amd64 beside its Go loop. The
-// package starts no goroutines: a device's kernels run on the goroutine
-// gpu.Context gives that device, and device concurrency is the context's
-// alone. The batched Gram kernels keep the panel schedule of the batched
-// DGEMM of Yamazaki et al. (IPDPS 2014, Section V-F) as their numerical
-// definition: the tall matrix is cut into row panels, each panel product
-// is a partial, and the partials are summed in panel order.
+// The package has no dependency outside the repository; two inner loops,
+// axpy4 (lanes across rows) and the 4x4 Gram tile under GemmTN and Syrk
+// (lanes across columns), have an AVX2 assembly body on amd64 beside
+// their Go loops. The package starts no goroutines: a device's kernels
+// run on the goroutine gpu.Context gives that device, and device
+// concurrency is the context's alone. The batched Gram kernels keep the
+// panel schedule of the batched DGEMM of Yamazaki et al. (IPDPS 2014,
+// Section V-F) as their numerical definition: the tall matrix is cut into
+// row panels, each panel product is a partial, and the partials are
+// summed in panel order.
 package la
 
 import (
 	"fmt"
 	"math"
+
+	"cagmres/internal/cpufeat"
 )
+
+// hasAVX2 selects the vector bodies, read once from the CPU: both bodies
+// produce the same bits, so nothing else may set it (the bit tests toggle
+// it to hold one against the other).
+var hasAVX2 = cpufeat.AVX2()
 
 // Dot returns the inner product x'y. It panics if the lengths differ.
 func Dot(x, y []float64) float64 {
@@ -58,6 +67,37 @@ func dot4(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
 		s3 += a3[i] * v
 	}
 	return
+}
+
+// gramTile sets out[4j+i] = Dot(A_{i0+i}, B_{j0+j}) for four columns of A
+// against four columns of B (A.Rows == B.Rows). On amd64 with AVX2 the
+// rows run through gramTileAVX2 two at a time, lanes across the four A
+// columns, and an odd last row is added here to the stored sums: every
+// entry is still Dot's sum from +0 in ascending row order, each product
+// and each sum rounded on its own, so it equals Dot bit for bit (DESIGN
+// section 8, "Host kernels"). Without the vector body the tile is four
+// dot4 calls.
+func gramTile(a *Dense, i0 int, b *Dense, j0 int, out *[16]float64) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("la: gramTile row mismatch %d vs %d", a.Rows, b.Rows))
+	}
+	a0, a1, a2, a3 := a.Col(i0), a.Col(i0+1), a.Col(i0+2), a.Col(i0+3)
+	b0, b1, b2, b3 := b.Col(j0), b.Col(j0+1), b.Col(j0+2), b.Col(j0+3)
+	r := gramTileVec(a0, a1, a2, a3, b0, b1, b2, b3, out)
+	if r == 0 {
+		for j, bj := range [4][]float64{b0, b1, b2, b3} {
+			out[4*j], out[4*j+1], out[4*j+2], out[4*j+3] = dot4(a0, a1, a2, a3, bj)
+		}
+		return
+	}
+	if r < len(b0) {
+		for j, v := range [4]float64{b0[r], b1[r], b2[r], b3[r]} {
+			out[4*j] += a0[r] * v
+			out[4*j+1] += a1[r] * v
+			out[4*j+2] += a2[r] * v
+			out[4*j+3] += a3[r] * v
+		}
+	}
 }
 
 // axpy4 computes y += c0*a0 + c1*a1 + c2*a2 + c3*a3 as four Axpy calls

@@ -8,9 +8,10 @@ import (
 
 // HostKernels registers host_kernels_info{simd, goarch} = 1 on reg and
 // returns the simd label — "avx2" when the device SpMV and la's axpy4
-// run their vector bodies on this processor, "none" when they run the Go
-// loops (the same bits, about 1.4× slower per dense-row solve) — so
-// /healthz can carry the same string. A nil reg registers nothing.
+// and Gram tile run their vector bodies on this processor, "none" when
+// they run the Go loops (the same bits, about 1.4× slower per dense-row
+// solve) — so /healthz can carry the same string. A nil reg registers
+// nothing.
 func HostKernels(reg *Registry) string {
 	simd := "none"
 	if cpufeat.AVX2() {
