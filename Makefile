@@ -3,8 +3,9 @@
 # staticcheck (when installed), the one-definition lint of the reduce protocol
 # (`make protocol-lint`: only internal/gpu's collectives spell it, and
 # la/ortho/dist/core start no goroutines of their own), the
-# no-dead-exports lint (`make unreached`: an exported function under
-# internal/ has a caller outside the tests or is a named test oracle), the
+# reachability gate (`make unreached`: every top-level declaration under
+# internal/ is reached from a main, the cagmres API or a named test oracle,
+# by a go/types scan), the
 # race detector over the concurrency hot spots
 # (gpu.RunAll and the Stats ledger, the kernels that run on its device
 # goroutines — la and the ortho strategies — the sched/server serving stack, and
@@ -89,16 +90,17 @@ staticcheck:
 
 # The host-staged reduce protocol has one definition: gpu.Context's
 # Launch/Gather/Broadcast/AllReduce. Fails on a []gpu.Work or a RunAll
-# above internal/gpu (dist's MPK, Distribute and ZeroCols excepted; see the
-# script), and on a go statement, sync.WaitGroup or runtime.GOMAXPROCS in
-# la, ortho, dist or core: gpu.Context alone owns device concurrency.
+# above internal/gpu (dist's MPK and Distribute excepted; see the script),
+# and on a go statement, sync.WaitGroup or runtime.GOMAXPROCS in la,
+# ortho, dist or core: gpu.Context alone owns device concurrency.
 protocol-lint:
 	@sh scripts/protocol_lint.sh
 
-# Exported functions under internal/ that only tests call: fails unless
-# each is a test oracle named in the script.
+# The reachability gate, TestUnreached in unreached_test.go: fails on a
+# top-level declaration under internal/ that nothing reaches from a main,
+# the cagmres API or a named test oracle. `go test ./...` runs it too.
 unreached:
-	@GO="$(GO)" sh scripts/unreached.sh
+	$(GO) test -count=1 -run '^TestUnreached$$' .
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -21,6 +21,36 @@ func tiny() Config {
 	return Config{Scale: 0.003, MaxDevices: 3, MaxRestarts: 6}
 }
 
+// ratio is the MaxRatio of one Figure 6 sample, -1 when it is missing.
+func ratio(r *Fig6Result, matrix, ordering string, s int) float64 {
+	for _, row := range r.Rows {
+		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
+			return row.MaxRatio
+		}
+	}
+	return -1
+}
+
+// volume is one Figure 7 sample, -1s when it is missing.
+func volume(r *Fig7Result, matrix, ordering string, s int) (int, float64) {
+	for _, row := range r.Rows {
+		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
+			return row.Volume, row.RelativeToSpMV
+		}
+	}
+	return -1, -1
+}
+
+// fig8Row is one Figure 8 sample.
+func fig8Row(r *Fig8Result, matrix string, s int) (Fig8Row, bool) {
+	for _, row := range r.Rows {
+		if row.Matrix == matrix && row.S == s {
+			return row, true
+		}
+	}
+	return Fig8Row{}, false
+}
+
 func TestFig6Shapes(t *testing.T) {
 	res := Fig6(tiny())
 	if len(res.Rows) != 2*3*10 {
@@ -31,8 +61,8 @@ func TestFig6Shapes(t *testing.T) {
 		for _, o := range orderings {
 			ord := o.label
 			for s := 2; s <= 10; s++ {
-				prev := res.Ratio(mtx, ord, s-1)
-				cur := res.Ratio(mtx, ord, s)
+				prev := ratio(res, mtx, ord, s-1)
+				cur := ratio(res, mtx, ord, s)
 				if prev < 0 || cur < 0 {
 					t.Fatalf("%s/%s missing samples", mtx, ord)
 				}
@@ -45,28 +75,28 @@ func TestFig6Shapes(t *testing.T) {
 	// The banded cant grows roughly linearly under its natural ordering
 	// (Figure 6's "nice" case): ratio(4)/ratio(1) within a factor band
 	// around 4.
-	growth := res.Ratio("cant", "NAT", 4) / res.Ratio("cant", "NAT", 1)
+	growth := ratio(res, "cant", "NAT", 4) / ratio(res, "cant", "NAT", 1)
 	if growth < 2 || growth > 6 {
 		t.Fatalf("cant/NAT growth ratio(4)/ratio(1) = %v, want ~4", growth)
 	}
 	// Shuffled G3 under natural ordering saturates immediately ("the
 	// natural ordering leads to the full index set even for small s"):
 	// the s=1 ratio is already within 25%% of the s=8 ratio.
-	if res.Ratio("G3_circuit", "NAT", 1) < 0.75*res.Ratio("G3_circuit", "NAT", 8) {
+	if ratio(res, "G3_circuit", "NAT", 1) < 0.75*ratio(res, "G3_circuit", "NAT", 8) {
 		t.Fatalf("G3/NAT should saturate at s=1: %v vs %v",
-			res.Ratio("G3_circuit", "NAT", 1), res.Ratio("G3_circuit", "NAT", 8))
+			ratio(res, "G3_circuit", "NAT", 1), ratio(res, "G3_circuit", "NAT", 8))
 	}
 	// Reordering dramatically reduces G3's ratio (the headline of Fig 6).
 	for _, ord := range []string{"RCM", "KWY"} {
-		if res.Ratio("G3_circuit", ord, 4)*2 > res.Ratio("G3_circuit", "NAT", 4) {
+		if ratio(res, "G3_circuit", ord, 4)*2 > ratio(res, "G3_circuit", "NAT", 4) {
 			t.Fatalf("%s %v does not clearly beat NAT %v on G3",
-				ord, res.Ratio("G3_circuit", ord, 4), res.Ratio("G3_circuit", "NAT", 4))
+				ord, ratio(res, "G3_circuit", ord, 4), ratio(res, "G3_circuit", "NAT", 4))
 		}
 	}
 	// And cant under any ordering beats shuffled-natural G3 at moderate s.
-	if res.Ratio("cant", "NAT", 3) >= res.Ratio("G3_circuit", "NAT", 3) {
+	if ratio(res, "cant", "NAT", 3) >= ratio(res, "G3_circuit", "NAT", 3) {
 		t.Fatalf("banded cant %v should be below shuffled G3 %v",
-			res.Ratio("cant", "NAT", 3), res.Ratio("G3_circuit", "NAT", 3))
+			ratio(res, "cant", "NAT", 3), ratio(res, "G3_circuit", "NAT", 3))
 	}
 }
 
@@ -75,7 +105,7 @@ func TestFig7Shapes(t *testing.T) {
 	// For the banded cant under RCM, the total volume must stay within a
 	// small factor of the SpMV volume across s (linear halo growth).
 	for s := 2; s <= 10; s++ {
-		_, rel := res.Volume("cant", "RCM", s)
+		_, rel := volume(res, "cant", "RCM", s)
 		if rel < 0 {
 			t.Fatal("missing sample")
 		}
@@ -94,8 +124,8 @@ func TestFig7Shapes(t *testing.T) {
 func TestFig8Shapes(t *testing.T) {
 	res := Fig8(tiny())
 	for _, mtx := range []string{"cant", "G3_circuit"} {
-		r1, ok1 := res.Row(mtx, 1)
-		r5, ok5 := res.Row(mtx, 5)
+		r1, ok1 := fig8Row(res, mtx, 1)
+		r5, ok5 := fig8Row(res, mtx, 5)
 		if !ok1 || !ok5 {
 			t.Fatalf("%s: missing rows", mtx)
 		}

@@ -43,16 +43,6 @@ type Fig6Result struct {
 	Rows []Fig6Row
 }
 
-// Ratio fetches a sample.
-func (r *Fig6Result) Ratio(matrix, ordering string, s int) float64 {
-	for _, row := range r.Rows {
-		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
-			return row.MaxRatio
-		}
-	}
-	return -1
-}
-
 // Fig6 sweeps the surface-to-volume ratio of the matrix powers kernel
 // over s for the cant and G3_circuit analogues under the three orderings
 // on MaxDevices simulated GPUs (Figure 6).
@@ -100,16 +90,6 @@ type Fig7Row struct {
 // Fig7Result is the sweep.
 type Fig7Result struct {
 	Rows []Fig7Row
-}
-
-// Volume fetches a sample.
-func (r *Fig7Result) Volume(matrix, ordering string, s int) (int, float64) {
-	for _, row := range r.Rows {
-		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
-			return row.Volume, row.RelativeToSpMV
-		}
-	}
-	return -1, -1
 }
 
 // Fig7 computes the total MPK communication volume over a 100-iteration
@@ -164,16 +144,6 @@ func (r Fig8Row) Total() float64 { return r.CommTime + r.ComputeTime }
 // Fig8Result is the sweep.
 type Fig8Result struct {
 	Rows []Fig8Row
-}
-
-// Row fetches a sample.
-func (r *Fig8Result) Row(matrix string, s int) (Fig8Row, bool) {
-	for _, row := range r.Rows {
-		if row.Matrix == matrix && row.S == s {
-			return row, true
-		}
-	}
-	return Fig8Row{}, false
 }
 
 // Fig8 times the matrix powers kernel generating 100 basis vectors for

@@ -15,10 +15,10 @@ const DefaultTraceEvents = 1 << 14
 // TraceCollector harvests the event traces of every simulated context
 // the benchmark drivers create. Attach it via Config.Trace, run any
 // figure drivers, then export the merged result with WriteChrome (the
-// Chrome trace_event format, openable in chrome://tracing or Perfetto)
-// or WriteJSON (plain events). Each context becomes one named process in
-// the viewer; SetLabel names the contexts created from that point on
-// (cmd/experiments labels them by figure).
+// Chrome trace_event format, openable in chrome://tracing or Perfetto).
+// Each context becomes one named process in the viewer; SetLabel names
+// the contexts created from that point on (cmd/experiments labels them
+// by figure).
 type TraceCollector struct {
 	mu      sync.Mutex
 	perCtx  int
@@ -96,9 +96,4 @@ func (t *TraceCollector) Contexts() []*gpu.Context {
 // WriteChrome exports the collected traces in Chrome trace_event format.
 func (t *TraceCollector) WriteChrome(w io.Writer) error {
 	return gpu.WriteChromeTrace(w, t.Traces())
-}
-
-// WriteJSON exports the collected traces as plain JSON.
-func (t *TraceCollector) WriteJSON(w io.Writer) error {
-	return gpu.WriteTraceJSON(w, t.Traces())
 }

@@ -18,7 +18,14 @@ import (
 // topology study.
 func invariantProfiles(t *testing.T) []gpu.Profile {
 	t.Helper()
-	ps := profile.All()
+	var ps []gpu.Profile
+	for _, name := range profile.Names() {
+		p, err := profile.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
 	for _, kind := range []gpu.TopoKind{gpu.TopoPCIeSwitch, gpu.TopoNVLinkRing, gpu.TopoAllToAll} {
 		p, err := profile.WithTopology(profile.A100PCIe(), kind)
 		if err != nil {

@@ -121,9 +121,6 @@ func TestTelemetryJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lint: %v\n%s", err, buf.String())
 	}
-	if sink.Records() != len(recs) {
-		t.Fatalf("sink wrote %d, lint read %d", sink.Records(), len(recs))
-	}
 	if got := recs[len(recs)-1].RelRes; got != res.RelRes {
 		t.Fatalf("final relres %v != Result %v", got, res.RelRes)
 	}

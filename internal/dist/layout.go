@@ -139,10 +139,3 @@ func (v *Vectors) Window(j0, j1 int) []*la.Dense {
 	}
 	return w
 }
-
-// ZeroCols clears columns [j0, j1) on every device.
-func (v *Vectors) ZeroCols(j0, j1 int) {
-	v.Ctx.RunAll(func(d int) {
-		v.Local[d].ColView(j0, j1).Zero()
-	})
-}

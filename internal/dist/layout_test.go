@@ -96,30 +96,6 @@ func TestVectorsWindow(t *testing.T) {
 	}
 }
 
-func TestVectorsZeroCols(t *testing.T) {
-	ctx := gpu.NewContext(2, gpu.M2090())
-	l := Uniform(4, 2)
-	v := NewVectors(ctx, l, 3)
-	for d := range v.Local {
-		for j := 0; j < 3; j++ {
-			for i := 0; i < v.Local[d].Rows; i++ {
-				v.Local[d].Set(i, j, 1)
-			}
-		}
-	}
-	v.ZeroCols(1, 2)
-	for d := range v.Local {
-		for i := 0; i < v.Local[d].Rows; i++ {
-			if v.Local[d].At(i, 0) != 1 || v.Local[d].At(i, 2) != 1 {
-				t.Fatal("ZeroCols leaked")
-			}
-			if v.Local[d].At(i, 1) != 0 {
-				t.Fatal("ZeroCols missed")
-			}
-		}
-	}
-}
-
 func TestVectorsDeviceMismatchPanics(t *testing.T) {
 	ctx := gpu.NewContext(2, gpu.M2090())
 	l := Uniform(4, 3)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/sparse"
@@ -277,14 +276,6 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		InteriorRows: intRows,
 		InteriorNNZ:  intNNZ,
 	}
-}
-
-// HaloAtDist returns the slice of Halo with exactly distance t — the
-// paper's boundary set delta^(d, s-t+1).
-func (dm *DeviceMatrix) HaloAtDist(t int) []int {
-	lo := sort.Search(len(dm.HaloDist), func(i int) bool { return dm.HaloDist[i] >= t })
-	hi := sort.Search(len(dm.HaloDist), func(i int) bool { return dm.HaloDist[i] > t })
-	return dm.Halo[lo:hi]
 }
 
 // BoundaryNNZ returns nnz(A(delta^(d,1:s), :)) — the extra matrix storage

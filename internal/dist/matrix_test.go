@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cagmres/internal/gpu"
@@ -186,16 +187,13 @@ func TestHaloAtDist(t *testing.T) {
 	ctx := gpu.NewContext(3, gpu.M2090())
 	m := Distribute(ctx, a, Uniform(12, 3), 2)
 	dm := m.Dev[1]
-	d1 := dm.HaloAtDist(1)
-	if len(d1) != 2 || d1[0] != 3 || d1[1] != 8 {
-		t.Fatalf("HaloAtDist(1) = %v", d1)
+	// Halo is sorted by distance: the paper's boundary sets
+	// delta^(d, s-t+1), nearest first, each in ascending global order.
+	if want := []int{3, 8, 2, 9}; !slices.Equal(dm.Halo, want) {
+		t.Fatalf("Halo = %v, want %v", dm.Halo, want)
 	}
-	d2 := dm.HaloAtDist(2)
-	if len(d2) != 2 || d2[0] != 2 || d2[1] != 9 {
-		t.Fatalf("HaloAtDist(2) = %v", d2)
-	}
-	if len(dm.HaloAtDist(3)) != 0 {
-		t.Fatal("HaloAtDist(3) should be empty")
+	if want := []int{1, 1, 2, 2}; !slices.Equal(dm.HaloDist, want) {
+		t.Fatalf("HaloDist = %v, want %v", dm.HaloDist, want)
 	}
 }
 

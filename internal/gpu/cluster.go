@@ -75,15 +75,6 @@ func (c *Context) mapNodes() {
 	}
 }
 
-// NodeOf returns the simulated node of logical device d.
-func (c *Context) NodeOf(d int) int { return c.node[d] }
-
-// NumNodes returns the simulated node count of this context's physical
-// device range (1 on single-node profiles).
-func (c *Context) NumNodes() int {
-	return (c.physDevices() + c.perNode - 1) / c.perNode
-}
-
 // roundTime models one host round (reduce/broadcast): every device's
 // share crosses its own node's host link (segments concurrent, so the
 // local leg costs the most loaded node), then the remote nodes'

@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,19 +24,13 @@ func clusterProfile() Profile {
 
 func TestNodeOfAndNumNodes(t *testing.T) {
 	c := NewContext(4, clusterProfile())
-	if got := c.NumNodes(); got != 2 {
-		t.Fatalf("NumNodes = %d, want 2", got)
+	if want := []int{0, 0, 1, 1}; !slices.Equal(c.node, want) {
+		t.Errorf("node of each device = %v, want %v", c.node, want)
 	}
-	wantNode := []int{0, 0, 1, 1}
-	for d, want := range wantNode {
-		if got := c.NodeOf(d); got != want {
-			t.Errorf("NodeOf(%d) = %d, want %d", d, got, want)
-		}
-	}
-	// Single-node contexts report one node and device 0's node for all.
+	// A single-node context puts every device on node 0.
 	s := NewContext(3, M2090())
-	if s.NumNodes() != 1 || s.NodeOf(2) != 0 {
-		t.Errorf("single-node: NumNodes=%d NodeOf(2)=%d, want 1/0", s.NumNodes(), s.NodeOf(2))
+	if want := []int{0, 0, 0}; !slices.Equal(s.node, want) {
+		t.Errorf("single-node: node of each device = %v, want %v", s.node, want)
 	}
 }
 
@@ -255,10 +250,8 @@ func TestClusterSurvivorsKeepNodes(t *testing.T) {
 		t.Fatalf("survivors: %d devices, want 3", surv.NumDevices)
 	}
 	// View logical 0,1,2 = physical 0,2,3 = nodes 0,1,1.
-	for d, want := range []int{0, 1, 1} {
-		if got := surv.NodeOf(d); got != want {
-			t.Errorf("survivor NodeOf(%d) = %d, want %d", d, got, want)
-		}
+	if want := []int{0, 1, 1}; !slices.Equal(surv.node, want) {
+		t.Errorf("survivor node of each device = %v, want %v", surv.node, want)
 	}
 	// Logical 0 -> 1 is physical 0 -> 2: cross-node, must pay the fabric.
 	before := surv.Stats().TotalTime()

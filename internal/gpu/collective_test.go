@@ -17,7 +17,7 @@ func collectiveSequence(c *Context, n int, elem Elem, work func(d int) Work) [3]
 	})
 	bc := c.Broadcast("orth", n, elem)
 	k := c.Launch("update", work, bc)
-	return [3]float64{red.Seconds(), bc.Seconds(), k.Seconds()}
+	return [3]float64{red.at, bc.at, k.at}
 }
 
 // handWrittenSequence is collectiveSequence the way every caller spelled
@@ -36,7 +36,7 @@ func handWrittenSequence(c *Context, n int, elem Elem, work func(d int) Work) [3
 	bc := c.commRound("orth", dirH2D, bytes, elem, nil)
 	c.RunAll(func(d int) { w[d] = work(d) })
 	k = c.DeviceKernelOn("update", w, bc)
-	return [3]float64{red.Seconds(), bc.Seconds(), k.Seconds()}
+	return [3]float64{red.at, bc.at, k.at}
 }
 
 // TestCollectivesChargeTheHandWrittenSequence: on every topology, one node

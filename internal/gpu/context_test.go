@@ -178,21 +178,6 @@ func TestHostCompute(t *testing.T) {
 	}
 }
 
-func TestStatsMerge(t *testing.T) {
-	ctx, ctx2 := NewContext(1, M2090()), NewContext(1, M2090())
-	a, b := ctx.Stats(), ctx2.Stats()
-	ctx.Gather("p", 1, Elem64)
-	ctx2.Gather("p", 1, Elem64)
-	ctx2.HostComputeOn("q", 1e9)
-	a.Merge(b)
-	if a.Phase("p").Rounds != 2 {
-		t.Fatalf("merged rounds = %d", a.Phase("p").Rounds)
-	}
-	if a.Phase("q").HostFlops != 1e9 {
-		t.Fatal("merge lost host flops")
-	}
-}
-
 func TestStatsTotalAndString(t *testing.T) {
 	ctx := NewContext(2, M2090())
 	ctx.commRound("tsqr", dirD2H, []int{100, 100}, Elem64, nil)

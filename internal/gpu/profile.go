@@ -98,9 +98,6 @@ func (p Profile) Clustered() bool { return p.Cluster.Enabled() }
 // Profile returns the context's machine description.
 func (c *Context) Profile() Profile { return c.prof }
 
-// Topology returns the context's interconnect topology.
-func (c *Context) Topology() Topology { return c.prof.Topo }
-
 // SetProfile re-targets the context at a different machine description:
 // cost model and topology swap together. Call it between solves (the
 // scheduler does, per lease); charges already on the ledger keep the

@@ -482,39 +482,6 @@ func (s *Stats) TotalTime() float64 {
 	return t
 }
 
-func addInto(p, op *PhaseStats) {
-	p.Rounds += op.Rounds
-	p.Messages += op.Messages
-	p.BytesD2H += op.BytesD2H
-	p.BytesH2D += op.BytesH2D
-	for _, c := range byteColumns {
-		*c.field(p) += *c.field(op)
-	}
-	p.CommTime += op.CommTime
-	p.DeviceTime += op.DeviceTime
-	p.DeviceFlops += op.DeviceFlops
-	p.HostTime += op.HostTime
-	p.HostFlops += op.HostFlops
-	p.Kernels += op.Kernels
-}
-
-// Merge adds other's counters into s (used to combine per-restart
-// ledgers), including the per-device breakdowns.
-func (s *Stats) Merge(other *Stats) {
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, op := range other.phases {
-		addInto(s.get(name), op)
-	}
-	for d, phases := range other.devPhases {
-		for name, op := range phases {
-			addInto(s.devGet(d, name), op)
-		}
-	}
-}
-
 // optionalCells renders one table row's share of the optional columns:
 // the headers when p is nil, p's counts otherwise.
 func optionalCells(cols []ByteColumn, p *PhaseStats) string {

@@ -7,111 +7,6 @@ import (
 	"time"
 )
 
-// dyadic returns a random multiple of 2^-20 in [0, 1): a time value whose
-// sums (up to ~2^27 terms) are exact in float64 regardless of addition
-// order — the right substrate for exactness properties of the ledger.
-func dyadic(rng *rand.Rand) float64 {
-	return float64(rng.Intn(1<<20)) / (1 << 20)
-}
-
-// fillLedger charges a random but reproducible workload to the ledger,
-// feeding the internal accounting entry points with dyadic times so
-// every float counter is an exact sum.
-func fillLedger(rng *rand.Rand, s *Stats, phases []string) {
-	for i, n := 0, 5+rng.Intn(20); i < n; i++ {
-		phase := phases[rng.Intn(len(phases))]
-		switch rng.Intn(4) {
-		case 0:
-			s.addHostRound(phase, dirD2H, []int{0, 1, 2}, []int{0, 0, 0}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
-		case 1:
-			s.addHostRound(phase, dirH2D, []int{0, 1}, []int{0, 0}, []int{rng.Intn(1 << 12), rng.Intn(1 << 12)}, dyadic(rng), Elem(rng.Intn(3)))
-		case 2:
-			s.addCompute(phase, []int{0, 1}, []float64{dyadic(rng), dyadic(rng)}, []Work{
-				{Flops: float64(rng.Intn(1 << 20)), Bytes: float64(rng.Intn(1 << 20))},
-				{Flops: float64(rng.Intn(1 << 20)), Bytes: float64(rng.Intn(1 << 20))},
-			})
-		default:
-			s.addHost(phase, dyadic(rng), float64(rng.Intn(1<<20)))
-		}
-	}
-}
-
-func phaseEqual(t *testing.T, label string, a, b PhaseStats) {
-	t.Helper()
-	if a != b {
-		t.Fatalf("%s: phase stats differ:\n%+v\n%+v", label, a, b)
-	}
-}
-
-func TestMergeOrderIndependentProperty(t *testing.T) {
-	// Merging the same set of ledgers in any order yields identical
-	// counters, exactly: integer counters are order-free by construction
-	// and the dyadic event times make the float sums exact too.
-	phases := []string{"spmv", "mpk", "tsqr", "lsq"}
-	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		ledgers := make([]*Stats, 4)
-		for i := range ledgers {
-			ledgers[i] = NewStats()
-			fillLedger(rng, ledgers[i], phases)
-		}
-		perm := rng.Perm(len(ledgers))
-		fwd, bwd := NewStats(), NewStats()
-		for _, i := range perm {
-			fwd.Merge(ledgers[i])
-		}
-		for k := len(perm) - 1; k >= 0; k-- {
-			bwd.Merge(ledgers[perm[k]])
-		}
-		for _, ph := range phases {
-			phaseEqual(t, ph, fwd.Phase(ph), bwd.Phase(ph))
-			for d := 0; d < 3; d++ {
-				phaseEqual(t, ph, fwd.DevicePhase(d, ph), bwd.DevicePhase(d, ph))
-			}
-		}
-		if fwd.TotalTime() != bwd.TotalTime() {
-			t.Fatalf("trial %d: totals differ: %v vs %v", trial, fwd.TotalTime(), bwd.TotalTime())
-		}
-	}
-}
-
-func TestMergeSumsCountersExactly(t *testing.T) {
-	// The merged ledger equals the ledger that charged both workloads
-	// directly — Merge loses nothing and double-counts nothing.
-	phases := []string{"spmv", "tsqr"}
-	sa, sb := NewStats(), NewStats()
-	fillLedger(rand.New(rand.NewSource(7)), sa, phases)
-	fillLedger(rand.New(rand.NewSource(11)), sb, phases)
-	merged := NewStats()
-	merged.Merge(sa)
-	merged.Merge(sb)
-	for _, ph := range phases {
-		a, b, m := sa.Phase(ph), sb.Phase(ph), merged.Phase(ph)
-		want := PhaseStats{
-			Rounds:          a.Rounds + b.Rounds,
-			Messages:        a.Messages + b.Messages,
-			BytesD2H:        a.BytesD2H + b.BytesD2H,
-			BytesH2D:        a.BytesH2D + b.BytesH2D,
-			BytesFP32:       a.BytesFP32 + b.BytesFP32,
-			BytesCompressed: a.BytesCompressed + b.BytesCompressed,
-			CommTime:        a.CommTime + b.CommTime,
-			DeviceTime:      a.DeviceTime + b.DeviceTime,
-			DeviceFlops:     a.DeviceFlops + b.DeviceFlops,
-			HostTime:        a.HostTime + b.HostTime,
-			HostFlops:       a.HostFlops + b.HostFlops,
-			Kernels:         a.Kernels + b.Kernels,
-		}
-		phaseEqual(t, ph, m, want)
-		for d := 0; d < 3; d++ {
-			da, db, dm := sa.DevicePhase(d, ph), sb.DevicePhase(d, ph), merged.DevicePhase(d, ph)
-			dw := PhaseStats{}
-			addInto(&dw, &da)
-			addInto(&dw, &db)
-			phaseEqual(t, ph, dm, dw)
-		}
-	}
-}
-
 func TestEnableTraceRearmMidTrace(t *testing.T) {
 	// Regression: EnableTrace used to reset the ring but not the sequence
 	// counter, and record indexed the ring by Seq%cap — so after a mid-run

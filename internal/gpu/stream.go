@@ -46,9 +46,6 @@ type StreamEvent struct {
 	at float64
 }
 
-// Seconds returns the event's completion time on the modeled clock.
-func (e StreamEvent) Seconds() float64 { return e.at }
-
 // Join returns an event at the latest of the given events (a barrier on
 // just that set).
 func Join(evs ...StreamEvent) StreamEvent {
@@ -264,14 +261,6 @@ func (c *Context) ComputeFence() StreamEvent {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	return StreamEvent{at: latest(0, tl.compute)}
-}
-
-// TransferFence returns an event at the latest transfer-stream cursor.
-func (c *Context) TransferFence() StreamEvent {
-	tl := c.timeline
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return StreamEvent{at: latest(0, tl.transfer)}
 }
 
 // HostFence returns an event at the host stream's cursor (including the

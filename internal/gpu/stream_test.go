@@ -33,11 +33,19 @@ func streamWorkload(ctx *Context) {
 			ctx.Gather("tsqr", 64, Elem64, prod)
 			ctx.HostComputeOn("tsqr", 3e6)
 			ctx.Broadcast("tsqr", 64, Elem64, ctx.HostFence())
-			ctx.DeviceKernelOn("tsqr", work(4e6, 2e6), ctx.TransferFence())
+			ctx.DeviceKernelOn("tsqr", work(4e6, 2e6), transferFence(ctx))
 		}
 	}
 	ctx.Launch("vec", every(Work{Flops: 1e6, Bytes: 4e6}))
 	ctx.HostComputeOn("lsq", 2e6)
+}
+
+// transferFence is an event at the latest transfer-stream cursor.
+func transferFence(c *Context) StreamEvent {
+	tl := c.timeline
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	return StreamEvent{at: latest(0, tl.transfer)}
 }
 
 // every is the Launch body of a kernel that costs w on every device.
@@ -196,11 +204,11 @@ func TestDeathsFireOnStreamClock(t *testing.T) {
 // Join and the zero StreamEvent behave as documented.
 func TestStreamEventJoin(t *testing.T) {
 	var zero StreamEvent
-	if zero.Seconds() != 0 {
+	if zero.at != 0 {
 		t.Fatal("zero event not at time 0")
 	}
 	e := Join(StreamEvent{at: 2}, zero, StreamEvent{at: 5}, StreamEvent{at: 3})
-	if e.Seconds() != 5 {
-		t.Fatalf("Join = %v, want 5", e.Seconds())
+	if e.at != 5 {
+		t.Fatalf("Join = %v, want 5", e.at)
 	}
 }

@@ -230,7 +230,7 @@ func TestSurvivorsKeepProfile(t *testing.T) {
 	if got := surv.Profile().Name; got != "test-ring" {
 		t.Errorf("survivors profile %q, want test-ring", got)
 	}
-	if !surv.Topology().PeerToPeer() {
+	if !surv.Profile().Topo.PeerToPeer() {
 		t.Error("survivors lost the peer-to-peer topology")
 	}
 }

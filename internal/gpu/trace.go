@@ -19,14 +19,6 @@ func (s *Stats) TraceOf(name string) Trace {
 	return Trace{Name: name, Events: s.Trace()}
 }
 
-// WriteTraceJSON writes the traces as plain indented JSON (an array of
-// {name, events} objects) for programmatic consumption.
-func WriteTraceJSON(w io.Writer, traces []Trace) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(traces)
-}
-
 // chromeEvent is one entry of the Chrome trace_event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // a complete event ("ph":"X") with microsecond timestamps, renderable by

@@ -46,30 +46,6 @@ func decodeChrome(t *testing.T, traces []Trace) chromeFile {
 	return file
 }
 
-func TestWriteTraceJSONRoundTrips(t *testing.T) {
-	ctx := traceFixture()
-	var buf bytes.Buffer
-	if err := WriteTraceJSON(&buf, []Trace{ctx.Stats().TraceOf("run")}); err != nil {
-		t.Fatal(err)
-	}
-	var got []Trace
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(got) != 1 || got[0].Name != "run" {
-		t.Fatalf("round trip lost the trace name: %+v", got)
-	}
-	want := ctx.Stats().Trace()
-	if len(got[0].Events) != len(want) {
-		t.Fatalf("round trip lost events: %d vs %d", len(got[0].Events), len(want))
-	}
-	for i := range want {
-		if got[0].Events[i] != want[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, got[0].Events[i], want[i])
-		}
-	}
-}
-
 func TestWriteChromeTraceFormat(t *testing.T) {
 	ctx := traceFixture()
 	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("solve")})

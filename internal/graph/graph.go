@@ -104,15 +104,10 @@ func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 
-// BFSLevels runs a breadth-first search from the given roots and returns
-// the level of every vertex (-1 if unreachable) plus the number of levels.
-func (g *Graph) BFSLevels(roots ...int) (level []int, nlevels int) {
-	level = make([]int, g.N)
-	return level, g.bfs(level, make([]int, 0, g.N), roots)
-}
-
-// bfs is BFSLevels into caller-owned storage: level (length N) receives
-// the levels, queue (capacity N) is scratch.
+// bfs runs a breadth-first search from the given roots into caller-owned
+// storage: level (length N) receives the level of every vertex (-1 if
+// unreachable), queue (capacity N) is scratch. It returns the number of
+// levels.
 func (g *Graph) bfs(level, queue []int, roots []int) (nlevels int) {
 	for i := range level {
 		level[i] = -1
@@ -183,33 +178,4 @@ func (g *Graph) pseudoPeripheral(sc *bfsScratch, start int) int {
 		v, nl = best, nl2
 		level, next = next, level
 	}
-}
-
-// Components returns the connected components as a vertex->component map
-// and the component count.
-func (g *Graph) Components() ([]int, int) {
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	nc := 0
-	queue := make([]int, 0, g.N)
-	for s := 0; s < g.N; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = nc
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, w := range g.Neighbors(v) {
-				if comp[w] == -1 {
-					comp[w] = nc
-					queue = append(queue, w)
-				}
-			}
-		}
-		nc++
-	}
-	return comp, nc
 }

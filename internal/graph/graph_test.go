@@ -88,9 +88,16 @@ func TestFromMatrixDropsDuplicateEdges(t *testing.T) {
 	}
 }
 
+// bfsLevels is bfs into fresh storage: the level of every vertex (-1 if
+// unreachable) and the number of levels.
+func bfsLevels(g *Graph, roots ...int) ([]int, int) {
+	level := make([]int, g.N)
+	return level, g.bfs(level, make([]int, 0, g.N), roots)
+}
+
 func TestBFSLevelsPath(t *testing.T) {
 	g := FromMatrix(pathMatrix(6))
-	level, nl := g.BFSLevels(0)
+	level, nl := bfsLevels(g, 0)
 	if nl != 6 {
 		t.Fatalf("nlevels = %d", nl)
 	}
@@ -100,7 +107,7 @@ func TestBFSLevelsPath(t *testing.T) {
 		}
 	}
 	// Multi-root BFS from both ends meets in the middle.
-	level, nl = g.BFSLevels(0, 5)
+	level, nl = bfsLevels(g, 0, 5)
 	if nl != 3 {
 		t.Fatalf("two-root nlevels = %d", nl)
 	}
@@ -113,7 +120,7 @@ func TestBFSUnreachable(t *testing.T) {
 	// Two disconnected vertices.
 	a := sparse.FromCoords(2, 2, []sparse.Coord{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}})
 	g := FromMatrix(a)
-	level, _ := g.BFSLevels(0)
+	level, _ := bfsLevels(g, 0)
 	if level[1] != -1 {
 		t.Fatal("unreachable vertex should be -1")
 	}
@@ -127,12 +134,12 @@ func TestPseudoPeripheralPath(t *testing.T) {
 	}
 }
 
-// referencePseudoPeripheral is the George-Liu iteration over BFSLevels,
+// referencePseudoPeripheral is the George-Liu iteration over bfsLevels,
 // a fresh level array per search: what pseudoPeripheral must reproduce
 // out of two reused ones.
 func referencePseudoPeripheral(g *Graph, start int) int {
 	v := start
-	level, nl := g.BFSLevels(v)
+	level, nl := bfsLevels(g, v)
 	for {
 		best, bestDeg := -1, g.N+1
 		for u := 0; u < g.N; u++ {
@@ -143,7 +150,7 @@ func referencePseudoPeripheral(g *Graph, start int) int {
 		if best < 0 {
 			return v
 		}
-		l2, nl2 := g.BFSLevels(best)
+		l2, nl2 := bfsLevels(g, best)
 		if nl2 <= nl {
 			return v
 		}
@@ -153,8 +160,8 @@ func referencePseudoPeripheral(g *Graph, start int) int {
 
 // TestScratchBFSMatchesBFSLevels: on the four generators, searches through
 // one reused scratch — dirty from the search before — return the levels
-// BFSLevels returns, and the pseudo-peripheral vertex built on them is
-// the one the allocating iteration finds.
+// a search into fresh storage returns, and the pseudo-peripheral vertex
+// built on them is the one the allocating iteration finds.
 func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 	for _, mat := range matgen.PaperSet(0.002) {
 		g := FromMatrix(mat.A)
@@ -165,29 +172,14 @@ func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 			for i := range roots {
 				roots[i] = rng.Intn(g.N)
 			}
-			want, wantLevels := g.BFSLevels(roots...)
+			want, wantLevels := bfsLevels(g, roots...)
 			if got := g.bfs(sc.level, sc.queue, roots); got != wantLevels || !slices.Equal(sc.level, want) {
-				t.Fatalf("%s: scratch BFS from %v differs from BFSLevels", mat.Name, roots)
+				t.Fatalf("%s: scratch BFS from %v differs from a fresh one", mat.Name, roots)
 			}
 			if got, want := g.pseudoPeripheral(sc, roots[0]), referencePseudoPeripheral(g, roots[0]); got != want {
 				t.Fatalf("%s: pseudo-peripheral vertex from %d: %d, want %d", mat.Name, roots[0], got, want)
 			}
 		}
-	}
-}
-
-func TestComponents(t *testing.T) {
-	a := sparse.FromCoords(4, 4, []sparse.Coord{
-		{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 1},
-		{Row: 2, Col: 3, Val: 1}, {Row: 3, Col: 2, Val: 1},
-	})
-	g := FromMatrix(a)
-	comp, nc := g.Components()
-	if nc != 2 {
-		t.Fatalf("nc = %d", nc)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] {
-		t.Fatalf("comp = %v", comp)
 	}
 }
 

@@ -40,12 +40,12 @@ func TestConnectivityMetricExact(t *testing.T) {
 	// one element.
 	a := pathMatrix(10)
 	h := ColumnNetHypergraph(a)
-	p := Natural(10, 2)
+	p := &Partition{K: 2, Part: []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
 	if got := h.Connectivity(p); got != 2 {
 		t.Fatalf("connectivity = %d, want 2", got)
 	}
 	// One part: no communication.
-	if got := h.Connectivity(Natural(10, 1)); got != 0 {
+	if got := h.Connectivity(&Partition{K: 1, Part: make([]int, 10)}); got != 0 {
 		t.Fatalf("k=1 connectivity = %d", got)
 	}
 }

@@ -14,26 +14,6 @@ type Partition struct {
 	Part []int // vertex -> part
 }
 
-// Natural returns the block partition of n vertices into k contiguous
-// blocks of nearly equal size — the distribution used with the natural or
-// RCM orderings, where each GPU simply takes an equal slab of rows.
-func Natural(n, k int) *Partition {
-	p := &Partition{K: k, Part: make([]int, n)}
-	base, rem := n/k, n%k
-	v := 0
-	for d := 0; d < k; d++ {
-		sz := base
-		if d < rem {
-			sz++
-		}
-		for i := 0; i < sz; i++ {
-			p.Part[v] = d
-			v++
-		}
-	}
-	return p
-}
-
 // KWay computes a k-way partition by greedy graph growing from spread
 // seeds followed by Fiduccia-Mattheyses-style boundary refinement. seed
 // controls the deterministic pseudo-random tie-breaking.

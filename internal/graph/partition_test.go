@@ -8,20 +8,6 @@ import (
 	"cagmres/internal/sparse"
 )
 
-func TestNaturalPartition(t *testing.T) {
-	p := Natural(10, 3)
-	sizes := p.Sizes()
-	if sizes[0] != 4 || sizes[1] != 3 || sizes[2] != 3 {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	// contiguity
-	for i := 1; i < 10; i++ {
-		if p.Part[i] < p.Part[i-1] {
-			t.Fatal("natural partition not contiguous")
-		}
-	}
-}
-
 func TestKWayCoversAndBalances(t *testing.T) {
 	a := grid2D(20, 20)
 	g := FromMatrix(a)
@@ -153,14 +139,14 @@ func TestPartitionOrderQuick(t *testing.T) {
 
 func TestEdgeCutPath(t *testing.T) {
 	g := FromMatrix(pathMatrix(10))
-	p := Natural(10, 2)
+	p := &Partition{K: 2, Part: []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
 	if cut := EdgeCut(g, p); cut != 1 {
 		t.Fatalf("path cut = %d, want 1", cut)
 	}
 }
 
 func TestImbalancePerfect(t *testing.T) {
-	p := Natural(9, 3)
+	p := &Partition{K: 3, Part: []int{0, 0, 0, 1, 1, 1, 2, 2, 2}}
 	if imb := p.Imbalance(); imb != 1 {
 		t.Fatalf("imbalance = %v", imb)
 	}

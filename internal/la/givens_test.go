@@ -26,8 +26,8 @@ func TestHessenbergLSMatchesQR(t *testing.T) {
 		}
 		// Residual must match ||c - H y||.
 		r := make([]float64, k+1)
-		Gemv(1, h, y, 0, r)
-		Sub(r, c, r)
+		Gemv(-1, h, y, 0, r)
+		Axpy(1, c, r)
 		if !almostEq(res, Nrm2(r), 1e-9) {
 			t.Fatalf("k=%d: residual %v, want %v", k, res, Nrm2(r))
 		}

@@ -166,37 +166,9 @@ func Nrm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Copy copies src into dst. It panics if the lengths differ.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("la: Copy length mismatch %d vs %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Zero sets every element of x to zero.
 func Zero(x []float64) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Sub computes z = x - y element-wise, storing into z.
-func Sub(z, x, y []float64) {
-	if len(x) != len(y) || len(z) != len(x) {
-		panic("la: Sub length mismatch")
-	}
-	for i := range z {
-		z[i] = x[i] - y[i]
-	}
-}
-
-// Add computes z = x + y element-wise, storing into z.
-func Add(z, x, y []float64) {
-	if len(x) != len(y) || len(z) != len(x) {
-		panic("la: Add length mismatch")
-	}
-	for i := range z {
-		z[i] = x[i] + y[i]
 	}
 }

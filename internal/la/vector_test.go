@@ -102,20 +102,6 @@ func TestNrm2MatchesDot(t *testing.T) {
 	}
 }
 
-func TestSubAdd(t *testing.T) {
-	x := []float64{5, 6}
-	y := []float64{1, 2}
-	z := make([]float64, 2)
-	Sub(z, x, y)
-	if z[0] != 4 || z[1] != 4 {
-		t.Fatalf("Sub = %v", z)
-	}
-	Add(z, z, y)
-	if z[0] != 5 || z[1] != 6 {
-		t.Fatalf("Add = %v", z)
-	}
-}
-
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {

@@ -33,14 +33,6 @@ type Matrix struct {
 	A    *sparse.CSR
 }
 
-// NNZPerRow reports the average nonzeros per row.
-func (m *Matrix) NNZPerRow() float64 {
-	if m.A.Rows == 0 {
-		return 0
-	}
-	return float64(m.A.NNZ()) / float64(m.A.Rows)
-}
-
 // cube returns grid dimensions whose product is close to n.
 func cube(n int) (int, int, int) {
 	c := int(math.Cbrt(float64(n)))

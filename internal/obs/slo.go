@@ -165,9 +165,6 @@ func NewSLOEngine(reg *Registry, cfg SLOConfig) *SLOEngine {
 	return e
 }
 
-// Config returns the effective (defaulted) configuration.
-func (e *SLOEngine) Config() SLOConfig { return e.cfg }
-
 // classFor picks the strictest class matching the priority. With the
 // default classes every priority matches the catch-all; a custom config
 // whose classes all have MinPriority > p falls back to the last

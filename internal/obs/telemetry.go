@@ -84,7 +84,6 @@ type JSONLSink struct {
 	mu  sync.Mutex
 	w   io.Writer
 	err error
-	n   int
 }
 
 // NewJSONLSink wraps a writer. The caller owns the writer's lifetime;
@@ -108,16 +107,7 @@ func (s *JSONLSink) Emit(r Record) {
 	b = append(b, '\n')
 	if _, err := s.w.Write(b); err != nil {
 		s.err = err
-		return
 	}
-	s.n++
-}
-
-// Records returns how many records were written successfully.
-func (s *JSONLSink) Records() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // Err returns the sticky write error, if any.

@@ -62,15 +62,6 @@ func windowCols(ctx *gpu.Context, w []*la.Dense) int {
 	return cols(w)
 }
 
-// totalRows returns the global row count of a window.
-func totalRows(w []*la.Dense) int {
-	n := 0
-	for _, p := range w {
-		n += p.Rows
-	}
-	return n
-}
-
 // Reorth wraps a strategy with one reorthogonalization pass (the "2x"
 // rows of Figure 14): the window is factored twice and the R factors are
 // combined, R = R2 * R1. Classical Gram-Schmidt in particular often needs

@@ -34,7 +34,10 @@ func splitRows(v *la.Dense, ng int) []*la.Dense {
 
 // joinRows reassembles the panels into one host matrix.
 func joinRows(w []*la.Dense) *la.Dense {
-	n := totalRows(w)
+	n := 0
+	for _, p := range w {
+		n += p.Rows
+	}
 	c := cols(w)
 	v := la.NewDense(n, c)
 	r0 := 0

@@ -96,16 +96,6 @@ func Names() []string {
 	return names
 }
 
-// All returns every shipped profile, ordered by name.
-func All() []gpu.Profile {
-	names := Names()
-	out := make([]gpu.Profile, len(names))
-	for i, n := range names {
-		out[i] = builders[n]()
-	}
-	return out
-}
-
 // ByName resolves a profile by its canonical name (case-insensitive).
 func ByName(name string) (gpu.Profile, error) {
 	b, ok := builders[strings.ToLower(strings.TrimSpace(name))]

@@ -28,8 +28,9 @@ func promBody(t *testing.T, reg *obs.Registry) string {
 // admission gates.
 func TestBrownoutShed(t *testing.T) {
 	now := 0.0
+	const fastWindow = 300 // the default burn-rate horizon, in seconds
 	reg := obs.NewRegistry()
-	engine := obs.NewSLOEngine(reg, obs.SLOConfig{Now: func() float64 { return now }})
+	engine := obs.NewSLOEngine(reg, obs.SLOConfig{Now: func() float64 { return now }, FastWindow: fastWindow})
 	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{
 		Pool:     pool,
@@ -91,7 +92,7 @@ func TestBrownoutShed(t *testing.T) {
 
 	// Burn subsides once the window rolls past the bad samples: the
 	// ladder disengages and priority 0 is admitted again.
-	now = 20 + engine.Config().FastWindow + 1
+	now = 20 + fastWindow + 1
 	if lvl := s.BrownoutLevel(); lvl != 0 {
 		t.Fatalf("brownout level after recovery = %d, want 0", lvl)
 	}

@@ -120,9 +120,6 @@ func (p *Pool) Profile() gpu.Profile { return p.prof }
 // Size returns the number of contexts the pool owns.
 func (p *Pool) Size() int { return cap(p.free) }
 
-// Devices returns the simulated GPU count of each pooled context.
-func (p *Pool) Devices() int { return p.devices }
-
 // InUse returns how many contexts are currently leased.
 func (p *Pool) InUse() int {
 	p.mu.Lock()

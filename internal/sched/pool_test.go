@@ -14,8 +14,8 @@ import (
 
 func TestPoolAcquireRelease(t *testing.T) {
 	p := NewPool(PoolConfig{Size: 2, Devices: 3})
-	if p.Size() != 2 || p.Devices() != 3 {
-		t.Fatalf("pool shape %d/%d, want 2/3", p.Size(), p.Devices())
+	if p.Size() != 2 || p.devices != 3 {
+		t.Fatalf("pool shape %d/%d, want 2/3", p.Size(), p.devices)
 	}
 	c1, err := p.Acquire(context.Background())
 	if err != nil {

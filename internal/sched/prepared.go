@@ -6,9 +6,6 @@ import (
 	"cagmres/internal/obs"
 )
 
-// preparedCacheSize bounds how many prepared problems a scheduler keeps.
-const preparedCacheSize = CacheSize
-
 // preparedKey names one preparation: everything core.Prepare reads.
 type preparedKey struct {
 	matrix   string

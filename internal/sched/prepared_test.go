@@ -169,12 +169,12 @@ func TestPreparedCacheIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.size() > preparedCacheSize {
-			t.Fatalf("cache grew to %d entries, bound is %d", c.size(), preparedCacheSize)
+		if c.size() > CacheSize {
+			t.Fatalf("cache grew to %d entries, bound is %d", c.size(), CacheSize)
 		}
 		return hit
 	}
-	for i := 0; i < preparedCacheSize; i++ {
+	for i := 0; i < CacheSize; i++ {
 		get(fmt.Sprint("k", i))
 	}
 	if !get("k0") { // k0 becomes the most recently used

@@ -115,14 +115,6 @@ func (j *Job) Result() (*core.Result, error) {
 	return j.result, j.err
 }
 
-// DispatchSeq returns the global dispatch order of the job (0-based),
-// valid once the job left the queue.
-func (j *Job) DispatchSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dispatchSeq
-}
-
 // WaitSeconds returns the wall-clock time the job spent queued; valid
 // once running or terminal.
 func (j *Job) WaitSeconds() float64 {

@@ -112,7 +112,10 @@ func TestDeterministicLoad(t *testing.T) {
 		return subs[i].ord < subs[k].ord
 	})
 	for want, sb := range subs {
-		if got := sb.j.DispatchSeq(); got != uint64(want) {
+		sb.j.mu.Lock()
+		got := sb.j.dispatchSeq
+		sb.j.mu.Unlock()
+		if got != uint64(want) {
 			t.Errorf("job %s (priority %d, submit #%d): dispatched %d-th, want %d-th",
 				sb.j.ID, sb.pri, sb.ord, got, want)
 		}

@@ -78,12 +78,3 @@ func RowNorms(a *CSR) []float64 {
 	}
 	return norms
 }
-
-// FrobNorm returns the Frobenius norm of the matrix.
-func FrobNorm(a *CSR) float64 {
-	var ssq float64
-	for _, v := range a.Val {
-		ssq += v * v
-	}
-	return math.Sqrt(ssq)
-}

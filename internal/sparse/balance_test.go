@@ -92,13 +92,6 @@ func TestBalanceZeroRow(t *testing.T) {
 	}
 }
 
-func TestFrobNorm(t *testing.T) {
-	a := FromCoords(2, 2, []Coord{{0, 0, 3}, {1, 1, 4}})
-	if got := FrobNorm(a); math.Abs(got-5) > 1e-15 {
-		t.Fatalf("FrobNorm = %v", got)
-	}
-}
-
 func TestRowNorms(t *testing.T) {
 	a := FromCoords(2, 2, []Coord{{0, 0, 3}, {0, 1, 4}, {1, 1, 2}})
 	norms := RowNorms(a)

@@ -6,8 +6,8 @@
 # cmd/, examples/ or the root package
 #   - builds its own []gpu.Work (dist.MPK may: its exchange bytes differ
 #     per device and its first step is charged as two launches), or
-#   - calls RunAll (dist's MPK, Distribute and ZeroCols may: device-side
-#     work that is charged elsewhere or not at all).
+#   - calls RunAll (dist's MPK and Distribute may: device-side work that
+#     is charged elsewhere or not at all).
 # Device concurrency has one owner too: gpu.Context runs each device's
 # closure on that device's goroutine, so the kernels and the solver layers
 # start none of their own. Fails when a non-test Go file under
@@ -25,7 +25,7 @@ files=$(find . -name '*.go' ! -name '*_test.go' \
 code() { grep -nE "$1" $files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true; }
 bad=$(
 	code 'make\(\[\]gpu\.Work' | grep -v '^\./internal/dist/mpk\.go:' || true
-	code '\.RunAll\(' | grep -vE '^\./internal/dist/(mpk|matrix|layout)\.go:' || true
+	code '\.RunAll\(' | grep -vE '^\./internal/dist/(mpk|matrix)\.go:' || true
 )
 if [ -n "$bad" ]; then
 	echo "protocol-lint: the reduce protocol is written outside internal/gpu (use Context.Launch/Gather/Broadcast/AllReduce):" >&2
