@@ -20,10 +20,11 @@
 # validated by cmd/obslint. `make serve-smoke` boots cagmresd, drives
 # it with the closed-loop load generator, lints the daemon's /metrics
 # (required scheduler families included) and checks graceful SIGTERM
-# drain. `make chaos-smoke` replays a seeded fault plan — device death
-# mid-solve, transfer-fault stream — through the chaos harness and a
-# chaos-armed daemon, requiring every fault/retry metric family and a
-# clean drain from the degraded service. `make overlap-smoke` is the
+# drain. `make chaos-smoke` arms a seeded fault plan — device death
+# mid-solve, transfer-fault stream — on a daemon driven by the load
+# generator, requiring every fault/retry metric family and a clean drain
+# from the degraded service (the in-process fault scenarios are tests).
+# `make overlap-smoke` is the
 # stream-engine regression gate: the overlapped schedule must strictly
 # beat the synchronous one on the full device count. `make trace-smoke`
 # drives a traced workload through the daemon and validates the
@@ -31,12 +32,12 @@
 # stitched Chrome trace, /slo report, and the slo_*/trace_* families.
 # `make cluster-smoke` federates 3 in-process nodes behind
 # cagmres-router, kills one mid-run, and requires re-routing, health
-# degrade/recover, a bit-identical chaos replay, and a graceful drain.
+# degrade/recover, and a graceful drain.
 # `make overload-smoke` arms the full containment stack (retry budget,
 # breakers, deadline propagation, brownout) on a 2-node federation,
-# checks every structured-rejection path end-to-end, and replays the
-# deterministic retry-storm scenario (containment off collapses
-# goodput, on holds it, bit-identically). `make precision-smoke` boots
+# and checks every structured-rejection path end-to-end (the
+# deterministic retry-storm study is a test of internal/bench).
+# `make precision-smoke` boots
 # cagmresd on a bf16-capable profile with a mixed default, checks the
 # daemon default/override semantics of the precision field over real
 # HTTP, requires a bit-identical mixed replay and the
@@ -143,8 +144,8 @@ metrics-smoke:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-# Chaos smoke test: seeded fault plan through the in-process harness
-# and a chaos-armed daemon; fault/retry metric families required.
+# Chaos smoke test: a chaos-armed daemon under load; fault/retry metric
+# families required, clean drain.
 chaos-smoke:
 	GO="$(GO)" sh scripts/chaos_smoke.sh
 
@@ -155,13 +156,13 @@ trace-smoke:
 
 # Cluster smoke test: router + 3 in-process backends, cluster loadgen,
 # kill a node mid-run (healthz degrades, solves re-route to survivors),
-# revive (healthz recovers), chaos cluster replay, graceful drain.
+# revive (healthz recovers), graceful drain.
 cluster-smoke:
 	GO="$(GO)" sh scripts/cluster_smoke.sh
 
 # Overload-containment smoke test: deadline propagation, SLO-driven
 # brownout, deadline-infeasibility rejection, resilience metric
-# families, and the deterministic retry-storm replay.
+# families.
 overload-smoke:
 	GO="$(GO)" sh scripts/overload_smoke.sh
 

@@ -10,8 +10,8 @@
 //	cagmres-router -local 3 -devices 2
 //
 // -local N boots N full in-process nodes (pool + scheduler + HTTP
-// surface each), which is how the smoke tests and the chaos harness
-// simulate a cluster in one process; -backends federates real daemons.
+// surface each), which is how the smoke tests simulate a cluster in one
+// process; -backends federates real daemons.
 //
 // POST /admin/kill/{name} simulates whole-node death at the router
 // (requests stop reaching the backend); /admin/revive/{name} restores

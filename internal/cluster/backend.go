@@ -69,7 +69,7 @@ func (b *Backend) Down() bool { return b.down.Load() }
 
 // Kill marks the backend dead: every forward fails like an unreachable
 // host until Revive. This is the deterministic stand-in for whole-node
-// death the chaos harness and the cluster smoke test lean on.
+// death the router tests and the cluster smoke test lean on.
 func (b *Backend) Kill() { b.down.Store(true) }
 
 // Revive clears the kill switch.

@@ -11,8 +11,8 @@ import (
 
 // LocalNodeConfig configures one in-process backend: a full cagmresd
 // stack (device pool, scheduler, HTTP surface) in the calling process.
-// cagmresd is one such node; the tier-1 tests, the chaos harness's
-// cluster mode and the router daemon's -local mode build theirs the same
+// cagmresd is one such node; the tier-1 tests, the benchmark's serving
+// workload and the router daemon's -local mode build theirs the same
 // way, so a simulated federation is one process with deterministic
 // scheduling.
 type LocalNodeConfig struct {

@@ -886,16 +886,18 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestBreakerSeriesWrittenAtTransition: a breaker driven through open,
-// half-open, open, half-open and closed shows each state on /metrics —
-// router_breaker_state{backend} and router_breaker_open_total — as soon
-// as it happens, with no /healthz in between, and concurrent scrapes
-// leave the open counter where it is.
+// TestBreakerSeriesWrittenAtTransition: a threshold-3 breaker driven
+// through closed, open, half-open, open, half-open and closed shows each
+// state on /metrics — router_breaker_state{backend} and
+// router_breaker_open_total — as soon as it happens, with no /healthz in
+// between, and concurrent scrapes leave the open counter where it is.
+// Failures below the threshold keep it closed, and Allow refuses inside
+// the cooldown and while the one half-open probe is out.
 func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
 	clock := 0.0
 	r := New(Config{
 		Backends: []*Backend{NewLocalBackend("x", doneHandler("x"))},
-		Breaker:  BreakerConfig{Threshold: 1, Cooldown: 5},
+		Breaker:  BreakerConfig{Threshold: 3, Cooldown: 5},
 		Now:      func() float64 { return clock },
 	})
 	br := r.breakers["x"]
@@ -911,6 +913,15 @@ func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
 			t.Errorf("%s: router_breaker_open_total %v, want %v", step, got, opens)
 		}
 	}
+	// allow advances the clock by dt and asks the breaker for a forward.
+	allow := func(dt float64, want bool) func() {
+		return func() {
+			clock += dt
+			if got := br.Allow(); got != want {
+				t.Errorf("Allow at %v = %v, want %v", clock, got, want)
+			}
+		}
+	}
 	check("new")
 	for i, step := range []struct {
 		name  string
@@ -918,11 +929,16 @@ func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
 		opens bool
 		state string
 	}{
-		{"failure", br.Failure, true, BreakerOpen},
-		{"probe", func() { clock += 5; br.Allow() }, false, BreakerHalfOpen},
+		{"failure 1", br.Failure, false, BreakerClosed},
+		{"failure 2", br.Failure, false, BreakerClosed},
+		{"failure 3", br.Failure, true, BreakerOpen},
+		{"inside cooldown", allow(3, false), false, BreakerOpen},
+		{"probe", allow(3, true), false, BreakerHalfOpen},
+		{"probe out", allow(0, false), false, BreakerHalfOpen},
 		{"failed probe", br.Failure, true, BreakerOpen},
-		{"second probe", func() { clock += 5; br.Allow() }, false, BreakerHalfOpen},
+		{"second probe", allow(6, true), false, BreakerHalfOpen},
 		{"success", br.Success, false, BreakerClosed},
+		{"traffic", allow(0, true), false, BreakerClosed},
 	} {
 		step.drive()
 		if step.opens {

@@ -205,6 +205,66 @@ func TestRouterNodeDeathReroute(t *testing.T) {
 	}
 }
 
+// TestRouterMidSolveNodeDeathReplay: a probe solve on a healthy
+// three-node federation names the shard owner and its modeled time; every
+// device of that owner then dies halfway through the solve. With the
+// containment layer armed the job must converge on a survivor with the
+// burned attempt and the reroute accounted, and a replay on fresh nodes
+// must agree exactly.
+func TestRouterMidSolveNodeDeathReplay(t *testing.T) {
+	solve := func(doomed string, killAt float64) RoutedJob {
+		t.Helper()
+		nodes := make([]*LocalNode, 3)
+		backends := make([]*Backend, len(nodes))
+		for i := range nodes {
+			cfg := LocalNodeConfig{Name: fmt.Sprintf("node%d", i), Devices: 2}
+			if cfg.Name == doomed {
+				cfg.Sched.MaxJobAttempts = 1 // a retry would land on the same dead node
+				cfg.FaultPlans = []gpu.FaultPlan{{Seed: 7, Deaths: []gpu.DeviceDeath{
+					{Device: 0, At: killAt}, {Device: 1, At: killAt},
+				}}}
+			}
+			nodes[i] = NewLocalNode(cfg)
+			backends[i] = nodes[i].Backend()
+		}
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for _, nd := range nodes {
+				_ = nd.Drain(ctx)
+			}
+		}()
+		r := New(Config{
+			Backends:         backends,
+			MaxHops:          len(nodes),
+			RetryBudgetRatio: 0.1,
+			RetryBudgetBurst: 10,
+			Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
+			Now:              func() float64 { return 0 },
+		})
+		code, job, _ := post(t, r, solveBody(t, tinySpec()))
+		if code != http.StatusOK || job.State != "done" || !job.Converged {
+			t.Fatalf("doomed %q: HTTP %d, job %+v", doomed, code, job)
+		}
+		return job
+	}
+	probe := solve("", 0)
+	if probe.Hops != 1 {
+		t.Fatalf("probe on a healthy federation took %d hops", probe.Hops)
+	}
+	deg := solve(probe.Backend, 0.5*probe.ModeledSeconds)
+	if deg.Backend == probe.Backend || deg.Hops < 2 || deg.Attempts < 2 {
+		t.Fatalf("owner %s died mid-solve, yet backend %s hops %d attempts %d",
+			probe.Backend, deg.Backend, deg.Hops, deg.Attempts)
+	}
+	replay := solve(probe.Backend, 0.5*probe.ModeledSeconds)
+	if replay.ModeledSeconds != deg.ModeledSeconds || replay.Iters != deg.Iters ||
+		replay.RelRes != deg.RelRes || replay.Backend != deg.Backend ||
+		replay.Hops != deg.Hops || replay.Attempts != deg.Attempts {
+		t.Errorf("degraded replay diverged:\n  run 1: %+v\n  run 2: %+v", deg, replay)
+	}
+}
+
 // TestRouterErrorPaths is the table-driven rejection test: every router
 // rejection must be an obs.ErrorBody and nothing more — code and error,
 // never a retry hint in the body (retry_budget_exhausted keeps its

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"cagmres/internal/gpu"
+	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 )
 
@@ -99,6 +102,74 @@ func TestCAGMRESSurvivesDeviceLossMidSolve(t *testing.T) {
 	}
 	if res.Iters != res2.Iters || res.Restarts != res2.Restarts || res.RelRes != res2.RelRes {
 		t.Fatalf("chaos runs diverge: %+v vs %+v", res, res2)
+	}
+}
+
+// TestDegradedModeTable pins EXPERIMENTS.md's degraded-mode table: on
+// laplace3d@1e-4 (3 devices, k-way + balance, CA-GMRES(5,20), CholQR,
+// tol 1e-8), device 1 dies at 90% of the fault-free modeled time. The
+// degraded solve re-partitions onto the two survivors, restores one
+// checkpoint, converges, and replays bit-identically. The Overlap arm
+// places the death on the stream clock, whose horizon ends before the
+// serialized ledger total.
+func TestDegradedModeTable(t *testing.T) {
+	gen, err := matgen.ByName("laplace3d", 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := matgen.RHS(gen.A.Rows, 1)
+	solve := func(overlap bool, plan *gpu.FaultPlan) (*Result, *gpu.Context) {
+		t.Helper()
+		ctx := gpu.NewContext(3, gpu.M2090())
+		if plan != nil {
+			ctx.InjectFaults(*plan)
+		}
+		p, err := NewProblem(ctx, gen.A, b, KWay, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := CAGMRES(p, Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR", Overlap: overlap})
+		if err != nil || !res.Converged {
+			t.Fatalf("overlap=%v faults=%v: %v %+v", overlap, plan != nil, err, res)
+		}
+		return res, ctx
+	}
+	// row renders a solve as the table prints it.
+	row := func(res *Result, seconds float64) string {
+		recovery := "—"
+		if f := res.Faults; f != nil {
+			recovery = fmt.Sprintf("%d repartition, %d checkpoint restore", f.Repartitions, f.CheckpointRestores)
+		}
+		return fmt.Sprintf("%.6f | %d | %.2e | %s", seconds, res.Iters, res.RelRes, recovery)
+	}
+
+	for _, overlap := range []bool{false, true} {
+		clean, cleanCtx := solve(overlap, nil)
+		cleanTime := clean.Stats.TotalTime()
+		if overlap {
+			cleanTime = cleanCtx.OverlappedTime()
+		}
+		plan := gpu.FaultPlan{Seed: 7, Deaths: []gpu.DeviceDeath{{Device: 1, At: 0.9 * cleanTime}}}
+		deg, _ := solve(overlap, &plan)
+		if deg.Faults == nil || len(deg.Faults.DevicesLost) != 1 || deg.Faults.Repartitions != 1 {
+			t.Fatalf("overlap=%v: the armed death did not fire once: %+v", overlap, deg.Faults)
+		}
+		replay, _ := solve(overlap, &plan)
+		if replay.Stats.TotalTime() != deg.Stats.TotalTime() || replay.Iters != deg.Iters ||
+			replay.RelRes != deg.RelRes || !reflect.DeepEqual(replay.Faults, deg.Faults) {
+			t.Fatalf("overlap=%v: degraded replay diverged:\n  run 1: %+v\n  run 2: %+v", overlap, deg, replay)
+		}
+		if overlap {
+			continue
+		}
+		for _, c := range []struct{ got, want string }{
+			{row(clean, cleanTime), "0.002277 | 25 | 7.01e-10 | —"},
+			{row(deg, deg.Stats.TotalTime()), "0.002337 | 25 | 7.01e-10 | 1 repartition, 1 checkpoint restore"},
+		} {
+			if c.got != c.want {
+				t.Errorf("table row %q, want %q", c.got, c.want)
+			}
+		}
 	}
 }
 

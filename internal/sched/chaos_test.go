@@ -256,8 +256,10 @@ func TestLeaseTimeoutCancelsStuckBatch(t *testing.T) {
 
 // TestChaosLoadLeavesNoGoroutines pushes a mixed load through a pool
 // with fault plans on two of three contexts (one death with repair, one
-// transfer storm) and verifies that after drain no goroutine survives —
-// the regression test for leaks on the retry/eviction paths.
+// transfer storm) and verifies that every armed fault was observed and
+// that after drain no goroutine survives — the regression test for leaks
+// on the retry/eviction paths. The pool hands out contexts in order, so
+// the first two leases meet both plans.
 func TestChaosLoadLeavesNoGoroutines(t *testing.T) {
 	a := testMatrix()
 	before := runtime.NumGoroutine()
@@ -285,6 +287,10 @@ func TestChaosLoadLeavesNoGoroutines(t *testing.T) {
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if snap := s.Snapshot(); snap.DevicesLost < 1 || snap.TransferFaults < 1 || snap.Readmissions < 1 {
+		t.Fatalf("armed faults not observed: devices lost %d, transfer faults %d, readmissions %d",
+			snap.DevicesLost, snap.TransferFaults, snap.Readmissions)
 	}
 	for i := 0; i < 200; i++ {
 		if runtime.NumGoroutine() <= before {

@@ -61,8 +61,8 @@ type PoolConfig struct {
 	// model plus interconnect topology; the zero value is gpu.M2090().
 	Profile gpu.Profile
 	// FaultPlans[i], when present and non-empty, is armed on pooled
-	// context i — the chaos harness's way of scheduling deterministic
-	// failures into a running service. Missing entries stay fault-free.
+	// context i — how cagmresd's -chaos-* flags and the tests schedule
+	// deterministic failures into a running service. Missing entries stay fault-free.
 	FaultPlans []gpu.FaultPlan
 	// Retry, when non-zero, overrides the transfer-retry policy of every
 	// pooled context.

@@ -17,7 +17,6 @@ rm -f "$DIR/router.port" "$DIR/router.log"
 
 "$GO" build -o "$DIR/cagmres-router" ./cmd/cagmres-router
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
-"$GO" build -o "$DIR/chaos" ./cmd/chaos
 
 "$DIR/cagmres-router" -addr 127.0.0.1:0 -local 3 -devices 2 \
     -portfile "$DIR/router.port" > "$DIR/router.log" 2>&1 &
@@ -96,10 +95,6 @@ echo "$HEALTH" | grep -q '"degraded":false' || {
     exit 1
 }
 echo "cluster-smoke: $OWNER revived, cluster healthy"
-
-# Phase 5: the chaos harness's cluster layer — whole-node death
-# mid-solve with a bit-identical replay.
-"$DIR/chaos" -cluster -nodes 3 -devices 2 -scale 1e-5 -m 20 -s 4 -tol 1e-6
 
 # Graceful drain: SIGTERM must produce a zero exit.
 kill -TERM "$RPID"

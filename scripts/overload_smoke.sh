@@ -13,8 +13,6 @@
 #      is rejected up front with the structured deadline_infeasible code,
 #   4. check the router exports the resilience families and healthz
 #      resilience block,
-#   5. replay the deterministic retry-storm scenario (chaos -storm):
-#      containment off collapses goodput, on holds it, bit-identically,
 # and finally shut the router down gracefully with SIGTERM.
 #
 # Usage: scripts/overload_smoke.sh [workdir]   (default: $TMPDIR/cagmres-overload-smoke)
@@ -26,7 +24,6 @@ mkdir -p "$DIR"
 rm -f "$DIR/router.port" "$DIR/router.log"
 
 "$GO" build -o "$DIR/cagmres-router" ./cmd/cagmres-router
-"$GO" build -o "$DIR/chaos" ./cmd/chaos
 
 # An SLO no solve can meet (0.1 ms latency target) plus a one-rung
 # brownout ladder: the first completed solve trips fast burn on its
@@ -131,12 +128,6 @@ echo "$HEALTH" | grep -q '"resilience"' || {
 }
 echo "overload-smoke: resilience families and healthz block present"
 
-# Phase 5: the deterministic retry-storm scenario — containment off
-# collapses goodput at 4x offered load, containment on holds it, and
-# both arms replay bit-identically (including the breaker transition
-# script on virtual time).
-"$DIR/chaos" -storm
-
 # Graceful drain: SIGTERM must produce a zero exit.
 kill -TERM "$RPID"
 wait "$RPID" || {
@@ -150,4 +141,4 @@ grep -q "drained" "$DIR/router.log" || {
     cat "$DIR/router.log" >&2
     exit 1
 }
-echo "overload-smoke: ok (deadline propagation, brownout shed, infeasible reject, storm containment)"
+echo "overload-smoke: ok (deadline propagation, brownout shed, infeasible reject)"
