@@ -23,13 +23,12 @@
 # drain. `make chaos-smoke` arms a seeded fault plan — device death
 # mid-solve, transfer-fault stream — on a daemon driven by the load
 # generator, requiring every fault/retry metric family and a clean drain
-# from the degraded service (the in-process fault scenarios are tests).
-# `make overlap-smoke` is the
-# stream-engine regression gate: the overlapped schedule must strictly
-# beat the synchronous one on the full device count. `make trace-smoke`
-# drives a traced workload through the daemon and validates the
-# request-tracing/SLO surface: traceparent round trip, span-stream lint,
-# stitched Chrome trace, /slo report, and the slo_*/trace_* families.
+# from the degraded service (the in-process fault scenarios are tests,
+# as is the overlap study's gate: TestFigOverlapWins in internal/bench).
+# `make trace-smoke` drives a traced workload through the daemon and
+# validates the request-tracing/SLO surface: traceparent round trip,
+# span-stream lint, stitched Chrome trace, /slo report, and the
+# slo_*/trace_* families.
 # `make cluster-smoke` federates 3 in-process nodes behind
 # cagmres-router, kills one mid-run, and requires re-routing, health
 # degrade/recover, and a graceful drain.
@@ -61,9 +60,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check staticcheck protocol-lint unreached cli-check test race measured golden metrics-smoke serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
+.PHONY: check build vet fmt-check staticcheck protocol-lint unreached cli-check test race golden metrics-smoke serve-smoke chaos-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
 
-check: vet fmt-check staticcheck protocol-lint unreached race test cli-check fuzz-smoke cover-profile serve-smoke chaos-smoke overlap-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet fmt-check staticcheck protocol-lint unreached race test cli-check fuzz-smoke cover-profile serve-smoke chaos-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
@@ -118,10 +117,6 @@ race:
 		./internal/cluster/... ./cmd/loadgen/...
 	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault|PoisonedWorkspace|ResultSurvivesNextSolve'
 
-# Opt-in wall-clock kernel comparison (needs an unloaded machine).
-measured:
-	$(GO) test ./internal/bench/ -run Measured -measured -count=1 -v
-
 # Regenerate the golden report-format files after an intentional change.
 golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
@@ -171,12 +166,6 @@ overload-smoke:
 # solver_precision_* metric families.
 precision-smoke:
 	GO="$(GO)" sh scripts/precision_smoke.sh
-
-# Overlap regression smoke: the stream schedule must strictly beat the
-# synchronous schedule on the full device count for every basis depth
-# of the Figure 11 configuration (exit 1 on any regression).
-overlap-smoke:
-	$(GO) run ./cmd/experiments -fig overlap -overlapcheck > /dev/null
 
 # Short-budget fuzz pass over the hostile-input surfaces: the
 # MatrixMarket body of POST /solve, the machine-profile JSON decoder,

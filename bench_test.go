@@ -60,14 +60,6 @@ func BenchmarkFig10Properties(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Kernels measures the tall-skinny GEMM/GEMV host kernels,
-// serial vs batched (Figure 11a/b).
-func BenchmarkFig11Kernels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig11ab(benchConfig())
-	}
-}
-
 // BenchmarkFig11TSQR measures TSQR effective throughput for all five
 // strategies on 1..3 devices (Figure 11c).
 func BenchmarkFig11TSQR(b *testing.B) {

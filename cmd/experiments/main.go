@@ -13,22 +13,13 @@
 //	-devices int    maximum simulated GPU count (default 3)
 //	-restarts int   restart-loop cap per solve (default 40)
 //	-csv dir        also write each figure's rows as CSV files into dir
-//	-measured       time the Figure 11(a,b) host kernels with the wall
-//	                clock (warmup + best-of-5) instead of the
-//	                deterministic cost model
 //	-traceout file  dump a Chrome trace_event JSON of every simulated
 //	                context (open in chrome://tracing or Perfetto)
 //	-metrics file   write Prometheus text-format metrics aggregated over
 //	                every simulated context
 //	-serve addr     serve /metrics, /metrics.json, /trace.json and
-//	                /debug/pprof; starts before the figures (so -measured
-//	                runs can be profiled live) and blocks after them
-//	-overlap        arm the asynchronous stream engine in the overlap
-//	                study (default true); -overlap=off is the escape
-//	                hatch that degenerates it to the barrier schedule
-//	-overlapcheck   regression gate: exit 1 unless the stream schedule
-//	                strictly beats the synchronous schedule on the full
-//	                device count for every s in the overlap study
+//	                /debug/pprof; starts before the figures (so a run
+//	                can be profiled live) and blocks after them
 //	-profile name   machine profile for the figure drivers (m2090,
 //	                a100-pcie, h100-nvlink); the classic figures were
 //	                calibrated against m2090, so under another profile
@@ -40,9 +31,9 @@
 //	                calibrated at fp64, so a narrow mode answers "this
 //	                figure, at that width"
 //
-// By default every figure is a pure function of the calibrated cost
-// model: rerunning produces byte-identical numbers on any machine. Only
-// -measured touches the wall clock.
+// Every figure is a pure function of the calibrated cost model:
+// rerunning produces byte-identical numbers on any machine. The figures
+// read no clock; the per-figure footer is elapsed wall time.
 //
 // Absolute times come from the calibrated M2090/PCIe-2 cost model and are
 // not expected to match the authors' testbed; the shapes (who wins, by
@@ -55,13 +46,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"cagmres/internal/bench"
 	"cagmres/internal/core"
-	"cagmres/internal/measure"
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
 )
@@ -72,18 +61,25 @@ func main() {
 	devices := flag.Int("devices", 3, "maximum simulated GPU count")
 	restarts := flag.Int("restarts", 40, "restart cap per solve")
 	csvDir := flag.String("csv", "", "also write each figure's rows as CSV files into this directory")
-	measured := flag.Bool("measured", false, "time the Figure 11(a,b) host kernels with the wall clock (warmup + best-of-5) instead of the deterministic cost model")
 	traceout := flag.String("traceout", "", "write a Chrome trace_event JSON of every simulated context to this file (open in chrome://tracing or Perfetto)")
 	traceEvents := flag.Int("trace-events", bench.DefaultTraceEvents, "per-context event capacity for -traceout")
 	metrics := flag.String("metrics", "", "write Prometheus text-format metrics aggregated over every simulated context to this file")
-	serve := flag.String("serve", "", "serve /metrics, /trace.json and /debug/pprof on this address; starts before the figures run (profile -measured live) and blocks after them")
+	serve := flag.String("serve", "", "serve /metrics, /trace.json and /debug/pprof on this address; starts before the figures run and blocks after them")
 	profName := flag.String("profile", "", "machine profile for the figure drivers (m2090, a100-pcie, h100-nvlink); empty keeps the paper's m2090")
 	topoName := flag.String("topology", "", "override the profile's interconnect topology (host-hub, pcie-switch, nvlink-ring, all-to-all)")
 	precisionMode := flag.String("precision", "", "run every CA-GMRES arm under this precision mode (fp64, mixed, adaptive); empty keeps the calibrated full-double pipeline")
-	overlap := onOffFlag(true)
-	flag.Var(&overlap, "overlap", "arm the asynchronous stream engine in the overlap study; -overlap=off degenerates it to the barrier schedule")
-	overlapCheck := flag.Bool("overlapcheck", false, "exit 1 unless the stream schedule strictly beats the synchronous schedule on the full device count")
 	flag.Parse()
+	// Config.Defaults reads a zero as unset, so refuse out-of-range
+	// counts here rather than let them become the defaults.
+	if *devices < 1 {
+		fatalf("-devices %d: need at least 1", *devices)
+	}
+	if *restarts < 1 {
+		fatalf("-restarts %d: need at least 1", *restarts)
+	}
+	if !(*scale > 0) { // NaN too
+		fatalf("-scale %g: need a positive scale", *scale)
+	}
 
 	prof, err := profile.FromFlags(*profName, *topoName)
 	if err != nil {
@@ -97,15 +93,11 @@ func main() {
 		MaxDevices:  *devices,
 		MaxRestarts: *restarts,
 		Out:         os.Stdout,
-		Overlap:     bool(overlap),
 		Profile:     prof,
 		Precision:   *precisionMode,
 	}
 	if *profName != "" || *topoName != "" {
 		fmt.Printf("machine profile: %s (topology %s)\n", prof.Name, prof.Topo.Kind)
-	}
-	if *measured {
-		cfg.Timer = &measure.WallTimer{}
 	}
 	if *traceout != "" || *metrics != "" || *serve != "" {
 		cfg.Trace = bench.NewTraceCollector(*traceEvents)
@@ -114,15 +106,10 @@ func main() {
 	var reg *obs.Registry
 	if *metrics != "" || *serve != "" {
 		reg = obs.NewRegistry()
-		// Every timed host kernel also lands in the registry's histograms.
-		if cfg.Timer == nil {
-			cfg.Timer = measure.NewModelTimer(prof.Model)
-		}
-		cfg.Timer = measure.Instrument(cfg.Timer, reg)
 	}
 	if *serve != "" {
 		// Start before the figures so /debug/pprof can profile a live
-		// -measured run; /metrics fills in as contexts are collected below.
+		// run; /metrics fills in as contexts are collected below.
 		_, addr, err := obs.Serve(*serve, obs.Handler(reg, cfg.Trace.Traces))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -163,16 +150,7 @@ func main() {
 		}},
 		{"14", func() { emit("fig14", bench.Fig14(cfg)) }},
 		{"15", func() { emit("fig15", bench.Fig15(cfg)) }},
-		{"overlap", func() {
-			rows := bench.FigOverlap(cfg)
-			emit("figoverlap", rows)
-			if *overlapCheck {
-				if err := checkOverlap(rows, cfg.MaxDevices); err != nil {
-					fatalf("%v", err)
-				}
-				fmt.Println("overlap regression gate: stream schedule strictly beats synchronous")
-			}
-		}},
+		{"overlap", func() { emit("figoverlap", bench.FigOverlap(cfg)) }},
 		{"topology", func() { emit("figtopology", bench.FigTopology(cfg)) }},
 		{"cluster", func() { emit("figcluster", bench.FigCluster(cfg)) }},
 		{"overload", func() { emit("figoverload", bench.FigOverload(cfg)) }},
@@ -186,11 +164,6 @@ func main() {
 		}},
 	}
 
-	if *fig == "all" && !overlap {
-		// The escape hatch applies to the overlap study itself; nothing
-		// else consumes the engine, so "all" stays meaningful either way.
-		fmt.Println("note: -overlap=off, the overlap study runs both arms synchronously")
-	}
 	want := strings.Split(*fig, ",")
 	matched := false
 	for _, d := range drivers {
@@ -255,54 +228,6 @@ func main() {
 		fmt.Println("figures done; still serving (ctrl-C to stop)")
 		select {}
 	}
-}
-
-// onOffFlag is a boolean flag that also accepts on/off, so the
-// documented -overlap=off escape hatch reads naturally alongside the
-// standard boolean spellings.
-type onOffFlag bool
-
-func (f *onOffFlag) String() string {
-	if f == nil || bool(*f) {
-		return "on"
-	}
-	return "off"
-}
-
-func (f *onOffFlag) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on":
-		*f = true
-	case "off":
-		*f = false
-	default:
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return fmt.Errorf("want on, off, or a boolean")
-		}
-		*f = onOffFlag(v)
-	}
-	return nil
-}
-
-// IsBoolFlag lets a bare -overlap mean -overlap=on.
-func (f *onOffFlag) IsBoolFlag() bool { return true }
-
-// checkOverlap is the regression gate behind -overlapcheck: every row
-// must satisfy overlap <= sync, and the full-device rows must win
-// strictly for every basis depth.
-func checkOverlap(rows []bench.OverlapRow, maxDevices int) error {
-	for _, r := range rows {
-		if r.OverlapSec > r.SyncSec {
-			return fmt.Errorf("overlap regression: s=%d ng=%d stream %.6g s exceeds synchronous %.6g s",
-				r.S, r.Devices, r.OverlapSec, r.SyncSec)
-		}
-		if r.Devices == maxDevices && r.OverlapSec >= r.SyncSec {
-			return fmt.Errorf("overlap regression: s=%d ng=%d no strict win (stream %.6g s, synchronous %.6g s)",
-				r.S, r.Devices, r.OverlapSec, r.SyncSec)
-		}
-	}
-	return nil
 }
 
 func fatalf(format string, args ...any) {

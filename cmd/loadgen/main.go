@@ -20,7 +20,7 @@
 //	-mode virtual  runs no server at all: it computes each request's
 //	               modeled service time by executing the solver on a
 //	               simulated device context, charges per-request RPC
-//	               overhead through the virtual-time measure.ModelTimer,
+//	               overhead as a host kernel of the cost model,
 //	               and replays the closed loop as an event simulation
 //	               over the -pool device contexts. The reported
 //	               percentiles, queue waits, and SLO burn rates are a
@@ -49,7 +49,6 @@ import (
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
-	"cagmres/internal/measure"
 	"cagmres/internal/obs"
 	"cagmres/internal/server"
 )
@@ -482,12 +481,21 @@ func checkClusterHealth(base string) error {
 // ---------------------------------------------------------------------
 // virtual mode
 
+// rpcOverhead is the modeled per-request RPC overhead of an n-row solve
+// (JSON decode + admission + response), charged as a serial host kernel
+// that moves the rhs in and x out, 8 bytes each way.
+func rpcOverhead(n int) float64 {
+	return gpu.M2090().Model.HostKernelTime(gpu.HostKernel{
+		Bytes: float64(16 * n), Parallelism: 1, Dispatches: 4,
+	})
+}
+
 // runVirtual replays the closed loop in virtual time: modeled service
 // seconds per request from the solver's own cost ledger, per-request
-// RPC overhead from the measure.ModelTimer, and an event simulation of
-// k clients contending for c device contexts. The same per-request
-// (submit, start, finish) stamps feed an obs.SLOEngine on the virtual
-// clock, so queue waits and burn rates are deterministic too.
+// RPC overhead from the cost model (rpcOverhead), and an event
+// simulation of k clients contending for c device contexts. The same
+// per-request (submit, start, finish) stamps feed an obs.SLOEngine on
+// the virtual clock, so queue waits and burn rates are deterministic too.
 func runVirtual(cfg *config, counts []int) error {
 	requests, pool, devices, matrix := cfg.requests, cfg.pool, cfg.devices, cfg.matrix
 	gen, err := matgen.ByName(matrix, cfg.scale)
@@ -523,13 +531,7 @@ func runVirtual(cfg *config, counts []int) error {
 		service[seed] = res.Stats.TotalTime()
 	}
 
-	// Per-request RPC overhead: JSON decode + admission + response,
-	// charged as a host kernel through the virtual-time model.
-	timer := measure.NewModelTimer(gpu.M2090().Model)
-	reqBytes := float64(16 * n) // rhs in + x out, 8 bytes each way
-	overhead := timer.Seconds(measure.Kernel{
-		Name: "rpc", Bytes: reqBytes, Parallelism: 1, Dispatches: 4,
-	})
+	overhead := rpcOverhead(n)
 
 	fmt.Printf("loadgen virtual: %s n=%d, pool %d×%d GPUs, %d requests/client, rpc overhead %.1fus\n",
 		matrix, n, pool, devices, requests, overhead*1e6)

@@ -121,3 +121,15 @@ func findClass(t *testing.T, rep obs.SLOReport, name string) obs.SLOClassReport 
 	t.Fatalf("no class %q in %+v", name, rep)
 	return obs.SLOClassReport{}
 }
+
+// TestRPCOverheadPinned pins the per-request RPC overhead of the default
+// virtual run (laplace3d at scale 1e-4, n = 125) to its exact float64:
+// 2000 bytes on one core's quarter of the host bus plus four 1 µs
+// dispatches. Every virtual sweep latency carries it, so a drift in the
+// host-kernel formula shows here before it moves the sweep table.
+func TestRPCOverheadPinned(t *testing.T) {
+	const want = 4.2e-06 // 0x3ed19db7358bd307
+	if got := rpcOverhead(125); got != want {
+		t.Fatalf("rpc overhead %v (%#x), want %v", got, math.Float64bits(got), want)
+	}
+}

@@ -17,7 +17,6 @@ import (
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
-	"cagmres/internal/measure"
 )
 
 // Config controls a benchmark run.
@@ -38,22 +37,10 @@ type Config struct {
 	Out io.Writer
 	// MaxRestarts caps solver restart loops so sweeps stay bounded.
 	MaxRestarts int
-	// Timer converts the Figure 11(a,b) host-kernel invocations into
-	// seconds. Nil defaults to the deterministic measure.ModelTimer over
-	// Profile.Model, so `go test` and default CLI runs report
-	// machine-independent modeled Gflop/s; cmd/experiments -measured swaps
-	// in a measure.WallTimer (warmup + best-of-5 wall clock).
-	Timer measure.Timer
 	// Trace, when non-nil, enables event tracing on every simulated
 	// context the drivers create and collects the rings for export
 	// (cmd/experiments -traceout).
 	Trace *TraceCollector
-	// Overlap arms the asynchronous stream engine in the overlapped arm
-	// of the FigOverlap study (cmd/experiments -overlap, on by default
-	// there; -overlap=off is the escape hatch that degenerates the study
-	// to the barrier schedule). The classic figure drivers always run
-	// synchronously so their tables and goldens are unaffected.
-	Overlap bool
 	// Precision, when non-empty, runs every CA-GMRES arm of the figure
 	// drivers under that precision mode ("fp64", "mixed", "adaptive") —
 	// the cmd/experiments -precision flag. The classic figures were
@@ -81,9 +68,6 @@ func (c *Config) Defaults() {
 	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 40
-	}
-	if c.Timer == nil {
-		c.Timer = measure.NewModelTimer(c.Profile.Model)
 	}
 }
 

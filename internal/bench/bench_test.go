@@ -2,19 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"flag"
 	"strings"
 	"testing"
-
-	"cagmres/internal/measure"
 )
-
-// measured opts the wall-clock kernel comparisons in:
-//
-//	go test ./internal/bench/ -run Measured -measured
-//
-// By default every perf assertion runs on the deterministic model clock.
-var measured = flag.Bool("measured", false, "run the wall-clock (non-deterministic) kernel comparisons")
 
 // tiny returns a config small enough for unit tests.
 func tiny() Config {
@@ -181,54 +171,23 @@ func TestFig11cOrdering(t *testing.T) {
 	}
 }
 
-// fig11Rates extracts the gemm serial/batched rates at the tall size.
-func fig11Rates(t *testing.T, rows []Fig11Kernel) (serial, batched float64) {
-	t.Helper()
-	for _, r := range rows {
-		if r.Rows != 1<<17 {
-			continue
-		}
-		switch r.Kernel {
-		case "gemm/serial":
-			serial = r.Gflops
-		case "gemm/batched":
-			batched = r.Gflops
-		}
-	}
-	if serial == 0 || batched == 0 {
-		t.Fatal("missing kernels")
-	}
-	return serial, batched
-}
-
 func TestFig11abBatchedWins(t *testing.T) {
-	// Modeled time: the batched schedule beats the serial one as an exact,
-	// deterministic property of the cost model — no wall-clock coin flips.
-	rows := Fig11ab(Config{Scale: 0.01})
-	for _, r := range rows {
-		if !r.Modeled {
-			t.Fatalf("%s: default config must use the model clock", r.Kernel)
+	// The batched schedule beats the serial one, and the parallel GEMV
+	// the serial GEMV, as exact properties of the cost model.
+	gf := map[string]float64{}
+	for _, r := range Fig11ab(Config{Scale: 0.01}) {
+		if r.Rows == 1<<17 {
+			gf[r.Kernel] = r.Gflops
 		}
 	}
-	serial, batched := fig11Rates(t, rows)
-	if batched <= serial {
-		t.Fatalf("batched GEMM (%v GF) not above serial (%v GF)", batched, serial)
+	if len(gf) != 4 {
+		t.Fatalf("tall-size kernels %v, want 4", gf)
 	}
-	// The parallel GEMV beats the serial GEMV under the same model.
-	var gs, gp float64
-	for _, r := range rows {
-		if r.Rows != 1<<17 {
-			continue
-		}
-		switch r.Kernel {
-		case "gemv/serial":
-			gs = r.Gflops
-		case "gemv/parallel":
-			gp = r.Gflops
-		}
+	if gf["gemm/batched"] <= gf["gemm/serial"] {
+		t.Fatalf("batched GEMM (%v GF) not above serial (%v GF)", gf["gemm/batched"], gf["gemm/serial"])
 	}
-	if gp <= gs {
-		t.Fatalf("parallel GEMV (%v GF) not above serial (%v GF)", gp, gs)
+	if gf["gemv/parallel"] <= gf["gemv/serial"] {
+		t.Fatalf("parallel GEMV (%v GF) not above serial (%v GF)", gf["gemv/parallel"], gf["gemv/serial"])
 	}
 }
 
@@ -244,28 +203,6 @@ func TestFig11abDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across runs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestFig11abBatchedWinsMeasured(t *testing.T) {
-	// The wall-clock comparison is opt-in: it needs an unloaded machine
-	// to mean anything. Best of 5 with a 10% tolerance.
-	if !*measured {
-		t.Skip("wall-clock mode is opt-in: rerun with -measured")
-	}
-	if testing.Short() {
-		t.Skip("wall-clock comparison skipped in -short mode")
-	}
-	cfg := Config{Scale: 0.01, Timer: &measure.WallTimer{}}
-	rows := Fig11ab(cfg)
-	for _, r := range rows {
-		if r.Modeled {
-			t.Fatalf("%s: measured config must use the wall clock", r.Kernel)
-		}
-	}
-	serial, batched := fig11Rates(t, rows)
-	if batched < 0.9*serial {
-		t.Fatalf("batched GEMM (%v GF) more than 10%% below serial (%v GF)", batched, serial)
 	}
 }
 

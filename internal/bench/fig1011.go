@@ -3,9 +3,9 @@ package bench
 import (
 	"time"
 
+	"cagmres/internal/gpu"
 	"cagmres/internal/la"
 	"cagmres/internal/matgen"
-	"cagmres/internal/measure"
 	"cagmres/internal/ortho"
 )
 
@@ -81,19 +81,19 @@ func splitWindow(v *la.Dense, ng int) []*la.Dense {
 	return out
 }
 
-// Fig11Kernel is one timed point of the kernel study.
+// Fig11Kernel is one modeled point of the kernel study.
 type Fig11Kernel struct {
 	Kernel string
 	Rows   int
-	// Gflops is the kernel rate: deterministic modeled Gflop/s by
-	// default, wall-clock Gflop/s when the config carries a WallTimer
-	// (cmd/experiments -measured).
-	Gflops  float64
+	// Gflops is the kernel's modeled rate.
+	Gflops float64
+	// Elapsed is the modeled per-invocation time.
 	Elapsed time.Duration
 	// Flops is the per-invocation floating-point operation count the rate
 	// was computed from.
 	Flops float64
-	// Modeled reports which clock produced the numbers.
+	// Modeled is always true: the figure reads the cost model, not a
+	// clock. The column stays so the CSV keeps its shape.
 	Modeled bool
 }
 
@@ -104,72 +104,46 @@ func panels(n int) int {
 	return (n + la.PanelRows - 1) / la.PanelRows
 }
 
-// Fig11ab times the tall-skinny GEMM and GEMV kernels on the host: the
+// Fig11ab charges the tall-skinny GEMM and GEMV kernels on the host: the
 // naive one-pass kernels versus the panel-parallel "batched" schedules,
 // the analogue of the paper's CUBLAS-vs-batched-DGEMM comparison (Figure
-// 11a/b). The batched forms must win on tall inputs. Under the default
-// ModelTimer the comparison is a deterministic statement about the kernel
-// schedules (parallelism and dispatch counts charged against the cost
-// model's host constants). Under a WallTimer it is a real measurement of
-// the host code, which runs on one goroutine: the batched GEMM row times
-// the panel schedule done serially, and the parallel GEMV row times
-// GemvT, so only the modeled rows carry the schedules' parallelism.
+// 11a/b). The batched forms must win on tall inputs. The comparison is a
+// deterministic statement about the kernel schedules: each one's
+// parallelism and dispatch count charged against the cost model's host
+// constants (gpu.CostModel.HostKernelTime). Nothing is executed; the
+// wall-clock times of the same kernels are Go benchmarks of internal/la.
 func Fig11ab(cfg Config) []Fig11Kernel {
 	cfg.Defaults()
 	const c = 30
-	sizes := []int{1 << 14, 1 << 17}
 	var out []Fig11Kernel
-	mode := "modeled"
-	if !cfg.Timer.Deterministic() {
-		mode = "measured"
-	}
-	cfg.printf("Figure 11(a,b): tall-skinny kernels on the host, %d columns (%s time)\n", c, mode)
+	cfg.printf("Figure 11(a,b): tall-skinny kernels on the host, %d columns (modeled time)\n", c)
 	cfg.printf("%-22s %10s %10s\n", "kernel", "rows", "Gflop/s")
-	for _, n := range sizes {
-		v := matgen.RandomTallSkinny(n, c, 10, 3)
-		g := la.NewDense(c, c)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = 1 / float64(i+1)
-		}
-		y := make([]float64, c)
-
+	for _, n := range []int{1 << 14, 1 << 17} {
 		gramFlops := float64(n) * c * c
 		gramBytes := 8 * float64(n) * c // stream the tall operand once
 		gemvFlops := 2 * float64(n) * c
 		np := panels(n)
-		gemvWorkers := measure.HostCores
-		if c < gemvWorkers {
-			gemvWorkers = c
+		gemvWorkers := min(c, gpu.HostCores)
+		// A parallel schedule pays one dispatch per worker plus the join.
+		for _, k := range []struct {
+			name       string
+			flops      float64
+			par, disps int
+		}{
+			{"gemm/serial", gramFlops, 1, 1},
+			{"gemm/batched", gramFlops, np, np + 1},
+			{"gemv/serial", gemvFlops, 1, 1},
+			{"gemv/parallel", gemvFlops, gemvWorkers, gemvWorkers + 1},
+		} {
+			sec := cfg.Profile.Model.HostKernelTime(gpu.HostKernel{
+				Flops: k.flops, Bytes: gramBytes, Parallelism: k.par, Dispatches: k.disps,
+			})
+			row := Fig11Kernel{Kernel: k.name, Rows: n, Gflops: k.flops / sec / 1e9,
+				Elapsed: time.Duration(sec * float64(time.Second)), Flops: k.flops, Modeled: true}
+			out = append(out, row)
+			cfg.printf("%-22s %10d %10.2f\n", row.Kernel, n, row.Gflops)
 		}
-		out = append(out,
-			timeKernel(cfg, measure.Kernel{
-				Name: "gemm/serial", Flops: gramFlops, Bytes: gramBytes,
-				Parallelism: 1, Dispatches: 1,
-			}, n, func() { la.Syrk(v, g) }),
-			timeKernel(cfg, measure.Kernel{
-				Name: "gemm/batched", Flops: gramFlops, Bytes: gramBytes,
-				Parallelism: np, Dispatches: np + 1,
-			}, n, func() { la.BatchedGram(v, g) }),
-			timeKernel(cfg, measure.Kernel{
-				Name: "gemv/serial", Flops: gemvFlops, Bytes: gramBytes,
-				Parallelism: 1, Dispatches: 1,
-			}, n, func() { la.GemvT(1, v, x, 0, y) }),
-			timeKernel(cfg, measure.Kernel{
-				Name: "gemv/parallel", Flops: gemvFlops, Bytes: gramBytes,
-				Parallelism: gemvWorkers, Dispatches: gemvWorkers + 1,
-			}, n, func() { la.GemvT(1, v, x, 0, y) }),
-		)
 	}
-	return out
-}
-
-// timeKernel times one kernel through the config's Timer.
-func timeKernel(cfg Config, k measure.Kernel, rows int, f func()) Fig11Kernel {
-	s := cfg.Timer.Time(k, f)
-	out := Fig11Kernel{Kernel: k.Name, Rows: rows, Elapsed: s.Duration(),
-		Gflops: s.Gflops(k.Flops), Flops: k.Flops, Modeled: s.Modeled}
-	cfg.printf("%-22s %10d %10.2f\n", k.Name, rows, out.Gflops)
 	return out
 }
 

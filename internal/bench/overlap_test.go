@@ -7,7 +7,7 @@ import "testing"
 // synchronous schedule, and on the full device count it must win
 // strictly for every basis depth s in {5, 10, 15}.
 func TestFigOverlapWins(t *testing.T) {
-	cfg := Config{Overlap: true}
+	cfg := Config{}
 	cfg.Defaults()
 	rows := FigOverlap(cfg)
 	if len(rows) != 3*cfg.MaxDevices {
@@ -26,24 +26,10 @@ func TestFigOverlapWins(t *testing.T) {
 	}
 }
 
-// TestFigOverlapEscapeHatch: with the engine disabled the overlapped arm
-// degenerates to the barrier schedule (speedup ~1), the -overlap=off
-// behavior of cmd/experiments.
-func TestFigOverlapEscapeHatch(t *testing.T) {
-	cfg := Config{}
-	cfg.Defaults()
-	for _, r := range FigOverlap(cfg) {
-		if r.OverlapSec != r.SyncSec {
-			t.Fatalf("s=%d ng=%d: disabled engine still changed time: %v vs %v",
-				r.S, r.Devices, r.OverlapSec, r.SyncSec)
-		}
-	}
-}
-
 // TestFigOverlapDeterministic: the study is a pure function of the cost
 // model — two runs agree bit for bit.
 func TestFigOverlapDeterministic(t *testing.T) {
-	cfg := Config{Overlap: true}
+	cfg := Config{}
 	cfg.Defaults()
 	r1 := FigOverlap(cfg)
 	r2 := FigOverlap(cfg)

@@ -210,6 +210,54 @@ func (m CostModel) deviceTime(w Work) float64 {
 	return t + m.KernelLaunch
 }
 
+// HostCores is the core count of the modeled host: the paper's testbed
+// has two 8-core Sandy Bridge sockets. HostGflops and HostMemBW are
+// aggregate figures over these cores.
+const HostCores = 16
+
+// serialBWShare is the fraction of the aggregate two-socket memory
+// bandwidth a single core can sustain (typical STREAM scaling: one core
+// saturates roughly a quarter of the socket-pair bandwidth).
+const serialBWShare = 0.25
+
+// dispatchSeconds is the modeled cost of one host scheduling event
+// (goroutine spawn + channel synchronization), ~1 microsecond.
+const dispatchSeconds = 1e-6
+
+// HostKernel is the cost shape of one host-kernel invocation: the
+// structural facts HostKernelTime charges, independent of the machine
+// the program happens to run on.
+type HostKernel struct {
+	Flops float64 // floating-point operations
+	Bytes float64 // memory traffic (reads+writes)
+	// Parallelism is the number of concurrent workers the kernel schedule
+	// uses: 1 for the serial one-pass kernels, the panel count for the
+	// batched tall-skinny kernels. Values above HostCores are capped
+	// there; zero means serial.
+	Parallelism int
+	// Dispatches is the number of scheduling events per invocation
+	// (spawns, launches, reduction joins), each charged a fixed overhead
+	// — what makes many tiny launches expensive before any data moves.
+	// At least one is charged.
+	Dispatches int
+}
+
+// HostKernelTime returns the modeled seconds of one invocation of k on
+// HostCores host cores: the larger of the compute-bound and memory-bound
+// estimates at k's parallelism, plus the dispatch overhead.
+func (m CostModel) HostKernelTime(k HostKernel) float64 {
+	p := min(max(k.Parallelism, 1), HostCores)
+	// Compute rate scales linearly with the engaged cores.
+	sec := k.Flops / (m.HostGflops * 1e9 * float64(p) / HostCores)
+	// Bandwidth saturates once enough cores issue streams: one core
+	// sustains serialBWShare of the aggregate, p cores min(1, p*share).
+	share := min(float64(p)*serialBWShare, 1)
+	if mt := k.Bytes / (m.HostMemBW * share); mt > sec {
+		sec = mt
+	}
+	return sec + float64(max(k.Dispatches, 1))*dispatchSeconds
+}
+
 // commRound charges one host round in direction dir as a stream operation:
 // bytes[d] is device d's share (fewer entries than devices: the rest send
 // nothing), already at the wire size of width elem, which tags the volume

@@ -93,18 +93,3 @@ func dirLabel(kind string) string {
 	}
 	return "h2d"
 }
-
-// ObserveKernel implements the measure package's Observer interface
-// without importing it: instrumented benchmark timers report every host
-// kernel sample here, feeding a per-kernel duration histogram and a
-// modeled/measured sample counter.
-func (r *Registry) ObserveKernel(name string, seconds float64, modeled bool) {
-	mode := "measured"
-	if modeled {
-		mode = "modeled"
-	}
-	r.HistogramL("host_kernel_seconds", "Host benchmark kernel durations.",
-		durationBuckets, L("kernel", name)).Observe(seconds)
-	r.CounterL("host_kernel_samples_total", "Host benchmark kernel samples, by clock source.",
-		L("kernel", name, "mode", mode)).Inc()
-}

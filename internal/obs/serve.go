@@ -72,8 +72,8 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 //	/metrics       Prometheus text format
 //	/metrics.json  the same registry as JSON
 //	/trace.json    Chrome trace_event export of traces() (404 when nil)
-//	/debug/pprof/  the standard Go profiling endpoints, so -measured
-//	               wall-clock runs can be profiled while they execute
+//	/debug/pprof/  the standard Go profiling endpoints, so a running
+//	               process can be profiled while it executes
 //
 // traces is called per request, so a long-running process serves its
 // current state. Error paths return an ErrorBody.

@@ -93,19 +93,6 @@ func TestObserveTrace(t *testing.T) {
 	}
 }
 
-func TestObserveKernel(t *testing.T) {
-	r := NewRegistry()
-	r.ObserveKernel("tsqr", 1.5e-3, true)
-	r.ObserveKernel("tsqr", 2.5e-3, true)
-	r.ObserveKernel("spmv", 1e-4, false)
-	if n := r.HistogramL("host_kernel_seconds", "", nil, L("kernel", "tsqr")).Count(); n != 2 {
-		t.Fatalf("tsqr samples = %d", n)
-	}
-	if v := r.CounterL("host_kernel_samples_total", "", L("kernel", "spmv", "mode", "measured")).Value(); v != 1 {
-		t.Fatalf("measured counter = %v", v)
-	}
-}
-
 func TestHandlerEndpoints(t *testing.T) {
 	ctx := ledgerWorkload(t)
 	r := NewRegistry()

@@ -57,6 +57,8 @@ cagmresd -addr 127.0.0.1:0 -devices 0
 loadgen -mode virtual -clients 0
 loadgen -mode virtual -pool 0
 cagmres-router -addr 127.0.0.1:0 -local 1 -devices 0
+experiments -devices 0
+experiments -scale -1
 EOF
 [ "$bad" -eq 0 ] || exit 1
 echo "cli-check: ok"
