@@ -29,11 +29,12 @@
 # validates the request-tracing/SLO surface: traceparent round trip,
 # span-stream lint, stitched Chrome trace, /slo report, and the
 # slo_*/trace_* families.
-# `make cluster-smoke` federates 3 in-process nodes behind
+# `make cluster-smoke` federates 3 cagmresd processes behind
 # cagmres-router, kills one mid-run, and requires re-routing, health
-# degrade/recover, and a graceful drain.
+# degrade/recover, and a graceful drain of every process.
 # `make overload-smoke` arms the full containment stack (retry budget,
-# breakers, deadline propagation, brownout) on a 2-node federation,
+# breakers, deadline propagation, brownout) on 2 cagmresd processes
+# behind the router,
 # and checks every structured-rejection path end-to-end (the
 # deterministic retry-storm study is a test of internal/bench).
 # `make precision-smoke` boots
@@ -149,7 +150,7 @@ chaos-smoke:
 trace-smoke:
 	GO="$(GO)" sh scripts/trace_smoke.sh
 
-# Cluster smoke test: router + 3 in-process backends, cluster loadgen,
+# Cluster smoke test: router + 3 cagmresd processes, cluster loadgen,
 # kill a node mid-run (healthz degrades, solves re-route to survivors),
 # revive (healthz recovers), graceful drain.
 cluster-smoke:

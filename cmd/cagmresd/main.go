@@ -80,11 +80,18 @@ func run() error {
 	flag.IntVar(&node.TraceEvents, "trace-events", 1<<14, "per-context event-trace ring capacity feeding /jobs/{id}/trace.json device lanes (0 disables)")
 	flag.Parse()
 
-	if node.PoolSize < 1 {
-		return fmt.Errorf("-pool %d: need at least 1", node.PoolSize)
-	}
-	if node.Devices < 1 {
-		return fmt.Errorf("-devices %d: need at least 1", node.Devices)
+	// The library reads a zero count as its default and breaks on a
+	// negative one, so what the command line says is checked here.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"pool", node.PoolSize}, {"devices", node.Devices},
+		{"queue", sc.QueueDepth}, {"batch", sc.MaxBatch}, {"retain", sc.RetainJobs},
+	} {
+		if c.v < 1 {
+			return fmt.Errorf("-%s %d: need at least 1", c.name, c.v)
+		}
 	}
 	var err error
 	if node.Profile, err = profile.FromFlags(*profName, *topoName); err != nil {

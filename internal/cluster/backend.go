@@ -3,11 +3,10 @@
 // rendezvous hashing, overloaded or dead backends are skipped with
 // bounded forwarding hops, traceparent headers propagate end to end,
 // and the per-backend health/SLO surfaces aggregate into cluster-level
-// views. Backends are either in-process (a server.Server handler —
-// what the tier-1 tests and the router's -local mode use) or remote
-// HTTP daemons; the router speaks to both through the same client
-// path, so every routing decision is exercised identically in tests
-// and in production.
+// views. Backends are remote HTTP daemons; the tests also federate
+// in-process server.Server handlers, which the router reaches through
+// the same client path, so every routing decision is exercised
+// identically in tests and in production.
 package cluster
 
 import (
@@ -48,17 +47,6 @@ func NewHTTPBackend(name, baseURL string) (*Backend, error) {
 		base:   strings.TrimRight(u.String(), "/"),
 		client: &http.Client{},
 	}, nil
-}
-
-// NewLocalBackend wires an in-process backend: requests dispatch
-// straight into the handler (normally a server.Server) with no network
-// in between. The routing, error mapping and header propagation paths
-// are byte-identical to the HTTP case.
-func NewLocalBackend(name string, h http.Handler) *Backend {
-	return &Backend{
-		name:   strings.TrimSpace(name),
-		client: &http.Client{Transport: handlerTransport{h: h}},
-	}
 }
 
 // Name returns the backend's shard identity.
@@ -126,52 +114,4 @@ func (b *Backend) fetch(ctx context.Context, method, path, rawQuery string, head
 		return 0, nil, nil, fmt.Errorf("backend %s: %w", b.name, err)
 	}
 	return resp.StatusCode, resp.Header, respBody, nil
-}
-
-// handlerTransport adapts an http.Handler into a RoundTripper so an
-// in-process backend is addressed exactly like a remote one.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := &memResponse{header: make(http.Header), code: http.StatusOK}
-	t.h.ServeHTTP(rec, req)
-	if err := req.Context().Err(); err != nil && !rec.wrote {
-		// The handler gave up on a canceled request without answering: the
-		// caller sees the cancellation, as over HTTP, not an empty 200.
-		return nil, err
-	}
-	return &http.Response{
-		Status:        http.StatusText(rec.code),
-		StatusCode:    rec.code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        rec.header,
-		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		ContentLength: int64(rec.body.Len()),
-		Request:       req,
-	}, nil
-}
-
-// memResponse is the minimal in-memory http.ResponseWriter behind
-// handlerTransport.
-type memResponse struct {
-	header http.Header
-	body   bytes.Buffer
-	code   int
-	wrote  bool
-}
-
-func (m *memResponse) Header() http.Header { return m.header }
-
-func (m *memResponse) WriteHeader(code int) {
-	if !m.wrote {
-		m.code = code
-		m.wrote = true
-	}
-}
-
-func (m *memResponse) Write(p []byte) (int, error) {
-	m.wrote = true
-	return m.body.Write(p)
 }

@@ -9,12 +9,10 @@ import (
 	"cagmres/internal/server"
 )
 
-// LocalNodeConfig configures one in-process backend: a full cagmresd
-// stack (device pool, scheduler, HTTP surface) in the calling process.
-// cagmresd is one such node; the tier-1 tests, the benchmark's serving
-// workload and the router daemon's -local mode build theirs the same
-// way, so a simulated federation is one process with deterministic
-// scheduling.
+// LocalNodeConfig configures one node: a full cagmresd stack (device
+// pool, scheduler, HTTP surface) in the calling process. cagmresd binds
+// its flags into one; the tests and the benchmark's serving workload
+// build theirs the same way.
 type LocalNodeConfig struct {
 	// Name is the backend's shard identity (must be unique in a router).
 	Name string
@@ -79,9 +77,6 @@ func NewLocalNode(cfg LocalNodeConfig) *LocalNode {
 		Registry: reg,
 	}
 }
-
-// Backend wraps the node as a router backend.
-func (n *LocalNode) Backend() *Backend { return NewLocalBackend(n.Name, n.Server) }
 
 // Drain stops the node's scheduler gracefully.
 func (n *LocalNode) Drain(ctx context.Context) error { return n.Sched.Drain(ctx) }

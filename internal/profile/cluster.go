@@ -8,7 +8,7 @@ import (
 	"cagmres/internal/gpu"
 )
 
-// This file ships the inter-node fabric catalog and the helpers that arm
+// This file ships the inter-node fabric catalog and WithCluster, which arms
 // the cluster tier on a profile. A fabric is one node uplink's α/β into
 // the cluster network; constants are sustained figures for the usual
 // datacenter interconnect generations, calibrated to published MPI
@@ -28,12 +28,12 @@ var fabrics = map[string]gpu.Fabric{
 	"ethernet-25g": {Kind: gpu.FabricEthernet25G, Latency: 30e-6, Bandwidth: 3e9},
 }
 
-// DefaultFabricName is the fabric the flag and spec layers assume when a
+// defaultFabricName is the fabric a profile spec assumes when a
 // cluster is armed without naming one.
-const DefaultFabricName = "ib-hdr"
+const defaultFabricName = "ib-hdr"
 
-// FabricNames returns the shipped fabric names, sorted.
-func FabricNames() []string {
+// fabricNames returns the shipped fabric names, sorted.
+func fabricNames() []string {
 	names := make([]string, 0, len(fabrics))
 	for n := range fabrics {
 		names = append(names, n)
@@ -47,7 +47,7 @@ func FabricNames() []string {
 func FabricByName(name string) (gpu.Fabric, error) {
 	f, ok := fabrics[strings.ToLower(strings.TrimSpace(name))]
 	if !ok {
-		return gpu.Fabric{}, fmt.Errorf("profile: unknown fabric %q (have %s)", name, strings.Join(FabricNames(), ", "))
+		return gpu.Fabric{}, fmt.Errorf("profile: unknown fabric %q (have %s)", name, strings.Join(fabricNames(), ", "))
 	}
 	return f, nil
 }
@@ -74,26 +74,4 @@ func WithCluster(p gpu.Profile, devicesPerNode int, fab gpu.Fabric) (gpu.Profile
 		p.BF16Transfer = false
 	}
 	return p, nil
-}
-
-// ClusterFromFlags applies the -devices-per-node/-fabric flag pair to an
-// already-resolved profile selection (the result of FromFlags). Both zero
-// keeps the selection unchanged. Arming a fabric requires a node size; an
-// unnamed fabric defaults to ib-hdr.
-func ClusterFromFlags(base gpu.Profile, devicesPerNode int, fabric string) (gpu.Profile, error) {
-	if devicesPerNode == 0 && fabric == "" {
-		return base, nil
-	}
-	if devicesPerNode < 1 {
-		return gpu.Profile{}, fmt.Errorf("profile: -fabric needs -devices-per-node >= 1, got %d", devicesPerNode)
-	}
-	fab := fabrics[DefaultFabricName]
-	if fabric != "" {
-		f, err := FabricByName(fabric)
-		if err != nil {
-			return gpu.Profile{}, err
-		}
-		fab = f
-	}
-	return WithCluster(base, devicesPerNode, fab)
 }

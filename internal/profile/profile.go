@@ -255,7 +255,7 @@ func (s Spec) Resolve() (gpu.Profile, error) {
 		if s.DevicesPerNode < 1 {
 			return gpu.Profile{}, fmt.Errorf("profile: fabric settings need devices_per_node >= 1, got %d", s.DevicesPerNode)
 		}
-		fab := fabrics[DefaultFabricName]
+		fab := fabrics[defaultFabricName]
 		if s.Fabric != "" {
 			f, err := FabricByName(s.Fabric)
 			if err != nil {

@@ -35,7 +35,7 @@ func TestConformanceCounterfactuals(t *testing.T) {
 // every shipped fabric over a peer-routed node and over the paper's
 // host-hub node.
 func TestConformanceCluster(t *testing.T) {
-	for _, fabric := range FabricNames() {
+	for _, fabric := range fabricNames() {
 		fab, err := FabricByName(fabric)
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +51,7 @@ func TestConformanceCluster(t *testing.T) {
 }
 
 func TestFabricByName(t *testing.T) {
-	for _, name := range FabricNames() {
+	for _, name := range fabricNames() {
 		f, err := FabricByName(name)
 		if err != nil {
 			t.Fatalf("FabricByName(%s): %v", name, err)
@@ -68,32 +68,6 @@ func TestFabricByName(t *testing.T) {
 	}
 	if _, err := FabricByName("myrinet"); err == nil {
 		t.Error("FabricByName(myrinet) should fail")
-	}
-}
-
-func TestClusterFromFlags(t *testing.T) {
-	if p, err := ClusterFromFlags(A100PCIe(), 0, ""); err != nil || p != A100PCIe() {
-		t.Fatalf("no cluster flags: want the base unchanged, got %+v, %v", p, err)
-	}
-	p, err := ClusterFromFlags(gpu.M2090(), 2, "")
-	if err != nil || !p.Clustered() || p.Cluster.Fabric.Kind != gpu.FabricIBHDR {
-		t.Fatalf("default fabric: got %+v, %v", p, err)
-	}
-	p, err = ClusterFromFlags(A100PCIe(), 4, "Ethernet-25G")
-	if err != nil || p.Cluster.DevicesPerNode != 4 || p.Cluster.Fabric.Kind != gpu.FabricEthernet25G {
-		t.Fatalf("named fabric: got %+v, %v", p, err)
-	}
-	if !strings.Contains(p.Name, "a100-pcie") || !strings.Contains(p.Name, "ethernet-25g") {
-		t.Errorf("clustered profile name %q should carry base and fabric", p.Name)
-	}
-	if _, err := ClusterFromFlags(gpu.M2090(), 0, "ib-hdr"); err == nil {
-		t.Error("fabric without node size accepted")
-	}
-	if _, err := ClusterFromFlags(gpu.M2090(), 2, "myrinet"); err == nil {
-		t.Error("unknown fabric accepted")
-	}
-	if _, err := ClusterFromFlags(gpu.M2090(), -1, "ib-hdr"); err == nil {
-		t.Error("negative node size accepted")
 	}
 }
 

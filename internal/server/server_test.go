@@ -493,9 +493,10 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestProfileOverHTTP drives the per-request machine-profile selection
-// end to end: a profiled solve returns the same iterate as the pool's
-// default machine (profiles reorder time, never arithmetic) with a
-// different modeled cost, a bad profile is a 400, the pool's default is
+// end to end: a profiled solve — a faster machine, or the two-tier
+// interconnect over a slow fabric — returns the same iterate as the
+// pool's default machine (profiles reorder time, never arithmetic) with
+// a lower or higher modeled cost, a bad profile is a 400, the pool's default is
 // restored for the next lease, and /healthz names the configured
 // machine.
 func TestProfileOverHTTP(t *testing.T) {
@@ -508,29 +509,38 @@ func TestProfileOverHTTP(t *testing.T) {
 		t.Fatalf("default solve: status %d, job %+v", code, def)
 	}
 
-	prof := base
-	prof.Profile = json.RawMessage(`{"base": "h100-nvlink"}`)
-	code, fast, _ := h.post(t, prof)
-	if code != http.StatusOK || !fast.Converged {
-		t.Fatalf("profiled solve: status %d, job %+v", code, fast)
-	}
-	if len(fast.X) != len(def.X) {
-		t.Fatalf("iterate lengths diverged: %d vs %d", len(fast.X), len(def.X))
-	}
-	for i := range def.X {
-		if def.X[i] != fast.X[i] {
-			t.Fatalf("x[%d] diverged across profiles: %x vs %x", i, def.X[i], fast.X[i])
+	for _, c := range []struct {
+		spec, want string
+	}{
+		{`{"base": "h100-nvlink"}`, "faster"},
+		// The two-tier interconnect: each device its own node, joined by
+		// 25G Ethernet.
+		{`{"devices_per_node":1,"fabric":"ethernet-25g"}`, "slower"},
+	} {
+		prof := base
+		prof.Profile = json.RawMessage(c.spec)
+		code, got, _ := h.post(t, prof)
+		if code != http.StatusOK || !got.Converged {
+			t.Fatalf("%s solve: status %d, job %+v", c.spec, code, got)
 		}
-	}
-	if fast.ModeledSeconds >= def.ModeledSeconds {
-		t.Fatalf("h100-nvlink not faster than m2090: %g vs %g", fast.ModeledSeconds, def.ModeledSeconds)
-	}
+		if len(got.X) != len(def.X) {
+			t.Fatalf("%s: iterate lengths diverged: %d vs %d", c.spec, len(got.X), len(def.X))
+		}
+		for i := range def.X {
+			if def.X[i] != got.X[i] {
+				t.Fatalf("%s: x[%d] diverged across profiles: %x vs %x", c.spec, i, def.X[i], got.X[i])
+			}
+		}
+		if faster := got.ModeledSeconds < def.ModeledSeconds; faster != (c.want == "faster") {
+			t.Fatalf("%s not %s than m2090: %g vs %g", c.spec, c.want, got.ModeledSeconds, def.ModeledSeconds)
+		}
 
-	// The per-request profile must not leak into the next lease.
-	code, again, _ := h.post(t, base)
-	if code != http.StatusOK || again.ModeledSeconds != def.ModeledSeconds {
-		t.Fatalf("default profile not restored: status %d, modeled %g want %g",
-			code, again.ModeledSeconds, def.ModeledSeconds)
+		// The per-request profile must not leak into the next lease.
+		code, again, _ := h.post(t, base)
+		if code != http.StatusOK || again.ModeledSeconds != def.ModeledSeconds {
+			t.Fatalf("after %s: default profile not restored: status %d, modeled %g want %g",
+				c.spec, code, again.ModeledSeconds, def.ModeledSeconds)
+		}
 	}
 
 	bad := base

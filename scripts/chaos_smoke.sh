@@ -13,7 +13,9 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-chaos-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom"
+rm -f "$DIR/metrics.prom"
+TAG=chaos-smoke
+. "$(dirname "$0")/lib.sh"
 
 "$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
@@ -22,23 +24,9 @@ rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom"
 FAULT_FAMILIES=sched_faults_injected_total,sched_transfer_retries_total,sched_context_evictions_total,sched_context_readmissions_total,sched_job_requeues_total,sched_repartitions_total,sched_checkpoint_restores_total,sched_lease_timeouts_total
 
 # The daemon with chaos armed must keep serving and drain clean.
-"$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 3 -portfile "$DIR/cagmresd.port" \
-    -chaos-seed 7 -chaos-kill 0:1@0.001 -chaos-xfer 0.02 -repair \
-    > "$DIR/cagmresd.log" 2>&1 &
-DPID=$!
-trap 'kill "$DPID" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -s "$DIR/cagmresd.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "chaos-smoke: daemon never wrote its port file" >&2
-        cat "$DIR/cagmresd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-echo "chaos-smoke: cagmresd (chaos armed) on $(cat "$DIR/cagmresd.port")"
+start cagmresd "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 3 \
+    -chaos-seed 7 -chaos-kill 0:1@0.001 -chaos-xfer 0.02 -repair
+echo "chaos-smoke: cagmresd (chaos armed) on $ADDR"
 
 "$DIR/loadgen" -mode live -portfile "$DIR/cagmresd.port" \
     -clients 4 -requests 3 -matrix laplace3d -scale 1e-4 -m 20 -s 5 \
@@ -46,18 +34,7 @@ echo "chaos-smoke: cagmresd (chaos armed) on $(cat "$DIR/cagmresd.port")"
 
 "$DIR/obslint" -prom "$DIR/metrics.prom" -require "$FAULT_FAMILIES"
 
-kill -TERM "$DPID"
-wait "$DPID" || {
-    echo "chaos-smoke: daemon exited non-zero after SIGTERM" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
-trap - EXIT
-grep -q "drained" "$DIR/cagmresd.log" || {
-    echo "chaos-smoke: daemon log missing drain confirmation" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
+stop cagmresd
 grep -q "chaos armed" "$DIR/cagmresd.log" || {
     echo "chaos-smoke: daemon log missing chaos-armed banner" >&2
     cat "$DIR/cagmresd.log" >&2

@@ -54,9 +54,14 @@ cagmres -devices 0
 matinfo -devices 0
 cagmresd -addr 127.0.0.1:0 -pool 0
 cagmresd -addr 127.0.0.1:0 -devices 0
+cagmresd -addr 127.0.0.1:0 -queue -1
+cagmresd -addr 127.0.0.1:0 -batch 0
+cagmresd -addr 127.0.0.1:0 -retain -1
 loadgen -mode virtual -clients 0
 loadgen -mode virtual -pool 0
-cagmres-router -addr 127.0.0.1:0 -local 1 -devices 0
+cagmres-router -addr 127.0.0.1:0
+cagmres-router -addr 127.0.0.1:0 -backends a=http://127.0.0.1:1,a=http://127.0.0.1:2
+cagmres-router -addr 127.0.0.1:0 -backends http://127.0.0.1:1 -max-hops 0
 experiments -devices 0
 experiments -scale -1
 EOF

@@ -1,11 +1,11 @@
 #!/bin/sh
 # cluster_smoke.sh — end-to-end smoke test of the cluster tier:
-# start cagmres-router with 3 in-process backends, drive it with the
-# load generator's cluster mode (shard spread + aggregated healthz),
+# start 3 cagmresd daemons behind cagmres-router -backends, drive it
+# with the load generator's cluster mode (shard spread + aggregated healthz),
 # kill one node mid-run via the admin surface and check the cluster
 # health degrades while a solve pinned to the dead node's shard still
 # completes on a survivor, revive the node and check health recovers,
-# then shut the router down gracefully with SIGTERM.
+# then shut the router and every daemon down gracefully with SIGTERM.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]   (default: $TMPDIR/cagmres-cluster-smoke)
 set -eu
@@ -13,28 +13,21 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-cluster-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/router.port" "$DIR/router.log"
+TAG=cluster-smoke
+. "$(dirname "$0")/lib.sh"
 
+"$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/cagmres-router" ./cmd/cagmres-router
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
 
-"$DIR/cagmres-router" -addr 127.0.0.1:0 -local 3 -devices 2 \
-    -portfile "$DIR/router.port" > "$DIR/router.log" 2>&1 &
-RPID=$!
-trap 'kill "$RPID" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -s "$DIR/router.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "cluster-smoke: router never wrote its port file" >&2
-        cat "$DIR/router.log" >&2
-        exit 1
-    fi
-    sleep 0.1
+NODES="node0 node1 node2"
+BACKENDS=
+for n in $NODES; do
+    start "$n" "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 1 -devices 2
+    BACKENDS="${BACKENDS:+$BACKENDS,}$n=http://$ADDR"
 done
-ADDR="$(cat "$DIR/router.port")"
-echo "cluster-smoke: cagmres-router on $ADDR"
+start router "$DIR/cagmres-router" -addr 127.0.0.1:0 -backends "$BACKENDS"
+echo "cluster-smoke: cagmres-router on $ADDR over $BACKENDS"
 
 get()  { curl -fsS "http://$ADDR$1"; }
 post() { curl -fsS -X POST ${2:+-d "$2"} "http://$ADDR$1"; }
@@ -96,17 +89,6 @@ echo "$HEALTH" | grep -q '"degraded":false' || {
 }
 echo "cluster-smoke: $OWNER revived, cluster healthy"
 
-# Graceful drain: SIGTERM must produce a zero exit.
-kill -TERM "$RPID"
-wait "$RPID" || {
-    echo "cluster-smoke: router exited non-zero after SIGTERM" >&2
-    cat "$DIR/router.log" >&2
-    exit 1
-}
-trap - EXIT
-grep -q "drained" "$DIR/router.log" || {
-    echo "cluster-smoke: router log missing drain confirmation" >&2
-    cat "$DIR/router.log" >&2
-    exit 1
-}
+# Graceful drain: SIGTERM must produce a zero exit, router first.
+stop router $NODES
 echo "cluster-smoke: ok (node death survived, graceful drain confirmed)"

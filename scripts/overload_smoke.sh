@@ -1,6 +1,6 @@
 #!/bin/sh
 # overload_smoke.sh — end-to-end smoke test of the overload-containment
-# tier: start cagmres-router with 2 in-process nodes and the full
+# tier: start 2 cagmresd daemons behind cagmres-router with the full
 # containment stack armed (retry budget, circuit breakers, deadline
 # propagation, SLO-driven brownout with an impossible latency target,
 # deadline-infeasibility gate), then
@@ -13,7 +13,7 @@
 #      is rejected up front with the structured deadline_infeasible code,
 #   4. check the router exports the resilience families and healthz
 #      resilience block,
-# and finally shut the router down gracefully with SIGTERM.
+# and finally shut the router and both daemons down gracefully with SIGTERM.
 #
 # Usage: scripts/overload_smoke.sh [workdir]   (default: $TMPDIR/cagmres-overload-smoke)
 set -eu
@@ -21,33 +21,26 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-overload-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/router.port" "$DIR/router.log"
+TAG=overload-smoke
+. "$(dirname "$0")/lib.sh"
 
+"$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/cagmres-router" ./cmd/cagmres-router
 
 # An SLO no solve can meet (0.1 ms latency target) plus a one-rung
 # brownout ladder: the first completed solve trips fast burn on its
 # node, which then sheds priority < 1. The deadline margin of 1 arms
 # the infeasibility gate against the rolling service estimate.
-"$DIR/cagmres-router" -addr 127.0.0.1:0 -local 2 -devices 2 \
-    -retry-budget 0.1 -retry-burst 5 -breaker-threshold 3 -breaker-cooldown 2 \
-    -slo-target 'burn:*:0.0001:0.9' -brownout 1 -deadline-margin 1 \
-    -portfile "$DIR/router.port" > "$DIR/router.log" 2>&1 &
-RPID=$!
-trap 'kill "$RPID" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -s "$DIR/router.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "overload-smoke: router never wrote its port file" >&2
-        cat "$DIR/router.log" >&2
-        exit 1
-    fi
-    sleep 0.1
+NODES="node0 node1"
+BACKENDS=
+for n in $NODES; do
+    start "$n" "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 1 -devices 2 \
+        -slo-target 'burn:*:0.0001:0.9' -brownout 1 -deadline-margin 1
+    BACKENDS="${BACKENDS:+$BACKENDS,}$n=http://$ADDR"
 done
-ADDR="$(cat "$DIR/router.port")"
-echo "overload-smoke: cagmres-router on $ADDR"
+start router "$DIR/cagmres-router" -addr 127.0.0.1:0 -backends "$BACKENDS" \
+    -retry-budget 0.1 -retry-burst 5 -breaker-threshold 3 -breaker-cooldown 2
+echo "overload-smoke: cagmres-router on $ADDR over $BACKENDS"
 
 get() { curl -fsS "http://$ADDR$1"; }
 # solve POSTs a body with a Solve-Control header; -w '\n%{http_code}'
@@ -128,17 +121,6 @@ echo "$HEALTH" | grep -q '"resilience"' || {
 }
 echo "overload-smoke: resilience families and healthz block present"
 
-# Graceful drain: SIGTERM must produce a zero exit.
-kill -TERM "$RPID"
-wait "$RPID" || {
-    echo "overload-smoke: router exited non-zero after SIGTERM" >&2
-    cat "$DIR/router.log" >&2
-    exit 1
-}
-trap - EXIT
-grep -q "drained" "$DIR/router.log" || {
-    echo "overload-smoke: router log missing drain confirmation" >&2
-    cat "$DIR/router.log" >&2
-    exit 1
-}
+# Graceful drain: SIGTERM must produce a zero exit, router first.
+stop router $NODES
 echo "overload-smoke: ok (deadline propagation, brownout shed, infeasible reject)"

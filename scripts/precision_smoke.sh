@@ -13,7 +13,9 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-precision-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom"
+rm -f "$DIR/metrics.prom"
+TAG=precision-smoke
+. "$(dirname "$0")/lib.sh"
 
 "$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
@@ -21,24 +23,8 @@ rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom"
 
 # a100-pcie puts the pooled devices behind a PCIe switch with
 # bfloat16-capable transfer engines, so mixed solves compress halos.
-"$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2 \
-    -profile a100-pcie -precision mixed -portfile "$DIR/cagmresd.port" \
-    > "$DIR/cagmresd.log" 2>&1 &
-DPID=$!
-trap 'kill "$DPID" 2>/dev/null || true' EXIT
-
-# Wait for the daemon to publish its bound address.
-i=0
-while [ ! -s "$DIR/cagmresd.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "precision-smoke: daemon never wrote its port file" >&2
-        cat "$DIR/cagmresd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR="$(cat "$DIR/cagmresd.port")"
+start cagmresd "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2 \
+    -profile a100-pcie -precision mixed
 echo "precision-smoke: cagmresd on $ADDR (default precision: mixed)"
 
 get()  { curl -fsS "http://$ADDR$1"; }
@@ -101,16 +87,5 @@ get /metrics > "$DIR/metrics.prom"
     solver_precision_jobs_total,solver_precision_windows_total,solver_precision_compressed_transfers_total
 
 # Graceful drain: SIGTERM must produce a zero exit.
-kill -TERM "$DPID"
-wait "$DPID" || {
-    echo "precision-smoke: daemon exited non-zero after SIGTERM" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
-trap - EXIT
-grep -q "drained" "$DIR/cagmresd.log" || {
-    echo "precision-smoke: daemon log missing drain confirmation" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
+stop cagmresd
 echo "precision-smoke: ok (default inherited, override honored, replay bit-identical)"

@@ -11,29 +11,16 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-serve-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom"
+rm -f "$DIR/metrics.prom"
+TAG=serve-smoke
+. "$(dirname "$0")/lib.sh"
 
 "$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
 "$GO" build -o "$DIR/obslint" ./cmd/obslint
 
-"$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2 -portfile "$DIR/cagmresd.port" \
-    > "$DIR/cagmresd.log" 2>&1 &
-DPID=$!
-trap 'kill "$DPID" 2>/dev/null || true' EXIT
-
-# Wait for the daemon to publish its bound address.
-i=0
-while [ ! -s "$DIR/cagmresd.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: daemon never wrote its port file" >&2
-        cat "$DIR/cagmresd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-echo "serve-smoke: cagmresd on $(cat "$DIR/cagmresd.port")"
+start cagmresd "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2
+echo "serve-smoke: cagmresd on $ADDR"
 
 # Closed-loop load: 4 concurrent clients, matching the issue's
 # "at least 4 concurrent solves" bar, plus a /metrics snapshot.
@@ -47,16 +34,5 @@ echo "serve-smoke: cagmresd on $(cat "$DIR/cagmresd.port")"
     host_kernels_info,sched_queue_depth,sched_pool_in_use,sched_pool_size,sched_pool_workspace_bytes,sched_queue_wait_seconds,sched_service_seconds,sched_batch_jobs,sched_rejections_total,sched_leases_total,sched_lease_seconds_total,sched_jobs_total,sched_prepared_problems_total
 
 # Graceful drain: SIGTERM must produce a zero exit.
-kill -TERM "$DPID"
-wait "$DPID" || {
-    echo "serve-smoke: daemon exited non-zero after SIGTERM" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
-trap - EXIT
-grep -q "drained" "$DIR/cagmresd.log" || {
-    echo "serve-smoke: daemon log missing drain confirmation" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
+stop cagmresd
 echo "serve-smoke: ok (graceful drain confirmed)"

@@ -15,8 +15,9 @@ set -eu
 GO="${GO:-go}"
 DIR="${1:-${TMPDIR:-/tmp}/cagmres-trace-smoke}"
 mkdir -p "$DIR"
-rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom" \
-    "$DIR/job.trace.json" "$DIR/job.spans.jsonl" "$DIR/slo.json"
+rm -f "$DIR/metrics.prom" "$DIR/job.trace.json" "$DIR/job.spans.jsonl" "$DIR/slo.json"
+TAG=trace-smoke
+. "$(dirname "$0")/lib.sh"
 
 "$GO" build -o "$DIR/cagmresd" ./cmd/cagmresd
 "$GO" build -o "$DIR/loadgen" ./cmd/loadgen
@@ -25,22 +26,8 @@ rm -f "$DIR/cagmresd.port" "$DIR/cagmresd.log" "$DIR/metrics.prom" \
 TRACEPARENT="00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 TRACEID="0af7651916cd43dd8448eb211c80319c"
 
-"$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2 -portfile "$DIR/cagmresd.port" \
-    > "$DIR/cagmresd.log" 2>&1 &
-DPID=$!
-trap 'kill "$DPID" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -s "$DIR/cagmresd.port" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "trace-smoke: daemon never wrote its port file" >&2
-        cat "$DIR/cagmresd.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-echo "trace-smoke: cagmresd on $(cat "$DIR/cagmresd.port")"
+start cagmresd "$DIR/cagmresd" -addr 127.0.0.1:0 -pool 2 -devices 2
+echo "trace-smoke: cagmresd on $ADDR"
 
 # Traced load: loadgen fails if any response drops the trace id, and
 # fetches the trace/span/SLO artifacts afterwards.
@@ -80,11 +67,5 @@ done
     slo_requests_total,slo_latency_seconds,slo_latency_target_seconds,slo_objective,slo_error_budget_remaining,slo_burn_rate,trace_requests_total,trace_spans_total
 
 # Graceful drain.
-kill -TERM "$DPID"
-wait "$DPID" || {
-    echo "trace-smoke: daemon exited non-zero after SIGTERM" >&2
-    cat "$DIR/cagmresd.log" >&2
-    exit 1
-}
-trap - EXIT
+stop cagmresd
 echo "trace-smoke: ok (trace id round-tripped, spans lint, SLO families present)"
