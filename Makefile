@@ -53,10 +53,12 @@
 # options. `make bench-kernels` times
 # the host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
 # GemmTN and Syrk; all but GemvT also as `/scalar` rows, the Go loop
-# beside the AVX2 body) and one MPK window at the two shapes the benchmark solves
-# (that they allocate nothing is a test: `make test`, so `make check`),
-# then prints B/op and allocs/op of one prepared CA-GMRES and one GMRES
-# solve at the same shapes — what a solve allocates beside the context's
+# beside the AVX2 body), one MPK window at the two shapes the benchmark
+# solves and one depth-1 distributed SpMV (the kernels allocate nothing;
+# what a window and an SpMV allocate, their two device forks, is pinned by
+# dist.TestMPKAllocations: `make test`, so `make check`), then prints B/op
+# and allocs/op of one prepared CA-GMRES and one GMRES solve at the same
+# shapes — what a solve allocates beside the context's
 # workspace.
 
 GO ?= go
@@ -121,6 +123,7 @@ race:
 # Regenerate the golden report-format files after an intentional change.
 golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
+	$(GO) test ./internal/dist/ -run MPKWindowGolden -update -count=1
 	$(GO) test ./internal/bench/ -run WriteCSV -update -count=1
 
 # End-to-end observability smoke test: solve a small generated problem
@@ -214,7 +217,7 @@ bench-compare:
 # and the device format's padding on the MPK rows; then whole prepared
 # solves, CA-GMRES(15,60) and GMRES(60), on a warm context.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow' -benchmem -cpu 1 \
+	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
 		./internal/sparse/ ./internal/la/ ./internal/dist/
 	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 

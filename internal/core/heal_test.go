@@ -1,10 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
@@ -277,4 +282,133 @@ func TestRitzValuesReturnsFaultAsError(t *testing.T) {
 			t.Fatalf("s=%d: faulted run returned %d Ritz values", s, len(ritz))
 		}
 	}
+}
+
+// midWindowCharge walks a fault-free trace and returns the third kernel
+// charge of the solve's middle MPK window — the second step's, or under
+// overlap the first step's split in two and then the second step's — as
+// the Seq of its first event, and the ledger-clock time halfway between
+// the starts of the second and third charges: a death armed there on the
+// serialized schedule fires on the third.
+func midWindowCharge(t *testing.T, events []gpu.Event) (seq int, at float64) {
+	t.Helper()
+	var windows [][]gpu.Event // per window: device 0's kernel events
+	var starts [][]float64
+	gpu.WalkSlices(events, func(e gpu.Event, at float64, _ int, _ string) {
+		if e.Phase != PhaseMPK {
+			return
+		}
+		switch {
+		case e.Kind != "kernel":
+			if len(windows) == 0 || len(windows[len(windows)-1]) > 0 {
+				windows, starts = append(windows, nil), append(starts, nil)
+			}
+		case e.Device == 0:
+			w := len(windows) - 1
+			windows[w], starts[w] = append(windows[w], e), append(starts[w], at)
+		}
+	})
+	if len(windows) < 3 {
+		t.Fatalf("fault-free trace has %d MPK windows", len(windows))
+	}
+	w := len(windows) / 2
+	return windows[w][2].Seq, (starts[w][1] + starts[w][2]) / 2
+}
+
+// TestDeviceLossMidMPKWindow kills device 1 on a step charge in the
+// middle of an MPK window rather than on its first step. The charge comes
+// from a fault-free trace; so does the death time without overlap, where
+// deaths fire on the ledger clock. Under overlap they fire on the stream
+// horizon, which the trace does not carry, so the time is bisected on
+// faulted runs until the death lands on that charge. When it fires, the
+// window's device fork has already computed every step's column; the
+// healed solve must not read them but resume from the restart
+// checkpoint. X, Iters, History and the fault report are pinned, and no
+// device goroutine outlives the solves.
+func TestDeviceLossMidMPKWindow(t *testing.T) {
+	a := laplace2D(20, 20, 0.3)
+	b := randomRHS(400, 10)
+	solve := func(overlap bool, plan *gpu.FaultPlan) *Result {
+		t.Helper()
+		ctx := gpu.NewContext(3, gpu.M2090())
+		ctx.Stats().EnableTrace(1 << 20)
+		if plan != nil {
+			ctx.InjectFaults(*plan)
+		}
+		p, err := NewProblem(ctx, a, b, Natural, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := chaosOpts()
+		opts.Overlap = overlap
+		res, err := CAGMRES(p, opts)
+		if err != nil || !res.Converged {
+			t.Fatalf("overlap=%v faults=%v: %v %+v", overlap, plan != nil, err, res)
+		}
+		return res
+	}
+	// death returns the healed solve of a death at the given time and the
+	// trace event that records the death (nil if it never fired).
+	death := func(overlap bool, at float64) (*Result, *gpu.Event) {
+		res := solve(overlap, &gpu.FaultPlan{Seed: 3, Deaths: []gpu.DeviceDeath{{Device: 1, At: at}}})
+		ev := res.Stats.Trace()
+		for i := range ev {
+			if ev[i].Kind == "fault-death" {
+				return res, &ev[i]
+			}
+		}
+		return res, nil
+	}
+	for _, c := range []struct {
+		overlap bool
+		x, hist uint64
+		iters   int
+	}{
+		{false, 0x3090c1a90f0548a8, 0xb69aa56c80ab3f51, 79},
+		{true, 0x3090c1a90f0548a8, 0xb69aa56c80ab3f51, 79},
+	} {
+		base := runtime.NumGoroutine()
+		clean := solve(c.overlap, nil)
+		target, at := midWindowCharge(t, clean.Stats.Trace())
+		lo, hi := 0.0, clean.Stats.TotalTime()
+		res, ev := death(c.overlap, at)
+		for i := 0; i < 64 && (ev == nil || ev.Seq != target); i++ {
+			if ev != nil && ev.Seq < target {
+				lo = at
+			} else {
+				hi = at
+			}
+			at = (lo + hi) / 2
+			res, ev = death(c.overlap, at)
+		}
+		if ev == nil || ev.Seq != target || ev.Phase != PhaseMPK {
+			t.Fatalf("overlap=%v: no death time lands on charge %d, last %+v", c.overlap, target, ev)
+		}
+		want := &FaultReport{DevicesLost: []int{1}, Repartitions: 1, CheckpointRestores: 1}
+		if !reflect.DeepEqual(res.Faults, want) {
+			t.Errorf("overlap=%v: fault report %+v, want %+v", c.overlap, res.Faults, want)
+		}
+		x, hist := hashFloats(res.X), hashFloats(res.History)
+		if x != c.x || hist != c.hist || res.Iters != c.iters {
+			t.Errorf("overlap=%v: healed solve x=%#x history=%#x iters=%d, want %#x %#x %d",
+				c.overlap, x, hist, res.Iters, c.x, c.hist, c.iters)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("overlap=%v: %d goroutines after the solves, %d before", c.overlap, n, base)
+		}
+	}
+}
+
+// hashFloats hashes the bits of xs.
+func hashFloats(xs []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }

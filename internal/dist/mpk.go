@@ -9,7 +9,15 @@ import (
 )
 
 // MPK is the matrix powers kernel over a distributed matrix: one halo
-// exchange, then s communication-free local SpMV steps per device.
+// exchange, then s communication-free local SpMV steps per device. A
+// window is two device forks: the first packs every device's send set
+// into the host staging vector, then the exchange is charged; the second
+// is one device program that picks up its halo and runs all s steps back
+// to back, so a device's extended matrix stays in cache across the
+// window. The steps' costs are recorded during that fork and charged
+// after it in step order — the s dependent launches the model times — so
+// when the host runs a device's work never changes what the ledger, the
+// stream timeline or a death check sees.
 type MPK struct {
 	M *Matrix
 	// storage is the element width of the basis vectors the powers
@@ -44,10 +52,13 @@ type MPK struct {
 	//	v_{k+1} = (A - Re(t) I) v_k
 	//	v_{k+2} = (A - Re(t) I) v_{k+1} + Im(t)^2 v_k
 	z [][3][]float64
-	// Per-device cost shapes and byte counts of the step being charged,
-	// reused by every step: the ledger copies what it keeps of them.
-	work, interior, boundary []gpu.Work
-	sendBytes, recvBytes     []int
+	// steps[i][d] is device d's cost shape of step i+1 of the window being
+	// generated (steps[0] also serves SpMV), filled by the device fork and
+	// charged after it; interior and boundary are the split first step.
+	// The ledger copies what it keeps of them.
+	steps                [][]gpu.Work
+	interior, boundary   []gpu.Work
+	sendBytes, recvBytes []int
 }
 
 // SetPrecision selects the storage width of generated basis columns and
@@ -97,10 +108,14 @@ func NewMPK(m *Matrix) *MPK { return NewMPKIn(&heap, m) }
 // kernel is valid until ws is released.
 func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
 	ng := len(m.Dev)
-	work, bytes := make([]gpu.Work, 3*ng), make([]int, 2*ng)
+	work, bytes := make([]gpu.Work, (m.S+2)*ng), make([]int, 2*ng)
 	k := &MPK{M: m, transferTraffic: m.PeerTraffic, z: make([][3][]float64, ng),
-		work: work[:ng:ng], interior: work[ng : 2*ng : 2*ng], boundary: work[2*ng:],
+		steps:    make([][]gpu.Work, m.S),
+		interior: work[:ng:ng], boundary: work[ng : 2*ng : 2*ng],
 		sendBytes: bytes[:ng:ng], recvBytes: bytes[ng:]}
+	for i := range k.steps {
+		k.steps[i] = work[(i+2)*ng : (i+3)*ng : (i+3)*ng]
+	}
 	for i := range k.w {
 		k.w[i] = ws.Floats(gpu.HostDevice, m.Layout.N)
 	}
@@ -133,53 +148,40 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 	validateShiftPairs(shifts)
 
 	// --- Setup: halo exchange of column j0 (Figure 4's setup phase). ---
-	halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic, false)
+	w, halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic, false)
 
-	// Under overlapped scheduling with more than one device, the first
-	// step is split into an interior launch (owned rows touching only
-	// owned columns — independent of the halo, so it runs concurrently
-	// with the exchange) and a boundary launch that waits for the halo.
-	// The split only changes how the step's cost is charged to the
-	// streams; the numerical kernel below is identical either way.
-	split := m.Ctx.OverlapEnabled() && len(m.Dev) > 1
-
-	// --- Matrix powers: s communication-free steps. ---
-	bhat := la.NewDense(steps+1, steps)
-	for step := 1; step <= steps; step++ {
-		t := steps - step // multiply rows with distance <= t
-		prev := (step - 1) % 3
-		cur := step % 3
-		prev2 := (step + 1) % 3 // == (step-2) mod 3
-
-		var reShift, imPrev float64
-		pairSecond := false
-		if shifts != nil {
-			sh := shifts[step-1]
-			reShift = real(sh)
-			if imag(sh) < 0 {
-				// second member of a conjugate pair: add Im^2 * v_{k-1}
-				pairSecond = true
-				imPrev = imag(sh)
-			}
-		}
-
-		work := k.work
-		m.Ctx.RunAll(func(d int) {
-			dm := m.Dev[d]
-			z := &k.z[d]
+	// --- Matrix powers: s communication-free steps, one device program. ---
+	m.Ctx.RunAll(func(d int) {
+		k.pickup(d, w, k.transfer, false)
+		dm := m.Dev[d]
+		z := &k.z[d]
+		vb := float64(k.storage.Bytes())
+		for step := 1; step <= steps; step++ {
+			t := steps - step // multiply rows with distance <= t
 			rows := dm.RowsAtDist[t]
-			zPrev, zCur := z[prev], z[cur]
+			zPrev, zCur := z[(step-1)%3], z[step%3]
 			dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
-			if reShift != 0 {
-				for i := 0; i < rows; i++ {
-					zCur[i] -= reShift * zPrev[i]
+			nnz := dm.NNZPrefix[t]
+			flops := 2 * float64(nnz)
+			bytes := float64(nnz)*(4+vb) + float64(rows)*2*vb
+			if shifts != nil {
+				sh := shifts[step-1]
+				if reShift := real(sh); reShift != 0 {
+					for i := 0; i < rows; i++ {
+						zCur[i] -= reShift * zPrev[i]
+					}
+					flops += 2 * float64(rows)
 				}
-			}
-			if pairSecond {
-				b2 := imPrev * imPrev
-				zP2 := z[prev2]
-				for i := 0; i < rows; i++ {
-					zCur[i] += b2 * zP2[i]
+				if imag(sh) < 0 {
+					// Second member of a conjugate pair: add Im^2 times
+					// the vector from two steps back.
+					b2 := imag(sh) * imag(sh)
+					zP2 := z[(step+1)%3]
+					for i := 0; i < rows; i++ {
+						zCur[i] += b2 * zP2[i]
+					}
+					flops += 2 * float64(rows)
+					bytes += float64(rows) * vb
 				}
 			}
 			// Narrow the step's output to the storage width before it is
@@ -188,26 +190,27 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 			// would hold.
 			roundElem(zCur[:rows], k.storage)
 			copy(v.Local[d].Col(j0+step), zCur[:dm.NOwn])
-			nnz := dm.NNZPrefix[t]
-			vb := float64(k.storage.Bytes())
-			flops := 2 * float64(nnz)
-			bytes := float64(nnz)*(4+vb) + float64(rows)*2*vb
-			if reShift != 0 {
-				flops += 2 * float64(rows)
-			}
-			if pairSecond {
-				flops += 2 * float64(rows)
-				bytes += float64(rows) * vb
-			}
-			work[d] = gpu.Work{Flops: flops, Bytes: bytes, Elem: k.storage}
-		})
-		if step == 1 && split {
+			k.steps[step-1][d] = gpu.Work{Flops: flops, Bytes: bytes, Elem: k.storage}
+		}
+	})
+
+	// Charge the steps in order. Under overlapped scheduling with more
+	// than one device, the first step is split into an interior launch
+	// (owned rows touching only owned columns — independent of the halo,
+	// so it runs concurrently with the exchange) and a boundary launch
+	// that waits for the halo; the split only changes the charge, not the
+	// kernel. Later steps read the previous step's output on the same
+	// compute stream; stream ordering is the dependency.
+	split := m.Ctx.OverlapEnabled() && len(m.Dev) > 1
+	bhat := la.NewDense(steps+1, steps)
+	for step := 1; step <= steps; step++ {
+		work := k.steps[step-1]
+		switch {
+		case step == 1 && split:
 			k.splitFirstStep(work, halo, phase, k.storage)
-		} else if step == 1 {
+		case step == 1:
 			m.Ctx.DeviceKernelOn(phase, work, halo)
-		} else {
-			// Later steps read the previous step's output on the same
-			// compute stream; stream ordering is the dependency.
+		default:
 			m.Ctx.DeviceKernelOn(phase, work)
 		}
 
@@ -256,19 +259,22 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 	m.Ctx.DeviceKernelOn(phase, boundary, halo)
 }
 
-// exchange fills every device's extended z[0] buffer with column j of v:
-// owned values locally, halo values through the exchange protocol the
-// context's topology dictates. depth1 restricts the exchange to the
-// distance-1 halo and its send set — all a plain SpMV reads. On a
-// host-hub machine the exchange is the paper's compress / expand /
-// scatter (one reduce round and one broadcast round on the ledger); on a
-// peer-to-peer topology the owners ship the halo values directly in one
-// routed round of the given traffic matrix (the host staging buffer still
-// carries the numerical values — it stands in for the peer copy engine).
-// The charge depends on the compute fence (the packed column is the
-// output of earlier kernels); the returned event fires when the halo
-// values have landed on the devices.
-func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) gpu.StreamEvent {
+// exchange ships column j of v to every device that needs it: each
+// device copies its owned values into its extended z[0] buffer and packs
+// its send set into the host staging vector, which exchange returns; the
+// round is then charged. The halo values are not in z[0] yet: the
+// consumer's device fork picks them up from the staging vector (pickup)
+// before it computes. depth1 restricts the exchange to the distance-1
+// halo and its send set — all a plain SpMV reads. On a host-hub machine
+// the exchange is the paper's compress / expand / scatter (one reduce
+// round and one broadcast round on the ledger); on a peer-to-peer
+// topology the owners ship the halo values directly in one routed round
+// of the given traffic matrix (the host staging buffer still carries the
+// numerical values — it stands in for the peer copy engine). The charge
+// depends on the compute fence (the packed column is the output of
+// earlier kernels); the returned event fires when the halo values have
+// landed on the devices.
+func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) ([]float64, gpu.StreamEvent) {
 	m := k.M
 	w := k.w[k.wIdx]
 	k.wIdx = 1 - k.wIdx
@@ -279,9 +285,8 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 	// the exchange behind themselves.
 	prod := m.Ctx.ComputeFence()
 
-	// Device side: copy owned values into z[0] and "send" the compressed
-	// w^(d) to the host staging vector. Devices write disjoint global
-	// slots, so no synchronization is needed.
+	// Devices write disjoint global slots, so no synchronization is
+	// needed.
 	sendBytes, recvBytes := k.sendBytes, k.recvBytes
 	m.Ctx.RunAll(func(d int) {
 		dm := m.Dev[d]
@@ -296,27 +301,32 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 			w[base+li] = col[li]
 		}
 		sendBytes[d] = len(send) * elem.Bytes()
+		recvBytes[d] = k.haloLen(d, depth1) * elem.Bytes()
 	})
+	return w, m.Ctx.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, elem, prod)
+}
 
-	// Each device picks up its halo values, rounded to the wire width the
-	// payload actually crossed the interconnect at. The copies charge
-	// nothing on the ledger, so running them before the exchange charge
-	// keeps the host-path ledger identical to the historical
-	// reduce-then-broadcast.
-	m.Ctx.RunAll(func(d int) {
-		dm := m.Dev[d]
-		halo := dm.Halo
-		if depth1 {
-			halo = halo[:dm.RowsAtDist[1]-dm.NOwn]
-		}
-		z := k.z[d][0][dm.NOwn : dm.NOwn+len(halo)]
-		for h, g := range halo {
-			z[h] = w[g]
-		}
-		roundElem(z, elem)
-		recvBytes[d] = len(halo) * elem.Bytes()
-	})
-	return m.Ctx.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, elem, prod)
+// haloLen is the number of halo values device d receives: its whole halo,
+// or under depth1 only the distance-1 part.
+func (k *MPK) haloLen(d int, depth1 bool) int {
+	dm := k.M.Dev[d]
+	if depth1 {
+		return dm.RowsAtDist[1] - dm.NOwn
+	}
+	return len(dm.Halo)
+}
+
+// pickup runs on device d inside the consumer's fork: it copies d's halo
+// values from the staging vector w that exchange filled into z[0],
+// rounded to the wire width elem the payload crossed the interconnect at.
+func (k *MPK) pickup(d int, w []float64, elem gpu.Elem, depth1 bool) {
+	dm := k.M.Dev[d]
+	halo := dm.Halo[:k.haloLen(d, depth1)]
+	z := k.z[d][0][dm.NOwn : dm.NOwn+len(halo)]
+	for h, g := range halo {
+		z[h] = w[g]
+	}
+	roundElem(z, elem)
 }
 
 // validateShiftPairs enforces the pairing convention: a shift with
@@ -343,9 +353,10 @@ func validateShiftPairs(shifts []complex128) {
 // dedicated s = 1 distribution.
 func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string) {
 	m := k.M
-	halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
-	work := k.work
+	w, halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
+	work := k.steps[0]
 	m.Ctx.RunAll(func(d int) {
+		k.pickup(d, w, gpu.Elem64, true)
 		dm := m.Dev[d]
 		rows := dm.NOwn
 		dm.Ext.MulVecPrefix(dst.Local[d].Col(jDst), k.z[d][0], rows)

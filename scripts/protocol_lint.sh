@@ -5,9 +5,12 @@
 # Fails when a non-test Go file under internal/ (outside internal/gpu),
 # cmd/, examples/ or the root package
 #   - builds its own []gpu.Work (dist.MPK may: its exchange bytes differ
-#     per device and its first step is charged as two launches), or
-#   - calls RunAll (dist's MPK and Distribute may: device-side work that
-#     is charged elsewhere or not at all).
+#     per device, a window records all s steps' costs in one fork, and
+#     its first step is charged as two launches), or
+#   - calls RunAll (dist's MPK and Distribute may: an MPK window is one
+#     device fork that picks up the halo and runs all s steps, charged
+#     after it in step order, beside the fork that packs the exchange;
+#     Distribute's device-side set-up is charged nowhere).
 # Device concurrency has one owner too: gpu.Context runs each device's
 # closure on that device's goroutine, so the kernels and the solver layers
 # start none of their own. Fails when a non-test Go file under
