@@ -51,15 +51,17 @@
 # exported identifiers per package (every constant, function, type,
 # method and struct field a caller can reach), the same bar for API and
 # options. `make bench-kernels` times
-# the host kernels of the solve (device SpMV, GemvT/Gemv, the Gram
-# GemmTN and Syrk; all but GemvT also as `/scalar` rows, the Go loop
-# beside the AVX2 body), one MPK window at the two shapes the benchmark
-# solves and one depth-1 distributed SpMV (the kernels allocate nothing;
-# what a window and an SpMV allocate, their two device forks, is pinned by
+# one bare device fork-join (gpu.Context.RunAll, 3 devices) and the same
+# fork as a charged Launch, the host kernels of the solve (device SpMV,
+# GemvT/Gemv, the Gram GemmTN and Syrk; all but GemvT also as `/scalar`
+# rows, the Go loop beside the AVX2 body), one MPK window at the two
+# shapes the benchmark solves and one depth-1 distributed SpMV (a fork
+# and the kernels allocate nothing; what a window and an SpMV allocate,
+# the closure each of their two forks runs and a window's B̂, is pinned by
 # dist.TestMPKAllocations: `make test`, so `make check`), then prints B/op
 # and allocs/op of one prepared CA-GMRES and one GMRES solve at the same
-# shapes — what a solve allocates beside the context's
-# workspace.
+# shapes — what a solve allocates beside the context's workspace, pinned
+# per iteration by core.TestSolveAllocations.
 
 GO ?= go
 
@@ -217,8 +219,8 @@ bench-compare:
 # and the device format's padding on the MPK rows; then whole prepared
 # solves, CA-GMRES(15,60) and GMRES(60), on a warm context.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
-		./internal/sparse/ ./internal/la/ ./internal/dist/
+	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
+		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/
 	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 
 # Non-test Go lines per package, benchmark/ excluded.

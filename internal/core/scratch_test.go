@@ -65,6 +65,48 @@ func TestOrthoLossAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSolveAllocations pins what a whole solve allocates per iteration
+// on a prepared 3-device problem (dielFilterV2real@0.002, natural) and a
+// warm context: a device fork allocates nothing, so what is left is the
+// one closure per fork call site and per-cycle bookkeeping — about 6.3
+// objects per iteration for CA-GMRES(15,60) and 5.5 for GMRES(60) when
+// this was written. The bounds are those plus 25 %: a fork that allocates
+// again (its shared state and one goroutine argument per device) pushes
+// both far past them, and fails here rather than only in
+// BenchmarkSolveAllocs.
+func TestSolveAllocations(t *testing.T) {
+	mat, err := matgen.ByName("dielFilterV2real", 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(gpu.NewContext(3, gpu.M2090()), mat.A, randomRHS(mat.A.Rows, 7), Natural, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		arm solveArm
+		max float64 // allocations per iteration
+	}{
+		{solveArm{"CAGMRES(15,60)", CAGMRES, Options{M: 60, S: 15}}, 7.8},
+		{solveArm{"GMRES(60)", GMRES, Options{M: 60}}, 6.8},
+	} {
+		res, err := tc.arm.solve(p, tc.arm.opts) // grows the workspace
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := tc.arm.solve(p, tc.arm.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := allocs / float64(res.Iters); got > tc.max {
+			t.Errorf("%s: %.2f allocations per iteration (%v over %d iterations), want at most %v", tc.arm.name, got, allocs, res.Iters, tc.max)
+		} else {
+			t.Logf("%s: %.2f allocations per iteration", tc.arm.name, got)
+		}
+	}
+}
+
 // BenchmarkSolveAllocs reports B/op and allocs/op of one whole solve on a
 // prepared problem and a warm context, at the benchmark's two shapes
 // (dielFilterV2real@0.004 natural, G3_circuit@0.05 k-way; 3 devices):

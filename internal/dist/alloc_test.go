@@ -8,11 +8,11 @@ import (
 )
 
 // TestMPKAllocations pins what one MPK window and one distributed SpMV
-// allocate at s = 15 on 3 devices. Each device fork (gpu.Context.RunAll)
-// allocates its shared state, one goroutine per device and the closure it
-// runs; a window forks twice — pack the send set, then one device program
-// that picks up the halo and runs all s steps — and adds B̂ (2). An SpMV
-// forks twice as well.
+// allocate at s = 15 on 3 devices. A device fork (gpu.Context.RunAll)
+// allocates nothing of its own; what remains is the closure each fork
+// runs, which captures its call's arguments. A window forks twice — pack
+// the send set, then one device program that picks up the halo and runs
+// all s steps — and adds B̂ (2). An SpMV forks twice as well.
 func TestMPKAllocations(t *testing.T) {
 	const ng, s = 3, 15
 	a := matgen.Laplace3D(16, 16, 16, 0.2)
@@ -28,8 +28,8 @@ func TestMPKAllocations(t *testing.T) {
 			max  float64
 			f    func()
 		}{
-			{"Generate", 12, func() { k.Generate(v, 0, s, nil, "mpk") }},
-			{"SpMV", 10, func() { k.SpMV(v, 0, v, 1, "spmv") }},
+			{"Generate", 4, func() { k.Generate(v, 0, s, nil, "mpk") }},
+			{"SpMV", 2, func() { k.SpMV(v, 0, v, 1, "spmv") }},
 		} {
 			tc.f() // first charge creates the phase rows
 			if got := testing.AllocsPerRun(50, tc.f); got > tc.max {

@@ -31,11 +31,12 @@ func TestChargeAllocations(t *testing.T) {
 		{"default DeviceKernelOn", 0, func() { def.DeviceKernelOn("p", work) }},
 		{"default Gather", 0, func() { def.Gather("p", 64, Elem64) }},
 		{"default Broadcast", 0, func() { def.Broadcast("p", 64, Elem32) }},
-		// A bare RunAll allocates its shared state and one goroutine per
-		// device (1 + 4, TestChargesShareTheViewsDeviceIDs); a launch adds
-		// the closure it hands RunAll, an all-reduce one more around f.
-		{"default Launch", 6, func() { def.Launch("p", kernel) }},
-		{"default AllReduce", 7, func() { def.AllReduce("p", out, Elem64, partial) }},
+		// A fork keeps its state on the context and starts its goroutines
+		// without arguments (TestChargesShareTheViewsDeviceIDs), and the
+		// collectives' device bodies are the context's, built once: a
+		// launch or an all-reduce allocates only what its caller's f does.
+		{"default Launch", 0, func() { def.Launch("p", kernel) }},
+		{"default AllReduce", 0, func() { def.AllReduce("p", out, Elem64, partial) }},
 		{"default HostComputeOn", 0, func() { def.HostComputeOn("p", 1e6) }},
 		{"default host-path halo", 0, halo(def, traffic)},
 		{"pcie-switch halo", 4, halo(sw, traffic)},

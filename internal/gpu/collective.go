@@ -20,11 +20,21 @@ import "slices"
 // goroutine per context. The ledger, the trace ring and the timeline copy
 // numbers out of what they are handed and keep no slice, so the next call
 // may overwrite it.
+//
+// The device bodies of Launch and AllReduce are built once, on the first
+// call, and read the caller's function from kernel and partial, which
+// hold it only for the length of the fork: a collective wraps nothing
+// per call.
 type collectiveScratch struct {
 	work  []Work      // one launch's cost shapes
 	times []float64   // and its modeled kernel times
 	bytes []int       // one round's uniform byte vector
 	parts [][]float64 // per device, grown to the widest reduction so far
+
+	kernel     func(d int) Work                 // Launch's f, during its fork
+	partial    func(d int, part []float64) Work // AllReduce's f, during its fork
+	launchBody func(d int)                      // work[d] = kernel(d)
+	reduceBody func(d int) Work                 // partial(d, parts[d]) on a cleared part
 }
 
 // sized sets *s to length n — in its own memory when that is large enough
@@ -40,8 +50,20 @@ func sized[T any](s *[]T, n int) []T {
 // waits for the after events, and the returned event fires when the
 // slowest device finishes.
 func (c *Context) Launch(phase string, f func(d int) Work, after ...StreamEvent) StreamEvent {
-	work := sized(&c.scratch.work, c.NumDevices)
-	c.RunAll(func(d int) { work[d] = f(d) })
+	c.run.claim()
+	return c.launch(phase, f, after)
+}
+
+// launch is Launch under a claimed fork guard.
+func (c *Context) launch(phase string, f func(d int) Work, after []StreamEvent) StreamEvent {
+	sc := &c.scratch
+	work := sized(&sc.work, c.NumDevices)
+	if sc.launchBody == nil {
+		sc.launchBody = func(d int) { sc.work[d] = sc.kernel(d) }
+	}
+	sc.kernel = f
+	defer func() { sc.kernel = nil }()
+	c.run.fork(c.NumDevices, sc.launchBody)
 	return c.DeviceKernelOn(phase, work, after...)
 }
 
@@ -76,15 +98,23 @@ func (c *Context) uniformBytes(b int) []int {
 // than FP64 rounds the sum to float32, the granularity it travelled at.
 // The returned event is the gather's: out is on the host from then on.
 func (c *Context) AllReduce(phase string, out []float64, elem Elem, f func(d int, part []float64) Work, after ...StreamEvent) StreamEvent {
+	c.run.claim()
+	sc := &c.scratch
 	n := len(out)
-	parts := sized(&c.scratch.parts, c.NumDevices)
+	parts := sized(&sc.parts, c.NumDevices)
 	for d := range parts {
 		sized(&parts[d], n)
 	}
-	k := c.Launch(phase, func(d int) Work {
-		clear(parts[d])
-		return f(d, parts[d])
-	}, after...)
+	if sc.reduceBody == nil {
+		sc.reduceBody = func(d int) Work {
+			part := sc.parts[d]
+			clear(part)
+			return sc.partial(d, part)
+		}
+	}
+	sc.partial = f
+	defer func() { sc.partial = nil }()
+	k := c.launch(phase, sc.reduceBody, after)
 	ev := c.Gather(phase, n, elem, k)
 	clear(out)
 	for _, part := range parts {

@@ -21,6 +21,7 @@ package gpu
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // CostModel holds the hardware constants used to convert communication and
@@ -108,6 +109,7 @@ type Context struct {
 	node       []int // logical -> node, non-decreasing; rebuilt by SetProfile
 	perNode    int   // physical device positions of one node
 	scratch    collectiveScratch
+	run        deviceRun // the state of a fork (RunAll), this value's own
 }
 
 // NewContext creates a context with ng simulated devices described by
@@ -146,30 +148,61 @@ func (c *Context) ResetStats() {
 // for all of them — the execution model of a host thread launching work on
 // every GPU and synchronizing. Panics inside device code are collected and
 // re-raised on the caller after all devices finish, so a failing device
-// does not leak goroutines.
+// does not leak goroutines. A fork allocates nothing: its state is the
+// context's own (a Survivors view has its own), so one fork at a time may
+// run on a context — a RunAll, Launch or AllReduce from device code, or
+// from a second goroutine while one is in flight, panics.
 func (c *Context) RunAll(f func(d int)) {
-	run := &deviceRun{panicked: c.NumDevices}
-	for d := 0; d < c.NumDevices; d++ {
-		run.wg.Add(1)
-		go run.device(d, f)
-	}
-	run.wg.Wait()
-	if run.panicked < c.NumDevices {
-		panic(run.value)
-	}
+	c.run.claim()
+	c.run.fork(c.NumDevices, f)
 }
 
-// deviceRun is the state the goroutines of one RunAll share — one
-// allocation, plus one per goroutine started; a panic is recorded only
-// when one is recovered.
+// deviceRun is the state the goroutines of a fork share, kept on the
+// context between forks so a fork allocates nothing: go statements
+// without arguments start the per-device thunks, built on the first fork.
+// A panic is recorded only when one is recovered.
 type deviceRun struct {
+	busy     atomic.Bool // a fork is in flight
 	wg       sync.WaitGroup
 	mu       sync.Mutex
-	panicked int // lowest device that panicked
-	value    any // what it panicked with
+	f        func(d int) // the fork's device code
+	panicked int         // lowest device that panicked
+	value    any         // what it panicked with
+	thunks   []func()    // thunks[d] runs device d
 }
 
-func (r *deviceRun) device(d int, f func(d int)) {
+// claim takes the re-entry guard; the fork that follows releases it. The
+// collectives claim before they touch their scratch, so a nested Launch or
+// AllReduce fails here too, not on what it overwrote.
+func (r *deviceRun) claim() {
+	if !r.busy.CompareAndSwap(false, true) {
+		panic("gpu: fork of a context whose fork is in flight (a RunAll, Launch or AllReduce nested in device code, or from a second goroutine)")
+	}
+}
+
+// fork runs f(d) on ng devices under a claimed guard, then releases it.
+func (r *deviceRun) fork(ng int, f func(d int)) {
+	if r.thunks == nil {
+		r.thunks = make([]func(), ng)
+		for d := range r.thunks {
+			r.thunks[d] = func() { r.device(d) }
+		}
+	}
+	r.f, r.panicked = f, ng
+	r.wg.Add(ng)
+	for _, thunk := range r.thunks {
+		go thunk()
+	}
+	r.wg.Wait()
+	panicked, value := r.panicked < ng, r.value
+	r.f, r.value = nil, nil
+	r.busy.Store(false)
+	if panicked {
+		panic(value)
+	}
+}
+
+func (r *deviceRun) device(d int) {
 	defer r.wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
@@ -180,7 +213,7 @@ func (r *deviceRun) device(d int, f func(d int)) {
 			r.mu.Unlock()
 		}
 	}()
-	f(d)
+	r.f(d)
 }
 
 // --- Accounting -----------------------------------------------------------

@@ -43,7 +43,7 @@ func (m *Dense) Col(j int) []float64 {
 // ColView returns a Dense view of columns [j0, j1) sharing storage with m.
 func (m *Dense) ColView(j0, j1 int) *Dense {
 	if j0 < 0 || j1 < j0 || j1 > m.Cols {
-		panic(fmt.Sprintf("la: ColView [%d,%d) out of range with %d cols", j0, j1, m.Cols))
+		panic(viewRangeError{"ColView", "cols", j0, j1, m.Cols})
 	}
 	return &Dense{
 		Rows:   m.Rows,
@@ -57,13 +57,25 @@ func (m *Dense) ColView(j0, j1 int) *Dense {
 // The view keeps m's stride.
 func (m *Dense) RowView(i0, i1 int) *Dense {
 	if i0 < 0 || i1 < i0 || i1 > m.Rows {
-		panic(fmt.Sprintf("la: RowView [%d,%d) out of range with %d rows", i0, i1, m.Rows))
+		panic(viewRangeError{"RowView", "rows", i0, i1, m.Rows})
 	}
 	n := len(m.Data) - i0
 	if m.Cols == 0 {
 		n = 0
 	}
 	return &Dense{Rows: i1 - i0, Cols: m.Cols, Stride: m.Stride, Data: m.Data[i0 : i0+n]}
+}
+
+// viewRangeError is what ColView and RowView panic with. A small value
+// keeps both cheap enough to inline, so a view that does not escape its
+// caller stays on the stack; the message is formatted only when printed.
+type viewRangeError struct {
+	op, unit  string // "ColView", "cols" or "RowView", "rows"
+	lo, hi, n int    // the asked range [lo, hi) and the extent
+}
+
+func (e viewRangeError) Error() string {
+	return fmt.Sprintf("la: %s [%d,%d) out of range with %d %s", e.op, e.lo, e.hi, e.n, e.unit)
 }
 
 // Clone returns a deep copy of m with a compact stride.

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -84,6 +85,45 @@ func TestRowView(t *testing.T) {
 	v.Set(0, 1, -42)
 	if m.At(2, 1) != -42 {
 		t.Fatal("RowView must alias")
+	}
+}
+
+// TestViewsStayOnTheStack: ColView and RowView inline, so a view handed
+// to a kernel that does not keep it never reaches the heap — the solvers
+// take one per Krylov column.
+func TestViewsStayOnTheStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := randDense(rng, 40, 12)
+	x, y := randVec(rng, 40), randVec(rng, 5)
+	for name, f := range map[string]func(){
+		"GemvT on a ColView":          func() { GemvT(1, m.ColView(0, 5), x, 0, y) },
+		"Gemv on a RowView's ColView": func() { Gemv(-1, m.RowView(3, 30).ColView(2, 7), y, 1, x[:27]) },
+	} {
+		if got := testing.AllocsPerRun(10, f); got != 0 {
+			t.Errorf("%s allocates %v times", name, got)
+		}
+	}
+}
+
+// TestViewPanicMessages: an out-of-range view panics with the message it
+// always has, however the value is carried.
+func TestViewPanicMessages(t *testing.T) {
+	m := NewDense(4, 3)
+	for want, f := range map[string]func(){
+		"la: ColView [1,4) out of range with 3 cols":  func() { m.ColView(1, 4) },
+		"la: ColView [-1,2) out of range with 3 cols": func() { m.ColView(-1, 2) },
+		"la: ColView [2,1) out of range with 3 cols":  func() { m.ColView(2, 1) },
+		"la: RowView [0,5) out of range with 4 rows":  func() { m.RowView(0, 5) },
+		"la: RowView [3,2) out of range with 4 rows":  func() { m.RowView(3, 2) },
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("panicked with %q, want %q", got, want)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
