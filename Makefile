@@ -14,10 +14,11 @@
 # then the whole deterministic test suite, then the command-line check
 # (`make cli-check`: every cmd/* binary's -h output equals
 # scripts/flags.golden, and an out-of-range count exits with an error, not
-# a panic), then the serving smoke test.
+# a panic), then the smoke tests.
 # `make metrics-smoke` exercises the observability surface end-to-end:
 # a small solve with telemetry/metrics/trace output, each artifact
-# validated by cmd/obslint. `make serve-smoke` boots cagmresd, drives
+# validated by cmd/obslint — the one smoke that lints a ledger-only
+# Chrome export (gpu.WriteChromeTrace), beside trace-smoke's job trace. `make serve-smoke` boots cagmresd, drives
 # it with the closed-loop load generator, lints the daemon's /metrics
 # (required scheduler families included) and checks graceful SIGTERM
 # drain. `make chaos-smoke` arms a seeded fault plan — device death
@@ -67,7 +68,7 @@ GO ?= go
 
 .PHONY: check build vet fmt-check staticcheck protocol-lint unreached cli-check test race golden metrics-smoke serve-smoke chaos-smoke trace-smoke cluster-smoke overload-smoke precision-smoke fuzz-smoke cover-profile bench bench-compare bench-kernels loc surface
 
-check: vet fmt-check staticcheck protocol-lint unreached race test cli-check fuzz-smoke cover-profile serve-smoke chaos-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
+check: vet fmt-check staticcheck protocol-lint unreached race test cli-check fuzz-smoke cover-profile metrics-smoke serve-smoke chaos-smoke trace-smoke cluster-smoke overload-smoke precision-smoke
 
 build:
 	$(GO) build ./...
@@ -125,6 +126,7 @@ race:
 # Regenerate the golden report-format files after an intentional change.
 golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
+	$(GO) test ./internal/obs/ -run JobTraceChromeGolden -update -count=1
 	$(GO) test ./internal/dist/ -run MPKWindowGolden -update -count=1
 	$(GO) test ./internal/bench/ -run WriteCSV -update -count=1
 

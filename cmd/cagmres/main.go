@@ -234,7 +234,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		err = gpu.WriteChromeTrace(f, []gpu.Trace{res.Stats.TraceOf(*solver + "/" + name)})
+		err = gpu.WriteChromeTrace(f, []gpu.Trace{{Name: *solver + "/" + name, Events: res.Stats.Trace()}})
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -292,7 +292,7 @@ func main() {
 	}
 	if *serve != "" {
 		traces := func() []gpu.Trace {
-			return []gpu.Trace{res.Stats.TraceOf(*solver + "/" + name)}
+			return []gpu.Trace{{Name: *solver + "/" + name, Events: res.Stats.Trace()}}
 		}
 		_, addr, err := obs.Serve(*serve, obs.Handler(reg, traces))
 		if err != nil {

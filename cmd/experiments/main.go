@@ -51,6 +51,7 @@ import (
 
 	"cagmres/internal/bench"
 	"cagmres/internal/core"
+	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
 	"cagmres/internal/profile"
 )
@@ -184,21 +185,19 @@ func main() {
 		os.Exit(2)
 	}
 	if *traceout != "" {
+		traces := cfg.Trace.Traces()
 		f, err := os.Create(*traceout)
+		if err == nil {
+			err = gpu.WriteChromeTrace(f, traces)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		if err := cfg.Trace.WriteChrome(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "experiments: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d traced contexts)\n", *traceout, len(cfg.Trace.Traces()))
+		fmt.Printf("wrote %s (%d traced contexts)\n", *traceout, len(traces))
 	}
 
 	if reg != nil {

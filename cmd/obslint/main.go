@@ -4,6 +4,8 @@
 //	obslint -prom out.prom        lint Prometheus text-format metrics
 //	obslint -jsonl out.jsonl      lint a convergence-telemetry stream
 //	obslint -trace out.trace.json validate a Chrome trace_event export
+//	                               (ph M or X, ms units, dur ≥ 0, every
+//	                               slice's lane named by thread_name)
 //	obslint -spans out.spans.jsonl validate a request-trace span stream
 //	                               (required fields, unique ids, one
 //	                               trace id, acyclic parentage, child
@@ -27,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
 )
 
@@ -76,17 +79,11 @@ func main() {
 		fmt.Printf("%s: ok (%d telemetry records, monotone clock, ends with done)\n", *jsonl, len(recs))
 	}
 	if *trace != "" {
-		data := read(*trace)
-		var tf struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(data, &tf); err != nil {
+		n, err := lintTrace(read(*trace))
+		if err != nil {
 			fail(*trace, err)
 		}
-		if len(tf.TraceEvents) == 0 {
-			fail(*trace, fmt.Errorf("no traceEvents"))
-		}
-		fmt.Printf("%s: ok (%d trace events)\n", *trace, len(tf.TraceEvents))
+		fmt.Printf("%s: ok (%d trace events, every slice on a named lane)\n", *trace, n)
 	}
 	if *spans != "" {
 		data := read(*spans)
@@ -97,6 +94,41 @@ func main() {
 		fmt.Printf("%s: ok (%d spans, trace %s, acyclic and nested)\n",
 			*spans, len(ss), ss[0].TraceID)
 	}
+}
+
+// lintTrace decodes a Chrome trace_event export into gpu.ChromeTrace and
+// checks what its writers promise: at least one event, displayTimeUnit
+// "ms", only metadata (M) and complete (X) events, no negative dur, and a
+// thread_name record for every (pid, tid) a slice lands on. It returns
+// the event count.
+func lintTrace(data []byte) (int, error) {
+	var tf gpu.ChromeTrace
+	if err := json.Unmarshal(data, &tf); err != nil {
+		return 0, err
+	}
+	if tf.DisplayTimeUnit != "ms" {
+		return 0, fmt.Errorf("displayTimeUnit %q, want \"ms\"", tf.DisplayTimeUnit)
+	}
+	named := map[[2]int]bool{}
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			named[[2]int{ev.Pid, ev.Tid}] = true
+		}
+	}
+	for i, ev := range tf.TraceEvents {
+		switch {
+		case ev.Ph != "M" && ev.Ph != "X":
+			return 0, fmt.Errorf("event %d (%q): ph %q, want M or X", i, ev.Name, ev.Ph)
+		case ev.Dur < 0:
+			return 0, fmt.Errorf("event %d (%q): negative dur %g", i, ev.Name, ev.Dur)
+		case ev.Ph == "X" && !named[[2]int{ev.Pid, ev.Tid}]:
+			return 0, fmt.Errorf("event %d (%q): pid %d tid %d has no thread_name record", i, ev.Name, ev.Pid, ev.Tid)
+		}
+	}
+	if len(tf.TraceEvents) == 0 {
+		return 0, fmt.Errorf("no traceEvents")
+	}
+	return len(tf.TraceEvents), nil
 }
 
 func read(path string) []byte {

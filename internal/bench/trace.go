@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"cagmres/internal/gpu"
@@ -14,8 +13,9 @@ const DefaultTraceEvents = 1 << 14
 
 // TraceCollector harvests the event traces of every simulated context
 // the benchmark drivers create. Attach it via Config.Trace, run any
-// figure drivers, then export the merged result with WriteChrome (the
-// Chrome trace_event format, openable in chrome://tracing or Perfetto).
+// figure drivers, then export the merged result by handing Traces to
+// gpu.WriteChromeTrace (the Chrome trace_event format, openable in
+// chrome://tracing or Perfetto).
 // Each context becomes one named process in the viewer; SetLabel names
 // the contexts created from that point on (cmd/experiments labels them
 // by figure).
@@ -91,9 +91,4 @@ func (t *TraceCollector) Contexts() []*gpu.Context {
 		out[i] = e.ctx
 	}
 	return out
-}
-
-// WriteChrome exports the collected traces in Chrome trace_event format.
-func (t *TraceCollector) WriteChrome(w io.Writer) error {
-	return gpu.WriteChromeTrace(w, t.Traces())
 }

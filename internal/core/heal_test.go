@@ -284,35 +284,36 @@ func TestRitzValuesReturnsFaultAsError(t *testing.T) {
 	}
 }
 
-// midWindowCharge walks a fault-free trace and returns the third kernel
-// charge of the solve's middle MPK window — the second step's, or under
-// overlap the first step's split in two and then the second step's — as
-// the Seq of its first event, and the ledger-clock time halfway between
-// the starts of the second and third charges: a death armed there on the
-// serialized schedule fires on the third.
+// midWindowCharge lays a fault-free trace out as Chrome slices and
+// returns the third kernel charge of the solve's middle MPK window — the
+// second step's, or under overlap the first step's split in two and then
+// the second step's — as the Seq of its first event, and the ledger-clock
+// time halfway between the starts of the second and third charges: a
+// death armed there on the serialized schedule fires on the third.
 func midWindowCharge(t *testing.T, events []gpu.Event) (seq int, at float64) {
 	t.Helper()
-	var windows [][]gpu.Event // per window: device 0's kernel events
-	var starts [][]float64
-	gpu.WalkSlices(events, func(e gpu.Event, at float64, _ int, _ string) {
-		if e.Phase != PhaseMPK {
-			return
+	var tr gpu.ChromeTrace
+	tr.Ledger(0, 0, events)
+	var windows [][]gpu.ChromeEvent // per window: device 0's kernel slices
+	for _, e := range tr.TraceEvents {
+		if e.Ph != "X" || e.Name != PhaseMPK {
+			continue
 		}
 		switch {
-		case e.Kind != "kernel":
+		case e.Cat != "kernel":
 			if len(windows) == 0 || len(windows[len(windows)-1]) > 0 {
-				windows, starts = append(windows, nil), append(starts, nil)
+				windows = append(windows, nil)
 			}
-		case e.Device == 0:
+		case e.Args["device"] == 0:
 			w := len(windows) - 1
-			windows[w], starts[w] = append(windows[w], e), append(starts[w], at)
+			windows[w] = append(windows[w], e)
 		}
-	})
+	}
 	if len(windows) < 3 {
 		t.Fatalf("fault-free trace has %d MPK windows", len(windows))
 	}
-	w := len(windows) / 2
-	return windows[w][2].Seq, (starts[w][1] + starts[w][2]) / 2
+	w := windows[len(windows)/2]
+	return w[2].Args["seq"].(int), (w[1].Ts + w[2].Ts) / 2e6
 }
 
 // TestDeviceLossMidMPKWindow kills device 1 on a step charge in the

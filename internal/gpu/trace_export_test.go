@@ -3,7 +3,12 @@ package gpu
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -18,28 +23,13 @@ func traceFixture() *Context {
 	return ctx
 }
 
-// chromeFile is the subset of the trace_event format the tests inspect.
-type chromeFile struct {
-	TraceEvents []struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Ph   string         `json:"ph"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args"`
-	} `json:"traceEvents"`
-	DisplayTimeUnit string `json:"displayTimeUnit"`
-}
-
-func decodeChrome(t *testing.T, traces []Trace) chromeFile {
+func decodeChrome(t *testing.T, traces []Trace) ChromeTrace {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
-	var file chromeFile
+	var file ChromeTrace
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("not a valid trace_event file: %v\n%s", err, buf.String())
 	}
@@ -48,7 +38,7 @@ func decodeChrome(t *testing.T, traces []Trace) chromeFile {
 
 func TestWriteChromeTraceFormat(t *testing.T) {
 	ctx := traceFixture()
-	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("solve")})
+	file := decodeChrome(t, []Trace{{Name: "solve", Events: ctx.Stats().Trace()}})
 	if file.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", file.DisplayTimeUnit)
 	}
@@ -124,17 +114,9 @@ func TestWriteChromeTraceFormat(t *testing.T) {
 }
 
 func TestWriteChromeTraceUnnamed(t *testing.T) {
-	ctx := traceFixture()
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []Trace{{Events: ctx.Stats().Trace()}}); err != nil {
-		t.Fatal(err)
-	}
-	var file map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := file["traceEvents"]; !ok {
-		t.Fatal("missing traceEvents key")
+	file := decodeChrome(t, []Trace{{Events: traceFixture().Stats().Trace()}})
+	if ev := file.TraceEvents[0]; ev.Name != "process_name" || ev.Args["name"] != "ctx-0" {
+		t.Fatalf("unnamed trace's process record = %+v, want ctx-0", ev)
 	}
 }
 
@@ -143,9 +125,7 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	if err := WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	var file struct {
-		TraceEvents []any `json:"traceEvents"`
-	}
+	var file ChromeTrace
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +147,7 @@ func TestWriteChromeTraceSingleEvent(t *testing.T) {
 	ctx := NewContext(1, M2090())
 	ctx.Stats().EnableTrace(8)
 	ctx.HostComputeOn("lsq", 1e6)
-	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("one")})
+	file := decodeChrome(t, []Trace{{Name: "one", Events: ctx.Stats().Trace()}})
 	var slices int
 	for _, e := range file.TraceEvents {
 		if e.Ph != "X" {
@@ -201,7 +181,7 @@ func TestChromeTraceDeviceLanes(t *testing.T) {
 		ctx.Gather("tsqr", 30, Elem64)
 		ctx.Launch("spmv", every(Work{Flops: 7e8, Bytes: 1e9}))
 	}
-	file := decodeChrome(t, []Trace{ctx.Stats().TraceOf("multi")})
+	file := decodeChrome(t, []Trace{{Name: "multi", Events: ctx.Stats().Trace()}})
 
 	type span struct{ ts, dur float64 }
 	lanes := map[int][]span{}   // tid -> slices
@@ -248,5 +228,78 @@ func TestChromeTraceDeviceLanes(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("device %d lane kernel time %v, ledger %v", d, got, want)
 		}
+	}
+}
+
+// TestChromeTraceGolden pins WriteChromeTrace of two traces in one file —
+// the fixture under a name and a 3-device trace without one — against
+// testdata/chrome_trace.golden. The comparison is on decoded events, so a
+// moved slice, lane, name or arg fails while JSON key order stays free.
+func TestChromeTraceGolden(t *testing.T) {
+	ctx := NewContext(3, M2090())
+	ctx.Stats().EnableTrace(64)
+	ctx.DeviceKernelOn("tsqr", []Work{{Flops: 1e9}, {Flops: 2e9, Bytes: 1e6}, {Flops: 5e8}})
+	ctx.Gather("tsqr", 30, Elem64)
+	ctx.Launch("spmv", every(Work{Flops: 7e8, Bytes: 1e9}))
+	ctx.Broadcast("mpk", 12, Elem64)
+	ctx.HostComputeOn("lsq", 4e6)
+	var buf bytes.Buffer
+	traces := []Trace{{Name: "solve", Events: traceFixture().Stats().Trace()}, {Events: ctx.Stats().Trace()}}
+	if err := WriteChromeTrace(&buf, traces); err != nil {
+		t.Fatal(err)
+	}
+	chromeGoldenCompare(t, "chrome_trace.golden", buf.Bytes())
+}
+
+// chromeGoldenCompare checks a written trace file against the named
+// golden, one event per line; -update rewrites it from got.
+func chromeGoldenCompare(t *testing.T, name string, got []byte) {
+	t.Helper()
+	var raw struct {
+		TraceEvents     []json.RawMessage `json:"traceEvents"`
+		DisplayTimeUnit string            `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(got, &raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		var b strings.Builder
+		fmt.Fprintf(&b, "{\"displayTimeUnit\":%q,\"traceEvents\":[\n", raw.DisplayTimeUnit)
+		for i, ev := range raw.TraceEvents {
+			b.Write(ev)
+			if i < len(raw.TraceEvents)-1 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('\n')
+		}
+		b.WriteString("]}\n")
+		goldenCompare(t, name, b.String())
+		return
+	}
+	wantData, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (rerun with -update): %v", err)
+	}
+	var gotFile, want ChromeTrace
+	if err := json.Unmarshal(got, &gotFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(wantData, &want); err != nil {
+		t.Fatal(err)
+	}
+	if gotFile.DisplayTimeUnit != want.DisplayTimeUnit {
+		t.Fatalf("displayTimeUnit %q, golden %q", gotFile.DisplayTimeUnit, want.DisplayTimeUnit)
+	}
+	for i := range want.TraceEvents {
+		if i >= len(gotFile.TraceEvents) {
+			t.Fatalf("%d events, %s has %d", len(gotFile.TraceEvents), path, len(want.TraceEvents))
+		}
+		if !reflect.DeepEqual(gotFile.TraceEvents[i], want.TraceEvents[i]) {
+			t.Fatalf("event %d drifted from %s:\n got %+v\nwant %+v", i, path, gotFile.TraceEvents[i], want.TraceEvents[i])
+		}
+	}
+	if len(gotFile.TraceEvents) != len(want.TraceEvents) {
+		t.Fatalf("%d events, %s has %d", len(gotFile.TraceEvents), path, len(want.TraceEvents))
 	}
 }

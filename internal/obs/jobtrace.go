@@ -136,18 +136,15 @@ func (jt *JobTrace) WriteSpansJSONL(w io.Writer) error {
 	return nil
 }
 
-// Chrome-export pids: the wall-clock serving lanes and the modeled-time
-// solver/device lanes are separate processes because their x-axes are
-// different clocks.
+// Chrome-export lanes. The wall-clock serving lanes (pid 0, relative to
+// the root span start) and the modeled-time lanes (pid 1, seconds of the
+// finishing solve's ledger) are separate processes because their x-axes
+// are different clocks. In pid 1 the solver-phase spans get one row and
+// the ledger replay (gpu.ChromeTrace.Ledger: comm 0, host 1, device d at
+// 2+d) is shifted up by one so nothing collides.
 const (
-	requestPid = 0 // wall time, relative to the root span start
-	modeledPid = 1 // modeled seconds of the finishing solve's ledger
-)
-
-// Lane tids inside the modeled-time process. Solver-phase spans get one
-// row; the ledger replay reuses gpu.WalkSlices's lanes (comm 0, host 1,
-// device d at 2+d) shifted up by one so nothing collides.
-const (
+	requestPid    = 0
+	modeledPid    = 1
 	solverLane    = 0
 	ledgerLaneOff = 1
 )
@@ -155,42 +152,14 @@ const (
 // WriteChromeTrace renders the stitched request trace: pid 0 carries the
 // wall-clock spans (request root, queue, lease, heal) with timestamps
 // relative to the root start; pid 1 carries the modeled-time story — the
-// solver-phase spans from telemetry on one lane and the job ledger's
-// event trace replayed onto comm/host/device lanes with the same
-// launch-group cumulative clock as gpu.WriteChromeTrace, so the
-// per-(device,phase) slice durations sum to Stats.DevicePhase exactly.
+// solver-phase spans from telemetry on one lane and the job ledger
+// replayed by the same gpu.ChromeTrace.Ledger as gpu.WriteChromeTrace,
+// so the per-(device,phase) slice durations sum to Stats.DevicePhase
+// exactly.
 func (jt *JobTrace) WriteChromeTrace(w io.Writer) error {
-	jt.mu.Lock()
-	root := jt.root
-	spans := append([]Span(nil), jt.spans...)
-	stats := jt.stats
-	jt.mu.Unlock()
-
-	file := struct {
-		TraceEvents     []map[string]any `json:"traceEvents"`
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-	}{DisplayTimeUnit: "ms", TraceEvents: []map[string]any{}}
-
-	meta := func(pid, tid int, key, name string) {
-		file.TraceEvents = append(file.TraceEvents, map[string]any{
-			"name": key, "ph": "M", "pid": pid, "tid": tid,
-			"args": map[string]any{"name": name},
-		})
-	}
-	slice := func(pid, tid int, name, cat string, ts, dur float64, args map[string]any) {
-		ev := map[string]any{
-			"name": name, "cat": cat, "ph": "X",
-			"ts": ts * 1e6, "dur": dur * 1e6, "pid": pid, "tid": tid,
-		}
-		if len(args) > 0 {
-			ev["args"] = args
-		}
-		file.TraceEvents = append(file.TraceEvents, ev)
-	}
-
-	// --- pid 0: wall-clock serving lanes -------------------------------
-	meta(requestPid, 0, "process_name", "request "+root.TraceID)
-	meta(requestPid, 0, "thread_name", "request")
+	all, stats := jt.Spans(), jt.Stats()
+	root, spans := all[0], all[1:]
+	var file gpu.ChromeTrace
 	spanArgs := func(s Span) map[string]any {
 		a := map[string]any{"span_id": s.SpanID}
 		for k, v := range s.Attrs {
@@ -198,65 +167,33 @@ func (jt *JobTrace) WriteChromeTrace(w io.Writer) error {
 		}
 		return a
 	}
-	rootEnd := root.End
-	if rootEnd < root.Start {
-		rootEnd = root.Start
-	}
-	slice(requestPid, 0, root.Name, root.Kind, 0, rootEnd-root.Start, spanArgs(root))
+
+	// --- pid 0: wall-clock serving lanes -------------------------------
+	file.Name(requestPid, 0, "process_name", "request "+root.TraceID)
+	file.Name(requestPid, 0, "thread_name", "request")
+	file.Slice(requestPid, 0, root.Name, root.Kind, 0, max(root.End, root.Start)-root.Start, spanArgs(root))
 	for _, s := range spans {
 		if s.Start == 0 { // virtual-only span; rendered on pid 1
 			continue
 		}
-		end := s.End
-		if end < s.Start {
-			end = s.Start
-		}
-		ts := s.Start - root.Start
-		if ts < 0 {
-			ts = 0
-		}
-		slice(requestPid, 0, s.Name, s.Kind, ts, end-s.Start, spanArgs(s))
+		file.Slice(requestPid, 0, s.Name, s.Kind, max(s.Start-root.Start, 0), max(s.End, s.Start)-s.Start, spanArgs(s))
 	}
 
 	// --- pid 1: modeled-time solver + device lanes ---------------------
-	meta(modeledPid, 0, "process_name", "modeled time")
-	meta(modeledPid, solverLane, "thread_name", "solver phases")
-	vend := root.VEnd
+	file.Name(modeledPid, 0, "process_name", "modeled time")
+	file.Name(modeledPid, solverLane, "thread_name", "solver phases")
 	if root.Virtual {
-		slice(modeledPid, solverLane, root.Name, root.Kind, 0, vend, spanArgs(root))
+		file.Slice(modeledPid, solverLane, root.Name, root.Kind, 0, root.VEnd, spanArgs(root))
 	}
 	for _, s := range spans {
-		if !s.Virtual {
-			continue
+		if s.Virtual {
+			file.Slice(modeledPid, solverLane, s.Name, s.Kind, s.VStart, max(s.VEnd, s.VStart)-s.VStart, spanArgs(s))
 		}
-		ve := s.VEnd
-		if ve < s.VStart {
-			ve = s.VStart
-		}
-		slice(modeledPid, solverLane, s.Name, s.Kind, s.VStart, ve-s.VStart, spanArgs(s))
 	}
-
-	// Ledger replay: gpu.WriteChromeTrace's walk, with slice names set to
-	// the event phase so summing a device lane by name reproduces
-	// Stats.DevicePhase term for term.
 	if stats != nil {
-		lanes := map[int]bool{}
-		gpu.WalkSlices(stats.Trace(), func(e gpu.Event, start float64, lane int, laneName string) {
-			tid := ledgerLaneOff + lane
-			if !lanes[tid] {
-				lanes[tid] = true
-				meta(modeledPid, tid, "thread_name", laneName)
-			}
-			args := map[string]any{"seq": e.Seq, "bytes": e.Bytes}
-			if e.Device >= 0 {
-				args["device"] = e.Device
-			}
-			slice(modeledPid, tid, e.Phase, e.Kind, start, e.Time, args)
-		})
+		file.Ledger(modeledPid, ledgerLaneOff, stats.Trace())
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
+	return file.Write(w)
 }
 
 // SolverSink adapts the solver's telemetry stream into trace spans: each

@@ -98,7 +98,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	CollectStats(r, ctx.Stats())
 	traces := func() []gpu.Trace {
-		return []gpu.Trace{ctx.Stats().TraceOf("solve")}
+		return []gpu.Trace{{Name: "solve", Events: ctx.Stats().Trace()}}
 	}
 	srv := httptest.NewServer(Handler(r, traces))
 	defer srv.Close()

@@ -105,16 +105,7 @@ func TestJobTraceReconcilesDeviceLanes(t *testing.T) {
 			if err := jt.WriteChromeTrace(&buf); err != nil {
 				t.Fatal(err)
 			}
-			var tf struct {
-				TraceEvents []struct {
-					Name string         `json:"name"`
-					Cat  string         `json:"cat"`
-					Ph   string         `json:"ph"`
-					Pid  int            `json:"pid"`
-					Dur  float64        `json:"dur"`
-					Args map[string]any `json:"args"`
-				} `json:"traceEvents"`
-			}
+			var tf gpu.ChromeTrace
 			if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 				t.Fatal(err)
 			}

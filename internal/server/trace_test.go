@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
 	"cagmres/internal/sched"
 )
@@ -104,14 +105,7 @@ func TestSolveTraceparentRoundTrip(t *testing.T) {
 	if tid, _, ok := obs.ParseTraceparent(resp2.Header.Get("traceparent")); !ok || tid != testTraceID {
 		t.Fatalf("trace.json traceparent %q", resp2.Header.Get("traceparent"))
 	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
+	var tf gpu.ChromeTrace
 	if err := json.Unmarshal(traceData, &tf); err != nil {
 		t.Fatalf("trace.json is not a trace file: %v", err)
 	}

@@ -44,7 +44,6 @@ var oracles = map[string]string{
 	"obs.Gauge.Value":               "reads a gauge back, so tests check what the bridges wrote",
 	"obs.Histogram.Count":           "reads a histogram's count back, so tests check what was observed",
 	"obs.Histogram.Sum":             "reads a histogram's sum back, so tests check what was observed",
-	"obs.JobTrace.Stats":            "reads back the ledger AttachStats bound, which the trace tests reconcile",
 	"obs.MultiSink":                 "tees one telemetry stream into two sinks in the telemetry fence",
 	"obs.ReconcileDeviceLanes":      "checks a stitched trace's device lanes against the ledger exactly",
 	"sparse.CSR.ExtractRows":        "with RelabelCols, the stepwise reference of what SELLOfRows fuses",
