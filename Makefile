@@ -121,6 +121,7 @@ race:
 	$(GO) test -race ./internal/gpu/... ./internal/la/... ./internal/ortho/... ./internal/obs/... \
 		./internal/sched/... ./internal/server/... ./internal/profile/... ./internal/dist/... \
 		./internal/cluster/... ./cmd/loadgen/...
+	$(GO) test -race ./internal/bench/ -run 'TestFigServe'
 	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault|PoisonedWorkspace|ResultSurvivesNextSolve'
 
 # Regenerate the golden report-format files after an intentional change.

@@ -6,8 +6,8 @@
 //	experiments [flags]
 //
 //	-fig string     which figure to run: 3, 6, 7, 8, 10, 11, 13, 14, 15,
-//	                overlap, topology, cluster, overload, precision,
-//	                ablation or "all" (default "all")
+//	                overlap, topology, cluster, overload, serve,
+//	                precision, ablation or "all" (default "all")
 //	-scale float    matrix scale relative to the published sizes
 //	                (default 0.02; 1.0 = paper-sized, slow)
 //	-devices int    maximum simulated GPU count (default 3)
@@ -57,7 +57,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,precision,ablation,all)")
+	fig := flag.String("fig", "all", "figure to regenerate (3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,serve,precision,ablation,all)")
 	scale := flag.Float64("scale", 0.02, "matrix scale relative to published sizes")
 	devices := flag.Int("devices", 3, "maximum simulated GPU count")
 	restarts := flag.Int("restarts", 40, "restart cap per solve")
@@ -155,6 +155,7 @@ func main() {
 		{"topology", func() { emit("figtopology", bench.FigTopology(cfg)) }},
 		{"cluster", func() { emit("figcluster", bench.FigCluster(cfg)) }},
 		{"overload", func() { emit("figoverload", bench.FigOverload(cfg)) }},
+		{"serve", func() { emit("figserve", bench.FigServe(cfg)) }},
 		{"precision", func() { emit("figprecision", bench.FigPrecision(cfg)) }},
 		{"ablation", func() {
 			emit("ablation_latency", bench.AblationLatency(cfg))
@@ -181,7 +182,7 @@ func main() {
 		fmt.Printf("---- %.1fs ----\n\n", time.Since(start).Seconds())
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (want 3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,precision,ablation or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (want 3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,serve,precision,ablation or all)\n", *fig)
 		os.Exit(2)
 	}
 	if *traceout != "" {

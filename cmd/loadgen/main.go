@@ -1,7 +1,6 @@
-// Command loadgen is the deterministic closed-loop load generator for
-// cagmresd. It has two modes sharing one workload definition (k clients,
-// each issuing n solve requests back-to-back with distinct right-hand
-// sides):
+// Command loadgen is the closed-loop load generator for cagmresd: k
+// clients, each issuing n solve requests back-to-back with distinct
+// right-hand sides. It has two modes:
 //
 //	-mode live     drives a running daemon over HTTP (POST /solve?wait)
 //	               and reports wall-clock and server-side modeled
@@ -17,17 +16,13 @@
 //	               jittered backoff. Used by make serve-smoke and
 //	               make trace-smoke.
 //
-//	-mode virtual  runs no server at all: it computes each request's
-//	               modeled service time by executing the solver on a
-//	               simulated device context, charges per-request RPC
-//	               overhead as a host kernel of the cost model,
-//	               and replays the closed loop as an event simulation
-//	               over the -pool device contexts. The reported
-//	               percentiles, queue waits, and SLO burn rates are a
-//	               pure function of the cost model — byte-identical on
-//	               every machine — so -sweep produces a reproducible
-//	               concurrency-vs-latency curve (EXPERIMENTS.md) and
-//	               -slojson a pinnable SLO report.
+//	-mode cluster  drives a cagmres-router the same way, spreading the
+//	               clients' shard keys over its backends, and reports the
+//	               per-backend routing and the federation's /healthz.
+//	               Used by make cluster-smoke.
+//
+// The same closed loop on the virtual clock — the real scheduler, no
+// server — is `experiments -fig serve` (internal/bench.FigServe).
 package main
 
 import (
@@ -47,29 +42,26 @@ import (
 	"math/rand"
 
 	"cagmres/internal/core"
-	"cagmres/internal/gpu"
 	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 	"cagmres/internal/server"
 )
 
 // config is the run's flags, bound straight into the fields they set:
-// the closed-loop workload, the solve options every request carries, the
-// virtual replay's pool, and the optional outputs either mode produces.
+// the closed-loop workload, the solve options every request carries, and
+// the optional outputs.
 type config struct {
-	mode, addr, portFile, sweep string
-	clients, requests           int
-	pool, devices               int // virtual: the replay's device contexts
-	matrix                      string
-	scale                       float64
-	opts                        core.Options
+	mode, addr, portFile string
+	clients, requests    int
+	matrix               string
+	scale                float64
+	opts                 core.Options
 
 	traceparent string // live: send on every request and assert the echoed trace id
 	traceOut    string // live: write the first job's /jobs/{id}/trace.json here
 	spansOut    string // live: write the first job's /jobs/{id}/spans.jsonl here
 	sloOut      string // live: write the /slo report here
 	metricsOut  string // live: write the /metrics scrape here
-	sloJSON     string // virtual: write the last sweep point's SLO replay report here
 	deadlineMS  int64  // live: client deadline stamped on every request
 	retries     int    // live: retry cap for 429/503 structured rejections
 	retrySeed   int64  // live: seed for the backoff jitter streams
@@ -77,14 +69,11 @@ type config struct {
 
 func main() {
 	cfg := config{opts: core.Options{Ortho: "CholQR"}}
-	flag.StringVar(&cfg.mode, "mode", "virtual", "live (drive a daemon over HTTP), cluster (drive a cagmres-router: shard spread + per-backend stats), or virtual (deterministic replay)")
+	flag.StringVar(&cfg.mode, "mode", "live", "live (drive a daemon over HTTP) or cluster (drive a cagmres-router: shard spread + per-backend stats)")
 	flag.StringVar(&cfg.addr, "addr", "", "daemon address for -mode live (host:port)")
 	flag.StringVar(&cfg.portFile, "portfile", "", "read the daemon address from this file (written by cagmresd -portfile)")
 	flag.IntVar(&cfg.clients, "clients", 4, "concurrent closed-loop clients")
 	flag.IntVar(&cfg.requests, "requests", 4, "requests per client")
-	flag.StringVar(&cfg.sweep, "sweep", "", "comma-separated client counts to sweep (virtual mode), e.g. 1,2,4,8,16")
-	flag.IntVar(&cfg.pool, "pool", 2, "device contexts serving the virtual replay")
-	flag.IntVar(&cfg.devices, "devices", 3, "simulated GPUs per context")
 	flag.StringVar(&cfg.matrix, "matrix", "laplace3d", "generator matrix name")
 	flag.Float64Var(&cfg.scale, "scale", 1e-4, "generator scale")
 	flag.IntVar(&cfg.opts.M, "m", 30, "restart length")
@@ -95,7 +84,6 @@ func main() {
 	flag.StringVar(&cfg.traceOut, "traceout", "", "live mode: fetch the first job's /jobs/{id}/trace.json after the run and write it here")
 	flag.StringVar(&cfg.spansOut, "spansout", "", "live mode: fetch the first job's /jobs/{id}/spans.jsonl after the run and write it here")
 	flag.StringVar(&cfg.sloOut, "sloout", "", "live mode: fetch /slo after the run and write it here")
-	flag.StringVar(&cfg.sloJSON, "slojson", "", "virtual mode: write the final sweep point's deterministic SLO replay report as JSON here")
 	flag.Int64Var(&cfg.deadlineMS, "deadline-ms", 0, "live mode: stamp this client deadline on every request (job body and Solve-Control header); 0 sends none")
 	flag.IntVar(&cfg.retries, "retries", 3, "live mode: retry cap per request for 429/503 structured rejections (Retry-After honored with seeded jittered backoff)")
 	flag.Int64Var(&cfg.retrySeed, "retry-seed", 1, "live mode: seed for the per-client backoff jitter streams")
@@ -118,7 +106,7 @@ func (cfg *config) check() error {
 	for _, c := range []struct {
 		flag string
 		n    int
-	}{{"clients", cfg.clients}, {"requests", cfg.requests}, {"pool", cfg.pool}, {"devices", cfg.devices}} {
+	}{{"clients", cfg.clients}, {"requests", cfg.requests}} {
 		if c.n < 1 {
 			return fmt.Errorf("-%s %d: need at least 1", c.flag, c.n)
 		}
@@ -142,21 +130,8 @@ func run(cfg *config) error {
 			return fmt.Errorf("%s mode needs -addr or -portfile", cfg.mode)
 		}
 		return runLive(cfg, addr, cfg.mode == "cluster")
-	case "virtual":
-		counts := []int{cfg.clients}
-		if cfg.sweep != "" {
-			counts = counts[:0]
-			for _, f := range strings.Split(cfg.sweep, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil || v < 1 {
-					return fmt.Errorf("bad -sweep entry %q", f)
-				}
-				counts = append(counts, v)
-			}
-		}
-		return runVirtual(cfg, counts)
 	}
-	return fmt.Errorf("unknown mode %q (want live, cluster, or virtual)", cfg.mode)
+	return fmt.Errorf("unknown mode %q (want live or cluster)", cfg.mode)
 }
 
 // ---------------------------------------------------------------------
@@ -478,181 +453,12 @@ func checkClusterHealth(base string) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// virtual mode
-
-// rpcOverhead is the modeled per-request RPC overhead of an n-row solve
-// (JSON decode + admission + response), charged as a serial host kernel
-// that moves the rhs in and x out, 8 bytes each way.
-func rpcOverhead(n int) float64 {
-	return gpu.M2090().Model.HostKernelTime(gpu.HostKernel{
-		Bytes: float64(16 * n), Parallelism: 1, Dispatches: 4,
-	})
-}
-
-// runVirtual replays the closed loop in virtual time: modeled service
-// seconds per request from the solver's own cost ledger, per-request
-// RPC overhead from the cost model (rpcOverhead), and an event
-// simulation of k clients contending for c device contexts. The same
-// per-request (submit, start, finish) stamps feed an obs.SLOEngine on
-// the virtual clock, so queue waits and burn rates are deterministic too.
-func runVirtual(cfg *config, counts []int) error {
-	requests, pool, devices, matrix := cfg.requests, cfg.pool, cfg.devices, cfg.matrix
-	gen, err := matgen.ByName(matrix, cfg.scale)
-	if err != nil {
-		return err
-	}
-	a := gen.A
-	n := a.Rows
-	maxClients := 0
-	for _, c := range counts {
-		if c > maxClients {
-			maxClients = c
-		}
-	}
-
-	// Modeled service time per request: run the actual solver over a
-	// simulated context, read its ledger. Deterministic per seed.
-	ctx := gpu.NewContext(devices, gpu.M2090())
-	service := make([]float64, maxClients*requests)
-	for seed := range service {
-		ctx.ResetStats()
-		prob, err := core.NewProblem(ctx, a, matgen.RHS(n, seed), core.KWay, true)
-		if err != nil {
-			return err
-		}
-		res, err := core.CAGMRES(prob, cfg.opts)
-		if err != nil {
-			return err
-		}
-		if !res.Converged {
-			return fmt.Errorf("seed %d did not converge (relres %.2e)", seed, res.RelRes)
-		}
-		service[seed] = res.Stats.TotalTime()
-	}
-
-	overhead := rpcOverhead(n)
-
-	fmt.Printf("loadgen virtual: %s n=%d, pool %d×%d GPUs, %d requests/client, rpc overhead %.1fus\n",
-		matrix, n, pool, devices, requests, overhead*1e6)
-	fmt.Printf("%8s %10s %10s %10s %10s %10s %12s %10s %10s\n",
-		"clients", "p50", "p90", "p99", "max", "mean", "throughput/s", "wait p50", "wait p99")
-	var lastReport *obs.SLOReport
-	for _, k := range counts {
-		rs, makespan := replay(k, requests, pool, service, overhead)
-		lat := make([]float64, len(rs))
-		wait := make([]float64, len(rs))
-		for i, r := range rs {
-			lat[i] = r.finish - r.submit
-			wait[i] = r.start - r.submit
-		}
-		sort.Float64s(lat)
-		sort.Float64s(wait)
-		fmt.Printf("%8d %10.4f %10.4f %10.4f %10.4f %10.4f %12.2f %10.4f %10.4f\n",
-			k, pct(lat, 50), pct(lat, 90), pct(lat, 99), lat[len(lat)-1],
-			mean(lat), float64(k*requests)/makespan, pct(wait, 50), pct(wait, 99))
-
-		// SLO replay: judge every request against the default classes on
-		// the virtual clock (sorted by finish, the order a live daemon
-		// would observe them).
-		eng := obs.NewSLOEngine(nil, obs.SLOConfig{})
-		ordered := append([]reqSample(nil), rs...)
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].finish < ordered[j].finish })
-		for _, r := range ordered {
-			eng.ObserveAt(r.finish, 0, r.finish-r.submit, false)
-		}
-		rep := eng.ReportAt(makespan)
-		for _, cr := range rep.Classes {
-			if cr.Requests == 0 {
-				continue
-			}
-			fmt.Printf("         slo %s: %d/%d bad, budget %.4f, burn fast %.4f slow %.4f\n",
-				cr.Name, cr.Bad, cr.Requests, cr.BudgetRemaining, cr.BurnFast, cr.BurnSlow)
-		}
-		lastReport = &rep
-	}
-	if cfg.sloJSON != "" && lastReport != nil {
-		data, err := json.MarshalIndent(lastReport, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.sloJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.sloJSON)
-	}
-	return nil
-}
-
-// reqSample is one replayed request's life in virtual seconds.
-type reqSample struct {
-	submit, start, finish float64
-}
-
-// replay event-simulates the closed loop: each of k clients submits its
-// next request the moment the previous one finishes; c servers take the
-// earliest-submitted pending request (FIFO). Returns each request's
-// (submit, start, finish) stamps and the makespan, all in virtual
-// seconds; latency is finish-submit and queue wait start-submit.
-func replay(k, requests, c int, service []float64, overhead float64) (rs []reqSample, makespan float64) {
-	type client struct {
-		nextSubmit float64
-		issued     int
-	}
-	clients := make([]client, k)
-	servers := make([]float64, c) // freeAt
-	for done := 0; done < k*requests; done++ {
-		// Earliest-submitted pending client; index tiebreak keeps the
-		// replay deterministic.
-		ci := -1
-		for i := range clients {
-			if clients[i].issued >= requests {
-				continue
-			}
-			if ci < 0 || clients[i].nextSubmit < clients[ci].nextSubmit {
-				ci = i
-			}
-		}
-		// Earliest-free server.
-		si := 0
-		for i := 1; i < c; i++ {
-			if servers[i] < servers[si] {
-				si = i
-			}
-		}
-		cl := &clients[ci]
-		seed := ci*requests + cl.issued
-		submit := cl.nextSubmit
-		start := submit
-		if servers[si] > start {
-			start = servers[si]
-		}
-		finish := start + service[seed] + overhead
-		servers[si] = finish
-		rs = append(rs, reqSample{submit: submit, start: start, finish: finish})
-		cl.nextSubmit = finish
-		cl.issued++
-		if finish > makespan {
-			makespan = finish
-		}
-	}
-	return rs, makespan
-}
-
 func pct(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
 	idx := int(float64(len(sorted)-1)*p/100 + 0.5)
 	return sorted[idx]
-}
-
-func mean(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 func printPercentiles(label string, xs []float64) {

@@ -145,21 +145,22 @@ func TestDeadlineInfeasibleGate(t *testing.T) {
 	waitJob(t, ok)
 }
 
-// TestDeadlineExpiredShed stages a job whose deadline fires while the
-// workers are stopped; dispatch must shed it as deadline_expired — a
-// Canceled result without device time, tallied separately from a user
-// cancel.
+// TestDeadlineExpiredShed stages a job whose deadline fires, on a
+// manual clock, while the workers are stopped; dispatch must shed it as
+// deadline_expired — a Canceled result without device time, tallied
+// separately from a user cancel.
 func TestDeadlineExpiredShed(t *testing.T) {
 	reg := obs.NewRegistry()
 	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
-	s := New(Config{Pool: pool, Registry: reg})
+	clk := newManualClock()
+	s := New(Config{Pool: pool, Registry: reg, Clock: clk})
 
 	a := testMatrix()
 	j, err := s.Submit(context.Background(), testSpec(a, matgen.RHS(a.Rows, 1), ""), 0, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the deadline fire before Start
+	clk.fire() // the deadline expires before Start
 	s.Start()
 	defer s.Drain(context.Background())
 

@@ -176,7 +176,8 @@ func (w wedgeTSQR) Factor(ctx *gpu.Context, p []*la.Dense, phase string) (*la.De
 // blocking TSQR, so cancellation never takes effect. Drain with a grace
 // period must give up, name the abandoned job, and return — instead of
 // hanging forever (the pre-grace behavior, and the daemon's SIGTERM
-// hang). The test then releases the wedge and verifies the worker
+// hang). The grace timer runs on a manual clock; the wedge is a real
+// block. The test then releases the wedge and verifies the worker
 // goroutines unwind.
 func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	a := testMatrix()
@@ -188,7 +189,8 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	wedge := wedgeTSQR{entered: make(chan struct{}), once: new(sync.Once), release: make(chan struct{}), inner: inner}
 
 	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
-	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, DrainGrace: 50 * time.Millisecond})
+	clk := newManualClock()
+	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, DrainGrace: 50 * time.Millisecond, Clock: clk})
 	s.Start()
 	spec := testSpec(a, matgen.RHS(a.Rows, 6), "")
 	spec.Opts.OrthoImpl = wedge
@@ -204,10 +206,13 @@ func TestDrainGraceAbandonsWedgedLease(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("the job never reached the wedged TSQR")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the drain deadline has already passed
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	clk.fire() // the grace runs out
 	var dt *DrainTimeoutError
-	if err := s.Drain(ctx); !errors.As(err, &dt) {
+	if err := <-drained; !errors.As(err, &dt) {
 		t.Fatalf("Drain = %v, want *DrainTimeoutError", err)
 	}
 	if len(dt.Abandoned) != 1 || dt.Abandoned[0] != j.ID {

@@ -6,14 +6,16 @@ package sched
 // fixed submission order.
 type jobQueue []*Job
 
+func (j *Job) before(k *Job) bool {
+	if j.Priority != k.Priority {
+		return j.Priority > k.Priority
+	}
+	return j.seq < k.seq
+}
+
 func (q jobQueue) Len() int { return len(q) }
 
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].Priority != q[j].Priority {
-		return q[i].Priority > q[j].Priority
-	}
-	return q[i].seq < q[j].seq
-}
+func (q jobQueue) Less(i, j int) bool { return q[i].before(q[j]) }
 
 func (q jobQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]

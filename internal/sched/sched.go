@@ -72,8 +72,9 @@ type Job struct {
 	// Spec is the solve request.
 	Spec Spec
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	ctx      context.Context
+	cancel   context.CancelCauseFunc
+	deadline Timer // the deadline's clock timer; nil without one
 
 	// trace is the job's request trace: the root span (minted by the
 	// submitter or by the scheduler), the queue/lease/heal/solver spans
@@ -89,7 +90,7 @@ type Job struct {
 	dispatchSeq uint64
 	attempts    int // leases this job has run on
 	submitted   time.Time
-	started     time.Time
+	started     time.Time // the latest attempt's start
 	finished    time.Time
 	result      *core.Result
 	err         error
@@ -115,8 +116,10 @@ func (j *Job) Result() (*core.Result, error) {
 	return j.result, j.err
 }
 
-// WaitSeconds returns the wall-clock time the job spent queued; valid
-// once running or terminal.
+// WaitSeconds returns the time from submission to the start of the
+// job's latest solve attempt, on the scheduler's clock — queueing plus
+// any wait behind batch mates on the same lease; valid once running or
+// terminal.
 func (j *Job) WaitSeconds() float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -126,8 +129,8 @@ func (j *Job) WaitSeconds() float64 {
 	return j.started.Sub(j.submitted).Seconds()
 }
 
-// ServiceSeconds returns the wall-clock service time; valid once
-// terminal.
+// ServiceSeconds returns the time the job's latest solve attempt took,
+// on the scheduler's clock; valid once terminal.
 func (j *Job) ServiceSeconds() float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -140,7 +143,7 @@ func (j *Job) ServiceSeconds() float64 {
 // Cancel cancels the job's context; a queued job turns into a canceled
 // result at dispatch, a running one stops at the solver's next restart
 // boundary.
-func (j *Job) Cancel() { j.cancel() }
+func (j *Job) Cancel() { j.cancel(nil) }
 
 // Trace returns the job's request trace (never nil for admitted jobs).
 func (j *Job) Trace() *obs.JobTrace { return j.trace }
@@ -156,17 +159,20 @@ func (j *Job) Attempts() int {
 	return j.attempts
 }
 
-func (j *Job) bumpAttempts() int {
+// startAttempt marks the job running and stamps the attempt's start,
+// returning the attempt number.
+func (j *Job) startAttempt(start time.Time) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.state = StateRunning
+	j.started = start
 	j.attempts++
 	return j.attempts
 }
 
-func (j *Job) markDispatched(seq uint64, t time.Time) {
+func (j *Job) markDispatched(seq uint64) {
 	j.mu.Lock()
 	j.dispatchSeq = seq
-	j.started = t
 	j.mu.Unlock()
 }
 
@@ -179,12 +185,12 @@ func (j *Job) setState(s State) {
 // finish records the terminal state and result. The job is not
 // observable as done until signalDone, which finishJob calls once the
 // trace and SLO bookkeeping of the job are complete.
-func (j *Job) finish(st State, res *core.Result, err error) {
+func (j *Job) finish(st State, res *core.Result, err error, now time.Time) {
 	j.mu.Lock()
 	j.state = st
 	j.result = res
 	j.err = err
-	j.finished = time.Now()
+	j.finished = now
 	if j.started.IsZero() {
 		j.started = j.finished
 	}
@@ -192,7 +198,10 @@ func (j *Job) finish(st State, res *core.Result, err error) {
 }
 
 func (j *Job) signalDone() {
-	j.cancel() // release the deadline timer
+	if j.deadline != nil {
+		j.deadline.Stop()
+	}
+	j.cancel(nil)
 	close(j.done)
 }
 
@@ -236,7 +245,7 @@ type Config struct {
 	// retryable lease fault (transfer-retry exhaustion, unrecoverable
 	// device loss) fails it instead of re-queueing it (default 2).
 	MaxJobAttempts int
-	// LeaseTimeout, when > 0, bounds one lease's wall-clock execution:
+	// LeaseTimeout, when > 0, bounds one lease's execution:
 	// when it fires, every job still on the lease is canceled so a stuck
 	// batch stops at the solver's next restart boundary instead of
 	// holding a device context forever.
@@ -266,6 +275,11 @@ type Config struct {
 	// A margin of 1 means "the deadline must at least cover one
 	// typical solve"; 2 leaves room for queueing. 0 disables the gate.
 	DeadlineMargin float64
+	// Clock is the time source of every stamp, deadline, lease timeout,
+	// drain grace, scheduler-minted root span and the default SLO
+	// engine; nil is the wall clock. A *Virtual runs the scheduler in
+	// modeled time (see Virtual.Run).
+	Clock Clock
 }
 
 func (c *Config) defaults() {
@@ -290,8 +304,13 @@ func (c *Config) defaults() {
 	if c.Tracer == nil {
 		c.Tracer = obs.NewTracer(c.Registry)
 	}
+	if c.Clock == nil {
+		c.Clock = wallClock{}
+	}
 	if c.SLO == nil {
-		c.SLO = obs.NewSLOEngine(c.Registry, obs.SLOConfig{})
+		clock := c.Clock
+		c.SLO = obs.NewSLOEngine(c.Registry, obs.SLOConfig{
+			Now: func() float64 { return unixSeconds(clock.Now()) }})
 	}
 }
 
@@ -407,12 +426,13 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 		s.met.rejections.Inc()
 		return nil, &QueueFullError{Depth: s.cfg.QueueDepth, RetryAfter: s.cfg.RetryAfter}
 	}
-	var jctx context.Context
-	var cancel context.CancelFunc
+	now := s.cfg.Clock.Now()
+	// A deadline is a clock timer whose cause is DeadlineExceeded, so
+	// dispatch tells an expiry from a cancel on any clock.
+	jctx, cancel := context.WithCancelCause(parent)
+	var timer Timer
 	if deadline > 0 {
-		jctx, cancel = context.WithTimeout(parent, deadline)
-	} else {
-		jctx, cancel = context.WithCancel(parent)
+		timer = s.cfg.Clock.AfterFunc(deadline, func() { cancel(context.DeadlineExceeded) })
 	}
 	seq := s.nextSeq
 	s.nextSeq++
@@ -422,6 +442,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 	root, ok := obs.SpanFromContext(parent)
 	if !ok {
 		root = s.cfg.Tracer.Root("solve", "")
+		root.Start = unixSeconds(now)
 	}
 	j := &Job{
 		ID:       fmt.Sprintf("job-%d", seq+1),
@@ -429,6 +450,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 		Spec:     spec,
 		ctx:      jctx,
 		cancel:   cancel,
+		deadline: timer,
 		seq:      seq,
 		state:    StateQueued,
 		done:     make(chan struct{}),
@@ -444,7 +466,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 		root.SetAttr("deadline", deadline.String())
 	}
 	j.trace = obs.NewJobTrace(s.cfg.Tracer, root)
-	j.submitted = time.Now()
+	j.submitted = now
 	heap.Push(&s.queue, j)
 	s.jobs[j.ID] = j
 	depth := len(s.queue)
@@ -592,7 +614,6 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		for _, j := range orphans {
-			s.met.finished(StateCanceled, 0, 0, 0)
 			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 		}
 		s.met.setDepth(0)
@@ -609,7 +630,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for _, j := range s.jobs {
-			j.cancel()
+			j.Cancel()
 		}
 		grace := s.cfg.DrainGrace
 		s.mu.Unlock()
@@ -617,12 +638,13 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 			<-done
 			return ctx.Err()
 		}
-		timer := time.NewTimer(grace)
+		expired := make(chan struct{})
+		timer := s.cfg.Clock.AfterFunc(grace, func() { close(expired) })
 		defer timer.Stop()
 		select {
 		case <-done:
 			return ctx.Err()
-		case <-timer.C:
+		case <-expired:
 			s.mu.Lock()
 			var abandoned []string
 			for id, j := range s.jobs {
@@ -637,36 +659,45 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// worker runs until draining empties the queue: pop a batch, lease a
-// context, execute, release.
+// worker runs until draining empties the queue: wait for a job, pop a
+// batch, lease a context, execute, release.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for {
-		batch := s.nextBatch()
-		if batch == nil {
-			return
+	for s.await() {
+		if batch := s.popBatch(); batch != nil {
+			s.execute(batch)
 		}
-		s.execute(batch)
 	}
 }
 
-// nextBatch blocks for the highest-priority queued job and coalesces up
-// to MaxBatch-1 compatible followers (same batch key) into its lease.
-// Returns nil when draining and the queue is empty. Dispatch order —
-// including the followers' — is recorded under the queue lock, so it is
-// deterministic for a fixed submission order.
-func (s *Scheduler) nextBatch() []*Job {
+// await blocks until a job is queued (true) or the scheduler is draining
+// an empty queue (false).
+func (s *Scheduler) await() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for len(s.queue) == 0 {
 		if s.draining {
-			s.mu.Unlock()
-			return nil
+			return false
 		}
 		s.cond.Wait()
 	}
-	now := time.Now()
+	return true
+}
+
+// popBatch takes the highest-priority queued job, or returns nil when
+// the queue is empty, and coalesces up to MaxBatch-1 compatible
+// followers (same batch key) into its lease. Dispatch order — including
+// the followers' — is recorded under the queue lock, so it is
+// deterministic for a fixed submission order.
+func (s *Scheduler) popBatch() []*Job {
+	s.mu.Lock()
+	if len(s.queue) == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	now := s.cfg.Clock.Now()
 	head := heap.Pop(&s.queue).(*Job)
-	head.markDispatched(s.nextDispatch, now)
+	head.markDispatched(s.nextDispatch)
 	s.queueSpan(head, now)
 	s.nextDispatch++
 	s.dispatched++
@@ -680,18 +711,13 @@ func (s *Scheduler) nextBatch() []*Job {
 				mates = append(mates, j)
 			}
 		}
-		sort.Slice(mates, func(i, k int) bool {
-			if mates[i].Priority != mates[k].Priority {
-				return mates[i].Priority > mates[k].Priority
-			}
-			return mates[i].seq < mates[k].seq
-		})
+		sort.Slice(mates, func(i, k int) bool { return mates[i].before(mates[k]) })
 		if len(mates) > s.cfg.MaxBatch-1 {
 			mates = mates[:s.cfg.MaxBatch-1]
 		}
 		for _, j := range mates {
 			heap.Remove(&s.queue, j.index)
-			j.markDispatched(s.nextDispatch, now)
+			j.markDispatched(s.nextDispatch)
 			s.queueSpan(j, now)
 			s.nextDispatch++
 			s.dispatched++
@@ -732,11 +758,13 @@ func (s *Scheduler) queueSpan(j *Job, dispatched time.Time) {
 	j.trace.Add(q)
 }
 
-// finishJob moves a job to its terminal state and closes out its trace
-// and SLO accounting: the finishing attempt's ledger is attached (its
-// device lanes become the stitched Chrome trace), the root span is
-// widened over its children and stamped with the outcome, and the
-// end-to-end latency is judged against the job's priority class.
+// finishJob moves a job to its terminal state and closes out its trace,
+// metrics and SLO accounting: the finishing attempt's ledger is attached
+// (its device lanes become the stitched Chrome trace), the root span is
+// widened over its children and stamped with the outcome, wait and
+// service are observed from the job's own stamps, and the end-to-end
+// latency is judged against the job's priority class. A job that never
+// started an attempt has no service time.
 // Canceled jobs are judged by latency alone — a deadline expiry usually
 // blows the latency target on its own, while a fast user cancel is not
 // the service's failure.
@@ -750,17 +778,19 @@ func (s *Scheduler) finishJob(j *Job, st State, res *core.Result, err error) {
 	if err != nil {
 		j.trace.SetRootAttr("error", err.Error())
 	}
-	j.finish(st, res, err)
+	j.finish(st, res, err, s.cfg.Clock.Now())
 	j.mu.Lock()
 	end := j.finished
 	latency := j.finished.Sub(j.submitted).Seconds()
-	wall := j.finished.Sub(j.started).Seconds()
+	wait := j.started.Sub(j.submitted).Seconds()
+	service := j.finished.Sub(j.started).Seconds()
 	j.mu.Unlock()
+	s.met.finished(st, wait, service, modeled)
 	j.trace.FinishRoot(unixSeconds(end), modeled)
 	s.cfg.SLO.Observe(j.Priority, latency, st == StateFailed)
 	if st == StateDone {
 		// Completed solves feed the deadline gate's service estimate.
-		s.observeService(wall)
+		s.observeService(service)
 	}
 	// Last: whoever waits on Done may read the trace, the SLO report
 	// and the service estimate straight away.
@@ -802,16 +832,15 @@ func (s *Scheduler) execute(batch []*Job) {
 	lease, err := s.cfg.Pool.Acquire(context.Background())
 	if err != nil { // pool exhausted: every context evicted
 		for _, j := range batch {
-			s.met.finished(StateFailed, j.WaitSeconds(), 0, 0)
 			s.finishJob(j, StateFailed, nil, err)
 		}
 		s.retain(batch)
 		return
 	}
-	leaseStart := time.Now()
+	leaseStart := s.cfg.Clock.Now()
 	fcBefore := lease.FaultCounts()
 	if s.cfg.LeaseTimeout > 0 {
-		timer := time.AfterFunc(s.cfg.LeaseTimeout, func() {
+		timer := s.cfg.Clock.AfterFunc(s.cfg.LeaseTimeout, func() {
 			s.met.leaseTimeouts.Inc()
 			for _, j := range batch {
 				j.Cancel()
@@ -826,30 +855,30 @@ func (s *Scheduler) execute(batch []*Job) {
 		delta.TransferRetries -= fcBefore.TransferRetries
 		s.met.faults(delta)
 		s.cfg.Pool.Release(lease)
-		s.met.leaseReleased(time.Since(leaseStart).Seconds(), len(batch))
+		s.met.leaseReleased(s.cfg.Clock.Now().Sub(leaseStart).Seconds(), len(batch))
 	}()
 
 	var problem *core.Problem
 	var terminal []*Job
 	for _, j := range batch {
-		if ctxErr := j.ctx.Err(); ctxErr != nil {
+		if j.ctx.Err() != nil {
 			// Deadline or cancellation expired while queued: a Canceled
 			// result without spending device time. An expired deadline is
 			// the containment layer shedding dead-on-arrival work, so it
 			// is tallied and stamped on the trace separately from a user
 			// cancel.
-			if errors.Is(ctxErr, context.DeadlineExceeded) {
+			if errors.Is(context.Cause(j.ctx), context.DeadlineExceeded) {
 				s.met.shedExpired.Inc()
 				j.trace.SetRootAttr("shed_reason", "deadline_expired")
 			}
-			s.met.finished(StateCanceled, j.WaitSeconds(), 0, 0)
 			s.finishJob(j, StateCanceled, &core.Result{Canceled: true}, nil)
 			terminal = append(terminal, j)
 			continue
 		}
-		j.setState(StateRunning)
-		attempt := j.bumpAttempts()
-		start := time.Now()
+		start := s.cfg.Clock.Now()
+		attempt := j.startAttempt(start)
+		ledger := lease.Stats()
+		base := ledger.TotalTime()
 
 		// One lease span per solve attempt; the solver-phase and heal
 		// spans the telemetry sink derives hang under it.
@@ -872,8 +901,15 @@ func (s *Scheduler) execute(batch []*Job) {
 			opts.Telemetry = j.trace.SolverSink(s.cfg.Tracer, ls, j.ID, attempt, opts.Telemetry)
 			res, err = solve(problem, opts)
 		}
+		// A solve resets the lease's ledger at its start, so the attempt
+		// charged what the old ledger gained plus all of the current one.
+		charged := ledger.TotalTime() - base
+		if cur := lease.Stats(); cur != ledger {
+			charged += cur.TotalTime()
+		}
+		s.cfg.Clock.Attempt(start, charged)
 		closeLease := func(outcome string) {
-			ls.End = unixSeconds(time.Now())
+			ls.End = unixSeconds(s.cfg.Clock.Now())
 			ls.SetAttr("outcome", outcome)
 			j.trace.Add(ls)
 		}
@@ -901,14 +937,9 @@ func (s *Scheduler) execute(batch []*Job) {
 			st = StateCanceled
 		}
 		closeLease(string(st))
-		modeled := 0.0
-		if res != nil && res.Stats != nil {
-			modeled = res.Stats.TotalTime()
-		}
 		if st == StateDone && res != nil {
 			s.met.precision(res.Precision)
 		}
-		s.met.finished(st, j.WaitSeconds(), time.Since(start).Seconds(), modeled)
 		s.finishJob(j, st, res, err)
 		terminal = append(terminal, j)
 	}
@@ -920,9 +951,9 @@ func (s *Scheduler) execute(batch []*Job) {
 // the job's lease span.
 func (s *Scheduler) prepare(j *Job, ls obs.Span, lease *gpu.Context) (*core.Problem, error) {
 	ps := s.cfg.Tracer.Child(ls, "prepare", obs.KindPrepare)
-	ps.Start = unixSeconds(time.Now())
+	ps.Start = unixSeconds(s.cfg.Clock.Now())
 	problem, hit, err := s.prepared.problem(lease, &j.Spec)
-	ps.End = unixSeconds(time.Now())
+	ps.End = unixSeconds(s.cfg.Clock.Now())
 	if hit {
 		ps.SetAttr("cache", "hit")
 	} else {

@@ -46,16 +46,17 @@ func waitJob(t *testing.T, j *Job) *core.Result {
 	return res
 }
 
-// TestDeterministicLoad is the tier-1 load test of the issue: N
-// concurrent solve jobs through a 2-context pool, staged while the
-// workers are stopped so the dispatch order is a pure function of the
-// queue discipline. It asserts FIFO-within-priority dispatch, that
-// deadline expiry yields Canceled results, and that a full queue
-// rejects rather than blocks.
+// TestDeterministicLoad is the tier-1 load test: N concurrent solve
+// jobs through a 2-context pool, staged while the workers are stopped so
+// the dispatch order is a pure function of the queue discipline. It
+// asserts FIFO-within-priority dispatch, that deadline expiry yields
+// Canceled results, and that a full queue rejects rather than blocks.
+// Deadlines run on a manual clock, so the expiry is fired, not slept for.
 func TestDeterministicLoad(t *testing.T) {
 	a := testMatrix()
 	pool := NewPool(PoolConfig{Size: 2, Devices: 2})
-	s := New(Config{Pool: pool, QueueDepth: 16, MaxBatch: 1})
+	clk := newManualClock()
+	s := New(Config{Pool: pool, QueueDepth: 16, MaxBatch: 1, Clock: clk})
 
 	// Mixed priorities, distinct matrix keys (no batching): expected
 	// dispatch order is priority-descending, FIFO within a class.
@@ -76,7 +77,7 @@ func TestDeterministicLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the 1ns deadline fire before Start
+	clk.fire() // the 1ns deadline expires before Start
 
 	s.Start()
 	for _, j := range jobs {
