@@ -56,13 +56,18 @@
 # fork as a charged Launch, the host kernels of the solve (device SpMV,
 # GemvT/Gemv, the Gram GemmTN and Syrk; all but GemvT also as `/scalar`
 # rows, the Go loop beside the AVX2 body), one MPK window at the two
-# shapes the benchmark solves and one depth-1 distributed SpMV (a fork
-# and the kernels allocate nothing; what a window and an SpMV allocate,
-# the closure each of their two forks runs and a window's B̂, is pinned by
-# dist.TestMPKAllocations: `make test`, so `make check`), then prints B/op
-# and allocs/op of one prepared CA-GMRES and one GMRES solve at the same
-# shapes — what a solve allocates beside the context's workspace, pinned
-# per iteration by core.TestSolveAllocations.
+# shapes the benchmark solves and one depth-1 distributed SpMV (a fork,
+# the kernels and the bodies their forks run allocate nothing: an SpMV
+# allocates nothing and a window only its B̂, pinned by
+# dist.TestMPKAllocations: `make test`, so `make check`), the graph
+# layer's k-way partition (G3_circuit@0.05 k = 3, cant@0.05 k = 4) and
+# RCM ordering (dielFilterV2real@0.02, a 32 000-row diagonal), then prints
+# B/op and allocs/op of one prepared CA-GMRES and one GMRES solve at the
+# benchmark's shapes — what a solve allocates beside the context's
+# workspace: per-cycle and per-window bookkeeping, pinned per iteration by
+# core.TestSolveAllocations (an Arnoldi step, the per-step column
+# operations and an SpMV allocate nothing: core.TestArnoldiStepsAllocateNothing,
+# dist.TestVectorOpsAllocateNothing).
 
 GO ?= go
 
@@ -224,6 +229,7 @@ bench-compare:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
 		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/
+	$(GO) test -run '^$$' -bench 'KWay|RCM' -benchmem -cpu 1 ./internal/graph/
 	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 
 # Non-test Go lines per package, benchmark/ excluded.

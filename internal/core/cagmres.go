@@ -243,10 +243,10 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 //	           = (G bhat[:,1:] - H[:,0:q] C[:,0:steps-2]) Rsub^{-1}
 //
 // where Rsub = R[0:steps-1, 0:steps-1]. All small host-side products.
-func updateHessenberg(h, bhat, c, r *la.Dense, q, steps int) {
+func (sc *cycleScratch) updateHessenberg(h, bhat, c, r *la.Dense, q, steps int) {
 	rows := q + steps
 	// G ((q+steps) x (steps+1)).
-	g := la.NewDense(rows, steps+1)
+	g, aw, msub := sc.hessenberg(rows, steps)
 	g.Set(q-1, 0, 1)
 	for j := 0; j < steps; j++ {
 		for i := 0; i < q; i++ {
@@ -257,8 +257,7 @@ func updateHessenberg(h, bhat, c, r *la.Dense, q, steps int) {
 		}
 	}
 	// AW = G * bhat ((q+steps) x steps).
-	aw := la.NewDense(rows, steps)
-	la.GemmNN(1, g, bhat, 0, aw)
+	la.GemmNN(1, &g, bhat, 0, &aw)
 
 	// Column q-1 of H.
 	for i := 0; i < rows && i < h.Rows; i++ {
@@ -269,16 +268,15 @@ func updateHessenberg(h, bhat, c, r *la.Dense, q, steps int) {
 		return
 	}
 	// M = AW[:,1:steps] - H[:,0:q] * C[:,0:steps-1].
-	msub := la.NewDense(rows, steps-1)
 	for j := 1; j < steps; j++ {
 		copy(msub.Col(j-1), aw.Col(j))
 	}
 	hq := h.RowView(0, rows).ColView(0, q)
 	csub := c.ColView(0, steps-1)
-	la.GemmNN(-1, hq, csub, 1, msub)
+	la.GemmNN(-1, hq, csub, 1, &msub)
 	// Right-solve against Rsub: columns of Hnew = M * Rsub^{-1}.
 	rsub := r.RowView(0, steps-1).ColView(0, steps-1)
-	la.TrsmRightUpper(msub, rsub)
+	la.TrsmRightUpper(&msub, rsub)
 	for j := 0; j < steps-1; j++ {
 		for i := 0; i < rows && i < h.Rows; i++ {
 			h.Set(i, q+j, msub.At(i, j))

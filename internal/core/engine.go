@@ -69,7 +69,7 @@ func newKrylov(p *Problem, ws *gpu.Workspace, m, s int) *krylov {
 		m:   m,
 		mpk: dist.NewMPKIn(ws, p.distributed(s)),
 		V:   dist.NewVectorsIn(ws, p.Ctx, p.Layout, m+1),
-		sc:  newScratch(ws, m),
+		sc:  newScratch(ws, m, s, p.Ctx.NumDevices),
 	}
 }
 
@@ -137,15 +137,15 @@ func (kr *krylov) ritzMatrix(h *la.Dense, k, iters int) (*la.Dense, error) {
 func (kr *krylov) window(h *la.Dense, done, steps int, shifts []complex128, tsqr ortho.TSQR, borth ortho.BOrth) ([]*la.Dense, error) {
 	bhat := kr.mpk.Generate(kr.V, done, steps, shifts, PhaseMPK)
 	q := done + 1
-	win := kr.V.Window(q, q+steps)
-	c := borth.Project(kr.ctx, kr.V.Window(0, q), win, PhaseBOrth)
+	win := view(kr.sc.win, kr.V, q, q+steps)
+	c := borth.Project(kr.ctx, view(kr.sc.prev, kr.V, 0, q), win, PhaseBOrth)
 	r, err := tsqr.Factor(kr.ctx, win, PhaseTSQR)
 	if err != nil {
 		return win, err
 	}
 	// The change-of-basis algebra is host work; under overlap it runs
 	// while the devices start the next window's exchange.
-	updateHessenberg(h, bhat, c, r, q, steps)
+	kr.sc.updateHessenberg(h, bhat, c, r, q, steps)
 	kr.ctx.HostComputeOn(PhaseLSQ, 2*float64(q+steps)*float64(steps)*float64(q+steps))
 	return win, nil
 }
@@ -194,7 +194,7 @@ func attempt(p *Problem, opts *Options, solver string, depth int, s cycler, ck *
 // garbage.
 func (e *engine) residual() (beta, relres float64, err error) {
 	e.mpk.SpMV(e.W, 0, e.W, 2, PhaseSpMV)
-	negateInto(e.W, 2, 1)
+	e.sc.negateInto(e.W, 2, 1)
 	beta = e.W.NormCol(2, PhaseVec)
 	relres = beta / e.bNorm
 	if nonFinite(relres) {
@@ -212,7 +212,7 @@ func (e *engine) commit(restart, k int, rel, lsqFlops float64) {
 	e.res.Iters += k
 	if e.em.enabled() {
 		e.em.emit(obs.Record{Kind: "cycle", Restart: restart, Step: k, RelRes: rel,
-			OrthoLoss: e.sc.orthoLoss(e.V.Window(0, k+1))})
+			OrthoLoss: e.sc.orthoLoss(view(e.sc.prev, e.V, 0, k+1))})
 	}
 	y := e.sc.giv.Solve()
 	e.ctx.HostComputeOn(PhaseLSQ, lsqFlops)
@@ -280,7 +280,7 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 			break
 		}
 		res.Restarts++
-		copyScaled(e.W, 2, e.V, 0, 1/beta) // v_0 = r / beta
+		e.sc.copyScaled(e.W, 2, e.V, 0, 1/beta) // v_0 = r / beta
 
 		out, err := s.cycle(e, restart, beta, relres)
 		if err != nil {

@@ -87,31 +87,6 @@ func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) (outcom
 	return advance, nil
 }
 
-// negateInto sets column jr := column jb - column jr on every device
-// (used to turn A*x into the residual b - A*x).
-func negateInto(w *dist.Vectors, jr, jb int) {
-	w.Ctx.Launch(PhaseVec, func(d int) gpu.Work {
-		r := w.Local[d].Col(jr)
-		b := w.Local[d].Col(jb)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		return gpu.Work{Flops: float64(len(r)), Bytes: 24 * float64(len(r))}
-	})
-}
-
-// copyScaled sets dst column jd := alpha * src column js across devices.
-func copyScaled(src *dist.Vectors, js int, dst *dist.Vectors, jd int, alpha float64) {
-	src.Ctx.Launch(PhaseVec, func(d int) gpu.Work {
-		s := src.Local[d].Col(js)
-		t := dst.Local[d].Col(jd)
-		for i := range s {
-			t[i] = alpha * s[i]
-		}
-		return gpu.Work{Flops: float64(len(s)), Bytes: 16 * float64(len(s))}
-	})
-}
-
 // arnoldiMGS orthogonalizes V[:,k+1] against V[:,0..k] by modified
 // Gram-Schmidt: one global reduction per previous vector plus the norm,
 // exactly the Orth kernel whose latency dominates GMRES in Figure 14's
@@ -139,25 +114,14 @@ func arnoldiMGS(v *dist.Vectors, k int, hcol []float64, _ *cycleScratch) error {
 func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error {
 	ctx := v.Ctx
 	sum := sc.sum[:k+2]
-	ctx.AllReduce(PhaseOrth, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
-		// Column k+1 is v_{k+1} itself, so one sweep over V[:,0..k+1]
-		// yields the projections and, last, the squared norm.
-		vk := v.Local[d].Col(k + 1)
-		la.GemvT(1, v.Local[d].ColView(0, k+2), vk, 0, part)
-		rows := float64(len(vk))
-		return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
-	})
+	sc.cgs.v, sc.cgs.k = v, k
+	ctx.AllReduce(PhaseOrth, sum, gpu.Elem64, sc.cgsPartial)
 	proj := sum[:k+1]
 	vnorm2 := sum[k+1]
 	copy(hcol[:k+1], proj)
 
 	bc := ctx.Broadcast(PhaseOrth, k+2, gpu.Elem64)
-	ctx.Launch(PhaseOrth, func(d int) gpu.Work {
-		vk := v.Local[d].Col(k + 1)
-		prev := v.Local[d].ColView(0, k+1)
-		la.Gemv(-1, prev, proj, 1, vk)
-		return gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
-	}, bc)
+	ctx.Launch(PhaseOrth, sc.cgsUpdate, bc)
 
 	newNorm2 := vnorm2 - la.Dot(proj, proj)
 	var nrm float64
@@ -174,4 +138,24 @@ func arnoldiCGS(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error 
 	}
 	v.ScaleCol(1/nrm, k+1, PhaseOrth)
 	return nil
+}
+
+// cgsPartialDev is arnoldiCGS's reduction on device d. Column k+1 is
+// v_{k+1} itself, so one sweep over V[:,0..k+1] yields the projections
+// and, last, the squared norm.
+func (sc *cycleScratch) cgsPartialDev(d int, part []float64) gpu.Work {
+	local, k := sc.cgs.v.Local[d], sc.cgs.k
+	vk := local.Col(k + 1)
+	la.GemvT(1, local.ColView(0, k+2), vk, 0, part)
+	rows := float64(len(vk))
+	return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
+}
+
+// cgsUpdateDev is arnoldiCGS's update on device d:
+// v_{k+1} -= V[:,0..k] * proj, the projections the reduction left in sum.
+func (sc *cycleScratch) cgsUpdateDev(d int) gpu.Work {
+	local, k := sc.cgs.v.Local[d], sc.cgs.k
+	vk := local.Col(k + 1)
+	la.Gemv(-1, local.ColView(0, k+1), sc.sum[:k+1], 1, vk)
+	return gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
 }

@@ -81,7 +81,7 @@ func TestHessenbergRecoveryIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				updateHessenberg(h, bhat, c, r, q, steps)
+				newScratch(&gpu.Workspace{}, m, s, ctx.NumDevices).updateHessenberg(h, bhat, c, r, q, steps)
 				done += steps
 			}
 
@@ -174,7 +174,7 @@ func TestHessenbergRecoveryMatchesExplicitArnoldi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		updateHessenberg(h, bhat, c, r, q, steps)
+		newScratch(&gpu.Workspace{}, m, s, ctx.NumDevices).updateHessenberg(h, bhat, c, r, q, steps)
 		done += steps
 	}
 

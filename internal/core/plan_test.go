@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -202,7 +203,10 @@ func TestApplyJacobiDropsThePlan(t *testing.T) {
 // TestOnContextSharesPlanNotRHS: copies of one prepared problem on
 // different contexts solve different right-hand sides at the same time —
 // run under -race — sharing one distribution, and each gets the solution
-// a private problem would.
+// a private problem would. Then GMRES and CA-GMRES run at once on two
+// copies, one of them healing after a device loss, and each is bit for
+// bit the same solve run alone: the per-call state of the solvers' forks
+// lives on the attempt, never on the shared plan.
 func TestOnContextSharesPlanNotRHS(t *testing.T) {
 	a := laplace2D(24, 24, 0.4)
 	opts := Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR"}
@@ -254,6 +258,69 @@ func TestOnContextSharesPlanNotRHS(t *testing.T) {
 		if !slices.Equal(got[w].X, want.X) || got[w].Iters != want.Iters ||
 			got[w].Stats.TotalTime() != want.Stats.TotalTime() {
 			t.Fatalf("worker %d: shared-plan solve differs from a private one", w)
+		}
+	}
+
+	fresh, err := base.OnContext(gpu.NewContext(3, gpu.M2090()))
+	if err == nil {
+		err = fresh.SetB(randomRHS(576, 20))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := CAGMRES(fresh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	death := gpu.FaultPlan{Seed: 42, Deaths: []gpu.DeviceDeath{{Device: 1, At: ref.Stats.TotalTime() / 2}}}
+	arms := []struct {
+		solve func(*Problem, Options) (*Result, error)
+		opts  Options
+		heals bool
+	}{{GMRES, Options{M: 20, Tol: 1e-8}, false}, {CAGMRES, opts, true}}
+	run := func(i int) (*Result, error) {
+		ctx := gpu.NewContext(3, gpu.M2090())
+		if arms[i].heals {
+			ctx.InjectFaults(death)
+		}
+		p, err := base.OnContext(ctx)
+		if err == nil {
+			err = p.SetB(randomRHS(576, int64(20+i)))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return arms[i].solve(p, arms[i].opts)
+	}
+	alone := make([]*Result, len(arms))
+	for i := range arms {
+		if alone[i], err = run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := alone[1].Faults; f == nil || f.Repartitions != 1 {
+		t.Fatalf("the faulted copy did not heal: %+v", f)
+	}
+	at := make([]*Result, len(arms))
+	for i := range arms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if at[i], err = run(i); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := range arms {
+		if !slices.Equal(at[i].X, alone[i].X) || at[i].Iters != alone[i].Iters ||
+			at[i].Stats.TotalTime() != alone[i].Stats.TotalTime() ||
+			!reflect.DeepEqual(at[i].Faults, alone[i].Faults) {
+			t.Fatalf("arm %d: the concurrent solve differs from the same solve run alone", i)
 		}
 	}
 }

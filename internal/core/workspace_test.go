@@ -167,7 +167,8 @@ func TestDeviceLossReplayOnWarmWorkspace(t *testing.T) {
 
 // solveAllocBytes returns the bytes one solve of an n = nx*ny Laplacian
 // allocates on a prepared problem and a warm context, net of the two
-// n-vectors behind the returned X (GatherCol, Unmap). Four devices keep
+// n-vectors behind the returned X (GatherCol, Unmap) as the heap charges
+// them, rounded up to their size class. Four devices keep
 // every device's block of both sizes within one 4096-row panel of la's
 // batched kernels, whose per-panel partial products (c x c per panel) are
 // the one thing left that grows with the rows.
@@ -195,7 +196,19 @@ func solveAllocBytes(t *testing.T, nx, ny int, solve func(*Problem, Options) (*R
 	if iters != opts.MaxRestarts*opts.M {
 		t.Fatalf("n=%d: %d iterations, want %d restarts of %d", n, iters, opts.MaxRestarts, opts.M)
 	}
-	return float64(after.TotalAlloc-before.TotalAlloc) - float64(2*n*gpu.ScalarBytes)
+	return float64(after.TotalAlloc-before.TotalAlloc) - 2*vectorBytes(n)
+}
+
+var vectorSink []float64
+
+// vectorBytes is what the heap charges for one n-vector.
+func vectorBytes(n int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vectorSink = make([]float64, n)
+	runtime.ReadMemStats(&after)
+	vectorSink = nil
+	return float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // TestSolveAllocationIndependentOfProblemSize: on a warm context a solve

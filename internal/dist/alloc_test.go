@@ -9,10 +9,9 @@ import (
 
 // TestMPKAllocations pins what one MPK window and one distributed SpMV
 // allocate at s = 15 on 3 devices. A device fork (gpu.Context.RunAll)
-// allocates nothing of its own; what remains is the closure each fork
-// runs, which captures its call's arguments. A window forks twice — pack
-// the send set, then one device program that picks up the halo and runs
-// all s steps — and adds B̂ (2). An SpMV forks twice as well.
+// allocates nothing of its own, and the bodies both forks of a window or
+// an SpMV run are built once, with the kernel: an SpMV allocates nothing,
+// a window only the B̂ it returns (2: the matrix and its data).
 func TestMPKAllocations(t *testing.T) {
 	const ng, s = 3, 15
 	a := matgen.Laplace3D(16, 16, 16, 0.2)
@@ -23,19 +22,51 @@ func TestMPKAllocations(t *testing.T) {
 		k := NewMPK(Distribute(ctx, a, l, s))
 		v := NewVectors(ctx, l, s+1)
 		v.SetColFromHost(0, matgen.RHS(a.Rows, 1))
+		shifts := []complex128{0.5, 1}
 		for _, tc := range []struct {
 			name string
 			max  float64
 			f    func()
 		}{
-			{"Generate", 4, func() { k.Generate(v, 0, s, nil, "mpk") }},
-			{"SpMV", 2, func() { k.SpMV(v, 0, v, 1, "spmv") }},
+			{"Generate", 2, func() { k.Generate(v, 0, s, nil, "mpk") }},
+			{"Generate/newton", 2, func() { k.Generate(v, 0, 2, shifts, "mpk") }},
+			{"SpMV", 0, func() { k.SpMV(v, 0, v, 1, "spmv") }},
 		} {
 			tc.f() // first charge creates the phase rows
 			if got := testing.AllocsPerRun(50, tc.f); got > tc.max {
 				t.Errorf("overlap=%v %s: %v allocations per call, want at most %v", overlap, tc.name, got, tc.max)
-			} else {
-				t.Logf("overlap=%v %s: %v", overlap, tc.name, got)
+			}
+		}
+	}
+}
+
+// TestVectorOpsAllocateNothing: the per-step column operations of the
+// Arnoldi loops run device bodies built with the Vectors, so on a warm
+// context none of them allocates.
+func TestVectorOpsAllocateNothing(t *testing.T) {
+	const ng, n = 3, 300
+	l := Uniform(n, ng)
+	for _, overlap := range []bool{false, true} {
+		ctx := gpu.NewContext(ng, gpu.M2090())
+		ctx.SetOverlap(overlap)
+		v := NewVectors(ctx, l, 4)
+		x := NewVectors(ctx, l, 1)
+		v.SetColFromHost(0, matgen.RHS(n, 1))
+		v.SetColFromHost(1, matgen.RHS(n, 2))
+		y := []float64{0.5, -0.25}
+		for _, tc := range []struct {
+			name string
+			f    func()
+		}{
+			{"DotCols", func() { v.DotCols(0, 1, "orth") }},
+			{"NormCol", func() { v.NormCol(1, "orth") }},
+			{"AxpyCol", func() { v.AxpyCol(0.5, 0, 2, "orth") }},
+			{"ScaleCol", func() { v.ScaleCol(0.5, 2, "orth") }},
+			{"UpdateWithBasis", func() { x.UpdateWithBasis(0, v, 0, y, "vec") }},
+		} {
+			tc.f() // first charge creates the phase rows
+			if got := testing.AllocsPerRun(50, tc.f); got != 0 {
+				t.Errorf("overlap=%v %s: %v allocations per call, want 0", overlap, tc.name, got)
 			}
 		}
 	}

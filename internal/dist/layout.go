@@ -83,6 +83,8 @@ type Vectors struct {
 	Layout *Layout
 	Cols   int
 	Local  []*la.Dense // Local[d] is OwnCount(d) x Cols
+
+	op vecOp // the column operation in flight (ops.go)
 }
 
 // heap is the memory source of NewVectors and NewMPK: objects their
@@ -106,6 +108,7 @@ func NewVectorsIn(ws *gpu.Workspace, ctx *gpu.Context, l *Layout, cols int) *Vec
 		rows := l.OwnCount(d)
 		v.Local[d] = &la.Dense{Rows: rows, Cols: cols, Stride: rows, Data: ws.Floats(d, rows*cols)}
 	}
+	v.buildOps()
 	return v
 }
 

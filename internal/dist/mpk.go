@@ -59,6 +59,24 @@ type MPK struct {
 	steps                [][]gpu.Work
 	interior, boundary   []gpu.Work
 	sendBytes, recvBytes []int
+	// call holds the arguments of the fork in flight, which the device
+	// bodies read; the bodies are built once, by NewMPKIn, so a window or
+	// an SpMV wraps nothing per call.
+	call                        mpkCall
+	packBody, spmvBody, powBody func(d int)
+}
+
+// mpkCall is what one of MPK's device forks reads besides the kernel.
+type mpkCall struct {
+	v      *Vectors     // exchange: the source; SpMV: the destination; Generate: the basis
+	j      int          // exchange: the column shipped; SpMV: the destination; Generate: j0
+	steps  int          // Generate's window length
+	shifts []complex128 // Generate's Newton shifts, nil for monomial
+	// The exchange's staging vector, wire width and depth, which pickup
+	// reads too.
+	w      []float64
+	elem   gpu.Elem
+	depth1 bool
 }
 
 // SetPrecision selects the storage width of generated basis columns and
@@ -116,6 +134,7 @@ func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
 	for i := range k.steps {
 		k.steps[i] = work[(i+2)*ng : (i+3)*ng : (i+3)*ng]
 	}
+	k.packBody, k.spmvBody, k.powBody = k.pack, k.spmvDev, k.powers
 	for i := range k.w {
 		k.w[i] = ws.Floats(gpu.HostDevice, m.Layout.N)
 	}
@@ -148,51 +167,12 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 	validateShiftPairs(shifts)
 
 	// --- Setup: halo exchange of column j0 (Figure 4's setup phase). ---
-	w, halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic, false)
+	halo := k.exchange(v, j0, phase, k.transfer, k.transferTraffic, false)
 
 	// --- Matrix powers: s communication-free steps, one device program. ---
-	m.Ctx.RunAll(func(d int) {
-		k.pickup(d, w, k.transfer, false)
-		dm := m.Dev[d]
-		z := &k.z[d]
-		vb := float64(k.storage.Bytes())
-		for step := 1; step <= steps; step++ {
-			t := steps - step // multiply rows with distance <= t
-			rows := dm.RowsAtDist[t]
-			zPrev, zCur := z[(step-1)%3], z[step%3]
-			dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
-			nnz := dm.NNZPrefix[t]
-			flops := 2 * float64(nnz)
-			bytes := float64(nnz)*(4+vb) + float64(rows)*2*vb
-			if shifts != nil {
-				sh := shifts[step-1]
-				if reShift := real(sh); reShift != 0 {
-					for i := 0; i < rows; i++ {
-						zCur[i] -= reShift * zPrev[i]
-					}
-					flops += 2 * float64(rows)
-				}
-				if imag(sh) < 0 {
-					// Second member of a conjugate pair: add Im^2 times
-					// the vector from two steps back.
-					b2 := imag(sh) * imag(sh)
-					zP2 := z[(step+1)%3]
-					for i := 0; i < rows; i++ {
-						zCur[i] += b2 * zP2[i]
-					}
-					flops += 2 * float64(rows)
-					bytes += float64(rows) * vb
-				}
-			}
-			// Narrow the step's output to the storage width before it is
-			// published or consumed by the next step: the stored column
-			// and the recurrence see exactly what a narrow device buffer
-			// would hold.
-			roundElem(zCur[:rows], k.storage)
-			copy(v.Local[d].Col(j0+step), zCur[:dm.NOwn])
-			k.steps[step-1][d] = gpu.Work{Flops: flops, Bytes: bytes, Elem: k.storage}
-		}
-	})
+	// The exchange left v, j0 and its staging vector in call.
+	k.call.steps, k.call.shifts = steps, shifts
+	m.Ctx.RunAll(k.powBody)
 
 	// Charge the steps in order. Under overlapped scheduling with more
 	// than one device, the first step is split into an interior launch
@@ -230,6 +210,52 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 	return bhat
 }
 
+// powers is Generate's device program on device d: pick up the halo,
+// then run the window's steps back to back, recording each step's cost.
+func (k *MPK) powers(d int) {
+	v, j0, steps, shifts := k.call.v, k.call.j, k.call.steps, k.call.shifts
+	k.pickup(d)
+	dm := k.M.Dev[d]
+	z := &k.z[d]
+	vb := float64(k.storage.Bytes())
+	for step := 1; step <= steps; step++ {
+		t := steps - step // multiply rows with distance <= t
+		rows := dm.RowsAtDist[t]
+		zPrev, zCur := z[(step-1)%3], z[step%3]
+		dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
+		nnz := dm.NNZPrefix[t]
+		flops := 2 * float64(nnz)
+		bytes := float64(nnz)*(4+vb) + float64(rows)*2*vb
+		if shifts != nil {
+			sh := shifts[step-1]
+			if reShift := real(sh); reShift != 0 {
+				for i := 0; i < rows; i++ {
+					zCur[i] -= reShift * zPrev[i]
+				}
+				flops += 2 * float64(rows)
+			}
+			if imag(sh) < 0 {
+				// Second member of a conjugate pair: add Im^2 times
+				// the vector from two steps back.
+				b2 := imag(sh) * imag(sh)
+				zP2 := z[(step+1)%3]
+				for i := 0; i < rows; i++ {
+					zCur[i] += b2 * zP2[i]
+				}
+				flops += 2 * float64(rows)
+				bytes += float64(rows) * vb
+			}
+		}
+		// Narrow the step's output to the storage width before it is
+		// published or consumed by the next step: the stored column
+		// and the recurrence see exactly what a narrow device buffer
+		// would hold.
+		roundElem(zCur[:rows], k.storage)
+		copy(v.Local[d].Col(j0+step), zCur[:dm.NOwn])
+		k.steps[step-1][d] = gpu.Work{Flops: flops, Bytes: bytes, Elem: k.storage}
+	}
+}
+
 // splitFirstStep charges the first MPK step as two launches per device:
 // an interior kernel that depends only on previously computed columns
 // (it overlaps the halo exchange) and a boundary kernel carrying the
@@ -261,8 +287,8 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 
 // exchange ships column j of v to every device that needs it: each
 // device copies its owned values into its extended z[0] buffer and packs
-// its send set into the host staging vector, which exchange returns; the
-// round is then charged. The halo values are not in z[0] yet: the
+// its send set into the host staging vector, which it leaves in call.w;
+// the round is then charged. The halo values are not in z[0] yet: the
 // consumer's device fork picks them up from the staging vector (pickup)
 // before it computes. depth1 restricts the exchange to the distance-1
 // halo and its send set — all a plain SpMV reads. On a host-hub machine
@@ -274,7 +300,7 @@ func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string
 // depends on the compute fence (the packed column is the output of
 // earlier kernels); the returned event fires when the halo values have
 // landed on the devices.
-func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) ([]float64, gpu.StreamEvent) {
+func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [][]int, depth1 bool) gpu.StreamEvent {
 	m := k.M
 	w := k.w[k.wIdx]
 	k.wIdx = 1 - k.wIdx
@@ -285,25 +311,30 @@ func (k *MPK) exchange(v *Vectors, j int, phase string, elem gpu.Elem, traffic [
 	// the exchange behind themselves.
 	prod := m.Ctx.ComputeFence()
 
-	// Devices write disjoint global slots, so no synchronization is
-	// needed.
-	sendBytes, recvBytes := k.sendBytes, k.recvBytes
-	m.Ctx.RunAll(func(d int) {
-		dm := m.Dev[d]
-		col := v.Local[d].Col(j)
-		copy(k.z[d][0][:dm.NOwn], col)
-		base := m.Layout.OwnStart(d)
-		send := dm.SendIdx
-		if depth1 {
-			send = dm.SendIdx1
-		}
-		for _, li := range send {
-			w[base+li] = col[li]
-		}
-		sendBytes[d] = len(send) * elem.Bytes()
-		recvBytes[d] = k.haloLen(d, depth1) * elem.Bytes()
-	})
-	return w, m.Ctx.HaloExchangeElemOn(phase, sendBytes, recvBytes, traffic, elem, prod)
+	k.call.v, k.call.j, k.call.w, k.call.elem, k.call.depth1 = v, j, w, elem, depth1
+	m.Ctx.RunAll(k.packBody)
+	return m.Ctx.HaloExchangeElemOn(phase, k.sendBytes, k.recvBytes, traffic, elem, prod)
+}
+
+// pack is exchange's device body on device d: copy the owned values of
+// the column into z[0] and the send set into the staging vector. Devices
+// write disjoint global slots, so no synchronization is needed.
+func (k *MPK) pack(d int) {
+	m, depth1, elem := k.M, k.call.depth1, k.call.elem
+	dm := m.Dev[d]
+	col := k.call.v.Local[d].Col(k.call.j)
+	copy(k.z[d][0][:dm.NOwn], col)
+	base := m.Layout.OwnStart(d)
+	send := dm.SendIdx
+	if depth1 {
+		send = dm.SendIdx1
+	}
+	w := k.call.w
+	for _, li := range send {
+		w[base+li] = col[li]
+	}
+	k.sendBytes[d] = len(send) * elem.Bytes()
+	k.recvBytes[d] = k.haloLen(d, depth1) * elem.Bytes()
 }
 
 // haloLen is the number of halo values device d receives: its whole halo,
@@ -317,16 +348,16 @@ func (k *MPK) haloLen(d int, depth1 bool) int {
 }
 
 // pickup runs on device d inside the consumer's fork: it copies d's halo
-// values from the staging vector w that exchange filled into z[0],
-// rounded to the wire width elem the payload crossed the interconnect at.
-func (k *MPK) pickup(d int, w []float64, elem gpu.Elem, depth1 bool) {
+// values from the staging vector the last exchange filled into z[0],
+// rounded to the wire width the payload crossed the interconnect at.
+func (k *MPK) pickup(d int) {
 	dm := k.M.Dev[d]
-	halo := dm.Halo[:k.haloLen(d, depth1)]
+	halo := dm.Halo[:k.haloLen(d, k.call.depth1)]
 	z := k.z[d][0][dm.NOwn : dm.NOwn+len(halo)]
 	for h, g := range halo {
-		z[h] = w[g]
+		z[h] = k.call.w[g]
 	}
-	roundElem(z, elem)
+	roundElem(z, k.call.elem)
 }
 
 // validateShiftPairs enforces the pairing convention: a shift with
@@ -353,19 +384,24 @@ func validateShiftPairs(shifts []complex128) {
 // dedicated s = 1 distribution.
 func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string) {
 	m := k.M
-	w, halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
-	work := k.steps[0]
-	m.Ctx.RunAll(func(d int) {
-		k.pickup(d, w, gpu.Elem64, true)
-		dm := m.Dev[d]
-		rows := dm.NOwn
-		dm.Ext.MulVecPrefix(dst.Local[d].Col(jDst), k.z[d][0], rows)
-		nnz := dm.NNZPrefix[0]
-		work[d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
-	})
+	halo := k.exchange(src, jSrc, phase, gpu.Elem64, m.PeerTraffic1, true)
+	k.call.v, k.call.j = dst, jDst
+	m.Ctx.RunAll(k.spmvBody)
 	if m.Ctx.OverlapEnabled() && len(m.Dev) > 1 {
-		k.splitFirstStep(work, halo, phase, gpu.Elem64)
+		k.splitFirstStep(k.steps[0], halo, phase, gpu.Elem64)
 	} else {
-		m.Ctx.DeviceKernelOn(phase, work, halo)
+		m.Ctx.DeviceKernelOn(phase, k.steps[0], halo)
 	}
+}
+
+// spmvDev is SpMV's device body on device d: pick up the distance-1 halo
+// exchange staged in call.w, multiply the owned rows into the destination
+// column.
+func (k *MPK) spmvDev(d int) {
+	k.pickup(d)
+	dm := k.M.Dev[d]
+	rows := dm.NOwn
+	dm.Ext.MulVecPrefix(k.call.v.Local[d].Col(k.call.j), k.z[d][0], rows)
+	nnz := dm.NNZPrefix[0]
+	k.steps[0][d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
 }

@@ -105,13 +105,13 @@ func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 
 // bfs runs a breadth-first search from the given roots into caller-owned
-// storage: level (length N) receives the level of every vertex (-1 if
-// unreachable), queue (capacity N) is scratch. It returns the number of
-// levels.
-func (g *Graph) bfs(level, queue []int, roots []int) (nlevels int) {
-	for i := range level {
-		level[i] = -1
-	}
+// storage: level (length N), which must be -1 at every vertex the search
+// reaches, receives the level of each vertex it reaches, and queue
+// (capacity N) receives those vertices in BFS order — so the last level
+// is the queue's tail, and the search costs the roots' components, not N.
+// The caller hands the returned queue to clearLevels when it is done
+// with level.
+func (g *Graph) bfs(level, queue []int, roots []int) []int {
 	queue = queue[:0]
 	for _, r := range roots {
 		if level[r] == -1 {
@@ -128,54 +128,57 @@ func (g *Graph) bfs(level, queue []int, roots []int) (nlevels int) {
 			}
 		}
 	}
-	for _, l := range level {
-		if l+1 > nlevels {
-			nlevels = l + 1
-		}
-	}
-	return nlevels
+	return queue
 }
 
-// bfsScratch is the storage the breadth-first searches of one partition
-// call share: two level arrays, because PseudoPeripheral holds one search
-// while it runs the next, and the queue.
+// clearLevels sets level back to -1 at the vertices of a search's queue.
+func clearLevels(level, queue []int) {
+	for _, v := range queue {
+		level[v] = -1
+	}
+}
+
+// bfsScratch is the storage the breadth-first searches of one caller
+// share: a level array, -1 everywhere between searches, and a queue.
 type bfsScratch struct {
-	level, next, queue []int
+	level, queue []int
 }
 
 func newBFSScratch(n int) *bfsScratch {
-	buf := make([]int, 3*n)
-	return &bfsScratch{level: buf[:n:n], next: buf[n : 2*n : 2*n], queue: buf[2*n:][:0]}
+	buf := make([]int, 2*n)
+	for i := range buf[:n] {
+		buf[i] = -1
+	}
+	return &bfsScratch{level: buf[:n:n], queue: buf[n:n]}
 }
 
-// PseudoPeripheral finds an approximate peripheral vertex starting from
+// pseudoPeripheral finds an approximate peripheral vertex starting from
 // start using the George-Liu iteration: repeatedly move to a
 // minimum-degree vertex in the last BFS level until the eccentricity
-// stops growing. Good RCM orderings start from such vertices.
-func (g *Graph) PseudoPeripheral(start int) int {
-	return g.pseudoPeripheral(newBFSScratch(g.N), start)
-}
-
+// stops growing. Good RCM orderings start from such vertices. It searches
+// in sc, which it leaves as it found it, and touches start's component
+// only.
 func (g *Graph) pseudoPeripheral(sc *bfsScratch, start int) int {
 	v := start
-	level, next := sc.level, sc.next
-	nl := g.bfs(level, sc.queue, []int{v})
+	q := g.bfs(sc.level, sc.queue, []int{v})
+	nl := sc.level[q[len(q)-1]] + 1
 	for {
-		// minimum-degree vertex in the last level
+		// The minimum-degree vertex of the last level, the lowest index
+		// winning ties.
 		best, bestDeg := -1, g.N+1
-		for u := 0; u < g.N; u++ {
-			if level[u] == nl-1 && g.Degree(u) < bestDeg {
-				best, bestDeg = u, g.Degree(u)
+		for i := len(q) - 1; i >= 0 && sc.level[q[i]] == nl-1; i-- {
+			u := q[i]
+			if d := g.Degree(u); d < bestDeg || (d == bestDeg && u < best) {
+				best, bestDeg = u, d
 			}
 		}
-		if best < 0 {
-			return v
-		}
-		nl2 := g.bfs(next, sc.queue, []int{best})
+		clearLevels(sc.level, q)
+		q = g.bfs(sc.level, sc.queue, []int{best})
+		nl2 := sc.level[q[len(q)-1]] + 1
 		if nl2 <= nl {
+			clearLevels(sc.level, q)
 			return v
 		}
 		v, nl = best, nl2
-		level, next = next, level
 	}
 }

@@ -88,11 +88,44 @@ func TestFromMatrixDropsDuplicateEdges(t *testing.T) {
 	}
 }
 
-// bfsLevels is bfs into fresh storage: the level of every vertex (-1 if
-// unreachable) and the number of levels.
+// bfsLevels is a textbook breadth-first search into fresh storage: the
+// level of every vertex (-1 if unreachable) and the number of levels.
 func bfsLevels(g *Graph, roots ...int) ([]int, int) {
 	level := make([]int, g.N)
-	return level, g.bfs(level, make([]int, 0, g.N), roots)
+	for i := range level {
+		level[i] = -1
+	}
+	var frontier []int
+	for _, r := range roots {
+		if level[r] == -1 {
+			level[r] = 0
+			frontier = append(frontier, r)
+		}
+	}
+	nl := 0
+	for ; len(frontier) > 0; nl++ {
+		var next []int
+		for _, v := range frontier {
+			for _, w := range g.Neighbors(v) {
+				if level[w] == -1 {
+					level[w] = nl + 1
+					next = append(next, w)
+				}
+			}
+		}
+		frontier = next
+	}
+	return level, nl
+}
+
+// allUnset reports whether every entry of level is -1.
+func allUnset(level []int) bool {
+	for _, l := range level {
+		if l != -1 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestBFSLevelsPath(t *testing.T) {
@@ -128,7 +161,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestPseudoPeripheralPath(t *testing.T) {
 	g := FromMatrix(pathMatrix(9))
-	pp := g.PseudoPeripheral(4)
+	pp := g.pseudoPeripheral(newBFSScratch(g.N), 4)
 	if pp != 0 && pp != 8 {
 		t.Fatalf("pseudo-peripheral = %d, want an endpoint", pp)
 	}
@@ -159,9 +192,11 @@ func referencePseudoPeripheral(g *Graph, start int) int {
 }
 
 // TestScratchBFSMatchesBFSLevels: on the four generators, searches through
-// one reused scratch — dirty from the search before — return the levels
-// a search into fresh storage returns, and the pseudo-peripheral vertex
-// built on them is the one the allocating iteration finds.
+// one reused scratch — used by the search before — return the levels a
+// search into fresh storage returns, the queue lists what they reached
+// level by level, clearing it leaves the scratch as new, and the
+// pseudo-peripheral vertex built on them is the one the allocating
+// iteration finds.
 func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 	for _, mat := range matgen.PaperSet(0.002) {
 		g := FromMatrix(mat.A)
@@ -173,11 +208,17 @@ func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 				roots[i] = rng.Intn(g.N)
 			}
 			want, wantLevels := bfsLevels(g, roots...)
-			if got := g.bfs(sc.level, sc.queue, roots); got != wantLevels || !slices.Equal(sc.level, want) {
+			q := g.bfs(sc.level, sc.queue, roots)
+			if !slices.Equal(sc.level, want) || sc.level[q[len(q)-1]]+1 != wantLevels ||
+				!slices.IsSortedFunc(q, func(a, b int) int { return sc.level[a] - sc.level[b] }) {
 				t.Fatalf("%s: scratch BFS from %v differs from a fresh one", mat.Name, roots)
 			}
+			clearLevels(sc.level, q)
 			if got, want := g.pseudoPeripheral(sc, roots[0]), referencePseudoPeripheral(g, roots[0]); got != want {
 				t.Fatalf("%s: pseudo-peripheral vertex from %d: %d, want %d", mat.Name, roots[0], got, want)
+			}
+			if !allUnset(sc.level) {
+				t.Fatalf("%s: a search left the scratch dirty", mat.Name)
 			}
 		}
 	}

@@ -21,16 +21,27 @@ func KWay(g *Graph, k int, seed int64) *Partition {
 	if k < 1 {
 		panic(fmt.Sprintf("graph: KWay with k=%d", k))
 	}
+	if k == 1 || g.N == 0 {
+		return &Partition{K: k, Part: make([]int, g.N)}
+	}
+	p := grow(g, k, rand.New(rand.NewSource(seed)))
+
+	// --- Phase 2: boundary refinement. A few passes of greedy moves that
+	// reduce the edge cut without violating a balance cap, preceded by a
+	// forced rebalancing of any oversized part. Both skip interior
+	// vertices by their external degree, which every move keeps current.
+	ext := externalDegrees(g, p)
+	balanceParts(g, p, ext)
+	refine(g, p, ext, 8)
+	return p
+}
+
+// grow is KWay's phase 1, greedy growing: pick k seeds far apart (BFS
+// sampling), then grow all parts simultaneously, always extending the
+// currently smallest part from its frontier.
+func grow(g *Graph, k int, rng *rand.Rand) *Partition {
 	n := g.N
 	p := &Partition{K: k, Part: make([]int, n)}
-	if k == 1 || n == 0 {
-		return p
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// --- Phase 1: greedy growing. Pick k seeds far apart (BFS sampling),
-	// then grow all parts simultaneously, always extending the currently
-	// smallest part from its frontier.
 	for i := range p.Part {
 		p.Part[i] = -1
 	}
@@ -94,12 +105,6 @@ func KWay(g *Graph, k int, seed int64) *Partition {
 			}
 		}
 	}
-
-	// --- Phase 2: boundary refinement. A few passes of greedy moves that
-	// reduce the edge cut without violating a balance cap, preceded by a
-	// forced rebalancing of any oversized part.
-	balanceParts(g, p)
-	refine(g, p, 8)
 	return p
 }
 
@@ -114,13 +119,14 @@ func spreadSeeds(g *Graph, k int, rng *rand.Rand) []int {
 	seeds = append(seeds, first)
 	level := sc.level
 	for len(seeds) < k {
-		g.bfs(level, sc.queue, seeds)
+		q := g.bfs(level, sc.queue, seeds)
 		best, bestLvl := -1, -1
 		for v := 0; v < n; v++ {
 			if level[v] > bestLvl {
 				best, bestLvl = v, level[v]
 			}
 		}
+		clearLevels(level, q)
 		if best < 0 || containsInt(seeds, best) {
 			// graph smaller than k or disconnected remainder: fall back
 			// to any unused vertex
@@ -149,12 +155,45 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
+// externalDegrees returns, per vertex, how many of its neighbours lie in
+// another part: a vertex is on the boundary exactly when it is non-zero.
+func externalDegrees(g *Graph, p *Partition) []int {
+	ext := make([]int, g.N)
+	for v := range ext {
+		for _, w := range g.Neighbors(v) {
+			if p.Part[w] != p.Part[v] {
+				ext[v]++
+			}
+		}
+	}
+	return ext
+}
+
+// move puts v in part to, keeping ext, the external degrees, current.
+func move(g *Graph, p *Partition, ext []int, v, to int) {
+	from := p.Part[v]
+	p.Part[v] = to
+	ext[v] = 0
+	for _, w := range g.Neighbors(v) {
+		switch p.Part[w] {
+		case from:
+			ext[w]++
+		case to:
+			ext[w]--
+		}
+		if p.Part[w] != to {
+			ext[v]++
+		}
+	}
+}
+
 // refine performs greedy boundary-vertex moves (an FM-lite heuristic):
 // for each boundary vertex, compute the gain of moving it to the
 // neighboring part with most connections; apply positive-gain moves that
 // keep all part sizes within maxImb of the average. Passes repeat until
-// no move applies or the pass budget is exhausted.
-func refine(g *Graph, p *Partition, passes int) {
+// no move applies or the pass budget is exhausted. ext holds the external
+// degrees, which the moves keep current.
+func refine(g *Graph, p *Partition, ext []int, passes int) {
 	n := g.N
 	k := p.K
 	size := make([]int, k)
@@ -168,22 +207,15 @@ func refine(g *Graph, p *Partition, passes int) {
 		moved := 0
 		for v := 0; v < n; v++ {
 			home := p.Part[v]
-			if size[home] <= minSize {
+			if ext[v] == 0 || size[home] <= minSize {
 				continue
 			}
 			// connections per part
 			for c := range conn {
 				conn[c] = 0
 			}
-			boundary := false
 			for _, w := range g.Neighbors(v) {
 				conn[p.Part[w]]++
-				if p.Part[w] != home {
-					boundary = true
-				}
-			}
-			if !boundary {
-				continue
 			}
 			best, bestGain := home, 0
 			for c := 0; c < k; c++ {
@@ -196,7 +228,7 @@ func refine(g *Graph, p *Partition, passes int) {
 				}
 			}
 			if best != home && bestGain > 0 {
-				p.Part[v] = best
+				move(g, p, ext, v, best)
 				size[home]--
 				size[best]++
 				moved++
@@ -211,8 +243,9 @@ func refine(g *Graph, p *Partition, passes int) {
 // balanceParts forcibly moves boundary vertices out of oversized parts
 // into adjacent under-capacity parts until every part is within 5% of the
 // average, preferring moves with the least cut damage. It is the
-// balance-enforcement half of FM refinement.
-func balanceParts(g *Graph, p *Partition) {
+// balance-enforcement half of FM refinement. ext holds the external
+// degrees, which the moves keep current.
+func balanceParts(g *Graph, p *Partition, ext []int) {
 	n := g.N
 	k := p.K
 	size := make([]int, k)
@@ -236,21 +269,14 @@ func balanceParts(g *Graph, p *Partition) {
 		// conn(dest) - conn(over) over destinations with room.
 		bestV, bestD, bestGain := -1, -1, -(1 << 30)
 		for v := 0; v < n; v++ {
-			if p.Part[v] != over {
+			if p.Part[v] != over || ext[v] == 0 {
 				continue
 			}
 			for c := range conn {
 				conn[c] = 0
 			}
-			boundary := false
 			for _, w := range g.Neighbors(v) {
 				conn[p.Part[w]]++
-				if p.Part[w] != over {
-					boundary = true
-				}
-			}
-			if !boundary {
-				continue
 			}
 			for c := 0; c < k; c++ {
 				if c == over || size[c] >= maxSize || conn[c] == 0 {
@@ -280,7 +306,7 @@ func balanceParts(g *Graph, p *Partition) {
 				return
 			}
 		}
-		p.Part[bestV] = bestD
+		move(g, p, ext, bestV, bestD)
 		size[over]--
 		size[bestD]++
 	}

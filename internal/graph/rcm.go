@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // RCM computes the reverse Cuthill-McKee ordering of the graph. The
 // returned slice perm satisfies perm[new] = old: relabeling the matrix
@@ -15,41 +18,39 @@ import "sort"
 func RCM(g *Graph) []int {
 	perm := make([]int, 0, g.N)
 	visited := make([]bool, g.N)
-	// scratch for sorting neighbors by degree
+	sc := newBFSScratch(g.N)
+	maxDeg := 0
+	for v := 0; v < g.N; v++ {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	nbrs := make([]int, 0, maxDeg)
+	byDegree := func(a, b int) int {
+		if da, db := g.Degree(a), g.Degree(b); da != db {
+			return cmp.Compare(da, db)
+		}
+		return cmp.Compare(a, b)
+	}
 	for s := 0; s < g.N; s++ {
 		if visited[s] {
 			continue
 		}
-		root := g.PseudoPeripheral(s)
-		if visited[root] {
-			root = s
-		}
+		// The component's Cuthill-McKee queue is its stretch of perm.
+		root := g.pseudoPeripheral(sc, s)
 		visited[root] = true
-		queue := []int{root}
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			perm = append(perm, v)
-			nbrs := make([]int, 0, g.Degree(v))
-			for _, w := range g.Neighbors(v) {
+		perm = append(perm, root)
+		for head := len(perm) - 1; head < len(perm); head++ {
+			nbrs = nbrs[:0]
+			for _, w := range g.Neighbors(perm[head]) {
 				if !visited[w] {
 					visited[w] = true
 					nbrs = append(nbrs, w)
 				}
 			}
-			sort.Slice(nbrs, func(a, b int) bool {
-				da, db := g.Degree(nbrs[a]), g.Degree(nbrs[b])
-				if da != db {
-					return da < db
-				}
-				return nbrs[a] < nbrs[b]
-			})
-			queue = append(queue, nbrs...)
+			slices.SortFunc(nbrs, byDegree)
+			perm = append(perm, nbrs...)
 		}
 	}
-	// Reverse.
-	for i, j := 0, len(perm)-1; i < j; i, j = i+1, j-1 {
-		perm[i], perm[j] = perm[j], perm[i]
-	}
+	slices.Reverse(perm)
 	return perm
 }
 

@@ -123,10 +123,13 @@ func HessenbergEigenvalues(h *Dense) []complex128 {
 	if n == 0 {
 		return nil
 	}
-	// Complex working copy, row-major for cache-friendly row ops.
+	// Complex working copy, row-major for cache-friendly row ops, in one
+	// block, and the sweeps' rotations: a QR step allocates nothing.
 	a := make([][]complex128, n)
+	block := make([]complex128, n*n)
+	rots := make([]rotC, 0, n)
 	for i := range a {
-		a[i] = make([]complex128, n)
+		a[i] = block[i*n : (i+1)*n : (i+1)*n]
 		lo := i - 1
 		if lo < 0 {
 			lo = 0
@@ -197,7 +200,7 @@ func HessenbergEigenvalues(h *Dense) []complex128 {
 				mu = mu2
 			}
 		}
-		qrStepHessenberg(a, lo, hi, mu)
+		qrStepHessenberg(a, lo, hi, mu, rots)
 		iterSinceDeflate++
 		if iterSinceDeflate > maxIter {
 			// Give up on further refinement of this block: harvest the
@@ -213,15 +216,18 @@ func HessenbergEigenvalues(h *Dense) []complex128 {
 	return eig
 }
 
+// rotC is one complex Givens rotation of a QR sweep.
+type rotC struct {
+	c float64
+	s complex128
+}
+
 // qrStepHessenberg performs one implicit shifted QR sweep A := Q'(A-muI)Q
-// restricted to the active block [lo,hi) of a complex Hessenberg matrix.
-func qrStepHessenberg(a [][]complex128, lo, hi int, mu complex128) {
+// restricted to the active block [lo,hi) of a complex Hessenberg matrix,
+// keeping its rotations in rots (capacity at least hi-lo).
+func qrStepHessenberg(a [][]complex128, lo, hi int, mu complex128, rots []rotC) {
 	n := hi
-	type rot struct {
-		c float64
-		s complex128
-	}
-	rots := make([]rot, 0, hi-lo)
+	rots = rots[:0]
 	for i := lo; i < hi; i++ {
 		a[i][i] -= mu
 	}
@@ -229,7 +235,7 @@ func qrStepHessenberg(a [][]complex128, lo, hi int, mu complex128) {
 	for k := lo; k < hi-1; k++ {
 		x, y := a[k][k], a[k+1][k]
 		c, s := givensC(x, y)
-		rots = append(rots, rot{c, s})
+		rots = append(rots, rotC{c, s})
 		for j := k; j < n; j++ {
 			akj, ak1j := a[k][j], a[k+1][j]
 			a[k][j] = complex(c, 0)*akj + s*ak1j
