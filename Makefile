@@ -134,7 +134,7 @@ golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
 	$(GO) test ./internal/obs/ -run JobTraceChromeGolden -update -count=1
 	$(GO) test ./internal/dist/ -run MPKWindowGolden -update -count=1
-	$(GO) test ./internal/bench/ -run WriteCSV -update -count=1
+	$(GO) test ./internal/bench/ -run FiguresGolden -update -count=1
 
 # End-to-end observability smoke test: solve a small generated problem
 # with every artifact enabled, then validate the Prometheus exposition,

@@ -5,9 +5,8 @@
 //
 //	experiments [flags]
 //
-//	-fig string     which figure to run: 3, 6, 7, 8, 10, 11, 13, 14, 15,
-//	                overlap, topology, cluster, overload, serve,
-//	                precision, ablation or "all" (default "all")
+//	-fig string     comma-separated names of the figures to run, from
+//	                bench.Figures (-h lists them), or "all" (default "all")
 //	-scale float    matrix scale relative to the published sizes
 //	                (default 0.02; 1.0 = paper-sized, slow)
 //	-devices int    maximum simulated GPU count (default 3)
@@ -46,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +57,11 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,serve,precision,ablation,all)")
+	var names []string
+	for _, f := range bench.Figures {
+		names = append(names, f.Name)
+	}
+	fig := flag.String("fig", "all", "figure to regenerate ("+strings.Join(names, ",")+",all)")
 	scale := flag.Float64("scale", 0.02, "matrix scale relative to published sizes")
 	devices := flag.Int("devices", 3, "maximum simulated GPU count")
 	restarts := flag.Int("restarts", 40, "restart cap per solve")
@@ -70,7 +74,17 @@ func main() {
 	topoName := flag.String("topology", "", "override the profile's interconnect topology (host-hub, pcie-switch, nvlink-ring, all-to-all)")
 	precisionMode := flag.String("precision", "", "run every CA-GMRES arm under this precision mode (fp64, mixed, adaptive); empty keeps the calibrated full-double pipeline")
 	flag.Parse()
-	// Config.Defaults reads a zero as unset, so refuse out-of-range
+	want := names
+	if *fig != "all" {
+		want = strings.Split(*fig, ",")
+	}
+	for _, name := range want {
+		if !slices.Contains(names, name) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (want %s or all)\n", name, strings.Join(names, ","))
+			os.Exit(2)
+		}
+	}
+	// The drivers read a zero as unset, so refuse out-of-range
 	// counts here rather than let them become the defaults.
 	if *devices < 1 {
 		fatalf("-devices %d: need at least 1", *devices)
@@ -119,71 +133,26 @@ func main() {
 		fmt.Printf("serving /metrics, /metrics.json, /trace.json, /debug/pprof on http://%s\n", addr)
 	}
 
-	emit := func(name string, rows any) {
-		if *csvDir == "" {
-			return
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := bench.WriteCSV(path, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", path, err)
-			return
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	drivers := []struct {
-		name string
-		run  func()
-	}{
-		{"3", func() { emit("fig3", bench.Fig3(cfg)) }},
-		{"6", func() { emit("fig6", bench.Fig6(cfg).Rows) }},
-		{"7", func() { emit("fig7", bench.Fig7(cfg).Rows) }},
-		{"8", func() { emit("fig8", bench.Fig8(cfg).Rows) }},
-		{"10", func() { emit("fig10", bench.Fig10(cfg)) }},
-		{"11", func() {
-			emit("fig11ab", bench.Fig11ab(cfg))
-			emit("fig11c", bench.Fig11c(cfg))
-		}},
-		{"13", func() {
-			r := bench.Fig13(cfg)
-			emit("fig13_s20", r.Rows20)
-			emit("fig13_s30", r.Rows30)
-			emit("fig13_monomial", r.RowsMonomial)
-		}},
-		{"14", func() { emit("fig14", bench.Fig14(cfg)) }},
-		{"15", func() { emit("fig15", bench.Fig15(cfg)) }},
-		{"overlap", func() { emit("figoverlap", bench.FigOverlap(cfg)) }},
-		{"topology", func() { emit("figtopology", bench.FigTopology(cfg)) }},
-		{"cluster", func() { emit("figcluster", bench.FigCluster(cfg)) }},
-		{"overload", func() { emit("figoverload", bench.FigOverload(cfg)) }},
-		{"serve", func() { emit("figserve", bench.FigServe(cfg)) }},
-		{"precision", func() { emit("figprecision", bench.FigPrecision(cfg)) }},
-		{"ablation", func() {
-			emit("ablation_latency", bench.AblationLatency(cfg))
-			emit("ablation_basis", bench.AblationBasis(cfg))
-			emit("ablation_precision", bench.AblationPrecision(cfg))
-			emit("ablation_fusedcgs", bench.AblationFusedCGS(cfg))
-			emit("ablation_adaptive", bench.AblationAdaptive(cfg))
-		}},
-	}
-
-	want := strings.Split(*fig, ",")
-	matched := false
-	for _, d := range drivers {
-		if *fig != "all" && !contains(want, d.name) {
+	for _, f := range bench.Figures {
+		if !slices.Contains(want, f.Name) {
 			continue
 		}
-		matched = true
 		start := time.Now()
-		fmt.Printf("==== Figure %s (scale %g, %d devices) ====\n", d.name, cfg.Scale, cfg.MaxDevices)
+		fmt.Printf("==== Figure %s (scale %g, %d devices) ====\n", f.Name, cfg.Scale, cfg.MaxDevices)
 		if cfg.Trace != nil {
-			cfg.Trace.SetLabel("fig" + d.name)
+			cfg.Trace.SetLabel("fig" + f.Name)
 		}
-		d.run()
+		for _, tab := range f.Run(cfg) {
+			if *csvDir == "" {
+				continue
+			}
+			path := filepath.Join(*csvDir, tab.Name+".csv")
+			if err := bench.WriteCSV(path, tab.Rows); err != nil {
+				fatalf("writing %s: %v", path, err)
+			}
+			fmt.Printf("wrote %s\n", path)
+		}
 		fmt.Printf("---- %.1fs ----\n\n", time.Since(start).Seconds())
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (want 3,6,7,8,10,11,13,14,15,overlap,topology,cluster,overload,serve,precision,ablation or all)\n", *fig)
-		os.Exit(2)
 	}
 	if *traceout != "" {
 		traces := cfg.Trace.Traces()
@@ -233,13 +202,4 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func contains(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -22,7 +22,7 @@
 //	               Used by make cluster-smoke.
 //
 // The same closed loop on the virtual clock — the real scheduler, no
-// server — is `experiments -fig serve` (internal/bench.FigServe).
+// server — is `experiments -fig serve`.
 package main
 
 import (

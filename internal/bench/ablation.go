@@ -11,27 +11,27 @@ import (
 // (stability at large s), what reordering buys (halo size), and what the
 // mixed-precision Gram kernel trades (volume vs orthogonality).
 
-// AblationLatencyRow reports CA-GMRES's speedup over GMRES under one
+// ablationLatencyRow reports CA-GMRES's speedup over GMRES under one
 // scaled PCIe latency.
-type AblationLatencyRow struct {
+type ablationLatencyRow struct {
 	LatencyScale float64
 	GMRESPerRes  float64
 	CAPerRes     float64
 	Speedup      float64
 }
 
-// AblationLatency sweeps the PCIe latency (and the kernel launch overhead
+// ablationLatency sweeps the PCIe latency (and the kernel launch overhead
 // with it) of the profile's cost model and measures the CA-GMRES(10, 30)
 // speedup over GMRES(30) on the G3_circuit analogue; both arms run on the
 // scaled machine.
 // The entire communication-avoiding advantage should track the latency:
 // at near-zero latency CA-GMRES's extra work makes it roughly break even,
 // and the speedup grows monotonically as transfers get more expensive.
-func AblationLatency(cfg Config) []AblationLatencyRow {
-	cfg.Defaults()
+func ablationLatency(cfg Config) []ablationLatencyRow {
+	cfg.defaults()
 	mat := benchG3(cfg.Scale)
 	b := onesRHS(mat.A.Rows)
-	var out []AblationLatencyRow
+	var out []ablationLatencyRow
 	cfg.printf("Ablation: CA speedup vs PCIe latency (G3_circuit, 3 devices)\n")
 	cfg.printf("%12s %12s %12s %10s\n", "latency x", "gmres ms", "ca ms", "speedup")
 	for _, scale := range []float64{0.01, 0.1, 1, 10} {
@@ -57,7 +57,7 @@ func AblationLatency(cfg Config) []AblationLatencyRow {
 		if err != nil {
 			panic(err)
 		}
-		row := AblationLatencyRow{
+		row := ablationLatencyRow{
 			LatencyScale: scale,
 			GMRESPerRes:  perRestart(rg),
 			CAPerRes:     perRestart(res),
@@ -72,8 +72,8 @@ func AblationLatency(cfg Config) []AblationLatencyRow {
 	return out
 }
 
-// AblationBasisRow reports one basis configuration's outcome.
-type AblationBasisRow struct {
+// ablationBasisRow reports one basis configuration's outcome.
+type ablationBasisRow struct {
 	Basis     string
 	S         int
 	Converged bool
@@ -81,16 +81,16 @@ type AblationBasisRow struct {
 	Restarts  int
 }
 
-// AblationBasis compares monomial vs Newton bases across step sizes on
+// ablationBasis compares monomial vs Newton bases across step sizes on
 // the cant analogue with plain CholQR (no reorthogonalization, no
 // fallback): the monomial basis is expected to stop factorizing once s
 // is large while the Newton basis keeps going — the design reason the
 // solver harvests Ritz shifts at all.
-func AblationBasis(cfg Config) []AblationBasisRow {
-	cfg.Defaults()
+func ablationBasis(cfg Config) []ablationBasisRow {
+	cfg.defaults()
 	mat := benchCant(cfg.Scale)
 	b := onesRHS(mat.A.Rows)
-	var out []AblationBasisRow
+	var out []ablationBasisRow
 	cfg.printf("Ablation: basis choice vs step size (cant, CholQR, no fallback)\n")
 	cfg.printf("%-9s %4s %10s %8s %8s\n", "basis", "s", "converged", "failed", "rest")
 	for _, basis := range []string{"monomial", "newton"} {
@@ -104,7 +104,7 @@ func AblationBasis(cfg Config) []AblationBasisRow {
 				M: 60, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts,
 				Ortho: "CholQR", Basis: basis, Precision: cfg.Precision,
 			})
-			row := AblationBasisRow{Basis: basis, S: s}
+			row := ablationBasisRow{Basis: basis, S: s}
 			if err != nil {
 				row.Failed = true
 			} else {
@@ -118,29 +118,29 @@ func AblationBasis(cfg Config) []AblationBasisRow {
 	return out
 }
 
-// AblationPrecisionRow reports one Gram-kernel precision configuration.
-type AblationPrecisionRow struct {
+// ablationPrecisionRow reports one Gram-kernel precision configuration.
+type ablationPrecisionRow struct {
 	Strategy      string
 	GramBytesD2H  int
 	Orthogonality float64
 	ModeledTime   float64
 }
 
-// AblationPrecision compares CholQR, MixedCholQR (single-precision Gram)
+// ablationPrecision compares CholQR, MixedCholQR (single-precision Gram)
 // and MixedCholQR2 (with a double-precision refinement pass) on a fixed
 // tall-skinny window: the mixed kernel halves the reduce volume at an
 // orthogonality cost of ~eps_32/eps_64, which the refinement pass buys
 // back for double the work — the trade studied in the paper's reference
 // [23].
-func AblationPrecision(cfg Config) []AblationPrecisionRow {
-	cfg.Defaults()
+func ablationPrecision(cfg Config) []ablationPrecisionRow {
+	cfg.defaults()
 	const c = 20
 	n := int(100000 * cfg.Scale / 0.02)
 	if n < 4*c {
 		n = 4 * c
 	}
 	v := matgen.RandomTallSkinny(n, c, 1e3, 11)
-	var out []AblationPrecisionRow
+	var out []ablationPrecisionRow
 	cfg.printf("Ablation: Gram-kernel precision (n=%d, %d cols, kappa=1e3)\n", n, c)
 	cfg.printf("%-14s %12s %14s %12s\n", "strategy", "gram bytes", "||I-Q'Q||", "time (ms)")
 	for _, strat := range []ortho.TSQR{ortho.CholQR{}, ortho.MixedCholQR{}, ortho.MixedCholQR{Refine: true}} {
@@ -154,7 +154,7 @@ func AblationPrecision(cfg Config) []AblationPrecisionRow {
 		}
 		e := ortho.Measure(w, orig, r)
 		p := ctx.Stats().Phase("tsqr")
-		row := AblationPrecisionRow{
+		row := ablationPrecisionRow{
 			Strategy:      strat.Name(),
 			GramBytesD2H:  p.BytesD2H,
 			Orthogonality: e.Orthogonality,
@@ -166,28 +166,28 @@ func AblationPrecision(cfg Config) []AblationPrecisionRow {
 	return out
 }
 
-// AblationFusedRow reports one CGS fusion configuration.
-type AblationFusedRow struct {
+// ablationFusedRow reports one CGS fusion configuration.
+type ablationFusedRow struct {
 	Strategy      string
 	Rounds        int
 	CommTime      float64
 	Orthogonality float64
 }
 
-// AblationFusedCGS measures the fused-norm CGS optimization (the paper's
+// ablationFusedCGS measures the fused-norm CGS optimization (the paper's
 // footnote 5): the fused variant reduces the projection coefficients and
 // the norm in one round and derives the post-update norm from the
 // Pythagorean identity, halving the transfer count of the textbook
 // (Figure 9) formulation at identical flop cost.
-func AblationFusedCGS(cfg Config) []AblationFusedRow {
-	cfg.Defaults()
+func ablationFusedCGS(cfg Config) []ablationFusedRow {
+	cfg.defaults()
 	const c = 20
 	n := int(100000 * cfg.Scale / 0.02)
 	if n < 4*c {
 		n = 4 * c
 	}
 	v := matgen.RandomTallSkinny(n, c, 1e2, 13)
-	var out []AblationFusedRow
+	var out []ablationFusedRow
 	cfg.printf("Ablation: fused vs unfused CGS (n=%d, %d cols)\n", n, c)
 	cfg.printf("%-12s %8s %12s %14s\n", "variant", "rounds", "comm ms", "||I-Q'Q||")
 	for _, strat := range []ortho.TSQR{ortho.CGSUnfused{}, ortho.CGS{}} {
@@ -201,7 +201,7 @@ func AblationFusedCGS(cfg Config) []AblationFusedRow {
 		}
 		e := ortho.Measure(w, orig, r)
 		p := ctx.Stats().Phase("tsqr")
-		row := AblationFusedRow{
+		row := ablationFusedRow{
 			Strategy: strat.Name(), Rounds: p.Rounds,
 			CommTime: p.CommTime, Orthogonality: e.Orthogonality,
 		}
@@ -211,8 +211,8 @@ func AblationFusedCGS(cfg Config) []AblationFusedRow {
 	return out
 }
 
-// AblationAdaptiveRow reports one adaptive-s configuration.
-type AblationAdaptiveRow struct {
+// ablationAdaptiveRow reports one adaptive-s configuration.
+type ablationAdaptiveRow struct {
 	Adaptive  bool
 	Converged bool
 	Failed    bool
@@ -220,14 +220,14 @@ type AblationAdaptiveRow struct {
 	Iters     int
 }
 
-// AblationAdaptive shows the future-work adaptive step size rescuing the
+// ablationAdaptive shows the future-work adaptive step size rescuing the
 // fragile configuration (small cant, CholQR, s=15) that plain CA-GMRES
 // cannot complete.
-func AblationAdaptive(cfg Config) []AblationAdaptiveRow {
-	cfg.Defaults()
+func ablationAdaptive(cfg Config) []ablationAdaptiveRow {
+	cfg.defaults()
 	mat := matgen.Cant(0.05) // deliberately small: the fragile regime
 	b := onesRHS(mat.A.Rows)
-	var out []AblationAdaptiveRow
+	var out []ablationAdaptiveRow
 	cfg.printf("Ablation: adaptive step size (small cant, CholQR, s=15)\n")
 	cfg.printf("%-9s %10s %8s %6s %6s\n", "adaptive", "converged", "failed", "rest", "iters")
 	for _, adaptive := range []bool{false, true} {
@@ -240,7 +240,7 @@ func AblationAdaptive(cfg Config) []AblationAdaptiveRow {
 			M: 60, S: 15, Tol: 1e-4, MaxRestarts: 60,
 			Ortho: "CholQR", AdaptiveS: adaptive, Precision: cfg.Precision,
 		})
-		row := AblationAdaptiveRow{Adaptive: adaptive}
+		row := ablationAdaptiveRow{Adaptive: adaptive}
 		if err != nil {
 			row.Failed = true
 		} else {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAblationLatencySpeedupGrowsWithLatency(t *testing.T) {
-	rows := AblationLatency(Config{Scale: 0.006, MaxDevices: 3, MaxRestarts: 4})
+	rows := ablationLatency(Config{Scale: 0.006, MaxDevices: 3, MaxRestarts: 4})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -31,7 +31,7 @@ func TestAblationLatencySpeedupGrowsWithLatency(t *testing.T) {
 }
 
 func TestAblationBasisNewtonOutlastsMonomial(t *testing.T) {
-	rows := AblationBasis(Config{Scale: 0.004, MaxDevices: 2, MaxRestarts: 10})
+	rows := ablationBasis(Config{Scale: 0.004, MaxDevices: 2, MaxRestarts: 10})
 	// Largest s where each basis still factorizes with plain CholQR.
 	maxOK := map[string]int{}
 	for _, r := range rows {
@@ -49,7 +49,7 @@ func TestAblationBasisNewtonOutlastsMonomial(t *testing.T) {
 }
 
 func TestAblationPrecisionTrade(t *testing.T) {
-	rows := AblationPrecision(Config{Scale: 0.01, MaxDevices: 3})
+	rows := ablationPrecision(Config{Scale: 0.01, MaxDevices: 3})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -71,7 +71,7 @@ func TestAblationPrecisionTrade(t *testing.T) {
 }
 
 func TestAblationFusedCGSHalvesRounds(t *testing.T) {
-	rows := AblationFusedCGS(Config{Scale: 0.01, MaxDevices: 3})
+	rows := ablationFusedCGS(Config{Scale: 0.01, MaxDevices: 3})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -91,7 +91,7 @@ func TestAblationFusedCGSHalvesRounds(t *testing.T) {
 }
 
 func TestAblationAdaptiveRescues(t *testing.T) {
-	rows := AblationAdaptive(Config{})
+	rows := ablationAdaptive(Config{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -109,7 +109,7 @@ func TestAblationAdaptiveRescues(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()
-	rows := []Fig8Row{{Matrix: "m", S: 1, CommTime: 0.5, ComputeTime: 0.25}}
+	rows := []fig8Row{{Matrix: "m", S: 1, CommTime: 0.5, ComputeTime: 0.25}}
 	path := dir + "/x.csv"
 	if err := WriteCSV(path, rows); err != nil {
 		t.Fatal(err)
@@ -125,8 +125,8 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.Contains(got, "m,1,0.5,0.25") {
 		t.Fatalf("row missing: %q", got)
 	}
-	// Flattening of embedded structs (Fig10Row embeds Property).
-	f10 := []Fig10Row{{Property: ortho.PropertyTable(10, 2)[0], MeasuredComm: 12}}
+	// Flattening of embedded structs (fig10Row embeds Property).
+	f10 := []fig10Row{{Property: ortho.PropertyTable(10, 2)[0], MeasuredComm: 12}}
 	if err := WriteCSV(dir+"/y.csv", f10); err != nil {
 		t.Fatal(err)
 	}

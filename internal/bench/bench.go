@@ -1,8 +1,10 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (Figures 3, 6, 7, 8, 10, 11, 13, 14, 15) on the simulated
-// multi-GPU runtime. Each driver returns a structured result and can
-// print a paper-style table; cmd/experiments is the CLI front end and
-// the repository-root benchmarks wrap the same drivers in testing.B.
+// evaluation (Figures 3, 6–8, 10, 11, 13–15) and the studies this
+// repository adds on the simulated multi-GPU runtime. Figures is the one
+// list of them: each entry runs its drivers, prints paper-style tables to
+// Config.Out and returns its rows as named CSV tables. cmd/experiments,
+// the repository-root BenchmarkFigures and the golden test over
+// testdata/figs all iterate it.
 //
 // Absolute numbers come from the calibrated cost model, not the authors'
 // testbed, so they are not expected to match the paper digit-for-digit;
@@ -52,8 +54,8 @@ type Config struct {
 	Precision string
 }
 
-// Defaults fills unset fields.
-func (c *Config) Defaults() {
+// defaults fills unset fields.
+func (c *Config) defaults() {
 	if c.Scale == 0 {
 		c.Scale = 0.02
 	}

@@ -12,8 +12,8 @@ func tiny() Config {
 }
 
 // ratio is the MaxRatio of one Figure 6 sample, -1 when it is missing.
-func ratio(r *Fig6Result, matrix, ordering string, s int) float64 {
-	for _, row := range r.Rows {
+func ratio(rows []fig6Row, matrix, ordering string, s int) float64 {
+	for _, row := range rows {
 		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
 			return row.MaxRatio
 		}
@@ -22,8 +22,8 @@ func ratio(r *Fig6Result, matrix, ordering string, s int) float64 {
 }
 
 // volume is one Figure 7 sample, -1s when it is missing.
-func volume(r *Fig7Result, matrix, ordering string, s int) (int, float64) {
-	for _, row := range r.Rows {
+func volume(rows []fig7Row, matrix, ordering string, s int) (int, float64) {
+	for _, row := range rows {
 		if row.Matrix == matrix && row.Ordering == ordering && row.S == s {
 			return row.Volume, row.RelativeToSpMV
 		}
@@ -31,20 +31,31 @@ func volume(r *Fig7Result, matrix, ordering string, s int) (int, float64) {
 	return -1, -1
 }
 
-// fig8Row is one Figure 8 sample.
-func fig8Row(r *Fig8Result, matrix string, s int) (Fig8Row, bool) {
-	for _, row := range r.Rows {
+// fig8Sample is one Figure 8 sample.
+func fig8Sample(rows []fig8Row, matrix string, s int) (fig8Row, bool) {
+	for _, row := range rows {
 		if row.Matrix == matrix && row.S == s {
 			return row, true
 		}
 	}
-	return Fig8Row{}, false
+	return fig8Row{}, false
+}
+
+// findStrategy returns the row of the named strategy (matching with or
+// without the 2x prefix).
+func findStrategy(rows []fig13Row, name string) (fig13Row, bool) {
+	for _, r := range rows {
+		if r.Strategy == name || r.Strategy == "2x"+name {
+			return r, true
+		}
+	}
+	return fig13Row{}, false
 }
 
 func TestFig6Shapes(t *testing.T) {
-	res := Fig6(tiny())
-	if len(res.Rows) != 2*3*10 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	res := fig6(tiny())
+	if len(res) != 2*3*10 {
+		t.Fatalf("rows = %d", len(res))
 	}
 	// Ratios never shrink with s.
 	for _, mtx := range []string{"cant", "G3_circuit"} {
@@ -91,7 +102,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	res := Fig7(tiny())
+	res := fig7(tiny())
 	// For the banded cant under RCM, the total volume must stay within a
 	// small factor of the SpMV volume across s (linear halo growth).
 	for s := 2; s <= 10; s++ {
@@ -104,7 +115,7 @@ func TestFig7Shapes(t *testing.T) {
 		}
 	}
 	// Volumes are positive everywhere.
-	for _, row := range res.Rows {
+	for _, row := range res {
 		if row.Volume <= 0 {
 			t.Fatalf("non-positive volume: %+v", row)
 		}
@@ -112,10 +123,10 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	res := Fig8(tiny())
+	res := fig8(tiny())
 	for _, mtx := range []string{"cant", "G3_circuit"} {
-		r1, ok1 := fig8Row(res, mtx, 1)
-		r5, ok5 := fig8Row(res, mtx, 5)
+		r1, ok1 := fig8Sample(res, mtx, 1)
+		r5, ok5 := fig8Sample(res, mtx, 5)
 		if !ok1 || !ok5 {
 			t.Fatalf("%s: missing rows", mtx)
 		}
@@ -131,7 +142,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig10MeasuredMatchesAnalytic(t *testing.T) {
-	rows := Fig10(tiny())
+	rows := fig10(tiny())
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -143,7 +154,7 @@ func TestFig10MeasuredMatchesAnalytic(t *testing.T) {
 }
 
 func TestFig11cOrdering(t *testing.T) {
-	rows := Fig11c(Config{Scale: 0.01, MaxDevices: 3})
+	rows := fig11c(Config{Scale: 0.01, MaxDevices: 3})
 	get := func(name string, ng int) float64 {
 		for _, r := range rows {
 			if r.Strategy == name && r.Devices == ng {
@@ -175,7 +186,7 @@ func TestFig11abBatchedWins(t *testing.T) {
 	// The batched schedule beats the serial one, and the parallel GEMV
 	// the serial GEMV, as exact properties of the cost model.
 	gf := map[string]float64{}
-	for _, r := range Fig11ab(Config{Scale: 0.01}) {
+	for _, r := range fig11ab(Config{Scale: 0.01}) {
 		if r.Rows == 1<<17 {
 			gf[r.Kernel] = r.Gflops
 		}
@@ -194,8 +205,8 @@ func TestFig11abBatchedWins(t *testing.T) {
 func TestFig11abDeterministic(t *testing.T) {
 	// Two runs of the modeled figure produce bit-identical rows, the
 	// property that makes `go test -count=5` byte-stable.
-	a := Fig11ab(Config{Scale: 0.01})
-	b := Fig11ab(Config{Scale: 0.01})
+	a := fig11ab(Config{Scale: 0.01})
+	b := fig11ab(Config{Scale: 0.01})
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
@@ -209,7 +220,7 @@ func TestFig11abDeterministic(t *testing.T) {
 func TestFig3GPUBeatsCPUAndScales(t *testing.T) {
 	// GPUs only pay off above a problem-size threshold (latency floor),
 	// so this test needs paper-comparable sizes: scale 0.05 is ~80k rows.
-	rows := Fig3(Config{Scale: 0.05, MaxDevices: 3, MaxRestarts: 3})
+	rows := fig3(Config{Scale: 0.05, MaxDevices: 3, MaxRestarts: 3})
 	byKey := map[string]float64{}
 	for _, r := range rows {
 		byKey[r.Matrix+"/"+r.Target] = r.TimePerRestart
@@ -231,11 +242,11 @@ func TestFig3GPUBeatsCPUAndScales(t *testing.T) {
 }
 
 func TestFig13ErrorOrdering(t *testing.T) {
-	res := Fig13(Config{Scale: 0.004, MaxDevices: 1, MaxRestarts: 3})
-	for _, rows := range [][]Fig13Row{res.Rows20, res.Rows30} {
-		caqr, ok1 := Find(rows, "CAQR")
-		chol, ok2 := Find(rows, "CholQR")
-		mgs, ok3 := Find(rows, "MGS")
+	res := fig13(Config{Scale: 0.004, MaxDevices: 1, MaxRestarts: 3})
+	for _, rows := range [][]fig13Row{res.Rows20, res.Rows30} {
+		caqr, ok1 := findStrategy(rows, "CAQR")
+		chol, ok2 := findStrategy(rows, "CholQR")
+		mgs, ok3 := findStrategy(rows, "MGS")
 		if !ok1 || !ok2 || !ok3 {
 			t.Fatalf("missing strategies: %+v", rows)
 		}
@@ -262,13 +273,13 @@ func TestFig13ErrorOrdering(t *testing.T) {
 func TestFig14ProducesSpeedups(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 0.002, MaxDevices: 2, MaxRestarts: 4, Out: &buf}
-	rows := Fig14(cfg)
+	rows := fig14(cfg)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
 	// Sanity: every matrix block contains a CA-GMRES(15) row that beats
 	// the MGS GMRES row on one device.
-	perMatrix := map[string][]Fig14Row{}
+	perMatrix := map[string][]fig14Row{}
 	for _, r := range rows {
 		perMatrix[r.Matrix] = append(perMatrix[r.Matrix], r)
 	}
@@ -296,7 +307,7 @@ func TestFig14ProducesSpeedups(t *testing.T) {
 }
 
 func TestFig15Normalization(t *testing.T) {
-	rows := Fig15(Config{Scale: 0.008, MaxDevices: 2, MaxRestarts: 5})
+	rows := fig15(Config{Scale: 0.008, MaxDevices: 2, MaxRestarts: 5})
 	// GMRES on one device is the 1.0 reference for every matrix.
 	for _, r := range rows {
 		if r.Solver == "GMRES" && r.Devices == 1 {

@@ -11,9 +11,9 @@ func TestFigClusterShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-node sweep in -short mode")
 	}
-	rows := FigCluster(tiny())
+	rows := figCluster(tiny())
 
-	byMode := map[string][]ClusterRow{}
+	byMode := map[string][]clusterRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = append(byMode[r.Mode], r)
 	}
@@ -42,7 +42,7 @@ func TestFigClusterShapes(t *testing.T) {
 	if len(ratio) != 3*len(clusterRatios) {
 		t.Fatalf("ratio rows = %d, want %d", len(ratio), 3*len(clusterRatios))
 	}
-	byNodes := map[int][]ClusterRow{}
+	byNodes := map[int][]clusterRow{}
 	for _, r := range ratio {
 		byNodes[r.Nodes] = append(byNodes[r.Nodes], r)
 	}
@@ -74,10 +74,10 @@ func TestFigClusterShapes(t *testing.T) {
 	// The strong sweep runs the same fixed problem on two fabrics: the
 	// slow fabric can never beat the fast one, and the saving is larger
 	// on the slow fabric wherever the federation actually spans nodes.
-	strong := map[string]map[int]ClusterRow{}
+	strong := map[string]map[int]clusterRow{}
 	for _, r := range byMode["strong"] {
 		if strong[r.Fabric] == nil {
-			strong[r.Fabric] = map[int]ClusterRow{}
+			strong[r.Fabric] = map[int]clusterRow{}
 		}
 		strong[r.Fabric][r.Nodes] = r
 	}

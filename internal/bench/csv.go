@@ -11,9 +11,10 @@ import (
 
 // WriteCSV marshals a slice of flat structs (the row types the figure
 // drivers return) to a CSV file with a header derived from the exported
-// field names. Nested structs are flattened one level (used by Fig10Row's
+// field names. Nested structs are flattened one level (used by fig10Row's
 // embedded Property). Intended for plotting the regenerated figures with
-// external tools: cmd/experiments -csv <dir>.
+// external tools: cmd/experiments -csv <dir>. A write that fails — a full
+// disk included — is an error, never a silently truncated file.
 func WriteCSV(path string, rows any) error {
 	v := reflect.ValueOf(rows)
 	if v.Kind() != reflect.Slice {
@@ -26,15 +27,23 @@ func WriteCSV(path string, rows any) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
-	defer w.Flush()
+	err = writeRows(w, v)
+	w.Flush()
+	if err == nil {
+		err = w.Error()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
+func writeRows(w *csv.Writer, v reflect.Value) error {
 	if v.Len() == 0 {
 		return nil
 	}
-	first := v.Index(0)
-	header, _ := flattenStruct(first)
+	header, _ := flattenStruct(v.Index(0))
 	if err := w.Write(header); err != nil {
 		return err
 	}

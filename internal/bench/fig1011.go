@@ -9,10 +9,10 @@ import (
 	"cagmres/internal/ortho"
 )
 
-// Fig10Row pairs a strategy's analytic properties with its measured
+// fig10Row pairs a strategy's analytic properties with its measured
 // per-window transfer count on the simulated devices, plus the ledger's
 // kernel-launch and flop accounting for the factorization.
-type Fig10Row struct {
+type fig10Row struct {
 	ortho.Property
 	MeasuredComm int
 	// Kernels is the number of device kernel launches the factorization
@@ -25,15 +25,15 @@ type Fig10Row struct {
 	AchievedGflops float64
 }
 
-// Fig10 prints the TSQR strategy property table (Figure 10) and verifies
+// fig10 prints the TSQR strategy property table (Figure 10) and verifies
 // the communication column by factoring one window per strategy and
 // counting ledger rounds.
-func Fig10(cfg Config) []Fig10Row {
-	cfg.Defaults()
+func fig10(cfg Config) []fig10Row {
+	cfg.defaults()
 	const n, s = 30000, 9
 	props := ortho.PropertyTable(n, s)
 	v := matgen.RandomTallSkinny(n, s+1, 1e2, 7)
-	out := make([]Fig10Row, 0, len(props))
+	out := make([]fig10Row, 0, len(props))
 	cfg.printf("Figure 10: TSQR strategy properties, n=%d, s=%d\n", n, s)
 	cfg.printf("%-8s %-16s %12s %10s %10s %8s %12s %10s  %s\n",
 		"name", "error", "flops", "comm", "measured", "kernels", "devflops", "Gflop/s", "kernel")
@@ -49,7 +49,7 @@ func Fig10(cfg Config) []Fig10Row {
 			panic(err)
 		}
 		ph := ctx.Stats().Phase("tsqr")
-		row := Fig10Row{Property: p, MeasuredComm: ph.Rounds,
+		row := fig10Row{Property: p, MeasuredComm: ph.Rounds,
 			Kernels: ph.Kernels, DeviceFlops: ph.DeviceFlops, AchievedGflops: ph.DeviceGflops()}
 		out = append(out, row)
 		cfg.printf("%-8s %-16s %12.3e %10d %10d %8d %12.3e %10.2f  %s\n",
@@ -81,8 +81,8 @@ func splitWindow(v *la.Dense, ng int) []*la.Dense {
 	return out
 }
 
-// Fig11Kernel is one modeled point of the kernel study.
-type Fig11Kernel struct {
+// fig11Kernel is one modeled point of the kernel study.
+type fig11Kernel struct {
 	Kernel string
 	Rows   int
 	// Gflops is the kernel's modeled rate.
@@ -104,7 +104,7 @@ func panels(n int) int {
 	return (n + la.PanelRows - 1) / la.PanelRows
 }
 
-// Fig11ab charges the tall-skinny GEMM and GEMV kernels on the host: the
+// fig11ab charges the tall-skinny GEMM and GEMV kernels on the host: the
 // naive one-pass kernels versus the panel-parallel "batched" schedules,
 // the analogue of the paper's CUBLAS-vs-batched-DGEMM comparison (Figure
 // 11a/b). The batched forms must win on tall inputs. The comparison is a
@@ -112,10 +112,10 @@ func panels(n int) int {
 // parallelism and dispatch count charged against the cost model's host
 // constants (gpu.CostModel.HostKernelTime). Nothing is executed; the
 // wall-clock times of the same kernels are Go benchmarks of internal/la.
-func Fig11ab(cfg Config) []Fig11Kernel {
-	cfg.Defaults()
+func fig11ab(cfg Config) []fig11Kernel {
+	cfg.defaults()
 	const c = 30
-	var out []Fig11Kernel
+	var out []fig11Kernel
 	cfg.printf("Figure 11(a,b): tall-skinny kernels on the host, %d columns (modeled time)\n", c)
 	cfg.printf("%-22s %10s %10s\n", "kernel", "rows", "Gflop/s")
 	for _, n := range []int{1 << 14, 1 << 17} {
@@ -138,7 +138,7 @@ func Fig11ab(cfg Config) []Fig11Kernel {
 			sec := cfg.Profile.Model.HostKernelTime(gpu.HostKernel{
 				Flops: k.flops, Bytes: gramBytes, Parallelism: k.par, Dispatches: k.disps,
 			})
-			row := Fig11Kernel{Kernel: k.name, Rows: n, Gflops: k.flops / sec / 1e9,
+			row := fig11Kernel{Kernel: k.name, Rows: n, Gflops: k.flops / sec / 1e9,
 				Elapsed: time.Duration(sec * float64(time.Second)), Flops: k.flops, Modeled: true}
 			out = append(out, row)
 			cfg.printf("%-22s %10d %10.2f\n", row.Kernel, n, row.Gflops)
@@ -147,8 +147,8 @@ func Fig11ab(cfg Config) []Fig11Kernel {
 	return out
 }
 
-// Fig11cRow is one TSQR throughput sample.
-type Fig11cRow struct {
+// fig11cRow is one TSQR throughput sample.
+type fig11cRow struct {
 	Strategy string
 	Devices  int
 	// EffectiveGflops = (4 n c^2 reference flops of DGEQRF+DORGQR) /
@@ -156,12 +156,12 @@ type Fig11cRow struct {
 	EffectiveGflops float64
 }
 
-// Fig11c measures TSQR throughput for every strategy on 1..MaxDevices
+// fig11c measures TSQR throughput for every strategy on 1..MaxDevices
 // simulated GPUs with an n x 30 window (Figure 11c). Expected shape:
 // CholQR/SVQR (BLAS-3) on top, CGS next, MGS and CAQR at the
 // BLAS-1/2 floor, and all strategies scaling with the device count.
-func Fig11c(cfg Config) []Fig11cRow {
-	cfg.Defaults()
+func fig11c(cfg Config) []fig11cRow {
+	cfg.defaults()
 	const c = 30
 	n := int(200000 * cfg.Scale / 0.02)
 	if n < 4*c {
@@ -169,7 +169,7 @@ func Fig11c(cfg Config) []Fig11cRow {
 	}
 	refFlops := 4 * float64(n) * c * c
 	v := matgen.RandomTallSkinny(n, c, 1e2, 9)
-	var out []Fig11cRow
+	var out []fig11cRow
 	cfg.printf("Figure 11(c): TSQR effective Gflop/s, n=%d, s+1=%d (modeled)\n", n, c)
 	cfg.printf("%-8s %8s %14s\n", "strategy", "devices", "eff Gflop/s")
 	for _, strat := range ortho.All() {
@@ -181,7 +181,7 @@ func Fig11c(cfg Config) []Fig11cRow {
 				panic(err)
 			}
 			t := ctx.Stats().Phase("tsqr").Total()
-			row := Fig11cRow{Strategy: strat.Name(), Devices: ng, EffectiveGflops: refFlops / t / 1e9}
+			row := fig11cRow{Strategy: strat.Name(), Devices: ng, EffectiveGflops: refFlops / t / 1e9}
 			out = append(out, row)
 			cfg.printf("%-8s %8d %14.2f\n", row.Strategy, ng, row.EffectiveGflops)
 		}

@@ -30,8 +30,8 @@ func (m *measuringTSQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*
 	return r, nil
 }
 
-// Fig13Row aggregates one strategy's errors inside CA-GMRES(s, m).
-type Fig13Row struct {
+// fig13Row aggregates one strategy's errors inside CA-GMRES(s, m).
+type fig13Row struct {
 	Strategy string
 	// Failed is set when the strategy could not complete (e.g. CholQR on
 	// an indefinite Gram matrix) even after the 2x retry.
@@ -46,34 +46,34 @@ type Fig13Row struct {
 	Samples                   int
 }
 
-// Fig13Result holds the panel configurations of the figure.
-type Fig13Result struct {
+// fig13Result holds the panel configurations of the figure.
+type fig13Result struct {
 	// Rows20 uses CA-GMRES(20, 30) and Rows30 uses CA-GMRES(30, 30),
 	// the two panels of Figure 13 (Newton basis, as the paper runs).
-	Rows20 []Fig13Row
-	Rows30 []Fig13Row
+	Rows20 []fig13Row
+	Rows30 []fig13Row
 	// RowsMonomial repeats the (20, 30) panel with the monomial basis.
 	// The synthetic G3 analogue yields better-conditioned Newton windows
 	// than the original matrix (whose kappa(B) is 8.5e9, Figure 12), so
 	// this extra panel restores the ill-conditioned regime in which the
 	// paper's kappa^2 amplification of CholQR/SVQR is visible.
-	RowsMonomial []Fig13Row
+	RowsMonomial []fig13Row
 }
 
-// Fig13 reproduces the TSQR error study inside CA-GMRES on the
+// fig13 reproduces the TSQR error study inside CA-GMRES on the
 // G3_circuit analogue with one simulated GPU: for each strategy, the
 // average, minimum and maximum of ||I - Q'Q||, ||V - QR||/||V|| and the
 // element-wise error across every TSQR call of the solve.
-func Fig13(cfg Config) *Fig13Result {
-	cfg.Defaults()
-	res := &Fig13Result{}
+func fig13(cfg Config) *fig13Result {
+	cfg.defaults()
+	res := &fig13Result{}
 	res.Rows20 = fig13Panel(cfg, 20, 30, "newton")
 	res.Rows30 = fig13Panel(cfg, 30, 30, "newton")
 	res.RowsMonomial = fig13Panel(cfg, 20, 30, "monomial")
 	return res
 }
 
-func fig13Panel(cfg Config, s, m int, basis string) []Fig13Row {
+func fig13Panel(cfg Config, s, m int, basis string) []fig13Row {
 	mat := benchG3(cfg.Scale)
 	b := make([]float64, mat.A.Rows)
 	for i := range b {
@@ -81,7 +81,7 @@ func fig13Panel(cfg Config, s, m int, basis string) []Fig13Row {
 	}
 	cfg.printf("Figure 13: TSQR errors in CA-GMRES(%d, %d), %s basis, %s, 1 device\n", s, m, basis, mat.Name)
 	cfg.printf("%-9s %1s %34s %12s %12s %8s\n", "strategy", "", "||I-Q'Q|| avg [min, max]", "||V-QR||/V", "elemwise", "samples")
-	var rows []Fig13Row
+	var rows []fig13Row
 	for _, base := range ortho.All() {
 		row := runFig13Strategy(cfg, mat, b, base, false, s, m, basis)
 		if row.Failed {
@@ -105,7 +105,7 @@ func fig13Panel(cfg Config, s, m int, basis string) []Fig13Row {
 	return rows
 }
 
-func runFig13Strategy(cfg Config, mat *matgen.Matrix, b []float64, strat ortho.TSQR, reorth bool, s, m int, basis string) Fig13Row {
+func runFig13Strategy(cfg Config, mat *matgen.Matrix, b []float64, strat ortho.TSQR, reorth bool, s, m int, basis string) fig13Row {
 	ctx := cfg.newContext(1, cfg.Profile)
 	p, err := core.NewProblem(ctx, mat.A, b, core.KWay, true)
 	if err != nil {
@@ -120,7 +120,7 @@ func runFig13Strategy(cfg Config, mat *matgen.Matrix, b []float64, strat ortho.T
 		M: m, S: s, Tol: 1e-10, MaxRestarts: cfg.MaxRestarts,
 		Ortho: "CholQR", OrthoImpl: meas, Basis: basis, Precision: cfg.Precision,
 	})
-	row := Fig13Row{Strategy: strat.Name(), Reorthogonalized: reorth}
+	row := fig13Row{Strategy: strat.Name(), Reorthogonalized: reorth}
 	if err != nil && errors.Is(err, ortho.ErrRankDeficient) {
 		row.Failed = true
 		return row
@@ -150,15 +150,4 @@ func runFig13Strategy(cfg Config, mat *matgen.Matrix, b []float64, strat ortho.T
 	row.FactAvg /= n
 	row.ElemAvg /= n
 	return row
-}
-
-// Find returns the row of the named strategy (matching with or without
-// the 2x prefix).
-func Find(rows []Fig13Row, name string) (Fig13Row, bool) {
-	for _, r := range rows {
-		if r.Strategy == name || r.Strategy == "2x"+name {
-			return r, true
-		}
-	}
-	return Fig13Row{}, false
 }

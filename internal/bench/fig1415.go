@@ -8,8 +8,8 @@ import (
 	"cagmres/internal/sparse"
 )
 
-// Fig14Row is one configuration row of the paper's main results table.
-type Fig14Row struct {
+// fig14Row is one configuration row of the paper's main results table.
+type fig14Row struct {
 	Matrix   string
 	Solver   string // "GMRES" or "CA-GMRES"
 	S        int    // 0 for GMRES
@@ -27,39 +27,39 @@ type Fig14Row struct {
 	Err string
 }
 
-// Fig14Case describes one matrix block of the table.
-type Fig14Case struct {
+// fig14Case describes one matrix block of the table.
+type fig14Case struct {
 	Matrix   *matgen.Matrix
 	Ordering core.Ordering
 	M        int
 	S        int
 }
 
-// Fig14Cases returns the paper's three table blocks: cant with
+// fig14Cases returns the paper's three table blocks: cant with
 // GMRES(60)/natural ordering, G3_circuit with GMRES(30)/k-way, and
 // dielFilterV2real with GMRES(180)/k-way. (nlpkkt120 appears in Figure
 // 15 instead.)
-func Fig14Cases(scale float64) []Fig14Case {
-	return []Fig14Case{
+func fig14Cases(scale float64) []fig14Case {
+	return []fig14Case{
 		{benchCant(scale), core.Natural, 60, 15},
 		{benchG3(scale), core.KWay, 30, 15},
 		{benchDiel(scale), core.KWay, 180, 15},
 	}
 }
 
-// Fig14 reproduces the CA-GMRES vs GMRES performance table (Figure 14):
+// fig14 reproduces the CA-GMRES vs GMRES performance table (Figure 14):
 // for each matrix, GMRES with MGS and CGS on 1..MaxDevices simulated
 // GPUs, the degenerate CA-GMRES(1, m), and CA-GMRES(s=15, m) with CGS
 // and CholQR TSQR (with the 2x reorthogonalization fallback where the
 // plain strategy fails), reporting per-restart modeled times and the
 // speedup over same-device GMRES/CGS.
-func Fig14(cfg Config) []Fig14Row {
-	cfg.Defaults()
-	var out []Fig14Row
+func fig14(cfg Config) []fig14Row {
+	cfg.defaults()
+	var out []fig14Row
 	cfg.printf("Figure 14: CA-GMRES vs GMRES (modeled ms per restart cycle)\n")
 	cfg.printf("%-16s %-9s %3s %-9s %3s %6s %10s %10s %10s %10s %7s\n",
 		"matrix", "solver", "s", "ortho", "ng", "rest", "Orth/Res", "TSQR/Res", "SpMV/Res", "Total/Res", "SpdUp")
-	for _, cse := range Fig14Cases(cfg.Scale) {
+	for _, cse := range fig14Cases(cfg.Scale) {
 		base := map[int]float64{} // GMRES/CGS Total/Res per device count
 		b := onesRHS(cse.Matrix.A.Rows)
 
@@ -79,7 +79,7 @@ func Fig14(cfg Config) []Fig14Row {
 	return out
 }
 
-func fig14GMRES(cfg Config, cse Fig14Case, b []float64, orth string, ng int, base map[int]float64) Fig14Row {
+func fig14GMRES(cfg Config, cse fig14Case, b []float64, orth string, ng int, base map[int]float64) fig14Row {
 	ctx := cfg.newContext(ng, cfg.Profile)
 	p, err := core.NewProblem(ctx, cse.Matrix.A, b, cse.Ordering, true)
 	if err != nil {
@@ -89,7 +89,7 @@ func fig14GMRES(cfg Config, cse Fig14Case, b []float64, orth string, ng int, bas
 	if err != nil {
 		panic(err)
 	}
-	row := Fig14Row{Matrix: cse.Matrix.Name, Solver: "GMRES", Ortho: orth, Devices: ng, Restarts: res.Restarts}
+	row := fig14Row{Matrix: cse.Matrix.Name, Solver: "GMRES", Ortho: orth, Devices: ng, Restarts: res.Restarts}
 	fillTimes(&row, res)
 	if orth == "CGS" {
 		base[ng] = row.TotalPerRestart
@@ -101,10 +101,10 @@ func fig14GMRES(cfg Config, cse Fig14Case, b []float64, orth string, ng int, bas
 	return row
 }
 
-func fig14CA(cfg Config, cse Fig14Case, b []float64, s int, orth string, ng int, base map[int]float64) Fig14Row {
+func fig14CA(cfg Config, cse fig14Case, b []float64, s int, orth string, ng int, base map[int]float64) fig14Row {
 	res, usedOrtho, err := runCAWithFallback(cfg, cse.Matrix.A, b, cse.Ordering,
 		core.Options{M: cse.M, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: orth, Precision: cfg.Precision}, ng)
-	row := Fig14Row{Matrix: cse.Matrix.Name, Solver: "CA-GMRES", S: s, Ortho: usedOrtho, Devices: ng}
+	row := fig14Row{Matrix: cse.Matrix.Name, Solver: "CA-GMRES", S: s, Ortho: usedOrtho, Devices: ng}
 	if err != nil {
 		row.Err = err.Error()
 		printFig14Row(cfg, row)
@@ -146,7 +146,7 @@ func runCAWithFallback(cfg Config, a *sparse.CSR, b []float64, ord core.Ordering
 	return res, ladder[len(ladder)-1], err
 }
 
-func fillTimes(row *Fig14Row, res *core.Result) {
+func fillTimes(row *fig14Row, res *core.Result) {
 	if res.Restarts == 0 {
 		return
 	}
@@ -160,7 +160,7 @@ func fillTimes(row *Fig14Row, res *core.Result) {
 	row.TotalPerRestart = res.Stats.TotalTime() / r
 }
 
-func printFig14Row(cfg Config, row Fig14Row) {
+func printFig14Row(cfg Config, row fig14Row) {
 	if row.Err != "" {
 		cfg.printf("%-16s %-9s %3d %-9s %3d  FAILED: %s\n",
 			row.Matrix, row.Solver, row.S, row.Ortho, row.Devices, row.Err)
@@ -176,8 +176,8 @@ func printFig14Row(cfg Config, row Fig14Row) {
 		ms(row.TotalPerRestart), sp)
 }
 
-// Fig15Row is one bar of the summary chart.
-type Fig15Row struct {
+// fig15Row is one bar of the summary chart.
+type fig15Row struct {
 	Matrix  string
 	Solver  string
 	Devices int
@@ -189,12 +189,12 @@ type Fig15Row struct {
 	Err     string
 }
 
-// Fig15 reproduces the normalized summary (Figure 15): GMRES/CGS and
+// fig15 reproduces the normalized summary (Figure 15): GMRES/CGS and
 // CA-GMRES(10, m)/CholQR on 1..MaxDevices devices for all four paper
 // matrices, each normalized to GMRES on one device.
-func Fig15(cfg Config) []Fig15Row {
-	cfg.Defaults()
-	var out []Fig15Row
+func fig15(cfg Config) []fig15Row {
+	cfg.defaults()
+	var out []fig15Row
 	cases := []struct {
 		m        *matgen.Matrix
 		ordering core.Ordering
@@ -227,14 +227,14 @@ func Fig15(cfg Config) []Fig15Row {
 			if ng == 1 {
 				base = total
 			}
-			row := Fig15Row{Matrix: cse.m.Name, Solver: "GMRES", Devices: ng, Normalized: total / base}
+			row := fig15Row{Matrix: cse.m.Name, Solver: "GMRES", Devices: ng, Normalized: total / base}
 			out = append(out, row)
 			cfg.printf("%-16s %-9s %3d %12.4f %8s\n", row.Matrix, row.Solver, ng, row.Normalized, "-")
 		}
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
 			res, _, err := runCAWithFallback(cfg, cse.m.A, b, cse.ordering,
 				core.Options{M: cse.restart, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision}, ng)
-			row := Fig15Row{Matrix: cse.m.Name, Solver: "CA-GMRES", Devices: ng}
+			row := fig15Row{Matrix: cse.m.Name, Solver: "CA-GMRES", Devices: ng}
 			if err != nil {
 				row.Err = err.Error()
 				out = append(out, row)

@@ -28,8 +28,8 @@ func cpuProfile(p gpu.Profile) gpu.Profile {
 	}
 }
 
-// Fig3Row is one GMRES timing sample.
-type Fig3Row struct {
+// fig3Row is one GMRES timing sample.
+type fig3Row struct {
 	Matrix string
 	// Target is "CPU" or "1 GPU".."3 GPU".
 	Target string
@@ -38,14 +38,14 @@ type Fig3Row struct {
 	Restarts       int
 }
 
-// Fig3 reproduces the GMRES platform comparison (Figure 3): time per
+// fig3 reproduces the GMRES platform comparison (Figure 3): time per
 // restart of GMRES(m) with the CGS Arnoldi on the 16-core CPU model and
 // on one to MaxDevices simulated GPUs, for the cant and G3_circuit
 // analogues. Expected shape: the GPUs beat the CPU and scale with the
 // device count.
-func Fig3(cfg Config) []Fig3Row {
-	cfg.Defaults()
-	var out []Fig3Row
+func fig3(cfg Config) []fig3Row {
+	cfg.defaults()
+	var out []fig3Row
 	cases := []struct {
 		m    *matgen.Matrix
 		ord  core.Ordering
@@ -74,7 +74,7 @@ func Fig3(cfg Config) []Fig3Row {
 				panic(err)
 			}
 			per := perRestart(res)
-			out = append(out, Fig3Row{Matrix: c.m.Name, Target: target, TimePerRestart: per, Restarts: res.Restarts})
+			out = append(out, fig3Row{Matrix: c.m.Name, Target: target, TimePerRestart: per, Restarts: res.Restarts})
 			cfg.printf("%-12s %-8s %10.3f %10d\n", c.m.Name, target, ms(per), res.Restarts)
 		}
 		// The CPU reference runs as ONE device: the two sockets share a

@@ -25,9 +25,9 @@ func applyOrdering(a *sparse.CSR, ord core.Ordering, ng int) (*sparse.CSR, *dist
 	return p.A, p.Layout
 }
 
-// Fig6Row is one (matrix, ordering, s) sample of the surface-to-volume
+// fig6Row is one (matrix, ordering, s) sample of the surface-to-volume
 // study.
-type Fig6Row struct {
+type fig6Row struct {
 	Matrix   string
 	Ordering string
 	S        int
@@ -38,17 +38,12 @@ type Fig6Row struct {
 	ExtraWork float64
 }
 
-// Fig6Result is the full sweep.
-type Fig6Result struct {
-	Rows []Fig6Row
-}
-
-// Fig6 sweeps the surface-to-volume ratio of the matrix powers kernel
+// fig6 sweeps the surface-to-volume ratio of the matrix powers kernel
 // over s for the cant and G3_circuit analogues under the three orderings
 // on MaxDevices simulated GPUs (Figure 6).
-func Fig6(cfg Config) *Fig6Result {
-	cfg.Defaults()
-	res := &Fig6Result{}
+func fig6(cfg Config) []fig6Row {
+	cfg.defaults()
+	var out []fig6Row
 	mats := []*matgen.Matrix{benchCant(cfg.Scale), benchG3(cfg.Scale)}
 	ng := cfg.MaxDevices
 	ctx := cfg.newContext(ng, cfg.Profile)
@@ -60,23 +55,23 @@ func Fig6(cfg Config) *Fig6Result {
 			for s := 1; s <= 10; s++ {
 				dm := dist.Distribute(ctx, a, layout, s)
 				an := dist.Analyze(dm)
-				row := Fig6Row{
+				row := fig6Row{
 					Matrix:    m.Name,
 					Ordering:  ord.label,
 					S:         s,
 					MaxRatio:  an.MaxSurfaceToVolume(),
 					ExtraWork: an.TotalExtraWork(),
 				}
-				res.Rows = append(res.Rows, row)
+				out = append(out, row)
 				cfg.printf("%-12s %-5s %4d %12.4f %14.3e\n", m.Name, ord.label, s, row.MaxRatio, row.ExtraWork)
 			}
 		}
 	}
-	return res
+	return out
 }
 
-// Fig7Row is one sample of the communication-volume study.
-type Fig7Row struct {
+// fig7Row is one sample of the communication-volume study.
+type fig7Row struct {
 	Matrix   string
 	Ordering string
 	S        int
@@ -87,16 +82,11 @@ type Fig7Row struct {
 	RelativeToSpMV float64
 }
 
-// Fig7Result is the sweep.
-type Fig7Result struct {
-	Rows []Fig7Row
-}
-
-// Fig7 computes the total MPK communication volume over a 100-iteration
+// fig7 computes the total MPK communication volume over a 100-iteration
 // restart loop as a function of s (Figure 7).
-func Fig7(cfg Config) *Fig7Result {
-	cfg.Defaults()
-	res := &Fig7Result{}
+func fig7(cfg Config) []fig7Row {
+	cfg.defaults()
+	var out []fig7Row
 	const mIters = 100
 	mats := []*matgen.Matrix{benchCant(cfg.Scale), benchG3(cfg.Scale)}
 	ng := cfg.MaxDevices
@@ -118,18 +108,18 @@ func Fig7(cfg Config) *Fig7Result {
 				if spmvVol > 0 {
 					rel = float64(vol) / float64(spmvVol)
 				}
-				res.Rows = append(res.Rows, Fig7Row{
+				out = append(out, fig7Row{
 					Matrix: m.Name, Ordering: ord.label, S: s, Volume: vol, RelativeToSpMV: rel,
 				})
 				cfg.printf("%-12s %-5s %4d %12d %10.3f\n", m.Name, ord.label, s, vol, rel)
 			}
 		}
 	}
-	return res
+	return out
 }
 
-// Fig8Row is one sample of the MPK timing sweep.
-type Fig8Row struct {
+// fig8Row is one sample of the MPK timing sweep.
+type fig8Row struct {
 	Matrix string
 	S      int
 	// CommTime and ComputeTime are the modeled seconds to generate
@@ -139,20 +129,15 @@ type Fig8Row struct {
 }
 
 // Total returns comm + compute.
-func (r Fig8Row) Total() float64 { return r.CommTime + r.ComputeTime }
+func (r fig8Row) Total() float64 { return r.CommTime + r.ComputeTime }
 
-// Fig8Result is the sweep.
-type Fig8Result struct {
-	Rows []Fig8Row
-}
-
-// Fig8 times the matrix powers kernel generating 100 basis vectors for
+// fig8 times the matrix powers kernel generating 100 basis vectors for
 // s = 1..10 (Figure 8): compute grows roughly linearly with s while the
 // communication time collapses as soon as s > 1 (latency is paid once
 // per window) and then flattens into the bandwidth regime.
-func Fig8(cfg Config) *Fig8Result {
-	cfg.Defaults()
-	res := &Fig8Result{}
+func fig8(cfg Config) []fig8Row {
+	cfg.defaults()
+	var out []fig8Row
 	const mIters = 100
 	// The paper plots cant under RCM and G3 under KWY (their best).
 	cases := []struct {
@@ -183,10 +168,10 @@ func Fig8(cfg Config) *Fig8Result {
 				mpk.Generate(v, 0, s, nil, "mpk")
 			}
 			p := ctx.Stats().Phase("mpk")
-			row := Fig8Row{Matrix: c.m.Name, S: s, CommTime: p.CommTime, ComputeTime: p.DeviceTime}
-			res.Rows = append(res.Rows, row)
+			row := fig8Row{Matrix: c.m.Name, S: s, CommTime: p.CommTime, ComputeTime: p.DeviceTime}
+			out = append(out, row)
 			cfg.printf("%-12s %4d %12.3f %12.3f %12.3f\n", c.m.Name, s, ms(row.CommTime), ms(row.ComputeTime), ms(row.Total()))
 		}
 	}
-	return res
+	return out
 }

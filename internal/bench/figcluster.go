@@ -9,11 +9,11 @@ import (
 	"cagmres/internal/sparse"
 )
 
-// ClusterRow is one configuration of the multi-node scaling study:
+// clusterRow is one configuration of the multi-node scaling study:
 // standard GMRES and CA-GMRES on a federation of simulated nodes joined
 // by an inter-node fabric, with the two-tier ledger splitting the
 // traffic.
-type ClusterRow struct {
+type clusterRow struct {
 	Matrix string
 	// Mode is which sweep the row belongs to: "ratio" (inter/intra
 	// latency ratio swept at fixed membership), "strong" (fixed problem,
@@ -52,7 +52,7 @@ var clusterNodeCounts = []int{1, 2, 4, 8, 16, 32, 64}
 // bandwidth so the ratio is the only thing moving between rows.
 var clusterRatios = []float64{1, 2, 4, 8, 16}
 
-// FigCluster is the multi-node scaling study the cluster tier exists
+// figCluster is the multi-node scaling study the cluster tier exists
 // for: the paper's G3_circuit configuration on federations of 2-GPU
 // nodes (PCIe-switch inside the node, a lossy fabric between nodes),
 // swept three ways. The ratio sweep holds the membership fixed and
@@ -64,8 +64,8 @@ var clusterRatios = []float64{1, 2, 4, 8, 16}
 // federation to 64 nodes on a named fabric; the weak sweep grows the
 // problem with the node count. Arithmetic is identical in every cell
 // (cross-profile bit-identity); only the machine description moves.
-func FigCluster(cfg Config) []ClusterRow {
-	cfg.Defaults()
+func figCluster(cfg Config) []clusterRow {
+	cfg.defaults()
 	const (
 		devicesPerNode = 2
 		s              = 10
@@ -84,8 +84,8 @@ func FigCluster(cfg Config) []ClusterRow {
 	cfg.printf("%-7s %-14s %5s %4s %6s %12s %12s %8s %9s %9s\n",
 		"mode", "fabric", "nodes", "ng", "ratio", "gmres", "ca", "ca-adv", "ca-saved", "interMB")
 
-	var out []ClusterRow
-	emit := func(row ClusterRow) {
+	var out []clusterRow
+	emit := func(row clusterRow) {
 		out = append(out, row)
 		cfg.printf("%-7s %-14s %5d %4d %6.1f %12.4f %12.4f %8.3f %9.4f %9.3f\n",
 			row.Mode, row.Fabric, row.Nodes, row.Ng, row.LatencyRatio,
@@ -131,7 +131,7 @@ func FigCluster(cfg Config) []ClusterRow {
 // clusterPoint runs the GMRES and CA-GMRES arms on one federation
 // configuration and fills a row.
 func clusterPoint(cfg Config, a *sparse.CSR, b []float64, base gpu.Profile,
-	mode, fabName string, nodes, devicesPerNode, s int, fab gpu.Fabric, intraLat float64) ClusterRow {
+	mode, fabName string, nodes, devicesPerNode, s int, fab gpu.Fabric, intraLat float64) clusterRow {
 	prof := base
 	if nodes > 1 {
 		var err error
@@ -141,7 +141,7 @@ func clusterPoint(cfg Config, a *sparse.CSR, b []float64, base gpu.Profile,
 		}
 	}
 	ng := nodes * devicesPerNode
-	row := ClusterRow{
+	row := clusterRow{
 		Matrix: "G3_circuit", Mode: mode, Fabric: fabName,
 		Nodes: nodes, DevicesPerNode: devicesPerNode, Ng: ng,
 		LatencyRatio: fab.Latency / intraLat,

@@ -5,12 +5,12 @@ import (
 	"cagmres/internal/matgen"
 )
 
-// OverlapRow is one configuration of the overlapped-execution study: the
+// overlapRow is one configuration of the overlapped-execution study: the
 // same CA-GMRES solve scheduled synchronously (every round a global
 // barrier) and through the stream engine (halo transfers overlapped with
 // interior SpMV, host algebra overlapped with device GEMMs), with the
 // modeled completion times of both schedules.
-type OverlapRow struct {
+type overlapRow struct {
 	Matrix  string
 	Devices int
 	S       int
@@ -22,7 +22,7 @@ type OverlapRow struct {
 	Speedup float64
 }
 
-// FigOverlap measures what the asynchronous stream engine buys: the
+// figOverlap measures what the asynchronous stream engine buys: the
 // paper's G3_circuit configuration (m = 30, k-way ordering, CholQR)
 // swept over the basis depth s and the device count, solved once per
 // schedule. The iterates are bit-identical between the two arms — the
@@ -30,16 +30,16 @@ type OverlapRow struct {
 // schedule. Overlap grows with s (deeper windows mean more interior
 // SpMV to hide the halo exchange behind) and with the device count
 // (more transfer lanes taken off the critical path).
-func FigOverlap(cfg Config) []OverlapRow {
-	cfg.Defaults()
+func figOverlap(cfg Config) []overlapRow {
+	cfg.defaults()
 	mtx := benchG3(cfg.Scale)
 	b := onesRHS(mtx.A.Rows)
-	var out []OverlapRow
+	var out []overlapRow
 	cfg.printf("Overlap study: CA-GMRES(s, 30) on %s, synchronous vs stream schedule (modeled ms)\n", mtx.Name)
 	cfg.printf("%-16s %3s %3s %12s %12s %8s\n", "matrix", "s", "ng", "sync", "overlap", "speedup")
 	for _, s := range []int{5, 10, 15} {
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			row := OverlapRow{Matrix: mtx.Name, Devices: ng, S: s}
+			row := overlapRow{Matrix: mtx.Name, Devices: ng, S: s}
 			row.SyncSec = overlapArm(cfg, mtx, b, s, ng, false)
 			row.OverlapSec = overlapArm(cfg, mtx, b, s, ng, true)
 			if row.OverlapSec > 0 {

@@ -9,11 +9,11 @@ import (
 	"cagmres/internal/obs"
 )
 
-// OverloadRow is one arm of the overload-containment study: a fixed
+// overloadRow is one arm of the overload-containment study: a fixed
 // federation driven at a multiple of its capacity, with the containment
 // layer (retry budget + deadline admission gate + shed-at-dequeue) on
 // or off.
-type OverloadRow struct {
+type overloadRow struct {
 	Matrix string
 	// Containment arms the retry budget and deadline gates; false is
 	// the PR 8 router's behavior (hop cap only, clients retry).
@@ -83,7 +83,7 @@ type overNode struct {
 // falls at or before t are served (or, with containment on, shed at
 // dequeue when their deadline already passed — the sched behavior).
 // earn is called per completion (the router's budget Earn on 2xx).
-func (n *overNode) advance(t, S float64, containment bool, earn func(), row *OverloadRow, lastFinish *float64) {
+func (n *overNode) advance(t, S float64, containment bool, earn func(), row *overloadRow, lastFinish *float64) {
 	for len(n.queue) > 0 {
 		j := n.queue[0]
 		start := n.busyUntil
@@ -117,8 +117,8 @@ func (n *overNode) advance(t, S float64, containment bool, earn func(), row *Ove
 }
 
 // overloadArm simulates one (load, containment) cell.
-func overloadArm(matrix string, S, load float64, containment bool) OverloadRow {
-	row := OverloadRow{Matrix: matrix, Containment: containment, Load: load, ServiceSec: S}
+func overloadArm(matrix string, S, load float64, containment bool) overloadRow {
+	row := overloadRow{Matrix: matrix, Containment: containment, Load: load, ServiceSec: S}
 	D := overDeadlineMul * S
 	o := overRejectFrac * S
 	rate := load * float64(overNodes) / S
@@ -212,7 +212,7 @@ func overloadArm(matrix string, S, load float64, containment bool) OverloadRow {
 	return row
 }
 
-// FigOverload is the overload-containment study: a three-node
+// figOverload is the overload-containment study: a three-node
 // federation driven at 1–4× capacity, with the containment layer off
 // (the retry-storm baseline: bounded only by the hop cap, rejected
 // clients retry immediately) and on (retry budget, deadline admission
@@ -224,8 +224,8 @@ func overloadArm(matrix string, S, load float64, containment bool) OverloadRow {
 // burned on rejection handling plus deadline-blown service crushes
 // goodput. Containment on holds goodput near capacity at 4× offered
 // load — the property the acceptance gate asserts.
-func FigOverload(cfg Config) []OverloadRow {
-	cfg.Defaults()
+func figOverload(cfg Config) []overloadRow {
+	cfg.defaults()
 	mtx := benchG3(cfg.Scale)
 	b := onesRHS(mtx.A.Rows)
 	ctx := cfg.newContext(overNodes, gpu.M2090())
@@ -244,7 +244,7 @@ func FigOverload(cfg Config) []OverloadRow {
 	cfg.printf("%-11s %4s %8s %7s %6s %8s %6s %9s %7s %8s\n",
 		"containment", "load", "offered", "served", "late", "rejected", "shed", "reroutes", "budget", "goodput")
 
-	var out []OverloadRow
+	var out []overloadRow
 	for _, containment := range []bool{false, true} {
 		for _, load := range overLoads {
 			row := overloadArm("G3_circuit", S, load, containment)

@@ -9,14 +9,14 @@ import (
 	"cagmres/internal/sparse"
 )
 
-// PrecisionRow is one configuration of the mixed-precision study. The
+// precisionRow is one configuration of the mixed-precision study. The
 // study has two parts, distinguished by Part: "convergence" runs the
 // four paper matrices under every precision mode on a bf16-capable
 // single node and reports what the policy did and what it cost;
 // "beta" sweeps a federation's node count with the fp64 and mixed
 // pipelines side by side and prices the compressed halos on the
 // fabric tier — the β-savings the PR exists for.
-type PrecisionRow struct {
+type precisionRow struct {
 	Part      string
 	Matrix    string
 	Precision string
@@ -59,7 +59,7 @@ var precisionModes = []string{core.PrecisionFP64, core.PrecisionMixed, core.Prec
 // precisionNodeCounts is the membership sweep of the beta part.
 var precisionNodeCounts = []int{2, 4, 8, 16}
 
-// FigPrecision is the convergence-vs-precision study: the four paper
+// figPrecision is the convergence-vs-precision study: the four paper
 // matrices solved under fp64, mixed, and adaptive on a bf16-capable
 // A100 node (part one), then the G3_circuit federation swept over node
 // counts with the fp64 and mixed pipelines priced side by side on an
@@ -70,8 +70,8 @@ var precisionNodeCounts = []int{2, 4, 8, 16}
 // exceed 1.3× and grow in absolute terms with the federation size.
 // Deterministic like every study here: conversions are exact arithmetic
 // on seeded data, so the tables replay bit-identically.
-func FigPrecision(cfg Config) []PrecisionRow {
-	cfg.Defaults()
+func figPrecision(cfg Config) []precisionRow {
+	cfg.defaults()
 	const (
 		tol  = 1e-4
 		s    = 10
@@ -100,8 +100,8 @@ func FigPrecision(cfg Config) []PrecisionRow {
 	cfg.printf("%-12s %-18s %-9s %5s %4s %5s %6s %10s %9s %8s %8s %8s\n",
 		"part", "matrix", "precision", "nodes", "conv", "rst", "iters", "modeled", "relres", "fp32MB", "compMB", "β-save")
 
-	var out []PrecisionRow
-	emit := func(row PrecisionRow) {
+	var out []precisionRow
+	emit := func(row precisionRow) {
 		out = append(out, row)
 		cfg.printf("%-12s %-18s %-9s %5d %4t %5d %6d %9.4fms %9.2e %8.3f %8.3f %8.3f\n",
 			row.Part, row.Matrix, row.Precision, row.Nodes, row.Converged, row.Restarts,
@@ -155,7 +155,7 @@ func FigPrecision(cfg Config) []PrecisionRow {
 // precisionPoint runs one precision arm under an explicit machine
 // profile and fills a row from the result and the ledger.
 func precisionPoint(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile,
-	part, matrix, prec string, nodes, ng, m, s int, tol float64, maxR int) PrecisionRow {
+	part, matrix, prec string, nodes, ng, m, s int, tol float64, maxR int) precisionRow {
 	ctx := cfg.newContext(ng, prof)
 	p, err := core.NewProblem(ctx, a, b, core.KWay, true)
 	if err != nil {
@@ -168,7 +168,7 @@ func precisionPoint(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile,
 	if err != nil {
 		panic(fmt.Sprintf("bench: precision arm %s/%s/%s: %v", part, matrix, prec, err))
 	}
-	row := PrecisionRow{
+	row := precisionRow{
 		Part: part, Matrix: matrix, Precision: prec,
 		Nodes: nodes, Ng: ng,
 		Converged: res.Converged, Restarts: res.Restarts, Iters: res.Iters,

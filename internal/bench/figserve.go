@@ -14,9 +14,9 @@ import (
 	"cagmres/internal/sched"
 )
 
-// ServeRow is one point of the serving sweep: Clients closed-loop
+// serveRow is one point of the serving sweep: Clients closed-loop
 // clients against the real scheduler, run on the virtual clock.
-type ServeRow struct {
+type serveRow struct {
 	Clients int
 	// Requests counts submissions; Done, Canceled and Failed count the
 	// terminal states they reached.
@@ -70,15 +70,15 @@ func rpcOverhead(m gpu.CostModel, n int) float64 {
 	})
 }
 
-// FigServe is the serving sweep: 1–16 closed-loop clients, each
+// figServe is the serving sweep: 1–16 closed-loop clients, each
 // submitting its next solve rpcOverhead after the previous response,
 // against a sched.Scheduler built like cagmresd's default and run on
 // sched.Virtual. Every solve is real, and each lasts the modeled seconds
 // it charged to its lease's ledger, so the rows are a pure function of
 // the cost model. The scheduler batches same-matrix requests and
 // prepares the problem once per device count, as the daemon does.
-func FigServe(cfg Config) []ServeRow {
-	cfg.Defaults()
+func figServe(cfg Config) []serveRow {
+	cfg.defaults()
 	a, err := matgen.ByName(serveMatrix, serveScale)
 	if err != nil {
 		panic(err)
@@ -88,7 +88,7 @@ func FigServe(cfg Config) []ServeRow {
 		serveMatrix, a.A.Rows, servePool, serveDevices, serveQueue, serveBatch, serveRequests, overhead*1e6)
 	cfg.printf("%8s %10s %10s %10s %10s %10s %12s %10s %10s %7s %8s\n",
 		"clients", "p50", "p90", "p99", "max", "mean", "throughput/s", "wait p50", "wait p99", "leases", "prepared")
-	var rows []ServeRow
+	var rows []serveRow
 	for _, k := range serveClients {
 		r := serveRun(cfg, a, k, overhead)
 		cfg.printf("%8d %10.4f %10.4f %10.4f %10.4f %10.4f %12.2f %10.4f %10.4f %7d %8d\n",
@@ -101,7 +101,7 @@ func FigServe(cfg Config) []ServeRow {
 }
 
 // serveRun drives one sweep point to completion on a fresh scheduler.
-func serveRun(cfg Config, a *matgen.Matrix, clients int, overhead float64) ServeRow {
+func serveRun(cfg Config, a *matgen.Matrix, clients int, overhead float64) serveRow {
 	v := sched.NewVirtual()
 	s := sched.New(sched.Config{
 		Pool:       sched.NewPool(sched.PoolConfig{Size: servePool, Devices: serveDevices, Profile: cfg.Profile}),
@@ -134,7 +134,7 @@ func serveRun(cfg Config, a *matgen.Matrix, clients int, overhead float64) Serve
 	}
 	v.Run(s)
 
-	r := ServeRow{Clients: clients, Requests: len(jobs)}
+	r := serveRow{Clients: clients, Requests: len(jobs)}
 	var lat, wait []float64
 	for _, j := range jobs {
 		switch j.State() {

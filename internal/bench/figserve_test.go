@@ -11,7 +11,7 @@ import (
 // TestFigServeDeterministic: the sweep runs the real scheduler on the
 // virtual clock, so two runs agree field for field.
 func TestFigServeDeterministic(t *testing.T) {
-	a, b := FigServe(Config{}), FigServe(Config{})
+	a, b := figServe(Config{}), figServe(Config{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs differ:\n%+v\n%+v", a, b)
 	}
@@ -21,8 +21,8 @@ func TestFigServeDeterministic(t *testing.T) {
 // clients cover the pool's contexts throughput is flat — the closed
 // network's knob is then latency, which grows with the clients.
 func TestFigServeShapes(t *testing.T) {
-	rows := FigServe(Config{})
-	var flat []ServeRow
+	rows := figServe(Config{})
+	var flat []serveRow
 	for _, r := range rows {
 		if r.Requests != r.Clients*serveRequests || r.Done+r.Canceled+r.Failed != r.Requests {
 			t.Errorf("%d clients: %d requests, %d done + %d canceled + %d failed",

@@ -9,11 +9,11 @@ import (
 	"cagmres/internal/sparse"
 )
 
-// TopologyRow is one configuration of the interconnect-topology study:
+// topologyRow is one configuration of the interconnect-topology study:
 // standard GMRES and CA-GMRES solving the same system on the same
 // compute model, with the device-to-device fabric swept across
 // interconnect generations.
-type TopologyRow struct {
+type topologyRow struct {
 	Matrix   string
 	Topology string
 	Devices  int
@@ -48,7 +48,7 @@ type topoFabric struct {
 	peerBW  float64 // bytes/second per link
 }
 
-// FigTopology is the interconnect study the profile layer exists for:
+// figTopology is the interconnect study the profile layer exists for:
 // the paper's G3_circuit configuration on a fixed A100-class compute
 // model, with the device-to-device fabric swept across interconnect
 // generations — host-bounced PCIe hub, PCIe switch (5us / 22 GB/s),
@@ -65,8 +65,8 @@ type topoFabric struct {
 // avoided orthogonalization reductions — is host-side traffic no
 // device fabric touches. Arithmetic is identical in every cell; only the
 // machine description moves.
-func FigTopology(cfg Config) []TopologyRow {
-	cfg.Defaults()
+func figTopology(cfg Config) []topologyRow {
+	cfg.defaults()
 	mtx := benchG3(cfg.Scale)
 	b := onesRHS(mtx.A.Rows)
 	const s = 10
@@ -82,13 +82,13 @@ func FigTopology(cfg Config) []TopologyRow {
 
 	// Host-hub CA times per device count, the P2PGain baseline.
 	hostCA := make([]float64, cfg.MaxDevices+1)
-	var out []TopologyRow
+	var out []topologyRow
 	for _, f := range fabrics {
 		prof := profile.A100PCIe()
 		prof.Name = "a100+" + string(f.kind)
 		prof.Topo = gpu.Topology{Kind: f.kind, PeerLatency: f.peerLat, PeerBandwidth: f.peerBW}
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			row := TopologyRow{Matrix: mtx.Name, Topology: string(f.kind), Devices: ng, S: s}
+			row := topologyRow{Matrix: mtx.Name, Topology: string(f.kind), Devices: ng, S: s}
 			row.GMRESSec, _ = topologyArm(cfg, mtx.A, b, prof, ng, func(p *core.Problem) error {
 				_, err := core.GMRES(p, core.Options{M: 30, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CGS"})
 				return err

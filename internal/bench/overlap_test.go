@@ -8,8 +8,8 @@ import "testing"
 // strictly for every basis depth s in {5, 10, 15}.
 func TestFigOverlapWins(t *testing.T) {
 	cfg := Config{}
-	cfg.Defaults()
-	rows := FigOverlap(cfg)
+	cfg.defaults()
+	rows := figOverlap(cfg)
 	if len(rows) != 3*cfg.MaxDevices {
 		t.Fatalf("got %d rows, want %d", len(rows), 3*cfg.MaxDevices)
 	}
@@ -30,9 +30,9 @@ func TestFigOverlapWins(t *testing.T) {
 // model — two runs agree bit for bit.
 func TestFigOverlapDeterministic(t *testing.T) {
 	cfg := Config{}
-	cfg.Defaults()
-	r1 := FigOverlap(cfg)
-	r2 := FigOverlap(cfg)
+	cfg.defaults()
+	r1 := figOverlap(cfg)
+	r2 := figOverlap(cfg)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("row %d differs: %+v vs %+v", i, r1[i], r2[i])

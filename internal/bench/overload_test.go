@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// splitOverload indexes FigOverload rows by (containment, load).
-func splitOverload(t *testing.T, rows []OverloadRow) (off, on map[float64]OverloadRow) {
+// splitOverload indexes figOverload rows by (containment, load).
+func splitOverload(t *testing.T, rows []overloadRow) (off, on map[float64]overloadRow) {
 	t.Helper()
-	off = make(map[float64]OverloadRow)
-	on = make(map[float64]OverloadRow)
+	off = make(map[float64]overloadRow)
+	on = make(map[float64]overloadRow)
 	for _, r := range rows {
 		if r.Containment {
 			on[r.Load] = r
@@ -29,7 +29,7 @@ func splitOverload(t *testing.T, rows []OverloadRow) (off, on map[float64]Overlo
 // holds goodput near capacity at 4x offered load with reroutes bounded
 // by the retry-budget invariant.
 func TestFigOverloadShapes(t *testing.T) {
-	rows := FigOverload(Config{Scale: 0.02})
+	rows := figOverload(Config{Scale: 0.02})
 	off, on := splitOverload(t, rows)
 
 	// Sanity: every cell conserves its arrivals.
@@ -64,7 +64,7 @@ func TestFigOverloadShapes(t *testing.T) {
 	// when containment is off — each step up in load more than doubles
 	// the growth is too strong; assert strictly increasing per-job rate
 	// and that the 1x->4x rate grows by more than the 4x load ratio.
-	rate := func(r OverloadRow) float64 { return float64(r.Reroutes) / float64(r.Offered) }
+	rate := func(r overloadRow) float64 { return float64(r.Reroutes) / float64(r.Offered) }
 	for i := 1; i < len(overLoads); i++ {
 		lo, hi := overLoads[i-1], overLoads[i]
 		if rate(off[hi]) <= rate(off[lo]) {
@@ -95,9 +95,9 @@ func TestFigOverloadShapes(t *testing.T) {
 // bit-identical rows: the simulation is exact arithmetic over the
 // modeled solve time, with no wall-clock or RNG input.
 func TestFigOverloadDeterministic(t *testing.T) {
-	a := FigOverload(Config{Scale: 0.02})
-	b := FigOverload(Config{Scale: 0.02})
+	a := figOverload(Config{Scale: 0.02})
+	b := figOverload(Config{Scale: 0.02})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("FigOverload replay not bit-identical:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("figOverload replay not bit-identical:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -14,9 +14,9 @@ func TestFigPrecisionShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four-matrix precision sweep in -short mode")
 	}
-	rows := FigPrecision(Config{Scale: 0.003, MaxRestarts: 400})
+	rows := figPrecision(Config{Scale: 0.003, MaxRestarts: 400})
 
-	byPart := map[string][]PrecisionRow{}
+	byPart := map[string][]precisionRow{}
 	for _, r := range rows {
 		byPart[r.Part] = append(byPart[r.Part], r)
 	}
@@ -72,7 +72,7 @@ func TestFigPrecisionShapes(t *testing.T) {
 	if len(beta) != 2*len(precisionNodeCounts) {
 		t.Fatalf("beta rows = %d, want %d", len(beta), 2*len(precisionNodeCounts))
 	}
-	arm := map[string]map[int]PrecisionRow{"fp64": {}, "mixed": {}}
+	arm := map[string]map[int]precisionRow{"fp64": {}, "mixed": {}}
 	for _, r := range beta {
 		arm[r.Precision][r.Nodes] = r
 	}

@@ -17,15 +17,15 @@ func TestDriversHonourTheProfile(t *testing.T) {
 	base := Config{Scale: 0.003, MaxDevices: 3, MaxRestarts: 4}
 	named := base
 	named.Profile = gpu.M2090()
-	if got, want := Fig3(named), Fig3(base); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig3 on an explicit m2090:\n got %+v\nwant %+v", got, want)
+	if got, want := fig3(named), fig3(base); !reflect.DeepEqual(got, want) {
+		t.Errorf("fig3 on an explicit m2090:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := AblationLatency(named), AblationLatency(base); !reflect.DeepEqual(got, want) {
-		t.Errorf("AblationLatency on an explicit m2090:\n got %+v\nwant %+v", got, want)
+	if got, want := ablationLatency(named), ablationLatency(base); !reflect.DeepEqual(got, want) {
+		t.Errorf("ablationLatency on an explicit m2090:\n got %+v\nwant %+v", got, want)
 	}
 	a100 := base
 	a100.Profile = profile.A100PCIe()
-	rows := AblationLatency(a100)
+	rows := ablationLatency(a100)
 	for i := 1; i < len(rows); i++ {
 		if rows[i].GMRESPerRes <= rows[i-1].GMRESPerRes {
 			t.Errorf("a100-pcie GMRES %g s/restart at latency x%g does not grow past %g at x%g",

@@ -7,7 +7,7 @@ import (
 )
 
 // topoRow finds the study row for one fabric at one device count.
-func topoRow(t *testing.T, rows []TopologyRow, kind gpu.TopoKind, ng int) TopologyRow {
+func topoRow(t *testing.T, rows []topologyRow, kind gpu.TopoKind, ng int) topologyRow {
 	t.Helper()
 	for _, r := range rows {
 		if r.Topology == string(kind) && r.Devices == ng {
@@ -15,7 +15,7 @@ func topoRow(t *testing.T, rows []TopologyRow, kind gpu.TopoKind, ng int) Topolo
 		}
 	}
 	t.Fatalf("no row for %s ng=%d", kind, ng)
-	return TopologyRow{}
+	return topologyRow{}
 }
 
 // TestFigTopologyShapes pins the two reproduction targets of the
@@ -26,7 +26,7 @@ func topoRow(t *testing.T, rows []TopologyRow, kind gpu.TopoKind, ng int) Topolo
 func TestFigTopologyShapes(t *testing.T) {
 	cfg := tiny()
 	cfg.MaxDevices = 4
-	rows := FigTopology(cfg)
+	rows := figTopology(cfg)
 	if len(rows) != 4*cfg.MaxDevices {
 		t.Fatalf("rows = %d, want %d", len(rows), 4*cfg.MaxDevices)
 	}
@@ -81,7 +81,7 @@ func TestFigTopologyShapes(t *testing.T) {
 		if !(hub.CASavedSec > swit.CASavedSec) {
 			t.Errorf("ng=%d: saved(hub)=%.6g not > saved(switch)=%.6g", ng, hub.CASavedSec, swit.CASavedSec)
 		}
-		for _, nv := range []TopologyRow{ring, a2a} {
+		for _, nv := range []topologyRow{ring, a2a} {
 			if !(swit.CASavedSec > nv.CASavedSec) {
 				t.Errorf("ng=%d: saved(switch)=%.6g not > saved(%s)=%.6g", ng, swit.CASavedSec, nv.Topology, nv.CASavedSec)
 			}

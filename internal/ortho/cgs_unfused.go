@@ -14,7 +14,7 @@ import (
 // fused variant of the paper's footnote 5 (norm reduced together with
 // the projections, post-update norm via the Pythagorean identity), which
 // halves that to 2(s+1); this type exists so the fusion's worth can be
-// measured (see bench.AblationFusedCGS) and its stability compared.
+// measured (see `experiments -fig ablation`) and its stability compared.
 type CGSUnfused struct{}
 
 // Name implements TSQR.

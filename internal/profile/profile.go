@@ -109,7 +109,7 @@ func ByName(name string) (gpu.Profile, error) {
 // kind, keeping p's peer link constants. Use it to ask counterfactuals
 // like "the A100 box, but with its devices rung together": the compute
 // model stays fixed while the interconnect shape varies — the knob the
-// topology study (bench.FigTopology) turns.
+// topology study (`experiments -fig topology`) turns.
 func WithTopology(p gpu.Profile, kind gpu.TopoKind) (gpu.Profile, error) {
 	t := gpu.Topology{Kind: kind, PeerLatency: p.Topo.PeerLatency, PeerBandwidth: p.Topo.PeerBandwidth}
 	if !t.Valid() {

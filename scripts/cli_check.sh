@@ -6,8 +6,11 @@
 # must be refused with a non-zero exit and an error, never a panic (a
 # zero device or pool count used to reach a constructor that panics) and
 # never a silent default (a daemon that starts serving fails the check by
-# timing out). `sh scripts/cli_check.sh -update` rewrites the golden; an
-# optional directory argument names another checkout to check.
+# timing out). So must an unknown name in a -fig list and a -csv
+# directory that cannot be written: experiments used to drop the one and
+# report the other with exit 0. `sh scripts/cli_check.sh -update`
+# rewrites the golden; an optional directory argument names another
+# checkout to check.
 set -eu
 update=
 if [ "${1:-}" = "-update" ]; then
@@ -63,6 +66,8 @@ cagmres-router -addr 127.0.0.1:0 -backends a=http://127.0.0.1:1,a=http://127.0.0
 cagmres-router -addr 127.0.0.1:0 -backends http://127.0.0.1:1 -max-hops 0
 experiments -devices 0
 experiments -scale -1
+experiments -fig 10 -csv /dev/null/sub
+experiments -fig 10,bogus
 EOF
 [ "$bad" -eq 0 ] || exit 1
 echo "cli-check: ok"

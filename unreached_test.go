@@ -30,7 +30,6 @@ import (
 // the gate reports (pkg.Name or pkg.Recv.Name); the value says what it is
 // for. What an oracle calls is reached through it and needs no entry.
 var oracles = map[string]string{
-	"bench.Find":                    "picks a strategy's Figure 13 row for the tests that rank the TSQR strategies",
 	"gpu.Context.SerialTime":        "the barrier schedule's clock, which the overlapped clock must never exceed",
 	"graph.Hypergraph.Connectivity": "the exact SpMV communication volume the hypergraph partitioner is checked against",
 	"graph.IsPermutation":           "checks that RCM and the partition orderings are permutations",
