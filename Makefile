@@ -58,12 +58,13 @@
 # rows, the Go loop beside the AVX2 body), one MPK window at the two
 # shapes the benchmark solves and one depth-1 distributed SpMV (a fork,
 # the kernels and the bodies their forks run allocate nothing: an SpMV
-# allocates nothing and a window only its B̂, pinned by
-# dist.TestMPKAllocations: `make test`, so `make check`), the graph
+# allocates nothing, nor does a window — its MPK, BOrth and TSQR run on
+# per-attempt state — pinned by dist.TestMPKAllocations and
+# ortho.TestBoundStrategiesAllocateNothing: `make test`, so `make check`), the graph
 # layer's k-way partition (G3_circuit@0.05 k = 3, cant@0.05 k = 4) and
 # RCM ordering (dielFilterV2real@0.02, a 32 000-row diagonal), then prints
-# B/op and allocs/op of one prepared CA-GMRES and one GMRES solve at the
-# benchmark's shapes — what a solve allocates beside the context's
+# B/op and allocs/op of prepared CA-GMRES solves (CGS, and CholQR as the
+# benchmark runs it) and one GMRES solve at the benchmark's shapes — what a solve allocates beside the context's
 # workspace: per-cycle and per-window bookkeeping, pinned per iteration by
 # core.TestSolveAllocations (an Arnoldi step, the per-step column
 # operations and an SpMV allocate nothing: core.TestArnoldiStepsAllocateNothing,
@@ -225,7 +226,8 @@ bench-compare:
 # The host kernels at the benchmark's shapes (dielFilterV2real@0.004 and
 # G3_circuit@0.05, s = 15, 3 devices), one CPU: ns/op, B/op, allocs/op,
 # and the device format's padding on the MPK rows; then whole prepared
-# solves, CA-GMRES(15,60) and GMRES(60), on a warm context.
+# solves, CA-GMRES(15,60) with CGS and with CholQR, and GMRES(60), on a
+# warm context.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
 		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/

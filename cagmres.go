@@ -216,7 +216,9 @@ func GenerateMatrix(name string, scale float64) (*Matrix, error) {
 // TSQR is a tall-skinny QR strategy over a distributed window (one of
 // the five the paper studies). Obtain instances with TSQRByName and plug
 // them into Options.OrthoImpl, or use them directly through
-// internal/ortho's Factor interface.
+// internal/ortho's Factor interface. Called directly, an instance returns
+// an R that is the caller's to keep; a solve binds its own copy of the
+// value to per-attempt memory, so one value may serve concurrent solves.
 type TSQR = ortho.TSQR
 
 // TSQRErrors holds the three error norms of Figure 13 for one

@@ -65,9 +65,10 @@ func RitzValues(p *Problem, opts Options, start []float64) (ritz []complex128, e
 	if s == 1 {
 		steps = kr.arnoldi(arnoldiCGS, 1, keepHessenberg(h, 0))
 	} else {
+		st := bindStrategies(kr.orthoScratch(), c.tsqr, c.borth, false)
 		for steps < m {
 			w := min(s, m-steps)
-			if _, err := kr.window(h, steps, w, nil, c.tsqr, c.borth); err != nil {
+			if _, err := kr.window(h, steps, w, nil, st.tsqr, st.borth); err != nil {
 				if steps == 0 {
 					return nil, fmt.Errorf("core: CA-Arnoldi window at 0 (%s): %w", c.tsqr.Name(), err)
 				}

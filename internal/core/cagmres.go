@@ -51,6 +51,7 @@ type caSolver struct {
 	caBoundary
 	e   *engine
 	pol *precisionPolicy // owns the per-restart width decisions
+	st  strategies       // tsqr and borth bound to the attempt's workspace
 	h   *la.Dense        // Hessenberg matrix of the current cycle
 }
 
@@ -63,6 +64,7 @@ func (c *caSolver) begin(e *engine, ck *checkpoint) {
 		c.caBoundary = ck.ca
 		c.pol.restore(ck.precLevel)
 	}
+	c.st = bindStrategies(e.orthoScratch(), c.tsqr, c.borth, c.pol.active())
 }
 
 func (c *caSolver) save(ck *checkpoint) {
@@ -121,7 +123,7 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 	// Configure the pipeline for this restart's precision level: MPK
 	// storage/transfer widths plus narrow Gram/projection kernels where
 	// the chosen strategies support them.
-	tsqr, borth := pol.apply(e.mpk, c.tsqr, c.borth)
+	tsqr, borth := pol.apply(e.mpk, &c.st)
 	if opts.AdaptiveS && c.sEff < s {
 		// Recover the step size after two clean restarts.
 		c.cleanRestarts++
@@ -205,8 +207,10 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 		if nonFinite(relres) {
 			return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "window"}
 		}
-		e.em.emit(obs.Record{Kind: "window", Restart: restart, Step: done, RelRes: relres,
-			OrthoLoss: winLoss, TSQR: tsqr.Name(), Precision: pol.tag()})
+		if e.em.enabled() {
+			e.em.emit(obs.Record{Kind: "window", Restart: restart, Step: done, RelRes: relres,
+				OrthoLoss: winLoss, TSQR: tsqr.Name(), Precision: pol.tag()})
+		}
 	}
 	if canceled && done == 0 {
 		// Canceled before the first window produced anything: x is

@@ -73,6 +73,14 @@ func newKrylov(p *Problem, ws *gpu.Workspace, m, s int) *krylov {
 	}
 }
 
+// orthoScratch builds the attempt's ortho scratch in its workspace, sized
+// for windows of up to s columns against up to m+1 previous ones: the
+// strategies bound to it run every window of the attempt without
+// allocating. A GMRES attempt never builds one.
+func (kr *krylov) orthoScratch() *ortho.Scratch {
+	return ortho.NewScratch(kr.sc.ws, kr.sc.s, kr.m+1)
+}
+
 // arnoldiStep orthogonalizes V[:,k+1] against V[:,0..k], filling hcol
 // with [h_0k ... h_kk, h_{k+1,k}]; a non-nil error is a happy breakdown.
 type arnoldiStep func(v *dist.Vectors, k int, hcol []float64, sc *cycleScratch) error

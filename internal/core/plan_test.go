@@ -8,6 +8,7 @@ import (
 
 	"cagmres/internal/dist"
 	"cagmres/internal/gpu"
+	"cagmres/internal/ortho"
 )
 
 // planDepths lists the MPK depths the problem's plan currently holds.
@@ -206,7 +207,8 @@ func TestApplyJacobiDropsThePlan(t *testing.T) {
 // a private problem would. Then GMRES and CA-GMRES run at once on two
 // copies, one of them healing after a device loss, and each is bit for
 // bit the same solve run alone: the per-call state of the solvers' forks
-// lives on the attempt, never on the shared plan.
+// lives on the attempt, never on the shared plan. Last, CA solves that
+// share one Options.OrthoImpl value run at once, each the same as alone.
 func TestOnContextSharesPlanNotRHS(t *testing.T) {
 	a := laplace2D(24, 24, 0.4)
 	opts := Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR"}
@@ -321,6 +323,47 @@ func TestOnContextSharesPlanNotRHS(t *testing.T) {
 			at[i].Stats.TotalTime() != alone[i].Stats.TotalTime() ||
 			!reflect.DeepEqual(at[i].Faults, alone[i].Faults) {
 			t.Fatalf("arm %d: the concurrent solve differs from the same solve run alone", i)
+		}
+	}
+
+	// One OrthoImpl value shared by concurrent CA solves: each attempt
+	// binds a copy of it to its own workspace, so nothing one solve's
+	// windows write reaches another's.
+	shared := Options{M: 20, S: 5, Tol: 1e-8, OrthoImpl: ortho.Reorth{Inner: ortho.CholQR{}}}
+	solve := func(w int) (*Result, error) {
+		p, err := base.OnContext(gpu.NewContext(3, gpu.M2090()))
+		if err == nil {
+			err = p.SetB(randomRHS(576, int64(40+w)))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return CAGMRES(p, shared)
+	}
+	serial := make([]*Result, workers)
+	for w := range serial {
+		if serial[w], err = solve(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[w], err = solve(w); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := range serial {
+		if !slices.Equal(got[w].X, serial[w].X) || got[w].Iters != serial[w].Iters ||
+			got[w].Stats.TotalTime() != serial[w].Stats.TotalTime() {
+			t.Fatalf("worker %d: a solve sharing the OrthoImpl differs from the same solve run alone", w)
 		}
 	}
 }

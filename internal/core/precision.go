@@ -227,24 +227,45 @@ func (pol *precisionPolicy) observeRestart(relres, tol float64) {
 	pol.maxWinLoss = 0
 }
 
+// strategies are a CA solve's TSQR and BOrth bound to its attempt's ortho
+// scratch: at full width, and narrowed to fp32 where the strategy has a
+// single-precision kernel (CholQR's Gram matrix, BOrth-CGS's projection).
+// Both are bound when the attempt starts, so a restart that narrows or
+// tightens picks one and binds nothing.
+type strategies struct {
+	tsqr, tsqr32   ortho.TSQR
+	borth, borth32 ortho.BOrth
+}
+
+// bindStrategies binds tsqr and borth to sc, and their fp32 variants too
+// when narrow is set (an attempt that starts at full width never narrows).
+func bindStrategies(sc *ortho.Scratch, tsqr ortho.TSQR, borth ortho.BOrth, narrow bool) strategies {
+	st := strategies{tsqr: sc.Bind(tsqr), borth: sc.BindBOrth(borth)}
+	st.tsqr32, st.borth32 = st.tsqr, st.borth
+	if !narrow {
+		return st
+	}
+	if _, ok := tsqr.(ortho.CholQR); ok {
+		st.tsqr32 = sc.Bind(ortho.CholQR{GramElem: gpu.Elem32})
+	}
+	if _, ok := borth.(ortho.BOrthCGS); ok {
+		st.borth32 = sc.BindBOrth(ortho.BOrthCGS{Elem: gpu.Elem32})
+	}
+	return st
+}
+
 // apply configures the CA pipeline for the current level: the matrix
 // powers kernel's storage/transfer widths and, where the chosen
 // strategies support it, single-precision Gram and projection kernels.
 // Strategies without a narrow variant (MGS, CAQR, explicit OrthoImpl
 // wrappers) run unchanged — the basis they consume is still narrowed.
-func (pol *precisionPolicy) apply(mpk *dist.MPK, tsqr ortho.TSQR, borth ortho.BOrth) (ortho.TSQR, ortho.BOrth) {
+func (pol *precisionPolicy) apply(mpk *dist.MPK, st *strategies) (ortho.TSQR, ortho.BOrth) {
 	storage, transfer := pol.widths()
 	mpk.SetPrecision(storage, transfer)
 	if !pol.active() {
-		return tsqr, borth
+		return st.tsqr, st.borth
 	}
-	if _, ok := tsqr.(ortho.CholQR); ok {
-		tsqr = ortho.CholQR{GramElem: gpu.Elem32}
-	}
-	if _, ok := borth.(ortho.BOrthCGS); ok {
-		borth = ortho.BOrthCGS{Elem: gpu.Elem32}
-	}
-	return tsqr, borth
+	return st.tsqr32, st.borth32
 }
 
 // tightenOnFailure responds to a rank-deficient window factorization

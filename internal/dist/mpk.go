@@ -59,6 +59,10 @@ type MPK struct {
 	steps                [][]gpu.Work
 	interior, boundary   []gpu.Work
 	sendBytes, recvBytes []int
+	// bhat is the change-of-basis matrix Generate returns, over
+	// (S+1) x S floats of host memory taken with the kernel.
+	bhat    la.Dense
+	bhatBuf []float64
 	// call holds the arguments of the fork in flight, which the device
 	// bodies read; the bodies are built once, by NewMPKIn, so a window or
 	// an SpMV wraps nothing per call.
@@ -121,9 +125,9 @@ func roundElem(x []float64, e gpu.Elem) {
 // heap: the caller keeps the kernel as long as it likes.
 func NewMPK(m *Matrix) *MPK { return NewMPKIn(&heap, m) }
 
-// NewMPKIn builds the kernel's buffers in ws — the staging vectors in the
-// host's memory, each device's extended vectors in its own — so the
-// kernel is valid until ws is released.
+// NewMPKIn builds the kernel's buffers in ws — the staging vectors and
+// B̂ in the host's memory, each device's extended vectors in its own — so
+// the kernel is valid until ws is released.
 func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
 	ng := len(m.Dev)
 	work, bytes := make([]gpu.Work, (m.S+2)*ng), make([]int, 2*ng)
@@ -138,6 +142,7 @@ func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
 	for i := range k.w {
 		k.w[i] = ws.Floats(gpu.HostDevice, m.Layout.N)
 	}
+	k.bhatBuf = ws.Floats(gpu.HostDevice, (m.S+1)*m.S)
 	for d, dm := range m.Dev {
 		for i := range k.z[d] {
 			k.z[d][i] = ws.Floats(d, dm.NOwn+len(dm.Halo))
@@ -153,6 +158,7 @@ func NewMPKIn(ws *gpu.Workspace, m *Matrix) *MPK {
 // basis (B is the down-shift matrix), or exactly `steps` Leja-ordered
 // Newton shifts where every complex shift is immediately followed by its
 // conjugate. All communication and compute is charged to the given phase.
+// B lives in the kernel: it stays valid until the next Generate.
 func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase string) *la.Dense {
 	m := k.M
 	if steps < 1 || steps > m.S {
@@ -182,7 +188,9 @@ func (k *MPK) Generate(v *Vectors, j0, steps int, shifts []complex128, phase str
 	// kernel. Later steps read the previous step's output on the same
 	// compute stream; stream ordering is the dependency.
 	split := m.Ctx.OverlapEnabled() && len(m.Dev) > 1
-	bhat := la.NewDense(steps+1, steps)
+	bhat := &k.bhat
+	*bhat = la.Dense{Rows: steps + 1, Cols: steps, Stride: steps + 1, Data: k.bhatBuf[:(steps+1)*steps]}
+	bhat.Zero()
 	for step := 1; step <= steps; step++ {
 		work := k.steps[step-1]
 		switch {

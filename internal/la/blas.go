@@ -183,7 +183,13 @@ func Syrk(a *Dense, c *Dense) {
 		panic(fmt.Sprintf("la: Syrk shape mismatch A=%dx%d C=%dx%d", a.Rows, a.Cols, c.Rows, c.Cols))
 	}
 	gramSweep(1, a, a, 0, c, true)
-	for j := 0; j < n; j++ {
+	mirrorUpper(c)
+}
+
+// mirrorUpper copies the strict upper triangle of a square C into its
+// lower one.
+func mirrorUpper(c *Dense) {
+	for j := 0; j < c.Cols; j++ {
 		for i, d := range c.Col(j)[:j] {
 			c.Set(j, i, d)
 		}

@@ -13,18 +13,20 @@ import (
 var ErrNotPositiveDefinite = errors.New("la: matrix is not positive definite")
 
 // Cholesky computes the upper-triangular factor R of B = R'R for a
-// symmetric positive-definite B, writing R into a new matrix. B is not
-// modified. The factorization proceeds from the top-left to the
+// symmetric positive-definite B, writing R into r — the caller's n x n
+// storage, every entry of which it overwrites (zero below the diagonal);
+// r must not overlap B, which is not modified. On an error r holds a
+// partial factor. The factorization proceeds from the top-left to the
 // bottom-right, so — as the paper observes in Section V-D — error
 // introduced while factoring the trailing submatrix stays localized there,
 // which is why CholQR sometimes survives ill-conditioning that defeats
 // SVQR.
-func Cholesky(b *Dense) (*Dense, error) {
+func Cholesky(b, r *Dense) error {
 	n := b.Rows
-	if b.Cols != n {
-		panic(fmt.Sprintf("la: Cholesky non-square %dx%d", b.Rows, b.Cols))
+	if b.Cols != n || r.Rows != n || r.Cols != n {
+		panic(fmt.Sprintf("la: Cholesky shape mismatch B=%dx%d R=%dx%d", b.Rows, b.Cols, r.Rows, r.Cols))
 	}
-	r := NewDense(n, n)
+	r.Zero()
 	for j := 0; j < n; j++ {
 		// diagonal: r_jj = sqrt(b_jj - sum_{k<j} r_kj^2)
 		d := b.At(j, j)
@@ -40,7 +42,7 @@ func Cholesky(b *Dense) (*Dense, error) {
 		// localized (Section V-D). Tightening this check would reject
 		// exactly the windows the paper shows 2xCholQR handling.
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w (pivot %d: %g)", ErrNotPositiveDefinite, j, d)
+			return fmt.Errorf("%w (pivot %d: %g)", ErrNotPositiveDefinite, j, d)
 		}
 		rjj := math.Sqrt(d)
 		r.Set(j, j, rjj)
@@ -53,7 +55,7 @@ func Cholesky(b *Dense) (*Dense, error) {
 			r.Set(j, c, s/rjj)
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // UpperSolve solves R x = y in place for upper-triangular R.

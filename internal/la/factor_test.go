@@ -25,8 +25,8 @@ func TestCholeskyReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{1, 2, 5, 12, 31} {
 		b := spdMatrix(rng, n, 0.5)
-		r, err := Cholesky(b)
-		if err != nil {
+		r := NewDense(n, n)
+		if err := Cholesky(b, r); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		// R'R must reproduce B.
@@ -54,7 +54,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	b := NewDense(2, 2)
 	b.Set(0, 0, 1)
 	b.Set(1, 1, -1)
-	if _, err := Cholesky(b); !errors.Is(err, ErrNotPositiveDefinite) {
+	if err := Cholesky(b, NewDense(2, 2)); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 	// Rank-deficient Gram matrix of duplicated columns.
@@ -64,7 +64,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	g.Set(1, 0, 1)
 	g.Set(1, 1, 1)
 	// Exactly singular: pivot 2 becomes 0.
-	if _, err := Cholesky(g); err == nil {
+	if err := Cholesky(g, NewDense(2, 2)); err == nil {
 		t.Fatal("expected failure on singular Gram matrix")
 	}
 }

@@ -569,11 +569,15 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	a := randDense(rng, 203, 11)
 	x, y := randVec(rng, 203), randVec(rng, 11)
 	g := NewDense(11, 11)
+	tall, tall2 := randDense(rng, 2*PanelRows+5, 4), randDense(rng, 2*PanelRows+5, 3)
+	gt, ct := NewDense(4, 4), NewDense(4, 3)
 	for name, f := range map[string]func(){
-		"GemvT":  func() { GemvT(1, a, x, 0.5, y) },
-		"Gemv":   func() { Gemv(-1, a, y, 1, x) },
-		"GemmTN": func() { GemmTN(1, a, a, 0.5, g) },
-		"Syrk":   func() { Syrk(a, g) },
+		"GemvT":              func() { GemvT(1, a, x, 0.5, y) },
+		"Gemv":               func() { Gemv(-1, a, y, 1, x) },
+		"GemmTN":             func() { GemmTN(1, a, a, 0.5, g) },
+		"Syrk":               func() { Syrk(a, g) },
+		"BatchedGram/tall":   func() { BatchedGram(tall, gt) },
+		"BatchedGemmTN/tall": func() { BatchedGemmTN(tall, tall2, ct) },
 	} {
 		if got := testing.AllocsPerRun(10, f); got != 0 {
 			t.Fatalf("%s allocates %v times", name, got)

@@ -8,8 +8,10 @@ const PanelRows = 4096
 // BatchedGram computes the Gram matrix C := A'*A for a tall-skinny A using
 // the batched-GEMM schedule of the paper (Section V-F): A is split into
 // row panels of PanelRows rows, each panel's small Gram matrix is a
-// partial product, and the partials are added into C in panel order. C
-// must be A.Cols x A.Cols.
+// partial product, and the partials are added into C in panel order —
+// each panel's products added straight into C, which needs no partial
+// buffer and sums exactly as adding a whole partial would. C must be
+// A.Cols x A.Cols.
 func BatchedGram(a *Dense, c *Dense) {
 	n := a.Cols
 	if c.Rows != n || c.Cols != n {
@@ -20,11 +22,11 @@ func BatchedGram(a *Dense, c *Dense) {
 		return
 	}
 	c.Zero()
-	part := NewDense(n, n)
 	for i0 := 0; i0 < a.Rows; i0 += PanelRows {
-		Syrk(a.RowView(i0, min(i0+PanelRows, a.Rows)), part)
-		addInto(c, part)
+		panel := a.RowView(i0, min(i0+PanelRows, a.Rows))
+		gramSweep(1, panel, panel, 1, c, true)
 	}
+	mirrorUpper(c)
 }
 
 // BatchedGemmTN computes C := A'*B for tall-skinny A (k x m) and B (k x n)
@@ -40,18 +42,9 @@ func BatchedGemmTN(a, b *Dense, c *Dense) {
 		return
 	}
 	c.Zero()
-	part := NewDense(c.Rows, c.Cols)
 	for i0 := 0; i0 < a.Rows; i0 += PanelRows {
 		i1 := min(i0+PanelRows, a.Rows)
-		GemmTN(1, a.RowView(i0, i1), b.RowView(i0, i1), 0, part)
-		addInto(c, part)
-	}
-}
-
-// addInto adds the partial product part into c column by column.
-func addInto(c, part *Dense) {
-	for j := 0; j < c.Cols; j++ {
-		Axpy(1, part.Col(j), c.Col(j))
+		gramSweep(1, a.RowView(i0, i1), b.RowView(i0, i1), 1, c, false)
 	}
 }
 

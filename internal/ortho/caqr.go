@@ -68,7 +68,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 		off[d+1] = off[d] + localR[d].Rows
 	}
 	if off[ng] < c {
-		return la.NewDense(c, c), ErrRankDeficient
+		return nil, ErrRankDeficient
 	}
 	stack := la.NewDense(off[ng], c)
 	for d := 0; d < ng; d++ {
@@ -99,10 +99,10 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 	// deficiency for parity with the other strategies.
 	for i := 0; i < c; i++ {
 		if r.At(i, i) == 0 {
-			return r, ErrRankDeficient
+			return nil, ErrRankDeficient
 		}
 	}
-	return r, nil
+	return finite(r)
 }
 
 // wideLocalQR factors a short-wide panel W (rows < cols) as W = Q*R with

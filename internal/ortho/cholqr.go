@@ -24,6 +24,8 @@ type CholQR struct {
 	// triangular solve stay double precision. Any sub-FP64 width maps
 	// to fp32 — the Gram matrix is never accumulated in bfloat16.
 	GramElem gpu.Elem
+
+	sc *Scratch // bound: the attempt's; nil: one on the heap per call
 }
 
 // Name implements TSQR.
@@ -31,19 +33,27 @@ func (CholQR) Name() string { return "CholQR" }
 
 // Factor implements TSQR.
 func (q CholQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	b, err := gramReduce(ctx, w, phase, q.GramElem)
+	return use(q.sc).cholQR(ctx, w, phase, q.GramElem)
+}
+
+func (sc *Scratch) cholQR(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*la.Dense, error) {
+	b, err := sc.gramReduce(ctx, w, phase, elem)
 	if err != nil {
 		return nil, err
 	}
 	// The host factorization starts once the reduced Gram matrix has
 	// arrived (hostData ordering); the devices are free in the meantime.
 	c := b.Rows
-	r, err := la.Cholesky(b)
+	r := sc.r.take(sc.ws, c, c)
+	err = la.Cholesky(b, r)
 	chol := ctx.HostComputeOn(phase, float64(c*c*c)/3)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRankDeficient, err)
 	}
-	applyInvR(ctx, w, r, phase, chol)
+	if _, err := finite(r); err != nil {
+		return nil, err
+	}
+	sc.applyInvR(ctx, w, r, phase, chol)
 	return r, nil
 }
 
@@ -56,14 +66,19 @@ func (q CholQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense
 // element-wise error. Singular values below eps*max are clamped, so a
 // rank-deficient window yields a usable (if inaccurate) basis instead of
 // a hard failure; exact zero columns still error.
-type SVQR struct{}
+type SVQR struct {
+	sc *Scratch // bound: the attempt's; nil: one on the heap per call
+}
 
 // Name implements TSQR.
 func (SVQR) Name() string { return "SVQR" }
 
-// Factor implements TSQR.
-func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	b, err := gramReduce(ctx, w, phase, gpu.Elem64)
+// Factor implements TSQR. Bound, its Gram matrix and device bodies are
+// the scratch's; the eigendecomposition and the QR of its factor allocate
+// on the host, and R is the caller's to keep.
+func (q SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+	sc := use(q.sc)
+	b, err := sc.gramReduce(ctx, w, phase, gpu.Elem64)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +123,10 @@ func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, er
 	rfac := f.R()
 	la.FixRSigns(nil, rfac)
 	hqr := ctx.HostComputeOn(phase, 2*float64(c*c*c))
-	applyInvR(ctx, w, rfac, phase, hqr)
+	if _, err := finite(rfac); err != nil {
+		return nil, err
+	}
+	sc.applyInvR(ctx, w, rfac, phase, hqr)
 	return rfac, nil
 }
 
@@ -117,22 +135,17 @@ func (SVQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, er
 // the single-precision Gram kernel: float32 accumulation on device, a
 // half-width reduce tagged in the precision ledger, and a
 // float32-granular host sum.
-func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*la.Dense, error) {
+func (sc *Scratch) gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*la.Dense, error) {
 	c := windowCols(ctx, w)
 	if elem != gpu.Elem64 {
 		elem = gpu.Elem32
 	}
-	b := la.NewDense(c, c)
-	ctx.AllReduce(phase, b.Data, elem, func(d int, part []float64) gpu.Work {
-		g := &la.Dense{Rows: c, Cols: c, Stride: c, Data: part}
-		rows := float64(w[d].Rows)
-		if elem == gpu.Elem32 {
-			la.GramF32(w[d], g)
-			return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
-		}
-		la.BatchedGram(w[d], g)
-		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
-	})
+	if sc.gramPart == nil {
+		sc.gramPart = sc.gramDev
+	}
+	b := sc.gram.take(sc.ws, c, c)
+	sc.w, sc.fp32 = w, elem == gpu.Elem32
+	ctx.AllReduce(phase, b.Data, elem, sc.gramPart)
 	for j := 0; j < c; j++ {
 		for i := 0; i < c; i++ {
 			if math.IsNaN(b.At(i, j)) || math.IsInf(b.At(i, j), 0) {
@@ -143,15 +156,35 @@ func gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, elem gpu.Elem) (*
 	return b, nil
 }
 
-// applyInvR broadcasts R (once the host has produced it — the after
-// events) and runs the device-side triangular solve V := V R^{-1} (MAGMA
-// DTRSM in the paper).
-func applyInvR(ctx *gpu.Context, w []*la.Dense, r *la.Dense, phase string, after ...gpu.StreamEvent) {
+func (sc *Scratch) gramDev(d int, part []float64) gpu.Work {
+	w := sc.w[d]
+	c := w.Cols
+	g := la.Dense{Rows: c, Cols: c, Stride: c, Data: part}
+	rows := float64(w.Rows)
+	if sc.fp32 {
+		la.GramF32(w, &g)
+		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
+	}
+	la.BatchedGram(w, &g)
+	return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
+}
+
+// applyInvR broadcasts R once the host has produced it (the after event)
+// and runs the device-side triangular solve V := V R^{-1} (MAGMA DTRSM in
+// the paper).
+func (sc *Scratch) applyInvR(ctx *gpu.Context, w []*la.Dense, r *la.Dense, phase string, after gpu.StreamEvent) {
 	c := r.Rows
-	bc := ctx.Broadcast(phase, c*c, gpu.Elem64, after...)
-	ctx.Launch(phase, func(d int) gpu.Work {
-		la.TrsmRightUpper(w[d], r)
-		rows := float64(w[d].Rows)
-		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 16 * rows * float64(c)}
-	}, bc)
+	bc := ctx.Broadcast(phase, c*c, gpu.Elem64, after)
+	if sc.trsm == nil {
+		sc.trsm = sc.trsmDev
+	}
+	sc.w, sc.m = w, r
+	ctx.Launch(phase, sc.trsm, bc)
+}
+
+func (sc *Scratch) trsmDev(d int) gpu.Work {
+	w := sc.w[d]
+	la.TrsmRightUpper(w, sc.m)
+	rows, c := float64(w.Rows), float64(sc.m.Rows)
+	return gpu.Work{Flops: rows * c * c, Bytes: 16 * rows * c}
 }

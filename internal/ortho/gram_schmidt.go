@@ -12,38 +12,38 @@ import (
 // Gram-Schmidt variant (error O(eps*kappa)) but each dot product is a
 // global reduction, so a window of s+1 columns costs (s+1)(s+2) GPU-CPU
 // transfers (Figure 10) — the latency-bound worst case on devices.
-type MGS struct{}
+type MGS struct {
+	sc *Scratch // bound: the attempt's; nil: one on the heap per call
+}
 
 // Name implements TSQR.
 func (MGS) Name() string { return "MGS" }
 
 // Factor implements TSQR.
-func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+func (q MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+	sc := use(q.sc)
+	if sc.dotPart == nil {
+		sc.dotPart, sc.axpy = sc.dotDev, sc.axpyDev
+	}
 	c := windowCols(ctx, w)
-	r := la.NewDense(c, c)
-	var dot [1]float64
+	r := sc.r.take(sc.ws, c, c)
+	sc.w = w
 	for k := 0; k < c; k++ {
 		projSq := 0.0 // accumulated ||r_{1:k-1,k}||^2, for breakdown detection
 		for l := 0; l < k; l++ {
 			// r_lk = v_l' v_k: local dots, one reduce round.
-			ctx.AllReduce(phase, dot[:], gpu.Elem64, func(d int, part []float64) gpu.Work {
-				vl, vk := w[d].Col(l), w[d].Col(k)
-				part[0] = la.Dot(vl, vk)
-				return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 16 * float64(len(vl))}
-			})
-			rlk := dot[0]
+			sc.k, sc.l = k, l
+			ctx.AllReduce(phase, sc.one[:], gpu.Elem64, sc.dotPart)
+			rlk := sc.one[0]
 			r.Set(l, k, rlk)
 			projSq += rlk * rlk
 			// broadcast r_lk, local axpy v_k -= r_lk v_l
 			bc := ctx.Broadcast(phase, 1, gpu.Elem64)
-			ctx.Launch(phase, func(d int) gpu.Work {
-				vl, vk := w[d].Col(l), w[d].Col(k)
-				la.Axpy(-rlk, vl, vk)
-				return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 24 * float64(len(vl))}
-			}, bc)
+			sc.alpha = -rlk
+			ctx.Launch(phase, sc.axpy, bc)
 		}
 		// r_kk = ||v_k||: reduce, then broadcast for the scale.
-		ssq := normSq(ctx, w, k, phase)
+		ssq := sc.normSq(ctx, k, phase)
 		rkk := math.Sqrt(ssq)
 		r.Set(k, k, rkk)
 		// Breakdown check relative to the original column norm
@@ -51,31 +51,21 @@ func (MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		if rkk <= 1e-14*math.Sqrt(projSq+ssq) {
 			return nil, ErrRankDeficient
 		}
-		scaleCol(ctx, w, k, 1/rkk, phase, ctx.Broadcast(phase, 1, gpu.Elem64))
+		sc.scaleCol(ctx, k, 1/rkk, phase, ctx.Broadcast(phase, 1, gpu.Elem64))
 	}
-	return r, nil
+	return finite(r)
 }
 
-// normSq returns the squared 2-norm of column k of the window: local dots,
-// one reduce round.
-func normSq(ctx *gpu.Context, w []*la.Dense, k int, phase string) float64 {
-	var ssq [1]float64
-	ctx.AllReduce(phase, ssq[:], gpu.Elem64, func(d int, part []float64) gpu.Work {
-		vk := w[d].Col(k)
-		part[0] = la.Dot(vk, vk)
-		return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
-	})
-	return ssq[0]
+func (sc *Scratch) dotDev(d int, part []float64) gpu.Work {
+	vl, vk := sc.w[d].Col(sc.l), sc.w[d].Col(sc.k)
+	part[0] = la.Dot(vl, vk)
+	return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 16 * float64(len(vl))}
 }
 
-// scaleCol multiplies column k of the window by alpha once the broadcast
-// that carried the scalar has landed.
-func scaleCol(ctx *gpu.Context, w []*la.Dense, k int, alpha float64, phase string, bc gpu.StreamEvent) {
-	ctx.Launch(phase, func(d int) gpu.Work {
-		vk := w[d].Col(k)
-		la.Scal(alpha, vk)
-		return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
-	}, bc)
+func (sc *Scratch) axpyDev(d int) gpu.Work {
+	vl, vk := sc.w[d].Col(sc.l), sc.w[d].Col(sc.k)
+	la.Axpy(sc.alpha, vl, vk)
+	return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 24 * float64(len(vl))}
 }
 
 // CGS is classical Gram-Schmidt with the fused norm: the projection
@@ -89,28 +79,28 @@ func scaleCol(ctx *gpu.Context, w []*la.Dense, k int, alpha float64, phase strin
 // The BLAS-2 projection gives CGS much better device efficiency than MGS,
 // at the price of error O(eps*kappa^s): inside CA-GMRES it frequently
 // needs reorthogonalization (the paper's "2xCGS" rows).
-type CGS struct{}
+type CGS struct {
+	sc *Scratch // bound: the attempt's; nil: one on the heap per call
+}
 
 // Name implements TSQR.
 func (CGS) Name() string { return "CGS" }
 
 // Factor implements TSQR.
-func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+func (q CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+	sc := use(q.sc)
+	if sc.cgsPart == nil {
+		sc.cgsPart, sc.update = sc.cgsDev, sc.updateDev
+	}
 	c := windowCols(ctx, w)
-	r := la.NewDense(c, c)
-	fused := make([]float64, c+1)
+	r := sc.r.take(sc.ws, c, c)
+	fused := sc.vec.floats(sc.ws, c+1)
+	sc.w = w
 	for k := 0; k < c; k++ {
 		// Local fused projection+norm [V'v; ||v||^2], one reduce round.
 		sum := fused[:k+1]
-		ctx.AllReduce(phase, sum, gpu.Elem64, func(d int, part []float64) gpu.Work {
-			vk := w[d].Col(k)
-			if k > 0 {
-				la.GemvT(1, w[d].ColView(0, k), vk, 0, part[:k])
-			}
-			part[k] = la.Dot(vk, vk)
-			rows := float64(len(vk))
-			return gpu.Work{Flops: 2 * rows * float64(k+1), Bytes: 8 * rows * float64(k+2)}
-		})
+		sc.k = k
+		ctx.AllReduce(phase, sum, gpu.Elem64, sc.cgsPart)
 		proj := sum[:k]
 		vnorm2 := sum[k]
 		copy(r.Col(k), proj)
@@ -122,19 +112,13 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		// Broadcast coefficients, local update. The host-side Pythagorean
 		// bookkeeping above overlaps with the device-side update.
 		bc := ctx.Broadcast(phase, k+1, gpu.Elem64)
-		ctx.Launch(phase, func(d int) gpu.Work {
-			vk := w[d].Col(k)
-			if k > 0 {
-				la.Gemv(-1, w[d].ColView(0, k), proj, 1, vk)
-			}
-			rows := float64(len(vk))
-			return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
-		}, bc)
+		sc.coef = proj
+		ctx.Launch(phase, sc.update, bc)
 
 		var rkk float64
 		if needRecompute {
 			// Cancellation: one extra reduce for the true norm.
-			rkk = math.Sqrt(normSq(ctx, w, k, phase))
+			rkk = math.Sqrt(sc.normSq(ctx, k, phase))
 			// The scale still rides on the already-counted broadcast of
 			// the next column in spirit; charge one explicit round to
 			// stay honest.
@@ -149,7 +133,18 @@ func (CGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, err
 		if rkk <= 1e-14*math.Sqrt(vnorm2) || math.IsNaN(rkk) {
 			return nil, ErrRankDeficient
 		}
-		scaleCol(ctx, w, k, 1/rkk, phase, bc)
+		sc.scaleCol(ctx, k, 1/rkk, phase, bc)
 	}
-	return r, nil
+	return finite(r)
+}
+
+func (sc *Scratch) cgsDev(d int, part []float64) gpu.Work {
+	w, k := sc.w[d], sc.k
+	vk := w.Col(k)
+	if k > 0 {
+		la.GemvT(1, w.ColView(0, k), vk, 0, part[:k])
+	}
+	part[k] = la.Dot(vk, vk)
+	rows := float64(len(vk))
+	return gpu.Work{Flops: 2 * rows * float64(k+1), Bytes: 8 * rows * float64(k+2)}
 }

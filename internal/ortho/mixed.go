@@ -18,6 +18,8 @@ type MixedCholQR struct {
 	// Refine adds a second, double-precision CholQR pass (the scheme's
 	// "CholQR2" configuration). The R factors are combined.
 	Refine bool
+
+	sc *Scratch // bound: the attempt's; nil: one on the heap per call
 }
 
 // Name implements TSQR.
@@ -31,9 +33,15 @@ func (m MixedCholQR) Name() string {
 // Factor implements TSQR: CholQR with a single-precision Gram matrix, then
 // (Refine) plain CholQR on its Q.
 func (m MixedCholQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
-	r1, err := (CholQR{GramElem: gpu.Elem32}).Factor(ctx, w, phase)
+	sc := use(m.sc)
+	r1, err := sc.cholQR(ctx, w, phase, gpu.Elem32)
 	if err != nil || !m.Refine {
 		return r1, err
 	}
-	return secondPass(ctx, w, phase, CholQR{}, r1)
+	r1 = sc.pass.keep(r1)
+	r2, err := sc.cholQR(ctx, w, phase, gpu.Elem64)
+	if err != nil {
+		return nil, err
+	}
+	return sc.pass.combine(ctx, phase, r2, r1)
 }

@@ -29,12 +29,15 @@ import (
 var ErrRankDeficient = errors.New("ortho: window is numerically rank deficient")
 
 // TSQR orthonormalizes a distributed tall-skinny window in place and
-// returns the upper-triangular R with V_original = Q R.
+// returns the upper-triangular R with V_original = Q R. The R of a
+// strategy bound to a Scratch lives in the scratch and stays valid until
+// its next Factor; an unbound one's is the caller's to keep.
 type TSQR interface {
 	// Name identifies the strategy in tables ("MGS", "CholQR", ...).
 	Name() string
 	// Factor overwrites the window with Q and returns R. An error leaves
-	// the window in an unspecified state.
+	// the window in an unspecified state and returns no R; a window
+	// holding a NaN or an infinity is always ErrRankDeficient.
 	Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error)
 }
 
@@ -68,6 +71,8 @@ func windowCols(ctx *gpu.Context, w []*la.Dense) int {
 // this to converge inside CA-GMRES.
 type Reorth struct {
 	Inner TSQR
+
+	pass *twoPass // bound: the attempt's; nil: one on the heap per call
 }
 
 // Name returns "2xName" to match the paper's table notation.
@@ -75,27 +80,20 @@ func (r Reorth) Name() string { return "2x" + r.Inner.Name() }
 
 // Factor runs the inner strategy twice.
 func (r Reorth) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+	tp := r.pass
+	if tp == nil {
+		tp = &twoPass{ws: &heap}
+	}
 	r1, err := r.Inner.Factor(ctx, w, phase)
 	if err != nil {
 		return nil, err
 	}
-	return secondPass(ctx, w, phase, r.Inner, r1)
-}
-
-// secondPass factors a window again — it holds the Q of a first pass whose
-// R factor is r1 — and returns the combined R = R2 * R1 (both upper
-// triangular). The small triangular product runs on the host while the
-// devices continue past the second factorization.
-func secondPass(ctx *gpu.Context, w []*la.Dense, phase string, second TSQR, r1 *la.Dense) (*la.Dense, error) {
-	r2, err := second.Factor(ctx, w, phase)
+	r1 = tp.keep(r1)
+	r2, err := r.Inner.Factor(ctx, w, phase)
 	if err != nil {
 		return nil, err
 	}
-	c := r1.Rows
-	out := la.NewDense(c, c)
-	la.GemmNN(1, r2, r1, 0, out)
-	ctx.HostComputeOn(phase, float64(c*c*c)/3)
-	return out, nil
+	return tp.combine(ctx, phase, r2, r1)
 }
 
 // ByName returns the strategy named by the CLI flags: MGS, CGS, CholQR,
@@ -106,29 +104,26 @@ func ByName(name string) (TSQR, error) {
 		reorth = true
 		name = name[2:]
 	}
-	var t TSQR
-	switch name {
-	case "MGS", "mgs":
-		t = MGS{}
-	case "CGS", "cgs":
-		t = CGS{}
-	case "CholQR", "cholqr":
-		t = CholQR{}
-	case "SVQR", "svqr":
-		t = SVQR{}
-	case "CAQR", "caqr":
-		t = CAQR{}
-	case "MixedCholQR", "mixedcholqr":
-		t = MixedCholQR{}
-	case "MixedCholQR2", "mixedcholqr2":
-		t = MixedCholQR{Refine: true}
-	default:
+	t, ok := byName[name]
+	if !ok {
 		return nil, fmt.Errorf("ortho: unknown strategy %q", name)
 	}
 	if reorth {
 		return Reorth{Inner: t}, nil
 	}
 	return t, nil
+}
+
+// byName holds ByName's base strategies boxed once, so a solve that looks
+// its strategy up allocates nothing for it.
+var byName = map[string]TSQR{
+	"MGS": MGS{}, "mgs": MGS{},
+	"CGS": CGS{}, "cgs": CGS{},
+	"CholQR": CholQR{}, "cholqr": CholQR{},
+	"SVQR": SVQR{}, "svqr": SVQR{},
+	"CAQR": CAQR{}, "caqr": CAQR{},
+	"MixedCholQR": MixedCholQR{}, "mixedcholqr": MixedCholQR{},
+	"MixedCholQR2": MixedCholQR{Refine: true}, "mixedcholqr2": MixedCholQR{Refine: true},
 }
 
 // All returns one instance of every base strategy, in the paper's order.
