@@ -103,8 +103,10 @@ staticcheck:
 # The host-staged reduce protocol has one definition: gpu.Context's
 # Launch/Gather/Broadcast/AllReduce. Fails on a []gpu.Work or a RunAll
 # above internal/gpu (dist's MPK and Distribute excepted; see the script),
-# and on a go statement, sync.WaitGroup or runtime.GOMAXPROCS in la,
-# ortho, dist or core: gpu.Context alone owns device concurrency.
+# on a go statement, sync.WaitGroup or runtime.GOMAXPROCS in la,
+# ortho, dist or core: gpu.Context alone owns device concurrency, and on a
+# wall-time read (time.Now, Sleep, AfterFunc, ...) under internal/ outside
+# internal/clock: the serving stack reads the clock.Clock it is given.
 protocol-lint:
 	@sh scripts/protocol_lint.sh
 

@@ -131,6 +131,7 @@ func main() {
 	if *spansout != "" || *traceparent != "" {
 		tracer = obs.NewTracer(reg)
 		root := tracer.Root("cli solve", *traceparent)
+		root.Start = float64(time.Now().UnixNano()) / 1e9
 		root.SetAttr("solver", *solver)
 		root.SetAttr("matrix", name)
 		jt = obs.NewJobTrace(tracer, root)

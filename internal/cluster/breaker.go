@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"cagmres/internal/clock"
 	"cagmres/internal/obs"
 )
 
@@ -17,9 +18,8 @@ const (
 
 var stateGauge = map[string]float64{BreakerClosed: 0, BreakerHalfOpen: 1, BreakerOpen: 2}
 
-// BreakerConfig parameterizes a circuit breaker. The clock is
-// injectable (same convention as obs.SLOConfig.Now) so chaos replays
-// drive breakers on deterministic virtual time.
+// BreakerConfig parameterizes a circuit breaker. A breaker reads its
+// router's clock.
 type BreakerConfig struct {
 	// Threshold is the number of consecutive failures that opens the
 	// breaker. <= 0 defaults to 5.
@@ -27,8 +27,6 @@ type BreakerConfig struct {
 	// Cooldown is how long (in clock seconds) an open breaker waits
 	// before admitting a half-open probe. <= 0 defaults to 5s.
 	Cooldown float64
-	// Now supplies the clock in seconds; nil means wall time.
-	Now func() float64
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -38,14 +36,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5
 	}
-	if c.Now == nil {
-		c.Now = wallSeconds
-	}
 	return c
 }
-
-// wallSeconds is the default clock of breakers and routers.
-func wallSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // Breaker is a per-backend circuit breaker: closed (traffic flows),
 // open (all traffic skipped until Cooldown elapses), half-open (one
@@ -57,19 +49,20 @@ func wallSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
+	clock    clock.Clock
 	state    string
-	fails    int     // consecutive failures while closed
-	openedAt float64 // clock time the breaker last opened
-	probing  bool    // a half-open probe is in flight
+	fails    int       // consecutive failures while closed
+	openedAt time.Time // clock time the breaker last opened
+	probing  bool      // a half-open probe is in flight
 
 	metState obs.Gauge   // router_breaker_state{backend}
 	metOpens obs.Counter // router_breaker_open_total, shared by reg's breakers
 }
 
-// NewBreaker returns a closed breaker for the named backend, writing its
-// state and open transitions to reg.
-func NewBreaker(cfg BreakerConfig, reg *obs.Registry, backend string) *Breaker {
-	b := &Breaker{cfg: cfg.withDefaults(),
+// NewBreaker returns a closed breaker for the named backend on clk,
+// writing its state and open transitions to reg.
+func NewBreaker(cfg BreakerConfig, clk clock.Clock, reg *obs.Registry, backend string) *Breaker {
+	b := &Breaker{cfg: cfg.withDefaults(), clock: clk,
 		metState: reg.GaugeL("router_breaker_state",
 			"per-backend breaker state (0 closed, 1 half-open, 2 open)", obs.L("backend", backend)),
 		metOpens: reg.Counter("router_breaker_open_total", "breaker open transitions across all backends"),
@@ -95,7 +88,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.Now()-b.openedAt >= b.cfg.Cooldown {
+		if b.clock.Now().Sub(b.openedAt).Seconds() >= b.cfg.Cooldown {
 			b.to(BreakerHalfOpen)
 			b.probing = true
 			return true
@@ -122,7 +115,7 @@ func (b *Breaker) Peek() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		return b.cfg.Now()-b.openedAt >= b.cfg.Cooldown
+		return b.clock.Now().Sub(b.openedAt).Seconds() >= b.cfg.Cooldown
 	case BreakerHalfOpen:
 		return !b.probing
 	}
@@ -173,7 +166,7 @@ func (b *Breaker) open() {
 	b.fails = 0
 	b.probing = false
 	b.metOpens.Inc()
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.clock.Now()
 }
 
 // Trip force-opens the breaker (admin kill uses this so a killed

@@ -29,10 +29,11 @@ type LocalNodeConfig struct {
 	Repair      bool
 	TraceEvents int
 	// SLO overrides the node's SLO engine configuration (classes,
-	// windows, clock); the zero value takes the obs defaults.
+	// windows); the zero value takes the obs defaults.
 	SLO obs.SLOConfig
 	// Sched configures the node's scheduler; NewLocalNode fills in its
-	// Pool, Registry and SLO engine. Zero values take the sched defaults.
+	// Pool, Registry and SLO engine, which runs on Sched.Clock. Zero
+	// values take the sched defaults.
 	Sched sched.Config
 }
 
@@ -67,7 +68,7 @@ func NewLocalNode(cfg LocalNodeConfig) *LocalNode {
 		TraceEvents: cfg.TraceEvents,
 	})
 	sc.Registry = reg
-	sc.SLO = obs.NewSLOEngine(reg, cfg.SLO)
+	sc.SLO = obs.NewSLOEngine(reg, cfg.SLO, sc.Clock)
 	s := sched.New(sc)
 	s.Start()
 	return &LocalNode{

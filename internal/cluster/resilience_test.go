@@ -9,13 +9,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cagmres/internal/clock"
 	"cagmres/internal/obs"
+	"cagmres/internal/sched"
 	"cagmres/internal/server"
 )
 
@@ -95,7 +98,7 @@ func TestRouterRetryBudgetExhausted(t *testing.T) {
 // without wasting an attempt; the cooldown admits a half-open probe
 // whose failure re-opens the circuit. All on virtual time.
 func TestRouterBreakerSkipsOpenBackend(t *testing.T) {
-	clock := 0.0
+	clk := newFakeClock()
 	failing := NewLocalBackend("failing", statusHandler(http.StatusInternalServerError, "boom"))
 	healthy := NewLocalNode(LocalNodeConfig{Name: "healthy", Devices: 2})
 	t.Cleanup(func() {
@@ -108,7 +111,7 @@ func TestRouterBreakerSkipsOpenBackend(t *testing.T) {
 		MaxHops:  2,
 		ShardMap: pinned(t, "failing"),
 		Breaker:  BreakerConfig{Threshold: 2, Cooldown: 5},
-		Now:      func() float64 { return clock },
+		Clock:    clk,
 	})
 
 	// Two solves burn one failing attempt each; the second opens the
@@ -139,7 +142,7 @@ func TestRouterBreakerSkipsOpenBackend(t *testing.T) {
 
 	// Cooldown elapsed: exactly one half-open probe reaches the failing
 	// backend; its 500 re-opens the circuit immediately.
-	clock = 6
+	clk.advance(6 * time.Second)
 	code, job, _ = post(t, r, solveBody(t, tinySpec()))
 	if code != http.StatusOK || job.Backend != "healthy" || job.Hops != 2 {
 		t.Fatalf("half-open probe solve: HTTP %d backend %q hops %d", code, job.Backend, job.Hops)
@@ -166,7 +169,6 @@ func TestRouterBreakerSkipsOpenBackend(t *testing.T) {
 // TestRouterDeadlineExhausted: a client deadline that runs out at the
 // router yields a 504 deadline_exhausted without reaching any backend.
 func TestRouterDeadlineExhausted(t *testing.T) {
-	clock := 0.0
 	touched := false
 	b := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		touched = true
@@ -175,7 +177,7 @@ func TestRouterDeadlineExhausted(t *testing.T) {
 		Backends: []*Backend{b},
 		// Every clock read advances 200ms, so a 100ms budget is already
 		// spent by the first per-attempt check.
-		Now: func() float64 { clock += 0.2; return clock },
+		Clock: tickingClock(200 * time.Millisecond),
 	})
 	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, tinySpec())))
 	req.Header.Set(server.SolveControlHeader, "deadline-ms=100")
@@ -200,7 +202,6 @@ func TestRouterDeadlineExhausted(t *testing.T) {
 // deadline by its own elapsed time and forwards the remainder in both
 // the Solve-Control header and the job body.
 func TestRouterDeadlinePropagation(t *testing.T) {
-	clock := 0.0
 	var gotHeader string
 	var gotBody map[string]any
 	capture := NewLocalBackend("cap", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -214,7 +215,7 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 	r := New(Config{
 		Backends: []*Backend{capture},
 		// 50ms pass between the request arriving and the forward.
-		Now: func() float64 { clock += 0.05; return clock },
+		Clock: tickingClock(50 * time.Millisecond),
 	})
 	body, err := json.Marshal(map[string]any{
 		"matrix": tinySpec(),
@@ -244,24 +245,20 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 }
 
 // TestRouterHedgedSolve: a stalled first-choice backend triggers a
-// hedged second attempt after the hedge delay; the fast backend's
+// hedged second attempt when the hedge timer fires; the fast backend's
 // response wins and the accounting records the hedge.
 func TestRouterHedgedSolve(t *testing.T) {
 	slow := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(2 * time.Second):
-		case <-r.Context().Done():
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"s","state":"done","converged":true}`)
+		<-r.Context().Done() // stalls until the hedge wins
 	}))
 	fast := NewLocalBackend("fast", doneHandler("f"))
+	clk := newFakeClock()
 	r := New(Config{
 		Backends:   []*Backend{slow, fast},
 		MaxHops:    2,
 		ShardMap:   pinned(t, "slow"),
 		HedgeAfter: 0.02,
+		Clock:      clk,
 	})
 	body, err := json.Marshal(map[string]any{
 		"matrix": tinySpec(), "m": 20, "s": 4, "tol": 1e-6, "wait": true,
@@ -269,6 +266,7 @@ func TestRouterHedgedSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	go clk.fire()
 	code, job, _ := post(t, r, body)
 	if code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
@@ -287,19 +285,17 @@ func TestRouterHedgedSolve(t *testing.T) {
 }
 
 // TestRouterHedgeDisabledByControlHeader: Solve-Control hedge=off wins
-// over the router's HedgeAfter default.
+// over the router's HedgeAfter default: no hedge timer is armed at all.
 func TestRouterHedgeDisabledByControlHeader(t *testing.T) {
-	slow := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(80 * time.Millisecond)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"s","state":"done","converged":true}`)
-	}))
+	slow := NewLocalBackend("slow", doneHandler("s"))
 	fast := NewLocalBackend("fast", doneHandler("f"))
+	clk := newFakeClock()
 	r := New(Config{
 		Backends:   []*Backend{slow, fast},
 		MaxHops:    2,
 		ShardMap:   pinned(t, "slow"),
 		HedgeAfter: 0.01,
+		Clock:      clk,
 	})
 	body, err := json.Marshal(map[string]any{
 		"matrix": tinySpec(), "m": 20, "s": 4, "tol": 1e-6, "wait": true,
@@ -316,8 +312,8 @@ func TestRouterHedgeDisabledByControlHeader(t *testing.T) {
 	if rec.Code != http.StatusOK || job.Backend != "slow" || job.Hedged {
 		t.Fatalf("hedge=off ignored: HTTP %d backend %q hedged=%t", rec.Code, job.Backend, job.Hedged)
 	}
-	if res := r.ResilienceSnapshot(); res.Hedges != 0 {
-		t.Errorf("hedges launched despite hedge=off: %+v", res)
+	if res := r.ResilienceSnapshot(); res.Hedges != 0 || clk.timersArmed() != 0 {
+		t.Errorf("hedge armed despite hedge=off: %d timers, %+v", clk.timersArmed(), res)
 	}
 }
 
@@ -325,8 +321,8 @@ func TestRouterHedgeDisabledByControlHeader(t *testing.T) {
 // without transitioning state or consuming the half-open probe slot,
 // and Release frees an abandoned probe.
 func TestBreakerPeekIsSideEffectFree(t *testing.T) {
-	clock := 0.0
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5, Now: func() float64 { return clock }}, obs.NewRegistry(), "b")
+	clk := newFakeClock()
+	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5}, clk, obs.NewRegistry(), "b")
 	if !br.Peek() {
 		t.Fatal("closed breaker should peek true")
 	}
@@ -334,7 +330,7 @@ func TestBreakerPeekIsSideEffectFree(t *testing.T) {
 	if br.Peek() {
 		t.Error("open breaker before cooldown should peek false")
 	}
-	clock = 6
+	clk.advance(6 * time.Second)
 	for i := 0; i < 3; i++ {
 		if !br.Peek() {
 			t.Fatalf("peek %d consumed the probe slot", i)
@@ -363,19 +359,19 @@ func TestBreakerPeekIsSideEffectFree(t *testing.T) {
 // with the probe held, and no outcome was ever recorded, excluding the
 // backend from routing forever.)
 func TestHedgeSelectionDoesNotConsumeProbe(t *testing.T) {
-	clock := 0.0
+	clk := newFakeClock()
 	fast := NewLocalBackend("fast", doneHandler("f"))
 	other := NewLocalBackend("other", doneHandler("o"))
 	r := New(Config{
 		Backends:   []*Backend{fast, other},
 		MaxHops:    2,
 		ShardMap:   pinned(t, "fast"),
-		HedgeAfter: 0.5, // primary answers long before the hedge fires
+		HedgeAfter: 0.5, // the hedge timer is never fired: the primary answers
 		Breaker:    BreakerConfig{Threshold: 1, Cooldown: 5},
-		Now:        func() float64 { return clock },
+		Clock:      clk,
 	})
 	r.breakers["other"].Trip()
-	clock = 10 // past cooldown: one probe is available
+	clk.advance(10 * time.Second) // past cooldown: one probe is available
 	body, err := json.Marshal(map[string]any{
 		"matrix": tinySpec(), "m": 20, "s": 4, "tol": 1e-6, "wait": true,
 	})
@@ -412,13 +408,13 @@ func TestHedgeSelectionDoesNotConsumeProbe(t *testing.T) {
 // leave its breaker in a sane state — a canceled loser releases the
 // probe slot, a real response counts as the failure or success it is.
 func TestReapLoserRecordsBreakerOutcome(t *testing.T) {
-	clock := 0.0
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 1, Now: func() float64 { return clock }}, obs.NewRegistry(), "b")
+	clk := newFakeClock()
+	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 1}, clk, obs.NewRegistry(), "b")
 	var r Router
 
 	// Canceled loser: no health signal, probe slot freed.
 	br.Trip()
-	clock = 2
+	clk.advance(2 * time.Second)
 	if !br.Allow() {
 		t.Fatal("probe not admitted")
 	}
@@ -437,7 +433,7 @@ func TestReapLoserRecordsBreakerOutcome(t *testing.T) {
 	}
 
 	// 2xx loser with a finished job: counts as a success, closes.
-	clock = 4
+	clk.advance(2 * time.Second)
 	if !br.Allow() {
 		t.Fatal("probe after reopen not admitted")
 	}
@@ -453,7 +449,7 @@ func TestReapLoserRecordsBreakerOutcome(t *testing.T) {
 		"failed-job": `{"id":"j2","state":"failed","error":"device lost"}`,
 		"bad-body":   `{"id":`,
 	} {
-		clock += 2
+		clk.advance(2 * time.Second)
 		if !br.Allow() {
 			t.Fatalf("%s: probe not admitted", name)
 		}
@@ -488,7 +484,6 @@ func TestLocalBackendReportsAbandonedCancel(t *testing.T) {
 // has already expired is rejected before a budget token is taken, so
 // dead-on-arrival traffic cannot starve the budget for live solves.
 func TestExpiredDeadlineDoesNotDrainRetryBudget(t *testing.T) {
-	clock := 0.0
 	shed := NewLocalBackend("shed", statusHandler(http.StatusTooManyRequests, "queue_full"))
 	spare := NewLocalBackend("spare", doneHandler("s"))
 	r := New(Config{
@@ -499,7 +494,7 @@ func TestExpiredDeadlineDoesNotDrainRetryBudget(t *testing.T) {
 		RetryBudgetBurst: 5,
 		// Every clock read advances 200ms: the first attempt fits a 300ms
 		// deadline, the reroute check does not.
-		Now: func() float64 { clock += 0.2; return clock },
+		Clock: tickingClock(200 * time.Millisecond),
 	})
 	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, tinySpec())))
 	req.Header.Set(server.SolveControlHeader, "deadline-ms=300")
@@ -549,16 +544,10 @@ func TestRewriteDeadlinePreservesOpaqueFields(t *testing.T) {
 // retry budget shows up both in the resilience snapshot and in the
 // router_retry_budget_exhausted_total metric family.
 func TestHedgeBudgetDenialCountsInMetric(t *testing.T) {
-	slow := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(100 * time.Millisecond):
-		case <-r.Context().Done():
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"s","state":"done","converged":true}`)
-	}))
+	release := make(chan struct{})
+	slow := NewLocalBackend("slow", heldHandler("s", release))
 	fast := NewLocalBackend("fast", doneHandler("f"))
+	clk := newFakeClock()
 	r := New(Config{
 		Backends:         []*Backend{slow, fast},
 		MaxHops:          2,
@@ -566,6 +555,7 @@ func TestHedgeBudgetDenialCountsInMetric(t *testing.T) {
 		HedgeAfter:       0.02,
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 1,
+		Clock:            clk,
 	})
 	if !r.budget.Take() {
 		t.Fatal("could not pre-drain the budget")
@@ -576,6 +566,7 @@ func TestHedgeBudgetDenialCountsInMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	go fireThenRelease(clk, r, 1, release)
 	code, job, _ := post(t, r, body)
 	if code != http.StatusOK || job.Backend != "slow" || job.Hedged {
 		t.Fatalf("HTTP %d backend %q hedged=%t, want the un-hedged primary", code, job.Backend, job.Hedged)
@@ -613,7 +604,7 @@ func TestRouterReforwardReplayWithBreakersArmed(t *testing.T) {
 			RetryBudgetRatio: 0.1,
 			RetryBudgetBurst: 10,
 			Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
-			Now:              func() float64 { return 0 },
+			Clock:            newFakeClock(),
 		})
 		code, job, _ := post(t, r, solveBody(t, tinySpec()))
 		if code != http.StatusOK || job.Backend != "spare" || job.Hops != 2 {
@@ -714,7 +705,7 @@ func TestBadOptionDoesNotTripHealthyNodes(t *testing.T) {
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 10,
 		Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
-		Now:              func() float64 { return 0 },
+		Clock:            newFakeClock(),
 	})
 	body := func(ortho string) []byte {
 		b, err := json.Marshal(server.SolveRequest{Matrix: tinySpec(), M: 20, S: 4, Tol: 1e-6, Ortho: ortho, Wait: true})
@@ -750,24 +741,119 @@ func TestBadOptionDoesNotTripHealthyNodes(t *testing.T) {
 	}
 }
 
-// stepClock is a router clock a test advances by hand or, with a step,
-// on every read — goroutine-safe, since reaped hedge losers read it too.
-type stepClock struct {
+// fakeClock is the cluster tests' one Clock. Its time moves when a test
+// advances it and, with a step, on every read; a timer fires only when
+// the test calls fire. Goroutine-safe: reaped hedge losers and a node's
+// workers read it too.
+type fakeClock struct {
 	mu      sync.Mutex
-	t, step float64
+	cond    *sync.Cond
+	now     time.Time
+	step    time.Duration
+	pending []*fakeTimer
+	armed   int // AfterFunc calls so far
 }
 
-func (c *stepClock) now() float64 {
+type fakeTimer struct {
+	c *fakeClock
+	f func()
+}
+
+func newFakeClock() *fakeClock {
+	c := &fakeClock{now: time.Unix(0, 0)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+// tickingClock is a fake clock on which every read costs step.
+func tickingClock(step time.Duration) *fakeClock {
+	c := newFakeClock()
+	c.step = step
+	return c
+}
+
+func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.t += c.step
-	return c.t
+	c.now = c.now.Add(c.step)
+	return c.now
 }
 
-func (c *stepClock) setStep(step float64) {
+func (c *fakeClock) AfterFunc(_ time.Duration, f func()) clock.Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := &fakeTimer{c: c, f: f}
+	c.pending = append(c.pending, t)
+	c.armed++
+	c.cond.Broadcast()
+	return t
+}
+
+func (c *fakeClock) Attempt(time.Time, float64) {}
+
+func (t *fakeTimer) Stop() bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	i := slices.Index(t.c.pending, t)
+	if i >= 0 {
+		t.c.pending = slices.Delete(t.c.pending, i, i+1)
+	}
+	return i >= 0
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+func (c *fakeClock) setStep(step time.Duration) {
 	c.mu.Lock()
 	c.step = step
 	c.mu.Unlock()
+}
+
+// fire waits until a timer is armed and calls the first one armed.
+func (c *fakeClock) fire() {
+	c.mu.Lock()
+	for len(c.pending) == 0 {
+		c.cond.Wait()
+	}
+	t := c.pending[0]
+	c.pending = c.pending[1:]
+	c.mu.Unlock()
+	t.f()
+}
+
+// heldHandler answers a solve with a done job once release is closed,
+// and gives up without answering if the request is canceled first.
+func heldHandler(id string, release <-chan struct{}) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		doneHandler(id).ServeHTTP(w, r)
+	})
+}
+
+// fireThenRelease fires the hedge timer, waits until the router has
+// refused its denied-th hedge for want of a retry token, then releases
+// the held primary: the primary cannot answer before the hedge decision.
+func fireThenRelease(clk *fakeClock, r *Router, denied uint64, release chan<- struct{}) {
+	clk.fire()
+	for r.ResilienceSnapshot().RetryBudgetDenied < denied {
+		runtime.Gosched()
+	}
+	close(release)
+}
+
+// timersArmed reports how many timers were ever armed on the clock.
+func (c *fakeClock) timersArmed() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.armed
 }
 
 // promValue reads one unlabeled sample of the router's /metrics.
@@ -791,19 +877,12 @@ func promValue(t *testing.T, prom []byte, name string) float64 {
 // client deadline, Counts, ResilienceSnapshot and /healthz report what
 // /metrics exports — they read the same series.
 func TestRouterCountsAgreeWithMetrics(t *testing.T) {
-	slow := NewLocalBackend("slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(400 * time.Millisecond):
-		case <-r.Context().Done():
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"s","state":"done","converged":true}`)
-	}))
+	release := make(chan struct{})
+	slow := NewLocalBackend("slow", heldHandler("s", release))
 	keyA, keyB := tinySpec(), server.MatrixSpec{Name: "laplace3d", Scale: 2e-5}
 	shardA, _ := ShardKey(keyA)
 	shardB, _ := ShardKey(keyB)
-	clock := &stepClock{}
+	clk := newFakeClock()
 	r := New(Config{
 		Backends: []*Backend{
 			NewLocalBackend("failing", statusHandler(http.StatusInternalServerError, "boom")),
@@ -815,7 +894,7 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 			Weights: map[string]float64{"fast": 1000}},
 		Breaker:          BreakerConfig{Threshold: 1},
 		RetryBudgetBurst: 2, // the re-route and the first hedge empty it
-		Now:              clock.now,
+		Clock:            clk,
 	})
 	send := func(spec server.MatrixSpec, control string) (int, RoutedJob) {
 		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, spec)))
@@ -837,17 +916,19 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 	}
 	// The first hedge draws the last token; the second is denied and the
 	// slow primary answers on its own.
+	go clk.fire()
 	if code, job := send(keyB, "hedge=on"); code != http.StatusOK || !job.Hedged {
 		t.Fatalf("hedged solve: HTTP %d %+v", code, job)
 	}
+	go fireThenRelease(clk, r, 1, release)
 	if code, job := send(keyB, "hedge=on"); code != http.StatusOK || job.Hedged || job.Backend != "slow" {
 		t.Fatalf("solve with an empty budget: HTTP %d %+v, want the un-hedged primary", code, job)
 	}
-	clock.setStep(0.2)
+	clk.setStep(200 * time.Millisecond)
 	if code, _ := send(keyA, "deadline-ms=100"); code != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline: HTTP %d, want 504", code)
 	}
-	clock.setStep(0)
+	clk.setStep(0)
 
 	_, hbody := get(t, r, "/healthz")
 	var hz ClusterHealthz
@@ -894,11 +975,11 @@ func TestRouterCountsAgreeWithMetrics(t *testing.T) {
 // Failures below the threshold keep it closed, and Allow refuses inside
 // the cooldown and while the one half-open probe is out.
 func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
-	clock := 0.0
+	clk := newFakeClock()
 	r := New(Config{
 		Backends: []*Backend{NewLocalBackend("x", doneHandler("x"))},
 		Breaker:  BreakerConfig{Threshold: 3, Cooldown: 5},
-		Now:      func() float64 { return clock },
+		Clock:    clk,
 	})
 	br := r.breakers["x"]
 	gauge := map[string]float64{BreakerClosed: 0, BreakerHalfOpen: 1, BreakerOpen: 2}
@@ -913,12 +994,13 @@ func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
 			t.Errorf("%s: router_breaker_open_total %v, want %v", step, got, opens)
 		}
 	}
-	// allow advances the clock by dt and asks the breaker for a forward.
-	allow := func(dt float64, want bool) func() {
+	// allow advances the clock by dt seconds and asks the breaker for a
+	// forward.
+	allow := func(dt int, want bool) func() {
 		return func() {
-			clock += dt
+			clk.advance(time.Duration(dt) * time.Second)
 			if got := br.Allow(); got != want {
-				t.Errorf("Allow at %v = %v, want %v", clock, got, want)
+				t.Errorf("Allow %ds on = %v, want %v", dt, got, want)
 			}
 		}
 	}
@@ -959,4 +1041,99 @@ func TestBreakerSeriesWrittenAtTransition(t *testing.T) {
 	}
 	wg.Wait()
 	check("after 8 concurrent scrapes")
+}
+
+// TestRefusedForwardReleasesProbe: a forward the router refuses after the
+// candidate's breaker admitted its half-open probe — the retry budget is
+// empty, or the client deadline ran out — frees that probe. The healthy
+// backend is probed on the next solve, and its success closes the
+// circuit. (A leaked probe kept it half-open and excluded, and a solve
+// pinned to it got 503 shard_unavailable until an admin revive.)
+func TestRefusedForwardReleasesProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name, control string
+		drain         bool          // take the one retry token first
+		step          time.Duration // clock cost of each read during the refused solve
+		status        int
+		code          string
+	}{
+		{"retry-budget", "", true, 0, http.StatusServiceUnavailable, codeRetryBudgetExhausted},
+		// The deadline check at x passes (200 ms used of 300), the one at a
+		// does not.
+		{"deadline", "deadline-ms=300", false, 200 * time.Millisecond, http.StatusGatewayTimeout, codeDeadlineExhausted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			r := New(Config{
+				Backends: []*Backend{
+					NewLocalBackend("x", statusHandler(http.StatusTooManyRequests, "queue_full")),
+					NewLocalBackend("a", doneHandler("a")),
+				},
+				MaxHops:          2,
+				ShardMap:         pinned(t, "x"), // ranks x, a
+				Breaker:          BreakerConfig{Threshold: 100, Cooldown: 1},
+				RetryBudgetBurst: 1,
+				Clock:            clk,
+			})
+			br := r.breakers["a"]
+			br.Trip()
+			clk.advance(2 * time.Second) // past a's cooldown: one probe
+			if tc.drain && !r.budget.Take() {
+				t.Fatal("could not take the one retry token")
+			}
+			clk.setStep(tc.step)
+			req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(solveBody(t, tinySpec())))
+			if tc.control != "" {
+				req.Header.Set(server.SolveControlHeader, tc.control)
+			}
+			rec := httptest.NewRecorder()
+			r.ServeHTTP(rec, req)
+			clk.setStep(0)
+			var e obs.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != tc.status || e.Code != tc.code {
+				t.Fatalf("refused solve: HTTP %d %s, want %d %s", rec.Code, rec.Body.Bytes(), tc.status, tc.code)
+			}
+			if !br.Peek() {
+				t.Fatalf("the refused forward leaked a's probe: breaker %s, Peek false", br.State())
+			}
+			r.shardMap = pinned(t, "a")
+			if code, job, _ := post(t, r, solveBody(t, tinySpec())); code != http.StatusOK || job.Backend != "a" {
+				t.Fatalf("solve pinned to a: HTTP %d %+v", code, job)
+			}
+			if st := br.State(); st != BreakerClosed {
+				t.Errorf("a's successful probe left its breaker %s, want closed", st)
+			}
+		})
+	}
+}
+
+// TestLocalNodeSLORunsOnSchedClock: a node's SLO engine runs on its
+// scheduler's clock, so a finished solve counts in the budget window
+// until that clock passes the window, and then drops out of it.
+func TestLocalNodeSLORunsOnSchedClock(t *testing.T) {
+	clk := newFakeClock()
+	node := NewLocalNode(LocalNodeConfig{Name: "n", Devices: 2,
+		SLO: obs.SLOConfig{BudgetWindow: 60}, Sched: sched.Config{Clock: clk}})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = node.Drain(ctx)
+	})
+	if code, job, _ := post(t, node.Server, solveBody(t, tinySpec())); code != http.StatusOK || job.State != "done" {
+		t.Fatalf("solve: HTTP %d %+v", code, job)
+	}
+	requests := func() int {
+		n := 0
+		for _, c := range node.Sched.SLO().Report().Classes {
+			n += c.Requests
+		}
+		return n
+	}
+	if n := requests(); n != 1 {
+		t.Fatalf("budget window holds %d requests after one solve, want 1", n)
+	}
+	clk.advance(61 * time.Second)
+	if n := requests(); n != 0 {
+		t.Errorf("budget window holds %d requests 61 s after the solve on the scheduler's clock, want 0", n)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"cagmres/internal/clock"
 	"cagmres/internal/obs"
 	"cagmres/internal/server"
 )
@@ -62,13 +63,12 @@ type Config struct {
 	RetryBudgetRatio float64
 	RetryBudgetBurst float64
 	// Breaker parameterizes the per-backend circuit breakers. The
-	// zero value takes the breaker defaults (threshold 5, cooldown 5s);
-	// Breaker.Now defaults to Config.Now.
+	// zero value takes the breaker defaults (threshold 5, cooldown 5s).
 	Breaker BreakerConfig
-	// Now supplies the router's clock (seconds) for breaker cooldowns
-	// and deadline decrements. Nil means wall time; chaos replays
-	// inject virtual time here for determinism.
-	Now func() float64
+	// Clock is the router's time source: breaker cooldowns, deadline
+	// decrements, the hedge timer and the latency ring. Nil is
+	// clock.Wall.
+	Clock clock.Clock
 	// HedgeAfter enables hedged wait-solves: after this many seconds
 	// without a response (or the rolling p95 solve latency, once enough
 	// samples exist), a second attempt goes to the next candidate and
@@ -88,7 +88,7 @@ type Router struct {
 	mux        *http.ServeMux
 	budget     *RetryBudget
 	breakers   map[string]*Breaker
-	now        func() float64
+	clock      clock.Clock
 	hedgeAfter float64
 	simd       string // obs.HostKernels, for /healthz
 
@@ -118,13 +118,8 @@ func New(cfg Config) *Router {
 	if maxHops <= 0 {
 		maxHops = 3
 	}
-	now := cfg.Now
-	if now == nil {
-		now = wallSeconds
-	}
-	brCfg := cfg.Breaker
-	if brCfg.Now == nil {
-		brCfg.Now = now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall
 	}
 	r := &Router{
 		backends:   cfg.Backends,
@@ -135,14 +130,14 @@ func New(cfg Config) *Router {
 		mux:        http.NewServeMux(),
 		budget:     NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst, cfg.Registry),
 		breakers:   make(map[string]*Breaker, len(cfg.Backends)),
-		now:        now,
+		clock:      cfg.Clock,
 		hedgeAfter: cfg.HedgeAfter,
 		simd:       obs.HostKernels(cfg.Registry),
 		latRing:    make([]float64, 0, latRingCap),
 	}
 	for _, b := range cfg.Backends {
 		r.byName[b.Name()] = b
-		r.breakers[b.Name()] = NewBreaker(brCfg, cfg.Registry, b.Name())
+		r.breakers[b.Name()] = NewBreaker(cfg.Breaker, cfg.Clock, cfg.Registry, b.Name())
 	}
 	r.metSolves = cfg.Registry.Counter("router_solves_total", "solve requests routed to a backend")
 	r.metReroutes = cfg.Registry.Counter("router_reroutes_total", "forward hops past the first-choice backend")
@@ -465,14 +460,15 @@ func (r *Router) dispatch(req *http.Request, b, alt *Backend, hdr http.Header, b
 		}()
 	}
 	launch(0, b, false)
-	timer := time.NewTimer(time.Duration(delay * float64(time.Second)))
+	fired := make(chan struct{})
+	timer := r.clock.AfterFunc(time.Duration(delay*float64(time.Second)), func() { close(fired) })
 	defer timer.Stop()
 	inFlight := 1
 	select {
 	case first := <-ch:
 		cancels[0]()
 		return first
-	case <-timer.C:
+	case <-fired:
 	}
 	// Launch the hedge only if the alt's breaker still admits it (the
 	// probe slot is consumed here, at dispatch, never during selection)
@@ -588,7 +584,7 @@ type settled struct {
 // the rejection that ends it. It writes nothing.
 func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
 	candidates := rank(r.backends, s.key, r.shardMap)
-	start := r.now()
+	start := r.clock.Now()
 	priorAttempts := 0
 	sent := 0
 	var lastErr string
@@ -606,9 +602,10 @@ func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
 		// token: expired work must not drain the budget.
 		var remaining int64
 		if s.deadlineMS > 0 {
-			remaining = s.deadlineMS - int64((r.now()-start)*1000)
+			remaining = s.deadlineMS - r.clock.Now().Sub(start).Milliseconds()
 			if remaining <= 0 {
 				r.metDeadline.Inc()
+				br.Release()
 				return settled{}, &rejection{http.StatusGatewayTimeout, codeDeadlineExhausted,
 					fmt.Sprintf("client deadline of %dms expired after %d attempts", s.deadlineMS, sent)}
 			}
@@ -617,6 +614,7 @@ func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
 			// Every forward past the first dispatched attempt draws from
 			// the retry budget; an empty bucket means stop, not storm.
 			if !r.takeRetryToken() {
+				br.Release()
 				return settled{}, &rejection{http.StatusServiceUnavailable, codeRetryBudgetExhausted,
 					fmt.Sprintf("retry budget exhausted after %d attempts: %s", sent, lastErr)}
 			}
@@ -633,7 +631,7 @@ func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
 		if s.hedge {
 			alt = r.nextHedgeCandidate(candidates, idx+1)
 		}
-		attemptStart := r.now()
+		attemptStart := r.clock.Now()
 		a := r.dispatch(req, b, alt, hdr, body, s.hedge, r.hedgeDelay())
 		if a.hedged {
 			b = alt
@@ -662,7 +660,7 @@ func (r *Router) forward(req *http.Request, s solve) (settled, *rejection) {
 		if v == accept {
 			r.budget.Earn()
 			if s.wait {
-				r.recordLatency(r.now() - attemptStart)
+				r.recordLatency(r.clock.Now().Sub(attemptStart).Seconds())
 			}
 			r.metSolves.Inc()
 		}

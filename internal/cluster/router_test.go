@@ -240,7 +240,7 @@ func TestRouterMidSolveNodeDeathReplay(t *testing.T) {
 			RetryBudgetRatio: 0.1,
 			RetryBudgetBurst: 10,
 			Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
-			Now:              func() float64 { return 0 },
+			Clock:            newFakeClock(),
 		})
 		code, job, _ := post(t, r, solveBody(t, tinySpec()))
 		if code != http.StatusOK || job.State != "done" || !job.Converged {
@@ -285,7 +285,6 @@ func TestRouterErrorPaths(t *testing.T) {
 	shedding := func(name string) *Backend {
 		return NewLocalBackend(name, statusHandler(http.StatusTooManyRequests, "queue_full"))
 	}
-	ticking := 0.0 // a clock on which every read costs 200 ms of a deadline
 
 	cases := []struct {
 		name     string
@@ -299,7 +298,7 @@ func TestRouterErrorPaths(t *testing.T) {
 		{"retry-budget-exhausted", New(Config{Backends: []*Backend{shedding("a"), shedding("b"), shedding("c")}, RetryBudgetBurst: 1}),
 			http.MethodPost, "/solve",
 			`{"matrix":{"name":"laplace3d"}}`, http.StatusServiceUnavailable, codeRetryBudgetExhausted},
-		{"deadline-exhausted", New(Config{Backends: []*Backend{live.Backend()}, Now: func() float64 { ticking += 0.2; return ticking }}),
+		{"deadline-exhausted", New(Config{Backends: []*Backend{live.Backend()}, Clock: tickingClock(200 * time.Millisecond)}),
 			http.MethodPost, "/solve",
 			`{"matrix":{"name":"laplace3d"},"deadline_ms":100}`, http.StatusGatewayTimeout, codeDeadlineExhausted},
 		{"no-backend", New(Config{}), http.MethodPost, "/solve",

@@ -52,12 +52,11 @@ func TestWireProbes(t *testing.T) {
 	shedding := func(name string) *Backend {
 		return NewLocalBackend(name, statusHandler(http.StatusTooManyRequests, "queue_full"))
 	}
-	ticking := 0.0 // a clock on which every read costs 200 ms of a deadline
 	tiers := map[string]http.Handler{
 		"daemon":   node.Server,
 		"router":   New(Config{Backends: []*Backend{node.Backend()}}),
 		"shedding": New(Config{Backends: []*Backend{shedding("a"), shedding("b"), shedding("c")}, RetryBudgetBurst: 1}),
-		"ticking":  New(Config{Backends: []*Backend{node.Backend()}, Now: func() float64 { ticking += 0.2; return ticking }}),
+		"ticking":  New(Config{Backends: []*Backend{node.Backend()}, Clock: tickingClock(200 * time.Millisecond)}),
 		"empty":    New(Config{}),
 		"dead3":    New(Config{Backends: []*Backend{dead("dead-a"), dead("dead-b"), dead("dead-c")}, MaxHops: 2}),
 		"dead2":    New(Config{Backends: []*Backend{dead("dead-a"), dead("dead-b")}, MaxHops: 5}),

@@ -130,11 +130,18 @@ func (q *GivensQR) Append(h []float64) float64 {
 // ResidualNorm returns the current least-squares residual norm.
 func (q *GivensQR) ResidualNorm() float64 { return math.Abs(q.g[q.k]) }
 
-// Solve back-substitutes for the current minimizer y of length k.
+// Solve back-substitutes for the current minimizer y of length k. An
+// exactly zero pivot (a singular A can make one) ends the solve at the
+// leading nonsingular block: the columns from that pivot on get zero
+// weight, and the restart loop carries on instead of dividing by zero.
 func (q *GivensQR) Solve() []float64 {
 	k := q.k
 	y := make([]float64, k)
-	copy(y, q.g[:k])
-	UpperSolve(q.r.RowView(0, k).ColView(0, k), y)
+	n := 0
+	for n < k && q.r.At(n, n) != 0 {
+		n++
+	}
+	copy(y, q.g[:n])
+	UpperSolve(q.r.RowView(0, n).ColView(0, n), y[:n])
 	return y
 }

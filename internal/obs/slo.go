@@ -4,7 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
+
+	"cagmres/internal/clock"
 )
 
 // SLO engine: per-priority latency/error objectives with rolling error
@@ -19,8 +20,8 @@ import (
 // anything sustained above that exhausts the budget early. The remaining
 // error budget is measured over BudgetWindow.
 //
-// The clock is injectable (Now) so the loadgen replay tests drive the
-// engine on deterministic virtual time and pin the numbers exactly.
+// The engine reads the clock it is built with: a scheduler hands it its
+// own, so a virtual-time run ages samples in virtual time.
 
 // SLOClass is one objective: requests with Priority >= MinPriority (and
 // not claimed by a stricter class) belong to it.
@@ -58,9 +59,6 @@ type SLOConfig struct {
 	// DegradeThreshold: degraded when BOTH window burn rates reach it
 	// for any class (default 1.0).
 	DegradeThreshold float64
-	// Now supplies the engine clock as float seconds; defaults to wall
-	// Unix time. Tests inject a virtual clock here.
-	Now func() float64
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
@@ -78,9 +76,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.DegradeThreshold <= 0 {
 		c.DegradeThreshold = 1.0
-	}
-	if c.Now == nil {
-		c.Now = func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 	}
 	return c
 }
@@ -107,6 +102,7 @@ type classState struct {
 type SLOEngine struct {
 	mu      sync.Mutex
 	cfg     SLOConfig
+	clock   clock.Clock
 	classes []classState // sorted by MinPriority descending (strictest first)
 	lastT   float64
 
@@ -117,12 +113,16 @@ type SLOEngine struct {
 
 var sloLatencyBuckets = ExpBuckets(0.001, 2, 24) // 1ms .. ~2.3h
 
-// NewSLOEngine builds the engine and eagerly registers every slo_*
-// family (reg may be nil for tests), so a fresh daemon's /metrics
-// already shows the objectives before any traffic arrives.
-func NewSLOEngine(reg *Registry, cfg SLOConfig) *SLOEngine {
+// NewSLOEngine builds the engine on clk (nil is clock.Wall) and eagerly
+// registers every slo_* family (reg may be nil for tests), so a fresh
+// daemon's /metrics already shows the objectives before any traffic
+// arrives.
+func NewSLOEngine(reg *Registry, cfg SLOConfig, clk clock.Clock) *SLOEngine {
 	cfg = cfg.withDefaults()
-	e := &SLOEngine{cfg: cfg,
+	if clk == nil {
+		clk = clock.Wall
+	}
+	e := &SLOEngine{cfg: cfg, clock: clk,
 		budgetGauge: map[string]Gauge{},
 		burnFast:    map[string]Gauge{},
 		burnSlow:    map[string]Gauge{},
@@ -179,15 +179,11 @@ func (e *SLOEngine) classFor(p int) *classState {
 }
 
 // Observe records one finished request at the engine clock's now.
+// Out-of-order times (concurrent finishers read the clock before taking
+// the lock) are clamped forward to the engine's high-water mark so the
+// windows stay sorted.
 func (e *SLOEngine) Observe(priority int, latency float64, failed bool) {
-	e.ObserveAt(e.cfg.Now(), priority, latency, failed)
-}
-
-// ObserveAt records one finished request at clock t. Out-of-order times
-// are clamped forward to the engine's high-water mark so the windows
-// stay sorted (the serving path is effectively monotone; replay feeds
-// sorted samples).
-func (e *SLOEngine) ObserveAt(t float64, priority int, latency float64, failed bool) {
+	t := clock.Seconds(e.clock.Now())
 	e.mu.Lock()
 	if t < e.lastT {
 		t = e.lastT
@@ -286,15 +282,11 @@ type SLOReport struct {
 	Degraded         bool             `json:"degraded"`
 }
 
-// Report evaluates every class at the engine clock's now.
+// Report evaluates every class at the engine clock's now and refreshes
+// the slo_* gauges (budget remaining, burn rates) as a side effect, so
+// scraping /metrics after /slo sees consistent numbers.
 func (e *SLOEngine) Report() SLOReport {
-	return e.ReportAt(e.cfg.Now())
-}
-
-// ReportAt evaluates every class at clock t and refreshes the slo_*
-// gauges (budget remaining, burn rates) as a side effect, so scraping
-// /metrics after /slo sees consistent numbers.
-func (e *SLOEngine) ReportAt(t float64) SLOReport {
+	t := clock.Seconds(e.clock.Now())
 	e.mu.Lock()
 	if t < e.lastT {
 		t = e.lastT

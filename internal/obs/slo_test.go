@@ -4,7 +4,22 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"cagmres/internal/clock"
 )
+
+// testClock is the obs tests' Clock: it reads the Unix second a test
+// sets with at. It has no timers.
+type testClock struct{ t float64 }
+
+func (c *testClock) at(t float64) { c.t = t }
+
+func (c *testClock) Now() time.Time { return time.Unix(0, int64(c.t*1e9)) }
+
+func (c *testClock) AfterFunc(time.Duration, func()) clock.Timer { panic("testClock has no timers") }
+
+func (c *testClock) Attempt(time.Time, float64) {}
 
 // testSLOCfg: one catch-all class with power-of-two objective so every
 // budget/burn number below is exact in float64, over small windows that
@@ -15,20 +30,23 @@ func testSLOCfg() SLOConfig {
 			{Name: "t", MinPriority: math.MinInt32, LatencyTarget: 1.0, Objective: 0.5},
 		},
 		BudgetWindow: 100, FastWindow: 10, SlowWindow: 100, DegradeThreshold: 1.0,
-		Now: func() float64 { return 0 },
 	}
 }
 
 func TestSLOBudgetAndBurnExact(t *testing.T) {
-	e := NewSLOEngine(nil, testSLOCfg())
+	clk := &testClock{}
+	e := NewSLOEngine(nil, testSLOCfg(), clk)
 	// 9 good early, 3 bad late (latency over the 1s target).
 	for i := 0; i < 9; i++ {
-		e.ObserveAt(float64(1+i), 0, 0.5, false)
+		clk.at(float64(1 + i))
+		e.Observe(0, 0.5, false)
 	}
 	for i := 0; i < 3; i++ {
-		e.ObserveAt(float64(95+i), 0, 2.0, false)
+		clk.at(float64(95 + i))
+		e.Observe(0, 2.0, false)
 	}
-	rep := e.ReportAt(100)
+	clk.at(100)
+	rep := e.Report()
 	if len(rep.Classes) != 1 {
 		t.Fatalf("classes = %d", len(rep.Classes))
 	}
@@ -51,7 +69,8 @@ func TestSLOBudgetAndBurnExact(t *testing.T) {
 	}
 
 	// Everything expires out of the windows: a later report is pristine.
-	rep = e.ReportAt(300)
+	clk.at(300)
+	rep = e.Report()
 	c = rep.Classes[0]
 	if c.Requests != 0 || c.Bad != 0 || c.BudgetRemaining != 1 || c.BurnFast != 0 || c.BurnSlow != 0 {
 		t.Fatalf("expired windows not pristine: %+v", c)
@@ -59,8 +78,10 @@ func TestSLOBudgetAndBurnExact(t *testing.T) {
 
 	// One bad request alone in both windows burns 2.0 in each → degraded,
 	// with the budget overspent (1 - 1/0.5 = -1).
-	e.ObserveAt(295, 0, 0.2, true) // failed: bad regardless of latency
-	rep = e.ReportAt(300)
+	clk.at(295)
+	e.Observe(0, 0.2, true) // failed: bad regardless of latency
+	clk.at(300)
+	rep = e.Report()
 	c = rep.Classes[0]
 	if c.BurnFast != 2.0 || c.BurnSlow != 2.0 || !c.Degraded || !rep.Degraded {
 		t.Fatalf("lone failure not degrading both windows: %+v", c)
@@ -76,11 +97,16 @@ func TestSLOClassMatching(t *testing.T) {
 		{Name: "standard", MinPriority: math.MinInt32, LatencyTarget: 5, Objective: 0.5},
 		{Name: "interactive", MinPriority: 1, LatencyTarget: 1, Objective: 0.75},
 	}
-	e := NewSLOEngine(nil, cfg)
-	e.ObserveAt(1, 0, 2.0, false) // standard: 2s < 5s target → good
-	e.ObserveAt(2, 1, 2.0, false) // interactive: 2s > 1s target → bad
-	e.ObserveAt(3, 7, 0.5, false) // interactive: good
-	rep := e.ReportAt(10)
+	clk := &testClock{}
+	e := NewSLOEngine(nil, cfg, clk)
+	clk.at(1)
+	e.Observe(0, 2.0, false) // standard: 2s < 5s target → good
+	clk.at(2)
+	e.Observe(1, 2.0, false) // interactive: 2s > 1s target → bad
+	clk.at(3)
+	e.Observe(7, 0.5, false) // interactive: good
+	clk.at(10)
+	rep := e.Report()
 	got := map[string][2]int{}
 	for _, c := range rep.Classes {
 		got[c.Name] = [2]int{c.Requests, c.Bad}
@@ -95,18 +121,24 @@ func TestSLOClassMatching(t *testing.T) {
 	// Every class above the priority: fall back to the loosest class
 	// rather than dropping the sample.
 	cfg.Classes = []SLOClass{{Name: "high", MinPriority: 5, LatencyTarget: 1, Objective: 0.5}}
-	e = NewSLOEngine(nil, cfg)
-	e.ObserveAt(1, 0, 0.1, false)
-	if rep := e.ReportAt(2); rep.Classes[0].Requests != 1 {
+	e = NewSLOEngine(nil, cfg, clk)
+	clk.at(1)
+	e.Observe(0, 0.1, false)
+	clk.at(2)
+	if rep := e.Report(); rep.Classes[0].Requests != 1 {
 		t.Fatalf("fallback class did not absorb the sample: %+v", rep.Classes[0])
 	}
 }
 
 func TestSLOObserveClampsBackward(t *testing.T) {
-	e := NewSLOEngine(nil, testSLOCfg())
-	e.ObserveAt(100, 0, 0.1, false)
-	e.ObserveAt(50, 0, 0.1, false) // clamped forward to 100
-	rep := e.ReportAt(100)
+	clk := &testClock{}
+	e := NewSLOEngine(nil, testSLOCfg(), clk)
+	clk.at(100)
+	e.Observe(0, 0.1, false)
+	clk.at(50)
+	e.Observe(0, 0.1, false) // clamped forward to 100
+	clk.at(100)
+	rep := e.Report()
 	// Fast window (90,100] must hold both samples; un-clamped, the second
 	// would sit at 50 outside it.
 	if total := rep.Classes[0].Requests; total != 2 {
@@ -119,7 +151,7 @@ func TestSLOObserveClampsBackward(t *testing.T) {
 
 func TestSLOMetricsEager(t *testing.T) {
 	reg := NewRegistry()
-	e := NewSLOEngine(reg, SLOConfig{})
+	e := NewSLOEngine(reg, SLOConfig{}, nil)
 	var w writeBuf
 	if err := reg.WritePrometheus(&w); err != nil {
 		t.Fatal(err)

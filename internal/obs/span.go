@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file is the request-scoped half of the observability layer: a
@@ -33,10 +32,11 @@ const (
 
 // Span is one node of a request's trace tree. TraceID and SpanID use the
 // W3C trace-context wire widths (16 and 8 bytes, lowercase hex). Start
-// and End are wall-clock Unix seconds; VStart and VEnd are modeled
-// seconds on the solve's virtual clock, meaningful only when Virtual is
-// set. A span may carry either clock or both (the root carries both, so
-// wall-only and virtual-only children each nest under it).
+// and End are Unix seconds on the owner's clock; VStart and VEnd are
+// modeled seconds on the solve's virtual clock, meaningful only when
+// Virtual is set. A span may carry either clock or both (the root
+// carries both, so wall-only and virtual-only children each nest under
+// it).
 type Span struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -44,7 +44,8 @@ type Span struct {
 	Parent string `json:"parent_id,omitempty"`
 	Name   string `json:"name"`
 	Kind   string `json:"kind,omitempty"`
-	// Start and End are wall-clock Unix seconds (0 = no wall stamps).
+	// Start and End are Unix seconds on the clock of the span's owner,
+	// the wall unless a scheduler runs on sched.Virtual (0 = no stamps).
 	Start float64 `json:"start_unix,omitempty"`
 	End   float64 `json:"end_unix,omitempty"`
 	// VStart and VEnd are modeled seconds since the solve's ledger reset;
@@ -135,11 +136,11 @@ type Tracer struct {
 	hasReg  bool
 }
 
-// NewTracer builds a tracer with a time-seeded id stream and registers
-// the trace_* families eagerly (when reg is non-nil), so a freshly
-// started daemon already exports them.
+// NewTracer builds a tracer whose id stream is seeded from math/rand's
+// auto-seeded source and registers the trace_* families eagerly (when
+// reg is non-nil), so a freshly started daemon already exports them.
 func NewTracer(reg *Registry) *Tracer {
-	return NewTracerSeeded(reg, time.Now().UnixNano())
+	return NewTracerSeeded(reg, rand.Int63())
 }
 
 // NewTracerSeeded builds a tracer whose id stream is deterministic for a
@@ -188,10 +189,10 @@ func (t *Tracer) NewSpanID() string { return t.hex(8) }
 
 // Root mints a request root span: the trace id comes from the
 // traceparent header when one parses (the upstream caller's span becomes
-// our parent), otherwise a fresh trace is started. The span starts now
-// on the wall clock and owns the virtual clock from zero.
+// our parent), otherwise a fresh trace is started. The span owns the
+// virtual clock from zero; its owner stamps Start from its own clock.
 func (t *Tracer) Root(name, traceparent string) Span {
-	sp := Span{Name: name, Kind: KindRequest, Start: unixNow(), Virtual: true}
+	sp := Span{Name: name, Kind: KindRequest, Virtual: true}
 	if tid, sid, ok := ParseTraceparent(traceparent); ok {
 		sp.TraceID, sp.Parent = tid, sid
 		t.count(t.adopted)
@@ -219,8 +220,6 @@ func (t *Tracer) count(c Counter) {
 		c.Inc()
 	}
 }
-
-func unixNow() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // spanCtxKey carries the active span through context.Context.
 type spanCtxKey struct{}

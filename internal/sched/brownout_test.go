@@ -27,16 +27,17 @@ func promBody(t *testing.T, reg *obs.Registry) string {
 // without ever starting workers, so the test is a pure function of the
 // admission gates.
 func TestBrownoutShed(t *testing.T) {
-	now := 0.0
+	clk := newManualClock()
 	const fastWindow = 300 // the default burn-rate horizon, in seconds
 	reg := obs.NewRegistry()
-	engine := obs.NewSLOEngine(reg, obs.SLOConfig{Now: func() float64 { return now }, FastWindow: fastWindow})
+	engine := obs.NewSLOEngine(reg, obs.SLOConfig{FastWindow: fastWindow}, clk)
 	pool := NewPool(PoolConfig{Size: 1, Devices: 1})
 	s := New(Config{
 		Pool:     pool,
 		Registry: reg,
 		SLO:      engine,
 		Brownout: &BrownoutConfig{Ladder: []int{1, 2}},
+		Clock:    clk,
 	})
 
 	if lvl := s.BrownoutLevel(); lvl != 0 {
@@ -50,8 +51,8 @@ func TestBrownoutShed(t *testing.T) {
 	// Every interactive request in the fast window blows its latency
 	// target: burn = 1.0/(1-0.99) = 100, past both ladder thresholds.
 	for i := 0; i < 20; i++ {
-		now = float64(i)
-		engine.ObserveAt(now, 2, 10.0, true)
+		engine.Observe(2, 10.0, true)
+		clk.advance(time.Second)
 	}
 
 	if lvl := s.BrownoutLevel(); lvl != 2 {
@@ -92,7 +93,7 @@ func TestBrownoutShed(t *testing.T) {
 
 	// Burn subsides once the window rolls past the bad samples: the
 	// ladder disengages and priority 0 is admitted again.
-	now = 20 + fastWindow + 1
+	clk.advance((fastWindow + 1) * time.Second)
 	if lvl := s.BrownoutLevel(); lvl != 0 {
 		t.Fatalf("brownout level after recovery = %d, want 0", lvl)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"cagmres/internal/clock"
 	"cagmres/internal/core"
 	"cagmres/internal/gpu"
 	"cagmres/internal/obs"
@@ -74,7 +75,7 @@ type Job struct {
 
 	ctx      context.Context
 	cancel   context.CancelCauseFunc
-	deadline Timer // the deadline's clock timer; nil without one
+	deadline clock.Timer // the deadline's clock timer; nil without one
 
 	// trace is the job's request trace: the root span (minted by the
 	// submitter or by the scheduler), the queue/lease/heal/solver spans
@@ -262,7 +263,7 @@ type Config struct {
 	// submitter provided a root span.
 	Tracer *obs.Tracer
 	// SLO judges finished jobs against per-priority objectives; nil gets
-	// the default two-class engine over Registry.
+	// the default two-class engine over Registry, on Clock.
 	SLO *obs.SLOEngine
 	// Brownout, when non-nil, enables SLO-driven load shedding: as the
 	// fast-burn windows trip, Submit sheds the lowest-priority classes
@@ -276,10 +277,10 @@ type Config struct {
 	// typical solve"; 2 leaves room for queueing. 0 disables the gate.
 	DeadlineMargin float64
 	// Clock is the time source of every stamp, deadline, lease timeout,
-	// drain grace, scheduler-minted root span and the default SLO
-	// engine; nil is the wall clock. A *Virtual runs the scheduler in
+	// drain grace, request root span and the default SLO engine; nil is
+	// clock.Wall. A *Virtual runs the scheduler in
 	// modeled time (see Virtual.Run).
-	Clock Clock
+	Clock clock.Clock
 }
 
 func (c *Config) defaults() {
@@ -305,12 +306,10 @@ func (c *Config) defaults() {
 		c.Tracer = obs.NewTracer(c.Registry)
 	}
 	if c.Clock == nil {
-		c.Clock = wallClock{}
+		c.Clock = clock.Wall
 	}
 	if c.SLO == nil {
-		clock := c.Clock
-		c.SLO = obs.NewSLOEngine(c.Registry, obs.SLOConfig{
-			Now: func() float64 { return unixSeconds(clock.Now()) }})
+		c.SLO = obs.NewSLOEngine(c.Registry, obs.SLOConfig{}, c.Clock)
 	}
 }
 
@@ -430,7 +429,7 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 	// A deadline is a clock timer whose cause is DeadlineExceeded, so
 	// dispatch tells an expiry from a cancel on any clock.
 	jctx, cancel := context.WithCancelCause(parent)
-	var timer Timer
+	var timer clock.Timer
 	if deadline > 0 {
 		timer = s.cfg.Clock.AfterFunc(deadline, func() { cancel(context.DeadlineExceeded) })
 	}
@@ -438,12 +437,13 @@ func (s *Scheduler) Submit(parent context.Context, spec Spec, priority int, dead
 	s.nextSeq++
 	// The request root span travels in via the parent context (the HTTP
 	// layer minted it from the traceparent header); a bare Submit gets a
-	// fresh root so every job is traceable.
+	// fresh root so every job is traceable. Either way the root starts at
+	// submission on the scheduler's clock.
 	root, ok := obs.SpanFromContext(parent)
 	if !ok {
 		root = s.cfg.Tracer.Root("solve", "")
-		root.Start = unixSeconds(now)
 	}
+	root.Start = clock.Seconds(now)
 	j := &Job{
 		ID:       fmt.Sprintf("job-%d", seq+1),
 		Priority: priority,
@@ -734,10 +734,6 @@ func (s *Scheduler) popBatch() []*Job {
 	return batch
 }
 
-// unixSeconds renders a wall timestamp in the float Unix-seconds form
-// spans carry.
-func unixSeconds(t time.Time) float64 { return float64(t.UnixNano()) / 1e9 }
-
 // queueSpan records the admission-queue wait as a child span of the
 // job's root: submitted → dispatched. A re-queued job gets a second
 // queue span for its second wait. Called with s.mu held.
@@ -745,13 +741,13 @@ func (s *Scheduler) queueSpan(j *Job, dispatched time.Time) {
 	root := j.trace.Root()
 	q := s.cfg.Tracer.Child(root, "queue", obs.KindQueue)
 	j.mu.Lock()
-	q.Start = unixSeconds(j.submitted)
+	q.Start = clock.Seconds(j.submitted)
 	q.SetAttr("attempt", strconv.Itoa(j.attempts+1))
 	j.mu.Unlock()
 	if q.Start < root.Start {
 		q.Start = root.Start
 	}
-	q.End = unixSeconds(dispatched)
+	q.End = clock.Seconds(dispatched)
 	if q.End < q.Start {
 		q.End = q.Start
 	}
@@ -786,7 +782,7 @@ func (s *Scheduler) finishJob(j *Job, st State, res *core.Result, err error) {
 	service := j.finished.Sub(j.started).Seconds()
 	j.mu.Unlock()
 	s.met.finished(st, wait, service, modeled)
-	j.trace.FinishRoot(unixSeconds(end), modeled)
+	j.trace.FinishRoot(clock.Seconds(end), modeled)
 	s.cfg.SLO.Observe(j.Priority, latency, st == StateFailed)
 	if st == StateDone {
 		// Completed solves feed the deadline gate's service estimate.
@@ -883,7 +879,7 @@ func (s *Scheduler) execute(batch []*Job) {
 		// One lease span per solve attempt; the solver-phase and heal
 		// spans the telemetry sink derives hang under it.
 		ls := s.cfg.Tracer.Child(j.trace.Root(), fmt.Sprintf("lease attempt %d", attempt), obs.KindLease)
-		ls.Start = unixSeconds(start)
+		ls.Start = clock.Seconds(start)
 		ls.SetAttr("attempt", strconv.Itoa(attempt))
 		ls.SetAttr("batch", strconv.Itoa(len(batch)))
 
@@ -909,7 +905,7 @@ func (s *Scheduler) execute(batch []*Job) {
 		}
 		s.cfg.Clock.Attempt(start, charged)
 		closeLease := func(outcome string) {
-			ls.End = unixSeconds(s.cfg.Clock.Now())
+			ls.End = clock.Seconds(s.cfg.Clock.Now())
 			ls.SetAttr("outcome", outcome)
 			j.trace.Add(ls)
 		}
@@ -951,9 +947,9 @@ func (s *Scheduler) execute(batch []*Job) {
 // the job's lease span.
 func (s *Scheduler) prepare(j *Job, ls obs.Span, lease *gpu.Context) (*core.Problem, error) {
 	ps := s.cfg.Tracer.Child(ls, "prepare", obs.KindPrepare)
-	ps.Start = unixSeconds(s.cfg.Clock.Now())
+	ps.Start = clock.Seconds(s.cfg.Clock.Now())
 	problem, hit, err := s.prepared.problem(lease, &j.Spec)
-	ps.End = unixSeconds(s.cfg.Clock.Now())
+	ps.End = clock.Seconds(s.cfg.Clock.Now())
 	if hit {
 		ps.SetAttr("cache", "hit")
 	} else {

@@ -154,7 +154,7 @@ func TestJobTraceReconcilesDeviceLanes(t *testing.T) {
 func TestSchedulerSLOObservesTerminalJobs(t *testing.T) {
 	a := testMatrix()
 	reg := obs.NewRegistry()
-	slo := obs.NewSLOEngine(reg, obs.SLOConfig{})
+	slo := obs.NewSLOEngine(reg, obs.SLOConfig{}, nil)
 	pool := NewPool(PoolConfig{Size: 1, Devices: 2})
 	s := New(Config{Pool: pool, QueueDepth: 8, MaxBatch: 1, Registry: reg, SLO: slo})
 	s.Start()

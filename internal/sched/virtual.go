@@ -4,9 +4,11 @@ import (
 	"container/heap"
 	"math"
 	"time"
+
+	"cagmres/internal/clock"
 )
 
-// Virtual is a deterministic Clock and the event loop that runs a
+// Virtual is a deterministic clock.Clock and the event loop that runs a
 // Scheduler on it without Start and without worker goroutines. Run
 // leases queued batches through the same popBatch and execute the
 // workers use whenever a pooled context is free, and a solve attempt
@@ -43,7 +45,7 @@ func NewVirtual() *Virtual {
 func (v *Virtual) Now() time.Time { return v.now }
 
 // AfterFunc schedules f on the loop d after the current instant.
-func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+func (v *Virtual) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return v.at(v.now.Add(d), f)
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cagmres/internal/clock"
 	"cagmres/internal/matgen"
 	"cagmres/internal/obs"
 )
@@ -228,7 +229,7 @@ func TestBatchMatesStampTheirOwnAttempt(t *testing.T) {
 }
 
 // manualClock is a Clock whose time moves only when a test fires its
-// next timer; attempts cost nothing on it.
+// next timer or advances it; attempts cost nothing on it.
 type manualClock struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -254,7 +255,7 @@ func (c *manualClock) Now() time.Time {
 	return c.now
 }
 
-func (c *manualClock) AfterFunc(d time.Duration, f func()) Timer {
+func (c *manualClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := &manualTimer{c: c, at: c.now.Add(d), f: f}
@@ -264,6 +265,13 @@ func (c *manualClock) AfterFunc(d time.Duration, f func()) Timer {
 }
 
 func (c *manualClock) Attempt(time.Time, float64) {}
+
+// advance moves the clock forward by d without firing a timer.
+func (c *manualClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
 
 func (t *manualTimer) Stop() bool {
 	t.c.mu.Lock()

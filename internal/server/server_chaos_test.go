@@ -201,3 +201,22 @@ func TestHealthzReportsDegradedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSingularLeastSquaresDoesNotCrashNode: GMRES on A = diag(1,1,0)
+// meets an exactly singular triangular factor in its small least-squares
+// solve. The node answers 200 with converged false and then answers the
+// next solve. (The back substitution panicked, and the panic took the
+// whole process down.)
+func TestSingularLeastSquaresDoesNotCrashNode(t *testing.T) {
+	h := newHarness(t, 16)
+	diag110 := MatrixSpec{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 2 1\n"}
+	code, job, _ := h.post(t, SolveRequest{Matrix: diag110, Solver: "gmres", M: 2, Ordering: "natural", Wait: true})
+	if code != http.StatusOK || job.State != "done" || job.Converged {
+		t.Errorf("GMRES on diag(1,1,0): HTTP %d state %q converged %t, want 200 done unconverged (%s)",
+			code, job.State, job.Converged, job.Error)
+	}
+	t.Logf("GMRES on diag(1,1,0): relres %g after %d restarts", job.RelRes, job.Restarts)
+	if code, job, _ := h.post(t, solveReq(testN(t), 1, true)); code != http.StatusOK || !job.Converged {
+		t.Fatalf("solve after the singular body: HTTP %d %+v", code, job)
+	}
+}

@@ -16,7 +16,8 @@
 # start none of their own. Fails when a non-test Go file under
 # internal/la, internal/ortho, internal/dist or internal/core has a `go`
 # statement, a sync.WaitGroup or a runtime.GOMAXPROCS.
-# HTTP routes have one declaration too (see the last check below).
+# HTTP routes have one declaration too, and time has one source (see the
+# last two checks below).
 # benchmark/ is the fixed yardstick and is not scanned. An optional
 # argument names another checkout to lint.
 set -eu
@@ -50,6 +51,17 @@ files=$(find ./internal/server ./internal/cluster -name '*.go' ! -name '*_test.g
 bad=$(code '\.Method[[:space:]]*[!=]=|URL\.Path')
 if [ -n "$bad" ]; then
 	echo "protocol-lint: a method or path is checked outside the route tables (declare it in the obs.Mount table):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+# Time has one source: the serving stack reads the clock.Clock it is
+# given, and clock.Wall is the one reader of wall time. Fails when a
+# non-test file under internal/, outside internal/clock, reads the wall
+# clock or waits on it through package time.
+files=$(find ./internal -name '*.go' ! -name '*_test.go' ! -path './internal/clock/*')
+bad=$(code 'time\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)([^[:alnum:]_]|$)')
+if [ -n "$bad" ]; then
+	echo "protocol-lint: wall time read outside internal/clock (take a clock.Clock):" >&2
 	echo "$bad" >&2
 	exit 1
 fi
