@@ -45,9 +45,7 @@ func main() {
 	flag.IntVar(&opts.MaxRestarts, "max-restarts", 500, "restart cap")
 	rhs := flag.String("rhs", "ones", "right-hand side: ones or random")
 	balance := flag.Bool("balance", true, "balance the matrix before solving")
-	fallback := flag.Bool("fallback", true, "on an ill-conditioned basis window, retry with 2x reorthogonalization and then 2xCAQR")
 	jacobi := flag.Bool("jacobi", false, "right-precondition with the inverse diagonal (composes with MPK)")
-	flag.BoolVar(&opts.AdaptiveS, "adaptive-s", false, "shrink the CA step size when a basis window goes rank deficient")
 	flag.StringVar(&opts.Precision, "precision", "", "CA-GMRES precision mode: fp64 (default), mixed (fp32 basis + FP64 refinement), or adaptive (tighten-only schedule)")
 	trace := flag.Int("trace", 0, "print the last N ledger events (communication rounds and kernels)")
 	traceout := flag.String("traceout", "", "write the solve's ledger events as a Chrome trace_event JSON to this file")
@@ -116,16 +114,13 @@ func main() {
 	if *jacobi {
 		p.ApplyJacobi()
 	}
-	// Observability: one registry for the whole run; telemetry buffers in
-	// memory so a fallback retry starts the stream (and its monotone
-	// modeled clock) over instead of appending a second solve's records.
+	// Observability: one registry for the whole run.
 	var reg *obs.Registry
 	if *telemetry != "" || *metrics != "" || *serve != "" {
 		reg = obs.NewRegistry()
 	}
 	// Request tracing: the CLI mints (or adopts, via -traceparent) one root
-	// span for the whole solve; every fallback retry hangs its phase spans
-	// under the same root as a new attempt.
+	// span for the whole solve and hangs the solver's phase spans under it.
 	var tracer *obs.Tracer
 	var jt *obs.JobTrace
 	if *spansout != "" || *traceparent != "" {
@@ -136,27 +131,18 @@ func main() {
 		root.SetAttr("matrix", name)
 		jt = obs.NewJobTrace(tracer, root)
 	}
-	attempt := 0
 	var telBuf bytes.Buffer
-	attachTelemetry := func() {
-		if reg == nil && jt == nil {
-			return
-		}
-		telBuf.Reset()
-		var next obs.Sink
-		if *telemetry != "" {
-			next = obs.NewJSONLSink(&telBuf)
-		}
-		if reg != nil {
-			next = reg.ConvergenceSink(next)
-		}
-		if jt != nil {
-			attempt++
-			next = jt.SolverSink(tracer, jt.Root(), "cli", attempt, next)
-		}
-		opts.Telemetry = next
+	var sink obs.Sink
+	if *telemetry != "" {
+		sink = obs.NewJSONLSink(&telBuf)
 	}
-	attachTelemetry()
+	if reg != nil {
+		sink = reg.ConvergenceSink(sink)
+	}
+	if jt != nil {
+		sink = jt.SolverSink(tracer, jt.Root(), "cli", 1, sink)
+	}
+	opts.Telemetry = sink
 
 	start := time.Now()
 	var res *core.Result
@@ -164,35 +150,6 @@ func main() {
 		res, err = core.GMRES(p, opts)
 	} else {
 		res, err = core.CAGMRES(p, opts)
-		if err != nil && *fallback {
-			// Stability ladder mirroring the paper's "2x" rows: the
-			// requested strategy reorthogonalized, then the
-			// unconditionally stable CAQR. The options passed Check, so
-			// the error is numerical.
-			for _, next := range []string{"2x" + opts.Ortho, "2xCAQR"} {
-				if len(opts.Ortho) > 2 && opts.Ortho[:2] == "2x" && next == "2x"+opts.Ortho {
-					continue
-				}
-				fmt.Printf("note: %s failed (%v); retrying with %s\n", opts.Ortho, err, next)
-				opts.Ortho = next
-				ctx = gpu.NewContext(*devices, prof)
-				if traceCap > 0 {
-					ctx.Stats().EnableTrace(traceCap)
-				}
-				p, err = core.NewProblem(ctx, a, b, ord, *balance)
-				if err != nil {
-					break
-				}
-				if *jacobi {
-					p.ApplyJacobi()
-				}
-				attachTelemetry()
-				res, err = core.CAGMRES(p, opts)
-				if err == nil {
-					break
-				}
-			}
-		}
 	}
 	wall := time.Since(start)
 	if err != nil {
@@ -200,6 +157,9 @@ func main() {
 	}
 
 	fmt.Printf("\nconverged: %v  restarts: %d  iterations: %d\n", res.Converged, res.Restarts, res.Iters)
+	if res.StepHalvings > 0 {
+		fmt.Printf("step halvings: %d (a first window too deep for the basis was retried at half the step)\n", res.StepHalvings)
+	}
 	if rep := res.Precision; rep != nil {
 		fmt.Printf("precision: %s (windows fp64/fp32: %d/%d, compressed halos: %d, refinements: %d, final level: %s)\n",
 			rep.Mode, rep.WindowsFP64, rep.WindowsFP32, rep.CompressedTransfers, rep.Refinements, rep.FinalLevel)

@@ -49,11 +49,12 @@ func ablationLatency(cfg Config) []ablationLatencyRow {
 			panic(err)
 		}
 
-		res, _, err := runCAWithFallback(Config{Scale: cfg.Scale, MaxDevices: cfg.MaxDevices,
-			Profile: prof, MaxRestarts: cfg.MaxRestarts},
-			mat.A, b, core.KWay,
-			core.Options{M: 30, S: 10, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision},
-			cfg.MaxDevices)
+		ctxC := cfg.newContext(cfg.MaxDevices, prof)
+		pc, err := core.NewProblem(ctxC, mat.A, b, core.KWay, true)
+		if err != nil {
+			panic(err)
+		}
+		res, err := core.CAGMRES(pc, core.Options{M: 30, S: 10, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision})
 		if err != nil {
 			panic(err)
 		}
@@ -82,8 +83,8 @@ type ablationBasisRow struct {
 }
 
 // ablationBasis compares monomial vs Newton bases across step sizes on
-// the cant analogue with plain CholQR (no reorthogonalization, no
-// fallback): the monomial basis is expected to stop factorizing once s
+// the cant analogue with plain CholQR (no reorthogonalization): the
+// monomial basis is expected to stop factorizing once s
 // is large while the Newton basis keeps going — the design reason the
 // solver harvests Ritz shifts at all.
 func ablationBasis(cfg Config) []ablationBasisRow {
@@ -91,7 +92,7 @@ func ablationBasis(cfg Config) []ablationBasisRow {
 	mat := benchCant(cfg.Scale)
 	b := onesRHS(mat.A.Rows)
 	var out []ablationBasisRow
-	cfg.printf("Ablation: basis choice vs step size (cant, CholQR, no fallback)\n")
+	cfg.printf("Ablation: basis choice vs step size (cant, plain CholQR)\n")
 	cfg.printf("%-9s %4s %10s %8s %8s\n", "basis", "s", "converged", "failed", "rest")
 	for _, basis := range []string{"monomial", "newton"} {
 		for _, s := range []int{2, 5, 10, 15} {
@@ -105,7 +106,8 @@ func ablationBasis(cfg Config) []ablationBasisRow {
 				Ortho: "CholQR", Basis: basis, Precision: cfg.Precision,
 			})
 			row := ablationBasisRow{Basis: basis, S: s}
-			if err != nil {
+			// A halved step is the basis failing at s.
+			if err != nil || res.StepHalvings > 0 {
 				row.Failed = true
 			} else {
 				row.Converged = res.Converged
@@ -207,49 +209,6 @@ func ablationFusedCGS(cfg Config) []ablationFusedRow {
 		}
 		out = append(out, row)
 		cfg.printf("%-12s %8d %12.4f %14.3e\n", row.Strategy, row.Rounds, ms(row.CommTime), row.Orthogonality)
-	}
-	return out
-}
-
-// ablationAdaptiveRow reports one adaptive-s configuration.
-type ablationAdaptiveRow struct {
-	Adaptive  bool
-	Converged bool
-	Failed    bool
-	Restarts  int
-	Iters     int
-}
-
-// ablationAdaptive shows the future-work adaptive step size rescuing the
-// fragile configuration (small cant, CholQR, s=15) that plain CA-GMRES
-// cannot complete.
-func ablationAdaptive(cfg Config) []ablationAdaptiveRow {
-	cfg.defaults()
-	mat := matgen.Cant(0.05) // deliberately small: the fragile regime
-	b := onesRHS(mat.A.Rows)
-	var out []ablationAdaptiveRow
-	cfg.printf("Ablation: adaptive step size (small cant, CholQR, s=15)\n")
-	cfg.printf("%-9s %10s %8s %6s %6s\n", "adaptive", "converged", "failed", "rest", "iters")
-	for _, adaptive := range []bool{false, true} {
-		ctx := cfg.newContext(2, cfg.Profile)
-		p, err := core.NewProblem(ctx, mat.A, b, core.Natural, true)
-		if err != nil {
-			panic(err)
-		}
-		res, err := core.CAGMRES(p, core.Options{
-			M: 60, S: 15, Tol: 1e-4, MaxRestarts: 60,
-			Ortho: "CholQR", AdaptiveS: adaptive, Precision: cfg.Precision,
-		})
-		row := ablationAdaptiveRow{Adaptive: adaptive}
-		if err != nil {
-			row.Failed = true
-		} else {
-			row.Converged = res.Converged
-			row.Restarts = res.Restarts
-			row.Iters = res.Iters
-		}
-		out = append(out, row)
-		cfg.printf("%-9v %10v %8v %6d %6d\n", adaptive, row.Converged, row.Failed, row.Restarts, row.Iters)
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"cagmres/internal/core"
 	"cagmres/internal/matgen"
-	"cagmres/internal/sparse"
 )
 
 // fig14Row is one configuration row of the paper's main results table.
@@ -50,9 +49,8 @@ func fig14Cases(scale float64) []fig14Case {
 // fig14 reproduces the CA-GMRES vs GMRES performance table (Figure 14):
 // for each matrix, GMRES with MGS and CGS on 1..MaxDevices simulated
 // GPUs, the degenerate CA-GMRES(1, m), and CA-GMRES(s=15, m) with CGS
-// and CholQR TSQR (with the 2x reorthogonalization fallback where the
-// plain strategy fails), reporting per-restart modeled times and the
-// speedup over same-device GMRES/CGS.
+// and CholQR TSQR, reporting per-restart modeled times and the speedup
+// over same-device GMRES/CGS.
 func fig14(cfg Config) []fig14Row {
 	cfg.defaults()
 	var out []fig14Row
@@ -102,9 +100,12 @@ func fig14GMRES(cfg Config, cse fig14Case, b []float64, orth string, ng int, bas
 }
 
 func fig14CA(cfg Config, cse fig14Case, b []float64, s int, orth string, ng int, base map[int]float64) fig14Row {
-	res, usedOrtho, err := runCAWithFallback(cfg, cse.Matrix.A, b, cse.Ordering,
-		core.Options{M: cse.M, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: orth, Precision: cfg.Precision}, ng)
-	row := fig14Row{Matrix: cse.Matrix.Name, Solver: "CA-GMRES", S: s, Ortho: usedOrtho, Devices: ng}
+	p, err := core.NewProblem(cfg.newContext(ng, cfg.Profile), cse.Matrix.A, b, cse.Ordering, true)
+	if err != nil {
+		panic(err)
+	}
+	res, err := core.CAGMRES(p, core.Options{M: cse.M, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: orth, Precision: cfg.Precision})
+	row := fig14Row{Matrix: cse.Matrix.Name, Solver: "CA-GMRES", S: s, Ortho: orth, Devices: ng}
 	if err != nil {
 		row.Err = err.Error()
 		printFig14Row(cfg, row)
@@ -117,33 +118,6 @@ func fig14CA(cfg Config, cse fig14Case, b []float64, s int, orth string, ng int,
 	}
 	printFig14Row(cfg, row)
 	return row
-}
-
-// runCAWithFallback runs CA-GMRES with a stability ladder mirroring how
-// the paper's rows are produced: the requested TSQR strategy first, its
-// "2x" reorthogonalized form if the plain form breaks on an
-// ill-conditioned basis window, and finally the unconditionally stable
-// 2xCAQR. Returns the result and the strategy that actually ran.
-func runCAWithFallback(cfg Config, a *sparse.CSR, b []float64, ord core.Ordering, opts core.Options, ng int) (*core.Result, string, error) {
-	ladder := []string{opts.Ortho, "2x" + opts.Ortho, "2xCAQR"}
-	if len(opts.Ortho) > 2 && opts.Ortho[:2] == "2x" {
-		ladder = []string{opts.Ortho, "2xCAQR"}
-	}
-	var res *core.Result
-	var err error
-	for _, name := range ladder {
-		opts.Ortho = name
-		ctx := cfg.newContext(ng, cfg.Profile)
-		p, perr := core.NewProblem(ctx, a, b, ord, true)
-		if perr != nil {
-			return nil, name, perr
-		}
-		res, err = core.CAGMRES(p, opts)
-		if err == nil {
-			return res, name, nil
-		}
-	}
-	return res, ladder[len(ladder)-1], err
 }
 
 func fillTimes(row *fig14Row, res *core.Result) {
@@ -232,8 +206,11 @@ func fig15(cfg Config) []fig15Row {
 			cfg.printf("%-16s %-9s %3d %12.4f %8s\n", row.Matrix, row.Solver, ng, row.Normalized, "-")
 		}
 		for ng := 1; ng <= cfg.MaxDevices; ng++ {
-			res, _, err := runCAWithFallback(cfg, cse.m.A, b, cse.ordering,
-				core.Options{M: cse.restart, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision}, ng)
+			p, err := core.NewProblem(cfg.newContext(ng, cfg.Profile), cse.m.A, b, cse.ordering, true)
+			if err != nil {
+				panic(err)
+			}
+			res, err := core.CAGMRES(p, core.Options{M: cse.restart, S: s, Tol: 1e-4, MaxRestarts: cfg.MaxRestarts, Ortho: "CholQR", Precision: cfg.Precision})
 			row := fig15Row{Matrix: cse.m.Name, Solver: "CA-GMRES", Devices: ng}
 			if err != nil {
 				row.Err = err.Error()

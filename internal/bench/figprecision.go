@@ -163,7 +163,7 @@ func precisionPoint(cfg Config, a *sparse.CSR, b []float64, prof gpu.Profile,
 	}
 	res, err := core.CAGMRES(p, core.Options{
 		M: m, S: s, Tol: tol, MaxRestarts: maxR,
-		Ortho: "CholQR", AdaptiveS: true, Precision: prec,
+		Ortho: "CholQR", Precision: prec,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: precision arm %s/%s/%s: %v", part, matrix, prec, err))

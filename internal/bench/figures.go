@@ -45,7 +45,6 @@ var Figures = []Figure{
 			{"ablation_basis", ablationBasis(c)},
 			{"ablation_precision", ablationPrecision(c)},
 			{"ablation_fusedcgs", ablationFusedCGS(c)},
-			{"ablation_adaptive", ablationAdaptive(c)},
 		}
 	}},
 }

@@ -741,6 +741,56 @@ func TestBadOptionDoesNotTripHealthyNodes(t *testing.T) {
 	}
 }
 
+// TestPoisonBodiesDoNotTripBreakers: CA-GMRES(2, 2) on diag(1,1,0)
+// fails the same way on every node — CholQR with a 422 breakdown, the
+// default strategy by running to MaxRestarts. Ten such bodies through
+// a 3-node router leave every breaker closed and the federation
+// serving: a 422 and a done job are the client's answer, not a node
+// fault.
+func TestPoisonBodiesDoNotTripBreakers(t *testing.T) {
+	_, nodes := newTestCluster(t, 3)
+	backends := make([]*Backend, len(nodes))
+	for i, n := range nodes {
+		backends[i] = n.Backend()
+	}
+	r := New(Config{
+		Backends:         backends,
+		MaxHops:          3,
+		RetryBudgetRatio: 0.1,
+		RetryBudgetBurst: 10,
+		Breaker:          BreakerConfig{Threshold: 5, Cooldown: 5},
+		Clock:            newFakeClock(),
+	})
+	diag110 := server.MatrixSpec{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 2 1\n"}
+	body := func(req server.SolveRequest) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < 10; i++ {
+		ortho, want := "", http.StatusOK
+		if i%2 == 0 {
+			ortho, want = "CholQR", http.StatusUnprocessableEntity
+		}
+		code, job, _ := post(t, r, body(server.SolveRequest{Matrix: diag110, Solver: "ca", M: 2, S: 2,
+			Ortho: ortho, Ordering: "natural", Wait: true}))
+		if code != want {
+			t.Errorf("poison body %d (ortho %q): HTTP %d %s, want %d", i, ortho, code, job.Error, want)
+		}
+	}
+	if code, job, _ := post(t, r, body(server.SolveRequest{Matrix: tinySpec(), M: 20, S: 4, Tol: 1e-6, Ortho: "CholQR", Wait: true})); code != http.StatusOK || job.State != "done" {
+		t.Fatalf("healthy solve after the poison bodies: HTTP %d %+v", code, job)
+	}
+	res := r.ResilienceSnapshot()
+	for _, n := range nodes {
+		if st := res.Breakers[n.Name]; st != BreakerClosed {
+			t.Errorf("breaker of %s is %q after the poison bodies, want closed", n.Name, st)
+		}
+	}
+}
+
 // fakeClock is the cluster tests' one Clock. Its time moves when a test
 // advances it and, with a step, on every read; a timer fires only when
 // the test calls fire. Goroutine-safe: reaped hedge losers and a node's

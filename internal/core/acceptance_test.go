@@ -43,7 +43,7 @@ func TestAcceptancePaperWorkloads(t *testing.T) {
 			}
 			res, err := CAGMRES(p, Options{
 				M: tc.m, S: tc.s, Tol: 1e-4, MaxRestarts: 400,
-				Ortho: tc.ortho, AdaptiveS: true,
+				Ortho: tc.ortho,
 			})
 			if err != nil {
 				t.Fatalf("solve: %v", err)

@@ -9,9 +9,10 @@ import (
 
 // BreakdownError reports a numerical breakdown: a NaN or ±Inf residual
 // norm or basis quantity detected at a restart or matrix-powers window
-// boundary. Once a non-finite value enters the recurrence every later
-// iterate is garbage, so the solvers stop at the first boundary that
-// sees one instead of spinning through MaxRestarts on NaNs. The error
+// boundary, or a CA-GMRES restart that cannot take a single step. Once
+// a non-finite value enters the recurrence every later iterate is
+// garbage, so the solvers stop at the first boundary that sees one
+// instead of spinning through MaxRestarts on NaNs. The error
 // is terminal for the job — unlike a device fault, retrying the same
 // system on a healthy context reproduces it bit-identically — which is
 // why the scheduler must not requeue it and the server maps it to a
@@ -22,12 +23,16 @@ type BreakdownError struct {
 	Iter int
 	// Stage names the boundary that caught it: "residual" (restart
 	// boundary), "window" (CA-GMRES Hessenberg estimate after a
-	// matrix-powers window), or "basis" (the window's generated basis
-	// vectors themselves overflowed).
+	// matrix-powers window), "basis" (the window's generated basis
+	// vectors themselves overflowed), or "invariant" (a restart's first
+	// CA-GMRES window stayed rank deficient at s = 1 and full width).
 	Stage string
 }
 
 func (e *BreakdownError) Error() string {
+	if e.Stage == "invariant" {
+		return fmt.Sprintf("core: numerical breakdown (rank-deficient window at s = 1) after %d iterations", e.Iter)
+	}
 	return fmt.Sprintf("core: numerical breakdown (non-finite %s) after %d iterations", e.Stage, e.Iter)
 }
 

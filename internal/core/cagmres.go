@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"cagmres/internal/la"
@@ -34,11 +33,13 @@ func CAGMRES(p *Problem, opts Options) (*Result, error) {
 type caBoundary struct {
 	shiftBlocks [][]complex128 // per-window Newton shifts; nil => monomial
 	needShifts  bool           // the next cycle is the shift-harvesting seed cycle
-	// Adaptive step size (future-work extension): sEff is the step the
-	// window cycles currently use; it shrinks when windows fail and
-	// recovers geometrically on clean restarts.
+	// Adaptive step size (the paper's future work, its ref. [23]): sEff
+	// is the step the window cycles currently use; it halves when a first
+	// window fails and doubles back after two clean restarts. halvings
+	// counts the halvings (Result.StepHalvings).
 	sEff          int
 	cleanRestarts int
+	halvings      int
 }
 
 // caSolver is CA-GMRES as the engine sees it: the seed and window cycles
@@ -89,6 +90,7 @@ func (c *caSolver) observe(relres float64, retried bool) string {
 
 func (c *caSolver) finish(res *Result) string {
 	res.Precision = c.pol.finish()
+	res.StepHalvings = c.halvings
 	return c.pol.tag()
 }
 
@@ -124,7 +126,7 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 	// storage/transfer widths plus narrow Gram/projection kernels where
 	// the chosen strategies support them.
 	tsqr, borth := pol.apply(e.mpk, &c.st)
-	if opts.AdaptiveS && c.sEff < s {
+	if c.sEff < s {
 		// Recover the step size after two clean restarts.
 		c.cleanRestarts++
 		if c.cleanRestarts >= 2 {
@@ -159,13 +161,6 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 		win, err := e.window(c.h, done, steps, shifts, tsqr, borth)
 		if err != nil {
 			switch {
-			case opts.AdaptiveS && c.sEff > 1:
-				// Adaptive step size: the window was too deep for this
-				// basis. Halve s and redo the whole restart cycle (the basis
-				// vectors after `done` are garbage, and the shift schedule
-				// changes).
-				c.sEff = (c.sEff + 1) / 2
-				failed = true
 			case done > 0:
 				// The window is numerically rank deficient — the usual cause
 				// is a nearly invariant Krylov subspace (the solve has
@@ -177,14 +172,23 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 				// a symptom): a numerical breakdown, not a rank-deficiency
 				// corner case.
 				return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "basis"}
+			case c.sEff > 1:
+				// The window was too deep for this basis. Halve s and redo
+				// the whole restart cycle (the shift schedule changes).
+				c.sEff = (c.sEff + 1) / 2
+				c.halvings++
+				failed = true
 			case pol.tightenOnFailure():
 				// The narrowed width — not the window depth — destroyed the
 				// Gram conditioning: retry the restart one level closer to
 				// full double.
 				failed = true
 			default:
-				return stop, fmt.Errorf("core: CA-GMRES restart %d window at %d (%s): %w",
-					restart, done, c.tsqr.Name(), err)
+				// One full-width step from the restart's residual is rank
+				// deficient: A maps the residual into the span of what
+				// the cycle already holds, and no step size or width
+				// gets past that.
+				return stop, &BreakdownError{Iter: e.res.Iters, Stage: "invariant"}
 			}
 			break
 		}
@@ -218,12 +222,10 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 		return stop, nil
 	}
 	if failed {
+		// A first window failed: x is unchanged, retry the restart with
+		// the smaller step (or tighter width).
 		c.cleanRestarts = 0
-		if done == 0 {
-			// Nothing salvageable this cycle: x is unchanged, retry the
-			// restart with the smaller step (or tighter width).
-			return retry, nil
-		}
+		return retry, nil
 	}
 	e.commit(restart, done, relres, lsqFlops(done))
 	if canceled {

@@ -40,7 +40,10 @@ type Result struct {
 	// Precision, when non-nil, reports what the mixed/adaptive precision
 	// policy did: window counts per width, compressed transfers, and
 	// FP64 refinement steps. Nil for fp64 solves.
-	Precision *PrecisionReport
+	Precision *PrecisionReport // StepHalvings counts the CA-GMRES restarts whose first window was
+	// rank deficient and were retried at half the step size (see
+	// Options.S); zero for GMRES.
+	StepHalvings int
 }
 
 // Phase names used by the solvers on the ledger.

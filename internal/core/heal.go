@@ -41,7 +41,7 @@ type FaultReport struct {
 // checkpoint is the resume state captured at each restart boundary while
 // a fault plan is armed: the current iterate (prepared coordinates) plus
 // the restart-loop counters, and for CA-GMRES the shift schedule and
-// adaptive-step state. Capturing uses the uncharged GatherCol helper, so
+// step-halving state. Capturing uses the uncharged GatherCol helper, so
 // checkpoint maintenance never perturbs the modeled ledger.
 type checkpoint struct {
 	captured bool

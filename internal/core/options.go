@@ -14,7 +14,12 @@ import (
 type Options struct {
 	// M is the restart length (the paper sweeps 30..180).
 	M int
-	// S is the CA-GMRES step/block size (ignored by GMRES).
+	// S is the CA-GMRES step/block size (ignored by GMRES). It is an
+	// upper bound: when a restart's first window is numerically rank
+	// deficient — the basis grew too ill-conditioned for this depth —
+	// CA-GMRES halves the step and retries the restart, down to s = 1,
+	// and doubles it back after two clean restarts (the adaptive step
+	// size the paper lists as future work, its ref. [23]).
 	S int
 	// Tol is the relative residual reduction target; the paper declares
 	// convergence at 1e-4.
@@ -37,13 +42,6 @@ type Options struct {
 	// implementation (the benchmark harness uses it to wrap strategies
 	// with error instrumentation for Figure 13).
 	OrthoImpl ortho.TSQR
-	// AdaptiveS enables the adaptive step-size scheme the paper lists as
-	// future work (its reference [23]): when a basis window turns out
-	// numerically rank deficient — the monomial/Newton basis grew too
-	// ill-conditioned for the chosen s — CA-GMRES halves the step size
-	// and retries instead of discarding the window or failing, restoring
-	// s on later restarts when windows factor at first attempt again.
-	AdaptiveS bool
 	// Telemetry, when non-nil, receives a convergence-telemetry record
 	// stream: per inner step (GMRES) or matrix-powers window (CA-GMRES),
 	// per restart cycle, and a final "done" record whose RelRes matches

@@ -87,7 +87,7 @@ func TestPrecisionModesConvergeOnPaperMatrices(t *testing.T) {
 				}
 				res, err := CAGMRES(p, Options{
 					M: tc.m, S: tc.s, Tol: 1e-4, MaxRestarts: 400,
-					Ortho: "CholQR", AdaptiveS: true, Precision: prec,
+					Ortho: "CholQR", Precision: prec,
 				})
 				if err != nil {
 					t.Fatalf("solve: %v", err)
@@ -169,7 +169,7 @@ func TestAdaptiveConvergenceIsFP64True(t *testing.T) {
 				}
 				res, err := CAGMRES(p, Options{
 					M: 30, S: 10, Tol: tol, MaxRestarts: 300,
-					Ortho: "CholQR", AdaptiveS: true, Precision: PrecisionAdaptive,
+					Ortho: "CholQR", Precision: PrecisionAdaptive,
 				})
 				if err != nil {
 					// A fault that exhausts recovery is a legitimate failure,

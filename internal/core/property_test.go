@@ -75,7 +75,7 @@ func TestSolversMatchDenseOracle(t *testing.T) {
 		} else {
 			s := 1 + rng.Intn(m)
 			res, err = CAGMRES(p, Options{M: m, S: s, Tol: 1e-10, MaxRestarts: 3000,
-				Ortho: orthos[rng.Intn(len(orthos))], AdaptiveS: true})
+				Ortho: orthos[rng.Intn(len(orthos))]})
 		}
 		if err != nil {
 			t.Logf("seed %d: solver: %v", seed, err)

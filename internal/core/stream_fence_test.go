@@ -120,17 +120,23 @@ func TestSolverStreamFence(t *testing.T) {
 	streamArm(&sb, "ca newton s=1", CAGMRES, problem(2, b), Options{M: 12, S: 1, Tol: 1e-6, Ortho: "CGS"}, nil)
 	streamArm(&sb, "ca maxrestarts", CAGMRES, problem(2, b), Options{M: 10, S: 5, Tol: 1e-12, MaxRestarts: 3, Ortho: "CholQR"}, nil)
 
-	// With s = m the first window fails and the adaptive scheme halves s.
+	// With s = m the first window fails and the solver halves s.
 	streamArm(&sb, "ca adaptive s", CAGMRES, fragile(), Options{M: 30, S: 30, Tol: 1e-6, MaxRestarts: 400,
-		Ortho: "CholQR", Basis: "monomial", AdaptiveS: true}, nil)
-	// A shallower window survives without adaptivity...
+		Ortho: "CholQR", Basis: "monomial"}, nil)
+	// A shallower window survives at its full depth...
 	streamArm(&sb, "ca monomial deep", CAGMRES, fragile(), Options{M: 30, S: 10, Tol: 1e-6, MaxRestarts: 60,
 		Ortho: "CholQR", Basis: "monomial"}, nil)
 
-	// ...a deeper one, with neither adaptivity nor a basis to fall back
-	// on, is the solve's error.
-	streamArm(&sb, "ca window error", CAGMRES, fragile(), Options{M: 30, S: 15, Tol: 1e-6, MaxRestarts: 60,
+	// ...a deeper one is halved until it factors.
+	streamArm(&sb, "ca window halved", CAGMRES, fragile(), Options{M: 30, S: 15, Tol: 1e-6, MaxRestarts: 60,
 		Ortho: "CholQR", Basis: "monomial"}, nil)
+
+	// diag(1, 1, 0) with b = ones: after the first restart the residual
+	// e_3 spans A's null space, so even one CholQR step (Gram pivot 0)
+	// cannot factor and the solve stops with an invariant breakdown.
+	singular := sparse.FromCoords(3, 3, []sparse.Coord{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}})
+	streamArm(&sb, "ca invariant at s=1", CAGMRES, prepare(gpu.NewContext(1, gpu.M2090()), singular, onesB(3), Natural, false),
+		Options{M: 2, S: 2, Ortho: "CholQR"}, nil)
 
 	// Six distinct eigenvalues: the Krylov space is invariant after six
 	// vectors — happy breakdown in Arnoldi, a rank-deficient (discarded)
@@ -150,7 +156,7 @@ func TestSolverStreamFence(t *testing.T) {
 
 	for _, prec := range []string{PrecisionMixed, PrecisionAdaptive} {
 		streamArm(&sb, "ca "+prec+" bf16", CAGMRES, narrowed(), Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR",
-			AdaptiveS: true, Precision: prec}, nil)
+			Precision: prec}, nil)
 	}
 
 	// Device loss mid-solve: re-partition onto the survivors and resume
@@ -174,7 +180,7 @@ func TestSolverStreamFence(t *testing.T) {
 		streamArm(&sb, c.name, c.solve, pf, c.opts, nil)
 	}
 	// The healed attempt resumes at the width the policy had tightened to.
-	adaptive := Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR", AdaptiveS: true, Precision: PrecisionAdaptive}
+	adaptive := Options{M: 20, S: 5, Tol: 1e-8, Ortho: "CholQR", Precision: PrecisionAdaptive}
 	ref, err := CAGMRES(narrowed(), adaptive)
 	if err != nil {
 		t.Fatal(err)

@@ -46,9 +46,9 @@ func (s *Spec) batchKey() string {
 		return ""
 	}
 	o := s.Opts
-	return fmt.Sprintf("%s|%s|%s|%t|m%d|s%d|tol%g|mr%d|%s|%s|%s|%t|p%s",
+	return fmt.Sprintf("%s|%s|%s|%t|m%d|s%d|tol%g|mr%d|%s|%s|%s|p%s",
 		s.MatrixKey, s.Solver, s.Ordering, s.Balance,
-		o.M, o.S, o.Tol, o.MaxRestarts, o.Ortho, o.BOrth, o.Basis, o.AdaptiveS, o.Precision)
+		o.M, o.S, o.Tol, o.MaxRestarts, o.Ortho, o.BOrth, o.Basis, o.Precision)
 }
 
 // State is a job's lifecycle position.

@@ -220,3 +220,47 @@ func TestSingularLeastSquaresDoesNotCrashNode(t *testing.T) {
 		t.Fatalf("solve after the singular body: HTTP %d %+v", code, job)
 	}
 }
+
+// TestSingularCABodyIsTheClientsAnswer: CA-GMRES(2, 2) on diag(1,1,0)
+// is a deterministic property of the input, so the node answers it as
+// such. Plain CholQR cannot factor even one step from the residual e_3
+// (Gram pivot 0): 422 numerical_breakdown, which the router passes
+// through instead of retrying it on every shard. The default strategy
+// (CGS) gets past the rank-deficient window at a halved step and, like
+// GMRES on this body, answers 200 done without converging.
+func TestSingularCABodyIsTheClientsAnswer(t *testing.T) {
+	h := newHarness(t, 16)
+	diag110 := MatrixSpec{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 2 1\n"}
+	for _, c := range []struct {
+		ortho string
+		code  int
+		state string
+		err   string
+	}{
+		{"CholQR", http.StatusUnprocessableEntity, "failed", codeNumericalBreakdown},
+		{"", http.StatusOK, "done", ""},
+	} {
+		body, err := json.Marshal(SolveRequest{Matrix: diag110, Solver: "ca", M: 2, S: 2, Ortho: c.ortho, Ordering: "natural", Wait: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(h.ts.URL+"/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job JobJSON
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code || job.State != c.state || job.Code != c.err {
+			t.Errorf("ortho %q: HTTP %d state %q code %q (%s), want %d %q %q",
+				c.ortho, resp.StatusCode, job.State, job.Code, job.Error, c.code, c.state, c.err)
+		}
+		t.Logf("ortho %q: converged %t relres %g after %d restarts", c.ortho, job.Converged, job.RelRes, job.Restarts)
+	}
+	if code, job, _ := h.post(t, solveReq(testN(t), 1, true)); code != http.StatusOK || !job.Converged {
+		t.Fatalf("solve after the singular bodies: HTTP %d %+v", code, job)
+	}
+}
