@@ -132,11 +132,17 @@ race:
 	$(GO) test -race ./internal/bench/ -run 'TestFigServe'
 	$(GO) test -race ./internal/core/ -run 'TestOnContextSharesPlanNotRHS|DeviceLoss|LastDeviceDies|TransferExhaustion|TransferRetries|Canceled|RitzValuesReturnsFault|PoisonedWorkspace|ResultSurvivesNextSolve'
 
-# Regenerate the golden report-format files after an intentional change.
+# Regenerate every golden file after an intentional change: gpu's ledger
+# paths and Chrome trace, obs's job trace, dist's MPK window, core's
+# fences (solver stream, solver ledger, one-distribution ledger),
+# cluster's wire probes and the figure CSVs. flags.golden has its own
+# rewrite (`sh scripts/cli_check.sh -update`).
 golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
 	$(GO) test ./internal/obs/ -run JobTraceChromeGolden -update -count=1
 	$(GO) test ./internal/dist/ -run MPKWindowGolden -update -count=1
+	$(GO) test ./internal/core/ -run Fence -update -count=1
+	$(GO) test ./internal/cluster/ -run WireProbes -update -count=1
 	$(GO) test ./internal/bench/ -run FiguresGolden -update -count=1
 
 # End-to-end observability smoke test: solve a small generated problem

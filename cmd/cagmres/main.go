@@ -158,7 +158,7 @@ func main() {
 
 	fmt.Printf("\nconverged: %v  restarts: %d  iterations: %d\n", res.Converged, res.Restarts, res.Iters)
 	if res.StepHalvings > 0 {
-		fmt.Printf("step halvings: %d (a first window too deep for the basis was retried at half the step)\n", res.StepHalvings)
+		fmt.Printf("step halvings: %d (a cycle whose first window was too deep for the basis reran at half the step)\n", res.StepHalvings)
 	}
 	if rep := res.Precision; rep != nil {
 		fmt.Printf("precision: %s (windows fp64/fp32: %d/%d, compressed halos: %d, refinements: %d, final level: %s)\n",

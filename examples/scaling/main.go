@@ -45,8 +45,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// S is an upper bound: a restart whose first window CholQR cannot
-		// factor is retried at half the step (Result.StepHalvings).
+		// S is an upper bound: a cycle whose first window CholQR cannot
+		// factor reruns at half the step, and keeps it (Result.StepHalvings).
 		rc, err := cagmres.CAGMRES(pc, cagmres.Options{
 			M: m, S: 15, Tol: 1e-4, MaxRestarts: 8, Ortho: "CholQR",
 		})

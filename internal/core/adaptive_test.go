@@ -46,6 +46,9 @@ func TestAdaptiveSRescuesCholQR(t *testing.T) {
 	if res.Restarts != 2 || res.Iters != 64 {
 		t.Fatalf("restarts %d iters %d, want 2 and 64", res.Restarts, res.Iters)
 	}
+	if len(res.History) != res.Restarts {
+		t.Fatalf("%d History entries for %d restarts", len(res.History), res.Restarts)
+	}
 }
 
 // TestStepHalvingIdleOnEasyProblem: on a well-behaved system no window
@@ -63,19 +66,28 @@ func TestStepHalvingIdleOnEasyProblem(t *testing.T) {
 
 // TestStepHalvingMonomialSEqualsM: a monomial basis with s = m is the
 // most fragile configuration in the paper's stability discussion; the
-// solve still converges by shrinking the windows.
+// solve still converges by shrinking the windows. At s = 30 the first
+// cycle's first window fails twice (30 → 15 → 8), at s = 15 once; the
+// cycle reruns from the same boundary and every later cycle keeps s = 8,
+// so a failed depth is never probed again. The reruns are part of their
+// cycle: they record no boundary and use up no restart, so three
+// permitted cycles suffice.
 func TestStepHalvingMonomialSEqualsM(t *testing.T) {
-	a := laplace2D(22, 22, 0.4)
-	b := randomRHS(484, 31)
-	p, _ := NewProblem(gpu.NewContext(2, gpu.M2090()), a, b, Natural, true)
-	res, err := CAGMRES(p, Options{M: 30, S: 30, Tol: 1e-6, MaxRestarts: 400, Ortho: "CholQR", Basis: "monomial"})
-	if err != nil {
-		t.Fatalf("monomial solve failed: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("no convergence: relres %v", res.RelRes)
-	}
-	if res.StepHalvings == 0 {
-		t.Fatal("no step halving at s = m")
+	for _, c := range []struct{ s, maxRestarts, halvings int }{{30, 400, 2}, {15, 60, 1}, {15, 3, 1}} {
+		p, _ := NewProblem(gpu.NewContext(2, gpu.M2090()), laplace2D(22, 22, 0.4), randomRHS(484, 31), Natural, true)
+		res, err := CAGMRES(p, Options{M: 30, S: c.s, Tol: 1e-6, MaxRestarts: c.maxRestarts, Ortho: "CholQR", Basis: "monomial"})
+		if err != nil {
+			t.Fatalf("s %d MaxRestarts %d: monomial solve failed: %v", c.s, c.maxRestarts, err)
+		}
+		if res.StepHalvings != c.halvings {
+			t.Fatalf("s %d MaxRestarts %d: %d step halvings, want %d", c.s, c.maxRestarts, res.StepHalvings, c.halvings)
+		}
+		if !res.Converged || res.Restarts != 3 || res.Iters != 76 {
+			t.Fatalf("s %d MaxRestarts %d: converged %v after %d restarts and %d iterations, want true, 3 and 76",
+				c.s, c.maxRestarts, res.Converged, res.Restarts, res.Iters)
+		}
+		if len(res.History) != res.Restarts {
+			t.Fatalf("s %d MaxRestarts %d: %d History entries for %d restarts", c.s, c.maxRestarts, len(res.History), res.Restarts)
+		}
 	}
 }

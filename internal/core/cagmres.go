@@ -34,12 +34,11 @@ type caBoundary struct {
 	shiftBlocks [][]complex128 // per-window Newton shifts; nil => monomial
 	needShifts  bool           // the next cycle is the shift-harvesting seed cycle
 	// Adaptive step size (the paper's future work, its ref. [23]): sEff
-	// is the step the window cycles currently use; it halves when a first
-	// window fails and doubles back after two clean restarts. halvings
-	// counts the halvings (Result.StepHalvings).
-	sEff          int
-	cleanRestarts int
-	halvings      int
+	// is the step the window cycles use; it halves, and never grows back,
+	// when a cycle's first window fails. halvings counts the halvings
+	// (Result.StepHalvings).
+	sEff     int
+	halvings int
 }
 
 // caSolver is CA-GMRES as the engine sees it: the seed and window cycles
@@ -75,16 +74,11 @@ func (c *caSolver) save(ck *checkpoint) {
 
 // observe: this boundary's FP64 SpMV + norm and the FP64 iterate update
 // that preceded it are the refinement step of the narrowed pipeline; the
-// policy tightens (never loosens) on its evidence. A retried restart
-// revisits the same boundary with the same residual — no new evidence, so
-// the policy does not observe it again (the stall guard would misread the
-// retry as a stalled narrowed cycle).
-func (c *caSolver) observe(relres float64, retried bool) string {
+// policy tightens (never loosens) on its evidence.
+func (c *caSolver) observe(relres float64) string {
 	tag := c.pol.tag()
-	if !retried {
-		c.pol.observeRefinement()
-		c.pol.observeRestart(relres, c.e.opts.Tol)
-	}
+	c.pol.observeRefinement()
+	c.pol.observeRestart(relres, c.e.opts.Tol)
 	return tag
 }
 
@@ -94,7 +88,7 @@ func (c *caSolver) finish(res *Result) string {
 	return c.pol.tag()
 }
 
-func (c *caSolver) cycle(e *engine, restart int, beta, relres float64) (outcome, error) {
+func (c *caSolver) cycle(e *engine, restart int, beta, relres float64) error {
 	c.h.Zero()
 	if c.needShifts {
 		return c.seed(e, restart, beta, relres)
@@ -105,48 +99,48 @@ func (c *caSolver) cycle(e *engine, restart int, beta, relres float64) (outcome,
 // seed is the first cycle of the Newton basis: standard GMRES iterations
 // (no shifts exist yet), whose Hessenberg matrix supplies the Ritz values
 // that become the Leja-ordered shifts of every later cycle.
-func (c *caSolver) seed(e *engine, restart int, beta, relres float64) (outcome, error) {
+func (c *caSolver) seed(e *engine, restart int, beta, relres float64) error {
 	m := e.m
 	k := e.arnoldi(arnoldiCGS, beta, keepHessenberg(c.h, e.bNorm*e.opts.Tol))
 	e.commit(restart, k, relres, lsqFlops(m))
 	hk, err := e.ritzMatrix(c.h, k, e.res.Iters)
 	if err != nil {
-		return stop, err
+		return err
 	}
 	c.shiftBlocks = scheduleShifts(newtonShifts(hk, m), m, e.opts.S)
 	c.needShifts = false
-	return advance, nil
+	return nil
 }
 
 // windows is the CA cycle: MPK + BOrth + TSQR per window, the residual
-// estimated from the growing Hessenberg system after each.
-func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcome, error) {
-	m, s, opts, pol := e.m, e.opts.S, e.opts, c.pol
+// estimated from the growing Hessenberg system after each. When the
+// first window fails, nothing is committed yet: V[:,0] and x still hold
+// the boundary, so the cycle halves its step (or, at s = 1, widens its
+// precision) and reruns from there.
+func (c *caSolver) windows(e *engine, restart int, beta, relres float64) error {
+	for {
+		rerun, err := c.pass(e, restart, beta, relres)
+		if !rerun {
+			return err
+		}
+	}
+}
+
+// pass is one try of the window cycle at the current step and precision;
+// rerun reports that its first window failed and the cycle changed its
+// configuration.
+func (c *caSolver) pass(e *engine, restart int, beta, relres float64) (rerun bool, err error) {
+	m, opts, pol := e.m, e.opts, c.pol
 	// Configure the pipeline for this restart's precision level: MPK
 	// storage/transfer widths plus narrow Gram/projection kernels where
 	// the chosen strategies support them.
 	tsqr, borth := pol.apply(e.mpk, &c.st)
-	if c.sEff < s {
-		// Recover the step size after two clean restarts.
-		c.cleanRestarts++
-		if c.cleanRestarts >= 2 {
-			c.sEff = min(2*c.sEff, s)
-			c.cleanRestarts = 0
-		}
-	}
-	if c.shiftBlocks != nil && c.sEff != s {
-		// Re-cut the shift schedule for the reduced window size.
-		if flat := slices.Concat(c.shiftBlocks...); len(flat) == m {
-			c.shiftBlocks = scheduleShifts(flat, m, c.sEff)
-		}
-	}
 	giv := e.sc.givens(m, beta)
-	done, failed, canceled := 0, false, false
+	done := 0
 	for block := 0; done < m && relres > opts.Tol; block++ {
 		if opts.canceled() {
 			// Stop between windows: keep the vectors generated so far (the
-			// commit below salvages them) and exit.
-			canceled = true
+			// commit below salvages them); the driver sees the cancellation.
 			break
 		}
 		var shifts []complex128
@@ -171,24 +165,26 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 				// The generated basis itself overflowed (the TSQR failure is
 				// a symptom): a numerical breakdown, not a rank-deficiency
 				// corner case.
-				return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "basis"}
+				return false, &BreakdownError{Iter: e.res.Iters + done, Stage: "basis"}
 			case c.sEff > 1:
-				// The window was too deep for this basis. Halve s and redo
-				// the whole restart cycle (the shift schedule changes).
+				// The window was too deep for this basis: halve s for this
+				// and every later cycle, re-cutting the shift schedule.
 				c.sEff = (c.sEff + 1) / 2
 				c.halvings++
-				failed = true
+				if c.shiftBlocks != nil {
+					c.shiftBlocks = scheduleShifts(slices.Concat(c.shiftBlocks...), m, c.sEff)
+				}
+				return true, nil
 			case pol.tightenOnFailure():
 				// The narrowed width — not the window depth — destroyed the
-				// Gram conditioning: retry the restart one level closer to
-				// full double.
-				failed = true
+				// Gram conditioning: rerun one level closer to full double.
+				return true, nil
 			default:
 				// One full-width step from the restart's residual is rank
 				// deficient: A maps the residual into the span of what
 				// the cycle already holds, and no step size or width
 				// gets past that.
-				return stop, &BreakdownError{Iter: e.res.Iters, Stage: "invariant"}
+				return false, &BreakdownError{Iter: e.res.Iters, Stage: "invariant"}
 			}
 			break
 		}
@@ -209,29 +205,17 @@ func (c *caSolver) windows(e *engine, restart int, beta, relres float64) (outcom
 		e.ctx.HostComputeOn(PhaseLSQ, lsqFlops(done))
 		relres = giv.ResidualNorm() / e.bNorm
 		if nonFinite(relres) {
-			return stop, &BreakdownError{Iter: e.res.Iters + done, Stage: "window"}
+			return false, &BreakdownError{Iter: e.res.Iters + done, Stage: "window"}
 		}
 		if e.em.enabled() {
 			e.em.emit(obs.Record{Kind: "window", Restart: restart, Step: done, RelRes: relres,
 				OrthoLoss: winLoss, TSQR: tsqr.Name(), Precision: pol.tag()})
 		}
 	}
-	if canceled && done == 0 {
-		// Canceled before the first window produced anything: x is
-		// unchanged, stop with the previous restart's iterate.
-		return stop, nil
+	if done > 0 {
+		e.commit(restart, done, relres, lsqFlops(done))
 	}
-	if failed {
-		// A first window failed: x is unchanged, retry the restart with
-		// the smaller step (or tighter width).
-		c.cleanRestarts = 0
-		return retry, nil
-	}
-	e.commit(restart, done, relres, lsqFlops(done))
-	if canceled {
-		return stop, nil
-	}
-	return advance, nil
+	return false, nil
 }
 
 // updateHessenberg recovers the new Hessenberg columns from one CA window

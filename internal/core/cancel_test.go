@@ -65,26 +65,33 @@ func TestGMRESCanceledContextReturnsBestSoFar(t *testing.T) {
 func TestCAGMRESCanceledBetweenWindows(t *testing.T) {
 	a := laplace2D(24, 24, 0.3)
 	b := randomRHS(a.Rows, 4)
-	ctx := gpu.NewContext(2, gpu.M2090())
-	p, err := NewProblem(ctx, a, b, KWay, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel after the second CA window: the solver finishes none past
-	// it, applies the partial basis, and stops.
-	opts := Options{M: 20, S: 5, Tol: 1e-12, MaxRestarts: 200, Ortho: "CholQR",
-		Ctx: cctx, Telemetry: cancelAfter(cancel, "window", 2)}
-	res, err := CAGMRES(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Canceled || res.Converged {
-		t.Fatalf("expected canceled, unconverged result, got %+v", res)
-	}
-	if rn := ResidualNorm(a, b, res.X); rn >= 1 {
-		t.Fatalf("best-so-far residual %v not better than zero iterate", rn)
+	// Cancel after a CA window: the solver finishes none past it, applies
+	// the partial basis, and stops — also when the cut cycle is the last
+	// one MaxRestarts permits (the seed cycle, then one window cycle), so
+	// no boundary follows it.
+	for _, c := range []struct{ maxRestarts, windows int }{{200, 2}, {2, 1}} {
+		p, err := NewProblem(gpu.NewContext(2, gpu.M2090()), a, b, KWay, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx, cancel := context.WithCancel(context.Background())
+		opts := Options{M: 20, S: 5, Tol: 1e-12, MaxRestarts: c.maxRestarts, Ortho: "CholQR",
+			Ctx: cctx, Telemetry: cancelAfter(cancel, "window", c.windows)}
+		res, err := CAGMRES(p, opts)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Canceled || res.Converged {
+			t.Fatalf("MaxRestarts %d: canceled %v converged %v, want a canceled, unconverged result",
+				c.maxRestarts, res.Canceled, res.Converged)
+		}
+		if len(res.History) != res.Restarts {
+			t.Fatalf("MaxRestarts %d: %d History entries for %d restarts", c.maxRestarts, len(res.History), res.Restarts)
+		}
+		if rn := ResidualNorm(a, b, res.X); rn >= 1 {
+			t.Fatalf("MaxRestarts %d: best-so-far residual %v not better than zero iterate", c.maxRestarts, rn)
+		}
 	}
 }
 

@@ -13,24 +13,15 @@ import (
 // the cycle that builds the basis, so there is one restart driver and two
 // basis builders (Arnoldi step loop, matrix-powers window) — DESIGN.md §4.
 
-// outcome is what a cycle tells the driver to do next.
-type outcome int
-
-const (
-	advance outcome = iota // basis committed; on to the next boundary
-	// retry: nothing committed and the cycle changed its own configuration
-	// (smaller step, wider precision); x is unchanged, so the driver
-	// revisits the same boundary and the restart does not count.
-	retry
-	stop // canceled inside the cycle; keep what it committed
-)
-
 // cycler is the solver-supplied half of a restart: called with the
 // boundary's normalized residual in V[:,0] (norm beta, relative norm
 // relres), it builds basis vectors, feeds their Hessenberg columns to the
-// scratch's Givens solver, and hands the result to engine.commit.
+// scratch's Givens solver, and hands the result to engine.commit. A cycle
+// that changes its own configuration (smaller step, wider precision)
+// reruns itself from the same boundary; a canceled one commits what it
+// has and returns, and the driver's own cancel check stops the solve.
 type cycler interface {
-	cycle(e *engine, restart int, beta, relres float64) (outcome, error)
+	cycle(e *engine, restart int, beta, relres float64) error
 }
 
 // boundaryKeeper is the one hook the driver offers a cycler that carries
@@ -41,9 +32,9 @@ type boundaryKeeper interface {
 	begin(e *engine, ck *checkpoint)
 	// save adds that state to the checkpoint the driver just captured.
 	save(ck *checkpoint)
-	// observe sees a boundary's FP64 true residual (retried: the boundary
-	// is being revisited) and returns its restart record's precision tag.
-	observe(relres float64, retried bool) string
+	// observe sees a boundary's FP64 true residual and returns its restart
+	// record's precision tag.
+	observe(relres float64) string
 	// finish completes the result and returns the done record's tag.
 	finish(res *Result) string
 }
@@ -98,8 +89,8 @@ func (kr *krylov) arnoldi(orth arnoldiStep, beta float64, each func(k int, hcol 
 		err := orth(kr.V, k, hcol, kr.sc)
 		// The Givens update is tiny host work; under overlap it rides the
 		// host stream while the devices run the next SpMV.
-		stop := each(k, hcol, giv.Append(hcol))
-		if err != nil || stop {
+		enough := each(k, hcol, giv.Append(hcol))
+		if err != nil || enough {
 			// Happy breakdown: the Krylov space is invariant; the projection
 			// column is still valid (its subdiagonal entry is numerically
 			// zero), so solve with what we have.
@@ -257,7 +248,6 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 		keeper.begin(e, ck)
 	}
 
-	retried := false
 	for restart := start; restart < opts.MaxRestarts; restart++ {
 		if ctx.FaultsArmed() {
 			ck.capture(e.W.GatherCol(0), restart, res)
@@ -277,7 +267,7 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 		if restart > 0 {
 			tag := ""
 			if keeper != nil {
-				tag = keeper.observe(relres, retried)
+				tag = keeper.observe(relres)
 			}
 			res.History = append(res.History, relres)
 			e.em.emit(obs.Record{Kind: "restart", Restart: restart, Step: res.Iters, RelRes: relres, Precision: tag})
@@ -290,23 +280,23 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 		res.Restarts++
 		e.sc.copyScaled(e.W, 2, e.V, 0, 1/beta) // v_0 = r / beta
 
-		out, err := s.cycle(e, restart, beta, relres)
-		if err != nil {
+		if err := s.cycle(e, restart, beta, relres); err != nil {
 			return res, err
-		}
-		if retried = out == retry; retried {
-			res.Restarts--
-		}
-		if out == stop {
-			res.Canceled = true
-			break
 		}
 	}
 
 	if !res.Converged {
+		// The loop stopped at a boundary it did not record: the last
+		// permitted cycle's, or a canceled one's. Record it here, and see a
+		// cancellation that cut the last permitted cycle short.
 		var err error
 		if _, res.RelRes, err = e.residual(); err != nil {
 			return res, err
+		}
+		res.Converged = res.RelRes <= opts.Tol
+		res.Canceled = res.Canceled || !res.Converged && opts.canceled()
+		if res.Restarts > 0 {
+			res.History = append(res.History, res.RelRes)
 		}
 	}
 	tag := ""

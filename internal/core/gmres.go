@@ -24,7 +24,9 @@ type Result struct {
 	// RelRes is the final relative residual of the prepared (balanced,
 	// permuted) system, the quantity the convergence test uses.
 	RelRes float64
-	// History records the relative residual after every restart.
+	// History records the relative residual after every restart cycle,
+	// the last one included: len(History) == Restarts unless the solve
+	// returns an error.
 	History []float64
 	// Stats is the ledger of modeled communication/computation, covering
 	// the whole solve.
@@ -40,9 +42,10 @@ type Result struct {
 	// Precision, when non-nil, reports what the mixed/adaptive precision
 	// policy did: window counts per width, compressed transfers, and
 	// FP64 refinement steps. Nil for fp64 solves.
-	Precision *PrecisionReport // StepHalvings counts the CA-GMRES restarts whose first window was
-	// rank deficient and were retried at half the step size (see
-	// Options.S); zero for GMRES.
+	Precision *PrecisionReport
+	// StepHalvings counts the times a CA-GMRES cycle's first window was
+	// rank deficient and the cycle reran at half the step (see Options.S):
+	// a 15 → 8 → 4 cascade at one boundary is two. Zero for GMRES.
 	StepHalvings int
 }
 
@@ -78,7 +81,7 @@ func GMRES(p *Problem, opts Options) (*Result, error) {
 // restart, nothing carried from one boundary to the next.
 type gmresSolver struct{ orth arnoldiStep }
 
-func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) (outcome, error) {
+func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) error {
 	rel := relres
 	k := e.arnoldi(g.orth, beta, func(k int, _ []float64, est float64) bool {
 		rel = est / e.bNorm
@@ -87,7 +90,7 @@ func (g gmresSolver) cycle(e *engine, restart int, beta, relres float64) (outcom
 		return rel <= e.opts.Tol
 	})
 	e.commit(restart, k, rel, lsqFlops(e.m))
-	return advance, nil
+	return nil
 }
 
 // arnoldiMGS orthogonalizes V[:,k+1] against V[:,0..k] by modified

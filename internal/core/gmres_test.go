@@ -130,6 +130,29 @@ func TestGMRESResidualHistoryDecreases(t *testing.T) {
 	}
 }
 
+// TestGMRESConvergesOnLastPermittedCycle: a solve whose last permitted
+// cycle reaches Tol is converged, and its History holds one residual per
+// counted restart, the last one included.
+func TestGMRESConvergesOnLastPermittedCycle(t *testing.T) {
+	a := laplace2D(18, 18, 0.2)
+	b := randomRHS(324, 30)
+	for _, maxRestarts := range []int{3, 4} {
+		p, _ := NewProblem(gpu.NewContext(2, gpu.M2090()), a, b, Natural, false)
+		res, err := GMRES(p, Options{M: 24, Tol: 1e-6, MaxRestarts: maxRestarts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Restarts != 3 || res.RelRes > 1e-6 {
+			t.Fatalf("MaxRestarts %d: converged %v after %d restarts at relres %v, want true after 3",
+				maxRestarts, res.Converged, res.Restarts, res.RelRes)
+		}
+		if len(res.History) != res.Restarts || res.History[len(res.History)-1] != res.RelRes {
+			t.Fatalf("MaxRestarts %d: History %v for %d restarts ending at relres %v",
+				maxRestarts, res.History, res.Restarts, res.RelRes)
+		}
+	}
+}
+
 func TestGMRESZeroRHS(t *testing.T) {
 	a := laplace2D(5, 5, 0)
 	ctx := gpu.NewContext(1, gpu.M2090())

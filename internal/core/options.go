@@ -15,16 +15,18 @@ type Options struct {
 	// M is the restart length (the paper sweeps 30..180).
 	M int
 	// S is the CA-GMRES step/block size (ignored by GMRES). It is an
-	// upper bound: when a restart's first window is numerically rank
+	// upper bound: when a cycle's first window is numerically rank
 	// deficient — the basis grew too ill-conditioned for this depth —
-	// CA-GMRES halves the step and retries the restart, down to s = 1,
-	// and doubles it back after two clean restarts (the adaptive step
-	// size the paper lists as future work, its ref. [23]).
+	// CA-GMRES halves the step and reruns the cycle from the same
+	// boundary, down to s = 1; the smaller step holds for the rest of the
+	// solve (the adaptive step size the paper lists as future work, its
+	// ref. [23]).
 	S int
 	// Tol is the relative residual reduction target; the paper declares
 	// convergence at 1e-4.
 	Tol float64
-	// MaxRestarts bounds the outer loop.
+	// MaxRestarts bounds the restart cycles the solve counts. A cycle
+	// rerun at a smaller step (see S) is one cycle.
 	MaxRestarts int
 	// Ortho selects the orthogonalization: for GMRES, "MGS" or "CGS"
 	// (the Arnoldi variants of Figure 14); for CA-GMRES, a TSQR strategy

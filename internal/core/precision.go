@@ -271,7 +271,7 @@ func (pol *precisionPolicy) apply(mpk *dist.MPK, st *strategies) (ortho.TSQR, or
 // tightenOnFailure responds to a rank-deficient window factorization
 // while the pipeline runs narrowed: when the window depth is already
 // minimal, the width is what destroyed the Gram conditioning, so step
-// one level toward full double and let the caller retry the restart.
+// one level toward full double and let the caller rerun the cycle.
 // This applies to mixed as well as adaptive — a fixed-width pipeline
 // that cannot factor its windows has no useful answer at that width,
 // and the report's FinalLevel records the forced tightening. Reports
