@@ -54,12 +54,12 @@
 # options. `make bench-kernels` times
 # one bare device fork-join (gpu.Context.RunAll, 3 devices) and the same
 # fork as a charged Launch, the host kernels of the solve (device SpMV,
-# GemvT/Gemv, the Gram GemmTN and Syrk; all but GemvT also as `/scalar`
-# rows, the Go loop beside the AVX2 body), one MPK window at the two
-# shapes the benchmark solves and one depth-1 distributed SpMV (a fork,
-# the kernels and the bodies their forks run allocate nothing: an SpMV
-# allocates nothing, nor does a window — its MPK, BOrth and TSQR run on
-# per-attempt state — pinned by dist.TestMPKAllocations and
+# GemvT/Gemv, the Gram GemmTN and Syrk, each also as `/scalar` rows, the
+# Go loop beside the AVX2 body, and each with its Gflop/s), one MPK
+# window at the two shapes the benchmark solves and one depth-1
+# distributed SpMV (a fork, the kernels and the bodies their forks run
+# allocate nothing: an SpMV allocates nothing, nor does a window — its
+# MPK, BOrth and TSQR run on per-attempt state — pinned by dist.TestMPKAllocations and
 # ortho.TestBoundStrategiesAllocateNothing: `make test`, so `make check`), the graph
 # layer's k-way partition (G3_circuit@0.05 k = 3, cant@0.05 k = 4) and
 # RCM ordering (dielFilterV2real@0.02, a 32 000-row diagonal), then prints

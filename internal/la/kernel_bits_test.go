@@ -387,13 +387,14 @@ func oracleTrmmRightUpper(v, r *Dense) {
 	}
 }
 
-// kernelShapes calls f for column counts 1-9 (every remainder of the
-// four-column grouping, twice over), a few row counts, clean and awkward
-// inputs.
+// kernelShapes calls f for column counts 1-20 (every remainder of the
+// four-column grouping; a short group of eight alone, one whole group
+// with every leftover, two with a few), row counts below two (no vector
+// dot body) and on both sides of an even count, clean and awkward inputs.
 func kernelShapes(f func(tag string, rng *rand.Rand, rows, cols int, special bool)) {
 	rng := rand.New(rand.NewSource(43))
-	for cols := 1; cols <= 9; cols++ {
-		for _, rows := range []int{0, 1, 5, 67} {
+	for cols := 1; cols <= 20; cols++ {
+		for _, rows := range []int{0, 1, 2, 5, 66, 67} {
 			for _, special := range []bool{false, true} {
 				f(fmt.Sprintf("rows=%d cols=%d special=%v", rows, cols, special), rng, rows, cols, special)
 			}
@@ -430,23 +431,58 @@ func TestGemvMatchesColumnSweep(t *testing.T) {
 }
 
 func TestGemvTAndGemmTNMatchDotSweep(t *testing.T) {
-	kernelShapes(func(tag string, rng *rand.Rand, rows, cols int, special bool) {
-		a := awkwardDense(rng, rows, cols, special)
-		b := awkwardDense(rng, rows, 3, special)
-		c0 := awkwardDense(rng, cols, 3, special)
-		for _, alpha := range oracleAlphas {
-			for _, beta := range oracleBetas {
-				got, want := c0.Clone(), c0.Clone()
-				GemvT(alpha, a, b.Col(0), beta, got.Col(0))
-				oracleGemvT(alpha, a, b.Col(0), beta, want.Col(0))
-				if err := sameBits(got.Col(0), want.Col(0)); err != nil {
-					t.Fatalf("GemvT %s alpha=%v beta=%v: %v", tag, alpha, beta, err)
+	bodies(func(body string) {
+		kernelShapes(func(tag string, rng *rand.Rand, rows, cols int, special bool) {
+			a := awkwardDense(rng, rows, cols, special)
+			b := awkwardDense(rng, rows, 3, special)
+			c0 := awkwardDense(rng, cols, 3, special)
+			for _, alpha := range oracleAlphas {
+				for _, beta := range oracleBetas {
+					got, want := c0.Clone(), c0.Clone()
+					GemvT(alpha, a, b.Col(0), beta, got.Col(0))
+					oracleGemvT(alpha, a, b.Col(0), beta, want.Col(0))
+					if err := sameBits(got.Col(0), want.Col(0)); err != nil {
+						t.Fatalf("%s GemvT %s alpha=%v beta=%v: %v", body, tag, alpha, beta, err)
+					}
+					got, want = c0.Clone(), c0.Clone()
+					GemmTN(alpha, a, b, beta, got)
+					naiveGemmTN(alpha, a, b, beta, want)
+					if err := sameBits(got.Data, want.Data); err != nil {
+						t.Fatalf("%s GemmTN %s alpha=%v beta=%v: %v", body, tag, alpha, beta, err)
+					}
 				}
-				got, want = c0.Clone(), c0.Clone()
-				GemmTN(alpha, a, b, beta, got)
-				naiveGemmTN(alpha, a, b, beta, want)
-				if err := sameBits(got.Data, want.Data); err != nil {
-					t.Fatalf("GemmTN %s alpha=%v beta=%v: %v", tag, alpha, beta, err)
+			}
+		})
+	})
+}
+
+// TestGemvTOnViews takes GemvT to column windows at offsets 1-7 of a row
+// window of a taller matrix (Stride > Rows, so no column starts where the
+// last one ended and no load is aligned), with a short group alone, one
+// and two groups of eight and a leftover, and beta = 0 over a y of NaNs,
+// which must not survive.
+func TestGemvTOnViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	bodies(func(body string) {
+		for _, rows := range []int{2, 66, 67} {
+			for _, special := range []bool{false, true} {
+				big := awkwardDense(rng, rows+3, 7+19, special)
+				x := awkwardVec(rng, rows, special)
+				for c0 := 1; c0 <= 7; c0++ {
+					for _, cols := range []int{3, 8, 16, 19} {
+						a := big.ColView(c0, c0+cols).RowView(1, rows+1)
+						for _, beta := range []float64{0, 0.5} {
+							got, want := make([]float64, cols), make([]float64, cols)
+							for k := range got {
+								got[k], want[k] = math.NaN(), math.NaN()
+							}
+							GemvT(-0.75, a, x, beta, got)
+							oracleGemvT(-0.75, a, x, beta, want)
+							if err := sameBits(got, want); err != nil {
+								t.Fatalf("%s rows=%d special=%v cols %d..%d beta=%v: %v", body, rows, special, c0, c0+cols, beta, err)
+							}
+						}
+					}
 				}
 			}
 		}

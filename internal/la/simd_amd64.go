@@ -36,3 +36,22 @@ func gramTileVec(a0, a1, a2, a3, b0, b1, b2, b3 []float64, out *[16]float64) int
 	gramTileAVX2(a0, a1, a2, a3, b0, b1, b2, b3, out)
 	return len(b0) &^ 1
 }
+
+// dot8AVX2 is dot8's loop over the first len(x) &^ 1 rows, the eight
+// columns in two registers of four lanes: out[k] is the sum of
+// a[k][r]*x[r] over those rows, from +0 in ascending r. It checks
+// nothing: every column is at least as long as x.
+//
+//go:noescape
+func dot8AVX2(a *[8][]float64, x []float64, out *[8]float64)
+
+// dot8Vec runs the vector body over the leading rows and returns how many
+// it covered: len(x) rounded down to a multiple of two or, without AVX2,
+// none.
+func dot8Vec(a *[8][]float64, x []float64, out *[8]float64) int {
+	if !hasAVX2 {
+		return 0
+	}
+	dot8AVX2(a, x, out)
+	return len(x) &^ 1
+}

@@ -4,16 +4,17 @@
 // least-squares solves for Hessenberg systems, and the Leja ordering of
 // shifts used by the Newton-basis matrix powers kernel.
 //
-// The package has no dependency outside the repository; two inner loops,
-// axpy4 (lanes across rows) and the 4x4 Gram tile under GemmTN and Syrk
-// (lanes across columns), have an AVX2 assembly body on amd64 beside
-// their Go loops. The package starts no goroutines: a device's kernels
-// run on the goroutine gpu.Context gives that device, and device
-// concurrency is the context's alone. The batched Gram kernels keep the
-// panel schedule of the batched DGEMM of Yamazaki et al. (IPDPS 2014,
-// Section V-F) as their numerical definition: the tall matrix is cut into
-// row panels, each panel product is a partial, and the partials are
-// summed in panel order.
+// The package has no dependency outside the repository; three inner
+// loops, axpy4 (lanes across rows), the 4x4 Gram tile under GemmTN and
+// Syrk and the eight-column dot sweep under GemvT (both lanes across
+// columns), have an AVX2 assembly body on amd64 beside their Go loops.
+// The package starts no goroutines: a device's kernels run on the
+// goroutine gpu.Context gives that device, and device concurrency is the
+// context's alone. The batched Gram kernels keep the panel schedule of
+// the batched DGEMM of Yamazaki et al. (IPDPS 2014, Section V-F) as
+// their numerical definition: the tall matrix is cut into row panels,
+// each panel product is a partial, and the partials are summed in panel
+// order.
 package la
 
 import (
@@ -67,6 +68,33 @@ func dot4(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
 		s3 += a3[i] * v
 	}
 	return
+}
+
+// dot8 sets out[k] = Dot(A_{j+k}, x) for the columns of a from j, eight
+// or the fewer left below j1 (a.Rows == len(x)), and reports whether it
+// did. On amd64 with AVX2 the rows run through dot8AVX2 two at a time,
+// lanes across the columns, and an odd last row is added here to the
+// stored sums: every entry is still Dot's sum from +0 in ascending row
+// order, so it equals Dot bit for bit (DESIGN section 8, "Host
+// kernels"). A group of fewer than eight fills the idle lanes with its
+// last column; their sums are the caller's to ignore. Without the vector
+// body, or below two rows, it does nothing and returns false: the caller
+// takes the columns through dot4.
+func dot8(a *Dense, j, j1 int, x []float64, out *[8]float64) bool {
+	var c [8][]float64
+	for k := range c {
+		c[k] = a.Col(min(j+k, j1-1))[:len(x)] // the vector body checks nothing
+	}
+	r := dot8Vec(&c, x, out)
+	if r == 0 {
+		return false
+	}
+	if r < len(x) {
+		for k, ck := range c {
+			out[k] += ck[r] * x[r]
+		}
+	}
+	return true
 }
 
 // gramTile sets out[4j+i] = Dot(A_{i0+i}, B_{j0+j}) for four columns of A
