@@ -144,6 +144,7 @@ golden:
 	$(GO) test ./internal/core/ -run Fence -update -count=1
 	$(GO) test ./internal/cluster/ -run WireProbes -update -count=1
 	$(GO) test ./internal/bench/ -run FiguresGolden -update -count=1
+	$(GO) test ./internal/matgen/ -run GeneratorFingerprints -update -count=1
 
 # End-to-end observability smoke test: solve a small generated problem
 # with every artifact enabled, then validate the Prometheus exposition,
@@ -194,8 +195,9 @@ precision-smoke:
 # MatrixMarket body of POST /solve, the machine-profile JSON decoder,
 # the router's backend-response decoder, the Solve-Control header
 # parser, and the precision field of the solve body — plus the in-place
-# row sort every permuted or relabeled matrix goes through, the fused
-# device-format builder that uses it, the device SpMV's vector body
+# row sort every permuted or relabeled matrix goes through, coordinate
+# assembly (every generated or uploaded matrix) against its sorting
+# oracle, the fused device-format builder, the device SpMV's vector body
 # against its Go loop, and the Gram tile against Dot. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
@@ -206,6 +208,7 @@ fuzz-smoke:
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzRouterDecode -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
+	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzFromCoords -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzMulVecPrefixMatchesScalar -fuzztime 5s
 	$(GO) test ./internal/la/ -run '^$$' -fuzz FuzzGramTileMatchesDot -fuzztime 5s
@@ -233,12 +236,16 @@ bench-compare:
 
 # The host kernels at the benchmark's shapes (dielFilterV2real@0.004 and
 # G3_circuit@0.05, s = 15, 3 devices), one CPU: ns/op, B/op, allocs/op,
-# and the device format's padding on the MPK rows; then whole prepared
-# solves, CA-GMRES(15,60) with CGS and with CholQR, and GMRES(60), on a
-# warm context.
+# and the device format's padding on the MPK rows; the cold path a solve
+# pays before its first iteration — the generators at the benchmark's
+# three matrices, coordinate assembly (G3_circuit@0.05's nonzeros, and
+# one descending row of 10^4 and 10^5 entries, whose ratio shows the
+# linear bound) and Distribute at s = 15 and 1 on k-way G3_circuit@0.05;
+# then whole prepared solves, CA-GMRES(15,60) with CGS and with CholQR,
+# and GMRES(60), on a warm context.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV' -benchmem -cpu 1 \
-		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/
+	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV|FromCoords|Distribute$$|ByName' -benchmem -cpu 1 \
+		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/ ./internal/matgen/
 	$(GO) test -run '^$$' -bench 'KWay|RCM' -benchmem -cpu 1 ./internal/graph/
 	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
 

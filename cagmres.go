@@ -178,8 +178,10 @@ func RitzValues(p *Problem, opts Options, start []float64) ([]complex128, error)
 	return core.RitzValues(p, opts, start)
 }
 
-// FromCoords assembles a CSR matrix from coordinate entries (duplicates
-// are summed).
+// FromCoords assembles a CSR matrix from coordinate entries. Duplicates
+// are summed left to right in the order they appear in entries, which is
+// only read, never sorted in place. A coordinate outside rows x cols
+// panics before any work is done.
 func FromCoords(rows, cols int, entries []Coord) *Matrix {
 	return sparse.FromCoords(rows, cols, entries)
 }

@@ -99,10 +99,16 @@ func BenchmarkMPKWindow(b *testing.B) {
 
 // BenchmarkDistribute times the set-up a solve pays once: the halo search
 // and the extended device matrices. The G3 case is the benchmark's
-// ca-sparse-cold shape (k-way ordering, s = 15, tall 5 nnz/row matrix);
-// run with -benchmem to see that allocations do not grow with the rows.
+// ca-sparse-cold shape (k-way ordering, s = 15, tall 5 nnz/row matrix),
+// the diel case the dense-row workloads' (natural ordering, s = 15, rows
+// of about 30 entries); run with -benchmem to see that allocations do not
+// grow with the rows.
 func BenchmarkDistribute(b *testing.B) {
 	g3, err := matgen.ByName("G3_circuit", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diel, err := matgen.ByName("dielFilterV2real", 0.004)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,6 +123,7 @@ func BenchmarkDistribute(b *testing.B) {
 		{"laplace3d-16-s5", lap, Uniform(lap.Rows, 3), 5},
 		{"g3-kway-s15", g3.A.Permute(perm), NewLayout(g3.A.Rows, bounds), 15},
 		{"g3-kway-s1", g3.A.Permute(perm), NewLayout(g3.A.Rows, bounds), 1},
+		{"diel-natural-s15", diel.A, Uniform(diel.A.Rows, 3), 15},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := gpu.NewContext(3, gpu.M2090())

@@ -179,8 +179,9 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	own1 := own0 + nOwn
 
 	// localOf[v] is the BFS distance of v during the search (-1 =
-	// unreached) and its local extended index afterwards.
-	localOf := make([]int, n)
+	// unreached) and its local extended index afterwards; int32 halves
+	// the footprint of the one n-long array the build touches at random.
+	localOf := make([]int32, n)
 	for i := range localOf {
 		localOf[i] = -1
 	}
@@ -193,23 +194,23 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	rowsAtDist := make([]int, s+1)
 	rowsAtDist[0] = nOwn
 	lo, hi := n, 0 // index span of found
-	expand := func(v, t int) {
-		for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-			if w := a.ColIdx[k]; localOf[w] == -1 {
-				localOf[w] = t
-				found = append(found, w)
-				lo, hi = min(lo, w), max(hi, w+1)
-			}
-		}
-	}
 	for t := 1; t <= s; t++ {
-		if t == 1 {
-			for v := own0; v < own1; v++ {
-				expand(v, t)
+		// The frontier: the owned rows, then the distance t-1 halo.
+		from, to := own0, own1
+		if t > 1 {
+			from, to = rowsAtDist[t-2]-nOwn, rowsAtDist[t-1]-nOwn
+		}
+		for q := from; q < to; q++ {
+			v := q
+			if t > 1 {
+				v = found[q]
 			}
-		} else {
-			for _, v := range found[rowsAtDist[t-2]-nOwn : rowsAtDist[t-1]-nOwn] {
-				expand(v, t)
+			for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
+				if w := a.ColIdx[k]; localOf[w] == -1 {
+					localOf[w] = int32(t)
+					found = append(found, w)
+					lo, hi = min(lo, w), max(hi, w+1)
+				}
 			}
 		}
 		rowsAtDist[t] = nOwn + len(found)
@@ -228,12 +229,12 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		if t := localOf[v]; t > 0 { // owned rows still read 0 here
 			h := next[t]
 			next[t]++
-			halo[h], haloDist[h] = v, t
-			localOf[v] = nOwn + h
+			halo[h], haloDist[h] = v, int(t)
+			localOf[v] = int32(nOwn + h)
 		}
 	}
 	for i := own0; i < own1; i++ {
-		localOf[i] = i - own0
+		localOf[i] = int32(i - own0)
 	}
 
 	// Extended matrix: rows with distance <= s-1 (a prefix of the local

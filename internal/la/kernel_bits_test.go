@@ -489,6 +489,48 @@ func TestGemvTOnViews(t *testing.T) {
 	})
 }
 
+// TestColViewOfRowView takes every column window — the empty ones and
+// those that reach the last column included — of every row window of a
+// compact and of a padded matrix: each view must hold exactly its
+// elements, and GemvT on it must match GemvT on a compact copy.
+func TestColViewOfRowView(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const rows, cols = 7, 10
+	bodies(func(body string) {
+		for _, stride := range []int{rows, rows + 2} {
+			m := &Dense{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, cols*stride)}
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64()
+			}
+			for i0 := 0; i0 <= rows; i0++ {
+				r := m.RowView(i0, rows)
+				x := randVec(rng, rows-i0)
+				for c0 := 0; c0 <= cols; c0++ {
+					for c1 := c0; c1 <= cols; c1++ {
+						v := r.ColView(c0, c1)
+						if v.Rows != rows-i0 || v.Cols != c1-c0 {
+							t.Fatalf("stride %d rows %d.. cols %d..%d: shape %dx%d", stride, i0, c0, c1, v.Rows, v.Cols)
+						}
+						for j := 0; j < v.Cols; j++ {
+							for i := 0; i < v.Rows; i++ {
+								if v.At(i, j) != m.At(i0+i, c0+j) {
+									t.Fatalf("stride %d rows %d.. cols %d..%d: (%d,%d) is not m's", stride, i0, c0, c1, i, j)
+								}
+							}
+						}
+						got, want := make([]float64, v.Cols), make([]float64, v.Cols)
+						GemvT(1, v, x, 0, got)
+						GemvT(1, v.Clone(), x, 0, want)
+						if err := sameBits(got, want); err != nil {
+							t.Fatalf("%s stride %d rows %d.. cols %d..%d: %v", body, stride, i0, c0, c1, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestSyrkMatchesDotSweep(t *testing.T) {
 	kernelShapes(func(tag string, rng *rand.Rand, rows, cols int, special bool) {
 		a := awkwardDense(rng, rows, cols, special)

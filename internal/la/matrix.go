@@ -41,16 +41,17 @@ func (m *Dense) Col(j int) []float64 {
 }
 
 // ColView returns a Dense view of columns [j0, j1) sharing storage with m.
+// Its Data ends with the last row of column j1-1, not a stride later: a
+// RowView's Data stops there too, so that is all a view may assume.
 func (m *Dense) ColView(j0, j1 int) *Dense {
 	if j0 < 0 || j1 < j0 || j1 > m.Cols {
 		panic(viewRangeError{"ColView", "cols", j0, j1, m.Cols})
 	}
-	return &Dense{
-		Rows:   m.Rows,
-		Cols:   j1 - j0,
-		Stride: m.Stride,
-		Data:   m.Data[j0*m.Stride : j0*m.Stride+(j1-j0)*m.Stride],
+	var data []float64
+	if j1 > j0 {
+		data = m.Data[j0*m.Stride : (j1-1)*m.Stride+m.Rows]
 	}
+	return &Dense{Rows: m.Rows, Cols: j1 - j0, Stride: m.Stride, Data: data}
 }
 
 // RowView returns a Dense view of rows [i0, i1) sharing storage with m.

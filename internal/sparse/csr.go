@@ -9,7 +9,6 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -47,37 +46,71 @@ type Coord struct {
 }
 
 // FromCoords assembles a CSR matrix from coordinate entries. Duplicate
-// (row, col) pairs are summed, the FEM assembly convention. Entries with
-// value exactly zero after summation are retained (they still shape the
-// sparsity graph, matching the behaviour of file-based matrices).
+// (row, col) pairs are summed, the FEM assembly convention, left to right
+// in the order they appear in entries. Entries with value exactly zero
+// after summation are retained (they still shape the sparsity graph,
+// matching the behaviour of file-based matrices). Every coordinate is
+// checked before any work is done; entries is only read.
+//
+// Assembly is two stable counting sorts, by column into a scratch and
+// then by row straight into the result's ColIdx and Val, so every row
+// comes out sorted with each key's entries in input order, and the cost
+// is linear in the entries whatever their order.
 func FromCoords(rows, cols int, entries []Coord) *CSR {
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			panic(fmt.Sprintf("sparse: coordinate (%d,%d) out of %dx%d", e.Row, e.Col, rows, cols))
 		}
 	}
-	slices.SortFunc(entries, func(x, y Coord) int {
-		if c := cmp.Compare(x.Row, y.Row); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Col, y.Col)
-	})
-	a := NewCSR(rows, cols, len(entries))
-	for i := 0; i < len(entries); {
-		j := i + 1
-		v := entries[i].Val
-		for j < len(entries) && entries[j].Row == entries[i].Row && entries[j].Col == entries[i].Col {
-			v += entries[j].Val
-			j++
-		}
-		a.ColIdx = append(a.ColIdx, entries[i].Col)
-		a.Val = append(a.Val, v)
-		a.RowPtr[entries[i].Row+1]++
-		i = j
+	// By column: the rows and values of column c's entries go to
+	// rowOf and valOf[colPtr[c]:colPtr[c+1]].
+	colPtr := make([]int, cols+1)
+	for _, e := range entries {
+		colPtr[e.Col+1]++
+	}
+	for j := 0; j < cols; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowOf, valOf := make([]int, len(entries)), make([]float64, len(entries))
+	next := slices.Clone(colPtr[:cols]) // next[c] = slot of column c's next entry
+	for _, e := range entries {
+		p := next[e.Col]
+		next[e.Col]++
+		rowOf[p], valOf[p] = e.Row, e.Val
+	}
+	// By row, reading the columns in order.
+	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, len(entries)), Val: make([]float64, len(entries))}
+	for _, e := range entries {
+		a.RowPtr[e.Row+1]++
 	}
 	for i := 0; i < rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
+	next = slices.Clone(a.RowPtr[:rows])
+	for j := 0; j < cols; j++ {
+		for q := colPtr[j]; q < colPtr[j+1]; q++ {
+			p := next[rowOf[q]]
+			next[rowOf[q]]++
+			a.ColIdx[p], a.Val[p] = j, valOf[q]
+		}
+	}
+	// Sum each key's entries, now adjacent, compacting the rows forward:
+	// out never passes the start of the row being read.
+	out, lo := 0, 0
+	for i := 0; i < rows; i++ {
+		hi := a.RowPtr[i+1]
+		for k := lo; k < hi; {
+			c, v := a.ColIdx[k], a.Val[k]
+			for k++; k < hi && a.ColIdx[k] == c; k++ {
+				v += a.Val[k]
+			}
+			a.ColIdx[out], a.Val[out] = c, v
+			out++
+		}
+		a.RowPtr[i+1], lo = out, hi
+	}
+	a.ColIdx, a.Val = a.ColIdx[:out], a.Val[:out]
 	return a
 }
 

@@ -1,6 +1,7 @@
 package sparse_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"cagmres/internal/matgen"
@@ -31,11 +32,11 @@ func benchMulVec(b *testing.B, mulVec func(s *sparse.SELL, y, x []float64, rows 
 				b.Fatal(err)
 			}
 			a := mat.A
-			identity := make([]int, a.Rows)
-			for i := range identity {
-				identity[i] = i
+			rows, cols := make([]int, a.Rows), make([]int32, a.Cols)
+			for i := range rows {
+				rows[i], cols[i] = i, int32(i)
 			}
-			s := a.SELLOfRows(identity, identity, a.Cols)
+			s := a.SELLOfRows(rows, cols, a.Cols)
 			x, y := make([]float64, a.Cols), make([]float64, a.Rows)
 			for i := range x {
 				x[i] = 1 / float64(i+1)
@@ -47,6 +48,56 @@ func benchMulVec(b *testing.B, mulVec func(s *sparse.SELL, y, x []float64, rows 
 				mulVec(s, y, x, a.Rows)
 			}
 			b.ReportMetric(s.PadRatio(), "pad")
+		})
+	}
+}
+
+// BenchmarkFromCoords times coordinate assembly (`make bench-kernels`)
+// on the nonzeros of G3_circuit@0.05, the ca-sparse-cold matrix, in a
+// seeded shuffled order, and on one row of k entries in descending
+// column order at two lengths, whose cost must grow linearly in k, not
+// as k². Each op assembles a fresh copy of the list.
+func BenchmarkFromCoords(b *testing.B) {
+	g3, err := matgen.ByName("G3_circuit", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := g3.A
+	g3Entries := make([]sparse.Coord, 0, a.NNZ())
+	for i := 0; i < a.Rows; i++ {
+		cols, vals := a.Row(i)
+		for k, c := range cols {
+			g3Entries = append(g3Entries, sparse.Coord{Row: i, Col: c, Val: vals[k]})
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(g3Entries), func(i, j int) {
+		g3Entries[i], g3Entries[j] = g3Entries[j], g3Entries[i]
+	})
+	descRow := func(k int) []sparse.Coord {
+		row := make([]sparse.Coord, k)
+		for i := range row {
+			row[i] = sparse.Coord{Row: 0, Col: k - 1 - i, Val: float64(i)}
+		}
+		return row
+	}
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		entries    []sparse.Coord
+	}{
+		{"G3_circuit-0.05", a.Rows, a.Cols, g3Entries},
+		{"desc-row-1e4", 1, 1e4, descRow(1e4)},
+		{"desc-row-1e5", 1, 1e5, descRow(1e5)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			in := make([]sparse.Coord, len(c.entries))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(in, c.entries)
+				b.StartTimer()
+				sparse.FromCoords(c.rows, c.cols, in)
+			}
 		})
 	}
 }

@@ -12,7 +12,8 @@ import (
 // format of the University of Florida / SuiteSparse collection, where the
 // paper's test matrices live). Supported qualifiers: real/integer/pattern
 // values, general/symmetric/skew-symmetric storage. Pattern entries get
-// value 1. Symmetric storage is expanded to full storage.
+// value 1. Symmetric storage is expanded to full storage. Repeated
+// entries are summed in file order (FromCoords).
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	header, err := br.ReadString('\n')

@@ -41,7 +41,7 @@ type SELL struct {
 // local matrices of the matrix powers kernel reach their device format.
 // A stored column that newOf maps outside 0..newCols-1 panics, as in
 // RelabelCols.
-func (a *CSR) SELLOfRows(rows []int, newOf []int, newCols int) *SELL {
+func (a *CSR) SELLOfRows(rows []int, newOf []int32, newCols int) *SELL {
 	n := len(rows)
 	nchunks := (n + sellChunk - 1) / sellChunk
 	s := &SELL{Rows: n, Cols: newCols, chunkPtr: make([]int, nchunks+1)}
@@ -64,7 +64,7 @@ func (a *CSR) SELLOfRows(rows []int, newOf []int, newCols int) *SELL {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		rc, rv := cols[:hi-lo], vals[:hi-lo]
 		for k, c := range a.ColIdx[lo:hi] {
-			nc := newOf[c]
+			nc := int(newOf[c])
 			if nc < 0 || nc >= newCols {
 				panic(fmt.Sprintf("sparse: SELLOfRows incomplete map for column %d", c))
 			}

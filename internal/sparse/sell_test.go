@@ -12,12 +12,12 @@ import (
 // are, held to the format's invariants.
 func toSELL(t testing.TB, a *CSR) *SELL {
 	t.Helper()
-	rows, cols := make([]int, a.Rows), make([]int, a.Cols)
+	rows, cols := make([]int, a.Rows), make([]int32, a.Cols)
 	for i := range rows {
 		rows[i] = i
 	}
 	for j := range cols {
-		cols[j] = j
+		cols[j] = int32(j)
 	}
 	s := a.SELLOfRows(rows, cols, a.Cols)
 	checkSELLInvariants(t, s)
@@ -72,7 +72,7 @@ func TestSELLInvariants(t *testing.T) {
 	a := randCSR(rng, 120, 9)
 	newOf := rng.Perm(120)
 	for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(120)[:61]} {
-		checkSELLInvariants(t, a.SELLOfRows(rows, newOf, 120))
+		checkSELLInvariants(t, a.SELLOfRows(rows, int32s(newOf), 120))
 	}
 }
 
@@ -349,13 +349,22 @@ func TestSELLEmptyRows(t *testing.T) {
 	}
 }
 
+// int32s is p in the element type of SELLOfRows' column map.
+func int32s(p []int) []int32 {
+	out := make([]int32, len(p))
+	for i, v := range p {
+		out[i] = int32(v)
+	}
+	return out
+}
+
 // checkSELLOfRows compares the fused builder, through ToCSR, with the
 // pipeline it fuses: ExtractRows then RelabelCols.
 func checkSELLOfRows(t *testing.T, a *CSR, rows, newOf []int, newCols int) {
 	t.Helper()
 	want := a.ExtractRows(rows)
 	want.RelabelCols(newOf, newCols)
-	s := a.SELLOfRows(rows, newOf, newCols)
+	s := a.SELLOfRows(rows, int32s(newOf), newCols)
 	checkSELLInvariants(t, s)
 	got := s.ToCSR()
 	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) ||
@@ -388,8 +397,8 @@ func TestSELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
 		for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(n)[:n/2], rng.Perm(n)} {
 			checkSELLOfRows(t, a, rows, newOf, n)
 		}
-		rows := rng.Perm(n)
-		if allocs := testing.AllocsPerRun(5, func() { a.SELLOfRows(rows, newOf, n) }); allocs > 8 {
+		rows, newOf32 := rng.Perm(n), int32s(newOf)
+		if allocs := testing.AllocsPerRun(5, func() { a.SELLOfRows(rows, newOf32, n) }); allocs > 8 {
 			t.Fatalf("SELLOfRows of %d rows allocates %v times", n, allocs)
 		}
 	}
@@ -398,7 +407,7 @@ func TestSELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
 			t.Fatal("SELLOfRows accepted an incomplete column map")
 		}
 	}()
-	testMatrix().SELLOfRows([]int{0, 1}, []int{0, -1, 1, 2}, 3)
+	testMatrix().SELLOfRows([]int{0, 1}, []int32{0, -1, 1, 2}, 3)
 }
 
 // FuzzSELLOfRows derives a small matrix, a row list with repeats and a
