@@ -61,9 +61,11 @@
 # allocate nothing: an SpMV allocates nothing, nor does a window — its
 # MPK, BOrth and TSQR run on per-attempt state — pinned by dist.TestMPKAllocations and
 # ortho.TestBoundStrategiesAllocateNothing: `make test`, so `make check`), the graph
-# layer's k-way partition (G3_circuit@0.05 k = 3, cant@0.05 k = 4) and
-# RCM ordering (dielFilterV2real@0.02, a 32 000-row diagonal), then prints
-# B/op and allocs/op of prepared CA-GMRES solves (CGS, and CholQR as the
+# layer's build (G3_circuit@0.05, dielFilterV2real@0.004), k-way
+# partition (G3_circuit@0.05 k = 3, cant@0.05 k = 4) and RCM ordering
+# (dielFilterV2real@0.02, a 32 000-row diagonal), B/op of one cold
+# preparation (core.Prepare plus the depth-15 distribution of k-way
+# G3_circuit@0.05), then prints B/op and allocs/op of prepared CA-GMRES solves (CGS, and CholQR as the
 # benchmark runs it) and one GMRES solve at the benchmark's shapes — what a solve allocates beside the context's
 # workspace: per-cycle and per-window bookkeeping, pinned per iteration by
 # core.TestSolveAllocations (an Arnoldi step, the per-step column
@@ -135,8 +137,9 @@ race:
 # Regenerate every golden file after an intentional change: gpu's ledger
 # paths and Chrome trace, obs's job trace, dist's MPK window, core's
 # fences (solver stream, solver ledger, one-distribution ledger),
-# cluster's wire probes and the figure CSVs. flags.golden has its own
-# rewrite (`sh scripts/cli_check.sh -update`).
+# cluster's wire probes, the figure CSVs, the generator fingerprints and
+# the preparation fingerprints (graph, RCM, k-way partitions).
+# flags.golden has its own rewrite (`sh scripts/cli_check.sh -update`).
 golden:
 	$(GO) test ./internal/gpu/ -run Golden -update -count=1
 	$(GO) test ./internal/obs/ -run JobTraceChromeGolden -update -count=1
@@ -145,6 +148,7 @@ golden:
 	$(GO) test ./internal/cluster/ -run WireProbes -update -count=1
 	$(GO) test ./internal/bench/ -run FiguresGolden -update -count=1
 	$(GO) test ./internal/matgen/ -run GeneratorFingerprints -update -count=1
+	$(GO) test ./internal/graph/ -run PreparationFingerprints -update -count=1
 
 # End-to-end observability smoke test: solve a small generated problem
 # with every artifact enabled, then validate the Prometheus exposition,
@@ -197,8 +201,10 @@ precision-smoke:
 # parser, and the precision field of the solve body — plus the in-place
 # row sort every permuted or relabeled matrix goes through, coordinate
 # assembly (every generated or uploaded matrix) against its sorting
-# oracle, the fused device-format builder, the device SpMV's vector body
-# against its Go loop, and the Gram tile against Dot. The committed
+# oracle, the fused device-format builder, the graph build against its
+# sort-and-dedupe oracle (an inline body reaches it through the k-way
+# default), the device SpMV's vector body against its Go loop, and the
+# Gram tile against Dot. The committed
 # corpora replay first, so regressions fail fast even when the random
 # budget finds nothing new.
 fuzz-smoke:
@@ -210,6 +216,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSortRow -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzFromCoords -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzFromMatrix -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzMulVecPrefixMatchesScalar -fuzztime 5s
 	$(GO) test ./internal/la/ -run '^$$' -fuzz FuzzGramTileMatchesDot -fuzztime 5s
 
@@ -241,13 +248,16 @@ bench-compare:
 # three matrices, coordinate assembly (G3_circuit@0.05's nonzeros, and
 # one descending row of 10^4 and 10^5 entries, whose ratio shows the
 # linear bound) and Distribute at s = 15 and 1 on k-way G3_circuit@0.05;
-# then whole prepared solves, CA-GMRES(15,60) with CGS and with CholQR,
-# and GMRES(60), on a warm context.
+# the graph layer's build (G3_circuit@0.05, dielFilterV2real@0.004), k-way
+# partition and RCM ordering; one whole cold preparation, Prepare plus the
+# depth-15 distribution of k-way G3_circuit@0.05; then whole prepared
+# solves, CA-GMRES(15,60) with CGS and with CholQR, and GMRES(60), on a
+# warm context.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV|FromCoords|Distribute$$|ByName' -benchmem -cpu 1 \
 		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/ ./internal/matgen/
-	$(GO) test -run '^$$' -bench 'KWay|RCM' -benchmem -cpu 1 ./internal/graph/
-	$(GO) test -run '^$$' -bench SolveAllocs -benchmem -cpu 1 -benchtime 5x ./internal/core/
+	$(GO) test -run '^$$' -bench 'FromMatrix|KWay|RCM' -benchmem -cpu 1 ./internal/graph/
+	$(GO) test -run '^$$' -bench 'Prepare|SolveAllocs' -benchmem -cpu 1 -benchtime 5x ./internal/core/
 
 # Non-test Go lines per package, benchmark/ excluded.
 loc:

@@ -143,6 +143,29 @@ func TestSolveAllocations(t *testing.T) {
 	}
 }
 
+// BenchmarkPrepare times and sizes the cold preparation a
+// ca-sparse-cold op pays before its first iteration: Prepare (graph,
+// k-way partition, order, permutation, balance) of G3_circuit@0.05 on 3
+// devices, then the depth-15 distribution a CA-GMRES(15, ·) solve builds
+// on the first use.
+func BenchmarkPrepare(b *testing.B) {
+	mat, err := matgen.ByName("G3_circuit", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := gpu.NewContext(3, gpu.M2090())
+	b.Run("G3_circuit@0.05/kway/s=15", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := Prepare(ctx, mat.A, KWay, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.distributed(15)
+		}
+	})
+}
+
 // BenchmarkSolveAllocs reports B/op and allocs/op of one whole solve on a
 // prepared problem and a warm context, at the benchmark's two shapes
 // (dielFilterV2real@0.004 natural, G3_circuit@0.05 k-way; 3 devices):

@@ -47,13 +47,11 @@ func Analyze(m *Matrix) *MPKAnalysis {
 			an.SurfaceToVolume[d] = float64(an.BoundaryNNZ[d]) / float64(an.LocalNNZ[d])
 		}
 		// W^(d,s): cumulative halo nnz by distance.
-		nnzAtDist := make([]int, m.S+1)
-		for h, row := range dm.Halo {
-			nnzAtDist[dm.HaloDist[h]] += g.RowPtr[row+1] - g.RowPtr[row]
-		}
 		cum := 0
 		for t := 1; t <= m.S; t++ {
-			cum += nnzAtDist[t]
+			for _, row := range dm.Halo[dm.RowsAtDist[t-1]-dm.NOwn : dm.RowsAtDist[t]-dm.NOwn] {
+				cum += g.RowPtr[row+1] - g.RowPtr[row]
+			}
 			an.ExtraWork[d] += 2 * float64(cum)
 		}
 		an.HaloSize[d] = len(dm.Halo)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 
 	"cagmres/internal/gpu"
 	"cagmres/internal/sparse"
@@ -27,11 +28,10 @@ type DeviceMatrix struct {
 	// Halo lists the global indices of non-owned rows the device needs,
 	// sorted by (distance asc, global index asc).
 	Halo []int
-	// HaloDist[h] is the BFS distance (1..s) of Halo[h].
-	HaloDist []int
 	// RowsAtDist[t] is the number of local extended rows with distance
 	// <= t, for t = 0..s; RowsAtDist[0] == NOwn. The rows multiplied at
-	// MPK step k (1-based) are the prefix RowsAtDist[s-k].
+	// MPK step k (1-based) are the prefix RowsAtDist[s-k], and the halo
+	// rows at distance t are Halo[RowsAtDist[t-1]-NOwn : RowsAtDist[t]-NOwn].
 	RowsAtDist []int
 	// Ext is the extended local matrix A(i^(d,1), :) in the device
 	// format the SpMV kernel reads: rows in local extended order (only
@@ -108,6 +108,9 @@ func Distribute(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int) *Matrix {
 	}
 	if s < 1 {
 		panic(fmt.Sprintf("dist: Distribute with s=%d", s))
+	}
+	if a.Rows > math.MaxInt32 {
+		panic(fmt.Sprintf("dist: Distribute of n=%d exceeds the int32 index range", a.Rows))
 	}
 	ng := l.NumDevices()
 	m := &Matrix{Ctx: ctx, Layout: l, Global: a, S: s, Dev: make([]*DeviceMatrix, ng)}
@@ -190,7 +193,7 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	}
 	// found lists the reached non-owned vertices in discovery order, so
 	// grouped by distance; rowsAtDist[t] = nOwn + #found within distance t.
-	found := make([]int, 0, n-nOwn)
+	found := make([]int32, 0, n-nOwn)
 	rowsAtDist := make([]int, s+1)
 	rowsAtDist[0] = nOwn
 	lo, hi := n, 0 // index span of found
@@ -203,12 +206,12 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		for q := from; q < to; q++ {
 			v := q
 			if t > 1 {
-				v = found[q]
+				v = int(found[q])
 			}
 			for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
 				if w := a.ColIdx[k]; localOf[w] == -1 {
 					localOf[w] = int32(t)
-					found = append(found, w)
+					found = append(found, int32(w))
 					lo, hi = min(lo, w), max(hi, w+1)
 				}
 			}
@@ -216,21 +219,24 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 		rowsAtDist[t] = nOwn + len(found)
 	}
 
-	// Halo: the reached vertices sorted by (distance, index) — a counting
-	// sort by distance of an ascending index scan. The same scan turns
-	// localOf into the local extended numbering: owned first, then halo.
-	halo := make([]int, len(found))
-	haloDist := make([]int, len(found))
-	next := make([]int, s+1) // next[t] = halo slot of the next distance-t vertex
+	// rows maps local extended indices to global ones: the owned rows,
+	// then the halo — the reached vertices sorted by (distance, index), a
+	// counting sort by distance of an ascending index scan. The same scan
+	// turns localOf into the local extended numbering.
+	rows := make([]int, nOwn+len(found))
+	for i := range rows[:nOwn] {
+		rows[i] = own0 + i
+	}
+	next := make([]int, s+1) // next[t] = row slot of the next distance-t vertex
 	for t := 1; t <= s; t++ {
-		next[t] = rowsAtDist[t-1] - nOwn
+		next[t] = rowsAtDist[t-1]
 	}
 	for v := lo; v < hi; v++ {
 		if t := localOf[v]; t > 0 { // owned rows still read 0 here
-			h := next[t]
+			r := next[t]
 			next[t]++
-			halo[h], haloDist[h] = v, int(t)
-			localOf[v] = int32(nOwn + h)
+			rows[r] = v
+			localOf[v] = int32(r)
 		}
 	}
 	for i := own0; i < own1; i++ {
@@ -240,12 +246,8 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	// Extended matrix: rows with distance <= s-1 (a prefix of the local
 	// numbering), columns relabeled and re-sorted ascending, straight
 	// into the device format.
-	extRows := make([]int, rowsAtDist[s-1])
-	for i := range extRows[:nOwn] {
-		extRows[i] = own0 + i
-	}
-	copy(extRows[nOwn:], halo)
-	ext := a.SELLOfRows(extRows, localOf, nOwn+len(halo))
+	extRows := rows[:rowsAtDist[s-1]]
+	ext := a.SELLOfRows(extRows, localOf, len(rows))
 
 	nnzPrefix := make([]int, s)
 	nnz, row := 0, 0
@@ -269,8 +271,7 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 
 	return &DeviceMatrix{
 		NOwn:         nOwn,
-		Halo:         halo,
-		HaloDist:     haloDist,
+		Halo:         rows[nOwn:],
 		RowsAtDist:   rowsAtDist,
 		Ext:          ext,
 		NNZPrefix:    nnzPrefix,

@@ -56,11 +56,8 @@ func TestHaloTridiagonal(t *testing.T) {
 			t.Fatalf("halo = %v, want %v", dm.Halo, wantHalo)
 		}
 	}
-	wantDist := []int{1, 1, 2, 2}
-	for i, d := range wantDist {
-		if dm.HaloDist[i] != d {
-			t.Fatalf("haloDist = %v, want %v", dm.HaloDist, wantDist)
-		}
+	if got, want := haloDist(dm), []int{1, 1, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("halo distances = %v, want %v", got, want)
 	}
 	// RowsAtDist: 4 owned, +2 at dist<=1, +2 at dist<=2.
 	if dm.RowsAtDist[0] != 4 || dm.RowsAtDist[1] != 6 || dm.RowsAtDist[2] != 8 {
@@ -192,9 +189,20 @@ func TestHaloAtDist(t *testing.T) {
 	if want := []int{3, 8, 2, 9}; !slices.Equal(dm.Halo, want) {
 		t.Fatalf("Halo = %v, want %v", dm.Halo, want)
 	}
-	if want := []int{1, 1, 2, 2}; !slices.Equal(dm.HaloDist, want) {
-		t.Fatalf("HaloDist = %v, want %v", dm.HaloDist, want)
+	if got, want := haloDist(dm), []int{1, 1, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("halo distances = %v, want %v", got, want)
 	}
+}
+
+// haloDist expands RowsAtDist into the distance of each halo row.
+func haloDist(dm *DeviceMatrix) []int {
+	dist := make([]int, 0, len(dm.Halo))
+	for t := 1; t < len(dm.RowsAtDist); t++ {
+		for range dm.RowsAtDist[t] - dm.RowsAtDist[t-1] {
+			dist = append(dist, t)
+		}
+	}
+	return dist
 }
 
 func TestBoundaryNNZTridiag(t *testing.T) {

@@ -126,7 +126,6 @@ func referenceDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) (*DeviceMatrix, *
 	return &DeviceMatrix{
 		NOwn:         nOwn,
 		Halo:         halo,
-		HaloDist:     haloDist,
 		RowsAtDist:   rowsAtDist,
 		NNZPrefix:    nnzPrefix,
 		InteriorRows: intRows,
@@ -146,7 +145,7 @@ func referenceSendAndTraffic(dev []*DeviceMatrix, l *Layout, depth1 bool) ([][]i
 	}
 	for d, dm := range dev {
 		for h, g := range dm.Halo {
-			if depth1 && dm.HaloDist[h] != 1 {
+			if depth1 && h >= dm.RowsAtDist[1]-dm.NOwn {
 				continue
 			}
 			o := l.Owner(g)
@@ -212,8 +211,6 @@ func TestDistributeMatchesReference(t *testing.T) {
 							t.Fatalf("%s dev %d: NOwn %d want %d", tag, d, got.NOwn, want.NOwn)
 						case !slices.Equal(got.Halo, want.Halo):
 							t.Fatalf("%s dev %d: Halo differs", tag, d)
-						case !slices.Equal(got.HaloDist, want.HaloDist):
-							t.Fatalf("%s dev %d: HaloDist differs", tag, d)
 						case !slices.Equal(got.RowsAtDist, want.RowsAtDist):
 							t.Fatalf("%s dev %d: RowsAtDist %v want %v", tag, d, got.RowsAtDist, want.RowsAtDist)
 						case !equalCSR(got.Ext.ToCSR(), wantExt):

@@ -27,6 +27,27 @@ func benchGraph(b *testing.B, name string, scale float64) *Graph {
 	return FromMatrix(mat.A)
 }
 
+// BenchmarkFromMatrix times the graph build at the benchmark's tall
+// k-way shape and its dense-row one; both are structurally symmetric, so
+// this is the fast path's copy of A's off-diagonal pattern.
+func BenchmarkFromMatrix(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"G3_circuit", 0.05}, {"dielFilterV2real", 0.004}} {
+		mat, err := matgen.ByName(c.name, c.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s@%g", c.name, c.scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				FromMatrix(mat.A)
+			}
+		})
+	}
+}
+
 // BenchmarkKWay times the k-way partitioner at the benchmark's G3 shape
 // and at cant with k = 4, where balanceParts has moves to make.
 func BenchmarkKWay(b *testing.B) {

@@ -109,7 +109,7 @@ func bfsLevels(g *Graph, roots ...int) ([]int, int) {
 			for _, w := range g.Neighbors(v) {
 				if level[w] == -1 {
 					level[w] = nl + 1
-					next = append(next, w)
+					next = append(next, int(w))
 				}
 			}
 		}
@@ -119,7 +119,7 @@ func bfsLevels(g *Graph, roots ...int) ([]int, int) {
 }
 
 // allUnset reports whether every entry of level is -1.
-func allUnset(level []int) bool {
+func allUnset(level []int32) bool {
 	for _, l := range level {
 		if l != -1 {
 			return false
@@ -161,7 +161,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestPseudoPeripheralPath(t *testing.T) {
 	g := FromMatrix(pathMatrix(9))
-	pp := g.pseudoPeripheral(newBFSScratch(g.N), 4)
+	pp, _, _ := g.pseudoPeripheral(newBFSScratch(g.N), 4)
 	if pp != 0 && pp != 8 {
 		t.Fatalf("pseudo-peripheral = %d, want an endpoint", pp)
 	}
@@ -191,12 +191,13 @@ func referencePseudoPeripheral(g *Graph, start int) int {
 	}
 }
 
-// TestScratchBFSMatchesBFSLevels: on the four generators, searches through
-// one reused scratch — used by the search before — return the levels a
-// search into fresh storage returns, the queue lists what they reached
-// level by level, clearing it leaves the scratch as new, and the
-// pseudo-peripheral vertex built on them is the one the allocating
-// iteration finds.
+// TestScratchBFSMatchesBFSLevels: on the four generators, a search
+// through one reused scratch — used by the search before — returns the
+// levels a search into fresh storage returns and a queue listing what it
+// reached level by level; pruned searches from further roots turn them
+// into the multi-source levels; clearing leaves the scratch as new; and
+// the pseudo-peripheral vertex built on them is the one the allocating
+// iteration finds, with the levels of the search from it left behind.
 func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 	for _, mat := range matgen.PaperSet(0.002) {
 		g := FromMatrix(mat.A)
@@ -207,17 +208,34 @@ func TestScratchBFSMatchesBFSLevels(t *testing.T) {
 			for i := range roots {
 				roots[i] = rng.Intn(g.N)
 			}
-			want, wantLevels := bfsLevels(g, roots...)
-			q := g.bfs(sc.level, sc.queue, roots)
-			if !slices.Equal(sc.level, want) || sc.level[q[len(q)-1]]+1 != wantLevels ||
-				!slices.IsSortedFunc(q, func(a, b int) int { return sc.level[a] - sc.level[b] }) {
-				t.Fatalf("%s: scratch BFS from %v differs from a fresh one", mat.Name, roots)
+			want, wantLevels := bfsLevels(g, roots[0])
+			level := sc.level[trial%2]
+			q := g.bfs(level, sc.queue[trial%2], int32(roots[0]))
+			if !equalInts(level, want) || int(level[q[len(q)-1]])+1 != wantLevels ||
+				!slices.IsSortedFunc(q, func(a, b int32) int { return int(level[a] - level[b]) }) {
+				t.Fatalf("%s: scratch BFS from %d differs from a fresh one", mat.Name, roots[0])
 			}
-			clearLevels(sc.level, q)
-			if got, want := g.pseudoPeripheral(sc, roots[0]), referencePseudoPeripheral(g, roots[0]); got != want {
+			reached := slices.Clone(q)
+			for _, r := range roots[1:] {
+				q = g.bfs(level, q, int32(r))
+				reached = append(reached, q...)
+			}
+			if want, _ := bfsLevels(g, roots...); !equalInts(level, want) {
+				t.Fatalf("%s: pruned searches from %v differ from a multi-source one", mat.Name, roots)
+			}
+			clearLevels(level, reached)
+			if !allUnset(level) {
+				t.Fatalf("%s: clearing left the scratch dirty", mat.Name)
+			}
+			got, gotLevel, gotQ := g.pseudoPeripheral(sc, int32(roots[0]))
+			if want := referencePseudoPeripheral(g, roots[0]); int(got) != want {
 				t.Fatalf("%s: pseudo-peripheral vertex from %d: %d, want %d", mat.Name, roots[0], got, want)
 			}
-			if !allUnset(sc.level) {
+			if want, _ := bfsLevels(g, int(got)); !equalInts(gotLevel, want) {
+				t.Fatalf("%s: the levels left behind are not the search from %d", mat.Name, got)
+			}
+			clearLevels(gotLevel, gotQ)
+			if !allUnset(sc.level[0]) || !allUnset(sc.level[1]) {
 				t.Fatalf("%s: a search left the scratch dirty", mat.Name)
 			}
 		}

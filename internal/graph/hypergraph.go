@@ -119,7 +119,7 @@ func refineHypergraph(h *Hypergraph, p *Partition, passes int, seed int64) {
 
 	// pins[net][part] counts would be memory-hungry; recompute per-net
 	// pin counts lazily for the nets touching a candidate vertex.
-	pinCount := func(net, part int) int {
+	pinCount := func(net int, part int32) int {
 		c := 0
 		for kk := h.NetPtr[net]; kk < h.NetPtr[net+1]; kk++ {
 			if p.Part[h.NetVert[kk]] == part {
@@ -130,7 +130,7 @@ func refineHypergraph(h *Hypergraph, p *Partition, passes int, seed int64) {
 	}
 	// moveGain computes the change in the connectivity metric if vertex
 	// v moves from its home to part dst (positive = improvement).
-	moveGain := func(v, dst int) int {
+	moveGain := func(v int, dst int32) int {
 		home := p.Part[v]
 		gain := 0
 		for kk := h.VertPtr[v]; kk < h.VertPtr[v+1]; kk++ {
@@ -157,7 +157,7 @@ func refineHypergraph(h *Hypergraph, p *Partition, passes int, seed int64) {
 				continue
 			}
 			// Candidate destinations: parts of neighboring pins.
-			cand := map[int]bool{}
+			cand := map[int32]bool{}
 			for kk := h.VertPtr[v]; kk < h.VertPtr[v+1]; kk++ {
 				net := h.VertNet[kk]
 				for nn := h.NetPtr[net]; nn < h.NetPtr[net+1]; nn++ {

@@ -40,12 +40,12 @@ func TestConnectivityMetricExact(t *testing.T) {
 	// one element.
 	a := pathMatrix(10)
 	h := ColumnNetHypergraph(a)
-	p := &Partition{K: 2, Part: []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
+	p := &Partition{K: 2, Part: []int32{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
 	if got := h.Connectivity(p); got != 2 {
 		t.Fatalf("connectivity = %d, want 2", got)
 	}
 	// One part: no communication.
-	if got := h.Connectivity(&Partition{K: 1, Part: make([]int, 10)}); got != 0 {
+	if got := h.Connectivity(&Partition{K: 1, Part: make([]int32, 10)}); got != 0 {
 		t.Fatalf("k=1 connectivity = %d", got)
 	}
 }
@@ -59,12 +59,12 @@ func exactSpMVVolume(a *sparse.CSR, p *Partition) int {
 	for d := 0; d < p.K; d++ {
 		needed := map[int]bool{}
 		for i := 0; i < a.Rows; i++ {
-			if p.Part[i] != d {
+			if int(p.Part[i]) != d {
 				continue
 			}
 			cols, _ := a.Row(i)
 			for _, j := range cols {
-				if p.Part[j] != d {
+				if int(p.Part[j]) != d {
 					needed[j] = true
 				}
 			}
@@ -88,7 +88,7 @@ func TestConnectivityEqualsExactVolume(t *testing.T) {
 			sparse.Coord{Row: i, Col: i, Val: 1})
 	}
 	a := sparse.FromCoords(n, n, entries)
-	p := &Partition{K: 2, Part: make([]int, n)}
+	p := &Partition{K: 2, Part: make([]int32, n)}
 	for i := n / 2; i < n; i++ {
 		p.Part[i] = 1
 	}
@@ -117,9 +117,9 @@ func TestConnectivityEqualsExactVolumeRandomized(t *testing.T) {
 		}
 		a := sparse.FromCoords(n, n, entries)
 		k := 2 + rng.Intn(3)
-		p := &Partition{K: k, Part: make([]int, n)}
+		p := &Partition{K: k, Part: make([]int32, n)}
 		for i := range p.Part {
-			p.Part[i] = rng.Intn(k)
+			p.Part[i] = int32(rng.Intn(k))
 		}
 		h := ColumnNetHypergraph(a)
 		if got, want := h.Connectivity(p), exactSpMVVolume(a, p); got != want {
@@ -164,9 +164,9 @@ func TestPartitionHypergraphBeatsRandom(t *testing.T) {
 	h := ColumnNetHypergraph(a)
 	hp := PartitionHypergraph(a, 3, 1)
 	rng := rand.New(rand.NewSource(9))
-	randP := &Partition{K: 3, Part: make([]int, a.Rows)}
+	randP := &Partition{K: 3, Part: make([]int32, a.Rows)}
 	for i := range randP.Part {
-		randP.Part[i] = rng.Intn(3)
+		randP.Part[i] = int32(rng.Intn(3))
 	}
 	if h.Connectivity(hp)*4 > h.Connectivity(randP) {
 		t.Fatalf("hypergraph partition %d not clearly below random %d",

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Partition assigns each vertex to one of K parts. It is the stand-in for
@@ -11,7 +12,7 @@ import (
 // volume) while balancing part sizes (which balances SpMV load).
 type Partition struct {
 	K    int
-	Part []int // vertex -> part
+	Part []int32 // vertex -> part
 }
 
 // KWay computes a k-way partition by greedy graph growing from spread
@@ -22,7 +23,7 @@ func KWay(g *Graph, k int, seed int64) *Partition {
 		panic(fmt.Sprintf("graph: KWay with k=%d", k))
 	}
 	if k == 1 || g.N == 0 {
-		return &Partition{K: k, Part: make([]int, g.N)}
+		return &Partition{K: k, Part: make([]int32, g.N)}
 	}
 	p := grow(g, k, rand.New(rand.NewSource(seed)))
 
@@ -41,28 +42,45 @@ func KWay(g *Graph, k int, seed int64) *Partition {
 // currently smallest part from its frontier.
 func grow(g *Graph, k int, rng *rand.Rand) *Partition {
 	n := g.N
-	p := &Partition{K: k, Part: make([]int, n)}
+	sc := newBFSScratch(n)
+	seeds := spreadSeeds(g, k, rng, sc)
+	p := &Partition{K: k, Part: make([]int32, n)}
 	for i := range p.Part {
 		p.Part[i] = -1
 	}
-	seeds := spreadSeeds(g, k, rng)
 	size := make([]int, k)
-	frontiers := make([][]int, k) // FIFO queues
-	heads := make([]int, k)
+	// Each part's frontier is a FIFO linked through next: head[d] is the
+	// vertex being expanded (-1 once the frontier is exhausted), tail[d]
+	// the last one queued, and cursor[d] the position in head[d]'s
+	// neighbour list before which every vertex is claimed — claims are
+	// never undone, so the scan resumes there. A vertex joins one
+	// frontier, when its part claims it, and next[v] is written before
+	// it is read, so a search level array serves as next.
+	next := sc.level[0]
+	head, tail := make([]int32, k), make([]int32, k)
+	cursor := make([]int, k)
+	push := func(d, v int32) {
+		if head[d] < 0 {
+			head[d], cursor[d] = v, g.Ptr[v]
+		} else {
+			next[tail[d]] = v
+		}
+		tail[d] = v
+	}
+	for d := range head {
+		head[d] = -1
+	}
 	for d, s := range seeds {
-		p.Part[s] = d
+		p.Part[s] = int32(d)
 		size[d] = 1
-		frontiers[d] = append(frontiers[d], s)
+		push(int32(d), s)
 	}
 	assigned := k
 	for assigned < n {
 		// smallest growable part (FIFO growth keeps regions compact)
 		d := -1
 		for c := 0; c < k; c++ {
-			if heads[c] >= len(frontiers[c]) {
-				continue
-			}
-			if d == -1 || size[c] < size[d] {
+			if head[c] >= 0 && (d == -1 || size[c] < size[d]) {
 				d = c
 			}
 		}
@@ -79,29 +97,33 @@ func grow(g *Graph, k int, rng *rand.Rand) *Partition {
 						dMin = c
 					}
 				}
-				p.Part[v] = dMin
+				p.Part[v] = int32(dMin)
 				size[dMin]++
-				frontiers[dMin] = append(frontiers[dMin], v)
+				push(int32(dMin), int32(v))
 				assigned++
 			}
 			continue
 		}
-		// claim one unassigned neighbor of the frontier head
-		claimed := false
-		for heads[d] < len(frontiers[d]) && !claimed {
-			f := frontiers[d][heads[d]]
-			for _, w := range g.Neighbors(f) {
-				if p.Part[w] == -1 {
-					p.Part[w] = d
-					size[d]++
-					assigned++
-					frontiers[d] = append(frontiers[d], w)
-					claimed = true
-					break
-				}
+		// claim the first unassigned neighbour of the frontier head,
+		// dropping heads that have none
+		for f := head[d]; f >= 0; f = head[d] {
+			c, end := cursor[d], g.Ptr[f+1]
+			for c < end && p.Part[g.Adj[c]] != -1 {
+				c++
 			}
-			if !claimed {
-				heads[d]++ // f exhausted
+			if c < end {
+				w := g.Adj[c]
+				p.Part[w] = int32(d)
+				size[d]++
+				assigned++
+				push(int32(d), w)
+				cursor[d] = c + 1
+				break
+			}
+			if f == tail[d] {
+				head[d] = -1
+			} else {
+				head[d], cursor[d] = next[f], g.Ptr[next[f]]
 			}
 		}
 	}
@@ -110,55 +132,47 @@ func grow(g *Graph, k int, rng *rand.Rand) *Partition {
 
 // spreadSeeds picks k seed vertices that are far apart: the first is a
 // pseudo-peripheral vertex, each next seed maximizes its BFS distance to
-// all previous seeds.
-func spreadSeeds(g *Graph, k int, rng *rand.Rand) []int {
+// all previous seeds, the lowest index winning ties. The search that
+// found the first seed leaves its levels in sc; each later seed's pruned
+// search turns them into distances to the nearest seed.
+func spreadSeeds(g *Graph, k int, rng *rand.Rand, sc *bfsScratch) []int32 {
 	n := g.N
-	sc := newBFSScratch(n)
-	seeds := make([]int, 0, k)
-	first := g.pseudoPeripheral(sc, rng.Intn(n))
-	seeds = append(seeds, first)
-	level := sc.level
+	seeds := make([]int32, 1, k)
+	var level, q []int32
+	seeds[0], level, q = g.pseudoPeripheral(sc, int32(rng.Intn(n)))
 	for len(seeds) < k {
-		q := g.bfs(level, sc.queue, seeds)
-		best, bestLvl := -1, -1
-		for v := 0; v < n; v++ {
-			if level[v] > bestLvl {
-				best, bestLvl = v, level[v]
+		best, bestLvl := int32(-1), int32(-1)
+		for v, l := range level {
+			if l > bestLvl {
+				best, bestLvl = int32(v), l
 			}
 		}
-		clearLevels(level, q)
-		if best < 0 || containsInt(seeds, best) {
+		if best < 0 || slices.Contains(seeds, best) {
 			// graph smaller than k or disconnected remainder: fall back
 			// to any unused vertex
 			best = -1
-			for v := 0; v < n; v++ {
-				if !containsInt(seeds, v) {
+			for v := int32(0); int(v) < n; v++ {
+				if !slices.Contains(seeds, v) {
 					best = v
 					break
 				}
 			}
 			if best < 0 {
-				best = rng.Intn(n)
+				best = int32(rng.Intn(n))
 			}
 		}
 		seeds = append(seeds, best)
+		if len(seeds) < k {
+			q = g.bfs(level, q, best)
+		}
 	}
 	return seeds
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // externalDegrees returns, per vertex, how many of its neighbours lie in
 // another part: a vertex is on the boundary exactly when it is non-zero.
-func externalDegrees(g *Graph, p *Partition) []int {
-	ext := make([]int, g.N)
+func externalDegrees(g *Graph, p *Partition) []int32 {
+	ext := make([]int32, g.N)
 	for v := range ext {
 		for _, w := range g.Neighbors(v) {
 			if p.Part[w] != p.Part[v] {
@@ -170,7 +184,7 @@ func externalDegrees(g *Graph, p *Partition) []int {
 }
 
 // move puts v in part to, keeping ext, the external degrees, current.
-func move(g *Graph, p *Partition, ext []int, v, to int) {
+func move(g *Graph, p *Partition, ext []int32, v int, to int32) {
 	from := p.Part[v]
 	p.Part[v] = to
 	ext[v] = 0
@@ -193,7 +207,7 @@ func move(g *Graph, p *Partition, ext []int, v, to int) {
 // keep all part sizes within maxImb of the average. Passes repeat until
 // no move applies or the pass budget is exhausted. ext holds the external
 // degrees, which the moves keep current.
-func refine(g *Graph, p *Partition, ext []int, passes int) {
+func refine(g *Graph, p *Partition, ext []int32, passes int) {
 	n := g.N
 	k := p.K
 	size := make([]int, k)
@@ -206,7 +220,7 @@ func refine(g *Graph, p *Partition, ext []int, passes int) {
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < n; v++ {
-			home := p.Part[v]
+			home := int(p.Part[v])
 			if ext[v] == 0 || size[home] <= minSize {
 				continue
 			}
@@ -228,7 +242,7 @@ func refine(g *Graph, p *Partition, ext []int, passes int) {
 				}
 			}
 			if best != home && bestGain > 0 {
-				move(g, p, ext, v, best)
+				move(g, p, ext, v, int32(best))
 				size[home]--
 				size[best]++
 				moved++
@@ -245,7 +259,7 @@ func refine(g *Graph, p *Partition, ext []int, passes int) {
 // average, preferring moves with the least cut damage. It is the
 // balance-enforcement half of FM refinement. ext holds the external
 // degrees, which the moves keep current.
-func balanceParts(g *Graph, p *Partition, ext []int) {
+func balanceParts(g *Graph, p *Partition, ext []int32) {
 	n := g.N
 	k := p.K
 	size := make([]int, k)
@@ -269,7 +283,7 @@ func balanceParts(g *Graph, p *Partition, ext []int) {
 		// conn(dest) - conn(over) over destinations with room.
 		bestV, bestD, bestGain := -1, -1, -(1 << 30)
 		for v := 0; v < n; v++ {
-			if p.Part[v] != over || ext[v] == 0 {
+			if int(p.Part[v]) != over || ext[v] == 0 {
 				continue
 			}
 			for c := range conn {
@@ -298,7 +312,7 @@ func balanceParts(g *Graph, p *Partition, ext []int) {
 				}
 			}
 			for v := 0; v < n && bestV == -1; v++ {
-				if p.Part[v] == over {
+				if int(p.Part[v]) == over {
 					bestV, bestD = v, small
 				}
 			}
@@ -306,7 +320,7 @@ func balanceParts(g *Graph, p *Partition, ext []int) {
 				return
 			}
 		}
-		move(g, p, ext, bestV, bestD)
+		move(g, p, ext, bestV, int32(bestD))
 		size[over]--
 		size[bestD]++
 	}
@@ -318,7 +332,7 @@ func EdgeCut(g *Graph, p *Partition) int {
 	cut := 0
 	for v := 0; v < g.N; v++ {
 		for _, w := range g.Neighbors(v) {
-			if w > v && p.Part[v] != p.Part[w] {
+			if int(w) > v && p.Part[v] != p.Part[w] {
 				cut++
 			}
 		}
@@ -358,18 +372,21 @@ func (p *Partition) Sizes() []int {
 // vertices contiguously, preserving relative order inside a part, plus
 // the resulting part boundaries (k+1 offsets). Applying this permutation
 // to the matrix yields the block-row layout the distributed runtime
-// wants: device d owns rows bounds[d]:bounds[d+1].
+// wants: device d owns rows bounds[d]:bounds[d+1]. It is one counting
+// sort of the vertices by part.
 func (p *Partition) Order() (perm []int, bounds []int) {
-	n := len(p.Part)
-	perm = make([]int, 0, n)
 	bounds = make([]int, p.K+1)
+	for _, d := range p.Part {
+		bounds[d+1]++
+	}
 	for d := 0; d < p.K; d++ {
-		for v := 0; v < n; v++ {
-			if p.Part[v] == d {
-				perm = append(perm, v)
-			}
-		}
-		bounds[d+1] = len(perm)
+		bounds[d+1] += bounds[d]
+	}
+	next := slices.Clone(bounds[:p.K])
+	perm = make([]int, len(p.Part))
+	for v, d := range p.Part {
+		perm[next[d]] = v
+		next[d]++
 	}
 	return perm, bounds
 }

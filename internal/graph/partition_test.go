@@ -38,9 +38,9 @@ func TestKWayBeatsRandomCut(t *testing.T) {
 	cut := EdgeCut(g, p)
 
 	rng := rand.New(rand.NewSource(99))
-	randP := &Partition{K: k, Part: make([]int, g.N)}
+	randP := &Partition{K: k, Part: make([]int32, g.N)}
 	for i := range randP.Part {
-		randP.Part[i] = rng.Intn(k)
+		randP.Part[i] = int32(rng.Intn(k))
 	}
 	randCut := EdgeCut(g, randP)
 	if cut*4 > randCut {
@@ -92,7 +92,7 @@ func TestKWayDisconnected(t *testing.T) {
 }
 
 func TestPartitionOrder(t *testing.T) {
-	p := &Partition{K: 2, Part: []int{1, 0, 1, 0, 0}}
+	p := &Partition{K: 2, Part: []int32{1, 0, 1, 0, 0}}
 	perm, bounds := p.Order()
 	if !IsPermutation(perm, 5) {
 		t.Fatalf("perm = %v", perm)
@@ -114,9 +114,9 @@ func TestPartitionOrderQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(50)
 		k := 1 + rng.Intn(4)
-		p := &Partition{K: k, Part: make([]int, n)}
+		p := &Partition{K: k, Part: make([]int32, n)}
 		for i := range p.Part {
-			p.Part[i] = rng.Intn(k)
+			p.Part[i] = int32(rng.Intn(k))
 		}
 		perm, bounds := p.Order()
 		if !IsPermutation(perm, n) {
@@ -125,7 +125,7 @@ func TestPartitionOrderQuick(t *testing.T) {
 		// every vertex inside bounds[d]:bounds[d+1] belongs to part d
 		for d := 0; d < k; d++ {
 			for i := bounds[d]; i < bounds[d+1]; i++ {
-				if p.Part[perm[i]] != d {
+				if int(p.Part[perm[i]]) != d {
 					return false
 				}
 			}
@@ -139,14 +139,14 @@ func TestPartitionOrderQuick(t *testing.T) {
 
 func TestEdgeCutPath(t *testing.T) {
 	g := FromMatrix(pathMatrix(10))
-	p := &Partition{K: 2, Part: []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
+	p := &Partition{K: 2, Part: []int32{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}}
 	if cut := EdgeCut(g, p); cut != 1 {
 		t.Fatalf("path cut = %d, want 1", cut)
 	}
 }
 
 func TestImbalancePerfect(t *testing.T) {
-	p := &Partition{K: 3, Part: []int{0, 0, 0, 1, 1, 1, 2, 2, 2}}
+	p := &Partition{K: 3, Part: []int32{0, 0, 0, 1, 1, 1, 2, 2, 2}}
 	if imb := p.Imbalance(); imb != 1 {
 		t.Fatalf("imbalance = %v", imb)
 	}

@@ -23,9 +23,9 @@ func RCM(g *Graph) []int {
 	for v := 0; v < g.N; v++ {
 		maxDeg = max(maxDeg, g.Degree(v))
 	}
-	nbrs := make([]int, 0, maxDeg)
-	byDegree := func(a, b int) int {
-		if da, db := g.Degree(a), g.Degree(b); da != db {
+	nbrs := make([]int32, 0, maxDeg)
+	byDegree := func(a, b int32) int {
+		if da, db := g.Degree(int(a)), g.Degree(int(b)); da != db {
 			return cmp.Compare(da, db)
 		}
 		return cmp.Compare(a, b)
@@ -35,9 +35,10 @@ func RCM(g *Graph) []int {
 			continue
 		}
 		// The component's Cuthill-McKee queue is its stretch of perm.
-		root := g.pseudoPeripheral(sc, s)
+		root, level, q := g.pseudoPeripheral(sc, int32(s))
+		clearLevels(level, q)
 		visited[root] = true
-		perm = append(perm, root)
+		perm = append(perm, int(root))
 		for head := len(perm) - 1; head < len(perm); head++ {
 			nbrs = nbrs[:0]
 			for _, w := range g.Neighbors(perm[head]) {
@@ -47,7 +48,9 @@ func RCM(g *Graph) []int {
 				}
 			}
 			slices.SortFunc(nbrs, byDegree)
-			perm = append(perm, nbrs...)
+			for _, w := range nbrs {
+				perm = append(perm, int(w))
+			}
 		}
 	}
 	slices.Reverse(perm)
@@ -60,7 +63,7 @@ func Bandwidth(g *Graph) int {
 	bw := 0
 	for v := 0; v < g.N; v++ {
 		for _, w := range g.Neighbors(v) {
-			d := v - w
+			d := v - int(w)
 			if d < 0 {
 				d = -d
 			}

@@ -33,7 +33,7 @@ func referenceRCM(g *Graph) []int {
 			for _, w := range g.Neighbors(v) {
 				if !visited[w] {
 					visited[w] = true
-					nbrs = append(nbrs, w)
+					nbrs = append(nbrs, int(w))
 				}
 			}
 			sort.Slice(nbrs, func(a, b int) bool {

@@ -28,7 +28,7 @@ func referenceRefine(g *Graph, p *Partition, passes int) {
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < n; v++ {
-			home := p.Part[v]
+			home := int(p.Part[v])
 			if size[home] <= minSize {
 				continue
 			}
@@ -39,7 +39,7 @@ func referenceRefine(g *Graph, p *Partition, passes int) {
 			boundary := false
 			for _, w := range g.Neighbors(v) {
 				conn[p.Part[w]]++
-				if p.Part[w] != home {
+				if int(p.Part[w]) != home {
 					boundary = true
 				}
 			}
@@ -57,7 +57,7 @@ func referenceRefine(g *Graph, p *Partition, passes int) {
 				}
 			}
 			if best != home && bestGain > 0 {
-				p.Part[v] = best
+				p.Part[v] = int32(best)
 				size[home]--
 				size[best]++
 				moved++
@@ -98,7 +98,7 @@ func referenceBalanceParts(g *Graph, p *Partition) {
 		// conn(dest) - conn(over) over destinations with room.
 		bestV, bestD, bestGain := -1, -1, -(1 << 30)
 		for v := 0; v < n; v++ {
-			if p.Part[v] != over {
+			if int(p.Part[v]) != over {
 				continue
 			}
 			for c := range conn {
@@ -107,7 +107,7 @@ func referenceBalanceParts(g *Graph, p *Partition) {
 			boundary := false
 			for _, w := range g.Neighbors(v) {
 				conn[p.Part[w]]++
-				if p.Part[w] != over {
+				if int(p.Part[w]) != over {
 					boundary = true
 				}
 			}
@@ -134,7 +134,7 @@ func referenceBalanceParts(g *Graph, p *Partition) {
 				}
 			}
 			for v := 0; v < n && bestV == -1; v++ {
-				if p.Part[v] == over {
+				if int(p.Part[v]) == over {
 					bestV, bestD = v, small
 				}
 			}
@@ -142,7 +142,7 @@ func referenceBalanceParts(g *Graph, p *Partition) {
 				return
 			}
 		}
-		p.Part[bestV] = bestD
+		p.Part[bestV] = int32(bestD)
 		size[over]--
 		size[bestD]++
 	}

@@ -33,16 +33,16 @@ func Balance(a *CSR) (rowScale, colScale []float64) {
 		}
 	}
 
-	// Column pass on the row-scaled values.
-	csq := make([]float64, a.Cols)
+	// Column pass on the row-scaled values: colScale holds each column's
+	// sum of squares until it is turned into the scale.
 	for k, c := range a.ColIdx {
-		csq[c] += a.Val[k] * a.Val[k]
+		colScale[c] += a.Val[k] * a.Val[k]
 	}
-	for j := 0; j < a.Cols; j++ {
-		if csq[j] == 0 {
+	for j, csq := range colScale {
+		if csq == 0 {
 			colScale[j] = 1
 		} else {
-			colScale[j] = 1 / math.Sqrt(csq[j])
+			colScale[j] = 1 / math.Sqrt(csq)
 		}
 	}
 	for k, c := range a.ColIdx {

@@ -10,6 +10,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -234,9 +235,12 @@ func (a *CSR) Permute(perm []int) *CSR {
 	if len(perm) != n || a.Cols != n {
 		panic("sparse: Permute needs a square matrix and a full permutation")
 	}
-	inv := make([]int, n)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: Permute of n=%d exceeds the int32 index range", n))
+	}
+	inv := make([]int32, n)
 	for newIdx, old := range perm {
-		inv[old] = newIdx
+		inv[old] = int32(newIdx)
 	}
 	p := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
 		ColIdx: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
@@ -245,7 +249,7 @@ func (a *CSR) Permute(perm []int) *CSR {
 		start := p.RowPtr[newRow]
 		end := start + hi - lo
 		for k := lo; k < hi; k++ {
-			p.ColIdx[start+k-lo] = inv[a.ColIdx[k]]
+			p.ColIdx[start+k-lo] = int(inv[a.ColIdx[k]])
 		}
 		copy(p.Val[start:end], a.Val[lo:hi])
 		sortRow(p.ColIdx[start:end], p.Val[start:end])
