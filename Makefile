@@ -217,6 +217,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzFromCoords -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzSELLOfRows -fuzztime 5s
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzFromMatrix -fuzztime 5s
+	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzDistribute -fuzztime 5s
 	$(GO) test ./internal/sparse/ -run '^$$' -fuzz FuzzMulVecPrefixMatchesScalar -fuzztime 5s
 	$(GO) test ./internal/la/ -run '^$$' -fuzz FuzzGramTileMatchesDot -fuzztime 5s
 

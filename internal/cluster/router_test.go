@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -546,5 +547,51 @@ func TestRouterBodyLimit(t *testing.T) {
 	code, job, _ := post(t, r, padded(server.MaxBodyBytes))
 	if code != http.StatusOK || !job.Converged {
 		t.Fatalf("body at the limit: HTTP %d, job %+v", code, job)
+	}
+}
+
+// unread is a request body that fails the test if anything reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("the body was read")
+	return 0, io.EOF
+}
+
+// TestRouterBodyFraming: the router reads a body of declared length, one
+// of unknown length (chunked) and one declared past the eager buffer to
+// the same solve, byte for byte; refuses a declared length over
+// server.MaxBodyBytes with the 413 of an over-long body without reading
+// it; and refuses a body that ends before or runs past its declared
+// length.
+func TestRouterBodyFraming(t *testing.T) {
+	r, _ := newTestCluster(t, 1)
+	body := solveBody(t, tinySpec())
+	long := append(bytes.Repeat([]byte(" "), eagerBodyBytes), body...)
+	for _, tc := range []struct {
+		body   []byte
+		length int64
+	}{{body, int64(len(body))}, {body, -1}, {long, int64(len(long))}} {
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(tc.body))
+		req.ContentLength = tc.length
+		s, rej := r.decode(httptest.NewRecorder(), req)
+		if rej != nil || !bytes.Equal(s.body, tc.body) || !s.wait {
+			t.Fatalf("%d bytes, length %d: wait %v, rejection %+v", len(tc.body), tc.length, s.wait, rej)
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/solve", unread{t})
+	req.ContentLength = server.MaxBodyBytes + 1
+	if _, rej := r.decode(httptest.NewRecorder(), req); rej == nil ||
+		*rej != (rejection{http.StatusRequestEntityTooLarge, obs.CodeRequestTooLarge, "http: request body too large"}) {
+		t.Fatalf("declared length over the limit: %+v", rej)
+	}
+
+	for _, length := range []int64{int64(len(body)) + 1, int64(len(body)) - 1} {
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
+		req.ContentLength = length
+		if _, rej := r.decode(httptest.NewRecorder(), req); rej == nil || rej.status != http.StatusBadRequest {
+			t.Fatalf("body of %d bytes declared %d: %+v, want a 400", len(body), length, rej)
+		}
 	}
 }

@@ -227,7 +227,7 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 	if e.bNorm == 0 {
 		// Trivial system: x = 0.
 		e.em.emit(obs.Record{Kind: "done"})
-		res.X, res.Converged = e.p.Unmap(make([]float64, e.p.Layout.N)), true
+		res.X, res.Converged = e.p.solution(e.W, 0), true // W starts zeroed
 		return res, nil
 	}
 	if nonFinite(e.bNorm) {
@@ -304,6 +304,6 @@ func (e *engine) drive(ck *checkpoint, s cycler) (*Result, error) {
 		tag = keeper.finish(res)
 	}
 	e.em.emit(obs.Record{Kind: "done", Restart: res.Restarts, Step: res.Iters, RelRes: res.RelRes, Precision: tag})
-	res.X = e.p.Unmap(e.W.GatherCol(0))
+	res.X = e.p.solution(e.W, 0)
 	return res, nil
 }

@@ -105,7 +105,7 @@ func TestHessenbergRecoveryIdentity(t *testing.T) {
 			}
 			for k := 0; k < m; k++ {
 				aq := make([]float64, n)
-				a.MulVec(aq, qcols[k])
+				mulVec(a, aq, qcols[k])
 				rec := make([]float64, n)
 				for i := 0; i <= k+1; i++ {
 					la.Axpy(h.At(i, k), qcols[i], rec)
@@ -183,7 +183,7 @@ func TestHessenbergRecoveryMatchesExplicitArnoldi(t *testing.T) {
 	basis := [][]float64{append([]float64(nil), v0...)}
 	for k := 0; k < m; k++ {
 		w := make([]float64, n)
-		a.MulVec(w, basis[k])
+		mulVec(a, w, basis[k])
 		for l := 0; l <= k; l++ {
 			hlk := la.Dot(basis[l], w)
 			href.Set(l, k, hlk)

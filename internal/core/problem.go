@@ -218,7 +218,7 @@ func (p *Problem) OnContext(ctx *gpu.Context) (*Problem, error) {
 }
 
 // ApplyJacobi right-preconditions the prepared system with the inverse
-// diagonal: the solvers then iterate on A*D^{-1} y = b and Unmap returns
+// diagonal: the solvers then iterate on A*D^{-1} y = b and the solution is
 // x = D^{-1} y. Diagonal (Jacobi) preconditioning is the one classical
 // preconditioner that composes transparently with the matrix powers
 // kernel — A*D^{-1} has exactly A's sparsity graph, so the halo sets,
@@ -248,38 +248,49 @@ func (p *Problem) ApplyJacobi() {
 	p.plan = &distPlan{} // the values changed under any earlier distribution
 }
 
-// Unmap converts a solution of the prepared (permuted, balanced,
-// possibly preconditioned) system back to the original coordinates.
-func (p *Problem) Unmap(x []float64) []float64 {
-	work := append([]float64(nil), x...)
-	if p.jacobi != nil {
-		for i := range work {
-			work[i] /= p.jacobi[i]
+// solution reads column j of v, a solution of the prepared (permuted,
+// balanced, possibly preconditioned) system, into a new vector in the
+// original coordinates in one pass off the device blocks: each entry is
+// divided by the Jacobi diagonal, unscaled by the column scale and
+// scattered through the permutation.
+func (p *Problem) solution(v *dist.Vectors, j int) []float64 {
+	x := make([]float64, v.Layout.N)
+	for d, blk := range v.Local {
+		own0 := v.Layout.OwnStart(d)
+		for k, xi := range blk.Col(j) {
+			i := own0 + k
+			if p.jacobi != nil {
+				xi /= p.jacobi[i]
+			}
+			if p.colScale != nil {
+				xi *= p.colScale[i]
+			}
+			if p.perm != nil {
+				x[p.perm[i]] = xi
+			} else {
+				x[i] = xi
+			}
 		}
 	}
-	if p.colScale != nil {
-		sparse.UnscaleSolution(p.colScale, work)
-	}
-	if p.perm == nil {
-		return work
-	}
-	out := make([]float64, len(work))
-	for newIdx, old := range p.perm {
-		out[old] = work[newIdx]
-	}
-	return out
+	return x
 }
 
 // ResidualNorm computes ||b - A x|| / ||b|| in the ORIGINAL coordinates
-// for a solution in original coordinates (host-side verification).
+// for a solution in original coordinates (host-side verification). Each
+// row's b_i - (Ax)_i is summed as it is formed, so nothing is allocated.
 func ResidualNorm(a *sparse.CSR, b, x []float64) float64 {
-	r := make([]float64, len(b))
-	a.MulVec(r, x)
+	if len(x) != a.Cols || len(b) != a.Rows {
+		panic(fmt.Sprintf("core: ResidualNorm shape mismatch A=%dx%d x=%d b=%d", a.Rows, a.Cols, len(x), len(b)))
+	}
 	var rn, bn float64
-	for i := range r {
-		d := b[i] - r[i]
+	for i, bi := range b {
+		var ax float64
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			ax += a.Val[k] * x[a.ColIdx[k]]
+		}
+		d := bi - ax
 		rn += d * d
-		bn += b[i] * b[i]
+		bn += bi * bi
 	}
 	if bn == 0 {
 		return math.Sqrt(rn)

@@ -166,9 +166,9 @@ func TestDeviceLossReplayOnWarmWorkspace(t *testing.T) {
 }
 
 // solveAllocBytes returns the bytes one solve of an n = nx*ny Laplacian
-// allocates on a prepared problem and a warm context, net of the two
-// n-vectors behind the returned X (GatherCol, Unmap) as the heap charges
-// them, rounded up to their size class. Four devices keep
+// allocates on a prepared problem and a warm context, net of the one
+// n-vector that is the returned X as the heap charges it, rounded up to
+// its size class. Four devices keep
 // every device's block of both sizes within one 4096-row panel of la's
 // batched kernels, whose per-panel partial products (c x c per panel) are
 // the one thing left that grows with the rows.
@@ -196,7 +196,7 @@ func solveAllocBytes(t *testing.T, nx, ny int, solve func(*Problem, Options) (*R
 	if iters != opts.MaxRestarts*opts.M {
 		t.Fatalf("n=%d: %d iterations, want %d restarts of %d", n, iters, opts.MaxRestarts, opts.M)
 	}
-	return float64(after.TotalAlloc-before.TotalAlloc) - 2*vectorBytes(n)
+	return float64(after.TotalAlloc-before.TotalAlloc) - vectorBytes(n)
 }
 
 var vectorSink []float64

@@ -27,7 +27,7 @@ type DeviceMatrix struct {
 	NOwn int
 	// Halo lists the global indices of non-owned rows the device needs,
 	// sorted by (distance asc, global index asc).
-	Halo []int
+	Halo []int32
 	// RowsAtDist[t] is the number of local extended rows with distance
 	// <= t, for t = 0..s; RowsAtDist[0] == NOwn. The rows multiplied at
 	// MPK step k (1-based) are the prefix RowsAtDist[s-k], and the halo
@@ -41,10 +41,10 @@ type DeviceMatrix struct {
 	Ext *sparse.SELL
 	// SendIdx lists the owned rows (as local indices 0..nOwn-1) whose
 	// values other devices need — the compressed send buffer w^(d).
-	SendIdx []int
+	SendIdx []int32
 	// SendIdx1 is the subset of SendIdx some other device needs at
 	// distance 1 — the send buffer of a plain SpMV exchange.
-	SendIdx1 []int
+	SendIdx1 []int32
 	// NNZPrefix[t] is nnz of the first RowsAtDist[t] rows of Ext, the
 	// per-step flop bookkeeping (t = 0..s-1).
 	NNZPrefix []int
@@ -136,7 +136,7 @@ func Distribute(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int) *Matrix {
 	for d, dm := range m.Dev {
 		n1 := dm.RowsAtDist[1] - dm.NOwn
 		for h, g := range dm.Halo {
-			o := l.Owner(g)
+			o := l.Owner(int(g))
 			want[g] |= wanted
 			m.PeerTraffic[o][d] += gpu.ScalarBytes
 			if h < n1 {
@@ -154,17 +154,17 @@ func Distribute(ctx *gpu.Context, a *sparse.CSR, l *Layout, s int) *Matrix {
 }
 
 // flagged lists, ascending, the positions of flags that carry bit.
-func flagged(flags []uint8, bit uint8) []int {
+func flagged(flags []uint8, bit uint8) []int32 {
 	n := 0
 	for _, f := range flags {
 		if f&bit != 0 {
 			n++
 		}
 	}
-	out := make([]int, 0, n)
+	out := make([]int32, 0, n)
 	for i, f := range flags {
 		if f&bit != 0 {
-			out = append(out, i)
+			out = append(out, int32(i))
 		}
 	}
 	return out
@@ -175,68 +175,86 @@ func flagged(flags []uint8, bit uint8) []int {
 // dependency graph (row i depends on the columns of row i), then
 // extracts and relabels the extended local matrix. Apart from filling one
 // index array, the work is linear in the rows reached and their
-// nonzeros, and the number of allocations does not depend on the matrix.
+// nonzeros, the number of allocations does not depend on the matrix, and
+// each array is allocated once, at its final length.
 func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	n := a.Rows
 	own0, nOwn := l.OwnStart(d), l.OwnCount(d)
 	own1 := own0 + nOwn
 
-	// localOf[v] is the BFS distance of v during the search (-1 =
-	// unreached) and its local extended index afterwards; int32 halves
-	// the footprint of the one n-long array the build touches at random.
+	// localOf is the one n-long array of the build, touched at random
+	// (int32 halves its footprint). The search threads the reached
+	// non-owned vertices through it into a list in discovery order, so
+	// grouped by distance: localOf[v] is unreached, marked (an owned row
+	// or the list's tail), or the vertex listed after v. A second walk
+	// turns the list into each vertex's distance, the halo sort into its
+	// local extended index.
+	const unreached, marked = -1, -2
 	localOf := make([]int32, n)
 	for i := range localOf {
-		localOf[i] = -1
+		localOf[i] = unreached
 	}
 	for i := own0; i < own1; i++ {
-		localOf[i] = 0
+		localOf[i] = marked
 	}
-	// found lists the reached non-owned vertices in discovery order, so
-	// grouped by distance; rowsAtDist[t] = nOwn + #found within distance t.
-	found := make([]int32, 0, n-nOwn)
+	head, tail, listed := int32(-1), int32(-1), 0
+	lo, hi := n, 0 // index span of the list
+	visit := func(v int) {
+		for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
+			if w := a.ColIdx[k]; localOf[w] == unreached {
+				if tail < 0 {
+					head = int32(w)
+				} else {
+					localOf[tail] = int32(w)
+				}
+				localOf[w], tail = marked, int32(w)
+				listed++
+				lo, hi = min(lo, w), max(hi, w+1)
+			}
+		}
+	}
+	// rowsAtDist[t] = nOwn + #listed within distance t.
 	rowsAtDist := make([]int, s+1)
 	rowsAtDist[0] = nOwn
-	lo, hi := n, 0 // index span of found
+	for v := own0; v < own1; v++ {
+		visit(v)
+	}
+	rowsAtDist[1] = nOwn + listed
+	at := head
+	for t := 2; t <= s; t++ {
+		// The frontier is the distance t-1 halo, the list from at on. Its
+		// last vertex's successor is read once the whole frontier has
+		// been visited, so at ends on the first distance-t vertex.
+		for q := rowsAtDist[t-2]; q < rowsAtDist[t-1]; q++ {
+			visit(int(at))
+			at = localOf[at]
+		}
+		rowsAtDist[t] = nOwn + listed
+	}
+	at = head
 	for t := 1; t <= s; t++ {
-		// The frontier: the owned rows, then the distance t-1 halo.
-		from, to := own0, own1
-		if t > 1 {
-			from, to = rowsAtDist[t-2]-nOwn, rowsAtDist[t-1]-nOwn
+		for q := rowsAtDist[t-1]; q < rowsAtDist[t]; q++ {
+			next := localOf[at]
+			localOf[at] = int32(t)
+			at = next
 		}
-		for q := from; q < to; q++ {
-			v := q
-			if t > 1 {
-				v = int(found[q])
-			}
-			for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-				if w := a.ColIdx[k]; localOf[w] == -1 {
-					localOf[w] = int32(t)
-					found = append(found, int32(w))
-					lo, hi = min(lo, w), max(hi, w+1)
-				}
-			}
-		}
-		rowsAtDist[t] = nOwn + len(found)
 	}
 
-	// rows maps local extended indices to global ones: the owned rows,
-	// then the halo — the reached vertices sorted by (distance, index), a
+	// The halo: the listed vertices sorted by (distance, index), a
 	// counting sort by distance of an ascending index scan. The same scan
-	// turns localOf into the local extended numbering.
-	rows := make([]int, nOwn+len(found))
-	for i := range rows[:nOwn] {
-		rows[i] = own0 + i
-	}
-	next := make([]int, s+1) // next[t] = row slot of the next distance-t vertex
+	// turns localOf into the local extended numbering; the owned rows
+	// come first, in global order.
+	halo := make([]int32, listed)
+	next := make([]int, s+1) // next[t] = halo slot of the next distance-t vertex
 	for t := 1; t <= s; t++ {
-		next[t] = rowsAtDist[t-1]
+		next[t] = rowsAtDist[t-1] - nOwn
 	}
 	for v := lo; v < hi; v++ {
-		if t := localOf[v]; t > 0 { // owned rows still read 0 here
-			r := next[t]
+		if t := localOf[v]; t > 0 { // owned rows are still marked
+			h := next[t]
 			next[t]++
-			rows[r] = v
-			localOf[v] = int32(r)
+			halo[h] = int32(v)
+			localOf[v] = int32(nOwn + h)
 		}
 	}
 	for i := own0; i < own1; i++ {
@@ -246,14 +264,15 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 	// Extended matrix: rows with distance <= s-1 (a prefix of the local
 	// numbering), columns relabeled and re-sorted ascending, straight
 	// into the device format.
-	extRows := rows[:rowsAtDist[s-1]]
-	ext := a.SELLOfRows(extRows, localOf, len(rows))
+	extHalo := halo[:rowsAtDist[s-1]-nOwn]
+	ext := a.SELLOfRows(own0, own1, extHalo, localOf, nOwn+len(halo))
 
 	nnzPrefix := make([]int, s)
-	nnz, row := 0, 0
-	for t := range nnzPrefix {
-		for ; row < rowsAtDist[t]; row++ {
-			nnz += a.RowPtr[extRows[row]+1] - a.RowPtr[extRows[row]]
+	nnz := a.RowPtr[own1] - a.RowPtr[own0]
+	nnzPrefix[0] = nnz
+	for t := 1; t < s; t++ {
+		for _, g := range extHalo[rowsAtDist[t-1]-nOwn : rowsAtDist[t]-nOwn] {
+			nnz += a.RowPtr[g+1] - a.RowPtr[g]
 		}
 		nnzPrefix[t] = nnz
 	}
@@ -271,7 +290,7 @@ func buildDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) *DeviceMatrix {
 
 	return &DeviceMatrix{
 		NOwn:         nOwn,
-		Halo:         rows[nOwn:],
+		Halo:         halo,
 		RowsAtDist:   rowsAtDist,
 		Ext:          ext,
 		NNZPrefix:    nnzPrefix,

@@ -47,7 +47,7 @@ func TestHaloTridiagonal(t *testing.T) {
 	if dm.NOwn != 4 {
 		t.Fatalf("NOwn = %d", dm.NOwn)
 	}
-	wantHalo := []int{3, 8, 2, 9}
+	wantHalo := []int32{3, 8, 2, 9}
 	if len(dm.Halo) != 4 {
 		t.Fatalf("halo = %v", dm.Halo)
 	}
@@ -92,7 +92,7 @@ func TestSendSets(t *testing.T) {
 	// Device 1 owns 4-7. Needed by dev0: {4,5}; by dev2: {7,6}.
 	// SendIdx is local: {0,1,2,3}.
 	send := m.Dev[1].SendIdx
-	want := []int{0, 1, 2, 3}
+	want := []int32{0, 1, 2, 3}
 	if len(send) != 4 {
 		t.Fatalf("SendIdx = %v", send)
 	}
@@ -148,7 +148,7 @@ func TestExtRelabeling(t *testing.T) {
 		yl := make([]float64, dm.NOwn)
 		dm.Ext.MulVecPrefix(yl, ext, dm.NOwn)
 		yg := make([]float64, 40)
-		a.MulVec(yg, xg)
+		mulVec(a, yg, xg)
 		for i := 0; i < dm.NOwn; i++ {
 			if !approxEq(yl[i], yg[own0+i], 1e-12) {
 				t.Fatalf("dev %d row %d: %v vs %v", d, i, yl[i], yg[own0+i])
@@ -186,7 +186,7 @@ func TestHaloAtDist(t *testing.T) {
 	dm := m.Dev[1]
 	// Halo is sorted by distance: the paper's boundary sets
 	// delta^(d, s-t+1), nearest first, each in ascending global order.
-	if want := []int{3, 8, 2, 9}; !slices.Equal(dm.Halo, want) {
+	if want := []int32{3, 8, 2, 9}; !slices.Equal(dm.Halo, want) {
 		t.Fatalf("Halo = %v, want %v", dm.Halo, want)
 	}
 	if got, want := haloDist(dm), []int{1, 1, 2, 2}; !slices.Equal(got, want) {

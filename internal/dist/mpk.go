@@ -339,7 +339,7 @@ func (k *MPK) pack(d int) {
 	}
 	w := k.call.w
 	for _, li := range send {
-		w[base+li] = col[li]
+		w[base+int(li)] = col[li]
 	}
 	k.sendBytes[d] = len(send) * elem.Bytes()
 	k.recvBytes[d] = k.haloLen(d, depth1) * elem.Bytes()

@@ -19,7 +19,7 @@ func hostPowers(a *sparse.CSR, v0 []float64, s int) [][]float64 {
 	out[0] = append([]float64(nil), v0...)
 	for k := 1; k <= s; k++ {
 		out[k] = make([]float64, n)
-		a.MulVec(out[k], out[k-1])
+		mulVec(a, out[k], out[k-1])
 	}
 	return out
 }
@@ -147,7 +147,7 @@ func TestMPKNewtonRealShifts(t *testing.T) {
 	cur := append([]float64(nil), v0...)
 	for k := 0; k < s; k++ {
 		next := make([]float64, n)
-		a.MulVec(next, cur)
+		mulVec(a, next, cur)
 		la.Axpy(-real(shifts[k]), cur, next)
 		got := v.GatherCol(k + 1)
 		for i := range got {
@@ -187,7 +187,7 @@ func TestMPKNewtonComplexPair(t *testing.T) {
 	vs[0] = v0
 	matvec := func(x []float64) []float64 {
 		y := make([]float64, n)
-		a.MulVec(y, x)
+		mulVec(a, y, x)
 		return y
 	}
 	// k=0: real shift 1.5
@@ -301,7 +301,7 @@ func TestSpMVMatchesHost(t *testing.T) {
 		v.SetColFromHost(0, x)
 		mpk.SpMV(v, 0, v, 1, "spmv")
 		want := make([]float64, n)
-		a.MulVec(want, x)
+		mulVec(a, want, x)
 		got := v.GatherCol(1)
 		for i := range got {
 			if !approxEq(got[i], want[i], 1e-11) {
@@ -412,7 +412,7 @@ func TestSpMVSELLFormat(t *testing.T) {
 	v.SetColFromHost(0, x)
 	mpk.SpMV(v, 0, v, 1, "spmv")
 	want := make([]float64, n)
-	a.MulVec(want, x)
+	mulVec(a, want, x)
 	got := v.GatherCol(1)
 	for i := range got {
 		if !approxEq(got[i], want[i], 1e-12) {

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -13,6 +14,20 @@ import (
 	"cagmres/internal/profile"
 	"cagmres/internal/sparse"
 )
+
+// mulVec computes y := A x row by row, each row's products summed in
+// column order: the host product the distributed kernels are checked
+// against.
+func mulVec(a *sparse.CSR, y, x []float64) {
+	for i := range y {
+		cols, vals := a.Row(i)
+		var s float64
+		for k, c := range cols {
+			s += vals[k] * x[c]
+		}
+		y[i] = s
+	}
+}
 
 // referenceDeviceMatrix is the builder buildDeviceMatrix replaced, kept
 // as its oracle: a queue BFS over a full distance array, a comparison
@@ -125,7 +140,7 @@ func referenceDeviceMatrix(a *sparse.CSR, l *Layout, d, s int) (*DeviceMatrix, *
 
 	return &DeviceMatrix{
 		NOwn:         nOwn,
-		Halo:         halo,
+		Halo:         narrow(halo),
 		RowsAtDist:   rowsAtDist,
 		NNZPrefix:    nnzPrefix,
 		InteriorRows: intRows,
@@ -148,8 +163,8 @@ func referenceSendAndTraffic(dev []*DeviceMatrix, l *Layout, depth1 bool) ([][]i
 			if depth1 && h >= dm.RowsAtDist[1]-dm.NOwn {
 				continue
 			}
-			o := l.Owner(g)
-			needed[o] = append(needed[o], g)
+			o := l.Owner(int(g))
+			needed[o] = append(needed[o], int(g))
 			traffic[o][d] += gpu.ScalarBytes
 		}
 	}
@@ -163,6 +178,24 @@ func referenceSendAndTraffic(dev []*DeviceMatrix, l *Layout, depth1 bool) ([][]i
 		}
 	}
 	return send, traffic
+}
+
+// narrow and widen convert index lists between the reference's width and
+// the device matrix's.
+func narrow(x []int) []int32 {
+	out := make([]int32, len(x))
+	for i, v := range x {
+		out[i] = int32(v)
+	}
+	return out
+}
+
+func widen(x []int32) []int {
+	out := make([]int, len(x))
+	for i, v := range x {
+		out[i] = int(v)
+	}
+	return out
 }
 
 func equalCSR(a, b *sparse.CSR) bool {
@@ -189,11 +222,48 @@ func orderings(a *sparse.CSR, ng int) map[string]ordered {
 	}
 }
 
-// TestDistributeMatchesReference compares every field of every device
-// matrix, the send sets and the traffic tables with the construction this
-// package used before the linear-time builder, over the four paper
-// generators x {natural, rcm, kway} x s in {1, 2, 5, 15} x 1-4 devices.
-func TestDistributeMatchesReference(t *testing.T) {
+// checkMatchesReference compares every field of every device matrix of m
+// (built from a over l), the send sets and the traffic tables with the
+// construction this package used before the linear-time builder.
+func checkMatchesReference(t testing.TB, tag string, m *Matrix, a *sparse.CSR, l *Layout) {
+	t.Helper()
+	for d, got := range m.Dev {
+		want, wantExt := referenceDeviceMatrix(a, l, d, m.S)
+		switch {
+		case got.NOwn != want.NOwn:
+			t.Fatalf("%s dev %d: NOwn %d want %d", tag, d, got.NOwn, want.NOwn)
+		case !slices.Equal(got.Halo, want.Halo):
+			t.Fatalf("%s dev %d: Halo differs", tag, d)
+		case !slices.Equal(got.RowsAtDist, want.RowsAtDist):
+			t.Fatalf("%s dev %d: RowsAtDist %v want %v", tag, d, got.RowsAtDist, want.RowsAtDist)
+		case !equalCSR(got.Ext.ToCSR(), wantExt):
+			t.Fatalf("%s dev %d: extended matrix differs", tag, d)
+		case !slices.Equal(got.NNZPrefix, want.NNZPrefix):
+			t.Fatalf("%s dev %d: NNZPrefix %v want %v", tag, d, got.NNZPrefix, want.NNZPrefix)
+		case got.LocalNNZ() != wantExt.RowPtr[got.NOwn]:
+			t.Fatalf("%s dev %d: LocalNNZ %d want %d", tag, d, got.LocalNNZ(), wantExt.RowPtr[got.NOwn])
+		case got.InteriorRows != want.InteriorRows || got.InteriorNNZ != want.InteriorNNZ:
+			t.Fatalf("%s dev %d: interior %d/%d want %d/%d", tag, d,
+				got.InteriorRows, got.InteriorNNZ, want.InteriorRows, want.InteriorNNZ)
+		}
+	}
+	send, traffic := referenceSendAndTraffic(m.Dev, l, false)
+	send1, traffic1 := referenceSendAndTraffic(m.Dev, l, true)
+	for d, dm := range m.Dev {
+		if !slices.Equal(widen(dm.SendIdx), send[d]) || !slices.Equal(widen(dm.SendIdx1), send1[d]) {
+			t.Fatalf("%s dev %d: send sets differ", tag, d)
+		}
+		if !slices.Equal(m.PeerTraffic[d], traffic[d]) || !slices.Equal(m.PeerTraffic1[d], traffic1[d]) {
+			t.Fatalf("%s dev %d: peer traffic differs", tag, d)
+		}
+	}
+}
+
+// referenceShapes calls f on every shape of the reference table: the four
+// paper generators x {natural, rcm, kway} x 1-4 devices x s in {1, 2, 5,
+// 15}.
+func referenceShapes(t *testing.T, f func(tag string, in ordered, ng, s int)) {
+	t.Helper()
 	for _, name := range []string{"cant", "G3_circuit", "dielFilterV2real", "nlpkkt120"} {
 		mat, err := matgen.ByName(name, 0.0006)
 		if err != nil {
@@ -202,42 +272,48 @@ func TestDistributeMatchesReference(t *testing.T) {
 		for ng := 1; ng <= 4; ng++ {
 			for ord, in := range orderings(mat.A, ng) {
 				for _, s := range []int{1, 2, 5, 15} {
-					m := Distribute(gpu.NewContext(ng, gpu.M2090()), in.a, in.l, s)
-					tag := fmt.Sprintf("%s %s ng=%d s=%d", name, ord, ng, s)
-					for d, got := range m.Dev {
-						want, wantExt := referenceDeviceMatrix(in.a, in.l, d, s)
-						switch {
-						case got.NOwn != want.NOwn:
-							t.Fatalf("%s dev %d: NOwn %d want %d", tag, d, got.NOwn, want.NOwn)
-						case !slices.Equal(got.Halo, want.Halo):
-							t.Fatalf("%s dev %d: Halo differs", tag, d)
-						case !slices.Equal(got.RowsAtDist, want.RowsAtDist):
-							t.Fatalf("%s dev %d: RowsAtDist %v want %v", tag, d, got.RowsAtDist, want.RowsAtDist)
-						case !equalCSR(got.Ext.ToCSR(), wantExt):
-							t.Fatalf("%s dev %d: extended matrix differs", tag, d)
-						case !slices.Equal(got.NNZPrefix, want.NNZPrefix):
-							t.Fatalf("%s dev %d: NNZPrefix %v want %v", tag, d, got.NNZPrefix, want.NNZPrefix)
-						case got.LocalNNZ() != wantExt.RowPtr[got.NOwn]:
-							t.Fatalf("%s dev %d: LocalNNZ %d want %d", tag, d, got.LocalNNZ(), wantExt.RowPtr[got.NOwn])
-						case got.InteriorRows != want.InteriorRows || got.InteriorNNZ != want.InteriorNNZ:
-							t.Fatalf("%s dev %d: interior %d/%d want %d/%d", tag, d,
-								got.InteriorRows, got.InteriorNNZ, want.InteriorRows, want.InteriorNNZ)
-						}
-					}
-					send, traffic := referenceSendAndTraffic(m.Dev, in.l, false)
-					send1, traffic1 := referenceSendAndTraffic(m.Dev, in.l, true)
-					for d, dm := range m.Dev {
-						if !slices.Equal(dm.SendIdx, send[d]) || !slices.Equal(dm.SendIdx1, send1[d]) {
-							t.Fatalf("%s dev %d: send sets differ", tag, d)
-						}
-						if !slices.Equal(m.PeerTraffic[d], traffic[d]) || !slices.Equal(m.PeerTraffic1[d], traffic1[d]) {
-							t.Fatalf("%s dev %d: peer traffic differs", tag, d)
-						}
-					}
+					f(fmt.Sprintf("%s %s ng=%d s=%d", name, ord, ng, s), in, ng, s)
 				}
 			}
 		}
 	}
+}
+
+// TestDistributeMatchesReference holds Distribute to the reference
+// construction on every shape of the reference table.
+func TestDistributeMatchesReference(t *testing.T) {
+	referenceShapes(t, func(tag string, in ordered, ng, s int) {
+		checkMatchesReference(t, tag, Distribute(gpu.NewContext(ng, gpu.M2090()), in.a, in.l, s), in.a, in.l)
+	})
+}
+
+// FuzzDistribute holds Distribute to the reference construction on
+// seeded random patterns — nonsymmetric, with empty rows and empty
+// device blocks — over 1-4 devices and s in 1..5.
+func FuzzDistribute(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(3), uint8(2))
+	f.Add(int64(7), uint8(1), uint8(4), uint8(5))
+	f.Add(int64(3), uint8(97), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rows, devices, depth uint8) {
+		n, ng, s := 1+int(rows)%120, 1+int(devices)%4, 1+int(depth)%5
+		rng := rand.New(rand.NewSource(seed))
+		var entries []sparse.Coord
+		for i := 0; i < n; i++ {
+			for range rng.Intn(6) { // 0..5 entries, so some rows are empty
+				entries = append(entries, sparse.Coord{Row: i, Col: rng.Intn(n), Val: rng.NormFloat64()})
+			}
+		}
+		a := sparse.FromCoords(n, n, entries)
+		bounds := make([]int, ng+1)
+		for d := 1; d < ng; d++ {
+			bounds[d] = rng.Intn(n + 1)
+		}
+		bounds[ng] = n
+		sort.Ints(bounds)
+		l := NewLayout(n, bounds)
+		tag := fmt.Sprintf("seed %d n=%d bounds=%v s=%d", seed, n, bounds, s)
+		checkMatchesReference(t, tag, Distribute(gpu.NewContext(ng, gpu.M2090()), a, l, s), a, l)
+	})
 }
 
 // TestDeepSpMVIsTheDepthOneSpMV is the nesting property CA-GMRES's

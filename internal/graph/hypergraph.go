@@ -149,6 +149,10 @@ func refineHypergraph(h *Hypergraph, p *Partition, passes int, seed int64) {
 		return gain
 	}
 
+	// cand[d] == tick marks part d a candidate destination of the vertex
+	// being moved; the candidates are scanned in ascending part id, so of
+	// equal gains the lowest part wins and the result is deterministic.
+	cand, tick := make([]int, k), 0
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for _, v := range order {
@@ -157,16 +161,16 @@ func refineHypergraph(h *Hypergraph, p *Partition, passes int, seed int64) {
 				continue
 			}
 			// Candidate destinations: parts of neighboring pins.
-			cand := map[int32]bool{}
+			tick++
 			for kk := h.VertPtr[v]; kk < h.VertPtr[v+1]; kk++ {
 				net := h.VertNet[kk]
 				for nn := h.NetPtr[net]; nn < h.NetPtr[net+1]; nn++ {
-					cand[p.Part[h.NetVert[nn]]] = true
+					cand[p.Part[h.NetVert[nn]]] = tick
 				}
 			}
 			best, bestGain := home, 0
-			for dst := range cand {
-				if dst == home || size[dst] >= maxSize {
+			for dst := range int32(k) {
+				if cand[dst] != tick || dst == home || size[dst] >= maxSize {
 					continue
 				}
 				if g := moveGain(v, dst); g > bestGain {

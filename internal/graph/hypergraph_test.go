@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"cagmres/internal/matgen"
 	"cagmres/internal/sparse"
 )
 
@@ -180,6 +182,23 @@ func TestPartitionHypergraphSinglePart(t *testing.T) {
 	for _, d := range p.Part {
 		if d != 0 {
 			t.Fatal("k=1 must be all part 0")
+		}
+	}
+}
+
+// TestPartitionHypergraphDeterministic: a partition is a function of its
+// arguments. The refinement once kept the first of equal-gain moves in
+// map iteration order, and repeats of one call differed.
+func TestPartitionHypergraphDeterministic(t *testing.T) {
+	for _, m := range matgen.PaperSet(0.002) {
+		if m.Name != "G3_circuit" && m.Name != "nlpkkt120" {
+			continue
+		}
+		first := PartitionHypergraph(m.A, 3, 1)
+		for rep := 1; rep < 20; rep++ {
+			if got := PartitionHypergraph(m.A, 3, 1); !slices.Equal(got.Part, first.Part) {
+				t.Fatalf("%s: repeat %d of PartitionHypergraph(A, 3, 1) differs from the first", m.Name, rep)
+			}
 		}
 	}
 }

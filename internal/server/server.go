@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -201,6 +202,37 @@ const (
 // million entries; larger systems are named, not shipped.
 const MaxBodyBytes = 64 << 20
 
+// eagerBodyBytes bounds the buffer readBody allocates for a declared
+// length before any of the body has arrived: a longer body is read as it
+// arrives, so no connection holds more than this for bytes not sent (the
+// inline MatrixMarket bodies of a served mix are ≈ 600 KB).
+const eagerBodyBytes = 1 << 20
+
+// readBody reads the body of a POST /solve, at most MaxBodyBytes of it.
+// A declared length up to eagerBodyBytes is read into one buffer of that
+// size, checked to end there; a declared length over MaxBodyBytes is
+// refused before anything is read or allocated, with the same
+// *http.MaxBytesError an over-long read gives. Any other body (chunked,
+// or long) is read growing.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > MaxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if r.ContentLength < 0 || r.ContentLength > eagerBodyBytes {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength+1) // one byte over, to see the end
+	n, err := io.ReadFull(body, buf)
+	if int64(n) == r.ContentLength && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+		return buf[:n], nil
+	}
+	if err == nil {
+		err = errors.New("body longer than its Content-Length")
+	}
+	return nil, err
+}
+
 // Server routes HTTP traffic to a scheduler.
 type Server struct {
 	sched *sched.Scheduler
@@ -340,7 +372,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveReques
 	if err != nil {
 		return req, spec, badRequest(err.Error())
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return req, spec, &apiError{http.StatusRequestEntityTooLarge,

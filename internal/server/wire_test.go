@@ -477,3 +477,48 @@ func TestMatrixCacheBuildsOnce(t *testing.T) {
 			hit, miss, evict, clients, clients-1)
 	}
 }
+
+// unread is a request body that fails the test if anything reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("the body was read")
+	return 0, io.EOF
+}
+
+// TestDecodeBodyFraming: decode reads a body of declared length, one of
+// unknown length (chunked) and one declared past the eager buffer to the
+// same request; refuses a declared length over MaxBodyBytes with the 413
+// of an over-long body without reading it; and refuses a body that ends
+// before or runs past its declared length.
+func TestDecodeBodyFraming(t *testing.T) {
+	srv := New(sched.New(sched.Config{Pool: sched.NewPool(sched.PoolConfig{Size: 1, Devices: 2})}), nil)
+	body := `{"matrix":{"name":"laplace3d","scale":1e-5},"priority":3}`
+	long := strings.Repeat(" ", eagerBodyBytes) + body
+	for _, tc := range []struct {
+		body   string
+		length int64
+	}{{body, int64(len(body))}, {body, -1}, {long, int64(len(long))}} {
+		req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(tc.body))
+		req.ContentLength = tc.length
+		if got, spec, rej := srv.decode(httptest.NewRecorder(), req); rej != nil || got.Priority != 3 || spec.Matrix == nil {
+			t.Fatalf("%d bytes, length %d: %+v, spec %+v, rejection %+v", len(tc.body), tc.length, got, spec, rej)
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/solve", unread{t})
+	req.ContentLength = MaxBodyBytes + 1
+	_, _, rej := srv.decode(httptest.NewRecorder(), req)
+	if rej == nil || rej.status != http.StatusRequestEntityTooLarge ||
+		rej.body != (obs.ErrorBody{Code: obs.CodeRequestTooLarge, Error: "http: request body too large"}) {
+		t.Fatalf("declared length over the limit: %+v", rej)
+	}
+
+	for _, length := range []int64{int64(len(body)) + 1, int64(len(body)) - 1} {
+		req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body))
+		req.ContentLength = length
+		if _, _, rej := srv.decode(httptest.NewRecorder(), req); rej == nil || rej.status != http.StatusBadRequest {
+			t.Fatalf("body of %d bytes declared %d: %+v, want a 400", len(body), length, rej)
+		}
+	}
+}

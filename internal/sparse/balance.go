@@ -58,14 +58,6 @@ func ApplyRowScale(rowScale, b []float64) {
 	}
 }
 
-// UnscaleSolution maps the solution of the balanced system back to the
-// original variables: x = Dc * xb, in place.
-func UnscaleSolution(colScale, x []float64) {
-	for i := range x {
-		x[i] *= colScale[i]
-	}
-}
-
 // RowNorms returns the 2-norm of every row.
 func RowNorms(a *CSR) []float64 {
 	norms := make([]float64, a.Rows)

@@ -72,11 +72,10 @@ func TestBalanceSolutionMapping(t *testing.T) {
 			t.Fatalf("balanced system inconsistent at %d: %v vs %v", i, got[i], bb[i])
 		}
 	}
-	// And UnscaleSolution maps xb back to x.
-	UnscaleSolution(cs, xb)
+	// And Dc maps xb back to x.
 	for i := range x {
-		if math.Abs(xb[i]-x[i]) > 1e-12*(1+math.Abs(x[i])) {
-			t.Fatal("UnscaleSolution failed")
+		if xi := xb[i] * cs[i]; math.Abs(xi-x[i]) > 1e-12*(1+math.Abs(x[i])) {
+			t.Fatal("unscaling the balanced solution failed")
 		}
 	}
 }

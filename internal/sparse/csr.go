@@ -133,20 +133,6 @@ func (a *CSR) Row(i int) ([]int, []float64) {
 	return a.ColIdx[lo:hi], a.Val[lo:hi]
 }
 
-// MulVec computes y := A x. Lengths must match the matrix shape.
-func (a *CSR) MulVec(y, x []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MulVec shape mismatch A=%dx%d x=%d y=%d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i] = s
-	}
-}
-
 // Transpose returns A' in CSR form.
 func (a *CSR) Transpose() *CSR {
 	t := NewCSR(a.Cols, a.Rows, a.NNZ())

@@ -1,11 +1,27 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// MulVec computes y := A x row by row, the reference product the device
+// formats are checked against. Lengths must match the matrix shape.
+func (a *CSR) MulVec(y, x []float64) {
+	if len(x) != a.Cols || len(y) != a.Rows {
+		panic(fmt.Sprintf("sparse: MulVec shape mismatch A=%dx%d x=%d y=%d", a.Rows, a.Cols, len(x), len(y)))
+	}
+	for i := 0; i < a.Rows; i++ {
+		var s float64
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			s += a.Val[k] * x[a.ColIdx[k]]
+		}
+		y[i] = s
+	}
+}
 
 // testMatrix builds the 4x4 example
 //

@@ -32,11 +32,11 @@ func benchMulVec(b *testing.B, mulVec func(s *sparse.SELL, y, x []float64, rows 
 				b.Fatal(err)
 			}
 			a := mat.A
-			rows, cols := make([]int, a.Rows), make([]int32, a.Cols)
-			for i := range rows {
-				rows[i], cols[i] = i, int32(i)
+			cols := make([]int32, a.Cols)
+			for i := range cols {
+				cols[i] = int32(i)
 			}
-			s := a.SELLOfRows(rows, cols, a.Cols)
+			s := a.SELLOfRows(0, a.Rows, nil, cols, a.Cols)
 			x, y := make([]float64, a.Cols), make([]float64, a.Rows)
 			for i := range x {
 				x[i] = 1 / float64(i+1)

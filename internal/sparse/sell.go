@@ -34,21 +34,29 @@ type SELL struct {
 	val      []float64
 }
 
-// SELLOfRows builds the SELL form of A(rows, :) with every column index
-// mapped through newOf (newOf[old] = new) into newCols columns and every
-// row sorted by its new indices — ExtractRows followed by RelabelCols,
-// in one pass and without the intermediate CSR. It is how the extended
-// local matrices of the matrix powers kernel reach their device format.
-// A stored column that newOf maps outside 0..newCols-1 panics, as in
-// RelabelCols.
-func (a *CSR) SELLOfRows(rows []int, newOf []int32, newCols int) *SELL {
-	n := len(rows)
+// SELLOfRows builds the SELL form of A(rows, :), where rows are the range
+// lo..hi-1 followed by the list more, with every column index mapped
+// through newOf (newOf[old] = new) into newCols columns and every row
+// sorted by its new indices — ExtractRows followed by RelabelCols, in one
+// pass and without the intermediate CSR. It is how the extended local
+// matrices of the matrix powers kernel reach their device format: the
+// owned block is the range, the halo the list. A stored column that newOf
+// maps outside 0..newCols-1 panics, as in RelabelCols.
+func (a *CSR) SELLOfRows(lo, hi int, more []int32, newOf []int32, newCols int) *SELL {
+	n := hi - lo + len(more)
+	row := func(out int) int { // the global index of output row out
+		if out < hi-lo {
+			return lo + out
+		}
+		return int(more[out-(hi-lo)])
+	}
 	nchunks := (n + sellChunk - 1) / sellChunk
 	s := &SELL{Rows: n, Cols: newCols, chunkPtr: make([]int, nchunks+1)}
 	wmax := 0
 	for k := 0; k < nchunks; k++ {
 		w := 0
-		for _, i := range rows[k*sellChunk : min(n, (k+1)*sellChunk)] {
+		for out := k * sellChunk; out < min(n, (k+1)*sellChunk); out++ {
+			i := row(out)
 			w = max(w, a.RowPtr[i+1]-a.RowPtr[i])
 		}
 		s.chunkPtr[k+1] = s.chunkPtr[k] + w*sellChunk
@@ -60,17 +68,18 @@ func (a *CSR) SELLOfRows(rows []int, newOf []int32, newCols int) *SELL {
 		s.colIdx[i] = -1
 	}
 	cols, vals := make([]int, wmax), make([]float64, wmax) // one row, relabeled, before it is scattered
-	for out, i := range rows {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		rc, rv := cols[:hi-lo], vals[:hi-lo]
-		for k, c := range a.ColIdx[lo:hi] {
+	for out := 0; out < n; out++ {
+		i := row(out)
+		k0, k1 := a.RowPtr[i], a.RowPtr[i+1]
+		rc, rv := cols[:k1-k0], vals[:k1-k0]
+		for k, c := range a.ColIdx[k0:k1] {
 			nc := int(newOf[c])
 			if nc < 0 || nc >= newCols {
 				panic(fmt.Sprintf("sparse: SELLOfRows incomplete map for column %d", c))
 			}
 			rc[k] = nc
 		}
-		copy(rv, a.Val[lo:hi])
+		copy(rv, a.Val[k0:k1])
 		sortRow(rc, rv)
 		at := s.chunkPtr[out/sellChunk] + out%sellChunk
 		for slot, c := range rc {

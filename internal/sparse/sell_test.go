@@ -12,14 +12,11 @@ import (
 // are, held to the format's invariants.
 func toSELL(t testing.TB, a *CSR) *SELL {
 	t.Helper()
-	rows, cols := make([]int, a.Rows), make([]int32, a.Cols)
-	for i := range rows {
-		rows[i] = i
-	}
+	cols := make([]int32, a.Cols)
 	for j := range cols {
 		cols[j] = int32(j)
 	}
-	s := a.SELLOfRows(rows, cols, a.Cols)
+	s := a.SELLOfRows(0, a.Rows, nil, cols, a.Cols)
 	checkSELLInvariants(t, s)
 	return s
 }
@@ -72,7 +69,8 @@ func TestSELLInvariants(t *testing.T) {
 	a := randCSR(rng, 120, 9)
 	newOf := rng.Perm(120)
 	for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(120)[:61]} {
-		checkSELLInvariants(t, a.SELLOfRows(rows, int32s(newOf), 120))
+		checkSELLInvariants(t, a.SELLOfRows(0, 0, int32s(rows), int32s(newOf), 120))
+		checkSELLInvariants(t, a.SELLOfRows(30, 53, int32s(rows), int32s(newOf), 120))
 	}
 }
 
@@ -358,13 +356,19 @@ func int32s(p []int) []int32 {
 	return out
 }
 
-// checkSELLOfRows compares the fused builder, through ToCSR, with the
-// pipeline it fuses: ExtractRows then RelabelCols.
-func checkSELLOfRows(t *testing.T, a *CSR, rows, newOf []int, newCols int) {
+// checkSELLOfRows compares the fused builder of the rows lo..hi-1 then
+// more, through ToCSR, with the pipeline it fuses: ExtractRows then
+// RelabelCols.
+func checkSELLOfRows(t *testing.T, a *CSR, lo, hi int, more, newOf []int, newCols int) {
 	t.Helper()
+	var rows []int
+	for i := lo; i < hi; i++ {
+		rows = append(rows, i)
+	}
+	rows = append(rows, more...)
 	want := a.ExtractRows(rows)
 	want.RelabelCols(newOf, newCols)
-	s := a.SELLOfRows(rows, int32s(newOf), newCols)
+	s := a.SELLOfRows(lo, hi, int32s(more), int32s(newOf), newCols)
 	checkSELLInvariants(t, s)
 	got := s.ToCSR()
 	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) ||
@@ -385,8 +389,9 @@ func checkSELLOfRows(t *testing.T, a *CSR, rows, newOf []int, newCols int) {
 
 // TestSELLOfRowsMatchesTheThreeStepPipeline: the fused builder returns
 // exactly ExtractRows(rows) then RelabelCols(newOf) in the device format —
-// including repeated rows, empty row sets and rows longer than the
-// insertion-sort limit — allocates a fixed number of times, and rejects
+// including repeated rows, empty row sets, a range with and without a
+// list after it and rows longer than the insertion-sort limit —
+// allocates a fixed number of times, and rejects
 // an incomplete column map like RelabelCols does.
 func TestSELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -395,10 +400,12 @@ func TestSELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
 		a := randCSR(rng, n, deg)
 		newOf := rng.Perm(n)
 		for _, rows := range [][]int{nil, {7}, {5, 5, 2}, rng.Perm(n)[:n/2], rng.Perm(n)} {
-			checkSELLOfRows(t, a, rows, newOf, n)
+			for _, r := range [][2]int{{0, 0}, {0, n}, {41, 180}} {
+				checkSELLOfRows(t, a, r[0], r[1], rows, newOf, n)
+			}
 		}
-		rows, newOf32 := rng.Perm(n), int32s(newOf)
-		if allocs := testing.AllocsPerRun(5, func() { a.SELLOfRows(rows, newOf32, n) }); allocs > 8 {
+		rows, newOf32 := int32s(rng.Perm(n)), int32s(newOf)
+		if allocs := testing.AllocsPerRun(5, func() { a.SELLOfRows(17, 90, rows, newOf32, n) }); allocs > 8 {
 			t.Fatalf("SELLOfRows of %d rows allocates %v times", n, allocs)
 		}
 	}
@@ -407,12 +414,12 @@ func TestSELLOfRowsMatchesTheThreeStepPipeline(t *testing.T) {
 			t.Fatal("SELLOfRows accepted an incomplete column map")
 		}
 	}()
-	testMatrix().SELLOfRows([]int{0, 1}, []int32{0, -1, 1, 2}, 3)
+	testMatrix().SELLOfRows(0, 2, nil, []int32{0, -1, 1, 2}, 3)
 }
 
-// FuzzSELLOfRows derives a small matrix, a row list with repeats and a
-// column permutation from the input and holds the fused builder to the
-// stepwise pipeline.
+// FuzzSELLOfRows derives a small matrix, a row range, a row list with
+// repeats and a column permutation from the input and holds the fused
+// builder to the stepwise pipeline.
 func FuzzSELLOfRows(f *testing.F) {
 	f.Add([]byte{}, []byte{}, int64(0))
 	f.Add([]byte{0, 0, 1, 2, 3, 3, 3, 1}, []byte{3, 3, 0}, int64(1))
@@ -431,7 +438,10 @@ func FuzzSELLOfRows(f *testing.F) {
 		for i, b := range pick {
 			rows[i] = int(b) % n
 		}
-		checkSELLOfRows(t, FromCoords(n, n, entries), rows, rand.New(rand.NewSource(seed)).Perm(n), n)
+		rng := rand.New(rand.NewSource(seed))
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n+1-lo)
+		checkSELLOfRows(t, FromCoords(n, n, entries), lo, hi, rows, rng.Perm(n), n)
 	})
 }
 
