@@ -53,7 +53,10 @@
 # method and struct field a caller can reach), the same bar for API and
 # options. `make bench-kernels` times
 # one bare device fork-join (gpu.Context.RunAll, 3 devices) and the same
-# fork as a charged Launch, the host kernels of the solve (device SpMV,
+# fork as a charged Launch, that launch's ledger charge alone on a ledger
+# that holds its phase and on a fresh one (gpu.BenchmarkStatsCharge: a
+# fresh ledger is its five allocations, a charge none), one window record
+# through a job trace's solver sink (obs.BenchmarkSolverSink), the host kernels of the solve (device SpMV,
 # GemvT/Gemv, the Gram GemmTN and Syrk, each also as `/scalar` rows, the
 # Go loop beside the AVX2 body, and each with its Gflop/s), one MPK
 # window at the two shapes the benchmark solves and one depth-1
@@ -255,8 +258,8 @@ bench-compare:
 # solves, CA-GMRES(15,60) with CGS and with CholQR, and GMRES(60), on a
 # warm context.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV|FromCoords|Distribute$$|ByName' -benchmem -cpu 1 \
-		./internal/gpu/ ./internal/sparse/ ./internal/la/ ./internal/dist/ ./internal/matgen/
+	$(GO) test -run '^$$' -bench 'RunAll|Launch$$|StatsCharge|SolverSink|MulVecPrefix|GemvT|Gemv$$|GemmTN|Syrk$$|MPKWindow|DistributedSpMV|FromCoords|Distribute$$|ByName' -benchmem -cpu 1 \
+		./internal/gpu/ ./internal/obs/ ./internal/sparse/ ./internal/la/ ./internal/dist/ ./internal/matgen/
 	$(GO) test -run '^$$' -bench 'FromMatrix|KWay|RCM' -benchmem -cpu 1 ./internal/graph/
 	$(GO) test -run '^$$' -bench 'Prepare|SolveAllocs' -benchmem -cpu 1 -benchtime 5x ./internal/core/
 

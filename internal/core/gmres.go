@@ -60,6 +60,10 @@ const (
 	PhaseVec   = "vec"
 )
 
+func init() {
+	gpu.RegisterPhases(PhaseSpMV, PhaseMPK, PhaseOrth, PhaseBOrth, PhaseTSQR, PhaseLSQ, PhaseVec)
+}
+
 // GMRES solves the prepared problem with restarted GMRES(m), generating
 // one Krylov vector per iteration with the distributed SpMV and
 // orthogonalizing it against all previous vectors with MGS (BLAS-1, one

@@ -269,3 +269,32 @@ func TestResidualNorm(t *testing.T) {
 		t.Fatalf("zero solution relres %v, want 1", rn)
 	}
 }
+
+// TestResidualNormScaled: a right-hand side whose plain sum of squares
+// underflows (1e-300, 1e-320) or overflows (1e300) still gives X = 0 its
+// true relative residual of 1, and an exact solution a small one, where
+// the plain sums read 0 or NaN.
+func TestResidualNormScaled(t *testing.T) {
+	a := laplace2D(8, 8, 0.2)
+	x := randomRHS(64, 3)
+	for _, scale := range []float64{1e-300, 1e-320, 1e300} {
+		b := make([]float64, 64)
+		for i := range b {
+			b[i] = scale
+		}
+		if rn := ResidualNorm(a, b, make([]float64, 64)); !(math.Abs(rn-1) <= 1e-12) {
+			t.Errorf("b = %g·ones, X = 0: relres %v, want 1", scale, rn)
+		}
+		if scale < 1e-310 {
+			continue // A x is not representable at subnormal scale
+		}
+		xs := make([]float64, 64)
+		for i := range xs {
+			xs[i] = x[i] * scale
+		}
+		mulVec(a, b, xs)
+		if rn := ResidualNorm(a, b, xs); !(rn < 1e-14) {
+			t.Errorf("b = A x at scale %g: relres %v, want below 1e-14", scale, rn)
+		}
+	}
+}

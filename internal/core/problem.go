@@ -14,6 +14,7 @@ import (
 	"cagmres/internal/dist"
 	"cagmres/internal/gpu"
 	"cagmres/internal/graph"
+	"cagmres/internal/la"
 	"cagmres/internal/sparse"
 )
 
@@ -278,22 +279,48 @@ func (p *Problem) solution(v *dist.Vectors, j int) []float64 {
 // ResidualNorm computes ||b - A x|| / ||b|| in the ORIGINAL coordinates
 // for a solution in original coordinates (host-side verification). Each
 // row's b_i - (Ax)_i is summed as it is formed, so nothing is allocated.
+// When those plain sums of squares underflow (Σb² = 0 with b nonzero) or
+// overflow (a non-finite ratio of finite entries), the norms are formed
+// again with la.Nrm2's scaling, so a tiny or huge b is not misreported.
 func ResidualNorm(a *sparse.CSR, b, x []float64) float64 {
 	if len(x) != a.Cols || len(b) != a.Rows {
 		panic(fmt.Sprintf("core: ResidualNorm shape mismatch A=%dx%d x=%d b=%d", a.Rows, a.Cols, len(x), len(b)))
 	}
 	var rn, bn float64
 	for i, bi := range b {
-		var ax float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			ax += a.Val[k] * x[a.ColIdx[k]]
-		}
-		d := bi - ax
+		d := bi - rowDot(a, i, x)
 		rn += d * d
 		bn += bi * bi
 	}
 	if bn == 0 {
-		return math.Sqrt(rn)
+		if la.Nrm2(b) == 0 { // b = 0: the absolute residual
+			return math.Sqrt(rn)
+		}
+	} else if q := rn / bn; finite(q) || !finite(a.Val...) || !finite(b...) || !finite(x...) {
+		return math.Sqrt(q)
 	}
-	return math.Sqrt(rn / bn)
+	r := make([]float64, len(b))
+	for i, bi := range b {
+		r[i] = bi - rowDot(a, i, x)
+	}
+	return la.Nrm2(r) / la.Nrm2(b)
+}
+
+// rowDot returns (A x)_i, summed in row order.
+func rowDot(a *sparse.CSR, i int, x []float64) float64 {
+	var ax float64
+	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		ax += a.Val[k] * x[a.ColIdx[k]]
+	}
+	return ax
+}
+
+// finite reports whether every entry of v is finite.
+func finite(v ...float64) bool {
+	for _, e := range v {
+		if math.IsInf(e, 0) || math.IsNaN(e) {
+			return false
+		}
+	}
+	return true
 }

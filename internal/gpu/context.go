@@ -123,7 +123,7 @@ func NewContext(ng int, p Profile) *Context {
 		phys[d] = d
 	}
 	c := &Context{NumDevices: ng, prof: p,
-		stats: NewStats(), timeline: newTimeline(false), arena: newArena(ng), phys: phys}
+		stats: newStats(ng), timeline: newTimeline(false, ng), arena: newArena(ng), phys: phys}
 	c.mapNodes()
 	return c
 }
@@ -131,17 +131,19 @@ func NewContext(ng int, p Profile) *Context {
 // Stats returns the ledger for inspection.
 func (c *Context) Stats() *Stats { return c.stats }
 
-// ResetStats clears the ledger (benchmarks and solvers call this at the
-// start of a run). Trace recording, if enabled, stays enabled with the
-// same capacity; so does the overlap setting of the stream timeline,
+// ResetStats installs a fresh ledger (benchmarks and solvers call this at
+// the start of a run); the old one is left as it was, a finished record
+// its holders may keep. Trace recording, if enabled, stays enabled with
+// the same capacity; so does the overlap setting of the stream timeline,
 // which resets to time zero alongside the ledger.
 func (c *Context) ResetStats() {
 	traceCap := c.stats.traceCap
-	c.stats = NewStats()
+	n := c.physDevices()
+	c.stats = newStats(n)
 	if traceCap > 0 {
 		c.stats.EnableTrace(traceCap)
 	}
-	c.timeline = newTimeline(c.timeline.overlapEnabled())
+	c.timeline = newTimeline(c.timeline.overlapEnabled(), n)
 }
 
 // RunAll executes f(d) for every device d on its own goroutine and waits

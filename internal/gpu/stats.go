@@ -2,9 +2,12 @@ package gpu
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // direction is the host's role in a transfer round: receiving, sending,
@@ -115,10 +118,19 @@ const HostDevice = -1
 // CLI's -trace flag. Alongside the per-phase aggregates it keeps a
 // per-device breakdown (DevicePhase) so load imbalance across the
 // simulated GPUs is observable, not just the critical-path maximum.
+//
+// The rows are indexed by phase index (RegisterPhases): rows[i] is phase
+// i's aggregate and dev[i*devs+d] device d's share of it. Both are sized
+// at creation to every phase registered by then and to the context's
+// physical devices, so a charge allocates nothing; they grow only for a
+// name first used after the ledger was made.
 type Stats struct {
-	mu        sync.Mutex
-	phases    map[string]*PhaseStats
-	devPhases []map[string]*PhaseStats
+	mu      sync.Mutex
+	rows    []phaseRow
+	dev     []PhaseStats
+	devs    int   // devices per phase in dev
+	tracked int   // highest charged device id plus one
+	peer    []int // addPeerRound's per-device tallies, reused
 
 	traceCap  int
 	traceSeq  int // next event id, monotone across EnableTrace re-arms
@@ -127,9 +139,67 @@ type Stats struct {
 	traceRing []Event
 }
 
-// NewStats returns an empty ledger.
-func NewStats() *Stats {
-	return &Stats{phases: make(map[string]*PhaseStats)}
+// phaseRow is one phase's aggregate; on marks a phase charged at least
+// once, the phases Phases lists.
+type phaseRow struct {
+	PhaseStats
+	on bool
+}
+
+// phaseTable is the process's phase index: a name's index is its
+// position in names, and sorted lists the indices in name order, the
+// order every report and TotalTime walk. A table is never modified once
+// published; a registration publishes a copy.
+type phaseTable struct {
+	index  map[string]int
+	names  []string
+	sorted []int
+}
+
+var (
+	phaseMu  sync.Mutex // serializes registrations
+	phaseTab atomic.Pointer[phaseTable]
+)
+
+func init() { RegisterPhases(PhaseFault) }
+
+// RegisterPhases gives each new name a phase index, the row it keeps on
+// every ledger made afterwards. A package that charges fixed phases
+// registers them at init; any other name is registered on its first
+// charge, which then grows that ledger's rows once.
+func RegisterPhases(names ...string) {
+	phaseMu.Lock()
+	defer phaseMu.Unlock()
+	old := phaseTab.Load()
+	t := &phaseTable{index: map[string]int{}}
+	if old != nil {
+		maps.Copy(t.index, old.index)
+		t.names = slices.Clone(old.names)
+	}
+	for _, n := range names {
+		if _, ok := t.index[n]; !ok {
+			t.index[n] = len(t.names)
+			t.names = append(t.names, n)
+		}
+	}
+	t.sorted = slices.SortedFunc(maps.Values(t.index), func(a, b int) int { return strings.Compare(t.names[a], t.names[b]) })
+	phaseTab.Store(t)
+}
+
+// phaseIndex returns the phase's index, registering a new name.
+func phaseIndex(name string) int {
+	if i, ok := phaseTab.Load().index[name]; ok {
+		return i
+	}
+	RegisterPhases(name)
+	return phaseTab.Load().index[name]
+}
+
+// newStats returns an empty ledger for a context of devices physical
+// devices: three allocations.
+func newStats(devices int) *Stats {
+	n := len(phaseTab.Load().names)
+	return &Stats{rows: make([]phaseRow, n), dev: make([]PhaseStats, n*devices), devs: devices}
 }
 
 // EnableTrace starts recording events into a ring buffer holding the
@@ -185,26 +255,46 @@ func (s *Stats) nextStep() int {
 	return step
 }
 
-func (s *Stats) get(phase string) *PhaseStats {
-	p, ok := s.phases[phase]
-	if !ok {
-		p = &PhaseStats{}
-		s.phases[phase] = p
+// get puts a phase on the ledger and returns its index and aggregate
+// (caller holds the lock).
+func (s *Stats) get(phase string) (int, *PhaseStats) {
+	i := phaseIndex(phase)
+	if i >= len(s.rows) {
+		s.grow(i+1, s.devs)
 	}
-	return p
+	s.rows[i].on = true
+	return i, &s.rows[i].PhaseStats
 }
 
-// devGet returns device d's stats for a phase (caller holds the lock).
-func (s *Stats) devGet(d int, phase string) *PhaseStats {
-	for len(s.devPhases) <= d {
-		s.devPhases = append(s.devPhases, make(map[string]*PhaseStats))
+// devGet returns device d's share of phase i (caller holds the lock).
+func (s *Stats) devGet(d, i int) *PhaseStats {
+	if d >= s.devs {
+		s.grow(len(s.rows), d+1)
 	}
-	p, ok := s.devPhases[d][phase]
-	if !ok {
-		p = &PhaseStats{}
-		s.devPhases[d][phase] = p
+	s.tracked = max(s.tracked, d+1)
+	return &s.dev[i*s.devs+d]
+}
+
+// grow lays the rows out again for n phases of nd devices each.
+func (s *Stats) grow(n, nd int) {
+	rows := make([]phaseRow, n)
+	copy(rows, s.rows)
+	dev := make([]PhaseStats, n*nd)
+	for i := range s.rows {
+		copy(dev[i*nd:], s.dev[i*s.devs:(i+1)*s.devs])
 	}
-	return p
+	s.rows, s.dev, s.devs = rows, dev, nd
+}
+
+// charged reports whether phase i is on the ledger (caller holds the
+// lock).
+func (s *Stats) charged(i int) bool { return i < len(s.rows) && s.rows[i].on }
+
+// lookup returns the index of a phase on the ledger, or false for a
+// phase never charged to it (caller holds the lock).
+func (s *Stats) lookup(name string) (int, bool) {
+	i, ok := phaseTab.Load().index[name]
+	return i, ok && s.charged(i)
 }
 
 // ByteColumn is one optional byte class of the ledger: a PhaseStats
@@ -242,8 +332,8 @@ func (s *Stats) ByteColumns() []ByteColumn {
 	defer s.mu.Unlock()
 	var cols []ByteColumn
 	for _, c := range byteColumns {
-		for _, p := range s.phases {
-			if *c.field(p) > 0 {
+		for i := range s.rows {
+			if *c.field(&s.rows[i].PhaseStats) > 0 {
 				cols = append(cols, c)
 				break
 			}
@@ -278,13 +368,13 @@ func tagElem(p *PhaseStats, elem Elem, bytes int) {
 func (s *Stats) addHostRound(phase string, dir direction, devs, nodes, bytes []int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.get(phase)
+	i, p := s.get(phase)
 	p.Rounds++
 	p.Messages += len(bytes)
 	p.CommTime += t
 	total, inter := 0, 0
 	for d, b := range bytes {
-		dp := s.devGet(devs[d], phase)
+		dp := s.devGet(devs[d], i)
 		dp.Rounds++
 		dp.Messages++
 		dp.CommTime += t
@@ -319,7 +409,7 @@ func (s *Stats) addHostRound(phase string, dir direction, devs, nodes, bytes []i
 func (s *Stats) addCompute(phase string, devs []int, ts []float64, work []Work) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.get(phase)
+	i, p := s.get(phase)
 	var max float64
 	for _, t := range ts {
 		if t > max {
@@ -333,7 +423,7 @@ func (s *Stats) addCompute(phase string, devs []int, ts []float64, work []Work) 
 	}
 	step := s.nextStep()
 	for d := range work {
-		dp := s.devGet(devs[d], phase)
+		dp := s.devGet(devs[d], i)
 		dp.DeviceTime += ts[d]
 		dp.DeviceFlops += work[d].Flops
 		dp.Kernels++
@@ -351,11 +441,14 @@ func (s *Stats) addCompute(phase string, devs []int, ts []float64, work []Work) 
 func (s *Stats) addPeerRound(phase string, devs, nodes []int, traffic [][]int, t float64, elem Elem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.get(phase)
+	i, p := s.get(phase)
 	p.Rounds++
 	p.CommTime += t
-	local := make([]int, len(traffic)) // per device: sent plus received, same node
-	inter := make([]int, len(traffic)) // per device: sent plus received, across nodes
+	nd := len(traffic)
+	tally := sized(&s.peer, 2*nd)
+	clear(tally)
+	local := tally[:nd] // per device: sent plus received, same node
+	inter := tally[nd:] // per device: sent plus received, across nodes
 	total, cross := 0, 0
 	for a, row := range traffic {
 		for b, v := range row {
@@ -377,7 +470,7 @@ func (s *Stats) addPeerRound(phase string, devs, nodes []int, traffic [][]int, t
 	p.BytesInterNode += cross
 	tagElem(p, elem, total)
 	for d := range traffic {
-		dp := s.devGet(devs[d], phase)
+		dp := s.devGet(devs[d], i)
 		dp.Rounds++
 		dp.Messages++
 		dp.BytesPeer += local[d]
@@ -395,11 +488,11 @@ func (s *Stats) addPeerRound(phase string, devs, nodes []int, traffic [][]int, t
 func (s *Stats) addFault(phase string, device int, detail string, t float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.get(PhaseFault)
+	i, p := s.get(PhaseFault)
 	p.Rounds++
 	p.CommTime += t
 	if device >= 0 {
-		dp := s.devGet(device, PhaseFault)
+		dp := s.devGet(device, i)
 		dp.Rounds++
 		dp.CommTime += t
 	}
@@ -409,7 +502,7 @@ func (s *Stats) addFault(phase string, device int, detail string, t float64) {
 func (s *Stats) addHost(phase string, t, flops float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.get(phase)
+	_, p := s.get(phase)
 	p.HostTime += t
 	p.HostFlops += flops
 	s.record(Event{Step: s.nextStep(), Device: HostDevice, Phase: phase, Kind: "host", Bytes: 0, Time: t})
@@ -420,8 +513,8 @@ func (s *Stats) addHost(phase string, t, flops float64) {
 func (s *Stats) Phase(name string) PhaseStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.phases[name]; ok {
-		return *p
+	if i, ok := s.lookup(name); ok {
+		return s.rows[i].PhaseStats
 	}
 	return PhaseStats{}
 }
@@ -434,10 +527,8 @@ func (s *Stats) Phase(name string) PhaseStats {
 func (s *Stats) DevicePhase(d int, name string) PhaseStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d >= 0 && d < len(s.devPhases) {
-		if p, ok := s.devPhases[d][name]; ok {
-			return *p
-		}
+	if i, ok := s.lookup(name); ok && d >= 0 && d < s.tracked {
+		return s.dev[i*s.devs+d]
 	}
 	return PhaseStats{}
 }
@@ -447,37 +538,36 @@ func (s *Stats) DevicePhase(d int, name string) PhaseStats {
 func (s *Stats) TrackedDevices() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.devPhases)
+	return s.tracked
 }
 
 // Phases returns the phase names in sorted order.
 func (s *Stats) Phases() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.phases))
-	for n := range s.phases {
-		names = append(names, n)
+	t := phaseTab.Load()
+	names := make([]string, 0, len(s.rows))
+	for _, i := range t.sorted {
+		if s.charged(i) {
+			names = append(names, t.names[i])
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
 // TotalTime returns the modeled time summed over all phases. The sum
 // runs in sorted phase order so repeated calls on the same ledger return
-// bit-identical values (map iteration order would perturb the last ULP,
+// bit-identical values (a different order would perturb the last ULP,
 // breaking the telemetry stream's monotone-clock guarantee).
 func (s *Stats) TotalTime() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.phases))
-	for n := range s.phases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var t float64
-	for _, n := range names {
-		p := s.phases[n]
-		t += p.CommTime + p.DeviceTime + p.HostTime
+	for _, i := range phaseTab.Load().sorted {
+		if s.charged(i) {
+			p := &s.rows[i]
+			t += p.CommTime + p.DeviceTime + p.HostTime
+		}
 	}
 	return t
 }

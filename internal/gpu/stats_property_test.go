@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -242,4 +243,34 @@ func TestRunAllMultiplePanicsPickFirstDevice(t *testing.T) {
 			panic("device " + string(rune('0'+d)))
 		}
 	})
+}
+
+// TestConcurrentLateNames: goroutines charging names no ledger has seen,
+// to one ledger and to their own, register them without a race and keep
+// every charge (make race runs it).
+func TestConcurrentLateNames(t *testing.T) {
+	shared := newStats(2)
+	done := make(chan *Stats)
+	for g := range 4 {
+		go func() {
+			own := newStats(2)
+			for k := range 8 {
+				name := fmt.Sprintf("concurrent-%d-%d", g, k)
+				shared.addCompute(name, []int{0, 1}, []float64{1, 2}, []Work{{}, {}})
+				own.addHost(name, 1, 0)
+			}
+			done <- own
+		}()
+	}
+	for range 4 {
+		if own := <-done; len(own.Phases()) != 8 || own.TotalTime() != 8 {
+			t.Errorf("own ledger: %d phases, total %v, want 8 and 8", len(own.Phases()), own.TotalTime())
+		}
+	}
+	if n, total := len(shared.Phases()), shared.TotalTime(); n != 32 || total != 64 {
+		t.Errorf("shared ledger: %d phases, total %v, want 32 and 64", n, total)
+	}
+	if got := shared.DevicePhase(1, "concurrent-3-7").DeviceTime; got != 2 {
+		t.Errorf("device 1 of concurrent-3-7: %v, want 2", got)
+	}
 }

@@ -73,22 +73,12 @@ type Timeline struct {
 	serial   float64   // what the barrier schedule would have accumulated
 }
 
-func newTimeline(overlap bool) *Timeline { return &Timeline{overlap: overlap} }
-
-// cursorAt reads a per-device cursor, growing the slice on demand so
-// Survivors views addressing sparse physical ids stay in bounds.
-func cursorAt(s *[]float64, d int) float64 {
-	for len(*s) <= d {
-		*s = append(*s, 0)
-	}
-	return (*s)[d]
-}
-
-func setCursor(s *[]float64, d int, v float64) {
-	for len(*s) <= d {
-		*s = append(*s, 0)
-	}
-	(*s)[d] = v
+// newTimeline returns a timeline at time zero for a context tree of
+// devices physical devices: the cursors are sized once, and a Survivors
+// view addresses them by physical id.
+func newTimeline(overlap bool, devices int) *Timeline {
+	cursors := make([]float64, 2*devices)
+	return &Timeline{overlap: overlap, compute: cursors[:devices:devices], transfer: cursors[devices:]}
 }
 
 // latest returns the largest of m and the values of s.
@@ -139,13 +129,13 @@ func (tl *Timeline) kernel(devs []int, ts []float64, after []StreamEvent) Stream
 	if !tl.overlap {
 		ev = max(start, tl.maxAllLocked()) + maxT
 		for _, d := range devs {
-			setCursor(&tl.compute, d, ev)
+			tl.compute[d] = ev
 		}
 		tl.advanceAllLocked(ev)
 	} else {
 		for i, d := range devs {
-			fin := max(start, cursorAt(&tl.compute, d)) + ts[i]
-			setCursor(&tl.compute, d, fin)
+			fin := max(start, tl.compute[d]) + ts[i]
+			tl.compute[d] = fin
 			ev = max(ev, fin)
 		}
 	}
@@ -170,7 +160,7 @@ func (tl *Timeline) transferOp(dir direction, devs []int, t, stall float64, afte
 		start = max(start, tl.maxAllLocked())
 	} else {
 		for _, d := range devs {
-			start = max(start, cursorAt(&tl.transfer, d))
+			start = max(start, tl.transfer[d])
 		}
 		if dir == dirH2D {
 			start = max(start, tl.hostData)
@@ -178,7 +168,7 @@ func (tl *Timeline) transferOp(dir direction, devs []int, t, stall float64, afte
 	}
 	fin := start + dur
 	for _, d := range devs {
-		setCursor(&tl.transfer, d, fin)
+		tl.transfer[d] = fin
 	}
 	if !tl.overlap {
 		tl.advanceAllLocked(fin)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 
 	"cagmres/internal/gpu"
@@ -110,7 +111,7 @@ func (jt *JobTrace) FinishRoot(end, vend float64) {
 		}
 	}
 	if jt.dropped > 0 {
-		jt.root.SetAttr("spans_dropped", fmt.Sprintf("%d", jt.dropped))
+		jt.root.SetAttr("spans_dropped", strconv.Itoa(jt.dropped))
 	}
 }
 
@@ -239,36 +240,37 @@ func (jt *JobTrace) SolverSink(t *Tracer, parent Span, jobID string, attempt int
 			if rec.Restart != st.restart || !st.open {
 				closeRestart(st.phaseStart)
 				st.restart = rec.Restart
-				st.restartSpan = mkChild(fmt.Sprintf("restart %d", rec.Restart), KindSolver)
+				restart := strconv.Itoa(rec.Restart)
+				st.restartSpan = mkChild("restart "+restart, KindSolver)
 				st.restartSpan.VStart = st.phaseStart
-				st.restartSpan.SetAttr("restart", fmt.Sprintf("%d", rec.Restart))
+				st.restartSpan.Attrs = map[string]string{"restart": restart}
 				st.open = true
 			}
-			s := t.Child(st.restartSpan, fmt.Sprintf("%s %d", rec.Kind, rec.Step), KindSolver)
+			s := t.Child(st.restartSpan, rec.Kind+" "+strconv.Itoa(rec.Step), KindSolver)
 			s.Virtual = true
 			s.VStart, s.VEnd = st.phaseStart, rec.Clock
-			s.SetAttr("relres", fmt.Sprintf("%g", rec.RelRes))
+			s.Attrs = map[string]string{"relres": formatG(rec.RelRes)}
 			if rec.TSQR != "" {
-				s.SetAttr("tsqr", rec.TSQR)
+				s.Attrs["tsqr"] = rec.TSQR
 			}
 			if rec.OrthoLoss > 0 {
-				s.SetAttr("ortho_loss", fmt.Sprintf("%g", rec.OrthoLoss))
+				s.Attrs["ortho_loss"] = formatG(rec.OrthoLoss)
 			}
 			jt.Add(s)
 			st.phaseStart = rec.Clock
 		case "restart":
 			closeRestart(rec.Clock)
-			s := mkChild(fmt.Sprintf("restart %d boundary", rec.Restart), KindSolver)
+			s := mkChild("restart "+strconv.Itoa(rec.Restart)+" boundary", KindSolver)
 			s.VStart, s.VEnd = st.phaseStart, rec.Clock
-			s.SetAttr("relres", fmt.Sprintf("%g", rec.RelRes))
+			s.Attrs = map[string]string{"relres": formatG(rec.RelRes)}
 			jt.Add(s)
 			st.phaseStart = rec.Clock
 		case "checkpoint", "repartition":
 			s := mkChild(rec.Kind, KindHeal)
 			s.VStart, s.VEnd = rec.Clock, rec.Clock
-			s.SetAttr("restart", fmt.Sprintf("%d", rec.Restart))
+			s.Attrs = map[string]string{"restart": strconv.Itoa(rec.Restart)}
 			if rec.Kind == "repartition" {
-				s.SetAttr("survivors", fmt.Sprintf("%d", rec.Step))
+				s.Attrs["survivors"] = strconv.Itoa(rec.Step)
 			}
 			jt.Add(s)
 		case "done":
@@ -280,6 +282,13 @@ func (jt *JobTrace) SolverSink(t *Tracer, parent Span, jobID string, attempt int
 			next.Emit(rec)
 		}
 	})
+}
+
+// formatG renders x as fmt's %g does, the shortest representation that
+// reads back exactly, with the string its only allocation.
+func formatG(x float64) string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 }
 
 // ReconcileDeviceLanes checks the stitched trace invariant directly from

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"cagmres/internal/gpu"
 )
@@ -103,15 +104,28 @@ func Handler(r *Registry, traces func() []gpu.Trace) http.Handler {
 	return mux
 }
 
+// The connection bounds of Serve. A client gets readHeaderTimeout for its
+// request line and headers and readTimeout for the whole request, which
+// admits a 64 MiB inline matrix at about 0.5 MiB/s; a keep-alive
+// connection idle for idleTimeout is closed. Without them a client that
+// sends slowly holds its connection and its buffer as long as it likes.
+// Writes stay unbounded: a waited solve and /debug/pprof/profile answer
+// only when done.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve listens on addr (":0" picks a free port) and serves h in a
-// background goroutine. It returns the server and the bound address;
-// callers shut down with srv.Close.
+// background goroutine, under the connection bounds above. It returns
+// the server and the bound address; callers shut down with srv.Close.
 func Serve(addr string, h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"cagmres/internal/gpu"
 )
@@ -179,5 +181,40 @@ func TestServeBindsAndCloses(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeDropsStalledHeader: a client that stops in the middle of its
+// headers is disconnected once readHeaderTimeout has passed, instead of
+// holding its connection for as long as it likes.
+func TestServeDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	srv, addr, err := Serve("127.0.0.1:0", Handler(NewRegistry(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(conn) // ends when the server hangs up
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled header (bound %v)", elapsed, readHeaderTimeout)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("server answered a stalled header: %q", rest)
+	}
+	if elapsed < readHeaderTimeout-time.Second {
+		t.Fatalf("disconnected after %v, before the %v bound", elapsed, readHeaderTimeout)
 	}
 }

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"fmt"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"sync"
@@ -159,25 +159,19 @@ func NewTracerSeeded(reg *Registry, seed int64) *Tracer {
 	return t
 }
 
-// hex mints n random bytes as lowercase hex, never all-zero (the W3C
-// formats reserve the zero id as invalid).
+// hex mints n ≤ 16 random bytes as lowercase hex, never all-zero (the
+// W3C formats reserve the zero id as invalid).
 func (t *Tracer) hex(n int) string {
+	var b [16]byte
+	var h [32]byte
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		b := make([]byte, n)
-		t.rng.Read(b)
-		zero := true
-		for _, c := range b {
-			if c != 0 {
-				zero = false
-				break
-			}
+		t.rng.Read(b[:n])
+		if b != [16]byte{} {
+			hex.Encode(h[:], b[:n])
+			return string(h[:2*n])
 		}
-		if zero {
-			continue
-		}
-		return fmt.Sprintf("%0*x", 2*n, b)
 	}
 }
 
