@@ -12,7 +12,7 @@
 // downstream user needs; the full machinery lives under internal/:
 //
 //	internal/la     dense kernels (BLAS-1/2/3, QR, Cholesky, SVD, Leja)
-//	internal/sparse CSR + ELLPACK storage, SpMV, balancing, MatrixMarket
+//	internal/sparse CSR and the SELL-C device format, SpMV, balancing, MatrixMarket
 //	internal/graph  RCM ordering and k-way partitioning
 //	internal/gpu    the simulated device runtime and cost ledger
 //	internal/dist   distributed vectors/matrices and the matrix powers kernel

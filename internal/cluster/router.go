@@ -524,34 +524,6 @@ type solve struct {
 	hedge      bool
 }
 
-// eagerBodyBytes is the daemon's bound on the buffer allocated for a
-// declared body length before the body has arrived.
-const eagerBodyBytes = 1 << 20
-
-// readBody reads the body of a POST /solve exactly as the daemon's decode
-// does, at most server.MaxBodyBytes of it: a declared length up to
-// eagerBodyBytes into one buffer of that size, checked to end there, one
-// over the limit refused before anything is read, any other body
-// (chunked, or long) growing as it arrives.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if r.ContentLength > server.MaxBodyBytes {
-		return nil, &http.MaxBytesError{Limit: server.MaxBodyBytes}
-	}
-	body := http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
-	if r.ContentLength < 0 || r.ContentLength > eagerBodyBytes {
-		return io.ReadAll(body)
-	}
-	buf := make([]byte, r.ContentLength+1) // one byte over, to see the end
-	n, err := io.ReadFull(body, buf)
-	if int64(n) == r.ContentLength && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-		return buf[:n], nil
-	}
-	if err == nil {
-		err = errors.New("body longer than its Content-Length")
-	}
-	return nil, err
-}
-
 // decode is the first stage of POST /solve: the control header, the
 // bounded body and its route view, ending in the shard key and the hop,
 // deadline, hedge and wait settings. It writes nothing (w only arms
@@ -561,7 +533,7 @@ func (r *Router) decode(w http.ResponseWriter, req *http.Request) (s solve, rej 
 	if err != nil {
 		return s, &rejection{http.StatusBadRequest, obs.CodeBadRequest, err.Error()}
 	}
-	body, err := readBody(w, req)
+	body, err := server.ReadBody(w, req)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -157,8 +157,7 @@ func (sc *cycleScratch) cgsPartialDev(d int, part []float64) gpu.Work {
 	local, k := sc.cgs.v.Local[d], sc.cgs.k
 	vk := local.Col(k + 1)
 	la.GemvT(1, local.ColView(0, k+2), vk, 0, part)
-	rows := float64(len(vk))
-	return gpu.Work{Flops: 2 * rows * float64(k+2), Bytes: 8 * rows * float64(k+3)}
+	return gpu.GemvT(len(vk), k+2)
 }
 
 // cgsUpdateDev is arnoldiCGS's update on device d:
@@ -167,5 +166,5 @@ func (sc *cycleScratch) cgsUpdateDev(d int) gpu.Work {
 	local, k := sc.cgs.v.Local[d], sc.cgs.k
 	vk := local.Col(k + 1)
 	la.Gemv(-1, local.ColView(0, k+1), sc.sum[:k+1], 1, vk)
-	return gpu.Work{Flops: 2 * float64(len(vk)) * float64(k+1), Bytes: 8 * float64(len(vk)) * float64(k+3)}
+	return gpu.Gemv(len(vk), k+1)
 }

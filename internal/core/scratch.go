@@ -129,7 +129,7 @@ func (sc *cycleScratch) negateDev(d int) gpu.Work {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	return gpu.Work{Flops: float64(len(r)), Bytes: 24 * float64(len(r))}
+	return gpu.Sub(len(r))
 }
 
 // copyScaled sets dst column jd := alpha * src column js across devices.
@@ -145,5 +145,5 @@ func (sc *cycleScratch) copyScaledDev(d int) gpu.Work {
 	for i := range s {
 		t[i] = alpha * s[i]
 	}
-	return gpu.Work{Flops: float64(len(s)), Bytes: 16 * float64(len(s))}
+	return gpu.Scale(len(s))
 }

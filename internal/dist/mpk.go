@@ -225,22 +225,19 @@ func (k *MPK) powers(d int) {
 	k.pickup(d)
 	dm := k.M.Dev[d]
 	z := &k.z[d]
-	vb := float64(k.storage.Bytes())
 	for step := 1; step <= steps; step++ {
 		t := steps - step // multiply rows with distance <= t
 		rows := dm.RowsAtDist[t]
 		zPrev, zCur := z[(step-1)%3], z[step%3]
 		dm.Ext.MulVecPrefix(zCur[:rows], zPrev, rows)
-		nnz := dm.NNZPrefix[t]
-		flops := 2 * float64(nnz)
-		bytes := float64(nnz)*(4+vb) + float64(rows)*2*vb
+		w := gpu.SpMV(dm.NNZPrefix[t], rows, k.storage)
 		if shifts != nil {
 			sh := shifts[step-1]
 			if reShift := real(sh); reShift != 0 {
 				for i := 0; i < rows; i++ {
 					zCur[i] -= reShift * zPrev[i]
 				}
-				flops += 2 * float64(rows)
+				w.Flops += 2 * float64(rows)
 			}
 			if imag(sh) < 0 {
 				// Second member of a conjugate pair: add Im^2 times
@@ -250,8 +247,8 @@ func (k *MPK) powers(d int) {
 				for i := 0; i < rows; i++ {
 					zCur[i] += b2 * zP2[i]
 				}
-				flops += 2 * float64(rows)
-				bytes += float64(rows) * vb
+				w.Flops += 2 * float64(rows)
+				w.Bytes += float64(rows * k.storage.Bytes())
 			}
 		}
 		// Narrow the step's output to the storage width before it is
@@ -260,7 +257,7 @@ func (k *MPK) powers(d int) {
 		// would hold.
 		roundElem(zCur[:rows], k.storage)
 		copy(v.Local[d].Col(j0+step), zCur[:dm.NOwn])
-		k.steps[step-1][d] = gpu.Work{Flops: flops, Bytes: bytes, Elem: k.storage}
+		k.steps[step-1][d] = w
 	}
 }
 
@@ -272,20 +269,9 @@ func (k *MPK) powers(d int) {
 func (k *MPK) splitFirstStep(work []gpu.Work, halo gpu.StreamEvent, phase string, elem gpu.Elem) {
 	m := k.M
 	interior, boundary := k.interior, k.boundary
-	vb := float64(elem.Bytes())
 	for d := range work {
-		dm := m.Dev[d]
-		iw := gpu.Work{
-			Flops: 2 * float64(dm.InteriorNNZ),
-			Bytes: float64(dm.InteriorNNZ)*(4+vb) + float64(dm.InteriorRows)*2*vb,
-			Elem:  elem,
-		}
-		if iw.Flops > work[d].Flops {
-			iw.Flops = work[d].Flops
-		}
-		if iw.Bytes > work[d].Bytes {
-			iw.Bytes = work[d].Bytes
-		}
+		iw := gpu.SpMV(m.Dev[d].InteriorNNZ, m.Dev[d].InteriorRows, elem)
+		iw.Flops, iw.Bytes = min(iw.Flops, work[d].Flops), min(iw.Bytes, work[d].Bytes)
 		interior[d] = iw
 		boundary[d] = gpu.Work{Flops: work[d].Flops - iw.Flops, Bytes: work[d].Bytes - iw.Bytes, Elem: elem}
 	}
@@ -408,8 +394,6 @@ func (k *MPK) SpMV(src *Vectors, jSrc int, dst *Vectors, jDst int, phase string)
 func (k *MPK) spmvDev(d int) {
 	k.pickup(d)
 	dm := k.M.Dev[d]
-	rows := dm.NOwn
-	dm.Ext.MulVecPrefix(k.call.v.Local[d].Col(k.call.j), k.z[d][0], rows)
-	nnz := dm.NNZPrefix[0]
-	k.steps[0][d] = gpu.Work{Flops: 2 * float64(nnz), Bytes: float64(nnz)*12 + float64(rows)*16}
+	dm.Ext.MulVecPrefix(k.call.v.Local[d].Col(k.call.j), k.z[d][0], dm.NOwn)
+	k.steps[0][d] = gpu.SpMV(dm.NNZPrefix[0], dm.NOwn, gpu.Elem64)
 }

@@ -47,7 +47,7 @@ func (v *Vectors) DotCols(jx, jy int, phase string) float64 {
 func (v *Vectors) dotDev(d int, part []float64) gpu.Work {
 	x := v.Local[d].Col(v.op.jx)
 	part[0] = la.Dot(x, v.Local[d].Col(v.op.jy))
-	return gpu.Work{Flops: 2 * float64(len(x)), Bytes: 16 * float64(len(x))}
+	return gpu.Dot(len(x))
 }
 
 // NormCol returns the 2-norm of column j (one reduce round).
@@ -64,7 +64,7 @@ func (v *Vectors) AxpyCol(alpha float64, jx, jy int, phase string) {
 func (v *Vectors) axpyDev(d int) gpu.Work {
 	x := v.Local[d].Col(v.op.jx)
 	la.Axpy(v.op.alpha, x, v.Local[d].Col(v.op.jy))
-	return gpu.Work{Flops: 2 * float64(len(x)), Bytes: 24 * float64(len(x))}
+	return gpu.Axpy(len(x))
 }
 
 // ScaleCol multiplies column j by alpha. The scalar is broadcast to the
@@ -82,7 +82,7 @@ func (v *Vectors) ScaleCol(alpha float64, j int, phase string) {
 func (v *Vectors) scaleDev(d int) gpu.Work {
 	col := v.Local[d].Col(v.op.jx)
 	la.Scal(v.op.alpha, col)
-	return gpu.Work{Flops: float64(len(col)), Bytes: 16 * float64(len(col))}
+	return gpu.Scale(len(col))
 }
 
 // UpdateWithBasis computes column jx of v += basis[:, j0:j0+k] * y for a
@@ -102,6 +102,5 @@ func (v *Vectors) updateDev(d int) gpu.Work {
 	k := len(v.op.y)
 	panel := v.op.basis.Local[d].ColView(v.op.jy, v.op.jy+k)
 	la.Gemv(1, panel, v.op.y, 1, v.Local[d].Col(v.op.jx))
-	rows := float64(v.Local[d].Rows)
-	return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
+	return gpu.Gemv(v.Local[d].Rows, k)
 }

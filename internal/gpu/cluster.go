@@ -116,10 +116,12 @@ func (c *Context) roundTime(bytes []int) float64 {
 // hop the local tier before they can cross the fabric.
 func (c *Context) routeExchange(traffic [][]int) float64 {
 	topo := c.prof.Topo
-	// Directed link loads of one node's positions, reused node after node.
+	// Directed link loads of one node's positions, reused node after node
+	// and round after round.
 	var a, b []int
 	if topo.Kind == TopoNVLinkRing || topo.Kind == TopoPCIeSwitch {
-		a, b = make([]int, c.perNode), make([]int, c.perNode)
+		links := sized(&c.scratch.links, 2*c.perNode)
+		a, b = links[:c.perNode], links[c.perNode:]
 	}
 	t, maxUp, inter := 0.0, 0, 0
 	for lo, hi := 0, 0; lo < len(traffic); lo = hi {

@@ -29,6 +29,7 @@ type collectiveScratch struct {
 	work  []Work      // one launch's cost shapes
 	times []float64   // and its modeled kernel times
 	bytes []int       // one round's uniform byte vector
+	links []int       // a peer round's directed link loads, both directions
 	parts [][]float64 // per device, grown to the widest reduction so far
 
 	kernel     func(d int) Work                 // Launch's f, during its fork

@@ -220,11 +220,14 @@ func (r *deviceRun) device(d int) {
 
 // --- Accounting -----------------------------------------------------------
 
-// Work describes one device kernel's cost shape. Elem is the element
-// width the kernel's vector operands use: the zero value (Elem64) keeps
-// the historical FP64 charging, while sub-FP64 widths earn the cost
-// model's FP32Speedup on the compute-bound estimate. Callers scale
-// Bytes themselves — the width of each operand is theirs to know.
+// Work is one device kernel's cost. Each kernel class has one constructor
+// (work.go), taking one device's share of the shapes, all under one
+// convention: each operand with a row dimension is read once and each
+// such output written once, at its element width; operands without one
+// (coefficient vectors, the small Gram, R and C blocks, scalars) stay on
+// chip and cost nothing. Flops count each multiply, add and divide. Elem
+// is the width of the vector operands: sub-FP64 widths earn the cost
+// model's FP32Speedup on the compute-bound estimate.
 type Work struct {
 	Flops float64 // floating-point operations
 	Bytes float64 // memory traffic (reads+writes)

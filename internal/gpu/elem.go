@@ -1,10 +1,9 @@
 package gpu
 
-// Elem is the wire/storage width of one matrix or vector element. The
-// zero value is full double precision, so every pre-existing Work
-// literal and transfer charge keeps its historical meaning; sub-FP64
-// widths are opt-in per transfer (Gather, Broadcast, HaloExchangeElemOn)
-// and per kernel (Work.Elem).
+// Elem is the wire/storage width of one matrix or vector element; the
+// zero value is full double precision. Sub-FP64 widths are opt-in per
+// transfer (Gather, Broadcast, HaloExchangeElemOn) and per kernel
+// (Work.Elem).
 //
 // Widths reorder modeled *time* and tag the new precision ledger
 // columns; the numerical narrowing itself (round-to-nearest float32 /

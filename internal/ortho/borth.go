@@ -52,7 +52,7 @@ func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.
 	}
 	pc, wc := windowCols(ctx, p), windowCols(ctx, w)
 	c := sc.c.take(sc.ws, pc, wc)
-	sc.p, sc.w, sc.m, sc.fp32 = p, w, c, elem == gpu.Elem32
+	sc.p, sc.w, sc.m, sc.elem = p, w, c, elem
 	ctx.AllReduce(phase, c.Data, elem, sc.tnPart)
 	// The broadcast relays the reduced C (implicit host-arrival ordering);
 	// the rank-update waits only for it, leaving the host free.
@@ -63,27 +63,23 @@ func (o BOrthCGS) Project(ctx *gpu.Context, p, w []*la.Dense, phase string) *la.
 
 func (sc *Scratch) tnDev(d int, part []float64) gpu.Work {
 	p, w := sc.p[d], sc.w[d]
-	pc, wc := p.Cols, w.Cols
-	cpart := la.Dense{Rows: pc, Cols: wc, Stride: pc, Data: part}
-	rows := float64(p.Rows)
-	if sc.fp32 {
+	cpart := la.Dense{Rows: p.Cols, Cols: w.Cols, Stride: p.Cols, Data: part}
+	if sc.elem == gpu.Elem32 {
 		la.GemmTNF32(1, p, w, 0, &cpart)
-		return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 4 * rows * float64(pc+wc), Elem: gpu.Elem32}
+	} else {
+		la.BatchedGemmTN(p, w, &cpart)
 	}
-	la.BatchedGemmTN(p, w, &cpart)
-	return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 8 * rows * float64(pc+wc)}
+	return gpu.GemmTN(p.Rows, p.Cols, w.Cols, sc.elem)
 }
 
 func (sc *Scratch) nnDev(d int) gpu.Work {
 	p, w := sc.p[d], sc.w[d]
-	pc, wc := p.Cols, w.Cols
-	rows := float64(p.Rows)
-	if sc.fp32 {
+	if sc.elem == gpu.Elem32 {
 		la.GemmNNF32(-1, p, sc.m, 1, w)
-		return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 4 * rows * float64(pc+2*wc), Elem: gpu.Elem32}
+	} else {
+		la.GemmNN(-1, p, sc.m, 1, w)
 	}
-	la.GemmNN(-1, p, sc.m, 1, w)
-	return gpu.Work{Flops: 2 * rows * float64(pc) * float64(wc), Bytes: 8 * rows * float64(pc+2*wc)}
+	return gpu.GemmNN(p.Rows, p.Cols, w.Cols, sc.elem)
 }
 
 // BOrthMGS projects the window against the previous columns one column
@@ -126,8 +122,7 @@ func (sc *Scratch) rowDev(d int, part []float64) gpu.Work {
 	w := sc.w[d]
 	pl := sc.p[d].Col(sc.l)
 	la.GemvT(1, w, pl, 0, part)
-	rows := float64(len(pl))
-	return gpu.Work{Flops: 2 * rows * float64(w.Cols), Bytes: 8 * rows * float64(w.Cols+1)}
+	return gpu.GemvT(len(pl), w.Cols)
 }
 
 func (sc *Scratch) rank1Dev(d int) gpu.Work {
@@ -136,8 +131,7 @@ func (sc *Scratch) rank1Dev(d int) gpu.Work {
 	for j, cj := range sc.coef {
 		la.Axpy(-cj, pl, w.Col(j))
 	}
-	rows := float64(len(pl))
-	return gpu.Work{Flops: 2 * rows * float64(w.Cols), Bytes: 8 * rows * float64(2*w.Cols+1)}
+	return gpu.Rank1(len(pl), w.Cols)
 }
 
 // BOrthByName maps a flag value to a block-orthogonalization variant.

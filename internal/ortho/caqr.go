@@ -49,14 +49,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 			localQ[d] = f.FormQ()
 			localR[d] = f.R()
 		}
-		rows := float64(w[d].Rows)
-		// 2ns^2 flops for the factorization + 2ns^2 to form Q explicitly.
-		// Unlike the one-pass BLAS-3 Gram kernel, Householder QR sweeps
-		// the trailing panel once per reflector (BLAS-1/2), so its memory
-		// traffic scales with n*c^2 — this is why CAQR runs at a fraction
-		// of CholQR's rate on devices (Figure 11c).
-		cc := float64(c) * float64(c)
-		return gpu.Work{Flops: 4 * rows * cc, Bytes: 8 * rows * cc}
+		return gpu.CAQRLocal(w[d].Rows, c)
 	})
 	// Gather the R factors (min(rows, c) x c each).
 	ctx.Gather(phase, c*c, gpu.Elem64, k)
@@ -92,8 +85,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 		out := la.NewDense(w[d].Rows, c)
 		la.GemmNN(1, localQ[d], qd, 0, out)
 		w[d].CopyFrom(out)
-		rows := float64(w[d].Rows)
-		return gpu.Work{Flops: 2 * rows * float64(c) * float64(c), Bytes: 24 * rows * float64(c)}
+		return gpu.GemmNN(w[d].Rows, c, c, gpu.Elem64)
 	}, bc)
 	// Zero columns produce zero diagonals in R; surface as rank
 	// deficiency for parity with the other strategies.

@@ -56,6 +56,5 @@ func (sc *Scratch) projDev(d int, part []float64) gpu.Work {
 	w, k := sc.w[d], sc.k
 	vk := w.Col(k)
 	la.GemvT(1, w.ColView(0, k), vk, 0, part)
-	rows := float64(len(vk))
-	return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+1)}
+	return gpu.GemvT(len(vk), k)
 }

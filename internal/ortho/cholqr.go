@@ -144,7 +144,7 @@ func (sc *Scratch) gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, ele
 		sc.gramPart = sc.gramDev
 	}
 	b := sc.gram.take(sc.ws, c, c)
-	sc.w, sc.fp32 = w, elem == gpu.Elem32
+	sc.w, sc.elem = w, elem
 	ctx.AllReduce(phase, b.Data, elem, sc.gramPart)
 	for j := 0; j < c; j++ {
 		for i := 0; i < c; i++ {
@@ -158,15 +158,13 @@ func (sc *Scratch) gramReduce(ctx *gpu.Context, w []*la.Dense, phase string, ele
 
 func (sc *Scratch) gramDev(d int, part []float64) gpu.Work {
 	w := sc.w[d]
-	c := w.Cols
-	g := la.Dense{Rows: c, Cols: c, Stride: c, Data: part}
-	rows := float64(w.Rows)
-	if sc.fp32 {
+	g := la.Dense{Rows: w.Cols, Cols: w.Cols, Stride: w.Cols, Data: part}
+	if sc.elem == gpu.Elem32 {
 		la.GramF32(w, &g)
-		return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 4 * rows * float64(c), Elem: gpu.Elem32}
+	} else {
+		la.BatchedGram(w, &g)
 	}
-	la.BatchedGram(w, &g)
-	return gpu.Work{Flops: rows * float64(c) * float64(c), Bytes: 8 * rows * float64(c)}
+	return gpu.Syrk(w.Rows, w.Cols, sc.elem)
 }
 
 // applyInvR broadcasts R once the host has produced it (the after event)
@@ -185,6 +183,5 @@ func (sc *Scratch) applyInvR(ctx *gpu.Context, w []*la.Dense, r *la.Dense, phase
 func (sc *Scratch) trsmDev(d int) gpu.Work {
 	w := sc.w[d]
 	la.TrsmRightUpper(w, sc.m)
-	rows, c := float64(w.Rows), float64(sc.m.Rows)
-	return gpu.Work{Flops: rows * c * c, Bytes: 16 * rows * c}
+	return gpu.Trsm(w.Rows, sc.m.Rows)
 }

@@ -59,13 +59,13 @@ func (q MGS) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, e
 func (sc *Scratch) dotDev(d int, part []float64) gpu.Work {
 	vl, vk := sc.w[d].Col(sc.l), sc.w[d].Col(sc.k)
 	part[0] = la.Dot(vl, vk)
-	return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 16 * float64(len(vl))}
+	return gpu.Dot(len(vl))
 }
 
 func (sc *Scratch) axpyDev(d int) gpu.Work {
 	vl, vk := sc.w[d].Col(sc.l), sc.w[d].Col(sc.k)
 	la.Axpy(sc.alpha, vl, vk)
-	return gpu.Work{Flops: 2 * float64(len(vl)), Bytes: 24 * float64(len(vl))}
+	return gpu.Axpy(len(vl))
 }
 
 // CGS is classical Gram-Schmidt with the fused norm: the projection
@@ -145,6 +145,5 @@ func (sc *Scratch) cgsDev(d int, part []float64) gpu.Work {
 		la.GemvT(1, w.ColView(0, k), vk, 0, part[:k])
 	}
 	part[k] = la.Dot(vk, vk)
-	rows := float64(len(vk))
-	return gpu.Work{Flops: 2 * rows * float64(k+1), Bytes: 8 * rows * float64(k+2)}
+	return gpu.GemvT(len(vk), k+1)
 }

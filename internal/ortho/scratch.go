@@ -42,7 +42,7 @@ type Scratch struct {
 	k, l  int       // the column being orthogonalized; the previous column MGS and BOrth-MGS sweep
 	alpha float64   // a column scale, or MGS's -r_lk
 	coef  []float64 // CGS's projection coefficients, BOrth-MGS's row of C
-	fp32  bool      // the Gram or projection kernel runs in single precision
+	elem  gpu.Elem  // the width the Gram or projection kernel runs at: Elem64 or Elem32
 
 	gramPart, cgsPart, projPart, normPart, dotPart, tnPart, rowPart func(d int, part []float64) gpu.Work
 	trsm, update, scale, axpy, nnUpdate, rank1                      func(d int) gpu.Work
@@ -193,7 +193,7 @@ func (sc *Scratch) normSq(ctx *gpu.Context, k int, phase string) float64 {
 func (sc *Scratch) normDev(d int, part []float64) gpu.Work {
 	vk := sc.w[d].Col(sc.k)
 	part[0] = la.Dot(vk, vk)
-	return gpu.Work{Flops: 2 * float64(len(vk)), Bytes: 8 * float64(len(vk))}
+	return gpu.SelfDot(len(vk))
 }
 
 // scaleCol multiplies column k of the window sc.w by alpha once the
@@ -209,7 +209,7 @@ func (sc *Scratch) scaleCol(ctx *gpu.Context, k int, alpha float64, phase string
 func (sc *Scratch) scaleDev(d int) gpu.Work {
 	vk := sc.w[d].Col(sc.k)
 	la.Scal(sc.alpha, vk)
-	return gpu.Work{Flops: float64(len(vk)), Bytes: 16 * float64(len(vk))}
+	return gpu.Scale(len(vk))
 }
 
 // updateDev is CGS's update of column k on device d: v_k -= V_{0:k} coef.
@@ -219,6 +219,5 @@ func (sc *Scratch) updateDev(d int) gpu.Work {
 	if k > 0 {
 		la.Gemv(-1, w.ColView(0, k), sc.coef, 1, vk)
 	}
-	rows := float64(len(vk))
-	return gpu.Work{Flops: 2 * rows * float64(k), Bytes: 8 * rows * float64(k+2)}
+	return gpu.Gemv(len(vk), k)
 }

@@ -202,19 +202,19 @@ const (
 // million entries; larger systems are named, not shipped.
 const MaxBodyBytes = 64 << 20
 
-// eagerBodyBytes bounds the buffer readBody allocates for a declared
+// eagerBodyBytes bounds the buffer ReadBody allocates for a declared
 // length before any of the body has arrived: a longer body is read as it
 // arrives, so no connection holds more than this for bytes not sent (the
 // inline MatrixMarket bodies of a served mix are ≈ 600 KB).
 const eagerBodyBytes = 1 << 20
 
-// readBody reads the body of a POST /solve, at most MaxBodyBytes of it.
-// A declared length up to eagerBodyBytes is read into one buffer of that
-// size, checked to end there; a declared length over MaxBodyBytes is
-// refused before anything is read or allocated, with the same
-// *http.MaxBytesError an over-long read gives. Any other body (chunked,
-// or long) is read growing.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// ReadBody reads the body of a POST /solve, at most MaxBodyBytes of it,
+// for the daemon and the router alike. A declared length up to
+// eagerBodyBytes is read into one buffer of that size, checked to end
+// there; a declared length over MaxBodyBytes is refused before anything
+// is read or allocated, with the same *http.MaxBytesError an over-long
+// read gives. Any other body (chunked, or long) is read growing.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.ContentLength > MaxBodyBytes {
 		return nil, &http.MaxBytesError{Limit: MaxBodyBytes}
 	}
@@ -372,7 +372,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (req SolveReques
 	if err != nil {
 		return req, spec, badRequest(err.Error())
 	}
-	body, err := readBody(w, r)
+	body, err := ReadBody(w, r)
 	if err == nil {
 		err = json.Unmarshal(body, &req)
 	}

@@ -11,6 +11,10 @@
 #     device fork that picks up the halo and runs all s steps, charged
 #     after it in step order, beside the fork that packs the exchange;
 #     Distribute's device-side set-up is charged nowhere).
+# Kernel cost has one definition too: internal/gpu/work.go's constructors,
+# one per kernel class. Fails when such a file writes a gpu.Work{
+# composite literal (dist.MPK may, once: the boundary launch of its split
+# first step is the step's cost less the interior's, no class of its own).
 # Device concurrency has one owner too: gpu.Context runs each device's
 # closure on that device's goroutine, so the kernels and the solver layers
 # start none of their own. Fails when a non-test Go file under
@@ -33,6 +37,12 @@ bad=$(
 )
 if [ -n "$bad" ]; then
 	echo "protocol-lint: the reduce protocol is written outside internal/gpu (use Context.Launch/Gather/Broadcast/AllReduce):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+bad=$(code 'gpu\.Work\{' | grep -vE '^\./internal/dist/mpk\.go:[0-9]+:[[:space:]]*boundary\[d\] = gpu\.Work\{' || true)
+if [ -n "$bad" ]; then
+	echo "protocol-lint: a kernel cost is written outside internal/gpu (call its constructor in work.go):" >&2
 	echo "$bad" >&2
 	exit 1
 fi
