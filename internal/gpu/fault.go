@@ -61,45 +61,18 @@ func (p FaultPlan) Empty() bool {
 	return len(p.Deaths) == 0 && p.TransferFaultProb == 0 && len(p.Stragglers) == 0
 }
 
-// RetryPolicy bounds the transparent retry of faulted transfer rounds:
-// capped exponential backoff on the virtual clock. Every failed attempt
+// The transparent retry of faulted transfer rounds mirrors a driver-level
+// retry loop: capped exponential backoff on the virtual clock, 4 attempts,
+// 50 us initial backoff doubling to at most 1 ms. Every failed attempt
 // charges the round's modeled time plus the current backoff to the
 // ledger's "fault" phase, so recovery is visible in the same accounting
-// as regular work.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per round (first attempt
-	// included). Exhausting it raises a *TransferError.
-	MaxAttempts int
-	// Backoff is the virtual-time delay after the first failed attempt.
-	Backoff float64
-	// Factor multiplies the backoff after each failure.
-	Factor float64
-	// MaxBackoff caps the delay.
-	MaxBackoff float64
-}
-
-// DefaultRetryPolicy mirrors a driver-level retry loop: 4 attempts,
-// 50 us initial backoff doubling to at most 1 ms.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Backoff: 50e-6, Factor: 2, MaxBackoff: 1e-3}
-}
-
-func (p RetryPolicy) defaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.Factor <= 1 {
-		p.Factor = d.Factor
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	return p
-}
+// as regular work. Exhausting the attempts (the first one included)
+// raises a *TransferError.
+const (
+	retryAttempts   = 4
+	retryBackoff    = 50e-6
+	retryMaxBackoff = 1e-3
+)
 
 // DeviceLostError reports a ledger charge that involved a dead device.
 // It is raised as a panic from the charging call and is meant to be
@@ -116,7 +89,7 @@ func (e *DeviceLostError) Error() string {
 }
 
 // TransferError reports a communication round whose transient faults
-// exhausted the retry policy. Raised as a panic from the charging call;
+// exhausted the retry attempts. Raised as a panic from the charging call;
 // the scheduler treats it as lease-fatal and re-queues the job.
 type TransferError struct {
 	Phase    string
@@ -144,7 +117,6 @@ type FaultCounts struct {
 type faultState struct {
 	mu       sync.Mutex
 	plan     FaultPlan
-	policy   RetryPolicy
 	rng      *rand.Rand
 	devices  int       // physical device count of the root context
 	dead     []bool    // per physical device
@@ -162,15 +134,11 @@ type faultState struct {
 func (c *Context) InjectFaults(plan FaultPlan) {
 	f := &faultState{
 		plan:     plan,
-		policy:   DefaultRetryPolicy(),
 		rng:      rand.New(rand.NewSource(plan.Seed)),
 		devices:  c.physDevices(),
 		dead:     make([]bool, c.physDevices()),
 		consumed: make([]bool, len(plan.Deaths)),
 		slow:     make([]float64, c.physDevices()),
-	}
-	if c.faults != nil {
-		f.policy = c.faults.policy
 	}
 	for _, s := range plan.Stragglers {
 		if s.Device >= 0 && s.Device < len(f.slow) && s.Factor > 1 {
@@ -178,18 +146,6 @@ func (c *Context) InjectFaults(plan FaultPlan) {
 		}
 	}
 	c.faults = f
-}
-
-// SetRetryPolicy configures the transfer-retry behavior; it arms an
-// empty plan if none is armed (so a fault-free context can still model
-// retries if a plan arrives later).
-func (c *Context) SetRetryPolicy(p RetryPolicy) {
-	if c.faults == nil {
-		c.InjectFaults(FaultPlan{})
-	}
-	c.faults.mu.Lock()
-	c.faults.policy = p.defaults()
-	c.faults.mu.Unlock()
 }
 
 // FaultsArmed reports whether a fault plan is active. The solvers use it
@@ -355,7 +311,7 @@ func (c *Context) checkDeaths(phase string) {
 // communication round of modeled duration t. Every failed attempt
 // charges the wasted round plus the current backoff to the ledger's
 // "fault" phase (virtual-time exponential backoff, capped); exhausting
-// the policy panics with *TransferError. Returns the total stall (the
+// retryAttempts panics with *TransferError. Returns the total stall (the
 // retries' modeled time, which extends the round on its transfer streams)
 // once an attempt succeeds.
 func (c *Context) injectTransferFaults(phase string, t float64) float64 {
@@ -370,13 +326,12 @@ func (c *Context) injectTransferFaults(phase string, t float64) float64 {
 		f.mu.Unlock()
 		return 0
 	}
-	policy := f.policy.defaults()
 	attempt := 1
-	backoff := policy.Backoff
+	backoff := retryBackoff
 	stall := 0.0
 	for f.rng.Float64() < prob {
 		f.counts.TransferFaults++
-		if attempt >= policy.MaxAttempts {
+		if attempt >= retryAttempts {
 			f.mu.Unlock()
 			panic(&TransferError{Phase: phase, Attempts: attempt})
 		}
@@ -387,10 +342,7 @@ func (c *Context) injectTransferFaults(phase string, t float64) float64 {
 		c.stats.addFault(phase, HostDevice, "transfer", t+backoff)
 		stall += t + backoff
 		attempt++
-		backoff *= policy.Factor
-		if backoff > policy.MaxBackoff {
-			backoff = policy.MaxBackoff
-		}
+		backoff = min(2*backoff, retryMaxBackoff)
 		if f.plan.MaxTransferFaults > 0 && f.counts.TransferFaults >= f.plan.MaxTransferFaults {
 			break
 		}

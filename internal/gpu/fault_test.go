@@ -176,20 +176,26 @@ func TestTransferFaultsDeterministicAndCharged(t *testing.T) {
 	}
 }
 
+// TestTransferErrorAfterRetryExhaustion pins the shipped retry constants:
+// a round that always faults gives up after 4 attempts, having waited out
+// three backoffs of 50, 100 and 200 us.
 func TestTransferErrorAfterRetryExhaustion(t *testing.T) {
 	c := NewContext(2, M2090())
 	c.InjectFaults(FaultPlan{Seed: 1, TransferFaultProb: 1})
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
 	err := chargeRound(c)
 	te, ok := err.(*TransferError)
 	if !ok {
 		t.Fatalf("want *TransferError, got %v", err)
 	}
-	if te.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", te.Attempts)
+	if te.Attempts != 4 {
+		t.Fatalf("attempts = %d, want 4", te.Attempts)
 	}
-	if fc := c.FaultCounts(); fc.TransferRetries != 2 {
-		t.Fatalf("retries = %d, want 2 (two backoffs before giving up)", fc.TransferRetries)
+	fc := c.FaultCounts()
+	if fc.TransferRetries != 3 {
+		t.Fatalf("retries = %d, want 3 (three backoffs before giving up)", fc.TransferRetries)
+	}
+	if want := 3.5e-4; math.Abs(fc.BackoffSeconds-want) > 1e-15 {
+		t.Fatalf("BackoffSeconds = %g, want %g", fc.BackoffSeconds, want)
 	}
 }
 

@@ -56,10 +56,11 @@ type SLOConfig struct {
 	// (defaults 300 / 3600).
 	FastWindow float64
 	SlowWindow float64
-	// DegradeThreshold: degraded when BOTH window burn rates reach it
-	// for any class (default 1.0).
-	DegradeThreshold float64
 }
+
+// degradeThreshold is the burn rate at which a class is degraded: both
+// its fast and its slow window must reach it.
+const degradeThreshold = 1.0
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if len(c.Classes) == 0 {
@@ -73,9 +74,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = 3600
-	}
-	if c.DegradeThreshold <= 0 {
-		c.DegradeThreshold = 1.0
 	}
 	return c
 }
@@ -296,7 +294,7 @@ func (e *SLOEngine) Report() SLOReport {
 		BudgetWindow:     e.cfg.BudgetWindow,
 		FastWindow:       e.cfg.FastWindow,
 		SlowWindow:       e.cfg.SlowWindow,
-		DegradeThreshold: e.cfg.DegradeThreshold,
+		DegradeThreshold: degradeThreshold,
 	}
 	type gaugeSet struct {
 		name               string
@@ -324,8 +322,8 @@ func (e *SLOEngine) Report() SLOReport {
 			BurnFast:        cs.burn(t, e.cfg.FastWindow),
 			BurnSlow:        cs.burn(t, e.cfg.SlowWindow),
 		}
-		cr.Degraded = cr.BurnFast >= e.cfg.DegradeThreshold &&
-			cr.BurnSlow >= e.cfg.DegradeThreshold
+		cr.Degraded = cr.BurnFast >= degradeThreshold &&
+			cr.BurnSlow >= degradeThreshold
 		if cr.Degraded {
 			rep.Degraded = true
 		}

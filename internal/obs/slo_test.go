@@ -29,7 +29,7 @@ func testSLOCfg() SLOConfig {
 		Classes: []SLOClass{
 			{Name: "t", MinPriority: math.MinInt32, LatencyTarget: 1.0, Objective: 0.5},
 		},
-		BudgetWindow: 100, FastWindow: 10, SlowWindow: 100, DegradeThreshold: 1.0,
+		BudgetWindow: 100, FastWindow: 10, SlowWindow: 100,
 	}
 }
 

@@ -14,19 +14,13 @@ import (
 // devices CAQR runs at a fraction of CholQR's BLAS-3 rate, and forming Q
 // explicitly (as the paper's implementation does) doubles the flops to
 // 4ns^2 (Figure 10).
-type CAQR struct {
-	// BlockSize > 0 switches the local factorizations to the compact-WY
-	// blocked algorithm (la.BlockedQR) with that panel width — the
-	// "effects of blocking" experiment of the paper's footnote 6. Zero
-	// keeps the unblocked Householder sweep.
-	BlockSize int
-}
+type CAQR struct{}
 
 // Name implements TSQR.
 func (CAQR) Name() string { return "CAQR" }
 
 // Factor implements TSQR.
-func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
+func (CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, error) {
 	c := windowCols(ctx, w)
 	ng := len(w)
 	localQ := make([]*la.Dense, ng)
@@ -40,12 +34,7 @@ func (q CAQR) Factor(ctx *gpu.Context, w []*la.Dense, phase string) (*la.Dense, 
 			// factors still reconstructs W_d = Q_d (Q_stack,d R).
 			localQ[d], localR[d] = wideLocalQR(w[d])
 		} else {
-			var f *la.QRFactor
-			if q.BlockSize > 0 {
-				f = la.BlockedQR(w[d], q.BlockSize)
-			} else {
-				f = la.HouseholderQR(w[d])
-			}
+			f := la.HouseholderQR(w[d])
 			localQ[d] = f.FormQ()
 			localR[d] = f.R()
 		}

@@ -394,34 +394,6 @@ func TestMeasurePerfectFactorization(t *testing.T) {
 	}
 }
 
-func TestCAQRBlockedMatchesUnblocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	v := randTall(rng, 180, 12)
-	ctx := gpu.NewContext(2, gpu.M2090())
-
-	w1 := splitRows(v.Clone(), 2)
-	r1, err := (CAQR{}).Factor(ctx, w1, "tsqr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := splitRows(v.Clone(), 2)
-	r2, err := (CAQR{BlockSize: 4}).Factor(ctx, w2, "tsqr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	la.FixRSigns(nil, r1)
-	la.FixRSigns(nil, r2)
-	if !r1.Equalish(r2, 1e-9*(1+r1.MaxAbs())) {
-		t.Fatal("blocked CAQR R disagrees with unblocked")
-	}
-	// Orthogonality identical quality.
-	orig := splitRows(v.Clone(), 2)
-	e := Measure(w2, orig, r2)
-	if e.Orthogonality > 1e-12 {
-		t.Fatalf("blocked CAQR orthogonality %v", e.Orthogonality)
-	}
-}
-
 // TestWindowMustMatchTheContext: a window split for another device count
 // than the context's fails up front with both counts in the message, in
 // every strategy and both BOrth variants — not with an index out of range

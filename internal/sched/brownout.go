@@ -9,31 +9,23 @@ import (
 
 // BrownoutConfig enables SLO-driven brownout: when the SLO engine's
 // fast-burn window trips, admission sheds the lowest-priority classes
-// first, climbing a ladder as the burn worsens. Nil (the default)
-// disables brownout entirely, so existing deployments and tests are
-// untouched.
+// first, climbing a ladder as the burn worsens. Level k (1-based)
+// engages at a fast burn of k — one full error budget per rung. Nil (the
+// default) disables brownout entirely, so existing deployments and tests
+// are untouched.
 type BrownoutConfig struct {
 	// Ladder lists the minimum admitted priority per brownout level:
 	// at level i (1-based) submissions with priority < Ladder[i-1] are
-	// shed. Later rungs should be at least as strict as earlier ones.
+	// shed. Later rungs are at least as strict as earlier ones;
+	// ParseBrownoutLadder refuses a falling rung.
 	Ladder []int
-	// Thresholds[i] is the fast-burn rate (error budget consumed per
-	// budget window, as reported by the SLO engine) at which level i+1
-	// engages. Empty defaults to 1.0, 2.0, 3.0, ... — one full budget
-	// of fast burn per rung.
-	Thresholds []float64
-}
-
-func (c *BrownoutConfig) threshold(i int) float64 {
-	if i < len(c.Thresholds) {
-		return c.Thresholds[i]
-	}
-	return float64(i + 1)
 }
 
 // ParseBrownoutLadder parses the -brownout flag of the daemons: a
 // comma-separated list of minimum admitted priorities, one per brownout
-// level ("1,2"). Empty input returns nil, which keeps brownout off.
+// level ("1,2"). Empty input returns nil, which keeps brownout off. A
+// falling rung is refused: it would readmit, as the burn worsens, the
+// priorities that an earlier level shed.
 func ParseBrownoutLadder(spec string) (*BrownoutConfig, error) {
 	if spec == "" {
 		return nil, nil
@@ -43,6 +35,9 @@ func ParseBrownoutLadder(spec string) (*BrownoutConfig, error) {
 		p, err := strconv.Atoi(strings.TrimSpace(item))
 		if err != nil {
 			return nil, fmt.Errorf("ladder rung %q: %v", item, err)
+		}
+		if n := len(ladder); n > 0 && p < ladder[n-1] {
+			return nil, fmt.Errorf("ladder rung %q: admits priority %d, which rung %d sheds; later rungs must be at least as strict", item, p, n)
 		}
 		ladder = append(ladder, p)
 	}
@@ -81,10 +76,10 @@ func (e *DeadlineInfeasibleError) Error() string {
 }
 
 // BrownoutLevel reports the active brownout level: 0 when brownout is
-// off or the SLO fast-burn windows are below every threshold, otherwise
-// the highest rung whose threshold the worst class's fast burn meets.
-// The level is recomputed from the SLO engine on every call and
-// exported as the sched_brownout_level gauge.
+// off or the worst class's fast burn is below 1, otherwise the highest
+// level k that burn reaches (burn >= k). The level is recomputed from
+// the SLO engine on every call and exported as the sched_brownout_level
+// gauge.
 func (s *Scheduler) BrownoutLevel() int {
 	bc := s.cfg.Brownout
 	if bc == nil || len(bc.Ladder) == 0 {
@@ -99,7 +94,7 @@ func (s *Scheduler) BrownoutLevel() int {
 	}
 	level := 0
 	for i := range bc.Ladder {
-		if maxBurn >= bc.threshold(i) {
+		if maxBurn >= float64(i+1) {
 			level = i + 1
 		}
 	}

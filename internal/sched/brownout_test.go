@@ -102,6 +102,43 @@ func TestBrownoutShed(t *testing.T) {
 	}
 }
 
+// TestBrownoutRungEngagesAtItsBurn pins where each rung engages: level k
+// at a worst fast burn of k. Interactive requests (objective 99%) are
+// observed with a bad fraction that puts the burn first in [1, 2), then
+// in [2, 3), under a 2-rung ladder.
+func TestBrownoutRungEngagesAtItsBurn(t *testing.T) {
+	clk := newManualClock()
+	engine := obs.NewSLOEngine(nil, obs.SLOConfig{}, clk)
+	s := New(Config{
+		Pool:     NewPool(PoolConfig{Size: 1, Devices: 1}),
+		SLO:      engine,
+		Brownout: &BrownoutConfig{Ladder: []int{1, 2}},
+		Clock:    clk,
+	})
+	observe := func(good, bad int) {
+		for i := 0; i < good+bad; i++ {
+			engine.Observe(2, 0, i < bad)
+			clk.advance(time.Second)
+		}
+	}
+	for _, step := range []struct {
+		good, bad int
+		level     int
+	}{
+		{59, 1, 1}, // 1 bad of 60: burn 1.67
+		{19, 1, 2}, // 2 bad of 80: burn 2.5
+	} {
+		observe(step.good, step.bad)
+		burn := engine.Report().Classes[0].BurnFast
+		if lvl := s.BrownoutLevel(); lvl != step.level {
+			t.Fatalf("fast burn %.3f: brownout level = %d, want %d", burn, lvl, step.level)
+		}
+		if burn < float64(step.level) || burn >= float64(step.level+1) {
+			t.Fatalf("fast burn %.3f outside [%d, %d)", burn, step.level, step.level+1)
+		}
+	}
+}
+
 // TestDeadlineInfeasibleGate primes the service-time EWMA with one real
 // solve, then asserts that a submission whose deadline cannot cover a
 // solve is rejected up front with the typed error and tallied.
@@ -195,6 +232,8 @@ func TestParseBrownoutLadder(t *testing.T) {
 		{"-1", []int{-1}, ""},
 		{"1,two", nil, `ladder rung "two"`},
 		{"1,,2", nil, `ladder rung ""`},
+		{"2,2", []int{2, 2}, ""},
+		{"2,1", nil, `ladder rung "1": admits priority 1, which rung 1 sheds`},
 	} {
 		cfg, err := ParseBrownoutLadder(tc.spec)
 		switch {

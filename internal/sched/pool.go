@@ -64,9 +64,6 @@ type PoolConfig struct {
 	// context i — how cagmresd's -chaos-* flags and the tests schedule
 	// deterministic failures into a running service. Missing entries stay fault-free.
 	FaultPlans []gpu.FaultPlan
-	// Retry, when non-zero, overrides the transfer-retry policy of every
-	// pooled context.
-	Retry gpu.RetryPolicy
 	// Repair readmits evicted contexts after a gpu.Repair (modeling a
 	// driver reset / device replacement between leases); false removes
 	// them from the pool permanently.
@@ -83,8 +80,8 @@ type PoolConfig struct {
 // been evicted with repair disabled.
 var ErrPoolExhausted = errors.New("sched: every pooled context has been evicted")
 
-// NewPool builds a pool, arming the configured fault plans and retry
-// policy on the pooled contexts.
+// NewPool builds a pool, arming the configured fault plans on the pooled
+// contexts.
 func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Size < 1 {
 		panic(fmt.Sprintf("sched: NewPool with size %d", cfg.Size))
@@ -98,9 +95,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		healthy:   cfg.Size}
 	for i := 0; i < cfg.Size; i++ {
 		c := gpu.NewContext(cfg.Devices, cfg.Profile)
-		if cfg.Retry != (gpu.RetryPolicy{}) {
-			c.SetRetryPolicy(cfg.Retry)
-		}
 		if cfg.TraceEvents > 0 {
 			c.Stats().EnableTrace(cfg.TraceEvents)
 		}

@@ -60,6 +60,7 @@ cagmresd -addr 127.0.0.1:0 -devices 0
 cagmresd -addr 127.0.0.1:0 -queue -1
 cagmresd -addr 127.0.0.1:0 -batch 0
 cagmresd -addr 127.0.0.1:0 -retain -1
+cagmresd -addr 127.0.0.1:0 -brownout 2,1
 loadgen -clients 0
 cagmres-router -addr 127.0.0.1:0
 cagmres-router -addr 127.0.0.1:0 -backends a=http://127.0.0.1:1,a=http://127.0.0.1:2

@@ -10,5 +10,5 @@ import (
 func main() {
 	var s alpha.Stats
 	var err error = alpha.Fault{}
-	fmt.Println(alpha.All(), s.N, err, alpha.Kind(1))
+	fmt.Println(alpha.All(), s.N, err, alpha.Kind(1), alpha.Configure(nil, nil))
 }

@@ -5,7 +5,10 @@ package cagmres
 // files are type-checked with go/types — the standard library from source,
 // so the gate needs nothing beyond the toolchain — and every top-level
 // declaration under internal/ that no root reaches fails the test, with its
-// position and size.
+// position and size. So does every exported struct field under internal/
+// that no non-test code writes: a knob nothing sets is one value in use,
+// and the branches only its other values ran are as dead as a declaration
+// nothing calls.
 
 import (
 	"bytes"
@@ -19,6 +22,7 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -57,7 +61,7 @@ var oracles = map[string]string{
 
 func TestUnreached(t *testing.T) {
 	t.Run("fixture", func(t *testing.T) {
-		got, err := unreached(filepath.Join("testdata", "unreached"), map[string]string{
+		got, unset, err := unreached(filepath.Join("testdata", "unreached"), map[string]string{
 			"alpha.Reference": "the sum the fixture's live code is checked against",
 		})
 		if err != nil {
@@ -74,9 +78,17 @@ func TestUnreached(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("fixture report:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+		wantUnset := []string{
+			"alpha.Square.Side internal/alpha/alpha.go:35",
+			"alpha.Config.Mode internal/alpha/config.go:15",
+			"alpha.Config.Unset internal/alpha/config.go:16",
+		}
+		if strings.Join(unset, "\n") != strings.Join(wantUnset, "\n") {
+			t.Errorf("fixture field report:\n%s\nwant:\n%s", strings.Join(unset, "\n"), strings.Join(wantUnset, "\n"))
+		}
 	})
 	t.Run("module", func(t *testing.T) {
-		got, err := unreached(".", oracles)
+		got, unset, err := unreached(".", oracles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,6 +97,12 @@ func TestUnreached(t *testing.T) {
 		}
 		if len(got) > 0 {
 			t.Errorf("nothing reaches these %d declarations: delete each, move it into a _test.go file, or name it in oracles with the reason tests need it", len(got))
+		}
+		for _, line := range unset {
+			t.Errorf("unset: %s", line)
+		}
+		if len(unset) > 0 {
+			t.Errorf("no non-test code writes these %d fields: each has one value in use, so make it a constant and delete what its other values ran", len(unset))
 		}
 	})
 }
@@ -99,7 +117,8 @@ type decl struct {
 
 // unreached type-checks the non-test files of the module in dir and
 // returns every top-level func, method, type, const and var under its
-// internal/ tree that no root reaches, sorted by position. The roots are
+// internal/ tree that no root reaches, sorted by position, and every field
+// that unset names (see there). The roots are
 // each main function, the exported API of the module's root package, init
 // functions, package-level var initialisers that call a function, blank
 // `var _ = …` declarations (interface assertions among them), and the
@@ -109,10 +128,10 @@ type decl struct {
 // an interface that has the method — any interface of a loaded package,
 // the standard library's and the universe's error included. An oracle
 // must name a declaration that nothing else reaches.
-func unreached(dir string, oracles map[string]string) ([]string, error) {
+func unreached(dir string, oracles map[string]string) (report, unset []string, err error) {
 	pkgs, err := goList(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The standard library is type-checked from source without cgo: only
 	// its declarations matter here, and the pure-Go files declare them all.
@@ -125,6 +144,7 @@ func unreached(dir string, oracles map[string]string) ([]string, error) {
 	byName := map[string]types.Object{}
 	var roots []types.Object
 	var ifaces []*types.Interface
+	written := map[*types.Var]bool{}
 	for _, lp := range pkgs {
 		if lp.Module == nil || !lp.Module.Main {
 			continue
@@ -134,20 +154,22 @@ func unreached(dir string, oracles map[string]string) ([]string, error) {
 		for _, f := range lp.GoFiles {
 			af, err := parser.ParseFile(fset, filepath.Join(lp.Dir, f), nil, parser.ParseComments)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			files = append(files, af)
 		}
 		info := &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		imp.mod[lp.ImportPath] = pkg
+		fieldWrites(files, info, written)
 		for e, tv := range info.Types {
 			if _, ok := e.(*ast.InterfaceType); ok {
 				ifaces = append(ifaces, tv.Type.(*types.Interface))
@@ -187,7 +209,7 @@ func unreached(dir string, oracles map[string]string) ([]string, error) {
 		}
 	}
 	if modPath == "" {
-		return nil, fmt.Errorf("%s: go list found no package of the main module", dir)
+		return nil, nil, fmt.Errorf("%s: go list found no package of the main module", dir)
 	}
 
 	// Every interface a reached type's method might satisfy, by method name.
@@ -259,7 +281,7 @@ func unreached(dir string, oracles map[string]string) ([]string, error) {
 	}
 	if len(errs) > 0 {
 		sort.Strings(errs)
-		return nil, fmt.Errorf("%s", strings.Join(errs, "\n"))
+		return nil, nil, fmt.Errorf("%s", strings.Join(errs, "\n"))
 	}
 	reach()
 
@@ -276,15 +298,132 @@ func unreached(dir string, oracles map[string]string) ([]string, error) {
 		}
 		return a.Offset < b.Offset
 	})
-	report := make([]string, len(dead))
-	for i, d := range dead {
-		rel, err := filepath.Rel(modDir, d.pos.Filename)
+	rel := func(pos token.Position) string {
+		r, err := filepath.Rel(modDir, pos.Filename)
 		if err != nil {
-			return nil, err
+			r = pos.Filename
 		}
-		report[i] = fmt.Sprintf("%s %s:%d (%d lines)", d.name, filepath.ToSlash(rel), d.pos.Line, d.lines)
+		return fmt.Sprintf("%s:%d", filepath.ToSlash(r), pos.Line)
 	}
-	return report, nil
+	for _, d := range dead {
+		report = append(report, fmt.Sprintf("%s %s (%d lines)", d.name, rel(d.pos), d.lines))
+	}
+	for _, f := range unsetFields(fset, imp.mod, modPath+"/internal/", written) {
+		unset = append(unset, f.name+" "+rel(f.pos))
+	}
+	return report, unset, nil
+}
+
+// fieldWrites marks in written every struct field that the files write:
+// as a composite literal's key or by its position in one, on the left of
+// an assignment (a multi-value one or a range clause's included), under &
+// (how flags bind) and under ++ or --. A write through a nested selector,
+// an index or a dereference counts for every field on its path, so
+// `&rc.Breaker.Threshold` writes both Breaker and Threshold.
+func fieldWrites(files []*ast.File, info *types.Info, written map[*types.Var]bool) {
+	path := func(e ast.Expr) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+					written[s.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							written[v.Origin()] = true
+						}
+					} else {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					path(l)
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					path(n.Key)
+					path(n.Value)
+				}
+			case *ast.IncDecStmt:
+				path(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					path(n.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// field is one exported struct field the gate checks.
+type field struct {
+	name string // pkg.Type.Field
+	pos  token.Position
+}
+
+// unsetFields is every exported, non-embedded field of a package-level
+// struct type in the packages under prefix that nothing in written names,
+// sorted by position. A field with a json tag is exempt: its struct is
+// decoded from JSON, which writes it without naming it.
+func unsetFields(fset *token.FileSet, pkgs map[string]*types.Package, prefix string, written map[*types.Var]bool) []field {
+	var out []field
+	for path, p := range pkgs {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		for _, n := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !v.Exported() || v.Embedded() || tagged || written[v] {
+					continue
+				}
+				out = append(out, field{p.Name() + "." + n + "." + v.Name(), fset.Position(v.Pos())})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].pos, out[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset
+	})
+	return out
 }
 
 // listedPackage is the part of a `go list -json` record the gate reads.
